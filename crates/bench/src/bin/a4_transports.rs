@@ -9,39 +9,30 @@
 //! * `push/pull` — bounded blocking pipeline (backpressure);
 //! * `pub/sub`   — ZeroMQ-style broker with HWM (load shedding);
 //! * `pub/sub batched` — same broker, events batched 64 per message;
-//! * `tcp per-event` — sdci-net framed TCP forced to wire proto 1
-//!   (one `Item` frame per event, one ack each), the pre-batching wire;
-//! * `tcp batched json` — the same transport pinned to proto 2:
-//!   `ItemBatch` frames with JSON bodies and the adaptive flush (size
-//!   threshold or deadline);
-//! * `tcp batched bin` — the default wire (proto 3): the same batch
-//!   frames as compact binary bodies, encoded once into per-connection
-//!   scratch buffers and shipped with vectored writes;
-//! * `tcp batched traced 1/64` — the default wire again with the
-//!   distributed tracer sampling one extraction in 64 (the production
-//!   default), so the cost of head sampling plus on-wire contexts is
-//!   measured against the untraced arm.
+//! * `tcp batched bin` — sdci-net framed TCP: `ItemBatch` frames with
+//!   compact binary bodies and the adaptive flush (size threshold or
+//!   deadline), encoded once into per-connection scratch buffers and
+//!   shipped with vectored writes;
+//! * `tcp batched traced 1/64` — the same wire with the distributed
+//!   tracer sampling one extraction in 64 (the production default), so
+//!   the cost of head sampling plus on-wire contexts is measured
+//!   against the untraced arm.
 //!
 //! A second ladder measures the *deliver* direction — consumer
-//! scaling: 1→256 subscribers on one topic, comparing the broker's
-//! encode-once fan-out (each batch rendered once per negotiated proto,
-//! the frozen bytes shared across legs) against the per-subscriber
-//! re-encode baseline (`fanout_encode_once: false`). The subscriber
+//! scaling: 1→256 subscribers on one topic through the broker's
+//! encode-once fan-out (each run rendered once, the frozen bytes shared
+//! across legs), reported as absolute deliveries/s. The subscriber
 //! clients are deliberately drain-only raw sockets, so the measured
 //! cost is the broker's, not 256 deserializers fighting for the CPU.
 //!
 //! Emits `BENCH_a4_transports.json` (push arms) and
-//! `BENCH_a4_consumer_scaling.json` (fan-out ladder) with all rates
-//! and their ratios, and exits non-zero if the JSON-batched wire is
-//! slower than the per-event wire, if the binary wire is less than 5x
-//! the JSON-batched wire, if 1/64 tracing costs the default arm more
-//! than 10% throughput, or if encode-once beats the per-subscriber
-//! baseline by less than 2x at 256 subscribers — CI runs `--smoke` so
-//! frame batching, the binary codec, cheap tracing, and the shared
-//! fan-out encode can't silently regress. (The trace budget was 5%
-//! when the default wire was JSON at ~8µs/event; against the
-//! ~6x-faster binary wire, 10% is a *stricter* absolute bound —
-//! ~140ns/event vs ~390ns.)
+//! `BENCH_a4_consumer_scaling.json` (fan-out ladder), and exits
+//! non-zero if a lossless arm loses an event or if 1/64 tracing costs
+//! the TCP arm more than 10% throughput — CI runs `--smoke` so cheap
+//! tracing can't silently regress. (The ratios against the per-event
+//! and JSON-batched wires and the per-subscriber re-encode this bench
+//! used to gate are on record in CHANGES.md, PRs 9–10; those paths no
+//! longer exist.)
 //!
 //! ```text
 //! a4_transports [--smoke]
@@ -50,7 +41,7 @@
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_net::wire::{write_msg, Frame, BIN_FRAME_BIT};
-use sdci_net::{NetConfig, TcpBroker, TcpPullServer, TcpPush};
+use sdci_net::{NetConfig, TcpBroker, TcpPullServer, TcpPush, WIRE_PROTO};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -77,13 +68,8 @@ struct A4Report {
     push_pull_events_per_sec: f64,
     pubsub_events_per_sec: f64,
     pubsub_batched_events_per_sec: f64,
-    tcp_per_event_events_per_sec: f64,
-    tcp_batched_events_per_sec: f64,
-    tcp_batched_frames: u64,
-    tcp_batched_speedup: f64,
     tcp_bin_events_per_sec: f64,
     tcp_bin_frames: u64,
-    tcp_bin_speedup: f64,
     trace_sample_every: u64,
     tcp_batched_traced_events_per_sec: f64,
     trace_overhead_pct: f64,
@@ -98,8 +84,6 @@ struct A4FanoutReport {
     events: u64,
     topic_subscribers: Vec<u64>,
     encode_once_deliveries_per_sec: Vec<f64>,
-    per_subscriber_encode_deliveries_per_sec: Vec<f64>,
-    encode_once_speedup_at_max: f64,
 }
 
 fn event(i: u64) -> FileEvent {
@@ -215,12 +199,12 @@ fn run_pubsub_batched(events: u64, batch: usize) -> (f64, u64) {
 }
 
 /// One loopback PULL server, `PRODUCERS` pusher clients, `events`
-/// `FileEvent`s end to end, under the given wire config. With `traced`
-/// each producer opens a trace root per event the way the collector
+/// `FileEvent`s end to end. With `traced` each producer opens a trace root per event the way the collector
 /// does (head sampling decides which events carry context on the
 /// wire). Returns (events/s, delivered, batch frames seen by the
 /// server).
-fn run_tcp_push_pull(events: u64, cfg: NetConfig, traced: bool) -> (f64, u64, u64) {
+fn run_tcp_push_pull(events: u64, traced: bool) -> (f64, u64, u64) {
+    let cfg = NetConfig::default();
     let server = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 65_536, cfg.clone())
         .expect("bind loopback pull server");
     let addr = server.local_addr();
@@ -262,26 +246,18 @@ fn run_tcp_push_pull(events: u64, cfg: NetConfig, traced: bool) -> (f64, u64, u6
     (rate, received, batches)
 }
 
-/// Runs a TCP arm `runs` times, asserting full delivery every run.
-/// Returns every run's rate (ascending) plus the batch-frame count
-/// from the fastest run. The gates below compare ratios between arms:
-/// the arm that must be fast contributes its best run, the baseline
-/// arm its *median* — so neither a descheduled run of the tested arm
-/// nor one lucky outlier of the baseline can masquerade as (or mask)
-/// a codec regression.
-fn tcp_runs(runs: u32, events: u64, cfg: &NetConfig, traced: bool) -> (Vec<f64>, u64) {
-    let mut rates = Vec::new();
+/// Runs the TCP arm `runs` times, asserting full delivery every run.
+/// Returns the fastest run's rate and batch-frame count.
+fn tcp_best(runs: u32, events: u64, traced: bool) -> (f64, u64) {
     let mut best = (0.0f64, 0u64);
     for _ in 0..runs {
-        let (rate, recv, batches) = run_tcp_push_pull(events, cfg.clone(), traced);
+        let (rate, recv, batches) = run_tcp_push_pull(events, traced);
         assert_eq!(recv, events, "a lossless tcp arm may not lose events");
         if rate > best.0 {
             best = (rate, batches);
         }
-        rates.push(rate);
     }
-    rates.sort_by(f64::total_cmp);
-    (rates, best.1)
+    best
 }
 
 /// A control-path marker event the drain subscribers can spot by
@@ -294,10 +270,10 @@ fn frame_contains(frame: &[u8], needle: &[u8]) -> bool {
     frame.windows(needle.len()).any(|w| w == needle)
 }
 
-/// A minimal drain-only subscriber: sends the subscriber hello
-/// announcing proto 2 (JSON batch bodies), then reads and discards
-/// frames as fast as the socket yields them, watching small frames for
-/// the PROBE/FIN path markers. Keeping the client this thin isolates
+/// A minimal drain-only subscriber: sends the subscriber hello, then
+/// reads and discards frames as fast as the socket yields them,
+/// watching small frames for the PROBE/FIN path markers (a path is raw
+/// bytes inside a binary payload, so no decoding is needed). Keeping the client this thin isolates
 /// the broker-side fan-out cost — 256 real consumers' deserializers
 /// would otherwise dominate the measurement and mask the encode delta.
 fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread::JoinHandle<()> {
@@ -309,7 +285,7 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
             &mut writer,
             &Frame::<FileEvent>::HelloSubscriber {
                 prefixes: vec!["bench/".into()],
-                proto: Some(2),
+                proto: WIRE_PROTO,
             },
         )
         .expect("subscriber hello");
@@ -322,8 +298,8 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
             let len = (u32::from_be_bytes(word) & !BIN_FRAME_BIT) as usize;
             frame.resize(len, 0);
             reader.read_exact(&mut frame).expect("read frame body");
-            // Markers ride singleton `Deliver` frames, which are small;
-            // bulk batch frames are skipped without scanning.
+            // Markers ride one-member `DeliverBatch` frames, which are
+            // small; bulk batch frames are skipped without scanning.
             if len < 1024 {
                 if !announced && frame_contains(&frame, b"/bench/PROBE") {
                     announced = true;
@@ -344,9 +320,8 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
 /// sentinel. Sentinel receipt implies full delivery: every queue on
 /// the path is FIFO and sized above the run, and the sentinel is
 /// published last.
-fn run_fanout(subs: usize, events: u64, encode_once: bool) -> f64 {
-    let cfg = NetConfig { fanout_encode_once: encode_once, ..NetConfig::default() };
-    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 65_536, cfg.clone())
+fn run_fanout(subs: usize, events: u64) -> f64 {
+    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 65_536, NetConfig::default())
         .expect("bind loopback fan-out broker");
     let addr = broker.local_addr();
     let ready = Arc::new(AtomicU64::new(0));
@@ -375,21 +350,6 @@ fn run_fanout(subs: usize, events: u64, encode_once: bool) -> f64 {
     rate
 }
 
-/// Runs a fan-out cell `runs` times; returns the rates ascending.
-fn fanout_runs(runs: u32, subs: usize, events: u64, encode_once: bool) -> Vec<f64> {
-    let mut rates: Vec<f64> = (0..runs).map(|_| run_fanout(subs, events, encode_once)).collect();
-    rates.sort_by(f64::total_cmp);
-    rates
-}
-
-fn median(rates: &[f64]) -> f64 {
-    rates[rates.len() / 2]
-}
-
-fn best(rates: &[f64]) -> f64 {
-    *rates.last().expect("at least one run")
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let events: u64 = if smoke { 40_000 } else { 200_000 };
@@ -407,20 +367,10 @@ fn main() {
     let (ps_rate, ps_recv) = run_pubsub(events);
     let (psb_rate, psb_recv) = run_pubsub_batched(events, 64);
 
-    // The default wire is proto 3 (binary batch bodies); proto 2 pins
-    // the same batching with JSON bodies, proto 1 the per-event wire.
-    let bin_cfg = NetConfig::default();
-    let json_cfg = NetConfig { proto: 2, ..NetConfig::default() };
-    let per_event_cfg = NetConfig { proto: 1, ..NetConfig::default() };
-    let (tcp1_rates, tcp1_batches) = tcp_runs(2, events, &per_event_cfg, false);
-    let (tcp2_rates, tcp2_batches) = tcp_runs(3, batched_events, &json_cfg, false);
-    let (tcp1_rate, tcp2_rate) = (best(&tcp1_rates), best(&tcp2_rates));
-    let wire_speedup = tcp2_rate / median(&tcp1_rates);
-    let (bin_rates, bin_batches) = tcp_runs(3, batched_events, &bin_cfg, false);
-    let bin_rate = best(&bin_rates);
-    let bin_speedup = bin_rate / median(&tcp2_rates);
+    let cfg = NetConfig::default();
+    let (bin_rate, bin_batches) = tcp_best(3, batched_events, false);
 
-    // The same default (binary) wire with the production sampling rate:
+    // The same wire with the production sampling rate:
     // every extraction pays the head-sampling check, one in 64 records
     // a span and ships its context inside the event.
     const SAMPLE_EVERY: u64 = 64;
@@ -438,36 +388,24 @@ fn main() {
         if pair >= 3 && trace_overhead_pct <= 10.0 {
             break;
         }
-        let (base_rates, _) = tcp_runs(1, batched_events, &bin_cfg, false);
-        let (traced_rates, _) = tcp_runs(1, batched_events, &bin_cfg, true);
-        let (base, traced) = (best(&base_rates), best(&traced_rates));
+        let (base, _) = tcp_best(1, batched_events, false);
+        let (traced, _) = tcp_best(1, batched_events, true);
         tcp3_rate = tcp3_rate.max(traced);
         trace_overhead_pct = trace_overhead_pct.min((base - traced) / base * 100.0);
     }
     sdci_obs::trace::set_sample_every(0);
 
-    // Consumer scaling: the fan-out ladder. The deliver session is
-    // pinned to proto 2 by the drain clients' hello (JSON batch
-    // bodies), so the per-subscriber work the encode-once dispatcher
-    // amortizes is the expensive text codec; the baseline re-runs the
-    // ladder with the shared-frame path disabled — the old
-    // re-serialize-per-leg broker. The gated high end gets the
-    // best-vs-median treatment the other gates use.
+    // Consumer scaling: the fan-out ladder, best of three at the top
+    // rung (where scheduler noise is largest), one run below it.
     let fanout_events: u64 = if smoke { 2_000 } else { 6_000 };
     let top = *FANOUT_LADDER.last().expect("non-empty ladder");
-    let mut fanout_once = Vec::new();
-    let mut fanout_per_leg = Vec::new();
-    let mut fanout_speedup = 0.0f64;
-    for &subs in &FANOUT_LADDER {
-        let runs = if subs == top { 3 } else { 1 };
-        let once = fanout_runs(runs, subs, fanout_events, true);
-        let per_leg = fanout_runs(runs, subs, fanout_events, false);
-        if subs == top {
-            fanout_speedup = best(&once) / median(&per_leg);
-        }
-        fanout_once.push(best(&once));
-        fanout_per_leg.push(best(&per_leg));
-    }
+    let fanout_once: Vec<f64> = FANOUT_LADDER
+        .iter()
+        .map(|&subs| {
+            let runs = if subs == top { 3 } else { 1 };
+            (0..runs).map(|_| run_fanout(subs, fanout_events)).fold(0.0, f64::max)
+        })
+        .collect();
 
     sdci_bench::print_table(
         &["transport", "throughput (events/s)", "delivered", "semantics"],
@@ -491,22 +429,10 @@ fn main() {
                 "amortizes per-message overhead".into(),
             ],
             vec![
-                "tcp per-event (proto 1)".into(),
-                format!("{tcp1_rate:.0}"),
-                format!("{events}/{events}"),
-                "one frame + one ack per event".into(),
-            ],
-            vec![
-                format!("tcp batched json x{}", bin_cfg.max_batch),
-                format!("{tcp2_rate:.0}"),
-                format!("{batched_events}/{batched_events}"),
-                "proto 2: ItemBatch frames, JSON bodies".into(),
-            ],
-            vec![
-                format!("tcp batched bin x{}", bin_cfg.max_batch),
+                format!("tcp batched bin x{}", cfg.max_batch),
                 format!("{bin_rate:.0}"),
                 format!("{batched_events}/{batched_events}"),
-                format!("proto 3: binary bodies ({bin_speedup:.1}x json)"),
+                "ItemBatch frames, binary bodies".into(),
             ],
             vec![
                 format!("tcp batched traced 1/{SAMPLE_EVERY}"),
@@ -518,37 +444,22 @@ fn main() {
     );
     println!();
     sdci_bench::print_table(
-        &[
-            "topic subscribers",
-            "encode-once (deliveries/s)",
-            "per-subscriber encode (deliveries/s)",
-            "ratio",
-        ],
+        &["topic subscribers", "encode-once (deliveries/s)"],
         &FANOUT_LADDER
             .iter()
-            .enumerate()
-            .map(|(i, subs)| {
-                vec![
-                    format!("{subs}"),
-                    format!("{:.0}", fanout_once[i]),
-                    format!("{:.0}", fanout_per_leg[i]),
-                    format!("{:.1}x", fanout_once[i] / fanout_per_leg[i]),
-                ]
-            })
+            .zip(&fanout_once)
+            .map(|(subs, rate)| vec![format!("{subs}"), format!("{rate:.0}")])
             .collect::<Vec<_>>(),
     );
 
     // Every TCP arm already asserted full delivery inside tcp_runs.
     assert_eq!(pp_recv, events, "push/pull may not lose events");
-    assert_eq!(tcp1_batches, 0, "a proto-1 session must not carry batch frames");
-    assert!(tcp2_batches > 0, "a proto-2 session at this rate should coalesce frames");
-    assert!(bin_batches > 0, "a proto-3 session at this rate should coalesce frames");
+    assert!(bin_batches < batched_events, "a session at this rate should coalesce frames");
     println!(
         "\nbatching amortizes per-message broker overhead ({:.1}x vs unbatched pub/sub); \
-         on the wire, ItemBatch frames buy {wire_speedup:.1}x over per-event framing and \
-         binary bodies another {bin_speedup:.1}x over JSON, \
-         with the same exactly-once guarantee.",
+         on the wire, {:.0} events ride each ItemBatch frame, with an exactly-once guarantee.",
         psb_rate / ps_rate,
+        batched_events as f64 / bin_batches as f64,
     );
 
     let report = A4Report {
@@ -557,18 +468,13 @@ fn main() {
         events,
         batched_events,
         producers: PRODUCERS,
-        max_batch: bin_cfg.max_batch,
-        flush_interval_us: bin_cfg.flush_interval.as_micros() as u64,
+        max_batch: cfg.max_batch,
+        flush_interval_us: cfg.flush_interval.as_micros() as u64,
         push_pull_events_per_sec: pp_rate,
         pubsub_events_per_sec: ps_rate,
         pubsub_batched_events_per_sec: psb_rate,
-        tcp_per_event_events_per_sec: tcp1_rate,
-        tcp_batched_events_per_sec: tcp2_rate,
-        tcp_batched_frames: tcp2_batches,
-        tcp_batched_speedup: wire_speedup,
         tcp_bin_events_per_sec: bin_rate,
         tcp_bin_frames: bin_batches,
-        tcp_bin_speedup: bin_speedup,
         trace_sample_every: SAMPLE_EVERY,
         tcp_batched_traced_events_per_sec: tcp3_rate,
         trace_overhead_pct,
@@ -583,41 +489,18 @@ fn main() {
         mode: if smoke { "smoke" } else { "full" },
         events: fanout_events,
         topic_subscribers: FANOUT_LADDER.iter().map(|&s| s as u64).collect(),
-        encode_once_deliveries_per_sec: fanout_once.clone(),
-        per_subscriber_encode_deliveries_per_sec: fanout_per_leg.clone(),
-        encode_once_speedup_at_max: fanout_speedup,
+        encode_once_deliveries_per_sec: fanout_once,
     };
     let fanout_out = "BENCH_a4_consumer_scaling.json";
     let body = serde_json::to_string_pretty(&fanout_report).expect("serialize fan-out report");
     std::fs::write(fanout_out, body + "\n").expect("write fan-out report");
     println!("wrote {fanout_out}");
 
-    if wire_speedup < 1.0 {
-        eprintln!(
-            "\nA4 REGRESSION: batched wire slower than per-event \
-             ({tcp2_rate:.0} vs {tcp1_rate:.0} events/s, {wire_speedup:.2}x)"
-        );
-        std::process::exit(1);
-    }
-    if bin_speedup < 5.0 {
-        eprintln!(
-            "\nA4 REGRESSION: the proto-3 binary wire must be at least 5x the \
-             JSON-batched wire ({bin_rate:.0} vs {tcp2_rate:.0} events/s, {bin_speedup:.2}x)"
-        );
-        std::process::exit(1);
-    }
     if trace_overhead_pct > 10.0 {
         eprintln!(
             "\nA4 REGRESSION: 1/{SAMPLE_EVERY} tracing costs the batched wire \
              {trace_overhead_pct:.1}% ({tcp3_rate:.0} vs {bin_rate:.0} events/s); \
              the 10% budget is exceeded"
-        );
-        std::process::exit(1);
-    }
-    if fanout_speedup < 2.0 {
-        eprintln!(
-            "\nA4 REGRESSION: encode-once fan-out must be at least 2x the \
-             per-subscriber re-encode at {top} subscribers (got {fanout_speedup:.2}x)"
         );
         std::process::exit(1);
     }

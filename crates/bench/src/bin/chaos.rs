@@ -67,7 +67,7 @@ struct ChaosReport {
     events_per_round: u64,
     producers: u64,
     faults_injected: u64,
-    gap_rejects: u64,
+    gap_nacks: u64,
     crash_points_fired: u64,
     min_events_per_sec: f64,
     mean_events_per_sec: f64,
@@ -146,7 +146,7 @@ fn injected_total() -> u64 {
 
 /// Four faulted pushers into one clean pull server: exactly-once, in
 /// per-producer order, with the server's item count agreeing. Returns
-/// (elapsed, gap rejects) or the invariant violation.
+/// (elapsed, gap nacks) or the invariant violation.
 fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
     let plan =
         Arc::new(FaultPlan::parse(&schedule.spec).map_err(|e| format!("spec rejected: {e}"))?);
@@ -203,7 +203,7 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
         return Err(format!("server item count {} != {events}", stats.items));
     }
     server.shutdown();
-    Ok((elapsed, stats.gap_rejects))
+    Ok((elapsed, stats.nacks))
 }
 
 /// A flush failed at the round's crash point must leave the previous
@@ -293,7 +293,7 @@ fn main() {
     );
 
     let injected_before = injected_total();
-    let mut gap_rejects = 0u64;
+    let mut gap_nacks = 0u64;
     let mut rates = Vec::new();
     for round in 0..rounds {
         let seed = base_seed + round;
@@ -307,17 +307,17 @@ fn main() {
             producers: PRODUCERS,
         };
         let before = injected_total();
-        let (elapsed, rejects) = match wire_round(&schedule) {
+        let (elapsed, nacks) = match wire_round(&schedule) {
             Ok(ok) => ok,
             Err(failure) => fail(&schedule, base_seed, failure),
         };
         if let Err(failure) = store_round(&schedule) {
             fail(&schedule, base_seed, failure);
         }
-        gap_rejects += rejects;
+        gap_nacks += nacks;
         rates.push(events as f64 / elapsed.as_secs_f64());
         println!(
-            "round {round:>2}  seed {seed:<8}  {:>7.2}s  {:>6} faults  {rejects:>3} gap rejects  \
+            "round {round:>2}  seed {seed:<8}  {:>7.2}s  {:>6} faults  {nacks:>3} gap nacks  \
              crash {}  ok",
             elapsed.as_secs_f64(),
             injected_total() - before,
@@ -330,7 +330,7 @@ fn main() {
     let mean_rate = rates.iter().sum::<f64>() / rates.len() as f64;
     println!(
         "\nall {rounds} schedules survived: exactly-once delivery held under {faults_injected} \
-         injected faults ({gap_rejects} server gap rejects), and every mid-flush failure left \
+         injected faults ({gap_nacks} server gap nacks), and every mid-flush failure left \
          the snapshot restorable."
     );
 
@@ -342,7 +342,7 @@ fn main() {
         events_per_round: events,
         producers: PRODUCERS,
         faults_injected,
-        gap_rejects,
+        gap_nacks,
         crash_points_fired: rounds,
         min_events_per_sec: min_rate,
         mean_events_per_sec: mean_rate,

@@ -103,23 +103,18 @@ fn main() {
 
     // ---- wire framing sanity -----------------------------------------
     // The distributed deployment ships Collector events over sdci-net;
-    // confirm the batched wire (proto 2 `ItemBatch` frames) out-runs
-    // per-event framing here too. `a4_transports` measures this in
-    // depth and emits BENCH_a4_transports.json; this is one line of
-    // context next to the throughput numbers above.
-    println!("\n-- wire framing (collector->aggregator TCP, 20k events) --");
-    let per_event = wire_rate(sdci_net::NetConfig { proto: 1, ..sdci_net::NetConfig::default() });
-    let batched = wire_rate(sdci_net::NetConfig::default());
-    println!(
-        "per-event {per_event:.0} events/s; batched {batched:.0} events/s ({:.1}x)",
-        batched / per_event
-    );
+    // `a4_transports` measures the wire in depth and emits
+    // BENCH_a4_transports.json; this is one line of context next to
+    // the throughput numbers above.
+    println!("\n-- wire (collector->aggregator TCP, 20k events) --");
+    println!("batched {:.0} events/s", wire_rate());
 }
 
 /// Wall-clock rate of one pusher streaming 20k `u64`s through a
-/// loopback PULL server under the given wire config.
-fn wire_rate(cfg: sdci_net::NetConfig) -> f64 {
+/// loopback PULL server.
+fn wire_rate() -> f64 {
     const N: u64 = 20_000;
+    let cfg = sdci_net::NetConfig::default();
     let server =
         sdci_net::TcpPullServer::<u64>::bind("127.0.0.1:0", 65_536, cfg.clone()).expect("bind");
     let pull = server.pull();

@@ -98,10 +98,6 @@ impl TraceCarrier for SequencedEvent {
     fn trace_context(&self) -> Option<TraceContext> {
         self.event.trace_context()
     }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.event.set_trace_context(ctx);
-    }
 }
 
 /// Heartbeats carry no context; events delegate to the payload.
@@ -110,12 +106,6 @@ impl TraceCarrier for FeedMessage {
         match self {
             FeedMessage::Event(sev) => sev.trace_context(),
             FeedMessage::Heartbeat { .. } => None,
-        }
-    }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        if let FeedMessage::Event(sev) = self {
-            sev.set_trace_context(ctx);
         }
     }
 }

@@ -31,7 +31,7 @@ use crate::conn::NetConfig;
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::pipe::TcpPush;
 use crate::store_rpc::RemoteStore;
-use crate::wire::{write_msg, FrameReader};
+use crate::wire::{invalid, json_decode, json_encode, write_msg, FrameReader, WireMsg};
 use sdci_core::{
     merge_seq_ordered, EventBackend, SequencedEvent, ShardId, ShardMap, StoreError, StoreQuery,
 };
@@ -69,15 +69,18 @@ pub enum ClusterRpc {
     Ping,
 }
 
-/// Map-service traffic is rare, tiny control plane — it stays JSON at
-/// every protocol version, so `nc` against a map server keeps working.
-impl crate::wire::BinFrame for ClusterRpc {
-    fn encode_bin(&self, _buf: &mut Vec<u8>) -> bool {
-        false
+/// Map-service traffic is rare, tiny control plane — all of it is
+/// JSON, so `nc` against a map server works.
+impl WireMsg for ClusterRpc {
+    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+        json_encode(self, buf).map(|()| false)
     }
 
-    fn decode_bin(_body: &[u8]) -> io::Result<Self> {
-        Err(crate::wire::invalid("ClusterRpc has no binary form"))
+    fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
+        if binary {
+            return Err(invalid("ClusterRpc has no binary form"));
+        }
+        json_decode(body)
     }
 }
 
@@ -86,12 +89,17 @@ impl crate::wire::BinFrame for ClusterRpc {
 ///
 /// # Errors
 ///
-/// Fails with `InvalidInput` when `base` is not a socket address.
+/// Fails with `InvalidInput` when `base` is not a socket address, or
+/// its port is too close to 65535 to leave room for the trio.
 pub fn shard_store_addr(base: &str) -> io::Result<SocketAddr> {
-    let mut addr: SocketAddr = base.parse().map_err(|e| {
-        io::Error::new(io::ErrorKind::InvalidInput, format!("shard addr {base:?}: {e}"))
+    let mut addr = parse_addr(base)?;
+    let port = addr.port().checked_add(STORE_RPC_OFFSET).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("shard addr {base:?}: no room above the port for the store RPC"),
+        )
     })?;
-    addr.set_port(addr.port() + STORE_RPC_OFFSET);
+    addr.set_port(port);
     Ok(addr)
 }
 
@@ -259,6 +267,13 @@ fn serve_map_client(
                 }
             }
             Ok(ClusterRpc::AddShard { addr }) => {
+                // The address is a peer's say-so: check it can name a
+                // shard's port trio *before* it enters the map, or the
+                // next scatter re-fan over the map fails on it.
+                if let Err(e) = shard_store_addr(&addr) {
+                    sdci_obs::warn!("AddShard refused; closing the connection"; error = e.to_string());
+                    return;
+                }
                 let updated = {
                     let mut guard = map.lock();
                     let next = guard.with_shard(addr.as_str());
@@ -757,6 +772,10 @@ mod tests {
     #[test]
     fn shard_store_addr_applies_the_trio_offset() {
         assert_eq!(shard_store_addr("127.0.0.1:7070").unwrap().port(), 7072);
-        assert!(shard_store_addr("not-an-addr").is_err());
+        for bad in ["not-an-addr", "127.0.0.1:65535", "127.0.0.1:65534"] {
+            let err = shard_store_addr(bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+        }
+        assert_eq!(shard_store_addr("127.0.0.1:65533").unwrap().port(), 65535);
     }
 }

@@ -47,16 +47,12 @@ pub struct NetConfig {
     pub heartbeat: Duration,
     /// A connection that produced no traffic for this long is dead.
     pub liveness: Duration,
-    /// Most payloads coalesced into one batched frame (proto ≥ 2).
-    /// `1` disables batching without downgrading the protocol.
+    /// Most payloads coalesced into one batch frame. `1` disables
+    /// coalescing: every payload travels as a one-member batch.
     pub max_batch: usize,
     /// How long a partially filled batch may wait for more payloads
     /// before it is flushed anyway (the adaptive-flush deadline).
     pub flush_interval: Duration,
-    /// Wire protocol version this endpoint offers at the handshake
-    /// ([`crate::WIRE_PROTO`]). Set to `1` to emulate a per-event-frame
-    /// peer, e.g. in mixed-version tests.
-    pub proto: u32,
     /// Bound on every blocking outbound `connect` — a black-holed peer
     /// address fails within this window instead of the kernel's
     /// minutes-long SYN retry budget.
@@ -65,12 +61,6 @@ pub struct NetConfig {
     /// every connection this config opens or accepts; `None` (the
     /// default) is a clean wire.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Broker-side fan-out strategy: `true` (the default) encodes each
-    /// delivered batch once per negotiated proto and shares the frozen
-    /// frame bytes across all same-proto subscriber legs; `false`
-    /// re-serializes per leg. The slow path exists only as the
-    /// benchmark baseline — there is no behavioural difference.
-    pub fanout_encode_once: bool,
 }
 
 impl Default for NetConfig {
@@ -83,10 +73,8 @@ impl Default for NetConfig {
             liveness: Duration::from_secs(3),
             max_batch: 512,
             flush_interval: Duration::from_millis(1),
-            proto: crate::WIRE_PROTO,
             connect_timeout: Duration::from_secs(1),
             faults: None,
-            fanout_encode_once: true,
         }
     }
 }

@@ -67,7 +67,7 @@ impl<W: Write> Write for FaultedWriter<W> {
     }
 
     /// Clean connections pass vectored writes straight through (one
-    /// `writev` for a proto-3 header + body); faulted ones buffer every
+    /// `writev` for a frame's header + body); faulted ones buffer every
     /// slice so the whole frame still draws a single fault decision at
     /// flush time.
     fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {

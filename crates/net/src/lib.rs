@@ -6,14 +6,14 @@
 //! three OS processes (or three hosts):
 //!
 //! * [`wire`] — the framing: 4-byte big-endian length word + one
-//!   frame body. Proto ≥ 2 sessions (negotiated at the `Hello*`
-//!   handshake, see [`wire::WIRE_PROTO`]) may coalesce many payloads
-//!   into one `ItemBatch`/`PublishBatch` frame; proto ≥ 3 sessions
-//!   additionally encode those hot-path batch frames in a compact
-//!   binary form (the length word's high bit, [`BIN_FRAME_BIT`], marks
-//!   a binary body). Control frames — handshakes, acks, pings — stay
-//!   JSON at every version, so the session remains debuggable with
-//!   `nc` even when the bulk data is binary.
+//!   frame body, in the one encoding its kind has. Data frames — the
+//!   `ItemBatch`/`PublishBatch`/`DeliverBatch` runs senders coalesce
+//!   payloads into, and store-RPC replies — are compact binary (the
+//!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body).
+//!   Control frames — handshakes, acks, pings, queries — are JSON, so
+//!   a session remains debuggable with `nc`. There is one wire version
+//!   ([`wire::WIRE_PROTO`]): every `Hello*` announces it and a
+//!   mismatch closes the connection.
 //! * [`conn`] — supervision policy: jittered exponential reconnect
 //!   backoff, heartbeat/liveness tunables ([`conn::NetConfig`]).
 //! * [`pubsub`] — lossy PUB/SUB ([`TcpBroker`], [`TcpPublisher`],
@@ -67,5 +67,5 @@ pub use pipe::{TcpPullServer, TcpPush};
 pub use pubsub::{TcpBroker, TcpPublisher, TcpSubscriber, TcpTransport};
 pub use store_rpc::{RemoteStore, StoreServer};
 pub use wire::{
-    BinEncoder, BinFrame, Frame, BIN_FRAME_BIT, FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_PROTO,
+    BinEncoder, Frame, WireMsg, BIN_FRAME_BIT, FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_PROTO,
 };

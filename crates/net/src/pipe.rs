@@ -34,12 +34,12 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::wire::{
-    write_item_batch_bin, write_item_batch_traced, write_msg, BinEncoder, Frame, FrameReader,
+    hello_accepted, refuse_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader,
+    WIRE_PROTO,
 };
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceCarrier, TraceContext};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,12 +59,10 @@ pub struct PullServerStats {
     /// `ItemBatch` frames received (each acked once, however many
     /// items it carried).
     pub batches: u64,
-    /// Connections dropped because an item arrived beyond the client's
-    /// next dense sequence number — frames were lost in transit, and
-    /// accepting the jump would silently lose the gap forever.
-    pub gap_rejects: u64,
-    /// Gap `Nack`s sent to proto-≥2 pushers naming the expected
-    /// sequence, so they fast-rewind in place instead of reconnecting.
+    /// Gap `Nack`s sent: a batch arrived beyond the client's next dense
+    /// sequence number — frames were lost in transit, and accepting the
+    /// jump would silently lose the gap forever — so the pusher is told
+    /// the expected sequence and fast-rewinds in place.
     pub nacks: u64,
 }
 
@@ -74,7 +72,6 @@ struct ServerCounters {
     items: AtomicU64,
     duplicates: AtomicU64,
     batches: AtomicU64,
-    gap_rejects: AtomicU64,
     nacks: AtomicU64,
 }
 
@@ -106,7 +103,7 @@ impl<T> std::fmt::Debug for TcpPullServer<T> {
 
 impl<T> TcpPullServer<T>
 where
-    T: Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     /// Binds `addr` and starts accepting pushers. `capacity` bounds the
     /// local pipeline; when the puller falls that far behind, incoming
@@ -192,7 +189,6 @@ where
             items: self.counters.items.load(Ordering::Relaxed),
             duplicates: self.counters.duplicates.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
-            gap_rejects: self.counters.gap_rejects.load(Ordering::Relaxed),
             nacks: self.counters.nacks.load(Ordering::Relaxed),
         }
     }
@@ -250,7 +246,7 @@ fn pull_accept_loop<T>(
     conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
     counters: Arc<ServerCounters>,
 ) where
-    T: Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -297,7 +293,7 @@ fn serve_pusher<T>(
     stop: Arc<AtomicBool>,
     counters: Arc<ServerCounters>,
 ) where
-    T: Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
@@ -313,12 +309,18 @@ fn serve_pusher<T>(
     // Handshake: learn the client identity, tell it where we are. A
     // peer gets a full liveness window to complete its hello.
     let opened = Instant::now();
-    let (client, resume_after, client_proto) = loop {
+    let (client, resume_after) = loop {
         match reader.read_msg::<Frame<T>>() {
             Ok(Frame::HelloPush { client, resume_after, proto }) => {
-                break (client, resume_after, proto.unwrap_or(1))
+                if !hello_accepted("push", reader.get_ref(), proto) {
+                    return;
+                }
+                break (client, resume_after);
             }
             Err(e) if timed_out(&e) && opened.elapsed() <= cfg.liveness => {}
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                return refuse_hello("push", reader.get_ref(), e);
+            }
             _ => return,
         }
     };
@@ -341,12 +343,7 @@ fn serve_pusher<T>(
         }
         *m
     };
-    // The greeting `Ack` doubles as version negotiation: it carries our
-    // protocol version so the client knows whether it may batch. A
-    // proto-1 server (emulated with `cfg.proto == 1`) omits the field,
-    // and the greeting is byte-identical to the PR 1 wire.
-    let offered = (cfg.proto >= 2).then_some(cfg.proto);
-    if write_msg(&mut writer, &Frame::<T>::Ack { up_to: greeting, proto: offered }).is_err() {
+    if write_msg(&mut writer, &Frame::<T>::Ack { up_to: greeting }).is_err() {
         return;
     }
     let mut last_traffic = Instant::now();
@@ -361,70 +358,6 @@ fn serve_pusher<T>(
     // shutdown. Unacked in-flight items are re-sent to the next server.
     while !stop.load(Ordering::Relaxed) {
         match reader.read_msg::<Frame<T>>() {
-            Ok(Frame::Item { seq, payload }) => {
-                last_traffic = Instant::now();
-                // The mark's mutex is held across check-push-update so
-                // the dedup decision and the pipeline hand-off are one
-                // atomic step per client.
-                let outcome = {
-                    let mut m = mark.lock();
-                    // A client sends densely from its last ack, so a
-                    // jump past mark+1 means frames vanished in
-                    // transit. Advancing the mark over the gap would
-                    // ack — and thereby lose — items that never
-                    // arrived. A proto-≥2 client is told the expected
-                    // seq so it rewinds and retransmits in place; a
-                    // proto-1 client gets the connection killed, which
-                    // makes it resend its unacked window. (The client
-                    // treats non-advancing acks as liveness, so
-                    // stalling acks here would livelock, not recover.)
-                    if seq > *m + 1 {
-                        if client_proto < 2 {
-                            gap_reject(&counters, *m, seq);
-                            return;
-                        }
-                        Err(*m + 1)
-                    } else {
-                        if seq > *m {
-                            // Ack only after the pipeline takes it: an ack
-                            // means "processed", so a crash before this
-                            // point makes the client re-send, never lose.
-                            if !push.send(payload) {
-                                return;
-                            }
-                            *m = seq;
-                            counters.items.fetch_add(1, Ordering::Relaxed);
-                            sdci_obs::static_metric!(counter, "sdci_net_pull_items_total").inc();
-                        } else {
-                            counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                            sdci_obs::static_metric!(counter, "sdci_net_dedup_hits_total").inc();
-                        }
-                        Ok(*m)
-                    }
-                };
-                match outcome {
-                    Ok(up_to) => {
-                        nacked_at = None;
-                        if write_msg(&mut writer, &Frame::<T>::Ack { up_to, proto: None }).is_err()
-                        {
-                            return;
-                        }
-                    }
-                    Err(expected) => {
-                        if nack_gap::<T>(
-                            &mut writer,
-                            &counters,
-                            &mut nacked_at,
-                            expected,
-                            cfg.heartbeat,
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
-                    }
-                }
-            }
             Ok(Frame::ItemBatch { first_seq, payloads, trace }) => {
                 last_traffic = Instant::now();
                 counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -439,19 +372,22 @@ fn serve_pusher<T>(
                 if let Some(span) = recv_span.as_mut() {
                     span.set_detail(format!("{} items", payloads.len()));
                 }
-                // Same atomicity as the single-item path — the mark's
-                // mutex spans every member's check-push-update — but the
-                // lock is taken once and the whole run gets one `Ack`.
+                // The mark's mutex is held across every member's
+                // check-push-update, so the dedup decision and the
+                // pipeline hand-off are one atomic step per client; the
+                // whole run gets one `Ack`.
                 let outcome = {
                     let mut m = mark.lock();
-                    // Batch members are dense from `first_seq`, so one
-                    // check covers the whole frame — same gap policy
-                    // as the single-item path above.
+                    // A client sends densely from its last ack, and
+                    // batch members are dense from `first_seq`, so a
+                    // jump past mark+1 means frames vanished in
+                    // transit. Advancing the mark over the gap would
+                    // ack — and thereby lose — items that never
+                    // arrived; instead the client is told the expected
+                    // seq so it rewinds and retransmits in place. (The
+                    // client treats non-advancing acks as liveness, so
+                    // stalling acks here would livelock, not recover.)
                     if first_seq > *m + 1 {
-                        if client_proto < 2 {
-                            gap_reject(&counters, *m, first_seq);
-                            return;
-                        }
                         Err(*m + 1)
                     } else {
                         let mut fresh = 0u64;
@@ -459,6 +395,10 @@ fn serve_pusher<T>(
                         for (i, payload) in payloads.into_iter().enumerate() {
                             let seq = first_seq + i as u64;
                             if seq > *m {
+                                // Ack only after the pipeline takes it:
+                                // an ack means "processed", so a crash
+                                // before this point makes the client
+                                // re-send, never lose.
                                 if !push.send(payload) {
                                     return;
                                 }
@@ -480,8 +420,7 @@ fn serve_pusher<T>(
                 match outcome {
                     Ok(up_to) => {
                         nacked_at = None;
-                        if write_msg(&mut writer, &Frame::<T>::Ack { up_to, proto: None }).is_err()
-                        {
+                        if write_msg(&mut writer, &Frame::<T>::Ack { up_to }).is_err() {
                             return;
                         }
                     }
@@ -504,7 +443,7 @@ fn serve_pusher<T>(
                 last_traffic = Instant::now();
                 // Re-ack as a keepalive so an idle client still hears us.
                 let up_to = *mark.lock();
-                if write_msg(&mut writer, &Frame::<T>::Ack { up_to, proto: None }).is_err() {
+                if write_msg(&mut writer, &Frame::<T>::Ack { up_to }).is_err() {
                     return;
                 }
             }
@@ -524,12 +463,12 @@ fn timed_out(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
-/// Tells a proto-≥2 pusher where the stream must resume: one `Nack`
-/// per stalled mark value and heartbeat window (later in-flight frames
-/// past the same gap are dropped silently, without ack), so the pusher
-/// rewinds its resend buffer in place instead of waiting out the
-/// liveness window.
-fn nack_gap<T: Serialize>(
+/// Tells a pusher where the stream must resume: one `Nack` per stalled
+/// mark value and heartbeat window (later in-flight frames past the
+/// same gap are dropped silently, without ack), so the pusher rewinds
+/// its resend buffer in place instead of waiting out the liveness
+/// window.
+fn nack_gap<T: BinPayload>(
     writer: &mut impl std::io::Write,
     counters: &ServerCounters,
     nacked_at: &mut Option<(u64, Instant)>,
@@ -547,18 +486,6 @@ fn nack_gap<T: Serialize>(
         expected = expected,
     );
     write_msg(writer, &Frame::<T>::Nack { expected })
-}
-
-/// Accounts a sequence-gap rejection before the handler drops the
-/// connection (see the gap checks in `serve_pusher`).
-fn gap_reject(counters: &ServerCounters, mark: u64, offered: u64) {
-    counters.gap_rejects.fetch_add(1, Ordering::Relaxed);
-    sdci_obs::static_metric!(counter, "sdci_net_gap_rejects_total").inc();
-    sdci_obs::warn!(
-        "sequence gap on the push leg; dropping connection to force a resend";
-        mark = mark,
-        offered_seq = offered,
-    );
 }
 
 #[derive(Debug, Default)]
@@ -600,7 +527,7 @@ impl<T> std::fmt::Debug for TcpPush<T> {
 
 impl<T> TcpPush<T>
 where
-    T: Clone + Send + Serialize + Deserialize + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + TraceCarrier + BinPayload + 'static,
 {
     /// Starts a supervised pusher toward `addr`. `client` must be
     /// stable across restarts of the same logical pusher — it keys the
@@ -668,7 +595,7 @@ where
 /// leg is point-to-point and events carry their own MDT index.
 impl<T> Publish<T> for TcpPush<T>
 where
-    T: Clone + Send + Serialize + Deserialize + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + TraceCarrier + BinPayload + 'static,
 {
     fn publish(&self, _topic: &str, payload: T) -> PublishOutcome {
         // `send` only fails when the worker is gone, which never
@@ -683,54 +610,30 @@ where
 
 /// Retransmits every unacked item with fresh send timestamps — after a
 /// reconnect, or in place when a gap `Nack` arrives. Sequences in
-/// `unacked` are dense, so on a batched session the whole window
-/// re-ships as a few `ItemBatch` runs instead of one frame per item.
-fn resend_window<T: Clone + Serialize + TraceCarrier + BinPayload>(
+/// `unacked` are dense, so the whole window re-ships as a few
+/// `ItemBatch` runs (the encoder re-splits any run whose encoded size
+/// would overrun a frame).
+fn resend_window<T: Clone + TraceCarrier + BinPayload>(
     writer: &mut impl std::io::Write,
     enc: &mut BinEncoder,
     unacked: &mut VecDeque<(u64, T, Instant)>,
-    batched: bool,
-    binary: bool,
     max_batch: usize,
-    carry_ctx: bool,
 ) -> std::io::Result<()> {
     sdci_obs::static_metric!(counter, "sdci_net_push_resends_total").add(unacked.len() as u64);
-    if batched && unacked.len() > 1 {
-        let now = Instant::now();
-        let first_seq = unacked.front().map_or(0, |(seq, _, _)| *seq);
-        let payloads: Vec<T> = unacked
-            .iter_mut()
-            .map(|(_, item, sent_at)| {
-                *sent_at = now;
-                item.clone()
-            })
-            .collect();
-        let mut offset = 0u64;
-        for chunk in payloads.chunks(max_batch) {
-            let trace = chunk.iter().find_map(|i| i.trace_context().filter(|c| c.sampled));
-            if binary {
-                // Proto-3 session: the window re-ships binary, and the
-                // encoder re-splits any chunk whose encoded size would
-                // overrun a frame.
-                write_item_batch_bin(writer, enc, first_seq + offset, chunk, trace)?;
-            } else {
-                write_item_batch_traced(writer, first_seq + offset, chunk, trace)?;
-            }
-            offset += chunk.len() as u64;
-        }
-    } else {
-        for (seq, item, sent_at) in unacked.iter_mut() {
-            *sent_at = Instant::now();
-            let mut payload = item.clone();
-            if !carry_ctx {
-                // Proto-1 session: the peer would not propagate (or
-                // even understand dropping) the context — strip it from
-                // the wire copy so the trace truncates cleanly. The
-                // resend buffer keeps the original.
-                payload.set_trace_context(None);
-            }
-            write_msg(writer, &Frame::Item { seq: *seq, payload })?;
-        }
+    let now = Instant::now();
+    let first_seq = unacked.front().map_or(0, |(seq, _, _)| *seq);
+    let payloads: Vec<T> = unacked
+        .iter_mut()
+        .map(|(_, item, sent_at)| {
+            *sent_at = now;
+            item.clone()
+        })
+        .collect();
+    let mut offset = 0u64;
+    for chunk in payloads.chunks(max_batch) {
+        let trace = chunk.iter().find_map(|i| i.trace_context().filter(|c| c.sampled));
+        write_item_batch_bin(writer, enc, first_seq + offset, chunk, trace)?;
+        offset += chunk.len() as u64;
     }
     Ok(())
 }
@@ -742,10 +645,11 @@ fn push_worker<T>(
     rx: crossbeam_channel::Receiver<T>,
     state: Arc<PushState>,
 ) where
-    T: Clone + Send + Serialize + Deserialize + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + TraceCarrier + BinPayload + 'static,
 {
     let window = cfg.window.max(1);
-    // Proto-3 scratch buffers, reused across batches and reconnects.
+    let max_batch = cfg.max_batch.max(1);
+    // Encoder scratch buffers, reused across batches and reconnects.
     let mut enc = BinEncoder::new();
     let mut backoff = Backoff::new(cfg.retry);
     // Each entry carries its last transmission instant, so an ack's
@@ -803,19 +707,20 @@ fn push_worker<T>(
         let hello = Frame::<T>::HelloPush {
             client: client.clone(),
             resume_after: last_acked,
-            proto: (cfg.proto >= 2).then_some(cfg.proto),
+            proto: WIRE_PROTO,
         };
         if write_msg(&mut writer, &hello).is_err() {
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
             continue;
         }
         // The server replies with its own high-water mark, which may be
-        // ahead of ours (acks lost with the previous connection), and —
-        // on proto ≥ 2 servers — its protocol version.
+        // ahead of ours (acks lost with the previous connection). A
+        // server speaking another wire version closes the connection
+        // instead, and the backoff paces the retries.
         let hello_sent = Instant::now();
-        let (server_mark, server_proto) = loop {
+        let server_mark = loop {
             match reader.read_msg::<Frame<T>>() {
-                Ok(Frame::Ack { up_to, proto }) => break (up_to, proto.unwrap_or(1)),
+                Ok(Frame::Ack { up_to }) => break up_to,
                 Ok(_) => {}
                 Err(e) if timed_out(&e) => {
                     if hello_sent.elapsed() > cfg.liveness {
@@ -829,19 +734,6 @@ fn push_worker<T>(
                 }
             }
         };
-        // Effective session version: batch only when *both* ends speak
-        // proto ≥ 2 — a proto-1 server would kill the connection on an
-        // unknown `ItemBatch` variant and the resends would livelock.
-        let batched = cfg.proto.min(server_proto) >= 2 && cfg.max_batch > 1;
-        let max_batch = if batched { cfg.max_batch } else { 1 };
-        // Trace context rides the wire only on proto-≥2 sessions; a
-        // proto-1 peer predates the field, so the sender strips it and
-        // the trace truncates at this hop instead of erroring.
-        let carry_ctx = cfg.proto.min(server_proto) >= 2;
-        // Binary hot-path frames only when *both* ends speak proto ≥ 3
-        // (the greeting `Ack` announced the server's version); older
-        // peers keep receiving the JSON `ItemBatch` they understand.
-        let binary = batched && cfg.proto.min(server_proto) >= 3;
         if next_seq == 1 {
             // First contact of a fresh pusher process: nothing has been
             // sequenced locally yet. A nonzero server mark then belongs
@@ -855,9 +747,7 @@ fn push_worker<T>(
             ack_up_to(server_mark, &mut unacked, &mut last_acked, &state);
         }
         // Re-send everything the server has not seen.
-        if resend_window(&mut writer, &mut enc, &mut unacked, batched, binary, max_batch, carry_ctx)
-            .is_err()
-        {
+        if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
             continue 'reconnect;
         }
@@ -892,7 +782,7 @@ fn push_worker<T>(
             // flush deadline for stragglers, so a trickle still
             // coalesces without adding more than ~flush_interval of
             // latency. A full batch (or a full window) flushes at once.
-            if batched && !batch.is_empty() && batch.len() < budget && !senders_gone {
+            if !batch.is_empty() && batch.len() < budget && !senders_gone {
                 let deadline = Instant::now() + cfg.flush_interval;
                 loop {
                     let now = Instant::now();
@@ -916,28 +806,16 @@ fn push_worker<T>(
                     unacked.push_back((next_seq, item.clone(), now));
                     next_seq += 1;
                 }
-                if batched {
-                    let reason = if batch.len() >= budget { "size" } else { "deadline" };
-                    sdci_obs::registry()
-                        .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
-                        .inc();
-                    // The histogram's base unit is seconds; recording
-                    // `len` seconds as nanoseconds makes the exported
-                    // values read directly as batch sizes.
-                    sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
-                        .observe_ns(batch.len() as u64 * 1_000_000_000);
-                }
-                // A lone item still travels as a plain `Item` — same
-                // bytes as proto 1, and nothing to split.
-                let ok = if batch.len() == 1 {
-                    let mut payload = batch.pop().expect("batch has one item");
-                    if !carry_ctx {
-                        // See `resend_window`: a proto-1 session drops
-                        // context at the wire (the unacked copy keeps it).
-                        payload.set_trace_context(None);
-                    }
-                    write_msg(&mut writer, &Frame::Item { seq: first_seq, payload }).is_ok()
-                } else {
+                let reason = if batch.len() >= budget { "size" } else { "deadline" };
+                sdci_obs::registry()
+                    .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
+                    .inc();
+                // The histogram's base unit is seconds; recording
+                // `len` seconds as nanoseconds makes the exported
+                // values read directly as batch sizes.
+                sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
+                    .observe_ns(batch.len() as u64 * 1_000_000_000);
+                let ok = {
                     // The batch frame carries the first sampled event's
                     // context re-parented under a send span, so the
                     // receive side can mark the network hop itself.
@@ -955,12 +833,8 @@ fn push_worker<T>(
                         // carried context unchanged.
                         None => carried,
                     };
-                    if binary {
-                        write_item_batch_bin(&mut writer, &mut enc, first_seq, &batch, frame_trace)
-                            .is_ok()
-                    } else {
-                        write_item_batch_traced(&mut writer, first_seq, &batch, frame_trace).is_ok()
-                    }
+                    write_item_batch_bin(&mut writer, &mut enc, first_seq, &batch, frame_trace)
+                        .is_ok()
                 };
                 if !ok {
                     backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
@@ -1000,7 +874,7 @@ fn push_worker<T>(
                 // partition (no RST/FIN) would hang the lossless leg
                 // forever.
                 match reader.read_msg::<Frame<T>>() {
-                    Ok(Frame::Ack { up_to, proto: _ }) => {
+                    Ok(Frame::Ack { up_to }) => {
                         last_traffic = Instant::now();
                         ack_up_to(up_to, &mut unacked, &mut last_acked, &state);
                     }
@@ -1018,17 +892,7 @@ fn push_worker<T>(
                         );
                         state.rewinds.fetch_add(1, Ordering::Relaxed);
                         sdci_obs::static_metric!(counter, "sdci_net_push_fast_rewinds_total").inc();
-                        if resend_window(
-                            &mut writer,
-                            &mut enc,
-                            &mut unacked,
-                            batched,
-                            binary,
-                            max_batch,
-                            carry_ctx,
-                        )
-                        .is_err()
-                        {
+                        if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
                             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                             continue 'reconnect;
                         }

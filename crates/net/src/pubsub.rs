@@ -3,17 +3,20 @@
 //! A [`TcpBroker`] owns (or bridges) a local [`Broker`] and accepts two
 //! kinds of client, distinguished by their handshake frame:
 //!
-//! * **publishers** ([`TcpPublisher`]) stream `Publish` frames that the
-//!   server republishes into the local broker;
+//! * **publishers** ([`TcpPublisher`]) stream `PublishBatch` frames
+//!   that the server republishes into the local broker;
 //! * **subscribers** ([`TcpSubscriber`]) send their topic-prefix list
-//!   (plus, since proto 2, their wire version) and receive `Deliver` /
-//!   `DeliverBatch` frames fanned out from a local subscription.
+//!   and receive `DeliverBatch` frames fanned out from a local
+//!   subscription.
+//!
+//! Both hellos announce the wire version; the broker closes the
+//! connection on any version but its own.
 //!
 //! The deliver direction is **encode-once**: a single dispatcher
 //! thread per broker drains one relay subscription, renders each
-//! same-topic run once per negotiated proto into frozen frame bytes
-//! (`Arc<[u8]>`), and hands the same buffer to every same-proto
-//! subscriber leg. N subscribers cost one encode, not N.
+//! same-topic run once into frozen frame bytes (`Arc<[u8]>`), and
+//! hands the same buffer to every matching subscriber leg. N
+//! subscribers cost one encode, not N.
 //!
 //! Semantics match `sdci_mq::pubsub`: best-effort delivery with a
 //! per-subscriber high-water mark. Backpressure from a slow socket
@@ -28,14 +31,12 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::wire::{
-    write_deliver_batch, write_deliver_batch_bin, write_deliver_events, write_msg,
-    write_publish_batch_bin, write_publish_batch_traced, BinEncoder, Frame, FrameReader,
-    BIN_FRAME_BIT,
+    hello_accepted, refuse_hello, write_deliver_batch_bin, write_msg, write_publish_batch_bin,
+    BinEncoder, Frame, FrameReader, BIN_FRAME_BIT, WIRE_PROTO,
 };
 use sdci_mq::pubsub::{Broker, Message};
 use sdci_mq::transport::{Publish, PublishOutcome, Subscribe, Transport};
 use sdci_types::{BinPayload, TraceCarrier, TraceContext};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -85,9 +86,8 @@ pub struct TcpBroker<T> {
     fanout: Arc<FanoutHub>,
 }
 
-/// One encoded batch, frozen for fan-out: the frame bytes are rendered
-/// once per negotiated wire form and shared by reference across every
-/// subscriber leg speaking that form.
+/// One encoded run, frozen for fan-out: the frame bytes are rendered
+/// once and shared by reference across every matching subscriber leg.
 #[derive(Clone)]
 struct DeliverChunk {
     /// One or more complete wire frames, concatenated.
@@ -101,9 +101,6 @@ struct DeliverChunk {
 /// A connected remote subscriber, as the fan-out dispatcher sees it.
 struct FanoutLeg {
     prefixes: Vec<String>,
-    /// Negotiated session proto (`min(broker, announced)`): ≥3 receives
-    /// binary `DeliverBatch`, 2 the JSON form, 1 per-event `Deliver`.
-    proto: u32,
     tx: crossbeam_channel::Sender<DeliverChunk>,
 }
 
@@ -133,7 +130,7 @@ impl<T> std::fmt::Debug for TcpBroker<T> {
 
 impl<T> TcpBroker<T>
 where
-    T: Clone + Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     /// Binds `addr` and serves a freshly created broker with the given
     /// high-water mark.
@@ -253,7 +250,7 @@ fn accept_loop<T>(
     counters: Arc<BrokerCounters>,
     fanout: Arc<FanoutHub>,
 ) where
-    T: Clone + Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -298,7 +295,7 @@ fn serve_connection<T>(
     counters: Arc<BrokerCounters>,
     fanout: Arc<FanoutHub>,
 ) where
-    T: Clone + Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(cfg.liveness)).is_err() {
@@ -311,44 +308,42 @@ fn serve_connection<T>(
     let mut reader = FrameReader::with_faults(read_half, recv_faults);
     let mut writer = FaultedWriter::new(stream, send_faults);
     match reader.read_msg::<Frame<T>>() {
-        Ok(Frame::HelloPublisher) => {
-            serve_publisher(&mut reader, &mut writer, local, cfg, stop, counters)
+        Ok(Frame::HelloPublisher { proto })
+            if hello_accepted("publisher", reader.get_ref(), proto) =>
+        {
+            serve_publisher(&mut reader, local, cfg, stop, counters)
         }
-        Ok(Frame::HelloSubscriber { prefixes, proto }) => {
-            serve_subscriber(&mut writer, local, &prefixes, proto, cfg, stop, counters, fanout)
+        Ok(Frame::HelloSubscriber { prefixes, proto })
+            if hello_accepted("subscriber", reader.get_ref(), proto) =>
+        {
+            serve_subscriber(&mut writer, local, &prefixes, cfg, stop, counters, fanout)
         }
-        _ => {} // bad handshake: drop the connection
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            refuse_hello("pubsub", reader.get_ref(), e)
+        }
+        // A refused version, no handshake, or not a hello at all: drop
+        // the connection.
+        _ => {}
     }
 }
 
-/// Reads `Publish` frames into the local broker until the peer goes
-/// quiet, finishes, or the server stops.
+/// Reads `PublishBatch` frames into the local broker until the peer
+/// goes quiet, finishes, or the server stops.
 fn serve_publisher<T>(
     reader: &mut FrameReader<TcpStream>,
-    writer: &mut FaultedWriter<TcpStream>,
     local: Broker<T>,
     cfg: NetConfig,
     stop: Arc<AtomicBool>,
     counters: Arc<BrokerCounters>,
 ) where
-    T: Clone + Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     let publisher = local.publisher();
     let _ = reader.get_ref().set_read_timeout(Some(cfg.heartbeat));
-    // Version negotiation: `HelloPublisher` is a bare string and cannot
-    // carry a version, so the broker volunteers its own in a greeting
-    // `Ack`. A proto-1 publisher never reads its socket and is
-    // unaffected; a proto-2 one waits briefly for this frame and falls
-    // back to per-event `Publish` frames when it doesn't arrive.
-    // Crash point: a broker that dies mid-greeting leaves the publisher
-    // waiting out its heartbeat and falling back to per-event frames —
-    // the chaos tests kill here to prove clients survive it.
+    // Crash point: a broker that dies right after the handshake leaves
+    // the publisher writing into a dead socket and reconnecting with
+    // backoff — the chaos tests kill here to prove clients survive it.
     if sdci_faults::crash_point("net.pubsub.greet").is_err() {
-        return;
-    }
-    if cfg.proto >= 2
-        && write_msg(writer, &Frame::<T>::Ack { up_to: 0, proto: Some(cfg.proto) }).is_err()
-    {
         return;
     }
     let mut last_traffic = Instant::now();
@@ -357,19 +352,10 @@ fn serve_publisher<T>(
     // past shutdown.
     while !stop.load(Ordering::Relaxed) {
         match reader.read_msg::<Frame<T>>() {
-            Ok(Frame::Publish { topic, payload }) => {
+            Ok(Frame::PublishBatch { topic, payloads, trace }) => {
                 // Crash point: dying between the socket read and the
                 // local republish loses in-flight messages — exactly
                 // the lossy-leg contract the chaos tests exercise.
-                if sdci_faults::crash_point("net.pubsub.dispatch").is_err() {
-                    return;
-                }
-                counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                counters.messages_in.fetch_add(1, Ordering::Relaxed);
-                publisher.publish(&topic, payload);
-                last_traffic = Instant::now();
-            }
-            Ok(Frame::PublishBatch { topic, payloads, trace }) => {
                 if sdci_faults::crash_point("net.pubsub.dispatch").is_err() {
                     return;
                 }
@@ -402,45 +388,32 @@ fn serve_publisher<T>(
     }
 }
 
-/// Serves one remote subscriber: negotiates the deliver proto, then
-/// ships the shared dispatcher's encode-once chunks down this socket,
-/// probing with `Ping` while idle. On shutdown the dispatcher's final
+/// Serves one remote subscriber: ships the shared dispatcher's
+/// encode-once chunks down this socket, probing with `Ping` while idle. On shutdown the dispatcher's final
 /// flush lands in this leg's queue and drains — through the same
 /// crash-pointed write path as live traffic — before the `Fin`.
-#[allow(clippy::too_many_arguments)]
 fn serve_subscriber<T>(
     writer: &mut FaultedWriter<TcpStream>,
     local: Broker<T>,
     prefixes: &[String],
-    announced: Option<u32>,
     cfg: NetConfig,
     stop: Arc<AtomicBool>,
     counters: Arc<BrokerCounters>,
     hub: Arc<FanoutHub>,
 ) where
-    T: Clone + Send + Serialize + Deserialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
-    // Deliver-direction negotiation, mirroring the publish leg: the
-    // session speaks min(ours, announced). A hello with no `proto`
-    // field is a pre-versioned subscriber and must only ever see
-    // per-event `Deliver` frames.
-    let session = cfg.proto.min(announced.unwrap_or(1));
-    // Crash point: a broker that dies mid-greeting leaves the client
-    // reconnecting with backoff — the chaos tests kill here to prove
-    // subscribers survive it.
+    // Crash point: a broker that dies right after the handshake leaves
+    // the client reconnecting with backoff — the chaos tests kill here
+    // to prove subscribers survive it.
     if sdci_faults::crash_point("net.pubsub.greet").is_err() {
-        return;
-    }
-    if cfg.proto >= 2
-        && write_msg(writer, &Frame::<T>::Ack { up_to: 0, proto: Some(cfg.proto) }).is_err()
-    {
         return;
     }
     if !ensure_dispatcher(&hub, &local, &cfg, &stop) {
         return; // spawn failed: drop the connection, the client retries
     }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
-    hub.legs.lock().push(FanoutLeg { prefixes: prefixes.to_vec(), proto: session, tx });
+    hub.legs.lock().push(FanoutLeg { prefixes: prefixes.to_vec(), tx });
     let mut last_write = Instant::now();
     loop {
         match rx.recv_timeout(cfg.heartbeat) {
@@ -488,7 +461,7 @@ fn ensure_dispatcher<T>(
     stop: &Arc<AtomicBool>,
 ) -> bool
 where
-    T: Clone + Send + Serialize + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     let mut slot = hub.dispatcher.lock();
     if slot.is_some() {
@@ -517,7 +490,7 @@ where
 
 /// The per-broker fan-out dispatcher: drains the relay subscription,
 /// coalesces whatever is queued into maximal same-topic runs, and
-/// encodes each run once per wire form for all matching legs. On
+/// encodes each run once for all matching legs. On
 /// shutdown it flushes everything already queued into the legs, then
 /// drops their senders, releasing each leg to drain and `Fin`.
 fn fanout_dispatcher<T>(
@@ -526,7 +499,7 @@ fn fanout_dispatcher<T>(
     stop: Arc<AtomicBool>,
     hub: Arc<FanoutHub>,
 ) where
-    T: Send + Serialize + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     let mut enc = BinEncoder::new();
     let mut batch: VecDeque<Message<T>> = VecDeque::new();
@@ -556,7 +529,7 @@ fn fanout_dispatcher<T>(
             while batch.front().is_some_and(|m| m.topic == topic) {
                 run.push(batch.pop_front().expect("peeked front").payload);
             }
-            fan_out_run(&mut enc, &topic, &run, &cfg, &hub);
+            fan_out_run(&mut enc, &topic, &run, &hub);
         }
         if draining {
             break;
@@ -565,40 +538,18 @@ fn fanout_dispatcher<T>(
     hub.legs.lock().clear();
 }
 
-/// Encodes one same-topic run and feeds it to every matching leg. With
-/// `fanout_encode_once` (the default) each wire form is rendered once
-/// and the frozen bytes shared across legs; the per-leg re-serialize
-/// path exists only as the benchmark baseline.
-fn fan_out_run<T: Serialize + BinPayload>(
-    enc: &mut BinEncoder,
-    topic: &str,
-    run: &[T],
-    cfg: &NetConfig,
-    hub: &FanoutHub,
-) {
-    let mut legs = hub.legs.lock();
-    if legs.is_empty() {
-        return;
-    }
-    // One slot per wire form: [unused, per-event JSON, JSON batch,
-    // binary batch].
-    let mut shared: [Option<DeliverChunk>; 4] = [None, None, None, None];
-    legs.retain(|leg| {
+/// Encodes one same-topic run — once, on the first matching leg — and
+/// feeds the frozen bytes to every matching leg.
+fn fan_out_run<T: BinPayload>(enc: &mut BinEncoder, topic: &str, run: &[T], hub: &FanoutHub) {
+    let mut shared: Option<DeliverChunk> = None;
+    hub.legs.lock().retain(|leg| {
         if !leg.matches(topic) {
             return true;
         }
-        // Lone messages take the per-event form on every session,
-        // mirroring the publish leg's plain `Publish` for a run of one.
-        let form = if run.len() == 1 { 1 } else { leg.proto.min(3) } as usize;
-        let chunk = if cfg.fanout_encode_once {
-            if shared[form].is_none() {
-                shared[form] = encode_run(enc, form as u32, topic, run).ok();
-            }
-            shared[form].clone()
-        } else {
-            encode_run(enc, form as u32, topic, run).ok()
-        };
-        let Some(chunk) = chunk else { return true };
+        if shared.is_none() {
+            shared = encode_run(enc, topic, run).ok();
+        }
+        let Some(chunk) = shared.clone() else { return true };
         match leg.tx.try_send(chunk) {
             Ok(()) => true,
             Err(crossbeam_channel::TrySendError::Full(c)) => {
@@ -612,20 +563,14 @@ fn fan_out_run<T: Serialize + BinPayload>(
     });
 }
 
-/// Renders one run in the given wire form: `3` binary `DeliverBatch`,
-/// `2` JSON `DeliverBatch`, anything else per-event JSON `Deliver`.
-fn encode_run<T: Serialize + BinPayload>(
+/// Renders one run as `DeliverBatch` frames into a frozen chunk.
+fn encode_run<T: BinPayload>(
     enc: &mut BinEncoder,
-    form: u32,
     topic: &str,
     run: &[T],
 ) -> std::io::Result<DeliverChunk> {
     let mut buf = Vec::new();
-    let frames = match form {
-        3 => write_deliver_batch_bin(&mut buf, enc, topic, run, None)?,
-        2 => write_deliver_batch(&mut buf, topic, run, None)?,
-        _ => write_deliver_events(&mut buf, topic, run)?,
-    };
+    let frames = write_deliver_batch_bin(&mut buf, enc, topic, run, None)?;
     Ok(DeliverChunk { bytes: buf.into(), frames: frames as u64, msgs: run.len() as u64 })
 }
 
@@ -677,7 +622,7 @@ impl<T> std::fmt::Debug for TcpPublisher<T> {
 
 impl<T> TcpPublisher<T>
 where
-    T: Serialize + Send + TraceCarrier + BinPayload + 'static,
+    T: Send + TraceCarrier + BinPayload + 'static,
 {
     /// Starts a supervised publisher toward `addr`. Returns immediately;
     /// the connection is established (and re-established) in the
@@ -731,14 +676,14 @@ impl<T> Drop for TcpPublisher<T> {
 
 impl<T> Publish<T> for TcpPublisher<T>
 where
-    T: Serialize + Send + TraceCarrier + BinPayload + 'static,
+    T: Send + TraceCarrier + BinPayload + 'static,
 {
     fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
         TcpPublisher::publish(self, topic, payload)
     }
 }
 
-fn publisher_worker<T: Serialize + Send + TraceCarrier + BinPayload + 'static>(
+fn publisher_worker<T: Send + TraceCarrier + BinPayload + 'static>(
     addr: SocketAddr,
     cfg: NetConfig,
     rx: crossbeam_channel::Receiver<(String, T)>,
@@ -746,8 +691,9 @@ fn publisher_worker<T: Serialize + Send + TraceCarrier + BinPayload + 'static>(
     counters: Arc<ClientCounters>,
 ) {
     let mut backoff = Backoff::new(cfg.retry);
-    // Proto-3 scratch buffers, reused across batches and reconnects.
+    // Encoder scratch buffers, reused across batches and reconnects.
     let mut enc = BinEncoder::new();
+    let max_batch = cfg.max_batch.max(1);
     'reconnect: loop {
         if stop.load(Ordering::Relaxed) {
             return;
@@ -758,55 +704,14 @@ fn publisher_worker<T: Serialize + Send + TraceCarrier + BinPayload + 'static>(
         };
         let session = Instant::now();
         let _ = raw.set_nodelay(true);
-        let (send_faults, recv_faults) = conn_faults(&cfg);
+        let (send_faults, _) = conn_faults(&cfg);
         let mut stream = FaultedWriter::new(raw, send_faults);
-        if write_msg(&mut stream, &Frame::<T>::HelloPublisher).is_err() {
+        if write_msg(&mut stream, &Frame::<T>::HelloPublisher { proto: WIRE_PROTO }).is_err() {
             // A server that accepts and immediately resets must hit the
             // backoff like a refused connection, not a tight spin.
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
             continue;
         }
-        // A proto ≥ 2 broker answers the hello with a greeting `Ack`
-        // carrying its version; a proto-1 broker sends nothing. Wait at
-        // most a heartbeat for it, then settle on per-event frames —
-        // messages queue locally in the meantime, nothing is lost that
-        // the lossy leg wouldn't shed anyway.
-        let server_proto = if cfg.proto >= 2 {
-            let mut server_proto = 1u32;
-            if let Ok(read_half) = stream.get_ref().try_clone() {
-                let _ = read_half.set_read_timeout(Some(cfg.heartbeat));
-                let mut reader = FrameReader::with_faults(read_half, recv_faults);
-                let greeted = Instant::now();
-                loop {
-                    // `Frame<()>`: the greeting carries no payloads, and
-                    // the publisher leg never requires `T: Deserialize`.
-                    match reader.read_msg::<Frame<()>>() {
-                        Ok(Frame::Ack { up_to: _, proto }) => {
-                            server_proto = proto.unwrap_or(1);
-                            break;
-                        }
-                        Ok(_) => {}
-                        Err(e) if timed_out(&e) => {
-                            if greeted.elapsed() >= cfg.heartbeat {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            server_proto
-        } else {
-            1
-        };
-        let batched = cfg.proto.min(server_proto) >= 2 && cfg.max_batch > 1;
-        // Trace context rides the wire only on proto-≥2 sessions (see
-        // the push leg): against an older broker, strip it in place —
-        // the worker owns the payloads — so the trace truncates here.
-        let carry_ctx = cfg.proto.min(server_proto) >= 2;
-        // Binary hot-path frames only when *both* ends speak proto ≥ 3;
-        // older brokers keep receiving the JSON `PublishBatch`.
-        let binary = batched && cfg.proto.min(server_proto) >= 3;
         if counters.connections.fetch_add(1, Ordering::Relaxed) > 0 {
             sdci_obs::static_metric!(counter, "sdci_net_publisher_reconnects_total").inc();
         }
@@ -819,47 +724,39 @@ fn publisher_worker<T: Serialize + Send + TraceCarrier + BinPayload + 'static>(
                     // `PublishBatch` frames, preserving publish order.
                     let mut batch: VecDeque<(String, T)> = VecDeque::new();
                     batch.push_back((topic, payload));
-                    if batched {
-                        while batch.len() < cfg.max_batch {
-                            match rx.try_recv() {
+                    while batch.len() < max_batch {
+                        match rx.try_recv() {
+                            Ok(pair) => batch.push_back(pair),
+                            Err(_) => break,
+                        }
+                    }
+                    if batch.len() == 1 {
+                        let deadline = Instant::now() + cfg.flush_interval;
+                        while batch.len() < max_batch {
+                            let now = Instant::now();
+                            if now >= deadline {
+                                break;
+                            }
+                            match rx.recv_timeout(deadline - now) {
                                 Ok(pair) => batch.push_back(pair),
                                 Err(_) => break,
                             }
                         }
-                        if batch.len() == 1 {
-                            let deadline = Instant::now() + cfg.flush_interval;
-                            while batch.len() < cfg.max_batch {
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break;
-                                }
-                                match rx.recv_timeout(deadline - now) {
-                                    Ok(pair) => batch.push_back(pair),
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                        let reason = if batch.len() >= cfg.max_batch { "size" } else { "deadline" };
-                        sdci_obs::registry()
-                            .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
-                            .inc();
-                        // Seconds are the histogram's base unit, so `len`
-                        // seconds exports directly as the batch size.
-                        sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
-                            .observe_ns(batch.len() as u64 * 1_000_000_000);
                     }
+                    let reason = if batch.len() >= max_batch { "size" } else { "deadline" };
+                    sdci_obs::registry()
+                        .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
+                        .inc();
+                    // Seconds are the histogram's base unit, so `len`
+                    // seconds exports directly as the batch size.
+                    sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
+                        .observe_ns(batch.len() as u64 * 1_000_000_000);
                     while let Some((topic, payload)) = batch.pop_front() {
                         let mut run: Vec<T> = vec![payload];
                         while batch.front().is_some_and(|(t, _)| *t == topic) {
                             run.push(batch.pop_front().map(|(_, p)| p).expect("peeked front"));
                         }
-                        let ok = if run.len() == 1 {
-                            let mut payload = run.pop().expect("run has one payload");
-                            if !carry_ctx {
-                                payload.set_trace_context(None);
-                            }
-                            write_msg(&mut stream, &Frame::Publish { topic, payload }).is_ok()
-                        } else {
+                        let ok = {
                             // The batch frame carries the first sampled
                             // event's context, re-parented under a send
                             // span marking the publisher→broker hop.
@@ -879,24 +776,19 @@ fn publisher_worker<T: Serialize + Send + TraceCarrier + BinPayload + 'static>(
                                 Some(sc) => Some(TraceContext::sampled(sc.trace_id, sc.span_id)),
                                 None => carried,
                             };
-                            if binary {
-                                write_publish_batch_bin(
-                                    &mut stream,
-                                    &mut enc,
-                                    &topic,
-                                    &run,
-                                    frame_trace,
-                                )
-                                .is_ok()
-                            } else {
-                                write_publish_batch_traced(&mut stream, &topic, &run, frame_trace)
-                                    .is_ok()
-                            }
+                            write_publish_batch_bin(
+                                &mut stream,
+                                &mut enc,
+                                &topic,
+                                &run,
+                                frame_trace,
+                            )
+                            .is_ok()
                         };
                         if !ok {
                             // Everything not yet on the wire is lost
                             // with the link: lossy leg.
-                            let lost = (run.len().max(1) + batch.len()) as u64;
+                            let lost = (run.len() + batch.len()) as u64;
                             counters.dropped.fetch_add(lost, Ordering::Relaxed);
                             sdci_obs::static_metric!(counter, "sdci_net_pub_link_lost_total")
                                 .add(lost);
@@ -951,7 +843,7 @@ impl<T> std::fmt::Debug for TcpSubscriber<T> {
 
 impl<T> TcpSubscriber<T>
 where
-    T: Serialize + Deserialize + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     /// Starts a supervised subscription to `addr` for the given topic
     /// prefixes. Returns immediately; connection management happens in
@@ -991,7 +883,7 @@ impl<T> Drop for TcpSubscriber<T> {
 
 impl<T> Subscribe<T> for TcpSubscriber<T>
 where
-    T: Serialize + Deserialize + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     fn recv(&self) -> Option<Message<T>> {
         self.rx.recv().ok()
@@ -1027,7 +919,7 @@ fn enqueue_delivery<T>(
     }
 }
 
-fn subscriber_worker<T: Serialize + Deserialize + Send + BinPayload + 'static>(
+fn subscriber_worker<T: Send + BinPayload + 'static>(
     addr: SocketAddr,
     prefixes: Vec<String>,
     cfg: NetConfig,
@@ -1055,14 +947,7 @@ fn subscriber_worker<T: Serialize + Deserialize + Send + BinPayload + 'static>(
                 continue;
             }
         };
-        // Announce our deliver proto the way the publish leg does; the
-        // field is omitted entirely at proto 1, keeping the hello
-        // byte-identical to pre-versioned builds (which a broker reads
-        // as "per-event frames only").
-        let hello = Frame::<T>::HelloSubscriber {
-            prefixes: prefixes.clone(),
-            proto: (cfg.proto >= 2).then_some(cfg.proto),
-        };
+        let hello = Frame::<T>::HelloSubscriber { prefixes: prefixes.clone(), proto: WIRE_PROTO };
         if write_msg(&mut writer, &hello).is_err() {
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
             continue;
@@ -1076,12 +961,6 @@ fn subscriber_worker<T: Serialize + Deserialize + Send + BinPayload + 'static>(
         let mut last_traffic = Instant::now();
         loop {
             match reader.read_msg::<Frame<T>>() {
-                Ok(Frame::Deliver { topic, payload }) => {
-                    last_traffic = Instant::now();
-                    if !enqueue_delivery(&tx, &counters, Message { topic, payload }) {
-                        return;
-                    }
-                }
                 Ok(Frame::DeliverBatch { topic, payloads, trace: _ }) => {
                     last_traffic = Instant::now();
                     for payload in payloads {
@@ -1091,10 +970,6 @@ fn subscriber_worker<T: Serialize + Deserialize + Send + BinPayload + 'static>(
                         }
                     }
                 }
-                // The broker's greeting (its version volunteer); the
-                // deliver direction needs no reply — what the broker
-                // sends is governed by what *we* announced.
-                Ok(Frame::Ack { .. }) => last_traffic = Instant::now(),
                 Ok(Frame::Ping) => last_traffic = Instant::now(),
                 Ok(Frame::Fin) => {
                     // Broker drained and went away; it may be restarted
@@ -1150,7 +1025,7 @@ impl TcpTransport {
 
 impl<T> Transport<T> for TcpTransport
 where
-    T: Clone + Send + Serialize + Deserialize + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + TraceCarrier + BinPayload + 'static,
 {
     type Publisher = TcpPublisher<T>;
     type Subscriber = TcpSubscriber<T>;

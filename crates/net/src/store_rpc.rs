@@ -8,8 +8,9 @@
 //! to the Aggregator process's [`StoreServer`]; the
 //! [`sdci_core::StoreReader`] view follows from the blanket impl.
 //!
-//! The protocol is deliberately tiny: one request frame, one response
-//! frame, same length-prefixed JSON framing as the rest of sdci-net.
+//! The protocol is deliberately tiny: one JSON request frame, one
+//! binary response frame, same length-prefixed framing as the rest of
+//! sdci-net.
 //! Failure semantics follow `StoreReader`'s contract — a query that
 //! cannot be answered returns an empty slice, and the consumer simply
 //! retries at the next heartbeat-detected gap.
@@ -18,7 +19,10 @@
 
 use crate::conn::NetConfig;
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
-use crate::wire::{write_msg, FrameReader};
+use crate::wire::{
+    bin_header, bin_put_payloads, bin_read_header, bin_read_payloads, invalid, json_decode,
+    json_encode, write_msg, write_msg_bin, BinEncoder, FrameReader, WireMsg, BIN_KIND_STORE_BATCH,
+};
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery, StoreReader};
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -36,17 +40,8 @@ pub enum StoreRpc {
         query: StoreQuery,
         /// Caller's trace context, when the query runs under a sampled
         /// span — the server parents its `store_rpc.serve` span under
-        /// it. Old peers ignore the extra key / read a missing one as
-        /// `None`, so mixed versions interoperate (the trace simply
-        /// truncates at the hop).
+        /// it; a missing key reads as `None`.
         trace: Option<sdci_types::TraceContext>,
-        /// The client's wire-protocol version, announced per request
-        /// (the store RPC has no handshake). A server at proto ≥ 3
-        /// answers a `Some(p >= 3)` query with a binary `Batch`; a
-        /// missing or older announcement gets JSON. Same
-        /// unknown-key/missing-key tolerance as `trace`, so mixed
-        /// versions interoperate.
-        proto: Option<u32>,
     },
     /// Server → consumer: the matching events, in sequence order.
     Batch {
@@ -57,33 +52,38 @@ pub enum StoreRpc {
     Ping,
 }
 
-/// Only the bulky reply leg has a binary form: `Batch` travels as a
-/// proto-3 binary frame when the query announced a proto-3 peer, while
-/// the tiny `Query`/`Ping` control frames stay JSON at every version.
-impl crate::wire::BinFrame for StoreRpc {
-    fn encode_bin(&self, buf: &mut Vec<u8>) -> bool {
+/// The bulky reply leg is the data frame: `Batch` travels binary,
+/// while the tiny `Query`/`Ping` control frames are JSON.
+impl WireMsg for StoreRpc {
+    fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
         match self {
             StoreRpc::Batch { events } => {
-                crate::wire::bin_header(buf, crate::wire::BIN_KIND_STORE_BATCH, None);
-                crate::wire::bin_put_payloads(buf, events);
-                true
+                bin_header(buf, BIN_KIND_STORE_BATCH, None);
+                bin_put_payloads(buf, events);
+                Ok(true)
             }
-            _ => false,
+            control => json_encode(control, buf).map(|()| false),
         }
     }
 
-    fn decode_bin(body: &[u8]) -> std::io::Result<Self> {
+    fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
+        if !binary {
+            return match json_decode(body)? {
+                StoreRpc::Batch { .. } => Err(invalid("store-RPC batch replies have no JSON form")),
+                control => Ok(control),
+            };
+        }
         let mut r = sdci_types::BinReader::new(body);
-        let (kind, trace) = crate::wire::bin_read_header(&mut r)?;
-        if kind != crate::wire::BIN_KIND_STORE_BATCH {
-            return Err(crate::wire::invalid(format!("unknown binary store-RPC kind {kind}")));
+        let (kind, trace) = bin_read_header(&mut r)?;
+        if kind != BIN_KIND_STORE_BATCH {
+            return Err(invalid(format!("unknown binary store-RPC kind {kind}")));
         }
         if trace.is_some() {
-            return Err(crate::wire::invalid("store-RPC batch replies carry no trace section"));
+            return Err(invalid("store-RPC batch replies carry no trace section"));
         }
-        let events = crate::wire::bin_read_payloads(&mut r)?;
+        let events = bin_read_payloads(&mut r)?;
         if !r.is_empty() {
-            return Err(crate::wire::invalid(format!(
+            return Err(invalid(format!(
                 "binary store-RPC frame has {} trailing bytes",
                 r.remaining()
             )));
@@ -236,12 +236,12 @@ fn serve_store_client<R: StoreReader>(
     let mut reader = FrameReader::with_faults(read_half, recv_faults);
     let mut writer = FaultedWriter::new(stream, send_faults);
     // Per-connection scratch for binary replies; reused across queries.
-    let mut enc = crate::wire::BinEncoder::new();
+    let mut enc = BinEncoder::new();
     // `stop` is checked every iteration so a chatty client cannot pin
     // the handler past shutdown.
     while !stop.load(Ordering::Relaxed) {
         match reader.read_msg::<StoreRpc>() {
-            Ok(StoreRpc::Query { query, trace, proto }) => {
+            Ok(StoreRpc::Query { query, trace }) => {
                 // The serve span becomes the thread's current context,
                 // so the store middleware's own spans (cache hit/miss,
                 // segment scan) nest under it without plumbing.
@@ -262,17 +262,7 @@ fn serve_store_client<R: StoreReader>(
                 if sdci_faults::crash_point("net.store_rpc.reply").is_err() {
                     return;
                 }
-                // Binary replies only when *both* sides are at proto 3:
-                // the query's announcement covers the client, `cfg`
-                // covers this server.
-                let reply = StoreRpc::Batch { events };
-                let binary = proto.is_some_and(|p| p.min(cfg.proto) >= 3);
-                let sent = if binary {
-                    crate::wire::write_msg_bin(&mut writer, &mut enc, &reply)
-                } else {
-                    write_msg(&mut writer, &reply)
-                };
-                if sent.is_err() {
+                if write_msg_bin(&mut writer, &mut enc, &StoreRpc::Batch { events }).is_err() {
                     return;
                 }
             }
@@ -456,8 +446,7 @@ impl RemoteStore {
         let trace = sdci_obs::trace::current()
             .filter(|c| c.sampled)
             .map(|c| sdci_types::TraceContext::sampled(c.trace_id, c.span_id));
-        let proto = (self.cfg.proto >= 3).then_some(self.cfg.proto);
-        write_msg(&mut conn.writer, &StoreRpc::Query { query: query.clone(), trace, proto })?;
+        write_msg(&mut conn.writer, &StoreRpc::Query { query: query.clone(), trace })?;
         let deadline = Instant::now() + self.cfg.liveness;
         let mut strays = 0u32;
         loop {

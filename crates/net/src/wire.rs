@@ -1,33 +1,50 @@
 //! Wire format: 4-byte big-endian length word + one frame body.
 //!
-//! Every message on an sdci-net socket is one [`Frame`], prefixed with a
-//! length word so the reader can frame the stream. The word's low 31
-//! bits are the body length; its high bit selects the body encoding:
+//! Every message on an sdci-net socket is prefixed with a length word so
+//! the reader can frame the stream. The word's low 31 bits are the body
+//! length; its high bit names the body's encoding:
 //!
 //! ```text
 //! +--------------+---------------------------------------+
 //! | word: u32be  | body: (word & 0x7FFFFFFF) bytes       |
 //! +--------------+---------------------------------------+
-//!   bit 31 clear → body is JSON (every frame, proto 1/2)
-//!   bit 31 set   → body is proto-3 binary (hot-path batches only)
+//!   bit 31 clear → JSON: a control frame
+//!   bit 31 set   → binary: a data frame (a batch of payloads)
 //! ```
 //!
-//! JSON — the workspace's serde conventions, externally tagged enums —
-//! keeps the protocol debuggable with `nc`/`tcpdump` and is the only
-//! encoding proto-1/2 peers emit or accept. Proto-3 sessions
-//! additionally carry their *hot-path batch frames*
-//! ([`Frame::ItemBatch`], [`Frame::PublishBatch`], store-RPC batch
-//! replies) as compact binary bodies (see [`BinFrame`] and
-//! [`sdci_types::bin`]); handshakes, acks, and every other control
-//! frame stay JSON at every version. The high bit is unambiguous
-//! because [`MAX_FRAME_LEN`] is far below `2^31`, and it is safe
-//! because binary frames are only sent on sessions that negotiated
-//! proto ≥ 3 — an old peer never sees one.
+//! Every kind of message has exactly one encoding ([`WireMsg`]).
+//! Control frames — handshakes, acks, nacks, pings, store queries,
+//! cluster RPC — are JSON in the workspace's serde conventions
+//! (externally tagged enums), so a session stays debuggable with `nc`
+//! and `tcpdump`. Data frames — [`Frame::ItemBatch`],
+//! [`Frame::PublishBatch`], [`Frame::DeliverBatch`] and store-RPC batch
+//! replies — are compact binary bodies built from
+//! [`sdci_types::bin`]; a lone event travels as a batch of one. The high
+//! bit is unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
+//!
+//! A binary body is a fixed little-endian header, then the kind's
+//! fields, strings and payloads `u32`-LE length-prefixed:
+//!
+//! ```text
+//! +------+-------+-----------------------+----------------------------+
+//! | kind | flags | trace (17B, flags&1)  | kind's fields              |
+//! |  u8  |  u8   | id u64, span u64, u8  |                            |
+//! +------+-------+-----------------------+----------------------------+
+//! kind 1 ItemBatch:    first_seq u64 | count u32 | count × (len u32 + payload)
+//! kind 2 PublishBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
+//! kind 3 StoreBatch:   count u32 | count × (len u32 + SequencedEvent)
+//! kind 4 DeliverBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
+//! ```
+//!
+//! There is one wire version, [`WIRE_PROTO`]. Every `Hello*` handshake
+//! announces it and the accepting side closes the connection on any
+//! other value, with an error-level record — nothing is negotiated.
 
 use sdci_types::bin::{put_bytes, BinPayload, BinReader};
 use sdci_types::TraceContext;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Length-prefix size in bytes.
@@ -37,46 +54,30 @@ pub const FRAME_HEADER_LEN: usize = 4;
 /// corrupt stream rather than an allocation request.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// High bit of the length word: set when the frame body is proto-3
-/// binary instead of JSON. Never ambiguous — [`MAX_FRAME_LEN`] keeps
-/// legal JSON lengths far below this bit.
+/// High bit of the length word: set when the frame body is binary (a
+/// data frame) instead of JSON (a control frame). Never ambiguous —
+/// [`MAX_FRAME_LEN`] keeps legal lengths far below this bit.
 pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
-/// Highest wire protocol version this build speaks.
-///
-/// * **1** — the PR 1 protocol: one event per `Item`/`Publish` frame.
-/// * **2** — adds the batched variants [`Frame::ItemBatch`],
-///   [`Frame::PublishBatch`] and [`Frame::DeliverBatch`]. A proto-2
-///   pusher also understands the gap [`Frame::Nack`], which the pull
-///   server only sends to clients that announced proto ≥ 2 in their
-///   `HelloPush`; a broker only sends `DeliverBatch` to subscribers
-///   that announced proto ≥ 2 in their `HelloSubscriber`.
-/// * **3** — same frame vocabulary as proto 2, but hot-path batch
-///   frames travel as compact binary bodies (length word high bit set,
-///   see [`BinFrame`]) instead of JSON. Control frames stay JSON.
-///
-/// Versions are exchanged at the `Hello*` handshake as an *optional*
-/// field: a proto-1 peer never sends it and ignores unknown fields, so
-/// both directions of a mixed-version session degrade to per-event
-/// frames. The effective session version is `min(ours, theirs)`.
-pub const WIRE_PROTO: u32 = 3;
+/// The wire protocol version this build speaks — the only one. A
+/// `Hello*` announcing anything else is refused, not negotiated with.
+pub const WIRE_PROTO: u32 = 4;
 
 /// One protocol message. `T` is the event payload type (e.g. `FileEvent`
 /// on the Collector leg, `FeedMessage` on the consumer leg).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<T> {
-    /// Client handshake: "I will publish `Publish` frames."
-    HelloPublisher,
+    /// Client handshake: "I will publish `PublishBatch` frames."
+    HelloPublisher {
+        /// Wire protocol version the publisher speaks ([`WIRE_PROTO`]).
+        proto: u32,
+    },
     /// Client handshake: "stream me topics matching these prefixes."
     HelloSubscriber {
         /// Topic prefixes to subscribe to (empty string = everything).
         prefixes: Vec<String>,
         /// Wire protocol version the subscriber speaks ([`WIRE_PROTO`]).
-        /// Omitted on the wire when `None`; absent means proto 1 — the
-        /// subscriber leg had no version field before the deliver
-        /// direction learned to batch, so an old subscriber is
-        /// indistinguishable from (and treated as) a proto-1 one.
-        proto: Option<u32>,
+        proto: u32,
     },
     /// Client handshake for the lossless PUSH leg. `client` identifies
     /// the pusher across reconnects so the server can deduplicate
@@ -88,26 +89,10 @@ pub enum Frame<T> {
         /// Highest push sequence number the client saw acknowledged.
         resume_after: u64,
         /// Wire protocol version the client speaks ([`WIRE_PROTO`]).
-        /// Omitted on the wire when `None`; absent means proto 1.
-        proto: Option<u32>,
+        proto: u32,
     },
-    /// Publisher → broker: publish `payload` on `topic` (lossy leg).
-    Publish {
-        /// Topic the payload is published on.
-        topic: String,
-        /// The payload.
-        payload: T,
-    },
-    /// Broker → subscriber: a matching publication (lossy leg).
-    Deliver {
-        /// Topic the payload was published on.
-        topic: String,
-        /// The payload.
-        payload: T,
-    },
-    /// Broker → subscriber: several publications on one topic in one
-    /// frame (proto ≥ 2, lossy leg) — the deliver-direction twin of
-    /// [`Frame::PublishBatch`].
+    /// Broker → subscriber: publications on one topic (lossy leg) — the
+    /// deliver-direction twin of [`Frame::PublishBatch`].
     DeliverBatch {
         /// Topic every payload was published on.
         topic: String,
@@ -116,17 +101,10 @@ pub enum Frame<T> {
         /// Send-leg tracing context, as on [`Frame::ItemBatch`].
         trace: Option<TraceContext>,
     },
-    /// Pusher → puller: item `seq` of this client's stream (lossless
-    /// leg; retransmitted verbatim after a reconnect until acked).
-    Item {
-        /// Per-client dense sequence number, starting at 1.
-        seq: u64,
-        /// The payload.
-        payload: T,
-    },
-    /// Pusher → puller: a contiguous run of items in one frame
-    /// (proto ≥ 2). Member `i` carries sequence `first_seq + i`; the
-    /// puller acks the whole run with a single `Ack`.
+    /// Pusher → puller: a contiguous run of items (lossless leg;
+    /// retransmitted after a reconnect or a `Nack` until acked). Member
+    /// `i` carries sequence `first_seq + i`; the puller acks the whole
+    /// run with a single `Ack`.
     ItemBatch {
         /// Sequence number of `payloads[0]`.
         first_seq: u64,
@@ -134,13 +112,10 @@ pub enum Frame<T> {
         payloads: Vec<T>,
         /// Tracing context for the *send leg* span covering this
         /// frame (the first sampled payload's, re-parented to the
-        /// sender's network span). Omitted on the wire when `None`;
-        /// batch frames only exist on proto ≥ 2 sessions, so adding
-        /// the field never changes what a proto-1 peer reads.
+        /// sender's network span).
         trace: Option<TraceContext>,
     },
-    /// Publisher → broker: several payloads for one topic in one frame
-    /// (proto ≥ 2, lossy leg).
+    /// Publisher → broker: payloads for one topic (lossy leg).
     PublishBatch {
         /// Topic every payload is published on.
         topic: String,
@@ -153,20 +128,16 @@ pub enum Frame<T> {
     /// expected `expected` but saw something later. The pusher should
     /// rewind its resend buffer to `expected` and retransmit in place,
     /// instead of waiting out the liveness timeout and reconnecting.
-    /// Only sent to clients that announced proto ≥ 2 in `HelloPush`.
     Nack {
         /// The sequence number the server will accept next.
         expected: u64,
     },
     /// Puller → pusher: everything up to and including `up_to` has been
-    /// handed to the local pipeline — the pusher may drop it.
+    /// handed to the local pipeline — the pusher may drop it. Also the
+    /// server's answer to `HelloPush`, naming its mark for the client.
     Ack {
         /// Highest contiguously accepted sequence number.
         up_to: u64,
-        /// Wire protocol version the server speaks, echoed in the
-        /// greeting `Ack` that answers a `HelloPush`; `None` (omitted
-        /// on the wire) on regular acks and from proto-1 servers.
-        proto: Option<u32>,
     },
     /// Liveness probe, sent when a direction has been idle.
     Ping,
@@ -174,178 +145,33 @@ pub enum Frame<T> {
     Fin,
 }
 
-fn variant(name: &str, fields: Vec<(&str, Value)>) -> Value {
-    let map = fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-    Value::Map(vec![(name.to_string(), Value::Map(map))])
+/// The JSON form of [`Frame`]'s control vocabulary. The batch variants
+/// are deliberately absent: a JSON body naming one is `InvalidData`.
+#[derive(Serialize, Deserialize)]
+enum Control {
+    HelloPublisher { proto: u32 },
+    HelloSubscriber { prefixes: Vec<String>, proto: u32 },
+    HelloPush { client: String, resume_after: u64, proto: u32 },
+    Nack { expected: u64 },
+    Ack { up_to: u64 },
+    Ping,
+    Fin,
 }
 
-impl<T: Serialize> Serialize for Frame<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Frame::HelloPublisher => Value::Str("HelloPublisher".into()),
-            Frame::HelloSubscriber { prefixes, proto } => {
-                let mut fields = vec![("prefixes", prefixes.to_value())];
-                if let Some(p) = proto {
-                    fields.push(("proto", p.to_value()));
-                }
-                variant("HelloSubscriber", fields)
+impl<T> From<Control> for Frame<T> {
+    fn from(control: Control) -> Self {
+        match control {
+            Control::HelloPublisher { proto } => Frame::HelloPublisher { proto },
+            Control::HelloSubscriber { prefixes, proto } => {
+                Frame::HelloSubscriber { prefixes, proto }
             }
-            Frame::HelloPush { client, resume_after, proto } => {
-                let mut fields =
-                    vec![("client", client.to_value()), ("resume_after", resume_after.to_value())];
-                if let Some(p) = proto {
-                    fields.push(("proto", p.to_value()));
-                }
-                variant("HelloPush", fields)
+            Control::HelloPush { client, resume_after, proto } => {
+                Frame::HelloPush { client, resume_after, proto }
             }
-            Frame::Publish { topic, payload } => variant(
-                "Publish",
-                vec![("topic", topic.to_value()), ("payload", payload.to_value())],
-            ),
-            Frame::Deliver { topic, payload } => variant(
-                "Deliver",
-                vec![("topic", topic.to_value()), ("payload", payload.to_value())],
-            ),
-            Frame::DeliverBatch { topic, payloads, trace } => {
-                let mut fields =
-                    vec![("topic", topic.to_value()), ("payloads", payloads.to_value())];
-                if let Some(t) = trace {
-                    fields.push(("trace", t.to_value()));
-                }
-                variant("DeliverBatch", fields)
-            }
-            Frame::Item { seq, payload } => {
-                variant("Item", vec![("seq", seq.to_value()), ("payload", payload.to_value())])
-            }
-            Frame::ItemBatch { first_seq, payloads, trace } => {
-                let mut fields =
-                    vec![("first_seq", first_seq.to_value()), ("payloads", payloads.to_value())];
-                if let Some(t) = trace {
-                    fields.push(("trace", t.to_value()));
-                }
-                variant("ItemBatch", fields)
-            }
-            Frame::PublishBatch { topic, payloads, trace } => {
-                let mut fields =
-                    vec![("topic", topic.to_value()), ("payloads", payloads.to_value())];
-                if let Some(t) = trace {
-                    fields.push(("trace", t.to_value()));
-                }
-                variant("PublishBatch", fields)
-            }
-            Frame::Nack { expected } => variant("Nack", vec![("expected", expected.to_value())]),
-            Frame::Ack { up_to, proto } => {
-                let mut fields = vec![("up_to", up_to.to_value())];
-                if let Some(p) = proto {
-                    fields.push(("proto", p.to_value()));
-                }
-                variant("Ack", fields)
-            }
-            Frame::Ping => Value::Str("Ping".into()),
-            Frame::Fin => Value::Str("Fin".into()),
-        }
-    }
-}
-
-fn field<'v>(body: &'v Value, variant: &str, name: &str) -> Result<&'v Value, DeError> {
-    body.get(name).ok_or_else(|| DeError::msg(format!("Frame::{variant} missing field `{name}`")))
-}
-
-impl<T: Deserialize> Deserialize for Frame<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Str(name) => match name.as_str() {
-                "HelloPublisher" => Ok(Frame::HelloPublisher),
-                "Ping" => Ok(Frame::Ping),
-                "Fin" => Ok(Frame::Fin),
-                other => Err(DeError::msg(format!("unknown Frame variant `{other}`"))),
-            },
-            Value::Map(entries) if entries.len() == 1 => {
-                let (name, body) = &entries[0];
-                match name.as_str() {
-                    "HelloSubscriber" => Ok(Frame::HelloSubscriber {
-                        prefixes: Deserialize::from_value(field(
-                            body,
-                            "HelloSubscriber",
-                            "prefixes",
-                        )?)?,
-                        // Absent on proto-1 wires; treat as "not stated".
-                        proto: match body.get("proto") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    "HelloPush" => Ok(Frame::HelloPush {
-                        client: Deserialize::from_value(field(body, "HelloPush", "client")?)?,
-                        resume_after: Deserialize::from_value(field(
-                            body,
-                            "HelloPush",
-                            "resume_after",
-                        )?)?,
-                        // Absent on proto-1 wires; treat as "not stated".
-                        proto: match body.get("proto") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    "Publish" => Ok(Frame::Publish {
-                        topic: Deserialize::from_value(field(body, "Publish", "topic")?)?,
-                        payload: Deserialize::from_value(field(body, "Publish", "payload")?)?,
-                    }),
-                    "Deliver" => Ok(Frame::Deliver {
-                        topic: Deserialize::from_value(field(body, "Deliver", "topic")?)?,
-                        payload: Deserialize::from_value(field(body, "Deliver", "payload")?)?,
-                    }),
-                    "DeliverBatch" => Ok(Frame::DeliverBatch {
-                        topic: Deserialize::from_value(field(body, "DeliverBatch", "topic")?)?,
-                        payloads: Deserialize::from_value(field(
-                            body,
-                            "DeliverBatch",
-                            "payloads",
-                        )?)?,
-                        trace: match body.get("trace") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    "Item" => Ok(Frame::Item {
-                        seq: Deserialize::from_value(field(body, "Item", "seq")?)?,
-                        payload: Deserialize::from_value(field(body, "Item", "payload")?)?,
-                    }),
-                    "ItemBatch" => Ok(Frame::ItemBatch {
-                        first_seq: Deserialize::from_value(field(body, "ItemBatch", "first_seq")?)?,
-                        payloads: Deserialize::from_value(field(body, "ItemBatch", "payloads")?)?,
-                        trace: match body.get("trace") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    "PublishBatch" => Ok(Frame::PublishBatch {
-                        topic: Deserialize::from_value(field(body, "PublishBatch", "topic")?)?,
-                        payloads: Deserialize::from_value(field(
-                            body,
-                            "PublishBatch",
-                            "payloads",
-                        )?)?,
-                        trace: match body.get("trace") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    "Nack" => Ok(Frame::Nack {
-                        expected: Deserialize::from_value(field(body, "Nack", "expected")?)?,
-                    }),
-                    "Ack" => Ok(Frame::Ack {
-                        up_to: Deserialize::from_value(field(body, "Ack", "up_to")?)?,
-                        proto: match body.get("proto") {
-                            Some(v) => Deserialize::from_value(v)?,
-                            None => None,
-                        },
-                    }),
-                    other => Err(DeError::msg(format!("unknown Frame variant `{other}`"))),
-                }
-            }
-            other => Err(DeError::mismatch("Frame", other)),
+            Control::Nack { expected } => Frame::Nack { expected },
+            Control::Ack { up_to } => Frame::Ack { up_to },
+            Control::Ping => Frame::Ping,
+            Control::Fin => Frame::Fin,
         }
     }
 }
@@ -354,8 +180,63 @@ pub(crate) fn invalid(err: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, err.to_string())
 }
 
+/// A message sdci-net can frame. Each kind of message has exactly one
+/// encoding — bulk data is binary, control is JSON — and the length
+/// word's high bit ([`BIN_FRAME_BIT`]) says which one a body is in.
+pub trait WireMsg: Sized {
+    /// Appends this message's body to `buf` and returns whether that
+    /// body is binary.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when a control message cannot be rendered as JSON.
+    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool>;
+
+    /// Decodes one complete frame body in the encoding its length word
+    /// announced.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` on undecodable JSON, a JSON body naming a message
+    /// whose encoding is binary (or the reverse), unknown kind bytes,
+    /// truncated fields, or trailing garbage — the stream is corrupt.
+    fn decode(binary: bool, body: &[u8]) -> io::Result<Self>;
+}
+
+/// Appends `msg` as a JSON body — the control-frame encoding.
+pub(crate) fn json_encode<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
+    buf.extend_from_slice(serde_json::to_string(msg).map_err(invalid)?.as_bytes());
+    Ok(())
+}
+
+/// Decodes a JSON control-frame body.
+pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
+    let text = std::str::from_utf8(body).map_err(invalid)?;
+    serde_json::from_str(text).map_err(invalid)
+}
+
+/// The version rule, applied by the accepting side of each of the three
+/// handshakes: a hello announcing anything but [`WIRE_PROTO`] is logged
+/// at error level with both versions and the caller closes the
+/// connection. Returns whether the session may proceed.
+pub(crate) fn hello_accepted(leg: &'static str, peer: &TcpStream, theirs: u32) -> bool {
+    if theirs != WIRE_PROTO {
+        let why = format!("peer speaks wire version {theirs}, this build speaks {WIRE_PROTO}");
+        refuse_hello(leg, peer, why);
+    }
+    theirs == WIRE_PROTO
+}
+
+/// Logs and counts a refused handshake — a version mismatch, or a hello
+/// that does not decode (one with no version field among them).
+pub(crate) fn refuse_hello(leg: &'static str, peer: &TcpStream, why: impl std::fmt::Display) {
+    let peer = peer.peer_addr().map_or_else(|_| "unknown".to_string(), |a| a.to_string());
+    sdci_obs::error!("handshake refused; closing the connection: {why}"; leg = leg, peer = peer);
+    sdci_obs::registry().counter_with("sdci_net_hello_refused_total", &[("leg", leg)]).inc();
+}
+
 // ---------------------------------------------------------------------------
-// Proto-3 binary codec
+// Binary codec
 // ---------------------------------------------------------------------------
 
 /// Binary body kind byte: [`Frame::ItemBatch`].
@@ -370,42 +251,12 @@ const BIN_KIND_DELIVER_BATCH: u8 = 4;
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
 const BIN_FLAG_TRACE: u8 = 1;
 
-/// A message with an (optional) proto-3 binary form.
-///
-/// Binary body layout — fixed little-endian header, then the variant's
-/// fields, strings and payloads `u32`-LE length-prefixed:
-///
-/// ```text
-/// +------+-------+-----------------------+----------------------------+
-/// | kind | flags | trace (17B, flags&1)  | variant fields             |
-/// |  u8  |  u8   | id u64, span u64, u8  |                            |
-/// +------+-------+-----------------------+----------------------------+
-/// kind 1 ItemBatch:    first_seq u64 | count u32 | count × (len u32 + payload)
-/// kind 2 PublishBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
-/// kind 3 StoreBatch:   count u32 | count × (len u32 + SequencedEvent)
-/// kind 4 DeliverBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
-/// ```
-///
-/// The trace section is the binary twin of the JSON format's
-/// omitted-when-`None` `trace` field: absent from the bytes entirely
-/// unless the flags bit says otherwise. Only hot-path batch frames have
-/// a binary form; `encode_bin` returns `false` for everything else and
-/// the writer falls back to JSON.
-pub trait BinFrame: Sized {
-    /// Appends this message's binary body to `buf` and returns `true`,
-    /// or returns `false` (leaving `buf` untouched) when the message
-    /// has no binary form and must travel as JSON.
-    fn encode_bin(&self, buf: &mut Vec<u8>) -> bool;
+/// Size of the trace section [`BIN_FLAG_TRACE`] announces.
+const BIN_TRACE_LEN: usize = 17;
 
-    /// Decodes a binary frame body.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on unknown kind bytes, truncated fields, or
-    /// trailing garbage — the stream is treated as corrupt, exactly
-    /// like undecodable JSON.
-    fn decode_bin(body: &[u8]) -> io::Result<Self>;
-}
+/// Most members a decoder reserves room for on a count word's say-so;
+/// a larger (still valid) batch grows its `Vec` as members decode.
+const MAX_RESERVED_MEMBERS: usize = 65_536;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
 /// optional trace section.
@@ -449,10 +300,19 @@ pub(crate) fn bin_put_payloads<T: BinPayload>(buf: &mut Vec<u8>, payloads: &[T])
     }
 }
 
+/// How many members to reserve room for before decoding a batch whose
+/// count word says `count`, with `remaining` body bytes left. The word
+/// is unvalidated input: it is bounded by what the bytes can hold (each
+/// member costs at least its 4 length bytes) and by a fixed cap, so it
+/// can never size an allocation beyond a small multiple of the frame.
+fn members_to_reserve(count: usize, remaining: usize) -> usize {
+    count.min(remaining / 4).min(MAX_RESERVED_MEMBERS)
+}
+
 /// Reads a length-prefixed payload sequence back.
 pub(crate) fn bin_read_payloads<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
     let count = r.u32().map_err(invalid)? as usize;
-    let mut out = Vec::with_capacity(count.min(r.remaining()));
+    let mut out = Vec::with_capacity(members_to_reserve(count, r.remaining()));
     for _ in 0..count {
         let bytes = r.bytes().map_err(invalid)?;
         let mut pr = BinReader::new(bytes);
@@ -465,32 +325,49 @@ pub(crate) fn bin_read_payloads<T: BinPayload>(r: &mut BinReader<'_>) -> io::Res
     Ok(out)
 }
 
-impl<T: BinPayload> BinFrame for Frame<T> {
-    fn encode_bin(&self, buf: &mut Vec<u8>) -> bool {
-        match self {
+impl<T: BinPayload> WireMsg for Frame<T> {
+    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+        let control = match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
                 bin_header(buf, BIN_KIND_ITEM_BATCH, *trace);
                 buf.extend_from_slice(&first_seq.to_le_bytes());
                 bin_put_payloads(buf, payloads);
-                true
+                return Ok(true);
             }
             Frame::PublishBatch { topic, payloads, trace } => {
                 bin_header(buf, BIN_KIND_PUBLISH_BATCH, *trace);
                 put_bytes(buf, topic.as_bytes());
                 bin_put_payloads(buf, payloads);
-                true
+                return Ok(true);
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
                 bin_header(buf, BIN_KIND_DELIVER_BATCH, *trace);
                 put_bytes(buf, topic.as_bytes());
                 bin_put_payloads(buf, payloads);
-                true
+                return Ok(true);
             }
-            _ => false,
-        }
+            Frame::HelloPublisher { proto } => Control::HelloPublisher { proto: *proto },
+            Frame::HelloSubscriber { prefixes, proto } => {
+                Control::HelloSubscriber { prefixes: prefixes.clone(), proto: *proto }
+            }
+            Frame::HelloPush { client, resume_after, proto } => Control::HelloPush {
+                client: client.clone(),
+                resume_after: *resume_after,
+                proto: *proto,
+            },
+            Frame::Nack { expected } => Control::Nack { expected: *expected },
+            Frame::Ack { up_to } => Control::Ack { up_to: *up_to },
+            Frame::Ping => Control::Ping,
+            Frame::Fin => Control::Fin,
+        };
+        json_encode(&control, buf)?;
+        Ok(false)
     }
 
-    fn decode_bin(body: &[u8]) -> io::Result<Self> {
+    fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
+        if !binary {
+            return json_decode::<Control>(body).map(Frame::from);
+        }
         let mut r = BinReader::new(body);
         let (kind, trace) = bin_read_header(&mut r)?;
         let frame = match kind {
@@ -518,10 +395,9 @@ impl<T: BinPayload> BinFrame for Frame<T> {
     }
 }
 
-/// Per-connection reusable scratch for proto-3 encoding: payload bytes
+/// Per-connection reusable scratch for binary encoding: payload bytes
 /// and their spans are laid out once, then chunked into frames without
-/// re-encoding — the binary analogue of the JSON path's `Value` reuse,
-/// minus all the allocation.
+/// re-encoding.
 #[derive(Debug, Default)]
 pub struct BinEncoder {
     /// Every batch member's encoding, back to back.
@@ -549,67 +425,92 @@ impl BinEncoder {
             self.spans.push((start, self.payloads.len() - start));
         }
     }
+}
 
-    /// Greedily packs loaded members into frames of at most `max_len`
-    /// body bytes (`overhead` = fixed header cost per frame; each member
-    /// costs 4 length bytes + its encoding). A single member that alone
-    /// exceeds the cap still gets its own frame — it cannot be split,
-    /// and the u32/[`MAX_FRAME_LEN`] checks remain the backstop. Calls
-    /// `emit(lo, members)` once per frame, in order.
-    fn chunk(
-        &mut self,
-        overhead: usize,
-        max_len: usize,
-        mut emit: impl FnMut(&mut Vec<u8>, usize, &[(usize, usize)], &[u8]) -> io::Result<()>,
-    ) -> io::Result<usize> {
-        let mut frames = 0;
-        let mut lo = 0;
-        while lo < self.spans.len() {
-            let mut hi = lo;
-            let mut size = overhead;
-            while hi < self.spans.len() {
-                let cost = 4 + self.spans[hi].1;
-                if hi > lo && size + cost > max_len {
-                    break;
-                }
-                size += cost;
-                hi += 1;
-            }
-            self.body.clear();
-            // The borrow checker cannot see that `emit` only reads
-            // `payloads`/`spans` and writes `body`, so pass the parts.
-            let body = &mut self.body;
-            emit(body, lo, &self.spans[lo..hi], &self.payloads)?;
-            frames += 1;
-            lo = hi;
+/// What a batch body carries between its fixed header and its members.
+#[derive(Clone, Copy)]
+enum BatchHead<'a> {
+    /// [`Frame::ItemBatch`]: the sequence number of the batch's first
+    /// member; a chunk starting at member `lo` carries `first_seq + lo`.
+    FirstSeq(u64),
+    /// [`Frame::PublishBatch`] / [`Frame::DeliverBatch`]: the topic,
+    /// repeated on every chunk.
+    Topic(&'a str),
+}
+
+impl BatchHead<'_> {
+    fn len(self) -> usize {
+        match self {
+            BatchHead::FirstSeq(_) => 8,
+            BatchHead::Topic(topic) => 4 + topic.len(),
         }
-        Ok(frames)
+    }
+
+    fn put(self, body: &mut Vec<u8>, lo: usize) {
+        match self {
+            BatchHead::FirstSeq(first_seq) => {
+                body.extend_from_slice(&(first_seq + lo as u64).to_le_bytes());
+            }
+            BatchHead::Topic(topic) => put_bytes(body, topic.as_bytes()),
+        }
     }
 }
 
-/// Appends one chunk's members (`count`, then length-prefixed bytes
-/// copied from the already-encoded pool).
-fn bin_body_members(body: &mut Vec<u8>, spans: &[(usize, usize)], pool: &[u8]) {
-    body.extend_from_slice(&(spans.len() as u32).to_le_bytes());
-    for &(off, len) in spans {
-        body.extend_from_slice(&(len as u32).to_le_bytes());
-        body.extend_from_slice(&pool[off..off + len]);
-    }
-}
-
-/// Fixed per-frame body overhead: kind + flags + the member-count word
-/// every batch body carries + optional 17-byte trace section. Without
-/// the count word a chunk sized exactly at the cap would overshoot it
-/// by four bytes — fatal at [`MAX_FRAME_LEN`], where [`write_bin_frame`]
-/// rejects the frame instead of splitting it.
-fn bin_overhead(trace: Option<TraceContext>) -> usize {
-    2 + 4 + if trace.is_some() { 17 } else { 0 }
-}
-
-/// Writes `payloads` as proto-3 binary [`Frame::ItemBatch`] frames
-/// (member `i` carrying sequence `first_seq + i`), splitting by
-/// *binary* encoded size so no frame body exceeds [`MAX_FRAME_LEN`].
+/// The one chunked batch writer: encodes every member once, then
+/// greedily packs them into `kind` frames of at most `max_len` body
+/// bytes, each repeating `trace` and `head`. A single member that alone
+/// exceeds the cap still gets its own frame — it cannot be split, and
+/// the [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
 /// Returns the number of frames written.
+fn write_batch<T: BinPayload>(
+    w: &mut impl Write,
+    enc: &mut BinEncoder,
+    kind: u8,
+    head: BatchHead<'_>,
+    payloads: &[T],
+    trace: Option<TraceContext>,
+    max_len: usize,
+) -> io::Result<usize> {
+    enc.load(payloads);
+    // Fixed per-frame body cost: kind + flags, the optional trace
+    // section, the head, and the member-count word. Leaving the count
+    // word out would let a chunk sized exactly at the cap overshoot it
+    // by four bytes — fatal at `MAX_FRAME_LEN`, where `write_frame`
+    // rejects the frame instead of splitting it.
+    let overhead = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len() + 4;
+    let mut frames = 0;
+    let mut lo = 0;
+    while lo < enc.spans.len() {
+        let mut hi = lo;
+        let mut size = overhead;
+        while hi < enc.spans.len() {
+            // Each member costs 4 length bytes + its encoding.
+            let cost = 4 + enc.spans[hi].1;
+            if hi > lo && size + cost > max_len {
+                break;
+            }
+            size += cost;
+            hi += 1;
+        }
+        enc.body.clear();
+        bin_header(&mut enc.body, kind, trace);
+        head.put(&mut enc.body, lo);
+        enc.body.extend_from_slice(&((hi - lo) as u32).to_le_bytes());
+        for &(off, len) in &enc.spans[lo..hi] {
+            enc.body.extend_from_slice(&(len as u32).to_le_bytes());
+            enc.body.extend_from_slice(&enc.payloads[off..off + len]);
+        }
+        write_frame(w, true, &enc.body)?;
+        frames += 1;
+        lo = hi;
+    }
+    Ok(frames)
+}
+
+/// Writes `payloads` as [`Frame::ItemBatch`] frames (member `i`
+/// carrying sequence `first_seq + i`), splitting by encoded size so no
+/// frame body exceeds [`MAX_FRAME_LEN`]. Returns the number of frames
+/// written.
 ///
 /// # Errors
 ///
@@ -621,32 +522,12 @@ pub fn write_item_batch_bin<T: BinPayload>(
     payloads: &[T],
     trace: Option<TraceContext>,
 ) -> io::Result<usize> {
-    write_item_batch_bin_capped(w, enc, first_seq, payloads, trace, MAX_FRAME_LEN)
+    let head = BatchHead::FirstSeq(first_seq);
+    write_batch(w, enc, BIN_KIND_ITEM_BATCH, head, payloads, trace, MAX_FRAME_LEN)
 }
 
-/// [`write_item_batch_bin`] with an explicit frame-size cap (exercised
-/// with a tiny cap in tests; production callers use [`MAX_FRAME_LEN`]).
-pub(crate) fn write_item_batch_bin_capped<T: BinPayload>(
-    w: &mut impl Write,
-    enc: &mut BinEncoder,
-    first_seq: u64,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    enc.load(payloads);
-    let overhead = bin_overhead(trace) + 8;
-    enc.chunk(overhead, max_len, |body, lo, spans, pool| {
-        bin_header(body, BIN_KIND_ITEM_BATCH, trace);
-        body.extend_from_slice(&(first_seq + lo as u64).to_le_bytes());
-        bin_body_members(body, spans, pool);
-        write_bin_frame(w, body)
-    })
-}
-
-/// Writes `payloads` as proto-3 binary [`Frame::PublishBatch`] frames
-/// on `topic`, splitting by binary encoded size. Returns the number of
-/// frames written.
+/// Writes `payloads` as [`Frame::PublishBatch`] frames on `topic`,
+/// splitting by encoded size. Returns the number of frames written.
 ///
 /// # Errors
 ///
@@ -658,33 +539,15 @@ pub fn write_publish_batch_bin<T: BinPayload>(
     payloads: &[T],
     trace: Option<TraceContext>,
 ) -> io::Result<usize> {
-    write_publish_batch_bin_capped(w, enc, topic, payloads, trace, MAX_FRAME_LEN)
+    let head = BatchHead::Topic(topic);
+    write_batch(w, enc, BIN_KIND_PUBLISH_BATCH, head, payloads, trace, MAX_FRAME_LEN)
 }
 
-/// [`write_publish_batch_bin`] with an explicit frame-size cap.
-pub(crate) fn write_publish_batch_bin_capped<T: BinPayload>(
-    w: &mut impl Write,
-    enc: &mut BinEncoder,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    enc.load(payloads);
-    let overhead = bin_overhead(trace) + 4 + topic.len();
-    enc.chunk(overhead, max_len, |body, _lo, spans, pool| {
-        bin_header(body, BIN_KIND_PUBLISH_BATCH, trace);
-        put_bytes(body, topic.as_bytes());
-        bin_body_members(body, spans, pool);
-        write_bin_frame(w, body)
-    })
-}
-
-/// Writes `payloads` as proto-3 binary [`Frame::DeliverBatch`] frames
-/// on `topic`, splitting by binary encoded size. Returns the number of
-/// frames written. This is the encode-once half of the subscriber
-/// fan-out: the broker writes into a shared byte buffer exactly once
-/// per batch, and every proto-3 subscriber leg ships the same bytes.
+/// Writes `payloads` as [`Frame::DeliverBatch`] frames on `topic`,
+/// splitting by encoded size. Returns the number of frames written.
+/// This is the encode-once half of the subscriber fan-out: the broker
+/// writes into a shared byte buffer exactly once per run, and every
+/// subscriber leg ships the same bytes.
 ///
 /// # Errors
 ///
@@ -696,57 +559,44 @@ pub fn write_deliver_batch_bin<T: BinPayload>(
     payloads: &[T],
     trace: Option<TraceContext>,
 ) -> io::Result<usize> {
-    write_deliver_batch_bin_capped(w, enc, topic, payloads, trace, MAX_FRAME_LEN)
+    let head = BatchHead::Topic(topic);
+    write_batch(w, enc, BIN_KIND_DELIVER_BATCH, head, payloads, trace, MAX_FRAME_LEN)
 }
 
-/// [`write_deliver_batch_bin`] with an explicit frame-size cap.
-pub(crate) fn write_deliver_batch_bin_capped<T: BinPayload>(
-    w: &mut impl Write,
-    enc: &mut BinEncoder,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    enc.load(payloads);
-    let overhead = bin_overhead(trace) + 4 + topic.len();
-    enc.chunk(overhead, max_len, |body, _lo, spans, pool| {
-        bin_header(body, BIN_KIND_DELIVER_BATCH, trace);
-        put_bytes(body, topic.as_bytes());
-        bin_body_members(body, spans, pool);
-        write_bin_frame(w, body)
-    })
-}
-
-/// Writes `msg` as one binary frame when it has a binary form, falling
-/// back to JSON otherwise. The scratch encoder's body buffer is reused
-/// across calls.
+/// Writes `msg` as one frame in its one encoding, flushing the writer.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from the underlying writer.
-pub fn write_msg_bin<M: Serialize + BinFrame>(
+pub fn write_msg<M: WireMsg>(w: &mut impl Write, msg: &M) -> io::Result<()> {
+    write_msg_bin(w, &mut BinEncoder::new(), msg)
+}
+
+/// [`write_msg`] through a caller-owned scratch encoder, whose body
+/// buffer is reused across calls — for senders of bulk messages.
+///
+/// # Errors
+///
+/// Propagates I/O failures from the underlying writer.
+pub fn write_msg_bin<M: WireMsg>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
     msg: &M,
 ) -> io::Result<()> {
     enc.body.clear();
-    let mut body = std::mem::take(&mut enc.body);
-    let took = msg.encode_bin(&mut body);
-    let result = if took { write_bin_frame(w, &body) } else { write_msg(w, msg) };
-    enc.body = body;
-    result
+    let binary = msg.encode(&mut enc.body)?;
+    write_frame(w, binary, &enc.body)
 }
 
-/// Writes one binary frame: length word with [`BIN_FRAME_BIT`] set,
-/// then the body, as a single vectored write and exactly one flush (the
-/// frame-alignment invariant [`crate::faulted::FaultedWriter`] relies
-/// on).
-pub(crate) fn write_bin_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+/// Writes one frame: the length word (with [`BIN_FRAME_BIT`] set for a
+/// binary body), then the body, as a single vectored write and exactly
+/// one flush (the frame-alignment invariant
+/// [`crate::faulted::FaultedWriter`] relies on).
+fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME_LEN {
         return Err(invalid(format!("frame length {} exceeds {MAX_FRAME_LEN}", body.len())));
     }
-    let word = (body.len() as u32) | BIN_FRAME_BIT;
+    let word = (body.len() as u32) | if binary { BIN_FRAME_BIT } else { 0 };
     let header = word.to_be_bytes();
     let mut headed = 0; // bytes of the header written so far
     let mut bodied = 0; // bytes of the body written so far
@@ -757,7 +607,7 @@ pub(crate) fn write_bin_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()>
             w.write(&body[bodied..])?
         };
         if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::WriteZero, "binary frame write stalled"));
+            return Err(io::Error::new(io::ErrorKind::WriteZero, "frame write stalled"));
         }
         let into_header = n.min(header.len() - headed);
         headed += into_header;
@@ -770,259 +620,12 @@ pub(crate) fn write_bin_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()>
     Ok(())
 }
 
-/// Writes one length-prefixed message and flushes the writer.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_msg<M: Serialize>(w: &mut impl Write, msg: &M) -> io::Result<()> {
-    let body = serde_json::to_string(msg).map_err(invalid)?;
-    write_body(w, &body)
-}
-
-/// Writes one already-serialized frame body with its length prefix.
-fn write_body(w: &mut impl Write, body: &str) -> io::Result<()> {
-    let bytes = body.as_bytes();
-    let len = u32::try_from(bytes.len()).map_err(|_| invalid("frame exceeds u32 length prefix"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()?;
-    sdci_obs::static_metric!(counter, "sdci_net_frames_out_total").inc();
-    sdci_obs::static_metric!(counter, "sdci_net_bytes_out_total")
-        .add((FRAME_HEADER_LEN + bytes.len()) as u64);
-    Ok(())
-}
-
-/// Adapter so a pre-built frame [`Value`] can go through `serde_json`
-/// without re-serializing every payload on a batch split.
-struct RawValue<'a>(&'a Value);
-
-impl Serialize for RawValue<'_> {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-/// Writes `payloads` as one [`Frame::ItemBatch`] (member `i` carrying
-/// sequence `first_seq + i`), splitting into several frames when the
-/// encoded batch would exceed [`MAX_FRAME_LEN`]. Returns the number of
-/// frames written.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_item_batch<T: Serialize>(
-    w: &mut impl Write,
-    first_seq: u64,
-    payloads: &[T],
-) -> io::Result<usize> {
-    write_item_batch_traced(w, first_seq, payloads, None)
-}
-
-/// [`write_item_batch`] carrying a send-leg tracing context on each
-/// written frame (every split chunk repeats it).
-pub fn write_item_batch_traced<T: Serialize>(
-    w: &mut impl Write,
-    first_seq: u64,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-) -> io::Result<usize> {
-    write_item_batch_capped(w, first_seq, payloads, trace, MAX_FRAME_LEN)
-}
-
-/// [`write_item_batch`] with an explicit frame-size cap (exercised with
-/// a tiny cap in tests; production callers use [`MAX_FRAME_LEN`]).
-pub(crate) fn write_item_batch_capped<T: Serialize>(
-    w: &mut impl Write,
-    first_seq: u64,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    let values: Vec<Value> = payloads.iter().map(Serialize::to_value).collect();
-    write_split(w, &values, 0, max_len, &|lo, chunk| {
-        batch_frame("ItemBatch", ("first_seq", (first_seq + lo as u64).to_value()), chunk, trace)
-    })
-}
-
-/// Writes `payloads` as one [`Frame::PublishBatch`] on `topic`,
-/// splitting into several frames when the encoded batch would exceed
-/// [`MAX_FRAME_LEN`]. Returns the number of frames written.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_publish_batch<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-) -> io::Result<usize> {
-    write_publish_batch_traced(w, topic, payloads, None)
-}
-
-/// [`write_publish_batch`] carrying a send-leg tracing context on each
-/// written frame (every split chunk repeats it).
-pub fn write_publish_batch_traced<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-) -> io::Result<usize> {
-    write_publish_batch_capped(w, topic, payloads, trace, MAX_FRAME_LEN)
-}
-
-/// [`write_publish_batch`] with an explicit frame-size cap.
-pub(crate) fn write_publish_batch_capped<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    let values: Vec<Value> = payloads.iter().map(Serialize::to_value).collect();
-    write_split(w, &values, 0, max_len, &|_, chunk| {
-        batch_frame("PublishBatch", ("topic", topic.to_value()), chunk, trace)
-    })
-}
-
-/// Writes `payloads` as JSON [`Frame::DeliverBatch`] frames on `topic`
-/// (proto-2 sessions), splitting when the encoded batch would exceed
-/// [`MAX_FRAME_LEN`]. Returns the number of frames written.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_deliver_batch<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-) -> io::Result<usize> {
-    write_deliver_batch_capped(w, topic, payloads, trace, MAX_FRAME_LEN)
-}
-
-/// [`write_deliver_batch`] with an explicit frame-size cap.
-pub(crate) fn write_deliver_batch_capped<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-    max_len: usize,
-) -> io::Result<usize> {
-    let values: Vec<Value> = payloads.iter().map(Serialize::to_value).collect();
-    write_split(w, &values, 0, max_len, &|_, chunk| {
-        batch_frame("DeliverBatch", ("topic", topic.to_value()), chunk, trace)
-    })
-}
-
-///// Writes `payloads` as one JSON [`Frame::Deliver`] frame each — the
-/// proto-1 deliver wire. Borrows the payloads (no per-subscriber
-/// clone), so the encode-once fan-out can render the legacy form from
-/// the same shared batch it renders the batched forms from. Returns
-/// the number of frames written (always `payloads.len()`).
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_deliver_events<T: Serialize>(
-    w: &mut impl Write,
-    topic: &str,
-    payloads: &[T],
-) -> io::Result<usize> {
-    for p in payloads {
-        let frame =
-            variant("Deliver", vec![("topic", topic.to_value()), ("payload", p.to_value())]);
-        let body = serde_json::to_string(&RawValue(&frame)).map_err(invalid)?;
-        write_body(w, &body)?;
-    }
-    Ok(payloads.len())
-}
-
-fn batch_frame(
-    name: &str,
-    head: (&str, Value),
-    chunk: &[Value],
-    trace: Option<TraceContext>,
-) -> Value {
-    let mut fields = vec![head, ("payloads", Value::Seq(chunk.to_vec()))];
-    if let Some(t) = trace {
-        fields.push(("trace", t.to_value()));
-    }
-    variant(name, fields)
-}
-
-/// Recursively halves `values` until each frame fits `max_len`, writing
-/// the resulting frames in order. A single payload whose frame still
-/// exceeds the cap is written anyway — it cannot be split further, and
-/// the u32/`MAX_FRAME_LEN` length checks remain the backstop.
-fn write_split(
-    w: &mut impl Write,
-    values: &[Value],
-    offset: usize,
-    max_len: usize,
-    frame_for: &dyn Fn(usize, &[Value]) -> Value,
-) -> io::Result<usize> {
-    if values.is_empty() {
-        return Ok(0);
-    }
-    let frame = frame_for(offset, values);
-    let body = serde_json::to_string(&RawValue(&frame)).map_err(invalid)?;
-    if body.len() <= max_len || values.len() == 1 {
-        write_body(w, &body)?;
-        return Ok(1);
-    }
-    let mid = values.len() / 2;
-    let left = write_split(w, &values[..mid], offset, max_len, frame_for)?;
-    let right = write_split(w, &values[mid..], offset + mid, max_len, frame_for)?;
-    Ok(left + right)
-}
-
-/// Reads one length-prefixed message.
-///
-/// Not safe on sockets with a read timeout: a timeout that fires after
-/// the length prefix (or part of the body) has been consumed loses that
-/// progress, and the next call misparses body bytes as a header. Use
-/// [`FrameReader`] on any stream whose reads can time out mid-frame.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on oversized lengths, non-UTF-8 JSON bodies,
-/// or bodies that do not decode as `M` in the encoding the length word
-/// announces; otherwise propagates reader failures (including timeouts
-/// configured on the stream).
-pub fn read_msg<M: Deserialize + BinFrame>(r: &mut impl Read) -> io::Result<M> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let word = u32::from_be_bytes(header);
-    let is_bin = word & BIN_FRAME_BIT != 0;
-    let len = (word & !BIN_FRAME_BIT) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    sdci_obs::static_metric!(counter, "sdci_net_frames_in_total").inc();
-    sdci_obs::static_metric!(counter, "sdci_net_bytes_in_total")
-        .add((FRAME_HEADER_LEN + len) as u64);
-    decode_body(is_bin, &body)
-}
-
-/// Decodes one complete frame body in the encoding its length word
-/// announced.
-fn decode_body<M: Deserialize + BinFrame>(is_bin: bool, body: &[u8]) -> io::Result<M> {
-    if is_bin {
-        return M::decode_bin(body);
-    }
-    let text = std::str::from_utf8(body).map_err(invalid)?;
-    serde_json::from_str(text).map_err(invalid)
-}
-
 /// Incremental, timeout-tolerant frame reader.
 ///
 /// sdci-net sockets use a short read timeout as their heartbeat tick,
 /// and a timeout is perfectly able to fire *mid-frame* — the length
 /// prefix arrived but the body is still in flight (Nagle stalls, load,
-/// a slow network). [`read_msg`] would lose the consumed prefix and
+/// a slow network). A reader that lost the consumed prefix would
 /// desynchronize the stream; `FrameReader` instead keeps the partial
 /// frame across calls, so a timed-out [`FrameReader::read_msg`] is
 /// simply called again and resumes where the stream left off.
@@ -1035,8 +638,8 @@ pub struct FrameReader<R> {
     need: usize,
     /// Whether `need` already accounts for the body length.
     have_header: bool,
-    /// Whether the current frame's length word announced a proto-3
-    /// binary body ([`BIN_FRAME_BIT`]).
+    /// Whether the current frame's length word announced a binary
+    /// body ([`BIN_FRAME_BIT`]).
     bin: bool,
     /// Installed recv-side fault stream; `None` is a clean wire.
     faults: Option<sdci_faults::StreamFaults>,
@@ -1086,12 +689,13 @@ impl<R: Read> FrameReader<R> {
     /// # Errors
     ///
     /// `WouldBlock`/`TimedOut` are resumable: call again to continue
-    /// the same frame. Any other error — including the `InvalidData`
-    /// cases of [`read_msg`] — means the stream is no longer usable.
-    pub fn read_msg<M: Deserialize + BinFrame>(&mut self) -> io::Result<M> {
+    /// the same frame. Any other error — `InvalidData` on an oversized
+    /// length word or a body [`WireMsg::decode`] rejects — means the
+    /// stream is no longer usable.
+    pub fn read_msg<M: WireMsg>(&mut self) -> io::Result<M> {
         if let Some((was_bin, body)) = self.replay.take() {
             // The second delivery of an injected duplicate.
-            return decode_body(was_bin, &body);
+            return M::decode(was_bin, &body);
         }
         if let Some(faults) = &self.faults {
             if faults.partitioned() {
@@ -1153,7 +757,7 @@ impl<R: Read> FrameReader<R> {
                     }
                     Some(sdci_faults::FrameFault::Deliver) | None => {}
                 }
-                let result = decode_body(self.bin, &self.buf[FRAME_HEADER_LEN..]);
+                let result = M::decode(self.bin, &self.buf[FRAME_HEADER_LEN..]);
                 self.buf.clear();
                 self.need = FRAME_HEADER_LEN;
                 self.have_header = false;
@@ -1195,198 +799,116 @@ mod tests {
         }
     }
 
-    fn roundtrip(frame: Frame<FileEvent>) {
+    /// Reads the first frame of an in-memory stream.
+    fn read_one<M: WireMsg>(buf: &[u8]) -> io::Result<M> {
+        FrameReader::new(buf).read_msg()
+    }
+
+    /// Splits `buf` into raw `(is_binary, body)` frames without decoding.
+    fn raw_frames(mut buf: &[u8]) -> Vec<(bool, Vec<u8>)> {
+        let mut out = Vec::new();
+        while !buf.is_empty() {
+            let word = u32::from_be_bytes(buf[..4].try_into().unwrap());
+            let len = (word & !BIN_FRAME_BIT) as usize;
+            out.push((word & BIN_FRAME_BIT != 0, buf[4..4 + len].to_vec()));
+            buf = &buf[4 + len..];
+        }
+        out
+    }
+
+    /// Frames `body` under a length word announcing the given encoding.
+    fn framed(binary: bool, body: &[u8]) -> Vec<u8> {
+        let word = (body.len() as u32) | if binary { BIN_FRAME_BIT } else { 0 };
+        let mut buf = word.to_be_bytes().to_vec();
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    /// Writes `frame`, checks the length word and the encoding it
+    /// announces, and reads the same frame back.
+    fn roundtrip(frame: Frame<FileEvent>, binary: bool) {
         let mut buf = Vec::new();
         write_msg(&mut buf, &frame).unwrap();
-        assert_eq!(
-            buf.len(),
-            FRAME_HEADER_LEN + {
-                let len = u32::from_be_bytes(buf[..4].try_into().unwrap());
-                len as usize
-            }
+        let frames = raw_frames(&buf);
+        assert_eq!(frames.len(), 1);
+        assert_eq!(frames[0].0, binary, "wrong encoding for {frame:?}");
+        assert_eq!(read_one::<Frame<FileEvent>>(&buf).unwrap(), frame);
+    }
+
+    #[test]
+    fn control_frames_roundtrip_as_json_and_batches_as_binary() {
+        roundtrip(Frame::HelloPublisher { proto: WIRE_PROTO }, false);
+        roundtrip(
+            Frame::HelloSubscriber {
+                prefixes: vec!["events/".into(), String::new()],
+                proto: WIRE_PROTO,
+            },
+            false,
         );
-        let back: Frame<FileEvent> = read_msg(&mut &buf[..]).unwrap();
-        assert_eq!(back, frame);
-    }
-
-    #[test]
-    fn frames_roundtrip() {
-        roundtrip(Frame::HelloPublisher);
-        roundtrip(Frame::HelloSubscriber {
-            prefixes: vec!["events/".into(), String::new()],
-            proto: None,
-        });
-        roundtrip(Frame::HelloSubscriber {
-            prefixes: vec!["feed/".into()],
-            proto: Some(WIRE_PROTO),
-        });
-        roundtrip(Frame::HelloPush { client: "mdt0".into(), resume_after: 41, proto: None });
-        roundtrip(Frame::HelloPush {
-            client: "mdt0".into(),
-            resume_after: 41,
-            proto: Some(WIRE_PROTO),
-        });
-        roundtrip(Frame::Publish { topic: "events/mdt0".into(), payload: event(1) });
-        roundtrip(Frame::Deliver { topic: "feed/all".into(), payload: event(2) });
-        roundtrip(Frame::DeliverBatch {
-            topic: "feed/all".into(),
-            payloads: vec![event(4), event(5)],
-            trace: None,
-        });
-        roundtrip(Frame::DeliverBatch {
-            topic: "feed/all".into(),
-            payloads: vec![event(4)],
-            trace: Some(sdci_types::TraceContext::sampled(3, 5)),
-        });
-        roundtrip(Frame::Item { seq: 9, payload: event(3) });
-        roundtrip(Frame::ItemBatch {
-            first_seq: 7,
-            payloads: vec![event(7), event(8)],
-            trace: None,
-        });
-        roundtrip(Frame::ItemBatch {
-            first_seq: 7,
-            payloads: vec![event(7), event(8)],
-            trace: Some(sdci_types::TraceContext::sampled(0xabcd, 0x1234)),
-        });
-        roundtrip(Frame::PublishBatch {
-            topic: "events/mdt0".into(),
-            payloads: vec![event(1), event(2), event(3)],
-            trace: None,
-        });
-        roundtrip(Frame::PublishBatch {
-            topic: "events/mdt0".into(),
-            payloads: vec![event(1)],
-            trace: Some(sdci_types::TraceContext::sampled(7, 9)),
-        });
-        roundtrip(Frame::Nack { expected: 12 });
-        roundtrip(Frame::Ack { up_to: 9, proto: None });
-        roundtrip(Frame::Ack { up_to: 0, proto: Some(WIRE_PROTO) });
-        roundtrip(Frame::Ping);
-        roundtrip(Frame::Fin);
-    }
-
-    /// Proto-1 peers serialize `HelloPush`/`Ack` without a `proto`
-    /// field; those exact bytes must keep parsing (as `proto: None`),
-    /// and a proto-`None` frame we write must not grow new fields a
-    /// proto-1 peer would choke on.
-    #[test]
-    fn proto1_hello_and_ack_wire_compat() {
-        let old_hello = r#"{"HelloPush":{"client":"mdt0","resume_after":41}}"#;
-        let frame: Frame<FileEvent> = serde_json::from_str(old_hello).unwrap();
-        assert_eq!(
-            frame,
-            Frame::HelloPush { client: "mdt0".into(), resume_after: 41, proto: None }
+        roundtrip(
+            Frame::HelloPush { client: "mdt0".into(), resume_after: 41, proto: WIRE_PROTO },
+            false,
         );
-        assert_eq!(serde_json::to_string(&frame).unwrap(), old_hello);
-
-        let old_ack = r#"{"Ack":{"up_to":9}}"#;
-        let frame: Frame<FileEvent> = serde_json::from_str(old_ack).unwrap();
-        assert_eq!(frame, Frame::Ack { up_to: 9, proto: None });
-        assert_eq!(serde_json::to_string(&frame).unwrap(), old_ack);
-
-        // The subscriber handshake predates its `proto` field entirely;
-        // the exact bytes an old subscriber sends must keep parsing (as
-        // proto 1) and a proto-`None` hello must re-serialize to them.
-        let old_sub = r#"{"HelloSubscriber":{"prefixes":["feed/"]}}"#;
-        let frame: Frame<FileEvent> = serde_json::from_str(old_sub).unwrap();
-        assert_eq!(frame, Frame::HelloSubscriber { prefixes: vec!["feed/".into()], proto: None });
-        assert_eq!(serde_json::to_string(&frame).unwrap(), old_sub);
-    }
-
-    #[test]
-    fn item_batch_writer_matches_frame_encoding() {
-        let payloads = vec![event(1), event(2), event(3)];
-        let mut via_helper = Vec::new();
-        let frames = write_item_batch(&mut via_helper, 5, &payloads).unwrap();
-        assert_eq!(frames, 1);
-        let mut via_frame = Vec::new();
-        write_msg(&mut via_frame, &Frame::ItemBatch { first_seq: 5, payloads, trace: None })
-            .unwrap();
-        assert_eq!(via_helper, via_frame);
-    }
-
-    #[test]
-    fn oversized_batches_split_and_read_back_in_order() {
-        let payloads: Vec<FileEvent> = (0..16).map(event).collect();
-        let one_event_frame = {
-            let mut buf = Vec::new();
-            write_msg(
-                &mut buf,
-                &Frame::ItemBatch { first_seq: 1, payloads: vec![event(0)], trace: None },
-            )
-            .unwrap();
-            buf.len()
-        };
-        // A cap of roughly three events forces recursive splitting.
-        let cap = one_event_frame * 3;
-        let mut buf = Vec::new();
-        let trace = Some(sdci_types::TraceContext::sampled(0xfeed, 0xbeef));
-        let frames = write_item_batch_capped(&mut buf, 1, &payloads, trace, cap).unwrap();
-        assert!(frames > 1, "cap {cap} should split 16 events, got {frames} frame(s)");
-
-        let mut cursor = &buf[..];
-        let mut next_seq = 1u64;
-        let mut got = Vec::new();
-        for _ in 0..frames {
-            match read_msg::<Frame<FileEvent>>(&mut cursor).unwrap() {
-                Frame::ItemBatch { first_seq, payloads, trace: got_trace } => {
-                    assert_eq!(first_seq, next_seq, "split frames must stay contiguous");
-                    assert_eq!(got_trace, trace, "every split chunk repeats the frame context");
-                    next_seq += payloads.len() as u64;
-                    got.extend(payloads);
-                }
-                other => panic!("expected ItemBatch, got {other:?}"),
-            }
+        roundtrip(Frame::Nack { expected: 12 }, false);
+        roundtrip(Frame::Ack { up_to: 9 }, false);
+        roundtrip(Frame::Ping, false);
+        roundtrip(Frame::Fin, false);
+        for trace in [None, Some(TraceContext::sampled(0xabcd, 0x1234))] {
+            roundtrip(
+                Frame::ItemBatch { first_seq: 7, payloads: vec![event(7), event(8)], trace },
+                true,
+            );
+            roundtrip(
+                Frame::PublishBatch {
+                    topic: "events/mdt0".into(),
+                    payloads: vec![event(1)],
+                    trace,
+                },
+                true,
+            );
+            roundtrip(
+                Frame::DeliverBatch { topic: "feed/all".into(), payloads: vec![event(4)], trace },
+                true,
+            );
         }
-        assert!(cursor.is_empty());
-        assert_eq!(got, payloads);
     }
 
+    /// The control plane stays readable with `nc`: the bytes are the
+    /// plain externally-tagged JSON, version field included.
     #[test]
-    fn publish_batch_split_preserves_topic_and_order() {
-        let payloads: Vec<FileEvent> = (0..8).map(event).collect();
+    fn control_frames_are_plain_json_on_the_wire() {
         let mut buf = Vec::new();
-        let frames =
-            write_publish_batch_capped(&mut buf, "events/mdt0", &payloads, None, 256).unwrap();
-        assert!(frames > 1);
-        let mut cursor = &buf[..];
-        let mut got = Vec::new();
-        for _ in 0..frames {
-            match read_msg::<Frame<FileEvent>>(&mut cursor).unwrap() {
-                Frame::PublishBatch { topic, payloads, trace } => {
-                    assert_eq!(topic, "events/mdt0");
-                    assert_eq!(trace, None);
-                    got.extend(payloads);
-                }
-                other => panic!("expected PublishBatch, got {other:?}"),
-            }
-        }
-        assert!(cursor.is_empty());
-        assert_eq!(got, payloads);
+        write_msg(
+            &mut buf,
+            &Frame::<FileEvent>::HelloPush { client: "mdt0".into(), resume_after: 41, proto: 4 },
+        )
+        .unwrap();
+        write_msg(&mut buf, &Frame::<FileEvent>::Ack { up_to: 9 }).unwrap();
+        let frames = raw_frames(&buf);
+        assert_eq!(
+            std::str::from_utf8(&frames[0].1).unwrap(),
+            r#"{"HelloPush":{"client":"mdt0","resume_after":41,"proto":4}}"#
+        );
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
+    /// A batch has no JSON form: a JSON body naming one is corruption,
+    /// as is a hello that leaves its version out.
     #[test]
-    fn several_frames_stream_back_to_back() {
-        let mut buf = Vec::new();
-        for i in 0..5 {
-            write_msg(&mut buf, &Frame::Item { seq: i, payload: event(i) }).unwrap();
+    fn json_batches_and_versionless_hellos_are_invalid_data() {
+        for body in [
+            r#"{"ItemBatch":{"first_seq":1,"payloads":[1,2]}}"#,
+            r#"{"PublishBatch":{"topic":"t","payloads":[1]}}"#,
+            r#"{"DeliverBatch":{"topic":"t","payloads":[1]}}"#,
+            r#"{"Item":{"seq":1,"payload":1}}"#,
+            r#"{"HelloPush":{"client":"mdt0","resume_after":41}}"#,
+            r#"{"HelloSubscriber":{"prefixes":["feed/"]}}"#,
+            r#""HelloPublisher""#,
+        ] {
+            let buf = framed(false, body.as_bytes());
+            let err = read_one::<Frame<u64>>(&buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
         }
-        let mut cursor = &buf[..];
-        for i in 0..5 {
-            let frame: Frame<FileEvent> = read_msg(&mut cursor).unwrap();
-            assert_eq!(frame, Frame::Item { seq: i, payload: event(i) });
-        }
-        assert!(cursor.is_empty());
-    }
-
-    #[test]
-    fn oversized_length_is_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        buf.extend_from_slice(b"junk");
-        let err = read_msg::<Frame<FileEvent>>(&mut &buf[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1394,7 +916,7 @@ mod tests {
         let mut buf = Vec::new();
         write_msg(&mut buf, &Frame::<FileEvent>::Ping).unwrap();
         buf.pop();
-        assert!(read_msg::<Frame<FileEvent>>(&mut &buf[..]).is_err());
+        assert!(read_one::<Frame<FileEvent>>(&buf).is_err());
     }
 
     /// Yields at most one byte per call, returning `WouldBlock` before
@@ -1424,15 +946,16 @@ mod tests {
 
     #[test]
     fn frame_reader_survives_timeouts_mid_frame() {
+        let batch =
+            |i: u64| Frame::ItemBatch { first_seq: i, payloads: vec![event(i)], trace: None };
         let mut data = Vec::new();
         for i in 0..3 {
-            write_msg(&mut data, &Frame::Item { seq: i, payload: event(i) }).unwrap();
+            write_msg(&mut data, &batch(i)).unwrap();
         }
-        let total = data.len();
         let mut reader = FrameReader::new(Trickle { data, pos: 0, ready: false });
         for i in 0..3 {
-            // Every byte costs one timed-out call; plain `read_msg`
-            // would desync on the first of them.
+            // Every byte costs one timed-out call; a reader that lost
+            // the consumed prefix would desync on the first of them.
             let frame = loop {
                 match reader.read_msg::<Frame<FileEvent>>() {
                     Ok(frame) => break frame,
@@ -1440,9 +963,8 @@ mod tests {
                     Err(e) => panic!("unexpected error: {e:?}"),
                 }
             };
-            assert_eq!(frame, Frame::Item { seq: i, payload: event(i) });
+            assert_eq!(frame, batch(i));
         }
-        assert!(total > 0);
         // The stream is drained; the next read is a clean EOF.
         let err = loop {
             match reader.read_msg::<Frame<FileEvent>>() {
@@ -1458,6 +980,7 @@ mod tests {
     fn frame_reader_rejects_oversized_lengths() {
         let mut data = Vec::new();
         data.extend_from_slice(&u32::MAX.to_be_bytes());
+        data.extend_from_slice(b"junk");
         let mut reader = FrameReader::new(&data[..]);
         let err = reader.read_msg::<Frame<FileEvent>>().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1465,134 +988,46 @@ mod tests {
 
     #[test]
     fn garbage_json_is_invalid_data() {
-        let body = b"not json";
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(body);
-        let err = read_msg::<Frame<FileEvent>>(&mut &buf[..]).unwrap_err();
+        let buf = framed(false, b"not json");
+        let err = read_one::<Frame<FileEvent>>(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    // -- proto-3 binary codec ------------------------------------------------
-
-    /// Splits `buf` into raw `(is_binary, body)` frames without decoding.
-    fn raw_frames(mut buf: &[u8]) -> Vec<(bool, Vec<u8>)> {
-        let mut out = Vec::new();
-        while !buf.is_empty() {
-            let word = u32::from_be_bytes(buf[..4].try_into().unwrap());
-            let len = (word & !BIN_FRAME_BIT) as usize;
-            out.push((word & BIN_FRAME_BIT != 0, buf[4..4 + len].to_vec()));
-            buf = &buf[4 + len..];
-        }
-        out
-    }
-
+    /// Each batch writer emits exactly the bytes the frame's own
+    /// encoding does — one member or many, the same single form.
     #[test]
-    fn binary_item_batch_roundtrips_with_and_without_trace() {
-        for trace in [None, Some(sdci_types::TraceContext::sampled(0xabcd, 0x1234))] {
-            let payloads: Vec<FileEvent> = (0..4).map(event).collect();
+    fn batch_writers_match_the_frame_encoding() {
+        let trace = Some(TraceContext::sampled(1, 2));
+        for payloads in [vec![event(1)], (0..4).map(event).collect::<Vec<_>>()] {
             let mut enc = BinEncoder::new();
-            let mut buf = Vec::new();
-            let frames = write_item_batch_bin(&mut buf, &mut enc, 7, &payloads, trace).unwrap();
-            assert_eq!(frames, 1);
-            let (bin, _) = raw_frames(&buf)[0].clone();
-            assert!(bin, "length word must carry BIN_FRAME_BIT");
-            let back: Frame<FileEvent> = read_msg(&mut &buf[..]).unwrap();
-            assert_eq!(back, Frame::ItemBatch { first_seq: 7, payloads, trace });
-        }
-    }
-
-    #[test]
-    fn binary_publish_batch_roundtrips() {
-        let payloads: Vec<FileEvent> = (0..3).map(event).collect();
-        let trace = Some(sdci_types::TraceContext::sampled(1, 2));
-        let mut enc = BinEncoder::new();
-        let mut buf = Vec::new();
-        let frames =
-            write_publish_batch_bin(&mut buf, &mut enc, "events/mdt0", &payloads, trace).unwrap();
-        assert_eq!(frames, 1);
-        let back: Frame<FileEvent> = read_msg(&mut &buf[..]).unwrap();
-        assert_eq!(back, Frame::PublishBatch { topic: "events/mdt0".into(), payloads, trace });
-    }
-
-    #[test]
-    fn binary_deliver_batch_roundtrips_with_and_without_trace() {
-        for trace in [None, Some(sdci_types::TraceContext::sampled(0xcafe, 0x77))] {
-            let payloads: Vec<FileEvent> = (0..4).map(event).collect();
-            let mut enc = BinEncoder::new();
-            let mut buf = Vec::new();
-            let frames =
-                write_deliver_batch_bin(&mut buf, &mut enc, "feed/all", &payloads, trace).unwrap();
-            assert_eq!(frames, 1);
-            assert!(raw_frames(&buf)[0].0, "deliver batches go binary on proto-3 legs");
-            let back: Frame<FileEvent> = read_msg(&mut &buf[..]).unwrap();
-            assert_eq!(back, Frame::DeliverBatch { topic: "feed/all".into(), payloads, trace });
-        }
-    }
-
-    #[test]
-    fn binary_deliver_split_preserves_topic_and_order() {
-        let payloads: Vec<FileEvent> = (0..8).map(event).collect();
-        let mut enc = BinEncoder::new();
-        let mut buf = Vec::new();
-        let frames =
-            write_deliver_batch_bin_capped(&mut buf, &mut enc, "feed/all", &payloads, None, 256)
+            let mut via_writer = Vec::new();
+            let frames = write_item_batch_bin(&mut via_writer, &mut enc, 7, &payloads, trace);
+            assert_eq!(frames.unwrap(), 1);
+            write_publish_batch_bin(&mut via_writer, &mut enc, "events/mdt0", &payloads, None)
                 .unwrap();
-        assert!(frames > 1);
-        let mut cursor = &buf[..];
-        let mut got = Vec::new();
-        for _ in 0..frames {
-            match read_msg::<Frame<FileEvent>>(&mut cursor).unwrap() {
-                Frame::DeliverBatch { topic, payloads, trace } => {
-                    assert_eq!(topic, "feed/all");
-                    assert_eq!(trace, None);
-                    got.extend(payloads);
-                }
-                other => panic!("expected DeliverBatch, got {other:?}"),
+            write_deliver_batch_bin(&mut via_writer, &mut enc, "feed/all", &payloads, trace)
+                .unwrap();
+            assert!(raw_frames(&via_writer).iter().all(|(bin, _)| *bin));
+
+            let mut via_frame = Vec::new();
+            for frame in [
+                Frame::ItemBatch { first_seq: 7, payloads: payloads.clone(), trace },
+                Frame::PublishBatch {
+                    topic: "events/mdt0".into(),
+                    payloads: payloads.clone(),
+                    trace: None,
+                },
+                Frame::DeliverBatch { topic: "feed/all".into(), payloads: payloads.clone(), trace },
+            ] {
+                write_msg(&mut via_frame, &frame).unwrap();
             }
+            assert_eq!(via_writer, via_frame);
         }
-        assert!(cursor.is_empty());
-        assert_eq!(got, payloads);
     }
 
-    #[test]
-    fn json_deliver_batch_writer_matches_frame_encoding() {
-        let payloads = vec![event(1), event(2)];
-        let mut via_helper = Vec::new();
-        let frames = write_deliver_batch(&mut via_helper, "feed/all", &payloads, None).unwrap();
-        assert_eq!(frames, 1);
-        let mut via_frame = Vec::new();
-        write_msg(
-            &mut via_frame,
-            &Frame::DeliverBatch { topic: "feed/all".into(), payloads, trace: None },
-        )
-        .unwrap();
-        assert_eq!(via_helper, via_frame);
-    }
-
-    /// The proto-1 fallback renders byte-identical frames to the
-    /// per-event `Deliver` path it replaces — old subscribers cannot
-    /// tell the encode-once fan-out happened.
-    #[test]
-    fn deliver_events_writer_matches_per_event_frames() {
-        let payloads = vec![event(1), event(2), event(3)];
-        let mut via_helper = Vec::new();
-        let frames = write_deliver_events(&mut via_helper, "feed/all", &payloads).unwrap();
-        assert_eq!(frames, 3);
-        let mut via_frames = Vec::new();
-        for p in &payloads {
-            write_msg(
-                &mut via_frames,
-                &Frame::Deliver { topic: "feed/all".into(), payload: p.clone() },
-            )
-            .unwrap();
-        }
-        assert_eq!(via_helper, via_frames);
-    }
-
-    /// One `FrameReader` must switch decoders frame by frame: proto-3
-    /// sessions still send control frames (acks, pings, handshakes) as
-    /// JSON between binary batches.
+    /// One `FrameReader` must switch decoders frame by frame: sessions
+    /// send control frames (acks, pings, handshakes) as JSON between
+    /// binary batches.
     #[test]
     fn binary_and_json_frames_interleave_on_one_stream() {
         let mut enc = BinEncoder::new();
@@ -1602,7 +1037,7 @@ mod tests {
             &Frame::<FileEvent>::HelloPush {
                 client: "mdt0".into(),
                 resume_after: 0,
-                proto: Some(WIRE_PROTO),
+                proto: WIRE_PROTO,
             },
         )
         .unwrap();
@@ -1623,38 +1058,32 @@ mod tests {
         );
     }
 
-    /// `write_msg_bin` falls back to JSON for frames with no binary
-    /// form — the stream stays `nc`-debuggable for control traffic.
-    #[test]
-    fn write_msg_bin_falls_back_to_json_for_control_frames() {
-        let mut enc = BinEncoder::new();
-        let mut buf = Vec::new();
-        write_msg_bin(&mut buf, &mut enc, &Frame::<FileEvent>::Ack { up_to: 9, proto: None })
-            .unwrap();
-        let frames = raw_frames(&buf);
-        assert_eq!(frames.len(), 1);
-        assert!(!frames[0].0, "control frames must stay JSON");
-        assert!(std::str::from_utf8(&frames[0].1).unwrap().contains("Ack"));
-    }
-
-    /// Satellite check: the chunker's size accounting must match the
-    /// bytes actually emitted, or a chunk sized exactly at the cap
-    /// overshoots it — at [`MAX_FRAME_LEN`] that turns a splittable
-    /// batch into a hard `write_bin_frame` rejection. `u64` payloads
-    /// encode to exactly 8 bytes, so frame sizes are fully predictable:
+    /// The chunker's size accounting must match the bytes actually
+    /// emitted, or a chunk sized exactly at the cap overshoots it — at
+    /// [`MAX_FRAME_LEN`] that turns a splittable batch into a hard
+    /// `write_frame` rejection. `u64` payloads encode to exactly 8
+    /// bytes, so frame sizes are fully predictable:
     /// body = kind(1) + flags(1) + first_seq(8) + count(4) + n×(4+8).
     #[test]
     fn binary_chunk_cap_is_exact_at_the_boundary() {
         let payloads: Vec<u64> = (0..9).collect();
         let three_member_body = 14 + 3 * 12;
         let mut enc = BinEncoder::new();
+        let head = BatchHead::FirstSeq(1);
 
         // Cap exactly at a three-member body: three members per frame,
         // and every emitted body is within the cap.
         let mut buf = Vec::new();
-        let frames =
-            write_item_batch_bin_capped(&mut buf, &mut enc, 1, &payloads, None, three_member_body)
-                .unwrap();
+        let frames = write_batch(
+            &mut buf,
+            &mut enc,
+            BIN_KIND_ITEM_BATCH,
+            head,
+            &payloads,
+            None,
+            three_member_body,
+        )
+        .unwrap();
         assert_eq!(frames, 3);
         for (bin, body) in raw_frames(&buf) {
             assert!(bin);
@@ -1663,10 +1092,11 @@ mod tests {
 
         // One byte under the cap must drop to two members per frame.
         let mut buf = Vec::new();
-        let frames = write_item_batch_bin_capped(
+        let frames = write_batch(
             &mut buf,
             &mut enc,
-            1,
+            BIN_KIND_ITEM_BATCH,
+            head,
             &payloads,
             None,
             three_member_body - 1,
@@ -1681,7 +1111,7 @@ mod tests {
     #[test]
     fn binary_split_keeps_seq_contiguous_and_repeats_trace() {
         let payloads: Vec<FileEvent> = (0..16).map(event).collect();
-        let trace = Some(sdci_types::TraceContext::sampled(0xfeed, 0xbeef));
+        let trace = Some(TraceContext::sampled(0xfeed, 0xbeef));
         let one_event_body = {
             let mut enc = BinEncoder::new();
             let mut buf = Vec::new();
@@ -1691,15 +1121,17 @@ mod tests {
         let cap = one_event_body * 3;
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
+        let head = BatchHead::FirstSeq(1);
         let frames =
-            write_item_batch_bin_capped(&mut buf, &mut enc, 1, &payloads, trace, cap).unwrap();
+            write_batch(&mut buf, &mut enc, BIN_KIND_ITEM_BATCH, head, &payloads, trace, cap)
+                .unwrap();
         assert!(frames > 1, "cap {cap} should split 16 events, got {frames} frame(s)");
 
-        let mut cursor = &buf[..];
+        let mut reader = FrameReader::new(&buf[..]);
         let mut next_seq = 1u64;
         let mut got = Vec::new();
         for _ in 0..frames {
-            match read_msg::<Frame<FileEvent>>(&mut cursor).unwrap() {
+            match reader.read_msg::<Frame<FileEvent>>().unwrap() {
                 Frame::ItemBatch { first_seq, payloads, trace: got_trace } => {
                     assert_eq!(first_seq, next_seq, "split frames must stay contiguous");
                     assert_eq!(got_trace, trace, "every split chunk repeats the frame context");
@@ -1709,25 +1141,30 @@ mod tests {
                 other => panic!("expected ItemBatch, got {other:?}"),
             }
         }
-        assert!(cursor.is_empty());
+        assert_eq!(
+            reader.read_msg::<Frame<FileEvent>>().unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
         assert_eq!(got, payloads);
     }
 
     /// A single member larger than the cap cannot be split — it still
-    /// gets its own frame (the `u32`/[`MAX_FRAME_LEN`] checks remain the
-    /// backstop, exactly like the JSON path).
+    /// gets its own frame (the [`MAX_FRAME_LEN`] check remains the
+    /// backstop).
     #[test]
     fn binary_oversized_single_member_still_gets_a_frame() {
         let payloads = vec!["x".repeat(100), "y".into()];
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
+        let head = BatchHead::FirstSeq(1);
         let frames =
-            write_item_batch_bin_capped(&mut buf, &mut enc, 1, &payloads, None, 20).unwrap();
+            write_batch(&mut buf, &mut enc, BIN_KIND_ITEM_BATCH, head, &payloads, None, 20)
+                .unwrap();
         assert_eq!(frames, 2);
-        let mut cursor = &buf[..];
+        let mut reader = FrameReader::new(&buf[..]);
         let mut got: Vec<String> = Vec::new();
         for _ in 0..frames {
-            match read_msg::<Frame<String>>(&mut cursor).unwrap() {
+            match reader.read_msg::<Frame<String>>().unwrap() {
                 Frame::ItemBatch { payloads, .. } => got.extend(payloads),
                 other => panic!("expected ItemBatch, got {other:?}"),
             }
@@ -1735,29 +1172,37 @@ mod tests {
         assert_eq!(got, payloads);
     }
 
+    /// The topic-headed kinds share the chunker: every split chunk
+    /// repeats the topic and order survives.
     #[test]
-    fn binary_publish_split_preserves_topic_and_order() {
+    fn binary_topic_split_preserves_topic_and_order() {
         let payloads: Vec<FileEvent> = (0..8).map(event).collect();
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
-        let frames =
-            write_publish_batch_bin_capped(&mut buf, &mut enc, "events/mdt0", &payloads, None, 256)
+        let head = BatchHead::Topic("feed/all");
+        let deliver_frames =
+            write_batch(&mut buf, &mut enc, BIN_KIND_DELIVER_BATCH, head, &payloads, None, 256)
                 .unwrap();
-        assert!(frames > 1);
-        let mut cursor = &buf[..];
-        let mut got = Vec::new();
-        for _ in 0..frames {
-            match read_msg::<Frame<FileEvent>>(&mut cursor).unwrap() {
-                Frame::PublishBatch { topic, payloads, trace } => {
-                    assert_eq!(topic, "events/mdt0");
-                    assert_eq!(trace, None);
-                    got.extend(payloads);
+        let publish_frames =
+            write_batch(&mut buf, &mut enc, BIN_KIND_PUBLISH_BATCH, head, &payloads, None, 256)
+                .unwrap();
+        assert!(deliver_frames > 1 && publish_frames == deliver_frames);
+        let mut reader = FrameReader::new(&buf[..]);
+        let mut delivered = Vec::new();
+        let mut published = Vec::new();
+        for _ in 0..deliver_frames + publish_frames {
+            match reader.read_msg::<Frame<FileEvent>>().unwrap() {
+                Frame::DeliverBatch { topic, payloads, trace: None } if topic == "feed/all" => {
+                    delivered.extend(payloads)
                 }
-                other => panic!("expected PublishBatch, got {other:?}"),
+                Frame::PublishBatch { topic, payloads, trace: None } if topic == "feed/all" => {
+                    published.extend(payloads)
+                }
+                other => panic!("unexpected frame {other:?}"),
             }
         }
-        assert!(cursor.is_empty());
-        assert_eq!(got, payloads);
+        assert_eq!(delivered, payloads);
+        assert_eq!(published, payloads);
     }
 
     #[test]
@@ -1766,10 +1211,9 @@ mod tests {
         let mut buf = Vec::new();
         write_item_batch_bin(&mut buf, &mut enc, 1, &[event(1)], None).unwrap();
         // Stretch the length word over one junk byte appended to the body.
-        buf.push(0xff);
-        let word = (u32::from_be_bytes(buf[..4].try_into().unwrap()) & !BIN_FRAME_BIT) + 1;
-        buf[..4].copy_from_slice(&(word | BIN_FRAME_BIT).to_be_bytes());
-        let err = read_msg::<Frame<FileEvent>>(&mut &buf[..]).unwrap_err();
+        let mut body = raw_frames(&buf).remove(0).1;
+        body.push(0xff);
+        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("trailing"), "got: {err}");
     }
@@ -1777,31 +1221,33 @@ mod tests {
     #[test]
     fn binary_unknown_kind_and_flags_are_rejected() {
         for body in [vec![9u8, 0], vec![BIN_KIND_ITEM_BATCH, 0x7e]] {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&((body.len() as u32) | BIN_FRAME_BIT).to_be_bytes());
-            buf.extend_from_slice(&body);
-            let err = read_msg::<Frame<FileEvent>>(&mut &buf[..]).unwrap_err();
+            let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
     }
 
-    /// A hostile count word must not pre-allocate beyond the bytes that
-    /// actually arrived.
+    /// A hostile count word is rejected once the members run out, and
+    /// never sizes the reservation: the bytes on hand and the fixed cap
+    /// bound it, while an honest batch still reserves exactly its count.
     #[test]
     fn binary_hostile_count_is_rejected_not_allocated() {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&u32::MAX.to_le_bytes()); // count
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&((body.len() as u32) | BIN_FRAME_BIT).to_be_bytes());
-        buf.extend_from_slice(&body);
-        let err = read_msg::<Frame<FileEvent>>(&mut &buf[..]).unwrap_err();
+        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let hostile = u32::MAX as usize;
+        assert_eq!(members_to_reserve(hostile, 0), 0);
+        assert_eq!(members_to_reserve(hostile, 43), 10, "bounded by 4 length bytes per member");
+        assert_eq!(members_to_reserve(hostile, MAX_FRAME_LEN), MAX_RESERVED_MEMBERS);
+        assert_eq!(members_to_reserve(512, 512 * 90), 512, "honest batches reserve exactly once");
+        assert_eq!(members_to_reserve(65_536, 65_536 * 90), 65_536);
     }
 
     #[test]
-    fn store_batch_binary_roundtrips_and_rejects_trace_section() {
+    fn store_batch_is_binary_only_and_rejects_a_trace_section() {
         use crate::store_rpc::StoreRpc;
         use sdci_core::SequencedEvent;
 
@@ -1812,18 +1258,19 @@ mod tests {
         let mut buf = Vec::new();
         write_msg_bin(&mut buf, &mut enc, &reply).unwrap();
         assert!(raw_frames(&buf)[0].0, "store batch replies go binary");
-        let back: StoreRpc = read_msg(&mut &buf[..]).unwrap();
-        assert_eq!(back, reply);
+        assert_eq!(read_one::<StoreRpc>(&buf).unwrap(), reply);
+
+        // The same reply as a JSON body is not a second encoding.
+        let json = serde_json::to_string(&reply).unwrap();
+        let err = read_one::<StoreRpc>(&framed(false, json.as_bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Store batches carry no trace section; a flags bit claiming one
         // is corruption, not a quiet skip.
         let mut body = Vec::new();
-        bin_header(&mut body, BIN_KIND_STORE_BATCH, Some(sdci_types::TraceContext::sampled(1, 2)));
+        bin_header(&mut body, BIN_KIND_STORE_BATCH, Some(TraceContext::sampled(1, 2)));
         body.extend_from_slice(&0u32.to_le_bytes());
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&((body.len() as u32) | BIN_FRAME_BIT).to_be_bytes());
-        framed.extend_from_slice(&body);
-        let err = read_msg::<StoreRpc>(&mut &framed[..]).unwrap_err();
+        let err = read_one::<StoreRpc>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

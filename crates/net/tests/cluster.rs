@@ -80,6 +80,28 @@ fn map_server_serves_and_bumps_the_map() {
 }
 
 #[test]
+fn map_server_refuses_a_shard_address_it_could_never_scatter_to() {
+    let cfg = fast_cfg();
+    let initial = ShardMap::new(["127.0.0.1:7070"]);
+    let srv = MapServer::bind("127.0.0.1:0", initial.clone(), cfg.clone()).unwrap();
+
+    // Neither a non-address nor a port with no room for the trio may
+    // enter the map: the front's next scatter re-fan would fail on it.
+    for bad in ["not-an-addr", "127.0.0.1:65535"] {
+        let err = add_shard(srv.local_addr(), bad, &cfg).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{bad}: connection not closed");
+        assert_eq!(srv.map(), initial, "{bad}: map touched");
+    }
+    // The map every reader sees still scatters, and a good shard still
+    // joins at the next version.
+    let fetched = fetch_map(srv.local_addr(), &cfg).unwrap();
+    assert_eq!(fetched.version(), 1);
+    assert!(ScatterStore::from_map(&fetched, cfg.clone()).is_ok());
+    assert_eq!(add_shard(srv.local_addr(), "127.0.0.1:7080", &cfg).unwrap().version(), 2);
+    srv.shutdown();
+}
+
+#[test]
 fn router_reroutes_after_a_version_bump_with_drain_ack() {
     let cfg = fast_cfg();
     let shard_a = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();

@@ -3,11 +3,14 @@
 //! Collector-side guarantee that "no events are lost once they have
 //! been processed" (§5.2).
 
-use sdci_net::wire::{read_msg, write_msg, Frame};
-use sdci_net::{NetConfig, RetryPolicy, TcpPullServer, TcpPush};
+use sdci_net::wire::{write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader};
+use sdci_net::{NetConfig, RetryPolicy, TcpPullServer, TcpPush, WIRE_PROTO};
+use sdci_types::{
+    ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
+};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -18,6 +21,64 @@ fn fast_cfg() -> NetConfig {
         heartbeat: Duration::from_millis(20),
         liveness: Duration::from_millis(500),
         ..NetConfig::default()
+    }
+}
+
+fn drain_all<T>(server: &TcpPullServer<T>, n: usize) -> Vec<T>
+where
+    T: Send + sdci_types::BinPayload + 'static,
+{
+    let pull = server.pull();
+    let mut got = Vec::new();
+    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
+        got.push(item);
+        if got.len() == n {
+            break;
+        }
+    }
+    got
+}
+
+/// A hand-rolled pusher on a raw socket, for byte-level checks of the
+/// server side of the protocol.
+struct RawPusher {
+    writer: TcpStream,
+    reader: FrameReader<TcpStream>,
+    enc: BinEncoder,
+}
+
+impl RawPusher {
+    /// Connects, says hello as `client`, and returns the pusher plus
+    /// the mark the server's greeting `Ack` named.
+    fn hello(addr: SocketAddr, client: &str, resume_after: u64) -> (RawPusher, u64) {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut pusher = RawPusher {
+            writer: stream.try_clone().unwrap(),
+            reader: FrameReader::new(stream),
+            enc: BinEncoder::new(),
+        };
+        let hello =
+            Frame::<u64>::HelloPush { client: client.into(), resume_after, proto: WIRE_PROTO };
+        write_msg(&mut pusher.writer, &hello).unwrap();
+        match pusher.recv() {
+            Frame::Ack { up_to } => (pusher, up_to),
+            other => panic!("expected the greeting Ack, got {other:?}"),
+        }
+    }
+
+    /// Ships `payloads` as one `ItemBatch` starting at `first_seq`.
+    fn send(&mut self, first_seq: u64, payloads: &[u64]) {
+        let frames =
+            write_item_batch_bin(&mut self.writer, &mut self.enc, first_seq, payloads, None);
+        assert_eq!(frames.unwrap(), 1);
+    }
+
+    fn recv(&mut self) -> Frame<u64> {
+        self.reader.read_msg().unwrap()
+    }
+
+    fn fin(mut self) {
+        write_msg(&mut self.writer, &Frame::<u64>::Fin).unwrap();
     }
 }
 
@@ -33,14 +94,7 @@ fn pushed_items_arrive_exactly_once_in_order() {
     assert!(push.drain(Duration::from_secs(10)), "acks never fully arrived");
     assert_eq!(push.acked(), N);
 
-    let pull = server.pull();
-    let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
-        got.push(item);
-        if got.len() == N as usize {
-            break;
-        }
-    }
+    let got = drain_all(&server, N as usize);
     assert_eq!(got, (0..N).collect::<Vec<_>>());
     assert_eq!(server.stats().items, N);
     assert_eq!(server.stats().duplicates, 0);
@@ -61,14 +115,7 @@ fn pusher_survives_a_server_restart_on_the_same_port_without_loss() {
         assert!(push.send(i));
     }
     assert!(push.drain(Duration::from_secs(10)));
-    let pull1 = server1.pull();
-    let mut batch1 = Vec::new();
-    while let Some(item) = pull1.recv_timeout(Duration::from_secs(2)) {
-        batch1.push(item);
-        if batch1.len() == A as usize {
-            break;
-        }
-    }
+    let batch1 = drain_all(&server1, A as usize);
     assert_eq!(batch1, (0..A).collect::<Vec<_>>());
     server1.shutdown();
 
@@ -82,14 +129,7 @@ fn pusher_survives_a_server_restart_on_the_same_port_without_loss() {
 
     let server2 = TcpPullServer::<u64>::bind(addr, 4096, cfg).unwrap();
     assert!(push.drain(Duration::from_secs(10)), "pusher never caught up after the restart");
-    let pull2 = server2.pull();
-    let mut batch2 = Vec::new();
-    while let Some(item) = pull2.recv_timeout(Duration::from_secs(2)) {
-        batch2.push(item);
-        if batch2.len() == B as usize {
-            break;
-        }
-    }
+    let batch2 = drain_all(&server2, B as usize);
     assert_eq!(batch2, (A..A + B).collect::<Vec<_>>(), "restart lost or duplicated items");
     assert!(push.connections() >= 2, "expected at least one reconnect");
     server2.shutdown();
@@ -121,14 +161,7 @@ fn restarted_pusher_with_same_client_id_loses_nothing() {
     }
     assert!(push2.drain(Duration::from_secs(10)), "second incarnation never fully acked");
 
-    let pull = server.pull();
-    let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
-        got.push(item);
-        if got.len() == (A + B) as usize {
-            break;
-        }
-    }
+    let got = drain_all(&server, (A + B) as usize);
     assert_eq!(got, (0..A + B).collect::<Vec<_>>(), "restart lost or duplicated items");
     assert_eq!(server.stats().duplicates, 0);
     assert_eq!(server.marks().get("mdt0"), Some(&(A + B)));
@@ -143,29 +176,17 @@ fn marks_restored_at_bind_deduplicate_resends() {
     let marks: HashMap<String, u64> = [("c".to_string(), 50u64)].into_iter().collect();
     let server = TcpPullServer::<u64>::bind_with_marks("127.0.0.1:0", 64, cfg, marks).unwrap();
 
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_msg(
-        &mut writer,
-        &Frame::<u64>::HelloPush { client: "c".into(), resume_after: 48, proto: None },
-    )
-    .unwrap();
-    // The greeting advertises the server's wire protocol; this proto-1
-    // client simply ignores it.
-    assert_eq!(
-        read_msg::<Frame<u64>>(&mut reader).unwrap(),
-        Frame::Ack { up_to: 50, proto: Some(3) }
-    );
+    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 48);
+    assert_eq!(greeting, 50);
 
     // A resend of something the restored state already holds is
     // discarded (but still acked)...
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 50, payload: 999 }).unwrap();
-    assert_eq!(read_msg::<Frame<u64>>(&mut reader).unwrap(), Frame::Ack { up_to: 50, proto: None });
+    pusher.send(50, &[999]);
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 50 });
     // ...while genuinely new items are accepted.
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 51, payload: 51 }).unwrap();
-    assert_eq!(read_msg::<Frame<u64>>(&mut reader).unwrap(), Frame::Ack { up_to: 51, proto: None });
-    write_msg(&mut writer, &Frame::<u64>::Fin).unwrap();
+    pusher.send(51, &[51]);
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 51 });
+    pusher.fin();
 
     assert_eq!(server.stats().duplicates, 1);
     assert_eq!(server.stats().items, 1);
@@ -174,19 +195,9 @@ fn marks_restored_at_bind_deduplicate_resends() {
 
     // A client claiming acks beyond our mark is authoritative: it will
     // never resend those items, so the mark fast-forwards.
-    let stream2 = TcpStream::connect(server.local_addr()).unwrap();
-    let mut writer2 = stream2.try_clone().unwrap();
-    let mut reader2 = BufReader::new(stream2);
-    write_msg(
-        &mut writer2,
-        &Frame::<u64>::HelloPush { client: "c".into(), resume_after: 70, proto: None },
-    )
-    .unwrap();
-    assert_eq!(
-        read_msg::<Frame<u64>>(&mut reader2).unwrap(),
-        Frame::Ack { up_to: 70, proto: Some(3) }
-    );
-    write_msg(&mut writer2, &Frame::<u64>::Fin).unwrap();
+    let (pusher2, greeting) = RawPusher::hello(server.local_addr(), "c", 70);
+    assert_eq!(greeting, 70);
+    pusher2.fin();
     assert_eq!(server.marks().get("c"), Some(&70));
     server.shutdown();
 }
@@ -203,24 +214,25 @@ fn pusher_reconnects_when_acks_stop_flowing() {
     let fake = std::thread::spawn(move || {
         let (first, _) = listener.accept().unwrap();
         let mut writer = first.try_clone().unwrap();
-        let mut reader = BufReader::new(first);
-        let _hello: Frame<u64> = read_msg(&mut reader).unwrap();
-        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0, proto: None }).unwrap();
+        let mut reader = FrameReader::new(first);
+        let _hello: Frame<u64> = reader.read_msg().unwrap();
+        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
         // Swallow items and pings in the background; never respond.
-        std::thread::spawn(move || while read_msg::<Frame<u64>>(&mut reader).is_ok() {});
+        std::thread::spawn(move || while reader.read_msg::<Frame<u64>>().is_ok() {});
 
         let (second, _) = listener.accept().unwrap();
         let mut writer = second.try_clone().unwrap();
-        let mut reader = BufReader::new(second);
-        let _hello: Frame<u64> = read_msg(&mut reader).unwrap();
-        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0, proto: None }).unwrap();
+        let mut reader = FrameReader::new(second);
+        let _hello: Frame<u64> = reader.read_msg().unwrap();
+        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
         loop {
-            match read_msg::<Frame<u64>>(&mut reader) {
-                Ok(Frame::Item { seq, .. }) => {
-                    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: seq, proto: None }).unwrap();
+            match reader.read_msg::<Frame<u64>>() {
+                Ok(Frame::ItemBatch { first_seq, payloads, .. }) => {
+                    let up_to = first_seq + payloads.len() as u64 - 1;
+                    write_msg(&mut writer, &Frame::<u64>::Ack { up_to }).unwrap();
                 }
                 Ok(Frame::Ping) => {
-                    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0, proto: None }).unwrap();
+                    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
                 }
                 Ok(Frame::Fin) | Err(_) => return,
                 Ok(_) => {}
@@ -285,24 +297,11 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     // First incarnation: delivers items 1..=5, then dies mid-stream
     // (socket dropped with no Fin), as a SIGKILLed collector would.
     {
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-        write_msg(
-            &mut writer,
-            &Frame::<u64>::HelloPush { client: "c".into(), resume_after: 0, proto: None },
-        )
-        .unwrap();
-        assert_eq!(
-            read_msg::<Frame<u64>>(&mut reader).unwrap(),
-            Frame::Ack { up_to: 0, proto: Some(3) }
-        );
+        let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+        assert_eq!(greeting, 0);
         for seq in 1..=5u64 {
-            write_msg(&mut writer, &Frame::<u64>::Item { seq, payload: seq }).unwrap();
-            assert_eq!(
-                read_msg::<Frame<u64>>(&mut reader).unwrap(),
-                Frame::Ack { up_to: seq, proto: None }
-            );
+            pusher.send(seq, &[seq]);
+            assert_eq!(pusher.recv(), Frame::Ack { up_to: seq });
         }
     }
 
@@ -310,38 +309,17 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     // recorded through 2) and resends 3..=5 before new items 6..=7. The
     // server's counters must attribute the overlap to `duplicates` and
     // keep `items` exactly equal to what the pipeline received.
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_msg(
-        &mut writer,
-        &Frame::<u64>::HelloPush { client: "c".into(), resume_after: 2, proto: None },
-    )
-    .unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 2);
     // The handshake ack fast-forwards the restarted pusher to the
     // server's authoritative mark.
-    assert_eq!(
-        read_msg::<Frame<u64>>(&mut reader).unwrap(),
-        Frame::Ack { up_to: 5, proto: Some(3) }
-    );
+    assert_eq!(greeting, 5);
     for seq in 3..=7u64 {
-        write_msg(&mut writer, &Frame::<u64>::Item { seq, payload: seq }).unwrap();
-        let expect = seq.max(5);
-        assert_eq!(
-            read_msg::<Frame<u64>>(&mut reader).unwrap(),
-            Frame::Ack { up_to: expect, proto: None }
-        );
+        pusher.send(seq, &[seq]);
+        assert_eq!(pusher.recv(), Frame::Ack { up_to: seq.max(5) });
     }
-    write_msg(&mut writer, &Frame::<u64>::Fin).unwrap();
+    pusher.fin();
 
-    let pull = server.pull();
-    let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
-        got.push(item);
-        if got.len() == 7 {
-            break;
-        }
-    }
+    let got = drain_all(&server, 7);
     assert_eq!(got, (1..=7).collect::<Vec<_>>(), "pipeline saw a duplicate or a gap");
 
     let stats = server.stats();
@@ -353,7 +331,7 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
 }
 
 #[test]
-fn gap_nack_rewinds_a_proto2_pusher_in_place() {
+fn gap_nack_rewinds_a_pusher_in_place() {
     // Generous heartbeat: the nack re-send window must not expire
     // between the two back-to-back gapped frames below.
     let cfg = NetConfig {
@@ -362,76 +340,30 @@ fn gap_nack_rewinds_a_proto2_pusher_in_place() {
         ..fast_cfg()
     };
     let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, cfg).unwrap();
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_msg(
-        &mut writer,
-        &Frame::<u64>::HelloPush { client: "c".into(), resume_after: 0, proto: Some(2) },
-    )
-    .unwrap();
-    assert_eq!(
-        read_msg::<Frame<u64>>(&mut reader).unwrap(),
-        Frame::Ack { up_to: 0, proto: Some(3) }
-    );
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 1, payload: 1 }).unwrap();
-    assert_eq!(read_msg::<Frame<u64>>(&mut reader).unwrap(), Frame::Ack { up_to: 1, proto: None });
+    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+    assert_eq!(greeting, 0);
+    pusher.send(1, &[1]);
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 1 });
 
     // Seq 2 vanished in transit; two in-flight frames sail past the
     // gap. The server names the expected seq exactly once and drops
     // the too-high frames without acking them.
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 3, payload: 3 }).unwrap();
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 4, payload: 4 }).unwrap();
-    assert_eq!(read_msg::<Frame<u64>>(&mut reader).unwrap(), Frame::Nack { expected: 2 });
+    pusher.send(3, &[3]);
+    pusher.send(4, &[4]);
+    assert_eq!(pusher.recv(), Frame::Nack { expected: 2 });
 
     // The rewound retransmission is accepted on the same connection.
     for seq in 2..=4u64 {
-        write_msg(&mut writer, &Frame::<u64>::Item { seq, payload: seq }).unwrap();
-        assert_eq!(
-            read_msg::<Frame<u64>>(&mut reader).unwrap(),
-            Frame::Ack { up_to: seq, proto: None }
-        );
+        pusher.send(seq, &[seq]);
+        assert_eq!(pusher.recv(), Frame::Ack { up_to: seq });
     }
-    write_msg(&mut writer, &Frame::<u64>::Fin).unwrap();
+    pusher.fin();
 
-    let pull = server.pull();
-    let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
-        got.push(item);
-        if got.len() == 4 {
-            break;
-        }
-    }
+    let got = drain_all(&server, 4);
     assert_eq!(got, vec![1, 2, 3, 4], "pipeline saw a duplicate or a gap");
     let stats = server.stats();
     assert_eq!(stats.nacks, 1, "one stalled mark draws exactly one nack");
-    assert_eq!(stats.gap_rejects, 0, "a proto-2 gap must not kill the connection");
     assert_eq!(stats.items, 4);
-    server.shutdown();
-}
-
-#[test]
-fn gap_from_a_proto1_pusher_still_drops_the_connection() {
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, fast_cfg()).unwrap();
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    write_msg(
-        &mut writer,
-        &Frame::<u64>::HelloPush { client: "old".into(), resume_after: 0, proto: None },
-    )
-    .unwrap();
-    assert_eq!(
-        read_msg::<Frame<u64>>(&mut reader).unwrap(),
-        Frame::Ack { up_to: 0, proto: Some(3) }
-    );
-    // A proto-1 client would not understand a Nack, so the gap policy
-    // stays what it always was: kill the connection to force a resend.
-    write_msg(&mut writer, &Frame::<u64>::Item { seq: 2, payload: 2 }).unwrap();
-    assert!(read_msg::<Frame<u64>>(&mut reader).is_err(), "connection should be dropped");
-    let stats = server.stats();
-    assert_eq!(stats.gap_rejects, 1);
-    assert_eq!(stats.nacks, 0);
     server.shutdown();
 }
 
@@ -443,8 +375,8 @@ fn gap_from_a_proto1_pusher_still_drops_the_connection() {
 fn dropped_frames_recover_via_fast_rewind() {
     let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse("seed=11,drop=0.08").unwrap());
     let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, fast_cfg()).unwrap();
-    // One frame per item (no batching): enough frames on the wire that
-    // the drop rate reliably opens a gap mid-stream.
+    // One frame per item (one-member batches): enough frames on the
+    // wire that the drop rate reliably opens a gap mid-stream.
     let push_cfg = NetConfig { max_batch: 1, ..fast_cfg() }.with_faults(Some(plan));
     let push = TcpPush::connect(server.local_addr(), "rewind", push_cfg);
     const N: u64 = 200;
@@ -468,5 +400,134 @@ fn dropped_frames_recover_via_fast_rewind() {
         "seed no longer exercises the nack fast path (rewinds = {})",
         push.fast_rewinds()
     );
+    server.shutdown();
+}
+
+fn traced_event(i: u64) -> FileEvent {
+    FileEvent {
+        index: i,
+        mdt: MdtIndex::new(0),
+        changelog_kind: ChangelogKind::Create,
+        kind: EventKind::Created,
+        time: SimTime::from_secs(i),
+        path: PathBuf::from(format!("/t/f{i}")),
+        src_path: None,
+        target: Fid::new(1, i as u32, 0),
+        is_dir: false,
+        extracted_unix_ns: None,
+        trace: Some(TraceContext::sampled(0x1111_2222_3333_4444, i + 1)),
+    }
+}
+
+#[test]
+fn session_carries_the_trace_context_end_to_end() {
+    let server = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, fast_cfg()).unwrap();
+    let push = TcpPush::connect(server.local_addr(), "traced-both", fast_cfg());
+    const N: u64 = 100;
+    for i in 0..N {
+        assert!(push.send(traced_event(i)));
+    }
+    assert!(push.drain(Duration::from_secs(10)));
+    let got = drain_all(&server, N as usize);
+    assert_eq!(got.len(), N as usize);
+    for (i, ev) in got.iter().enumerate() {
+        assert_eq!(ev.index, i as u64, "events reordered");
+        assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "payload corrupted");
+        let ctx = ev.trace_context().expect("the session must carry the context");
+        assert_eq!(ctx.trace_id, 0x1111_2222_3333_4444);
+        assert_eq!(ctx.parent_span_id, ev.index + 1);
+        assert!(ctx.sampled);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn raw_binary_batch_is_accepted_and_acked() {
+    // Byte-level check of the push leg: a hand-rolled client says hello,
+    // receives the server's JSON greeting (the control plane is JSON),
+    // ships one *binary* `ItemBatch`, and must be acked once.
+    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, fast_cfg()).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "bin", 0);
+    assert_eq!(greeting, 0);
+
+    let payloads: Vec<u64> = (1..=10).collect();
+    pusher.send(1, &payloads);
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 10 });
+    pusher.fin();
+
+    let stats = server.stats();
+    assert_eq!(stats.items, 10);
+    assert_eq!(stats.batches, 1);
+    assert_eq!(drain_all(&server, 10), (1..=10).collect::<Vec<_>>());
+    server.shutdown();
+}
+
+#[test]
+fn batched_session_survives_server_kill_restart_without_loss() {
+    let cfg = fast_cfg();
+    let server1 = TcpPullServer::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
+    let addr = server1.local_addr();
+    let push = TcpPush::connect(addr, "mdt0", cfg.clone());
+
+    const A: u64 = 2000;
+    for i in 0..A {
+        assert!(push.send(i));
+    }
+    assert!(push.drain(Duration::from_secs(10)));
+    assert_eq!(drain_all(&server1, A as usize), (0..A).collect::<Vec<_>>());
+    assert!(
+        server1.stats().batches < A,
+        "a burst of {A} rapid sends should coalesce into fewer batch frames"
+    );
+    server1.shutdown();
+
+    // Unacked items queue while the port is dark — at most a window's
+    // worth, since `send` blocks on the full queue and nobody drains it
+    // until the link is back. The restarted server (fresh marks) must
+    // receive the batched resend exactly once.
+    const B: u64 = 800;
+    for i in A..A + B {
+        assert!(push.send(i));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let server2 = TcpPullServer::<u64>::bind(addr, 8192, cfg).unwrap();
+    assert!(push.drain(Duration::from_secs(10)), "pusher never caught up after the restart");
+    assert_eq!(
+        drain_all(&server2, B as usize),
+        (A..A + B).collect::<Vec<_>>(),
+        "kill-restart lost or duplicated batched items"
+    );
+    assert_eq!(server2.stats().items, B);
+    assert_eq!(server2.stats().duplicates, 0);
+    assert!(push.connections() >= 2, "expected at least one reconnect");
+    server2.shutdown();
+}
+
+#[test]
+fn resent_partial_batch_is_deduplicated_not_reapplied() {
+    // A server restored from a snapshot already holding client c's
+    // items through seq 5 — as if it crashed mid-batch after applying a
+    // prefix. The client, restarted from a stale checkpoint, resends
+    // the whole batch 1..=10 in a single `ItemBatch`. The server must
+    // accept only the fresh tail, count the prefix as duplicates, and
+    // ack the batch once.
+    let marks: HashMap<String, u64> = [("c".to_string(), 5u64)].into_iter().collect();
+    let server =
+        TcpPullServer::<u64>::bind_with_marks("127.0.0.1:0", 64, fast_cfg(), marks).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+    assert_eq!(greeting, 5);
+
+    let payloads: Vec<u64> = (1..=10).collect();
+    pusher.send(1, &payloads);
+    // One ack for the whole batch, at the post-batch mark.
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 10 });
+    pusher.fin();
+
+    let stats = server.stats();
+    assert_eq!(stats.items, 5, "only the fresh tail 6..=10 is accepted");
+    assert_eq!(stats.duplicates, 5, "the already-applied prefix 1..=5 is deduplicated");
+    assert_eq!(stats.batches, 1);
+    assert_eq!(drain_all(&server, 5), (6..=10).collect::<Vec<_>>());
+    assert_eq!(server.marks().get("c"), Some(&10));
     server.shutdown();
 }

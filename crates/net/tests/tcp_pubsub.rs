@@ -93,12 +93,13 @@ fn shutdown_drains_queued_messages_to_subscribers() {
 
 #[test]
 fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
-    let mut cfg = fast_cfg();
-    cfg.hwm = 8; // tiny client-side queue
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
+    // Only the subscriber's client-side queue is tiny: the publisher and
+    // the broker keep deep queues, so the whole burst reaches its socket.
+    let slow = NetConfig { hwm: 8, ..fast_cfg() };
+    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
     let addr = broker.local_addr();
-    let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], cfg.clone());
-    let publisher = TcpPublisher::<u64>::connect(addr, cfg);
+    let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], slow);
+    let publisher = TcpPublisher::<u64>::connect(addr, fast_cfg());
     wait_ready(&publisher, &subscriber);
 
     // Nobody drains the subscriber: its bounded queue must fill and
@@ -111,5 +112,74 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
         assert!(std::time::Instant::now() < deadline, "HWM shedding never engaged");
         std::thread::sleep(Duration::from_millis(5));
     }
+    broker.shutdown();
+}
+
+/// The fan-out direction end to end: a burst published through the
+/// broker is delivered losslessly and in order, each payload's embedded
+/// trace context intact, coalesced into `DeliverBatch` frames —
+/// strictly fewer frames than messages.
+#[test]
+fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
+    use sdci_types::{
+        ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
+    };
+    use std::path::PathBuf;
+    use std::time::Instant;
+
+    let traced_event = |i: u64| FileEvent {
+        index: i,
+        mdt: MdtIndex::new(0),
+        changelog_kind: ChangelogKind::Create,
+        kind: EventKind::Created,
+        time: SimTime::from_secs(i),
+        path: PathBuf::from(format!("/t/f{i}")),
+        src_path: None,
+        target: Fid::new(1, i as u32, 0),
+        is_dir: false,
+        extracted_unix_ns: None,
+        trace: Some(TraceContext::sampled(0x1111_2222_3333_4444, i + 1)),
+    };
+    const PROBE: u64 = 1 << 30;
+    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
+    let subscriber = TcpSubscriber::<FileEvent>::connect(broker.local_addr(), &["t/"], fast_cfg());
+    let publisher = broker.publisher();
+
+    // Probe until the leg demonstrably delivers, then quiesce so the
+    // frame counter baseline below excludes the probes.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        publisher.publish("t/probe", traced_event(PROBE));
+        if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "loopback never became ready");
+    }
+    while subscriber.recv_timeout(Duration::from_millis(100)).is_some() {}
+    let frames_before = broker.stats().frames_out;
+
+    const N: u64 = 200;
+    for i in 0..N {
+        publisher.publish("t/e", traced_event(i));
+    }
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < N as usize && Instant::now() < deadline {
+        if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(100)) {
+            if msg.payload.index != PROBE {
+                got.push(msg.payload);
+            }
+        }
+    }
+    assert_eq!(got.len(), N as usize, "lost deliveries");
+    for (i, ev) in got.iter().enumerate() {
+        let i = i as u64;
+        assert_eq!(ev.index, i, "deliveries reordered");
+        assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "payload corrupted");
+        let ctx = ev.trace_context().expect("payload-embedded context dropped");
+        assert_eq!(ctx.parent_span_id, i + 1, "context corrupted");
+    }
+    let delta = broker.stats().frames_out - frames_before;
+    assert!(delta < N, "the burst should coalesce: {delta} frames for {N} messages");
     broker.shutdown();
 }

@@ -1,29 +1,28 @@
-//! Proto-3 binary payload encoding.
+//! Binary payload encoding for data frames.
 //!
-//! The JSON wire format (see `sdci-net::wire`) keeps every frame
-//! `nc`-debuggable, but hot-path batches pay for it: every event is
-//! rendered through a `Value` tree and re-parsed on receive. Proto-3
-//! sessions instead carry batch payloads in this compact binary form:
+//! Control frames on an sdci-net socket are JSON (see
+//! `sdci-net::wire`) so a session stays `nc`-debuggable; data frames —
+//! every batch of events — carry their payloads in this compact binary
+//! form, because rendering each event through a `Value` tree and
+//! re-parsing it on receive is the cost the data plane cannot afford:
 //!
 //! * fixed-width **little-endian** integers (`u8`/`u32`/`u64`),
 //! * length-prefixed byte strings (`u32` LE length + raw UTF-8 bytes),
 //! * optional sections as a one-byte presence tag (`0` absent,
-//!   `1` present) followed by the value — the binary twin of the JSON
-//!   format's omitted-when-`None` fields,
+//!   `1` present) followed by the value,
 //! * sequences as a `u32` LE count followed by the items.
 //!
-//! [`BinPayload`] is deliberately *not* the vendored serde: the Value
-//! tree is exactly the allocation cost proto-3 exists to avoid, so
-//! encoding appends straight to a caller-owned scratch buffer and
-//! decoding borrows from the received frame via [`BinReader`]. Both
-//! sides are infallible on well-formed input and reject truncated or
-//! trailing bytes with a [`BinDecodeError`].
+//! [`BinPayload`] is deliberately *not* the vendored serde: encoding
+//! appends straight to a caller-owned scratch buffer and decoding
+//! borrows from the received frame via [`BinReader`]. Both sides are
+//! infallible on well-formed input and reject truncated or trailing
+//! bytes with a [`BinDecodeError`].
 //!
 //! The scratch-buffer design is what makes the broker's encode-once
 //! fan-out cheap on the deliver direction too: a `DeliverBatch` run is
 //! rendered through one encoder into one frozen byte buffer that every
-//! same-proto subscriber leg then shares by reference — the encode
-//! cost is paid once per run, not once per subscriber.
+//! subscriber leg then shares by reference — the encode cost is paid
+//! once per run, not once per subscriber.
 
 use crate::{Fid, MdtIndex, SimTime, TraceContext};
 use std::fmt;
@@ -119,7 +118,7 @@ pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
-/// A type with a proto-3 binary form. Encoding appends to a reusable
+/// A type with a binary payload form. Encoding appends to a reusable
 /// scratch buffer; decoding reads from a [`BinReader`] positioned at the
 /// value's first byte.
 pub trait BinPayload: Sized {

@@ -178,7 +178,7 @@ impl EventKind {
     ];
 
     /// A stable numeric code (the kind's position in [`EventKind::ALL`]),
-    /// used by the proto-3 binary payload encoding.
+    /// used by the binary payload encoding.
     pub const fn code(self) -> u8 {
         self as u8
     }
@@ -266,8 +266,8 @@ impl fmt::Display for RawChangelogRecord {
 ///
 /// Serde is implemented by hand (not derived) for one reason: the
 /// `trace` field must be *omitted* when `None`, not serialized as
-/// `null`, so unsampled events, old snapshot lines, and proto-1 wire
-/// frames stay byte-identical to what the pre-tracing code emitted.
+/// `null`, so unsampled events and old snapshot lines stay
+/// byte-identical to what the pre-tracing code emitted.
 /// Every other field keeps the derive's exact layout (declaration
 /// order, `Option`s as explicit `null`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,10 +371,6 @@ impl TraceCarrier for FileEvent {
     fn trace_context(&self) -> Option<TraceContext> {
         self.trace
     }
-
-    fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.trace = ctx;
-    }
 }
 
 impl Serialize for FileEvent {
@@ -419,8 +415,8 @@ impl Deserialize for FileEvent {
             is_dir: event_field(value, "is_dir")?,
             extracted_unix_ns: event_field(value, "extracted_unix_ns")?,
             // A missing key reads as None, so events serialized before
-            // the field existed (old snapshots, proto-1 peers)
-            // deserialize cleanly with no context.
+            // the field existed (old snapshots) deserialize cleanly
+            // with no context.
             trace: event_field(value, "trace")?,
         })
     }

@@ -22,8 +22,7 @@ use serde::{Deserialize, Serialize};
 /// Serialized as a three-field JSON object wherever it travels; the
 /// carrying field is omitted entirely when `None` (see
 /// [`FileEvent`](crate::FileEvent)'s manual serde), so unsampled
-/// traffic and proto-1 peers observe byte-identical wire frames and
-/// snapshot lines.
+/// traffic produces byte-identical snapshot lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identifier shared by every span of one end-to-end trace.
@@ -44,22 +43,14 @@ impl TraceContext {
 
 /// Payloads the net layer can inspect for a trace context.
 ///
-/// Both methods default to "carries nothing", so plain test payloads
+/// The method defaults to "carries nothing", so plain test payloads
 /// (`u64`, benchmark blobs) satisfy the bound for free; event-shaped
-/// payloads override both. The setter exists so a sender falling back
-/// to a proto-1 session can strip the context (the old peer would
-/// *tolerate* the unknown field, but stripping keeps the fallback
-/// frames byte-identical to what a proto-1 sender emits) and so
-/// pipeline stages can re-parent an event at each recorded span.
+/// payloads override it.
 pub trait TraceCarrier {
     /// The context this payload carries, if any.
     fn trace_context(&self) -> Option<TraceContext> {
         None
     }
-
-    /// Replaces (or strips, with `None`) the carried context. The
-    /// default is a no-op for payloads that carry nothing.
-    fn set_trace_context(&mut self, _ctx: Option<TraceContext>) {}
 }
 
 /// Plain numeric test/bench payloads carry no context.
@@ -84,9 +75,6 @@ mod tests {
 
     #[test]
     fn plain_payloads_carry_nothing() {
-        let mut n = 7u64;
-        assert_eq!(n.trace_context(), None);
-        n.set_trace_context(Some(TraceContext::sampled(1, 2)));
-        assert_eq!(n.trace_context(), None, "setter is a no-op on plain payloads");
+        assert_eq!(7u64.trace_context(), None);
     }
 }

@@ -296,3 +296,71 @@ fn legacy_single_file_snapshot_is_restored_and_migrated() {
 
     let _ = std::fs::remove_dir_all(&snapshot);
 }
+
+/// A peer speaking another wire version is refused loudly, not
+/// negotiated with: on each of the aggregator's three handshakes the
+/// connection is closed and an error-level record names both versions
+/// — and the aggregator keeps serving a collector that speaks its own.
+#[test]
+fn aggregator_refuses_a_peer_on_another_wire_version_with_an_error_record() {
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+
+    let child = Command::new(BIN)
+        .args(["aggregator", "--bind", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sdcimon");
+    let mut agg = Reaped(Some(child));
+    let addr = wait_for_listen_addr(&mut agg);
+    let events: SocketAddr = addr.parse().expect("events addr");
+    let feed = SocketAddr::new(events.ip(), events.port() + 1);
+    let stderr = agg.child().stderr.take().expect("aggregator stderr piped");
+    let (tx, records) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            if tx.send(line).is_err() {
+                return;
+            }
+        }
+    });
+
+    for (addr, leg, hello) in [
+        (events, "push", r#"{"HelloPush":{"client":"old","resume_after":0,"proto":3}}"#),
+        (feed, "publisher", r#"{"HelloPublisher":{"proto":3}}"#),
+        (feed, "subscriber", r#"{"HelloSubscriber":{"prefixes":[""],"proto":3}}"#),
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&(hello.len() as u32).to_be_bytes()).unwrap();
+        stream.write_all(hello.as_bytes()).unwrap();
+        assert_eq!(stream.read(&mut [0u8; 1]).ok(), Some(0), "{leg}: connection not closed");
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let record = loop {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            let line = records.recv_timeout(left).unwrap_or_else(|_| {
+                panic!("{leg}: no error record for the refused hello within 5s")
+            });
+            if line.contains("handshake refused") {
+                break line;
+            }
+        };
+        assert!(record.contains(r#""level":"error""#), "{leg}: not error level: {record}");
+        assert!(record.contains(&format!(r#""leg":"{leg}""#)), "{leg}: wrong leg: {record}");
+        assert!(
+            record.contains("wire version 3") && record.contains("speaks 4"),
+            "{leg}: record must name both versions: {record}"
+        );
+    }
+
+    run_collector(&addr, "c1");
+    let body = scrape_metrics(&addr);
+    assert!(body.contains(r#"sdci_net_hello_refused_total{leg="push"} 1"#), "scrape:\n{body}");
+    let received = body
+        .lines()
+        .find_map(|l| l.strip_prefix("sdci_net_pull_items_total "))
+        .and_then(|v| v.trim().parse::<usize>().ok());
+    assert_eq!(received, Some(EVENTS_PER_COLLECTOR), "a current collector is still served");
+}
