@@ -99,7 +99,7 @@ fn bench_resolution(c: &mut Criterion) {
         let mut cache = PathCache::new(4096);
         let fid = Fid::new(1, 2, 0);
         cache.insert(fid, "/some/cached/dir");
-        b.iter(|| black_box(cache.get(fid)));
+        b.iter(|| black_box(cache.get(fid)).is_some());
     });
     group.bench_function("path_cache_miss_insert_evict", |b| {
         let mut cache = PathCache::new(256);

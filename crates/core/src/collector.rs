@@ -14,7 +14,7 @@ use sdci_mq::pubsub::Publisher;
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{ChangelogKind, FileEvent, MdtIndex, RawChangelogRecord, TraceContext};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Counters for one [`Collector`].
@@ -41,6 +41,10 @@ pub struct CollectorStats {
     pub cache_hits: u64,
     /// ChangeLog records purged after acknowledgement.
     pub purged: u64,
+    /// Records the ChangeLog dropped at its capacity bound before this
+    /// Collector read them: lost before extraction, so counted here and
+    /// nowhere downstream.
+    pub overrun: u64,
 }
 
 /// A durable checkpoint of a Collector's consumption state.
@@ -74,6 +78,12 @@ pub struct Collector<P = Publisher<FileEvent>> {
     unacked: usize,
     cache: PathCache,
     publisher: P,
+    /// The one topic this Collector publishes on.
+    topic: String,
+    /// The batch being resolved: filled under the filesystem lock,
+    /// drained into the publisher once it is released. Kept between
+    /// batches for its capacity.
+    resolved: Vec<FileEvent>,
     config: MonitorConfig,
     stats: CollectorStats,
 }
@@ -101,18 +111,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             let log = guard.changelog_mut(mdt);
             (log.register_user(), log.last_index())
         };
-        Collector {
-            mdt,
-            fs,
-            user,
-            last_seen,
-            last_acked: last_seen,
-            unacked: 0,
-            cache: PathCache::new(config.path_cache_capacity),
-            publisher,
-            config,
-            stats: CollectorStats::default(),
-        }
+        Self::starting_at(fs, mdt, user, last_seen, publisher, config)
     }
 
     /// Resumes a crashed Collector from a [`CollectorCheckpoint`],
@@ -125,15 +124,29 @@ impl<P: Publish<FileEvent>> Collector<P> {
         publisher: P,
         config: MonitorConfig,
     ) -> Self {
+        let CollectorCheckpoint { mdt, user, last_acked } = checkpoint;
+        Self::starting_at(fs, mdt, user, last_acked, publisher, config)
+    }
+
+    fn starting_at(
+        fs: Arc<Mutex<LustreFs>>,
+        mdt: MdtIndex,
+        user: ChangelogUser,
+        last_seen: u64,
+        publisher: P,
+        config: MonitorConfig,
+    ) -> Self {
         Collector {
-            mdt: checkpoint.mdt,
+            mdt,
             fs,
-            user: checkpoint.user,
-            last_seen: checkpoint.last_acked,
-            last_acked: checkpoint.last_acked,
+            user,
+            last_seen,
+            last_acked: last_seen,
             unacked: 0,
             cache: PathCache::new(config.path_cache_capacity),
             publisher,
+            topic: format!("events/mdt{}", mdt.as_u32()),
+            resolved: Vec::new(),
             config,
             stats: CollectorStats::default(),
         }
@@ -151,20 +164,36 @@ impl<P: Publish<FileEvent>> Collector<P> {
 
     /// Extracts, processes, and publishes one batch. Returns how many
     /// records were handled (0 = the ChangeLog had nothing new).
+    ///
+    /// The filesystem lock is taken once: the batch is read by
+    /// reference and every record resolved under that one hold, into
+    /// `resolved`; publishing starts only after the lock is released.
     pub fn run_once(&mut self) -> usize {
-        let batch = {
-            let guard = self.fs.lock();
-            guard.changelog(self.mdt).read_from(self.last_seen, self.config.batch_size)
-        };
-        if batch.is_empty() {
+        let fs = Arc::clone(&self.fs);
+        let guard = fs.lock();
+        let batch = guard.changelog(self.mdt).iter_from(self.last_seen, self.config.batch_size);
+        let read = batch.len();
+        if read == 0 {
             return 0;
         }
         // Wall-clock extraction stamp: travels inside each event so the
         // aggregator/consumer processes can measure e2e latency.
         let extracted_ns = sdci_obs::unix_now_ns();
-        self.stats.extracted += batch.len() as u64;
-        sdci_obs::static_metric!(counter, "sdci_collector_extracted_total").add(batch.len() as u64);
-        for record in &batch {
+        self.stats.extracted += read as u64;
+        sdci_obs::static_metric!(counter, "sdci_collector_extracted_total").add(read as u64);
+        for record in batch {
+            // Indices are dense, so a jump is records the bounded
+            // ChangeLog dropped while this Collector was behind.
+            let gap = record.index - self.last_seen - 1;
+            if gap > 0 {
+                self.stats.overrun += gap;
+                sdci_obs::static_metric!(counter, "sdci_collector_changelog_overrun_total")
+                    .add(gap);
+                sdci_obs::warn!(
+                    "ChangeLog overran this collector; records lost before extraction";
+                    mdt = self.mdt.as_u32(), lost = gap, resumed_at = record.index
+                );
+            }
             self.last_seen = record.index;
             // Every extraction is a trace root: head sampling decides
             // which events carry context downstream, and unsampled
@@ -173,77 +202,87 @@ impl<P: Publish<FileEvent>> Collector<P> {
             let resolve_timer =
                 sdci_obs::static_metric!(histogram, "sdci_collector_resolve_latency_seconds")
                     .start_timer();
-            let processed = self.process(record);
+            let path = self.resolve(&guard, record);
             resolve_timer.observe();
-            match processed {
-                Some(event) => {
-                    self.stats.processed += 1;
-                    sdci_obs::static_metric!(counter, "sdci_collector_processed_total").inc();
-                    extract_span.set_detail(event.path.display().to_string());
-                    let mut event = event.with_extracted_unix_ns(extracted_ns);
-                    if let Some(sc) = extract_span.context() {
-                        event = event.with_trace(TraceContext::sampled(sc.trace_id, sc.span_id));
-                    }
-                    let outcome =
-                        self.publisher.publish(&format!("events/mdt{}", self.mdt.as_u32()), event);
-                    if outcome == PublishOutcome::Shed {
-                        self.stats.shed += 1;
-                        sdci_obs::static_metric!(counter, "sdci_collector_shed_total").inc();
-                    } else {
-                        self.stats.published += 1;
-                        sdci_obs::static_metric!(counter, "sdci_collector_published_total").inc();
-                    }
-                }
-                None => {
-                    self.stats.resolution_failures += 1;
-                    sdci_obs::static_metric!(counter, "sdci_collector_resolution_failures_total")
-                        .inc();
-                }
+            let Some(path) = path else {
+                self.stats.resolution_failures += 1;
+                sdci_obs::static_metric!(counter, "sdci_collector_resolution_failures_total").inc();
+                continue;
+            };
+            extract_span.set_detail_with(|| path.display().to_string());
+            // Refactor the raw tuple "to include the user-friendly
+            // paths in place of the FIDs" (§4 step 2).
+            let mut event =
+                FileEvent::from_record(record, self.mdt, path).with_extracted_unix_ns(extracted_ns);
+            if let Some(sc) = extract_span.context() {
+                event = event.with_trace(TraceContext::sampled(sc.trace_id, sc.span_id));
+            }
+            self.resolved.push(event);
+        }
+        // Publishing may block on a socket: never under the MDT's lock.
+        drop(guard);
+        // `collector.extract` closed with each record's resolution; this
+        // per-batch root is what times the publish, so one that blocks
+        // still reaches the slow-trace tail.
+        let mut publish_span = sdci_obs::trace::root("collector.publish");
+        publish_span.set_detail_with(|| format!("{} events", self.resolved.len()));
+        self.stats.processed += self.resolved.len() as u64;
+        sdci_obs::static_metric!(counter, "sdci_collector_processed_total")
+            .add(self.resolved.len() as u64);
+        for event in self.resolved.drain(..) {
+            if self.publisher.publish(&self.topic, event) == PublishOutcome::Shed {
+                self.stats.shed += 1;
+                sdci_obs::static_metric!(counter, "sdci_collector_shed_total").inc();
+            } else {
+                self.stats.published += 1;
+                sdci_obs::static_metric!(counter, "sdci_collector_published_total").inc();
             }
         }
-        self.unacked += batch.len();
+        drop(publish_span);
+        self.unacked += read;
         if self.unacked >= self.config.purge_every {
             self.ack_and_purge();
         }
-        batch.len()
+        read
     }
 
-    /// Processes one raw record into a path-resolved event.
+    /// Resolves one raw record's absolute path, `fs` being the locked
+    /// filesystem the record was read from.
     ///
     /// Resolution strategy: resolve the *parent* directory (cache, then
     /// `fid2path`) and join the recorded name — this works uniformly for
     /// creations, deletions (whose target FID is already gone), and both
-    /// halves of a rename.
-    fn process(&mut self, record: &RawChangelogRecord) -> Option<FileEvent> {
-        let parent_path = match self.cache.get(record.parent) {
-            Some(path) => {
+    /// halves of a rename. On a cache hit the returned path is the only
+    /// allocation made.
+    fn resolve(&mut self, fs: &LustreFs, record: &RawChangelogRecord) -> Option<PathBuf> {
+        let path = match self.cache.get(record.parent) {
+            Some(parent) => {
                 self.stats.cache_hits += 1;
                 sdci_obs::static_metric!(counter, "sdci_collector_cache_hits_total").inc();
-                path
+                join(parent, &record.name)
             }
             None => {
                 self.stats.fid2path_calls += 1;
                 sdci_obs::static_metric!(counter, "sdci_collector_fid2path_calls_total").inc();
-                let resolved = {
-                    let guard = self.fs.lock();
-                    guard.fid2path(record.parent)
-                };
-                match resolved {
-                    Ok(path) => {
-                        self.cache.insert(record.parent, path.clone());
-                        path
-                    }
-                    Err(_) => return None,
-                }
+                let parent = fs.fid2path(record.parent).ok()?;
+                // The cache stores paths spelled as their components and
+                // hits are joined onto that spelling; `fid2path` already
+                // spells them so, so a miss publishes the same bytes.
+                debug_assert_eq!(
+                    parent.components().collect::<PathBuf>().as_os_str(),
+                    parent.as_os_str()
+                );
+                let path = join(&parent, &record.name);
+                // The cache takes the resolved path itself, not a copy.
+                self.cache.insert(record.parent, parent);
+                path
             }
         };
-        let mut path = parent_path;
-        path.push(&record.name);
 
         // Keep the cache coherent with namespace changes.
         match record.kind {
             ChangelogKind::Mkdir => {
-                self.cache.insert(record.target, path.clone());
+                self.cache.insert(record.target, &path);
             }
             ChangelogKind::Rename | ChangelogKind::RenameTarget => {
                 // A renamed directory invalidates every cached descendant.
@@ -255,14 +294,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             }
             _ => {}
         }
-
-        Some(self.refactor(record, path))
-    }
-
-    /// Refactors the raw tuple "to include the user-friendly paths in
-    /// place of the FIDs" (§4 step 2).
-    fn refactor(&self, record: &RawChangelogRecord, path: PathBuf) -> FileEvent {
-        FileEvent::from_record(record, self.mdt, path)
+        Some(path)
     }
 
     /// Acknowledges processed records and purges the ChangeLog of
@@ -291,6 +323,14 @@ impl<P: Publish<FileEvent>> Collector<P> {
     pub fn cache_memory(&self) -> sdci_types::ByteSize {
         self.cache.memory()
     }
+}
+
+/// `parent.join(name)` in one allocation of exactly the joined length.
+fn join(parent: &Path, name: &str) -> PathBuf {
+    let mut path = PathBuf::with_capacity(parent.as_os_str().len() + 1 + name.len());
+    path.push(parent);
+    path.push(name);
+    path
 }
 
 #[cfg(test)]
@@ -474,6 +514,45 @@ mod tests {
         );
         // The user registered *after* the events: nothing to read.
         assert_eq!(collector.run_once(), 0);
+    }
+
+    #[test]
+    fn changelog_overrun_is_counted_not_silent() {
+        // A 4-record ChangeLog and a collector that first runs after 10
+        // records: the oldest 6 were dropped at the bound before anyone
+        // read them.
+        let lustre = LustreConfig::builder("bounded").changelog_capacity(4).build();
+        let fs = Arc::new(Mutex::new(LustreFs::new(lustre)));
+        let broker: Broker<FileEvent> = Broker::new(1024);
+        let sub = broker.subscribe(&["events/"]);
+        let mut collector = Collector::new(
+            Arc::clone(&fs),
+            MdtIndex::new(0),
+            broker.publisher(),
+            MonitorConfig { batch_size: 3, ..MonitorConfig::default() },
+        );
+        let before = sdci_obs::registry().counter("sdci_collector_changelog_overrun_total").get();
+        {
+            let mut guard = fs.lock();
+            for i in 0..10 {
+                guard.create(format!("/f{i}"), t(i)).unwrap();
+            }
+        }
+        while collector.run_once() > 0 {}
+        let stats = collector.stats();
+        assert_eq!(stats.overrun, 6);
+        assert_eq!(stats.extracted, 4);
+        assert_eq!(fs.lock().changelog(MdtIndex::new(0)).stats().overflowed, stats.overrun);
+        let first = sub.try_recv().unwrap().payload;
+        assert_eq!(first.path, PathBuf::from("/f6"), "extraction resumes at the oldest survivor");
+        let after = sdci_obs::registry().counter("sdci_collector_changelog_overrun_total").get();
+        assert!(after - before >= 6, "the gap reaches /metrics too");
+
+        // Keeping up afterwards adds nothing: only the gap was counted.
+        fs.lock().create("/late", t(11)).unwrap();
+        while collector.run_once() > 0 {}
+        assert_eq!(collector.stats().overrun, 6);
+        assert_eq!(collector.stats().extracted + collector.stats().overrun, 11);
     }
 
     #[test]

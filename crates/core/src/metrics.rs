@@ -199,6 +199,7 @@ mod tests {
                 fid2path_calls: processed / 2,
                 cache_hits: processed / 2,
                 purged: 0,
+                overrun: 0,
             }],
             aggregator: AggregatorSnapshot {
                 received: published,

@@ -54,9 +54,13 @@ impl Segment {
             bytes += sev.event.footprint_bytes() as u64;
             if !overflowed {
                 if let Some(root) = path_root(&sev.event.path) {
-                    roots.insert(root.to_os_string());
-                    if roots.len() > FINGERPRINT_MAX_ROOTS {
-                        overflowed = true;
+                    // Nearly every event repeats a root already seen:
+                    // look it up borrowed, own it only when it is new.
+                    if !roots.contains(root) {
+                        roots.insert(root.to_os_string());
+                        if roots.len() > FINGERPRINT_MAX_ROOTS {
+                            overflowed = true;
+                        }
                     }
                 }
             }

@@ -128,8 +128,20 @@ impl Changelog {
     /// Returns up to `max` records with index > `after`, oldest first
     /// (the `lfs changelog <mdt> <startrec>` read model).
     pub fn read_from(&self, after: u64, max: usize) -> Vec<RawChangelogRecord> {
+        self.iter_from(after, max).cloned().collect()
+    }
+
+    /// [`read_from`](Self::read_from) by reference: the same records,
+    /// borrowed from the log, for a reader that holds the filesystem
+    /// lock while it processes them and so needs no copy of each name.
+    pub fn iter_from(
+        &self,
+        after: u64,
+        max: usize,
+    ) -> impl ExactSizeIterator<Item = &RawChangelogRecord> {
         let start = self.position_after(after);
-        self.records.iter().skip(start).take(max).cloned().collect()
+        let end = start.saturating_add(max).min(self.records.len());
+        self.records.range(start..end)
     }
 
     /// Number of records currently retained.
@@ -272,6 +284,12 @@ mod tests {
         assert_eq!(got[0].index, 1);
         assert!(log.read_from(10, 100).is_empty());
         assert!(log.read_from(99, 100).is_empty());
+        // The borrowing reader sees the same window, and `max` may be
+        // as large as a caller likes.
+        let borrowed: Vec<u64> = log.iter_from(4, usize::MAX).map(|r| r.index).collect();
+        assert_eq!(borrowed, vec![5, 6, 7, 8, 9, 10]);
+        assert_eq!(log.iter_from(0, 3).len(), 3);
+        assert_eq!(log.iter_from(99, 100).len(), 0);
     }
 
     #[test]

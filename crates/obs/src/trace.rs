@@ -233,6 +233,15 @@ impl SpanGuard {
             live.detail = detail.into();
         }
     }
+
+    /// [`set_detail`](Self::set_detail) for a detail that costs
+    /// something to build: `detail` runs only on a live guard, so a
+    /// per-event call site formats nothing while tracing is off.
+    pub fn set_detail_with(&mut self, detail: impl FnOnce() -> String) {
+        if let Some(live) = &mut self.live {
+            live.detail = detail();
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -454,6 +463,21 @@ mod tests {
         assert!(g.context().is_none());
         drop(g);
         assert!(child("test.inert.child").context().is_none());
+    }
+
+    #[test]
+    fn lazy_detail_runs_only_on_a_live_guard() {
+        let _l = rate_lock();
+        set_sample_every(0);
+        root("test.lazy.inert").set_detail_with(|| unreachable!("an inert guard formats nothing"));
+
+        set_sample_every(1);
+        let mut g = root("test.lazy.live");
+        let ctx = g.context().expect("1/1 sampling samples everything");
+        g.set_detail_with(|| format!("built {}", 1 + 1));
+        drop(g);
+        let span = snapshot().into_iter().find(|s| s.span_id == ctx.span_id).expect("in ring");
+        assert_eq!(span.detail, "built 2");
     }
 
     #[test]
