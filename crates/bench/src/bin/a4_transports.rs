@@ -40,8 +40,8 @@
 
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
-use sdci_net::wire::{write_msg, Frame, BIN_FRAME_BIT};
-use sdci_net::{NetConfig, TcpBroker, TcpPullServer, TcpPush, WIRE_PROTO};
+use sdci_net::wire::{write_hello, Service, BIN_FRAME_BIT};
+use sdci_net::{Endpoint, NetConfig, TcpBroker, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -205,9 +205,10 @@ fn run_pubsub_batched(events: u64, batch: usize) -> (f64, u64) {
 /// server).
 fn run_tcp_push_pull(events: u64, traced: bool) -> (f64, u64, u64) {
     let cfg = NetConfig::default();
-    let server = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 65_536, cfg.clone())
+    let server = TcpPullServer::<FileEvent>::new(65_536);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()])
         .expect("bind loopback pull server");
-    let addr = server.local_addr();
+    let addr = endpoint.local_addr();
     let pull = server.pull();
     let start = Instant::now();
     let producers: Vec<_> = (0..PRODUCERS)
@@ -242,7 +243,7 @@ fn run_tcp_push_pull(events: u64, traced: bool) -> (f64, u64, u64) {
     let received = consumer.join().unwrap();
     let rate = events as f64 / start.elapsed().as_secs_f64();
     let batches = server.stats().batches;
-    server.shutdown();
+    endpoint.shutdown();
     (rate, received, batches)
 }
 
@@ -281,14 +282,8 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
         use std::io::Read;
         let stream = std::net::TcpStream::connect(addr).expect("connect fan-out subscriber");
         let mut writer = stream.try_clone().expect("clone fan-out stream");
-        write_msg(
-            &mut writer,
-            &Frame::<FileEvent>::HelloSubscriber {
-                prefixes: vec!["bench/".into()],
-                proto: WIRE_PROTO,
-            },
-        )
-        .expect("subscriber hello");
+        write_hello(&mut writer, Service::Subscriber { prefixes: vec!["bench/".into()] })
+            .expect("subscriber hello");
         let mut reader = std::io::BufReader::with_capacity(1 << 16, stream);
         let mut announced = false;
         let mut frame = Vec::new();
@@ -321,9 +316,10 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
 /// the path is FIFO and sized above the run, and the sentinel is
 /// published last.
 fn run_fanout(subs: usize, events: u64) -> f64 {
-    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 65_536, NetConfig::default())
+    let broker = TcpBroker::<FileEvent>::new(Broker::new(65_536));
+    let endpoint = Endpoint::bind("127.0.0.1:0", NetConfig::default(), vec![broker.clone()])
         .expect("bind loopback fan-out broker");
-    let addr = broker.local_addr();
+    let addr = endpoint.local_addr();
     let ready = Arc::new(AtomicU64::new(0));
     let consumers: Vec<_> = (0..subs).map(|_| drain_subscriber(addr, Arc::clone(&ready))).collect();
 
@@ -346,7 +342,7 @@ fn run_fanout(subs: usize, events: u64) -> f64 {
         consumer.join().expect("fan-out subscriber panicked");
     }
     let rate = (subs as u64 * events) as f64 / start.elapsed().as_secs_f64();
-    broker.shutdown();
+    endpoint.shutdown();
     rate
 }
 

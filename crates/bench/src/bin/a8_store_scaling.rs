@@ -182,23 +182,6 @@ struct A8Report {
     shard_arms: Vec<ShardArm>,
 }
 
-/// One counter out of a `/metrics` scrape of this process's own
-/// registry endpoint; a counter that never fired is absent and reads 0.
-fn scraped_counter(addr: std::net::SocketAddr, name: &str) -> u64 {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics endpoint");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: sdci\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read metrics response");
-    assert!(response.starts_with("HTTP/1.1 200"), "unexpected scrape status: {response}");
-    let prefix = format!("{name} ");
-    response
-        .lines()
-        .find_map(|l| l.strip_prefix(&prefix).and_then(|v| v.trim().parse().ok()))
-        .unwrap_or(0)
-}
-
 /// An event of the shard-scaling workload: roots cycle round-robin so
 /// every shard's partition interleaves through the whole stream, as a
 /// live collector mix would.
@@ -372,9 +355,8 @@ fn main() {
     assert_eq!(warm_n, cold_n, "the cache's hit path disagrees with the inner store");
     let warm_speedup = cold_t.as_secs_f64() / warm_t.as_secs_f64().max(1e-9);
 
-    let metrics_srv = sdci_obs::MetricsServer::bind("127.0.0.1:0").expect("bind metrics");
-    let cache_hits = scraped_counter(metrics_srv.local_addr(), "sdci_store_cache_hits_total");
-    let cache_misses = scraped_counter(metrics_srv.local_addr(), "sdci_store_cache_misses_total");
+    let cache_hits = sdci_obs::registry().counter("sdci_store_cache_hits_total").get();
+    let cache_misses = sdci_obs::registry().counter("sdci_store_cache_misses_total").get();
 
     print_table(
         &["window", "results", "cold (us)", "warm (us)", "speedup", "hits", "misses"],

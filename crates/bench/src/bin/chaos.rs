@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdci_core::{restore_snapshot, EventStore, SequencedEvent, SnapshotDir};
 use sdci_faults::{arm, disarm_all, CrashMode, FaultPlan};
-use sdci_net::{NetConfig, RetryPolicy, TcpPullServer, TcpPush};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -150,9 +150,10 @@ fn injected_total() -> u64 {
 fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
     let plan =
         Arc::new(FaultPlan::parse(&schedule.spec).map_err(|e| format!("spec rejected: {e}"))?);
-    let server = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 65_536, fast_cfg())
+    let server = TcpPullServer::<FileEvent>::new(65_536);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()])
         .map_err(|e| format!("bind pull server: {e}"))?;
-    let addr = server.local_addr();
+    let addr = endpoint.local_addr();
     let events = schedule.events;
     let per_producer = events / PRODUCERS;
     let start = Instant::now();
@@ -202,7 +203,7 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
     if stats.items != events {
         return Err(format!("server item count {} != {events}", stats.items));
     }
-    server.shutdown();
+    endpoint.shutdown();
     Ok((elapsed, stats.nacks))
 }
 

@@ -115,11 +115,12 @@ fn main() {
 fn wire_rate() -> f64 {
     const N: u64 = 20_000;
     let cfg = sdci_net::NetConfig::default();
-    let server =
-        sdci_net::TcpPullServer::<u64>::bind("127.0.0.1:0", 65_536, cfg.clone()).expect("bind");
+    let server = sdci_net::TcpPullServer::<u64>::new(65_536);
+    let endpoint =
+        sdci_net::Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).expect("bind");
     let pull = server.pull();
     let start = Instant::now();
-    let push = sdci_net::TcpPush::<u64>::connect(server.local_addr(), "r1-wire", cfg);
+    let push = sdci_net::TcpPush::<u64>::connect(endpoint.local_addr(), "r1-wire", cfg);
     for i in 0..N {
         push.send(i);
     }
@@ -129,6 +130,6 @@ fn wire_rate() -> f64 {
     }
     let rate = N as f64 / start.elapsed().as_secs_f64();
     assert_eq!(received, N, "the lossless wire may not drop events");
-    server.shutdown();
+    endpoint.shutdown();
     rate
 }

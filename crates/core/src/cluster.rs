@@ -135,6 +135,26 @@ impl ClusterStats {
     pub fn total_extracted(&self) -> u64 {
         self.collectors.iter().map(|c| c.extracted).sum()
     }
+
+    /// Aggregate path-cache hit rate across Collectors, `[0, 1]`.
+    ///
+    /// The denominator is the total number of *resolutions attempted*:
+    /// `cache_hits + fid2path_calls`. These two counters are disjoint by
+    /// construction — a Collector increments `fid2path_calls` **only on
+    /// a cache miss** (it is the count of fallback `fid2path` RPCs, not
+    /// of all lookups), and `cache_hits` only on a hit — so the sum does
+    /// not double-count and the ratio is the true hit fraction. A
+    /// resolution that misses the cache counts once, under
+    /// `fid2path_calls`, whether or not the RPC then succeeds.
+    pub fn cache_hit_rate(&self) -> f64 {
+        let hits: u64 = self.collectors.iter().map(|c| c.cache_hits).sum();
+        let calls: u64 = self.collectors.iter().map(|c| c.fid2path_calls).sum();
+        if hits + calls == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + calls) as f64
+        }
+    }
 }
 
 /// A running monitor deployment (Collectors + Aggregator).
@@ -221,14 +241,13 @@ impl MonitorCluster {
 /// Identity of one shard in a sharded aggregator tier.
 pub type ShardId = u32;
 
-/// One shard's entry in a [`ShardMap`]: its identity and the base
-/// address of its port trio (push leg at `addr`, feed at `+1`, store
-/// RPC at `+2`).
+/// One shard's entry in a [`ShardMap`]: its identity and its one
+/// address (push leg, feed and store RPC all answer there).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardInfo {
     /// Stable shard identity; survives map version bumps.
     pub id: ShardId,
-    /// Base address of the shard's port trio, e.g. `"127.0.0.1:7070"`.
+    /// The shard's address, e.g. `"127.0.0.1:7070"`.
     pub addr: String,
 }
 
@@ -356,6 +375,58 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    /// Pins the hit-rate denominator: `fid2path_calls` counts ONLY
+    /// cache misses, so hits/(hits + fid2path_calls) is hits over total
+    /// attempts — 30 hits out of 40 lookups is 0.75, not 30/(30+40) as
+    /// it would be if the denominator double-counted hits.
+    #[test]
+    fn cache_hit_rate_denominator_is_attempted_resolutions() {
+        let rate = |cache_hits, fid2path_calls| {
+            ClusterStats {
+                collectors: vec![
+                    CollectorStats { cache_hits, fid2path_calls, ..CollectorStats::default() },
+                    CollectorStats::default(),
+                ],
+                aggregator: AggregatorSnapshot::default(),
+                store: StoreStats::default(),
+            }
+            .cache_hit_rate()
+        };
+        assert_eq!(rate(0, 0), 0.0, "no resolutions attempted");
+        assert!((rate(30, 10) - 0.75).abs() < 1e-9);
+        assert_eq!(rate(0, 10), 0.0);
+        assert_eq!(rate(10, 0), 1.0);
+    }
+
+    /// The same pin against a live Collector's counters: one `fid2path`
+    /// call (the directory, cold) and 20 sibling hits is 20/21.
+    #[test]
+    fn cache_hit_rate_matches_a_live_collector() {
+        let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
+        let broker: Broker<FileEvent> = Broker::new(65_536);
+        let _sub = broker.subscribe(&["events/"]);
+        let mut collector = Collector::new(
+            Arc::clone(&fs),
+            MdtIndex::new(0),
+            broker.publisher(),
+            MonitorConfig::default(),
+        );
+        {
+            let mut guard = fs.lock();
+            guard.mkdir("/d", t(0)).unwrap();
+            for i in 0..20 {
+                guard.create(format!("/d/f{i}"), t(1)).unwrap();
+            }
+        }
+        while collector.run_once() > 0 {}
+        let stats = ClusterStats {
+            collectors: vec![collector.stats()],
+            aggregator: AggregatorSnapshot::default(),
+            store: StoreStats::default(),
+        };
+        assert!((stats.cache_hit_rate() - 20.0 / 21.0).abs() < 1e-9);
     }
 
     #[test]

@@ -70,7 +70,6 @@ mod cluster;
 mod collector;
 mod config;
 mod consumer;
-mod metrics;
 pub mod model;
 mod pathcache;
 mod resource;
@@ -85,7 +84,6 @@ pub use cluster::{
 pub use collector::{Collector, CollectorCheckpoint, CollectorStats};
 pub use config::MonitorConfig;
 pub use consumer::{ConsumerCursor, ConsumerStats, EventConsumer};
-pub use metrics::{IntervalRates, MetricsRecorder, MetricsSample};
 pub use pathcache::{CacheStats, PathCache};
 pub use resource::{ComponentUsage, ResourceModel, ResourceReport};
 pub use store::{

@@ -34,9 +34,9 @@
 //!
 //! Crash recovery is incremental: [`SnapshotDir`] flushes each sealed
 //! segment to its own file exactly once and rewrites only the manifest
-//! and the head per flush (see [`snapshot`](self) internals), while
-//! [`EventStore::snapshot_to`] / [`EventStore::restore_from`] keep the
-//! legacy single-file NDJSON form alive for migration.
+//! and the head per flush (see [`snapshot`](self) internals).
+//! [`EventStore::snapshot_to`] / [`EventStore::restore_from`] serialise
+//! a whole store as one NDJSON stream, in memory, for tests and benches.
 
 mod backend;
 mod layers;
@@ -563,10 +563,9 @@ impl EventStore {
         }
     }
 
-    /// Writes the retained window as newline-delimited JSON — the
-    /// legacy single-file crash-recovery snapshot. New deployments use
-    /// the incremental [`SnapshotDir`] instead; this format remains the
-    /// wire/migration form.
+    /// Writes the retained window as newline-delimited JSON: the whole
+    /// store as one stream. Crash recovery on disk is the incremental
+    /// [`SnapshotDir`], which reads nothing in this form.
     ///
     /// # Errors
     ///

@@ -1,8 +1,8 @@
 //! Incremental crash-recovery snapshots for the segmented store.
 //!
-//! The legacy snapshot ([`EventStore::snapshot_to`]) rewrites the whole
-//! retained window every flush interval — O(window) I/O every 200 ms.
-//! A [`SnapshotDir`] instead mirrors the store's internal structure on
+//! Serialising the whole retained window ([`EventStore::snapshot_to`])
+//! every flush interval is O(window) I/O every 200 ms. A
+//! [`SnapshotDir`] instead mirrors the store's internal structure on
 //! disk:
 //!
 //! ```text
@@ -33,11 +33,6 @@
 //! left a committed manifest pointing at a head it disagreed with —
 //! an unrestorable snapshot (found by crash-point injection at
 //! `store.flush.manifest_commit`).
-//!
-//! [`restore_snapshot`] accepts either form — a directory, or a legacy
-//! single-file NDJSON snapshot — and
-//! [`SnapshotDir::migrate_legacy`] converts the latter to the former
-//! via a staging directory, so a crash mid-migration loses nothing.
 
 use super::{EventStore, StoreState};
 use crate::store::segment::Segment;
@@ -175,14 +170,7 @@ impl SnapshotDir {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<SnapshotDir> {
         let dir = dir.into();
         if dir.exists() && !dir.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "{} is a file, not a snapshot directory (restore it as a legacy \
-                     snapshot, or migrate it with SnapshotDir::migrate_legacy)",
-                    dir.display()
-                ),
-            ));
+            return Err(not_a_directory(&dir));
         }
         fs::create_dir_all(&dir)?;
         let snap = SnapshotDir { dir, head_gen: std::sync::atomic::AtomicU64::new(1) };
@@ -366,100 +354,39 @@ impl SnapshotDir {
         }
         fs::rename(&tmp, path)
     }
-
-    /// Converts a legacy single-file NDJSON snapshot at `legacy` into a
-    /// snapshot directory at the same path, using the already-restored
-    /// `store` as the source of truth.
-    ///
-    /// The new layout is staged at `<legacy>.migrating` and only swapped
-    /// into place once fully written, so a crash at any point leaves
-    /// either the legacy file or the complete staged directory: the
-    /// legacy file is not removed until the staging dir is fully
-    /// flushed, and a crash in the window between removing the file and
-    /// renaming the directory into place is repaired by
-    /// [`SnapshotDir::adopt_interrupted_migration`] on the next start.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; the legacy file is not removed unless
-    /// the staged directory was fully flushed.
-    pub fn migrate_legacy(legacy: &Path, store: &EventStore) -> io::Result<SnapshotDir> {
-        let staging = staging_path(legacy);
-        if staging.exists() {
-            // A previous migration died mid-way; its staging dir may be
-            // incomplete, so rebuild it from scratch.
-            fs::remove_dir_all(&staging)?;
-        }
-        let staged = SnapshotDir::open(&staging)?;
-        staged.flush(store)?;
-        fs::remove_file(legacy)?;
-        sdci_faults::crash_point("store.migrate.swap")?;
-        fs::rename(&staging, legacy)?;
-        SnapshotDir::open(legacy)
-    }
-
-    /// Repairs a [`SnapshotDir::migrate_legacy`] that crashed between
-    /// removing the legacy file and renaming the staged directory into
-    /// place: if nothing exists at `path` but a *complete*
-    /// `<path>.migrating` directory (one with a committed manifest)
-    /// does, it is renamed into place and `true` is returned.
-    ///
-    /// Call this before testing whether the snapshot path exists — a
-    /// restart that skips it would treat the crashed migration as a
-    /// fresh start and silently lose the retained window and sequence
-    /// numbering. An *incomplete* staging dir (no manifest) is left
-    /// alone: the legacy file was still present when that crash hit, so
-    /// it remains the source of truth and `migrate_legacy` will rebuild
-    /// the staging dir from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the rename failure.
-    pub fn adopt_interrupted_migration(path: &Path) -> io::Result<bool> {
-        let staging = staging_path(path);
-        if path.exists() || !staging.join(MANIFEST_NAME).is_file() {
-            return Ok(false);
-        }
-        fs::rename(&staging, path)?;
-        Ok(true)
-    }
 }
 
-/// Where [`SnapshotDir::migrate_legacy`] stages the directory form of
-/// a legacy snapshot at `path`.
-fn staging_path(path: &Path) -> PathBuf {
-    let mut staging = path.as_os_str().to_os_string();
-    staging.push(".migrating");
-    PathBuf::from(staging)
+/// The error for a snapshot path that names a regular file: snapshots
+/// are directories, and nothing here reads any single-file form.
+fn not_a_directory(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("{} is a file, not a snapshot directory", path.display()),
+    )
 }
 
 fn segment_file_name(first_seq: u64, last_seq: u64) -> String {
     format!("seg-{first_seq:020}-{last_seq:020}.ndjson")
 }
 
-/// Restores a store from a snapshot at `path` — either a
-/// [`SnapshotDir`] layout or a legacy single-file NDJSON snapshot
-/// (auto-detected) — bounded to `capacity` events.
+/// Restores a store from the [`SnapshotDir`] layout at `dir`, bounded
+/// to `capacity` events.
 ///
-/// A directory restore preserves the snapshot's segment boundaries, so
+/// The restore preserves the snapshot's segment boundaries, so
 /// subsequent flushes keep reusing the segment files already on disk.
 /// A directory with no manifest — created, but no flush ever committed
 /// — restores as an empty store.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on a corrupt manifest, a segment file that
-/// disagrees with its manifest entry, or out-of-order/duplicate
-/// sequence numbers; propagates other I/O failures.
-pub fn restore_snapshot(path: &Path, capacity: usize) -> io::Result<EventStore> {
-    if fs::metadata(path)?.is_dir() {
-        restore_dir(path, capacity)
-    } else {
-        EventStore::restore_from(BufReader::new(fs::File::open(path)?), capacity)
+/// Returns `InvalidInput` when `dir` names a regular file, `InvalidData`
+/// on a corrupt manifest, a segment file that disagrees with its
+/// manifest entry, or out-of-order/duplicate sequence numbers;
+/// propagates other I/O failures.
+pub fn restore_snapshot(dir: &Path, capacity: usize) -> io::Result<EventStore> {
+    if !fs::metadata(dir)?.is_dir() {
+        return Err(not_a_directory(dir));
     }
-}
-
-fn restore_dir(dir: &Path, capacity: usize) -> io::Result<EventStore> {
     let manifest_path = dir.join(MANIFEST_NAME);
     let json = match fs::read_to_string(&manifest_path) {
         Ok(json) => json,

@@ -1,7 +1,6 @@
 //! Crash-point injection through the snapshot flush path: a flush
 //! failed at any named step must leave the previously committed
-//! manifest as the restore point, and a migration failed at its swap
-//! step must be repairable by the documented adoption path.
+//! manifest as the restore point.
 //!
 //! Crash points are process-global, so everything runs in one `#[test]`
 //! — a concurrently armed point would otherwise steal hits from the
@@ -117,24 +116,6 @@ fn injected_crashes_through_the_flush_path_never_move_the_commit_point() {
     assert!(err.to_string().contains("store.flush.committed"));
     assert!(err.committed, "a post-rename failure must report the flush as committed");
     assert_eq!(restore_snapshot(scratch.path(), 4096).unwrap().last_seq(), 42);
-
-    // A migration killed between removing the legacy file and renaming
-    // the staged directory into place is exactly what
-    // `adopt_interrupted_migration` repairs.
-    let legacy = Scratch::new("legacy");
-    let mut buf = Vec::new();
-    store.snapshot_to(&mut buf).unwrap();
-    std::fs::write(legacy.path(), &buf).unwrap();
-    let restored = restore_snapshot(legacy.path(), 4096).unwrap();
-    arm("store.migrate.swap", 1, CrashMode::Error);
-    let err = SnapshotDir::migrate_legacy(legacy.path(), &restored).unwrap_err();
-    assert!(err.to_string().contains("store.migrate.swap"));
-    assert!(!legacy.path().exists(), "the swap point sits after the legacy file removal");
-    let staging = PathBuf::from(format!("{}.migrating", legacy.path().display()));
-    let _staging_cleanup = Scratch(staging.clone());
-    assert!(staging.join("MANIFEST.json").is_file(), "staged directory must be complete");
-    assert!(SnapshotDir::adopt_interrupted_migration(legacy.path()).unwrap());
-    assert_eq!(restore_snapshot(legacy.path(), 4096).unwrap().last_seq(), 42);
 
     // `store.seal` has no error to propagate (sealing is in-memory and
     // infallible), so its error mode escalates to a panic — the

@@ -1,8 +1,8 @@
 //! Integration tests for the incremental snapshot directory: the
 //! write-once property of sealed segment files, manifest-commit
 //! atomicity, garbage collection under rotation, restore fidelity
-//! (including across a capacity shrink), and the legacy single-file
-//! migration path.
+//! (including across a capacity shrink), and the refusal of a path that
+//! is not a directory.
 
 use sdci_core::{restore_snapshot, EventStore, SequencedEvent, SnapshotDir, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
@@ -325,47 +325,6 @@ fn orphan_segment_file_from_a_crashed_flush_is_swept_not_reused() {
 }
 
 #[test]
-fn interrupted_migration_is_adopted() {
-    let scratch = Scratch::new("adopt");
-    let staging = PathBuf::from(format!("{}.migrating", scratch.path().display()));
-    let _ = std::fs::remove_dir_all(&staging);
-    let _staging_cleanup = Scratch(staging.clone());
-    let store = EventStore::with_segment_size(1000, 8);
-    for i in 1..=30 {
-        store.insert(sev(i, "/m/f")).unwrap();
-    }
-    // Stage the migration completely, then "crash" after the legacy
-    // file was removed but before the staging dir was renamed into
-    // place: nothing at the snapshot path, a complete dir beside it.
-    SnapshotDir::open(&staging).unwrap().flush(&store).unwrap();
-    assert!(!scratch.path().exists());
-
-    assert!(SnapshotDir::adopt_interrupted_migration(scratch.path()).unwrap());
-    assert!(scratch.path().is_dir());
-    assert!(!staging.exists());
-    let restored = restore_snapshot(scratch.path(), 1000).unwrap();
-    assert_eq!(restored.len(), 30);
-    assert_eq!(restored.last_seq(), 30, "sequence numbering survives the adopted migration");
-
-    // Idempotent once the snapshot path exists.
-    assert!(!SnapshotDir::adopt_interrupted_migration(scratch.path()).unwrap());
-}
-
-#[test]
-fn incomplete_staging_dir_is_not_adopted() {
-    let scratch = Scratch::new("no-adopt");
-    let staging = PathBuf::from(format!("{}.migrating", scratch.path().display()));
-    let _ = std::fs::remove_dir_all(&staging);
-    let _staging_cleanup = Scratch(staging.clone());
-    // No manifest: the crash hit before the staged flush committed, so
-    // the legacy file (wherever it is) is still the source of truth.
-    std::fs::create_dir_all(&staging).unwrap();
-    assert!(!SnapshotDir::adopt_interrupted_migration(scratch.path()).unwrap());
-    assert!(!scratch.path().exists());
-    assert!(staging.is_dir(), "incomplete staging dir is left for migrate_legacy to rebuild");
-}
-
-#[test]
 fn directory_without_manifest_restores_as_empty() {
     let scratch = Scratch::new("no-manifest");
     // A crash after the directory was created but before the first
@@ -388,33 +347,24 @@ fn directory_without_manifest_restores_as_empty() {
     assert_eq!(restore_snapshot(scratch.path(), 100).unwrap().len(), 1);
 }
 
+/// Snapshots are directories: a regular file at the path — even one
+/// holding a store's NDJSON serialisation — is refused by name, and
+/// left as it was.
 #[test]
-fn legacy_single_file_snapshot_restores_and_migrates() {
-    let scratch = Scratch::new("legacy");
-    let store = EventStore::with_segment_size(1000, 8);
-    for i in 1..=30 {
-        store.insert(sev(i, &format!("/l/f{i}"))).unwrap();
-    }
+fn a_regular_file_is_not_a_snapshot() {
+    let file = Scratch::new("not-a-dir");
+    let store = EventStore::new(100);
+    store.insert(sev(1, "/l/f1")).unwrap();
     let mut buf = Vec::new();
     store.snapshot_to(&mut buf).unwrap();
-    std::fs::write(scratch.path(), &buf).unwrap();
-
-    // restore_snapshot auto-detects the single-file form.
-    let restored = restore_snapshot(scratch.path(), 1000).unwrap();
-    assert_eq!(restored.len(), 30);
-    assert_eq!(restored.query(&StoreQuery::after_seq(0)), store.query(&StoreQuery::after_seq(0)));
-
-    // Migration replaces the file with a complete directory.
-    let dir = SnapshotDir::migrate_legacy(scratch.path(), &restored).unwrap();
-    assert!(scratch.path().is_dir());
-    assert!(scratch.path().join("MANIFEST.json").is_file());
-    assert_eq!(dir.path(), scratch.path());
-    let roundtrip = restore_snapshot(scratch.path(), 1000).unwrap();
-    assert_eq!(roundtrip.query(&StoreQuery::after_seq(0)), store.query(&StoreQuery::after_seq(0)));
-
-    // SnapshotDir::open refuses a path that is still a legacy file.
-    let file = Scratch::new("legacy-file");
     std::fs::write(file.path(), &buf).unwrap();
-    let err = SnapshotDir::open(file.path()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+
+    for err in [
+        SnapshotDir::open(file.path()).unwrap_err(),
+        restore_snapshot(file.path(), 100).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("is a file, not a snapshot directory"), "{err}");
+    }
+    assert_eq!(std::fs::read(file.path()).unwrap(), buf);
 }

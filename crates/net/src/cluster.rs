@@ -28,10 +28,10 @@
 //! interleave.
 
 use crate::conn::NetConfig;
-use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
+use crate::endpoint::{dial, Conn, Handler};
 use crate::pipe::TcpPush;
 use crate::store_rpc::RemoteStore;
-use crate::wire::{invalid, json_decode, json_encode, write_msg, FrameReader, WireMsg};
+use crate::wire::{invalid, json_decode, json_encode, timed_out, write_msg, Service, WireMsg};
 use sdci_core::{
     merge_seq_ordered, EventBackend, SequencedEvent, ShardId, ShardMap, StoreError, StoreQuery,
 };
@@ -40,15 +40,10 @@ use sdci_obs::metrics::Counter;
 use sdci_types::{FileEvent, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Port-trio offset of a shard's store RPC relative to its base (push)
-/// address.
-pub const STORE_RPC_OFFSET: u16 = 2;
 
 /// One cluster-RPC message; requests and responses share the enum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,7 +57,7 @@ pub enum ClusterRpc {
     },
     /// Client → server: append a shard at `addr` and bump the version.
     AddShard {
-        /// Base address of the new shard's port trio.
+        /// The new shard's address.
         addr: String,
     },
     /// Liveness probe; the server echoes it.
@@ -84,25 +79,6 @@ impl WireMsg for ClusterRpc {
     }
 }
 
-/// Resolves the store-RPC address of a shard whose port trio is based
-/// at `base` (e.g. `"127.0.0.1:7070"` → port 7072).
-///
-/// # Errors
-///
-/// Fails with `InvalidInput` when `base` is not a socket address, or
-/// its port is too close to 65535 to leave room for the trio.
-pub fn shard_store_addr(base: &str) -> io::Result<SocketAddr> {
-    let mut addr = parse_addr(base)?;
-    let port = addr.port().checked_add(STORE_RPC_OFFSET).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("shard addr {base:?}: no room above the port for the store RPC"),
-        )
-    })?;
-    addr.set_port(port);
-    Ok(addr)
-}
-
 fn parse_addr(base: &str) -> io::Result<SocketAddr> {
     base.parse().map_err(|e| {
         io::Error::new(io::ErrorKind::InvalidInput, format!("shard addr {base:?}: {e}"))
@@ -113,7 +89,8 @@ fn parse_addr(base: &str) -> io::Result<SocketAddr> {
 // Map service
 // ---------------------------------------------------------------------------
 
-/// Serves the authoritative [`ShardMap`] over the wire.
+/// The [`Handler`] for [`Service::Cluster`]: serves the authoritative
+/// [`ShardMap`] over the wire.
 ///
 /// The server is the map's single writer: `AddShard` requests are
 /// serialized through its lock, each one producing a new version that
@@ -122,52 +99,20 @@ fn parse_addr(base: &str) -> io::Result<SocketAddr> {
 /// keeps routing by its old map, which is consistent, just not yet
 /// rebalanced.
 pub struct MapServer {
-    addr: SocketAddr,
-    map: Arc<parking_lot::Mutex<ShardMap>>,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    fetches: Arc<AtomicU64>,
+    map: parking_lot::Mutex<ShardMap>,
+    fetches: AtomicU64,
 }
 
 impl std::fmt::Debug for MapServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MapServer").field("addr", &self.addr).finish()
+        f.debug_struct("MapServer").finish_non_exhaustive()
     }
 }
 
 impl MapServer {
-    /// Binds `addr` and serves `map`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure, including a failure to
-    /// spawn the accept thread.
-    pub fn bind(addr: impl ToSocketAddrs, map: ShardMap, cfg: NetConfig) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let map = Arc::new(parking_lot::Mutex::new(map));
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let fetches = Arc::new(AtomicU64::new(0));
-        let accept = {
-            let map = Arc::clone(&map);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let fetches = Arc::clone(&fetches);
-            spawn_worker(
-                format!("sdci-net-map-{}", addr.port()),
-                "net.cluster.spawn_accept",
-                move || map_accept_loop(listener, map, cfg, stop, conns, fetches),
-            )?
-        };
-        Ok(MapServer { addr, map, stop, accept: Some(accept), conns, fetches })
-    }
-
-    /// The address actually bound (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+    /// A server whose first version of the map is `map`.
+    pub fn new(map: ShardMap) -> Arc<Self> {
+        Arc::new(MapServer { map: parking_lot::Mutex::new(map), fetches: AtomicU64::new(0) })
     }
 
     /// The current map.
@@ -179,83 +124,20 @@ impl MapServer {
     pub fn fetches(&self) -> u64 {
         self.fetches.load(Ordering::Relaxed)
     }
+}
 
-    /// Stops accepting and joins every connection thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<JoinHandle<()>> = self.conns.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
+impl Handler for MapServer {
+    fn services(&self) -> &'static [&'static str] {
+        &["cluster"]
+    }
+
+    fn serve(&self, _service: Service, conn: Conn) {
+        serve_map_client(conn, &self.map, &self.fetches);
     }
 }
 
-impl Drop for MapServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn map_accept_loop(
-    listener: TcpListener,
-    map: Arc<parking_lot::Mutex<ShardMap>>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    fetches: Arc<AtomicU64>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let map = Arc::clone(&map);
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let fetches = Arc::clone(&fetches);
-                let spawned =
-                    spawn_worker("sdci-net-map-conn".into(), "net.cluster.spawn_conn", move || {
-                        serve_map_client(stream, map, cfg, stop, fetches)
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        let mut guard = conns.lock();
-                        guard.retain(|h| !h.is_finished());
-                        guard.push(handle);
-                    }
-                    Err(e) => {
-                        sdci_obs::error!("map conn thread spawn failed; dropping connection"; peer = peer, error = e.to_string());
-                        sdci_obs::static_metric!(counter, "sdci_net_spawn_failures_total").inc();
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn serve_map_client(
-    stream: TcpStream,
-    map: Arc<parking_lot::Mutex<ShardMap>>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    fetches: Arc<AtomicU64>,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let (send_faults, recv_faults) = conn_faults(&cfg);
-    let mut reader = FrameReader::with_faults(read_half, recv_faults);
-    let mut writer = FaultedWriter::new(stream, send_faults);
+fn serve_map_client(conn: Conn, map: &parking_lot::Mutex<ShardMap>, fetches: &AtomicU64) {
+    let Conn { mut reader, mut writer, stop, .. } = conn;
     while !stop.load(Ordering::Relaxed) {
         match reader.read_msg::<ClusterRpc>() {
             Ok(ClusterRpc::GetMap) => {
@@ -267,10 +149,10 @@ fn serve_map_client(
                 }
             }
             Ok(ClusterRpc::AddShard { addr }) => {
-                // The address is a peer's say-so: check it can name a
-                // shard's port trio *before* it enters the map, or the
-                // next scatter re-fan over the map fails on it.
-                if let Err(e) = shard_store_addr(&addr) {
+                // The address is a peer's say-so: check it names a
+                // socket *before* it enters the map, or the next
+                // scatter re-fan over the map fails on it.
+                if let Err(e) = parse_addr(&addr) {
                     sdci_obs::warn!("AddShard refused; closing the connection"; error = e.to_string());
                     return;
                 }
@@ -292,9 +174,8 @@ fn serve_map_client(
                 }
             }
             Ok(ClusterRpc::Map { .. }) => {} // nonsensical from a client; ignore
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                // Map clients poll; idleness is fine.
-            }
+            // Map clients poll; idleness is fine.
+            Err(e) if timed_out(&e) => {}
             Err(_) => return,
         }
     }
@@ -302,20 +183,14 @@ fn serve_map_client(
 
 /// One-shot request/response against a [`MapServer`].
 fn map_round_trip(addr: SocketAddr, cfg: &NetConfig, req: &ClusterRpc) -> io::Result<ShardMap> {
-    let stream = cfg.connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(cfg.heartbeat))?;
-    let read_half = stream.try_clone()?;
-    let (send_faults, recv_faults) = conn_faults(cfg);
-    let mut reader = FrameReader::with_faults(read_half, recv_faults);
-    let mut writer = FaultedWriter::new(stream, send_faults);
+    let (mut reader, mut writer) = dial(cfg, addr, Service::Cluster)?;
     write_msg(&mut writer, req)?;
     let deadline = Instant::now() + cfg.liveness;
     loop {
         match reader.read_msg::<ClusterRpc>() {
             Ok(ClusterRpc::Map { map }) => return Ok(map),
             Ok(_) => {} // a stray Ping echo; keep waiting
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e) if timed_out(&e) => {
                 if Instant::now() >= deadline {
                     return Err(io::Error::new(
                         io::ErrorKind::TimedOut,
@@ -338,7 +213,7 @@ pub fn fetch_map(addr: SocketAddr, cfg: &NetConfig) -> io::Result<ShardMap> {
     map_round_trip(addr, cfg, &ClusterRpc::GetMap)
 }
 
-/// Asks the [`MapServer`] at `addr` to append a shard based at
+/// Asks the [`MapServer`] at `addr` to append the shard at
 /// `shard_addr`, returning the bumped map.
 ///
 /// # Errors
@@ -634,8 +509,8 @@ impl std::fmt::Debug for ScatterStore {
 }
 
 impl ScatterStore {
-    /// A scatter front over explicit `(shard id, store-RPC address)`
-    /// pairs. Connections are lazy, per shard, and cached.
+    /// A scatter front over explicit `(shard id, address)` pairs.
+    /// Connections are lazy, per shard, and cached.
     pub fn new(shards: Vec<(ShardId, SocketAddr)>, cfg: NetConfig) -> Self {
         let shards = shards
             .into_iter()
@@ -652,8 +527,8 @@ impl ScatterStore {
         ScatterStore { inner: Arc::new(ScatterInner { shards, degraded: AtomicU64::new(0) }) }
     }
 
-    /// A scatter front over every shard in `map`, deriving each store
-    /// RPC address from the shard's port trio (base + 2).
+    /// A scatter front over every shard in `map`, querying each at the
+    /// address the map gives it.
     ///
     /// # Errors
     ///
@@ -662,7 +537,7 @@ impl ScatterStore {
         let shards = map
             .shards()
             .iter()
-            .map(|s| Ok((s.id, shard_store_addr(&s.addr)?)))
+            .map(|s| Ok((s.id, parse_addr(&s.addr)?)))
             .collect::<io::Result<Vec<_>>>()?;
         Ok(ScatterStore::new(shards, cfg))
     }
@@ -767,15 +642,5 @@ mod tests {
             let back: ClusterRpc = serde_json::from_str(&json).unwrap();
             assert_eq!(back, msg);
         }
-    }
-
-    #[test]
-    fn shard_store_addr_applies_the_trio_offset() {
-        assert_eq!(shard_store_addr("127.0.0.1:7070").unwrap().port(), 7072);
-        for bad in ["not-an-addr", "127.0.0.1:65535", "127.0.0.1:65534"] {
-            let err = shard_store_addr(bad).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
-        }
-        assert_eq!(shard_store_addr("127.0.0.1:65533").unwrap().port(), 65535);
     }
 }

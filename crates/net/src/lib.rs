@@ -12,8 +12,13 @@
 //!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body).
 //!   Control frames — handshakes, acks, pings, queries — are JSON, so
 //!   a session remains debuggable with `nc`. There is one wire version
-//!   ([`wire::WIRE_PROTO`]): every `Hello*` announces it and a
-//!   mismatch closes the connection.
+//!   ([`wire::WIRE_PROTO`]): every connection's opening
+//!   [`wire::Hello`] announces it and a mismatch closes the connection.
+//! * [`endpoint`] — one address per server role: [`Endpoint`] owns the
+//!   process's only listener and accept loop, does the handshake once,
+//!   and hands each connection to the [`Handler`] attached for the
+//!   service its hello names; HTTP `GET`s on the same address reach
+//!   `sdci_obs`'s `/metrics`, `/healthz` and `/tracez`.
 //! * [`conn`] — supervision policy: jittered exponential reconnect
 //!   backoff, heartbeat/liveness tunables ([`conn::NetConfig`]).
 //! * [`pubsub`] — lossy PUB/SUB ([`TcpBroker`], [`TcpPublisher`],
@@ -34,7 +39,7 @@
 //!   ([`ScatterStore`]) that keeps a sharded tier looking like one
 //!   logical store.
 //! * [`faulted`] — enforcement of an `sdci_faults::FaultPlan`
-//!   installed on [`conn::NetConfig`]: every endpoint above inherits
+//!   installed on [`conn::NetConfig`]: every connection above inherits
 //!   deterministic frame drop/duplicate/truncate/delay and scripted
 //!   partitions at the conn/wire boundary.
 //!
@@ -52,16 +57,16 @@
 
 pub mod cluster;
 pub mod conn;
+pub mod endpoint;
 pub mod faulted;
 pub mod pipe;
 pub mod pubsub;
 pub mod store_rpc;
 pub mod wire;
 
-pub use cluster::{
-    add_shard, fetch_map, shard_store_addr, ClusterRpc, MapServer, ScatterStore, ShardRouter,
-};
+pub use cluster::{add_shard, fetch_map, ClusterRpc, MapServer, ScatterStore, ShardRouter};
 pub use conn::{Backoff, NetConfig, RetryPolicy};
+pub use endpoint::{Endpoint, Handler};
 pub use faulted::FaultedWriter;
 pub use pipe::{TcpPullServer, TcpPush};
 pub use pubsub::{TcpBroker, TcpPublisher, TcpSubscriber, TcpTransport};

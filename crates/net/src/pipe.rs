@@ -29,22 +29,18 @@
 //! To keep a *restart* from also duplicating items that did reach the
 //! checkpoint, persist [`TcpPullServer::marks`] alongside it — captured
 //! *after* the durable state, see the method docs — and restore them
-//! with [`TcpPullServer::bind_with_marks`].
+//! with [`TcpPullServer::with_marks`].
 
 use crate::conn::{Backoff, NetConfig};
-use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
-use crate::wire::{
-    hello_accepted, refuse_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader,
-    WIRE_PROTO,
-};
+use crate::endpoint::{dial, Conn, Handler};
+use crate::wire::{timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service};
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceCarrier, TraceContext};
 use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Counter snapshot for a [`TcpPullServer`].
@@ -79,25 +75,24 @@ struct ServerCounters {
 /// mutex, held across the check-push-update of every item, so two
 /// connections claiming the same identity (a reconnect racing a handler
 /// still blocked on the pipeline) serialize instead of double-pushing.
-type SeenMarks = Arc<parking_lot::Mutex<HashMap<String, Arc<parking_lot::Mutex<u64>>>>>;
+type SeenMarks = parking_lot::Mutex<HashMap<String, Arc<parking_lot::Mutex<u64>>>>;
 
-/// The PULL side: accepts [`TcpPush`] clients and funnels their items,
-/// deduplicated and in per-client order, into a local bounded pipeline
-/// consumed via [`TcpPullServer::pull`].
+/// The PULL side: the [`Handler`] for [`Service::Push`]. Funnels the
+/// items of every [`TcpPush`] client an [`Endpoint`](crate::Endpoint)
+/// hands it, deduplicated and in per-client order, into a local bounded
+/// pipeline consumed via [`TcpPullServer::pull`].
 pub struct TcpPullServer<T> {
     pull: Pull<T>,
-    push: Option<Push<T>>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    counters: Arc<ServerCounters>,
+    /// `None` once the endpoint has drained: pullers then observe
+    /// end-of-stream after the last connection exits.
+    push: parking_lot::Mutex<Option<Push<T>>>,
+    counters: ServerCounters,
     seen: SeenMarks,
 }
 
 impl<T> std::fmt::Debug for TcpPullServer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpPullServer").field("addr", &self.addr).finish()
+        f.debug_struct("TcpPullServer").finish_non_exhaustive()
     }
 }
 
@@ -105,79 +100,32 @@ impl<T> TcpPullServer<T>
 where
     T: Send + BinPayload + 'static,
 {
-    /// Binds `addr` and starts accepting pushers. `capacity` bounds the
-    /// local pipeline; when the puller falls that far behind, incoming
-    /// connections block (backpressure) rather than shed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        capacity: usize,
-        cfg: NetConfig,
-    ) -> std::io::Result<Self> {
-        Self::bind_with_marks(addr, capacity, cfg, HashMap::new())
+    /// A pull server whose local pipeline holds `capacity` items; when
+    /// the puller falls that far behind, incoming connections block
+    /// (backpressure) rather than shed.
+    pub fn new(capacity: usize) -> Arc<Self> {
+        Self::with_marks(capacity, HashMap::new())
     }
 
-    /// Like [`TcpPullServer::bind`], but seeds the per-client dedup
+    /// Like [`TcpPullServer::new`], but seeds the per-client dedup
     /// high-water marks — e.g. a [`TcpPullServer::marks`] capture
     /// persisted next to the embedding process's durable state — so
     /// that after a restart, items a reconnecting client re-sends are
     /// discarded when the restored state already holds them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure.
-    pub fn bind_with_marks(
-        addr: impl ToSocketAddrs,
-        capacity: usize,
-        cfg: NetConfig,
-        marks: HashMap<String, u64>,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+    pub fn with_marks(capacity: usize, marks: HashMap<String, u64>) -> Arc<Self> {
         let (push, pull) = pipeline::<T>(capacity);
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let counters = Arc::new(ServerCounters::default());
-        let seen: SeenMarks = Arc::new(parking_lot::Mutex::new(
-            marks.into_iter().map(|(c, m)| (c, Arc::new(parking_lot::Mutex::new(m)))).collect(),
-        ));
-        let accept = {
-            let push = push.clone();
-            let seen = Arc::clone(&seen);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let counters = Arc::clone(&counters);
-            spawn_worker(
-                format!("sdci-net-pull-{}", addr.port()),
-                "net.pipe.spawn_accept",
-                move || {
-                    pull_accept_loop(listener, push, seen, cfg, stop, conns, counters);
-                },
-            )?
-        };
-        Ok(TcpPullServer {
+        let seen =
+            marks.into_iter().map(|(c, m)| (c, Arc::new(parking_lot::Mutex::new(m)))).collect();
+        Arc::new(TcpPullServer {
             pull,
-            push: Some(push),
-            addr,
-            stop,
-            accept: Some(accept),
-            conns,
-            counters,
-            seen,
+            push: parking_lot::Mutex::new(Some(push)),
+            counters: ServerCounters::default(),
+            seen: parking_lot::Mutex::new(seen),
         })
     }
 
-    /// The address actually bound (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// The local consuming end. `Pull::recv` returns `None` once the
-    /// server has shut down and every connection has drained.
+    /// endpoint has shut down and every connection has drained.
     pub fn pull(&self) -> Pull<T> {
         self.pull.clone()
     }
@@ -197,7 +145,7 @@ where
     /// the highest sequence number handed to the pipeline.
     ///
     /// Persist this next to the embedding process's durable state and
-    /// restore it with [`TcpPullServer::bind_with_marks`]. Capture it
+    /// restore it with [`TcpPullServer::with_marks`]. Capture it
     /// *after* checkpointing downstream state: a client's mark always
     /// advances before its item can reach anything downstream of the
     /// pipeline, so marks captured after the checkpoint are ≥ every
@@ -206,124 +154,42 @@ where
     pub fn marks(&self) -> HashMap<String, u64> {
         self.seen.lock().iter().map(|(c, m)| (c.clone(), *m.lock())).collect()
     }
-
-    /// Stops accepting, joins every connection (each finishes its
-    /// in-flight frame), and closes the local pipeline's push end so
-    /// pullers observe end-of-stream after draining.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<JoinHandle<()>> = self.conns.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
-        self.push = None;
-    }
 }
 
-impl<T> Drop for TcpPullServer<T> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pull_accept_loop<T>(
-    listener: TcpListener,
-    push: Push<T>,
-    seen: SeenMarks,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    counters: Arc<ServerCounters>,
-) where
+impl<T> Handler for TcpPullServer<T>
+where
     T: Send + BinPayload + 'static,
 {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                counters.accepted.fetch_add(1, Ordering::Relaxed);
-                sdci_obs::static_metric!(counter, "sdci_net_pull_accepted_total").inc();
-                let push = push.clone();
-                let seen = Arc::clone(&seen);
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let counters = Arc::clone(&counters);
-                let spawned =
-                    spawn_worker("sdci-net-pull-conn".into(), "net.pipe.spawn_conn", move || {
-                        serve_pusher(stream, push, seen, cfg, stop, counters)
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        let mut guard = conns.lock();
-                        guard.retain(|h| !h.is_finished());
-                        guard.push(handle);
-                    }
-                    Err(e) => {
-                        // Dropping the stream makes the pusher
-                        // reconnect and re-send; a transient EAGAIN
-                        // must not kill the whole server.
-                        sdci_obs::error!("pull conn thread spawn failed; dropping connection"; peer = peer, error = e.to_string());
-                        sdci_obs::static_metric!(counter, "sdci_net_spawn_failures_total").inc();
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
+    fn services(&self) -> &'static [&'static str] {
+        &["push"]
+    }
+
+    fn serve(&self, service: Service, conn: Conn) {
+        let Service::Push { client, resume_after } = service else { return };
+        let Some(push) = self.push.lock().clone() else { return };
+        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        sdci_obs::static_metric!(counter, "sdci_net_pull_accepted_total").inc();
+        serve_pusher(conn, push, client, resume_after, &self.seen, &self.counters);
+    }
+
+    /// Closes the local pipeline's push end, so pullers observe
+    /// end-of-stream once every connection has finished its frame.
+    fn drain(&self) {
+        self.push.lock().take();
     }
 }
 
 fn serve_pusher<T>(
-    stream: TcpStream,
+    conn: Conn,
     push: Push<T>,
-    seen: SeenMarks,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
+    client: String,
+    resume_after: u64,
+    seen: &SeenMarks,
+    counters: &ServerCounters,
 ) where
     T: Send + BinPayload + 'static,
 {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    // A `FrameReader` rather than `read_msg` on the raw socket: the
-    // heartbeat read timeout may fire mid-frame, and losing the
-    // already-consumed length prefix would desynchronize the stream.
-    let (send_faults, recv_faults) = conn_faults(&cfg);
-    let mut reader = FrameReader::with_faults(read_half, recv_faults);
-    let mut writer = FaultedWriter::new(stream, send_faults);
-    // Handshake: learn the client identity, tell it where we are. A
-    // peer gets a full liveness window to complete its hello.
-    let opened = Instant::now();
-    let (client, resume_after) = loop {
-        match reader.read_msg::<Frame<T>>() {
-            Ok(Frame::HelloPush { client, resume_after, proto }) => {
-                if !hello_accepted("push", reader.get_ref(), proto) {
-                    return;
-                }
-                break (client, resume_after);
-            }
-            Err(e) if timed_out(&e) && opened.elapsed() <= cfg.liveness => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                return refuse_hello("push", reader.get_ref(), e);
-            }
-            _ => return,
-        }
-    };
+    let Conn { mut reader, mut writer, cfg, stop } = conn;
     // One mark per client identity, shared by every connection that
     // claims it — including the next one, when a reconnect races a
     // handler still blocked on the pipeline.
@@ -427,7 +293,7 @@ fn serve_pusher<T>(
                     Err(expected) => {
                         if nack_gap::<T>(
                             &mut writer,
-                            &counters,
+                            counters,
                             &mut nacked_at,
                             expected,
                             cfg.heartbeat,
@@ -457,10 +323,6 @@ fn serve_pusher<T>(
             Err(_) => return,
         }
     }
-}
-
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
 /// Tells a pusher where the stream must resume: one `Nack` per stalled
@@ -683,36 +545,12 @@ fn push_worker<T>(
         if senders_gone && unacked.is_empty() {
             return;
         }
-        let Ok(stream) = cfg.connect(addr) else {
+        let hello = Service::Push { client: client.clone(), resume_after: last_acked };
+        let Ok((mut reader, mut writer)) = dial(&cfg, addr, hello) else {
             backoff.sleep_after_failure(Duration::ZERO, cfg.liveness);
             continue;
         };
         let session = Instant::now();
-        let _ = stream.set_nodelay(true);
-        if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue;
-        }
-        let (send_faults, recv_faults) = conn_faults(&cfg);
-        let mut writer = match stream.try_clone() {
-            Ok(w) => FaultedWriter::new(w, send_faults),
-            Err(_) => {
-                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                continue;
-            }
-        };
-        // Timeout-tolerant reads: the heartbeat read timeout must not
-        // desynchronize the stream when it fires mid-frame.
-        let mut reader = FrameReader::with_faults(stream, recv_faults);
-        let hello = Frame::<T>::HelloPush {
-            client: client.clone(),
-            resume_after: last_acked,
-            proto: WIRE_PROTO,
-        };
-        if write_msg(&mut writer, &hello).is_err() {
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue;
-        }
         // The server replies with its own high-water mark, which may be
         // ahead of ours (acks lost with the previous connection). A
         // server speaking another wire version closes the connection

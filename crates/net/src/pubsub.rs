@@ -1,16 +1,13 @@
 //! TCP PUB/SUB: the in-process broker's contract over real sockets.
 //!
-//! A [`TcpBroker`] owns (or bridges) a local [`Broker`] and accepts two
-//! kinds of client, distinguished by their handshake frame:
+//! A [`TcpBroker`] bridges a local [`Broker`] to two kinds of client,
+//! distinguished by the service their hello names:
 //!
 //! * **publishers** ([`TcpPublisher`]) stream `PublishBatch` frames
 //!   that the server republishes into the local broker;
 //! * **subscribers** ([`TcpSubscriber`]) send their topic-prefix list
 //!   and receive `DeliverBatch` frames fanned out from a local
 //!   subscription.
-//!
-//! Both hellos announce the wire version; the broker closes the
-//! connection on any version but its own.
 //!
 //! The deliver direction is **encode-once**: a single dispatcher
 //! thread per broker drains one relay subscription, renders each
@@ -29,17 +26,18 @@
 //! within the configured liveness window.
 
 use crate::conn::{Backoff, NetConfig};
+use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::wire::{
-    hello_accepted, refuse_hello, write_deliver_batch_bin, write_msg, write_publish_batch_bin,
-    BinEncoder, Frame, FrameReader, BIN_FRAME_BIT, WIRE_PROTO,
+    timed_out, write_deliver_batch_bin, write_hello, write_msg, write_publish_batch_bin,
+    BinEncoder, Frame, Service, BIN_FRAME_BIT,
 };
 use sdci_mq::pubsub::{Broker, Message};
 use sdci_mq::transport::{Publish, PublishOutcome, Subscribe, Transport};
 use sdci_types::{BinPayload, TraceCarrier, TraceContext};
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,21 +66,17 @@ struct BrokerCounters {
     frames_out: AtomicU64,
 }
 
-/// A TCP-facing pub-sub broker bridging remote clients onto a local
-/// [`Broker`].
+/// The [`Handler`] for [`Service::Publisher`] and
+/// [`Service::Subscriber`]: bridges the remote clients an
+/// [`Endpoint`](crate::Endpoint) hands it onto a local [`Broker`].
 ///
 /// Local code keeps using the wrapped broker directly ([`TcpBroker::publisher`],
 /// [`TcpBroker::subscribe`]); remote processes connect with
-/// [`TcpPublisher`]/[`TcpSubscriber`]. Dropping the `TcpBroker` (or
-/// calling [`TcpBroker::shutdown`]) stops accepting, drains queued
-/// messages to connected subscribers, and sends them `Fin`.
+/// [`TcpPublisher`]/[`TcpSubscriber`]. Shutting the endpoint down
+/// drains queued messages to connected subscribers and sends them `Fin`.
 pub struct TcpBroker<T> {
     local: Broker<T>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    counters: Arc<BrokerCounters>,
+    counters: BrokerCounters,
     fanout: Arc<FanoutHub>,
 }
 
@@ -124,7 +118,7 @@ struct FanoutHub {
 
 impl<T> std::fmt::Debug for TcpBroker<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpBroker").field("addr", &self.addr).finish()
+        f.debug_struct("TcpBroker").finish_non_exhaustive()
     }
 }
 
@@ -132,54 +126,14 @@ impl<T> TcpBroker<T>
 where
     T: Clone + Send + BinPayload + 'static,
 {
-    /// Binds `addr` and serves a freshly created broker with the given
-    /// high-water mark.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure.
-    pub fn bind(addr: impl ToSocketAddrs, hwm: usize, cfg: NetConfig) -> std::io::Result<Self> {
-        Self::serve(Broker::new(hwm), addr, cfg)
-    }
-
-    /// Binds `addr` and serves an existing broker — e.g. the
-    /// Aggregator's feed broker, exposing `feed/` to remote consumers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure.
-    pub fn serve(
-        local: Broker<T>,
-        addr: impl ToSocketAddrs,
-        cfg: NetConfig,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let counters = Arc::new(BrokerCounters::default());
-        let fanout = Arc::new(FanoutHub::default());
-        let accept = {
-            let local = local.clone();
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let counters = Arc::clone(&counters);
-            let fanout = Arc::clone(&fanout);
-            spawn_worker(
-                format!("sdci-net-accept-{}", addr.port()),
-                "net.pubsub.spawn_accept",
-                move || {
-                    accept_loop(listener, local, cfg, stop, conns, counters, fanout);
-                },
-            )?
-        };
-        Ok(TcpBroker { local, addr, stop, accept: Some(accept), conns, counters, fanout })
-    }
-
-    /// The address actually bound (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+    /// Serves `local` to remote clients — e.g. the Aggregator's feed
+    /// broker, exposing `feed/` to remote consumers.
+    pub fn new(local: Broker<T>) -> Arc<Self> {
+        Arc::new(TcpBroker {
+            local,
+            counters: BrokerCounters::default(),
+            fanout: Arc::new(FanoutHub::default()),
+        })
     }
 
     /// The wrapped local broker.
@@ -206,140 +160,46 @@ where
             frames_out: self.counters.frames_out.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Stops accepting, drains each connected subscriber's queue, sends
-    /// `Fin`, and joins every connection thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+impl<T> Handler for TcpBroker<T>
+where
+    T: Clone + Send + BinPayload + 'static,
+{
+    fn services(&self) -> &'static [&'static str] {
+        &["publisher", "subscriber"]
     }
 
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+    fn serve(&self, service: Service, conn: Conn) {
+        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        match service {
+            Service::Publisher => serve_publisher(conn, &self.local, &self.counters),
+            Service::Subscriber { prefixes } => {
+                serve_subscriber(conn, &self.local, prefixes, &self.counters, &self.fanout)
+            }
+            _ => {}
         }
-        // The dispatcher's exit is what releases the subscriber legs
-        // (its final flush drains into their queues, then their senders
-        // drop), so it must be joined before the connection threads.
+    }
+
+    /// Joins the dispatcher: its exit is what releases the subscriber
+    /// legs (its final flush drains into their queues, then their
+    /// senders drop), so it goes before the endpoint joins them.
+    fn drain(&self) {
         let dispatcher = self.fanout.dispatcher.lock().take();
         if let Some(t) = dispatcher {
             let _ = t.join();
         }
-        let handles: Vec<JoinHandle<()>> = self.conns.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
-    }
-}
-
-impl<T> Drop for TcpBroker<T> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop<T>(
-    listener: TcpListener,
-    local: Broker<T>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    counters: Arc<BrokerCounters>,
-    fanout: Arc<FanoutHub>,
-) where
-    T: Clone + Send + BinPayload + 'static,
-{
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let local = local.clone();
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let counters = Arc::clone(&counters);
-                let fanout = Arc::clone(&fanout);
-                let spawned =
-                    spawn_worker("sdci-net-conn".into(), "net.pubsub.spawn_conn", move || {
-                        serve_connection(stream, local, cfg, stop, counters, fanout)
-                    });
-                match spawned {
-                    Ok(handle) => {
-                        let mut guard = conns.lock();
-                        guard.retain(|h| !h.is_finished());
-                        guard.push(handle);
-                    }
-                    Err(e) => {
-                        // Lossy leg: the client reconnects with backoff;
-                        // one EAGAIN must not take the broker down.
-                        sdci_obs::error!("broker conn thread spawn failed; dropping connection"; peer = peer, error = e.to_string());
-                        sdci_obs::static_metric!(counter, "sdci_net_spawn_failures_total").inc();
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn serve_connection<T>(
-    stream: TcpStream,
-    local: Broker<T>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<BrokerCounters>,
-    fanout: Arc<FanoutHub>,
-) where
-    T: Clone + Send + BinPayload + 'static,
-{
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.liveness)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    // Timeout-tolerant reads: a read timeout firing mid-frame must not
-    // desynchronize the stream.
-    let (send_faults, recv_faults) = conn_faults(&cfg);
-    let mut reader = FrameReader::with_faults(read_half, recv_faults);
-    let mut writer = FaultedWriter::new(stream, send_faults);
-    match reader.read_msg::<Frame<T>>() {
-        Ok(Frame::HelloPublisher { proto })
-            if hello_accepted("publisher", reader.get_ref(), proto) =>
-        {
-            serve_publisher(&mut reader, local, cfg, stop, counters)
-        }
-        Ok(Frame::HelloSubscriber { prefixes, proto })
-            if hello_accepted("subscriber", reader.get_ref(), proto) =>
-        {
-            serve_subscriber(&mut writer, local, &prefixes, cfg, stop, counters, fanout)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            refuse_hello("pubsub", reader.get_ref(), e)
-        }
-        // A refused version, no handshake, or not a hello at all: drop
-        // the connection.
-        _ => {}
     }
 }
 
 /// Reads `PublishBatch` frames into the local broker until the peer
 /// goes quiet, finishes, or the server stops.
-fn serve_publisher<T>(
-    reader: &mut FrameReader<TcpStream>,
-    local: Broker<T>,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<BrokerCounters>,
-) where
+fn serve_publisher<T>(conn: Conn, local: &Broker<T>, counters: &BrokerCounters)
+where
     T: Clone + Send + BinPayload + 'static,
 {
+    let Conn { mut reader, cfg, stop, .. } = conn;
     let publisher = local.publisher();
-    let _ = reader.get_ref().set_read_timeout(Some(cfg.heartbeat));
     // Crash point: a broker that dies right after the handshake leaves
     // the publisher writing into a dead socket and reconnecting with
     // backoff — the chaos tests kill here to prove clients survive it.
@@ -393,27 +253,26 @@ fn serve_publisher<T>(
 /// flush lands in this leg's queue and drains — through the same
 /// crash-pointed write path as live traffic — before the `Fin`.
 fn serve_subscriber<T>(
-    writer: &mut FaultedWriter<TcpStream>,
-    local: Broker<T>,
-    prefixes: &[String],
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    counters: Arc<BrokerCounters>,
-    hub: Arc<FanoutHub>,
+    conn: Conn,
+    local: &Broker<T>,
+    prefixes: Vec<String>,
+    counters: &BrokerCounters,
+    hub: &Arc<FanoutHub>,
 ) where
     T: Clone + Send + BinPayload + 'static,
 {
+    let Conn { mut writer, cfg, stop, .. } = conn;
     // Crash point: a broker that dies right after the handshake leaves
     // the client reconnecting with backoff — the chaos tests kill here
     // to prove subscribers survive it.
     if sdci_faults::crash_point("net.pubsub.greet").is_err() {
         return;
     }
-    if !ensure_dispatcher(&hub, &local, &cfg, &stop) {
+    if !ensure_dispatcher(hub, local, &cfg, &stop) {
         return; // spawn failed: drop the connection, the client retries
     }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
-    hub.legs.lock().push(FanoutLeg { prefixes: prefixes.to_vec(), tx });
+    hub.legs.lock().push(FanoutLeg { prefixes, tx });
     let mut last_write = Instant::now();
     loop {
         match rx.recv_timeout(cfg.heartbeat) {
@@ -426,7 +285,7 @@ fn serve_subscriber<T>(
                 if sdci_faults::crash_point("net.pubsub.fanout").is_err() {
                     return;
                 }
-                if write_chunk(writer, &chunk.bytes).is_err() {
+                if write_chunk(&mut writer, &chunk.bytes).is_err() {
                     return; // peer gone; dropping `rx` detaches the leg
                 }
                 counters.frames_out.fetch_add(chunk.frames, Ordering::Relaxed);
@@ -434,7 +293,7 @@ fn serve_subscriber<T>(
             }
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                 if last_write.elapsed() >= cfg.heartbeat
-                    && write_msg(writer, &Frame::<T>::Ping).is_err()
+                    && write_msg(&mut writer, &Frame::<T>::Ping).is_err()
                 {
                     return;
                 }
@@ -442,7 +301,7 @@ fn serve_subscriber<T>(
             Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
                 // The dispatcher flushed everything queued for this leg
                 // and dropped its sender: graceful drain complete.
-                let _ = write_msg(writer, &Frame::<T>::Fin);
+                let _ = write_msg(&mut writer, &Frame::<T>::Fin);
                 return;
             }
         }
@@ -590,10 +449,6 @@ fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
 #[derive(Debug, Default)]
 struct ClientCounters {
     /// Successful connections (1 = never lost the link).
@@ -706,7 +561,7 @@ fn publisher_worker<T: Send + TraceCarrier + BinPayload + 'static>(
         let _ = raw.set_nodelay(true);
         let (send_faults, _) = conn_faults(&cfg);
         let mut stream = FaultedWriter::new(raw, send_faults);
-        if write_msg(&mut stream, &Frame::<T>::HelloPublisher { proto: WIRE_PROTO }).is_err() {
+        if write_hello(&mut stream, Service::Publisher).is_err() {
             // A server that accepts and immediately resets must hit the
             // backoff like a refused connection, not a tight spin.
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
@@ -929,35 +784,16 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
 ) {
     let mut backoff = Backoff::new(cfg.retry);
     'reconnect: while !stop.load(Ordering::Relaxed) {
-        let Ok(stream) = cfg.connect(addr) else {
+        let hello = Service::Subscriber { prefixes: prefixes.clone() };
+        // The write half stays open, unused, for the session's length.
+        let Ok((mut reader, _writer)) = dial(&cfg, addr, hello) else {
             backoff.sleep_after_failure(Duration::ZERO, cfg.liveness);
             continue;
         };
         let session = Instant::now();
-        let _ = stream.set_nodelay(true);
-        if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue;
-        }
-        let (send_faults, recv_faults) = conn_faults(&cfg);
-        let mut writer = match stream.try_clone() {
-            Ok(w) => FaultedWriter::new(w, send_faults),
-            Err(_) => {
-                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                continue;
-            }
-        };
-        let hello = Frame::<T>::HelloSubscriber { prefixes: prefixes.clone(), proto: WIRE_PROTO };
-        if write_msg(&mut writer, &hello).is_err() {
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue;
-        }
         if counters.connections.fetch_add(1, Ordering::Relaxed) > 0 {
             sdci_obs::static_metric!(counter, "sdci_net_subscriber_reconnects_total").inc();
         }
-        // Timeout-tolerant reads: the heartbeat read timeout must not
-        // desynchronize the stream when it fires mid-frame.
-        let mut reader = FrameReader::with_faults(stream, recv_faults);
         let mut last_traffic = Instant::now();
         loop {
             match reader.read_msg::<Frame<T>>() {

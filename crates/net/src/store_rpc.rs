@@ -8,9 +8,9 @@
 //! to the Aggregator process's [`StoreServer`]; the
 //! [`sdci_core::StoreReader`] view follows from the blanket impl.
 //!
-//! The protocol is deliberately tiny: one JSON request frame, one
-//! binary response frame, same length-prefixed framing as the rest of
-//! sdci-net.
+//! The protocol is deliberately tiny: after the connection's hello, one
+//! JSON request frame, one binary response frame, same length-prefixed
+//! framing as the rest of sdci-net.
 //! Failure semantics follow `StoreReader`'s contract — a query that
 //! cannot be answered returns an empty slice, and the consumer simply
 //! retries at the next heartbeat-detected gap.
@@ -18,18 +18,19 @@
 //! [`EventStore`]: sdci_core::EventStore
 
 use crate::conn::NetConfig;
-use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
+use crate::endpoint::{dial, Conn, Handler};
+use crate::faulted::FaultedWriter;
 use crate::wire::{
     bin_header, bin_put_payloads, bin_read_header, bin_read_payloads, invalid, json_decode,
-    json_encode, write_msg, write_msg_bin, BinEncoder, FrameReader, WireMsg, BIN_KIND_STORE_BATCH,
+    json_encode, timed_out, write_msg, write_msg_bin, BinEncoder, FrameReader, Service, WireMsg,
+    BIN_KIND_STORE_BATCH,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery, StoreReader};
 use serde::{Deserialize, Serialize};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One store-RPC message; requests and responses share the enum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,149 +93,46 @@ impl WireMsg for StoreRpc {
     }
 }
 
-/// Serves [`StoreRpc`] queries against any [`StoreReader`] — a local
+/// The [`Handler`] for [`Service::Store`]: serves [`StoreRpc`] queries
+/// against any [`StoreReader`] — a local
 /// [`SharedStore`](sdci_core::SharedStore) in the single-aggregator
 /// deployment, or a [`ScatterStore`](crate::cluster::ScatterStore)
 /// fronting a sharded tier.
 pub struct StoreServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    queries: Arc<AtomicU64>,
+    store: Box<dyn StoreReader + Sync>,
+    queries: AtomicU64,
 }
 
 impl std::fmt::Debug for StoreServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreServer").field("addr", &self.addr).finish()
+        f.debug_struct("StoreServer").finish_non_exhaustive()
     }
 }
 
 impl StoreServer {
-    /// Binds `addr` and answers queries against `store`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure — including a failure to
-    /// spawn the accept thread (a server that cannot accept is not
-    /// bound, so `bind` reports it instead of panicking the process).
-    pub fn bind<R: StoreReader + Clone + Sync>(
-        addr: impl ToSocketAddrs,
-        store: R,
-        cfg: NetConfig,
-    ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let queries = Arc::new(AtomicU64::new(0));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let queries = Arc::clone(&queries);
-            spawn_worker(
-                format!("sdci-net-store-{}", addr.port()),
-                "net.store_rpc.spawn_accept",
-                move || store_accept_loop(listener, store, cfg, stop, conns, queries),
-            )?
-        };
-        Ok(StoreServer { addr, stop, accept: Some(accept), conns, queries })
-    }
-
-    /// The address actually bound (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+    /// A server answering queries against `store`.
+    pub fn new(store: impl StoreReader + Sync) -> Arc<Self> {
+        Arc::new(StoreServer { store: Box::new(store), queries: AtomicU64::new(0) })
     }
 
     /// Queries answered so far.
     pub fn queries(&self) -> u64 {
         self.queries.load(Ordering::Relaxed)
     }
+}
 
-    /// Stops accepting and joins every connection thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        let handles: Vec<JoinHandle<()>> = self.conns.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
+impl Handler for StoreServer {
+    fn services(&self) -> &'static [&'static str] {
+        &["store"]
+    }
+
+    fn serve(&self, _service: Service, conn: Conn) {
+        serve_store_client(conn, &*self.store, &self.queries);
     }
 }
 
-impl Drop for StoreServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn store_accept_loop<R: StoreReader + Clone + Sync>(
-    listener: TcpListener,
-    store: R,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
-    queries: Arc<AtomicU64>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let store = store.clone();
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let queries = Arc::clone(&queries);
-                let spawned = spawn_worker(
-                    "sdci-net-store-conn".into(),
-                    "net.store_rpc.spawn_conn",
-                    move || serve_store_client(stream, store, cfg, stop, queries),
-                );
-                match spawned {
-                    Ok(handle) => {
-                        let mut guard = conns.lock();
-                        guard.retain(|h| !h.is_finished());
-                        guard.push(handle);
-                    }
-                    Err(e) => {
-                        // A transient spawn failure (EAGAIN) costs one
-                        // connection, not the whole aggregator: the
-                        // stream drops (the peer reconnects) and the
-                        // accept loop keeps going.
-                        sdci_obs::error!("store conn thread spawn failed; dropping connection"; peer = peer, error = e.to_string());
-                        sdci_obs::static_metric!(counter, "sdci_net_spawn_failures_total").inc();
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn serve_store_client<R: StoreReader>(
-    stream: TcpStream,
-    store: R,
-    cfg: NetConfig,
-    stop: Arc<AtomicBool>,
-    queries: Arc<AtomicU64>,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.heartbeat)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    // Timeout-tolerant reads: the heartbeat read timeout must not
-    // desynchronize the stream when it fires mid-frame.
-    let (send_faults, recv_faults) = conn_faults(&cfg);
-    let mut reader = FrameReader::with_faults(read_half, recv_faults);
-    let mut writer = FaultedWriter::new(stream, send_faults);
+fn serve_store_client(conn: Conn, store: &dyn StoreReader, queries: &AtomicU64) {
+    let Conn { mut reader, mut writer, stop, .. } = conn;
     // Per-connection scratch for binary replies; reused across queries.
     let mut enc = BinEncoder::new();
     // `stop` is checked every iteration so a chatty client cannot pin
@@ -272,14 +170,8 @@ fn serve_store_client<R: StoreReader>(
                 }
             }
             Ok(StoreRpc::Batch { .. }) => {} // nonsensical from a client; ignore
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Store clients are request/response; idleness is fine.
-            }
+            // Store clients are request/response; idleness is fine.
+            Err(e) if timed_out(&e) => {}
             Err(_) => return,
         }
     }
@@ -366,19 +258,8 @@ impl RemoteStore {
     /// Dials the server with the configured connect timeout. Never
     /// called with the cache lock held.
     fn open(&self) -> Option<StoreConn> {
-        match self.cfg.connect(self.addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                // The heartbeat tick bounds each read; round_trip's own
-                // deadline bounds the whole exchange.
-                let _ = stream.set_read_timeout(Some(self.cfg.heartbeat));
-                let read_half = stream.try_clone().ok()?;
-                let (send_faults, recv_faults) = conn_faults(&self.cfg);
-                Some(StoreConn {
-                    writer: FaultedWriter::new(stream, send_faults),
-                    reader: FrameReader::with_faults(read_half, recv_faults),
-                })
-            }
+        match dial(&self.cfg, self.addr, Service::Store) {
+            Ok((reader, writer)) => Some(StoreConn { writer, reader }),
             Err(e) => {
                 self.connect_failures.fetch_add(1, Ordering::Relaxed);
                 sdci_obs::static_metric!(counter, "sdci_net_store_connect_failures_total").inc();
@@ -483,12 +364,7 @@ impl RemoteStore {
                         ));
                     }
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if timed_out(&e) => {
                     if Instant::now() >= deadline {
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::TimedOut,

@@ -36,15 +36,21 @@
 //! kind 4 DeliverBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
 //! ```
 //!
-//! There is one wire version, [`WIRE_PROTO`]. Every `Hello*` handshake
-//! announces it and the accepting side closes the connection on any
-//! other value, with an error-level record — nothing is negotiated.
+//! There is one wire version, [`WIRE_PROTO`]. Every connection opens
+//! with one [`Hello`] frame announcing it and naming the [`Service`] the
+//! peer wants; the accepting [`Endpoint`](crate::endpoint::Endpoint)
+//! closes the connection on any other version, with an error-level
+//! record — nothing is negotiated.
+//!
+//! The same listener answers HTTP scrapes: the bytes `GET ` read as a
+//! length word are `0x47455420`, far above [`MAX_FRAME_LEN`], so they
+//! can never open a legal frame and the endpoint routes such a
+//! connection to `sdci_obs`'s `/metrics` handler instead.
 
 use sdci_types::bin::{put_bytes, BinPayload, BinReader};
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// Length-prefix size in bytes.
@@ -60,37 +66,83 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
-/// `Hello*` announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 4;
+/// [`Hello`] announcing anything else is refused, not negotiated with.
+pub const WIRE_PROTO: u32 = 5;
+
+/// The opening frame of every connection: the peer's wire version and
+/// the service it wants from the endpoint it dialed. Always JSON.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Hello {
+    /// Wire protocol version the peer speaks ([`WIRE_PROTO`]).
+    pub proto: u32,
+    /// What the peer asks this endpoint for.
+    pub service: Service,
+}
+
+/// The services a peer can ask an endpoint for in its [`Hello`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Service {
+    /// The lossless PUSH leg: "I will send `ItemBatch` frames."
+    Push {
+        /// Stable pusher identity (e.g. `"mdt0"`), keying the server's
+        /// dedup mark across reconnects.
+        client: String,
+        /// Highest push sequence number the client saw acknowledged.
+        resume_after: u64,
+    },
+    /// The lossy PUB leg: "I will send `PublishBatch` frames."
+    Publisher,
+    /// The lossy SUB leg: "stream me topics matching these prefixes."
+    Subscriber {
+        /// Topic prefixes to subscribe to (empty string = everything).
+        prefixes: Vec<String>,
+    },
+    /// Store query RPC ([`StoreRpc`](crate::store_rpc::StoreRpc)).
+    Store,
+    /// Shard-map RPC ([`ClusterRpc`](crate::cluster::ClusterRpc)).
+    Cluster,
+}
+
+impl Service {
+    /// The service's name: how handlers are attached to an endpoint and
+    /// the `leg` label on `sdci_net_hello_refused_total`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Service::Push { .. } => "push",
+            Service::Publisher => "publisher",
+            Service::Subscriber { .. } => "subscriber",
+            Service::Store => "store",
+            Service::Cluster => "cluster",
+        }
+    }
+}
+
+impl WireMsg for Hello {
+    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+        json_encode(self, buf).map(|()| false)
+    }
+
+    fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
+        if binary {
+            return Err(invalid("a hello has no binary form"));
+        }
+        json_decode(body)
+    }
+}
+
+/// Opens a dialed connection: writes this build's [`Hello`] for `service`.
+///
+/// # Errors
+///
+/// Propagates I/O failures from the underlying writer.
+pub fn write_hello(w: &mut impl Write, service: Service) -> io::Result<()> {
+    write_msg(w, &Hello { proto: WIRE_PROTO, service })
+}
 
 /// One protocol message. `T` is the event payload type (e.g. `FileEvent`
 /// on the Collector leg, `FeedMessage` on the consumer leg).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<T> {
-    /// Client handshake: "I will publish `PublishBatch` frames."
-    HelloPublisher {
-        /// Wire protocol version the publisher speaks ([`WIRE_PROTO`]).
-        proto: u32,
-    },
-    /// Client handshake: "stream me topics matching these prefixes."
-    HelloSubscriber {
-        /// Topic prefixes to subscribe to (empty string = everything).
-        prefixes: Vec<String>,
-        /// Wire protocol version the subscriber speaks ([`WIRE_PROTO`]).
-        proto: u32,
-    },
-    /// Client handshake for the lossless PUSH leg. `client` identifies
-    /// the pusher across reconnects so the server can deduplicate
-    /// re-sent items; `resume_after` is the highest sequence number the
-    /// client knows was acknowledged.
-    HelloPush {
-        /// Stable pusher identity (e.g. `"mdt0"`).
-        client: String,
-        /// Highest push sequence number the client saw acknowledged.
-        resume_after: u64,
-        /// Wire protocol version the client speaks ([`WIRE_PROTO`]).
-        proto: u32,
-    },
     /// Broker → subscriber: publications on one topic (lossy leg) — the
     /// deliver-direction twin of [`Frame::PublishBatch`].
     DeliverBatch {
@@ -134,7 +186,8 @@ pub enum Frame<T> {
     },
     /// Puller → pusher: everything up to and including `up_to` has been
     /// handed to the local pipeline — the pusher may drop it. Also the
-    /// server's answer to `HelloPush`, naming its mark for the client.
+    /// server's answer to a push [`Hello`], naming its mark for the
+    /// client.
     Ack {
         /// Highest contiguously accepted sequence number.
         up_to: u64,
@@ -149,9 +202,6 @@ pub enum Frame<T> {
 /// are deliberately absent: a JSON body naming one is `InvalidData`.
 #[derive(Serialize, Deserialize)]
 enum Control {
-    HelloPublisher { proto: u32 },
-    HelloSubscriber { prefixes: Vec<String>, proto: u32 },
-    HelloPush { client: String, resume_after: u64, proto: u32 },
     Nack { expected: u64 },
     Ack { up_to: u64 },
     Ping,
@@ -161,13 +211,6 @@ enum Control {
 impl<T> From<Control> for Frame<T> {
     fn from(control: Control) -> Self {
         match control {
-            Control::HelloPublisher { proto } => Frame::HelloPublisher { proto },
-            Control::HelloSubscriber { prefixes, proto } => {
-                Frame::HelloSubscriber { prefixes, proto }
-            }
-            Control::HelloPush { client, resume_after, proto } => {
-                Frame::HelloPush { client, resume_after, proto }
-            }
             Control::Nack { expected } => Frame::Nack { expected },
             Control::Ack { up_to } => Frame::Ack { up_to },
             Control::Ping => Frame::Ping,
@@ -178,6 +221,12 @@ impl<T> From<Control> for Frame<T> {
 
 pub(crate) fn invalid(err: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, err.to_string())
+}
+
+/// Whether a read failed only because the socket's heartbeat tick
+/// fired: resumable, the caller checks its own deadline and reads on.
+pub(crate) fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// A message sdci-net can frame. Each kind of message has exactly one
@@ -213,26 +262,6 @@ pub(crate) fn json_encode<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Resul
 pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
     let text = std::str::from_utf8(body).map_err(invalid)?;
     serde_json::from_str(text).map_err(invalid)
-}
-
-/// The version rule, applied by the accepting side of each of the three
-/// handshakes: a hello announcing anything but [`WIRE_PROTO`] is logged
-/// at error level with both versions and the caller closes the
-/// connection. Returns whether the session may proceed.
-pub(crate) fn hello_accepted(leg: &'static str, peer: &TcpStream, theirs: u32) -> bool {
-    if theirs != WIRE_PROTO {
-        let why = format!("peer speaks wire version {theirs}, this build speaks {WIRE_PROTO}");
-        refuse_hello(leg, peer, why);
-    }
-    theirs == WIRE_PROTO
-}
-
-/// Logs and counts a refused handshake — a version mismatch, or a hello
-/// that does not decode (one with no version field among them).
-pub(crate) fn refuse_hello(leg: &'static str, peer: &TcpStream, why: impl std::fmt::Display) {
-    let peer = peer.peer_addr().map_or_else(|_| "unknown".to_string(), |a| a.to_string());
-    sdci_obs::error!("handshake refused; closing the connection: {why}"; leg = leg, peer = peer);
-    sdci_obs::registry().counter_with("sdci_net_hello_refused_total", &[("leg", leg)]).inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -346,15 +375,6 @@ impl<T: BinPayload> WireMsg for Frame<T> {
                 bin_put_payloads(buf, payloads);
                 return Ok(true);
             }
-            Frame::HelloPublisher { proto } => Control::HelloPublisher { proto: *proto },
-            Frame::HelloSubscriber { prefixes, proto } => {
-                Control::HelloSubscriber { prefixes: prefixes.clone(), proto: *proto }
-            }
-            Frame::HelloPush { client, resume_after, proto } => Control::HelloPush {
-                client: client.clone(),
-                resume_after: *resume_after,
-                proto: *proto,
-            },
             Frame::Nack { expected } => Control::Nack { expected: *expected },
             Frame::Ack { up_to } => Control::Ack { up_to: *up_to },
             Frame::Ping => Control::Ping,
@@ -837,18 +857,6 @@ mod tests {
 
     #[test]
     fn control_frames_roundtrip_as_json_and_batches_as_binary() {
-        roundtrip(Frame::HelloPublisher { proto: WIRE_PROTO }, false);
-        roundtrip(
-            Frame::HelloSubscriber {
-                prefixes: vec!["events/".into(), String::new()],
-                proto: WIRE_PROTO,
-            },
-            false,
-        );
-        roundtrip(
-            Frame::HelloPush { client: "mdt0".into(), resume_after: 41, proto: WIRE_PROTO },
-            false,
-        );
         roundtrip(Frame::Nack { expected: 12 }, false);
         roundtrip(Frame::Ack { up_to: 9 }, false);
         roundtrip(Frame::Ping, false);
@@ -874,36 +882,58 @@ mod tests {
     }
 
     /// The control plane stays readable with `nc`: the bytes are the
-    /// plain externally-tagged JSON, version field included.
+    /// plain externally-tagged JSON, the hello's version field first.
     #[test]
     fn control_frames_are_plain_json_on_the_wire() {
         let mut buf = Vec::new();
-        write_msg(
-            &mut buf,
-            &Frame::<FileEvent>::HelloPush { client: "mdt0".into(), resume_after: 41, proto: 4 },
-        )
-        .unwrap();
+        write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 41 }).unwrap();
+        write_hello(&mut buf, Service::Store).unwrap();
         write_msg(&mut buf, &Frame::<FileEvent>::Ack { up_to: 9 }).unwrap();
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"HelloPush":{"client":"mdt0","resume_after":41,"proto":4}}"#
+            r#"{"proto":5,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":5,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
-    /// A batch has no JSON form: a JSON body naming one is corruption,
-    /// as is a hello that leaves its version out.
     #[test]
-    fn json_batches_and_versionless_hellos_are_invalid_data() {
+    fn every_hello_roundtrips_and_a_versionless_one_is_invalid_data() {
+        for service in [
+            Service::Push { client: "mdt0".into(), resume_after: 41 },
+            Service::Publisher,
+            Service::Subscriber { prefixes: vec!["events/".into(), String::new()] },
+            Service::Store,
+            Service::Cluster,
+        ] {
+            let mut buf = Vec::new();
+            write_hello(&mut buf, service.clone()).unwrap();
+            assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
+        }
+        for body in [r#"{"service":"Store"}"#, r#"{"proto":5}"#, r#"{"proto":5,"service":"Nope"}"#]
+        {
+            let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
+        }
+    }
+
+    /// The endpoint tells an HTTP scrape from a framed peer by the
+    /// first four bytes: `GET ` can never be a legal length word.
+    #[test]
+    fn http_get_is_never_a_legal_length_word() {
+        assert!(u32::from_be_bytes(*b"GET ") as usize > MAX_FRAME_LEN);
+        assert_eq!(u32::from_be_bytes(*b"GET ") & BIN_FRAME_BIT, 0, "nor a binary frame's");
+    }
+
+    /// A batch has no JSON form: a JSON body naming one is corruption.
+    #[test]
+    fn json_batches_are_invalid_data() {
         for body in [
             r#"{"ItemBatch":{"first_seq":1,"payloads":[1,2]}}"#,
             r#"{"PublishBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"DeliverBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"Item":{"seq":1,"payload":1}}"#,
-            r#"{"HelloPush":{"client":"mdt0","resume_after":41}}"#,
-            r#"{"HelloSubscriber":{"prefixes":["feed/"]}}"#,
-            r#""HelloPublisher""#,
         ] {
             let buf = framed(false, body.as_bytes());
             let err = read_one::<Frame<u64>>(&buf).unwrap_err();
@@ -1032,21 +1062,13 @@ mod tests {
     fn binary_and_json_frames_interleave_on_one_stream() {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
-        write_msg(
-            &mut buf,
-            &Frame::<FileEvent>::HelloPush {
-                client: "mdt0".into(),
-                resume_after: 0,
-                proto: WIRE_PROTO,
-            },
-        )
-        .unwrap();
+        write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 0 }).unwrap();
         write_item_batch_bin(&mut buf, &mut enc, 1, &[event(1), event(2)], None).unwrap();
         write_msg(&mut buf, &Frame::<FileEvent>::Ping).unwrap();
         write_item_batch_bin(&mut buf, &mut enc, 3, &[event(3)], None).unwrap();
 
         let mut reader = FrameReader::new(&buf[..]);
-        assert!(matches!(reader.read_msg::<Frame<FileEvent>>().unwrap(), Frame::HelloPush { .. }));
+        assert!(matches!(reader.read_msg::<Hello>().unwrap().service, Service::Push { .. }));
         assert_eq!(
             reader.read_msg::<Frame<FileEvent>>().unwrap(),
             Frame::ItemBatch { first_seq: 1, payloads: vec![event(1), event(2)], trace: None }

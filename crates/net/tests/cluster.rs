@@ -5,7 +5,7 @@
 use sdci_core::{EventStore, SequencedEvent, ShardMap, StoreQuery, StoreReader};
 use sdci_mq::transport::Publish;
 use sdci_net::{
-    add_shard, fetch_map, MapServer, NetConfig, RetryPolicy, ScatterStore, ShardRouter,
+    add_shard, fetch_map, Endpoint, MapServer, NetConfig, RetryPolicy, ScatterStore, ShardRouter,
     StoreServer, TcpPullServer,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
@@ -62,50 +62,53 @@ fn collect_paths(pull: &sdci_mq::pipe::Pull<FileEvent>, n: usize) -> Vec<PathBuf
 fn map_server_serves_and_bumps_the_map() {
     let cfg = fast_cfg();
     let initial = ShardMap::new(["127.0.0.1:7070"]);
-    let srv = MapServer::bind("127.0.0.1:0", initial.clone(), cfg.clone()).unwrap();
+    let srv = MapServer::new(initial.clone());
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![srv.clone()]).unwrap();
 
-    let fetched = fetch_map(srv.local_addr(), &cfg).unwrap();
+    let fetched = fetch_map(endpoint.local_addr(), &cfg).unwrap();
     assert_eq!(fetched, initial);
 
     // AddShard is observed by the next GetMap from a *different*
     // connection — the server is the single writer.
-    let bumped = add_shard(srv.local_addr(), "127.0.0.1:7080", &cfg).unwrap();
+    let bumped = add_shard(endpoint.local_addr(), "127.0.0.1:7080", &cfg).unwrap();
     assert_eq!(bumped.version(), 2);
     assert_eq!(bumped.shards().len(), 2);
     assert_eq!(bumped.shards()[1].id, 1);
-    assert_eq!(fetch_map(srv.local_addr(), &cfg).unwrap(), bumped);
+    assert_eq!(fetch_map(endpoint.local_addr(), &cfg).unwrap(), bumped);
     assert_eq!(srv.map(), bumped);
     assert_eq!(srv.fetches(), 2);
-    srv.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
 fn map_server_refuses_a_shard_address_it_could_never_scatter_to() {
     let cfg = fast_cfg();
     let initial = ShardMap::new(["127.0.0.1:7070"]);
-    let srv = MapServer::bind("127.0.0.1:0", initial.clone(), cfg.clone()).unwrap();
+    let srv = MapServer::new(initial.clone());
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![srv.clone()]).unwrap();
 
-    // Neither a non-address nor a port with no room for the trio may
-    // enter the map: the front's next scatter re-fan would fail on it.
-    for bad in ["not-an-addr", "127.0.0.1:65535"] {
-        let err = add_shard(srv.local_addr(), bad, &cfg).unwrap_err();
+    // Something that is not a socket address may not enter the map:
+    // the front's next scatter re-fan would fail on it.
+    for bad in ["not-an-addr", "127.0.0.1:65536"] {
+        let err = add_shard(endpoint.local_addr(), bad, &cfg).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{bad}: connection not closed");
         assert_eq!(srv.map(), initial, "{bad}: map touched");
     }
     // The map every reader sees still scatters, and a good shard still
     // joins at the next version.
-    let fetched = fetch_map(srv.local_addr(), &cfg).unwrap();
+    let fetched = fetch_map(endpoint.local_addr(), &cfg).unwrap();
     assert_eq!(fetched.version(), 1);
     assert!(ScatterStore::from_map(&fetched, cfg.clone()).is_ok());
-    assert_eq!(add_shard(srv.local_addr(), "127.0.0.1:7080", &cfg).unwrap().version(), 2);
-    srv.shutdown();
+    assert_eq!(add_shard(endpoint.local_addr(), "127.0.0.1:7080", &cfg).unwrap().version(), 2);
+    endpoint.shutdown();
 }
 
 #[test]
 fn router_reroutes_after_a_version_bump_with_drain_ack() {
     let cfg = fast_cfg();
-    let shard_a = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let v1 = ShardMap::new([shard_a.local_addr().to_string()]);
+    let shard_a = TcpPullServer::<FileEvent>::new(4096);
+    let shard_a_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_a.clone()]).unwrap();
+    let v1 = ShardMap::new([shard_a_ep.local_addr().to_string()]);
     let router = ShardRouter::connect(v1.clone(), "col", cfg.clone()).unwrap();
     assert_eq!(router.map_version(), 1);
 
@@ -120,8 +123,9 @@ fn router_reroutes_after_a_version_bump_with_drain_ack() {
 
     // Cutover to a two-shard map. The drain must be acked (it is —
     // shard 0 is alive), after which the router routes by v2.
-    let shard_b = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let v2 = v1.with_shard(shard_b.local_addr().to_string());
+    let shard_b = TcpPullServer::<FileEvent>::new(4096);
+    let shard_b_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_b.clone()]).unwrap();
+    let v2 = v1.with_shard(shard_b_ep.local_addr().to_string());
     router.update_map(v2.clone(), Duration::from_secs(5)).unwrap();
     assert_eq!(router.map_version(), 2);
     assert_eq!(router.cutovers(), 1);
@@ -152,8 +156,8 @@ fn router_reroutes_after_a_version_bump_with_drain_ack() {
     let routed: BTreeMap<_, _> = router.routed().into_iter().collect();
     assert_eq!(routed[&0], (roots.len() + expect_a.len()) as u64);
     assert_eq!(routed[&1], expect_b.len() as u64);
-    shard_a.shutdown();
-    shard_b.shutdown();
+    shard_a_ep.shutdown();
+    shard_b_ep.shutdown();
 }
 
 /// The chaos case the cutover protocol exists for: the old owner
@@ -164,8 +168,9 @@ fn router_reroutes_after_a_version_bump_with_drain_ack() {
 #[test]
 fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
     let cfg = fast_cfg();
-    let shard_a = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let addr_a = shard_a.local_addr();
+    let shard_a = TcpPullServer::<FileEvent>::new(4096);
+    let shard_a_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_a.clone()]).unwrap();
+    let addr_a = shard_a_ep.local_addr();
     let v1 = ShardMap::new([addr_a.to_string()]);
     let router = ShardRouter::connect(v1.clone(), "col", cfg.clone()).unwrap();
 
@@ -180,7 +185,7 @@ fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
     // Crash the shard, then keep publishing: round 2 sits unacked in
     // the router's pipe.
     let marks = shard_a.marks();
-    shard_a.shutdown();
+    shard_a_ep.shutdown();
     let round2: Vec<String> = (0..15u64).map(|i| format!("/r{}/crash{i}", i % 4)).collect();
     for (i, path) in round2.iter().enumerate() {
         router.publish("events/", fev(path, 100 + i as u64));
@@ -188,8 +193,9 @@ fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
 
     // Mid-cutover: the old owner cannot drain, so the cutover is not
     // acked and the old map stays live.
-    let shard_b = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let v2 = v1.with_shard(shard_b.local_addr().to_string());
+    let shard_b = TcpPullServer::<FileEvent>::new(4096);
+    let shard_b_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_b.clone()]).unwrap();
+    let v2 = v1.with_shard(shard_b_ep.local_addr().to_string());
     let err = router.update_map(v2.clone(), Duration::from_millis(300)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
     assert_eq!(router.map_version(), 1, "a failed cutover must not swap the map");
@@ -198,8 +204,8 @@ fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
     // The shard restarts at the same address with its restored marks;
     // the supervised pipe reconnects and re-delivers round 2 exactly
     // once, after which the retried cutover is acked.
-    let shard_a2 =
-        TcpPullServer::<FileEvent>::bind_with_marks(addr_a, 4096, cfg.clone(), marks).unwrap();
+    let shard_a2 = TcpPullServer::<FileEvent>::with_marks(4096, marks);
+    let shard_a2_ep = Endpoint::bind(addr_a, cfg.clone(), vec![shard_a2.clone()]).unwrap();
     router.update_map(v2.clone(), Duration::from_secs(10)).unwrap();
     assert_eq!(router.map_version(), 2);
 
@@ -224,8 +230,8 @@ fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
     assert_eq!(got_a.iter().cloned().collect::<HashSet<_>>(), expect_a);
     assert_eq!(got_b.iter().cloned().collect::<HashSet<_>>(), expect_b);
     assert_eq!(shard_a2.stats().duplicates, 0, "restored marks must dedup the resend window");
-    shard_a2.shutdown();
-    shard_b.shutdown();
+    shard_a2_ep.shutdown();
+    shard_b_ep.shutdown();
 }
 
 #[test]
@@ -245,10 +251,14 @@ fn scatter_store_merges_in_seq_order_and_degrades_on_shard_loss() {
         }
         Arc::new(s)
     };
-    let srv0 = StoreServer::bind("127.0.0.1:0", Arc::clone(&store0), cfg.clone()).unwrap();
-    let srv1 = StoreServer::bind("127.0.0.1:0", Arc::clone(&store1), cfg.clone()).unwrap();
-    let scatter =
-        ScatterStore::new(vec![(0, srv0.local_addr()), (1, srv1.local_addr())], cfg.clone());
+    let endpoint0 =
+        Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![StoreServer::new(store0)]).unwrap();
+    let endpoint1 =
+        Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![StoreServer::new(store1)]).unwrap();
+    let scatter = ScatterStore::new(
+        vec![(0, endpoint0.local_addr()), (1, endpoint1.local_addr())],
+        cfg.clone(),
+    );
 
     // Shards keep independent seq spaces; the merge interleaves them in
     // (seq, shard slot) order — ties resolve to the lower slot.
@@ -272,7 +282,7 @@ fn scatter_store_merges_in_seq_order_and_degrades_on_shard_loss() {
 
     // Kill shard 1: the query is degraded but answered — shard 0's
     // events come back, and the failure is attributed to shard 1.
-    srv1.shutdown();
+    endpoint1.shutdown();
     let degraded = scatter.query(&StoreQuery::after_seq(0));
     assert_eq!(degraded.len(), 6, "the live shard must still answer");
     assert!(degraded.iter().all(|e| e.event.path.starts_with("/a")));
@@ -280,5 +290,5 @@ fn scatter_store_merges_in_seq_order_and_degrades_on_shard_loss() {
     let errors: BTreeMap<_, _> = scatter.shard_errors().into_iter().collect();
     assert_eq!(errors[&0], 0);
     assert_eq!(errors[&1], 1);
-    srv0.shutdown();
+    endpoint0.shutdown();
 }

@@ -8,7 +8,9 @@ use sdci_core::{EventStore, SequencedEvent, StoreQuery, StoreReader};
 use sdci_faults::{arm, process_epoch, CrashMode, FaultPlan};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::write_msg;
-use sdci_net::{NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpPullServer, TcpPush};
+use sdci_net::{
+    Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpPullServer, TcpPush,
+};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -24,6 +26,16 @@ fn fast_cfg() -> NetConfig {
         liveness: Duration::from_millis(400),
         ..NetConfig::default()
     }
+}
+
+/// Crash points are process-global and every endpoint spawns through
+/// the same two (`net.endpoint.spawn_accept`/`spawn_conn`), so a test
+/// that arms one must not overlap any other test binding an endpoint in
+/// this process: each such test holds this lock.
+static ENDPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn endpoints() -> std::sync::MutexGuard<'static, ()> {
+    ENDPOINTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn faulted_cfg(spec: &str) -> NetConfig {
@@ -65,10 +77,12 @@ fn seeded_store(n: u64) -> Arc<EventStore> {
 /// reconnect absorb every injected fault. Three seeds, same invariant.
 #[test]
 fn lossy_faulted_push_leg_still_delivers_exactly_once() {
+    let _serial = endpoints();
     for seed in [7u64, 41, 1999] {
-        let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, fast_cfg()).unwrap();
+        let server = TcpPullServer::<u64>::new(4096);
+        let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
         let spec = format!("seed={seed},drop=0.06,dup=0.05,trunc=0.03,delay=0.05:1ms");
-        let push = TcpPush::connect(server.local_addr(), "chaos", faulted_cfg(&spec));
+        let push = TcpPush::connect(endpoint.local_addr(), "chaos", faulted_cfg(&spec));
         const N: u64 = 120;
         for i in 0..N {
             assert!(push.send(i), "seed {seed}: send rejected");
@@ -86,7 +100,7 @@ fn lossy_faulted_push_leg_still_delivers_exactly_once() {
         assert_eq!(got, (0..N).collect::<Vec<_>>(), "seed {seed}: lost or reordered items");
         assert_eq!(server.stats().items, N, "seed {seed}: pipeline item count drifted");
         drop(push);
-        server.shutdown();
+        endpoint.shutdown();
     }
 }
 
@@ -148,22 +162,23 @@ fn remote_store_round_trip_is_bounded_under_a_non_batch_flood() {
 /// error (no panic), and a per-connection failure costs exactly that
 /// connection — the retry lands on a freshly spawned handler.
 #[test]
-fn store_server_spawn_failures_are_contained() {
-    let store = seeded_store(25);
+fn endpoint_spawn_failures_are_contained() {
+    let _serial = endpoints();
+    let server = StoreServer::new(seeded_store(25));
 
     // Accept-thread spawn failure: bind reports it instead of
     // panicking the process...
-    arm("net.store_rpc.spawn_accept", 1, CrashMode::Error);
-    let err = StoreServer::bind("127.0.0.1:0", Arc::clone(&store), fast_cfg()).unwrap_err();
-    assert!(err.to_string().contains("net.store_rpc.spawn_accept"), "unhelpful error: {err}");
+    arm("net.endpoint.spawn_accept", 1, CrashMode::Error);
+    let err = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap_err();
+    assert!(err.to_string().contains("net.endpoint.spawn_accept"), "unhelpful error: {err}");
     // ...and the point self-disarms, so the next bind succeeds.
-    let server = StoreServer::bind("127.0.0.1:0", Arc::clone(&store), fast_cfg()).unwrap();
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
 
     // Per-connection spawn failure: the first dial gets a connection
     // nobody serves (the client times out and redials); the server
     // survives and the second connection answers.
-    arm("net.store_rpc.spawn_conn", 1, CrashMode::Error);
-    let remote = RemoteStore::connect(server.local_addr(), fast_cfg());
+    arm("net.endpoint.spawn_conn", 1, CrashMode::Error);
+    let remote = RemoteStore::connect(endpoint.local_addr(), fast_cfg());
     let events = remote.query(&StoreQuery::after_seq(0));
     assert_eq!(events.len(), 25, "query must succeed once a handler thread spawns");
     assert_eq!(server.queries(), 1);
@@ -175,7 +190,7 @@ fn store_server_spawn_failures_are_contained() {
     let events = remote.query(&StoreQuery::after_seq(0));
     assert_eq!(events.len(), 25, "retry after a killed reply must be answered");
     assert_eq!(server.queries(), 3, "the killed reply's query still ran server-side");
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 /// Reply correlation on the store RPC: the protocol has no request ids,
@@ -187,7 +202,7 @@ fn store_server_spawn_failures_are_contained() {
 /// the wrong range.
 #[test]
 fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
-    use sdci_net::wire::FrameReader;
+    use sdci_net::wire::{FrameReader, Hello, Service};
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -195,6 +210,8 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
         let (stream, _) = listener.accept().expect("accept store client");
         let mut writer = stream.try_clone().unwrap();
         let mut reader = FrameReader::new(stream);
+        let hello = reader.read_msg::<Hello>().expect("read the hello");
+        assert_eq!(hello.service, Service::Store);
 
         // Query #1 answered correctly.
         let q1 = reader.read_msg::<StoreRpc>().expect("read first query");
@@ -233,12 +250,15 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
 /// subscriber reconnects and resubscribes, and later messages flow.
 #[test]
 fn fanout_crash_point_costs_one_subscriber_connection() {
+    use sdci_mq::pubsub::Broker;
     use sdci_mq::transport::Subscribe;
     use sdci_net::{TcpBroker, TcpPublisher, TcpSubscriber};
 
+    let _serial = endpoints();
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = broker.local_addr();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/"], cfg.clone());
     let publisher = TcpPublisher::<u64>::connect(addr, cfg);
 
@@ -274,7 +294,7 @@ fn fanout_crash_point_costs_one_subscriber_connection() {
     }
     assert!(delivered_after_kill.is_some());
     assert!(subscriber.connections() >= 2, "the killed fanout leg should have forced a reconnect");
-    broker.shutdown();
+    endpoint.shutdown();
 }
 
 /// Child body for `shutdown_drain_is_faultable_in_abort_mode`: inert in
@@ -285,6 +305,7 @@ fn fanout_crash_point_costs_one_subscriber_connection() {
 /// immediately ahead of `shutdown()` — the graceful-drain flush.
 #[test]
 fn drain_abort_child() {
+    use sdci_mq::pubsub::Broker;
     use sdci_mq::transport::Subscribe;
     use sdci_net::{TcpBroker, TcpSubscriber};
 
@@ -292,8 +313,9 @@ fn drain_abort_child() {
         return;
     }
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let subscriber = TcpSubscriber::<u64>::connect(broker.local_addr(), &["q/"], cfg);
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
+    let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["q/"], cfg);
     let publisher = broker.publisher();
 
     // Prove the fanout leg end-to-end live...
@@ -315,7 +337,7 @@ fn drain_abort_child() {
     for i in 0..32u64 {
         publisher.publish("q/drain", i);
     }
-    broker.shutdown();
+    endpoint.shutdown();
     // The armed abort fires while the queued burst is being flushed to
     // the subscriber; this line is unreachable unless the drain skipped
     // the crash point.

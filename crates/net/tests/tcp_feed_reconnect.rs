@@ -5,9 +5,10 @@
 
 use sdci_core::{Aggregator, EventConsumer};
 use sdci_mq::pubsub::Broker;
-use sdci_net::{NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
+use sdci_net::{Endpoint, Handler, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -45,8 +46,9 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     let agg = Aggregator::start(events.subscribe(&["events/"]), 100_000, 8192);
     let publisher = events.publisher();
 
-    let feed1 = TcpBroker::serve(agg.feed().clone(), "127.0.0.1:0", cfg.clone()).unwrap();
-    let addr = feed1.local_addr();
+    let feed = || -> Vec<Arc<dyn Handler>> { vec![TcpBroker::new(agg.feed().clone())] };
+    let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), feed()).unwrap();
+    let addr = endpoint1.local_addr();
     let feed_sub = TcpSubscriber::connect(addr, &["feed/"], cfg.clone());
     let mut consumer = EventConsumer::new(feed_sub, agg.store(), 0);
 
@@ -62,7 +64,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     assert_eq!(got, (1..=A).collect::<Vec<_>>());
 
     // Feed server dies. The aggregator keeps ingesting and storing.
-    feed1.shutdown();
+    endpoint1.shutdown();
     const B: u64 = 50;
     for i in A + 1..=A + B {
         publisher.publish("events/mdt0", event(i));
@@ -77,7 +79,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     // Feed server restarts on the same port; the subscriber reconnects
     // on its own, hears a heartbeat with last_seq = A + B, and the
     // consumer heals the gap from the store.
-    let feed2 = TcpBroker::serve(agg.feed().clone(), addr, cfg).unwrap();
+    let endpoint2 = Endpoint::bind(addr, cfg, feed()).unwrap();
     let mut got2 = Vec::new();
     while got2.len() < B as usize {
         let e = consumer
@@ -91,6 +93,6 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     assert_eq!(stats.lost, 0, "nothing may be lost across the restart");
     assert!(stats.recovered >= B, "batch 2 must come from the store, not the live feed");
 
-    feed2.shutdown();
+    endpoint2.shutdown();
     agg.shutdown();
 }

@@ -3,8 +3,10 @@
 //! Collector-side guarantee that "no events are lost once they have
 //! been processed" (§5.2).
 
-use sdci_net::wire::{write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader};
-use sdci_net::{NetConfig, RetryPolicy, TcpPullServer, TcpPush, WIRE_PROTO};
+use sdci_net::wire::{
+    write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
+};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
 use sdci_types::{
     ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
 };
@@ -57,9 +59,8 @@ impl RawPusher {
             reader: FrameReader::new(stream),
             enc: BinEncoder::new(),
         };
-        let hello =
-            Frame::<u64>::HelloPush { client: client.into(), resume_after, proto: WIRE_PROTO };
-        write_msg(&mut pusher.writer, &hello).unwrap();
+        write_hello(&mut pusher.writer, Service::Push { client: client.into(), resume_after })
+            .unwrap();
         match pusher.recv() {
             Frame::Ack { up_to } => (pusher, up_to),
             other => panic!("expected the greeting Ack, got {other:?}"),
@@ -85,8 +86,9 @@ impl RawPusher {
 #[test]
 fn pushed_items_arrive_exactly_once_in_order() {
     let cfg = fast_cfg();
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let push = TcpPush::connect(server.local_addr(), "c1", cfg);
+    let server = TcpPullServer::<u64>::new(4096);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).unwrap();
+    let push = TcpPush::connect(endpoint.local_addr(), "c1", cfg);
     const N: u64 = 1000;
     for i in 0..N {
         assert!(push.send(i));
@@ -98,14 +100,15 @@ fn pushed_items_arrive_exactly_once_in_order() {
     assert_eq!(got, (0..N).collect::<Vec<_>>());
     assert_eq!(server.stats().items, N);
     assert_eq!(server.stats().duplicates, 0);
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
 fn pusher_survives_a_server_restart_on_the_same_port_without_loss() {
     let cfg = fast_cfg();
-    let server1 = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let addr = server1.local_addr();
+    let server1 = TcpPullServer::<u64>::new(4096);
+    let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server1.clone()]).unwrap();
+    let addr = endpoint1.local_addr();
     let push = TcpPush::connect(addr, "mdt0", cfg.clone());
 
     // Batch 1: fully acknowledged before the server goes away, so the
@@ -117,7 +120,7 @@ fn pusher_survives_a_server_restart_on_the_same_port_without_loss() {
     assert!(push.drain(Duration::from_secs(10)));
     let batch1 = drain_all(&server1, A as usize);
     assert_eq!(batch1, (0..A).collect::<Vec<_>>());
-    server1.shutdown();
+    endpoint1.shutdown();
 
     // Batch 2 goes into the void: the client queues and retries with
     // backoff while the port is closed.
@@ -127,19 +130,21 @@ fn pusher_survives_a_server_restart_on_the_same_port_without_loss() {
     }
     std::thread::sleep(Duration::from_millis(50)); // let some attempts fail
 
-    let server2 = TcpPullServer::<u64>::bind(addr, 4096, cfg).unwrap();
+    let server2 = TcpPullServer::<u64>::new(4096);
+    let endpoint2 = Endpoint::bind(addr, cfg, vec![server2.clone()]).unwrap();
     assert!(push.drain(Duration::from_secs(10)), "pusher never caught up after the restart");
     let batch2 = drain_all(&server2, B as usize);
     assert_eq!(batch2, (A..A + B).collect::<Vec<_>>(), "restart lost or duplicated items");
     assert!(push.connections() >= 2, "expected at least one reconnect");
-    server2.shutdown();
+    endpoint2.shutdown();
 }
 
 #[test]
 fn restarted_pusher_with_same_client_id_loses_nothing() {
     let cfg = fast_cfg();
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, cfg.clone()).unwrap();
-    let addr = server.local_addr();
+    let server = TcpPullServer::<u64>::new(4096);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     const A: u64 = 100;
     {
         let push = TcpPush::connect(addr, "mdt0", cfg.clone());
@@ -165,7 +170,7 @@ fn restarted_pusher_with_same_client_id_loses_nothing() {
     assert_eq!(got, (0..A + B).collect::<Vec<_>>(), "restart lost or duplicated items");
     assert_eq!(server.stats().duplicates, 0);
     assert_eq!(server.marks().get("mdt0"), Some(&(A + B)));
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
@@ -174,9 +179,10 @@ fn marks_restored_at_bind_deduplicate_resends() {
     // A "restarted" server whose restored state already holds client
     // c's items up to 50 — e.g. from a snapshot + marks sidecar.
     let marks: HashMap<String, u64> = [("c".to_string(), 50u64)].into_iter().collect();
-    let server = TcpPullServer::<u64>::bind_with_marks("127.0.0.1:0", 64, cfg, marks).unwrap();
+    let server = TcpPullServer::<u64>::with_marks(64, marks);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
 
-    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 48);
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 48);
     assert_eq!(greeting, 50);
 
     // A resend of something the restored state already holds is
@@ -195,11 +201,11 @@ fn marks_restored_at_bind_deduplicate_resends() {
 
     // A client claiming acks beyond our mark is authoritative: it will
     // never resend those items, so the mark fast-forwards.
-    let (pusher2, greeting) = RawPusher::hello(server.local_addr(), "c", 70);
+    let (pusher2, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 70);
     assert_eq!(greeting, 70);
     pusher2.fin();
     assert_eq!(server.marks().get("c"), Some(&70));
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
@@ -215,7 +221,7 @@ fn pusher_reconnects_when_acks_stop_flowing() {
         let (first, _) = listener.accept().unwrap();
         let mut writer = first.try_clone().unwrap();
         let mut reader = FrameReader::new(first);
-        let _hello: Frame<u64> = reader.read_msg().unwrap();
+        let _hello: Hello = reader.read_msg().unwrap();
         write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
         // Swallow items and pings in the background; never respond.
         std::thread::spawn(move || while reader.read_msg::<Frame<u64>>().is_ok() {});
@@ -223,7 +229,7 @@ fn pusher_reconnects_when_acks_stop_flowing() {
         let (second, _) = listener.accept().unwrap();
         let mut writer = second.try_clone().unwrap();
         let mut reader = FrameReader::new(second);
-        let _hello: Frame<u64> = reader.read_msg().unwrap();
+        let _hello: Hello = reader.read_msg().unwrap();
         write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
         loop {
             match reader.read_msg::<Frame<u64>>() {
@@ -254,8 +260,9 @@ fn pusher_reconnects_when_acks_stop_flowing() {
 #[test]
 fn two_pushers_multiplex_without_crosstalk() {
     let cfg = fast_cfg();
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = server.local_addr();
+    let server = TcpPullServer::<u64>::new(8192);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     let a = TcpPush::connect(addr, "a", cfg.clone());
     let b = TcpPush::connect(addr, "b", cfg);
     const N: u64 = 500;
@@ -286,18 +293,19 @@ fn two_pushers_multiplex_without_crosstalk() {
     // Interleaving across clients is arbitrary; per-client order is not.
     assert_eq!(evens, (0..N).map(|i| i * 2).collect::<Vec<_>>());
     assert_eq!(odds, (0..N).map(|i| i * 2 + 1).collect::<Vec<_>>());
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
 fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     let cfg = fast_cfg();
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, cfg).unwrap();
+    let server = TcpPullServer::<u64>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
 
     // First incarnation: delivers items 1..=5, then dies mid-stream
     // (socket dropped with no Fin), as a SIGKILLed collector would.
     {
-        let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+        let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
         assert_eq!(greeting, 0);
         for seq in 1..=5u64 {
             pusher.send(seq, &[seq]);
@@ -309,7 +317,7 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     // recorded through 2) and resends 3..=5 before new items 6..=7. The
     // server's counters must attribute the overlap to `duplicates` and
     // keep `items` exactly equal to what the pipeline received.
-    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 2);
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 2);
     // The handshake ack fast-forwards the restarted pusher to the
     // server's authoritative mark.
     assert_eq!(greeting, 5);
@@ -327,7 +335,7 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     assert_eq!(stats.items, 7, "exactly the de-duplicated item count");
     assert_eq!(stats.duplicates, 3, "the 3..=5 overlap, nothing else");
     assert_eq!(server.marks().get("c"), Some(&7));
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
@@ -339,8 +347,9 @@ fn gap_nack_rewinds_a_pusher_in_place() {
         liveness: Duration::from_secs(5),
         ..fast_cfg()
     };
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, cfg).unwrap();
-    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+    let server = TcpPullServer::<u64>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
     assert_eq!(greeting, 0);
     pusher.send(1, &[1]);
     assert_eq!(pusher.recv(), Frame::Ack { up_to: 1 });
@@ -364,7 +373,7 @@ fn gap_nack_rewinds_a_pusher_in_place() {
     let stats = server.stats();
     assert_eq!(stats.nacks, 1, "one stalled mark draws exactly one nack");
     assert_eq!(stats.items, 4);
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 /// End to end: with send-side frame drops injected, the pusher recovers
@@ -374,11 +383,12 @@ fn gap_nack_rewinds_a_pusher_in_place() {
 #[test]
 fn dropped_frames_recover_via_fast_rewind() {
     let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse("seed=11,drop=0.08").unwrap());
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 4096, fast_cfg()).unwrap();
+    let server = TcpPullServer::<u64>::new(4096);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
     // One frame per item (one-member batches): enough frames on the
     // wire that the drop rate reliably opens a gap mid-stream.
     let push_cfg = NetConfig { max_batch: 1, ..fast_cfg() }.with_faults(Some(plan));
-    let push = TcpPush::connect(server.local_addr(), "rewind", push_cfg);
+    let push = TcpPush::connect(endpoint.local_addr(), "rewind", push_cfg);
     const N: u64 = 200;
     for i in 0..N {
         assert!(push.send(i));
@@ -400,7 +410,7 @@ fn dropped_frames_recover_via_fast_rewind() {
         "seed no longer exercises the nack fast path (rewinds = {})",
         push.fast_rewinds()
     );
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 fn traced_event(i: u64) -> FileEvent {
@@ -421,8 +431,9 @@ fn traced_event(i: u64) -> FileEvent {
 
 #[test]
 fn session_carries_the_trace_context_end_to_end() {
-    let server = TcpPullServer::<FileEvent>::bind("127.0.0.1:0", 4096, fast_cfg()).unwrap();
-    let push = TcpPush::connect(server.local_addr(), "traced-both", fast_cfg());
+    let server = TcpPullServer::<FileEvent>::new(4096);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let push = TcpPush::connect(endpoint.local_addr(), "traced-both", fast_cfg());
     const N: u64 = 100;
     for i in 0..N {
         assert!(push.send(traced_event(i)));
@@ -438,7 +449,7 @@ fn session_carries_the_trace_context_end_to_end() {
         assert_eq!(ctx.parent_span_id, ev.index + 1);
         assert!(ctx.sampled);
     }
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
@@ -446,8 +457,9 @@ fn raw_binary_batch_is_accepted_and_acked() {
     // Byte-level check of the push leg: a hand-rolled client says hello,
     // receives the server's JSON greeting (the control plane is JSON),
     // ships one *binary* `ItemBatch`, and must be acked once.
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, fast_cfg()).unwrap();
-    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "bin", 0);
+    let server = TcpPullServer::<u64>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "bin", 0);
     assert_eq!(greeting, 0);
 
     let payloads: Vec<u64> = (1..=10).collect();
@@ -459,14 +471,15 @@ fn raw_binary_batch_is_accepted_and_acked() {
     assert_eq!(stats.items, 10);
     assert_eq!(stats.batches, 1);
     assert_eq!(drain_all(&server, 10), (1..=10).collect::<Vec<_>>());
-    server.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
 fn batched_session_survives_server_kill_restart_without_loss() {
     let cfg = fast_cfg();
-    let server1 = TcpPullServer::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = server1.local_addr();
+    let server1 = TcpPullServer::<u64>::new(8192);
+    let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server1.clone()]).unwrap();
+    let addr = endpoint1.local_addr();
     let push = TcpPush::connect(addr, "mdt0", cfg.clone());
 
     const A: u64 = 2000;
@@ -479,7 +492,7 @@ fn batched_session_survives_server_kill_restart_without_loss() {
         server1.stats().batches < A,
         "a burst of {A} rapid sends should coalesce into fewer batch frames"
     );
-    server1.shutdown();
+    endpoint1.shutdown();
 
     // Unacked items queue while the port is dark — at most a window's
     // worth, since `send` blocks on the full queue and nobody drains it
@@ -490,7 +503,8 @@ fn batched_session_survives_server_kill_restart_without_loss() {
         assert!(push.send(i));
     }
     std::thread::sleep(Duration::from_millis(50));
-    let server2 = TcpPullServer::<u64>::bind(addr, 8192, cfg).unwrap();
+    let server2 = TcpPullServer::<u64>::new(8192);
+    let endpoint2 = Endpoint::bind(addr, cfg, vec![server2.clone()]).unwrap();
     assert!(push.drain(Duration::from_secs(10)), "pusher never caught up after the restart");
     assert_eq!(
         drain_all(&server2, B as usize),
@@ -500,7 +514,7 @@ fn batched_session_survives_server_kill_restart_without_loss() {
     assert_eq!(server2.stats().items, B);
     assert_eq!(server2.stats().duplicates, 0);
     assert!(push.connections() >= 2, "expected at least one reconnect");
-    server2.shutdown();
+    endpoint2.shutdown();
 }
 
 #[test]
@@ -512,9 +526,9 @@ fn resent_partial_batch_is_deduplicated_not_reapplied() {
     // accept only the fresh tail, count the prefix as duplicates, and
     // ack the batch once.
     let marks: HashMap<String, u64> = [("c".to_string(), 5u64)].into_iter().collect();
-    let server =
-        TcpPullServer::<u64>::bind_with_marks("127.0.0.1:0", 64, fast_cfg(), marks).unwrap();
-    let (mut pusher, greeting) = RawPusher::hello(server.local_addr(), "c", 0);
+    let server = TcpPullServer::<u64>::with_marks(64, marks);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
     assert_eq!(greeting, 5);
 
     let payloads: Vec<u64> = (1..=10).collect();
@@ -529,5 +543,5 @@ fn resent_partial_batch_is_deduplicated_not_reapplied() {
     assert_eq!(stats.batches, 1);
     assert_eq!(drain_all(&server, 5), (6..=10).collect::<Vec<_>>());
     assert_eq!(server.marks().get("c"), Some(&10));
-    server.shutdown();
+    endpoint.shutdown();
 }

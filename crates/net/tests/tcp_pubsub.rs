@@ -1,8 +1,9 @@
 //! Loopback PUB/SUB integration: ordering, drain-on-shutdown, and the
 //! lossy HWM contract over a real TCP connection.
 
+use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_net::{NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpSubscriber};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpSubscriber};
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -31,8 +32,9 @@ fn wait_ready(publisher: &TcpPublisher<u64>, subscriber: &TcpSubscriber<u64>) {
 #[test]
 fn events_round_trip_in_publish_order() {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = broker.local_addr();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], cfg.clone());
     let publisher = TcpPublisher::<u64>::connect(addr, cfg);
     wait_ready(&publisher, &subscriber);
@@ -53,14 +55,15 @@ fn events_round_trip_in_publish_order() {
     assert_eq!(got, (0..N).collect::<Vec<_>>(), "events must arrive in publish order");
     assert_eq!(subscriber.dropped(), 0);
     assert_eq!(publisher.dropped(), 0);
-    broker.shutdown();
+    endpoint.shutdown();
 }
 
 #[test]
 fn shutdown_drains_queued_messages_to_subscribers() {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = broker.local_addr();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], cfg.clone());
     let publisher = TcpPublisher::<u64>::connect(addr, cfg);
     wait_ready(&publisher, &subscriber);
@@ -78,7 +81,7 @@ fn shutdown_drains_queued_messages_to_subscribers() {
         assert!(std::time::Instant::now() < deadline, "broker never ingested the frames");
         std::thread::sleep(Duration::from_millis(5));
     }
-    broker.shutdown();
+    endpoint.shutdown();
 
     let mut got = 0;
     while got < N {
@@ -96,8 +99,9 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
     // Only the subscriber's client-side queue is tiny: the publisher and
     // the broker keep deep queues, so the whole burst reaches its socket.
     let slow = NetConfig { hwm: 8, ..fast_cfg() };
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
-    let addr = broker.local_addr();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], slow);
     let publisher = TcpPublisher::<u64>::connect(addr, fast_cfg());
     wait_ready(&publisher, &subscriber);
@@ -112,7 +116,7 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
         assert!(std::time::Instant::now() < deadline, "HWM shedding never engaged");
         std::thread::sleep(Duration::from_millis(5));
     }
-    broker.shutdown();
+    endpoint.shutdown();
 }
 
 /// The fan-out direction end to end: a burst published through the
@@ -141,8 +145,10 @@ fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
         trace: Some(TraceContext::sampled(0x1111_2222_3333_4444, i + 1)),
     };
     const PROBE: u64 = 1 << 30;
-    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
-    let subscriber = TcpSubscriber::<FileEvent>::connect(broker.local_addr(), &["t/"], fast_cfg());
+    let broker = TcpBroker::<FileEvent>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
+    let subscriber =
+        TcpSubscriber::<FileEvent>::connect(endpoint.local_addr(), &["t/"], fast_cfg());
     let publisher = broker.publisher();
 
     // Probe until the leg demonstrably delivers, then quiesce so the
@@ -181,5 +187,5 @@ fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
     }
     let delta = broker.stats().frames_out - frames_before;
     assert!(delta < N, "the burst should coalesce: {delta} frames for {N} messages");
-    broker.shutdown();
+    endpoint.shutdown();
 }

@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_net::{NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpSubscriber};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpSubscriber};
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -25,8 +26,9 @@ const PREFIXES: &[&str] = &["a", "a/", "ab", "b/", "b/y", "c", "events/", "event
 
 fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCaseError> {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, cfg.clone()).unwrap();
-    let addr = broker.local_addr();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
     // `zz` carries the readiness probe and the end-of-case sentinel; no
     // case topic starts with it.
     let mut prefixes: Vec<&str> = prefix_ids.iter().map(|&i| PREFIXES[i]).collect();
@@ -70,7 +72,7 @@ fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCas
         got.push((msg.topic, msg.payload));
     }
     prop_assert_eq!(got, expected);
-    broker.shutdown();
+    endpoint.shutdown();
     Ok(())
 }
 

@@ -1,24 +1,35 @@
-//! The wire contract: one version, one encoding per frame kind.
+//! The wire contract: one front door, one version, one encoding per
+//! frame kind.
 //!
-//! * A hello announcing another wire version — or none — is refused at
-//!   each of the three handshakes (pull server, broker publisher leg,
-//!   broker subscriber leg): that connection is closed, nothing it sent
-//!   is applied, the refusal is recorded, and the server keeps serving
+//! * Every connection opens with one `Hello`. One announcing another
+//!   wire version — or none — is refused whichever of the five services
+//!   it asks for, as is one asking for a service not attached at that
+//!   address: the connection is closed, nothing sent behind the hello is
+//!   applied, the refusal is recorded, and the endpoint keeps serving
 //!   peers that speak its version.
+//! * Bytes that are neither a hello nor `GET ` are closed, not routed; a
+//!   silent peer is dropped after the liveness window; `GET /metrics`
+//!   is answered on the same address, outside any fault plan.
 //! * A lone event on each leg travels as exactly one binary one-member
 //!   batch frame and arrives intact, trace context included.
 
+use sdci_core::{EventStore, ShardMap, StoreQuery, StoreReader};
+use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_net::wire::{write_item_batch_bin, write_msg, write_publish_batch_bin, BinEncoder, Frame};
+use sdci_net::wire::{
+    write_hello, write_item_batch_bin, write_msg, write_publish_batch_bin, BinEncoder, Frame,
+    Hello, Service,
+};
 use sdci_net::{
-    NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpPullServer, TcpPush, TcpSubscriber,
-    WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
+    fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker,
+    TcpPublisher, TcpPullServer, TcpPush, TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn fast_cfg() -> NetConfig {
     NetConfig {
@@ -29,6 +40,15 @@ fn fast_cfg() -> NetConfig {
         liveness: Duration::from_millis(500),
         ..NetConfig::default()
     }
+}
+
+/// The refusal counters and the connection-thread census are
+/// process-wide, so every test that binds an [`Endpoint`] holds this
+/// lock: their before/after deltas are then exact.
+static ENDPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn endpoints() -> std::sync::MutexGuard<'static, ()> {
+    ENDPOINTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 const CTX: TraceContext = TraceContext { trace_id: 0xfeed_beef, parent_span_id: 77, sampled: true };
@@ -49,13 +69,19 @@ fn traced_event() -> FileEvent {
     }
 }
 
-/// Connects and sends `body` as one hand-written JSON frame.
-fn connect_with_hello(addr: SocketAddr, body: &str) -> TcpStream {
+/// Connects and sends `bytes` as they are.
+fn connect_and_send(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    stream.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
+    stream.write_all(bytes).unwrap();
     stream
+}
+
+/// Connects and sends `body` as one hand-written JSON frame.
+fn connect_with_hello(addr: SocketAddr, body: &str) -> TcpStream {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    connect_and_send(addr, &frame)
 }
 
 /// The server must close the connection without sending a byte: EOF,
@@ -73,6 +99,15 @@ fn refused(leg: &str) -> u64 {
     sdci_obs::registry().counter_with("sdci_net_hello_refused_total", &[("leg", leg)]).get()
 }
 
+/// One `GET`; returns `(status line, body)`.
+fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
+    let request = format!("GET {path} HTTP/1.1\r\nHost: sdci\r\n\r\n");
+    let mut response = String::new();
+    connect_and_send(addr, request.as_bytes()).read_to_string(&mut response).unwrap();
+    let (head, body) = response.split_once("\r\n\r\n").expect("an HTTP response");
+    (head.lines().next().unwrap_or_default().to_string(), body.to_string())
+}
+
 /// Reads one raw frame: `(is_binary, body)`.
 fn read_raw_frame(stream: &mut TcpStream) -> (bool, Vec<u8>) {
     let mut word = [0u8; 4];
@@ -81,6 +116,15 @@ fn read_raw_frame(stream: &mut TcpStream) -> (bool, Vec<u8>) {
     let mut body = vec![0u8; (word & !BIN_FRAME_BIT) as usize];
     stream.read_exact(&mut body).unwrap();
     (word & BIN_FRAME_BIT != 0, body)
+}
+
+/// Reads the hello a client endpoint opened its connection with.
+fn read_hello(stream: &mut TcpStream) -> Service {
+    let (binary, body) = read_raw_frame(stream);
+    assert!(!binary, "the hello is a control frame");
+    let hello = Hello::decode(false, &body).unwrap();
+    assert_eq!(hello.proto, WIRE_PROTO);
+    hello.service
 }
 
 /// Reads the rest of a session up to its `Fin`, asserting no further
@@ -95,62 +139,61 @@ fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     }
 }
 
-#[test]
-fn pull_server_refuses_a_wrong_or_missing_version_and_keeps_serving() {
-    let server = TcpPullServer::<u64>::bind("127.0.0.1:0", 64, fast_cfg()).unwrap();
-    let addr = server.local_addr();
-    let before = refused("push");
-    for hello in [
-        r#"{"HelloPush":{"client":"old","resume_after":0,"proto":3}}"#,
-        r#"{"HelloPush":{"client":"old","resume_after":0}}"#,
-    ] {
-        let mut stream = connect_with_hello(addr, hello);
-        // An item right behind the refused hello must never be applied.
-        let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
-        assert_closed_unanswered(&mut stream, hello);
-    }
-    assert_eq!(refused("push"), before + 2, "each refusal is recorded");
-    assert_eq!(server.stats().items, 0);
-    assert!(server.marks().is_empty(), "a refused hello must not even register the client");
+/// The five services, as the JSON a hello names them with.
+const SERVICES: [(&str, &str); 5] = [
+    ("push", r#"{"Push":{"client":"old","resume_after":0}}"#),
+    ("publisher", r#""Publisher""#),
+    ("subscriber", r#"{"Subscriber":{"prefixes":[""]}}"#),
+    ("store", r#""Store""#),
+    ("cluster", r#""Cluster""#),
+];
 
+#[test]
+fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keeps_serving() {
+    let _serial = endpoints();
+    let pull = TcpPullServer::<u64>::new(64);
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let store = StoreServer::new(Arc::new(EventStore::new(64)));
+    let map = MapServer::new(ShardMap::new(["127.0.0.1:7070"]));
+    let endpoint = Endpoint::bind(
+        "127.0.0.1:0",
+        fast_cfg(),
+        vec![pull.clone(), broker.clone(), store.clone(), map.clone()],
+    )
+    .unwrap();
+    let addr = endpoint.local_addr();
+    let local = broker.subscribe(&[""]);
+
+    for (leg, service) in SERVICES {
+        // Another version names its leg; no version does not decode at
+        // all, so the refusal cannot say what the peer wanted.
+        for (counted_as, hello) in [
+            (leg, format!(r#"{{"proto":{},"service":{service}}}"#, WIRE_PROTO - 1)),
+            ("unknown", format!(r#"{{"service":{service}}}"#)),
+        ] {
+            let before = refused(counted_as);
+            let mut stream = connect_with_hello(addr, &hello);
+            // Data right behind a refused hello must never be applied.
+            let enc = &mut BinEncoder::new();
+            let _ = write_item_batch_bin(&mut stream, enc, 1, &[7u64], None);
+            let _ = write_publish_batch_bin(&mut stream, enc, "t/x", &[7u64], None);
+            broker.publisher().publish("t/y", 8);
+            assert_closed_unanswered(&mut stream, &hello);
+            assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello}");
+        }
+    }
+    assert_eq!(pull.stats().items, 0);
+    assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
+    assert_eq!(broker.stats().messages_in, 0, "a refused publish was applied");
+    assert_eq!(broker.stats().frames_out, 0, "a refused subscriber was delivered to");
+    assert_eq!(store.queries() + map.fetches(), 0);
+    while local.try_recv().is_some() {} // the test's own `t/y` publications
+
+    // Every service still serves a peer that speaks the endpoint's version.
     let push = TcpPush::connect(addr, "current", fast_cfg());
     assert!(push.send(42));
-    assert!(push.drain(Duration::from_secs(10)), "a correct peer is still served");
-    assert_eq!(server.pull().recv_timeout(Duration::from_secs(2)), Some(42));
-    assert_eq!(server.stats().items, 1);
-    server.shutdown();
-}
-
-#[test]
-fn broker_refuses_a_wrong_or_missing_version_on_both_legs_and_keeps_serving() {
-    let broker = TcpBroker::<u64>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
-    let addr = broker.local_addr();
-    let local = broker.subscribe(&[""]);
-    let before = refused("publisher") + refused("subscriber") + refused("pubsub");
-
-    // Publisher leg: the batch behind the refused hello is not republished.
-    for hello in [r#"{"HelloPublisher":{"proto":3}}"#, r#""HelloPublisher""#] {
-        let mut stream = connect_with_hello(addr, hello);
-        let _ = write_publish_batch_bin(&mut stream, &mut BinEncoder::new(), "t/x", &[7u64], None);
-        assert_closed_unanswered(&mut stream, hello);
-    }
-    assert!(local.recv_timeout(Duration::from_millis(100)).is_none(), "refused publish applied");
-    assert_eq!(broker.stats().messages_in, 0);
-
-    // Subscriber leg: nothing is ever delivered to the refused peer.
-    for hello in [
-        r#"{"HelloSubscriber":{"prefixes":[""],"proto":5}}"#,
-        r#"{"HelloSubscriber":{"prefixes":[""]}}"#,
-    ] {
-        let mut stream = connect_with_hello(addr, hello);
-        broker.publisher().publish("t/x", 8);
-        assert_closed_unanswered(&mut stream, hello);
-    }
-    assert_eq!(broker.stats().frames_out, 0);
-    let after = refused("publisher") + refused("subscriber") + refused("pubsub");
-    assert_eq!(after, before + 4, "each refusal is recorded");
-
-    // Both legs still serve peers that speak the broker's version.
+    assert!(push.drain(Duration::from_secs(10)), "a correct pusher is still served");
+    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(42));
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["ok/"], fast_cfg());
     let publisher = TcpPublisher::<u64>::connect(addr, fast_cfg());
     let delivered = (0..1000).any(|_| {
@@ -158,7 +201,112 @@ fn broker_refuses_a_wrong_or_missing_version_on_both_legs_and_keeps_serving() {
         subscriber.recv_timeout(Duration::from_millis(10)).is_some()
     });
     assert!(delivered, "a correct publisher/subscriber pair is still served");
-    broker.shutdown();
+    assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
+    assert_eq!(fetch_map(addr, &fast_cfg()).unwrap().version(), 1);
+    endpoint.shutdown();
+}
+
+#[test]
+fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
+    let _serial = endpoints();
+    let store = StoreServer::new(Arc::new(EventStore::new(64)));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![store.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    for (leg, service) in SERVICES.iter().filter(|(leg, _)| *leg != "store") {
+        let before = refused(leg);
+        let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":{service}}}"#);
+        assert_closed_unanswered(&mut connect_with_hello(addr, &hello), &hello);
+        assert_eq!(refused(leg), before + 1, "refusal not recorded: {hello}");
+    }
+    let remote = RemoteStore::connect(addr, fast_cfg());
+    assert!(remote.query(&StoreQuery::after_seq(0)).is_empty());
+    assert_eq!(store.queries(), 1, "the attached service still answers");
+    endpoint.shutdown();
+}
+
+/// Threads of this process currently serving an endpoint connection.
+#[cfg(target_os = "linux")]
+fn conn_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .flatten()
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|comm| comm.trim_end() == "sdci-net-conn")
+        })
+        .count()
+}
+
+#[test]
+fn a_silent_peer_is_dropped_after_the_liveness_window_and_holds_no_thread() {
+    let _serial = endpoints();
+    let cfg = fast_cfg();
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![]).unwrap();
+    let connected = Instant::now();
+    let mut stream = connect_and_send(endpoint.local_addr(), b"");
+    assert_closed_unanswered(&mut stream, "silent peer");
+    let held = connected.elapsed();
+    assert!(held >= cfg.liveness, "dropped after {held:?}, before its liveness window ran out");
+    assert!(held < cfg.liveness * 4, "a silent peer held its connection for {held:?}");
+    #[cfg(target_os = "linux")]
+    {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while conn_threads() > 0 {
+            assert!(Instant::now() < deadline, "the dropped peer's thread is still alive");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    endpoint.shutdown();
+}
+
+#[test]
+fn post_and_garbage_first_bytes_are_closed_not_routed() {
+    let _serial = endpoints();
+    let pull = TcpPullServer::<u64>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let before = refused("unknown");
+    // `POST` (and any other text) reads as an oversized length word; a
+    // binary-flagged or non-JSON body is no hello either.
+    let hostile: [&[u8]; 5] = [
+        b"POST /metrics HTTP/1.1\r\nHost: sdci\r\n\r\n",
+        b"get /metrics HTTP/1.1\r\n\r\n",
+        &[0xff; 64],
+        &[0x80, 0, 0, 2, 1, 0],
+        b"\0\0\0\x08not json",
+    ];
+    for bytes in hostile {
+        let what = String::from_utf8_lossy(bytes).into_owned();
+        assert_closed_unanswered(&mut connect_and_send(addr, bytes), &what);
+    }
+    assert_eq!(refused("unknown"), before + hostile.len() as u64, "each one is recorded");
+    assert_eq!(pull.stats().accepted, 0, "nothing hostile reached a service");
+    assert!(http_get(addr, "/metrics").0.contains("200"), "the front door still answers");
+    endpoint.shutdown();
+}
+
+#[test]
+fn get_metrics_on_a_faulted_endpoint_is_answered_unfaulted() {
+    let _serial = endpoints();
+    // Every frame in either direction vanishes: no framed peer gets
+    // anywhere on this endpoint...
+    let plan = sdci_faults::FaultPlan::parse("seed=1,drop=1").unwrap();
+    let cfg = fast_cfg().with_faults(Some(Arc::new(plan)));
+    let pull = TcpPullServer::<u64>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![pull.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let push = TcpPush::connect(addr, "starved", fast_cfg());
+    assert!(push.send(1));
+    assert!(!push.drain(Duration::from_millis(300)), "the fault plan is not installed");
+    // ...but a scrape is not a frame, and is answered whole.
+    sdci_obs::registry().counter("sdci_net_test_scrape_total").add(3);
+    let (status, body) = http_get(addr, "/metrics");
+    assert!(status.contains("200"), "{status}");
+    assert!(body.contains("sdci_net_test_scrape_total 3"), "{body}");
+    assert!(http_get(addr, "/healthz").0.contains("200"));
+    assert!(http_get(addr, "/tracez").1.contains("\"spans\""));
+    assert_eq!(pull.stats().items, 0);
+    endpoint.shutdown();
 }
 
 #[test]
@@ -168,12 +316,7 @@ fn a_lone_pushed_event_is_one_binary_frame_with_its_trace_context() {
     assert!(push.send(traced_event()));
 
     let (mut stream, _) = listener.accept().unwrap();
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(!binary, "the hello is a control frame");
-    assert_eq!(
-        Frame::<FileEvent>::decode(false, &body).unwrap(),
-        Frame::HelloPush { client: "lone".into(), resume_after: 0, proto: WIRE_PROTO }
-    );
+    assert_eq!(read_hello(&mut stream), Service::Push { client: "lone".into(), resume_after: 0 });
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
 
     let (binary, body) = read_raw_frame(&mut stream);
@@ -198,12 +341,7 @@ fn a_lone_published_event_is_one_binary_frame_with_its_trace_context() {
     publisher.publish("events/mdt0", traced_event());
 
     let (mut stream, _) = listener.accept().unwrap();
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(!binary, "the hello is a control frame");
-    assert_eq!(
-        Frame::<FileEvent>::decode(false, &body).unwrap(),
-        Frame::HelloPublisher { proto: WIRE_PROTO }
-    );
+    assert_eq!(read_hello(&mut stream), Service::Publisher);
 
     let (binary, body) = read_raw_frame(&mut stream);
     assert!(binary, "a lone publication must travel as a binary batch frame");
@@ -221,11 +359,11 @@ fn a_lone_published_event_is_one_binary_frame_with_its_trace_context() {
 
 #[test]
 fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
-    let broker = TcpBroker::<FileEvent>::bind("127.0.0.1:0", 8192, fast_cfg()).unwrap();
-    let mut stream = TcpStream::connect(broker.local_addr()).unwrap();
-    let hello =
-        Frame::<FileEvent>::HelloSubscriber { prefixes: vec!["feed/".into()], proto: WIRE_PROTO };
-    write_msg(&mut stream, &hello).unwrap();
+    let _serial = endpoints();
+    let broker = TcpBroker::<FileEvent>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
+    let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
+    write_hello(&mut stream, Service::Subscriber { prefixes: vec!["feed/".into()] }).unwrap();
 
     // The leg registers asynchronously; publish the lone event only
     // once the leg's first `Ping` shows it is being served.
@@ -249,6 +387,6 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
             trace: None
         }
     );
-    broker.shutdown();
+    endpoint.shutdown();
     expect_only_control_until_fin(&mut stream, "deliver leg");
 }

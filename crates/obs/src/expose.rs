@@ -1,91 +1,28 @@
 //! A minimal HTTP/1.1 responder serving the metrics registry in
-//! Prometheus text exposition format.
+//! Prometheus text exposition format, plus `/healthz` and `/tracez`.
 //!
-//! Hand-rolled over `std::net::TcpListener` — the build is `--offline`,
-//! so no hyper/axum. GET-only, `Connection: close`, one thread, one
-//! connection at a time: a scrape every few seconds is the entire
-//! expected load.
+//! Hand-rolled over a `std::net::TcpStream` — the build is `--offline`,
+//! so no hyper/axum. `Connection: close`, one request per connection: a
+//! scrape every few seconds is the entire expected load. There is no
+//! listener here: a server role's one listener (`sdci_net::Endpoint`)
+//! hands over every connection that opens with `GET `.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Longest request head we will buffer before giving up on a client.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
-/// A background thread serving `GET /metrics` (and `GET /`) with the
-/// global registry rendered as Prometheus text format.
+/// Answers the one `GET` request arriving on `stream` — `/metrics` (and
+/// `/`) with the global registry as Prometheus text, `/healthz`,
+/// `/tracez` — and closes the connection.
 ///
-/// The listener is bound synchronously in [`MetricsServer::bind`] — once
-/// it returns, the port is scrapeable. Dropping the server stops the
-/// accept loop and joins the thread.
-pub struct MetricsServer {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` and starts the accept loop.
-    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        // Nonblocking accept + short sleep lets the loop notice the
-        // stop flag promptly without platform-specific wakeups.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("sdci-metrics-http".into())
-            .spawn(move || accept_loop(listener, thread_stop))?;
-        Ok(MetricsServer { local_addr, stop, handle: Some(handle) })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops the accept loop and joins the serving thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Serve inline: scrapes are rare and the response is
-                // small, so a second thread buys nothing.
-                let _ = serve_connection(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
+/// # Errors
+///
+/// Propagates socket failures; the caller has nothing to do with them
+/// but drop the stream.
+pub fn serve_http(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
 
@@ -167,6 +104,7 @@ fn respond(stream: &mut TcpStream, status: &str, body: &str) -> std::io::Result<
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::net::{SocketAddr, TcpListener};
 
     fn http_get(addr: SocketAddr, path: &str, method: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -192,8 +130,13 @@ mod tests {
     #[test]
     fn serves_prometheus_text_and_handles_bad_requests() {
         crate::metrics::registry().counter("sdci_obs_test_http_total").add(9);
-        let server = MetricsServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().map_while(Result::ok) {
+                let _ = serve_http(stream);
+            }
+        });
 
         let (status, body) = http_get(addr, "/metrics", "GET");
         assert!(status.contains("200"), "{status}");
@@ -226,10 +169,5 @@ mod tests {
         assert!(status.contains("200"), "{status}");
         assert!(body.contains("\"spans\":["), "{body}");
         assert!(body.contains("expose.test.span"), "{body}");
-
-        server.shutdown();
-        // Port is released after shutdown: a fresh connect fails or the
-        // bind succeeds again.
-        assert!(MetricsServer::bind(addr).is_ok());
     }
 }

@@ -16,7 +16,8 @@
 //!   and log-bucketed (power-of-2) latency histograms with
 //!   p50/p90/p99/max, plus a [`ScopedTimer`] guard for span timing.
 //! * [`expose`] — a minimal blocking HTTP responder serving the registry
-//!   in Prometheus text exposition format.
+//!   in Prometheus text exposition format (plus `/healthz`, `/tracez`)
+//!   on a connection a server role's listener hands it.
 //!
 //! The crate is deliberately std-only: it sits below every other
 //! workspace crate (types excepted), so nothing it observes can depend
@@ -32,7 +33,6 @@ pub mod log;
 pub mod metrics;
 pub mod trace;
 
-pub use expose::MetricsServer;
 pub use log::Level;
 pub use metrics::{registry, Counter, CounterVec, Gauge, Histogram, Registry, ScopedTimer};
 

@@ -1,27 +1,19 @@
 //! `sdcimon` — the monitor as a real deployment.
 //!
-//! With no subcommand, runs the original single-process live demo:
+//! With no subcommand, runs the original single-process live demo; with
+//! one, runs that role of the distributed pipeline over `sdci-net` TCP,
+//! so Collector → Aggregator → Consumer are three OS processes.
+//! `sdcimon --help` prints every role and its flags, generated from the
+//! one role table below ([`ROLES`]).
 //!
-//! ```text
-//! sdcimon [--testbed aws|iota] [--mdts N] [--seconds S]
-//!         [--ops-per-tick N] [--no-cache]
-//! ```
-//!
-//! With a subcommand, runs one role of the distributed pipeline over
-//! `sdci-net` TCP, so Collector → Aggregator → Consumer are three OS
-//! processes:
-//!
-//! ```text
-//! sdcimon aggregator [--bind ADDR] [--store-capacity N] [--feed-hwm N]
-//!                    [--snapshot DIR] [--store-backend seg|mem] [--store-cache N]
-//! sdcimon collector  --connect ADDR | --cluster ADDR [--client ID] [--files N]
-//! sdcimon consumer   --connect ADDR [--expect N] [--under PREFIX]
-//!                    [--timeout SECS]
-//! sdcimon shard      --shard-id N [--bind ADDR] [--store-capacity N]
-//!                    [--feed-hwm N] [--snapshot DIR] [--store-backend seg|mem]
-//!                    [--store-cache N]
-//! sdcimon front      --shards A,B,... [--bind ADDR]
-//! ```
+//! **One address per role.** A server role (`aggregator`, `shard`,
+//! `front`) binds exactly one listener, at `--bind`: the Collector PUSH
+//! leg, the consumer feed (PUB/SUB), the store-backfill RPC, the shard
+//! map and the HTTP scrape (`GET /metrics`, `/healthz`, `/tracez`) all
+//! answer there, told apart by each connection's opening frame.
+//! `--connect`, `--cluster` and `--shards` take that one address. The
+//! role prints `listening on ADDR (...)` once ready (with the resolved
+//! port when `--bind` used port 0).
 //!
 //! The store behind an aggregator or shard is a middleware stack
 //! ([`StoreStack`]): `--store-backend` picks the base (`seg`, the
@@ -30,15 +22,15 @@
 //! cache of N entries over it. The metrics layer (`sdci_store_*`
 //! series) is always present.
 //!
-//! The last two run the *sharded* tier: each `shard` is a full
-//! aggregator (own port trio, own segmented store, snapshot dir, and
+//! `shard` and `front` run the *sharded* tier: each `shard` is a full
+//! aggregator (own address, own segmented store, snapshot dir, and
 //! marks sidecar) owning one partition of the shard map, and `front`
-//! serves the map (base port `P`) plus a scatter-gather store RPC
-//! (`P+2`) that merges every shard's answer into one seq-ordered
-//! logical store. Collectors started with `--cluster FRONT_ADDR` fetch
-//! the map, keep one push pipe per shard, route each event by its path
-//! root, and re-route live when the map version bumps (draining
-//! in-flight pushes to the old owners before the cutover).
+//! serves the map plus a scatter-gather store RPC that merges every
+//! shard's answer into one seq-ordered logical store. Collectors
+//! started with `--cluster FRONT_ADDR` fetch the map, keep one push
+//! pipe per shard, route each event by its path root, and re-route live
+//! when the map version bumps (draining in-flight pushes to the old
+//! owners before the cutover).
 //!
 //! Every distributed role also takes `--faults SPEC` (or the
 //! `SDCI_FAULTS` env var): a deterministic `sdci_faults::FaultPlan`
@@ -47,20 +39,13 @@
 //! (`SDCI_CRASH_POINTS=store.flush.manifest_commit:1:abort,...`) kill
 //! or fail the process at named store/net steps.
 //!
-//! Every role takes `--trace-sample N` (or `1/N`; also the
+//! Every distributed role takes `--trace-sample N` (or `1/N`; also the
 //! `SDCI_TRACE_SAMPLE` env var) to head-sample 1-in-N distributed
 //! traces. Server roles expose their span buffers as JSON at
-//! `GET /tracez` on the metrics port (next to `/metrics` and
-//! `/healthz`); run-to-completion roles (collector, consumer) take
+//! `GET /tracez`; run-to-completion roles (collector, consumer) take
 //! `--trace-out PATH` to dump the same JSON at exit. An aggregator or
 //! shard's `/healthz` turns 503 once ingest halts on a store
 //! rejection.
-//!
-//! Port convention: the aggregator's `--bind` port `P` carries the
-//! Collector PUSH leg; `P+1` serves the consumer feed (PUB/SUB); `P+2`
-//! serves store-backfill RPC. `--connect` always takes the base
-//! address `P`. The aggregator prints `listening on HOST:P` once ready
-//! (with the resolved port when `--bind` used port 0).
 //!
 //! `--snapshot DIR` flushes the store every 200 ms into a snapshot
 //! *directory*: immutable per-segment NDJSON files written exactly
@@ -69,22 +54,20 @@
 //! not the retained window. Beside it, a `DIR.marks` sidecar holds the
 //! per-collector push dedup marks; a restart restores both, so
 //! collectors that resend their unacked window are deduplicated against
-//! events the snapshot already holds. A path left over from an older
-//! deployment's single-file NDJSON snapshot is restored and migrated to
-//! the directory form in place. Events a hard kill catches acknowledged
-//! but not yet flushed — at most one snapshot interval's worth — are
-//! the durability window.
+//! events the snapshot already holds. Events a hard kill catches
+//! acknowledged but not yet flushed — at most one snapshot interval's
+//! worth — are the durability window.
 
 use parking_lot::Mutex;
 use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
 use sdci::monitor::{
     restore_snapshot, Aggregator, ClusterStats, Collector, ConsumerCursor, EventBackend,
-    EventConsumer, EventStore, MetricsRecorder, MonitorClusterBuilder, MonitorConfig, ShardId,
-    ShardMap, SnapshotDir, StoreError, StoreStack,
+    EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, ShardId, ShardMap,
+    SnapshotDir, StoreError, StoreStack,
 };
 use sdci::mq::transport::{Publish, PullSubscriber};
 use sdci::net::{
-    fetch_map, MapServer, NetConfig, RemoteStore, ScatterStore, ShardRouter, StoreServer,
+    fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, ScatterStore, ShardRouter, StoreServer,
     TcpBroker, TcpPullServer, TcpPush, TcpSubscriber,
 };
 use sdci::types::{ByteSize, FileEvent, MdtIndex, SimTime};
@@ -92,6 +75,115 @@ use sdci::workloads::{EventGenerator, OpMix};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A command-line flag: its name and the placeholder `--help` shows for
+/// its value. An empty placeholder makes it a bare switch.
+type Flag = (&'static str, &'static str);
+
+/// One role of the deployment: what it is called, what it accepts,
+/// what runs it. The argument parser and `--help` both read this table
+/// and nothing else.
+struct Role {
+    /// The subcommand; empty for the single-process demo.
+    name: &'static str,
+    /// Flags the role cannot run without.
+    required: &'static [Flag],
+    /// Everything else it accepts, in groups shared between roles.
+    optional: &'static [&'static [Flag]],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+/// What an aggregator and a shard both take: the one address, and the
+/// store behind it.
+const STORE_NODE: &[Flag] = &[
+    ("--bind", "ADDR"),
+    ("--store-capacity", "N"),
+    ("--feed-hwm", "N"),
+    ("--snapshot", "DIR"),
+    ("--store-backend", "seg|mem"),
+    ("--store-cache", "N"),
+];
+/// Every role with a socket: fault injection and head-sampled tracing.
+const NET: &[Flag] = &[("--faults", "SPEC"), ("--trace-sample", "N")];
+/// Roles that run to completion dump their spans at exit instead of
+/// serving `/tracez`.
+const TRACE_OUT: &[Flag] = &[("--trace-out", "PATH")];
+
+const ROLES: &[Role] = &[
+    Role {
+        name: "",
+        required: &[],
+        optional: &[&[
+            ("--testbed", "aws|iota"),
+            ("--mdts", "N"),
+            ("--seconds", "S"),
+            ("--ops-per-tick", "N"),
+            ("--no-cache", ""),
+        ]],
+        run: run_demo,
+    },
+    Role { name: "aggregator", required: &[], optional: &[STORE_NODE, NET], run: run_aggregator },
+    Role {
+        name: "shard",
+        required: &[("--shard-id", "N")],
+        optional: &[STORE_NODE, NET],
+        run: run_shard,
+    },
+    Role {
+        name: "front",
+        required: &[("--shards", "ADDR,ADDR,...")],
+        optional: &[&[("--bind", "ADDR")], NET],
+        run: run_front,
+    },
+    Role {
+        name: "collector",
+        required: &[],
+        optional: &[
+            &[("--connect", "ADDR"), ("--cluster", "ADDR"), ("--client", "ID"), ("--files", "N")],
+            NET,
+            TRACE_OUT,
+        ],
+        run: run_collector,
+    },
+    Role {
+        name: "consumer",
+        required: &[("--connect", "ADDR")],
+        optional: &[
+            &[
+                ("--expect", "N"),
+                ("--under", "PREFIX"),
+                ("--timeout", "SECS"),
+                ("--cursor", "PATH"),
+                ("--verbose", ""),
+            ],
+            NET,
+            TRACE_OUT,
+        ],
+        run: run_consumer,
+    },
+];
+
+impl Role {
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> {
+        self.required.iter().chain(self.optional.iter().copied().flatten())
+    }
+
+    /// The role's `--help` line: required flags bare, the rest bracketed.
+    fn usage(&self) -> String {
+        let show = |(name, value): &Flag| match *value {
+            "" => name.to_string(),
+            value => format!("{name} {value}"),
+        };
+        let mut line = format!("sdcimon {}", self.name).trim_end().to_string();
+        for flag in self.required {
+            line.push_str(&format!(" {}", show(flag)));
+        }
+        for flag in self.optional.iter().copied().flatten() {
+            line.push_str(&format!(" [{}]", show(flag)));
+        }
+        line
+    }
+}
 
 fn main() {
     // Anchor the log timestamp offset at process start; filtering is
@@ -104,76 +196,59 @@ fn main() {
     // the per-role --trace-sample flag overrides it once parsed.
     sdci_obs::trace::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("aggregator") => run_aggregator(&args[1..]),
-        Some("collector") => run_collector(&args[1..]),
-        Some("consumer") => run_consumer(&args[1..]),
-        Some("shard") => run_shard(&args[1..]),
-        Some("front") => run_front(&args[1..]),
-        _ => run_demo(&args),
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        for role in ROLES {
+            println!("{}", role.usage());
+        }
+        return;
+    }
+    let named = args.first().and_then(|a| ROLES.iter().find(|r| !r.name.is_empty() && r.name == a));
+    let (role, args) = match named {
+        Some(role) => (role, &args[1..]),
+        None => (&ROLES[0], &args[..]),
     };
-    if let Err(e) = result {
+    if let Err(e) = Flags::parse(role, args).and_then(|flags| (role.run)(&flags)) {
         sdci_obs::error!(target: "sdcimon", "{}", e);
         std::process::exit(2);
     }
 }
 
-/// Pulls `--flag value` pairs and bare `--switch` flags out of `args`.
-struct Flags<'a> {
-    args: &'a [String],
-    switches: Vec<&'a str>,
-}
+/// A role's parsed arguments: `(flag, value)` in command-line order, a
+/// switch's value empty.
+struct Flags<'a>(Vec<(&'static str, &'a str)>);
 
 impl<'a> Flags<'a> {
-    fn new(args: &'a [String], allowed: &[&str]) -> Result<Self, String> {
-        Self::with_switches(args, allowed, &[])
-    }
-
-    fn with_switches(
-        args: &'a [String],
-        allowed: &[&str],
-        allowed_switches: &[&str],
-    ) -> Result<Self, String> {
-        let mut i = 0;
-        let mut switches = Vec::new();
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if allowed_switches.contains(&flag) {
-                switches.push(flag);
-                i += 1;
-                continue;
-            }
-            if !allowed.contains(&flag) {
-                return Err(format!("unknown argument {flag}"));
-            }
-            if i + 1 >= args.len() {
-                return Err(format!("{flag} requires a value"));
-            }
-            i += 2;
+    fn parse(role: &Role, args: &'a [String]) -> Result<Self, String> {
+        let mut found = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let &(name, value) = role
+                .flags()
+                .find(|(name, _)| name == arg)
+                .ok_or_else(|| format!("unknown argument {arg}"))?;
+            let value = match value {
+                "" => "",
+                _ => args.next().ok_or_else(|| format!("{arg} requires a value"))?,
+            };
+            found.push((name, value));
         }
-        Ok(Flags { args, switches })
+        for (name, value) in role.required {
+            if !found.iter().any(|(given, _)| given == name) {
+                return Err(format!("{} requires {name} {value}", role.name));
+            }
+        }
+        Ok(Flags(found))
     }
 
     fn get(&self, flag: &str) -> Option<&'a str> {
-        let mut i = 0;
-        while i + 1 < self.args.len() {
-            if self.switches.contains(&self.args[i].as_str()) {
-                i += 1;
-                continue;
-            }
-            if self.args[i] == flag {
-                return Some(self.args[i + 1].as_str());
-            }
-            i += 2;
-        }
-        None
+        self.0.iter().find(|(name, _)| *name == flag).map(|(_, value)| *value)
     }
 
     fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
+        self.get(switch).is_some()
     }
 
-    fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String>
+    fn parse_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
@@ -181,6 +256,11 @@ impl<'a> Flags<'a> {
             Some(raw) => raw.parse().map_err(|e| format!("{flag}: {e}")),
             None => Ok(default),
         }
+    }
+
+    /// The value of a flag the role table marks required.
+    fn required(&self, flag: &str) -> &'a str {
+        self.get(flag).expect("required flags are checked when the arguments are parsed")
     }
 }
 
@@ -233,65 +313,22 @@ fn trace_dump(flags: &Flags) {
     }
 }
 
-fn offset_addr(base: SocketAddr, offset: u16) -> Result<SocketAddr, String> {
-    let port = base.port().checked_add(offset).ok_or_else(|| {
-        format!(
-            "port {} has no room for the +{offset} listener; bind at {} or below",
-            base.port(),
-            u16::MAX - offset
-        )
-    })?;
-    Ok(SocketAddr::new(base.ip(), port))
-}
-
 // ---------------------------------------------------------------------------
 // aggregator
 // ---------------------------------------------------------------------------
 
-fn run_aggregator(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(
-        args,
-        &[
-            "--bind",
-            "--store-capacity",
-            "--store-backend",
-            "--store-cache",
-            "--feed-hwm",
-            "--snapshot",
-            "--metrics-addr",
-            "--faults",
-            "--trace-sample",
-        ],
-    )?;
-    run_store_node(&flags, None)
+fn run_aggregator(flags: &Flags) -> Result<(), String> {
+    run_store_node(flags, None)
 }
 
-/// One shard of the sharded tier: a full aggregator (own port trio,
-/// own store, snapshot dir, and marks sidecar) that happens to own one
+/// One shard of the sharded tier: a full aggregator (own address, own
+/// store, snapshot dir, and marks sidecar) that happens to own one
 /// partition of the shard map. The shard id labels its metrics so a
 /// scrape across the tier attributes load per shard.
-fn run_shard(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(
-        args,
-        &[
-            "--shard-id",
-            "--bind",
-            "--store-capacity",
-            "--store-backend",
-            "--store-cache",
-            "--feed-hwm",
-            "--snapshot",
-            "--metrics-addr",
-            "--faults",
-            "--trace-sample",
-        ],
-    )?;
-    let id: ShardId = flags
-        .get("--shard-id")
-        .ok_or("shard requires --shard-id N")?
-        .parse()
-        .map_err(|e| format!("--shard-id: {e}"))?;
-    run_store_node(&flags, Some(id))
+fn run_shard(flags: &Flags) -> Result<(), String> {
+    let id: ShardId =
+        flags.required("--shard-id").parse().map_err(|e| format!("--shard-id: {e}"))?;
+    run_store_node(flags, Some(id))
 }
 
 fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
@@ -300,10 +337,10 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         None => "aggregator".to_string(),
     };
     trace_setup(flags, &role)?;
-    let bind: SocketAddr = flags.parse("--bind", "127.0.0.1:7070".parse().unwrap())?;
-    let store_capacity: usize = flags.parse("--store-capacity", 1_000_000)?;
-    let feed_hwm: usize = flags.parse("--feed-hwm", 65_536)?;
-    let cache_entries: usize = flags.parse("--store-cache", 0)?;
+    let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7070".parse().unwrap())?;
+    let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
+    let feed_hwm: usize = flags.parse_or("--feed-hwm", 65_536)?;
+    let cache_entries: usize = flags.parse_or("--store-cache", 0)?;
     let backend_kind = flags.get("--store-backend").unwrap_or("seg");
     if !matches!(backend_kind, "seg" | "mem") {
         return Err(format!("--store-backend: unknown backend {backend_kind} (use seg or mem)"));
@@ -324,79 +361,36 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         Some(path) if path.exists() => read_marks(path)?,
         _ => std::collections::HashMap::new(),
     };
-    let events_srv =
-        TcpPullServer::<FileEvent>::bind_with_marks(bind, feed_hwm.max(65_536), cfg.clone(), marks)
-            .map_err(|e| format!("bind {bind}: {e}"))?;
-    let base = events_srv.local_addr();
+    let events_srv = TcpPullServer::<FileEvent>::with_marks(feed_hwm.max(65_536), marks);
+    let events = PullSubscriber::new(events_srv.pull(), "events/remote");
 
-    // A crashed aggregator restarted with the same --snapshot resumes
-    // its store *and* its sequence numbering, so consumers recover the
-    // outage as an ordinary gap. The snapshot path is a directory
-    // (manifest + per-segment files); a single-file NDJSON snapshot from
-    // an older deployment is restored too, then migrated in place.
-    let mut snapshot_dir = None;
-    // A legacy-file migration that crashed between its remove and
-    // rename steps leaves the finished directory at DIR.migrating and
-    // nothing at DIR; adopt it before the exists() check below, which
-    // would otherwise mistake the crash for a fresh start.
-    if let Some(path) = &snapshot {
-        match SnapshotDir::adopt_interrupted_migration(path) {
-            Ok(true) => sdci_obs::warn!(
-                target: "sdcimon::aggregator",
-                "adopted interrupted snapshot migration";
-                path = path,
-            ),
-            Ok(false) => {}
-            Err(e) => return Err(format!("adopt migration {}: {e}", path.display())),
-        }
-    }
-    let restored = match &snapshot {
-        Some(path) if path.exists() => {
+    // The aggregator's store is a middleware stack over the chosen base
+    // backend: metered always (the `sdci_store_*` series), cached when
+    // --store-cache is set. A crashed aggregator restarted with the same
+    // --snapshot resumes its store *and* its sequence numbering, so
+    // consumers recover the outage as an ordinary gap; the segmented
+    // base carries its snapshot dir so the trait-level flush() below
+    // reaches the same writer regardless of how many layers sit on top.
+    let base_store: Arc<dyn EventBackend> = match (backend_kind, &snapshot) {
+        ("mem", _) => Arc::new(sdci::monitor::MemBackend::new(store_capacity)),
+        (_, None) => Arc::new(EventStore::new(store_capacity)),
+        (_, Some(path)) => {
+            // `open` refuses anything but a directory (creating one on a
+            // first start, which then restores as an empty store).
+            let dir = SnapshotDir::open(path)
+                .map_err(|e| format!("--snapshot {}: {e}", path.display()))?;
             let store = restore_snapshot(path, store_capacity)
                 .map_err(|e| format!("restore {}: {e}", path.display()))?;
-            sdci_obs::info!(
-                target: "sdcimon::aggregator",
-                "restored store from snapshot";
-                events = store.len(),
-                last_seq = store.last_seq(),
-                path = path,
-            );
-            if path.is_file() {
-                let dir = SnapshotDir::migrate_legacy(path, &store)
-                    .map_err(|e| format!("migrate {}: {e}", path.display()))?;
+            if store.last_seq() > 0 {
                 sdci_obs::info!(
                     target: "sdcimon::aggregator",
-                    "migrated legacy single-file snapshot to directory form";
+                    "restored store from snapshot";
+                    events = store.len(),
+                    last_seq = store.last_seq(),
                     path = path,
                 );
-                snapshot_dir = Some(dir);
-            } else {
-                snapshot_dir =
-                    Some(SnapshotDir::open(path).map_err(|e| format!("{}: {e}", path.display()))?);
             }
-            Some(store)
-        }
-        Some(path) => {
-            snapshot_dir =
-                Some(SnapshotDir::open(path).map_err(|e| format!("{}: {e}", path.display()))?);
-            None
-        }
-        None => None,
-    };
-    let events = PullSubscriber::new(events_srv.pull(), "events/remote");
-    // The aggregator's store is a middleware stack over the chosen
-    // base backend: metered always (the `sdci_store_*` series), cached
-    // when --store-cache is set. The segmented base carries its
-    // snapshot dir so the trait-level flush() below reaches the same
-    // writer regardless of how many layers sit on top.
-    let has_snapshot = snapshot_dir.is_some();
-    let base_store: Arc<dyn EventBackend> = match backend_kind {
-        "mem" => Arc::new(sdci::monitor::MemBackend::new(store_capacity)),
-        _ => {
-            let store = restored.unwrap_or_else(|| EventStore::new(store_capacity));
-            if let Some(dir) = snapshot_dir {
-                store.attach_snapshot(dir);
-            }
+            store.attach_snapshot(dir);
             Arc::new(store)
         }
     };
@@ -405,35 +399,21 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
     agg.register_health_probe(&role);
-    let feed_addr = offset_addr(base, 1)?;
-    let store_addr = offset_addr(base, 2)?;
-    let feed_srv = TcpBroker::serve(agg.feed().clone(), feed_addr, cfg.clone())
-        .map_err(|e| format!("bind feed {feed_addr}: {e}"))?;
-    let store_srv = StoreServer::bind(store_addr, agg.store(), cfg)
-        .map_err(|e| format!("bind store {store_addr}: {e}"))?;
-    // The scrape endpoint defaults to base port + 3, next to the feed
-    // (+1) and store RPC (+2) listeners. The default is only derived
-    // when the flag is absent: an explicit --metrics-addr must work
-    // even when base+3 would overflow the port range (base up at
-    // 65533 still has room for feed and store).
-    let metrics_addr: SocketAddr = match flags.get("--metrics-addr") {
-        Some(raw) => raw.parse().map_err(|e| format!("--metrics-addr: {e}"))?,
-        None => offset_addr(base, 3)?,
-    };
-    let metrics_srv = sdci_obs::MetricsServer::bind(metrics_addr)
-        .map_err(|e| format!("bind metrics {metrics_addr}: {e}"))?;
+    let endpoint = Endpoint::bind(
+        bind,
+        cfg,
+        vec![events_srv.clone(), TcpBroker::new(agg.feed().clone()), StoreServer::new(agg.store())],
+    )
+    .map_err(|e| format!("bind {bind}: {e}"))?;
+    let addr = endpoint.local_addr();
 
-    // Readiness line: tests and operators parse "listening on ADDR".
+    // Readiness line: tests, operators and the benchmark parse
+    // "listening on ADDR" and the three named addresses after it.
     let role = match shard {
         Some(id) => format!("shard {id}"),
         None => "aggregator".to_string(),
     };
-    println!(
-        "sdcimon {role} listening on {base} (feed {}, store {}, metrics {})",
-        feed_srv.local_addr(),
-        store_srv.local_addr(),
-        metrics_srv.local_addr()
-    );
+    println!("sdcimon {role} listening on {addr} (feed {addr}, store {addr}, metrics {addr})");
 
     // Per-shard series let one scrape across the tier attribute load:
     // the label value is this process's shard id.
@@ -446,8 +426,6 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     });
     let mut last_inserted = agg.store().stats().inserted;
 
-    let mut metrics = MetricsRecorder::new();
-    metrics.record(aggregator_sample(&agg));
     let mut ticks = 0u64;
     loop {
         std::thread::sleep(Duration::from_millis(200));
@@ -459,7 +437,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
             last_inserted = inserted;
             store_events.set(agg.store().len() as i64);
         }
-        if has_snapshot {
+        if snapshot.is_some() {
             if let Err(e) = agg.store().flush() {
                 sdci_obs::error!(target: "sdcimon::aggregator", "snapshot failed: {}", e);
                 // A failure *after* the manifest rename still committed
@@ -488,26 +466,9 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
                 }
             }
         }
-        // Self-monitoring: sample the pipeline counters every 5 s and
-        // log ingest rate plus the store's gauges.
+        // Self-monitoring for log-only deployments: every 5 s, the same
+        // registry snapshot the scrape serves, as a structured record.
         if ticks.is_multiple_of(25) {
-            metrics.record(aggregator_sample(&agg));
-            let store = metrics.latest_store_stats().expect("sample just recorded");
-            match metrics.latest_rates() {
-                Some(rates) => sdci_obs::info!(
-                    target: "sdcimon::aggregator",
-                    "pipeline status";
-                    rates = format!("{rates}"),
-                    store = format!("{store}"),
-                ),
-                None => sdci_obs::info!(
-                    target: "sdcimon::aggregator",
-                    "pipeline status";
-                    store = format!("{store}"),
-                ),
-            }
-            // The same registry snapshot the scrape endpoint serves,
-            // embedded as a structured record for log-only deployments.
             sdci_obs::info!(
                 target: "sdcimon::metrics",
                 "metrics snapshot";
@@ -515,12 +476,6 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
             );
         }
     }
-}
-
-/// A [`MetricsRecorder`] sample for a standalone aggregator process
-/// (no in-process Collectors to report on).
-fn aggregator_sample<B: EventBackend + ?Sized + 'static>(agg: &Aggregator<B>) -> ClusterStats {
-    ClusterStats { collectors: Vec::new(), aggregator: agg.snapshot(), store: agg.store().stats() }
 }
 
 /// The dedup-marks sidecar written next to the store snapshot.
@@ -558,7 +513,7 @@ fn write_marks_atomically(
 
 /// The scatter front the [`StoreServer`] serves, swappable so a map
 /// version bump (a shard added at runtime) re-fans the scatter without
-/// rebinding the RPC listener. Queries clone the current scatter out of
+/// rebinding the listener. Queries clone the current scatter out of
 /// the lock, so an in-flight fan-out never blocks the swap.
 #[derive(Clone)]
 struct SwappableScatter(Arc<parking_lot::RwLock<ScatterStore>>);
@@ -575,16 +530,13 @@ impl EventBackend for SwappableScatter {
 }
 
 /// The sharded tier's front-end: serves the authoritative [`ShardMap`]
-/// on the base port and a scatter-gather store RPC on base+2, so
-/// `RemoteStore` consumers see the whole tier as one logical store.
-fn run_front(args: &[String]) -> Result<(), String> {
-    let flags =
-        Flags::new(args, &["--bind", "--shards", "--metrics-addr", "--faults", "--trace-sample"])?;
-    trace_setup(&flags, "front")?;
-    let bind: SocketAddr = flags.parse("--bind", "127.0.0.1:7170".parse().unwrap())?;
+/// and a scatter-gather store RPC at its one address, so `RemoteStore`
+/// consumers see the whole tier as one logical store.
+fn run_front(flags: &Flags) -> Result<(), String> {
+    trace_setup(flags, "front")?;
+    let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7170".parse().unwrap())?;
     let shards: Vec<String> = flags
-        .get("--shards")
-        .ok_or("front requires --shards ADDR,ADDR,...")?
+        .required("--shards")
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
@@ -592,29 +544,19 @@ fn run_front(args: &[String]) -> Result<(), String> {
     if shards.is_empty() {
         return Err("front requires at least one shard address".into());
     }
-    let cfg = net_config(&flags)?;
+    let cfg = net_config(flags)?;
 
-    let map = ShardMap::new(shards);
-    let map_srv =
-        MapServer::bind(bind, map.clone(), cfg.clone()).map_err(|e| format!("bind {bind}: {e}"))?;
-    let base = map_srv.local_addr();
-    let scatter = ScatterStore::from_map(&map, cfg.clone()).map_err(|e| e.to_string())?;
+    let map_srv = MapServer::new(ShardMap::new(shards));
+    let scatter = ScatterStore::from_map(&map_srv.map(), cfg.clone()).map_err(|e| e.to_string())?;
     let swappable = SwappableScatter(Arc::new(parking_lot::RwLock::new(scatter)));
-    let store_addr = offset_addr(base, 2)?;
-    let store_srv = StoreServer::bind(store_addr, swappable.clone(), cfg.clone())
-        .map_err(|e| format!("bind store {store_addr}: {e}"))?;
-    let metrics_addr: SocketAddr = match flags.get("--metrics-addr") {
-        Some(raw) => raw.parse().map_err(|e| format!("--metrics-addr: {e}"))?,
-        None => offset_addr(base, 3)?,
-    };
-    let metrics_srv = sdci_obs::MetricsServer::bind(metrics_addr)
-        .map_err(|e| format!("bind metrics {metrics_addr}: {e}"))?;
+    let store_srv = StoreServer::new(swappable.clone());
+    let endpoint = Endpoint::bind(bind, cfg.clone(), vec![map_srv.clone(), store_srv.clone()])
+        .map_err(|e| format!("bind {bind}: {e}"))?;
+    let addr = endpoint.local_addr();
 
     // Readiness line: tests and operators parse "listening on ADDR".
     println!(
-        "sdcimon front listening on {base} (store {}, metrics {}, shards {})",
-        store_srv.local_addr(),
-        metrics_srv.local_addr(),
+        "sdcimon front listening on {addr} (store {addr}, metrics {addr}, shards {})",
         map_srv.map().shards().len()
     );
 
@@ -657,29 +599,17 @@ fn run_front(args: &[String]) -> Result<(), String> {
 // collector
 // ---------------------------------------------------------------------------
 
-fn run_collector(args: &[String]) -> Result<(), String> {
-    let flags = Flags::new(
-        args,
-        &[
-            "--connect",
-            "--cluster",
-            "--client",
-            "--files",
-            "--faults",
-            "--trace-sample",
-            "--trace-out",
-        ],
-    )?;
+fn run_collector(flags: &Flags) -> Result<(), String> {
     let client = flags.get("--client").unwrap_or("collector").to_string();
-    trace_setup(&flags, &client)?;
-    let files: u64 = flags.parse("--files", 100)?;
+    trace_setup(flags, &client)?;
+    let files: u64 = flags.parse_or("--files", 100)?;
 
     // Each collector process monitors its own (simulated) MDT and
     // drives a private workload under /<client>/.
     let lfs = Arc::new(Mutex::new(LustreFs::new(
         LustreConfig::builder(client.clone()).mdt_count(1).build(),
     )));
-    let cfg = net_config(&flags)?;
+    let cfg = net_config(flags)?;
 
     match (flags.get("--connect"), flags.get("--cluster")) {
         (Some(raw), None) => {
@@ -694,7 +624,7 @@ fn run_collector(args: &[String]) -> Result<(), String> {
                 collector.stats().processed,
                 push.acked()
             );
-            trace_dump(&flags);
+            trace_dump(flags);
             if drained {
                 Ok(())
             } else {
@@ -744,7 +674,7 @@ fn run_collector(args: &[String]) -> Result<(), String> {
                 routed.join(" "),
                 router.map_version()
             );
-            trace_dump(&flags);
+            trace_dump(flags);
             if drained {
                 Ok(())
             } else {
@@ -812,37 +742,18 @@ fn fetch_map_with_retry(
 // consumer
 // ---------------------------------------------------------------------------
 
-fn run_consumer(args: &[String]) -> Result<(), String> {
-    let flags = Flags::with_switches(
-        args,
-        &[
-            "--connect",
-            "--expect",
-            "--under",
-            "--timeout",
-            "--cursor",
-            "--faults",
-            "--trace-sample",
-            "--trace-out",
-        ],
-        &["--verbose"],
-    )?;
-    trace_setup(&flags, "consumer")?;
+fn run_consumer(flags: &Flags) -> Result<(), String> {
+    trace_setup(flags, "consumer")?;
     let verbose = flags.has("--verbose");
-    let connect: SocketAddr = flags
-        .get("--connect")
-        .ok_or("consumer requires --connect ADDR")?
-        .parse()
-        .map_err(|e| format!("--connect: {e}"))?;
+    let connect: SocketAddr =
+        flags.required("--connect").parse().map_err(|e| format!("--connect: {e}"))?;
     let expect: Option<u64> = match flags.get("--expect") {
         Some(raw) => Some(raw.parse().map_err(|e| format!("--expect: {e}"))?),
         None => None,
     };
-    let timeout = Duration::from_secs(flags.parse("--timeout", 30u64)?);
+    let timeout = Duration::from_secs(flags.parse_or("--timeout", 30u64)?);
 
-    let cfg = net_config(&flags)?;
-    let feed_addr = offset_addr(connect, 1)?;
-    let store_addr = offset_addr(connect, 2)?;
+    let cfg = net_config(flags)?;
     // A durable cursor resumes the stream from the last *consumed*
     // sequence — not from "now" — so a restarted consumer backfills
     // everything published while it was down instead of skipping it.
@@ -851,13 +762,14 @@ fn run_consumer(args: &[String]) -> Result<(), String> {
         Some(c) => c.load().map_err(|e| format!("--cursor: {e}"))?.unwrap_or(0),
         None => 0,
     };
-    let feed = TcpSubscriber::connect(feed_addr, &["feed/"], cfg.clone());
-    let store = RemoteStore::connect(store_addr, cfg);
+    // The feed and the store it backfills from answer at one address.
+    let feed = TcpSubscriber::connect(connect, &["feed/"], cfg.clone());
+    let store = RemoteStore::connect(connect, cfg);
     let mut consumer = EventConsumer::new(feed, store, start);
     if let Some(prefix) = flags.get("--under") {
         consumer = consumer.under(prefix);
     }
-    println!("sdcimon consumer reading feed at {feed_addr} from seq {}", start + 1);
+    println!("sdcimon consumer reading feed at {connect} from seq {}", start + 1);
 
     let deadline = Instant::now() + timeout;
     let mut delivered: u64 = 0;
@@ -903,7 +815,7 @@ fn run_consumer(args: &[String]) -> Result<(), String> {
         "sdcimon consumer done: delivered {} recovered {} lost {}",
         stats.delivered, stats.recovered, stats.lost
     );
-    trace_dump(&flags);
+    trace_dump(flags);
     match expect {
         Some(n) if delivered < n => std::process::exit(1),
         _ => Ok(()),
@@ -914,117 +826,68 @@ fn run_consumer(args: &[String]) -> Result<(), String> {
 // single-process demo (the original sdcimon)
 // ---------------------------------------------------------------------------
 
-struct Options {
-    testbed: String,
-    mdts: u32,
-    seconds: u64,
-    ops_per_tick: u64,
-    cache: bool,
-}
+fn run_demo(flags: &Flags) -> Result<(), String> {
+    let testbed = flags.get("--testbed").unwrap_or("iota");
+    let mdts: u32 = flags.parse_or("--mdts", 4)?;
+    let seconds: u64 = flags.parse_or("--seconds", 5)?;
+    let ops_per_tick: u64 = flags.parse_or("--ops-per-tick", 20_000)?;
+    let cache = !flags.has("--no-cache");
 
-fn parse_demo_args(args: &[String]) -> Result<Options, String> {
-    let mut options =
-        Options { testbed: "iota".into(), mdts: 4, seconds: 5, ops_per_tick: 20_000, cache: true };
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let mut value =
-            |name: &str| args.next().cloned().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--testbed" => options.testbed = value("--testbed")?,
-            "--mdts" => {
-                options.mdts = value("--mdts")?.parse().map_err(|e| format!("--mdts: {e}"))?
-            }
-            "--seconds" => {
-                options.seconds =
-                    value("--seconds")?.parse().map_err(|e| format!("--seconds: {e}"))?
-            }
-            "--ops-per-tick" => {
-                options.ops_per_tick =
-                    value("--ops-per-tick")?.parse().map_err(|e| format!("--ops-per-tick: {e}"))?
-            }
-            "--no-cache" => options.cache = false,
-            "--help" | "-h" => {
-                println!(
-                    "usage: sdcimon [--testbed aws|iota] [--mdts N] [--seconds S] \
-                     [--ops-per-tick N] [--no-cache]\n\
-                     \x20      sdcimon aggregator [--bind ADDR] [--store-capacity N] \
-                     [--feed-hwm N] [--snapshot DIR] [--store-backend seg|mem] \
-                     [--store-cache N] [--faults SPEC] [--trace-sample N]\n\
-                     \x20      sdcimon collector --connect ADDR | --cluster ADDR [--client ID] \
-                     [--files N] [--faults SPEC] [--trace-sample N] [--trace-out PATH]\n\
-                     \x20      sdcimon consumer --connect ADDR [--expect N] [--under PREFIX] \
-                     [--timeout SECS] [--faults SPEC] [--trace-sample N] [--trace-out PATH]\n\
-                     \x20      sdcimon shard --shard-id N [--bind ADDR] [--store-capacity N] \
-                     [--feed-hwm N] [--snapshot DIR] [--store-backend seg|mem] \
-                     [--store-cache N] [--faults SPEC] [--trace-sample N]\n\
-                     \x20      sdcimon front --shards A,B,... [--bind ADDR] [--faults SPEC] \
-                     [--trace-sample N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(options)
-}
-
-fn run_demo(args: &[String]) -> Result<(), String> {
-    let options = parse_demo_args(args)?;
-
-    let capacity = match options.testbed.as_str() {
+    let capacity = match testbed {
         "aws" => ByteSize::from_gib(20),
         "iota" => ByteSize::from_tib(897),
         other => return Err(format!("unknown testbed {other} (use aws or iota)")),
     };
-    let config = LustreConfig::builder(options.testbed.clone())
-        .mdt_count(options.mdts)
+    let config = LustreConfig::builder(testbed)
+        .mdt_count(mdts)
         .ost_count(8)
         .capacity(capacity)
         .dne_policy(DnePolicy::HashByName)
         .build();
     println!(
-        "sdcimon: {} ({} capacity, {} MDTs), path cache {}",
-        options.testbed,
-        capacity,
-        options.mdts,
-        if options.cache { "on" } else { "off" }
+        "sdcimon: {testbed} ({capacity} capacity, {mdts} MDTs), path cache {}",
+        if cache { "on" } else { "off" }
     );
 
     let lfs = Arc::new(Mutex::new(LustreFs::new(config)));
     let monitor_config = MonitorConfig {
-        path_cache_capacity: if options.cache { 4096 } else { 0 },
+        path_cache_capacity: if cache { 4096 } else { 0 },
         ..MonitorConfig::default()
     };
     let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).config(monitor_config).start();
     let mut generator =
         EventGenerator::new(Arc::clone(&lfs), 32, OpMix::paper(), 1).expect("generator setup");
 
-    let mut metrics = MetricsRecorder::new();
-    metrics.record(cluster.stats());
     let mut tick_time = 0u64;
     let start = Instant::now();
+    let mut last = (start, cluster.stats());
 
     println!("\n  t(s)  extract/s   process/s   publish/s  cache-hit  store-events");
-    for second in 1..=options.seconds {
+    for second in 1..=seconds {
         let tick_deadline = start + Duration::from_secs(second);
         while Instant::now() < tick_deadline {
             generator
-                .run(options.ops_per_tick, || {
+                .run(ops_per_tick, || {
                     tick_time += 1;
                     SimTime::from_nanos(tick_time * 100)
                 })
                 .expect("workload");
         }
-        metrics.record(cluster.stats());
-        let rates = metrics.latest_rates().expect("two samples");
-        let store_len = cluster.store().len();
+        // Rates are the counters' deltas over the tick just ended.
+        let now = (Instant::now(), cluster.stats());
+        let elapsed = now.0.duration_since(last.0).as_secs_f64();
+        let per_sec = |count: fn(&ClusterStats) -> u64| {
+            count(&now.1).saturating_sub(count(&last.1)) as f64 / elapsed
+        };
         println!(
-            "  {second:>4}  {:>9.0}  {:>10.0}  {:>10.0}  {:>8.1}%  {store_len:>12}",
-            rates.extract_rate.per_sec(),
-            rates.process_rate.per_sec(),
-            rates.publish_rate.per_sec(),
-            metrics.cache_hit_rate() * 100.0,
+            "  {second:>4}  {:>9.0}  {:>10.0}  {:>10.0}  {:>8.1}%  {:>12}",
+            per_sec(ClusterStats::total_extracted),
+            per_sec(ClusterStats::total_processed),
+            per_sec(|stats| stats.aggregator.published),
+            now.1.cache_hit_rate() * 100.0,
+            cluster.store().len(),
         );
+        last = now;
     }
 
     let total = lfs.lock().total_events();
@@ -1040,39 +903,4 @@ fn run_demo(args: &[String]) -> Result<(), String> {
     println!("storage after run: {} used across {} OSTs", report.used, report.osts.len());
     cluster.shutdown();
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn offset_addr_derives_and_errors_cleanly_near_the_ceiling() {
-        let base: SocketAddr = "127.0.0.1:7070".parse().unwrap();
-        assert_eq!(offset_addr(base, 3).unwrap().port(), 7073);
-
-        let high: SocketAddr = format!("127.0.0.1:{}", u16::MAX - 2).parse().unwrap();
-        assert_eq!(offset_addr(high, 2).unwrap().port(), u16::MAX);
-        let err = offset_addr(high, 3).unwrap_err();
-        assert!(err.contains("no room"), "unexpected message: {err}");
-        assert!(
-            err.contains(&(u16::MAX - 3).to_string()),
-            "ceiling hint must match the requested offset: {err}"
-        );
-    }
-
-    #[test]
-    fn explicit_metrics_addr_skips_default_derivation() {
-        // `--metrics-addr` given explicitly must not require base+3 to
-        // be a representable port (the old code derived the default
-        // eagerly and failed even when the flag was present).
-        let args = vec!["--metrics-addr".to_string(), "127.0.0.1:9100".to_string()];
-        let flags = Flags::new(&args, &["--metrics-addr"]).unwrap();
-        let base: SocketAddr = format!("127.0.0.1:{}", u16::MAX - 2).parse().unwrap();
-        let metrics_addr: SocketAddr = match flags.get("--metrics-addr") {
-            Some(raw) => raw.parse().map_err(|e| format!("--metrics-addr: {e}")).unwrap(),
-            None => offset_addr(base, 3).unwrap(),
-        };
-        assert_eq!(metrics_addr, "127.0.0.1:9100".parse().unwrap());
-    }
 }

@@ -14,117 +14,23 @@
 //!
 //! Every schedule is reproducible: the seed is printed, and replaying
 //! it is `sdcimon collector --faults "<printed spec>"` against a clean
-//! aggregator. Children are managed strictly through
-//! [`std::process::Child`] handles, so a crashed test cannot take
-//! unrelated processes down with it.
+//! aggregator. The harness (spawn, readiness line, scrape, collector
+//! runs) is `tests/common`.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{
+    check_consumer_output, metric_value, run_collector, scrape_metrics, spawn, spawn_env,
+    wait_for_listen_addr, Reaped, BIN, EVENTS_PER_COLLECTOR,
+};
+use std::process::{Command, Stdio};
 use std::time::Duration;
-
-const BIN: &str = env!("CARGO_BIN_EXE_sdcimon");
-
-/// Events one collector run emits: one mkdir plus `--files` creates.
-const EVENTS_PER_COLLECTOR: usize = 101;
 
 /// The push-leg schedule: aggressive enough that every seed injects
 /// dozens of faults across a 101-event run, mild enough that the
 /// bounded-retry drain (60 s) always converges.
 fn chaos_spec(seed: u64) -> String {
     format!("seed={seed},drop=0.08,dup=0.06,trunc=0.04,delay=0.05:1ms")
-}
-
-/// A child process that is SIGKILLed when the test panics.
-struct Reaped(Option<Child>);
-
-impl Reaped {
-    fn child(&mut self) -> &mut Child {
-        self.0.as_mut().expect("child already consumed")
-    }
-
-    fn into_child(mut self) -> Child {
-        self.0.take().expect("child already consumed")
-    }
-}
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn spawn_env(args: &[&str], envs: &[(&str, &str)]) -> Reaped {
-    let mut cmd = Command::new(BIN);
-    cmd.args(args).stdout(Stdio::piped()).stderr(Stdio::inherit());
-    for (key, value) in envs {
-        cmd.env(key, value);
-    }
-    Reaped(Some(cmd.spawn().expect("spawn sdcimon")))
-}
-
-fn wait_for_listen_addr(agg: &mut Reaped) -> String {
-    let stdout = agg.child().stdout.take().expect("aggregator stdout piped");
-    let mut lines = BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.expect("read aggregator stdout");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let addr = rest.split_whitespace().next().expect("addr token");
-            std::thread::spawn(move || for _ in lines {});
-            return addr.to_string();
-        }
-    }
-    panic!("aggregator exited without printing a readiness line");
-}
-
-fn scrape_metrics(events_addr: &str) -> String {
-    use std::io::{Read, Write};
-    let base: std::net::SocketAddr = events_addr.parse().expect("events addr");
-    let metrics_addr = std::net::SocketAddr::new(base.ip(), base.port() + 3);
-    let mut stream = std::net::TcpStream::connect(metrics_addr).expect("connect metrics endpoint");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: sdci\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read metrics response");
-    assert!(response.starts_with("HTTP/1.1 200"), "unexpected scrape status: {response}");
-    let body_at = response.find("\r\n\r\n").expect("header/body separator") + 4;
-    response[body_at..].to_string()
-}
-
-/// Reads one counter from a scrape body; a counter that never fired is
-/// absent from the registry and reads as 0.
-fn metric_value(body: &str, name: &str) -> u64 {
-    let prefix = format!("{name} ");
-    body.lines()
-        .find_map(|l| l.strip_prefix(&prefix).and_then(|v| v.trim().parse().ok()))
-        .unwrap_or(0)
-}
-
-/// Runs a collector to completion, its push sockets under `faults`.
-fn run_collector(addr: &str, client: &str, faults: Option<&str>) {
-    let mut args = vec!["collector", "--connect", addr, "--client", client, "--files", "100"];
-    if let Some(spec) = faults {
-        args.extend_from_slice(&["--faults", spec]);
-    }
-    let status = Command::new(BIN).args(&args).status().expect("run collector");
-    assert!(status.success(), "collector {client} failed: {status:?}");
-}
-
-/// Asserts the per-client `event` lines are path-resolved and arrive in
-/// creation order, and returns how many event lines were seen in total.
-fn check_consumer_output(out: &str, clients: &[&str]) -> usize {
-    for client in clients {
-        let prefix = format!("/{client}/f");
-        let indices: Vec<usize> = out
-            .lines()
-            .filter_map(|l| l.strip_prefix("event Created ")?.strip_prefix(&prefix)?.parse().ok())
-            .collect();
-        let expected: Vec<usize> = (0..100).collect();
-        assert_eq!(indices, expected, "client {client}: file events out of order or missing");
-    }
-    out.lines().filter(|l| l.starts_with("event ")).count()
 }
 
 /// Exactly-once delivery under a hostile push leg, across three seeds.
@@ -139,16 +45,22 @@ fn faulted_push_legs_deliver_exactly_once_across_seeds() {
         let spec_c2 = chaos_spec(seed + 1);
         println!("chaos schedule: seed {seed} (c1 spec {spec_c1}, c2 spec {spec_c2})");
 
-        let mut agg = spawn_env(&["aggregator", "--bind", "127.0.0.1:0"], &[]);
+        let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0"]);
         let addr = wait_for_listen_addr(&mut agg);
         let expect = (2 * EVENTS_PER_COLLECTOR).to_string();
-        let consumer = spawn_env(
-            &["consumer", "--connect", &addr, "--verbose", "--expect", &expect, "--timeout", "120"],
-            &[],
-        );
+        let consumer = spawn(&[
+            "consumer",
+            "--connect",
+            &addr,
+            "--verbose",
+            "--expect",
+            &expect,
+            "--timeout",
+            "120",
+        ]);
 
-        run_collector(&addr, "c1", Some(&spec_c1));
-        run_collector(&addr, "c2", Some(&spec_c2));
+        run_collector("--connect", &addr, "c1", Some(&spec_c1));
+        run_collector("--connect", &addr, "c2", Some(&spec_c2));
 
         let out = consumer.into_child().wait_with_output().expect("wait for consumer");
         assert!(out.status.success(), "seed {seed}: consumer failed: {:?}", out.status);
@@ -195,27 +107,24 @@ fn faulted_consumer_legs_still_deliver_exactly_once() {
         let spec = chaos_spec(seed);
         println!("consumer-leg chaos schedule: seed {seed} (spec {spec})");
 
-        let mut agg = spawn_env(&["aggregator", "--bind", "127.0.0.1:0"], &[]);
+        let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0"]);
         let addr = wait_for_listen_addr(&mut agg);
         let expect = (2 * EVENTS_PER_COLLECTOR).to_string();
-        let consumer = spawn_env(
-            &[
-                "consumer",
-                "--connect",
-                &addr,
-                "--verbose",
-                "--expect",
-                &expect,
-                "--timeout",
-                "120",
-                "--faults",
-                &spec,
-            ],
-            &[],
-        );
+        let consumer = spawn(&[
+            "consumer",
+            "--connect",
+            &addr,
+            "--verbose",
+            "--expect",
+            &expect,
+            "--timeout",
+            "120",
+            "--faults",
+            &spec,
+        ]);
 
-        run_collector(&addr, "c1", None);
-        run_collector(&addr, "c2", None);
+        run_collector("--connect", &addr, "c1", None);
+        run_collector("--connect", &addr, "c2", None);
 
         let out = consumer.into_child().wait_with_output().expect("wait for consumer");
         assert!(out.status.success(), "seed {seed}: consumer failed: {:?}", out.status);
@@ -258,12 +167,18 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
     let addr = wait_for_listen_addr(&mut agg);
 
     let expect = (2 * EVENTS_PER_COLLECTOR).to_string();
-    let consumer = spawn_env(
-        &["consumer", "--connect", &addr, "--verbose", "--expect", &expect, "--timeout", "120"],
-        &[],
-    );
+    let consumer = spawn(&[
+        "consumer",
+        "--connect",
+        &addr,
+        "--verbose",
+        "--expect",
+        &expect,
+        "--timeout",
+        "120",
+    ]);
 
-    run_collector(&addr, "c1", Some(&chaos_spec(501)));
+    run_collector("--connect", &addr, "c1", Some(&chaos_spec(501)));
 
     // The armed crash point fires mid-flush and aborts the process; no
     // kill from the test, the injected schedule is the whole fault.
@@ -307,7 +222,7 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
     ));
     std::thread::sleep(Duration::from_millis(500));
 
-    let _agg2 = spawn_env(&["aggregator", "--bind", &addr, "--snapshot", snap], &[]);
+    let _agg2 = spawn(&["aggregator", "--bind", &addr, "--snapshot", snap]);
 
     let c2_status = c2.child().wait().expect("wait collector c2");
     assert!(c2_status.success(), "collector c2 failed: {c2_status:?}");
@@ -344,19 +259,17 @@ fn store_rpc_server_aborted_mid_reply_recovers_on_restart() {
         &[("SDCI_CRASH_POINTS", "net.store_rpc.reply:1:abort")],
     );
     let addr = wait_for_listen_addr(&mut agg);
-    run_collector(&addr, "c1", None);
+    run_collector("--connect", &addr, "c1", None);
 
     // Give the 200 ms flush loop time to commit a snapshot covering
     // every acked event — the abort below takes the whole process.
     std::thread::sleep(Duration::from_millis(1500));
 
-    let base: std::net::SocketAddr = addr.parse().expect("events addr");
-    let store_addr = std::net::SocketAddr::new(base.ip(), base.port() + 2);
     let cfg = NetConfig {
         retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
         ..NetConfig::default()
     };
-    let remote = RemoteStore::connect(store_addr, cfg);
+    let remote = RemoteStore::connect(addr.parse().expect("aggregator addr"), cfg);
 
     // The armed point fires between running the query and writing the
     // reply; the retry redials a process that no longer exists, so the
@@ -368,7 +281,7 @@ fn store_rpc_server_aborted_mid_reply_recovers_on_restart() {
 
     // Restart on the same address from the same snapshot (no crash
     // points this time): the killed query must now be answered in full.
-    let _agg2 = spawn_env(&["aggregator", "--bind", &addr, "--snapshot", snap], &[]);
+    let _agg2 = spawn(&["aggregator", "--bind", &addr, "--snapshot", snap]);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let recovered = loop {
         let events = remote.query(&StoreQuery::after_seq(0));
@@ -409,25 +322,31 @@ fn aggregator_aborted_mid_fanout_recovers_without_consumer_loss() {
     // No subscriber is connected yet, so nothing fans out and the armed
     // point stays cold while c1 pushes its events; the flush loop then
     // gets time to commit a snapshot covering all of them.
-    run_collector(&addr, "c1", None);
+    run_collector("--connect", &addr, "c1", None);
     std::thread::sleep(Duration::from_millis(1500));
 
     // The consumer subscribes into the armed broker: the first feed
     // message fanned out to it (the idle loop heartbeats every ~20 ms)
     // dies between dequeue and write, taking the aggregator with it.
     let expect = (2 * EVENTS_PER_COLLECTOR).to_string();
-    let consumer = spawn_env(
-        &["consumer", "--connect", &addr, "--verbose", "--expect", &expect, "--timeout", "120"],
-        &[],
-    );
+    let consumer = spawn(&[
+        "consumer",
+        "--connect",
+        &addr,
+        "--verbose",
+        "--expect",
+        &expect,
+        "--timeout",
+        "120",
+    ]);
     let status = agg.child().wait().expect("wait for fanout-aborted aggregator");
     assert!(!status.success(), "the fanout crash point should have aborted the aggregator");
 
     // Restart from the snapshot on the same address, then run c2 clean.
     // The consumer's first live event (seq 102+) exposes the gap back
     // to seq 1; backfill against the restored store must close it.
-    let _agg2 = spawn_env(&["aggregator", "--bind", &addr, "--snapshot", snap], &[]);
-    run_collector(&addr, "c2", None);
+    let _agg2 = spawn(&["aggregator", "--bind", &addr, "--snapshot", snap]);
+    run_collector("--connect", &addr, "c2", None);
 
     let out = consumer.into_child().wait_with_output().expect("wait for consumer");
     assert!(out.status.success(), "consumer failed: {:?}", out.status);
@@ -458,8 +377,7 @@ fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
         &[("SDCI_CRASH_POINTS", "net.pubsub.greet:1:abort")],
     );
     let addr = wait_for_listen_addr(&mut agg);
-    let base: std::net::SocketAddr = addr.parse().expect("events addr");
-    let feed_addr = std::net::SocketAddr::new(base.ip(), base.port() + 1);
+    let feed_addr: std::net::SocketAddr = addr.parse().expect("aggregator addr");
     let cfg = NetConfig {
         retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
         heartbeat: Duration::from_millis(20),
@@ -500,7 +418,7 @@ fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
 
     // Restart #2 runs clean: both supervised endpoints must reconnect
     // and a published message must reach the resubscribed consumer.
-    let mut agg3 = spawn_env(&["aggregator", "--bind", &addr], &[]);
+    let mut agg3 = spawn(&["aggregator", "--bind", &addr]);
     wait_for_listen_addr(&mut agg3);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
@@ -534,7 +452,7 @@ fn killed_consumer_resumes_from_durable_cursor_without_loss_or_duplication() {
     let cursor = dir.join("consumer.cursor");
     let cursor_arg = cursor.to_str().expect("utf-8 temp path");
 
-    let mut agg = spawn_env(&["aggregator", "--bind", "127.0.0.1:0"], &[]);
+    let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0"]);
     let addr = wait_for_listen_addr(&mut agg);
 
     // Run #1 dies on its 40th checkpoint — deterministically 40 events
@@ -555,7 +473,7 @@ fn killed_consumer_resumes_from_durable_cursor_without_loss_or_duplication() {
         ],
         &[("SDCI_CRASH_POINTS", "consumer.cursor.checkpoint:40:abort")],
     );
-    run_collector(&addr, "c1", None);
+    run_collector("--connect", &addr, "c1", None);
 
     let out1 = consumer1.into_child().wait_with_output().expect("wait for aborted consumer");
     assert!(!out1.status.success(), "the armed checkpoint abort should have killed run #1");
@@ -572,21 +490,18 @@ fn killed_consumer_resumes_from_durable_cursor_without_loss_or_duplication() {
     // Run #2 resumes from the cursor. Everything past seq 40 backfills
     // from the store — the feed's live edge is long gone by now.
     let expect2 = (EVENTS_PER_COLLECTOR - seen1).to_string();
-    let consumer2 = spawn_env(
-        &[
-            "consumer",
-            "--connect",
-            &addr,
-            "--verbose",
-            "--expect",
-            &expect2,
-            "--timeout",
-            "120",
-            "--cursor",
-            cursor_arg,
-        ],
-        &[],
-    );
+    let consumer2 = spawn(&[
+        "consumer",
+        "--connect",
+        &addr,
+        "--verbose",
+        "--expect",
+        &expect2,
+        "--timeout",
+        "120",
+        "--cursor",
+        cursor_arg,
+    ]);
     let out2 = consumer2.into_child().wait_with_output().expect("wait for resumed consumer");
     assert!(out2.status.success(), "resumed consumer failed: {:?}", out2.status);
     let stdout2 = String::from_utf8_lossy(&out2.stdout);

@@ -6,84 +6,21 @@
 //! baseline, degraded-but-answered queries when a shard dies, and live
 //! re-routing after a shard-map version bump.
 //!
-//! Children are managed strictly through [`std::process::Child`]
-//! handles (never `pkill`), so a crashed test cannot take unrelated
-//! processes down with it.
+//! The harness (spawn, readiness line, scrape, collector runs) is
+//! `tests/common`.
 
-use sdci::monitor::{ShardMap, StoreQuery, StoreReader};
-use sdci::net::{add_shard, fetch_map, NetConfig, RemoteStore};
-use sdci::types::Fid;
+mod common;
+
+use common::{
+    remote_store, run_collector, scrape_metrics, spawn, split_clients, wait_for_listen_addr,
+    EVENTS_PER_COLLECTOR,
+};
+use sdci::monitor::{StoreQuery, StoreReader};
+use sdci::net::{add_shard, fetch_map, NetConfig};
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_sdcimon");
-
-/// Events one collector run emits: one mkdir plus `--files` creates.
-const EVENTS_PER_COLLECTOR: usize = 101;
-
-/// A child process that is SIGKILLed when the test panics.
-struct Reaped(Option<Child>);
-
-impl Reaped {
-    fn child(&mut self) -> &mut Child {
-        self.0.as_mut().expect("child already consumed")
-    }
-}
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn spawn(args: &[&str]) -> Reaped {
-    let child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn sdcimon");
-    Reaped(Some(child))
-}
-
-/// Reads a role's readiness line and returns its base address.
-fn wait_for_listen_addr(role: &mut Reaped) -> String {
-    let stdout = role.child().stdout.take().expect("role stdout piped");
-    let mut lines = BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.expect("read role stdout");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let addr = rest.split_whitespace().next().expect("addr token");
-            // Keep draining stdout in the background so the child can
-            // never block on a full pipe.
-            std::thread::spawn(move || for _ in lines {});
-            return addr.to_string();
-        }
-    }
-    panic!("role exited without printing a readiness line");
-}
-
-/// Scrapes a role's Prometheus endpoint (base port + 3).
-fn scrape_metrics(base_addr: &str) -> String {
-    use std::io::{Read, Write};
-    let base: SocketAddr = base_addr.parse().expect("base addr");
-    let metrics_addr = SocketAddr::new(base.ip(), base.port() + 3);
-    let mut stream = std::net::TcpStream::connect(metrics_addr).expect("connect metrics endpoint");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(stream, "GET /metrics HTTP/1.1\r\nHost: sdci\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read metrics response");
-    assert!(response.starts_with("HTTP/1.1 200"), "unexpected scrape status: {response}");
-    let body_at = response.find("\r\n\r\n").expect("header/body separator") + 4;
-    response[body_at..].to_string()
-}
 
 /// Polls a role's scrape endpoint until `needle` appears in the body
 /// (metrics sampled on a periodic tick can lag the pipeline), panicking
@@ -100,40 +37,11 @@ fn scrape_until(base_addr: &str, needle: &str) -> String {
     }
 }
 
-/// Runs one collector to completion, returning its stdout.
-fn run_collector(mode: &str, addr: &str, client: &str) -> String {
-    let out = Command::new(BIN)
-        .args(["collector", mode, addr, "--client", client, "--files", "100"])
-        .output()
-        .expect("run collector");
-    assert!(
-        out.status.success(),
-        "collector {client} failed: {:?}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stdout)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// Two client names whose path roots land on *different* shards of a
-/// two-shard map — routing is by path-root hash, so this only depends
-/// on the root string and the shard count.
-fn split_clients() -> (String, String) {
-    let map = ShardMap::new(["127.0.0.1:1", "127.0.0.1:2"]);
-    let fid = Fid::new(1, 1, 0);
-    let owner = |name: &str| map.route(Path::new(&format!("/{name}")), fid).id;
-    let first = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 0).expect("a shard-0 root");
-    let second = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 1).expect("a shard-1 root");
-    (first, second)
-}
-
-/// Polls the store RPC at `base+2` until at least `min` events are
+/// Polls the store RPC at `addr` until at least `min` events are
 /// visible (ingest is async behind the push-leg ack) or the deadline
 /// passes, returning the final result.
-fn query_store(base_addr: &str, min: usize, timeout: Duration) -> Vec<(u64, PathBuf)> {
-    let base: SocketAddr = base_addr.parse().expect("base addr");
-    let store_addr = SocketAddr::new(base.ip(), base.port() + 2);
-    let remote = RemoteStore::connect(store_addr, NetConfig::default());
+fn query_store(addr: &str, min: usize, timeout: Duration) -> Vec<(u64, PathBuf)> {
+    let remote = remote_store(addr);
     let deadline = Instant::now() + timeout;
     loop {
         let events = remote.query(&StoreQuery::after_seq(0));
@@ -189,8 +97,8 @@ fn two_shard_pipeline_is_exactly_once_and_matches_the_single_store_baseline() {
     // One collector per shard: the two roots hash to different owners,
     // so the scatter below genuinely merges two shards.
     let (c_zero, c_one) = split_clients();
-    let out0 = run_collector("--cluster", &front_addr, &c_zero);
-    let out1 = run_collector("--cluster", &front_addr, &c_one);
+    let out0 = run_collector("--cluster", &front_addr, &c_zero, None);
+    let out1 = run_collector("--cluster", &front_addr, &c_one, None);
     assert!(out0.contains("drained: true"), "collector {c_zero} not drained:\n{out0}");
     assert!(out1.contains("drained: true"), "collector {c_one} not drained:\n{out1}");
     // The routing tallies prove single-shard affinity per root.
@@ -213,8 +121,8 @@ fn two_shard_pipeline_is_exactly_once_and_matches_the_single_store_baseline() {
     // rely on).
     let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0"]);
     let agg_addr = wait_for_listen_addr(&mut agg);
-    run_collector("--connect", &agg_addr, &c_zero);
-    run_collector("--connect", &agg_addr, &c_one);
+    run_collector("--connect", &agg_addr, &c_zero, None);
+    run_collector("--connect", &agg_addr, &c_one, None);
     let baseline = query_store(&agg_addr, 2 * EVENTS_PER_COLLECTOR, Duration::from_secs(30));
     assert_scattered_exactly_once(&baseline, &[&c_zero, &c_one]);
     let set = |evs: &[(u64, PathBuf)]| {
@@ -271,7 +179,7 @@ fn adding_a_shard_bumps_the_map_and_reroutes_new_collectors() {
 
     // With one shard, everything routes to it.
     let (c_zero, c_one) = split_clients();
-    let out0 = run_collector("--cluster", &front_addr, &c_zero);
+    let out0 = run_collector("--cluster", &front_addr, &c_zero, None);
     assert!(out0.contains("over map v1"), "first collector should route by v1:\n{out0}");
 
     // Grow the tier: a second shard joins, the front bumps the map, and
@@ -282,7 +190,7 @@ fn adding_a_shard_bumps_the_map_and_reroutes_new_collectors() {
     assert_eq!(bumped.version(), 2);
     assert_eq!(fetch_map(front_sock, &cfg).expect("fetch map").version(), 2);
 
-    let out1 = run_collector("--cluster", &front_addr, &c_one);
+    let out1 = run_collector("--cluster", &front_addr, &c_one, None);
     assert!(out1.contains("over map v2"), "second collector should route by v2:\n{out1}");
     assert!(
         out1.contains(&format!("s0=0 s1={EVENTS_PER_COLLECTOR}")),

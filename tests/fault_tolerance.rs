@@ -4,7 +4,7 @@
 
 use parking_lot::Mutex;
 use sdci::lustre::{LustreConfig, LustreFs};
-use sdci::monitor::{MetricsRecorder, MonitorClusterBuilder, MonitorConfig};
+use sdci::monitor::{MonitorClusterBuilder, MonitorConfig};
 use sdci::types::SimTime;
 use sdci::workloads::{read_trace, replay_trace, write_trace, TraceRecord};
 use std::sync::Arc;
@@ -224,11 +224,10 @@ fn aggregator_restarts_from_snapshot_without_losing_history() {
 }
 
 #[test]
-fn metrics_recorder_tracks_live_cluster() {
+fn cluster_stats_deltas_track_a_live_cluster() {
     let lfs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
     let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).start();
-    let mut recorder = MetricsRecorder::new();
-    recorder.record(cluster.stats());
+    let before = cluster.stats();
     {
         let mut fs = lfs.lock();
         fs.mkdir("/m", t(0)).expect("mkdir");
@@ -237,14 +236,14 @@ fn metrics_recorder_tracks_live_cluster() {
         }
     }
     assert!(cluster.wait_for_published(201, Duration::from_secs(10)));
-    recorder.record(cluster.stats());
-    let rates = recorder.latest_rates().expect("two samples");
-    assert!(rates.process_rate.per_sec() > 0.0);
-    assert_eq!(rates.resolution_failures, 0);
+    let after = cluster.stats();
+    assert_eq!(after.total_processed() - before.total_processed(), 201);
+    assert_eq!(after.store.inserted - before.store.inserted, 201);
+    assert_eq!(after.collectors.iter().map(|c| c.resolution_failures).sum::<u64>(), 0);
     assert!(
-        recorder.cache_hit_rate() > 0.9,
+        after.cache_hit_rate() > 0.9,
         "200 siblings should be nearly all cache hits, got {}",
-        recorder.cache_hit_rate()
+        after.cache_hit_rate()
     );
     cluster.shutdown();
 }

@@ -4,7 +4,7 @@
 
 use parking_lot::Mutex;
 use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
-use sdci::monitor::{MetricsRecorder, MonitorClusterBuilder, MonitorConfig};
+use sdci::monitor::{MonitorClusterBuilder, MonitorConfig};
 use sdci::ripple::{
     ActionKind, ActionSpec, AgentStorage, MonitorSource, RippleBuilder, Rule, Trigger,
 };
@@ -41,8 +41,7 @@ fn sustained_mixed_load_full_stack() {
         .then(ActionSpec::email("soak@example.org")),
     );
 
-    let mut metrics = MetricsRecorder::new();
-    metrics.record(cluster.stats());
+    let mut processed = cluster.stats().total_processed();
 
     // Three waves of mixed workload, checking between waves.
     let mut generator =
@@ -61,9 +60,9 @@ fn sustained_mixed_load_full_stack() {
             cluster.wait_for_published(total, Duration::from_secs(15)),
             "wave {wave}: monitor fell behind"
         );
-        metrics.record(cluster.stats());
-        let rates = metrics.latest_rates().expect("rates");
-        assert!(rates.process_rate.per_sec() > 0.0, "wave {wave}");
+        let now = cluster.stats().total_processed();
+        assert!(now > processed, "wave {wave}: nothing processed");
+        processed = now;
     }
 
     // End-to-end accounting.
@@ -78,7 +77,7 @@ fn sustained_mixed_load_full_stack() {
     );
     let busy = stats.collectors.iter().filter(|c| c.processed > 0).count();
     assert!(busy >= 2, "hash-distributed dirs should keep several collectors busy ({busy})");
-    assert!(metrics.cache_hit_rate() > 0.5, "siblings should mostly hit the cache");
+    assert!(stats.cache_hit_rate() > 0.5, "siblings should mostly hit the cache");
 
     // Ripple executed exactly one email per matching create.
     assert!(ripple.pump_until_idle(Duration::from_secs(20)));

@@ -10,91 +10,23 @@
 //! This is also the CI distributed-tracing smoke: the assembled query
 //! trace is written to `TRACE_distributed_smoke.json` for upload.
 //!
-//! Children are managed strictly through [`std::process::Child`]
-//! handles (never `pkill`), so a crashed test cannot take unrelated
-//! processes down with it.
+//! The harness (spawn, readiness line, the one-address store client) is
+//! `tests/common`.
 
-use sdci::monitor::{ShardMap, StoreQuery, StoreReader};
-use sdci::net::{NetConfig, RemoteStore};
-use sdci::types::Fid;
+mod common;
+
+use common::{remote_store, spawn, split_clients, wait_for_listen_addr, BIN, EVENTS_PER_COLLECTOR};
+use sdci::monitor::{StoreQuery, StoreReader};
 use sdci_bench::trace::TraceCollector;
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
-
-const BIN: &str = env!("CARGO_BIN_EXE_sdcimon");
-
-/// Events one collector run emits: one mkdir plus `--files` creates.
-const EVENTS_PER_COLLECTOR: usize = 101;
-
-/// A child process that is SIGKILLed when the test panics.
-struct Reaped(Option<Child>);
-
-impl Reaped {
-    fn child(&mut self) -> &mut Child {
-        self.0.as_mut().expect("child already consumed")
-    }
-}
-
-impl Drop for Reaped {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-fn spawn(args: &[&str]) -> Reaped {
-    let child = Command::new(BIN)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn sdcimon");
-    Reaped(Some(child))
-}
-
-/// Reads a role's readiness line and returns its base address.
-fn wait_for_listen_addr(role: &mut Reaped) -> String {
-    let stdout = role.child().stdout.take().expect("role stdout piped");
-    let mut lines = BufReader::new(stdout).lines();
-    for line in &mut lines {
-        let line = line.expect("read role stdout");
-        if let Some(rest) = line.split("listening on ").nth(1) {
-            let addr = rest.split_whitespace().next().expect("addr token");
-            std::thread::spawn(move || for _ in lines {});
-            return addr.to_string();
-        }
-    }
-    panic!("role exited without printing a readiness line");
-}
-
-/// The `/tracez` endpoint lives on the metrics listener at base+3.
-fn tracez_addr(base_addr: &str) -> SocketAddr {
-    let base: SocketAddr = base_addr.parse().expect("base addr");
-    SocketAddr::new(base.ip(), base.port() + 3)
-}
-
-/// Two client names whose path roots land on *different* shards of a
-/// two-shard map.
-fn split_clients() -> (String, String) {
-    let map = ShardMap::new(["127.0.0.1:1", "127.0.0.1:2"]);
-    let fid = Fid::new(1, 1, 0);
-    let owner = |name: &str| map.route(Path::new(&format!("/{name}")), fid).id;
-    let first = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 0).expect("a shard-0 root");
-    let second = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 1).expect("a shard-1 root");
-    (first, second)
-}
 
 /// Polls the front's scatter RPC until both collectors' events are
 /// visible (ingest is async behind the push-leg ack).
 fn wait_for_ingest(front_addr: &str, min: usize) {
-    let base: SocketAddr = front_addr.parse().expect("front addr");
-    let store_addr = SocketAddr::new(base.ip(), base.port() + 2);
-    let remote = RemoteStore::connect(store_addr, NetConfig::default());
+    let remote = remote_store(front_addr);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let got = remote.query(&StoreQuery::after_seq(0)).len();
@@ -180,9 +112,7 @@ fn sharded_pipeline_traces_link_across_every_process_boundary() {
     sdci_obs::trace::set_sample_every(1);
     sdci_obs::trace::set_process("query-client");
     let query_trace_id = {
-        let base: SocketAddr = front_addr.parse().expect("front addr");
-        let store_addr = SocketAddr::new(base.ip(), base.port() + 2);
-        let remote = RemoteStore::connect(store_addr, NetConfig::default());
+        let remote = remote_store(&front_addr);
         let root = sdci_obs::trace::root("test.query");
         let ctx = root.context().expect("1/1 sampling samples the root");
         let events = remote.query(&StoreQuery::after_seq(0));
@@ -190,12 +120,14 @@ fn sharded_pipeline_traces_link_across_every_process_boundary() {
         ctx.trace_id
     };
 
-    // Assemble: scrape the three live servers, read the three dump
+    // Assemble: scrape the three live servers (`/tracez` answers at a
+    // role's one address, beside its services), read the three dump
     // files, and fold in this process's own buffer.
     let mut tc = TraceCollector::new();
-    tc.scrape(tracez_addr(&addr0)).expect("scrape shard 0 /tracez");
-    tc.scrape(tracez_addr(&addr1)).expect("scrape shard 1 /tracez");
-    tc.scrape(tracez_addr(&front_addr)).expect("scrape front /tracez");
+    for role in [&addr0, &addr1, &front_addr] {
+        let addr: SocketAddr = role.parse().expect("role addr");
+        tc.scrape(addr).unwrap_or_else(|e| panic!("scrape {role}/tracez: {e}"));
+    }
     for dump in &dumps {
         tc.ingest_file(dump).expect("read trace dump");
     }
