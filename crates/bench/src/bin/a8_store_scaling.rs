@@ -35,13 +35,12 @@
 //! ```
 
 use sdci_bench::print_table;
-use sdci_core::{CachedBackend, EventBackend, EventStore, SequencedEvent, ShardMap, StoreQuery};
+use sdci_core::{EventStore, SequencedEvent, ShardMap, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Events per top-level directory: the workload cycles through roots so
@@ -156,26 +155,12 @@ struct ShardArm {
     speedup_vs_single: f64,
 }
 
-/// The cached-query arm: one hot query served cold (through the inner
-/// segmented store) vs warm (a `CachedBackend` hit).
-#[derive(Serialize)]
-struct CachedArm {
-    window: u64,
-    results: usize,
-    cold_us: f64,
-    warm_us: f64,
-    warm_speedup: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
 /// The machine-readable result CI archives (`BENCH_a8_store_scaling.json`).
 #[derive(Serialize)]
 struct A8Report {
     bench: &'static str,
     mode: &'static str,
     query_rows: Vec<QueryRow>,
-    cached: CachedArm,
     shard_events: u64,
     shard_roots: u64,
     shard_repeats: usize,
@@ -325,74 +310,6 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Cached-query arm: a hot query a dashboard or recovering consumer
-    // repeats verbatim, served through a CachedBackend. The workload
-    // interleaves roots per event (like the shard stream), so the
-    // per-segment root fingerprint overflows and a prefix query cannot
-    // prune segments — the cold cost is a real window scan, the warm
-    // cost is one cache-map hit. The gate holds the warm hit to >=3x
-    // over cold and requires the hit counter to be visible on a live
-    // /metrics scrape, so the cache can't silently stop caching.
-    // ------------------------------------------------------------------
-    let (cache_window, cache_iters) = if smoke { (200_000u64, 15) } else { (1_000_000u64, 30) };
-    const CACHED_GATE: f64 = 3.0;
-    println!("\n== A8: hot-query cache, cold vs warm (window {cache_window}) ==\n");
-
-    let inner = EventStore::new(cache_window as usize);
-    for seq in 1..=cache_window {
-        inner.insert(shard_event(seq)).unwrap();
-    }
-    let inner = Arc::new(inner);
-    let cached = CachedBackend::new(8, Arc::clone(&inner));
-    // The hot shape: one project root over the window's second half.
-    let hot = StoreQuery::since(SimTime::from_secs(cache_window / 2)).under("/r7");
-
-    let (cold_t, cold_n) = median(cache_iters, || inner.as_ref().query(&hot).len());
-    // Prime the entry once, then every timed run is a hit.
-    let primed = cached.query(&hot).len();
-    assert_eq!(primed, cold_n, "the cache's miss path disagrees with the inner store");
-    let (warm_t, warm_n) = median(cache_iters, || cached.query(&hot).len());
-    assert_eq!(warm_n, cold_n, "the cache's hit path disagrees with the inner store");
-    let warm_speedup = cold_t.as_secs_f64() / warm_t.as_secs_f64().max(1e-9);
-
-    let cache_hits = sdci_obs::registry().counter("sdci_store_cache_hits_total").get();
-    let cache_misses = sdci_obs::registry().counter("sdci_store_cache_misses_total").get();
-
-    print_table(
-        &["window", "results", "cold (us)", "warm (us)", "speedup", "hits", "misses"],
-        &[vec![
-            format!("{cache_window}"),
-            format!("{cold_n}"),
-            fmt_us(cold_t),
-            fmt_us(warm_t),
-            format!("{warm_speedup:.1}x"),
-            format!("{cache_hits}"),
-            format!("{cache_misses}"),
-        ]],
-    );
-    println!(
-        "\na repeated query is answered from the cache entry; the insert path \
-         invalidates overlapping entries, so a hit is never stale."
-    );
-    if warm_speedup < CACHED_GATE {
-        gate_failures.push(format!(
-            "cached hot query: warm {warm_speedup:.1}x < required {CACHED_GATE:.0}x"
-        ));
-    }
-    if cache_hits == 0 {
-        gate_failures.push("cached hot query: sdci_store_cache_hits_total scraped as 0".into());
-    }
-    let cached_arm = CachedArm {
-        window: cache_window,
-        results: cold_n,
-        cold_us: cold_t.as_secs_f64() * 1e6,
-        warm_us: warm_t.as_secs_f64() * 1e6,
-        warm_speedup,
-        cache_hits,
-        cache_misses,
-    };
-
-    // ------------------------------------------------------------------
     // Shard-scaling arms: the same stream, path-root-partitioned across
     // 1/2/4 shard stores. One core, so ingest is timed serially per
     // shard and the aggregate rate is taken over the critical path.
@@ -456,7 +373,6 @@ fn main() {
         bench: "a8_store_scaling",
         mode: if smoke { "smoke" } else { "full" },
         query_rows,
-        cached: cached_arm,
         shard_events,
         shard_roots: SHARD_ROOTS,
         shard_repeats,

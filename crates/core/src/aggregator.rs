@@ -12,7 +12,7 @@
 //! anything a consumer has seen announced is retrievable from the
 //! historic API.
 
-use crate::store::{EventBackend, EventStore, MeterNames, MeteredBackend, StoreError};
+use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
@@ -143,7 +143,7 @@ pub struct AggregatorSnapshot {
 /// The running Aggregator: two threads plus shared store.
 ///
 /// Generic over its [`EventBackend`], defaulting to the in-process
-/// segmented [`EventStore`]; `sdcimon` hands it a whole layered stack
+/// segmented [`EventStore`]; `sdcimon` hands it a metered one
 /// (`Arc<dyn EventBackend>`) via [`Aggregator::start_with_backend`].
 pub struct Aggregator<B: EventBackend + ?Sized = EventStore> {
     store: Arc<B>,
@@ -189,9 +189,8 @@ impl Aggregator<EventStore> {
 
 impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
     /// Starts the Aggregator over any [`EventBackend`] — a bare store,
-    /// or a full middleware stack built by
-    /// [`StoreStack`](crate::StoreStack). Sequence numbering resumes
-    /// after the backend's last event.
+    /// or one built by [`StoreStack`](crate::StoreStack). Sequence
+    /// numbering resumes after the backend's last event.
     pub fn start_with_backend<S>(events: S, store: Arc<B>, feed_hwm: usize) -> Self
     where
         S: Subscribe<FileEvent>,
@@ -212,17 +211,8 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
         // the store's write lock is taken once per burst, not once per
         // event; when the feed is trickling the batch degenerates to one
         // event and behaves exactly like the per-event path.
-        //
-        // Inserts go through a metrics layer carrying the aggregator's
-        // long-standing series names (stored/insert-error counters, the
-        // end-to-end insert-lag histogram), so they survive no matter
-        // what backend is underneath.
         let ingest = {
-            let store = MeteredBackend::with_names(
-                MeterNames::prefixed("sdci_aggregator")
-                    .insert_lag_histogram("sdci_e2e_store_insert_latency_seconds"),
-                Arc::clone(&store),
-            );
+            let store = Arc::clone(&store);
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             let last_seq = Arc::clone(&last_seq);
@@ -256,9 +246,8 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                     sdci_obs::static_metric!(counter, "sdci_aggregator_received_total").add(n);
                     // Ingest span, adopting the first sampled event's
                     // carried context. It is the thread's current span
-                    // while the insert runs, so the store middleware's
-                    // layers (cache, meter, tenant, backend) nest under
-                    // it without any plumbing.
+                    // while the insert runs, so the store's own spans
+                    // nest under it without any plumbing.
                     let mut ingest_span =
                         batch.iter().find_map(|s| s.event.trace.filter(|t| t.sampled)).map(|t| {
                             sdci_obs::trace::child_of(
@@ -291,10 +280,23 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                             ),
                         }
                         stats.insert_errors.fetch_add(1, Ordering::Relaxed);
+                        sdci_obs::static_metric!(counter, "sdci_aggregator_insert_errors_total")
+                            .inc();
                         stop.store(true, Ordering::Relaxed);
                         break 'ingest;
                     }
                     stats.stored.fetch_add(n, Ordering::Relaxed);
+                    sdci_obs::static_metric!(counter, "sdci_aggregator_stored_total").add(n);
+                    // Extraction→store lag, observed once per stamped
+                    // event now that the batch has landed.
+                    let now = sdci_obs::unix_now_ns();
+                    let lag = sdci_obs::static_metric!(
+                        histogram,
+                        "sdci_e2e_store_insert_latency_seconds"
+                    );
+                    for extracted in batch.iter().filter_map(|s| s.event.extracted_unix_ns) {
+                        lag.observe_ns(now.saturating_sub(extracted));
+                    }
                     last_seq.store(seq, Ordering::Relaxed);
                     drop(ingest_span);
                     for sev in batch {

@@ -9,7 +9,6 @@ use crate::store::StoreStats;
 use lustre_sim::LustreFs;
 use parking_lot::Mutex;
 use sdci_mq::pubsub::Broker;
-use sdci_mq::transport::Transport;
 use sdci_types::{FileEvent, MdtIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -53,24 +52,16 @@ impl MonitorClusterBuilder {
     /// Deploys one Collector thread per MDT plus the Aggregator over an
     /// in-process broker, and begins monitoring.
     pub fn start(self) -> MonitorCluster {
-        let events_broker: Broker<FileEvent> = Broker::new(self.config.publish_hwm);
-        self.start_over(&events_broker)
-    }
-
-    /// Deploys the monitor over any [`Transport`] — the in-process
-    /// broker ([`MonitorClusterBuilder::start`] uses one) or a TCP
-    /// transport from `sdci-net`, which carries the Collector →
-    /// Aggregator leg over real sockets.
-    pub fn start_over<Tr: Transport<FileEvent>>(self, transport: &Tr) -> MonitorCluster {
+        let events: Broker<FileEvent> = Broker::new(self.config.publish_hwm);
         let mdt_count = self.fs.lock().mdt_count();
         let aggregator = match self.restored_store {
             Some(store) => Aggregator::start_with_store(
-                transport.subscribe(&["events/"]),
+                events.subscribe(&["events/"]),
                 store,
                 self.config.feed_hwm,
             ),
             None => Aggregator::start(
-                transport.subscribe(&["events/"]),
+                events.subscribe(&["events/"]),
                 self.config.store_capacity,
                 self.config.feed_hwm,
             ),
@@ -82,7 +73,7 @@ impl MonitorClusterBuilder {
             let mut collector = Collector::new(
                 Arc::clone(&self.fs),
                 MdtIndex::new(mdt),
-                transport.publisher(),
+                events.publisher(),
                 self.config.clone(),
             );
             let shared = Arc::new(Mutex::new(CollectorStats::default()));

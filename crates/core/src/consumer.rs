@@ -8,7 +8,7 @@
 //! the store before delivering newer events.
 
 use crate::aggregator::{FeedMessage, SequencedEvent};
-use crate::store::{SharedStore, StoreQuery, StoreReader};
+use crate::store::{EventBackend, SharedStore, StoreQuery};
 use sdci_mq::pubsub::Subscriber;
 use sdci_mq::transport::Subscribe;
 use sdci_types::FileEvent;
@@ -65,7 +65,7 @@ impl<F, R> fmt::Debug for EventConsumer<F, R> {
     }
 }
 
-impl<F: Subscribe<FeedMessage>, R: StoreReader> EventConsumer<F, R> {
+impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
     /// Creates a consumer over a feed subscription and the Aggregator's
     /// store handle, expecting sequence numbers to start after
     /// `last_seen_seq` (0 for a fresh consumer).
@@ -496,8 +496,6 @@ mod tests {
         fail_first: std::sync::atomic::AtomicU32,
     }
 
-    // Implemented as an `EventBackend` (the read half arrives through
-    // the blanket `StoreReader` impl, like every other backend).
     impl crate::store::EventBackend for FlakyStore {
         fn insert_batch(
             &self,

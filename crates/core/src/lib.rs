@@ -87,8 +87,7 @@ pub use consumer::{ConsumerCursor, ConsumerStats, EventConsumer};
 pub use pathcache::{CacheStats, PathCache};
 pub use resource::{ComponentUsage, ResourceModel, ResourceReport};
 pub use store::{
-    merge_seq_ordered, restore_snapshot, CachedBackend, EventBackend, EventStore, FlushError,
-    FlushStats, MemBackend, MeterNames, MeteredBackend, SegmentedBackend, SharedStore, SnapshotDir,
-    StoreError, StoreOrderError, StoreQuery, StoreReader, StoreStack, StoreStats, TenantBackend,
-    TenantPolicy,
+    merge_seq_ordered, restore_snapshot, EventBackend, EventStore, FlushError, FlushStats,
+    MeteredBackend, SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery, StoreStack,
+    StoreStats,
 };

@@ -1,49 +1,30 @@
-//! The storage middleware interface: one narrow trait every store
-//! speaks, so a cache, a metrics layer, or a remote/sharded tier is
-//! just another layer instead of a rewrite.
+//! The store interface: one narrow trait every store speaks, so the
+//! aggregator, the store RPC and the consumer's backfill are written
+//! once against it.
 //!
 //! [`EventBackend`] is the full read/write surface (insert, query,
-//! stats, flush), object-safe so stacks compose as
-//! `Arc<dyn EventBackend>`. The segmented [`EventStore`] is the
-//! production implementation ([`SegmentedBackend`]); [`MemBackend`] is
-//! a deliberately naive flat-buffer backend for tests and baselines;
-//! `sdci-net`'s `RemoteStore` and `ScatterStore` implement the same
-//! trait over the wire. The composable layers — `CachedBackend`,
-//! `MeteredBackend`, `TenantBackend` — live in
-//! [`layers`](super::layers) and wrap any backend.
-//!
-//! [`StoreReader`] (the consumer's read-only backfill view) is a
-//! blanket impl over every backend, so `StoreServer`, `ScatterStore`
-//! fronts, and `EventConsumer` serve any backend unchanged.
+//! stats, flush), object-safe so a store is shared as
+//! `Arc<dyn EventBackend>`. The segmented [`EventStore`] is the one
+//! local implementation; [`MeteredBackend`](super::MeteredBackend)
+//! wraps any backend with its metrics; `sdci-net`'s `RemoteStore` and
+//! `ScatterStore` implement the same trait over the wire, read-only.
 
-use super::{EventStore, SharedStore, StoreOrderError, StoreQuery, StoreReader, StoreStats};
+use super::{EventStore, SharedStore, StoreOrderError, StoreQuery, StoreStats};
 use crate::aggregator::SequencedEvent;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Why a backend refused or failed an operation.
 ///
 /// The segmented store's inherent methods keep returning the precise
 /// [`StoreOrderError`]; the trait folds every backend's failures into
-/// this one enum so layers can pass errors through without knowing
+/// this one enum so callers can pass errors through without knowing
 /// what is underneath.
 #[derive(Debug)]
 pub enum StoreError {
     /// The batch broke the strictly-increasing sequence contract; the
     /// store is unchanged.
     Order(StoreOrderError),
-    /// A tenant layer refused the operation: `path` is outside the
-    /// tenant's allowed prefixes.
-    Denied {
-        /// The tenant whose policy refused the operation.
-        tenant: String,
-        /// The first offending path.
-        path: PathBuf,
-    },
     /// The backend is a read-only view (a remote or scatter front) and
     /// cannot accept writes.
     ReadOnly(&'static str),
@@ -63,9 +44,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Order(e) => write!(f, "{e}"),
-            StoreError::Denied { tenant, path } => {
-                write!(f, "tenant {tenant:?} denied access to {}", path.display())
-            }
             StoreError::ReadOnly(what) => write!(f, "{what} is a read-only backend"),
             StoreError::Flush { committed, source } => {
                 let when = if *committed { "after commit" } else { "before commit" };
@@ -92,9 +70,11 @@ impl From<StoreOrderError> for StoreError {
 }
 
 /// A pluggable event store: the one interface the aggregator, the
-/// store RPC, and the middleware layers are written against.
+/// store RPC, and the consumer's gap recovery are written against, so
+/// backfill works identically whether the store lives in the same
+/// process ([`SharedStore`]) or behind `sdci-net`'s query RPC.
 ///
-/// Object-safe and `Send + Sync`, so a layer stack is an
+/// Object-safe and `Send + Sync`, so a store is an
 /// `Arc<dyn EventBackend>` built once (see
 /// [`StoreStack`](super::StoreStack)) and shared by every thread.
 ///
@@ -113,7 +93,10 @@ pub trait EventBackend: Send + Sync {
         self.insert_batch(vec![event])
     }
 
-    /// Runs `query` over the retained window, oldest first.
+    /// Runs `query` over the retained window, oldest first. A backend
+    /// that cannot reach its store (a remote one whose server is down)
+    /// answers empty; an [`EventConsumer`](crate::EventConsumer)
+    /// backfilling from it retries and then counts the gap as lost.
     fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent>;
 
     /// Counters and gauges for the backend (zeroes when unknowable).
@@ -172,18 +155,6 @@ impl<T: EventBackend + ?Sized> EventBackend for Arc<T> {
     }
 }
 
-/// Every backend is a [`StoreReader`]: the consumer's backfill view is
-/// just the read half of the trait. (This blanket is why no concrete
-/// type may implement `StoreReader` by hand.)
-impl<T: EventBackend + 'static> StoreReader for T {
-    fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
-        EventBackend::query(self, query)
-    }
-}
-
-/// The production backend: the segmented, indexed [`EventStore`].
-pub type SegmentedBackend = EventStore;
-
 impl EventBackend for EventStore {
     fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
         let mut span = sdci_obs::trace::child("store.seg.insert");
@@ -228,103 +199,8 @@ impl EventBackend for EventStore {
     }
 }
 
-/// A deliberately naive in-memory backend: one flat `VecDeque` behind
-/// a mutex, per-event rotation, linear-scan queries.
-///
-/// This is the executable form of the proptest reference model — no
-/// segments, no indexes — useful as a test oracle, a bench baseline,
-/// and a `--store-backend mem` mode where segment bookkeeping is pure
-/// overhead (tiny windows). It intentionally shares the segmented
-/// store's externally observable contract: strictly increasing
-/// sequence numbers, all-or-nothing batches, oldest-first query
-/// results.
-#[derive(Debug)]
-pub struct MemBackend {
-    capacity: usize,
-    events: Mutex<VecDeque<SequencedEvent>>,
-    last_seq: AtomicU64,
-    bytes: AtomicU64,
-    inserted: AtomicU64,
-    rotated: AtomicU64,
-    queries: AtomicU64,
-}
-
-impl MemBackend {
-    /// Creates a backend retaining at most `capacity` events
-    /// (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        MemBackend {
-            capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-            last_seq: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            inserted: AtomicU64::new(0),
-            rotated: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-        }
-    }
-}
-
-impl EventBackend for MemBackend {
-    fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        let mut span = sdci_obs::trace::child("store.mem.insert");
-        span.set_detail(format!("{} events", events.len()));
-        let mut buf = self.events.lock();
-        let mut last = self.last_seq.load(Ordering::Relaxed);
-        for event in &events {
-            if event.seq <= last {
-                return Err(StoreOrderError { last_seq: last, offered_seq: event.seq }.into());
-            }
-            last = event.seq;
-        }
-        for event in events {
-            self.last_seq.store(event.seq, Ordering::Relaxed);
-            self.bytes.fetch_add(event.event.footprint_bytes() as u64, Ordering::Relaxed);
-            self.inserted.fetch_add(1, Ordering::Relaxed);
-            buf.push_back(event);
-            while buf.len() > self.capacity {
-                let old = buf.pop_front().expect("over-capacity buffer has a front");
-                self.bytes.fetch_sub(old.event.footprint_bytes() as u64, Ordering::Relaxed);
-                self.rotated.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(())
-    }
-
-    fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
-        let mut span = sdci_obs::trace::child("store.mem.query");
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let limit = if query.limit == 0 { usize::MAX } else { query.limit };
-        let events: Vec<SequencedEvent> =
-            self.events.lock().iter().filter(|e| query.matches(e)).take(limit).cloned().collect();
-        span.set_detail(format!("{} events", events.len()));
-        events
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            inserted: self.inserted.load(Ordering::Relaxed),
-            rotated: self.rotated.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            segments: 0,
-            resident_bytes: self.bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    fn last_seq(&self) -> u64 {
-        self.last_seq.load(Ordering::Relaxed)
-    }
-
-    fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-}
-
 /// `SharedStore` remains the conventional spelling for an in-process
-/// segmented backend handle; assert it still satisfies every bound the
+/// segmented store handle; assert it still satisfies every bound the
 /// servers need.
 #[allow(dead_code)]
 fn _shared_store_is_a_backend(s: SharedStore) -> Arc<dyn EventBackend> {

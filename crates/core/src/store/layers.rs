@@ -1,252 +1,18 @@
-//! Composable middleware layers over any [`EventBackend`], in the
-//! anyfs-backend style: each layer wraps an inner backend by value,
-//! adds one concern, and re-exposes the same trait.
+//! The one wrapper over an [`EventBackend`], and the builder that
+//! applies it.
 //!
-//! * [`CachedBackend`] — read-through LRU over normalized queries,
-//!   invalidated on insert by overlapping range.
-//! * [`MeteredBackend`] — counters, gauges, and latency histograms for
-//!   every operation, replacing hand-inlined metrics at call sites.
-//! * [`TenantBackend`] — per-tenant path-prefix access checks with
-//!   per-tenant labeled counters.
-//!
-//! Layer ordering matters and [`StoreStack`] pins the canonical one:
-//! `Cached(Metered(Tenant(base)))`. The cache sits outermost so a hit
-//! costs no inner work at all; the metrics layer then measures *real*
-//! backend load (cache misses), while the cache's own hit/miss
-//! counters expose its effectiveness; tenant checks run innermost of
-//! the layers so denied operations are still visible to the metrics
-//! layer as what they are — rejected work.
+//! [`MeteredBackend`] wraps an inner backend by value, counts and times
+//! every operation against it, and re-exposes the same trait, so call
+//! sites do not hand-inline counters around store calls. [`StoreStack`]
+//! is the one place a store is put together: a fresh segmented
+//! [`EventStore`](super::EventStore) or an existing backend, metered or
+//! not.
 
 use super::backend::{EventBackend, StoreError};
 use super::{StoreQuery, StoreStats};
 use crate::aggregator::SequencedEvent;
-use parking_lot::Mutex;
 use sdci_obs::{registry, Counter, Gauge, Histogram};
-use sdci_types::SimTime;
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// CachedBackend
-// ---------------------------------------------------------------------------
-
-/// A normalized query: the cache key. `after_seq: Some(0)` is folded
-/// to `None` (sequence numbers start at 1, so both select everything),
-/// making the two spellings share an entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    after_seq: Option<u64>,
-    since: Option<SimTime>,
-    path_prefix: Option<PathBuf>,
-    limit: usize,
-}
-
-impl CacheKey {
-    fn normalize(query: &StoreQuery) -> CacheKey {
-        CacheKey {
-            after_seq: query.after_seq.filter(|&a| a > 0),
-            since: query.since,
-            path_prefix: query.path_prefix.clone(),
-            limit: query.limit,
-        }
-    }
-}
-
-struct CacheEntry {
-    /// The original query shape, kept for overlap checks on insert.
-    query: StoreQuery,
-    result: Vec<SequencedEvent>,
-    /// LRU stamp: the state tick when this entry was last served.
-    stamp: u64,
-}
-
-struct CacheState {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// Monotonic access counter driving LRU eviction.
-    tick: u64,
-    /// The inner backend's rotation counter when the cache last looked:
-    /// rotation removes *old* events, which per-entry overlap checks
-    /// cannot see, so any rotation clears the whole cache.
-    rotated: u64,
-}
-
-/// A read-through LRU query cache over any backend.
-///
-/// # Invalidation contract
-///
-/// All writes must flow *through* this layer. An insert drops exactly
-/// the entries the new events could extend: entries whose result is
-/// already `limit`-complete are immune (query results are oldest-first
-/// and truncated at the limit, so appended events cannot enter them);
-/// every other entry is dropped iff some inserted event matches its
-/// query. If the insert rotated old events out, the whole cache is
-/// cleared — rotation invalidates from the *front*, which no
-/// per-entry check can bound. Writes that bypass the layer (inserting
-/// into the base store directly) are not observed, except that
-/// rotation is re-checked against the inner stats on every access.
-///
-/// The state lock is held across the inner query on a miss: the cache
-/// trades miss-path concurrency for a simple coherence argument (no
-/// insert can interleave between a miss's read and its fill).
-pub struct CachedBackend<B> {
-    inner: B,
-    capacity: usize,
-    state: Mutex<CacheState>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl<B: EventBackend> CachedBackend<B> {
-    /// Wraps `inner` with a cache of at most `capacity` distinct query
-    /// results (minimum 1).
-    pub fn new(capacity: usize, inner: B) -> Self {
-        CachedBackend {
-            capacity: capacity.max(1),
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                tick: 0,
-                rotated: inner.stats().rotated,
-            }),
-            hits: registry().counter("sdci_store_cache_hits_total"),
-            misses: registry().counter("sdci_store_cache_misses_total"),
-            inner,
-        }
-    }
-
-    /// (hits, misses) served so far, for tests and benches.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
-    fn clear_if_rotated(&self, state: &mut CacheState) {
-        let rotated = self.inner.stats().rotated;
-        if rotated != state.rotated {
-            state.entries.clear();
-            state.rotated = rotated;
-        }
-    }
-}
-
-fn effective_limit(limit: usize) -> usize {
-    if limit == 0 {
-        usize::MAX
-    } else {
-        limit
-    }
-}
-
-impl<B: EventBackend> EventBackend for CachedBackend<B> {
-    fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
-        if events.is_empty() {
-            return self.inner.insert_batch(events);
-        }
-        let mut span = sdci_obs::trace::child("store.cache.insert");
-        let mut state = self.state.lock();
-        // Decide what the batch can affect before it moves: an entry is
-        // stale iff it could still grow and some new event matches it.
-        let stale: Vec<CacheKey> = state
-            .entries
-            .iter()
-            .filter(|(_, entry)| {
-                entry.result.len() < effective_limit(entry.query.limit)
-                    && events.iter().any(|ev| entry.query.matches(ev))
-            })
-            .map(|(key, _)| key.clone())
-            .collect();
-        self.inner.insert_batch(events)?;
-        let rotated = self.inner.stats().rotated;
-        if rotated != state.rotated {
-            span.set_detail("cleared (rotation)");
-            state.entries.clear();
-            state.rotated = rotated;
-        } else {
-            span.set_detail(format!("{} entries invalidated", stale.len()));
-            for key in &stale {
-                state.entries.remove(key);
-            }
-        }
-        Ok(())
-    }
-
-    fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
-        let mut span = sdci_obs::trace::child("store.cache.query");
-        let key = CacheKey::normalize(query);
-        let mut state = self.state.lock();
-        self.clear_if_rotated(&mut state);
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(entry) = state.entries.get_mut(&key) {
-            entry.stamp = tick;
-            self.hits.inc();
-            span.set_detail("hit");
-            return entry.result.clone();
-        }
-        self.misses.inc();
-        span.set_detail("miss");
-        let result = self.inner.query(query);
-        if state.entries.len() >= self.capacity {
-            if let Some(oldest) =
-                state.entries.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone())
-            {
-                state.entries.remove(&oldest);
-            }
-        }
-        state
-            .entries
-            .insert(key, CacheEntry { query: query.clone(), result: result.clone(), stamp: tick });
-        result
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn last_seq(&self) -> u64 {
-        self.inner.last_seq()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MeteredBackend
-// ---------------------------------------------------------------------------
-
-/// The metric names a [`MeteredBackend`] emits, derived from one
-/// prefix; the insert-lag histogram name is overridable because the
-/// aggregator's end-to-end latency series predates this layer and its
-/// name (`sdci_e2e_store_insert_latency_seconds`) is pinned by
-/// dashboards and tests.
-#[derive(Debug, Clone)]
-pub struct MeterNames {
-    prefix: String,
-    insert_lag: Option<String>,
-}
-
-impl MeterNames {
-    /// Names derived from `prefix`: `{prefix}_stored_total`,
-    /// `{prefix}_insert_errors_total`, `{prefix}_queries_total`,
-    /// `{prefix}_query_seconds`, `{prefix}_flush_seconds`,
-    /// `{prefix}_insert_lag_seconds`, and occupancy gauges
-    /// `{prefix}_events` / `{prefix}_resident_bytes` /
-    /// `{prefix}_segments`.
-    pub fn prefixed(prefix: impl Into<String>) -> MeterNames {
-        MeterNames { prefix: prefix.into(), insert_lag: None }
-    }
-
-    /// Overrides the insert-lag histogram's name.
-    pub fn insert_lag_histogram(mut self, name: impl Into<String>) -> MeterNames {
-        self.insert_lag = Some(name.into());
-        self
-    }
-}
 
 /// A metrics layer: counts and times every operation against the
 /// inner backend and keeps occupancy gauges fresh, so call sites stop
@@ -265,22 +31,18 @@ pub struct MeteredBackend<B> {
 }
 
 impl<B: EventBackend> MeteredBackend<B> {
-    /// Wraps `inner`, deriving metric names from `prefix`.
-    pub fn new(prefix: &str, inner: B) -> Self {
-        Self::with_names(MeterNames::prefixed(prefix), inner)
-    }
-
-    /// Wraps `inner` with explicit [`MeterNames`].
-    pub fn with_names(names: MeterNames, inner: B) -> Self {
+    /// Wraps `inner`, deriving metric names from prefix `p`:
+    /// `{p}_stored_total`, `{p}_insert_errors_total`,
+    /// `{p}_queries_total`, `{p}_query_seconds`, `{p}_flush_seconds`,
+    /// `{p}_insert_lag_seconds`, and the occupancy gauges `{p}_events` /
+    /// `{p}_resident_bytes` / `{p}_segments`.
+    pub fn new(p: &str, inner: B) -> Self {
         let r = registry();
-        let p = &names.prefix;
-        let lag_name =
-            names.insert_lag.clone().unwrap_or_else(|| format!("{p}_insert_lag_seconds"));
         MeteredBackend {
             stored: r.counter(&format!("{p}_stored_total")),
             insert_errors: r.counter(&format!("{p}_insert_errors_total")),
             queries: r.counter(&format!("{p}_queries_total")),
-            insert_lag: r.histogram(&lag_name),
+            insert_lag: r.histogram(&format!("{p}_insert_lag_seconds")),
             query_time: r.histogram(&format!("{p}_query_seconds")),
             flush_time: r.histogram(&format!("{p}_flush_seconds")),
             events: r.gauge(&format!("{p}_events")),
@@ -351,216 +113,36 @@ impl<B: EventBackend> EventBackend for MeteredBackend<B> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// TenantBackend
-// ---------------------------------------------------------------------------
-
-/// What one tenant may touch: a name (the metric label) and the path
-/// prefixes it owns.
-#[derive(Debug, Clone)]
-pub struct TenantPolicy {
-    tenant: String,
-    prefixes: Vec<PathBuf>,
-}
-
-impl TenantPolicy {
-    /// A tenant allowed exactly the given path prefixes.
-    pub fn new(
-        tenant: impl Into<String>,
-        prefixes: impl IntoIterator<Item = impl Into<PathBuf>>,
-    ) -> TenantPolicy {
-        TenantPolicy {
-            tenant: tenant.into(),
-            prefixes: prefixes.into_iter().map(Into::into).collect(),
-        }
-    }
-
-    /// A tenant allowed everything (the prefix `/`).
-    pub fn allow_all(tenant: impl Into<String>) -> TenantPolicy {
-        TenantPolicy::new(tenant, ["/"])
-    }
-
-    /// The tenant's name.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    fn allows_path(&self, path: &Path) -> bool {
-        self.prefixes.iter().any(|prefix| path.starts_with(prefix))
-    }
-
-    /// A query is allowed iff its path prefix sits under an allowed
-    /// prefix; an unconstrained query (no path filter) needs the
-    /// allow-all prefix, since it would see every tenant's events.
-    fn allows_query(&self, query: &StoreQuery) -> bool {
-        match &query.path_prefix {
-            Some(prefix) => self.allows_path(prefix),
-            None => self.prefixes.iter().any(|p| p == Path::new("/")),
-        }
-    }
-}
-
-/// A per-tenant access layer: path-prefix checks on every insert and
-/// query, with per-tenant labeled traffic counters.
-///
-/// Denied inserts fail with [`StoreError::Denied`] before touching the
-/// inner backend; denied queries return empty (the reader contract for
-/// "cannot serve") and count toward the tenant's denial counter.
-pub struct TenantBackend<B> {
-    inner: B,
-    policy: TenantPolicy,
-    inserts: Counter,
-    queries: Counter,
-    denied: Counter,
-}
-
-impl<B: EventBackend> TenantBackend<B> {
-    /// Wraps `inner` with `policy`'s checks and counters.
-    pub fn new(policy: TenantPolicy, inner: B) -> Self {
-        let r = registry();
-        let labels: &[(&str, &str)] = &[("tenant", policy.tenant.as_str())];
-        TenantBackend {
-            inserts: r.counter_with("sdci_tenant_inserts_total", labels),
-            queries: r.counter_with("sdci_tenant_queries_total", labels),
-            denied: r.counter_with("sdci_tenant_denied_total", labels),
-            policy,
-            inner,
-        }
-    }
-}
-
-impl<B: EventBackend> EventBackend for TenantBackend<B> {
-    fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
-        let mut span = sdci_obs::trace::child("store.tenant.insert");
-        span.set_detail(self.policy.tenant.clone());
-        if let Some(outside) = events.iter().find(|e| !self.policy.allows_path(&e.event.path)) {
-            self.denied.inc();
-            span.set_detail(format!("{} denied", self.policy.tenant));
-            return Err(StoreError::Denied {
-                tenant: self.policy.tenant.clone(),
-                path: outside.event.path.clone(),
-            });
-        }
-        let count = events.len() as u64;
-        self.inner.insert_batch(events)?;
-        self.inserts.add(count);
-        Ok(())
-    }
-
-    fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
-        let mut span = sdci_obs::trace::child("store.tenant.query");
-        span.set_detail(self.policy.tenant.clone());
-        if !self.policy.allows_query(query) {
-            self.denied.inc();
-            span.set_detail(format!("{} denied", self.policy.tenant));
-            return Vec::new();
-        }
-        self.queries.inc();
-        self.inner.query(query)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn last_seq(&self) -> u64 {
-        self.inner.last_seq()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.inner.flush()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// StoreStack
-// ---------------------------------------------------------------------------
-
-enum StackBase {
-    Segmented { capacity: usize },
-    Mem { capacity: usize },
-    Prebuilt(Arc<dyn EventBackend>),
-}
-
-/// Builds the canonical layer stack over a chosen base backend:
-/// `Cached(Metered(Tenant(base)))`, each layer optional. The one
-/// place stack construction lives, so every binary and test composes
-/// layers in the same order.
+/// Builds a role's store: a base backend, under a [`MeteredBackend`]
+/// when a metric prefix is given. The one place store construction
+/// lives, so every binary and test builds it the same way.
 ///
 /// ```
 /// use sdci_core::StoreStack;
-/// let store = sdci_core::StoreStack::segmented(10_000)
-///     .metered("sdci_store")
-///     .cache(64)
-///     .build();
+/// let store = StoreStack::segmented(10_000).metered("sdci_store").build();
 /// assert_eq!(store.len(), 0);
 /// ```
-pub struct StoreStack {
-    base: StackBase,
-    cache_entries: usize,
-    meter_prefix: Option<String>,
-    tenant: Option<TenantPolicy>,
-}
+pub struct StoreStack(Arc<dyn EventBackend>);
 
 impl StoreStack {
-    fn with_base(base: StackBase) -> StoreStack {
-        StoreStack { base, cache_entries: 0, meter_prefix: None, tenant: None }
-    }
-
     /// A fresh segmented [`EventStore`](super::EventStore) base.
     pub fn segmented(capacity: usize) -> StoreStack {
-        StoreStack::with_base(StackBase::Segmented { capacity })
+        StoreStack::over(Arc::new(super::EventStore::new(capacity)))
     }
 
-    /// A fresh flat [`MemBackend`](super::MemBackend) base.
-    pub fn mem(capacity: usize) -> StoreStack {
-        StoreStack::with_base(StackBase::Mem { capacity })
-    }
-
-    /// Layers over an existing backend — a restored store, a remote, a
+    /// Builds over an existing backend — a restored store, a remote, a
     /// scatter front.
     pub fn over(base: Arc<dyn EventBackend>) -> StoreStack {
-        StoreStack::with_base(StackBase::Prebuilt(base))
+        StoreStack(base)
     }
 
-    /// Adds a query cache of `entries` results (0 leaves it off).
-    pub fn cache(mut self, entries: usize) -> StoreStack {
-        self.cache_entries = entries;
-        self
+    /// Adds the metrics wrapper with names derived from `prefix`.
+    pub fn metered(self, prefix: impl AsRef<str>) -> StoreStack {
+        StoreStack(Arc::new(MeteredBackend::new(prefix.as_ref(), self.0)))
     }
 
-    /// Adds a metrics layer with names derived from `prefix`.
-    pub fn metered(mut self, prefix: impl Into<String>) -> StoreStack {
-        self.meter_prefix = Some(prefix.into());
-        self
-    }
-
-    /// Adds a tenant access layer.
-    pub fn tenant(mut self, policy: TenantPolicy) -> StoreStack {
-        self.tenant = Some(policy);
-        self
-    }
-
-    /// Assembles the stack, innermost first.
+    /// The assembled store.
     pub fn build(self) -> Arc<dyn EventBackend> {
-        let mut stack: Arc<dyn EventBackend> = match self.base {
-            StackBase::Segmented { capacity } => Arc::new(super::EventStore::new(capacity)),
-            StackBase::Mem { capacity } => Arc::new(super::MemBackend::new(capacity)),
-            StackBase::Prebuilt(base) => base,
-        };
-        if let Some(policy) = self.tenant {
-            stack = Arc::new(TenantBackend::new(policy, stack));
-        }
-        if let Some(prefix) = self.meter_prefix {
-            stack = Arc::new(MeteredBackend::new(&prefix, stack));
-        }
-        if self.cache_entries > 0 {
-            stack = Arc::new(CachedBackend::new(self.cache_entries, stack));
-        }
-        stack
+        self.0
     }
 }

@@ -43,10 +43,8 @@ mod layers;
 mod segment;
 mod snapshot;
 
-pub use backend::{EventBackend, MemBackend, SegmentedBackend, StoreError};
-pub use layers::{
-    CachedBackend, MeterNames, MeteredBackend, StoreStack, TenantBackend, TenantPolicy,
-};
+pub use backend::{EventBackend, StoreError};
+pub use layers::{MeteredBackend, StoreStack};
 pub use snapshot::{restore_snapshot, FlushError, FlushStats, SnapshotDir};
 
 use crate::aggregator::SequencedEvent;
@@ -737,23 +735,6 @@ impl StoreState {
 /// mutex and sealed-chain lock live inside), sharing is a plain `Arc` —
 /// readers no longer serialize behind a store-wide mutex.
 pub type SharedStore = Arc<EventStore>;
-
-/// Read access to an Aggregator's historic-event store.
-///
-/// The [`EventConsumer`](crate::EventConsumer)'s gap recovery is written
-/// against this trait, so backfill works identically whether the store
-/// lives in the same process ([`SharedStore`]) or behind `sdci-net`'s
-/// query RPC (`RemoteStore`).
-///
-/// Blanket-implemented for every [`EventBackend`] — do not implement
-/// it by hand; implement `EventBackend` instead and the read half
-/// follows.
-pub trait StoreReader: Send + 'static {
-    /// Runs `query` over the retained window, oldest first. A reader
-    /// that cannot reach the store returns an empty result (the
-    /// consumer then accounts the gap as lost).
-    fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent>;
-}
 
 /// K-way merges per-shard query results, each already in ascending
 /// sequence order, into one seq-ordered stream — the gather half of a

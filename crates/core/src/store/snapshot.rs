@@ -160,7 +160,7 @@ pub struct SnapshotDir {
 impl SnapshotDir {
     /// Opens (creating if needed) a snapshot directory, sweeping any
     /// segment/tmp files a crashed flush left behind that the committed
-    /// manifest does not reference (see [`Self::sweep_orphans`]).
+    /// manifest does not reference.
     ///
     /// # Errors
     ///

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sdci_core::{
-    EventBackend, EventConsumer, EventStore, FeedMessage, MemBackend, PathCache, SequencedEvent,
-    StoreQuery, StoreStack, TenantPolicy,
+    EventBackend, EventConsumer, EventStore, FeedMessage, PathCache, SequencedEvent, StoreQuery,
+    StoreStack,
 };
 use sdci_mq::pubsub::Broker;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
@@ -217,14 +217,17 @@ proptest! {
     /// Consumer recovery: publish only an arbitrary subset of events to
     /// the live feed (the rest "missed" at the HWM); as long as the
     /// store retains everything, the consumer still delivers the full
-    /// dense sequence, in order, counting recovered events exactly.
+    /// dense sequence, in order, counting recovered events exactly. The
+    /// store is a trait object, so the consumer's `R: EventBackend` is
+    /// exercised through dynamic dispatch, not only through
+    /// `SharedStore`.
     #[test]
     fn consumer_recovers_arbitrary_loss_patterns(
         n in 1u64..120,
         live_mask in prop::collection::vec(any::<bool>(), 120),
     ) {
         let broker: Broker<FeedMessage> = Broker::new(4096);
-        let store = Arc::new(EventStore::new(10_000));
+        let store: Arc<dyn EventBackend> = StoreStack::segmented(10_000).build();
         let mut consumer = EventConsumer::new(broker.subscribe(&[""]), Arc::clone(&store), 0);
         let publisher = broker.publisher();
         let mut live = 0u64;
@@ -303,14 +306,11 @@ proptest! {
         );
     }
 
-    /// Every backend behind the [`EventBackend`] trait — the flat
-    /// `MemBackend`, the segmented store, and the full
-    /// `Cached(Metered(Tenant(Segmented)))` middleware stack — is
-    /// observationally identical to the naive model under an arbitrary
-    /// interleaving of trait-level batch inserts and queries. The
-    /// layers must be invisible: caching (with its insert
-    /// invalidation), metering, and an allow-all tenant policy change
-    /// nothing about what a query returns.
+    /// Every backend behind the [`EventBackend`] trait — the segmented
+    /// store bare and under its metrics wrapper — is observationally
+    /// identical to the naive model under an arbitrary interleaving of
+    /// trait-level batch inserts and queries: metering changes nothing
+    /// about what a query returns.
     #[test]
     fn every_backend_matches_naive_model_through_the_trait(
         ops in prop::collection::vec(store_op(), 1..60),
@@ -319,7 +319,6 @@ proptest! {
     ) {
         let mut model = NaiveStore::new(capacity);
         let backends: Vec<(&str, Arc<dyn EventBackend>)> = vec![
-            ("mem", Arc::new(MemBackend::new(capacity))),
             ("seg", Arc::new(EventStore::with_segment_size(capacity, segment_events))),
             (
                 "stack",
@@ -327,9 +326,7 @@ proptest! {
                     capacity,
                     segment_events,
                 )))
-                .tenant(TenantPolicy::allow_all("prop"))
                 .metered("sdci_prop_stack")
-                .cache(8)
                 .build(),
             ),
         ];

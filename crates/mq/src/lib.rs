@@ -20,8 +20,8 @@
 //!
 //! Everything here is in-process and thread-based: `Send + 'static`
 //! payloads over crossbeam channels. The [`transport`] module abstracts
-//! the fabric behind [`Publish`]/[`Subscribe`]/[`Transport`] traits, and
-//! the `sdci-net` crate provides a real TCP implementation of the same
+//! the fabric behind the [`Publish`]/[`Subscribe`] traits, and the
+//! `sdci-net` crate provides a real TCP implementation of the same
 //! contracts so the monitor's roles can run as separate OS processes.
 //!
 //! # Example: pub-sub with topic filtering
@@ -55,4 +55,4 @@ pub use lambda::{LambdaPool, LambdaStats};
 pub use pipe::{pipeline, Pull, Push};
 pub use pubsub::{BatchingPublisher, Broker, Message, Publisher, Subscriber};
 pub use sqs::{Receipt, SqsConfig, SqsQueue, SqsStats};
-pub use transport::{Publish, PublishOutcome, PublishReport, PullSubscriber, Subscribe, Transport};
+pub use transport::{Publish, PublishOutcome, PullSubscriber, Subscribe};

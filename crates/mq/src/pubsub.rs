@@ -517,19 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_tallies_outcomes() {
-        use crate::transport::Publish;
-        let broker: Broker<u32> = Broker::new(2);
-        let sub = broker.subscribe(&[""]);
-        let p = broker.publisher();
-        let report = Publish::publish_batch(&p, "t", (0..5).collect());
-        assert_eq!(report.delivered, 2);
-        assert_eq!(report.shed, 3);
-        assert_eq!(report.queued, 0);
-        assert_eq!(sub.queued(), 2);
-    }
-
-    #[test]
     fn fault_plan_drops_deterministically() {
         let plan = Arc::new(FaultPlan::parse("seed=7,drop=1.0").unwrap());
         let broker: Broker<u32> = Broker::new(16).with_faults(Some(plan));

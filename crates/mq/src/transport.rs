@@ -7,19 +7,19 @@
 //! `sdci-net`'s TCP sockets (one OS process per monitor role, as in the
 //! paper's real deployment).
 //!
-//! * [`Publish`] — the sending side of a topic-addressed, lossy
-//!   (high-water-marked) fan-out.
-//! * [`Subscribe`] — the receiving side: a prefix-filtered stream of
-//!   [`Message`]s.
-//! * [`Transport`] — a factory tying the two together, implemented by
-//!   `pubsub::Broker` and by `sdci_net::TcpTransport`.
+//! * [`Publish`] — the sending side: what a Collector hands its events
+//!   to (a broker [`Publisher`], or `sdci-net`'s `TcpPush` and
+//!   `ShardRouter`).
+//! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
+//!   broker [`Subscriber`], [`PullSubscriber`], or `sdci-net`'s
+//!   `TcpSubscriber`).
 //!
 //! [`PullSubscriber`] adapts a PUSH/PULL [`Pull`] endpoint (lossless,
 //! blocking) into a [`Subscribe`] stream so an Aggregator can ingest
 //! from either fabric.
 
 use crate::pipe::Pull;
-use crate::pubsub::{Broker, Message, Publisher, Subscriber};
+use crate::pubsub::{Message, Publisher, Subscriber};
 use std::time::Duration;
 
 /// What became of one published payload, as far as the publishing
@@ -33,30 +33,8 @@ pub enum PublishOutcome {
     /// payload at its high-water mark — nobody will ever see it.
     Shed,
     /// Accepted into an outbound queue whose far end can't be observed
-    /// from here (e.g. a TCP publisher's wire queue).
+    /// from here (e.g. a TCP pusher's resend window).
     Queued,
-}
-
-/// Per-payload outcome tallies for a batch publish.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PublishReport {
-    /// Payloads that came back [`PublishOutcome::Delivered`].
-    pub delivered: u64,
-    /// Payloads that came back [`PublishOutcome::Shed`].
-    pub shed: u64,
-    /// Payloads that came back [`PublishOutcome::Queued`].
-    pub queued: u64,
-}
-
-impl PublishReport {
-    /// Folds one outcome into the tallies.
-    pub fn record(&mut self, outcome: PublishOutcome) {
-        match outcome {
-            PublishOutcome::Delivered => self.delivered += 1,
-            PublishOutcome::Shed => self.shed += 1,
-            PublishOutcome::Queued => self.queued += 1,
-        }
-    }
 }
 
 /// The sending side of a topic-addressed event fan-out.
@@ -67,17 +45,6 @@ pub trait Publish<T>: Send + 'static {
     /// Publishes `payload` on `topic`. Never blocks on slow consumers;
     /// reports what happened so callers can count sheds honestly.
     fn publish(&self, topic: &str, payload: T) -> PublishOutcome;
-
-    /// Publishes several payloads on one topic, tallying the outcomes.
-    /// Endpoints with a wire-level batch format may override this; the
-    /// default simply loops [`Publish::publish`].
-    fn publish_batch(&self, topic: &str, payloads: Vec<T>) -> PublishReport {
-        let mut report = PublishReport::default();
-        for payload in payloads {
-            report.record(self.publish(topic, payload));
-        }
-        report
-    }
 }
 
 /// The receiving side of a topic-addressed event fan-out.
@@ -90,24 +57,6 @@ pub trait Subscribe<T>: Send + 'static {
 
     /// Blocks up to `timeout`; `None` on timeout or close.
     fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>>;
-}
-
-/// A factory for matched [`Publish`]/[`Subscribe`] endpoints.
-///
-/// Implemented by the in-process [`Broker`] and by `sdci_net`'s
-/// `TcpTransport`; `MonitorClusterBuilder::start_over` accepts either.
-pub trait Transport<T> {
-    /// The publisher endpoint this transport hands out.
-    type Publisher: Publish<T>;
-    /// The subscriber endpoint this transport hands out.
-    type Subscriber: Subscribe<T>;
-
-    /// Creates a new publisher endpoint.
-    fn publisher(&self) -> Self::Publisher;
-
-    /// Creates a subscription filtered to topics starting with any of
-    /// `prefixes` (an empty prefix matches everything).
-    fn subscribe(&self, prefixes: &[&str]) -> Self::Subscriber;
 }
 
 impl<T: Clone + Send + 'static> Publish<T> for Publisher<T> {
@@ -127,19 +76,6 @@ impl<T: Send + 'static> Subscribe<T> for Subscriber<T> {
 
     fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>> {
         Subscriber::recv_timeout(self, timeout)
-    }
-}
-
-impl<T: Clone + Send + 'static> Transport<T> for Broker<T> {
-    type Publisher = Publisher<T>;
-    type Subscriber = Subscriber<T>;
-
-    fn publisher(&self) -> Publisher<T> {
-        Broker::publisher(self)
-    }
-
-    fn subscribe(&self, prefixes: &[&str]) -> Subscriber<T> {
-        Broker::subscribe(self, prefixes)
     }
 }
 
@@ -184,6 +120,7 @@ impl<T: Send + 'static> Subscribe<T> for PullSubscriber<T> {
 mod tests {
     use super::*;
     use crate::pipe::pipeline;
+    use crate::pubsub::Broker;
 
     fn publish_via<P: Publish<u32>>(p: &P) {
         p.publish("events/t", 7);
@@ -194,10 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn broker_satisfies_transport() {
+    fn broker_endpoints_satisfy_the_traits() {
         let broker: Broker<u32> = Broker::new(16);
-        let sub = Transport::subscribe(&broker, &["events/"]);
-        let publisher = Transport::publisher(&broker);
+        let sub = broker.subscribe(&["events/"]);
+        let publisher = broker.publisher();
         publish_via(&publisher);
         assert_eq!(drain_via(&sub), vec![7]);
     }

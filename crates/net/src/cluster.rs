@@ -16,7 +16,7 @@
 //!   owners first, and only then swap the table — a drain timeout
 //!   leaves the old map in place so the caller can retry, which is
 //!   what "the cutover is not acked" means on the wire.
-//! * [`ScatterStore`] — a [`StoreReader`] that fans a query out to
+//! * [`ScatterStore`] — a read-only [`EventBackend`] that fans a query out to
 //!   every shard's store RPC, merges the legs in sequence order, and
 //!   answers even when some shards are down (a *degraded* result,
 //!   counted per shard), so `RemoteStore` consumers still see one
@@ -480,7 +480,7 @@ struct ScatterInner {
     degraded: AtomicU64,
 }
 
-/// A [`StoreReader`] over a sharded tier: fans each query out to every
+/// A read-only store over a sharded tier: fans each query out to every
 /// shard's store RPC, merges the legs with
 /// [`merge_seq_ordered`], and keeps answering when shards fail.
 ///
@@ -488,7 +488,7 @@ struct ScatterInner {
 /// hold — *degraded but answered* — and the failure is visible in
 /// [`ScatterStore::degraded`] and the per-shard
 /// [`ScatterStore::shard_errors`] counters rather than in the result.
-/// This preserves the `StoreReader` contract consumers already build
+/// This preserves the [`EventBackend::query`] contract consumers already build
 /// on: an incomplete backfill surfaces as a sequence gap on the next
 /// heartbeat and is retried, exactly like a missed query against a
 /// single store.
@@ -559,8 +559,8 @@ impl ScatterStore {
 }
 
 /// The scatter front is a read-only [`EventBackend`]: a shard tier is
-/// "just another backend" to whatever serves it (the [`StoreServer`]
-/// on a front node serves it through the blanket `StoreReader` impl).
+/// "just another backend" to whatever serves it (the
+/// [`StoreServer`](crate::StoreServer) on a front node).
 /// Writes are refused — events reach shards through per-shard push
 /// pipelines, routed by the [`ShardRouter`].
 impl EventBackend for ScatterStore {

@@ -1,12 +1,12 @@
-//! Enforcement of a [`FaultPlan`] at the conn/wire boundary.
+//! Enforcement of a [`FaultPlan`](sdci_faults::FaultPlan) at the
+//! conn/wire boundary.
 //!
 //! Every sdci-net endpoint funnels its outbound frames through a
 //! [`FaultedWriter`] and its inbound frames through a
 //! [`FrameReader`](crate::wire::FrameReader) built with
-//! `with_faults` — so TcpPush, TcpPublisher, TcpSubscriber, the
-//! accept-side handlers, StoreServer, and RemoteStore all inherit the
-//! schedule installed on their [`NetConfig`] without any per-endpoint
-//! logic.
+//! `with_faults` — so TcpPush, TcpSubscriber, the accept-side
+//! handlers, StoreServer, and RemoteStore all inherit the schedule
+//! installed on their [`NetConfig`] without any per-endpoint logic.
 //!
 //! The write side exploits an invariant of the wire module: every frame
 //! is written as `write_all(header)`, `write_all(body)`, `flush()` —

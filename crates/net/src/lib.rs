@@ -7,8 +7,8 @@
 //!
 //! * [`wire`] — the framing: 4-byte big-endian length word + one
 //!   frame body, in the one encoding its kind has. Data frames — the
-//!   `ItemBatch`/`PublishBatch`/`DeliverBatch` runs senders coalesce
-//!   payloads into, and store-RPC replies — are compact binary (the
+//!   `ItemBatch`/`DeliverBatch` runs senders coalesce payloads into,
+//!   and store-RPC replies — are compact binary (the
 //!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body).
 //!   Control frames — handshakes, acks, pings, queries — are JSON, so
 //!   a session remains debuggable with `nc`. There is one wire version
@@ -21,11 +21,10 @@
 //!   `sdci_obs`'s `/metrics`, `/healthz` and `/tracez`.
 //! * [`conn`] — supervision policy: jittered exponential reconnect
 //!   backoff, heartbeat/liveness tunables ([`conn::NetConfig`]).
-//! * [`pubsub`] — lossy PUB/SUB ([`TcpBroker`], [`TcpPublisher`],
-//!   [`TcpSubscriber`]) with per-subscriber high-water-mark shedding,
-//!   mirroring `sdci_mq::pubsub`. [`TcpTransport`] implements
-//!   `sdci_mq::transport::Transport`, so `MonitorClusterBuilder::
-//!   start_over` accepts it interchangeably with an in-process broker.
+//! * [`pubsub`] — the lossy feed leg ([`TcpBroker`], [`TcpSubscriber`])
+//!   with per-subscriber high-water-mark shedding, mirroring
+//!   `sdci_mq::pubsub`. Only the process that owns a broker publishes
+//!   into it; the wire carries deliveries, never publications.
 //! * [`pipe`] — lossless PUSH/PULL ([`TcpPullServer`], [`TcpPush`]):
 //!   per-client sequence numbers, acknowledgements, and resend-on-
 //!   reconnect give at-least-once delivery with server-side dedup —
@@ -69,7 +68,7 @@ pub use conn::{Backoff, NetConfig, RetryPolicy};
 pub use endpoint::{Endpoint, Handler};
 pub use faulted::FaultedWriter;
 pub use pipe::{TcpPullServer, TcpPush};
-pub use pubsub::{TcpBroker, TcpPublisher, TcpSubscriber, TcpTransport};
+pub use pubsub::{TcpBroker, TcpSubscriber};
 pub use store_rpc::{RemoteStore, StoreServer};
 pub use wire::{
     BinEncoder, Frame, WireMsg, BIN_FRAME_BIT, FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_PROTO,

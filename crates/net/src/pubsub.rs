@@ -1,15 +1,13 @@
 //! TCP PUB/SUB: the in-process broker's contract over real sockets.
 //!
-//! A [`TcpBroker`] bridges a local [`Broker`] to two kinds of client,
-//! distinguished by the service their hello names:
+//! A [`TcpBroker`] serves a local [`Broker`] to remote subscribers
+//! ([`TcpSubscriber`]): each names its topic prefixes in its hello and
+//! receives `DeliverBatch` frames fanned out from a local subscription.
+//! The wire has no publish direction — only the process that owns the
+//! broker writes its feed, through [`TcpBroker::publisher`]; a remote
+//! peer can read the feed, never inject into it.
 //!
-//! * **publishers** ([`TcpPublisher`]) stream `PublishBatch` frames
-//!   that the server republishes into the local broker;
-//! * **subscribers** ([`TcpSubscriber`]) send their topic-prefix list
-//!   and receive `DeliverBatch` frames fanned out from a local
-//!   subscription.
-//!
-//! The deliver direction is **encode-once**: a single dispatcher
+//! Delivery is **encode-once**: a single dispatcher
 //! thread per broker drains one relay subscription, renders each
 //! same-topic run once into frozen frame bytes (`Arc<[u8]>`), and
 //! hands the same buffer to every matching subscriber leg. N
@@ -20,21 +18,20 @@
 //! fills that subscriber's local queue, and the broker sheds newer
 //! messages for that subscriber only — exactly what happens in-process.
 //!
-//! Both client endpoints are supervised: they reconnect forever with
-//! jittered exponential backoff ([`Backoff`]), and both sides probe
-//! idle connections with `Ping` frames so a dead peer is detected
-//! within the configured liveness window.
+//! The subscriber endpoint is supervised: it reconnects forever with
+//! jittered exponential backoff ([`Backoff`]), and the broker probes an
+//! idle connection with `Ping` frames so a dead peer is detected within
+//! the configured liveness window.
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
-use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
+use crate::faulted::spawn_worker;
 use crate::wire::{
-    timed_out, write_deliver_batch_bin, write_hello, write_msg, write_publish_batch_bin,
-    BinEncoder, Frame, Service, BIN_FRAME_BIT,
+    timed_out, write_deliver_batch_bin, write_msg, BinEncoder, Frame, Service, BIN_FRAME_BIT,
 };
 use sdci_mq::pubsub::{Broker, Message};
-use sdci_mq::transport::{Publish, PublishOutcome, Subscribe, Transport};
-use sdci_types::{BinPayload, TraceCarrier, TraceContext};
+use sdci_mq::transport::Subscribe;
+use sdci_types::BinPayload;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::SocketAddr;
@@ -46,14 +43,8 @@ use std::time::{Duration, Instant};
 /// Counter snapshot for a [`TcpBroker`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TcpBrokerStats {
-    /// Connections accepted (all roles).
+    /// Subscriber connections accepted.
     pub accepted: u64,
-    /// Frames received from remote publishers. A `PublishBatch` frame
-    /// counts once regardless of how many messages it carries.
-    pub frames_in: u64,
-    /// Messages received from remote publishers (each batched payload
-    /// counts individually).
-    pub messages_in: u64,
     /// Frames delivered to remote subscribers.
     pub frames_out: u64,
 }
@@ -61,18 +52,16 @@ pub struct TcpBrokerStats {
 #[derive(Debug, Default)]
 struct BrokerCounters {
     accepted: AtomicU64,
-    frames_in: AtomicU64,
-    messages_in: AtomicU64,
     frames_out: AtomicU64,
 }
 
-/// The [`Handler`] for [`Service::Publisher`] and
-/// [`Service::Subscriber`]: bridges the remote clients an
-/// [`Endpoint`](crate::Endpoint) hands it onto a local [`Broker`].
+/// The [`Handler`] for [`Service::Subscriber`]: fans a local [`Broker`]
+/// out to the remote subscribers an [`Endpoint`](crate::Endpoint) hands
+/// it.
 ///
 /// Local code keeps using the wrapped broker directly ([`TcpBroker::publisher`],
 /// [`TcpBroker::subscribe`]); remote processes connect with
-/// [`TcpPublisher`]/[`TcpSubscriber`]. Shutting the endpoint down
+/// [`TcpSubscriber`]. Shutting the endpoint down
 /// drains queued messages to connected subscribers and sends them `Fin`.
 pub struct TcpBroker<T> {
     local: Broker<T>,
@@ -155,8 +144,6 @@ where
     pub fn stats(&self) -> TcpBrokerStats {
         TcpBrokerStats {
             accepted: self.counters.accepted.load(Ordering::Relaxed),
-            frames_in: self.counters.frames_in.load(Ordering::Relaxed),
-            messages_in: self.counters.messages_in.load(Ordering::Relaxed),
             frames_out: self.counters.frames_out.load(Ordering::Relaxed),
         }
     }
@@ -167,18 +154,13 @@ where
     T: Clone + Send + BinPayload + 'static,
 {
     fn services(&self) -> &'static [&'static str] {
-        &["publisher", "subscriber"]
+        &["subscriber"]
     }
 
     fn serve(&self, service: Service, conn: Conn) {
+        let Service::Subscriber { prefixes } = service else { return };
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        match service {
-            Service::Publisher => serve_publisher(conn, &self.local, &self.counters),
-            Service::Subscriber { prefixes } => {
-                serve_subscriber(conn, &self.local, prefixes, &self.counters, &self.fanout)
-            }
-            _ => {}
-        }
+        serve_subscriber(conn, &self.local, prefixes, &self.counters, &self.fanout);
     }
 
     /// Joins the dispatcher: its exit is what releases the subscriber
@@ -188,62 +170,6 @@ where
         let dispatcher = self.fanout.dispatcher.lock().take();
         if let Some(t) = dispatcher {
             let _ = t.join();
-        }
-    }
-}
-
-/// Reads `PublishBatch` frames into the local broker until the peer
-/// goes quiet, finishes, or the server stops.
-fn serve_publisher<T>(conn: Conn, local: &Broker<T>, counters: &BrokerCounters)
-where
-    T: Clone + Send + BinPayload + 'static,
-{
-    let Conn { mut reader, cfg, stop, .. } = conn;
-    let publisher = local.publisher();
-    // Crash point: a broker that dies right after the handshake leaves
-    // the publisher writing into a dead socket and reconnecting with
-    // backoff — the chaos tests kill here to prove clients survive it.
-    if sdci_faults::crash_point("net.pubsub.greet").is_err() {
-        return;
-    }
-    let mut last_traffic = Instant::now();
-    // `stop` is checked every iteration, not just on timeouts: a peer
-    // that keeps traffic flowing must not be able to pin the handler
-    // past shutdown.
-    while !stop.load(Ordering::Relaxed) {
-        match reader.read_msg::<Frame<T>>() {
-            Ok(Frame::PublishBatch { topic, payloads, trace }) => {
-                // Crash point: dying between the socket read and the
-                // local republish loses in-flight messages — exactly
-                // the lossy-leg contract the chaos tests exercise.
-                if sdci_faults::crash_point("net.pubsub.dispatch").is_err() {
-                    return;
-                }
-                counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                counters.messages_in.fetch_add(payloads.len() as u64, Ordering::Relaxed);
-                // One dispatch span per batch frame, parented under the
-                // remote publisher's send span; the payloads keep their
-                // own event-level contexts for the stages downstream.
-                let mut dispatch = trace.filter(|t| t.sampled).map(|t| {
-                    sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.pubsub.dispatch")
-                });
-                if let Some(span) = dispatch.as_mut() {
-                    span.set_detail(format!("{} messages on {topic}", payloads.len()));
-                }
-                for payload in payloads {
-                    publisher.publish(&topic, payload);
-                }
-                last_traffic = Instant::now();
-            }
-            Ok(Frame::Ping) => last_traffic = Instant::now(),
-            Ok(Frame::Fin) => break,
-            Ok(_) => {}
-            Err(e) if timed_out(&e) => {
-                if last_traffic.elapsed() > cfg.liveness {
-                    break;
-                }
-            }
-            Err(_) => break,
         }
     }
 }
@@ -435,8 +361,8 @@ fn encode_run<T: BinPayload>(
 
 /// Writes one fan-out chunk, re-splitting the concatenated frames so
 /// each gets its own `flush` — the frame-alignment invariant
-/// [`FaultedWriter`] relies on to keep injected faults from
-/// desynchronizing the length-prefixed stream.
+/// [`FaultedWriter`](crate::faulted::FaultedWriter) relies on to keep
+/// injected faults from desynchronizing the length-prefixed stream.
 fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     let mut off = 0;
     while off + 4 <= bytes.len() {
@@ -453,223 +379,8 @@ fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
 struct ClientCounters {
     /// Successful connections (1 = never lost the link).
     connections: AtomicU64,
-    /// Messages shed because a queue was full (HWM) or the wire was down.
+    /// Messages shed because the local queue was full (HWM).
     dropped: AtomicU64,
-}
-
-/// A supervised TCP publisher endpoint: `publish` enqueues, a background
-/// worker ships frames to the [`TcpBroker`], reconnecting with backoff
-/// whenever the link drops. Messages published while the queue is full
-/// or the link is down are shed and counted ([`TcpPublisher::dropped`])
-/// — the lossy PUB/SUB contract.
-pub struct TcpPublisher<T> {
-    tx: crossbeam_channel::Sender<(String, T)>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ClientCounters>,
-    _worker: JoinHandle<()>,
-}
-
-impl<T> std::fmt::Debug for TcpPublisher<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpPublisher").finish_non_exhaustive()
-    }
-}
-
-impl<T> TcpPublisher<T>
-where
-    T: Send + TraceCarrier + BinPayload + 'static,
-{
-    /// Starts a supervised publisher toward `addr`. Returns immediately;
-    /// the connection is established (and re-established) in the
-    /// background.
-    pub fn connect(addr: SocketAddr, cfg: NetConfig) -> Self {
-        let (tx, rx) = crossbeam_channel::bounded::<(String, T)>(cfg.hwm.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(ClientCounters::default());
-        let worker = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            std::thread::Builder::new()
-                .name("sdci-net-pub".into())
-                .spawn(move || publisher_worker(addr, cfg, rx, stop, counters))
-                .expect("spawn publisher worker")
-        };
-        TcpPublisher { tx, stop, counters, _worker: worker }
-    }
-
-    /// Publishes without blocking; sheds (and counts) when the outbound
-    /// queue is at its high-water mark.
-    pub fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
-        sdci_obs::static_metric!(counter, "sdci_net_publish_total").inc();
-        if self.tx.try_send((topic.to_string(), payload)).is_err() {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            sdci_obs::registry()
-                .counter_with("sdci_net_pub_dropped_total", &[("topic", topic)])
-                .inc();
-            PublishOutcome::Shed
-        } else {
-            PublishOutcome::Queued
-        }
-    }
-
-    /// Messages shed at the high-water mark or lost to a dropped link.
-    pub fn dropped(&self) -> u64 {
-        self.counters.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Successful connections so far (>1 means the link was re-established).
-    pub fn connections(&self) -> u64 {
-        self.counters.connections.load(Ordering::Relaxed)
-    }
-}
-
-impl<T> Drop for TcpPublisher<T> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl<T> Publish<T> for TcpPublisher<T>
-where
-    T: Send + TraceCarrier + BinPayload + 'static,
-{
-    fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
-        TcpPublisher::publish(self, topic, payload)
-    }
-}
-
-fn publisher_worker<T: Send + TraceCarrier + BinPayload + 'static>(
-    addr: SocketAddr,
-    cfg: NetConfig,
-    rx: crossbeam_channel::Receiver<(String, T)>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ClientCounters>,
-) {
-    let mut backoff = Backoff::new(cfg.retry);
-    // Encoder scratch buffers, reused across batches and reconnects.
-    let mut enc = BinEncoder::new();
-    let max_batch = cfg.max_batch.max(1);
-    'reconnect: loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let Ok(raw) = cfg.connect(addr) else {
-            backoff.sleep_after_failure(Duration::ZERO, cfg.liveness);
-            continue;
-        };
-        let session = Instant::now();
-        let _ = raw.set_nodelay(true);
-        let (send_faults, _) = conn_faults(&cfg);
-        let mut stream = FaultedWriter::new(raw, send_faults);
-        if write_hello(&mut stream, Service::Publisher).is_err() {
-            // A server that accepts and immediately resets must hit the
-            // backoff like a refused connection, not a tight spin.
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue;
-        }
-        if counters.connections.fetch_add(1, Ordering::Relaxed) > 0 {
-            sdci_obs::static_metric!(counter, "sdci_net_publisher_reconnects_total").inc();
-        }
-        loop {
-            match rx.recv_timeout(cfg.heartbeat) {
-                Ok((topic, payload)) => {
-                    // Coalesce whatever else is already queued (plus, on
-                    // a lone message, up to a flush-interval of
-                    // stragglers) and ship maximal same-topic runs as
-                    // `PublishBatch` frames, preserving publish order.
-                    let mut batch: VecDeque<(String, T)> = VecDeque::new();
-                    batch.push_back((topic, payload));
-                    while batch.len() < max_batch {
-                        match rx.try_recv() {
-                            Ok(pair) => batch.push_back(pair),
-                            Err(_) => break,
-                        }
-                    }
-                    if batch.len() == 1 {
-                        let deadline = Instant::now() + cfg.flush_interval;
-                        while batch.len() < max_batch {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            match rx.recv_timeout(deadline - now) {
-                                Ok(pair) => batch.push_back(pair),
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                    let reason = if batch.len() >= max_batch { "size" } else { "deadline" };
-                    sdci_obs::registry()
-                        .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
-                        .inc();
-                    // Seconds are the histogram's base unit, so `len`
-                    // seconds exports directly as the batch size.
-                    sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
-                        .observe_ns(batch.len() as u64 * 1_000_000_000);
-                    while let Some((topic, payload)) = batch.pop_front() {
-                        let mut run: Vec<T> = vec![payload];
-                        while batch.front().is_some_and(|(t, _)| *t == topic) {
-                            run.push(batch.pop_front().map(|(_, p)| p).expect("peeked front"));
-                        }
-                        let ok = {
-                            // The batch frame carries the first sampled
-                            // event's context, re-parented under a send
-                            // span marking the publisher→broker hop.
-                            let carried =
-                                run.iter().find_map(|p| p.trace_context().filter(|c| c.sampled));
-                            let mut send_span = carried.map(|t| {
-                                sdci_obs::trace::child_of(
-                                    t.trace_id,
-                                    t.parent_span_id,
-                                    "net.pub.send",
-                                )
-                            });
-                            if let Some(span) = send_span.as_mut() {
-                                span.set_detail(format!("{} messages on {topic}", run.len()));
-                            }
-                            let frame_trace = match send_span.as_ref().and_then(|s| s.context()) {
-                                Some(sc) => Some(TraceContext::sampled(sc.trace_id, sc.span_id)),
-                                None => carried,
-                            };
-                            write_publish_batch_bin(
-                                &mut stream,
-                                &mut enc,
-                                &topic,
-                                &run,
-                                frame_trace,
-                            )
-                            .is_ok()
-                        };
-                        if !ok {
-                            // Everything not yet on the wire is lost
-                            // with the link: lossy leg.
-                            let lost = (run.len() + batch.len()) as u64;
-                            counters.dropped.fetch_add(lost, Ordering::Relaxed);
-                            sdci_obs::static_metric!(counter, "sdci_net_pub_link_lost_total")
-                                .add(lost);
-                            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                            continue 'reconnect;
-                        }
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Relaxed) {
-                        let _ = write_msg(&mut stream, &Frame::<T>::Fin);
-                        return;
-                    }
-                    if write_msg(&mut stream, &Frame::<T>::Ping).is_err() {
-                        backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                        continue 'reconnect;
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    // All handles dropped and the queue is drained.
-                    let _ = write_msg(&mut stream, &Frame::<T>::Fin);
-                    return;
-                }
-            }
-        }
-    }
 }
 
 /// A supervised TCP subscription: a background worker keeps a
@@ -830,47 +541,5 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
                 }
             }
         }
-    }
-}
-
-/// The TCP counterpart of the in-process [`Broker`]'s [`Transport`]
-/// implementation: a factory for supervised publisher/subscriber
-/// endpoints that all talk to one remote [`TcpBroker`].
-#[derive(Debug, Clone)]
-pub struct TcpTransport {
-    addr: SocketAddr,
-    cfg: NetConfig,
-}
-
-impl TcpTransport {
-    /// A transport whose endpoints connect to the broker at `addr`.
-    pub fn new(addr: SocketAddr) -> Self {
-        TcpTransport { addr, cfg: NetConfig::default() }
-    }
-
-    /// Overrides the endpoint configuration.
-    pub fn with_config(addr: SocketAddr, cfg: NetConfig) -> Self {
-        TcpTransport { addr, cfg }
-    }
-
-    /// The broker address endpoints connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl<T> Transport<T> for TcpTransport
-where
-    T: Clone + Send + TraceCarrier + BinPayload + 'static,
-{
-    type Publisher = TcpPublisher<T>;
-    type Subscriber = TcpSubscriber<T>;
-
-    fn publisher(&self) -> TcpPublisher<T> {
-        TcpPublisher::connect(self.addr, self.cfg.clone())
-    }
-
-    fn subscribe(&self, prefixes: &[&str]) -> TcpSubscriber<T> {
-        TcpSubscriber::connect(self.addr, prefixes, self.cfg.clone())
     }
 }

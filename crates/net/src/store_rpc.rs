@@ -2,18 +2,16 @@
 //!
 //! The in-process consumer backfills gaps by querying the store through
 //! a shared [`SharedStore`](sdci_core::SharedStore) handle. A remote
-//! consumer gets the same
-//! capability from [`RemoteStore`], a read-only
+//! consumer gets the same capability from [`RemoteStore`], a read-only
 //! [`sdci_core::EventBackend`] that round-trips a [`StoreRpc::Query`]
-//! to the Aggregator process's [`StoreServer`]; the
-//! [`sdci_core::StoreReader`] view follows from the blanket impl.
+//! to the Aggregator process's [`StoreServer`].
 //!
 //! The protocol is deliberately tiny: after the connection's hello, one
 //! JSON request frame, one binary response frame, same length-prefixed
 //! framing as the rest of sdci-net.
-//! Failure semantics follow `StoreReader`'s contract — a query that
-//! cannot be answered returns an empty slice, and the consumer simply
-//! retries at the next heartbeat-detected gap.
+//! Failure semantics follow [`EventBackend::query`]'s contract — a
+//! query that cannot be answered returns an empty slice, and the
+//! consumer simply retries at the next heartbeat-detected gap.
 //!
 //! [`EventStore`]: sdci_core::EventStore
 
@@ -25,7 +23,7 @@ use crate::wire::{
     json_encode, timed_out, write_msg, write_msg_bin, BinEncoder, FrameReader, Service, WireMsg,
     BIN_KIND_STORE_BATCH,
 };
-use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery, StoreReader};
+use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,12 +92,12 @@ impl WireMsg for StoreRpc {
 }
 
 /// The [`Handler`] for [`Service::Store`]: serves [`StoreRpc`] queries
-/// against any [`StoreReader`] — a local
+/// against any [`EventBackend`] — a local
 /// [`SharedStore`](sdci_core::SharedStore) in the single-aggregator
 /// deployment, or a [`ScatterStore`](crate::cluster::ScatterStore)
 /// fronting a sharded tier.
 pub struct StoreServer {
-    store: Box<dyn StoreReader + Sync>,
+    store: Box<dyn EventBackend>,
     queries: AtomicU64,
 }
 
@@ -111,7 +109,7 @@ impl std::fmt::Debug for StoreServer {
 
 impl StoreServer {
     /// A server answering queries against `store`.
-    pub fn new(store: impl StoreReader + Sync) -> Arc<Self> {
+    pub fn new(store: impl EventBackend + 'static) -> Arc<Self> {
         Arc::new(StoreServer { store: Box::new(store), queries: AtomicU64::new(0) })
     }
 
@@ -131,7 +129,7 @@ impl Handler for StoreServer {
     }
 }
 
-fn serve_store_client(conn: Conn, store: &dyn StoreReader, queries: &AtomicU64) {
+fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64) {
     let Conn { mut reader, mut writer, stop, .. } = conn;
     // Per-connection scratch for binary replies; reused across queries.
     let mut enc = BinEncoder::new();
@@ -141,8 +139,8 @@ fn serve_store_client(conn: Conn, store: &dyn StoreReader, queries: &AtomicU64) 
         match reader.read_msg::<StoreRpc>() {
             Ok(StoreRpc::Query { query, trace }) => {
                 // The serve span becomes the thread's current context,
-                // so the store middleware's own spans (cache hit/miss,
-                // segment scan) nest under it without plumbing.
+                // so the store's own spans (meter, segment scan) nest
+                // under it without plumbing.
                 let mut serve_span = trace.filter(|t| t.sampled).map(|t| {
                     sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "store_rpc.serve")
                 });
@@ -208,7 +206,7 @@ struct StoreConn {
     reader: FrameReader<TcpStream>,
 }
 
-/// A [`StoreReader`] that queries a remote [`StoreServer`].
+/// A read-only [`EventBackend`] that queries a remote [`StoreServer`].
 ///
 /// The connection is lazy and cached; a failed round trip drops it,
 /// retries once on a fresh connection, and then gives up with an empty
@@ -270,10 +268,10 @@ impl RemoteStore {
     }
 
     /// Runs `query` against the remote store, reporting failure instead
-    /// of swallowing it — the error-aware twin of the [`StoreReader`]
-    /// impl. A scatter-gather front-end uses this to attribute a failed
-    /// leg to its shard; plain consumers keep the empty-on-failure
-    /// contract via [`StoreReader::query`].
+    /// of swallowing it — the error-aware twin of
+    /// [`EventBackend::query`]. A scatter-gather front-end uses this to
+    /// attribute a failed leg to its shard; plain consumers keep the
+    /// empty-on-failure contract via the trait method.
     ///
     /// # Errors
     ///
@@ -382,8 +380,7 @@ impl RemoteStore {
 /// the wire; writes are refused (events reach an aggregator's store
 /// through the push pipeline, never through the query RPC); occupancy
 /// (`stats`/`last_seq`/`len`) is unknowable from here and reports the
-/// trait's zero defaults. The [`StoreReader`] view (empty result on
-/// failure) arrives through the blanket impl.
+/// trait's zero defaults. A query that fails answers empty.
 impl EventBackend for RemoteStore {
     fn insert_batch(&self, _events: Vec<SequencedEvent>) -> Result<(), StoreError> {
         Err(StoreError::ReadOnly("RemoteStore"))

@@ -17,8 +17,8 @@
 //! cluster RPC — are JSON in the workspace's serde conventions
 //! (externally tagged enums), so a session stays debuggable with `nc`
 //! and `tcpdump`. Data frames — [`Frame::ItemBatch`],
-//! [`Frame::PublishBatch`], [`Frame::DeliverBatch`] and store-RPC batch
-//! replies — are compact binary bodies built from
+//! [`Frame::DeliverBatch`] and store-RPC batch replies — are compact
+//! binary bodies built from
 //! [`sdci_types::bin`]; a lone event travels as a batch of one. The high
 //! bit is unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
 //!
@@ -31,10 +31,13 @@
 //! |  u8  |  u8   | id u64, span u64, u8  |                            |
 //! +------+-------+-----------------------+----------------------------+
 //! kind 1 ItemBatch:    first_seq u64 | count u32 | count × (len u32 + payload)
-//! kind 2 PublishBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
 //! kind 3 StoreBatch:   count u32 | count × (len u32 + SequencedEvent)
 //! kind 4 DeliverBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
 //! ```
+//!
+//! Kind 2 is unassigned: a feed is written only by the process that
+//! owns its broker, so there is no publish batch, and a body carrying
+//! that kind is `InvalidData` like any other unknown one.
 //!
 //! There is one wire version, [`WIRE_PROTO`]. Every connection opens
 //! with one [`Hello`] frame announcing it and naming the [`Service`] the
@@ -67,7 +70,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 5;
+pub const WIRE_PROTO: u32 = 6;
 
 /// The opening frame of every connection: the peer's wire version and
 /// the service it wants from the endpoint it dialed. Always JSON.
@@ -90,8 +93,6 @@ pub enum Service {
         /// Highest push sequence number the client saw acknowledged.
         resume_after: u64,
     },
-    /// The lossy PUB leg: "I will send `PublishBatch` frames."
-    Publisher,
     /// The lossy SUB leg: "stream me topics matching these prefixes."
     Subscriber {
         /// Topic prefixes to subscribe to (empty string = everything).
@@ -109,7 +110,6 @@ impl Service {
     pub fn name(&self) -> &'static str {
         match self {
             Service::Push { .. } => "push",
-            Service::Publisher => "publisher",
             Service::Subscriber { .. } => "subscriber",
             Service::Store => "store",
             Service::Cluster => "cluster",
@@ -143,8 +143,7 @@ pub fn write_hello(w: &mut impl Write, service: Service) -> io::Result<()> {
 /// on the Collector leg, `FeedMessage` on the consumer leg).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<T> {
-    /// Broker → subscriber: publications on one topic (lossy leg) — the
-    /// deliver-direction twin of [`Frame::PublishBatch`].
+    /// Broker → subscriber: publications on one topic (lossy leg).
     DeliverBatch {
         /// Topic every payload was published on.
         topic: String,
@@ -165,15 +164,6 @@ pub enum Frame<T> {
         /// Tracing context for the *send leg* span covering this
         /// frame (the first sampled payload's, re-parented to the
         /// sender's network span).
-        trace: Option<TraceContext>,
-    },
-    /// Publisher → broker: payloads for one topic (lossy leg).
-    PublishBatch {
-        /// Topic every payload is published on.
-        topic: String,
-        /// The payloads, in publish order. Never empty.
-        payloads: Vec<T>,
-        /// Send-leg tracing context, as on [`Frame::ItemBatch`].
         trace: Option<TraceContext>,
     },
     /// Puller → pusher: a sequence gap was detected — the server
@@ -270,8 +260,6 @@ pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
 
 /// Binary body kind byte: [`Frame::ItemBatch`].
 const BIN_KIND_ITEM_BATCH: u8 = 1;
-/// Binary body kind byte: [`Frame::PublishBatch`].
-const BIN_KIND_PUBLISH_BATCH: u8 = 2;
 /// Binary body kind byte: a store-RPC batch reply (`StoreRpc::Batch`).
 pub(crate) const BIN_KIND_STORE_BATCH: u8 = 3;
 /// Binary body kind byte: [`Frame::DeliverBatch`].
@@ -363,12 +351,6 @@ impl<T: BinPayload> WireMsg for Frame<T> {
                 bin_put_payloads(buf, payloads);
                 return Ok(true);
             }
-            Frame::PublishBatch { topic, payloads, trace } => {
-                bin_header(buf, BIN_KIND_PUBLISH_BATCH, *trace);
-                put_bytes(buf, topic.as_bytes());
-                bin_put_payloads(buf, payloads);
-                return Ok(true);
-            }
             Frame::DeliverBatch { topic, payloads, trace } => {
                 bin_header(buf, BIN_KIND_DELIVER_BATCH, *trace);
                 put_bytes(buf, topic.as_bytes());
@@ -393,11 +375,6 @@ impl<T: BinPayload> WireMsg for Frame<T> {
         let frame = match kind {
             BIN_KIND_ITEM_BATCH => Frame::ItemBatch {
                 first_seq: r.u64().map_err(invalid)?,
-                payloads: bin_read_payloads(&mut r)?,
-                trace,
-            },
-            BIN_KIND_PUBLISH_BATCH => Frame::PublishBatch {
-                topic: r.str().map_err(invalid)?.to_string(),
                 payloads: bin_read_payloads(&mut r)?,
                 trace,
             },
@@ -453,8 +430,7 @@ enum BatchHead<'a> {
     /// [`Frame::ItemBatch`]: the sequence number of the batch's first
     /// member; a chunk starting at member `lo` carries `first_seq + lo`.
     FirstSeq(u64),
-    /// [`Frame::PublishBatch`] / [`Frame::DeliverBatch`]: the topic,
-    /// repeated on every chunk.
+    /// [`Frame::DeliverBatch`]: the topic, repeated on every chunk.
     Topic(&'a str),
 }
 
@@ -544,23 +520,6 @@ pub fn write_item_batch_bin<T: BinPayload>(
 ) -> io::Result<usize> {
     let head = BatchHead::FirstSeq(first_seq);
     write_batch(w, enc, BIN_KIND_ITEM_BATCH, head, payloads, trace, MAX_FRAME_LEN)
-}
-
-/// Writes `payloads` as [`Frame::PublishBatch`] frames on `topic`,
-/// splitting by encoded size. Returns the number of frames written.
-///
-/// # Errors
-///
-/// Propagates I/O failures from the underlying writer.
-pub fn write_publish_batch_bin<T: BinPayload>(
-    w: &mut impl Write,
-    enc: &mut BinEncoder,
-    topic: &str,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-) -> io::Result<usize> {
-    let head = BatchHead::Topic(topic);
-    write_batch(w, enc, BIN_KIND_PUBLISH_BATCH, head, payloads, trace, MAX_FRAME_LEN)
 }
 
 /// Writes `payloads` as [`Frame::DeliverBatch`] frames on `topic`,
@@ -867,14 +826,6 @@ mod tests {
                 true,
             );
             roundtrip(
-                Frame::PublishBatch {
-                    topic: "events/mdt0".into(),
-                    payloads: vec![event(1)],
-                    trace,
-                },
-                true,
-            );
-            roundtrip(
                 Frame::DeliverBatch { topic: "feed/all".into(), payloads: vec![event(4)], trace },
                 true,
             );
@@ -892,9 +843,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":5,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":6,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":5,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":6,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -902,7 +853,6 @@ mod tests {
     fn every_hello_roundtrips_and_a_versionless_one_is_invalid_data() {
         for service in [
             Service::Push { client: "mdt0".into(), resume_after: 41 },
-            Service::Publisher,
             Service::Subscriber { prefixes: vec!["events/".into(), String::new()] },
             Service::Store,
             Service::Cluster,
@@ -911,7 +861,7 @@ mod tests {
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in [r#"{"service":"Store"}"#, r#"{"proto":5}"#, r#"{"proto":5,"service":"Nope"}"#]
+        for body in [r#"{"service":"Store"}"#, r#"{"proto":6}"#, r#"{"proto":6,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -931,7 +881,6 @@ mod tests {
     fn json_batches_are_invalid_data() {
         for body in [
             r#"{"ItemBatch":{"first_seq":1,"payloads":[1,2]}}"#,
-            r#"{"PublishBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"DeliverBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"Item":{"seq":1,"payload":1}}"#,
         ] {
@@ -1033,8 +982,6 @@ mod tests {
             let mut via_writer = Vec::new();
             let frames = write_item_batch_bin(&mut via_writer, &mut enc, 7, &payloads, trace);
             assert_eq!(frames.unwrap(), 1);
-            write_publish_batch_bin(&mut via_writer, &mut enc, "events/mdt0", &payloads, None)
-                .unwrap();
             write_deliver_batch_bin(&mut via_writer, &mut enc, "feed/all", &payloads, trace)
                 .unwrap();
             assert!(raw_frames(&via_writer).iter().all(|(bin, _)| *bin));
@@ -1042,11 +989,6 @@ mod tests {
             let mut via_frame = Vec::new();
             for frame in [
                 Frame::ItemBatch { first_seq: 7, payloads: payloads.clone(), trace },
-                Frame::PublishBatch {
-                    topic: "events/mdt0".into(),
-                    payloads: payloads.clone(),
-                    trace: None,
-                },
                 Frame::DeliverBatch { topic: "feed/all".into(), payloads: payloads.clone(), trace },
             ] {
                 write_msg(&mut via_frame, &frame).unwrap();
@@ -1194,7 +1136,7 @@ mod tests {
         assert_eq!(got, payloads);
     }
 
-    /// The topic-headed kinds share the chunker: every split chunk
+    /// The topic-headed kind shares the chunker: every split chunk
     /// repeats the topic and order survives.
     #[test]
     fn binary_topic_split_preserves_topic_and_order() {
@@ -1202,29 +1144,21 @@ mod tests {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         let head = BatchHead::Topic("feed/all");
-        let deliver_frames =
+        let frames =
             write_batch(&mut buf, &mut enc, BIN_KIND_DELIVER_BATCH, head, &payloads, None, 256)
                 .unwrap();
-        let publish_frames =
-            write_batch(&mut buf, &mut enc, BIN_KIND_PUBLISH_BATCH, head, &payloads, None, 256)
-                .unwrap();
-        assert!(deliver_frames > 1 && publish_frames == deliver_frames);
+        assert!(frames > 1);
         let mut reader = FrameReader::new(&buf[..]);
         let mut delivered = Vec::new();
-        let mut published = Vec::new();
-        for _ in 0..deliver_frames + publish_frames {
+        for _ in 0..frames {
             match reader.read_msg::<Frame<FileEvent>>().unwrap() {
                 Frame::DeliverBatch { topic, payloads, trace: None } if topic == "feed/all" => {
                     delivered.extend(payloads)
-                }
-                Frame::PublishBatch { topic, payloads, trace: None } if topic == "feed/all" => {
-                    published.extend(payloads)
                 }
                 other => panic!("unexpected frame {other:?}"),
             }
         }
         assert_eq!(delivered, payloads);
-        assert_eq!(published, payloads);
     }
 
     #[test]
@@ -1242,7 +1176,8 @@ mod tests {
 
     #[test]
     fn binary_unknown_kind_and_flags_are_rejected() {
-        for body in [vec![9u8, 0], vec![BIN_KIND_ITEM_BATCH, 0x7e]] {
+        // Kind 2 (a topic-headed batch *towards* a broker) is as unknown as 9.
+        for body in [vec![9u8, 0], vec![2u8, 0], vec![BIN_KIND_ITEM_BATCH, 0x7e]] {
             let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }

@@ -2,7 +2,7 @@
 //! collector-side router's drain-first cutover (including a shard
 //! crash mid-cutover), and the scatter-gather store front.
 
-use sdci_core::{EventStore, SequencedEvent, ShardMap, StoreQuery, StoreReader};
+use sdci_core::{EventBackend, EventStore, SequencedEvent, ShardMap, StoreQuery};
 use sdci_mq::transport::Publish;
 use sdci_net::{
     add_shard, fetch_map, Endpoint, MapServer, NetConfig, RetryPolicy, ScatterStore, ShardRouter,

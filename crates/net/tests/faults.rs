@@ -4,7 +4,7 @@
 //! queries stay time-bounded, and a failed thread spawn costs one
 //! connection, never the process.
 
-use sdci_core::{EventStore, SequencedEvent, StoreQuery, StoreReader};
+use sdci_core::{EventBackend, EventStore, SequencedEvent, StoreQuery};
 use sdci_faults::{arm, process_epoch, CrashMode, FaultPlan};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::write_msg;
@@ -252,15 +252,14 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
 fn fanout_crash_point_costs_one_subscriber_connection() {
     use sdci_mq::pubsub::Broker;
     use sdci_mq::transport::Subscribe;
-    use sdci_net::{TcpBroker, TcpPublisher, TcpSubscriber};
+    use sdci_net::{TcpBroker, TcpSubscriber};
 
     let _serial = endpoints();
     let cfg = fast_cfg();
     let broker = TcpBroker::<u64>::new(Broker::new(8192));
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
-    let addr = endpoint.local_addr();
-    let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/"], cfg.clone());
-    let publisher = TcpPublisher::<u64>::connect(addr, cfg);
+    let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["events/"], cfg);
+    let publisher = broker.publisher();
 
     // Publish probes until one demonstrably flows end to end, so the
     // armed point below fires on an established fanout leg.

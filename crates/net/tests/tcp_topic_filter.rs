@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpPublisher, TcpSubscriber};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -33,8 +33,8 @@ fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCas
     // case topic starts with it.
     let mut prefixes: Vec<&str> = prefix_ids.iter().map(|&i| PREFIXES[i]).collect();
     prefixes.push("zz");
-    let subscriber = TcpSubscriber::<u64>::connect(addr, &prefixes, cfg.clone());
-    let publisher = TcpPublisher::<u64>::connect(addr, cfg);
+    let subscriber = TcpSubscriber::<u64>::connect(addr, &prefixes, cfg);
+    let publisher = broker.publisher();
 
     let mut ready = false;
     for _ in 0..1000 {

@@ -2,27 +2,27 @@
 //! frame kind.
 //!
 //! * Every connection opens with one `Hello`. One announcing another
-//!   wire version — or none — is refused whichever of the five services
+//!   wire version — or none — is refused whichever of the four services
 //!   it asks for, as is one asking for a service not attached at that
-//!   address: the connection is closed, nothing sent behind the hello is
-//!   applied, the refusal is recorded, and the endpoint keeps serving
-//!   peers that speak its version.
+//!   address or for one that does not exist (a peer offering to publish
+//!   into a feed): the connection is closed, nothing sent behind the
+//!   hello is applied, the refusal is recorded, and the endpoint keeps
+//!   serving peers that speak its version.
 //! * Bytes that are neither a hello nor `GET ` are closed, not routed; a
 //!   silent peer is dropped after the liveness window; `GET /metrics`
 //!   is answered on the same address, outside any fault plan.
 //! * A lone event on each leg travels as exactly one binary one-member
 //!   batch frame and arrives intact, trace context included.
 
-use sdci_core::{EventStore, ShardMap, StoreQuery, StoreReader};
+use sdci_core::{EventBackend, EventStore, FeedMessage, ShardMap, StoreQuery};
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_net::wire::{
-    write_hello, write_item_batch_bin, write_msg, write_publish_batch_bin, BinEncoder, Frame,
-    Hello, Service,
+    write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, Hello, Service,
 };
 use sdci_net::{
     fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker,
-    TcpPublisher, TcpPullServer, TcpPush, TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
+    TcpPullServer, TcpPush, TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::io::{Read, Write};
@@ -139,14 +139,35 @@ fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     }
 }
 
-/// The five services, as the JSON a hello names them with.
-const SERVICES: [(&str, &str); 5] = [
+/// The four services, as the JSON a hello names them with.
+const SERVICES: [(&str, &str); 4] = [
     ("push", r#"{"Push":{"client":"old","resume_after":0}}"#),
-    ("publisher", r#""Publisher""#),
     ("subscriber", r#"{"Subscriber":{"prefixes":[""]}}"#),
     ("store", r#""Store""#),
     ("cluster", r#""Cluster""#),
 ];
+
+/// One binary frame of kind 2 — a topic-headed batch addressed *to* a
+/// broker, which no frame vocabulary has — forging the feed's own
+/// heartbeat: kind, flags, topic, count, then one length-prefixed
+/// `FeedMessage::Heartbeat { last_seq: u64::MAX }`.
+fn forged_heartbeat_body() -> Vec<u8> {
+    let mut body = vec![2u8, 0];
+    body.extend_from_slice(&8u32.to_le_bytes());
+    body.extend_from_slice(b"feed/all");
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&9u32.to_le_bytes());
+    body.push(1); // the Heartbeat tag
+    body.extend_from_slice(&u64::MAX.to_le_bytes());
+    body
+}
+
+/// `body` behind a length word announcing a binary frame.
+fn binary_frame(body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32 | BIN_FRAME_BIT).to_be_bytes().to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
 
 #[test]
 fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keeps_serving() {
@@ -174,9 +195,7 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
             let before = refused(counted_as);
             let mut stream = connect_with_hello(addr, &hello);
             // Data right behind a refused hello must never be applied.
-            let enc = &mut BinEncoder::new();
-            let _ = write_item_batch_bin(&mut stream, enc, 1, &[7u64], None);
-            let _ = write_publish_batch_bin(&mut stream, enc, "t/x", &[7u64], None);
+            let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
             broker.publisher().publish("t/y", 8);
             assert_closed_unanswered(&mut stream, &hello);
             assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello}");
@@ -184,7 +203,6 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     }
     assert_eq!(pull.stats().items, 0);
     assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
-    assert_eq!(broker.stats().messages_in, 0, "a refused publish was applied");
     assert_eq!(broker.stats().frames_out, 0, "a refused subscriber was delivered to");
     assert_eq!(store.queries() + map.fetches(), 0);
     while local.try_recv().is_some() {} // the test's own `t/y` publications
@@ -195,12 +213,11 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     assert!(push.drain(Duration::from_secs(10)), "a correct pusher is still served");
     assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(42));
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["ok/"], fast_cfg());
-    let publisher = TcpPublisher::<u64>::connect(addr, fast_cfg());
     let delivered = (0..1000).any(|_| {
-        publisher.publish("ok/x", 9);
+        broker.publisher().publish("ok/x", 9);
         subscriber.recv_timeout(Duration::from_millis(10)).is_some()
     });
-    assert!(delivered, "a correct publisher/subscriber pair is still served");
+    assert!(delivered, "a correct subscriber is still served");
     assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
     assert_eq!(fetch_map(addr, &fast_cfg()).unwrap().version(), 1);
     endpoint.shutdown();
@@ -210,17 +227,81 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
 fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
     let _serial = endpoints();
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
-    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![store.clone()]).unwrap();
+    let broker = TcpBroker::<FeedMessage>::new(Broker::new(8192));
+    let endpoint =
+        Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![store.clone(), broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
-    for (leg, service) in SERVICES.iter().filter(|(leg, _)| *leg != "store") {
+    for (leg, service) in SERVICES.iter().filter(|(leg, _)| !["store", "subscriber"].contains(leg))
+    {
         let before = refused(leg);
         let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":{service}}}"#);
         assert_closed_unanswered(&mut connect_with_hello(addr, &hello), &hello);
         assert_eq!(refused(leg), before + 1, "refusal not recorded: {hello}");
     }
+
+    // A feed has one writer, the process that owns its broker. A peer
+    // that offers to publish into it — and sends a forged heartbeat
+    // right behind the offer, which every consumer would trust as the
+    // aggregator's own progress marker — names no service at all.
+    let subscriber = TcpSubscriber::<FeedMessage>::connect(addr, &["feed/"], fast_cfg());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while broker.stats().accepted == 0 {
+        assert!(Instant::now() < deadline, "the subscriber never connected");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (refused_before, accepted_before) = (refused("unknown"), broker.stats().accepted);
+    let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":"Publisher"}}"#);
+    let mut peer = connect_with_hello(addr, &hello);
+    let _ = peer.write_all(&binary_frame(&forged_heartbeat_body()));
+    let forged = subscriber.recv_timeout(Duration::from_millis(300));
+    assert!(forged.is_none(), "a remote peer wrote into the feed: {forged:?}");
+    assert_closed_unanswered(&mut peer, &hello);
+    // `refuse` writes the error-level record and bumps this counter in
+    // one place; `net_distributed` reads the record off a real process.
+    assert_eq!(refused("unknown"), refused_before + 1, "refusal not recorded: {hello}");
+    assert_eq!(broker.stats().accepted, accepted_before, "the peer reached the broker");
+    // The feed's owner still publishes, and only what it publishes arrives.
+    let genuine = FeedMessage::Heartbeat { last_seq: 7 };
+    let delivered = (0..1000).find_map(|_| {
+        broker.publisher().publish("feed/all", genuine.clone());
+        subscriber.recv_timeout(Duration::from_millis(10))
+    });
+    assert_eq!(delivered.map(|msg| msg.payload), Some(genuine));
+
     let remote = RemoteStore::connect(addr, fast_cfg());
     assert!(remote.query(&StoreQuery::after_seq(0)).is_empty());
     assert_eq!(store.queries(), 1, "the attached service still answers");
+    endpoint.shutdown();
+}
+
+/// The same kind-2 body is no frame on any leg: it does not decode, and
+/// sent down an established push session it costs that connection only.
+#[test]
+fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
+    let _serial = endpoints();
+    let body = forged_heartbeat_body();
+    let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("kind 2"), "refused for another reason: {err}");
+
+    let pull = TcpPullServer::<FeedMessage>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_hello(&mut stream, Service::Push { client: "hostile".into(), resume_after: 0 }).unwrap();
+    let (binary, greeting) = read_raw_frame(&mut stream);
+    assert!(!binary);
+    assert_eq!(Frame::<FeedMessage>::decode(false, &greeting).unwrap(), Frame::Ack { up_to: 0 });
+    stream.write_all(&binary_frame(&body)).unwrap();
+    assert_closed_unanswered(&mut stream, "a kind-2 frame on a push session");
+    assert_eq!(pull.stats().items, 0, "the undecodable frame was applied");
+
+    let genuine = FeedMessage::Heartbeat { last_seq: 7 };
+    let push = TcpPush::connect(addr, "current", fast_cfg());
+    assert!(push.send(genuine.clone()));
+    assert!(push.drain(Duration::from_secs(10)), "the endpoint stopped serving other pushers");
+    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(genuine));
     endpoint.shutdown();
 }
 
@@ -332,29 +413,6 @@ fn a_lone_pushed_event_is_one_binary_frame_with_its_trace_context() {
     assert!(push.drain(Duration::from_secs(10)));
     drop(push);
     expect_only_control_until_fin(&mut stream, "push leg");
-}
-
-#[test]
-fn a_lone_published_event_is_one_binary_frame_with_its_trace_context() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let publisher = TcpPublisher::<FileEvent>::connect(listener.local_addr().unwrap(), fast_cfg());
-    publisher.publish("events/mdt0", traced_event());
-
-    let (mut stream, _) = listener.accept().unwrap();
-    assert_eq!(read_hello(&mut stream), Service::Publisher);
-
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(binary, "a lone publication must travel as a binary batch frame");
-    match Frame::<FileEvent>::decode(true, &body).unwrap() {
-        Frame::PublishBatch { topic, payloads, trace: Some(hop) } => {
-            assert_eq!(topic, "events/mdt0");
-            assert_eq!(payloads, vec![traced_event()], "payload or its context damaged");
-            assert_eq!(hop.trace_id, CTX.trace_id, "the frame's send-leg context is the event's");
-        }
-        other => panic!("expected a traced one-member PublishBatch, got {other:?}"),
-    }
-    drop(publisher);
-    expect_only_control_until_fin(&mut stream, "publish leg");
 }
 
 #[test]

@@ -15,12 +15,9 @@
 //! role prints `listening on ADDR (...)` once ready (with the resolved
 //! port when `--bind` used port 0).
 //!
-//! The store behind an aggregator or shard is a middleware stack
-//! ([`StoreStack`]): `--store-backend` picks the base (`seg`, the
-//! default segmented store, or `mem`, a flat bounded ring with no
-//! snapshot support) and `--store-cache N` layers a read-through query
-//! cache of N entries over it. The metrics layer (`sdci_store_*`
-//! series) is always present.
+//! The store behind an aggregator or shard is the segmented
+//! [`EventStore`] under one metrics wrapper (the `sdci_store_*`
+//! series), put together by [`StoreStack`].
 //!
 //! `shard` and `front` run the *sharded* tier: each `shard` is a full
 //! aggregator (own address, own segmented store, snapshot dir, and
@@ -95,14 +92,8 @@ struct Role {
 
 /// What an aggregator and a shard both take: the one address, and the
 /// store behind it.
-const STORE_NODE: &[Flag] = &[
-    ("--bind", "ADDR"),
-    ("--store-capacity", "N"),
-    ("--feed-hwm", "N"),
-    ("--snapshot", "DIR"),
-    ("--store-backend", "seg|mem"),
-    ("--store-cache", "N"),
-];
+const STORE_NODE: &[Flag] =
+    &[("--bind", "ADDR"), ("--store-capacity", "N"), ("--feed-hwm", "N"), ("--snapshot", "DIR")];
 /// Every role with a socket: fault injection and head-sampled tracing.
 const NET: &[Flag] = &[("--faults", "SPEC"), ("--trace-sample", "N")];
 /// Roles that run to completion dump their spans at exit instead of
@@ -340,17 +331,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7070".parse().unwrap())?;
     let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
     let feed_hwm: usize = flags.parse_or("--feed-hwm", 65_536)?;
-    let cache_entries: usize = flags.parse_or("--store-cache", 0)?;
-    let backend_kind = flags.get("--store-backend").unwrap_or("seg");
-    if !matches!(backend_kind, "seg" | "mem") {
-        return Err(format!("--store-backend: unknown backend {backend_kind} (use seg or mem)"));
-    }
     let snapshot = flags.get("--snapshot").map(std::path::PathBuf::from);
-    if backend_kind == "mem" && snapshot.is_some() {
-        return Err(
-            "--store-backend mem has no snapshot support; drop --snapshot or use seg".into()
-        );
-    }
 
     let cfg = net_config(flags)?;
     // Dedup marks are restored before the listener opens, so even the
@@ -364,17 +345,14 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     let events_srv = TcpPullServer::<FileEvent>::with_marks(feed_hwm.max(65_536), marks);
     let events = PullSubscriber::new(events_srv.pull(), "events/remote");
 
-    // The aggregator's store is a middleware stack over the chosen base
-    // backend: metered always (the `sdci_store_*` series), cached when
-    // --store-cache is set. A crashed aggregator restarted with the same
-    // --snapshot resumes its store *and* its sequence numbering, so
-    // consumers recover the outage as an ordinary gap; the segmented
-    // base carries its snapshot dir so the trait-level flush() below
-    // reaches the same writer regardless of how many layers sit on top.
-    let base_store: Arc<dyn EventBackend> = match (backend_kind, &snapshot) {
-        ("mem", _) => Arc::new(sdci::monitor::MemBackend::new(store_capacity)),
-        (_, None) => Arc::new(EventStore::new(store_capacity)),
-        (_, Some(path)) => {
+    // A crashed aggregator restarted with the same --snapshot resumes
+    // its store *and* its sequence numbering, so consumers recover the
+    // outage as an ordinary gap; the store carries its snapshot dir so
+    // the trait-level flush() below reaches it through the metrics
+    // wrapper.
+    let base_store = match &snapshot {
+        None => EventStore::new(store_capacity),
+        Some(path) => {
             // `open` refuses anything but a directory (creating one on a
             // first start, which then restores as an empty store).
             let dir = SnapshotDir::open(path)
@@ -391,10 +369,10 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
                 );
             }
             store.attach_snapshot(dir);
-            Arc::new(store)
+            store
         }
     };
-    let store = StoreStack::over(base_store).metered("sdci_store").cache(cache_entries).build();
+    let store = StoreStack::over(Arc::new(base_store)).metered("sdci_store").build();
     let agg = Aggregator::start_with_backend(events, store, feed_hwm);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.

@@ -247,7 +247,7 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
 /// the abort killed, in full.
 #[test]
 fn store_rpc_server_aborted_mid_reply_recovers_on_restart() {
-    use sdci::monitor::{StoreQuery, StoreReader};
+    use sdci::monitor::{EventBackend, StoreQuery};
     use sdci::net::{NetConfig, RemoteStore, RetryPolicy};
 
     let snapshot = std::env::temp_dir().join(format!("sdci-chaos-reply-{}", std::process::id()));
@@ -358,26 +358,25 @@ fn aggregator_aborted_mid_fanout_recovers_without_consumer_loss() {
     let _ = std::fs::remove_dir_all(&snapshot);
 }
 
-/// The PUB/SUB server path killed by abort-mode crash points: one
-/// aggregator dies greeting a remote publisher, its replacement dies
-/// dispatching the first publish, and the third runs clean. The
-/// supervised client endpoints (publisher and subscriber both
-/// reconnect forever with backoff) must resubscribe across each
-/// restart, ending with a message flowing end to end — the feed leg is
-/// lossy by contract, so the invariant is recovery, not delivery of
-/// the frames each abort swallowed.
+/// The feed server path killed by abort-mode crash points, seen from
+/// the one subscriber that rides through all of it: the first
+/// aggregator dies greeting it, the replacement dies on the first
+/// delivery of a real collector run, and the third runs clean. The
+/// supervised `TcpSubscriber` (it reconnects forever with backoff) must
+/// resubscribe across each restart, ending with an event flowing end to
+/// end — the feed leg is lossy by contract, so the invariant is
+/// recovery, not delivery of the frames each abort swallowed.
 #[test]
 fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
     use sdci::monitor::FeedMessage;
     use sdci::mq::transport::Subscribe;
-    use sdci::net::{NetConfig, RetryPolicy, TcpPublisher, TcpSubscriber};
+    use sdci::net::{NetConfig, RetryPolicy, TcpSubscriber};
 
     let mut agg = spawn_env(
         &["aggregator", "--bind", "127.0.0.1:0"],
         &[("SDCI_CRASH_POINTS", "net.pubsub.greet:1:abort")],
     );
     let addr = wait_for_listen_addr(&mut agg);
-    let feed_addr: std::net::SocketAddr = addr.parse().expect("aggregator addr");
     let cfg = NetConfig {
         retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
         heartbeat: Duration::from_millis(20),
@@ -385,55 +384,63 @@ fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
         ..NetConfig::default()
     };
 
-    // The subscriber rides along through every restart below.
-    let subscriber = TcpSubscriber::<FeedMessage>::connect(feed_addr, &["chaos/"], cfg.clone());
-    // The publisher's very first connection greets the broker, which
-    // aborts before acking — taking the whole aggregator down.
-    let publisher = TcpPublisher::<FeedMessage>::connect(feed_addr, cfg.clone());
+    // The subscriber's very first connection greets the broker, which
+    // aborts — taking the whole aggregator down. It is never recreated.
+    let subscriber = TcpSubscriber::<FeedMessage>::connect(
+        addr.parse().expect("aggregator addr"),
+        &["feed/"],
+        cfg,
+    );
     let status = agg.child().wait().expect("wait for greet-aborted aggregator");
     assert!(!status.success(), "the greet crash point should have aborted the aggregator");
 
-    // Restart #1, armed to abort on the first publish dispatch instead.
+    // Restart #1, armed to abort on the first fan-out delivery instead.
+    // An aggregator that has sequenced nothing publishes nothing (not
+    // even heartbeats), so the point stays cold until the subscriber is
+    // back and a collector gives the feed something to deliver.
     let mut agg2 = spawn_env(
         &["aggregator", "--bind", &addr],
-        &[("SDCI_CRASH_POINTS", "net.pubsub.dispatch:1:abort")],
+        &[("SDCI_CRASH_POINTS", "net.pubsub.fanout:1:abort")],
     );
     wait_for_listen_addr(&mut agg2);
-    // Publish until the reconnected session's first dispatched frame
-    // fires the point; the fire disarms it, so the child must die.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        publisher.publish("chaos/x", FeedMessage::Heartbeat { last_seq: 1 });
-        if let Some(status) = agg2.child().try_wait().expect("poll dispatch-aborted aggregator") {
-            break status;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the dispatch crash point never fired (publisher reconnects: {})",
-            publisher.connections()
-        );
+    while subscriber.connections() < 2 {
+        assert!(std::time::Instant::now() < deadline, "the subscriber never reconnected");
         std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(!status.success(), "the dispatch crash point should have aborted the aggregator");
+    }
+    // The collector cannot finish against an aggregator that dies under
+    // it; it is reaped once the abort has been observed.
+    let collector = spawn(&["collector", "--connect", &addr, "--client", "c1", "--files", "100"]);
+    let status = agg2.child().wait().expect("wait for fanout-aborted aggregator");
+    assert!(!status.success(), "the fanout crash point should have aborted the aggregator");
+    drop(collector);
 
-    // Restart #2 runs clean: both supervised endpoints must reconnect
-    // and a published message must reach the resubscribed consumer.
+    // Restart #2 runs clean: the same subscriber must reconnect and a
+    // real event must reach it. The feed is lossy and a leg starts
+    // receiving some time after its hello, so what a collector pushed
+    // before then is not this subscriber's to get: collectors run until
+    // one's events arrive.
     let mut agg3 = spawn(&["aggregator", "--bind", &addr]);
     wait_for_listen_addr(&mut agg3);
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        publisher.publish("chaos/x", FeedMessage::Heartbeat { last_seq: 2 });
-        if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(50)) {
-            assert!(msg.topic.starts_with("chaos/"), "unexpected topic {}", msg.topic);
-            break;
+    let delivered = (2..22).any(|run| {
+        run_collector("--connect", &addr, &format!("c{run}"), None);
+        let window = std::time::Instant::now() + Duration::from_secs(1);
+        while std::time::Instant::now() < window {
+            if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(50)) {
+                assert!(msg.topic.starts_with("feed/"), "unexpected topic {}", msg.topic);
+                if matches!(msg.payload, FeedMessage::Event(_)) {
+                    return true;
+                }
+            }
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no message flowed after the clean restart (subscriber reconnects: {})",
-            subscriber.connections()
-        );
-    }
-    assert!(publisher.connections() >= 2, "the publisher should have reconnected at least once");
+        false
+    });
+    assert!(
+        delivered,
+        "no event flowed after the clean restart (subscriber connections: {})",
+        subscriber.connections()
+    );
+    assert!(subscriber.connections() >= 3, "one connection per aggregator incarnation");
 }
 
 /// The durable-cursor contract, pinned kill-to-restart: a consumer

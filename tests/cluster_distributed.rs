@@ -15,7 +15,7 @@ use common::{
     remote_store, run_collector, scrape_metrics, spawn, split_clients, wait_for_listen_addr,
     EVENTS_PER_COLLECTOR,
 };
-use sdci::monitor::{StoreQuery, StoreReader};
+use sdci::monitor::{EventBackend, StoreQuery};
 use sdci::net::{add_shard, fetch_map, NetConfig};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;

@@ -16,7 +16,7 @@
 mod common;
 
 use common::{remote_store, spawn, split_clients, wait_for_listen_addr, BIN, EVENTS_PER_COLLECTOR};
-use sdci::monitor::{StoreQuery, StoreReader};
+use sdci::monitor::{EventBackend, StoreQuery};
 use sdci_bench::trace::TraceCollector;
 use std::net::SocketAddr;
 use std::path::Path;
@@ -158,11 +158,11 @@ fn sharded_pipeline_traces_link_across_every_process_boundary() {
     for proc in ["query-client", "front", "shard0", "shard1"] {
         assert!(processes.contains(proc), "no spans from {proc}: {processes:?}");
     }
-    // The shard-side store middleware must be visible inside the same
-    // trace (the serve span is current while the stack runs).
+    // The shard-side store must be visible inside the same trace (the
+    // serve span is current while the query runs).
     assert!(
         names.iter().any(|n| n.starts_with("store.")),
-        "store middleware spans missing from the query trace: {names:?}"
+        "store spans missing from the query trace: {names:?}"
     );
 
     // --- The ingest traces: extraction through delivery. ---
@@ -190,15 +190,15 @@ fn sharded_pipeline_traces_link_across_every_process_boundary() {
         ingest_procs.len() >= 3,
         "an ingest trace should span collector, shard, and consumer: {ingest_procs:?}"
     );
-    // Somewhere across the ingest traces the aggregator's store layers
-    // must have recorded under the adopted event context.
+    // Somewhere across the ingest traces the aggregator's store must
+    // have recorded under the adopted event context.
     assert!(
         tc.spans().iter().any(|s| s.name == "aggregator.ingest"),
         "no aggregator.ingest spans collected"
     );
     assert!(
-        tc.spans().iter().any(|s| s.name == "store.seg.insert" || s.name == "store.mem.insert"),
-        "no backend insert spans collected"
+        tc.spans().iter().any(|s| s.name == "store.seg.insert"),
+        "no store insert spans collected"
     );
 
     // CI artifact: the fully-assembled query trace as JSON.
