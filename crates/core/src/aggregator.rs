@@ -53,38 +53,75 @@ pub enum FeedMessage {
     },
 }
 
-/// Binary layout: `seq` (LE u64) then the event's own binary form.
+/// Binary layout: `seq` as a delta against the previous member's, then
+/// the event coded against the previous member's event.
 impl sdci_types::BinPayload for SequencedEvent {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.seq.encode_bin(buf);
-        self.event.encode_bin(buf);
+    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+        sdci_types::bin::put_delta(buf, self.seq, prev.map_or(0, |p| p.seq));
+        self.event.encode_bin(prev.map(|p| &p.event), buf);
     }
 
-    fn decode_bin(r: &mut sdci_types::BinReader<'_>) -> Result<Self, sdci_types::BinDecodeError> {
-        Ok(SequencedEvent { seq: r.u64()?, event: FileEvent::decode_bin(r)? })
+    fn decode_bin(
+        r: &mut sdci_types::BinReader<'_>,
+        prev: Option<&Self>,
+    ) -> Result<Self, sdci_types::BinDecodeError> {
+        Ok(SequencedEvent {
+            seq: r.delta(prev.map_or(0, |p| p.seq))?,
+            event: FileEvent::decode_bin(r, prev.map(|p| &p.event))?,
+        })
+    }
+}
+
+impl FeedMessage {
+    /// The previous feed member as an event's predecessor: a heartbeat
+    /// between two events is not one.
+    fn as_event(&self) -> Option<&SequencedEvent> {
+        match self {
+            FeedMessage::Event(sev) => Some(sev),
+            FeedMessage::Heartbeat { .. } => None,
+        }
+    }
+
+    /// The sequence number this member carries, whichever variant it is.
+    fn seq(&self) -> u64 {
+        match self {
+            FeedMessage::Event(sev) => sev.seq,
+            FeedMessage::Heartbeat { last_seq } => *last_seq,
+        }
     }
 }
 
 /// Binary layout: a one-byte variant tag (`0` = `Event`, `1` =
-/// `Heartbeat`) followed by the variant's fields.
+/// `Heartbeat`), then an `Event`'s [`SequencedEvent`] coded against the
+/// previous member when that was an `Event` too (as a first member
+/// otherwise), or a `Heartbeat`'s `last_seq` as a delta against the
+/// previous member's sequence number, whichever variant it was.
 impl sdci_types::BinPayload for FeedMessage {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
         match self {
             FeedMessage::Event(sev) => {
                 buf.push(0);
-                sev.encode_bin(buf);
+                sev.encode_bin(prev.and_then(FeedMessage::as_event), buf);
             }
             FeedMessage::Heartbeat { last_seq } => {
                 buf.push(1);
-                last_seq.encode_bin(buf);
+                sdci_types::bin::put_delta(buf, *last_seq, prev.map_or(0, FeedMessage::seq));
             }
         }
     }
 
-    fn decode_bin(r: &mut sdci_types::BinReader<'_>) -> Result<Self, sdci_types::BinDecodeError> {
+    fn decode_bin(
+        r: &mut sdci_types::BinReader<'_>,
+        prev: Option<&Self>,
+    ) -> Result<Self, sdci_types::BinDecodeError> {
         match r.u8()? {
-            0 => Ok(FeedMessage::Event(SequencedEvent::decode_bin(r)?)),
-            1 => Ok(FeedMessage::Heartbeat { last_seq: r.u64()? }),
+            0 => Ok(FeedMessage::Event(SequencedEvent::decode_bin(
+                r,
+                prev.and_then(FeedMessage::as_event),
+            )?)),
+            1 => {
+                Ok(FeedMessage::Heartbeat { last_seq: r.delta(prev.map_or(0, FeedMessage::seq))? })
+            }
             other => {
                 Err(sdci_types::BinDecodeError::msg(format!("invalid FeedMessage tag {other}")))
             }

@@ -22,18 +22,32 @@
 //! [`sdci_types::bin`]; a lone event travels as a batch of one. The high
 //! bit is unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
 //!
-//! A binary body is a fixed little-endian header, then the kind's
-//! fields, strings and payloads `u32`-LE length-prefixed:
+//! A binary body is a fixed header, then the kind's fields. Lengths
+//! and counts are LEB128 varints; every member is length-prefixed and
+//! coded **relative to the member before it in the same frame**
+//! ([`BinPayload`]: zig-zag deltas for counters and stamps, paths as
+//! shared-prefix length + suffix), the first against nothing — so a
+//! frame decodes from its own bytes alone, whichever frames were
+//! dropped, duplicated or resent around it:
 //!
 //! ```text
 //! +------+-------+-----------------------+----------------------------+
 //! | kind | flags | trace (17B, flags&1)  | kind's fields              |
 //! |  u8  |  u8   | id u64, span u64, u8  |                            |
 //! +------+-------+-----------------------+----------------------------+
-//! kind 1 ItemBatch:    first_seq u64 | count u32 | count × (len u32 + payload)
-//! kind 3 StoreBatch:   count u32 | count × (len u32 + SequencedEvent)
-//! kind 4 DeliverBatch: topic (len u32 + bytes) | count u32 | count × (len u32 + payload)
+//! kind 1 ItemBatch:    first_seq u64le | members
+//! kind 3 StoreBatch:   members                      (of SequencedEvent)
+//! kind 4 DeliverBatch: topic (varint len + bytes) | members
+//!
+//! members = count varint | count × (len varint | member: len bytes)
+//!           member 0 coded against nothing, member i against member i-1
 //! ```
+//!
+//! A member whose decoder does not consume exactly `len` bytes is
+//! `InvalidData`. What front-coding lets a small frame expand to is
+//! bounded by [`sdci_types::bin`]: 4,096 bytes a path, and
+//! [`MAX_FRAME_LEN`] assembled path bytes a frame — what the largest
+//! frame could have carried verbatim.
 //!
 //! Kind 2 is unassigned: a feed is written only by the process that
 //! owns its broker, so there is no publish batch, and a body carrying
@@ -50,7 +64,7 @@
 //! can never open a legal frame and the endpoint routes such a
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
-use sdci_types::bin::{put_bytes, BinPayload, BinReader};
+use sdci_types::bin::{put_bytes, put_varint, varint_len, BinPayload, BinReader};
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
@@ -63,6 +77,10 @@ pub const FRAME_HEADER_LEN: usize = 4;
 /// corrupt stream rather than an allocation request.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+// A frame's decoder assembles no more front-coded path bytes than the
+// largest frame could have carried verbatim.
+const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
+
 /// High bit of the length word: set when the frame body is binary (a
 /// data frame) instead of JSON (a control frame). Never ambiguous —
 /// [`MAX_FRAME_LEN`] keeps legal lengths far below this bit.
@@ -70,7 +88,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 6;
+pub const WIRE_PROTO: u32 = 7;
 
 /// The opening frame of every connection: the peer's wire version and
 /// the service it wants from the endpoint it dialed. Always JSON.
@@ -271,6 +289,13 @@ const BIN_FLAG_TRACE: u8 = 1;
 /// Size of the trace section [`BIN_FLAG_TRACE`] announces.
 const BIN_TRACE_LEN: usize = 17;
 
+/// Most members the chunker puts in one frame. A member assembles at
+/// most two paths of [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN), so
+/// a frame of this many stays within its reader's path budget whatever
+/// its paths are: no batch a pusher or broker is handed can become a
+/// frame the peer refuses, and is then resent forever.
+const MAX_FRAME_MEMBERS: usize = MAX_FRAME_LEN / (2 * sdci_types::bin::MAX_PATH_LEN);
+
 /// Most members a decoder reserves room for on a count word's say-so;
 /// a larger (still valid) batch grows its `Vec` as members decode.
 const MAX_RESERVED_MEMBERS: usize = 65_536;
@@ -283,7 +308,7 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
         None => buf.push(0),
         Some(t) => {
             buf.push(BIN_FLAG_TRACE);
-            t.encode_bin(buf);
+            t.encode_bin(None, buf);
         }
     }
 }
@@ -296,48 +321,77 @@ pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<T
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let trace = if flags & BIN_FLAG_TRACE != 0 {
-        Some(TraceContext::decode_bin(r).map_err(invalid)?)
+        Some(TraceContext::decode_bin(r, None).map_err(invalid)?)
     } else {
         None
     };
     Ok((kind, trace))
 }
 
-/// Appends `count` + each payload `u32`-LE length-prefixed.
+/// Appends one batch member: its length as a varint, then its encoding
+/// against `prev`.
+fn put_member<T: BinPayload>(buf: &mut Vec<u8>, member: &T, prev: Option<&T>) {
+    // One pass, no per-member scratch: a one-byte length is reserved,
+    // and the rare member of 128 bytes or more is shifted right to make
+    // room for the longer varint.
+    let at = buf.len();
+    buf.push(0);
+    member.encode_bin(prev, buf);
+    let len = buf.len() - at - 1;
+    let extra = varint_len(len as u64) - 1;
+    if extra > 0 {
+        buf.resize(buf.len() + extra, 0);
+        buf.copy_within(at + 1..at + 1 + len, at + 1 + extra);
+    }
+    let mut rest = len;
+    for slot in &mut buf[at..=at + extra] {
+        *slot = rest as u8 | 0x80;
+        rest >>= 7;
+    }
+    buf[at + extra] &= 0x7f;
+}
+
+/// Appends the member count, then each member length-prefixed and coded
+/// against the one before it.
 pub(crate) fn bin_put_payloads<T: BinPayload>(buf: &mut Vec<u8>, payloads: &[T]) {
-    buf.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
+    put_varint(buf, payloads.len() as u64);
+    let mut prev = None;
     for p in payloads {
-        // Length placeholder, patched once the payload is encoded — one
-        // pass, no per-payload scratch allocation.
-        let at = buf.len();
-        buf.extend_from_slice(&[0; 4]);
-        p.encode_bin(buf);
-        let len = (buf.len() - at - 4) as u32;
-        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        put_member(buf, p, prev);
+        prev = Some(p);
     }
 }
 
 /// How many members to reserve room for before decoding a batch whose
 /// count word says `count`, with `remaining` body bytes left. The word
-/// is unvalidated input: it is bounded by what the bytes can hold (each
-/// member costs at least its 4 length bytes) and by a fixed cap, so it
-/// can never size an allocation beyond a small multiple of the frame.
+/// is unvalidated input: it is bounded by what the bytes can hold (a
+/// member is at least its length byte and one byte of encoding) and by
+/// a fixed cap, so it can never size an allocation beyond a multiple of
+/// the frame. It is only a reservation: a batch of more members grows
+/// the `Vec` as they decode.
 fn members_to_reserve(count: usize, remaining: usize) -> usize {
-    count.min(remaining / 4).min(MAX_RESERVED_MEMBERS)
+    count.min(remaining / 2).min(MAX_RESERVED_MEMBERS)
 }
 
-/// Reads a length-prefixed payload sequence back.
+/// Reads a member sequence back, handing each member's decoder the
+/// member before it.
 pub(crate) fn bin_read_payloads<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
-    let count = r.u32().map_err(invalid)? as usize;
-    let mut out = Vec::with_capacity(members_to_reserve(count, r.remaining()));
+    let count = r.length().map_err(invalid)?;
+    let mut out: Vec<T> = Vec::with_capacity(members_to_reserve(count, r.remaining()));
     for _ in 0..count {
-        let bytes = r.bytes().map_err(invalid)?;
-        let mut pr = BinReader::new(bytes);
-        let payload = T::decode_bin(&mut pr).map_err(invalid)?;
-        if !pr.is_empty() {
-            return Err(invalid(format!("binary payload has {} trailing bytes", pr.remaining())));
+        let len = r.length().map_err(invalid)?;
+        let Some(end) = r.remaining().checked_sub(len) else {
+            return Err(invalid(format!(
+                "truncated: a member of {len} bytes, {} left in the frame",
+                r.remaining()
+            )));
+        };
+        let member = T::decode_bin(r, out.last()).map_err(invalid)?;
+        if r.remaining() != end {
+            let used = end + len - r.remaining();
+            return Err(invalid(format!("a member of {len} bytes decoded as {used}")));
         }
-        out.push(payload);
+        out.push(member);
     }
     Ok(out)
 }
@@ -392,15 +446,17 @@ impl<T: BinPayload> WireMsg for Frame<T> {
     }
 }
 
-/// Per-connection reusable scratch for binary encoding: payload bytes
-/// and their spans are laid out once, then chunked into frames without
-/// re-encoding.
+/// Per-connection reusable scratch for binary encoding: members are
+/// laid out once, then chunked into frames without re-encoding.
 #[derive(Debug, Default)]
 pub struct BinEncoder {
-    /// Every batch member's encoding, back to back.
-    payloads: Vec<u8>,
-    /// `(offset, len)` of each member inside `payloads`.
-    spans: Vec<(usize, usize)>,
+    /// Every batch member, length-prefixed and coded against the one
+    /// before it, back to back — a frame's member section verbatim.
+    members: Vec<u8>,
+    /// End offset of each member inside `members`.
+    ends: Vec<usize>,
+    /// The first member of a chunk after a split, coded against nothing.
+    first: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
 }
@@ -412,14 +468,15 @@ impl BinEncoder {
         BinEncoder::default()
     }
 
-    /// Encodes every member once, recording spans for chunking.
+    /// Encodes every member once, recording where each ends.
     fn load<T: BinPayload>(&mut self, payloads: &[T]) {
-        self.payloads.clear();
-        self.spans.clear();
+        self.members.clear();
+        self.ends.clear();
+        let mut prev = None;
         for p in payloads {
-            let start = self.payloads.len();
-            p.encode_bin(&mut self.payloads);
-            self.spans.push((start, self.payloads.len() - start));
+            put_member(&mut self.members, p, prev);
+            self.ends.push(self.members.len());
+            prev = Some(p);
         }
     }
 }
@@ -438,7 +495,7 @@ impl BatchHead<'_> {
     fn len(self) -> usize {
         match self {
             BatchHead::FirstSeq(_) => 8,
-            BatchHead::Topic(topic) => 4 + topic.len(),
+            BatchHead::Topic(topic) => varint_len(topic.len() as u64) + topic.len(),
         }
     }
 
@@ -454,10 +511,13 @@ impl BatchHead<'_> {
 
 /// The one chunked batch writer: encodes every member once, then
 /// greedily packs them into `kind` frames of at most `max_len` body
-/// bytes, each repeating `trace` and `head`. A single member that alone
-/// exceeds the cap still gets its own frame — it cannot be split, and
-/// the [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
-/// Returns the number of frames written.
+/// bytes and [`MAX_FRAME_MEMBERS`] members, each repeating `trace` and
+/// `head`. Every frame decodes alone: the first member of a chunk after
+/// a split is coded again, against nothing, and the rest are copied as
+/// they were laid out. A single member that alone exceeds the cap still
+/// gets its own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
+/// check in [`write_frame`] remains the backstop. Returns the number of
+/// frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
@@ -468,35 +528,42 @@ fn write_batch<T: BinPayload>(
     max_len: usize,
 ) -> io::Result<usize> {
     enc.load(payloads);
-    // Fixed per-frame body cost: kind + flags, the optional trace
-    // section, the head, and the member-count word. Leaving the count
-    // word out would let a chunk sized exactly at the cap overshoot it
-    // by four bytes — fatal at `MAX_FRAME_LEN`, where `write_frame`
-    // rejects the frame instead of splitting it.
-    let overhead = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len() + 4;
+    let BinEncoder { members, ends, first, body } = enc;
+    // Per-frame body cost before the member count: kind + flags, the
+    // optional trace section and the head.
+    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
     let mut frames = 0;
     let mut lo = 0;
-    while lo < enc.spans.len() {
-        let mut hi = lo;
-        let mut size = overhead;
-        while hi < enc.spans.len() {
-            // Each member costs 4 length bytes + its encoding.
-            let cost = 4 + enc.spans[hi].1;
-            if hi > lo && size + cost > max_len {
+    while lo < payloads.len() {
+        let first: &[u8] = if lo == 0 {
+            &members[..ends[0]]
+        } else {
+            first.clear();
+            put_member(first, &payloads[lo], None);
+            first
+        };
+        let mut hi = lo + 1;
+        let mut size = first.len();
+        while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
+            // The count is a varint too: it is sized for the chunk this
+            // member would make, or a chunk packed exactly to the cap
+            // would overshoot it when the count grows a byte — fatal at
+            // `MAX_FRAME_LEN`, where `write_frame` rejects the frame
+            // instead of splitting it.
+            let cost = ends[hi] - ends[hi - 1];
+            if fixed + varint_len((hi - lo + 1) as u64) + size + cost > max_len {
                 break;
             }
             size += cost;
             hi += 1;
         }
-        enc.body.clear();
-        bin_header(&mut enc.body, kind, trace);
-        head.put(&mut enc.body, lo);
-        enc.body.extend_from_slice(&((hi - lo) as u32).to_le_bytes());
-        for &(off, len) in &enc.spans[lo..hi] {
-            enc.body.extend_from_slice(&(len as u32).to_le_bytes());
-            enc.body.extend_from_slice(&enc.payloads[off..off + len]);
-        }
-        write_frame(w, true, &enc.body)?;
+        body.clear();
+        bin_header(body, kind, trace);
+        head.put(body, lo);
+        put_varint(body, (hi - lo) as u64);
+        body.extend_from_slice(first);
+        body.extend_from_slice(&members[ends[lo]..ends[hi - 1]]);
+        write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
     }
@@ -759,6 +826,9 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use sdci_core::{FeedMessage, SequencedEvent};
     use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
     use std::path::PathBuf;
 
@@ -843,9 +913,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":6,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":7,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":6,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":7,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -861,7 +931,7 @@ mod tests {
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in [r#"{"service":"Store"}"#, r#"{"proto":6}"#, r#"{"proto":6,"service":"Nope"}"#]
+        for body in [r#"{"service":"Store"}"#, r#"{"proto":7}"#, r#"{"proto":7,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1022,54 +1092,72 @@ mod tests {
         );
     }
 
+    /// Writes `payloads` as item batches capped at `max_len` and returns
+    /// the raw frame bodies.
+    fn split_at<T: BinPayload>(payloads: &[T], max_len: usize) -> Vec<Vec<u8>> {
+        let mut buf = Vec::new();
+        let head = BatchHead::FirstSeq(1);
+        let frames = write_batch(
+            &mut buf,
+            &mut BinEncoder::new(),
+            BIN_KIND_ITEM_BATCH,
+            head,
+            payloads,
+            None,
+            max_len,
+        )
+        .unwrap();
+        let bodies: Vec<Vec<u8>> = raw_frames(&buf).into_iter().map(|(_, body)| body).collect();
+        assert_eq!(bodies.len(), frames);
+        bodies
+    }
+
     /// The chunker's size accounting must match the bytes actually
     /// emitted, or a chunk sized exactly at the cap overshoots it — at
     /// [`MAX_FRAME_LEN`] that turns a splittable batch into a hard
     /// `write_frame` rejection. `u64` payloads encode to exactly 8
     /// bytes, so frame sizes are fully predictable:
-    /// body = kind(1) + flags(1) + first_seq(8) + count(4) + n×(4+8).
+    /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×(1+8).
     #[test]
     fn binary_chunk_cap_is_exact_at_the_boundary() {
         let payloads: Vec<u64> = (0..9).collect();
-        let three_member_body = 14 + 3 * 12;
-        let mut enc = BinEncoder::new();
-        let head = BatchHead::FirstSeq(1);
+        let three_member_body = 11 + 3 * 9;
 
         // Cap exactly at a three-member body: three members per frame,
         // and every emitted body is within the cap.
-        let mut buf = Vec::new();
-        let frames = write_batch(
-            &mut buf,
-            &mut enc,
-            BIN_KIND_ITEM_BATCH,
-            head,
-            &payloads,
-            None,
-            three_member_body,
-        )
-        .unwrap();
-        assert_eq!(frames, 3);
-        for (bin, body) in raw_frames(&buf) {
-            assert!(bin);
-            assert_eq!(body.len(), three_member_body);
-        }
+        let bodies = split_at(&payloads, three_member_body);
+        assert_eq!(bodies.len(), 3);
+        assert!(bodies.iter().all(|body| body.len() == three_member_body));
 
         // One byte under the cap must drop to two members per frame.
-        let mut buf = Vec::new();
-        let frames = write_batch(
-            &mut buf,
-            &mut enc,
-            BIN_KIND_ITEM_BATCH,
-            head,
-            &payloads,
-            None,
-            three_member_body - 1,
-        )
-        .unwrap();
-        assert_eq!(frames, 5, "9 payloads at 2/frame");
-        for (_, body) in raw_frames(&buf) {
-            assert!(body.len() < three_member_body);
-        }
+        let bodies = split_at(&payloads, three_member_body - 1);
+        assert_eq!(bodies.len(), 5, "9 payloads at 2/frame");
+        assert!(bodies.iter().all(|body| body.len() < three_member_body));
+
+        // The count is a varint: the 128th member costs its nine bytes
+        // and the count's second byte, and the accounting sees both.
+        let payloads: Vec<u64> = (0..200).collect();
+        let body_of_128 = 10 + 2 + 128 * 9;
+        assert_eq!(split_at(&payloads, body_of_128)[0].len(), body_of_128);
+        let bodies = split_at(&payloads, body_of_128 - 1);
+        assert_eq!(bodies[0].len(), 10 + 1 + 127 * 9, "127 members and a one-byte count");
+        assert_eq!(bodies.len(), 2);
+    }
+
+    /// However small its members, a frame closes at the member cap that
+    /// keeps it inside the reader's path budget.
+    #[test]
+    fn binary_chunks_close_at_the_member_cap() {
+        let payloads: Vec<u64> = (0..20_000).collect();
+        let counts: Vec<usize> = split_at(&payloads, MAX_FRAME_LEN)
+            .iter()
+            .map(|body| match Frame::<u64>::decode(true, body).unwrap() {
+                Frame::ItemBatch { payloads, .. } => payloads.len(),
+                other => panic!("expected ItemBatch, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(counts, [MAX_FRAME_MEMBERS, MAX_FRAME_MEMBERS, 20_000 - 2 * MAX_FRAME_MEMBERS]);
+        assert_eq!(MAX_FRAME_MEMBERS * 2 * sdci_types::bin::MAX_PATH_LEN, MAX_FRAME_LEN);
     }
 
     #[test]
@@ -1082,7 +1170,7 @@ mod tests {
             write_item_batch_bin(&mut buf, &mut enc, 1, &payloads[..1], trace).unwrap();
             buf.len() - FRAME_HEADER_LEN
         };
-        let cap = one_event_body * 3;
+        let cap = one_event_body * 2;
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         let head = BatchHead::FirstSeq(1);
@@ -1145,7 +1233,7 @@ mod tests {
         let mut buf = Vec::new();
         let head = BatchHead::Topic("feed/all");
         let frames =
-            write_batch(&mut buf, &mut enc, BIN_KIND_DELIVER_BATCH, head, &payloads, None, 256)
+            write_batch(&mut buf, &mut enc, BIN_KIND_DELIVER_BATCH, head, &payloads, None, 64)
                 .unwrap();
         assert!(frames > 1);
         let mut reader = FrameReader::new(&buf[..]);
@@ -1159,6 +1247,170 @@ mod tests {
             }
         }
         assert_eq!(delivered, payloads);
+    }
+
+    /// A member's length varint grows with the member: the one-byte
+    /// reservation is widened in place, whichever side of 128 or 16,384
+    /// bytes the encoding lands on.
+    #[test]
+    fn members_of_every_length_width_roundtrip() {
+        for len in (120..135).chain(16_375..16_390) {
+            let payloads = vec!["x".repeat(len), "after".into()];
+            let frame = Frame::ItemBatch { first_seq: 1, payloads, trace: None };
+            let mut buf = Vec::new();
+            write_msg(&mut buf, &frame).unwrap();
+            assert_eq!(read_one::<Frame<String>>(&buf).unwrap(), frame, "string of {len} bytes");
+        }
+    }
+
+    /// The length word of a member is checked against what its decoder
+    /// consumed, in both directions.
+    #[test]
+    fn a_member_whose_length_disagrees_with_its_decoding_is_rejected() {
+        let mut buf = Vec::new();
+        write_item_batch_bin(&mut buf, &mut BinEncoder::new(), 1, &[event(1), event(2)], None)
+            .unwrap();
+        let body = raw_frames(&buf).remove(0).1;
+        // kind, flags, first_seq (8) and a one-byte count put the first
+        // member's length at byte 11.
+        let at = 11;
+        assert_eq!(body[10], 2);
+        for wrong in [body[at] - 1, body[at] + 1, 0, 0x7f] {
+            let mut bad = body.clone();
+            bad[at] = wrong;
+            let err = read_one::<Frame<FileEvent>>(&framed(true, &bad)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "length {wrong} accepted");
+        }
+    }
+
+    /// Counters near each other, at both ends of their range and on both
+    /// sides of `i64::MAX`, so neighbours step up, down and across the wrap.
+    fn counter() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            4 => 0u64..8,
+            2 => (u64::MAX - 7)..=u64::MAX,
+            2 => (i64::MAX as u64 - 3)..=(i64::MAX as u64 + 4),
+            1 => any::<u64>(),
+        ]
+    }
+
+    fn counter32() -> impl Strategy<Value = u32> {
+        prop_oneof![4 => 0u32..8, 2 => (u32::MAX - 7)..=u32::MAX, 1 => any::<u32>()]
+    }
+
+    /// Paths over a few names, so neighbours share components, whole
+    /// paths and nothing; the empty path and empty names are included,
+    /// and `é`/`è` and `日`/`旦` share the first byte or two of a
+    /// character, so a shared prefix can end inside one.
+    fn path() -> impl Strategy<Value = PathBuf> {
+        let name = prop::sample::select(vec!["a", "ab", "é", "è", "日", "旦", "d0000001", ""]);
+        prop::collection::vec(name, 0..4)
+            .prop_map(|names| names.iter().map(|n| format!("/{n}")).collect::<String>().into())
+    }
+
+    fn file_event() -> impl Strategy<Value = FileEvent> {
+        let kinds = (
+            prop::sample::select(ChangelogKind::ALL.to_vec()),
+            // `None`: the classification the record kind implies.
+            prop::option::of(prop::sample::select(EventKind::ALL.to_vec())),
+            any::<bool>(),
+        );
+        let counters =
+            (counter(), prop::sample::select(vec![0u32, 0, 0, 1, 7, u32::MAX]), counter());
+        let names = (path(), prop::option::of(path()), (counter(), counter32(), counter32()));
+        let optional = (
+            prop::option::of(counter()),
+            prop::option::of((any::<u64>(), any::<u64>(), any::<bool>())),
+        );
+        (kinds, counters, names, optional).prop_map(
+            |((changelog_kind, kind, is_dir), (index, mdt, time), (path, src_path, fid), opt)| {
+                FileEvent {
+                    index,
+                    mdt: MdtIndex::new(mdt),
+                    changelog_kind,
+                    kind: kind.unwrap_or(changelog_kind.event_kind()),
+                    time: SimTime::from_nanos(time),
+                    path,
+                    src_path,
+                    target: Fid::new(fid.0, fid.1, fid.2),
+                    is_dir,
+                    extracted_unix_ns: opt.0,
+                    trace: opt.1.map(|(trace_id, parent_span_id, sampled)| TraceContext {
+                        trace_id,
+                        parent_span_id,
+                        sampled,
+                    }),
+                }
+            },
+        )
+    }
+
+    fn feed_message() -> impl Strategy<Value = FeedMessage> {
+        prop_oneof![
+            4 => (counter(), file_event())
+                .prop_map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event })),
+            1 => counter().prop_map(|last_seq| FeedMessage::Heartbeat { last_seq }),
+        ]
+    }
+
+    /// Encode → decode is the identity on one frame, and at every cap
+    /// the chunker emits frames that each decode alone — a later frame
+    /// never needs an earlier one — to the same members in order, none
+    /// over the cap unless it holds a single member.
+    fn roundtrips_whole_and_split<T>(payloads: &[T]) -> Result<(), TestCaseError>
+    where
+        T: BinPayload + Clone + PartialEq + std::fmt::Debug,
+    {
+        let whole = split_at(payloads, usize::MAX);
+        prop_assert_eq!(whole.len(), 1);
+        let frame = Frame::ItemBatch { first_seq: 1, payloads: payloads.to_vec(), trace: None };
+        let mut body = Vec::new();
+        prop_assert!(frame.encode(&mut body).unwrap());
+        prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
+        for cap in 0..=body.len() {
+            let mut got = Vec::new();
+            for chunk in split_at(payloads, cap) {
+                match Frame::<T>::decode(true, &chunk) {
+                    Ok(Frame::ItemBatch { first_seq, payloads: members, trace: None }) => {
+                        prop_assert_eq!(first_seq, 1 + got.len() as u64, "cap {}", cap);
+                        prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
+                        got.extend(members);
+                    }
+                    other => prop_assert!(false, "cap {}: decoded {:?}", cap, other),
+                }
+            }
+            prop_assert_eq!(got.as_slice(), payloads, "cap {}", cap);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn event_batches_roundtrip_whole_and_split_at_every_cap(
+            batch in prop::collection::vec(file_event(), 1..10),
+        ) {
+            roundtrips_whole_and_split(&batch)?;
+        }
+
+        #[test]
+        fn feed_batches_roundtrip_whole_split_and_as_store_replies(
+            batch in prop::collection::vec(feed_message(), 1..10),
+        ) {
+            roundtrips_whole_and_split(&batch)?;
+            let events: Vec<SequencedEvent> = batch
+                .into_iter()
+                .filter_map(|m| match m {
+                    FeedMessage::Event(sev) => Some(sev),
+                    FeedMessage::Heartbeat { .. } => None,
+                })
+                .collect();
+            let reply = crate::store_rpc::StoreRpc::Batch { events };
+            let mut body = Vec::new();
+            prop_assert!(reply.encode(&mut body).unwrap());
+            prop_assert_eq!(crate::store_rpc::StoreRpc::decode(true, &body).unwrap(), reply);
+        }
     }
 
     #[test]
@@ -1191,22 +1443,21 @@ mod tests {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
         body.extend_from_slice(&1u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes()); // count
+        put_varint(&mut body, u64::MAX); // count
         let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
-        let hostile = u32::MAX as usize;
+        let hostile = usize::MAX;
         assert_eq!(members_to_reserve(hostile, 0), 0);
-        assert_eq!(members_to_reserve(hostile, 43), 10, "bounded by 4 length bytes per member");
+        assert_eq!(members_to_reserve(hostile, 43), 21, "bounded by two bytes per member");
         assert_eq!(members_to_reserve(hostile, MAX_FRAME_LEN), MAX_RESERVED_MEMBERS);
-        assert_eq!(members_to_reserve(512, 512 * 90), 512, "honest batches reserve exactly once");
-        assert_eq!(members_to_reserve(65_536, 65_536 * 90), 65_536);
+        assert_eq!(members_to_reserve(512, 512 * 34), 512, "honest batches reserve exactly once");
+        assert_eq!(members_to_reserve(65_536, 65_536 * 34), 65_536);
     }
 
     #[test]
     fn store_batch_is_binary_only_and_rejects_a_trace_section() {
         use crate::store_rpc::StoreRpc;
-        use sdci_core::SequencedEvent;
 
         let events: Vec<SequencedEvent> =
             (1..4).map(|i| SequencedEvent { seq: i, event: event(i) }).collect();
@@ -1226,7 +1477,7 @@ mod tests {
         // is corruption, not a quiet skip.
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_STORE_BATCH, Some(TraceContext::sampled(1, 2)));
-        body.extend_from_slice(&0u32.to_le_bytes());
+        put_varint(&mut body, 0);
         let err = read_one::<StoreRpc>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }

@@ -1,0 +1,102 @@
+//! Byte budgets for the two data frames every event crosses, beside the
+//! allocation budgets of `crates/core/tests/alloc_budget.rs` (this one
+//! needs `sdci-net`, so it lives here): a 256-event batch shaped like
+//! the pipeline benchmark's `steady` workload — 64 hot directories of
+//! one length, 12-character names, create → write → unlink over a live
+//! set, dense record numbers, one extraction stamp, a microsecond
+//! between records — must cost at most 40 bytes a member as an item
+//! batch and 42 as a deliver batch. The fixed-width proto-6 layout
+//! spent 89 and 98.
+
+use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_net::wire::{Frame, WireMsg};
+use sdci_types::{ChangelogKind, Fid, FileEvent, MdtIndex, RawChangelogRecord, SimTime};
+use std::collections::VecDeque;
+use std::path::PathBuf;
+
+const DIRS: u64 = 64;
+const LIVE_FILES: u64 = 4_096;
+const BATCH: usize = 256;
+
+/// splitmix64, fixed seed: the same batch on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// `(directory slot, file id)` — a file's name is a bijection of its id.
+type File = (u64, u64);
+
+fn steady_batch() -> Vec<FileEvent> {
+    let mut rng = Rng(19);
+    let dirs: Vec<String> =
+        (0..DIRS).map(|_| format!("/t0a1b2c3/d{:07x}", rng.next() & 0xfff_ffff)).collect();
+    let mut files_made = 0;
+    let mut new_file = |rng: &mut Rng| -> File {
+        files_made += 1;
+        (rng.next() % DIRS, files_made)
+    };
+    let mut live: VecDeque<File> = (0..LIVE_FILES).map(|_| new_file(&mut rng)).collect();
+    (0..BATCH as u64)
+        .map(|i| {
+            let (kind, (dir, id)) = match i % 3 {
+                0 => {
+                    live.push_back(new_file(&mut rng));
+                    (ChangelogKind::Create, live[live.len() - 1])
+                }
+                1 => (ChangelogKind::MtimeChange, live[(rng.next() % LIVE_FILES) as usize]),
+                _ => (ChangelogKind::Unlink, live.pop_front().expect("live set is never empty")),
+            };
+            let name =
+                format!("f{:011x}", id.wrapping_mul(0x9e37_79b9_7f4a_7c15) & 0xfff_ffff_ffff);
+            let record = RawChangelogRecord {
+                index: 70_000 + i,
+                kind,
+                time: SimTime::from_nanos(90_000_000 + 1_000 * i),
+                flags: 0,
+                target: Fid::new(0x2_4000_0400, id as u32, 0),
+                parent: Fid::ROOT,
+                name: name.clone(),
+            };
+            let path = PathBuf::from(format!("{}/{name}", dirs[dir as usize]));
+            FileEvent::from_record(&record, MdtIndex::new(0), path)
+                .with_extracted_unix_ns(1_790_000_000_123_456_789)
+        })
+        .collect()
+}
+
+/// Bytes per member of `frame`'s one body, frame header included.
+fn bytes_per_member(frame: &impl WireMsg) -> f64 {
+    let mut body = Vec::new();
+    assert!(frame.encode(&mut body).expect("encodes"), "a batch is a binary frame");
+    body.len() as f64 / BATCH as f64
+}
+
+#[test]
+fn a_steady_batch_costs_at_most_40_bytes_a_member_pushed_and_42_delivered() {
+    let events = steady_batch();
+    assert!(events.iter().all(|e| e.path.as_os_str().len() == 31));
+    let feed: Vec<FeedMessage> = (500_000..)
+        .zip(&events)
+        .map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event: event.clone() }))
+        .collect();
+
+    let item = bytes_per_member(&Frame::ItemBatch { first_seq: 9, payloads: events, trace: None });
+    let deliver = bytes_per_member(&Frame::DeliverBatch {
+        topic: "feed/all".into(),
+        payloads: feed,
+        trace: None,
+    });
+    assert!(item <= 40.0, "item batch: {item} B per member");
+    assert!(deliver <= 42.0, "deliver batch: {deliver} B per member");
+    // The budgets have slack, not an order of magnitude of it: a batch
+    // that suddenly costs far less is a shape bug in this test.
+    assert!(item > 30.0 && deliver > item, "item {item} B, deliver {deliver} B per member");
+}

@@ -150,15 +150,13 @@ const SERVICES: [(&str, &str); 4] = [
 /// One binary frame of kind 2 — a topic-headed batch addressed *to* a
 /// broker, which no frame vocabulary has — forging the feed's own
 /// heartbeat: kind, flags, topic, count, then one length-prefixed
-/// `FeedMessage::Heartbeat { last_seq: u64::MAX }`.
+/// `FeedMessage::Heartbeat { last_seq: u64::MAX }` (a first member's
+/// delta against zero: −1, zig-zagged to 1).
 fn forged_heartbeat_body() -> Vec<u8> {
-    let mut body = vec![2u8, 0];
-    body.extend_from_slice(&8u32.to_le_bytes());
+    let mut body = vec![2u8, 0, 8];
     body.extend_from_slice(b"feed/all");
-    body.extend_from_slice(&1u32.to_le_bytes());
-    body.extend_from_slice(&9u32.to_le_bytes());
-    body.push(1); // the Heartbeat tag
-    body.extend_from_slice(&u64::MAX.to_le_bytes());
+    body.extend_from_slice(&[1, 2]); // one member of two bytes
+    body.extend_from_slice(&[1, 1]); // the Heartbeat tag, the delta
     body
 }
 
@@ -283,6 +281,17 @@ fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("kind 2"), "refused for another reason: {err}");
+    // Nothing but the kind is wrong with it: as kind 4 it is the heartbeat.
+    let mut as_deliver = body.clone();
+    as_deliver[0] = 4;
+    assert_eq!(
+        Frame::<FeedMessage>::decode(true, &as_deliver).unwrap(),
+        Frame::DeliverBatch {
+            topic: "feed/all".into(),
+            payloads: vec![FeedMessage::Heartbeat { last_seq: u64::MAX }],
+            trace: None,
+        }
+    );
 
     let pull = TcpPullServer::<FeedMessage>::new(64);
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone()]).unwrap();

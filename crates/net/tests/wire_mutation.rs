@@ -1,0 +1,220 @@
+//! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
+//! valid kind-1, kind-3 and kind-4 bodies, each fed to all three
+//! decoders. Every one is decoded or refused as `InvalidData` — the
+//! error that costs a peer its connection — never a panic, and no
+//! allocation the decoder makes on the way is sized by a length, count
+//! or prefix word rather than by the bytes actually on hand.
+//!
+//! The allocator is this binary's own (as in
+//! `crates/core/tests/alloc_budget.rs`): it records the largest single
+//! request the calling thread has made.
+
+use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_net::store_rpc::StoreRpc;
+use sdci_net::wire::{Frame, WireMsg};
+use sdci_types::bin::MAX_PATH_LEN;
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+
+thread_local! {
+    // A `const`-initialised `Cell` needs no lazy set-up and no
+    // destructor, so the allocator can touch it without allocating.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct LargestRequest;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs during a thread's TLS teardown.
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the note touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
+
+/// The largest single allocation request `f` makes on this thread.
+fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
+
+/// splitmix64: the test's own generator, so the 10,000 mutations are
+/// the same bytes on every run and every toolchain.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A batch with every optional section somewhere in it: sibling
+/// creates, a directory, a rename carrying `src_path`, an MDT change, an
+/// explicit event kind, a trace context, and names whose shared prefix
+/// ends inside a character.
+fn events() -> Vec<FileEvent> {
+    let mut events: Vec<FileEvent> = (0..12u64)
+        .map(|i| FileEvent {
+            index: 40 + i,
+            mdt: MdtIndex::new(0),
+            changelog_kind: ChangelogKind::Create,
+            kind: EventKind::Created,
+            time: SimTime::from_nanos(1_000_000 + 7_000 * i),
+            path: PathBuf::from(format!("/t0000001/d000000{}/f{:011x}", i % 3, i * 0x9e37)),
+            src_path: None,
+            target: Fid::new(0x2_4000_0400, 100 + i as u32, 0),
+            is_dir: false,
+            extracted_unix_ns: Some(1_790_000_000_000_000_000),
+            trace: None,
+        })
+        .collect();
+    events[3].changelog_kind = ChangelogKind::Mkdir;
+    events[3].is_dir = true;
+    events[5].changelog_kind = ChangelogKind::Rename;
+    events[5].kind = EventKind::Moved;
+    events[5].src_path = Some(PathBuf::from("/t0000001/d0000002/old-name"));
+    events[6].mdt = MdtIndex::new(3);
+    events[7].kind = EventKind::Other;
+    events[8].trace = Some(TraceContext::sampled(0xfeed, 0xbeef));
+    events[9].extracted_unix_ns = None;
+    events[10].path = PathBuf::from("/t0000001/d0000001/é");
+    events[11].path = PathBuf::from("/t0000001/d0000001/è");
+    events
+}
+
+fn body_of(msg: &impl WireMsg) -> Vec<u8> {
+    let mut body = Vec::new();
+    assert!(msg.encode(&mut body).expect("encodes"), "a data frame is binary");
+    body
+}
+
+/// One mutation of `body`: truncate, flip a bit, insert a byte, or set
+/// a byte — which as often as not is a length, count, prefix or delta
+/// word — to `0`, `0x7f` or a run of `0xff` (an over-long varint).
+fn mutate(rng: &mut Rng, body: &[u8]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    let at = rng.below(out.len());
+    match rng.below(6) {
+        0 => out.truncate(at),
+        1 => out[at] ^= 1 << rng.below(8),
+        2 => out.insert(at, rng.next() as u8),
+        3 => out[at] = 0,
+        4 => out[at] = 0x7f,
+        _ => {
+            let run = 1 + rng.below(11);
+            out.iter_mut().skip(at).take(run).for_each(|b| *b = 0xff);
+        }
+    }
+    out
+}
+
+/// What a decoder did with `bytes`: whether it accepted them, and the
+/// largest allocation it asked for. Anything but `Ok` or `InvalidData`
+/// fails the test, as a panic inside `decode` does.
+fn fed<M: WireMsg>(bytes: &[u8]) -> (bool, usize) {
+    let (result, largest) = largest_request(|| M::decode(true, bytes));
+    match result {
+        Ok(_) => (true, largest),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => (false, largest),
+        Err(e) => panic!("a mutated body was refused as {:?}, not InvalidData: {e}", e.kind()),
+    }
+}
+
+#[test]
+fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
+    let events = events();
+    let sequenced: Vec<SequencedEvent> = (9..)
+        .zip(&events)
+        .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
+        .collect();
+    let mut feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+    feed.insert(4, FeedMessage::Heartbeat { last_seq: 12 });
+    let trace = Some(TraceContext::sampled(1, 2));
+    let bodies = [
+        body_of(&Frame::ItemBatch { first_seq: 7, payloads: events, trace }),
+        body_of(&StoreRpc::Batch { events: sequenced }),
+        body_of(&Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }),
+    ];
+    // Each unmutated body is accepted by its own decoder and by no other.
+    let accepted = |body: &[u8]| {
+        [
+            fed::<Frame<FileEvent>>(body).0,
+            fed::<StoreRpc>(body).0,
+            fed::<Frame<FeedMessage>>(body).0,
+        ]
+    };
+    assert_eq!(accepted(&bodies[0]), [true, false, false]);
+    assert_eq!(accepted(&bodies[1]), [false, true, false]);
+    assert_eq!(accepted(&bodies[2]), [false, false, true]);
+
+    let mut rng = Rng(0x5dc1_0007);
+    let (mut survived, mut refused) = (0u32, 0u32);
+    for round in 0..10_000 {
+        let body = mutate(&mut rng, &bodies[round % bodies.len()]);
+        // The stated bound. A member costs at least two bytes, so the
+        // count word reserves at most `len / 2` members and a `Vec`
+        // growing past its reservation at most doubles what has
+        // decoded: `len` members' worth. A path is at most its cap, and
+        // a topic or an error message is far below either.
+        let bound = (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN);
+        for (ok, largest) in [
+            fed::<Frame<FileEvent>>(&body),
+            fed::<StoreRpc>(&body),
+            fed::<Frame<FeedMessage>>(&body),
+        ] {
+            assert!(
+                largest <= bound,
+                "round {round}: one allocation of {largest} bytes for a {}-byte body",
+                body.len()
+            );
+            if ok {
+                survived += 1;
+            } else {
+                refused += 1;
+            }
+        }
+    }
+    // The mutations reach past the header: some still decode (a flipped
+    // bit in a name or an id), and most of the matching decoder's are refused.
+    assert!(survived > 100, "only {survived} mutated bodies decoded");
+    assert!(refused > 20_000, "only {refused} refusals");
+}

@@ -4,19 +4,41 @@
 //! `sdci-net::wire`) so a session stays `nc`-debuggable; data frames —
 //! every batch of events — carry their payloads in this compact binary
 //! form, because rendering each event through a `Value` tree and
-//! re-parsing it on receive is the cost the data plane cannot afford:
+//! re-parsing it on receive is the cost the data plane cannot afford.
 //!
-//! * fixed-width **little-endian** integers (`u8`/`u32`/`u64`),
-//! * length-prefixed byte strings (`u32` LE length + raw UTF-8 bytes),
-//! * optional sections as a one-byte presence tag (`0` absent,
-//!   `1` present) followed by the value,
-//! * sequences as a `u32` LE count followed by the items.
+//! A data frame's members are **relative to their predecessor in the
+//! same frame**: [`BinPayload::encode_bin`] and
+//! [`BinPayload::decode_bin`] are handed the previous member (`None`
+//! for a frame's first member, which is coded against an all-zero,
+//! empty-path value), so a field that repeats or counts up costs a byte
+//! instead of its width. A frame still decodes from nothing but its own
+//! bytes. The primitives:
+//!
+//! * **varints** — unsigned LEB128, at most ten bytes, for every
+//!   length, count and delta ([`put_varint`], [`BinReader::varint`]);
+//! * **deltas** — `current − previous` modulo 2^64, zig-zag mapped so a
+//!   small step in either direction is a small varint ([`put_delta`],
+//!   [`BinReader::delta`]; [`BinReader::delta_u32`] for 32-bit fields,
+//!   where a result outside the field is an error);
+//! * **front-coded strings** — the number of leading bytes shared with
+//!   the predecessor's string, then the rest length-prefixed
+//!   ([`put_front_coded`], [`BinReader::front_coded`]);
+//! * length-prefixed byte strings (varint length + raw UTF-8 bytes),
+//!   single bytes, and fixed-width little-endian `u64`s for values with
+//!   nothing to be relative to (frame sequence numbers, trace ids).
 //!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
 //! borrows from the received frame via [`BinReader`]. Both sides are
-//! infallible on well-formed input and reject truncated or trailing
-//! bytes with a [`BinDecodeError`].
+//! infallible on well-formed input; every malformed input — truncation,
+//! an over-long varint, a delta leaving its field, a shared-prefix
+//! length the predecessor cannot supply, bytes that do not assemble to
+//! UTF-8 — is a [`BinDecodeError`], never a panic.
+//!
+//! Front-coding lets a three-byte member name a predecessor-length
+//! string, so what a decoder assembles is bounded twice: no single
+//! string may exceed [`MAX_PATH_LEN`], and one [`BinReader`] assembles
+//! at most [`FRAME_PATH_BUDGET`] bytes in all.
 //!
 //! The scratch-buffer design is what makes the broker's encode-once
 //! fan-out cheap on the deliver direction too: a `DeliverBatch` run is
@@ -24,12 +46,24 @@
 //! subscriber leg then shares by reference — the encode cost is paid
 //! once per run, not once per subscriber.
 
-use crate::{Fid, MdtIndex, SimTime, TraceContext};
+use crate::TraceContext;
 use std::fmt;
-use std::path::PathBuf;
+
+/// Longest string a decoder assembles from a front-coded field: Linux's
+/// and Lustre's `PATH_MAX`. A longer path is refused by the receiving
+/// side, so a sender must not emit one.
+pub const MAX_PATH_LEN: usize = 4096;
+
+/// Most front-coded bytes one [`BinReader`] — one frame body —
+/// assembles. It equals sdci-net's `MAX_FRAME_LEN` (asserted there): a
+/// frame can make its reader hold no more path bytes than the largest
+/// frame could carry verbatim, so front-coding does not raise the
+/// memory one connection can pin.
+pub const FRAME_PATH_BUDGET: usize = 64 << 20;
 
 /// A malformed binary payload: truncated field, invalid enum code,
-/// non-UTF-8 string bytes, or trailing garbage.
+/// over-long varint, out-of-range delta or prefix length, non-UTF-8
+/// string bytes, or trailing garbage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinDecodeError(String);
 
@@ -54,12 +88,14 @@ impl std::error::Error for BinDecodeError {}
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
+    /// Front-coded bytes this reader may still assemble.
+    path_budget: usize,
 }
 
 impl<'a> BinReader<'a> {
-    /// Wraps a payload slice.
+    /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`].
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf }
+        BinReader { buf, path_budget: FRAME_PATH_BUDGET }
     }
 
     /// Bytes not yet consumed.
@@ -90,199 +126,190 @@ impl<'a> BinReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, BinDecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
+    /// Reads a fixed-width little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, BinDecodeError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    /// Reads a `u32`-length-prefixed byte string.
+    /// Reads an unsigned LEB128 varint: at most ten bytes, and the tenth
+    /// may only carry the one bit a `u64` has left.
+    pub fn varint(&mut self) -> Result<u64, BinDecodeError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(BinDecodeError::msg("varint overflows u64"))
+    }
+
+    /// Reads a varint length or count. It is unvalidated input: bound it
+    /// by [`BinReader::remaining`] before allocating on its say-so.
+    pub fn length(&mut self) -> Result<usize, BinDecodeError> {
+        usize::try_from(self.varint()?).map_err(BinDecodeError::msg)
+    }
+
+    /// Reads a zig-zag varint delta and applies it to `prev`, modulo
+    /// 2^64 — the inverse of [`put_delta`].
+    pub fn delta(&mut self, prev: u64) -> Result<u64, BinDecodeError> {
+        let zigzag = self.varint()?;
+        Ok(prev.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg()))
+    }
+
+    /// [`BinReader::delta`] for a 32-bit field: a delta that takes the
+    /// value below zero or above `u32::MAX` is an error.
+    pub fn delta_u32(&mut self, prev: u32) -> Result<u32, BinDecodeError> {
+        u32::try_from(self.delta(prev.into())?)
+            .map_err(|_| BinDecodeError::msg("delta leaves its 32-bit field"))
+    }
+
+    /// Reads a varint-length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8], BinDecodeError> {
-        let len = self.u32()? as usize;
+        let len = self.length()?;
         self.take(len)
     }
 
-    /// Reads a `u32`-length-prefixed UTF-8 string.
+    /// Reads a varint-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str, BinDecodeError> {
         std::str::from_utf8(self.bytes()?).map_err(BinDecodeError::msg)
     }
+
+    /// Reads a front-coded string — the inverse of [`put_front_coded`]
+    /// — and assembles it in one exact-capacity allocation: the first
+    /// `shared` bytes of `prev`, then the suffix carried inline.
+    ///
+    /// # Errors
+    ///
+    /// A shared length `prev` cannot supply (any non-zero one when
+    /// `prev` is empty), a result longer than [`MAX_PATH_LEN`] or past
+    /// this reader's [`FRAME_PATH_BUDGET`], and assembled bytes that are
+    /// not UTF-8. The halves are not validated separately: a shared
+    /// prefix may legally end inside a multi-byte character.
+    pub fn front_coded(&mut self, prev: &[u8]) -> Result<String, BinDecodeError> {
+        let shared = self.length()?;
+        if shared > prev.len() {
+            return Err(BinDecodeError::msg(format!(
+                "shared prefix {shared} exceeds the predecessor's {} bytes",
+                prev.len()
+            )));
+        }
+        let suffix = self.bytes()?;
+        // `shared` and `suffix.len()` are each bounded by a slice in memory.
+        let len = shared + suffix.len();
+        if len > MAX_PATH_LEN {
+            return Err(BinDecodeError::msg(format!("path of {len} bytes exceeds {MAX_PATH_LEN}")));
+        }
+        self.path_budget = self.path_budget.checked_sub(len).ok_or_else(|| {
+            BinDecodeError::msg(format!("frame assembles more than {FRAME_PATH_BUDGET} path bytes"))
+        })?;
+        let mut assembled = Vec::with_capacity(len);
+        assembled.extend_from_slice(&prev[..shared]);
+        assembled.extend_from_slice(suffix);
+        String::from_utf8(assembled).map_err(BinDecodeError::msg)
+    }
 }
 
-/// Appends a `u32`-length-prefixed byte string.
+/// Appends `value` as an unsigned LEB128 varint.
+pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        buf.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.push(value as u8);
+}
+
+/// Bytes [`put_varint`] appends for `value`.
+pub fn varint_len(value: u64) -> usize {
+    // One byte per started group of seven significant bits.
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Appends `current − prev` (modulo 2^64, so every pair of values has a
+/// delta) as a zig-zag varint: one byte for steps of −64..=63.
+pub fn put_delta(buf: &mut Vec<u8>, current: u64, prev: u64) {
+    let delta = current.wrapping_sub(prev) as i64;
+    put_varint(buf, ((delta << 1) ^ (delta >> 63)) as u64);
+}
+
+/// Appends a varint-length-prefixed byte string.
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    put_varint(buf, bytes.len() as u64);
     buf.extend_from_slice(bytes);
 }
 
-/// A type with a binary payload form. Encoding appends to a reusable
-/// scratch buffer; decoding reads from a [`BinReader`] positioned at the
-/// value's first byte.
-pub trait BinPayload: Sized {
-    /// Appends the binary encoding of `self` to `buf`.
-    fn encode_bin(&self, buf: &mut Vec<u8>);
+/// Appends `current` front-coded against `prev`: the length of their
+/// common byte prefix as a varint, then the rest of `current`
+/// length-prefixed.
+pub fn put_front_coded(buf: &mut Vec<u8>, current: &[u8], prev: &[u8]) {
+    let shared = current.iter().zip(prev).take_while(|(a, b)| a == b).count();
+    put_varint(buf, shared as u64);
+    put_bytes(buf, &current[shared..]);
+}
 
-    /// Decodes one value, consuming exactly its bytes from `r`.
+/// A type with a binary payload form, coded relative to the previous
+/// member of the same data frame. Encoding appends to a reusable scratch
+/// buffer; decoding reads from a [`BinReader`] positioned at the value's
+/// first byte.
+pub trait BinPayload: Sized {
+    /// Appends the binary encoding of `self` to `buf`. `prev` is the
+    /// member before this one in the same frame — `None` for the frame's
+    /// first — and must be what the decoder will be handed; types with
+    /// nothing to gain from it ignore it.
+    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>);
+
+    /// Decodes one value coded against `prev`, consuming exactly its
+    /// bytes from `r`.
     ///
     /// # Errors
     ///
     /// Returns [`BinDecodeError`] on truncated fields, invalid enum
-    /// codes, or non-UTF-8 string bytes.
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError>;
+    /// codes, malformed varints, deltas or prefix lengths, or non-UTF-8
+    /// string bytes.
+    fn decode_bin(r: &mut BinReader<'_>, prev: Option<&Self>) -> Result<Self, BinDecodeError>;
 }
 
 impl BinPayload for u64 {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_le_bytes());
     }
 
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
         r.u64()
     }
 }
 
-impl BinPayload for u32 {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        r.u32()
-    }
-}
-
-impl BinPayload for bool {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        match r.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
-        }
-    }
-}
-
 impl BinPayload for String {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
         put_bytes(buf, self.as_bytes());
     }
 
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
         Ok(r.str()?.to_string())
     }
 }
 
-/// Paths cross the wire as UTF-8, matching the JSON format (the vendored
-/// serde renders them through `Value::Str`); monitor paths come from the
-/// simulation and are always valid UTF-8.
-impl BinPayload for PathBuf {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        put_bytes(buf, self.to_string_lossy().as_bytes());
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        Ok(PathBuf::from(r.str()?))
-    }
-}
-
-impl BinPayload for () {
-    fn encode_bin(&self, _buf: &mut Vec<u8>) {}
-
-    fn decode_bin(_r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        Ok(())
-    }
-}
-
-impl<T: BinPayload> BinPayload for Option<T> {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode_bin(buf);
-            }
-        }
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        match r.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_bin(r)?)),
-            other => Err(BinDecodeError::msg(format!("invalid option tag {other}"))),
-        }
-    }
-}
-
-impl<T: BinPayload> BinPayload for Vec<T> {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        for item in self {
-            item.encode_bin(buf);
-        }
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        let count = r.u32()? as usize;
-        // Guard the pre-allocation against a hostile count: the frame
-        // cannot hold more items than it has bytes.
-        let mut items = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
-            items.push(T::decode_bin(r)?);
-        }
-        Ok(items)
-    }
-}
-
-impl BinPayload for SimTime {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.as_nanos().encode_bin(buf);
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        Ok(SimTime::from_nanos(r.u64()?))
-    }
-}
-
-impl BinPayload for MdtIndex {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.as_u32().encode_bin(buf);
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        Ok(MdtIndex::new(r.u32()?))
-    }
-}
-
-impl BinPayload for Fid {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.seq.encode_bin(buf);
-        self.oid.encode_bin(buf);
-        self.ver.encode_bin(buf);
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
-        Ok(Fid { seq: r.u64()?, oid: r.u32()?, ver: r.u32()? })
-    }
-}
-
+/// Fixed 17 bytes: ids are random, so there is nothing to be relative to.
 impl BinPayload for TraceContext {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.trace_id.encode_bin(buf);
-        self.parent_span_id.encode_bin(buf);
-        self.sampled.encode_bin(buf);
+    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.trace_id.to_le_bytes());
+        buf.extend_from_slice(&self.parent_span_id.to_le_bytes());
+        buf.push(u8::from(self.sampled));
     }
 
-    fn decode_bin(r: &mut BinReader<'_>) -> Result<Self, BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
         Ok(TraceContext {
             trace_id: r.u64()?,
             parent_span_id: r.u64()?,
-            sampled: bool::decode_bin(r)?,
+            sampled: match r.u8()? {
+                0 => false,
+                1 => true,
+                other => return Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
+            },
         })
     }
 }
@@ -293,59 +320,186 @@ mod tests {
 
     fn roundtrip<T: BinPayload + PartialEq + fmt::Debug>(value: T) {
         let mut buf = Vec::new();
-        value.encode_bin(&mut buf);
+        value.encode_bin(None, &mut buf);
         let mut r = BinReader::new(&buf);
-        assert_eq!(T::decode_bin(&mut r).unwrap(), value);
+        assert_eq!(T::decode_bin(&mut r, None).unwrap(), value);
         assert!(r.is_empty(), "decoder must consume exactly the encoding");
     }
 
     #[test]
-    fn primitives_roundtrip() {
+    fn scalars_roundtrip() {
         roundtrip(0u64);
         roundtrip(u64::MAX);
-        roundtrip(7u32);
-        roundtrip(true);
-        roundtrip(false);
         roundtrip(String::from("héllo/wörld"));
         roundtrip(String::new());
-        roundtrip(PathBuf::from("/data/run7/out.txt"));
-        roundtrip(Option::<u64>::None);
-        roundtrip(Some(42u64));
-        roundtrip(vec![1u64, 2, 3]);
-        roundtrip(Vec::<u64>::new());
-        roundtrip(SimTime::from_nanos(123_456_789));
-        roundtrip(MdtIndex::new(3));
-        roundtrip(Fid { seq: 0x200000402, oid: 0xa046, ver: 0 });
         roundtrip(TraceContext::sampled(0xabcd, 0x1234));
     }
 
     #[test]
-    fn integers_are_little_endian_fixed_width() {
+    fn fixed_integers_are_little_endian() {
         let mut buf = Vec::new();
-        0x0102_0304_0506_0708u64.encode_bin(&mut buf);
+        0x0102_0304_0506_0708u64.encode_bin(None, &mut buf);
         assert_eq!(buf, [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
-        buf.clear();
-        0x0A0B_0C0Du32.encode_bin(&mut buf);
-        assert_eq!(buf, [0x0D, 0x0C, 0x0B, 0x0A]);
     }
 
     #[test]
-    fn strings_are_length_prefixed() {
+    fn strings_are_varint_length_prefixed() {
         let mut buf = Vec::new();
-        String::from("ab").encode_bin(&mut buf);
-        assert_eq!(buf, [2, 0, 0, 0, b'a', b'b']);
+        String::from("ab").encode_bin(None, &mut buf);
+        assert_eq!(buf, [2, b'a', b'b']);
+        buf.clear();
+        "x".repeat(300).encode_bin(None, &mut buf);
+        assert_eq!(buf[..2], [0xac, 0x02]);
+        assert_eq!(buf.len(), 302);
     }
 
     #[test]
-    fn truncation_and_bad_tags_are_errors() {
-        assert!(u64::decode_bin(&mut BinReader::new(&[1, 2, 3])).is_err());
-        assert!(bool::decode_bin(&mut BinReader::new(&[9])).is_err());
-        assert!(Option::<u64>::decode_bin(&mut BinReader::new(&[2])).is_err());
+    fn varints_roundtrip_at_every_width() {
+        let mut values = vec![0u64, 1, 0x7f, 0x80, 300, u64::from(u32::MAX), u64::MAX];
+        values.extend((0..64).flat_map(|bit| [(1u64 << bit) - 1, 1 << bit]));
+        for value in values {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, value);
+            assert_eq!(buf.len(), varint_len(value), "varint_len({value:#x})");
+            let mut r = BinReader::new(&buf);
+            assert_eq!(r.varint().unwrap(), value);
+            assert!(r.is_empty());
+        }
+        assert_eq!(varint_len(0x7f), 1);
+        assert_eq!(varint_len(0x80), 2);
+        assert_eq!(varint_len(u64::MAX), 10);
+    }
+
+    #[test]
+    fn overlong_and_overflowing_varints_are_errors() {
+        // Eleven bytes: a continuation bit on the tenth.
+        assert!(BinReader::new(&[0x80; 11]).varint().is_err());
+        assert!(BinReader::new(&[0xff; 16]).varint().is_err());
+        // Ten bytes whose last carries more than the 64th bit.
+        let mut buf = vec![0xff; 9];
+        buf.push(0x02);
+        assert!(BinReader::new(&buf).varint().is_err());
+        *buf.last_mut().unwrap() = 0x01;
+        assert_eq!(BinReader::new(&buf).varint().unwrap(), u64::MAX);
+        // Truncated inside the varint.
+        assert!(BinReader::new(&[0x80, 0x80]).varint().is_err());
+    }
+
+    #[test]
+    fn deltas_roundtrip_in_both_directions_and_across_the_wrap() {
+        let edges = [0u64, 1, 63, 64, 1 << 40, i64::MAX as u64, (i64::MAX as u64) + 1, u64::MAX];
+        for prev in edges {
+            for current in edges {
+                let mut buf = Vec::new();
+                put_delta(&mut buf, current, prev);
+                let mut r = BinReader::new(&buf);
+                assert_eq!(r.delta(prev).unwrap(), current, "{prev} -> {current}");
+                assert!(r.is_empty());
+            }
+        }
+        // Small steps either way are one byte.
+        for (prev, current) in [(10u64, 11u64), (11, 10), (100, 163), (100, 36), (0, 0)] {
+            let mut buf = Vec::new();
+            put_delta(&mut buf, current, prev);
+            assert_eq!(buf.len(), 1, "{prev} -> {current}");
+        }
+    }
+
+    #[test]
+    fn a_delta_leaving_its_32_bit_field_is_an_error() {
+        let coded = |current: u64, prev: u64| {
+            let mut buf = Vec::new();
+            put_delta(&mut buf, current, prev);
+            buf
+        };
+        assert_eq!(BinReader::new(&coded(7, 9)).delta_u32(9).unwrap(), 7);
+        assert_eq!(BinReader::new(&coded(u32::MAX.into(), 0)).delta_u32(0).unwrap(), u32::MAX);
+        // −3 applied to 2, and +1 applied to u32::MAX.
+        assert!(BinReader::new(&coded(6, 9)).delta_u32(2).is_err());
+        assert!(BinReader::new(&coded(1, 0)).delta_u32(u32::MAX).is_err());
+    }
+
+    fn front_coded(current: &str, prev: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_front_coded(&mut buf, current.as_bytes(), prev.as_bytes());
+        buf
+    }
+
+    #[test]
+    fn front_coded_strings_share_their_prefix_with_the_predecessor() {
+        assert_eq!(front_coded("/a/b/two", "/a/b/one"), [5, 3, b't', b'w', b'o']);
+        assert_eq!(front_coded("/a/b/one", "/a/b/one"), [8, 0]);
+        assert_eq!(front_coded("/a", ""), [0, 2, b'/', b'a']);
+        assert_eq!(front_coded("", "/a"), [0, 0]);
+        for (current, prev) in [("/a/b/two", "/a/b/one"), ("/a", "/a/b"), ("/a/b", "/a"), ("", "")]
+        {
+            let buf = front_coded(current, prev);
+            let mut r = BinReader::new(&buf);
+            assert_eq!(r.front_coded(prev.as_bytes()).unwrap(), current);
+            assert!(r.is_empty());
+        }
+    }
+
+    /// `é` and `è` share their first byte: the shared prefix ends inside
+    /// a character and neither half is UTF-8 alone.
+    #[test]
+    fn a_shared_prefix_may_end_inside_a_character() {
+        let buf = front_coded("/d/è", "/d/é");
+        assert_eq!(buf[0], 4, "three ASCII bytes and the lead byte of the accent");
+        assert_eq!(BinReader::new(&buf).front_coded("/d/é".as_bytes()).unwrap(), "/d/è");
+        // The same bytes against a predecessor that supplies a different
+        // lead byte do not assemble to UTF-8.
+        assert!(BinReader::new(&buf).front_coded(b"/d/x").is_err());
+    }
+
+    #[test]
+    fn hostile_front_coding_is_rejected() {
+        // Shared length beyond the predecessor, or any at all on a first member.
+        assert!(BinReader::new(&[9, 0]).front_coded(b"/short").is_err());
+        assert!(BinReader::new(&[1, 0]).front_coded(b"").is_err());
+        // Suffix length running past the buffer.
+        assert!(BinReader::new(&[0, 200, b'x']).front_coded(b"").is_err());
+        // Non-UTF-8 suffix.
+        assert!(BinReader::new(&[0, 1, 0xff]).front_coded(b"").is_err());
+        // One byte over the single-path cap, reached by sharing.
+        let prev = "p".repeat(MAX_PATH_LEN);
+        let mut buf = Vec::new();
+        put_varint(&mut buf, MAX_PATH_LEN as u64);
+        put_bytes(&mut buf, b"x");
+        assert!(BinReader::new(&buf).front_coded(prev.as_bytes()).is_err());
+        assert_eq!(
+            BinReader::new(&front_coded(&prev, &prev)).front_coded(prev.as_bytes()),
+            Ok(prev)
+        );
+    }
+
+    /// Three-byte members naming a predecessor-length path: the reader
+    /// stops assembling at its budget, whatever the count says.
+    #[test]
+    fn assembled_bytes_are_bounded_per_reader() {
+        let prev = "p".repeat(MAX_PATH_LEN);
+        let member = front_coded(&prev, &prev);
+        let fits = FRAME_PATH_BUDGET / MAX_PATH_LEN;
+        let body = member.repeat(fits + 1);
+        let mut r = BinReader::new(&body);
+        for _ in 0..fits {
+            assert_eq!(r.front_coded(prev.as_bytes()).unwrap().len(), MAX_PATH_LEN);
+        }
+        let err = r.front_coded(prev.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("path bytes"), "got: {err}");
+    }
+
+    #[test]
+    fn truncation_and_bad_bytes_are_errors() {
+        assert!(u64::decode_bin(&mut BinReader::new(&[1, 2, 3]), None).is_err());
         // String length prefix runs past the buffer.
-        assert!(String::decode_bin(&mut BinReader::new(&[200, 0, 0, 0, b'x'])).is_err());
-        // Hostile item count with no bytes behind it.
-        assert!(Vec::<u64>::decode_bin(&mut BinReader::new(&[255, 255, 255, 255])).is_err());
+        assert!(String::decode_bin(&mut BinReader::new(&[200, 1, b'x']), None).is_err());
         // Non-UTF-8 string bytes.
-        assert!(String::decode_bin(&mut BinReader::new(&[1, 0, 0, 0, 0xFF])).is_err());
+        assert!(String::decode_bin(&mut BinReader::new(&[1, 0xFF]), None).is_err());
+        // A trace context's sampled byte is a bool.
+        let mut buf = Vec::new();
+        TraceContext::sampled(1, 2).encode_bin(None, &mut buf);
+        *buf.last_mut().unwrap() = 9;
+        assert!(TraceContext::decode_bin(&mut BinReader::new(&buf), None).is_err());
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::{Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -422,49 +423,169 @@ impl Deserialize for FileEvent {
     }
 }
 
-/// Binary layout: fields in declaration order using the [`crate::bin`]
-/// primitives — fixed LE integers, one-byte enum codes
-/// ([`ChangelogKind::code`], [`EventKind::code`]), length-prefixed path
-/// strings, and one-byte presence tags for the three `Option` fields
-/// (the binary twin of the JSON format's omitted-when-`None` `trace`).
+/// Member flags bit: `src_path` is present.
+const FLAG_SRC_PATH: u8 = 1 << 0;
+/// Member flags bit: `extracted_unix_ns` is present.
+const FLAG_EXTRACTED: u8 = 1 << 1;
+/// Member flags bit: `trace` is present.
+const FLAG_TRACE: u8 = 1 << 2;
+/// Member flags bit: the value of `is_dir`.
+const FLAG_IS_DIR: u8 = 1 << 3;
+/// Member flags bit: `mdt` is the predecessor's (MDT 0 for a first
+/// member) and is not carried.
+const FLAG_SAME_MDT: u8 = 1 << 4;
+/// Member flags bit: `kind` is `changelog_kind.event_kind()` and is not
+/// carried.
+const FLAG_DERIVED_KIND: u8 = 1 << 5;
+/// Every assigned flags bit; a member carrying any other is refused.
+const FLAGS_KNOWN: u8 = (1 << 6) - 1;
+
+/// A path's bytes on the wire: UTF-8, lossily when the path is not —
+/// what the peer's decoder will hold, so what the next member's shared
+/// prefix is counted against.
+fn wire_bytes(path: &Path) -> Cow<'_, [u8]> {
+    let raw = path.as_os_str().as_encoded_bytes();
+    // An all-ASCII path is UTF-8 as it stands, and that is several
+    // times cheaper to establish than validity — which the encoder
+    // would otherwise check twice a member, for the path and for its
+    // predecessor's.
+    if raw.is_ascii() {
+        return Cow::Borrowed(raw);
+    }
+    match path.to_string_lossy() {
+        Cow::Borrowed(valid) => Cow::Borrowed(valid.as_bytes()),
+        Cow::Owned(lossy) => Cow::Owned(lossy.into_bytes()),
+    }
+}
+
+/// Binary layout, relative to the previous member `p` of the same frame
+/// (for a frame's first member: index 0, MDT 0, time 0, an empty path,
+/// the zero FID, stamp 0). Varints, zig-zag deltas and front-coded
+/// strings are the [`crate::bin`] primitives.
+///
+/// ```text
+/// flags            u8      bit 0 src_path present    bit 3 is_dir
+///                          bit 1 extracted present   bit 4 mdt = p.mdt
+///                          bit 2 trace present       bit 5 kind = changelog_kind.event_kind()
+///                          bits 6-7 must be zero
+/// index            delta   against p.index
+/// mdt              varint  only when bit 4 is clear
+/// changelog_kind   u8      ChangelogKind::code
+/// kind             u8      EventKind::code, only when bit 5 is clear
+/// time             delta   against p.time (nanoseconds)
+/// path             front-coded against p.path
+/// src_path         front-coded against this member's own path (a rename
+///                  usually stays in its directory), only when bit 0 is set
+/// target           seq delta, oid delta, ver delta against p.target
+/// extracted        delta against p.extracted_unix_ns (0 when p has none),
+///                  only when bit 1 is set
+/// trace            17 bytes (TraceContext), only when bit 2 is set
+/// ```
+///
+/// Paths cross the wire as UTF-8, matching the JSON format (the vendored
+/// serde renders them through `Value::Str`): a path that is not UTF-8 is
+/// sent lossily rather than refused by the peer.
 impl crate::bin::BinPayload for FileEvent {
-    fn encode_bin(&self, buf: &mut Vec<u8>) {
-        self.index.encode_bin(buf);
-        self.mdt.encode_bin(buf);
+    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+        use crate::bin::{put_delta, put_front_coded, put_varint};
+        let same_mdt = self.mdt == prev.map_or(MdtIndex::new(0), |p| p.mdt);
+        let derived_kind = self.kind == self.changelog_kind.event_kind();
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        buf.push(
+            flag(self.src_path.is_some(), FLAG_SRC_PATH)
+                | flag(self.extracted_unix_ns.is_some(), FLAG_EXTRACTED)
+                | flag(self.trace.is_some(), FLAG_TRACE)
+                | flag(self.is_dir, FLAG_IS_DIR)
+                | flag(same_mdt, FLAG_SAME_MDT)
+                | flag(derived_kind, FLAG_DERIVED_KIND),
+        );
+        put_delta(buf, self.index, prev.map_or(0, |p| p.index));
+        if !same_mdt {
+            put_varint(buf, self.mdt.as_u32().into());
+        }
         buf.push(self.changelog_kind.code());
-        buf.push(self.kind.code());
-        self.time.encode_bin(buf);
-        self.path.encode_bin(buf);
-        self.src_path.encode_bin(buf);
-        self.target.encode_bin(buf);
-        self.is_dir.encode_bin(buf);
-        self.extracted_unix_ns.encode_bin(buf);
-        self.trace.encode_bin(buf);
+        if !derived_kind {
+            buf.push(self.kind.code());
+        }
+        put_delta(buf, self.time.as_nanos(), prev.map_or(0, |p| p.time.as_nanos()));
+        let path = wire_bytes(&self.path);
+        let prev_path = prev.map(|p| wire_bytes(&p.path)).unwrap_or_default();
+        put_front_coded(buf, &path, &prev_path);
+        if let Some(src) = &self.src_path {
+            put_front_coded(buf, &wire_bytes(src), &path);
+        }
+        let base = prev.map_or(Fid::ZERO, |p| p.target);
+        put_delta(buf, self.target.seq, base.seq);
+        put_delta(buf, self.target.oid.into(), base.oid.into());
+        put_delta(buf, self.target.ver.into(), base.ver.into());
+        if let Some(ns) = self.extracted_unix_ns {
+            put_delta(buf, ns, prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0));
+        }
+        if let Some(trace) = &self.trace {
+            trace.encode_bin(None, buf);
+        }
     }
 
-    fn decode_bin(r: &mut crate::bin::BinReader<'_>) -> Result<Self, crate::bin::BinDecodeError> {
+    fn decode_bin(
+        r: &mut crate::bin::BinReader<'_>,
+        prev: Option<&Self>,
+    ) -> Result<Self, crate::bin::BinDecodeError> {
         use crate::bin::BinDecodeError;
+        let flags = r.u8()?;
+        if flags & !FLAGS_KNOWN != 0 {
+            return Err(BinDecodeError::msg(format!("unknown FileEvent flags {flags:#x}")));
+        }
+        let index = r.delta(prev.map_or(0, |p| p.index))?;
+        let mdt = if flags & FLAG_SAME_MDT != 0 {
+            prev.map_or(MdtIndex::new(0), |p| p.mdt)
+        } else {
+            MdtIndex::new(u32::try_from(r.varint()?).map_err(BinDecodeError::msg)?)
+        };
+        let code = r.u8()?;
+        let changelog_kind = ChangelogKind::from_code(code)
+            .ok_or_else(|| BinDecodeError::msg(format!("invalid ChangelogKind code {code}")))?;
+        let kind = if flags & FLAG_DERIVED_KIND != 0 {
+            changelog_kind.event_kind()
+        } else {
+            let code = r.u8()?;
+            EventKind::from_code(code)
+                .ok_or_else(|| BinDecodeError::msg(format!("invalid EventKind code {code}")))?
+        };
+        let time = SimTime::from_nanos(r.delta(prev.map_or(0, |p| p.time.as_nanos()))?);
+        // `prev` is a member this decoder produced, so its path was
+        // assembled from UTF-8 and its encoded bytes are its wire bytes.
+        let prev_path = prev.map_or(&[][..], |p| p.path.as_os_str().as_encoded_bytes());
+        let path = r.front_coded(prev_path)?;
+        let src_path = if flags & FLAG_SRC_PATH != 0 {
+            Some(PathBuf::from(r.front_coded(path.as_bytes())?))
+        } else {
+            None
+        };
+        let base = prev.map_or(Fid::ZERO, |p| p.target);
+        let target = Fid {
+            seq: r.delta(base.seq)?,
+            oid: r.delta_u32(base.oid)?,
+            ver: r.delta_u32(base.ver)?,
+        };
+        let extracted_unix_ns = if flags & FLAG_EXTRACTED != 0 {
+            Some(r.delta(prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0))?)
+        } else {
+            None
+        };
+        let trace =
+            if flags & FLAG_TRACE != 0 { Some(TraceContext::decode_bin(r, None)?) } else { None };
         Ok(FileEvent {
-            index: u64::decode_bin(r)?,
-            mdt: MdtIndex::decode_bin(r)?,
-            changelog_kind: {
-                let code = r.u8()?;
-                ChangelogKind::from_code(code).ok_or_else(|| {
-                    BinDecodeError::msg(format!("invalid ChangelogKind code {code}"))
-                })?
-            },
-            kind: {
-                let code = r.u8()?;
-                EventKind::from_code(code)
-                    .ok_or_else(|| BinDecodeError::msg(format!("invalid EventKind code {code}")))?
-            },
-            time: SimTime::decode_bin(r)?,
-            path: PathBuf::decode_bin(r)?,
-            src_path: Option::<PathBuf>::decode_bin(r)?,
-            target: Fid::decode_bin(r)?,
-            is_dir: bool::decode_bin(r)?,
-            extracted_unix_ns: Option::<u64>::decode_bin(r)?,
-            trace: Option::<TraceContext>::decode_bin(r)?,
+            index,
+            mdt,
+            changelog_kind,
+            kind,
+            time,
+            path: PathBuf::from(path),
+            src_path,
+            target,
+            is_dir: flags & FLAG_IS_DIR != 0,
+            extracted_unix_ns,
+            trace,
         })
     }
 }
@@ -581,36 +702,141 @@ mod tests {
         assert_eq!(EventKind::from_code(6), None);
     }
 
+    /// Encodes `ev` against `prev` and decodes it back against the same.
+    fn recode(ev: &FileEvent, prev: Option<&FileEvent>) -> Vec<u8> {
+        use crate::bin::{BinPayload, BinReader};
+        let mut buf = Vec::new();
+        ev.encode_bin(prev, &mut buf);
+        let mut r = BinReader::new(&buf);
+        assert_eq!(&FileEvent::decode_bin(&mut r, prev).unwrap(), ev);
+        assert!(r.is_empty());
+        buf
+    }
+
     #[test]
     fn binary_event_roundtrips_and_packs_denser_than_json() {
-        use crate::bin::{BinPayload, BinReader};
         let rec = sample_record();
         let mut ev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/b.txt"));
         ev.src_path = Some(PathBuf::from("/a/old.txt"));
         ev = ev.with_extracted_unix_ns(123_456).with_trace(TraceContext::sampled(0xabc, 7));
-        let mut buf = Vec::new();
-        ev.encode_bin(&mut buf);
-        let mut r = BinReader::new(&buf);
-        assert_eq!(FileEvent::decode_bin(&mut r).unwrap(), ev);
-        assert!(r.is_empty());
+        let buf = recode(&ev, None);
         let json = serde_json::to_string(&ev).unwrap();
         assert!(
-            buf.len() * 2 < json.len(),
-            "binary ({}) should be well under half of JSON ({})",
+            buf.len() * 4 < json.len(),
+            "binary ({}) should be well under a quarter of JSON ({})",
             buf.len(),
             json.len()
         );
     }
 
+    /// The successor of an event in the same directory, one record and a
+    /// few microseconds later, costs its file name and a byte per field.
     #[test]
-    fn binary_event_rejects_invalid_enum_codes() {
+    fn binary_event_is_coded_against_its_predecessor() {
+        let rec = sample_record();
+        let prev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/dir/one.txt"))
+            .with_extracted_unix_ns(1_700_000_000_000_000_000);
+        let mut next = prev.clone();
+        next.index += 1;
+        next.time = SimTime::from_nanos(prev.time.as_nanos() + 5_000);
+        next.path = PathBuf::from("/a/dir/two.txt");
+        next.target.oid += 1;
+        let buf = recode(&next, Some(&prev));
+        // flags, index, changelog kind, time (2), shared, suffix length,
+        // "two.txt", FID (3), stamp.
+        assert_eq!(buf.len(), 1 + 1 + 1 + 2 + 1 + 1 + 7 + 3 + 1, "{buf:?}");
+        assert_eq!(buf[0], FLAG_EXTRACTED | FLAG_SAME_MDT | FLAG_DERIVED_KIND);
+
+        // Every field may also differ from its predecessor, in either
+        // direction, and a first member is coded against zeros.
+        let mut other = next.clone();
+        other.index = 3;
+        other.mdt = MdtIndex::new(7);
+        other.kind = EventKind::Other;
+        other.time = SimTime::from_nanos(1);
+        other.path = PathBuf::from("/é");
+        other.src_path = Some(PathBuf::from("/è"));
+        other.target = Fid::new(1, u32::MAX, 9);
+        other.is_dir = true;
+        other.extracted_unix_ns = None;
+        recode(&other, Some(&next));
+        recode(&next, Some(&other));
+        recode(&other, None);
+    }
+
+    /// A path that is not UTF-8 is sent lossily, and its successor's
+    /// shared prefix is counted against the lossy form the peer holds:
+    /// `\xc3(` is a lead byte without its continuation, and `é` starts
+    /// with the same lead byte.
+    #[cfg(unix)]
+    #[test]
+    fn a_non_utf8_path_travels_lossily_and_its_successor_still_decodes() {
         use crate::bin::{BinPayload, BinReader};
-        let ev = FileEvent::from_record(&sample_record(), MdtIndex::new(0), PathBuf::from("/x"));
+        use std::os::unix::ffi::OsStrExt;
+        let mut first = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/".into());
+        first.path = PathBuf::from(std::ffi::OsStr::from_bytes(b"/d/\xc3(/x"));
+        let mut second = first.clone();
+        second.path = PathBuf::from("/d/é/y");
+
         let mut buf = Vec::new();
-        ev.encode_bin(&mut buf);
-        // Byte 12 is the ChangelogKind code (after index u64 + mdt u32).
-        buf[12] = 99;
-        assert!(FileEvent::decode_bin(&mut BinReader::new(&buf)).is_err());
+        first.encode_bin(None, &mut buf);
+        let got_first = FileEvent::decode_bin(&mut BinReader::new(&buf), None).unwrap();
+        assert_eq!(got_first.path, PathBuf::from("/d/\u{fffd}(/x"));
+
+        buf.clear();
+        second.encode_bin(Some(&first), &mut buf);
+        // flags, index, record kind and time are a byte each: the shared length is byte 4.
+        assert_eq!(buf[4], 3, "only `/d/` is shared with what the peer decoded");
+        let got_second = FileEvent::decode_bin(&mut BinReader::new(&buf), Some(&got_first));
+        assert_eq!(got_second.unwrap(), second);
+    }
+
+    #[test]
+    fn binary_event_rejects_invalid_codes_flags_and_deltas() {
+        use crate::bin::{BinPayload, BinReader};
+        let mut ev = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/x".into());
+        ev.index = 1;
+        ev.time = SimTime::from_nanos(1);
+        let buf = recode(&ev, None);
+        let rejected = |bytes: &[u8], prev: Option<&FileEvent>| {
+            FileEvent::decode_bin(&mut BinReader::new(bytes), prev).is_err()
+        };
+        // Byte 2 is the ChangelogKind code (after flags and a one-byte index
+        // delta); a one-byte time delta puts the path at byte 4.
+        let mut bad = buf.clone();
+        bad[2] = 99;
+        assert!(rejected(&bad, None));
+        // An explicit EventKind code is validated too.
+        let mut odd = ev.clone();
+        odd.kind = EventKind::Other;
+        let mut bad = recode(&odd, None);
+        assert_eq!(bad[3], EventKind::Other.code());
+        bad[3] = 6;
+        assert!(rejected(&bad, None));
+        // Unassigned flags bits.
+        for bit in [1 << 6, 1 << 7] {
+            let mut bad = buf.clone();
+            bad[0] |= bit;
+            assert!(rejected(&bad, None));
+        }
+        // A first member cannot share a prefix with anything.
+        let mut bad = buf.clone();
+        assert_eq!(bad[4..8], [0, 2, b'/', b'x']);
+        bad[4] = 1;
+        assert!(rejected(&bad, None));
+        // An object id stepping below zero: `ev` coded against a larger
+        // oid, decoded against a smaller one.
+        let mut big = ev.clone();
+        big.target.oid = ev.target.oid + 10;
+        let mut coded = Vec::new();
+        ev.encode_bin(Some(&big), &mut coded);
+        let mut small = ev.clone();
+        small.target.oid = 3;
+        assert!(rejected(&coded, Some(&small)));
+        // Every truncation of a valid member is an error, not a panic.
+        for cut in 0..buf.len() {
+            assert!(rejected(&buf[..cut], None), "accepted {cut} of {} bytes", buf.len());
+        }
     }
 
     #[test]

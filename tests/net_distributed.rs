@@ -13,6 +13,7 @@ use common::{
     check_consumer_output, http_get, run_collector, scrape_metrics, spawn, wait_for_listen_addr,
     Reaped, BIN, EVENTS_PER_COLLECTOR,
 };
+use sdci_net::wire::WIRE_PROTO;
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -182,12 +183,14 @@ fn aggregator_refuses_a_peer_on_another_wire_version_with_an_error_record() {
     // Three peers on another version, then one on this version asking
     // to publish into the feed — a service that does not exist, so its
     // hello does not decode and the refusal cannot name a leg.
-    let versions: &[&str] = &["wire version 3", "speaks 6"];
+    let ours = format!("speaks {WIRE_PROTO}");
+    let versions: &[&str] = &["wire version 3", &ours];
+    let no_such_service = format!(r#"{{"proto":{WIRE_PROTO},"service":"Publisher"}}"#);
     for (leg, hello, naming) in [
         ("push", r#"{"proto":3,"service":{"Push":{"client":"old","resume_after":0}}}"#, versions),
         ("subscriber", r#"{"proto":3,"service":{"Subscriber":{"prefixes":[""]}}}"#, versions),
         ("store", r#"{"proto":3,"service":"Store"}"#, versions),
-        ("unknown", r#"{"proto":6,"service":"Publisher"}"#, &[]),
+        ("unknown", no_such_service.as_str(), &[]),
     ] {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
