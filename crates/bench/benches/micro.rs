@@ -15,7 +15,6 @@ use sdci_types::{
     SimTime,
 };
 use std::hint::black_box;
-use std::path::PathBuf;
 
 fn record(i: u64) -> RawChangelogRecord {
     RawChangelogRecord {
@@ -36,7 +35,7 @@ fn file_event(i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_nanos(i),
-        path: PathBuf::from(format!("/data/run{}/file{i}.h5", i % 32)),
+        path: format!("/data/run{}/file{i}.h5", i % 32).into(),
         src_path: None,
         target: Fid::new(0x100, i as u32, 0),
         is_dir: false,
@@ -123,8 +122,8 @@ fn bench_rule_matching(c: &mut Criterion) {
         .under("/data")
         .kinds([EventKind::Created, EventKind::Modified])
         .glob("run-*-v?.h5");
-    let hit = FileEvent { path: PathBuf::from("/data/run-0042-v3.h5"), ..file_event(1) };
-    let miss = FileEvent { path: PathBuf::from("/other/run-0042-v3.h5"), ..file_event(2) };
+    let hit = FileEvent { path: "/data/run-0042-v3.h5".into(), ..file_event(1) };
+    let miss = FileEvent { path: "/other/run-0042-v3.h5".into(), ..file_event(2) };
     group.bench_function("trigger_match_hit", |b| {
         b.iter(|| black_box(trigger.matches(&agent, &hit)));
     });

@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sdci_core::{EventStore, SequencedEvent, SnapshotDir, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::hint::black_box;
-use std::path::PathBuf;
 
 fn sev(seq: u64) -> SequencedEvent {
     SequencedEvent {
@@ -18,7 +17,7 @@ fn sev(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/r{}/f{seq}.dat", seq / 8_192)),
+            path: format!("/r{}/f{seq}.dat", seq / 8_192).into(),
             src_path: None,
             target: Fid::new(0x100, seq as u32, 0),
             is_dir: false,

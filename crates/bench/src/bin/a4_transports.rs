@@ -44,7 +44,6 @@ use sdci_net::wire::{write_hello, Service, BIN_FRAME_BIT};
 use sdci_net::{Endpoint, NetConfig, TcpBroker, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -93,7 +92,7 @@ fn event(i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_nanos(i),
-        path: PathBuf::from(format!("/bench/dir{}/file{}", i % 64, i)),
+        path: format!("/bench/dir{}/file{}", i % 64, i).into(),
         src_path: None,
         target: Fid::new(0x100, i as u32, 0),
         is_dir: false,
@@ -264,7 +263,7 @@ fn tcp_best(runs: u32, events: u64, traced: bool) -> (f64, u64) {
 /// A control-path marker event the drain subscribers can spot by
 /// scanning raw frame bytes for its path, no deserialization needed.
 fn marker_event(path: &str) -> FileEvent {
-    FileEvent { path: PathBuf::from(path), ..event(u64::MAX) }
+    FileEvent { path: path.into(), ..event(u64::MAX) }
 }
 
 fn frame_contains(frame: &[u8], needle: &[u8]) -> bool {

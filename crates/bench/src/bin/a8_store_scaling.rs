@@ -40,7 +40,6 @@ use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::hint::black_box;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Events per top-level directory: the workload cycles through roots so
@@ -75,7 +74,7 @@ fn sev(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/r{}/f{seq}.dat", seq / EVENTS_PER_ROOT)),
+            path: format!("/r{}/f{seq}.dat", seq / EVENTS_PER_ROOT).into(),
             src_path: None,
             target: Fid::new(0x100, seq as u32, 0),
             is_dir: false,
@@ -179,7 +178,7 @@ fn shard_event(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/r{}/f{seq}.dat", seq % SHARD_ROOTS)),
+            path: format!("/r{}/f{seq}.dat", seq % SHARD_ROOTS).into(),
             src_path: None,
             target: Fid::new(0x100, seq as u32, 0),
             is_dir: false,

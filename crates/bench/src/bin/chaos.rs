@@ -27,7 +27,6 @@ use sdci_faults::{arm, disarm_all, CrashMode, FaultPlan};
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -80,7 +79,7 @@ fn event(i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_nanos(i),
-        path: PathBuf::from(format!("/chaos/dir{}/file{}", i % 64, i)),
+        path: format!("/chaos/dir{}/file{}", i % 64, i).into(),
         src_path: None,
         target: Fid::new(0x200, i as u32, 0),
         is_dir: false,

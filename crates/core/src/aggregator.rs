@@ -453,7 +453,6 @@ mod tests {
     use super::*;
     use crate::store::StoreQuery;
     use sdci_types::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime};
-    use std::path::PathBuf;
 
     fn event(i: u64) -> FileEvent {
         FileEvent {
@@ -462,7 +461,7 @@ mod tests {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(i),
-            path: PathBuf::from(format!("/f{i}")),
+            path: format!("/f{i}").into(),
             src_path: None,
             target: Fid::new(1, i as u32, 0),
             is_dir: false,

@@ -12,7 +12,10 @@ use lustre_sim::{ChangelogUser, LustreFs};
 use parking_lot::Mutex;
 use sdci_mq::pubsub::Publisher;
 use sdci_mq::transport::{Publish, PublishOutcome};
-use sdci_types::{ChangelogKind, FileEvent, MdtIndex, RawChangelogRecord, TraceContext};
+use sdci_types::{
+    ChangelogKind, EventPath, FileEvent, MdtIndex, PathArenaBuilder, RawChangelogRecord,
+    TraceContext,
+};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -84,6 +87,9 @@ pub struct Collector<P = Publisher<FileEvent>> {
     /// drained into the publisher once it is released. Kept between
     /// batches for its capacity.
     resolved: Vec<FileEvent>,
+    /// Path bytes the last batch joined: what the next batch's arena
+    /// reserves, so a steady stream sizes it once.
+    path_bytes: usize,
     config: MonitorConfig,
     stats: CollectorStats,
 }
@@ -147,6 +153,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             publisher,
             topic: format!("events/mdt{}", mdt.as_u32()),
             resolved: Vec::new(),
+            path_bytes: 0,
             config,
             stats: CollectorStats::default(),
         }
@@ -168,6 +175,8 @@ impl<P: Publish<FileEvent>> Collector<P> {
     /// The filesystem lock is taken once: the batch is read by
     /// reference and every record resolved under that one hold, into
     /// `resolved`; publishing starts only after the lock is released.
+    /// The batch's paths are joined into one arena, sealed before the
+    /// first event is published.
     pub fn run_once(&mut self) -> usize {
         let fs = Arc::clone(&self.fs);
         let guard = fs.lock();
@@ -181,6 +190,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
         let extracted_ns = sdci_obs::unix_now_ns();
         self.stats.extracted += read as u64;
         sdci_obs::static_metric!(counter, "sdci_collector_extracted_total").add(read as u64);
+        let mut paths = PathArenaBuilder::with_capacity(self.path_bytes);
         for record in batch {
             // Indices are dense, so a jump is records the bounded
             // ChangeLog dropped while this Collector was behind.
@@ -202,14 +212,14 @@ impl<P: Publish<FileEvent>> Collector<P> {
             let resolve_timer =
                 sdci_obs::static_metric!(histogram, "sdci_collector_resolve_latency_seconds")
                     .start_timer();
-            let path = self.resolve(&guard, record);
+            let path = self.resolve(&guard, record, &mut paths);
             resolve_timer.observe();
             let Some(path) = path else {
                 self.stats.resolution_failures += 1;
                 sdci_obs::static_metric!(counter, "sdci_collector_resolution_failures_total").inc();
                 continue;
             };
-            extract_span.set_detail_with(|| path.display().to_string());
+            extract_span.set_detail_with(|| paths.get(&path).to_string());
             // Refactor the raw tuple "to include the user-friendly
             // paths in place of the FIDs" (§4 step 2).
             let mut event =
@@ -221,6 +231,9 @@ impl<P: Publish<FileEvent>> Collector<P> {
         }
         // Publishing may block on a socket: never under the MDT's lock.
         drop(guard);
+        // Sealed: from here the events' paths can be read.
+        self.path_bytes = paths.byte_len();
+        drop(paths);
         // `collector.extract` closed with each record's resolution; this
         // per-batch root is what times the publish, so one that blocks
         // still reaches the slow-trace tail.
@@ -252,14 +265,19 @@ impl<P: Publish<FileEvent>> Collector<P> {
     /// Resolution strategy: resolve the *parent* directory (cache, then
     /// `fid2path`) and join the recorded name — this works uniformly for
     /// creations, deletions (whose target FID is already gone), and both
-    /// halves of a rename. On a cache hit the returned path is the only
-    /// allocation made.
-    fn resolve(&mut self, fs: &LustreFs, record: &RawChangelogRecord) -> Option<PathBuf> {
+    /// halves of a rename. The joined path is appended to `paths`, the
+    /// batch's arena, so a cache hit allocates nothing.
+    fn resolve(
+        &mut self,
+        fs: &LustreFs,
+        record: &RawChangelogRecord,
+        paths: &mut PathArenaBuilder,
+    ) -> Option<EventPath> {
         let path = match self.cache.get(record.parent) {
             Some(parent) => {
                 self.stats.cache_hits += 1;
                 sdci_obs::static_metric!(counter, "sdci_collector_cache_hits_total").inc();
-                join(parent, &record.name)
+                join(paths, parent, &record.name)
             }
             None => {
                 self.stats.fid2path_calls += 1;
@@ -272,7 +290,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
                     parent.components().collect::<PathBuf>().as_os_str(),
                     parent.as_os_str()
                 );
-                let path = join(&parent, &record.name);
+                let path = join(paths, &parent, &record.name);
                 // The cache takes the resolved path itself, not a copy.
                 self.cache.insert(record.parent, parent);
                 path
@@ -282,12 +300,12 @@ impl<P: Publish<FileEvent>> Collector<P> {
         // Keep the cache coherent with namespace changes.
         match record.kind {
             ChangelogKind::Mkdir => {
-                self.cache.insert(record.target, &path);
+                self.cache.insert(record.target, paths.get(&path));
             }
             ChangelogKind::Rename | ChangelogKind::RenameTarget => {
                 // A renamed directory invalidates every cached descendant.
                 self.cache.invalidate(record.target);
-                self.cache.invalidate_prefix(&path);
+                self.cache.invalidate_prefix(Path::new(paths.get(&path)));
             }
             ChangelogKind::Unlink | ChangelogKind::Rmdir => {
                 self.cache.invalidate(record.target);
@@ -325,12 +343,13 @@ impl<P: Publish<FileEvent>> Collector<P> {
     }
 }
 
-/// `parent.join(name)` in one allocation of exactly the joined length.
-fn join(parent: &Path, name: &str) -> PathBuf {
-    let mut path = PathBuf::with_capacity(parent.as_os_str().len() + 1 + name.len());
-    path.push(parent);
-    path.push(name);
-    path
+/// `parent.join(name)`, appended to the batch's arena (lossily, should
+/// `parent` not be UTF-8).
+fn join(paths: &mut PathArenaBuilder, parent: &Path, name: &str) -> EventPath {
+    let parent = parent.to_string_lossy();
+    // As `PathBuf::push`: no second separator after the root's own.
+    let separator = if parent.is_empty() || parent.ends_with('/') { "" } else { "/" };
+    paths.push_parts(&[&parent, separator, name])
 }
 
 #[cfg(test)]

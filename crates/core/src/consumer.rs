@@ -359,7 +359,6 @@ mod tests {
     use crate::store::EventStore;
     use sdci_mq::pubsub::Broker;
     use sdci_types::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime};
-    use std::path::PathBuf;
     use std::sync::Arc;
 
     fn sev(seq: u64) -> SequencedEvent {
@@ -371,7 +370,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: SimTime::from_secs(seq),
-                path: PathBuf::from(format!("/f{seq}")),
+                path: format!("/f{seq}").into(),
                 src_path: None,
                 target: Fid::new(1, seq as u32, 0),
                 is_dir: false,

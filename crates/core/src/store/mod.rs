@@ -793,7 +793,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: SimTime::from_secs(secs),
-                path: PathBuf::from(path),
+                path: path.into(),
                 src_path: None,
                 target: Fid::new(1, seq as u32, 0),
                 is_dir: false,

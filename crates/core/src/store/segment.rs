@@ -177,7 +177,6 @@ fn path_root(path: &Path) -> Option<&OsStr> {
 mod tests {
     use super::*;
     use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex};
-    use std::path::PathBuf;
 
     fn ev(seq: u64, secs: u64, path: &str) -> SequencedEvent {
         SequencedEvent {
@@ -188,7 +187,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: SimTime::from_secs(secs),
-                path: PathBuf::from(path),
+                path: path.into(),
                 src_path: None,
                 target: Fid::new(1, seq as u32, 0),
                 is_dir: false,

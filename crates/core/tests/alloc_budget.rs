@@ -1,11 +1,12 @@
-//! Allocation budgets for the two per-event paths the pipeline benchmark
-//! found allocating most: the Collector on a path-cache hit, and the
-//! store sealing a segment. A counting `#[global_allocator]` with a
+//! Allocation budgets for the per-event paths the pipeline benchmark
+//! found allocating most: the Collector on a path-cache hit, the store
+//! sealing a segment, and the store answering a query (the decoders'
+//! are in `crates/net/tests/alloc_budget.rs`). A counting `#[global_allocator]` with a
 //! per-thread tally (as `benchmark/src/alloc.rs` keeps) charges each
 //! test only with what its own thread allocated.
 
 use lustre_sim::{LustreConfig, LustreFs};
-use sdci_core::{Collector, EventStore, MonitorConfig, SequencedEvent};
+use sdci_core::{Collector, EventStore, MonitorConfig, SequencedEvent, StoreQuery};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,7 +81,7 @@ const DIRS: usize = 64;
 const RECORDS: usize = 4_096;
 
 #[test]
-fn collector_allocates_once_per_event_on_a_cache_hit() {
+fn collector_allocates_per_batch_not_per_event_on_a_cache_hit() {
     let fs = Arc::new(parking_lot::Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
     let sink = Sink(Arc::new(Mutex::new(Vec::with_capacity(RECORDS + 2 * DIRS))));
     let mut collector =
@@ -115,16 +116,20 @@ fn collector_allocates_once_per_event_on_a_cache_hit() {
     assert_eq!(sink.0.lock().expect("sink lock").len(), RECORDS);
     let per_event = made as f64 / RECORDS as f64;
     assert!(
-        per_event <= 1.1,
+        per_event <= 0.1,
         "{made} allocations for {RECORDS} cache-hit records = {per_event:.3} per event; \
-         the budget is the event's own path, with a tenth to spare"
+         a batch's paths share one arena, so the budget is a few per batch"
     );
+    // The batch is published sealed: every path reads, and batch-mates
+    // share their arena.
+    let published = sink.0.lock().expect("sink lock");
+    assert!(published.iter().all(|e| e.path.starts_with("/") && e.path.file_name().is_some()));
+    assert!(published[0].path.shares_arena(&published[1].path));
 }
 
-#[test]
-fn sealing_a_segment_allocates_per_root_not_per_event() {
-    const EVENTS: u64 = 2_048;
-    let events: Vec<SequencedEvent> = (1..=EVENTS)
+/// `count` events over [`DIRS`] roots, seqs from 1.
+fn sequenced(count: u64) -> Vec<SequencedEvent> {
+    (1..=count)
         .map(|seq| SequencedEvent {
             seq,
             event: FileEvent {
@@ -133,7 +138,7 @@ fn sealing_a_segment_allocates_per_root_not_per_event() {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: SimTime::from_secs(seq),
-                path: PathBuf::from(format!("/root{:02}/sub/file{seq}", seq % DIRS as u64)),
+                path: format!("/root{:02}/sub/file{seq}", seq % DIRS as u64).into(),
                 src_path: None,
                 target: Fid::new(1, seq as u32, 0),
                 is_dir: false,
@@ -141,7 +146,13 @@ fn sealing_a_segment_allocates_per_root_not_per_event() {
                 trace: None,
             },
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn sealing_a_segment_allocates_per_root_not_per_event() {
+    const EVENTS: u64 = 2_048;
+    let events = sequenced(EVENTS);
     let store = EventStore::with_segment_size(1 << 20, EVENTS as usize);
 
     let made = allocations(|| store.insert_batch(events).expect("ascending seqs"));
@@ -152,6 +163,30 @@ fn sealing_a_segment_allocates_per_root_not_per_event() {
         per_event <= 0.1,
         "{made} allocations to insert and seal {EVENTS} events = {per_event:.3} per event; \
          the fingerprint owns one string per distinct root ({DIRS} here), not one per event"
+    );
+}
+
+#[test]
+fn a_query_hit_costs_a_reference_count_not_a_path() {
+    const EVENTS: u64 = 1_024;
+    // Sealed segments and an unsealed head both answer.
+    let store = EventStore::with_segment_size(1 << 20, 300);
+    store.insert_batch(sequenced(EVENTS)).expect("ascending seqs");
+
+    let (hits, made) = {
+        let mut hits = Vec::new();
+        let made = allocations(|| hits = store.query(&StoreQuery::after_seq(0)));
+        (hits, made)
+    };
+
+    assert_eq!(hits.len(), EVENTS as usize);
+    let retained = store.recent(1);
+    assert!(hits[1_023].event.path.shares_arena(&retained[0].event.path));
+    let per_event = made as f64 / EVENTS as f64;
+    assert!(
+        per_event <= 0.05,
+        "{made} allocations to return {EVENTS} retained events = {per_event:.3} per event; \
+         the budget is the result `Vec` growing"
     );
 }
 

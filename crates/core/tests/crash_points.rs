@@ -20,7 +20,7 @@ fn sev(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/c/{seq}")),
+            path: format!("/c/{seq}").into(),
             src_path: None,
             target: Fid::new(1, seq as u32, 0),
             is_dir: false,

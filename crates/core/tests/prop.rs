@@ -21,7 +21,7 @@ fn sev(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/p{}/f{seq}", seq % 3)),
+            path: format!("/p{}/f{seq}", seq % 3).into(),
             src_path: None,
             target: Fid::new(1, seq as u32, 0),
             is_dir: false,

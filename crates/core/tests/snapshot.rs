@@ -19,7 +19,7 @@ fn sev(seq: u64, path: &str) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(path),
+            path: path.into(),
             src_path: None,
             target: Fid::new(1, seq as u32, 0),
             is_dir: false,
@@ -367,4 +367,43 @@ fn a_regular_file_is_not_a_snapshot() {
         assert!(err.to_string().contains("is a file, not a snapshot directory"), "{err}");
     }
     assert_eq!(std::fs::read(file.path()).unwrap(), buf);
+}
+
+/// What the commit before `EventPath` wrote still loads, and what this
+/// one writes is what that one wrote: `fixtures/pr19-snapshot` is a
+/// snapshot directory (one sealed four-event segment, a two-event head)
+/// and `fixtures/pr19-feed.ndjson` the same events as `FeedMessage` JSON
+/// lines, both produced by that commit's binary — a rename carrying
+/// `src_path`, a traced event, an accent, an escaped quote and backslash,
+/// a trailing separator. Restored and flushed afresh, every file comes
+/// out byte-identical; parsed and printed, so does every line.
+#[test]
+fn a_snapshot_and_feed_lines_from_before_event_path_reserialise_identically() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr19-snapshot");
+    let restored = restore_snapshot(&fixture, 1_000).unwrap();
+    assert_eq!(restored.len(), 6);
+    let renamed = &restored.query(&StoreQuery::after_seq(3).limit(1))[0].event;
+    assert_eq!(renamed.path.as_str(), "/proj/run-2/new-name");
+    assert_eq!(renamed.src_path.as_ref().unwrap().as_str(), "/proj/run-2/old-name");
+
+    let scratch = Scratch::new("pr19-fixture");
+    SnapshotDir::open(scratch.path()).unwrap().flush(&restored).unwrap();
+    let mut compared = 0;
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let name = entry.unwrap().file_name();
+        assert_eq!(
+            std::fs::read(scratch.path().join(&name)).unwrap(),
+            std::fs::read(fixture.join(&name)).unwrap(),
+            "{name:?} differs from what the parent commit wrote"
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 3, "manifest, one segment, one head");
+
+    let feed = include_str!("fixtures/pr19-feed.ndjson");
+    assert_eq!(feed.lines().count(), 7);
+    for line in feed.lines() {
+        let message: sdci_core::FeedMessage = serde_json::from_str(line).unwrap();
+        assert_eq!(serde_json::to_string(&message).unwrap(), line);
+    }
 }

@@ -47,7 +47,10 @@
 //! `InvalidData`. What front-coding lets a small frame expand to is
 //! bounded by [`sdci_types::bin`]: 4,096 bytes a path, and
 //! [`MAX_FRAME_LEN`] assembled path bytes a frame — what the largest
-//! frame could have carried verbatim.
+//! frame could have carried verbatim. A decoded frame's paths are
+//! handles into one arena its [`BinReader`] owns and seals on drop
+//! ([`sdci_types::EventPath`]): [`WireMsg::decode`] returns events only
+//! after that, and none on an error.
 //!
 //! Kind 2 is unassigned: a feed is written only by the process that
 //! owns its broker, so there is no publish batch, and a body carrying
@@ -830,7 +833,6 @@ mod tests {
     use proptest::test_runner::TestCaseError;
     use sdci_core::{FeedMessage, SequencedEvent};
     use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
-    use std::path::PathBuf;
 
     fn event(i: u64) -> FileEvent {
         FileEvent {
@@ -839,7 +841,7 @@ mod tests {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_nanos(i),
-            path: PathBuf::from(format!("/wire/f{i}")),
+            path: format!("/wire/f{i}").into(),
             src_path: None,
             target: Fid::new(1, i as u32, 0),
             is_dir: false,
@@ -1302,7 +1304,7 @@ mod tests {
     /// paths and nothing; the empty path and empty names are included,
     /// and `é`/`è` and `日`/`旦` share the first byte or two of a
     /// character, so a shared prefix can end inside one.
-    fn path() -> impl Strategy<Value = PathBuf> {
+    fn path() -> impl Strategy<Value = sdci_types::EventPath> {
         let name = prop::sample::select(vec!["a", "ab", "é", "è", "日", "旦", "d0000001", ""]);
         prop::collection::vec(name, 0..4)
             .prop_map(|names| names.iter().map(|n| format!("/{n}")).collect::<String>().into())

@@ -1,0 +1,144 @@
+//! Allocation budgets for the decoders every event crosses, beside the
+//! byte budgets of `byte_budget.rs` and the Collector's and store's in
+//! `crates/core/tests/alloc_budget.rs`: a 256-member frame of each
+//! data-frame kind decodes in a handful of allocations — the member
+//! `Vec`, the frame's path arena and its seal, a topic — not one per
+//! path, and handing a decoded batch on by `clone()` copies no path.
+//! The counting `#[global_allocator]` keeps a per-thread tally, as
+//! `benchmark/src/alloc.rs` does.
+
+use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_net::store_rpc::StoreRpc;
+use sdci_net::wire::{Frame, WireMsg};
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // A `const`-initialised `Cell<u64>` needs no lazy set-up and no
+    // destructor, so the allocator can touch it without allocating.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+fn tally() {
+    // `try_with`: the allocator also runs during a thread's TLS teardown.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the tally touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// What `f` returns, and the allocation calls (alloc + alloc_zeroed +
+/// realloc) it made on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+const BATCH: u64 = 256;
+
+/// A batch shaped like the benchmark's: 64 directories, fixed-width
+/// names, dense record numbers, one extraction stamp; every eighth
+/// event a rename, so the arena holds second paths too.
+fn batch() -> Vec<SequencedEvent> {
+    (0..BATCH)
+        .map(|i| {
+            let path = format!("/t0a1b2c3/d{:07x}/f{:011x}", (i * 37) % 64, i * 0x9e37_79b9);
+            let renamed = i % 8 == 0;
+            SequencedEvent {
+                seq: 500_000 + i,
+                event: FileEvent {
+                    index: 70_000 + i,
+                    mdt: MdtIndex::new(0),
+                    changelog_kind: if renamed {
+                        ChangelogKind::Rename
+                    } else {
+                        ChangelogKind::Create
+                    },
+                    kind: if renamed { EventKind::Moved } else { EventKind::Created },
+                    time: SimTime::from_nanos(90_000_000 + 1_000 * i),
+                    src_path: renamed.then(|| format!("{path}.part").into()),
+                    path: path.into(),
+                    target: Fid::new(0x2_4000_0400, i as u32, 0),
+                    is_dir: false,
+                    extracted_unix_ns: Some(1_790_000_000_123_456_789),
+                    trace: None,
+                },
+            }
+        })
+        .collect()
+}
+
+/// Decodes `msg`'s one body and returns the allocations that took.
+fn decode_cost<M: WireMsg + PartialEq + std::fmt::Debug>(msg: &M) -> u64 {
+    let mut body = Vec::new();
+    assert!(msg.encode(&mut body).expect("encodes"), "a batch is a binary frame");
+    let (decoded, made) = allocations(|| M::decode(true, &body).expect("decodes"));
+    assert_eq!(&decoded, msg);
+    made
+}
+
+#[test]
+fn a_256_member_frame_of_each_kind_decodes_in_at_most_eight_allocations() {
+    let sequenced = batch();
+    let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
+    let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+
+    let item = decode_cost(&Frame::ItemBatch { first_seq: 9, payloads: events, trace: None });
+    let deliver =
+        decode_cost(&Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None });
+    let store = decode_cost(&StoreRpc::Batch { events: sequenced });
+
+    for (kind, made) in [("item", item), ("deliver", deliver), ("store-batch", store)] {
+        assert!(made <= 8, "{kind} frame: {made} allocations for {BATCH} members");
+        assert!(made >= 3, "{kind} frame: {made} allocations cannot hold a Vec and an arena");
+    }
+}
+
+#[test]
+fn cloning_a_decoded_batch_allocates_once() {
+    let reply = StoreRpc::Batch { events: batch() };
+    let mut body = Vec::new();
+    reply.encode(&mut body).expect("encodes");
+    let StoreRpc::Batch { events } = StoreRpc::decode(true, &body).expect("decodes") else {
+        panic!("a store batch decodes as one");
+    };
+
+    let (copy, made) = allocations(|| events.clone());
+
+    assert_eq!(made, 1, "the Vec itself; every path is a reference-count bump");
+    assert!(copy.iter().zip(&events).all(|(a, b)| a.event.path.shares_arena(&b.event.path)));
+    assert!(events[1].event.path.shares_arena(&events[0].event.path), "one arena a frame");
+    assert!(events[0].event.src_path.as_ref().unwrap().shares_arena(&events[0].event.path));
+}

@@ -32,7 +32,7 @@ fn fev(path: &str, i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_secs(i),
-        path: PathBuf::from(path),
+        path: path.into(),
         src_path: None,
         target: Fid::new(1, i as u32, 0),
         is_dir: false,
@@ -51,7 +51,7 @@ fn collect_paths(pull: &sdci_mq::pipe::Pull<FileEvent>, n: usize) -> Vec<PathBuf
     let mut got = Vec::new();
     while got.len() < n {
         match pull.recv_timeout(Duration::from_secs(2)) {
-            Some(ev) => got.push(ev.path),
+            Some(ev) => got.push(ev.path.to_path_buf()),
             None => break,
         }
     }

@@ -13,7 +13,6 @@ use sdci_net::{
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::net::TcpListener;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,7 +51,7 @@ fn sev(seq: u64) -> SequencedEvent {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_secs(seq),
-            path: PathBuf::from(format!("/f/{seq}")),
+            path: format!("/f/{seq}").into(),
             src_path: None,
             target: Fid::new(1, seq as u32, 0),
             is_dir: false,

@@ -7,7 +7,6 @@ use sdci_core::{Aggregator, EventConsumer};
 use sdci_mq::pubsub::Broker;
 use sdci_net::{Endpoint, Handler, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +28,7 @@ fn event(i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_nanos(i),
-        path: PathBuf::from(format!("/feed/f{i}")),
+        path: format!("/feed/f{i}").into(),
         src_path: None,
         target: Fid::new(1, i as u32, 0),
         is_dir: false,

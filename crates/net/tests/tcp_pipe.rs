@@ -420,7 +420,7 @@ fn traced_event(i: u64) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_secs(i),
-        path: PathBuf::from(format!("/t/f{i}")),
+        path: format!("/t/f{i}").into(),
         src_path: None,
         target: Fid::new(1, i as u32, 0),
         is_dir: false,

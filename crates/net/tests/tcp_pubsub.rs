@@ -129,7 +129,7 @@ fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_secs(i),
-        path: PathBuf::from(format!("/t/f{i}")),
+        path: format!("/t/f{i}").into(),
         src_path: None,
         target: Fid::new(1, i as u32, 0),
         is_dir: false,

@@ -27,7 +27,6 @@ use sdci_net::{
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -60,7 +59,7 @@ fn traced_event() -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind: EventKind::Created,
         time: SimTime::from_secs(1),
-        path: PathBuf::from("/lone/event"),
+        path: "/lone/event".into(),
         src_path: None,
         target: Fid::new(1, 1, 0),
         is_dir: false,

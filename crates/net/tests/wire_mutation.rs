@@ -1,9 +1,13 @@
 //! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
 //! valid kind-1, kind-3 and kind-4 bodies, each fed to all three
-//! decoders. Every one is decoded or refused as `InvalidData` — the
-//! error that costs a peer its connection — never a panic, and no
-//! allocation the decoder makes on the way is sized by a length, count
-//! or prefix word rather than by the bytes actually on hand.
+//! decoders, then path length and prefix words claiming what the body
+//! does not hold. Every one is decoded or refused as `InvalidData` — the
+//! error that costs a peer its connection — never a panic; no
+//! allocation the decoder makes on the way (the member `Vec`, the
+//! frame's path arena) is sized by a length, count or prefix word
+//! rather than by the bytes actually on hand; and whatever decodes can
+//! be read in full — a frame's paths are handles into its arena, and
+//! none comes back unsealed or out of range.
 //!
 //! The allocator is this binary's own (as in
 //! `crates/core/tests/alloc_budget.rs`): it records the largest single
@@ -16,7 +20,6 @@ use sdci_types::bin::MAX_PATH_LEN;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::path::PathBuf;
 
 thread_local! {
     // A `const`-initialised `Cell` needs no lazy set-up and no
@@ -99,7 +102,7 @@ fn events() -> Vec<FileEvent> {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: SimTime::from_nanos(1_000_000 + 7_000 * i),
-            path: PathBuf::from(format!("/t0000001/d000000{}/f{:011x}", i % 3, i * 0x9e37)),
+            path: format!("/t0000001/d000000{}/f{:011x}", i % 3, i * 0x9e37).into(),
             src_path: None,
             target: Fid::new(0x2_4000_0400, 100 + i as u32, 0),
             is_dir: false,
@@ -111,13 +114,13 @@ fn events() -> Vec<FileEvent> {
     events[3].is_dir = true;
     events[5].changelog_kind = ChangelogKind::Rename;
     events[5].kind = EventKind::Moved;
-    events[5].src_path = Some(PathBuf::from("/t0000001/d0000002/old-name"));
+    events[5].src_path = Some("/t0000001/d0000002/old-name".into());
     events[6].mdt = MdtIndex::new(3);
     events[7].kind = EventKind::Other;
     events[8].trace = Some(TraceContext::sampled(0xfeed, 0xbeef));
     events[9].extracted_unix_ns = None;
-    events[10].path = PathBuf::from("/t0000001/d0000001/é");
-    events[11].path = PathBuf::from("/t0000001/d0000001/è");
+    events[10].path = "/t0000001/d0000001/é".into();
+    events[11].path = "/t0000001/d0000001/è".into();
     events
 }
 
@@ -149,31 +152,49 @@ fn mutate(rng: &mut Rng, body: &[u8]) -> Vec<u8> {
 
 /// What a decoder did with `bytes`: whether it accepted them, and the
 /// largest allocation it asked for. Anything but `Ok` or `InvalidData`
-/// fails the test, as a panic inside `decode` does.
-fn fed<M: WireMsg>(bytes: &[u8]) -> (bool, usize) {
+/// fails the test, as does a panic inside `decode` or on reading any
+/// field — every path — of what it returned.
+fn fed<M: WireMsg + std::fmt::Debug>(bytes: &[u8]) -> (bool, usize) {
     let (result, largest) = largest_request(|| M::decode(true, bytes));
     match result {
-        Ok(_) => (true, largest),
+        Ok(value) => {
+            assert!(!format!("{value:?}").is_empty());
+            (true, largest)
+        }
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => (false, largest),
         Err(e) => panic!("a mutated body was refused as {:?}, not InvalidData: {e}", e.kind()),
     }
 }
 
-#[test]
-fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
-    let events = events();
+/// The stated allocation bound for a body. A member costs at least two
+/// bytes, so the count word reserves at most `len / 2` members and a
+/// `Vec` growing past its reservation at most doubles what has decoded:
+/// `len` members' worth. The path arena reserves the bytes left in the
+/// body and grows the same way, a path at a time. A topic or an error
+/// message is far below either.
+fn allocation_bound(body: &[u8]) -> usize {
+    (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN)
+}
+
+/// The three data-frame kinds carrying `events`: item, store batch
+/// (sequenced from 9) and deliver (with a heartbeat among the events).
+fn bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3] {
     let sequenced: Vec<SequencedEvent> = (9..)
         .zip(&events)
         .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
         .collect();
     let mut feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
-    feed.insert(4, FeedMessage::Heartbeat { last_seq: 12 });
-    let trace = Some(TraceContext::sampled(1, 2));
-    let bodies = [
+    feed.insert(feed.len() / 3, FeedMessage::Heartbeat { last_seq: 12 });
+    [
         body_of(&Frame::ItemBatch { first_seq: 7, payloads: events, trace }),
         body_of(&StoreRpc::Batch { events: sequenced }),
         body_of(&Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }),
-    ];
+    ]
+}
+
+#[test]
+fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
+    let bodies = bodies_of(events(), Some(TraceContext::sampled(1, 2)));
     // Each unmutated body is accepted by its own decoder and by no other.
     let accepted = |body: &[u8]| {
         [
@@ -190,12 +211,7 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     let (mut survived, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
         let body = mutate(&mut rng, &bodies[round % bodies.len()]);
-        // The stated bound. A member costs at least two bytes, so the
-        // count word reserves at most `len / 2` members and a `Vec`
-        // growing past its reservation at most doubles what has
-        // decoded: `len` members' worth. A path is at most its cap, and
-        // a topic or an error message is far below either.
-        let bound = (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN);
+        let bound = allocation_bound(&body);
         for (ok, largest) in [
             fed::<Frame<FileEvent>>(&body),
             fed::<StoreRpc>(&body),
@@ -217,4 +233,50 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     // bit in a name or an id), and most of the matching decoder's are refused.
     assert!(survived > 100, "only {survived} mutated bodies decoded");
     assert!(refused > 20_000, "only {refused} refusals");
+}
+
+/// Path words that claim what the body does not hold, in the first
+/// member of each kind: a suffix length of gigabytes, a shared prefix on
+/// a member with no predecessor, and a path one byte over its cap with
+/// every byte present. Each is refused — the last with the message the
+/// single-path cap has always given — and the frame's arena is never
+/// sized by the claim.
+#[test]
+fn a_claimed_path_length_sizes_nothing() {
+    let refused = |bad: &[u8]| {
+        let results =
+            [fed::<Frame<FileEvent>>(bad), fed::<StoreRpc>(bad), fed::<Frame<FeedMessage>>(bad)];
+        for (ok, largest) in results {
+            assert!(!ok, "accepted a {}-byte body with a forged path word", bad.len());
+            assert!(largest <= allocation_bound(bad), "{largest} bytes for {}", bad.len());
+        }
+    };
+    let one_event = |path: &str| {
+        let mut event = events().swap_remove(0);
+        event.path = path.into();
+        vec![event]
+    };
+
+    let name = format!("/adversarial/{}", "n".repeat(100));
+    for body in bodies_of(one_event(&name), None) {
+        // The path is a first member's: shared 0, its length, its bytes.
+        let at = body.windows(name.len()).position(|w| w == name.as_bytes()).expect("the path");
+        assert_eq!(body[at - 2..at], [0, name.len() as u8]);
+        for claim in [4_097, 1 << 31, 1 << 40, u64::MAX] {
+            let mut bad = body[..at - 1].to_vec();
+            sdci_types::bin::put_varint(&mut bad, claim);
+            bad.extend_from_slice(&body[at..]);
+            refused(&bad);
+        }
+        for shared in [1, 0x7f] {
+            let mut bad = body.clone();
+            bad[at - 2] = shared;
+            refused(&bad);
+        }
+    }
+
+    let over = bodies_of(one_event(&"p".repeat(MAX_PATH_LEN + 1)), None);
+    over.iter().for_each(|body| refused(body));
+    let err = Frame::<FileEvent>::decode(true, &over[0]).unwrap_err();
+    assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
 }

@@ -84,7 +84,7 @@ impl WatchdogSource {
             changelog_kind,
             kind: ev.kind,
             time: ev.time,
-            path: ev.path,
+            path: ev.path.into(),
             src_path: None,
             target: Fid::ZERO,
             is_dir: ev.is_dir,
@@ -337,7 +337,7 @@ impl Agent {
             agent: self.id.clone(),
             rule: request.rule,
             kind: effective_kind,
-            trigger_path: request.event.path.clone(),
+            trigger_path: request.event.path.to_path_buf(),
             trigger_time: request.event.time,
             outcome: outcome.clone(),
         });
@@ -468,7 +468,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: t(1),
-                path: PathBuf::from("/out/data.h5"),
+                path: "/out/data.h5".into(),
                 src_path: None,
                 target: Fid::ZERO,
                 is_dir: false,
@@ -501,7 +501,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: t(1),
-                path: PathBuf::from("/out/never-existed"),
+                path: "/out/never-existed".into(),
                 src_path: None,
                 target: Fid::ZERO,
                 is_dir: false,
@@ -531,7 +531,7 @@ mod tests {
                 changelog_kind: ChangelogKind::Create,
                 kind: EventKind::Created,
                 time: t(1),
-                path: PathBuf::from("/stale/old.dat"),
+                path: "/stale/old.dat".into(),
                 src_path: None,
                 target: Fid::ZERO,
                 is_dir: false,
@@ -555,7 +555,7 @@ mod tests {
             changelog_kind: ChangelogKind::Create,
             kind: EventKind::Created,
             time: t(1),
-            path: PathBuf::from("/w/run-7.dat"),
+            path: "/w/run-7.dat".into(),
             src_path: None,
             target: Fid::ZERO,
             is_dir: false,

@@ -51,7 +51,7 @@ impl BatchPolicy {
             changelog_kind: ChangelogKind::Mark,
             kind: EventKind::Other,
             time: now,
-            path,
+            path: path.into(),
             src_path: None,
             target: Fid::ZERO,
             is_dir: false,

@@ -169,7 +169,7 @@ mod tests {
             changelog_kind: ChangelogKind::Create,
             kind,
             time: SimTime::EPOCH,
-            path: PathBuf::from(path),
+            path: path.into(),
             src_path: None,
             target: Fid::new(1, 1, 0),
             is_dir: false,

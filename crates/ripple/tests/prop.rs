@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use ripple::{glob_match, Trigger};
 use sdci_types::{AgentId, ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
-use std::path::PathBuf;
 
 /// Obviously-correct exponential reference matcher.
 fn reference_glob(pattern: &[char], name: &[char]) -> bool {
@@ -67,7 +66,7 @@ fn event(path: &str, kind: EventKind) -> FileEvent {
         changelog_kind: ChangelogKind::Create,
         kind,
         time: SimTime::EPOCH,
-        path: PathBuf::from(path),
+        path: path.into(),
         src_path: None,
         target: Fid::ZERO,
         is_dir: false,

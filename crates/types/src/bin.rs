@@ -38,7 +38,11 @@
 //! Front-coding lets a three-byte member name a predecessor-length
 //! string, so what a decoder assembles is bounded twice: no single
 //! string may exceed [`MAX_PATH_LEN`], and one [`BinReader`] assembles
-//! at most [`FRAME_PATH_BUDGET`] bytes in all.
+//! at most [`FRAME_PATH_BUDGET`] bytes in all. What it assembles it
+//! also owns: every front-coded path of a frame is appended to one
+//! arena ([`crate::PathArenaBuilder`]) and returned as an
+//! [`EventPath`] handle, so a frame's paths cost one buffer, not one
+//! allocation each ([`BinReader::front_coded`]).
 //!
 //! The scratch-buffer design is what makes the broker's encode-once
 //! fan-out cheap on the deliver direction too: a `DeliverBatch` run is
@@ -46,6 +50,7 @@
 //! subscriber leg then shares by reference — the encode cost is paid
 //! once per run, not once per subscriber.
 
+use crate::path::{EventPath, PathArenaBuilder};
 use crate::TraceContext;
 use std::fmt;
 
@@ -85,17 +90,25 @@ impl std::error::Error for BinDecodeError {}
 /// A cursor over a received binary payload. All reads are bounds-checked
 /// and borrow from the underlying frame; nothing is copied until a field
 /// needs an owned value.
+///
+/// The reader also owns the path bytes its frame assembles: every
+/// [`BinReader::front_coded`] string lands in one arena, which is sealed
+/// — and the [`EventPath`]s into it become readable — when the reader
+/// drops. A decoder therefore returns its events only after its reader
+/// is gone, and on an error returns none.
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
     /// Front-coded bytes this reader may still assemble.
     path_budget: usize,
+    /// The frame's assembled paths; made by the first front-coded field.
+    paths: Option<PathArenaBuilder>,
 }
 
 impl<'a> BinReader<'a> {
     /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`].
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, path_budget: FRAME_PATH_BUDGET }
+        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None }
     }
 
     /// Bytes not yet consumed.
@@ -179,23 +192,28 @@ impl<'a> BinReader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(BinDecodeError::msg)
     }
 
-    /// Reads a front-coded string — the inverse of [`put_front_coded`]
-    /// — and assembles it in one exact-capacity allocation: the first
-    /// `shared` bytes of `prev`, then the suffix carried inline.
+    /// Reads a front-coded path — the inverse of [`put_front_coded`] —
+    /// into this reader's arena: the first `shared` bytes of `prev`,
+    /// then the suffix carried inline. The handle is readable once the
+    /// reader has dropped; until then it serves as the next `prev`.
+    ///
+    /// The arena is reserved on the first call, at the bytes then left
+    /// in the body — never at a length the body claims — and grows from
+    /// there within [`FRAME_PATH_BUDGET`].
     ///
     /// # Errors
     ///
-    /// A shared length `prev` cannot supply (any non-zero one when
-    /// `prev` is empty), a result longer than [`MAX_PATH_LEN`] or past
-    /// this reader's [`FRAME_PATH_BUDGET`], and assembled bytes that are
-    /// not UTF-8. The halves are not validated separately: a shared
-    /// prefix may legally end inside a multi-byte character.
-    pub fn front_coded(&mut self, prev: &[u8]) -> Result<String, BinDecodeError> {
+    /// A shared length `prev` cannot supply (any non-zero one when there
+    /// is no `prev`), a result longer than [`MAX_PATH_LEN`] or past this
+    /// reader's [`FRAME_PATH_BUDGET`], and assembled bytes that are not
+    /// UTF-8. The halves are not validated separately: a shared prefix
+    /// may legally end inside a multi-byte character.
+    pub fn front_coded(&mut self, prev: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
         let shared = self.length()?;
-        if shared > prev.len() {
+        let prev_len = prev.map_or(0, EventPath::len);
+        if shared > prev_len {
             return Err(BinDecodeError::msg(format!(
-                "shared prefix {shared} exceeds the predecessor's {} bytes",
-                prev.len()
+                "shared prefix {shared} exceeds the predecessor's {prev_len} bytes"
             )));
         }
         let suffix = self.bytes()?;
@@ -207,10 +225,11 @@ impl<'a> BinReader<'a> {
         self.path_budget = self.path_budget.checked_sub(len).ok_or_else(|| {
             BinDecodeError::msg(format!("frame assembles more than {FRAME_PATH_BUDGET} path bytes"))
         })?;
-        let mut assembled = Vec::with_capacity(len);
-        assembled.extend_from_slice(&prev[..shared]);
-        assembled.extend_from_slice(suffix);
-        String::from_utf8(assembled).map_err(BinDecodeError::msg)
+        let reserve = suffix.len() + self.buf.len();
+        self.paths
+            .get_or_insert_with(|| PathArenaBuilder::with_capacity(reserve))
+            .push_front_coded(prev, shared, suffix)
+            .map_err(BinDecodeError::msg)
     }
 }
 
@@ -425,6 +444,16 @@ mod tests {
         buf
     }
 
+    /// Decodes one front-coded path from `buf` against `prev`, sealing
+    /// the reader's arena so the result can be read.
+    fn read_front_coded(buf: &[u8], prev: &str) -> Result<EventPath, BinDecodeError> {
+        let prev = (!prev.is_empty()).then(|| EventPath::from(prev));
+        let mut r = BinReader::new(buf);
+        let path = r.front_coded(prev.as_ref())?;
+        assert!(r.is_empty());
+        Ok(path)
+    }
+
     #[test]
     fn front_coded_strings_share_their_prefix_with_the_predecessor() {
         assert_eq!(front_coded("/a/b/two", "/a/b/one"), [5, 3, b't', b'w', b'o']);
@@ -433,11 +462,30 @@ mod tests {
         assert_eq!(front_coded("", "/a"), [0, 0]);
         for (current, prev) in [("/a/b/two", "/a/b/one"), ("/a", "/a/b"), ("/a/b", "/a"), ("", "")]
         {
-            let buf = front_coded(current, prev);
-            let mut r = BinReader::new(&buf);
-            assert_eq!(r.front_coded(prev.as_bytes()).unwrap(), current);
-            assert!(r.is_empty());
+            let path = read_front_coded(&front_coded(current, prev), prev).unwrap();
+            assert_eq!(path.as_str(), current);
         }
+    }
+
+    /// A frame's paths share one arena, each coded against the one the
+    /// same reader produced before it; a body without a front-coded field
+    /// makes none.
+    #[test]
+    fn one_reader_assembles_into_one_arena() {
+        let mut buf = front_coded("/a/b/one", "");
+        buf.extend(front_coded("/a/b/two", "/a/b/one"));
+        buf.extend(front_coded("/a/c", "/a/b/two"));
+        let mut r = BinReader::new(&buf);
+        let one = r.front_coded(None).unwrap();
+        let two = r.front_coded(Some(&one)).unwrap();
+        let three = r.front_coded(Some(&two)).unwrap();
+        drop(r);
+        assert_eq!([one.as_str(), two.as_str(), three.as_str()], ["/a/b/one", "/a/b/two", "/a/c"]);
+        assert!(one.shares_arena(&two) && two.shares_arena(&three));
+
+        let mut r = BinReader::new(&[7, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!((r.u8().unwrap(), r.u64().unwrap()), (7, 0));
+        assert!(r.paths.is_none());
     }
 
     /// `é` and `è` share their first byte: the shared prefix ends inside
@@ -446,47 +494,50 @@ mod tests {
     fn a_shared_prefix_may_end_inside_a_character() {
         let buf = front_coded("/d/è", "/d/é");
         assert_eq!(buf[0], 4, "three ASCII bytes and the lead byte of the accent");
-        assert_eq!(BinReader::new(&buf).front_coded("/d/é".as_bytes()).unwrap(), "/d/è");
+        assert_eq!(read_front_coded(&buf, "/d/é").unwrap().as_str(), "/d/è");
         // The same bytes against a predecessor that supplies a different
         // lead byte do not assemble to UTF-8.
-        assert!(BinReader::new(&buf).front_coded(b"/d/x").is_err());
+        assert!(read_front_coded(&buf, "/d/x").is_err());
+        // Nor does a prefix cut on a boundary followed by half a character.
+        assert!(read_front_coded(&[3, 1, 0xa8], "/d/é").is_err());
     }
 
     #[test]
     fn hostile_front_coding_is_rejected() {
         // Shared length beyond the predecessor, or any at all on a first member.
-        assert!(BinReader::new(&[9, 0]).front_coded(b"/short").is_err());
-        assert!(BinReader::new(&[1, 0]).front_coded(b"").is_err());
+        assert!(read_front_coded(&[9, 0], "/short").is_err());
+        assert!(read_front_coded(&[1, 0], "").is_err());
         // Suffix length running past the buffer.
-        assert!(BinReader::new(&[0, 200, b'x']).front_coded(b"").is_err());
+        assert!(read_front_coded(&[0, 200, b'x'], "").is_err());
         // Non-UTF-8 suffix.
-        assert!(BinReader::new(&[0, 1, 0xff]).front_coded(b"").is_err());
+        assert!(read_front_coded(&[0, 1, 0xff], "").is_err());
         // One byte over the single-path cap, reached by sharing.
         let prev = "p".repeat(MAX_PATH_LEN);
         let mut buf = Vec::new();
         put_varint(&mut buf, MAX_PATH_LEN as u64);
         put_bytes(&mut buf, b"x");
-        assert!(BinReader::new(&buf).front_coded(prev.as_bytes()).is_err());
-        assert_eq!(
-            BinReader::new(&front_coded(&prev, &prev)).front_coded(prev.as_bytes()),
-            Ok(prev)
-        );
+        let err = read_front_coded(&buf, &prev).unwrap_err();
+        assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
+        assert_eq!(read_front_coded(&front_coded(&prev, &prev), &prev).unwrap().as_str(), prev);
     }
 
     /// Three-byte members naming a predecessor-length path: the reader
     /// stops assembling at its budget, whatever the count says.
     #[test]
     fn assembled_bytes_are_bounded_per_reader() {
-        let prev = "p".repeat(MAX_PATH_LEN);
-        let member = front_coded(&prev, &prev);
+        let path = "p".repeat(MAX_PATH_LEN);
+        let member = front_coded(&path, &path);
         let fits = FRAME_PATH_BUDGET / MAX_PATH_LEN;
         let body = member.repeat(fits + 1);
         let mut r = BinReader::new(&body);
+        let mut prev = EventPath::from(path);
         for _ in 0..fits {
-            assert_eq!(r.front_coded(prev.as_bytes()).unwrap().len(), MAX_PATH_LEN);
+            prev = r.front_coded(Some(&prev)).unwrap();
         }
-        let err = r.front_coded(prev.as_bytes()).unwrap_err();
+        let err = r.front_coded(Some(&prev)).unwrap_err();
         assert!(err.to_string().contains("path bytes"), "got: {err}");
+        drop(r);
+        assert_eq!(prev.as_str().len(), MAX_PATH_LEN);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! (path-resolved, consumer-friendly events, §4 step 2) which the
 //! Aggregator stores and publishes (§4 step 3).
 
-use crate::{Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
+use crate::{EventPath, Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::borrow::Cow;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// The Lustre ChangeLog record type.
 ///
@@ -284,9 +283,9 @@ pub struct FileEvent {
     /// Event time (virtual).
     pub time: SimTime,
     /// Absolute path of the affected object.
-    pub path: PathBuf,
+    pub path: EventPath,
     /// For renames: the absolute source path.
-    pub src_path: Option<PathBuf>,
+    pub src_path: Option<EventPath>,
     /// Target FID (kept for consumers that need stable identity).
     pub target: Fid,
     /// True when the event applies to a directory.
@@ -308,14 +307,18 @@ pub struct FileEvent {
 impl FileEvent {
     /// Builds the processed event for `record`, given the resolved
     /// absolute path of its target.
-    pub fn from_record(record: &RawChangelogRecord, mdt: MdtIndex, path: PathBuf) -> FileEvent {
+    pub fn from_record(
+        record: &RawChangelogRecord,
+        mdt: MdtIndex,
+        path: impl Into<EventPath>,
+    ) -> FileEvent {
         FileEvent {
             index: record.index,
             mdt,
             changelog_kind: record.kind,
             kind: record.kind.event_kind(),
             time: record.time,
-            path,
+            path: path.into(),
             src_path: None,
             target: record.target,
             is_dir: record.kind.is_directory_op(),
@@ -345,8 +348,8 @@ impl FileEvent {
     /// resource-accounting model (Table 3).
     pub fn footprint_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.path.as_os_str().len()
-            + self.src_path.as_ref().map_or(0, |p| p.as_os_str().len())
+            + self.path.len()
+            + self.src_path.as_ref().map_or(0, EventPath::len)
     }
 }
 
@@ -440,24 +443,6 @@ const FLAG_DERIVED_KIND: u8 = 1 << 5;
 /// Every assigned flags bit; a member carrying any other is refused.
 const FLAGS_KNOWN: u8 = (1 << 6) - 1;
 
-/// A path's bytes on the wire: UTF-8, lossily when the path is not —
-/// what the peer's decoder will hold, so what the next member's shared
-/// prefix is counted against.
-fn wire_bytes(path: &Path) -> Cow<'_, [u8]> {
-    let raw = path.as_os_str().as_encoded_bytes();
-    // An all-ASCII path is UTF-8 as it stands, and that is several
-    // times cheaper to establish than validity — which the encoder
-    // would otherwise check twice a member, for the path and for its
-    // predecessor's.
-    if raw.is_ascii() {
-        return Cow::Borrowed(raw);
-    }
-    match path.to_string_lossy() {
-        Cow::Borrowed(valid) => Cow::Borrowed(valid.as_bytes()),
-        Cow::Owned(lossy) => Cow::Owned(lossy.into_bytes()),
-    }
-}
-
 /// Binary layout, relative to the previous member `p` of the same frame
 /// (for a frame's first member: index 0, MDT 0, time 0, an empty path,
 /// the zero FID, stamp 0). Varints, zig-zag deltas and front-coded
@@ -482,9 +467,9 @@ fn wire_bytes(path: &Path) -> Cow<'_, [u8]> {
 /// trace            17 bytes (TraceContext), only when bit 2 is set
 /// ```
 ///
-/// Paths cross the wire as UTF-8, matching the JSON format (the vendored
-/// serde renders them through `Value::Str`): a path that is not UTF-8 is
-/// sent lossily rather than refused by the peer.
+/// Paths cross the wire as UTF-8, matching the JSON format: an
+/// [`EventPath`] is UTF-8 by construction, a path that is not having
+/// been converted lossily when the event was built.
 impl crate::bin::BinPayload for FileEvent {
     fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
         use crate::bin::{put_delta, put_front_coded, put_varint};
@@ -508,11 +493,10 @@ impl crate::bin::BinPayload for FileEvent {
             buf.push(self.kind.code());
         }
         put_delta(buf, self.time.as_nanos(), prev.map_or(0, |p| p.time.as_nanos()));
-        let path = wire_bytes(&self.path);
-        let prev_path = prev.map(|p| wire_bytes(&p.path)).unwrap_or_default();
-        put_front_coded(buf, &path, &prev_path);
+        let path = self.path.as_str().as_bytes();
+        put_front_coded(buf, path, prev.map_or(&[], |p| p.path.as_str().as_bytes()));
         if let Some(src) = &self.src_path {
-            put_front_coded(buf, &wire_bytes(src), &path);
+            put_front_coded(buf, src.as_str().as_bytes(), path);
         }
         let base = prev.map_or(Fid::ZERO, |p| p.target);
         put_delta(buf, self.target.seq, base.seq);
@@ -552,15 +536,9 @@ impl crate::bin::BinPayload for FileEvent {
                 .ok_or_else(|| BinDecodeError::msg(format!("invalid EventKind code {code}")))?
         };
         let time = SimTime::from_nanos(r.delta(prev.map_or(0, |p| p.time.as_nanos()))?);
-        // `prev` is a member this decoder produced, so its path was
-        // assembled from UTF-8 and its encoded bytes are its wire bytes.
-        let prev_path = prev.map_or(&[][..], |p| p.path.as_os_str().as_encoded_bytes());
-        let path = r.front_coded(prev_path)?;
-        let src_path = if flags & FLAG_SRC_PATH != 0 {
-            Some(PathBuf::from(r.front_coded(path.as_bytes())?))
-        } else {
-            None
-        };
+        let path = r.front_coded(prev.map(|p| &p.path))?;
+        let src_path =
+            if flags & FLAG_SRC_PATH != 0 { Some(r.front_coded(Some(&path))?) } else { None };
         let base = prev.map_or(Fid::ZERO, |p| p.target);
         let target = Fid {
             seq: r.delta(base.seq)?,
@@ -580,7 +558,7 @@ impl crate::bin::BinPayload for FileEvent {
             changelog_kind,
             kind,
             time,
-            path: PathBuf::from(path),
+            path,
             src_path,
             target,
             is_dir: flags & FLAG_IS_DIR != 0,
@@ -594,6 +572,7 @@ impl crate::bin::BinPayload for FileEvent {
 mod tests {
     use super::*;
     use crate::SimDuration;
+    use std::path::PathBuf;
 
     fn sample_record() -> RawChangelogRecord {
         RawChangelogRecord {
@@ -708,8 +687,11 @@ mod tests {
         let mut buf = Vec::new();
         ev.encode_bin(prev, &mut buf);
         let mut r = BinReader::new(&buf);
-        assert_eq!(&FileEvent::decode_bin(&mut r, prev).unwrap(), ev);
+        let got = FileEvent::decode_bin(&mut r, prev).unwrap();
         assert!(r.is_empty());
+        // The decoded paths are readable once their reader is gone.
+        drop(r);
+        assert_eq!(&got, ev);
         buf
     }
 
@@ -717,7 +699,7 @@ mod tests {
     fn binary_event_roundtrips_and_packs_denser_than_json() {
         let rec = sample_record();
         let mut ev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/b.txt"));
-        ev.src_path = Some(PathBuf::from("/a/old.txt"));
+        ev.src_path = Some("/a/old.txt".into());
         ev = ev.with_extracted_unix_ns(123_456).with_trace(TraceContext::sampled(0xabc, 7));
         let buf = recode(&ev, None);
         let json = serde_json::to_string(&ev).unwrap();
@@ -739,7 +721,7 @@ mod tests {
         let mut next = prev.clone();
         next.index += 1;
         next.time = SimTime::from_nanos(prev.time.as_nanos() + 5_000);
-        next.path = PathBuf::from("/a/dir/two.txt");
+        next.path = "/a/dir/two.txt".into();
         next.target.oid += 1;
         let buf = recode(&next, Some(&prev));
         // flags, index, changelog kind, time (2), shared, suffix length,
@@ -754,8 +736,8 @@ mod tests {
         other.mdt = MdtIndex::new(7);
         other.kind = EventKind::Other;
         other.time = SimTime::from_nanos(1);
-        other.path = PathBuf::from("/é");
-        other.src_path = Some(PathBuf::from("/è"));
+        other.path = "/é".into();
+        other.src_path = Some("/è".into());
         other.target = Fid::new(1, u32::MAX, 9);
         other.is_dir = true;
         other.extracted_unix_ns = None;
@@ -773,10 +755,10 @@ mod tests {
     fn a_non_utf8_path_travels_lossily_and_its_successor_still_decodes() {
         use crate::bin::{BinPayload, BinReader};
         use std::os::unix::ffi::OsStrExt;
-        let mut first = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/".into());
-        first.path = PathBuf::from(std::ffi::OsStr::from_bytes(b"/d/\xc3(/x"));
+        let mut first = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/");
+        first.path = PathBuf::from(std::ffi::OsStr::from_bytes(b"/d/\xc3(/x")).into();
         let mut second = first.clone();
-        second.path = PathBuf::from("/d/é/y");
+        second.path = "/d/é/y".into();
 
         let mut buf = Vec::new();
         first.encode_bin(None, &mut buf);
@@ -791,10 +773,49 @@ mod tests {
         assert_eq!(got_second.unwrap(), second);
     }
 
+    /// The lossy conversion happens once, where the event is built, and
+    /// the members are byte-for-byte what the commit before `EventPath`
+    /// — which converted at every encode — put on the wire (printed by
+    /// that commit's encoder for these two events).
+    #[cfg(unix)]
+    #[test]
+    fn a_non_utf8_path_buf_makes_the_frame_it_always_made() {
+        use crate::bin::BinPayload;
+        use std::os::unix::ffi::OsStrExt;
+        let raw = |bytes: &[u8]| PathBuf::from(std::ffi::OsStr::from_bytes(bytes));
+        let first = FileEvent {
+            index: 101,
+            mdt: MdtIndex::new(1),
+            changelog_kind: ChangelogKind::Create,
+            kind: EventKind::Created,
+            time: SimTime::from_nanos(1_000_000_007),
+            path: raw(b"/d/\xc3(/x").into(),
+            src_path: Some(raw(b"/d/\xff/x").into()),
+            target: Fid::new(0x2_0000_0402, 0xa001, 0),
+            is_dir: false,
+            extracted_unix_ns: Some(1_790_000_000_000_000_001),
+            trace: None,
+        };
+        let second = FileEvent { path: "/d/é/y".into(), src_path: None, ..first.clone() };
+        let mut buf = Vec::new();
+        first.encode_bin(None, &mut buf);
+        assert_eq!(
+            buf,
+            [
+                35, 202, 1, 1, 1, 142, 168, 214, 185, 7, 0, 9, 47, 100, 47, 239, 191, 189, 40, 47,
+                120, 6, 2, 47, 120, 132, 144, 128, 128, 64, 130, 128, 5, 0, 130, 128, 152, 191,
+                132, 225, 173, 215, 49
+            ]
+        );
+        buf.clear();
+        second.encode_bin(Some(&first), &mut buf);
+        assert_eq!(buf, [50, 0, 1, 0, 3, 4, 195, 169, 47, 121, 0, 0, 0, 0]);
+    }
+
     #[test]
     fn binary_event_rejects_invalid_codes_flags_and_deltas() {
         use crate::bin::{BinPayload, BinReader};
-        let mut ev = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/x".into());
+        let mut ev = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/x");
         ev.index = 1;
         ev.time = SimTime::from_nanos(1);
         let buf = recode(&ev, None);

@@ -15,6 +15,8 @@
 //!   paper shows it (FIDs, no paths).
 //! * [`FileEvent`] — the processed, path-resolved event that the monitor
 //!   publishes to subscribers such as Ripple agents.
+//! * [`EventPath`] — an event's path: a handle into the path bytes its
+//!   whole batch shares ([`PathArenaBuilder`] writes them).
 //! * newtype identifiers ([`MdtIndex`], [`AgentId`], [`RuleId`], ...) and
 //!   rate/size helpers ([`EventsPerSec`], [`ByteSize`]).
 //!
@@ -43,6 +45,7 @@ pub mod bin;
 mod event;
 mod fid;
 mod ids;
+mod path;
 mod rate;
 mod time;
 mod trace;
@@ -51,6 +54,7 @@ pub use bin::{BinDecodeError, BinPayload, BinReader};
 pub use event::{ChangelogKind, EventKind, FileEvent, RawChangelogRecord};
 pub use fid::{Fid, FidSequence, ParseFidError};
 pub use ids::{AgentId, CollectorId, ConsumerId, MdtIndex, OstIndex, RuleId, SubscriptionId};
+pub use path::{EventPath, PathArenaBuilder};
 pub use rate::{ByteSize, EventsPerSec};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCarrier, TraceContext};

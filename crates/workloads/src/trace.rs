@@ -72,7 +72,7 @@ impl TraceRecord {
             }
             EventKind::Moved | EventKind::Other => return None,
         };
-        Some(TraceRecord { time: event.time, op, path: event.path.clone() })
+        Some(TraceRecord { time: event.time, op, path: event.path.to_path_buf() })
     }
 }
 

@@ -76,10 +76,7 @@ fn main() {
     );
     assert_eq!(stats.lost, 0, "store retention covered the whole outage");
     assert!(stats.recovered >= 25, "outage events came from the historic API");
-    assert_eq!(
-        recovered.last().map(|e| e.path.clone()),
-        Some(std::path::PathBuf::from("/runs/after-reconnect.log"))
-    );
+    assert_eq!(recovered.last().map(|e| e.path.as_str()), Some("/runs/after-reconnect.log"));
 
     // The store can also be queried directly (the REST API stand-in).
     let store = cluster.store();

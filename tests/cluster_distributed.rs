@@ -46,7 +46,7 @@ fn query_store(addr: &str, min: usize, timeout: Duration) -> Vec<(u64, PathBuf)>
     loop {
         let events = remote.query(&StoreQuery::after_seq(0));
         if events.len() >= min || Instant::now() >= deadline {
-            return events.into_iter().map(|e| (e.seq, e.event.path)).collect();
+            return events.into_iter().map(|e| (e.seq, e.event.path.to_path_buf())).collect();
         }
         std::thread::sleep(Duration::from_millis(100));
     }
