@@ -20,10 +20,15 @@
 //!
 //! A second ladder measures the *deliver* direction — consumer
 //! scaling: 1→256 subscribers on one topic through the broker's
-//! encode-once fan-out (each run rendered once, the frozen bytes shared
-//! across legs), reported as absolute deliveries/s. The subscriber
-//! clients are deliberately drain-only raw sockets, so the measured
-//! cost is the broker's, not 256 deserializers fighting for the CPU.
+//! encode-once fan-out (each publish rendered once, the frozen bytes
+//! shared across legs), reported as absolute deliveries/s. The burst is
+//! published as the Aggregator publishes: 256-event `publish_batch`
+//! calls, each one frame. Rungs recorded before PR 21 published 6,000
+//! singles and relied on the dispatcher regrouping them into runs; that
+//! regrouping is gone, so those rungs are not comparable with these.
+//! The subscriber clients are deliberately drain-only raw sockets, so
+//! the measured cost is the broker's, not 256 deserializers fighting
+//! for the CPU.
 //!
 //! Emits `BENCH_a4_transports.json` (push arms) and
 //! `BENCH_a4_consumer_scaling.json` (fan-out ladder), and exits
@@ -54,6 +59,10 @@ const PRODUCERS: u64 = 4;
 /// Subscriber counts for the consumer-scaling (fan-out) ladder.
 const FANOUT_LADDER: [usize; 5] = [1, 4, 16, 64, 256];
 
+/// Events per `publish_batch` on the fan-out ladder: the Aggregator's
+/// ingest batch bound.
+const FANOUT_PUBLISH_BATCH: u64 = 256;
+
 /// The machine-readable result CI archives (`BENCH_a4_transports.json`).
 #[derive(Serialize)]
 struct A4Report {
@@ -81,6 +90,7 @@ struct A4FanoutReport {
     bench: &'static str,
     mode: &'static str,
     events: u64,
+    publish_batch: u64,
     topic_subscribers: Vec<u64>,
     encode_once_deliveries_per_sec: Vec<f64>,
 }
@@ -231,8 +241,9 @@ fn run_tcp_push_pull(events: u64, traced: bool) -> (f64, u64, u64) {
         .collect();
     let consumer = thread::spawn(move || {
         let mut received = 0u64;
-        while received < events && pull.recv().is_some() {
-            received += 1;
+        while received < events {
+            let Some(frame) = pull.recv() else { break };
+            received += frame.len() as u64;
         }
         received
     });
@@ -308,7 +319,8 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
 }
 
 /// One consumer-scaling run: `subs` drain-only subscribers on one
-/// topic, `events` `FileEvent`s published once through the broker.
+/// topic, `events` `FileEvent`s published once through the broker in
+/// [`FANOUT_PUBLISH_BATCH`]-event batches.
 /// Returns aggregate deliveries/s (`subs * events / wall`), timed from
 /// the first publish to the last subscriber swallowing the FIN
 /// sentinel. Sentinel receipt implies full delivery: every queue on
@@ -331,11 +343,11 @@ fn run_fanout(subs: usize, events: u64) -> f64 {
     }
 
     let start = Instant::now();
-    for i in 0..events {
-        publisher.publish("bench/e", event(i));
+    for base in (0..events).step_by(FANOUT_PUBLISH_BATCH as usize) {
+        let batch = (base..events.min(base + FANOUT_PUBLISH_BATCH)).map(event).collect();
+        publisher.publish_batch("bench/e", batch);
     }
-    // A distinct topic keeps the sentinel out of the burst's runs, so
-    // it stays a small singleton frame the scanners can spot.
+    // A single publish is its own small frame, which the scanners spot.
     publisher.publish("bench/fin", marker_event("/bench/FIN"));
     for consumer in consumers {
         consumer.join().expect("fan-out subscriber panicked");
@@ -483,6 +495,7 @@ fn main() {
         bench: "a4_consumer_scaling",
         mode: if smoke { "smoke" } else { "full" },
         events: fanout_events,
+        publish_batch: FANOUT_PUBLISH_BATCH,
         topic_subscribers: FANOUT_LADDER.iter().map(|&s| s as u64).collect(),
         encode_once_deliveries_per_sec: fanout_once,
     };

@@ -125,8 +125,9 @@ fn wire_rate() -> f64 {
         push.send(i);
     }
     let mut received = 0u64;
-    while received < N && pull.recv().is_some() {
-        received += 1;
+    while received < N {
+        let Some(frame) = pull.recv() else { break };
+        received += frame.len() as u64;
     }
     let rate = N as f64 / start.elapsed().as_secs_f64();
     assert_eq!(received, N, "the lossless wire may not drop events");

@@ -5,15 +5,20 @@
 //! it to both publish events to subscribed consumers and store the events
 //! in a local database with minimal overhead."
 //!
-//! The implementation uses two threads: an *ingest* thread that receives
-//! Collector events, assigns global sequence numbers, and inserts into
-//! the [`EventStore`]; and a *publish* thread that fans stored events out
-//! to subscribed consumers. Store-before-publish ordering guarantees that
+//! Here "multi-threaded … publish and store" is two threads: this
+//! module's *ingest* thread, which takes a batch of Collector events (a
+//! whole TCP frame, or whatever an in-process subscription has queued),
+//! assigns global sequence numbers, inserts the batch into the
+//! [`EventStore`] and then publishes it on the feed with one call; and,
+//! in a networked deployment, `sdci-net`'s fan-out dispatcher, which
+//! encodes each published batch once for the remote consumers.
+//! Store-before-publish is program order on the ingest thread, so
 //! anything a consumer has seen announced is retrievable from the
-//! historic API.
+//! historic API; the publish cannot stall ingest, because the feed
+//! broker sheds at a full queue rather than block.
 
 use crate::store::{EventBackend, EventStore, StoreError};
-use sdci_mq::pipe::{pipeline, Pull, Push};
+use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_types::{FileEvent, TraceCarrier, TraceContext};
@@ -177,7 +182,7 @@ pub struct AggregatorSnapshot {
     pub insert_errors: u64,
 }
 
-/// The running Aggregator: two threads plus shared store.
+/// The running Aggregator: the ingest thread plus the shared store.
 ///
 /// Generic over its [`EventBackend`], defaulting to the in-process
 /// segmented [`EventStore`]; `sdcimon` hands it a metered one
@@ -187,23 +192,33 @@ pub struct Aggregator<B: EventBackend + ?Sized = EventStore> {
     feed: Broker<FeedMessage>,
     stats: Arc<AggregatorStats>,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    ingest: Option<JoinHandle<()>>,
 }
 
 impl<B: EventBackend + ?Sized> fmt::Debug for Aggregator<B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Aggregator").field("threads", &self.threads.len()).finish()
+        f.debug_struct("Aggregator").finish_non_exhaustive()
     }
 }
 
+/// How long the ingest thread waits for work before it checks for
+/// shutdown and considers a heartbeat.
+const IDLE: Duration = Duration::from_millis(5);
+
+/// A feed that has published nothing — event or heartbeat — for this
+/// long emits a heartbeat, so an idle feed repeats it this often and a
+/// busy one does not interleave heartbeats with its event frames.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(20);
+
+/// Ingest stops coalescing queued work into one batch at this many
+/// events, so the store's write lock is taken once per burst but a
+/// backlog cannot grow one batch without bound.
+const MAX_INGEST_BATCH: usize = 256;
+
 impl Aggregator<EventStore> {
-    /// Starts the Aggregator over `events` (the Collector-side
+    /// Starts the Aggregator over `events` (an in-process Collector-side
     /// subscription), with a store retaining `store_capacity` events and
     /// a consumer feed with the given high-water mark.
-    ///
-    /// `events` is any [`Subscribe`] stream: an in-process broker
-    /// subscription, or (via `sdci-net`) a TCP PULL endpoint fed by
-    /// remote Collectors.
     pub fn start<S>(events: S, store_capacity: usize, feed_hwm: usize) -> Self
     where
         S: Subscribe<FileEvent>,
@@ -220,63 +235,90 @@ impl Aggregator<EventStore> {
     where
         S: Subscribe<FileEvent>,
     {
-        Aggregator::start_with_backend(events, Arc::new(store), feed_hwm)
+        // Whatever is queued when the thread looks is one batch; a
+        // trickling feed degenerates to one event per batch.
+        let recv = move |wait: Option<Duration>| {
+            let msg = match wait {
+                Some(timeout) => events.recv_timeout(timeout),
+                None => events.try_recv(),
+            };
+            msg.map(|m| [m.payload])
+        };
+        Aggregator::spawn(recv, Arc::new(store), feed_hwm)
     }
 }
 
 impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
-    /// Starts the Aggregator over any [`EventBackend`] — a bare store,
-    /// or one built by [`StoreStack`](crate::StoreStack). Sequence
-    /// numbering resumes after the backend's last event.
-    pub fn start_with_backend<S>(events: S, store: Arc<B>, feed_hwm: usize) -> Self
+    /// Starts the Aggregator over `frames` — the pull end of
+    /// `sdci-net`'s `TcpPullServer`, one `Vec` per accepted Collector
+    /// frame — and any [`EventBackend`]: a bare store, or one built by
+    /// [`StoreStack`](crate::StoreStack). Sequence numbering resumes
+    /// after the backend's last event. A frame stays whole: it is
+    /// sequenced, stored and published as one batch (joined by further
+    /// frames only when they are already queued behind it).
+    pub fn start_with_backend(
+        frames: Pull<Vec<FileEvent>>,
+        store: Arc<B>,
+        feed_hwm: usize,
+    ) -> Self {
+        let recv = move |wait: Option<Duration>| match wait {
+            Some(timeout) => frames.recv_timeout(timeout),
+            None => frames.try_recv(),
+        };
+        Aggregator::spawn(recv, store, feed_hwm)
+    }
+
+    /// Spawns the ingest thread over `recv`, which yields the next group
+    /// of events — waiting up to the given timeout, or not at all for
+    /// `None` — and `None` when nothing is queued.
+    fn spawn<I>(
+        mut recv: impl FnMut(Option<Duration>) -> Option<I> + Send + 'static,
+        store: Arc<B>,
+        feed_hwm: usize,
+    ) -> Self
     where
-        S: Subscribe<FileEvent>,
+        I: IntoIterator<Item = FileEvent>,
     {
-        let resume_seq = store.last_seq();
         let feed: Broker<FeedMessage> = Broker::new(feed_hwm);
         let stats = Arc::new(AggregatorStats::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let last_seq = Arc::new(AtomicU64::new(0));
-        // The internal store->publish hand-off is sized independently of
-        // the consumer HWM: stalling it would back-pressure ingest and
-        // lose events *before* the store.
-        let (to_publish, publish_queue): (Push<SequencedEvent>, Pull<SequencedEvent>) =
-            pipeline(feed_hwm.max(65_536));
 
-        // Ingest thread: receive -> sequence -> store -> hand off. Under
-        // load the queue is drained into a single `insert_batch` call so
-        // the store's write lock is taken once per burst, not once per
-        // event; when the feed is trickling the batch degenerates to one
-        // event and behaves exactly like the per-event path.
+        // Ingest thread: receive -> sequence -> store -> publish, one
+        // batch at a time, with idle heartbeats so consumers that shed
+        // the tail of a burst learn how far behind they are.
         let ingest = {
             let store = Arc::clone(&store);
+            let publisher = feed.publisher();
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
-            let last_seq = Arc::clone(&last_seq);
             std::thread::spawn(move || {
-                const MAX_INGEST_BATCH: usize = 256;
-                let mut seq = resume_seq;
-                'ingest: loop {
-                    let first = match events.recv_timeout(Duration::from_millis(5)) {
-                        Some(msg) => msg,
-                        None => {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            continue;
+                let mut seq = store.last_seq();
+                // The highest sequence number this run has published;
+                // nothing is announced before the first event.
+                let mut announced = 0u64;
+                let mut last_publish = std::time::Instant::now();
+                loop {
+                    let Some(first) = recv(Some(IDLE)) else {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
                         }
+                        if announced > 0 && last_publish.elapsed() >= HEARTBEAT_EVERY {
+                            publisher.publish(
+                                "feed/all",
+                                FeedMessage::Heartbeat { last_seq: announced },
+                            );
+                            last_publish = std::time::Instant::now();
+                        }
+                        continue;
                     };
-                    let mut batch = Vec::with_capacity(16);
-                    seq += 1;
-                    batch.push(SequencedEvent { seq, event: first.payload });
-                    while batch.len() < MAX_INGEST_BATCH {
-                        match events.try_recv() {
-                            Some(msg) => {
-                                seq += 1;
-                                batch.push(SequencedEvent { seq, event: msg.payload });
-                            }
-                            None => break,
-                        }
+                    let mut batch: Vec<SequencedEvent> = Vec::new();
+                    let mut next = Some(first);
+                    while let Some(group) = next {
+                        batch.extend(group.into_iter().map(|event| {
+                            seq += 1;
+                            SequencedEvent { seq, event }
+                        }));
+                        next = if batch.len() < MAX_INGEST_BATCH { recv(None) } else { None };
                     }
                     let n = batch.len() as u64;
                     stats.received.fetch_add(n, Ordering::Relaxed);
@@ -320,7 +362,7 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                         sdci_obs::static_metric!(counter, "sdci_aggregator_insert_errors_total")
                             .inc();
                         stop.store(true, Ordering::Relaxed);
-                        break 'ingest;
+                        break;
                     }
                     stats.stored.fetch_add(n, Ordering::Relaxed);
                     sdci_obs::static_metric!(counter, "sdci_aggregator_stored_total").add(n);
@@ -334,57 +376,20 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                     for extracted in batch.iter().filter_map(|s| s.event.extracted_unix_ns) {
                         lag.observe_ns(now.saturating_sub(extracted));
                     }
-                    last_seq.store(seq, Ordering::Relaxed);
                     drop(ingest_span);
-                    for sev in batch {
-                        if !to_publish.send(sev) {
-                            break 'ingest; // publisher gone
-                        }
-                    }
+                    publisher.publish_batch(
+                        "feed/all",
+                        batch.into_iter().map(FeedMessage::Event).collect(),
+                    );
+                    announced = seq;
+                    last_publish = std::time::Instant::now();
+                    stats.published.fetch_add(n, Ordering::Relaxed);
+                    sdci_obs::static_metric!(counter, "sdci_aggregator_published_total").add(n);
                 }
             })
         };
 
-        // Publish thread: fan out to consumers, with idle heartbeats so
-        // consumers that shed the tail of a burst learn how far behind
-        // they are.
-        let publish = {
-            let feed = feed.clone();
-            let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            let last_seq = Arc::clone(&last_seq);
-            std::thread::spawn(move || {
-                let publisher = feed.publisher();
-                let mut last_heartbeat = std::time::Instant::now();
-                loop {
-                    match publish_queue.recv_timeout(Duration::from_millis(5)) {
-                        Some(sev) => {
-                            publisher.publish("feed/all", FeedMessage::Event(sev));
-                            stats.published.fetch_add(1, Ordering::Relaxed);
-                            sdci_obs::static_metric!(counter, "sdci_aggregator_published_total")
-                                .inc();
-                        }
-                        None => {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            if last_heartbeat.elapsed() >= Duration::from_millis(20) {
-                                let seq = last_seq.load(Ordering::Relaxed);
-                                if seq > 0 {
-                                    publisher.publish(
-                                        "feed/all",
-                                        FeedMessage::Heartbeat { last_seq: seq },
-                                    );
-                                }
-                                last_heartbeat = std::time::Instant::now();
-                            }
-                        }
-                    }
-                }
-            })
-        };
-
-        Aggregator { store, feed, stats, stop, threads: vec![ingest, publish] }
+        Aggregator { store, feed, stats, stop, ingest: Some(ingest) }
     }
 
     /// The consumer-facing feed broker; subscribe with topic prefix
@@ -432,11 +437,11 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
         });
     }
 
-    /// Signals the threads to stop once their queues drain and joins
-    /// them.
+    /// Signals the ingest thread to stop once its queue drains and
+    /// joins it.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.ingest.take() {
             let _ = t.join();
         }
     }
@@ -571,6 +576,30 @@ mod tests {
         let snap = agg.snapshot();
         assert_eq!(snap.stored, 1, "rejected batch must not count as stored");
         assert_eq!(snap.received, 2, "the offending event was still received");
+        agg.shutdown();
+    }
+
+    #[test]
+    fn idle_feed_heartbeats_last_seq() {
+        let broker: Broker<FileEvent> = Broker::new(1024);
+        let agg = Aggregator::start(broker.subscribe(&["events/"]), 1000, 1024);
+        let consumer = agg.feed().subscribe(&["feed/"]);
+        // Nothing is announced before the first event, however long the
+        // feed idles.
+        assert!(consumer.recv_timeout(Duration::from_millis(60)).is_none());
+        let p = broker.publisher();
+        for i in 1..=50 {
+            p.publish("events/mdt0", event(i));
+        }
+        for seq in 1..=50 {
+            let msg = consumer.recv_timeout(Duration::from_secs(5)).expect("feed stalled");
+            assert_eq!(msg.payload, FeedMessage::Event(SequencedEvent { seq, event: event(seq) }));
+        }
+        // Silence: the heartbeat arrives within 100 ms, and repeats.
+        for _ in 0..3 {
+            let beat = consumer.recv_timeout(Duration::from_millis(100)).expect("no heartbeat");
+            assert_eq!(beat.payload, FeedMessage::Heartbeat { last_seq: 50 });
+        }
         agg.shutdown();
     }
 

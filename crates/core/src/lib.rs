@@ -21,9 +21,9 @@
 //!    bottleneck (§5.2); the [`PathCache`] and batching implement the
 //!    paper's proposed remediation.
 //! 3. **Aggregation** — events flow over a pub-sub fabric to the
-//!    [`Aggregator`], which is multi-threaded: it both publishes events
-//!    to subscribed consumers and stores them in a rotating local
-//!    [`EventStore`] whose query API gives consumers fault tolerance
+//!    [`Aggregator`], which stores each batch in a rotating local
+//!    [`EventStore`] and then publishes it to subscribed consumers; the
+//!    store's query API gives consumers fault tolerance
 //!    ([`EventConsumer`] uses it to backfill gaps).
 //!
 //! Collectors also purge their ChangeLogs as records are consumed, so the

@@ -11,14 +11,8 @@
 //!   to (a broker [`Publisher`], or `sdci-net`'s `TcpPush` and
 //!   `ShardRouter`).
 //! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
-//!   broker [`Subscriber`], [`PullSubscriber`], or `sdci-net`'s
-//!   `TcpSubscriber`).
-//!
-//! [`PullSubscriber`] adapts a PUSH/PULL [`Pull`] endpoint (lossless,
-//! blocking) into a [`Subscribe`] stream so an Aggregator can ingest
-//! from either fabric.
+//!   broker [`Subscriber`], or `sdci-net`'s `TcpSubscriber`).
 
-use crate::pipe::Pull;
 use crate::pubsub::{Message, Publisher, Subscriber};
 use std::time::Duration;
 
@@ -79,47 +73,9 @@ impl<T: Send + 'static> Subscribe<T> for Subscriber<T> {
     }
 }
 
-/// Adapts the lossless PUSH/PULL [`Pull`] endpoint into a [`Subscribe`]
-/// stream by stamping every item with a fixed topic.
-///
-/// This is how a distributed Aggregator ingests Collector events that
-/// arrived over `sdci-net`'s acknowledged PUSH/PULL pipe (which carries
-/// no topics — the lossless leg doesn't filter).
-#[derive(Debug, Clone)]
-pub struct PullSubscriber<T> {
-    pull: Pull<T>,
-    topic: String,
-}
-
-impl<T: Send + 'static> PullSubscriber<T> {
-    /// Wraps `pull`, labelling every received item with `topic`.
-    pub fn new(pull: Pull<T>, topic: impl Into<String>) -> Self {
-        PullSubscriber { pull, topic: topic.into() }
-    }
-
-    fn message(&self, payload: T) -> Message<T> {
-        Message { topic: self.topic.clone(), payload }
-    }
-}
-
-impl<T: Send + 'static> Subscribe<T> for PullSubscriber<T> {
-    fn recv(&self) -> Option<Message<T>> {
-        self.pull.recv().map(|p| self.message(p))
-    }
-
-    fn try_recv(&self) -> Option<Message<T>> {
-        self.pull.try_recv().map(|p| self.message(p))
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>> {
-        self.pull.recv_timeout(timeout).map(|p| self.message(p))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipe::pipeline;
     use crate::pubsub::Broker;
 
     fn publish_via<P: Publish<u32>>(p: &P) {
@@ -137,18 +93,5 @@ mod tests {
         let publisher = broker.publisher();
         publish_via(&publisher);
         assert_eq!(drain_via(&sub), vec![7]);
-    }
-
-    #[test]
-    fn pull_subscriber_labels_topic() {
-        let (push, pull) = pipeline::<u32>(8);
-        let sub = PullSubscriber::new(pull, "events/remote");
-        push.send(1);
-        push.send(2);
-        let first = sub.recv().unwrap();
-        assert_eq!(first.topic, "events/remote");
-        assert_eq!(first.payload, 1);
-        assert_eq!(sub.recv_timeout(Duration::from_millis(10)).unwrap().payload, 2);
-        assert!(sub.try_recv().is_none());
     }
 }

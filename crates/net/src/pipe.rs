@@ -8,9 +8,10 @@
 //!   server's high-water mark for its identity at the first handshake,
 //!   so a restarted pusher resumes the numbering of its previous
 //!   incarnation instead of colliding with it;
-//! * the [`TcpPullServer`] acknowledges each item only after handing it
-//!   to the local (blocking, bounded) pipeline, and remembers the
-//!   highest sequence accepted per client;
+//! * the [`TcpPullServer`] hands each frame's items to the local
+//!   (blocking, bounded) pipeline as one batch, acknowledges them only
+//!   after that, and remembers the highest sequence accepted per
+//!   client;
 //! * after a reconnect the client re-sends everything unacknowledged
 //!   and the server discards duplicates by sequence number.
 //!
@@ -21,7 +22,8 @@
 //!
 //! # Durability is the deployment's job
 //!
-//! An `Ack` means "handed to the server's in-memory pipeline", not
+//! An `Ack` means "queued, frame-whole, for the embedding process's
+//! consumer" (for `sdcimon`, the Aggregator's ingest thread), not
 //! "durably stored". A server process that crashes can therefore lose
 //! items it acknowledged but had not yet persisted; how large that
 //! window is depends on how often the embedding process checkpoints
@@ -48,7 +50,8 @@ use std::time::{Duration, Instant};
 pub struct PullServerStats {
     /// Connections accepted.
     pub accepted: u64,
-    /// Items handed to the local pipeline.
+    /// Items handed to the local pipeline (a frame's fresh items go in
+    /// as one batch; this counts the items).
     pub items: u64,
     /// Re-sent items discarded as duplicates.
     pub duplicates: u64,
@@ -80,12 +83,14 @@ type SeenMarks = parking_lot::Mutex<HashMap<String, Arc<parking_lot::Mutex<u64>>
 /// The PULL side: the [`Handler`] for [`Service::Push`]. Funnels the
 /// items of every [`TcpPush`] client an [`Endpoint`](crate::Endpoint)
 /// hands it, deduplicated and in per-client order, into a local bounded
-/// pipeline consumed via [`TcpPullServer::pull`].
+/// pipeline consumed via [`TcpPullServer::pull`]. The pipeline's unit is
+/// the frame: each accepted `ItemBatch` arrives as one `Vec` of its
+/// fresh items.
 pub struct TcpPullServer<T> {
-    pull: Pull<T>,
+    pull: Pull<Vec<T>>,
     /// `None` once the endpoint has drained: pullers then observe
     /// end-of-stream after the last connection exits.
-    push: parking_lot::Mutex<Option<Push<T>>>,
+    push: parking_lot::Mutex<Option<Push<Vec<T>>>>,
     counters: ServerCounters,
     seen: SeenMarks,
 }
@@ -100,7 +105,7 @@ impl<T> TcpPullServer<T>
 where
     T: Send + BinPayload + 'static,
 {
-    /// A pull server whose local pipeline holds `capacity` items; when
+    /// A pull server whose local pipeline holds `capacity` frames; when
     /// the puller falls that far behind, incoming connections block
     /// (backpressure) rather than shed.
     pub fn new(capacity: usize) -> Arc<Self> {
@@ -113,7 +118,7 @@ where
     /// that after a restart, items a reconnecting client re-sends are
     /// discarded when the restored state already holds them.
     pub fn with_marks(capacity: usize, marks: HashMap<String, u64>) -> Arc<Self> {
-        let (push, pull) = pipeline::<T>(capacity);
+        let (push, pull) = pipeline::<Vec<T>>(capacity);
         let seen =
             marks.into_iter().map(|(c, m)| (c, Arc::new(parking_lot::Mutex::new(m)))).collect();
         Arc::new(TcpPullServer {
@@ -124,9 +129,10 @@ where
         })
     }
 
-    /// The local consuming end. `Pull::recv` returns `None` once the
-    /// endpoint has shut down and every connection has drained.
-    pub fn pull(&self) -> Pull<T> {
+    /// The local consuming end: one non-empty `Vec` per accepted frame.
+    /// `Pull::recv` returns `None` once the endpoint has shut down and
+    /// every connection has drained.
+    pub fn pull(&self) -> Pull<Vec<T>> {
         self.pull.clone()
     }
 
@@ -181,7 +187,7 @@ where
 
 fn serve_pusher<T>(
     conn: Conn,
-    push: Push<T>,
+    push: Push<Vec<T>>,
     client: String,
     resume_after: u64,
     seen: &SeenMarks,
@@ -224,7 +230,7 @@ fn serve_pusher<T>(
     // shutdown. Unacked in-flight items are re-sent to the next server.
     while !stop.load(Ordering::Relaxed) {
         match reader.read_msg::<Frame<T>>() {
-            Ok(Frame::ItemBatch { first_seq, payloads, trace }) => {
+            Ok(Frame::ItemBatch { first_seq, mut payloads, trace }) => {
                 last_traffic = Instant::now();
                 counters.batches.fetch_add(1, Ordering::Relaxed);
                 sdci_obs::static_metric!(counter, "sdci_net_pull_batches_total").inc();
@@ -238,10 +244,10 @@ fn serve_pusher<T>(
                 if let Some(span) = recv_span.as_mut() {
                     span.set_detail(format!("{} items", payloads.len()));
                 }
-                // The mark's mutex is held across every member's
+                // The mark's mutex is held across the frame's
                 // check-push-update, so the dedup decision and the
                 // pipeline hand-off are one atomic step per client; the
-                // whole run gets one `Ack`.
+                // whole frame gets one `Ack`.
                 let outcome = {
                     let mut m = mark.lock();
                     // A client sends densely from its last ack, and
@@ -256,25 +262,20 @@ fn serve_pusher<T>(
                     if first_seq > *m + 1 {
                         Err(*m + 1)
                     } else {
-                        let mut fresh = 0u64;
-                        let mut dups = 0u64;
-                        for (i, payload) in payloads.into_iter().enumerate() {
-                            let seq = first_seq + i as u64;
-                            if seq > *m {
-                                // Ack only after the pipeline takes it:
-                                // an ack means "processed", so a crash
-                                // before this point makes the client
-                                // re-send, never lose.
-                                if !push.send(payload) {
-                                    return;
-                                }
-                                *m = seq;
-                                fresh += 1;
-                            } else {
-                                // A re-sent batch may be only partially
-                                // stale: accept the tail, drop the prefix.
-                                dups += 1;
+                        // A re-sent batch may be only partially
+                        // stale: accept the tail, drop the prefix.
+                        let dups = (*m + 1 - first_seq).min(payloads.len() as u64);
+                        payloads.drain(..dups as usize);
+                        let fresh = payloads.len() as u64;
+                        // Ack only after the pipeline takes the frame:
+                        // an ack means "processed", so a crash before
+                        // this point makes the client re-send, never
+                        // lose.
+                        if fresh > 0 {
+                            if !push.send(payloads) {
+                                return;
                             }
+                            *m += fresh;
                         }
                         counters.items.fetch_add(fresh, Ordering::Relaxed);
                         sdci_obs::static_metric!(counter, "sdci_net_pull_items_total").add(fresh);

@@ -7,11 +7,12 @@
 //! broker writes its feed, through [`TcpBroker::publisher`]; a remote
 //! peer can read the feed, never inject into it.
 //!
-//! Delivery is **encode-once**: a single dispatcher
-//! thread per broker drains one relay subscription, renders each
-//! same-topic run once into frozen frame bytes (`Arc<[u8]>`), and
-//! hands the same buffer to every matching subscriber leg. N
-//! subscribers cost one encode, not N.
+//! Delivery is **encode-once**: a single dispatcher thread per broker
+//! drains one [`Tap`] of the local broker, renders each publish — a
+//! whole batch, or a lone message — once into frozen frame bytes
+//! (`Arc<[u8]>`), and hands the same buffer to every matching
+//! subscriber leg. N subscribers cost one encode, not N, and a batch
+//! published whole leaves as one frame.
 //!
 //! Semantics match `sdci_mq::pubsub`: best-effort delivery with a
 //! per-subscriber high-water mark. Backpressure from a slow socket
@@ -29,10 +30,9 @@ use crate::faulted::spawn_worker;
 use crate::wire::{
     timed_out, write_deliver_batch_bin, write_msg, BinEncoder, Frame, Service, BIN_FRAME_BIT,
 };
-use sdci_mq::pubsub::{Broker, Message};
+use sdci_mq::pubsub::{Broker, Message, Tap};
 use sdci_mq::transport::Subscribe;
 use sdci_types::BinPayload;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,7 +69,7 @@ pub struct TcpBroker<T> {
     fanout: Arc<FanoutHub>,
 }
 
-/// One encoded run, frozen for fan-out: the frame bytes are rendered
+/// One encoded publish, frozen for fan-out: the frame bytes are rendered
 /// once and shared by reference across every matching subscriber leg.
 #[derive(Clone)]
 struct DeliverChunk {
@@ -234,10 +234,10 @@ fn serve_subscriber<T>(
     }
 }
 
-/// Spawns the fan-out dispatcher on first use. The relay subscription
-/// is created here, synchronously, so a message published right after
-/// the first subscriber's hello is already queued by the time the
-/// dispatcher thread starts. Returns `false` when the spawn fails (an
+/// Spawns the fan-out dispatcher on first use. The tap is registered
+/// here, synchronously, so a message published right after the first
+/// subscriber's hello is already queued by the time the dispatcher
+/// thread starts. Returns `false` when the spawn fails (an
 /// armed fail point or a real EAGAIN).
 fn ensure_dispatcher<T>(
     hub: &Arc<FanoutHub>,
@@ -252,14 +252,14 @@ where
     if slot.is_some() {
         return true;
     }
-    // The relay tap is deeper than an ordinary subscription: bursts
-    // shed at each leg's own bounded queue, not at this shared feed.
-    let sub = local.subscribe_with_hwm(&[""], cfg.hwm.max(1));
-    let cfg = cfg.clone();
+    // As deep in publishes as each leg's queue is in chunks, so a burst
+    // sheds at a slow leg's own mark before it sheds here for everyone.
+    let tap = local.tap(cfg.hwm);
+    let heartbeat = cfg.heartbeat;
     let stop = Arc::clone(stop);
     let hub = Arc::clone(hub);
     match spawn_worker("sdci-net-fanout".into(), "net.pubsub.spawn_fanout", move || {
-        fanout_dispatcher(sub, cfg, stop, hub)
+        fanout_dispatcher(tap, heartbeat, stop, hub)
     }) {
         Ok(handle) => {
             *slot = Some(handle);
@@ -273,66 +273,49 @@ where
     }
 }
 
-/// The per-broker fan-out dispatcher: drains the relay subscription,
-/// coalesces whatever is queued into maximal same-topic runs, and
-/// encodes each run once for all matching legs. On
-/// shutdown it flushes everything already queued into the legs, then
-/// drops their senders, releasing each leg to drain and `Fin`.
+/// The per-broker fan-out dispatcher: takes one publish at a time off
+/// the tap and encodes it once for all matching legs. What the tap shed
+/// while this thread was behind is lost to *every* remote subscriber,
+/// so it is counted where their per-leg sheds are. On shutdown it
+/// flushes everything already queued into the legs, then drops their
+/// senders, releasing each leg to drain and `Fin`.
 fn fanout_dispatcher<T>(
-    sub: sdci_mq::pubsub::Subscriber<T>,
-    cfg: NetConfig,
+    tap: Tap<T>,
+    heartbeat: Duration,
     stop: Arc<AtomicBool>,
     hub: Arc<FanoutHub>,
 ) where
-    T: Send + BinPayload + 'static,
+    T: BinPayload,
 {
     let mut enc = BinEncoder::new();
-    let mut batch: VecDeque<Message<T>> = VecDeque::new();
+    let mut shed_seen = 0;
     loop {
+        // Read before the receive: on the final pass every queued
+        // publish must still go out after `stop` was seen.
         let draining = stop.load(Ordering::Relaxed);
-        if draining {
-            // Graceful drain: everything already queued still goes out.
-            while let Some(msg) = sub.try_recv() {
-                batch.push_back(msg);
-            }
-        } else {
-            match sub.recv_timeout(cfg.heartbeat) {
-                Some(msg) => {
-                    batch.push_back(msg);
-                    while batch.len() < cfg.max_batch.max(1) {
-                        match sub.try_recv() {
-                            Some(m) => batch.push_back(m),
-                            None => break,
-                        }
-                    }
-                }
-                None => continue,
-            }
-        }
-        while let Some(Message { topic, payload }) = batch.pop_front() {
-            let mut run: Vec<T> = vec![payload];
-            while batch.front().is_some_and(|m| m.topic == topic) {
-                run.push(batch.pop_front().expect("peeked front").payload);
-            }
-            fan_out_run(&mut enc, &topic, &run, &hub);
-        }
-        if draining {
-            break;
+        let next = if draining { tap.try_recv() } else { tap.recv_timeout(heartbeat) };
+        let shed = tap.shed();
+        sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total").add(shed - shed_seen);
+        shed_seen = shed;
+        match next {
+            Some(batch) => fan_out_batch(&mut enc, &batch.topic, &batch.payloads, &hub),
+            None if draining => break,
+            None => {}
         }
     }
     hub.legs.lock().clear();
 }
 
-/// Encodes one same-topic run — once, on the first matching leg — and
-/// feeds the frozen bytes to every matching leg.
-fn fan_out_run<T: BinPayload>(enc: &mut BinEncoder, topic: &str, run: &[T], hub: &FanoutHub) {
+/// Encodes one publish — once, on the first matching leg — and feeds
+/// the frozen bytes to every matching leg.
+fn fan_out_batch<T: BinPayload>(enc: &mut BinEncoder, topic: &str, batch: &[T], hub: &FanoutHub) {
     let mut shared: Option<DeliverChunk> = None;
     hub.legs.lock().retain(|leg| {
         if !leg.matches(topic) {
             return true;
         }
         if shared.is_none() {
-            shared = encode_run(enc, topic, run).ok();
+            shared = encode_batch(enc, topic, batch).ok();
         }
         let Some(chunk) = shared.clone() else { return true };
         match leg.tx.try_send(chunk) {
@@ -348,15 +331,16 @@ fn fan_out_run<T: BinPayload>(enc: &mut BinEncoder, topic: &str, run: &[T], hub:
     });
 }
 
-/// Renders one run as `DeliverBatch` frames into a frozen chunk.
-fn encode_run<T: BinPayload>(
+/// Renders one publish as `DeliverBatch` frames — one, unless the
+/// writer's own member or byte cap splits it — into a frozen chunk.
+fn encode_batch<T: BinPayload>(
     enc: &mut BinEncoder,
     topic: &str,
-    run: &[T],
+    batch: &[T],
 ) -> std::io::Result<DeliverChunk> {
     let mut buf = Vec::new();
-    let frames = write_deliver_batch_bin(&mut buf, enc, topic, run, None)?;
-    Ok(DeliverChunk { bytes: buf.into(), frames: frames as u64, msgs: run.len() as u64 })
+    let frames = write_deliver_batch_bin(&mut buf, enc, topic, batch, None)?;
+    Ok(DeliverChunk { bytes: buf.into(), frames: frames as u64, msgs: batch.len() as u64 })
 }
 
 /// Writes one fan-out chunk, re-splitting the concatenated frames so

@@ -47,11 +47,11 @@ fn sev(seq: u64, path: &str) -> SequencedEvent {
 
 /// Drains `pull` until `n` items arrived or it goes quiet, returning
 /// the received paths in arrival order.
-fn collect_paths(pull: &sdci_mq::pipe::Pull<FileEvent>, n: usize) -> Vec<PathBuf> {
+fn collect_paths(pull: &sdci_mq::pipe::Pull<Vec<FileEvent>>, n: usize) -> Vec<PathBuf> {
     let mut got = Vec::new();
     while got.len() < n {
         match pull.recv_timeout(Duration::from_secs(2)) {
-            Some(ev) => got.push(ev.path.to_path_buf()),
+            Some(frame) => got.extend(frame.iter().map(|ev| ev.path.to_path_buf())),
             None => break,
         }
     }

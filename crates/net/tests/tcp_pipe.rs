@@ -32,9 +32,9 @@ where
 {
     let pull = server.pull();
     let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(2)) {
-        got.push(item);
-        if got.len() == n {
+    while let Some(frame) = pull.recv_timeout(Duration::from_secs(2)) {
+        got.extend(frame);
+        if got.len() >= n {
             break;
         }
     }
@@ -196,7 +196,7 @@ fn marks_restored_at_bind_deduplicate_resends() {
 
     assert_eq!(server.stats().duplicates, 1);
     assert_eq!(server.stats().items, 1);
-    assert_eq!(server.pull().recv_timeout(Duration::from_secs(2)), Some(51));
+    assert_eq!(server.pull().recv_timeout(Duration::from_secs(2)), Some(vec![51]));
     assert_eq!(server.marks().get("c"), Some(&51));
 
     // A client claiming acks beyond our mark is authoritative: it will
@@ -282,12 +282,13 @@ fn two_pushers_multiplex_without_crosstalk() {
     let pull = server.pull();
     let mut evens = Vec::new();
     let mut odds = Vec::new();
-    for _ in 0..2 * N {
-        let item = pull.recv_timeout(Duration::from_secs(2)).expect("missing item");
-        if item.is_multiple_of(2) {
-            evens.push(item)
-        } else {
-            odds.push(item)
+    while evens.len() + odds.len() < 2 * N as usize {
+        for item in pull.recv_timeout(Duration::from_secs(2)).expect("missing item") {
+            if item.is_multiple_of(2) {
+                evens.push(item)
+            } else {
+                odds.push(item)
+            }
         }
     }
     // Interleaving across clients is arbitrary; per-client order is not.
@@ -397,8 +398,8 @@ fn dropped_frames_recover_via_fast_rewind() {
 
     let pull = server.pull();
     let mut got = Vec::new();
-    while let Some(item) = pull.recv_timeout(Duration::from_secs(5)) {
-        got.push(item);
+    while let Some(frame) = pull.recv_timeout(Duration::from_secs(5)) {
+        got.extend(frame);
         if got.len() == N as usize {
             break;
         }

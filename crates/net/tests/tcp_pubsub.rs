@@ -111,12 +111,13 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
     endpoint.shutdown();
 }
 
-/// The fan-out direction end to end: a burst published through the
-/// broker is delivered losslessly and in order, each payload's embedded
-/// trace context intact, coalesced into `DeliverBatch` frames —
-/// strictly fewer frames than messages.
+/// The fan-out direction end to end: a publish is a frame. One
+/// `publish_batch` of 200 leaves as one `DeliverBatch`, 200 single
+/// `publish` calls as 200 one-member frames — nothing regroups them —
+/// and either way every payload arrives in order with its embedded
+/// trace context intact.
 #[test]
-fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
+fn a_publish_is_a_frame_delivered_in_order_with_context() {
     use sdci_types::{
         ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
     };
@@ -144,7 +145,7 @@ fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
     let publisher = broker.publisher();
 
     // Probe until the leg demonstrably delivers, then quiesce so the
-    // frame counter baseline below excludes the probes.
+    // frame counter baselines below exclude the probes.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         publisher.publish("t/probe", traced_event(PROBE));
@@ -154,30 +155,80 @@ fn burst_is_delivered_in_order_with_context_in_fewer_frames_than_messages() {
         assert!(Instant::now() < deadline, "loopback never became ready");
     }
     while subscriber.recv_timeout(Duration::from_millis(100)).is_some() {}
-    let frames_before = broker.stats().frames_out;
 
     const N: u64 = 200;
-    for i in 0..N {
-        publisher.publish("t/e", traced_event(i));
-    }
-    let mut got = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while got.len() < N as usize && Instant::now() < deadline {
-        if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(100)) {
-            if msg.payload.index != PROBE {
+    let expect_n_in_order = |what: &str| {
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < N as usize && Instant::now() < deadline {
+            if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(100)) {
                 got.push(msg.payload);
             }
         }
+        assert_eq!(got.len(), N as usize, "{what}: lost deliveries");
+        for (i, ev) in got.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(ev.index, i, "{what}: deliveries reordered");
+            assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "{what}: payload corrupted");
+            let ctx = ev.trace_context().expect("payload-embedded context dropped");
+            assert_eq!(ctx.parent_span_id, i + 1, "{what}: context corrupted");
+        }
+    };
+
+    // A leg counts a frame just after writing it, so the count may
+    // trail the delivery by a moment — but must settle at `want`.
+    let frames_since = |before: u64, want: u64| {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while broker.stats().frames_out - before < want && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        broker.stats().frames_out - before
+    };
+
+    let frames_before = broker.stats().frames_out;
+    publisher.publish_batch("t/e", (0..N).map(traced_event).collect());
+    expect_n_in_order("batch");
+    assert_eq!(frames_since(frames_before, 1), 1, "a batch is one frame");
+
+    let frames_before = broker.stats().frames_out;
+    for i in 0..N {
+        publisher.publish("t/e", traced_event(i));
     }
-    assert_eq!(got.len(), N as usize, "lost deliveries");
-    for (i, ev) in got.iter().enumerate() {
-        let i = i as u64;
-        assert_eq!(ev.index, i, "deliveries reordered");
-        assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "payload corrupted");
-        let ctx = ev.trace_context().expect("payload-embedded context dropped");
-        assert_eq!(ctx.parent_span_id, i + 1, "context corrupted");
+    expect_n_in_order("singles");
+    assert_eq!(frames_since(frames_before, N), N, "singles are not regrouped");
+    endpoint.shutdown();
+}
+
+/// What the dispatcher's tap sheds is lost to every remote subscriber,
+/// so it must move the same `/metrics` series a slow leg's sheds do.
+#[test]
+fn tap_overflow_is_counted_in_the_fanout_shed_series() {
+    let shed_total = || sdci_obs::registry().counter("sdci_net_fanout_shed_total").get();
+    // A one-publish tap (and leg queue) on the serving side.
+    let serving = NetConfig { hwm: 1, ..fast_cfg() };
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", serving, vec![broker.clone()]).unwrap();
+    let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["probe/"], fast_cfg());
+    let publisher = broker.publisher();
+    wait_ready(&publisher, &subscriber);
+
+    // No leg matches `events/`, so nothing here can shed at a leg, and
+    // the broker has no ordinary subscriber: every drop it counts is
+    // the tap's.
+    let before = shed_total();
+    let dropped_before = broker.local().dropped();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while broker.local().dropped() == dropped_before {
+        assert!(std::time::Instant::now() < deadline, "the tap never overflowed");
+        for base in 0..500u64 {
+            publisher.publish_batch("events/e", (base * 4..base * 4 + 4).collect());
+        }
     }
-    let delta = broker.stats().frames_out - frames_before;
-    assert!(delta < N, "the burst should coalesce: {delta} frames for {N} messages");
+    let shed = broker.local().dropped() - dropped_before;
+    assert_eq!(shed % 4, 0, "sheds are whole publishes, counted in payloads");
+    while shed_total() - before < shed {
+        assert!(std::time::Instant::now() < deadline, "tap sheds never reached the series");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     endpoint.shutdown();
 }

@@ -62,7 +62,7 @@ use sdci::monitor::{
     EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, ShardId, ShardMap,
     SnapshotDir, StoreError, StoreStack,
 };
-use sdci::mq::transport::{Publish, PullSubscriber};
+use sdci::mq::transport::Publish;
 use sdci::net::{
     fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, ScatterStore, ShardRouter, StoreServer,
     TcpBroker, TcpPullServer, TcpPush, TcpSubscriber,
@@ -322,6 +322,11 @@ fn run_shard(flags: &Flags) -> Result<(), String> {
     run_store_node(flags, Some(id))
 }
 
+/// Frames the pull server queues for the ingest thread before collector
+/// connections block (backpressure, never loss): 131,072 events at the
+/// pusher's 512-event frame cap.
+const PULL_QUEUE_FRAMES: usize = 256;
+
 fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     let role = match shard {
         Some(id) => format!("shard{id}"),
@@ -342,8 +347,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         Some(path) if path.exists() => read_marks(path)?,
         _ => std::collections::HashMap::new(),
     };
-    let events_srv = TcpPullServer::<FileEvent>::with_marks(feed_hwm.max(65_536), marks);
-    let events = PullSubscriber::new(events_srv.pull(), "events/remote");
+    let events_srv = TcpPullServer::<FileEvent>::with_marks(PULL_QUEUE_FRAMES, marks);
 
     // A crashed aggregator restarted with the same --snapshot resumes
     // its store *and* its sequence numbering, so consumers recover the
@@ -373,7 +377,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         }
     };
     let store = StoreStack::over(Arc::new(base_store)).metered("sdci_store").build();
-    let agg = Aggregator::start_with_backend(events, store, feed_hwm);
+    let agg = Aggregator::start_with_backend(events_srv.pull(), store, feed_hwm);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
     agg.register_health_probe(&role);
