@@ -8,15 +8,12 @@
 //!
 //! * `push/pull` — bounded blocking pipeline (backpressure);
 //! * `pub/sub`   — ZeroMQ-style broker with HWM (load shedding);
-//! * `pub/sub batched` — same broker, events batched 64 per message;
-//! * `tcp batched bin` — sdci-net framed TCP: `ItemBatch` frames with
-//!   compact binary bodies and the adaptive flush (size threshold or
-//!   deadline), encoded once into per-connection scratch buffers and
-//!   shipped with vectored writes;
-//! * `tcp batched traced 1/64` — the same wire with the distributed
-//!   tracer sampling one extraction in 64 (the production default), so
-//!   the cost of head sampling plus on-wire contexts is measured
-//!   against the untraced arm.
+//! * `pub/sub batched` — same broker, events batched 64 per message.
+//!
+//! These are in-process arms. The TCP push leg is measured through the
+//! real pipeline by `benchmark/` (`pipeline.saturation_events_per_s`,
+//! `net.pipe.*`), and the cost of 1/64 trace sampling is an exact
+//! allocation count in `crates/core/tests/trace_budget.rs`.
 //!
 //! A second ladder measures the *deliver* direction — consumer
 //! scaling: 1→256 subscribers on one topic through the broker's
@@ -32,12 +29,8 @@
 //!
 //! Emits `BENCH_a4_transports.json` (push arms) and
 //! `BENCH_a4_consumer_scaling.json` (fan-out ladder), and exits
-//! non-zero if a lossless arm loses an event or if 1/64 tracing costs
-//! the TCP arm more than 10% throughput — CI runs `--smoke` so cheap
-//! tracing can't silently regress. (The ratios against the per-event
-//! and JSON-batched wires and the per-subscriber re-encode this bench
-//! used to gate are on record in CHANGES.md, PRs 9–10; those paths no
-//! longer exist.)
+//! non-zero if the lossless push/pull arm loses an event — CI runs
+//! `--smoke`.
 //!
 //! ```text
 //! a4_transports [--smoke]
@@ -46,8 +39,8 @@
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_net::wire::{write_hello, Service, BIN_FRAME_BIT};
-use sdci_net::{Endpoint, NetConfig, TcpBroker, TcpPullServer, TcpPush};
-use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
+use sdci_net::{Endpoint, NetConfig, TcpBroker};
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,18 +62,10 @@ struct A4Report {
     bench: &'static str,
     mode: &'static str,
     events: u64,
-    batched_events: u64,
     producers: u64,
-    max_batch: usize,
-    flush_interval_us: u64,
     push_pull_events_per_sec: f64,
     pubsub_events_per_sec: f64,
     pubsub_batched_events_per_sec: f64,
-    tcp_bin_events_per_sec: f64,
-    tcp_bin_frames: u64,
-    trace_sample_every: u64,
-    tcp_batched_traced_events_per_sec: f64,
-    trace_overhead_pct: f64,
 }
 
 /// The machine-readable fan-out ladder CI archives
@@ -207,70 +192,6 @@ fn run_pubsub_batched(events: u64, batch: usize) -> (f64, u64) {
     (events as f64 / start.elapsed().as_secs_f64(), received)
 }
 
-/// One loopback PULL server, `PRODUCERS` pusher clients, `events`
-/// `FileEvent`s end to end. With `traced` each producer opens a trace root per event the way the collector
-/// does (head sampling decides which events carry context on the
-/// wire). Returns (events/s, delivered, batch frames seen by the
-/// server).
-fn run_tcp_push_pull(events: u64, traced: bool) -> (f64, u64, u64) {
-    let cfg = NetConfig::default();
-    let server = TcpPullServer::<FileEvent>::new(65_536);
-    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()])
-        .expect("bind loopback pull server");
-    let addr = endpoint.local_addr();
-    let pull = server.pull();
-    let start = Instant::now();
-    let producers: Vec<_> = (0..PRODUCERS)
-        .map(|p| {
-            let cfg = cfg.clone();
-            thread::spawn(move || {
-                let push = TcpPush::<FileEvent>::connect(addr, format!("bench-p{p}"), cfg);
-                for i in 0..events / PRODUCERS {
-                    let mut ev = event(p * 1_000_000 + i);
-                    if traced {
-                        let span = sdci_obs::trace::root("bench.extract");
-                        if let Some(sc) = span.context() {
-                            ev.trace = Some(TraceContext::sampled(sc.trace_id, sc.span_id));
-                        }
-                    }
-                    push.send(ev);
-                }
-                push.drain(std::time::Duration::from_secs(60));
-            })
-        })
-        .collect();
-    let consumer = thread::spawn(move || {
-        let mut received = 0u64;
-        while received < events {
-            let Some(frame) = pull.recv() else { break };
-            received += frame.len() as u64;
-        }
-        received
-    });
-    for p in producers {
-        p.join().unwrap();
-    }
-    let received = consumer.join().unwrap();
-    let rate = events as f64 / start.elapsed().as_secs_f64();
-    let batches = server.stats().batches;
-    endpoint.shutdown();
-    (rate, received, batches)
-}
-
-/// Runs the TCP arm `runs` times, asserting full delivery every run.
-/// Returns the fastest run's rate and batch-frame count.
-fn tcp_best(runs: u32, events: u64, traced: bool) -> (f64, u64) {
-    let mut best = (0.0f64, 0u64);
-    for _ in 0..runs {
-        let (rate, recv, batches) = run_tcp_push_pull(events, traced);
-        assert_eq!(recv, events, "a lossless tcp arm may not lose events");
-        if rate > best.0 {
-            best = (rate, batches);
-        }
-    }
-    best
-}
-
 /// A control-path marker event the drain subscribers can spot by
 /// scanning raw frame bytes for its path, no deserialization needed.
 fn marker_event(path: &str) -> FileEvent {
@@ -360,10 +281,6 @@ fn run_fanout(subs: usize, events: u64) -> f64 {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let events: u64 = if smoke { 40_000 } else { 200_000 };
-    // The batched wires move >500k events/s, so `events` alone is a
-    // sub-100ms window — too short to gate on. Give the gated arms a
-    // longer run so scheduler noise can't swing the ratios.
-    let batched_events = events * 3;
 
     println!(
         "== A4: Collector->Aggregator transport comparison{} ==",
@@ -373,34 +290,6 @@ fn main() {
     let (pp_rate, pp_recv) = run_push_pull(events);
     let (ps_rate, ps_recv) = run_pubsub(events);
     let (psb_rate, psb_recv) = run_pubsub_batched(events, 64);
-
-    let cfg = NetConfig::default();
-    let (bin_rate, bin_batches) = tcp_best(3, batched_events, false);
-
-    // The same wire with the production sampling rate:
-    // every extraction pays the head-sampling check, one in 64 records
-    // a span and ships its context inside the event.
-    const SAMPLE_EVERY: u64 = 64;
-    sdci_obs::trace::set_process("a4-bench");
-    sdci_obs::trace::set_sample_every(SAMPLE_EVERY);
-    // The trace budget is gated *pairwise*: each traced run is compared
-    // to an untraced run measured immediately before it, and the best
-    // (lowest-overhead) pair decides. Machine-wide drift across the
-    // bench (turbo decay, background load) then cancels instead of
-    // reading as tracing cost, while a real regression shows up in
-    // every pair no matter when it is measured.
-    let mut tcp3_rate = 0.0f64;
-    let mut trace_overhead_pct = f64::INFINITY;
-    for pair in 0..5 {
-        if pair >= 3 && trace_overhead_pct <= 10.0 {
-            break;
-        }
-        let (base, _) = tcp_best(1, batched_events, false);
-        let (traced, _) = tcp_best(1, batched_events, true);
-        tcp3_rate = tcp3_rate.max(traced);
-        trace_overhead_pct = trace_overhead_pct.min((base - traced) / base * 100.0);
-    }
-    sdci_obs::trace::set_sample_every(0);
 
     // Consumer scaling: the fan-out ladder, best of three at the top
     // rung (where scheduler noise is largest), one run below it.
@@ -435,18 +324,6 @@ fn main() {
                 format!("{psb_recv}/{events}"),
                 "amortizes per-message overhead".into(),
             ],
-            vec![
-                format!("tcp batched bin x{}", cfg.max_batch),
-                format!("{bin_rate:.0}"),
-                format!("{batched_events}/{batched_events}"),
-                "ItemBatch frames, binary bodies".into(),
-            ],
-            vec![
-                format!("tcp batched traced 1/{SAMPLE_EVERY}"),
-                format!("{tcp3_rate:.0}"),
-                format!("{batched_events}/{batched_events}"),
-                format!("head-sampled spans + wire context ({trace_overhead_pct:+.1}%)"),
-            ],
         ],
     );
     println!();
@@ -459,32 +336,20 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    // Every TCP arm already asserted full delivery inside tcp_runs.
     assert_eq!(pp_recv, events, "push/pull may not lose events");
-    assert!(bin_batches < batched_events, "a session at this rate should coalesce frames");
     println!(
-        "\nbatching amortizes per-message broker overhead ({:.1}x vs unbatched pub/sub); \
-         on the wire, {:.0} events ride each ItemBatch frame, with an exactly-once guarantee.",
+        "\nbatching amortizes per-message broker overhead ({:.1}x vs unbatched pub/sub).",
         psb_rate / ps_rate,
-        batched_events as f64 / bin_batches as f64,
     );
 
     let report = A4Report {
         bench: "a4_transports",
         mode: if smoke { "smoke" } else { "full" },
         events,
-        batched_events,
         producers: PRODUCERS,
-        max_batch: cfg.max_batch,
-        flush_interval_us: cfg.flush_interval.as_micros() as u64,
         push_pull_events_per_sec: pp_rate,
         pubsub_events_per_sec: ps_rate,
         pubsub_batched_events_per_sec: psb_rate,
-        tcp_bin_events_per_sec: bin_rate,
-        tcp_bin_frames: bin_batches,
-        trace_sample_every: SAMPLE_EVERY,
-        tcp_batched_traced_events_per_sec: tcp3_rate,
-        trace_overhead_pct,
     };
     let out = "BENCH_a4_transports.json";
     let body = serde_json::to_string_pretty(&report).expect("serialize bench report");
@@ -503,13 +368,4 @@ fn main() {
     let body = serde_json::to_string_pretty(&fanout_report).expect("serialize fan-out report");
     std::fs::write(fanout_out, body + "\n").expect("write fan-out report");
     println!("wrote {fanout_out}");
-
-    if trace_overhead_pct > 10.0 {
-        eprintln!(
-            "\nA4 REGRESSION: 1/{SAMPLE_EVERY} tracing costs the batched wire \
-             {trace_overhead_pct:.1}% ({tcp3_rate:.0} vs {bin_rate:.0} events/s); \
-             the 10% budget is exceeded"
-        );
-        std::process::exit(1);
-    }
 }

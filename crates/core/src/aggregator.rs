@@ -336,7 +336,7 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                             )
                         });
                     if let Some(span) = ingest_span.as_mut() {
-                        span.set_detail(format!("{n} events"));
+                        span.set_detail(|| format!("{n} events"));
                     }
                     if let Err(err) = store.insert_batch(batch.clone()) {
                         // The store refused a batch this thread just

@@ -219,7 +219,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
                 sdci_obs::static_metric!(counter, "sdci_collector_resolution_failures_total").inc();
                 continue;
             };
-            extract_span.set_detail_with(|| paths.get(&path).to_string());
+            extract_span.set_detail(|| paths.get(&path).to_string());
             // Refactor the raw tuple "to include the user-friendly
             // paths in place of the FIDs" (§4 step 2).
             let mut event =
@@ -238,7 +238,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
         // per-batch root is what times the publish, so one that blocks
         // still reaches the slow-trace tail.
         let mut publish_span = sdci_obs::trace::root("collector.publish");
-        publish_span.set_detail_with(|| format!("{} events", self.resolved.len()));
+        publish_span.set_detail(|| format!("{} events", self.resolved.len()));
         self.stats.processed += self.resolved.len() as u64;
         sdci_obs::static_metric!(counter, "sdci_collector_processed_total")
             .add(self.resolved.len() as u64);

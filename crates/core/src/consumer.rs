@@ -147,7 +147,7 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
                     sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "consumer.delivery")
                 });
                 if let Some(span) = delivery_span.as_mut() {
-                    span.set_detail(ev.path.display().to_string());
+                    span.set_detail(|| ev.path.display().to_string());
                 }
                 // Extract -> consumer-delivery: the full Fig. 5/6 e2e
                 // latency, against the collector's wall-clock stamp.

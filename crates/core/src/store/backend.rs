@@ -158,7 +158,7 @@ impl<T: EventBackend + ?Sized> EventBackend for Arc<T> {
 impl EventBackend for EventStore {
     fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
         let mut span = sdci_obs::trace::child("store.seg.insert");
-        span.set_detail(format!("{} events", events.len()));
+        span.set_detail(|| format!("{} events", events.len()));
         EventStore::insert_batch(self, events).map_err(StoreError::from)
     }
 
@@ -170,7 +170,7 @@ impl EventBackend for EventStore {
     fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
         let mut span = sdci_obs::trace::child("store.seg.query");
         let events = EventStore::query(self, query);
-        span.set_detail(format!("{} events", events.len()));
+        span.set_detail(|| format!("{} events", events.len()));
         events
     }
 

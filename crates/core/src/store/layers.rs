@@ -22,7 +22,6 @@ pub struct MeteredBackend<B> {
     stored: Counter,
     insert_errors: Counter,
     queries: Counter,
-    insert_lag: Histogram,
     query_time: Histogram,
     flush_time: Histogram,
     events: Gauge,
@@ -34,15 +33,14 @@ impl<B: EventBackend> MeteredBackend<B> {
     /// Wraps `inner`, deriving metric names from prefix `p`:
     /// `{p}_stored_total`, `{p}_insert_errors_total`,
     /// `{p}_queries_total`, `{p}_query_seconds`, `{p}_flush_seconds`,
-    /// `{p}_insert_lag_seconds`, and the occupancy gauges `{p}_events` /
-    /// `{p}_resident_bytes` / `{p}_segments`.
+    /// and the occupancy gauges `{p}_events` / `{p}_resident_bytes` /
+    /// `{p}_segments`.
     pub fn new(p: &str, inner: B) -> Self {
         let r = registry();
         MeteredBackend {
             stored: r.counter(&format!("{p}_stored_total")),
             insert_errors: r.counter(&format!("{p}_insert_errors_total")),
             queries: r.counter(&format!("{p}_queries_total")),
-            insert_lag: r.histogram(&format!("{p}_insert_lag_seconds")),
             query_time: r.histogram(&format!("{p}_query_seconds")),
             flush_time: r.histogram(&format!("{p}_flush_seconds")),
             events: r.gauge(&format!("{p}_events")),
@@ -64,16 +62,9 @@ impl<B: EventBackend> EventBackend for MeteredBackend<B> {
     fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
         let _span = sdci_obs::trace::child("store.meter.insert");
         let count = events.len() as u64;
-        // Collect extraction stamps before the batch moves; lag is only
-        // observed for events that actually landed.
-        let stamps: Vec<u64> = events.iter().filter_map(|e| e.event.extracted_unix_ns).collect();
         match self.inner.insert_batch(events) {
             Ok(()) => {
                 self.stored.add(count);
-                let now = sdci_obs::unix_now_ns();
-                for extracted in stamps {
-                    self.insert_lag.observe_ns(now.saturating_sub(extracted));
-                }
                 self.refresh_gauges();
                 Ok(())
             }

@@ -34,9 +34,9 @@
 //!
 //! Crash recovery is incremental: [`SnapshotDir`] flushes each sealed
 //! segment to its own file exactly once and rewrites only the manifest
-//! and the head per flush (see [`snapshot`](self) internals).
-//! [`EventStore::snapshot_to`] / [`EventStore::restore_from`] serialise
-//! a whole store as one NDJSON stream, in memory, for tests and benches.
+//! and the head per flush (see [`snapshot`](self) internals);
+//! [`restore_snapshot`] reads that directory back. There is no other
+//! serialised form of a store.
 
 mod backend;
 mod layers;
@@ -561,78 +561,6 @@ impl EventStore {
         }
     }
 
-    /// Writes the retained window as newline-delimited JSON: the whole
-    /// store as one stream. Crash recovery on disk is the incremental
-    /// [`SnapshotDir`], which reads nothing in this form.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the writer.
-    pub fn snapshot_to(&self, mut sink: impl std::io::Write) -> std::io::Result<()> {
-        let state = self.snapshot_state();
-        for sev in state.iter() {
-            let line = serde_json::to_string(sev).expect("events always serialize");
-            sink.write_all(line.as_bytes())?;
-            sink.write_all(b"\n")?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds a store from a snapshot written by
-    /// [`EventStore::snapshot_to`], with the given rotation capacity.
-    /// Sequence numbering and memory accounting resume exactly where
-    /// the snapshot left off.
-    ///
-    /// Lines are re-sorted by sequence number before insertion, so a
-    /// hand-edited (or concatenated) snapshot restores as long as its
-    /// sequence numbers are unique.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`std::io::Error`] with kind `InvalidData` on a
-    /// malformed line or a duplicate sequence number, or propagates
-    /// reader failures.
-    pub fn restore_from(
-        source: impl std::io::BufRead,
-        capacity: usize,
-    ) -> std::io::Result<EventStore> {
-        let capacity = capacity.max(1);
-        Self::restore_from_sized(source, capacity, default_segment_events(capacity))
-    }
-
-    /// [`EventStore::restore_from`] with an explicit segment size.
-    pub fn restore_from_sized(
-        source: impl std::io::BufRead,
-        capacity: usize,
-        segment_events: usize,
-    ) -> std::io::Result<EventStore> {
-        let mut events: Vec<SequencedEvent> = Vec::new();
-        for line in source.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let event: SequencedEvent = serde_json::from_str(&line)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            events.push(event);
-        }
-        events.sort_by_key(|e| e.seq);
-        let store = EventStore::with_segment_size(capacity, segment_events);
-        for event in events {
-            store.insert(event).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("snapshot holds duplicate sequence number {}", e.offered_seq),
-                )
-            })?;
-        }
-        // Restoration is not new ingestion; reset lifetime counters.
-        store.inserted.store(store.len() as u64, Ordering::Relaxed);
-        store.rotated.store(0, Ordering::Relaxed);
-        store.queries.store(0, Ordering::Relaxed);
-        Ok(store)
-    }
-
     /// Rebuilds a store from restored parts, preserving the snapshot's
     /// segment boundaries (so an incremental snapshot keeps reusing the
     /// segment files it already wrote) and re-applying the capacity
@@ -709,16 +637,6 @@ pub(crate) struct StoreState {
 }
 
 impl StoreState {
-    /// All retained events, oldest first, trim applied.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &SequencedEvent> {
-        let trim = self.trim;
-        self.segs
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, s)| &s.events()[if i == 0 { trim } else { 0 }..])
-            .chain(self.head.iter())
-    }
-
     /// Newest retained sequence number in this state (0 when empty).
     pub(crate) fn last_seq(&self) -> u64 {
         self.head
@@ -972,15 +890,44 @@ mod tests {
         assert!(EventStore::new(10).insert(ev(0, 0, "/f")).is_err());
     }
 
+    /// `store` flushed into a scratch snapshot directory, removed on drop.
+    struct Flushed(PathBuf);
+
+    impl Flushed {
+        fn new(tag: &str, store: &EventStore) -> Flushed {
+            let dir =
+                std::env::temp_dir().join(format!("sdci-store-unit-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            SnapshotDir::open(&dir).unwrap().flush(store).unwrap();
+            Flushed(dir)
+        }
+
+        /// The one sealed segment's file.
+        fn segment_file(&self) -> PathBuf {
+            let mut segs = std::fs::read_dir(&self.0)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("seg-"));
+            let seg = segs.next().expect("one sealed segment");
+            assert!(segs.next().is_none(), "exactly one sealed segment");
+            seg
+        }
+    }
+
+    impl Drop for Flushed {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn snapshot_restore_roundtrip() {
         let store = EventStore::with_segment_size(100, 8);
         for i in 1..=25 {
             store.insert(ev(i, i, &format!("/snap/f{i}"))).unwrap();
         }
-        let mut buf = Vec::new();
-        store.snapshot_to(&mut buf).unwrap();
-        let restored = EventStore::restore_from(&buf[..], 100).unwrap();
+        let flushed = Flushed::new("roundtrip", &store);
+        let restored = restore_snapshot(&flushed.0, 100).unwrap();
         assert_eq!(restored.len(), 25);
         assert_eq!(restored.first_seq(), 1);
         assert_eq!(restored.last_seq(), 25);
@@ -999,36 +946,38 @@ mod tests {
     fn restore_respects_smaller_capacity() {
         let store = EventStore::new(100);
         fill(&store, 1..=50);
-        let mut buf = Vec::new();
-        store.snapshot_to(&mut buf).unwrap();
-        let restored = EventStore::restore_from(&buf[..], 10).unwrap();
+        let flushed = Flushed::new("shrink", &store);
+        let restored = restore_snapshot(&flushed.0, 10).unwrap();
         assert_eq!(restored.len(), 10);
         assert_eq!(restored.first_seq(), 41);
     }
 
     #[test]
-    fn restore_resorts_shuffled_lines_and_rejects_duplicates() {
-        let store = EventStore::new(100);
+    fn restore_rejects_duplicates() {
+        let store = EventStore::with_segment_size(100, 6);
         fill(&store, 1..=6);
-        let mut buf = Vec::new();
-        store.snapshot_to(&mut buf).unwrap();
-        let mut lines: Vec<&str> = std::str::from_utf8(&buf).unwrap().lines().collect();
-        lines.reverse();
-        let shuffled = lines.join("\n");
-        let restored = EventStore::restore_from(shuffled.as_bytes(), 100).unwrap();
-        assert_eq!(restored.len(), 6);
-        assert_eq!(restored.first_seq(), 1);
-        assert_eq!(restored.last_seq(), 6);
+        let flushed = Flushed::new("duplicate", &store);
+        assert_eq!(restore_snapshot(&flushed.0, 100).unwrap().len(), 6);
 
-        let duplicated = format!("{}\n{}", lines[0], lines.join("\n"));
-        let err = EventStore::restore_from(duplicated.as_bytes(), 100).unwrap_err();
+        // The second line becomes a copy of the first: the file still
+        // matches its manifest entry's length and sequence range.
+        let seg = flushed.segment_file();
+        let body = std::fs::read_to_string(&seg).unwrap();
+        let mut lines: Vec<&str> = body.lines().collect();
+        lines[1] = lines[0];
+        std::fs::write(&seg, lines.join("\n") + "\n").unwrap();
+        let err = restore_snapshot(&flushed.0, 100).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("duplicate sequence number"));
+        assert!(err.to_string().contains("is out of order"), "{err}");
     }
 
     #[test]
     fn restore_rejects_garbage() {
-        let err = EventStore::restore_from("not json\n".as_bytes(), 10).unwrap_err();
+        let store = EventStore::with_segment_size(100, 6);
+        fill(&store, 1..=6);
+        let flushed = Flushed::new("garbage", &store);
+        std::fs::write(flushed.segment_file(), "not json\n").unwrap();
+        let err = restore_snapshot(&flushed.0, 10).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 

@@ -1,9 +1,8 @@
 //! Incremental crash-recovery snapshots for the segmented store.
 //!
-//! Serialising the whole retained window ([`EventStore::snapshot_to`])
-//! every flush interval is O(window) I/O every 200 ms. A
-//! [`SnapshotDir`] instead mirrors the store's internal structure on
-//! disk:
+//! Serialising the whole retained window every flush interval would be
+//! O(window) I/O every 200 ms. A [`SnapshotDir`] instead mirrors the
+//! store's internal structure on disk:
 //!
 //! ```text
 //! <dir>/

@@ -1,119 +1,30 @@
 //! Allocation budgets for the per-event paths the pipeline benchmark
 //! found allocating most: the Collector on a path-cache hit, the store
 //! sealing a segment, and the store answering a query (the decoders'
-//! are in `crates/net/tests/alloc_budget.rs`). A counting `#[global_allocator]` with a
-//! per-thread tally (as `benchmark/src/alloc.rs` keeps) charges each
-//! test only with what its own thread allocated.
+//! are in `crates/net/tests/alloc_budget.rs`). The counting allocator
+//! is `common/mod.rs`'s; `trace_budget.rs` holds the tracer's budget in
+//! a process of its own.
 
-use lustre_sim::{LustreConfig, LustreFs};
-use sdci_core::{Collector, EventStore, MonitorConfig, SequencedEvent, StoreQuery};
-use sdci_mq::transport::{Publish, PublishOutcome};
+mod common;
+
+use common::{allocations, HotCollector, DIRS, RECORDS};
+use sdci_core::{EventBackend, EventStore, SequencedEvent, StoreQuery, StoreStack};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-
-thread_local! {
-    // A `const`-initialised `Cell<u64>` needs no lazy set-up and no
-    // destructor, so the allocator can touch it without allocating.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-fn tally() {
-    // `try_with`: the allocator also runs during a thread's TLS teardown.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the tally touches only a
-// thread-local `Cell` and never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        tally();
-        // SAFETY: the caller's obligations are passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        tally();
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        tally();
-        // SAFETY: as in `alloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as in `alloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Allocation calls (alloc + alloc_zeroed + realloc) `f` makes on this
-/// thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = CALLS.with(Cell::get);
-    f();
-    CALLS.with(Cell::get) - before
-}
-
-/// A publisher that keeps what it is given, in a buffer sized up front.
-#[derive(Clone)]
-struct Sink(Arc<Mutex<Vec<FileEvent>>>);
-
-impl Publish<FileEvent> for Sink {
-    fn publish(&self, _topic: &str, payload: FileEvent) -> PublishOutcome {
-        self.0.lock().expect("sink lock").push(payload);
-        PublishOutcome::Delivered
-    }
-}
-
-const DIRS: usize = 64;
-const RECORDS: usize = 4_096;
+use std::sync::Arc;
 
 #[test]
 fn collector_allocates_per_batch_not_per_event_on_a_cache_hit() {
-    let fs = Arc::new(parking_lot::Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
-    let sink = Sink(Arc::new(Mutex::new(Vec::with_capacity(RECORDS + 2 * DIRS))));
-    let mut collector =
-        Collector::new(Arc::clone(&fs), MdtIndex::new(0), sink.clone(), MonitorConfig::default());
-    let create = |round: usize| {
-        let mut guard = fs.lock();
-        for n in 0..RECORDS {
-            let path = format!("/dir{:02}/file-{round}-{n:04}", n % DIRS);
-            guard.create(path, SimTime::from_secs(n as u64)).expect("create");
-        }
-    };
+    let mut hot = HotCollector::new();
+    let warm = hot.collector.stats();
 
-    // Warm-up: the mkdirs fill the cache, and one full round of creates
-    // registers every metric and grows the Collector's own buffers.
-    {
-        let mut guard = fs.lock();
-        for d in 0..DIRS {
-            guard.mkdir(format!("/dir{d:02}"), SimTime::EPOCH).expect("mkdir");
-        }
-    }
-    create(0);
-    while collector.run_once() > 0 {}
-    sink.0.lock().expect("sink lock").clear();
-    let warm = collector.stats();
+    let made = hot.round(1);
 
-    create(1);
-    let made = allocations(|| while collector.run_once() > 0 {});
-
-    let stats = collector.stats();
+    let stats = hot.collector.stats();
     assert_eq!(stats.published - warm.published, RECORDS as u64);
     assert_eq!(stats.cache_hits - warm.cache_hits, RECORDS as u64, "every record hit the cache");
-    assert_eq!(sink.0.lock().expect("sink lock").len(), RECORDS);
+    let published = hot.sink.0.lock().expect("sink lock");
+    assert_eq!(published.len(), RECORDS);
     let per_event = made as f64 / RECORDS as f64;
     assert!(
         per_event <= 0.1,
@@ -122,7 +33,6 @@ fn collector_allocates_per_batch_not_per_event_on_a_cache_hit() {
     );
     // The batch is published sealed: every path reads, and batch-mates
     // share their arena.
-    let published = sink.0.lock().expect("sink lock");
     assert!(published.iter().all(|e| e.path.starts_with("/") && e.path.file_name().is_some()));
     assert!(published[0].path.shares_arena(&published[1].path));
 }
@@ -163,6 +73,33 @@ fn sealing_a_segment_allocates_per_root_not_per_event() {
         per_event <= 0.1,
         "{made} allocations to insert and seal {EVENTS} events = {per_event:.3} per event; \
          the fingerprint owns one string per distinct root ({DIRS} here), not one per event"
+    );
+}
+
+#[test]
+fn the_metrics_wrapper_adds_no_allocation_to_an_insert() {
+    const EVENTS: usize = 256;
+    // Stamped, as a Collector's events are. The first batch grows the
+    // head and registers whatever the path registers lazily.
+    let insert = |store: Arc<dyn EventBackend>| {
+        let mut warm_up = sequenced(2 * EVENTS as u64);
+        for sev in &mut warm_up {
+            sev.event.extracted_unix_ns = Some(sev.seq);
+        }
+        let measured = warm_up.split_off(EVENTS);
+        store.insert_batch(warm_up).expect("ascending seqs");
+        let made = allocations(|| store.insert_batch(measured).expect("ascending seqs"));
+        assert_eq!(store.len(), 2 * EVENTS);
+        made
+    };
+
+    let bare = insert(StoreStack::segmented(1 << 20).build());
+    let metered = insert(StoreStack::segmented(1 << 20).metered("alloc_budget_store").build());
+
+    assert!(
+        metered <= bare,
+        "{metered} allocations to insert {EVENTS} events through the metrics wrapper, {bare} \
+         without it; the wrapper counts a batch with one add and copies nothing out of it"
     );
 }
 

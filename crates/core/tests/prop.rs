@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sdci_core::{
-    EventBackend, EventConsumer, EventStore, FeedMessage, PathCache, SequencedEvent, StoreQuery,
-    StoreStack,
+    restore_snapshot, EventBackend, EventConsumer, EventStore, FeedMessage, PathCache,
+    SequencedEvent, SnapshotDir, StoreQuery, StoreStack,
 };
 use sdci_mq::pubsub::Broker;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
@@ -255,9 +255,10 @@ proptest! {
 
     /// The segmented store is observationally identical to the naive
     /// VecDeque model under an arbitrary interleaving of inserts (with
-    /// rotation), queries, `recent` reads, and legacy snapshot/restore
-    /// cycles. Tiny segment sizes force deep sealed chains, partial
-    /// front-segment trims, and whole-segment drops.
+    /// rotation), queries, `recent` reads, and snapshot/restore cycles
+    /// through a `SnapshotDir`. Tiny segment sizes force deep sealed
+    /// chains, partial front-segment trims, and whole-segment drops (a
+    /// restored store keeps its chain and seals at the default size).
     #[test]
     fn segmented_store_matches_naive_model(
         ops in prop::collection::vec(store_op(), 1..60),
@@ -290,10 +291,12 @@ proptest! {
                     prop_assert_eq!(store.recent(n as usize), model.recent(n as usize));
                 }
                 StoreOp::Roundtrip => {
-                    let mut buf = Vec::new();
-                    store.snapshot_to(&mut buf).unwrap();
-                    store = EventStore::restore_from_sized(&buf[..], capacity, segment_events)
-                        .unwrap();
+                    let dir = std::env::temp_dir()
+                        .join(format!("sdci-prop-roundtrip-{}", std::process::id()));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    SnapshotDir::open(&dir).unwrap().flush(&store).unwrap();
+                    store = restore_snapshot(&dir, capacity).unwrap();
+                    let _ = std::fs::remove_dir_all(&dir);
                 }
             }
             prop_assert_eq!(store.len(), model.events.len());

@@ -348,15 +348,12 @@ fn directory_without_manifest_restores_as_empty() {
 }
 
 /// Snapshots are directories: a regular file at the path — even one
-/// holding a store's NDJSON serialisation — is refused by name, and
+/// holding an event line as a segment file would — is refused by name, and
 /// left as it was.
 #[test]
 fn a_regular_file_is_not_a_snapshot() {
     let file = Scratch::new("not-a-dir");
-    let store = EventStore::new(100);
-    store.insert(sev(1, "/l/f1")).unwrap();
-    let mut buf = Vec::new();
-    store.snapshot_to(&mut buf).unwrap();
+    let buf = serde_json::to_string(&sev(1, "/l/f1")).unwrap().into_bytes();
     std::fs::write(file.path(), &buf).unwrap();
 
     for err in [

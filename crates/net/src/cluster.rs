@@ -379,7 +379,7 @@ impl ShardRouter {
         // Cutovers are rare, operator-relevant moments: trace each one
         // as its own root so drain stalls show up on `/tracez`.
         let mut cutover_span = sdci_obs::trace::root("router.cutover");
-        cutover_span.set_detail(format!("to v{}", new_map.version()));
+        cutover_span.set_detail(|| format!("to v{}", new_map.version()));
         let deadline = Instant::now() + drain_timeout;
         // Bulk of the drain happens outside the write lock so publishers
         // are not stalled while the old owners catch up.
@@ -449,7 +449,7 @@ impl Publish<FileEvent> for ShardRouter {
         if let Some(t) = payload.trace.filter(|t| t.sampled) {
             let mut span =
                 sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "router.publish");
-            span.set_detail(format!("shard {shard}"));
+            span.set_detail(|| format!("shard {shard}"));
             if let Some(sc) = span.context() {
                 payload.trace = Some(TraceContext::sampled(sc.trace_id, sc.span_id));
             }
@@ -574,7 +574,7 @@ impl EventBackend for ScatterStore {
         // *before* the scope because worker threads have their own
         // thread-local current, and re-established per leg below.
         let mut scatter_span = sdci_obs::trace::child("scatter.query");
-        scatter_span.set_detail(format!("{} shards", self.inner.shards.len()));
+        scatter_span.set_detail(|| format!("{} shards", self.inner.shards.len()));
         let parent = scatter_span.context();
         // One scoped thread per shard: the fan-out is bounded by the
         // slowest live leg, not the sum, and a dead shard costs one
@@ -593,7 +593,7 @@ impl EventBackend for ScatterStore {
                             sdci_obs::trace::child_of(p.trace_id, p.span_id, "scatter.shard")
                         });
                         if let Some(span) = leg.as_mut() {
-                            span.set_detail(format!("shard {}", shard.id));
+                            span.set_detail(|| format!("shard {}", shard.id));
                         }
                         shard.remote.try_query(query)
                     })

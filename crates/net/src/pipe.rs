@@ -242,7 +242,7 @@ fn serve_pusher<T>(
                     sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.pull.recv")
                 });
                 if let Some(span) = recv_span.as_mut() {
-                    span.set_detail(format!("{} items", payloads.len()));
+                    span.set_detail(|| format!("{} items", payloads.len()));
                 }
                 // The mark's mutex is held across the frame's
                 // check-push-update, so the dedup decision and the
@@ -664,7 +664,7 @@ fn push_worker<T>(
                         sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.push.send")
                     });
                     if let Some(span) = send_span.as_mut() {
-                        span.set_detail(format!("{} items", batch.len()));
+                        span.set_detail(|| format!("{} items", batch.len()));
                     }
                     let frame_trace = match send_span.as_ref().and_then(|s| s.context()) {
                         Some(sc) => Some(TraceContext::sampled(sc.trace_id, sc.span_id)),

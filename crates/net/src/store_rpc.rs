@@ -146,7 +146,7 @@ fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64)
                 });
                 let events = store.query(&query);
                 if let Some(span) = serve_span.as_mut() {
-                    span.set_detail(format!("{} events", events.len()));
+                    span.set_detail(|| format!("{} events", events.len()));
                 }
                 drop(serve_span);
                 queries.fetch_add(1, Ordering::Relaxed);

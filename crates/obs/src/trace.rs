@@ -226,19 +226,13 @@ impl SpanGuard {
         self.live.as_ref().map(|l| l.ctx).filter(|c| c.sampled)
     }
 
-    /// Annotates the span (shard id, hit/miss, batch size...). No-op
-    /// on inert guards.
-    pub fn set_detail(&mut self, detail: impl Into<String>) {
-        if let Some(live) = &mut self.live {
-            live.detail = detail.into();
-        }
-    }
-
-    /// [`set_detail`](Self::set_detail) for a detail that costs
-    /// something to build: `detail` runs only on a live guard, so a
-    /// per-event call site formats nothing while tracing is off.
-    pub fn set_detail_with(&mut self, detail: impl FnOnce() -> String) {
-        if let Some(live) = &mut self.live {
+    /// Annotates the span (shard id, hit/miss, batch size...). `detail`
+    /// runs only on a sampled span: an inert guard, and an unsampled
+    /// root that is live only to be timed for tail capture, format
+    /// nothing — so a per-event call site allocates nothing for the
+    /// N-1 of every N roots that are not recorded.
+    pub fn set_detail(&mut self, detail: impl FnOnce() -> String) {
+        if let Some(live) = self.live.as_mut().filter(|l| l.ctx.sampled) {
             live.detail = detail();
         }
     }
@@ -466,15 +460,26 @@ mod tests {
     }
 
     #[test]
-    fn lazy_detail_runs_only_on_a_live_guard() {
+    fn detail_closure_runs_only_on_a_sampled_span() {
         let _l = rate_lock();
         set_sample_every(0);
-        root("test.lazy.inert").set_detail_with(|| unreachable!("an inert guard formats nothing"));
+        root("test.lazy.inert").set_detail(|| unreachable!("an inert guard formats nothing"));
+        child("test.lazy.orphan").set_detail(|| unreachable!("nor does a child of nothing"));
+
+        // At 1/2 one of two consecutive roots is live but unsampled
+        // (timed for tail capture only): it formats nothing either.
+        set_sample_every(2);
+        for _ in 0..2 {
+            let mut g = root("test.lazy.head");
+            if g.context().is_none() {
+                g.set_detail(|| unreachable!("an unsampled root formats nothing"));
+            }
+        }
 
         set_sample_every(1);
         let mut g = root("test.lazy.live");
         let ctx = g.context().expect("1/1 sampling samples everything");
-        g.set_detail_with(|| format!("built {}", 1 + 1));
+        g.set_detail(|| format!("built {}", 1 + 1));
         drop(g);
         let span = snapshot().into_iter().find(|s| s.span_id == ctx.span_id).expect("in ring");
         assert_eq!(span.detail, "built 2");
@@ -486,7 +491,7 @@ mod tests {
         set_sample_every(1);
         let (root_ctx, child_ctx) = {
             let mut g = root("test.root");
-            g.set_detail("outer");
+            g.set_detail(|| "outer".into());
             let root_ctx = g.context().expect("1/1 sampling samples everything");
             assert_eq!(current(), Some(root_ctx), "root becomes the thread current");
             let c = child("test.child");

@@ -92,8 +92,7 @@ struct Role {
 
 /// What an aggregator and a shard both take: the one address, and the
 /// store behind it.
-const STORE_NODE: &[Flag] =
-    &[("--bind", "ADDR"), ("--store-capacity", "N"), ("--feed-hwm", "N"), ("--snapshot", "DIR")];
+const STORE_NODE: &[Flag] = &[("--bind", "ADDR"), ("--store-capacity", "N"), ("--snapshot", "DIR")];
 /// Every role with a socket: fault injection and head-sampled tracing.
 const NET: &[Flag] = &[("--faults", "SPEC"), ("--trace-sample", "N")];
 /// Roles that run to completion dump their spans at exit instead of
@@ -327,6 +326,11 @@ fn run_shard(flags: &Flags) -> Result<(), String> {
 /// pusher's 512-event frame cap.
 const PULL_QUEUE_FRAMES: usize = 256;
 
+/// Queue bound of an in-process `Broker::subscribe` on the feed. No
+/// `sdcimon` role subscribes in process — remote legs are sized by
+/// `NetConfig::hwm` through `Broker::tap` — so this sizes nothing here.
+const FEED_HWM: usize = 65_536;
+
 fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     let role = match shard {
         Some(id) => format!("shard{id}"),
@@ -335,7 +339,6 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     trace_setup(flags, &role)?;
     let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7070".parse().unwrap())?;
     let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
-    let feed_hwm: usize = flags.parse_or("--feed-hwm", 65_536)?;
     let snapshot = flags.get("--snapshot").map(std::path::PathBuf::from);
 
     let cfg = net_config(flags)?;
@@ -377,7 +380,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         }
     };
     let store = StoreStack::over(Arc::new(base_store)).metered("sdci_store").build();
-    let agg = Aggregator::start_with_backend(events_srv.pull(), store, feed_hwm);
+    let agg = Aggregator::start_with_backend(events_srv.pull(), store, FEED_HWM);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
     agg.register_health_probe(&role);

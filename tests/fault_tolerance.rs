@@ -166,13 +166,14 @@ fn captured_trace_replays_into_identical_namespace() {
 
 #[test]
 fn aggregator_restarts_from_snapshot_without_losing_history() {
-    use sdci::monitor::EventStore;
+    use sdci::monitor::{restore_snapshot, SnapshotDir};
 
     let lfs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
 
     // First incarnation: ingest 30 events, snapshot the store, note the
     // consumer's position, then crash (shutdown).
-    let snapshot;
+    let snapshot = std::env::temp_dir().join(format!("sdci-ft-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&snapshot);
     let resume_seq;
     {
         let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).start();
@@ -189,15 +190,14 @@ fn aggregator_restarts_from_snapshot_without_losing_history() {
         }
         resume_seq = consumer.next_seq() - 1;
         assert!(cluster.wait_for_published(30, Duration::from_secs(5)));
-        let mut buf = Vec::new();
-        cluster.store().snapshot_to(&mut buf).expect("snapshot");
-        snapshot = buf;
+        SnapshotDir::open(&snapshot).expect("open").flush(&cluster.store()).expect("snapshot");
         cluster.shutdown();
     }
 
     // Second incarnation: restore the store; new events continue the
     // sequence; the old consumer resumes from where it was.
-    let store = EventStore::restore_from(&snapshot[..], 100_000).expect("restore");
+    let store = restore_snapshot(&snapshot, 100_000).expect("restore");
+    let _ = std::fs::remove_dir_all(&snapshot);
     assert_eq!(store.last_seq(), 30);
     let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).restore_store(store).start();
     let mut resumed = cluster.subscribe_from(resume_seq);
