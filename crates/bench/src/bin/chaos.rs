@@ -27,6 +27,7 @@ use sdci_faults::{arm, disarm_all, CrashMode, FaultPlan};
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -223,17 +224,17 @@ fn store_round(schedule: &Schedule) -> Result<(), String> {
             store.insert(sev(i)).map_err(|e| format!("insert: {e}"))?;
         }
         let snap = SnapshotDir::open(&dir).map_err(|e| format!("open snapshot: {e}"))?;
-        snap.flush(&store).map_err(|e| format!("clean flush failed: {e}"))?;
+        snap.flush(&store, HashMap::new).map_err(|e| format!("clean flush failed: {e}"))?;
         for i in 65..=96 {
             store.insert(sev(i)).map_err(|e| format!("insert: {e}"))?;
         }
         arm(schedule.crash_point, 1, CrashMode::Error);
-        match snap.flush(&store) {
+        match snap.flush(&store, HashMap::new) {
             Ok(_) => return Err(format!("armed {} did not fire", schedule.crash_point)),
             Err(e) if e.to_string().contains(schedule.crash_point) => {}
             Err(e) => return Err(format!("wrong failure at {}: {e}", schedule.crash_point)),
         }
-        let committed = restore_snapshot(&dir, 4096).map_err(|e| {
+        let (committed, _) = restore_snapshot(&dir, 4096).map_err(|e| {
             format!("failed flush at {} broke the snapshot: {e}", schedule.crash_point)
         })?;
         if committed.last_seq() != 64 {
@@ -243,8 +244,8 @@ fn store_round(schedule: &Schedule) -> Result<(), String> {
                 committed.last_seq()
             ));
         }
-        snap.flush(&store).map_err(|e| format!("post-failure flush failed: {e}"))?;
-        let full = restore_snapshot(&dir, 4096).map_err(|e| format!("final restore: {e}"))?;
+        snap.flush(&store, HashMap::new).map_err(|e| format!("post-failure flush failed: {e}"))?;
+        let (full, _) = restore_snapshot(&dir, 4096).map_err(|e| format!("final restore: {e}"))?;
         if full.last_seq() != 96 {
             return Err(format!("final restore stopped at seq {}", full.last_seq()));
         }

@@ -22,7 +22,6 @@ use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_types::{FileEvent, TraceCarrier, TraceContext};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use std::time::Duration;
 ///
 /// Sequence numbers are dense (1, 2, 3, ...), so consumers detect losses
 /// as gaps and recover via the store API.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SequencedEvent {
     /// Global sequence number assigned at aggregation.
     pub seq: u64,
@@ -47,7 +46,7 @@ pub struct SequencedEvent {
 /// that missed the *tail* of a burst (shed at its high-water mark, with
 /// nothing following to reveal the gap) still learns how far behind it
 /// is and can recover from the store.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FeedMessage {
     /// A sequenced file event.
     Event(SequencedEvent),

@@ -345,7 +345,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a over `bytes`: tiny, seedless, and stable across processes —
 /// the property the shard map needs (`std`'s hashers randomize per
 /// process, which would make two roles disagree on ownership).
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
 }
 

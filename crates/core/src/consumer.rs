@@ -310,21 +310,18 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
 }
 
 /// A durable consumer position: one sequence number in a sidecar file,
-/// replaced atomically (write-tmp-rename, like the collector's
-/// changelog-marks sidecar) so a crash mid-checkpoint leaves the
-/// previous cursor intact rather than a torn file.
+/// replaced atomically (write-tmp-rename, like the store's manifest) so
+/// a crash mid-checkpoint leaves the previous cursor intact rather than
+/// a torn file.
 #[derive(Debug, Clone)]
 pub struct ConsumerCursor {
     path: PathBuf,
-    tmp: PathBuf,
 }
 
 impl ConsumerCursor {
     /// Binds the cursor to `path`; nothing is read or written yet.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        let path = path.into();
-        let tmp = path.with_extension("cursor.tmp");
-        ConsumerCursor { path, tmp }
+        ConsumerCursor { path: path.into() }
     }
 
     /// Loads the checkpointed cursor, or `None` when no checkpoint
@@ -348,8 +345,7 @@ impl ConsumerCursor {
     /// atomically: the sidecar is fully written, then renamed over the
     /// cursor file in one step.
     pub fn save(&self, seq: u64) -> std::io::Result<()> {
-        std::fs::write(&self.tmp, format!("{seq}\n"))?;
-        std::fs::rename(&self.tmp, &self.path)
+        crate::write_atomically(&self.path, |out| writeln!(out, "{seq}"))
     }
 }
 

@@ -87,7 +87,27 @@ pub use consumer::{ConsumerCursor, ConsumerStats, EventConsumer};
 pub use pathcache::{CacheStats, PathCache};
 pub use resource::{ComponentUsage, ResourceModel, ResourceReport};
 pub use store::{
-    merge_seq_ordered, restore_snapshot, EventBackend, EventStore, FlushError, FlushStats,
-    MeteredBackend, SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery, StoreStack,
-    StoreStats,
+    merge_seq_ordered, restore_snapshot, EventBackend, EventStore, FlushStats, MeteredBackend,
+    SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery, StoreStack, StoreStats,
 };
+
+/// Replaces the file at `path` with what `write` produces, so that a
+/// reader — or a restart after the process died at any instruction —
+/// finds the old contents or the new, never a mix: the bytes go to
+/// `<path>.tmp`, which is flushed and then renamed over `path`. A
+/// failed `write` leaves `path` as it was and the `.tmp` behind for its
+/// owner to sweep or overwrite. Nothing is `fsync`ed: the guarantee is
+/// against process death (the crash model of DESIGN.md), not power loss.
+fn write_atomically(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+    write(&mut out)?;
+    out.flush()?;
+    drop(out);
+    std::fs::rename(&tmp, path)
+}

@@ -3,7 +3,7 @@
 //! once against it.
 //!
 //! [`EventBackend`] is the full read/write surface (insert, query,
-//! stats, flush), object-safe so a store is shared as
+//! stats), object-safe so a store is shared as
 //! `Arc<dyn EventBackend>`. The segmented [`EventStore`] is the one
 //! local implementation; [`MeteredBackend`](super::MeteredBackend)
 //! wraps any backend with its metrics; `sdci-net`'s `RemoteStore` and
@@ -28,16 +28,6 @@ pub enum StoreError {
     /// The backend is a read-only view (a remote or scatter front) and
     /// cannot accept writes.
     ReadOnly(&'static str),
-    /// A durability flush failed; `committed` tells whether the flush
-    /// had already passed its commit point (see
-    /// [`FlushError`](super::FlushError)).
-    Flush {
-        /// Whether the commit point (manifest rename) had already
-        /// happened when the error occurred.
-        committed: bool,
-        /// The underlying I/O failure.
-        source: std::io::Error,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -45,10 +35,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Order(e) => write!(f, "{e}"),
             StoreError::ReadOnly(what) => write!(f, "{what} is a read-only backend"),
-            StoreError::Flush { committed, source } => {
-                let when = if *committed { "after commit" } else { "before commit" };
-                write!(f, "flush failed {when}: {source}")
-            }
         }
     }
 }
@@ -57,8 +43,7 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Order(e) => Some(e),
-            StoreError::Flush { source, .. } => Some(source),
-            _ => None,
+            StoreError::ReadOnly(_) => None,
         }
     }
 }
@@ -118,12 +103,6 @@ pub trait EventBackend: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Flushes durable state, if the backend has any; the default is a
-    /// no-op for purely in-memory backends.
-    fn flush(&self) -> Result<(), StoreError> {
-        Ok(())
-    }
 }
 
 /// Sharing a backend is a plain `Arc`: the whole surface takes
@@ -149,9 +128,6 @@ impl<T: EventBackend + ?Sized> EventBackend for Arc<T> {
     }
     fn is_empty(&self) -> bool {
         (**self).is_empty()
-    }
-    fn flush(&self) -> Result<(), StoreError> {
-        (**self).flush()
     }
 }
 
@@ -184,18 +160,6 @@ impl EventBackend for EventStore {
 
     fn len(&self) -> usize {
         EventStore::len(self)
-    }
-
-    /// Flushes the attached [`SnapshotDir`](super::SnapshotDir), or
-    /// nothing when the store runs without durability.
-    fn flush(&self) -> Result<(), StoreError> {
-        match self.snapshot_dir() {
-            Some(dir) => dir
-                .flush(self)
-                .map(|_| ())
-                .map_err(|e| StoreError::Flush { committed: e.committed, source: e.source }),
-            None => Ok(()),
-        }
     }
 }
 

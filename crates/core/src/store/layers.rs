@@ -23,7 +23,6 @@ pub struct MeteredBackend<B> {
     insert_errors: Counter,
     queries: Counter,
     query_time: Histogram,
-    flush_time: Histogram,
     events: Gauge,
     resident_bytes: Gauge,
     segments: Gauge,
@@ -32,22 +31,24 @@ pub struct MeteredBackend<B> {
 impl<B: EventBackend> MeteredBackend<B> {
     /// Wraps `inner`, deriving metric names from prefix `p`:
     /// `{p}_stored_total`, `{p}_insert_errors_total`,
-    /// `{p}_queries_total`, `{p}_query_seconds`, `{p}_flush_seconds`,
-    /// and the occupancy gauges `{p}_events` / `{p}_resident_bytes` /
-    /// `{p}_segments`.
+    /// `{p}_queries_total`, `{p}_query_seconds`, and the occupancy
+    /// gauges `{p}_events` / `{p}_resident_bytes` / `{p}_segments`.
     pub fn new(p: &str, inner: B) -> Self {
         let r = registry();
-        MeteredBackend {
+        let metered = MeteredBackend {
             stored: r.counter(&format!("{p}_stored_total")),
             insert_errors: r.counter(&format!("{p}_insert_errors_total")),
             queries: r.counter(&format!("{p}_queries_total")),
             query_time: r.histogram(&format!("{p}_query_seconds")),
-            flush_time: r.histogram(&format!("{p}_flush_seconds")),
             events: r.gauge(&format!("{p}_events")),
             resident_bytes: r.gauge(&format!("{p}_resident_bytes")),
             segments: r.gauge(&format!("{p}_segments")),
             inner,
-        }
+        };
+        // Occupancy moves only on insert; a restored store starts with
+        // some, so the gauges are set once here and on every insert.
+        metered.refresh_gauges();
+        metered
     }
 
     fn refresh_gauges(&self) {
@@ -92,15 +93,6 @@ impl<B: EventBackend> EventBackend for MeteredBackend<B> {
 
     fn len(&self) -> usize {
         self.inner.len()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        let result = {
-            let _timer = self.flush_time.start_timer();
-            self.inner.flush()
-        };
-        self.refresh_gauges();
-        result
     }
 }
 

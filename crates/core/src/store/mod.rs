@@ -45,7 +45,7 @@ mod snapshot;
 
 pub use backend::{EventBackend, StoreError};
 pub use layers::{MeteredBackend, StoreStack};
-pub use snapshot::{restore_snapshot, FlushError, FlushStats, SnapshotDir};
+pub use snapshot::{restore_snapshot, FlushStats, SnapshotDir};
 
 use crate::aggregator::SequencedEvent;
 use parking_lot::{Mutex, RwLock};
@@ -56,7 +56,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Counters and gauges for an [`EventStore`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -238,9 +238,6 @@ pub struct EventStore {
     inserted: AtomicU64,
     rotated: AtomicU64,
     queries: AtomicU64,
-    /// Attached durability: set once via [`EventStore::attach_snapshot`]
-    /// so the trait-level [`EventBackend::flush`] knows where to write.
-    snapshot: OnceLock<SnapshotDir>,
 }
 
 impl fmt::Debug for EventStore {
@@ -284,20 +281,7 @@ impl EventStore {
             inserted: AtomicU64::new(0),
             rotated: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            snapshot: OnceLock::new(),
         }
-    }
-
-    /// Attaches the [`SnapshotDir`] this store flushes to, making
-    /// [`EventBackend::flush`] durable. Returns `false` (and drops
-    /// `dir`) if a snapshot directory was already attached.
-    pub fn attach_snapshot(&self, dir: SnapshotDir) -> bool {
-        self.snapshot.set(dir).is_ok()
-    }
-
-    /// The attached snapshot directory, if any.
-    pub fn snapshot_dir(&self) -> Option<&SnapshotDir> {
-        self.snapshot.get()
     }
 
     /// Inserts an event, rotating the oldest out at capacity.
@@ -623,7 +607,6 @@ impl EventStore {
             inserted: AtomicU64::new(len as u64),
             rotated: AtomicU64::new(0),
             queries: AtomicU64::new(0),
-            snapshot: OnceLock::new(),
         }
     }
 }
@@ -898,7 +881,7 @@ mod tests {
             let dir =
                 std::env::temp_dir().join(format!("sdci-store-unit-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
-            SnapshotDir::open(&dir).unwrap().flush(store).unwrap();
+            SnapshotDir::open(&dir).unwrap().flush(store, std::collections::HashMap::new).unwrap();
             Flushed(dir)
         }
 
@@ -927,7 +910,8 @@ mod tests {
             store.insert(ev(i, i, &format!("/snap/f{i}"))).unwrap();
         }
         let flushed = Flushed::new("roundtrip", &store);
-        let restored = restore_snapshot(&flushed.0, 100).unwrap();
+        let (restored, marks) = restore_snapshot(&flushed.0, 100).unwrap();
+        assert!(marks.is_empty());
         assert_eq!(restored.len(), 25);
         assert_eq!(restored.first_seq(), 1);
         assert_eq!(restored.last_seq(), 25);
@@ -947,7 +931,7 @@ mod tests {
         let store = EventStore::new(100);
         fill(&store, 1..=50);
         let flushed = Flushed::new("shrink", &store);
-        let restored = restore_snapshot(&flushed.0, 10).unwrap();
+        let (restored, _) = restore_snapshot(&flushed.0, 10).unwrap();
         assert_eq!(restored.len(), 10);
         assert_eq!(restored.first_seq(), 41);
     }
@@ -957,15 +941,13 @@ mod tests {
         let store = EventStore::with_segment_size(100, 6);
         fill(&store, 1..=6);
         let flushed = Flushed::new("duplicate", &store);
-        assert_eq!(restore_snapshot(&flushed.0, 100).unwrap().len(), 6);
+        assert_eq!(restore_snapshot(&flushed.0, 100).unwrap().0.len(), 6);
 
-        // The second line becomes a copy of the first: the file still
+        // The second event becomes a copy of the first: the file still
         // matches its manifest entry's length and sequence range.
-        let seg = flushed.segment_file();
-        let body = std::fs::read_to_string(&seg).unwrap();
-        let mut lines: Vec<&str> = body.lines().collect();
-        lines[1] = lines[0];
-        std::fs::write(&seg, lines.join("\n") + "\n").unwrap();
+        let mut events: Vec<SequencedEvent> = (1..=6).map(|i| ev(i, i, "/f")).collect();
+        events[1] = events[0].clone();
+        snapshot::write_blocks(&flushed.segment_file(), &events).unwrap();
         let err = restore_snapshot(&flushed.0, 100).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("is out of order"), "{err}");
@@ -976,7 +958,7 @@ mod tests {
         let store = EventStore::with_segment_size(100, 6);
         fill(&store, 1..=6);
         let flushed = Flushed::new("garbage", &store);
-        std::fs::write(flushed.segment_file(), "not json\n").unwrap();
+        std::fs::write(flushed.segment_file(), "not a block\n").unwrap();
         let err = restore_snapshot(&flushed.0, 10).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }

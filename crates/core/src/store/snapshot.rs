@@ -6,66 +6,93 @@
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST.json                        # commit point, tmp+rename
-//!   seg-00000000000000000001-00000000000000000064.ndjson
-//!   seg-00000000000000000065-00000000000000000128.ndjson
+//!   MANIFEST.json                        # the one commit point, tmp+rename
+//!   seg-00000000000000000001-00000000000000000064.bin
+//!   seg-00000000000000000065-00000000000000000128.bin
 //!   ...                                  # one file per sealed segment,
 //!                                        # written exactly once
-//!   head-0000000000000007.ndjson         # unsealed tail, one fresh
+//!   head-0000000000000007.bin            # unsealed tail, one fresh
 //!                                        # generation per flush
 //! ```
+//!
+//! Control is JSON, data is binary — the wire's rule, on disk. The
+//! manifest is JSON; a segment or head file is a run of blocks, each the
+//! member sequence a data frame carries
+//! ([`sdci_types::bin::put_members`]) under a length and a checksum:
+//!
+//! ```text
+//! file  = block*                         # an empty head is an empty file
+//! block = len u32le | body: len bytes | fnv1a(body) u64le
+//! body  = members of at most MAX_FRAME_MEMBERS events
+//! ```
+//!
+//! A block closes where a frame would, so its reader's path budget
+//! covers whatever it holds: no file can be written that cannot be
+//! restored. The checksum is FNV-1a, every step of which is a bijection
+//! of the running state, so no single corrupted byte goes unnoticed.
 //!
 //! Sealed segments are immutable, so their files are written once and
 //! then only ever garbage-collected (when rotation drops the segment);
 //! a steady-state flush writes a fresh head generation and the manifest
 //! — I/O proportional to the *new* data, not the window. The manifest
-//! rename is the commit point: a crash mid-flush leaves the previous
-//! manifest intact, and segment/head/tmp files the manifest does not
-//! reference are swept both when the directory is opened (required
-//! before any reuse-by-name decision — see [`SnapshotDir::open`]) and
-//! after each flush commits.
+//! rename is the commit point, for the events *and* for the push dedup
+//! marks that ride in it: a crash mid-flush leaves the previous
+//! manifest — one flush's store and that flush's marks — intact, and
+//! segment/head/tmp files the manifest does not reference are swept
+//! both when the directory is opened (required before any
+//! reuse-by-name decision — see [`SnapshotDir::open`]) and after each
+//! flush commits.
 //!
 //! The head gets a *new* file name every flush (the generation counter
-//! in its name) precisely so the flush never touches the file the
-//! committed manifest references: rewriting a single `head.ndjson` in
-//! place meant a crash between the head rename and the manifest rename
-//! left a committed manifest pointing at a head it disagreed with —
-//! an unrestorable snapshot (found by crash-point injection at
+//! in its name) so the flush never touches the file the committed
+//! manifest references: a crash between a head rename and the manifest
+//! rename would otherwise leave a committed manifest pointing at a head
+//! it disagrees with (found by crash-point injection at
 //! `store.flush.manifest_commit`).
 
-use super::{EventStore, StoreState};
+use super::EventStore;
+use crate::aggregator::SequencedEvent;
+use crate::cluster::fnv1a;
 use crate::store::segment::Segment;
+use sdci_types::bin::{put_members, read_members, BinReader, MAX_FRAME_MEMBERS};
 use sdci_types::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MANIFEST_NAME: &str = "MANIFEST.json";
-/// The fixed head name older snapshots used; still restorable, swept
-/// once the first generation-named head commits.
-const LEGACY_HEAD_NAME: &str = "head.ndjson";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
+
+/// Whether `name` is a plain file name of the form `<prefix>….bin`: what
+/// a manifest may reference and a sweep may remove.
+fn is_block_file(name: &str, prefix: &str) -> bool {
+    name.starts_with(prefix) && name.ends_with(".bin") && !name.contains(std::path::is_separator)
+}
 
 fn is_segment_name(name: &str) -> bool {
-    name.starts_with("seg-") && name.ends_with(".ndjson")
+    is_block_file(name, "seg-")
 }
 
 fn is_head_name(name: &str) -> bool {
-    name == LEGACY_HEAD_NAME || (name.starts_with("head-") && name.ends_with(".ndjson"))
+    is_block_file(name, "head-")
+}
+
+fn segment_file_name(first_seq: u64, last_seq: u64) -> String {
+    format!("seg-{first_seq:020}-{last_seq:020}.bin")
 }
 
 fn head_file_name(generation: u64) -> String {
-    format!("head-{generation:016}.ndjson")
+    format!("head-{generation:016}.bin")
 }
 
-/// The generation encoded in a head file name (0 for the legacy fixed
-/// name, so the first generation-named head is always newer).
+/// The generation encoded in a head file name.
 fn head_generation(name: &str) -> u64 {
     name.strip_prefix("head-")
-        .and_then(|rest| rest.strip_suffix(".ndjson"))
+        .and_then(|rest| rest.strip_suffix(".bin"))
         .and_then(|digits| digits.parse().ok())
         .unwrap_or(0)
 }
@@ -83,43 +110,6 @@ pub struct FlushStats {
     pub files_removed: u64,
     /// Events written to this flush's head file.
     pub head_events: u64,
-}
-
-/// A failed [`SnapshotDir::flush`], carrying whether the flush had
-/// already passed its commit point (the manifest rename) when the
-/// error hit.
-///
-/// The distinction matters to callers that gate work on "the snapshot
-/// now holds state X": a flush that errored *after* the rename has
-/// committed — e.g. the best-effort sweep's crash hook fired — and
-/// treating it as "did not commit" makes such callers redo or re-send
-/// work the snapshot already covers.
-#[derive(Debug)]
-pub struct FlushError {
-    /// Whether the manifest rename — the commit point — had already
-    /// happened when the error occurred.
-    pub committed: bool,
-    /// The underlying I/O failure.
-    pub source: io::Error,
-}
-
-impl std::fmt::Display for FlushError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let when = if self.committed { "after commit" } else { "before commit" };
-        write!(f, "flush failed {when}: {}", self.source)
-    }
-}
-
-impl std::error::Error for FlushError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
-impl From<FlushError> for io::Error {
-    fn from(e: FlushError) -> io::Error {
-        io::Error::new(e.source.kind(), e.to_string())
-    }
 }
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -144,6 +134,67 @@ struct Manifest {
     segments: Vec<ManifestSegment>,
     head_file: String,
     head_len: usize,
+    /// Push dedup marks — client id to the highest sequence handed to
+    /// the pipeline — captured after the events above, so each is at
+    /// least the count of its client's events among them. Ordered, so
+    /// the same state writes the same bytes.
+    marks: BTreeMap<String, u64>,
+}
+
+impl Manifest {
+    /// The files this manifest vouches for.
+    fn live_files(&self) -> HashSet<String> {
+        let mut live: HashSet<String> = self.segments.iter().map(|s| s.file.clone()).collect();
+        live.insert(self.head_file.clone());
+        live
+    }
+}
+
+/// The first thing read of any manifest, so a form this build does not
+/// read is refused by what it says it is, not by a field it lacks.
+#[derive(Deserialize)]
+struct ManifestVersion {
+    version: u32,
+}
+
+/// Reads the committed manifest of `dir`, `None` when no flush ever
+/// committed there.
+///
+/// # Errors
+///
+/// `InvalidData` for text that is not a manifest, a version other than
+/// [`MANIFEST_VERSION`] (named; nothing migrates), and a manifest
+/// referencing anything but a segment or head file inside `dir`.
+fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
+    let json = match fs::read_to_string(dir.join(MANIFEST_NAME)) {
+        Ok(json) => json,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let corrupt = |e| invalid(format!("corrupt snapshot manifest in {}: {e}", dir.display()));
+    let ManifestVersion { version } = serde_json::from_str(&json).map_err(corrupt)?;
+    if version != MANIFEST_VERSION {
+        return Err(invalid(format!(
+            "{} holds snapshot manifest version {version}; this build reads only version \
+             {MANIFEST_VERSION} and migrates nothing",
+            dir.display()
+        )));
+    }
+    let manifest: Manifest = serde_json::from_str(&json).map_err(corrupt)?;
+    let stranger = |file: &str| {
+        invalid(format!(
+            "snapshot manifest in {} references {file:?}, not a segment or head file of its \
+             directory",
+            dir.display()
+        ))
+    };
+    if let Some(seg) = manifest.segments.iter().find(|seg| !is_segment_name(&seg.file)) {
+        return Err(stranger(&seg.file));
+    }
+    if !is_head_name(&manifest.head_file) {
+        return Err(stranger(&manifest.head_file));
+    }
+    Ok(Some(manifest))
 }
 
 /// A snapshot directory an Aggregator flushes its store into.
@@ -153,70 +204,76 @@ pub struct SnapshotDir {
     /// Generation for the *next* head file, strictly above the
     /// committed manifest's — the flush must never write to the head
     /// file the committed manifest references.
-    head_gen: std::sync::atomic::AtomicU64,
+    head_gen: AtomicU64,
 }
 
 impl SnapshotDir {
     /// Opens (creating if needed) a snapshot directory, sweeping any
-    /// segment/tmp files a crashed flush left behind that the committed
-    /// manifest does not reference.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `dir` exists and is not a directory, if an existing
-    /// manifest is unreadable (the orphan sweep needs it to know which
-    /// files are live), or on I/O errors.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<SnapshotDir> {
-        let dir = dir.into();
-        if dir.exists() && !dir.is_dir() {
-            return Err(not_a_directory(&dir));
-        }
-        fs::create_dir_all(&dir)?;
-        let snap = SnapshotDir { dir, head_gen: std::sync::atomic::AtomicU64::new(1) };
-        if let Some(committed_head) = snap.sweep_orphans()? {
-            snap.head_gen
-                .store(head_generation(&committed_head) + 1, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(snap)
-    }
-
-    /// Removes files the committed manifest does not reference: stray
-    /// tmps, and `seg-*`/`head-*` orphans left by a flush that crashed
-    /// before its manifest rename. Returns the committed manifest's
-    /// head file name, if a manifest exists.
+    /// segment/head/tmp files a crashed flush left behind that the
+    /// committed manifest does not reference.
     ///
     /// Sweeping *before* the first flush is a correctness requirement,
     /// not hygiene: sequence numbers in the acked-but-unflushed
     /// durability window are reassigned to different events after a
     /// crash-restart, so a segment sealed by the restarted store can
-    /// collide with an orphan's seq-range file name. [`flush_state`]'s
-    /// reuse-by-name must therefore only ever see segment files the
-    /// manifest — and hence the store restored from it — vouches for.
-    fn sweep_orphans(&self) -> io::Result<Option<String>> {
-        let (live, committed_head): (HashSet<String>, Option<String>) =
-            match fs::read_to_string(self.dir.join(MANIFEST_NAME)) {
-                Ok(json) => {
-                    let manifest: Manifest = serde_json::from_str(&json)
-                        .map_err(|e| invalid(format!("corrupt snapshot manifest: {e}")))?;
-                    let mut live: HashSet<String> =
-                        manifest.segments.into_iter().map(|seg| seg.file).collect();
-                    live.insert(manifest.head_file.clone());
-                    (live, Some(manifest.head_file))
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => (HashSet::new(), None),
-                Err(e) => return Err(e),
-            };
+    /// collide with an orphan's seq-range file name.
+    /// [`SnapshotDir::flush`]'s reuse-by-name must therefore only ever
+    /// see segment files the manifest — and hence the store restored
+    /// from it — vouches for.
+    ///
+    /// # Errors
+    ///
+    /// Fails, touching nothing, if `dir` exists and is not a directory,
+    /// if a `<dir>.marks` file sits beside it (the dedup-marks sidecar
+    /// of manifest version 1: marks live in the manifest now, and a
+    /// leftover must not pass for state this build restores), or if an
+    /// existing manifest is not a readable version-2 one (the orphan
+    /// sweep needs it to know which files are live); propagates I/O
+    /// errors.
+    pub fn open(dir: impl Into<PathBuf>) -> io::Result<SnapshotDir> {
+        let dir = dir.into();
+        if dir.exists() && !dir.is_dir() {
+            return Err(not_a_directory(&dir));
+        }
+        let sidecar = PathBuf::from(format!("{}.marks", dir.display()));
+        if sidecar.exists() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} is a dedup-marks sidecar from manifest version 1; marks are part of \
+                     {MANIFEST_NAME} now and nothing reads it — remove it",
+                    sidecar.display()
+                ),
+            ));
+        }
+        fs::create_dir_all(&dir)?;
+        let manifest = read_manifest(&dir)?;
+        let next_gen = manifest.as_ref().map_or(1, |m| head_generation(&m.head_file) + 1);
+        let snap = SnapshotDir { dir, head_gen: AtomicU64::new(next_gen) };
+        snap.sweep(&manifest.map_or_else(HashSet::new, |m| m.live_files()))?;
+        Ok(snap)
+    }
+
+    /// Removes stray tmps and every segment or head file not in `live`:
+    /// orphans of a flush that crashed before its manifest rename,
+    /// segments rotated out of the window, the previous head
+    /// generation. Returns how many *segment* files went — the head
+    /// turnover is a constant of the commit protocol, not data leaving
+    /// the window.
+    fn sweep(&self, live: &HashSet<String>) -> io::Result<u64> {
+        let mut segments_removed = 0;
         for entry in fs::read_dir(&self.dir)? {
             let entry = entry?;
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            let is_orphan =
-                (is_segment_name(&name) || is_head_name(&name)) && !live.contains(&*name);
-            if is_orphan || name.ends_with(".tmp") {
+            let is_segment = is_segment_name(&name);
+            let stale = (is_segment || is_head_name(&name)) && !live.contains(&*name);
+            if stale || name.ends_with(".tmp") {
                 fs::remove_file(entry.path())?;
+                segments_removed += u64::from(stale && is_segment);
             }
         }
-        Ok(committed_head)
+        Ok(segments_removed)
     }
 
     /// The directory this snapshot lives in.
@@ -224,71 +281,36 @@ impl SnapshotDir {
         &self.dir
     }
 
-    /// Flushes the store's current state.
+    /// Flushes the store's current state, and with it the push dedup
+    /// marks `marks` returns.
+    ///
+    /// `marks` is called *after* the store's state is captured: a
+    /// client's mark advances before its event can reach the store, so
+    /// marks captured second are at least as new as the events beside
+    /// them and can never suppress the resend of an event the snapshot
+    /// is missing. A store with no pushers passes `HashMap::new`.
     ///
     /// Sealed segments already on disk are reused untouched; new ones
     /// are written once; the head goes into a fresh generation-named
-    /// file and `MANIFEST.json` is rewritten (tmp + rename, the
-    /// manifest rename being the commit point); files no longer
+    /// file and `MANIFEST.json` is rewritten (tmp + rename — the one
+    /// commit point, for events and marks alike); files no longer
     /// referenced are removed.
     ///
     /// # Errors
     ///
-    /// Returns a [`FlushError`] whose `committed` flag says whether the
-    /// manifest rename — the commit point — had already happened: on a
-    /// pre-commit error the previous manifest remains the committed
-    /// state, while a post-commit error (from the best-effort epilogue)
-    /// leaves the *new* manifest committed.
-    pub fn flush(&self, store: &EventStore) -> Result<FlushStats, FlushError> {
-        self.flush_state(&store.snapshot_state())
-    }
-
-    pub(crate) fn flush_state(&self, state: &StoreState) -> Result<FlushStats, FlushError> {
-        // Flush timing is the MeteredBackend layer's job
-        // (`{prefix}_flush_seconds`), not the snapshot writer's.
-        let mut stats = FlushStats::default();
-        let live = self
-            .flush_until_commit(state, &mut stats)
-            .map_err(|source| FlushError { committed: false, source })?;
-        if let Err(source) = sdci_faults::crash_point("store.flush.committed") {
-            return Err(FlushError { committed: true, source });
-        }
-        // Committed. The sweep of rotated-out segment files and stray
-        // tmps is best-effort: the manifest rename above was the commit
-        // point, so a sweep failure must not report the flush as failed
-        // (callers would skip work that depends on a committed snapshot,
-        // e.g. sdcimon's dedup-marks sidecar). Anything left behind is
-        // retried next flush and swept again at open.
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                let is_stale_segment = is_segment_name(&name) && !live.contains(&*name);
-                // Previous head generations (and any legacy fixed-name
-                // head) are swept too, but only segment GC is reported
-                // in the stats — the head turnover is a constant of
-                // the commit protocol, not data leaving the window.
-                let is_stale_head = is_head_name(&name) && !live.contains(&*name);
-                let sweep = is_stale_segment || is_stale_head || name.ends_with(".tmp");
-                if sweep && fs::remove_file(entry.path()).is_ok() && is_stale_segment {
-                    stats.files_removed += 1;
-                }
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Everything up to and including the manifest rename — the part of
-    /// a flush whose failure means "the previous manifest is still the
-    /// committed state". Returns the set of live file names for the
-    /// post-commit sweep.
-    fn flush_until_commit(
+    /// An error means the flush stopped. Whichever manifest is then the
+    /// committed one, it is one whole flush's state, so no caller needs
+    /// to be told which. Only the injected `store.flush.committed` crash
+    /// point fails after the rename; the sweep behind it is best-effort.
+    pub fn flush(
         &self,
-        state: &StoreState,
-        stats: &mut FlushStats,
-    ) -> io::Result<HashSet<String>> {
-        let mut live: HashSet<String> = HashSet::new();
-        let mut manifest_segs = Vec::with_capacity(state.segs.len());
+        store: &EventStore,
+        marks: impl FnOnce() -> HashMap<String, u64>,
+    ) -> io::Result<FlushStats> {
+        let state = store.snapshot_state();
+        let marks = marks();
+        let mut stats = FlushStats::default();
+        let mut segments = Vec::with_capacity(state.segs.len());
         for seg in &state.segs {
             let name = segment_file_name(seg.first_seq(), seg.last_seq());
             let path = self.dir.join(&name);
@@ -296,63 +318,106 @@ impl SnapshotDir {
                 stats.segments_reused += 1;
             } else {
                 sdci_faults::crash_point("store.flush.segment")?;
-                self.write_events_atomically(&path, seg.events().iter())?;
+                write_blocks(&path, seg.events())?;
                 stats.segments_written += 1;
             }
-            manifest_segs.push(ManifestSegment {
-                file: name.clone(),
+            segments.push(ManifestSegment {
+                file: name,
                 first_seq: seg.first_seq(),
                 last_seq: seg.last_seq(),
                 len: seg.len(),
                 min_time: seg.min_time(),
                 max_time: seg.max_time(),
             });
-            live.insert(name);
         }
         // The head is written under a name no committed manifest
         // references: overwriting the committed head file here, before
         // the manifest rename below, would corrupt the snapshot if
         // this flush dies between the two renames.
-        let head_name =
-            head_file_name(self.head_gen.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+        let head_file = head_file_name(self.head_gen.fetch_add(1, Ordering::Relaxed));
         sdci_faults::crash_point("store.flush.head")?;
-        self.write_events_atomically(&self.dir.join(&head_name), state.head.iter())?;
+        write_blocks(&self.dir.join(&head_file), &state.head)?;
         stats.head_events = state.head.len() as u64;
-        live.insert(head_name.clone());
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             trim: state.trim,
             last_seq: state.last_seq(),
-            segments: manifest_segs,
-            head_file: head_name,
+            segments,
+            head_file,
             head_len: state.head.len(),
+            marks: marks.into_iter().collect(),
         };
         let json = serde_json::to_string(&manifest).expect("manifest always serializes");
-        let manifest_path = self.dir.join(MANIFEST_NAME);
-        let tmp = manifest_path.with_extension("json.tmp");
-        fs::write(&tmp, json.as_bytes())?;
-        sdci_faults::crash_point("store.flush.manifest_commit")?;
-        fs::rename(&tmp, &manifest_path)?;
-        Ok(live)
-    }
-
-    fn write_events_atomically<'a>(
-        &self,
-        path: &Path,
-        events: impl Iterator<Item = &'a crate::aggregator::SequencedEvent>,
-    ) -> io::Result<()> {
-        let tmp = path.with_extension("ndjson.tmp");
-        {
-            let mut out = io::BufWriter::new(fs::File::create(&tmp)?);
-            for sev in events {
-                let line = serde_json::to_string(sev).expect("events always serialize");
-                out.write_all(line.as_bytes())?;
-                out.write_all(b"\n")?;
-            }
+        crate::write_atomically(&self.dir.join(MANIFEST_NAME), |out| {
+            out.write_all(json.as_bytes())?;
+            // The tmp is whole before the kill location between it and
+            // the rename.
             out.flush()?;
-        }
-        fs::rename(&tmp, path)
+            sdci_faults::crash_point("store.flush.manifest_commit")
+        })?;
+        sdci_faults::crash_point("store.flush.committed")?;
+        // Committed. The sweep is best-effort: anything left behind is
+        // retried next flush and swept again at open.
+        stats.files_removed = self.sweep(&manifest.live_files()).unwrap_or(0);
+        Ok(stats)
     }
+}
+
+/// Writes `events` to `path` as blocks of at most [`MAX_FRAME_MEMBERS`].
+pub(super) fn write_blocks(path: &Path, events: &[SequencedEvent]) -> io::Result<()> {
+    crate::write_atomically(path, |out| {
+        let mut body = Vec::new();
+        for block in events.chunks(MAX_FRAME_MEMBERS) {
+            body.clear();
+            put_members(&mut body, block);
+            let len = u32::try_from(body.len()).map_err(|_| invalid("a block of 4 GiB or more"))?;
+            out.write_all(&len.to_le_bytes())?;
+            out.write_all(&body)?;
+            out.write_all(&fnv1a(&body).to_le_bytes())?;
+        }
+        Ok(())
+    })
+}
+
+/// Reads a segment or head file back. The file is outside input: a
+/// length word is checked against the bytes on hand before anything is
+/// sized by it, a body is decoded only once its checksum holds, and the
+/// member decoder bounds what a count word may reserve.
+fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
+    let bytes = fs::read(path)?;
+    let corrupt = |what: String| invalid(format!("{}: {what}", path.display()));
+    let mut events = Vec::new();
+    let mut rest = &bytes[..];
+    while !rest.is_empty() {
+        let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
+            return Err(corrupt(format!("{} bytes where a block length belongs", rest.len())));
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        if after_len.len().checked_sub(8).is_none_or(|room| len > room) {
+            return Err(corrupt(format!(
+                "a block of {len} bytes and its checksum, {} left in the file",
+                after_len.len()
+            )));
+        }
+        let (body, after_body) = after_len.split_at(len);
+        let (sum, after_sum) = after_body.split_first_chunk::<8>().expect("room checked above");
+        if u64::from_le_bytes(*sum) != fnv1a(body) {
+            return Err(corrupt("a block does not match its checksum".to_string()));
+        }
+        // The reader owns the block's path arena and seals it on drop:
+        // the events are touched only after this scope ends.
+        let block: Vec<SequencedEvent> = {
+            let mut r = BinReader::new(body);
+            let block = read_members(&mut r).map_err(|e| corrupt(e.to_string()))?;
+            if !r.is_empty() {
+                return Err(corrupt(format!("a block has {} trailing bytes", r.remaining())));
+            }
+            block
+        };
+        events.extend(block);
+        rest = after_sum;
+    }
+    Ok(events)
 }
 
 /// The error for a snapshot path that names a regular file: snapshots
@@ -364,53 +429,39 @@ fn not_a_directory(path: &Path) -> io::Error {
     )
 }
 
-fn segment_file_name(first_seq: u64, last_seq: u64) -> String {
-    format!("seg-{first_seq:020}-{last_seq:020}.ndjson")
-}
-
-/// Restores a store from the [`SnapshotDir`] layout at `dir`, bounded
-/// to `capacity` events.
+/// Restores the store and the push dedup marks of one committed flush
+/// from the [`SnapshotDir`] layout at `dir`, the store bounded to
+/// `capacity` events.
 ///
 /// The restore preserves the snapshot's segment boundaries, so
 /// subsequent flushes keep reusing the segment files already on disk.
 /// A directory with no manifest — created, but no flush ever committed
-/// — restores as an empty store.
+/// — restores as an empty store and no marks.
 ///
 /// # Errors
 ///
 /// Returns `InvalidInput` when `dir` names a regular file, `InvalidData`
-/// on a corrupt manifest, a segment file that disagrees with its
-/// manifest entry, or out-of-order/duplicate sequence numbers;
-/// propagates other I/O failures.
-pub fn restore_snapshot(dir: &Path, capacity: usize) -> io::Result<EventStore> {
+/// on a corrupt or other-version manifest, a corrupt segment or head
+/// file, one that disagrees with its manifest entry, or
+/// out-of-order/duplicate sequence numbers; propagates other I/O
+/// failures.
+pub fn restore_snapshot(
+    dir: &Path,
+    capacity: usize,
+) -> io::Result<(EventStore, HashMap<String, u64>)> {
     if !fs::metadata(dir)?.is_dir() {
         return Err(not_a_directory(dir));
     }
-    let manifest_path = dir.join(MANIFEST_NAME);
-    let json = match fs::read_to_string(&manifest_path) {
-        Ok(json) => json,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            // The directory exists but no flush ever committed (e.g. a
-            // crash before the first flush interval). The manifest is
-            // the commit point, so this is an empty snapshot, not
-            // corruption — restore a fresh store rather than refusing
-            // to start.
-            return Ok(EventStore::new(capacity));
-        }
-        Err(e) => return Err(e),
+    // The manifest is the commit point, so a directory without one —
+    // e.g. a crash before the first flush interval — is an empty
+    // snapshot, not corruption.
+    let Some(manifest) = read_manifest(dir)? else {
+        return Ok((EventStore::new(capacity), HashMap::new()));
     };
-    let manifest: Manifest = serde_json::from_str(&json)
-        .map_err(|e| invalid(format!("corrupt snapshot manifest: {e}")))?;
-    if manifest.version != MANIFEST_VERSION {
-        return Err(invalid(format!(
-            "snapshot manifest version {} is not supported (expected {MANIFEST_VERSION})",
-            manifest.version
-        )));
-    }
     let mut segs: VecDeque<Arc<Segment>> = VecDeque::with_capacity(manifest.segments.len());
     let mut prev_last = 0u64;
     for entry in &manifest.segments {
-        let events = read_events(&dir.join(&entry.file))?;
+        let events = read_blocks(&dir.join(&entry.file))?;
         if events.len() != entry.len
             || events.first().map(|e| e.seq) != Some(entry.first_seq)
             || events.last().map(|e| e.seq) != Some(entry.last_seq)
@@ -439,7 +490,7 @@ pub fn restore_snapshot(dir: &Path, capacity: usize) -> io::Result<EventStore> {
     if manifest.trim > 0 && segs.front().is_none_or(|front| manifest.trim >= front.len()) {
         return Err(invalid("snapshot manifest trim exceeds its oldest segment"));
     }
-    let head = read_events(&dir.join(&manifest.head_file))?;
+    let head = read_blocks(&dir.join(&manifest.head_file))?;
     if head.len() != manifest.head_len
         || !head.windows(2).all(|w| w[0].seq < w[1].seq)
         || head.first().is_some_and(|e| e.seq <= prev_last)
@@ -450,22 +501,7 @@ pub fn restore_snapshot(dir: &Path, capacity: usize) -> io::Result<EventStore> {
     if store.last_seq() != manifest.last_seq {
         return Err(invalid("snapshot manifest last_seq disagrees with its contents"));
     }
-    Ok(store)
-}
-
-fn read_events(path: &Path) -> io::Result<Vec<crate::aggregator::SequencedEvent>> {
-    let mut events = Vec::new();
-    for line in BufReader::new(fs::File::open(path)?).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        events.push(
-            serde_json::from_str(&line)
-                .map_err(|e| invalid(format!("corrupt event line in {}: {e}", path.display())))?,
-        );
-    }
-    Ok(events)
+    Ok((store, manifest.marks.into_iter().collect()))
 }
 
 fn invalid(msg: impl Into<String>) -> io::Error {

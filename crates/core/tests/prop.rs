@@ -9,6 +9,7 @@ use sdci_core::{
 };
 use sdci_mq::pubsub::Broker;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -294,8 +295,8 @@ proptest! {
                     let dir = std::env::temp_dir()
                         .join(format!("sdci-prop-roundtrip-{}", std::process::id()));
                     let _ = std::fs::remove_dir_all(&dir);
-                    SnapshotDir::open(&dir).unwrap().flush(&store).unwrap();
-                    store = restore_snapshot(&dir, capacity).unwrap();
+                    SnapshotDir::open(&dir).unwrap().flush(&store, HashMap::new).unwrap();
+                    store = restore_snapshot(&dir, capacity).unwrap().0;
                     let _ = std::fs::remove_dir_all(&dir);
                 }
             }

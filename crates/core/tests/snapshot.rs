@@ -1,12 +1,13 @@
 //! Integration tests for the incremental snapshot directory: the
 //! write-once property of sealed segment files, manifest-commit
-//! atomicity, garbage collection under rotation, restore fidelity
-//! (including across a capacity shrink), and the refusal of a path that
-//! is not a directory.
+//! atomicity (events and push dedup marks in one manifest), garbage
+//! collection under rotation, restore fidelity (including across a
+//! capacity shrink), and the refusal of a path that is not a directory
+//! of this build's form.
 
 use sdci_core::{restore_snapshot, EventStore, SequencedEvent, SnapshotDir, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
@@ -52,18 +53,41 @@ impl Drop for Scratch {
     }
 }
 
-/// (len, mtime) of every `seg-*.ndjson` file in the snapshot directory.
+/// (len, mtime) of every `seg-*.bin` file in the snapshot directory.
 fn segment_files(dir: &Path) -> BTreeMap<String, (u64, SystemTime)> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("read snapshot dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("seg-") && name.ends_with(".ndjson") {
+        if name.starts_with("seg-") && name.ends_with(".bin") {
             let meta = entry.metadata().expect("metadata");
             out.insert(name, (meta.len(), meta.modified().expect("mtime")));
         }
     }
     out
+}
+
+/// Name and bytes of every file in `dir`.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read snapshot dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(entry.path()).expect("read file"))
+        })
+        .collect()
+}
+
+/// The bytes of the segment file a flush writes for `events` sealed as
+/// one segment — for planting a well-formed file where a test needs one.
+fn segment_bytes(tag: &str, events: Vec<SequencedEvent>) -> Vec<u8> {
+    let scratch = Scratch::new(tag);
+    let store = EventStore::with_segment_size(events.len() * 2, events.len());
+    store.insert_batch(events).unwrap();
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, HashMap::new).unwrap();
+    let (name, _) = segment_files(scratch.path()).into_iter().next().expect("one sealed segment");
+    std::fs::read(scratch.path().join(name)).unwrap()
 }
 
 #[test]
@@ -74,7 +98,7 @@ fn flush_with_unchanged_sealed_chain_rewrites_only_manifest_and_head() {
         store.insert(sev(i, &format!("/a/f{i}"))).unwrap();
     }
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    let first = dir.flush(&store).unwrap();
+    let first = dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(first.segments_written, 6, "100 events / 16-event segments = 6 sealed");
     assert_eq!(first.segments_reused, 0);
     assert_eq!(first.head_events, 4);
@@ -88,7 +112,7 @@ fn flush_with_unchanged_sealed_chain_rewrites_only_manifest_and_head() {
     }
     // Sleep past mtime granularity so an (incorrect) rewrite is visible.
     std::thread::sleep(std::time::Duration::from_millis(20));
-    let second = dir.flush(&store).unwrap();
+    let second = dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(second.segments_written, 0, "no sealed segment changed");
     assert_eq!(second.segments_reused, 6);
     assert_eq!(second.head_events, 14);
@@ -101,7 +125,7 @@ fn flush_with_unchanged_sealed_chain_rewrites_only_manifest_and_head() {
     for i in 111..=150 {
         store.insert(sev(i, &format!("/a/f{i}"))).unwrap();
     }
-    let third = dir.flush(&store).unwrap();
+    let third = dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(third.segments_written, 3);
     assert_eq!(third.segments_reused, 6);
     let grown = segment_files(scratch.path());
@@ -119,10 +143,10 @@ fn directory_roundtrip_preserves_contents_and_segment_files() {
         store.insert(sev(i, &format!("/p{}/f{i}", i % 4))).unwrap();
     }
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    dir.flush(&store).unwrap();
+    dir.flush(&store, HashMap::new).unwrap();
     let files = segment_files(scratch.path());
 
-    let restored = restore_snapshot(scratch.path(), 10_000).unwrap();
+    let restored = restore_snapshot(scratch.path(), 10_000).unwrap().0;
     assert_eq!(restored.len(), 60);
     assert_eq!(restored.first_seq(), 1);
     assert_eq!(restored.last_seq(), 60);
@@ -140,7 +164,7 @@ fn directory_roundtrip_preserves_contents_and_segment_files() {
     // The restored store keeps the snapshot's segment boundaries, so a
     // flush from it reuses every file already on disk.
     std::thread::sleep(std::time::Duration::from_millis(20));
-    let stats = dir.flush(&restored).unwrap();
+    let stats = dir.flush(&restored, HashMap::new).unwrap();
     assert_eq!(stats.segments_written, 0, "restored store must reuse on-disk segments");
     assert_eq!(stats.segments_reused, files.len() as u64);
     assert_eq!(segment_files(scratch.path()), files);
@@ -158,19 +182,19 @@ fn rotation_garbage_collects_dropped_segment_files() {
         store.insert(sev(i, "/r/f")).unwrap();
     }
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    dir.flush(&store).unwrap();
+    dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(segment_files(scratch.path()).len(), 5);
 
     // Rotate two whole segments out of the window.
     for i in 41..=56 {
         store.insert(sev(i, "/r/f")).unwrap();
     }
-    let stats = dir.flush(&store).unwrap();
+    let stats = dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(stats.segments_written, 2);
     assert_eq!(stats.files_removed, 2, "rotated-out segment files are swept");
     assert_eq!(segment_files(scratch.path()).len(), 5);
 
-    let restored = restore_snapshot(scratch.path(), 40).unwrap();
+    let restored = restore_snapshot(scratch.path(), 40).unwrap().0;
     assert_eq!(restored.first_seq(), 17);
     assert_eq!(restored.last_seq(), 56);
     assert_eq!(restored.len(), 40);
@@ -187,9 +211,9 @@ fn restore_respects_partially_trimmed_front_segment() {
     }
     assert_eq!(store.first_seq(), 11);
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    dir.flush(&store).unwrap();
+    dir.flush(&store, HashMap::new).unwrap();
 
-    let restored = restore_snapshot(scratch.path(), 20).unwrap();
+    let restored = restore_snapshot(scratch.path(), 20).unwrap().0;
     assert_eq!(restored.first_seq(), 11, "trim offset survives the roundtrip");
     assert_eq!(restored.len(), 20);
     assert_eq!(restored.query(&StoreQuery::after_seq(0)), store.query(&StoreQuery::after_seq(0)));
@@ -202,9 +226,9 @@ fn restore_into_smaller_capacity_keeps_the_newest_events() {
     for i in 1..=100 {
         store.insert(sev(i, "/s/f")).unwrap();
     }
-    SnapshotDir::open(scratch.path()).unwrap().flush(&store).unwrap();
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, HashMap::new).unwrap();
 
-    let restored = restore_snapshot(scratch.path(), 25).unwrap();
+    let restored = restore_snapshot(scratch.path(), 25).unwrap().0;
     assert_eq!(restored.len(), 25);
     assert_eq!(restored.first_seq(), 76);
     assert_eq!(restored.last_seq(), 100);
@@ -215,9 +239,9 @@ fn empty_store_roundtrip() {
     let scratch = Scratch::new("empty");
     let store = EventStore::new(100);
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    let stats = dir.flush(&store).unwrap();
+    let stats = dir.flush(&store, HashMap::new).unwrap();
     assert_eq!(stats.segments_written + stats.segments_reused, 0);
-    let restored = restore_snapshot(scratch.path(), 100).unwrap();
+    let restored = restore_snapshot(scratch.path(), 100).unwrap().0;
     assert!(restored.is_empty());
     assert_eq!(restored.last_seq(), 0);
     restored.insert(sev(1, "/e/f")).unwrap();
@@ -232,11 +256,11 @@ fn corrupt_manifest_is_rejected() {
         store.insert(sev(i, "/c/f")).unwrap();
     }
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    dir.flush(&store).unwrap();
+    dir.flush(&store, HashMap::new).unwrap();
 
     let manifest = scratch.path().join("MANIFEST.json");
     std::fs::write(&manifest, "{ not json").unwrap();
-    let err = restore_snapshot(scratch.path(), 1000).unwrap_err();
+    let err = restore_snapshot(scratch.path(), 1000).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("manifest"), "unhelpful error: {err}");
 }
@@ -249,23 +273,22 @@ fn tampered_segment_file_is_rejected() {
         store.insert(sev(i, "/c/f")).unwrap();
     }
     let dir = SnapshotDir::open(scratch.path()).unwrap();
-    dir.flush(&store).unwrap();
+    dir.flush(&store, HashMap::new).unwrap();
 
-    // Truncate one sealed segment file: its length no longer matches the
-    // manifest, so restore must refuse rather than silently drop events.
+    // One sealed segment file loses its last event: a well-formed file
+    // that no longer matches the manifest, so restore must refuse
+    // rather than silently drop events.
     let (name, _) = segment_files(scratch.path()).into_iter().next().unwrap();
-    let seg_path = scratch.path().join(&name);
-    let text = std::fs::read_to_string(&seg_path).unwrap();
-    let truncated: Vec<&str> = text.lines().skip(1).collect();
-    std::fs::write(&seg_path, truncated.join("\n")).unwrap();
+    let short = segment_bytes("tamper-short", (1..=7).map(|i| sev(i, "/c/f")).collect());
+    std::fs::write(scratch.path().join(&name), short).unwrap();
 
-    let err = restore_snapshot(scratch.path(), 1000).unwrap_err();
+    let err = restore_snapshot(scratch.path(), 1000).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains(&name), "unhelpful error: {err}");
 }
 
 fn seg_file_name(first: u64, last: u64) -> String {
-    format!("seg-{first:020}-{last:020}.ndjson")
+    format!("seg-{first:020}-{last:020}.bin")
 }
 
 #[test]
@@ -279,7 +302,7 @@ fn orphan_segment_file_from_a_crashed_flush_is_swept_not_reused() {
         store.insert(sev(i, &format!("/committed/f{i}"))).unwrap();
     }
     // Committed state: segment [1-64], head 65..=100.
-    SnapshotDir::open(scratch.path()).unwrap().flush(&store).unwrap();
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, HashMap::new).unwrap();
 
     // Simulate a later flush crashing after writing the segment file
     // for [65-128] but before the manifest rename, then a hard kill:
@@ -289,12 +312,11 @@ fn orphan_segment_file_from_a_crashed_flush_is_swept_not_reused() {
     // events — same seqs and times, different paths — so reuse-by-name
     // would silently resurrect them.
     let collision = seg_file_name(65, 128);
-    let stale: String =
-        (65..=128).map(|i| serde_json::to_string(&sev(i, "/stale/f")).unwrap() + "\n").collect();
+    let stale = segment_bytes("orphan-stale", (65..=128).map(|i| sev(i, "/stale/f")).collect());
     std::fs::write(scratch.path().join(&collision), stale).unwrap();
 
     // Restart: restore the committed snapshot, reopen the directory.
-    let restored = restore_snapshot(scratch.path(), 2048).unwrap();
+    let restored = restore_snapshot(scratch.path(), 2048).unwrap().0;
     assert_eq!(restored.last_seq(), 100);
     let dir = SnapshotDir::open(scratch.path()).unwrap();
     assert!(
@@ -307,11 +329,11 @@ fn orphan_segment_file_from_a_crashed_flush_is_swept_not_reused() {
     for i in 101..=128 {
         restored.insert(sev(i, &format!("/fresh/f{i}"))).unwrap();
     }
-    let stats = dir.flush(&restored).unwrap();
+    let stats = dir.flush(&restored, HashMap::new).unwrap();
     assert_eq!(stats.segments_written, 1, "the colliding segment must be written, not reused");
     assert_eq!(stats.segments_reused, 1);
 
-    let roundtrip = restore_snapshot(scratch.path(), 2048).unwrap();
+    let roundtrip = restore_snapshot(scratch.path(), 2048).unwrap().0;
     let all = roundtrip.query(&StoreQuery::after_seq(0));
     assert_eq!(all.len(), 128);
     assert!(
@@ -331,34 +353,34 @@ fn directory_without_manifest_restores_as_empty() {
     // flush committed: no MANIFEST.json, possibly debris from the
     // crashed flush itself.
     std::fs::create_dir_all(scratch.path()).unwrap();
-    std::fs::write(scratch.path().join(seg_file_name(1, 8)), "not json\n").unwrap();
-    std::fs::write(scratch.path().join("head.ndjson.tmp"), "").unwrap();
+    std::fs::write(scratch.path().join(seg_file_name(1, 8)), "not a block\n").unwrap();
+    std::fs::write(scratch.path().join("head.bin.tmp"), "").unwrap();
 
-    let restored = restore_snapshot(scratch.path(), 100).unwrap();
+    let restored = restore_snapshot(scratch.path(), 100).unwrap().0;
     assert!(restored.is_empty(), "a dir with no committed manifest is an empty snapshot");
     assert_eq!(restored.last_seq(), 0);
 
     // Reopening sweeps the debris, and the snapshot works from there.
     let dir = SnapshotDir::open(scratch.path()).unwrap();
     assert!(!scratch.path().join(seg_file_name(1, 8)).exists());
-    assert!(!scratch.path().join("head.ndjson.tmp").exists());
+    assert!(!scratch.path().join("head.bin.tmp").exists());
     restored.insert(sev(1, "/n/f")).unwrap();
-    dir.flush(&restored).unwrap();
-    assert_eq!(restore_snapshot(scratch.path(), 100).unwrap().len(), 1);
+    dir.flush(&restored, HashMap::new).unwrap();
+    assert_eq!(restore_snapshot(scratch.path(), 100).unwrap().0.len(), 1);
 }
 
 /// Snapshots are directories: a regular file at the path — even one
-/// holding an event line as a segment file would — is refused by name, and
+/// holding events as a segment file would — is refused by name, and
 /// left as it was.
 #[test]
 fn a_regular_file_is_not_a_snapshot() {
     let file = Scratch::new("not-a-dir");
-    let buf = serde_json::to_string(&sev(1, "/l/f1")).unwrap().into_bytes();
+    let buf = segment_bytes("not-a-dir-events", vec![sev(1, "/l/f1")]);
     std::fs::write(file.path(), &buf).unwrap();
 
     for err in [
-        SnapshotDir::open(file.path()).unwrap_err(),
-        restore_snapshot(file.path(), 100).unwrap_err(),
+        SnapshotDir::open(file.path()).map(|_| ()).unwrap_err(),
+        restore_snapshot(file.path(), 100).map(|_| ()).unwrap_err(),
     ] {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("is a file, not a snapshot directory"), "{err}");
@@ -366,41 +388,125 @@ fn a_regular_file_is_not_a_snapshot() {
     assert_eq!(std::fs::read(file.path()).unwrap(), buf);
 }
 
-/// What the commit before `EventPath` wrote still loads, and what this
-/// one writes is what that one wrote: `fixtures/pr19-snapshot` is a
-/// snapshot directory (one sealed four-event segment, a two-event head)
-/// and `fixtures/pr19-feed.ndjson` the same events as `FeedMessage` JSON
-/// lines, both produced by that commit's binary — a rename carrying
-/// `src_path`, a traced event, an accent, an escaped quote and backslash,
-/// a trailing separator. Restored and flushed afresh, every file comes
-/// out byte-identical; parsed and printed, so does every line.
+/// Nothing migrates: a directory whose manifest says version 1 —
+/// `fixtures/pr19-snapshot`, written by PR 19's binary as JSON lines — is
+/// refused by what it says it is, by `open` and by `restore_snapshot`
+/// alike, and left exactly as found.
 #[test]
-fn a_snapshot_and_feed_lines_from_before_event_path_reserialise_identically() {
+fn a_version_1_directory_is_refused_by_name_and_left_as_found() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr19-snapshot");
-    let restored = restore_snapshot(&fixture, 1_000).unwrap();
-    assert_eq!(restored.len(), 6);
-    let renamed = &restored.query(&StoreQuery::after_seq(3).limit(1))[0].event;
-    assert_eq!(renamed.path.as_str(), "/proj/run-2/new-name");
-    assert_eq!(renamed.src_path.as_ref().unwrap().as_str(), "/proj/run-2/old-name");
-
-    let scratch = Scratch::new("pr19-fixture");
-    SnapshotDir::open(scratch.path()).unwrap().flush(&restored).unwrap();
-    let mut compared = 0;
-    for entry in std::fs::read_dir(&fixture).unwrap() {
-        let name = entry.unwrap().file_name();
-        assert_eq!(
-            std::fs::read(scratch.path().join(&name)).unwrap(),
-            std::fs::read(fixture.join(&name)).unwrap(),
-            "{name:?} differs from what the parent commit wrote"
-        );
-        compared += 1;
+    let scratch = Scratch::new("v1");
+    std::fs::create_dir_all(scratch.path()).unwrap();
+    for (name, bytes) in dir_bytes(&fixture) {
+        std::fs::write(scratch.path().join(name), bytes).unwrap();
     }
-    assert_eq!(compared, 3, "manifest, one segment, one head");
+    let before = dir_bytes(scratch.path());
+    assert_eq!(before.len(), 3, "manifest, one segment, one head");
 
-    let feed = include_str!("fixtures/pr19-feed.ndjson");
-    assert_eq!(feed.lines().count(), 7);
-    for line in feed.lines() {
-        let message: sdci_core::FeedMessage = serde_json::from_str(line).unwrap();
-        assert_eq!(serde_json::to_string(&message).unwrap(), line);
+    for err in [
+        SnapshotDir::open(scratch.path()).map(|_| ()).unwrap_err(),
+        restore_snapshot(scratch.path(), 1_000).map(|_| ()).unwrap_err(),
+    ] {
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("manifest version 1"), "{err}");
     }
+    assert_eq!(dir_bytes(scratch.path()), before);
+}
+
+/// Marks live in the manifest: a `DIR.marks` file beside a snapshot is
+/// the version-1 sidecar, which nothing reads any more — `open` names it
+/// and touches neither it nor the directory.
+#[test]
+fn a_marks_sidecar_beside_the_directory_is_refused_by_name() {
+    let scratch = Scratch::new("sidecar");
+    let store = EventStore::with_segment_size(1000, 8);
+    for i in 1..=20 {
+        store.insert(sev(i, "/m/f")).unwrap();
+    }
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, HashMap::new).unwrap();
+    let before = dir_bytes(scratch.path());
+
+    let sidecar = Scratch(PathBuf::from(format!("{}.marks", scratch.path().display())));
+    std::fs::write(sidecar.path(), br#"{"c1":20}"#).unwrap();
+    let err = SnapshotDir::open(scratch.path()).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains(sidecar.path().to_str().unwrap()), "{err}");
+    assert_eq!(std::fs::read(sidecar.path()).unwrap(), br#"{"c1":20}"#);
+    assert_eq!(dir_bytes(scratch.path()), before);
+}
+
+/// One manifest carries one flush's store and that flush's marks, and
+/// the marks are read *after* the store's state is captured: an event
+/// that arrives while they are being read is in the marks, not in the
+/// snapshot — never the other way round, which would let a restart
+/// store a resent event twice.
+#[test]
+fn marks_commit_with_the_events_and_are_captured_after_them() {
+    let scratch = Scratch::new("marks");
+    let store = EventStore::with_segment_size(1000, 8);
+    for i in 1..=20 {
+        store.insert(sev(i, "/c1/f")).unwrap();
+    }
+    let dir = SnapshotDir::open(scratch.path()).unwrap();
+    dir.flush(&store, || {
+        store.insert(sev(21, "/c1/late")).unwrap();
+        HashMap::from([("c1".to_string(), 21), ("c2".to_string(), 0)])
+    })
+    .unwrap();
+
+    let (restored, marks) = restore_snapshot(scratch.path(), 1000).unwrap();
+    assert_eq!(restored.last_seq(), 20, "the state was captured before the marks were read");
+    assert_eq!(marks, HashMap::from([("c1".to_string(), 21), ("c2".to_string(), 0)]));
+
+    // A directory no flush committed into has neither.
+    let empty = Scratch::new("marks-empty");
+    SnapshotDir::open(empty.path()).unwrap();
+    let (restored, marks) = restore_snapshot(empty.path(), 1000).unwrap();
+    assert!(restored.is_empty() && marks.is_empty());
+}
+
+/// Flush → restore → flush reproduces every file byte for byte — the
+/// manifest included, its marks in key order — for a store whose events
+/// exercise the member layout: a rename carrying `src_path`, a traced
+/// event, an accent, a quote and a backslash, a trailing separator. And
+/// what the form costs: bytes per event of a 4-event and a 4,096-event
+/// segment file (printed; `--nocapture` shows them).
+#[test]
+fn a_restored_store_flushes_byte_identical_files() {
+    let scratch = Scratch::new("identical");
+    let store = EventStore::with_segment_size(100_000, 4);
+    let mut events: Vec<SequencedEvent> =
+        (1..=6).map(|i| sev(i, &format!("/proj/run-{}/f{i}", i % 2))).collect();
+    events[1].event.path = "/proj/run-1/é t\"q\\.txt".into();
+    events[2].event.trace = Some(sdci_types::TraceContext::sampled(0xabc, 7));
+    events[3].event.changelog_kind = ChangelogKind::Rename;
+    events[3].event.kind = EventKind::Moved;
+    events[3].event.path = "/proj/run-2/new-name".into();
+    events[3].event.src_path = Some("/proj/run-2/old-name".into());
+    events[4].event.extracted_unix_ns = Some(1_790_000_000_000_000_004);
+    events[5].event.path = "/other/plain/".into();
+    store.insert_batch(events.clone()).unwrap();
+    let marks = || HashMap::from([("mdt1".to_string(), 2), ("mdt0".to_string(), 4)]);
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, marks).unwrap();
+    let first = dir_bytes(scratch.path());
+    assert_eq!(first.len(), 3, "manifest, one four-event segment, a two-event head");
+
+    let (restored, restored_marks) = restore_snapshot(scratch.path(), 100_000).unwrap();
+    assert_eq!(restored.query(&StoreQuery::after_seq(0)), events);
+    let again = Scratch::new("identical-again");
+    SnapshotDir::open(again.path()).unwrap().flush(&restored, || restored_marks).unwrap();
+    let second = dir_bytes(again.path());
+    // The head's generation restarts in a fresh directory; same bytes.
+    assert_eq!(second, first);
+
+    let small =
+        segment_bytes("identical-4", (1..=4).map(|i| sev(i, &format!("/a/f{i}"))).collect());
+    let large =
+        segment_bytes("identical-4096", (1..=4096).map(|i| sev(i, &format!("/a/f{i}"))).collect());
+    println!(
+        "snapshot bytes per event: {:.1} in a 4-event segment file, {:.1} in a 4,096-event one",
+        small.len() as f64 / 4.0,
+        large.len() as f64 / 4096.0
+    );
+    assert!(large.len() / 4096 < 40, "a dense segment costs about its members: {}", large.len());
 }

@@ -29,9 +29,11 @@
 //! window is depends on how often the embedding process checkpoints
 //! (for `sdcimon aggregator --snapshot`, the 200 ms snapshot cadence).
 //! To keep a *restart* from also duplicating items that did reach the
-//! checkpoint, persist [`TcpPullServer::marks`] alongside it — captured
-//! *after* the durable state, see the method docs — and restore them
-//! with [`TcpPullServer::with_marks`].
+//! checkpoint, persist [`TcpPullServer::marks`] *in* it — captured
+//! *after* the durable state and committed with it, see the method docs
+//! (`sdcimon` hands this method to `SnapshotDir::flush`, which writes
+//! both into one manifest) — and restore them with
+//! [`TcpPullServer::with_marks`].
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
@@ -114,8 +116,8 @@ where
 
     /// Like [`TcpPullServer::new`], but seeds the per-client dedup
     /// high-water marks — e.g. a [`TcpPullServer::marks`] capture
-    /// persisted next to the embedding process's durable state — so
-    /// that after a restart, items a reconnecting client re-sends are
+    /// restored from the embedding process's durable state — so that
+    /// after a restart, items a reconnecting client re-sends are
     /// discarded when the restored state already holds them.
     pub fn with_marks(capacity: usize, marks: HashMap<String, u64>) -> Arc<Self> {
         let (push, pull) = pipeline::<Vec<T>>(capacity);
@@ -150,13 +152,16 @@ where
     /// The per-client dedup high-water marks: for each client identity,
     /// the highest sequence number handed to the pipeline.
     ///
-    /// Persist this next to the embedding process's durable state and
-    /// restore it with [`TcpPullServer::with_marks`]. Capture it
-    /// *after* checkpointing downstream state: a client's mark always
-    /// advances before its item can reach anything downstream of the
-    /// pipeline, so marks captured after the checkpoint are ≥ every
+    /// Persist this as part of the embedding process's durable state —
+    /// under the same commit as the downstream state it guards, never
+    /// in a file of its own that a crash can leave older than that
+    /// state — and restore it with [`TcpPullServer::with_marks`].
+    /// Capture it *after* capturing the downstream state: a client's
+    /// mark always advances before its item can reach anything
+    /// downstream of the pipeline, so marks captured second are ≥ every
     /// item the checkpoint holds — restored dedup then never discards a
-    /// re-sent item the checkpoint is missing.
+    /// re-sent item the checkpoint is missing. (`SnapshotDir::flush`
+    /// takes this method as the closure it calls in that order.)
     pub fn marks(&self) -> HashMap<String, u64> {
         self.seen.lock().iter().map(|(c, m)| (c.clone(), *m.lock())).collect()
     }

@@ -19,11 +19,12 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_header, bin_put_payloads, bin_read_header, bin_read_payloads, invalid, json_decode,
-    json_encode, timed_out, write_msg, write_msg_bin, BinEncoder, FrameReader, Service, WireMsg,
-    BIN_KIND_STORE_BATCH,
+    bin_header, bin_read_header, invalid, json_decode, json_encode, timed_out, write_msg,
+    write_msg_bin, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
+use sdci_types::bin::{put_members, read_members};
+use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One store-RPC message; requests and responses share the enum.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoreRpc {
     /// Consumer → server: run this query against the store.
     Query {
@@ -40,7 +41,7 @@ pub enum StoreRpc {
         /// Caller's trace context, when the query runs under a sampled
         /// span — the server parents its `store_rpc.serve` span under
         /// it; a missing key reads as `None`.
-        trace: Option<sdci_types::TraceContext>,
+        trace: Option<TraceContext>,
     },
     /// Server → consumer: the matching events, in sequence order.
     Batch {
@@ -51,26 +52,39 @@ pub enum StoreRpc {
     Ping,
 }
 
+/// The JSON form of [`StoreRpc`]'s control vocabulary. `Batch` is
+/// deliberately absent: a JSON body naming it is `InvalidData`.
+#[derive(Serialize, Deserialize)]
+enum Control {
+    Query { query: StoreQuery, trace: Option<TraceContext> },
+    Ping,
+}
+
 /// The bulky reply leg is the data frame: `Batch` travels binary,
 /// while the tiny `Query`/`Ping` control frames are JSON.
 impl WireMsg for StoreRpc {
     fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-        match self {
+        let control = match self {
             StoreRpc::Batch { events } => {
                 bin_header(buf, BIN_KIND_STORE_BATCH, None);
-                bin_put_payloads(buf, events);
-                Ok(true)
+                put_members(buf, events);
+                return Ok(true);
             }
-            control => json_encode(control, buf).map(|()| false),
-        }
+            StoreRpc::Query { query, trace } => {
+                Control::Query { query: query.clone(), trace: *trace }
+            }
+            StoreRpc::Ping => Control::Ping,
+        };
+        json_encode(&control, buf)?;
+        Ok(false)
     }
 
     fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
         if !binary {
-            return match json_decode(body)? {
-                StoreRpc::Batch { .. } => Err(invalid("store-RPC batch replies have no JSON form")),
-                control => Ok(control),
-            };
+            return Ok(match json_decode(body)? {
+                Control::Query { query, trace } => StoreRpc::Query { query, trace },
+                Control::Ping => StoreRpc::Ping,
+            });
         }
         let mut r = sdci_types::BinReader::new(body);
         let (kind, trace) = bin_read_header(&mut r)?;
@@ -80,7 +94,7 @@ impl WireMsg for StoreRpc {
         if trace.is_some() {
             return Err(invalid("store-RPC batch replies carry no trace section"));
         }
-        let events = bin_read_payloads(&mut r)?;
+        let events = read_members(&mut r).map_err(invalid)?;
         if !r.is_empty() {
             return Err(invalid(format!(
                 "binary store-RPC frame has {} trailing bytes",
@@ -324,7 +338,7 @@ impl RemoteStore {
         // parent its serve span — the query leg of the distributed trace.
         let trace = sdci_obs::trace::current()
             .filter(|c| c.sampled)
-            .map(|c| sdci_types::TraceContext::sampled(c.trace_id, c.span_id));
+            .map(|c| TraceContext::sampled(c.trace_id, c.span_id));
         write_msg(&mut conn.writer, &StoreRpc::Query { query: query.clone(), trace })?;
         let deadline = Instant::now() + self.cfg.liveness;
         let mut strays = 0u32;

@@ -43,6 +43,12 @@
 //!           member 0 coded against nothing, member i against member i-1
 //! ```
 //!
+//! The member sequence is [`sdci_types::bin::put_members`] /
+//! [`read_members`]: the format lives beside [`BinPayload`], because a
+//! store node's snapshot files are blocks of the same bytes; this
+//! module adds the header and head in front of it and chunks a batch
+//! into frames.
+//!
 //! A member whose decoder does not consume exactly `len` bytes is
 //! `InvalidData`. What front-coding lets a small frame expand to is
 //! bounded by [`sdci_types::bin`]: 4,096 bytes a path, and
@@ -67,7 +73,10 @@
 //! can never open a legal frame and the endpoint routes such a
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
-use sdci_types::bin::{put_bytes, put_varint, varint_len, BinPayload, BinReader};
+use sdci_types::bin::{
+    put_bytes, put_member, put_members, put_varint, read_members, varint_len, BinPayload,
+    BinReader, MAX_FRAME_MEMBERS,
+};
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
@@ -292,17 +301,6 @@ const BIN_FLAG_TRACE: u8 = 1;
 /// Size of the trace section [`BIN_FLAG_TRACE`] announces.
 const BIN_TRACE_LEN: usize = 17;
 
-/// Most members the chunker puts in one frame. A member assembles at
-/// most two paths of [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN), so
-/// a frame of this many stays within its reader's path budget whatever
-/// its paths are: no batch a pusher or broker is handed can become a
-/// frame the peer refuses, and is then resent forever.
-const MAX_FRAME_MEMBERS: usize = MAX_FRAME_LEN / (2 * sdci_types::bin::MAX_PATH_LEN);
-
-/// Most members a decoder reserves room for on a count word's say-so;
-/// a larger (still valid) batch grows its `Vec` as members decode.
-const MAX_RESERVED_MEMBERS: usize = 65_536;
-
 /// Writes the fixed binary header: kind byte, flags byte, and the
 /// optional trace section.
 pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
@@ -331,87 +329,19 @@ pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<T
     Ok((kind, trace))
 }
 
-/// Appends one batch member: its length as a varint, then its encoding
-/// against `prev`.
-fn put_member<T: BinPayload>(buf: &mut Vec<u8>, member: &T, prev: Option<&T>) {
-    // One pass, no per-member scratch: a one-byte length is reserved,
-    // and the rare member of 128 bytes or more is shifted right to make
-    // room for the longer varint.
-    let at = buf.len();
-    buf.push(0);
-    member.encode_bin(prev, buf);
-    let len = buf.len() - at - 1;
-    let extra = varint_len(len as u64) - 1;
-    if extra > 0 {
-        buf.resize(buf.len() + extra, 0);
-        buf.copy_within(at + 1..at + 1 + len, at + 1 + extra);
-    }
-    let mut rest = len;
-    for slot in &mut buf[at..=at + extra] {
-        *slot = rest as u8 | 0x80;
-        rest >>= 7;
-    }
-    buf[at + extra] &= 0x7f;
-}
-
-/// Appends the member count, then each member length-prefixed and coded
-/// against the one before it.
-pub(crate) fn bin_put_payloads<T: BinPayload>(buf: &mut Vec<u8>, payloads: &[T]) {
-    put_varint(buf, payloads.len() as u64);
-    let mut prev = None;
-    for p in payloads {
-        put_member(buf, p, prev);
-        prev = Some(p);
-    }
-}
-
-/// How many members to reserve room for before decoding a batch whose
-/// count word says `count`, with `remaining` body bytes left. The word
-/// is unvalidated input: it is bounded by what the bytes can hold (a
-/// member is at least its length byte and one byte of encoding) and by
-/// a fixed cap, so it can never size an allocation beyond a multiple of
-/// the frame. It is only a reservation: a batch of more members grows
-/// the `Vec` as they decode.
-fn members_to_reserve(count: usize, remaining: usize) -> usize {
-    count.min(remaining / 2).min(MAX_RESERVED_MEMBERS)
-}
-
-/// Reads a member sequence back, handing each member's decoder the
-/// member before it.
-pub(crate) fn bin_read_payloads<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
-    let count = r.length().map_err(invalid)?;
-    let mut out: Vec<T> = Vec::with_capacity(members_to_reserve(count, r.remaining()));
-    for _ in 0..count {
-        let len = r.length().map_err(invalid)?;
-        let Some(end) = r.remaining().checked_sub(len) else {
-            return Err(invalid(format!(
-                "truncated: a member of {len} bytes, {} left in the frame",
-                r.remaining()
-            )));
-        };
-        let member = T::decode_bin(r, out.last()).map_err(invalid)?;
-        if r.remaining() != end {
-            let used = end + len - r.remaining();
-            return Err(invalid(format!("a member of {len} bytes decoded as {used}")));
-        }
-        out.push(member);
-    }
-    Ok(out)
-}
-
 impl<T: BinPayload> WireMsg for Frame<T> {
     fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
         let control = match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
                 bin_header(buf, BIN_KIND_ITEM_BATCH, *trace);
                 buf.extend_from_slice(&first_seq.to_le_bytes());
-                bin_put_payloads(buf, payloads);
+                put_members(buf, payloads);
                 return Ok(true);
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
                 bin_header(buf, BIN_KIND_DELIVER_BATCH, *trace);
                 put_bytes(buf, topic.as_bytes());
-                bin_put_payloads(buf, payloads);
+                put_members(buf, payloads);
                 return Ok(true);
             }
             Frame::Nack { expected } => Control::Nack { expected: *expected },
@@ -432,12 +362,12 @@ impl<T: BinPayload> WireMsg for Frame<T> {
         let frame = match kind {
             BIN_KIND_ITEM_BATCH => Frame::ItemBatch {
                 first_seq: r.u64().map_err(invalid)?,
-                payloads: bin_read_payloads(&mut r)?,
+                payloads: read_members(&mut r).map_err(invalid)?,
                 trace,
             },
             BIN_KIND_DELIVER_BATCH => Frame::DeliverBatch {
                 topic: r.str().map_err(invalid)?.to_string(),
-                payloads: bin_read_payloads(&mut r)?,
+                payloads: read_members(&mut r).map_err(invalid)?,
                 trace,
             },
             other => return Err(invalid(format!("unknown binary frame kind {other}"))),
@@ -1437,9 +1367,8 @@ mod tests {
         }
     }
 
-    /// A hostile count word is rejected once the members run out, and
-    /// never sizes the reservation: the bytes on hand and the fixed cap
-    /// bound it, while an honest batch still reserves exactly its count.
+    /// A hostile count word is rejected once the members run out (what
+    /// it may reserve is `sdci_types::bin`'s to bound, and tested there).
     #[test]
     fn binary_hostile_count_is_rejected_not_allocated() {
         let mut body = Vec::new();
@@ -1448,13 +1377,6 @@ mod tests {
         put_varint(&mut body, u64::MAX); // count
         let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        let hostile = usize::MAX;
-        assert_eq!(members_to_reserve(hostile, 0), 0);
-        assert_eq!(members_to_reserve(hostile, 43), 21, "bounded by two bytes per member");
-        assert_eq!(members_to_reserve(hostile, MAX_FRAME_LEN), MAX_RESERVED_MEMBERS);
-        assert_eq!(members_to_reserve(512, 512 * 34), 512, "honest batches reserve exactly once");
-        assert_eq!(members_to_reserve(65_536, 65_536 * 34), 65_536);
     }
 
     #[test]
@@ -1470,9 +1392,9 @@ mod tests {
         assert!(raw_frames(&buf)[0].0, "store batch replies go binary");
         assert_eq!(read_one::<StoreRpc>(&buf).unwrap(), reply);
 
-        // The same reply as a JSON body is not a second encoding.
-        let json = serde_json::to_string(&reply).unwrap();
-        let err = read_one::<StoreRpc>(&framed(false, json.as_bytes())).unwrap_err();
+        // A reply has no second encoding: a JSON body naming one is
+        // not in the control vocabulary.
+        let err = read_one::<StoreRpc>(&framed(false, br#"{"Batch":{"events":[]}}"#)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Store batches carry no trace section; a flags bit claiming one

@@ -13,10 +13,13 @@
 //!   is answered on the same address, outside any fault plan.
 //! * A lone event on each leg travels as exactly one binary one-member
 //!   batch frame and arrives intact, trace context included.
+//! * A store query and the store ping are the JSON they have always
+//!   been, byte for byte; a store reply has no JSON form at all.
 
 use sdci_core::{EventBackend, EventStore, FeedMessage, ShardMap, StoreQuery};
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
+use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
     write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, Hello, Service,
 };
@@ -455,4 +458,47 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     );
     endpoint.shutdown();
     expect_only_control_until_fin(&mut stream, "deliver leg");
+}
+
+/// The store RPC's control frames, pinned as bytes: what PR 22's binary
+/// wrote for an `after_seq` query, a time-and-prefix query with a limit,
+/// a query carrying its caller's trace context, and the ping — and a
+/// JSON body naming the reply variant is `InvalidData`, whatever it
+/// holds.
+#[test]
+fn store_queries_and_pings_are_the_json_they_were_and_a_json_batch_is_invalid_data() {
+    let prefixed = StoreQuery::since(SimTime::from_secs(3)).under("/proj/é \"q\"").limit(7);
+    let traced = Some(TraceContext::sampled(0xfeed, 77));
+    for (msg, json) in [
+        (
+            StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None },
+            r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
+        ),
+        (
+            StoreRpc::Query { query: prefixed, trace: None },
+            r#"{"Query":{"query":{"after_seq":null,"since":3000000000,"path_prefix":"/proj/é \"q\"","limit":7},"trace":null}}"#,
+        ),
+        (
+            StoreRpc::Query { query: StoreQuery::after_seq(0), trace: traced },
+            r#"{"Query":{"query":{"after_seq":0,"since":null,"path_prefix":null,"limit":0},"trace":{"trace_id":65261,"parent_span_id":77,"sampled":true}}}"#,
+        ),
+        (StoreRpc::Ping, r#""Ping""#),
+    ] {
+        let mut body = Vec::new();
+        assert!(!msg.encode(&mut body).unwrap(), "{msg:?} is a control frame");
+        assert_eq!(std::str::from_utf8(&body).unwrap(), json);
+        assert_eq!(StoreRpc::decode(false, json.as_bytes()).unwrap(), msg);
+    }
+    // A query sent without the trace key reads as untraced.
+    let bare = r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0}}}"#;
+    assert_eq!(
+        StoreRpc::decode(false, bare.as_bytes()).unwrap(),
+        StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None }
+    );
+
+    for body in [r#"{"Batch":{"events":[]}}"#, r#"{"Batch":{"events":[{"seq":1}]}}"#, r#""Batch""#]
+    {
+        let err = StoreRpc::decode(false, body.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
+    }
 }

@@ -116,7 +116,7 @@ impl ActionSpec {
 
 /// A concrete action instance dispatched by the cloud service to an
 /// agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActionRequest {
     /// The rule that fired.
     pub rule: RuleId,

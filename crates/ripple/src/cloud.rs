@@ -21,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdci_mq::{LambdaPool, SqsConfig, SqsQueue};
 use sdci_types::{AgentId, FileEvent, RuleId, SimTime};
-use serde::{Deserialize, Serialize};
 use simfs::SimFs;
 use std::collections::HashMap;
 use std::fmt;
@@ -31,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An event report sent from an agent to the cloud service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportedEvent {
     /// The reporting agent.
     pub agent: AgentId,

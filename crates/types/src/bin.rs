@@ -1,4 +1,5 @@
-//! Binary payload encoding for data frames.
+//! Binary payload encoding: the bytes of an event, on the wire and on
+//! disk.
 //!
 //! Control frames on an sdci-net socket are JSON (see
 //! `sdci-net::wire`) so a session stays `nc`-debuggable; data frames —
@@ -26,6 +27,12 @@
 //! * length-prefixed byte strings (varint length + raw UTF-8 bytes),
 //!   single bytes, and fixed-width little-endian `u64`s for values with
 //!   nothing to be relative to (frame sequence numbers, trace ids).
+//!
+//! A run of members is written one way, the **member sequence**
+//! ([`put_members`], [`read_members`]): a count, then each member
+//! length-prefixed. sdci-net puts a frame header in front of it; a
+//! store node's snapshot files are blocks of it under a length and a
+//! checksum. Both close a sequence at [`MAX_FRAME_MEMBERS`].
 //!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
@@ -333,6 +340,98 @@ impl BinPayload for TraceContext {
     }
 }
 
+/// Most members one sequence holds. A member assembles at most two paths
+/// of [`MAX_PATH_LEN`], so a sequence of this many stays within its
+/// reader's [`FRAME_PATH_BUDGET`] whatever its paths are: a writer that
+/// closes its frames and snapshot blocks here cannot produce one its
+/// reader refuses.
+pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
+
+/// Most members a decoder reserves room for on a count word's say-so;
+/// a larger (still valid) sequence grows its `Vec` as members decode.
+const MAX_RESERVED_MEMBERS: usize = 65_536;
+
+/// Appends one sequence member: its length as a varint, then its
+/// encoding against `prev`.
+pub fn put_member<T: BinPayload>(buf: &mut Vec<u8>, member: &T, prev: Option<&T>) {
+    // One pass, no per-member scratch: a one-byte length is reserved,
+    // and the rare member of 128 bytes or more is shifted right to make
+    // room for the longer varint.
+    let at = buf.len();
+    buf.push(0);
+    member.encode_bin(prev, buf);
+    let len = buf.len() - at - 1;
+    let extra = varint_len(len as u64) - 1;
+    if extra > 0 {
+        buf.resize(buf.len() + extra, 0);
+        buf.copy_within(at + 1..at + 1 + len, at + 1 + extra);
+    }
+    let mut rest = len;
+    for slot in &mut buf[at..=at + extra] {
+        *slot = rest as u8 | 0x80;
+        rest >>= 7;
+    }
+    buf[at + extra] &= 0x7f;
+}
+
+/// Appends a member sequence — the one form a run of events takes as
+/// bytes, in a data frame and in a snapshot block alike: the member
+/// count, then each member length-prefixed and coded against the one
+/// before it.
+///
+/// ```text
+/// members = count varint | count × (len varint | member: len bytes)
+///           member 0 coded against nothing, member i against member i-1
+/// ```
+pub fn put_members<T: BinPayload>(buf: &mut Vec<u8>, members: &[T]) {
+    put_varint(buf, members.len() as u64);
+    let mut prev = None;
+    for member in members {
+        put_member(buf, member, prev);
+        prev = Some(member);
+    }
+}
+
+/// How many members to reserve room for before decoding a sequence whose
+/// count word says `count`, with `remaining` body bytes left. The word
+/// is unvalidated input: it is bounded by what the bytes can hold (a
+/// member is at least its length byte and one byte of encoding) and by
+/// a fixed cap, so it can never size an allocation beyond a multiple of
+/// the body. It is only a reservation: a sequence of more members grows
+/// the `Vec` as they decode.
+fn members_to_reserve(count: usize, remaining: usize) -> usize {
+    count.min(remaining / 2).min(MAX_RESERVED_MEMBERS)
+}
+
+/// Reads a member sequence back — the inverse of [`put_members`] —
+/// handing each member's decoder the member before it.
+///
+/// # Errors
+///
+/// A count or member length the bytes cannot hold, a member whose
+/// decoder fails, and a member whose decoder does not consume exactly
+/// the length its prefix announced.
+pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinDecodeError> {
+    let count = r.length()?;
+    let mut out: Vec<T> = Vec::with_capacity(members_to_reserve(count, r.remaining()));
+    for _ in 0..count {
+        let len = r.length()?;
+        let Some(end) = r.remaining().checked_sub(len) else {
+            return Err(BinDecodeError::msg(format!(
+                "truncated: a member of {len} bytes, {} left in the frame",
+                r.remaining()
+            )));
+        };
+        let member = T::decode_bin(r, out.last())?;
+        if r.remaining() != end {
+            let used = end + len - r.remaining();
+            return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
+        }
+        out.push(member);
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,6 +637,23 @@ mod tests {
         assert!(err.to_string().contains("path bytes"), "got: {err}");
         drop(r);
         assert_eq!(prev.as_str().len(), MAX_PATH_LEN);
+    }
+
+    /// A count word never sizes the reservation: the bytes on hand and
+    /// the fixed cap bound it, while an honest sequence still reserves
+    /// exactly its count.
+    #[test]
+    fn a_hostile_count_is_rejected_not_allocated() {
+        let mut body = Vec::new();
+        put_varint(&mut body, u64::MAX);
+        assert!(read_members::<u64>(&mut BinReader::new(&body)).is_err());
+
+        let hostile = usize::MAX;
+        assert_eq!(members_to_reserve(hostile, 0), 0);
+        assert_eq!(members_to_reserve(hostile, 43), 21, "bounded by two bytes per member");
+        assert_eq!(members_to_reserve(hostile, FRAME_PATH_BUDGET), MAX_RESERVED_MEMBERS);
+        assert_eq!(members_to_reserve(512, 512 * 34), 512, "honest sequences reserve exactly once");
+        assert_eq!(members_to_reserve(65_536, 65_536 * 34), 65_536);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Aggregator stores and publishes (§4 step 3).
 
 use crate::{EventPath, Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
@@ -15,7 +15,7 @@ use std::path::Path;
 /// Codes and mnemonics match Lustre's `changelog_rec_type` as they appear
 /// in `lfs changelog` output and in Table 1 of the paper (`01CREAT`,
 /// `02MKDIR`, `06UNLNK`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)] // variants are the Lustre mnemonics, documented as a group
 pub enum ChangelogKind {
     Mark,
@@ -209,7 +209,7 @@ impl fmt::Display for EventKind {
 ///
 /// FIDs are "not useful to external services" (§4) — the monitor's
 /// processing stage resolves them into a [`FileEvent`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawChangelogRecord {
     /// Record number: monotonically increasing per MDT ChangeLog.
     pub index: u64,
@@ -264,12 +264,8 @@ impl fmt::Display for RawChangelogRecord {
 /// A processed, path-resolved file event — what the Aggregator stores and
 /// publishes to consumers such as Ripple agents.
 ///
-/// Serde is implemented by hand (not derived) for one reason: the
-/// `trace` field must be *omitted* when `None`, not serialized as
-/// `null`, so unsampled events and old snapshot lines stay
-/// byte-identical to what the pre-tracing code emitted.
-/// Every other field keeps the derive's exact layout (declaration
-/// order, `Option`s as explicit `null`).
+/// An event has one serialised form, its [`crate::bin::BinPayload`]
+/// member: on the wire and in a store node's snapshot files alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileEvent {
     /// ChangeLog record number on the originating MDT.
@@ -377,55 +373,6 @@ impl TraceCarrier for FileEvent {
     }
 }
 
-impl Serialize for FileEvent {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("index".to_string(), self.index.to_value()),
-            ("mdt".to_string(), self.mdt.to_value()),
-            ("changelog_kind".to_string(), self.changelog_kind.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("time".to_string(), self.time.to_value()),
-            ("path".to_string(), self.path.to_value()),
-            ("src_path".to_string(), self.src_path.to_value()),
-            ("target".to_string(), self.target.to_value()),
-            ("is_dir".to_string(), self.is_dir.to_value()),
-            ("extracted_unix_ns".to_string(), self.extracted_unix_ns.to_value()),
-        ];
-        // Omitted-when-None: unsampled events serialize exactly as they
-        // did before the field existed.
-        if let Some(trace) = &self.trace {
-            fields.push(("trace".to_string(), trace.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-fn event_field<T: Deserialize>(map: &Value, name: &str) -> Result<T, DeError> {
-    T::from_value(map.get(name).unwrap_or(&Value::Null))
-        .map_err(|e| DeError::msg(format!("FileEvent.{name}: {e}")))
-}
-
-impl Deserialize for FileEvent {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(FileEvent {
-            index: event_field(value, "index")?,
-            mdt: event_field(value, "mdt")?,
-            changelog_kind: event_field(value, "changelog_kind")?,
-            kind: event_field(value, "kind")?,
-            time: event_field(value, "time")?,
-            path: event_field(value, "path")?,
-            src_path: event_field(value, "src_path")?,
-            target: event_field(value, "target")?,
-            is_dir: event_field(value, "is_dir")?,
-            extracted_unix_ns: event_field(value, "extracted_unix_ns")?,
-            // A missing key reads as None, so events serialized before
-            // the field existed (old snapshots) deserialize cleanly
-            // with no context.
-            trace: event_field(value, "trace")?,
-        })
-    }
-}
-
 /// Member flags bit: `src_path` is present.
 const FLAG_SRC_PATH: u8 = 1 << 0;
 /// Member flags bit: `extracted_unix_ns` is present.
@@ -467,8 +414,8 @@ const FLAGS_KNOWN: u8 = (1 << 6) - 1;
 /// trace            17 bytes (TraceContext), only when bit 2 is set
 /// ```
 ///
-/// Paths cross the wire as UTF-8, matching the JSON format: an
-/// [`EventPath`] is UTF-8 by construction, a path that is not having
+/// Paths cross the wire as UTF-8: an [`EventPath`] is UTF-8 by
+/// construction, a path that is not having
 /// been converted lossily when the event was built.
 impl crate::bin::BinPayload for FileEvent {
     fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
@@ -646,34 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let rec = sample_record();
-        let json = serde_json::to_string(&rec).unwrap();
-        assert_eq!(serde_json::from_str::<RawChangelogRecord>(&json).unwrap(), rec);
-        let ev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/b"));
-        let json = serde_json::to_string(&ev).unwrap();
-        assert_eq!(serde_json::from_str::<FileEvent>(&json).unwrap(), ev);
-    }
-
-    #[test]
-    fn trace_field_is_omitted_when_none_and_roundtrips_when_some() {
-        let rec = sample_record();
-        let ev = FileEvent::from_record(&rec, MdtIndex::new(0), PathBuf::from("/a"));
-        let json = serde_json::to_string(&ev).unwrap();
-        assert!(!json.contains("trace"), "None must be omitted, not null: {json}");
-
-        let traced = ev.clone().with_trace(TraceContext::sampled(0xabc, 7));
-        let json = serde_json::to_string(&traced).unwrap();
-        assert!(json.contains("\"trace\""), "Some must serialize: {json}");
-        assert_eq!(serde_json::from_str::<FileEvent>(&json).unwrap(), traced);
-
-        // A pre-tracing serialized event (no trace key at all) must
-        // deserialize with trace: None.
-        let legacy = serde_json::to_string(&ev).unwrap();
-        assert_eq!(serde_json::from_str::<FileEvent>(&legacy).unwrap().trace, None);
-    }
-
-    #[test]
     fn event_kind_codes_roundtrip() {
         for kind in EventKind::ALL {
             assert_eq!(EventKind::from_code(kind.code()), Some(kind));
@@ -696,19 +615,12 @@ mod tests {
     }
 
     #[test]
-    fn binary_event_roundtrips_and_packs_denser_than_json() {
+    fn binary_event_roundtrips_with_every_optional_field() {
         let rec = sample_record();
         let mut ev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/b.txt"));
         ev.src_path = Some("/a/old.txt".into());
         ev = ev.with_extracted_unix_ns(123_456).with_trace(TraceContext::sampled(0xabc, 7));
-        let buf = recode(&ev, None);
-        let json = serde_json::to_string(&ev).unwrap();
-        assert!(
-            buf.len() * 4 < json.len(),
-            "binary ({}) should be well under a quarter of JSON ({})",
-            buf.len(),
-            json.len()
-        );
+        recode(&ev, None);
     }
 
     /// The successor of an event in the same directory, one record and a

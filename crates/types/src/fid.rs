@@ -24,9 +24,7 @@ use std::str::FromStr;
 /// assert_eq!(parsed, fid);
 /// # Ok::<(), sdci_types::ParseFidError>(())
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fid {
     /// Sequence number. Lustre assigns each client/MDT a range of
     /// sequences; the simulator assigns one sequence range per MDT.

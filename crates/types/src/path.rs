@@ -22,7 +22,6 @@
 //! so it never strands one; a consumer that keeps a single event for
 //! long should copy the path out (`to_path_buf()`).
 
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -35,10 +34,9 @@ use std::sync::{Arc, OnceLock};
 struct PathArena(OnceLock<Box<str>>);
 
 /// The absolute path of an event: a handle into its batch's arena that
-/// derefs to [`Path`] and compares, orders, hashes, prints and
-/// serialises as the `PathBuf` of the same bytes. Always UTF-8: a path
-/// that is not is converted lossily where it enters
-/// (`From<PathBuf>`), once.
+/// derefs to [`Path`] and compares, orders, hashes and prints as the
+/// `PathBuf` of the same bytes. Always UTF-8: a path that is not is
+/// converted lossily where it enters (`From<PathBuf>`), once.
 #[derive(Clone)]
 pub struct EventPath {
     arena: Arc<PathArena>,
@@ -73,8 +71,7 @@ impl EventPath {
     }
 }
 
-/// An arena of one path, for events built one at a time: tests, JSON and
-/// snapshot lines.
+/// An arena of one path, for an event built on its own, outside a batch.
 impl From<String> for EventPath {
     fn from(path: String) -> EventPath {
         let len = u32::try_from(path.len()).expect("a path is shorter than 4 GiB");
@@ -92,8 +89,8 @@ impl From<&str> for EventPath {
     }
 }
 
-/// Lossily when `path` is not UTF-8, matching what the JSON and binary
-/// encodings have always sent for such a path.
+/// Lossily when `path` is not UTF-8, matching what the binary encoding
+/// has always sent for such a path.
 impl From<PathBuf> for EventPath {
     fn from(path: PathBuf) -> EventPath {
         EventPath::from(
@@ -159,22 +156,6 @@ impl Ord for EventPath {
 impl Hash for EventPath {
     fn hash<H: Hasher>(&self, state: &mut H) {
         (**self).hash(state);
-    }
-}
-
-impl Serialize for EventPath {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for EventPath {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let path = String::from_value(value)?;
-        if u32::try_from(path.len()).is_err() {
-            return Err(DeError::msg("a path of 4 GiB or more"));
-        }
-        Ok(EventPath::from(path))
     }
 }
 

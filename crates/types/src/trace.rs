@@ -19,10 +19,9 @@ use serde::{Deserialize, Serialize};
 
 /// The causal link one pipeline hop hands to the next.
 ///
-/// Serialized as a three-field JSON object wherever it travels; the
-/// carrying field is omitted entirely when `None` (see
-/// [`FileEvent`](crate::FileEvent)'s manual serde), so unsampled
-/// traffic produces byte-identical snapshot lines.
+/// Serialized as a three-field JSON object in a control frame (a store
+/// query carries its caller's), and as 17 fixed bytes inside a data
+/// frame or an event member ([`crate::bin::BinPayload`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identifier shared by every span of one end-to-end trace.

@@ -216,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_ndjson() {
+    fn roundtrip_through_json_lines() {
         let records = vec![
             rec(0, TraceOp::Mkdir, "/d"),
             rec(1, TraceOp::Create, "/d/f"),

@@ -20,8 +20,8 @@
 //! series), put together by [`StoreStack`].
 //!
 //! `shard` and `front` run the *sharded* tier: each `shard` is a full
-//! aggregator (own address, own segmented store, snapshot dir, and
-//! marks sidecar) owning one partition of the shard map, and `front`
+//! aggregator (own address, own segmented store and snapshot dir)
+//! owning one partition of the shard map, and `front`
 //! serves the map plus a scatter-gather store RPC that merges every
 //! shard's answer into one seq-ordered logical store. Collectors
 //! started with `--cluster FRONT_ADDR` fetch the map, keep one push
@@ -45,15 +45,19 @@
 //! rejection.
 //!
 //! `--snapshot DIR` flushes the store every 200 ms into a snapshot
-//! *directory*: immutable per-segment NDJSON files written exactly
-//! once, plus a generation-named `head-*.ndjson` and `MANIFEST.json`
-//! (the commit point) — so steady-state flush I/O is proportional to new events,
-//! not the retained window. Beside it, a `DIR.marks` sidecar holds the
-//! per-collector push dedup marks; a restart restores both, so
-//! collectors that resend their unacked window are deduplicated against
-//! events the snapshot already holds. Events a hard kill catches
-//! acknowledged but not yet flushed — at most one snapshot interval's
-//! worth — are the durability window.
+//! *directory*: immutable per-segment `seg-*.bin` files written exactly
+//! once, plus a generation-named `head-*.bin` and `MANIFEST.json` — so
+//! steady-state flush I/O is proportional to new events, not the
+//! retained window. The files hold the wire's member sequence in
+//! checksummed blocks; the manifest is JSON, carries the per-collector
+//! push dedup marks beside the store's layout, and its rename is the
+//! one commit point: a restart restores one flush's store *and* that
+//! flush's marks, so collectors that resend their unacked window are
+//! deduplicated against events the snapshot already holds. A directory
+//! of manifest version 1, or a `DIR.marks` sidecar left beside one, is
+//! a start-up error. Events a hard kill catches acknowledged but not
+//! yet flushed — at most one snapshot interval's worth — are the
+//! durability window.
 
 use parking_lot::Mutex;
 use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
@@ -69,6 +73,7 @@ use sdci::net::{
 };
 use sdci::types::{ByteSize, FileEvent, MdtIndex, SimTime};
 use sdci::workloads::{EventGenerator, OpMix};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -312,8 +317,8 @@ fn run_aggregator(flags: &Flags) -> Result<(), String> {
 }
 
 /// One shard of the sharded tier: a full aggregator (own address, own
-/// store, snapshot dir, and marks sidecar) that happens to own one
-/// partition of the shard map. The shard id labels its metrics so a
+/// store and snapshot dir) that happens to own one partition of the
+/// shard map. The shard id labels its metrics so a
 /// scrape across the tier attributes load per shard.
 fn run_shard(flags: &Flags) -> Result<(), String> {
     let id: ShardId =
@@ -339,32 +344,23 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     trace_setup(flags, &role)?;
     let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7070".parse().unwrap())?;
     let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
-    let snapshot = flags.get("--snapshot").map(std::path::PathBuf::from);
 
     let cfg = net_config(flags)?;
-    // Dedup marks are restored before the listener opens, so even the
-    // first reconnecting collector is deduplicated against the events
-    // the restored store already holds.
-    let marks_file = snapshot.as_deref().map(marks_path);
-    let marks = match &marks_file {
-        Some(path) if path.exists() => read_marks(path)?,
-        _ => std::collections::HashMap::new(),
-    };
-    let events_srv = TcpPullServer::<FileEvent>::with_marks(PULL_QUEUE_FRAMES, marks);
-
     // A crashed aggregator restarted with the same --snapshot resumes
-    // its store *and* its sequence numbering, so consumers recover the
-    // outage as an ordinary gap; the store carries its snapshot dir so
-    // the trait-level flush() below reaches it through the metrics
-    // wrapper.
-    let base_store = match &snapshot {
-        None => EventStore::new(store_capacity),
+    // its store, its sequence numbering *and* its push dedup marks —
+    // one flush's state, from one manifest — so consumers recover the
+    // outage as an ordinary gap, and the marks are in place before the
+    // listener opens: even the first reconnecting collector is
+    // deduplicated against the events the restored store already holds.
+    let (snapshot, base_store, marks) = match flags.get("--snapshot").map(std::path::Path::new) {
+        None => (None, EventStore::new(store_capacity), HashMap::new()),
         Some(path) => {
-            // `open` refuses anything but a directory (creating one on a
-            // first start, which then restores as an empty store).
+            // `open` refuses anything but a directory of this build's
+            // form (creating one on a first start, which then restores
+            // as an empty store).
             let dir = SnapshotDir::open(path)
                 .map_err(|e| format!("--snapshot {}: {e}", path.display()))?;
-            let store = restore_snapshot(path, store_capacity)
+            let (store, marks) = restore_snapshot(path, store_capacity)
                 .map_err(|e| format!("restore {}: {e}", path.display()))?;
             if store.last_seq() > 0 {
                 sdci_obs::info!(
@@ -372,14 +368,16 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
                     "restored store from snapshot";
                     events = store.len(),
                     last_seq = store.last_seq(),
+                    push_clients = marks.len(),
                     path = path,
                 );
             }
-            store.attach_snapshot(dir);
-            store
+            (Some(dir), store, marks)
         }
     };
-    let store = StoreStack::over(Arc::new(base_store)).metered("sdci_store").build();
+    let events_srv = TcpPullServer::<FileEvent>::with_marks(PULL_QUEUE_FRAMES, marks);
+    let base_store = Arc::new(base_store);
+    let store = StoreStack::over(base_store.clone()).metered("sdci_store").build();
     let agg = Aggregator::start_with_backend(events_srv.pull(), store, FEED_HWM);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
@@ -410,6 +408,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         )
     });
     let mut last_inserted = agg.store().stats().inserted;
+    let flush_time = sdci_obs::registry().histogram("sdci_store_flush_seconds");
 
     let mut ticks = 0u64;
     loop {
@@ -422,33 +421,14 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
             last_inserted = inserted;
             store_events.set(agg.store().len() as i64);
         }
-        if snapshot.is_some() {
-            if let Err(e) = agg.store().flush() {
+        if let Some(dir) = &snapshot {
+            // One commit point: the manifest this writes carries the
+            // store and the marks captured after it. Events acked inside
+            // one snapshot interval before a hard kill are the remaining
+            // (documented) durability window.
+            let _timer = flush_time.start_timer();
+            if let Err(e) = dir.flush(&base_store, || events_srv.marks()) {
                 sdci_obs::error!(target: "sdcimon::aggregator", "snapshot failed: {}", e);
-                // A failure *after* the manifest rename still committed
-                // the new snapshot — the marks sidecar below must be
-                // written for it, or a restart would replay (and the
-                // store would dedup) a full resend window for nothing.
-                // Only an uncommitted flush skips the marks capture.
-                if !matches!(&e, StoreError::Flush { committed: true, .. }) {
-                    continue;
-                }
-            }
-            // Marks are captured strictly after the store snapshot: a
-            // client's mark advances before its event can reach the
-            // store, so a marks file at least as new as the store file
-            // can never suppress the resend of an event the snapshot
-            // is missing. Events acked inside one snapshot interval
-            // before a hard kill are the remaining (documented)
-            // durability window.
-            if let Some(marks_file) = &marks_file {
-                if let Err(e) = write_marks_atomically(&events_srv, marks_file) {
-                    sdci_obs::error!(
-                        target: "sdcimon::aggregator",
-                        "marks snapshot failed: {}",
-                        e
-                    );
-                }
             }
         }
         // Self-monitoring for log-only deployments: every 5 s, the same
@@ -461,35 +441,6 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
             );
         }
     }
-}
-
-/// The dedup-marks sidecar written next to the store snapshot.
-fn marks_path(snapshot: &std::path::Path) -> std::path::PathBuf {
-    std::path::PathBuf::from(format!("{}.marks", snapshot.display()))
-}
-
-fn read_marks(path: &std::path::Path) -> Result<std::collections::HashMap<String, u64>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let marks =
-        serde_json::from_str(&text).map_err(|e| format!("parse marks {}: {e}", path.display()))?;
-    sdci_obs::info!(
-        target: "sdcimon::aggregator",
-        "restored push dedup marks";
-        path = path,
-    );
-    Ok(marks)
-}
-
-fn write_marks_atomically(
-    events_srv: &TcpPullServer<FileEvent>,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    let tmp = path.with_extension("marks.tmp");
-    let body = serde_json::to_string(&events_srv.marks())
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
 }
 
 // ---------------------------------------------------------------------------
@@ -785,8 +736,7 @@ fn run_consumer(flags: &Flags) -> Result<(), String> {
             delivered += 1;
             // Checkpoint *after* the event is externally visible: a
             // crash at the armed point below restarts exactly at the
-            // next sequence — nothing replayed, nothing skipped. The
-            // write-tmp-rename inside `save` mirrors the marks sidecar.
+            // next sequence — nothing replayed, nothing skipped.
             if let Some(c) = &cursor {
                 c.save(consumer.cursor()).map_err(|e| format!("cursor checkpoint: {e}"))?;
                 if sdci_faults::crash_point("consumer.cursor.checkpoint").is_err() {

@@ -153,7 +153,8 @@ fn faulted_consumer_legs_still_deliver_exactly_once() {
 ///
 /// The abort is scheduled on the 25th flush (~5 s in, flushes tick
 /// every 200 ms), leaving collector c1 ample room to finish and be
-/// covered by a committed flush plus the marks sidecar that follows it.
+/// covered by a committed flush: its events and its dedup mark, in the
+/// one manifest — no sidecar is ever written beside the directory.
 #[test]
 fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
     let snapshot = std::env::temp_dir().join(format!("sdci-chaos-snap-{}", std::process::id()));
@@ -190,13 +191,20 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
     // manifest still the commit point. (Before head files were
     // generation-named, this exact crash left the committed manifest
     // pointing at a disagreeing head — an unrestorable snapshot.)
-    let restored = sdci::monitor::restore_snapshot(&snapshot, 1_000_000)
+    let (restored, marks) = sdci::monitor::restore_snapshot(&snapshot, 1_000_000)
         .expect("snapshot must restore after a mid-commit abort");
     assert_eq!(
         restored.len(),
         EVENTS_PER_COLLECTOR,
         "the committed manifest should cover all of c1's flushed events"
     );
+    assert_eq!(
+        marks.get("c1"),
+        Some(&(EVENTS_PER_COLLECTOR as u64)),
+        "and, in the same manifest, the mark that dedups c1's resends against them"
+    );
+    let sidecar = std::path::PathBuf::from(format!("{snap}.marks"));
+    assert!(!sidecar.exists(), "marks live in the manifest; nothing writes a sidecar");
 
     // The second collector starts into the dead port and retries with
     // backoff until the aggregator returns — under its own fault
@@ -236,6 +244,7 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
     assert!(done.contains("lost 0"), "consumer reported loss: {done}");
 
     assert!(snapshot.join("MANIFEST.json").is_file(), "snapshot directory has a manifest");
+    assert!(!sidecar.exists(), "nor does the restarted aggregator write one");
     let _ = std::fs::remove_dir_all(&snapshot);
 }
 

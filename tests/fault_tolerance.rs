@@ -148,7 +148,7 @@ fn captured_trace_replays_into_identical_namespace() {
     }
     cluster.shutdown();
 
-    // Serialize through NDJSON to prove the wire format carries it.
+    // Through the trace file's JSON lines and back: the format carries it.
     let mut buf = Vec::new();
     write_trace(&mut buf, &trace).expect("write trace");
     let loaded = read_trace(&buf[..]).expect("read trace");
@@ -190,13 +190,16 @@ fn aggregator_restarts_from_snapshot_without_losing_history() {
         }
         resume_seq = consumer.next_seq() - 1;
         assert!(cluster.wait_for_published(30, Duration::from_secs(5)));
-        SnapshotDir::open(&snapshot).expect("open").flush(&cluster.store()).expect("snapshot");
+        SnapshotDir::open(&snapshot)
+            .expect("open")
+            .flush(&cluster.store(), std::collections::HashMap::new)
+            .expect("snapshot");
         cluster.shutdown();
     }
 
     // Second incarnation: restore the store; new events continue the
     // sequence; the old consumer resumes from where it was.
-    let store = restore_snapshot(&snapshot, 100_000).expect("restore");
+    let (store, _) = restore_snapshot(&snapshot, 100_000).expect("restore");
     let _ = std::fs::remove_dir_all(&snapshot);
     assert_eq!(store.last_seq(), 30);
     let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).restore_store(store).start();

@@ -10,8 +10,8 @@
 mod common;
 
 use common::{
-    check_consumer_output, http_get, run_collector, scrape_metrics, spawn, wait_for_listen_addr,
-    Reaped, BIN, EVENTS_PER_COLLECTOR,
+    check_consumer_output, http_get, metric_value, run_collector, scrape_metrics, spawn,
+    wait_for_listen_addr, Reaped, BIN, EVENTS_PER_COLLECTOR,
 };
 use sdci_net::wire::WIRE_PROTO;
 use std::io::{BufRead, BufReader};
@@ -74,6 +74,7 @@ fn killed_aggregator_restarts_from_snapshot_without_losing_events() {
     let _ = std::fs::remove_dir_all(&snapshot);
     let snap = snapshot.to_str().expect("utf-8 temp path");
 
+    let started = std::time::Instant::now();
     let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0", "--snapshot", snap]);
     let addr = wait_for_listen_addr(&mut agg);
 
@@ -90,14 +91,20 @@ fn killed_aggregator_restarts_from_snapshot_without_losing_events() {
     ]);
 
     run_collector("--connect", &addr, "c1", None);
-    // Let the aggregator flush its 200ms-interval snapshot (and the
-    // `.marks` dedup sidecar captured right after it) before killing it
-    // hard — no graceful shutdown, exactly the §5.2 failure. Waiting
-    // past the flush matters: the documented durability window is one
-    // snapshot interval, so events acked between the last flush and the
-    // kill are allowed to vanish, and this test asserts the stronger
-    // "nothing lost" property that holds only for flushed state.
+    // Let the aggregator flush its 200ms-interval snapshot (the store
+    // and c1's dedup mark, committed together by the manifest rename)
+    // before killing it hard — no graceful shutdown, exactly the §5.2
+    // failure. Waiting past the flush matters: the documented
+    // durability window is one snapshot interval, so events acked
+    // between the last flush and the kill are allowed to vanish, and
+    // this test asserts the stronger "nothing lost" property that holds
+    // only for flushed state.
     std::thread::sleep(Duration::from_millis(600));
+    // Each flush is one observation of the flush-time series: at least
+    // the ticks of this sleep, at most one per 200 ms of process life.
+    let flushes = metric_value(&scrape_metrics(&addr), "sdci_store_flush_seconds_count");
+    let ticks = started.elapsed().as_millis() as u64 / 200;
+    assert!((2..=ticks + 1).contains(&flushes), "{flushes} flushes in {ticks} ticks");
     agg.child().kill().expect("kill aggregator");
     agg.child().wait().expect("reap aggregator");
 
@@ -127,10 +134,26 @@ fn killed_aggregator_restarts_from_snapshot_without_losing_events() {
     let done = stdout.lines().last().unwrap_or_default();
     assert!(done.contains("lost 0"), "consumer reported loss: {done}");
 
-    // The snapshot is a directory now: manifest + per-segment files.
+    // The snapshot is a directory — manifest + per-segment files — and
+    // all of it: no dedup-marks sidecar is written beside it.
     assert!(snapshot.join("MANIFEST.json").is_file(), "snapshot directory has a manifest");
+    assert!(!std::path::Path::new(&format!("{snap}.marks")).exists(), "marks are in the manifest");
 
     let _ = std::fs::remove_dir_all(&snapshot);
+}
+
+/// Runs `sdcimon aggregator --snapshot path` to its exit and requires a
+/// start-up refusal: exit 2, no readiness line, an error naming `what`.
+fn assert_snapshot_refused(path: &std::path::Path, what: &str) {
+    let out = Command::new(BIN)
+        .args(["aggregator", "--bind", "127.0.0.1:0", "--snapshot", path.to_str().unwrap()])
+        .output()
+        .expect("run aggregator");
+    assert_eq!(out.status.code(), Some(2), "expected a usage-level refusal: {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(r#""level":"error""#), "not an error record:\n{stderr}");
+    assert!(stderr.contains(what), "the refusal should name {what:?}:\n{stderr}");
+    assert!(out.stdout.is_empty(), "no readiness line before the refusal");
 }
 
 /// Snapshots are directories. A regular file at `--snapshot` — whatever
@@ -140,16 +163,57 @@ fn killed_aggregator_restarts_from_snapshot_without_losing_events() {
 fn a_regular_file_at_the_snapshot_path_is_a_startup_error() {
     let path = std::env::temp_dir().join(format!("sdci-net-notadir-{}.jsonl", std::process::id()));
     std::fs::write(&path, b"{}\n").expect("write stray file");
-    let out = Command::new(BIN)
-        .args(["aggregator", "--bind", "127.0.0.1:0", "--snapshot", path.to_str().unwrap()])
-        .output()
-        .expect("run aggregator");
-    assert_eq!(out.status.code(), Some(2), "expected a usage-level refusal: {:?}", out.status);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("is a file, not a snapshot directory"), "unhelpful error:\n{stderr}");
-    assert!(out.stdout.is_empty(), "no readiness line before the refusal");
+    assert_snapshot_refused(&path, "is a file, not a snapshot directory");
     assert_eq!(std::fs::read(&path).expect("file untouched"), b"{}\n");
     let _ = std::fs::remove_file(&path);
+}
+
+/// Name and bytes of every file in `dir`.
+fn dir_bytes(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            (
+                entry.file_name().to_string_lossy().into_owned(),
+                std::fs::read(entry.path()).expect("read file"),
+            )
+        })
+        .collect()
+}
+
+/// Nothing migrates. A snapshot directory written under manifest
+/// version 1 — the fixture PR 19's binary wrote, events as JSON lines —
+/// and a version-1 `DIR.marks` sidecar left beside a current directory
+/// are start-up errors that name what was found, and neither is touched.
+#[test]
+fn a_version_1_snapshot_or_a_stray_marks_sidecar_is_a_startup_error() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/core/tests/fixtures/pr19-snapshot");
+    let v1 = std::env::temp_dir().join(format!("sdci-net-v1-snap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&v1);
+    std::fs::create_dir_all(&v1).expect("create scratch dir");
+    for (name, bytes) in dir_bytes(&fixture) {
+        std::fs::write(v1.join(name), bytes).expect("copy fixture file");
+    }
+    assert_snapshot_refused(&v1, "manifest version 1");
+    assert_eq!(dir_bytes(&v1), dir_bytes(&fixture), "the version-1 directory was modified");
+    let _ = std::fs::remove_dir_all(&v1);
+
+    let v2 = std::env::temp_dir().join(format!("sdci-net-v2-snap-{}", std::process::id()));
+    let sidecar = std::path::PathBuf::from(format!("{}.marks", v2.display()));
+    let _ = std::fs::remove_dir_all(&v2);
+    sdci::monitor::SnapshotDir::open(&v2)
+        .expect("open")
+        .flush(&sdci::monitor::EventStore::new(16), std::collections::HashMap::new)
+        .expect("flush");
+    std::fs::write(&sidecar, br#"{"c1":101}"#).expect("write stray sidecar");
+    let before = dir_bytes(&v2);
+    assert_snapshot_refused(&v2, sidecar.to_str().unwrap());
+    assert_eq!(dir_bytes(&v2), before, "the directory beside the sidecar was modified");
+    assert_eq!(std::fs::read(&sidecar).expect("sidecar untouched"), br#"{"c1":101}"#);
+    let _ = std::fs::remove_dir_all(&v2);
+    let _ = std::fs::remove_file(&sidecar);
 }
 
 /// A peer speaking another wire version is refused loudly, not
