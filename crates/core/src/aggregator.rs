@@ -21,7 +21,8 @@ use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_types::{FileEvent, TraceCarrier, TraceContext};
+use sdci_types::bin::DirTable;
+use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent, TraceCarrier, TraceContext};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,28 +58,50 @@ pub enum FeedMessage {
     },
 }
 
-/// Binary layout: `seq` as a delta against the previous member's, then
-/// the event coded against the previous member's event.
-impl sdci_types::BinPayload for SequencedEvent {
-    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+/// Binary layout: `seq` as a delta against the predecessor's, then the
+/// event coded among the earlier members' events
+/// ([`FileEvent::encode_among`]). As for the event, the members need not
+/// be sequenced events themselves: `sev_of` says which one, if any, a
+/// member holds, and the predecessor is the one right before this.
+impl SequencedEvent {
+    fn encode_among<'a, T>(
+        &self,
+        earlier: &'a [T],
+        sev_of: impl Fn(&'a T) -> Option<&'a SequencedEvent>,
+        dirs: &mut DirTable,
+        buf: &mut Vec<u8>,
+    ) {
+        let prev = earlier.last().and_then(&sev_of);
         sdci_types::bin::put_delta(buf, self.seq, prev.map_or(0, |p| p.seq));
-        self.event.encode_bin(prev.map(|p| &p.event), buf);
+        self.event.encode_among(earlier, |m| sev_of(m).map(|sev| &sev.event), dirs, buf);
     }
 
-    fn decode_bin(
-        r: &mut sdci_types::BinReader<'_>,
-        prev: Option<&Self>,
-    ) -> Result<Self, sdci_types::BinDecodeError> {
+    fn decode_among<'a, T>(
+        r: &mut BinReader<'_>,
+        earlier: &'a [T],
+        sev_of: impl Fn(&'a T) -> Option<&'a SequencedEvent>,
+    ) -> Result<SequencedEvent, BinDecodeError> {
+        let prev = earlier.last().and_then(&sev_of);
         Ok(SequencedEvent {
             seq: r.delta(prev.map_or(0, |p| p.seq))?,
-            event: FileEvent::decode_bin(r, prev.map(|p| &p.event))?,
+            event: FileEvent::decode_among(r, earlier, |m| sev_of(m).map(|sev| &sev.event))?,
         })
     }
 }
 
+impl BinPayload for SequencedEvent {
+    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
+        self.encode_among(earlier, Some, dirs, buf);
+    }
+
+    fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
+        SequencedEvent::decode_among(r, earlier, Some)
+    }
+}
+
 impl FeedMessage {
-    /// The previous feed member as an event's predecessor: a heartbeat
-    /// between two events is not one.
+    /// The event a feed member holds: a heartbeat holds none, so it is
+    /// neither an event's predecessor nor a path's base.
     fn as_event(&self) -> Option<&SequencedEvent> {
         match self {
             FeedMessage::Event(sev) => Some(sev),
@@ -96,39 +119,34 @@ impl FeedMessage {
 }
 
 /// Binary layout: a one-byte variant tag (`0` = `Event`, `1` =
-/// `Heartbeat`), then an `Event`'s [`SequencedEvent`] coded against the
-/// previous member when that was an `Event` too (as a first member
-/// otherwise), or a `Heartbeat`'s `last_seq` as a delta against the
+/// `Heartbeat`), then an `Event`'s [`SequencedEvent`] coded among the
+/// earlier members — against the previous one when that was an `Event`
+/// too, as a first member otherwise; its path may name any earlier
+/// `Event` — or a `Heartbeat`'s `last_seq` as a delta against the
 /// previous member's sequence number, whichever variant it was.
-impl sdci_types::BinPayload for FeedMessage {
-    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+impl BinPayload for FeedMessage {
+    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
         match self {
             FeedMessage::Event(sev) => {
                 buf.push(0);
-                sev.encode_bin(prev.and_then(FeedMessage::as_event), buf);
+                sev.encode_among(earlier, FeedMessage::as_event, dirs, buf);
             }
             FeedMessage::Heartbeat { last_seq } => {
                 buf.push(1);
-                sdci_types::bin::put_delta(buf, *last_seq, prev.map_or(0, FeedMessage::seq));
+                let prev = earlier.last().map_or(0, FeedMessage::seq);
+                sdci_types::bin::put_delta(buf, *last_seq, prev);
             }
         }
     }
 
-    fn decode_bin(
-        r: &mut sdci_types::BinReader<'_>,
-        prev: Option<&Self>,
-    ) -> Result<Self, sdci_types::BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
         match r.u8()? {
-            0 => Ok(FeedMessage::Event(SequencedEvent::decode_bin(
-                r,
-                prev.and_then(FeedMessage::as_event),
-            )?)),
-            1 => {
-                Ok(FeedMessage::Heartbeat { last_seq: r.delta(prev.map_or(0, FeedMessage::seq))? })
-            }
-            other => {
-                Err(sdci_types::BinDecodeError::msg(format!("invalid FeedMessage tag {other}")))
-            }
+            0 => SequencedEvent::decode_among(r, earlier, FeedMessage::as_event)
+                .map(FeedMessage::Event),
+            1 => Ok(FeedMessage::Heartbeat {
+                last_seq: r.delta(earlier.last().map_or(0, FeedMessage::seq))?,
+            }),
+            other => Err(BinDecodeError::msg(format!("invalid FeedMessage tag {other}"))),
         }
     }
 }

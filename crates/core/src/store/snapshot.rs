@@ -65,7 +65,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const MANIFEST_NAME: &str = "MANIFEST.json";
-const MANIFEST_VERSION: u32 = 2;
+/// The version a flush stamps: its block files hold members of wire
+/// version 8, which may reference any earlier member of their block.
+const MANIFEST_VERSION: u32 = 3;
+/// The oldest version read. A version-2 directory differs only in that no
+/// member in it uses what version 8 added, so the one member decoder
+/// reads its blocks as it reads this build's — also once a later flush
+/// has put a version-3 manifest over segment files it reused.
+const OLDEST_MANIFEST_VERSION: u32 = 2;
 
 /// Whether `name` is a plain file name of the form `<prefix>….bin`: what
 /// a manifest may reference and a sweep may remove.
@@ -162,9 +169,10 @@ struct ManifestVersion {
 ///
 /// # Errors
 ///
-/// `InvalidData` for text that is not a manifest, a version other than
-/// [`MANIFEST_VERSION`] (named; nothing migrates), and a manifest
-/// referencing anything but a segment or head file inside `dir`.
+/// `InvalidData` for text that is not a manifest, a version outside
+/// [`OLDEST_MANIFEST_VERSION`]`..=`[`MANIFEST_VERSION`] (named; nothing
+/// migrates), and a manifest referencing anything but a segment or head
+/// file inside `dir`.
 fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     let json = match fs::read_to_string(dir.join(MANIFEST_NAME)) {
         Ok(json) => json,
@@ -173,10 +181,10 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     };
     let corrupt = |e| invalid(format!("corrupt snapshot manifest in {}: {e}", dir.display()));
     let ManifestVersion { version } = serde_json::from_str(&json).map_err(corrupt)?;
-    if version != MANIFEST_VERSION {
+    if !(OLDEST_MANIFEST_VERSION..=MANIFEST_VERSION).contains(&version) {
         return Err(invalid(format!(
-            "{} holds snapshot manifest version {version}; this build reads only version \
-             {MANIFEST_VERSION} and migrates nothing",
+            "{} holds snapshot manifest version {version}; this build reads only versions \
+             {OLDEST_MANIFEST_VERSION} to {MANIFEST_VERSION} and migrates nothing",
             dir.display()
         )));
     }
@@ -227,7 +235,7 @@ impl SnapshotDir {
     /// if a `<dir>.marks` file sits beside it (the dedup-marks sidecar
     /// of manifest version 1: marks live in the manifest now, and a
     /// leftover must not pass for state this build restores), or if an
-    /// existing manifest is not a readable version-2 one (the orphan
+    /// existing manifest is not one of a version this build reads (the orphan
     /// sweep needs it to know which files are live); propagates I/O
     /// errors.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<SnapshotDir> {

@@ -413,6 +413,86 @@ fn a_version_1_directory_is_refused_by_name_and_left_as_found() {
     assert_eq!(dir_bytes(scratch.path()), before);
 }
 
+/// The events `fixtures/pr23-snapshot` holds: the parent commit's writer
+/// was handed exactly these (records over three directories in turn, a
+/// rename, a traced event, an MDT change, an accent, a missing stamp, a
+/// directory, an explicit kind, a FID on another sequence).
+fn pr23_fixture_events() -> Vec<SequencedEvent> {
+    let mut events: Vec<SequencedEvent> = (1..=20u64)
+        .map(|seq| SequencedEvent {
+            seq,
+            event: FileEvent {
+                index: 7_000 + seq,
+                mdt: MdtIndex::new(0),
+                changelog_kind: ChangelogKind::Create,
+                kind: EventKind::Created,
+                time: SimTime::from_nanos(5_000_000 + 1_000 * seq),
+                path: format!("/proj/run-{}/f{:06x}", seq % 3, seq * 0x9e37).into(),
+                src_path: None,
+                target: Fid::new(0x2_4000_0400, 100 + seq as u32, 0),
+                is_dir: false,
+                extracted_unix_ns: Some(1_790_000_000_000_000_000),
+                trace: None,
+            },
+        })
+        .collect();
+    events[3].event.changelog_kind = ChangelogKind::Rename;
+    events[3].event.kind = EventKind::Moved;
+    events[3].event.src_path = Some("/proj/run-1/old-name".into());
+    events[5].event.trace = Some(sdci_types::TraceContext::sampled(0xabc, 7));
+    events[6].event.mdt = MdtIndex::new(3);
+    events[9].event.path = "/proj/run-1/é t\"q\\.txt".into();
+    events[10].event.extracted_unix_ns = None;
+    events[12].event.changelog_kind = ChangelogKind::Mkdir;
+    events[12].event.is_dir = true;
+    events[14].event.kind = EventKind::Other;
+    events[17].event.target = Fid::new(0x2_4000_0401, 5, 2);
+    events
+}
+
+/// Old bytes stay readable: `fixtures/pr23-snapshot` was flushed by the
+/// commit before wire version 8 (manifest version 2; its members code
+/// every path against the predecessor and spell every field out), and
+/// the one member decoder restores it event for event, marks included.
+/// A flush over it stamps version 3 and keeps the sealed segment files
+/// it finds — version-7 members under a version-3 manifest — rewriting
+/// only the head, smaller; that directory restores to the same events.
+#[test]
+fn a_version_2_directory_restores_and_the_next_flush_stamps_version_3() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr23-snapshot");
+    let scratch = Scratch::new("v2");
+    std::fs::create_dir_all(scratch.path()).unwrap();
+    for (name, bytes) in dir_bytes(&fixture) {
+        std::fs::write(scratch.path().join(name), bytes).unwrap();
+    }
+    let before = dir_bytes(scratch.path());
+    assert_eq!(before.len(), 4, "manifest, two segments, one head");
+    assert!(before["MANIFEST.json"].starts_with(br#"{"version":2,"#));
+
+    let expected_marks = HashMap::from([("mdt0".to_string(), 20), ("mdt1".to_string(), 3)]);
+    let (restored, marks) = restore_snapshot(scratch.path(), 1_000).unwrap();
+    assert_eq!(restored.query(&StoreQuery::after_seq(0)), pr23_fixture_events());
+    assert_eq!(marks, expected_marks);
+    assert_eq!(dir_bytes(scratch.path()), before, "restoring writes nothing");
+
+    let stats =
+        SnapshotDir::open(scratch.path()).unwrap().flush(&restored, || marks.clone()).unwrap();
+    assert_eq!((stats.segments_written, stats.segments_reused, stats.head_events), (0, 2, 4));
+    let after = dir_bytes(scratch.path());
+    assert!(after["MANIFEST.json"].starts_with(br#"{"version":3,"#));
+    let is_segment = |name: &&String| name.starts_with("seg-");
+    for name in before.keys().filter(is_segment) {
+        assert_eq!(after[name], before[name], "{name} is written once");
+    }
+    let head_len = |files: &BTreeMap<String, Vec<u8>>| {
+        files.iter().find(|(name, _)| name.starts_with("head-")).expect("a head").1.len()
+    };
+    assert!(head_len(&after) < head_len(&before), "the same four events, coded by version 8");
+    let (again, marks) = restore_snapshot(scratch.path(), 1_000).unwrap();
+    assert_eq!(again.query(&StoreQuery::after_seq(0)), pr23_fixture_events());
+    assert_eq!(marks, expected_marks);
+}
+
 /// Marks live in the manifest: a `DIR.marks` file beside a snapshot is
 /// the version-1 sidecar, which nothing reads any more — `open` names it
 /// and touches neither it nor the directory.

@@ -1,6 +1,7 @@
 //! Hostile bytes in a snapshot directory: a flushed directory whose
 //! segment, head or manifest file has been truncated, flipped, spliced
-//! or forged is refused as `InvalidData`/`InvalidInput` by
+//! or forged — down to a member that references what its block does not
+//! hold — is refused as `InvalidData`/`InvalidInput` by
 //! `restore_snapshot` (and by `SnapshotDir::open`, where the manifest is
 //! what is wrong) — never a panic, never an allocation sized by a length
 //! or count word rather than by the bytes on hand — and the directory is
@@ -11,7 +12,7 @@
 //! request the calling thread has made.
 
 use sdci_core::{restore_snapshot, EventStore, SequencedEvent, SnapshotDir};
-use sdci_types::bin::MAX_FRAME_MEMBERS;
+use sdci_types::bin::{put_bytes, put_varint, MAX_FRAME_MEMBERS, MAX_PATH_LEN};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -298,6 +299,83 @@ fn forged_length_and_count_words_size_no_allocation() {
     // Two bytes a member at the least, whatever the count word says.
     let reservable = forged.len() / 2 * std::mem::size_of::<SequencedEvent>();
     assert!(largest <= reservable.max(4 * biggest_file), "a forged count sized {largest} bytes");
+}
+
+/// One sequenced-event member laid out by hand (the layout is
+/// `FileEvent`'s, and `crates/net/tests/wire_mutation.rs` shows the same
+/// bytes decoding when honest): sequence +1, then a create on MDT 0 one
+/// record and a nanosecond after its predecessor, with `flags` and `kind`
+/// or-ed into the two bytes that carry bits and the fields those bits
+/// drop left out. `back` is the path reference, when there is one; the
+/// path is `shared` bytes of its base, then `suffix`.
+fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) -> Vec<u8> {
+    // Bit 4: same MDT; bit 5: derived event kind; bit 6: path reference.
+    let flags = flags | 0x30 | if back.is_some() { 1 << 6 } else { 0 };
+    let mut out = vec![2, flags];
+    if flags & (1 << 7) == 0 {
+        out.push(2); // index +1
+    }
+    out.extend([1 | kind, 2]); // 01CREAT, time +1
+    if let Some(back) = back {
+        put_varint(&mut out, back);
+    }
+    put_varint(&mut out, shared as u64);
+    put_bytes(&mut out, suffix);
+    if kind & (1 << 5) == 0 {
+        out.extend([0, 2, 0]); // seq, oid +1, ver
+    } else {
+        out.push(2);
+    }
+    out
+}
+
+/// The members of a block are outside input like a frame's: under a
+/// checksum that holds, a path reference to the member itself, to its
+/// predecessor, past the block's first member or on that first member,
+/// the unassigned record-type bit, a "same as the predecessor's" bit on
+/// a member without one, and a reference that would assemble a path of
+/// more than `MAX_PATH_LEN` are each a corrupt block — named for what is
+/// wrong with it — and size nothing.
+#[test]
+fn a_block_whose_members_reference_what_it_does_not_hold_is_refused() {
+    let flushed = Flushed::new("refs", 12, 8);
+    let name = flushed.file("seg-");
+    let biggest_file = flushed.files.values().map(Vec::len).max().unwrap();
+    let first = || member(0, 0, None, 0, b"/d/alpha/x");
+    let second = || member(0, 0, None, 3, b"beta/y");
+    let third = |back| member(0, 0, Some(back), 9, b"z");
+    let page = || member(0, 0, None, 0, &[b'p'; MAX_PATH_LEN]);
+    for (what, why, members) in [
+        ("a reference to itself", "names no earlier event", vec![first(), second(), third(0)]),
+        ("a reference to the predecessor", "names no earlier", vec![first(), second(), third(1)]),
+        (
+            "a reference past the first member",
+            "names no earlier",
+            vec![first(), second(), third(3)],
+        ),
+        ("a reference on the first member", "names no earlier", vec![third(2), second()]),
+        ("the reserved bit", "record-type bits", vec![first(), member(0, 1 << 7, None, 3, b"y")]),
+        ("a first member's index +1", "not there", vec![member(1 << 7, 0, None, 0, b"/x")]),
+        ("a first member's FID home", "not there", vec![member(0, 1 << 5, None, 0, b"/x")]),
+        ("a first member's stamp", "not there", vec![member(1 << 1, 1 << 6, None, 0, b"/x")]),
+        (
+            "a page and a byte through a reference",
+            "exceeds 4096",
+            vec![page(), second(), member(0, 0, Some(2), MAX_PATH_LEN, b"x")],
+        ),
+    ] {
+        let mut body = Vec::new();
+        put_varint(&mut body, members.len() as u64);
+        members.iter().for_each(|m| put_bytes(&mut body, m));
+        let mut bad = (body.len() as u32).to_le_bytes().to_vec();
+        bad.extend_from_slice(&body);
+        bad.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        let ((_, err), largest) = largest_request(|| flushed.refused_with(name, &bad, what));
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains(why), "{what}: {err}");
+        let bound = body.len() * std::mem::size_of::<SequencedEvent>();
+        assert!(largest <= bound.max(4 * biggest_file), "{what} sized a {largest}-byte request");
+    }
 }
 
 /// The manifest is outside input too: `marks` that is not a map, and a

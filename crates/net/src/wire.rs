@@ -24,11 +24,12 @@
 //!
 //! A binary body is a fixed header, then the kind's fields. Lengths
 //! and counts are LEB128 varints; every member is length-prefixed and
-//! coded **relative to the member before it in the same frame**
-//! ([`BinPayload`]: zig-zag deltas for counters and stamps, paths as
-//! shared-prefix length + suffix), the first against nothing — so a
-//! frame decodes from its own bytes alone, whichever frames were
-//! dropped, duplicated or resent around it:
+//! coded **relative to the members before it in the same frame**
+//! ([`BinPayload`]: zig-zag deltas and "same as the predecessor's" bits
+//! for counters and stamps, paths as shared-prefix length + suffix
+//! against the predecessor's or a named earlier member's), the first
+//! against nothing — so a frame decodes from its own bytes alone,
+//! whichever frames were dropped, duplicated or resent around it:
 //!
 //! ```text
 //! +------+-------+-----------------------+----------------------------+
@@ -40,7 +41,7 @@
 //! kind 4 DeliverBatch: topic (varint len + bytes) | members
 //!
 //! members = count varint | count × (len varint | member: len bytes)
-//!           member 0 coded against nothing, member i against member i-1
+//!           member 0 coded against nothing, member i against members 0..i
 //! ```
 //!
 //! The member sequence is [`sdci_types::bin::put_members`] /
@@ -74,8 +75,8 @@
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
 use sdci_types::bin::{
-    put_bytes, put_member, put_members, put_varint, read_members, varint_len, BinPayload,
-    BinReader, MAX_FRAME_MEMBERS,
+    put_bytes, put_member, put_members, put_trace, put_varint, read_members, varint_len,
+    BinPayload, BinReader, DirTable, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -100,7 +101,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 7;
+pub const WIRE_PROTO: u32 = 8;
 
 /// The opening frame of every connection: the peer's wire version and
 /// the service it wants from the endpoint it dialed. Always JSON.
@@ -309,7 +310,7 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
         None => buf.push(0),
         Some(t) => {
             buf.push(BIN_FLAG_TRACE);
-            t.encode_bin(None, buf);
+            put_trace(buf, &t);
         }
     }
 }
@@ -321,11 +322,7 @@ pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<T
     if flags & !BIN_FLAG_TRACE != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
-    let trace = if flags & BIN_FLAG_TRACE != 0 {
-        Some(TraceContext::decode_bin(r, None).map_err(invalid)?)
-    } else {
-        None
-    };
+    let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
     Ok((kind, trace))
 }
 
@@ -379,38 +376,21 @@ impl<T: BinPayload> WireMsg for Frame<T> {
     }
 }
 
-/// Per-connection reusable scratch for binary encoding: members are
-/// laid out once, then chunked into frames without re-encoding.
+/// Per-connection reusable scratch for binary encoding; its buffers grow
+/// to the session's working set and are then reused for every batch.
 #[derive(Debug, Default)]
 pub struct BinEncoder {
-    /// Every batch member, length-prefixed and coded against the one
-    /// before it, back to back — a frame's member section verbatim.
+    /// The member section of the frame being packed: each member
+    /// length-prefixed and coded against the ones before it.
     members: Vec<u8>,
-    /// End offset of each member inside `members`.
-    ends: Vec<usize>,
-    /// The first member of a chunk after a split, coded against nothing.
-    first: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
 }
 
 impl BinEncoder {
-    /// A fresh encoder; buffers grow to the session's working set and
-    /// are then reused for every batch.
+    /// A fresh encoder.
     pub fn new() -> BinEncoder {
         BinEncoder::default()
-    }
-
-    /// Encodes every member once, recording where each ends.
-    fn load<T: BinPayload>(&mut self, payloads: &[T]) {
-        self.members.clear();
-        self.ends.clear();
-        let mut prev = None;
-        for p in payloads {
-            put_member(&mut self.members, p, prev);
-            self.ends.push(self.members.len());
-            prev = Some(p);
-        }
     }
 }
 
@@ -442,15 +422,16 @@ impl BatchHead<'_> {
     }
 }
 
-/// The one chunked batch writer: encodes every member once, then
-/// greedily packs them into `kind` frames of at most `max_len` body
-/// bytes and [`MAX_FRAME_MEMBERS`] members, each repeating `trace` and
-/// `head`. Every frame decodes alone: the first member of a chunk after
-/// a split is coded again, against nothing, and the rest are copied as
-/// they were laid out. A single member that alone exceeds the cap still
-/// gets its own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
-/// check in [`write_frame`] remains the backstop. Returns the number of
-/// frames written.
+/// The one chunked batch writer: greedily packs `payloads` into `kind`
+/// frames of at most `max_len` body bytes and [`MAX_FRAME_MEMBERS`]
+/// members, each repeating `trace` and `head`. Every frame is its own
+/// member sequence and decodes alone: a member that does not fit is
+/// taken back out and coded again as the first member of the next frame,
+/// against nothing, with a fresh [`DirTable`] — no member ever
+/// references across a split. A single member that alone exceeds the cap
+/// still gets its own frame — it cannot be split, and the
+/// [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
+/// Returns the number of frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
@@ -460,42 +441,36 @@ fn write_batch<T: BinPayload>(
     trace: Option<TraceContext>,
     max_len: usize,
 ) -> io::Result<usize> {
-    enc.load(payloads);
-    let BinEncoder { members, ends, first, body } = enc;
+    let BinEncoder { members, body } = enc;
     // Per-frame body cost before the member count: kind + flags, the
     // optional trace section and the head.
     let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
     let mut frames = 0;
     let mut lo = 0;
     while lo < payloads.len() {
-        let first: &[u8] = if lo == 0 {
-            &members[..ends[0]]
-        } else {
-            first.clear();
-            put_member(first, &payloads[lo], None);
-            first
-        };
+        members.clear();
+        let mut dirs = DirTable::new();
+        put_member(members, &payloads[lo], &[], &mut dirs);
         let mut hi = lo + 1;
-        let mut size = first.len();
         while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
+            let fits = members.len();
+            put_member(members, &payloads[hi], &payloads[lo..hi], &mut dirs);
             // The count is a varint too: it is sized for the chunk this
             // member would make, or a chunk packed exactly to the cap
             // would overshoot it when the count grows a byte — fatal at
             // `MAX_FRAME_LEN`, where `write_frame` rejects the frame
             // instead of splitting it.
-            let cost = ends[hi] - ends[hi - 1];
-            if fixed + varint_len((hi - lo + 1) as u64) + size + cost > max_len {
+            if fixed + varint_len((hi - lo + 1) as u64) + members.len() > max_len {
+                members.truncate(fits);
                 break;
             }
-            size += cost;
             hi += 1;
         }
         body.clear();
         bin_header(body, kind, trace);
         head.put(body, lo);
         put_varint(body, (hi - lo) as u64);
-        body.extend_from_slice(first);
-        body.extend_from_slice(&members[ends[lo]..ends[hi - 1]]);
+        body.extend_from_slice(members);
         write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
@@ -845,9 +820,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":7,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":8,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":7,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":8,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -863,7 +838,7 @@ mod tests {
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in [r#"{"service":"Store"}"#, r#"{"proto":7}"#, r#"{"proto":7,"service":"Nope"}"#]
+        for body in [r#"{"service":"Store"}"#, r#"{"proto":8}"#, r#"{"proto":8,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1130,6 +1105,61 @@ mod tests {
             io::ErrorKind::UnexpectedEof
         );
         assert_eq!(got, payloads);
+    }
+
+    /// The flags byte of every member of an item-batch body whose count
+    /// and member lengths are one byte each.
+    fn member_flags(body: &[u8]) -> Vec<u8> {
+        // kind, flags, first_seq (8), count.
+        let mut at = 11;
+        let mut flags = Vec::new();
+        while at < body.len() {
+            flags.push(body[at + 1]);
+            at += 1 + body[at] as usize;
+        }
+        assert_eq!(flags.len(), body[10] as usize);
+        flags
+    }
+
+    /// Records interleaving over two directories reference two members
+    /// back, so in one frame every member from the third on carries a
+    /// path reference — across any point a cap could split at. Split,
+    /// each chunk is its own sequence: its first two members reference
+    /// nothing (there is nothing of their directory before them *in this
+    /// frame*), it decodes from its own bytes, and the chunks concatenate
+    /// to the input.
+    #[test]
+    fn binary_split_never_references_across_frames() {
+        const PATH_REF: u8 = 1 << 6;
+        let payloads: Vec<FileEvent> = (0..24)
+            .map(|i| {
+                let dir = if i % 2 == 0 { "alpha" } else { "beta-longer" };
+                FileEvent { path: format!("/wire/{dir}/f{i}").into(), ..event(i) }
+            })
+            .collect();
+        let whole = split_at(&payloads, usize::MAX);
+        let flags = member_flags(&whole[0]);
+        assert!(flags[..2].iter().all(|f| f & PATH_REF == 0));
+        assert!(flags[2..].iter().all(|f| f & PATH_REF != 0), "{flags:x?}");
+
+        for cap in [whole[0].len() - 1, whole[0].len() / 2, whole[0].len() / 5, 60] {
+            let chunks = split_at(&payloads, cap);
+            assert!(chunks.len() > 1, "cap {cap} splits");
+            let mut got = Vec::new();
+            for chunk in &chunks {
+                assert!(chunk.len() <= cap, "cap {cap}: a chunk of {} bytes", chunk.len());
+                let flags = member_flags(chunk);
+                assert!(flags.iter().take(2).all(|f| f & PATH_REF == 0), "cap {cap}: {flags:x?}");
+                match Frame::<FileEvent>::decode(true, chunk).unwrap() {
+                    Frame::ItemBatch { first_seq, payloads: members, .. } => {
+                        assert_eq!(first_seq, 1 + got.len() as u64);
+                        got.extend(members);
+                    }
+                    other => panic!("expected ItemBatch, got {other:?}"),
+                }
+            }
+            assert_eq!(got, payloads, "cap {cap}");
+        }
     }
 
     /// A single member larger than the cap cannot be split — it still

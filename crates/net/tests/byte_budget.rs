@@ -1,14 +1,19 @@
-//! Byte budgets for the two data frames every event crosses, beside the
+//! Byte budgets for the data frames an event crosses, beside the
 //! allocation budgets of `crates/core/tests/alloc_budget.rs` (this one
-//! needs `sdci-net`, so it lives here): a 256-event batch shaped like
-//! the pipeline benchmark's `steady` workload — 64 hot directories of
-//! one length, 12-character names, create → write → unlink over a live
-//! set, dense record numbers, one extraction stamp, a microsecond
-//! between records — must cost at most 40 bytes a member as an item
-//! batch and 42 as a deliver batch. The fixed-width proto-6 layout
-//! spent 89 and 98.
+//! needs `sdci-net`, so it lives here): a batch shaped like the pipeline
+//! benchmark's `steady` workload — 64 hot directories of one length,
+//! 12-character names, create → write → unlink over a live set, dense
+//! record numbers, one extraction stamp, a microsecond between records.
+//! Each budget is the measured cost plus a byte. At 256 members a frame
+//! has met most of its directories before, and a member costs 22.9 bytes
+//! as an item batch and 24.9 as a deliver batch (wire version 7, which
+//! coded a path against the predecessor only, spent 33.0 and 35.1; the
+//! fixed-width version 6 89 and 98); the TCP leg's 50-member frames
+//! still introduce a directory every other member, and a 1,000-member
+//! store reply hardly ever does.
 
 use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{Frame, WireMsg};
 use sdci_types::{ChangelogKind, Fid, FileEvent, MdtIndex, RawChangelogRecord, SimTime};
 use std::collections::VecDeque;
@@ -16,7 +21,6 @@ use std::path::PathBuf;
 
 const DIRS: u64 = 64;
 const LIVE_FILES: u64 = 4_096;
-const BATCH: usize = 256;
 
 /// splitmix64, fixed seed: the same batch on every run.
 struct Rng(u64);
@@ -34,7 +38,7 @@ impl Rng {
 /// `(directory slot, file id)` — a file's name is a bijection of its id.
 type File = (u64, u64);
 
-fn steady_batch() -> Vec<FileEvent> {
+fn steady_batch(members: usize) -> Vec<FileEvent> {
     let mut rng = Rng(19);
     let dirs: Vec<String> =
         (0..DIRS).map(|_| format!("/t0a1b2c3/d{:07x}", rng.next() & 0xfff_ffff)).collect();
@@ -44,7 +48,7 @@ fn steady_batch() -> Vec<FileEvent> {
         (rng.next() % DIRS, files_made)
     };
     let mut live: VecDeque<File> = (0..LIVE_FILES).map(|_| new_file(&mut rng)).collect();
-    (0..BATCH as u64)
+    (0..members as u64)
         .map(|i| {
             let (kind, (dir, id)) = match i % 3 {
                 0 => {
@@ -72,31 +76,49 @@ fn steady_batch() -> Vec<FileEvent> {
         .collect()
 }
 
-/// Bytes per member of `frame`'s one body, frame header included.
-fn bytes_per_member(frame: &impl WireMsg) -> f64 {
-    let mut body = Vec::new();
-    assert!(frame.encode(&mut body).expect("encodes"), "a batch is a binary frame");
-    body.len() as f64 / BATCH as f64
+/// Bytes per member of the `item`, `deliver` and store-reply frames that
+/// carry a steady batch of `members` events, frame header included.
+fn bytes_per_member(members: usize) -> [f64; 3] {
+    let events = steady_batch(members);
+    assert!(events.iter().all(|e| e.path.as_os_str().len() == 31));
+    let sequenced: Vec<SequencedEvent> = (500_000..)
+        .zip(&events)
+        .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
+        .collect();
+    let feed = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+    let per_member = |frame: &dyn Fn(&mut Vec<u8>) -> std::io::Result<bool>| {
+        let mut body = Vec::new();
+        assert!(frame(&mut body).expect("encodes"), "a batch is a binary frame");
+        body.len() as f64 / members as f64
+    };
+    let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
+    let deliver = Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None };
+    let reply = StoreRpc::Batch { events: sequenced };
+    [
+        per_member(&|body| item.encode(body)),
+        per_member(&|body| deliver.encode(body)),
+        per_member(&|body| reply.encode(body)),
+    ]
 }
 
 #[test]
-fn a_steady_batch_costs_at_most_40_bytes_a_member_pushed_and_42_delivered() {
-    let events = steady_batch();
-    assert!(events.iter().all(|e| e.path.as_os_str().len() == 31));
-    let feed: Vec<FeedMessage> = (500_000..)
-        .zip(&events)
-        .map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event: event.clone() }))
-        .collect();
-
-    let item = bytes_per_member(&Frame::ItemBatch { first_seq: 9, payloads: events, trace: None });
-    let deliver = bytes_per_member(&Frame::DeliverBatch {
-        topic: "feed/all".into(),
-        payloads: feed,
-        trace: None,
-    });
-    assert!(item <= 40.0, "item batch: {item} B per member");
-    assert!(deliver <= 42.0, "deliver batch: {deliver} B per member");
+fn a_steady_batch_costs_at_most_24_bytes_a_member_pushed_and_26_delivered() {
+    let [item, deliver, _] = bytes_per_member(256);
+    assert!(item <= 24.0, "item batch: {item} B per member");
+    assert!(deliver <= 26.0, "deliver batch: {deliver} B per member");
     // The budgets have slack, not an order of magnitude of it: a batch
     // that suddenly costs far less is a shape bug in this test.
-    assert!(item > 30.0 && deliver > item, "item {item} B, deliver {deliver} B per member");
+    assert!(item > 20.0 && deliver > item, "item {item} B, deliver {deliver} B per member");
+}
+
+/// The frame sizes on either side of the benchmark's 256: the 50 members
+/// `benchmark/`'s TCP leg pushes at a time, and a 1,000-event store
+/// reply.
+#[test]
+fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
+    let [item, deliver, _] = bytes_per_member(50);
+    assert!(item <= 29.1 && deliver <= 31.2, "50 members: item {item} B, deliver {deliver} B");
+    let [_, _, reply] = bytes_per_member(1_000);
+    assert!(reply <= 23.6, "1,000-member store reply: {reply} B per member");
+    assert!(item > 24.0 && reply > 20.0, "item {item} B, reply {reply} B per member");
 }

@@ -1,7 +1,9 @@
 //! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
 //! valid kind-1, kind-3 and kind-4 bodies, each fed to all three
 //! decoders, then path length and prefix words claiming what the body
-//! does not hold. Every one is decoded or refused as `InvalidData` — the
+//! does not hold, then hand-laid members whose references and "same as
+//! the predecessor's" bits name what the frame does not hold. Every one
+//! is decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
 //! frame's path arena) is sized by a length, count or prefix word
@@ -16,7 +18,7 @@
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{Frame, WireMsg};
-use sdci_types::bin::MAX_PATH_LEN;
+use sdci_types::bin::{put_bytes, put_varint, FRAME_PATH_BUDGET, MAX_PATH_LEN};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -169,8 +171,8 @@ fn fed<M: WireMsg + std::fmt::Debug>(bytes: &[u8]) -> (bool, usize) {
 /// The stated allocation bound for a body. A member costs at least two
 /// bytes, so the count word reserves at most `len / 2` members and a
 /// `Vec` growing past its reservation at most doubles what has decoded:
-/// `len` members' worth. The path arena reserves the bytes left in the
-/// body and grows the same way, a path at a time. A topic or an error
+/// `len` members' worth. The path arena reserves twice the bytes left in
+/// the body and grows the same way, a path at a time. A topic or an error
 /// message is far below either.
 fn allocation_bound(body: &[u8]) -> usize {
     (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN)
@@ -279,4 +281,211 @@ fn a_claimed_path_length_sizes_nothing() {
     over.iter().for_each(|body| refused(body));
     let err = Frame::<FileEvent>::decode(true, &over[0]).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
+}
+
+/// Member flags bit 6: the path's base is an earlier member, named by a
+/// back-distance. Bit 7: the record number is the predecessor's plus one.
+const PATH_REF: u8 = 1 << 6;
+const NEXT_INDEX: u8 = 1 << 7;
+/// Member flags bit 1: an extraction stamp is present.
+const EXTRACTED: u8 = 1 << 1;
+/// Record-type byte bits 5-7: FID sequence and version are the
+/// predecessor's, so is the extraction stamp, and the unassigned one.
+const SAME_FID_HOME: u8 = 1 << 5;
+const SAME_EXTRACTED: u8 = 1 << 6;
+const RESERVED: u8 = 1 << 7;
+
+/// One event member laid out by hand — a create on MDT 0, one record and
+/// a nanosecond after its predecessor, its object id one up — with
+/// `flags` and `kind` or-ed into the two bytes that carry bits and the
+/// fields those bits drop left out. `back` is the path reference, when
+/// there is one; the path is `shared` bytes of its base, then `suffix`.
+fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) -> Vec<u8> {
+    // Bit 4: same MDT; bit 5: the event kind the record type implies.
+    let flags = flags | 0x30 | if back.is_some() { PATH_REF } else { 0 };
+    let mut out = vec![flags];
+    if flags & NEXT_INDEX == 0 {
+        out.push(2); // index +1
+    }
+    out.extend([1 | kind, 2]); // 01CREAT, time +1
+    if let Some(back) = back {
+        put_varint(&mut out, back);
+    }
+    put_varint(&mut out, shared as u64);
+    put_bytes(&mut out, suffix);
+    if kind & SAME_FID_HOME == 0 {
+        out.extend([0, 2, 0]); // seq, oid +1, ver
+    } else {
+        out.push(2);
+    }
+    if flags & EXTRACTED != 0 && kind & SAME_EXTRACTED == 0 {
+        out.push(0);
+    }
+    out
+}
+
+/// The three data-frame kinds carrying hand-laid `members`: as they are
+/// in an item batch, behind a sequence delta in a store batch, behind a
+/// tag and a sequence delta in a deliver batch — where a `None` is a
+/// heartbeat (the other two kinds carry no such member and skip it).
+fn raw_bodies(members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
+    let events = members.iter().flatten().count() as u64;
+    let mut item = vec![1, 0];
+    item.extend_from_slice(&7u64.to_le_bytes());
+    put_varint(&mut item, events);
+    let mut store = vec![3, 0];
+    put_varint(&mut store, events);
+    let mut deliver = vec![4, 0];
+    put_bytes(&mut deliver, b"feed/all");
+    put_varint(&mut deliver, members.len() as u64);
+    for event in members {
+        let Some(event) = event else {
+            put_bytes(&mut deliver, &[1, 0]);
+            continue;
+        };
+        put_bytes(&mut item, event);
+        put_bytes(&mut store, &[&[2][..], event].concat());
+        put_bytes(&mut deliver, &[&[0, 2][..], event].concat());
+    }
+    [item, store, deliver]
+}
+
+/// What each kind's own decoder made of its body: the paths it decoded,
+/// or `None` where it refused — as `InvalidData`, within the allocation
+/// bound, or the test fails.
+fn decoded_paths(bodies: &[Vec<u8>; 3]) -> [Option<Vec<String>>; 3] {
+    fn checked<M: WireMsg>(body: &[u8], paths: impl Fn(M) -> Vec<String>) -> Option<Vec<String>> {
+        let (result, largest) = largest_request(|| M::decode(true, body));
+        assert!(largest <= allocation_bound(body), "{largest} bytes for {}", body.len());
+        match result {
+            Ok(msg) => Some(paths(msg)),
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                None
+            }
+        }
+    }
+    let path = |event: &FileEvent| event.path.to_str().expect("UTF-8").to_string();
+    [
+        checked(&bodies[0], |frame: Frame<FileEvent>| match frame {
+            Frame::ItemBatch { payloads, .. } => payloads.iter().map(path).collect(),
+            other => panic!("an item body decoded as {other:?}"),
+        }),
+        checked(&bodies[1], |reply: StoreRpc| match reply {
+            StoreRpc::Batch { events } => events.iter().map(|sev| path(&sev.event)).collect(),
+            other => panic!("a store body decoded as {other:?}"),
+        }),
+        checked(&bodies[2], |frame: Frame<FeedMessage>| match frame {
+            Frame::DeliverBatch { payloads, .. } => payloads
+                .iter()
+                .filter_map(|m| match m {
+                    FeedMessage::Event(sev) => Some(path(&sev.event)),
+                    FeedMessage::Heartbeat { .. } => None,
+                })
+                .collect(),
+            other => panic!("a deliver body decoded as {other:?}"),
+        }),
+    ]
+}
+
+/// References and "same" bits that name what the frame does not hold: a
+/// back-distance of 0 (itself), of 1 (the predecessor, which a clear bit
+/// already means), past the first member, on a first member, onto a
+/// heartbeat; the unassigned record-type bit; the predecessor's record
+/// number, FID home or stamp claimed by a member that has no
+/// predecessor. The same members laid out honestly decode — the layout
+/// in this file is the decoder's.
+#[test]
+fn references_outside_the_frame_and_bits_without_a_predecessor_are_refused() {
+    let first = || Some(member(0, 0, None, 0, b"/d/alpha/x"));
+    let second = || Some(member(0, 0, None, 3, b"beta/y"));
+    let third = |back| Some(member(0, 0, Some(back), 9, b"z"));
+    let all = |paths: &[&str]| Some(paths.iter().map(|p| p.to_string()).collect::<Vec<_>>());
+
+    // Two back from the third member is the first; every bit there is
+    // may be set on a member that has a predecessor.
+    let honest = decoded_paths(&raw_bodies(&[first(), second(), third(2)]));
+    assert_eq!(honest, [(); 3].map(|()| all(&["/d/alpha/x", "/d/beta/y", "/d/alpha/z"])));
+    let every_bit = member(NEXT_INDEX | EXTRACTED, SAME_FID_HOME | SAME_EXTRACTED, None, 10, b"");
+    let stamped = Some(member(EXTRACTED, 0, None, 0, b"/d/alpha/x"));
+    let twice = decoded_paths(&raw_bodies(&[stamped.clone(), Some(every_bit.clone())]));
+    assert_eq!(twice, [(); 3].map(|()| all(&["/d/alpha/x", "/d/alpha/x"])));
+
+    let refused = |what: &str, members: &[Option<Vec<u8>>]| {
+        assert_eq!(decoded_paths(&raw_bodies(members)), [None, None, None], "{what}");
+    };
+    refused("a reference to itself", &[first(), second(), third(0)]);
+    refused("a reference to the predecessor", &[first(), second(), third(1)]);
+    refused("a reference past the first member", &[first(), second(), third(3)]);
+    refused("a reference far past it", &[first(), second(), third(u64::MAX)]);
+    for back in [0, 1, 2] {
+        let lone = Some(member(0, 0, Some(back), 0, b"/d/alpha/x"));
+        refused("a reference on a first member", &[lone, second()]);
+    }
+    refused("the reserved record-type bit", &[Some(member(0, RESERVED, None, 0, b"/x"))]);
+    refused("the reserved bit later on", &[first(), Some(member(0, RESERVED, None, 3, b"y"))]);
+    refused("a first member's record number +1", &[Some(member(NEXT_INDEX, 0, None, 0, b"/x"))]);
+    refused("a first member's FID home", &[Some(member(0, SAME_FID_HOME, None, 0, b"/x"))]);
+    refused("a first member's stamp", &[Some(member(EXTRACTED, SAME_EXTRACTED, None, 0, b"/x"))]);
+    refused("a stamp the predecessor lacks", &[first(), Some(every_bit)]);
+    refused(
+        "a stamp that is absent and the same",
+        &[stamped, Some(member(0, SAME_EXTRACTED, None, 10, b""))],
+    );
+
+    // A heartbeat holds no path and is no predecessor: the deliver frame
+    // refuses a reference onto it and "same" bits right after it, while
+    // the other two kinds — which never saw it — see honest members.
+    let alone = Some(member(0, 0, None, 0, b"/d/beta/y"));
+    let onto = decoded_paths(&raw_bodies(&[first(), None, alone, third(2)]));
+    assert_eq!(onto[2], None, "two back is the heartbeat");
+    assert_eq!(onto[..2], honest[..2], "two back is the first member");
+    let across = decoded_paths(&raw_bodies(&[first(), second(), None, third(3)]));
+    assert_eq!(across[2], all(&["/d/alpha/x", "/d/beta/y", "/d/alpha/z"]), "three back, over it");
+    assert_eq!(across[..2], [None, None], "three back of two");
+    let after =
+        decoded_paths(&raw_bodies(&[first(), None, Some(member(NEXT_INDEX, 0, None, 0, b"/x"))]));
+    assert_eq!(after, [all(&["/d/alpha/x", "/x"]), all(&["/d/alpha/x", "/x"]), None]);
+}
+
+/// A chain of references cannot assemble what a verbatim frame could
+/// not carry: each path is charged to `MAX_PATH_LEN` whichever member it
+/// shares from, and all of them to the frame's `FRAME_PATH_BUDGET`.
+#[test]
+fn a_chain_of_references_is_charged_like_any_other_path() {
+    // Two alternating 4,096-byte paths, each member from the third on
+    // sharing all of the one two back: a few bytes that assemble a page.
+    let long = |fill: u8| Some(member(0, 0, None, 0, &[fill; MAX_PATH_LEN]));
+    let again = || Some(member(0, 0, Some(2), MAX_PATH_LEN, b""));
+    let chain = |len: usize| -> Vec<Option<Vec<u8>>> {
+        [long(b'p'), long(b'q')].into_iter().chain((2..len).map(|_| again())).collect()
+    };
+    let honest = decoded_paths(&raw_bodies(&chain(8)));
+    for paths in honest {
+        let paths = paths.expect("eight pages are within every limit");
+        assert_eq!(paths.len(), 8);
+        assert!(paths.iter().all(|p| p.len() == MAX_PATH_LEN));
+    }
+
+    // One byte more than a page, reached through a reference.
+    let mut over = chain(8);
+    over.push(Some(member(0, 0, Some(2), MAX_PATH_LEN, b"x")));
+    let bodies = raw_bodies(&over);
+    assert_eq!(decoded_paths(&bodies), [None, None, None]);
+    let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
+    assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
+
+    // One page more than the budget: the item decoder (the three share
+    // the reader that keeps the count) stops at the member that would
+    // cross it, having allocated no more than the budget's doubling.
+    let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
+    let [body, ..] = raw_bodies(&chain(pages + 1));
+    assert!(body.len() < 64 * pages, "{} bytes claim {pages} pages", body.len());
+    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &body));
+    let err = result.unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("path bytes"), "got: {err}");
+    assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
+    let [fits, ..] = raw_bodies(&chain(pages));
+    assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
 }

@@ -7,13 +7,17 @@
 //! form, because rendering each event through a `Value` tree and
 //! re-parsing it on receive is the cost the data plane cannot afford.
 //!
-//! A data frame's members are **relative to their predecessor in the
+//! A data frame's members are **relative to the earlier members of the
 //! same frame**: [`BinPayload::encode_bin`] and
-//! [`BinPayload::decode_bin`] are handed the previous member (`None`
-//! for a frame's first member, which is coded against an all-zero,
-//! empty-path value), so a field that repeats or counts up costs a byte
-//! instead of its width. A frame still decodes from nothing but its own
-//! bytes. The primitives:
+//! [`BinPayload::decode_bin`] are handed every member before this one
+//! (none for a frame's first member, which is coded against an all-zero,
+//! empty-path value). A field that repeats or counts up is coded against
+//! the predecessor and costs a byte — or a spare flag bit — instead of
+//! its width; a path may instead name any earlier member as its base, so
+//! records that interleave over a few directories still carry each
+//! directory once ([`DirTable`] is how the encoder finds that member).
+//! Nothing outside the frame is ever referenced: a frame still decodes
+//! from nothing but its own bytes. The primitives:
 //!
 //! * **varints** — unsigned LEB128, at most ten bytes, for every
 //!   length, count and delta ([`put_varint`], [`BinReader::varint`]);
@@ -22,8 +26,9 @@
 //!   [`BinReader::delta`]; [`BinReader::delta_u32`] for 32-bit fields,
 //!   where a result outside the field is an error);
 //! * **front-coded strings** — the number of leading bytes shared with
-//!   the predecessor's string, then the rest length-prefixed
-//!   ([`put_front_coded`], [`BinReader::front_coded`]);
+//!   a base string (the predecessor's, or an earlier member's), then
+//!   the rest length-prefixed ([`put_front_coded`],
+//!   [`BinReader::front_coded`]);
 //! * length-prefixed byte strings (varint length + raw UTF-8 bytes),
 //!   single bytes, and fixed-width little-endian `u64`s for values with
 //!   nothing to be relative to (frame sequence numbers, trace ids).
@@ -39,11 +44,12 @@
 //! borrows from the received frame via [`BinReader`]. Both sides are
 //! infallible on well-formed input; every malformed input — truncation,
 //! an over-long varint, a delta leaving its field, a shared-prefix
-//! length the predecessor cannot supply, bytes that do not assemble to
+//! length its base cannot supply, bytes that do not assemble to
 //! UTF-8 — is a [`BinDecodeError`], never a panic.
 //!
-//! Front-coding lets a three-byte member name a predecessor-length
-//! string, so what a decoder assembles is bounded twice: no single
+//! Front-coding lets a three-byte member name a base-length string —
+//! whichever earlier member the base is — so what a decoder assembles is
+//! bounded twice: no single
 //! string may exceed [`MAX_PATH_LEN`], and one [`BinReader`] assembles
 //! at most [`FRAME_PATH_BUDGET`] bytes in all. What it assembles it
 //! also owns: every front-coded path of a frame is appended to one
@@ -200,27 +206,32 @@ impl<'a> BinReader<'a> {
     }
 
     /// Reads a front-coded path — the inverse of [`put_front_coded`] —
-    /// into this reader's arena: the first `shared` bytes of `prev`,
-    /// then the suffix carried inline. The handle is readable once the
-    /// reader has dropped; until then it serves as the next `prev`.
+    /// into this reader's arena: the first `shared` bytes of `base`,
+    /// then the suffix carried inline. `base` is any path this reader
+    /// assembled earlier (the predecessor's, or the member's a path
+    /// reference names). The handle is readable once the reader has
+    /// dropped; until then it serves as a later member's base.
     ///
-    /// The arena is reserved on the first call, at the bytes then left
-    /// in the body — never at a length the body claims — and grows from
-    /// there within [`FRAME_PATH_BUDGET`].
+    /// The arena is reserved on the first call, at twice the bytes then
+    /// left in the body — a path coded against a frame-mate's is about
+    /// half carried and half shared — and never at a length the body
+    /// claims; it grows from there within [`FRAME_PATH_BUDGET`].
     ///
     /// # Errors
     ///
-    /// A shared length `prev` cannot supply (any non-zero one when there
-    /// is no `prev`), a result longer than [`MAX_PATH_LEN`] or past this
-    /// reader's [`FRAME_PATH_BUDGET`], and assembled bytes that are not
-    /// UTF-8. The halves are not validated separately: a shared prefix
-    /// may legally end inside a multi-byte character.
-    pub fn front_coded(&mut self, prev: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
+    /// A shared length `base` cannot supply (any non-zero one when there
+    /// is no `base`), a result longer than [`MAX_PATH_LEN`] or past this
+    /// reader's [`FRAME_PATH_BUDGET`] — whichever member the bytes are
+    /// shared from, every assembled path is charged to both — and
+    /// assembled bytes that are not UTF-8. The halves are not validated
+    /// separately: a shared prefix may legally end inside a multi-byte
+    /// character.
+    pub fn front_coded(&mut self, base: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
         let shared = self.length()?;
-        let prev_len = prev.map_or(0, EventPath::len);
-        if shared > prev_len {
+        let base_len = base.map_or(0, EventPath::len);
+        if shared > base_len {
             return Err(BinDecodeError::msg(format!(
-                "shared prefix {shared} exceeds the predecessor's {prev_len} bytes"
+                "shared prefix {shared} exceeds its base's {base_len} bytes"
             )));
         }
         let suffix = self.bytes()?;
@@ -232,11 +243,24 @@ impl<'a> BinReader<'a> {
         self.path_budget = self.path_budget.checked_sub(len).ok_or_else(|| {
             BinDecodeError::msg(format!("frame assembles more than {FRAME_PATH_BUDGET} path bytes"))
         })?;
-        let reserve = suffix.len() + self.buf.len();
+        let reserve = 2 * (suffix.len() + self.buf.len());
         self.paths
             .get_or_insert_with(|| PathArenaBuilder::with_capacity(reserve))
-            .push_front_coded(prev, shared, suffix)
+            .push_front_coded(base, shared, suffix)
             .map_err(BinDecodeError::msg)
+    }
+
+    /// Reads a [`TraceContext`] — the inverse of [`put_trace`].
+    pub fn trace(&mut self) -> Result<TraceContext, BinDecodeError> {
+        Ok(TraceContext {
+            trace_id: self.u64()?,
+            parent_span_id: self.u64()?,
+            sampled: match self.u8()? {
+                0 => false,
+                1 => true,
+                other => return Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
+            },
+        })
     }
 }
 
@@ -252,7 +276,11 @@ pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 /// Bytes [`put_varint`] appends for `value`.
 pub fn varint_len(value: u64) -> usize {
     // One byte per started group of seven significant bits.
-    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+    if value < 0x80 {
+        1
+    } else {
+        (64 - value.leading_zeros() as usize).div_ceil(7)
+    }
 }
 
 /// Appends `current − prev` (modulo 2^64, so every pair of values has a
@@ -268,75 +296,167 @@ pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.extend_from_slice(bytes);
 }
 
-/// Appends `current` front-coded against `prev`: the length of their
-/// common byte prefix as a varint, then the rest of `current`
-/// length-prefixed.
-pub fn put_front_coded(buf: &mut Vec<u8>, current: &[u8], prev: &[u8]) {
-    let shared = current.iter().zip(prev).take_while(|(a, b)| a == b).count();
+/// Length of the common byte prefix of `a` and `b`, eight bytes a step.
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut shared = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("eight bytes"));
+        let y = u64::from_le_bytes(y.try_into().expect("eight bytes"));
+        if x != y {
+            return shared + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        shared += 8;
+    }
+    shared + a[shared..].iter().zip(&b[shared..]).take_while(|(x, y)| x == y).count()
+}
+
+/// Bytes [`put_front_coded`] appends for a string of `len` bytes that
+/// shares `shared` of them with its base.
+pub(crate) fn front_coded_len(len: usize, shared: usize) -> usize {
+    let suffix = len - shared;
+    varint_len(shared as u64) + varint_len(suffix as u64) + suffix
+}
+
+/// Appends `current` front-coded against a base it shares its first
+/// `shared` bytes with: that length as a varint,
+/// then the rest of `current` length-prefixed.
+pub fn put_front_coded(buf: &mut Vec<u8>, current: &[u8], shared: usize) {
     put_varint(buf, shared as u64);
     put_bytes(buf, &current[shared..]);
 }
 
-/// A type with a binary payload form, coded relative to the previous
-/// member of the same data frame. Encoding appends to a reusable scratch
+/// Appends a [`TraceContext`]: a fixed 17 bytes — ids are random, so
+/// there is nothing to be relative to.
+pub fn put_trace(buf: &mut Vec<u8>, trace: &TraceContext) {
+    buf.extend_from_slice(&trace.trace_id.to_le_bytes());
+    buf.extend_from_slice(&trace.parent_span_id.to_le_bytes());
+    buf.push(u8::from(trace.sampled));
+}
+
+/// Slots in a [`DirTable`]: a power of two, several times the
+/// directories a frame of a few hundred members names.
+const DIR_SLOTS: usize = 1024;
+
+/// Slots a [`DirTable`] lookup examines before it gives up and evicts.
+const DIR_PROBES: usize = 8;
+
+/// The encoder's memory of one member sequence: for each parent
+/// directory, the latest member whose path lies in it — the member a
+/// path reference would name. Fixed-size and open-addressed, so it lives
+/// on its encoder's stack and a frame allocates nothing for it.
+///
+/// A slot is `hash tag << 16 | member index + 1`, zero when empty. The
+/// table never reads a path: two directories whose hashes agree in slot
+/// and tag answer for each other, and the caller — who compares the
+/// bytes of whatever member it is handed before coding against it —
+/// just falls back to the predecessor. So a crafted directory name can
+/// cost a frame some compression and nothing else; a full neighbourhood
+/// evicts, forgetting a directory, and a member past index 65,534 is
+/// not remembered.
+pub struct DirTable {
+    slots: [u32; DIR_SLOTS],
+}
+
+impl DirTable {
+    /// An empty table: the start of a sequence.
+    pub fn new() -> DirTable {
+        DirTable { slots: [0; DIR_SLOTS] }
+    }
+
+    /// Remembers member `index` as the latest in directory `dir`, and
+    /// returns the member remembered there before it.
+    pub(crate) fn replace(&mut self, dir: &[u8], index: usize) -> Option<usize> {
+        let Ok(marker) = u16::try_from(index + 1) else { return None };
+        let hash = dir_hash(dir);
+        let entry = (hash & 0xffff_0000) | u32::from(marker);
+        let home = hash as usize % DIR_SLOTS;
+        for probe in 0..DIR_PROBES {
+            let slot = &mut self.slots[(home + probe) % DIR_SLOTS];
+            if *slot == 0 || *slot >> 16 == hash >> 16 {
+                let before = (*slot & 0xffff) as usize;
+                *slot = entry;
+                return before.checked_sub(1);
+            }
+        }
+        self.slots[home] = entry;
+        None
+    }
+}
+
+impl Default for DirTable {
+    fn default() -> DirTable {
+        DirTable::new()
+    }
+}
+
+/// A 32-bit hash of a directory name, eight bytes a step — the last
+/// step over the name's last eight bytes, overlapping the one before
+/// rather than padding a short word. A frame's directories differ in a
+/// few characters of one component, wherever in a word those fall: each
+/// step's multiply carries them upwards and its fold brings them back
+/// down, so every bit of the result depends on every byte.
+fn dir_hash(dir: &[u8]) -> u32 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |hash: u64, word: u64| {
+        let hash = (hash ^ word).wrapping_mul(K);
+        hash ^ (hash >> 32)
+    };
+    let mut hash = K ^ dir.len() as u64;
+    let last = match dir.split_last_chunk::<8>() {
+        Some((_, last)) => *last,
+        None => {
+            let mut short = [0u8; 8];
+            short[..dir.len()].copy_from_slice(dir);
+            short
+        }
+    };
+    for word in dir[..dir.len().saturating_sub(1)].chunks_exact(8) {
+        hash = step(hash, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
+}
+
+/// A type with a binary payload form, coded relative to the earlier
+/// members of the same sequence. Encoding appends to a reusable scratch
 /// buffer; decoding reads from a [`BinReader`] positioned at the value's
 /// first byte.
 pub trait BinPayload: Sized {
-    /// Appends the binary encoding of `self` to `buf`. `prev` is the
-    /// member before this one in the same frame — `None` for the frame's
-    /// first — and must be what the decoder will be handed; types with
-    /// nothing to gain from it ignore it.
-    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>);
+    /// Appends the binary encoding of `self` to `buf`. `earlier` holds
+    /// the members before this one in the same sequence, in order —
+    /// empty for the first — and must be what the decoder will be
+    /// handed; `dirs` is the sequence's [`DirTable`], which a member
+    /// with a path consults and updates. Types with nothing to gain
+    /// from either ignore them.
+    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>);
 
-    /// Decodes one value coded against `prev`, consuming exactly its
+    /// Decodes one value coded against `earlier`, consuming exactly its
     /// bytes from `r`.
     ///
     /// # Errors
     ///
     /// Returns [`BinDecodeError`] on truncated fields, invalid enum
-    /// codes, malformed varints, deltas or prefix lengths, or non-UTF-8
-    /// string bytes.
-    fn decode_bin(r: &mut BinReader<'_>, prev: Option<&Self>) -> Result<Self, BinDecodeError>;
+    /// codes, malformed varints, deltas or prefix lengths, a reference
+    /// to a member `earlier` does not hold, or non-UTF-8 string bytes.
+    fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError>;
 }
 
 impl BinPayload for u64 {
-    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _earlier: &[Self], _dirs: &mut DirTable, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_le_bytes());
     }
 
-    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
         r.u64()
     }
 }
 
 impl BinPayload for String {
-    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _earlier: &[Self], _dirs: &mut DirTable, buf: &mut Vec<u8>) {
         put_bytes(buf, self.as_bytes());
     }
 
-    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
+    fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
         Ok(r.str()?.to_string())
-    }
-}
-
-/// Fixed 17 bytes: ids are random, so there is nothing to be relative to.
-impl BinPayload for TraceContext {
-    fn encode_bin(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.trace_id.to_le_bytes());
-        buf.extend_from_slice(&self.parent_span_id.to_le_bytes());
-        buf.push(u8::from(self.sampled));
-    }
-
-    fn decode_bin(r: &mut BinReader<'_>, _prev: Option<&Self>) -> Result<Self, BinDecodeError> {
-        Ok(TraceContext {
-            trace_id: r.u64()?,
-            parent_span_id: r.u64()?,
-            sampled: match r.u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
-            },
-        })
     }
 }
 
@@ -352,14 +472,19 @@ pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
 const MAX_RESERVED_MEMBERS: usize = 65_536;
 
 /// Appends one sequence member: its length as a varint, then its
-/// encoding against `prev`.
-pub fn put_member<T: BinPayload>(buf: &mut Vec<u8>, member: &T, prev: Option<&T>) {
+/// encoding against `earlier`, the members of the sequence so far.
+pub fn put_member<T: BinPayload>(
+    buf: &mut Vec<u8>,
+    member: &T,
+    earlier: &[T],
+    dirs: &mut DirTable,
+) {
     // One pass, no per-member scratch: a one-byte length is reserved,
     // and the rare member of 128 bytes or more is shifted right to make
     // room for the longer varint.
     let at = buf.len();
     buf.push(0);
-    member.encode_bin(prev, buf);
+    member.encode_bin(earlier, dirs, buf);
     let len = buf.len() - at - 1;
     let extra = varint_len(len as u64) - 1;
     if extra > 0 {
@@ -376,19 +501,18 @@ pub fn put_member<T: BinPayload>(buf: &mut Vec<u8>, member: &T, prev: Option<&T>
 
 /// Appends a member sequence — the one form a run of events takes as
 /// bytes, in a data frame and in a snapshot block alike: the member
-/// count, then each member length-prefixed and coded against the one
+/// count, then each member length-prefixed and coded against the ones
 /// before it.
 ///
 /// ```text
 /// members = count varint | count × (len varint | member: len bytes)
-///           member 0 coded against nothing, member i against member i-1
+///           member 0 coded against nothing, member i against members 0..i
 /// ```
 pub fn put_members<T: BinPayload>(buf: &mut Vec<u8>, members: &[T]) {
     put_varint(buf, members.len() as u64);
-    let mut prev = None;
-    for member in members {
-        put_member(buf, member, prev);
-        prev = Some(member);
+    let mut dirs = DirTable::new();
+    for (i, member) in members.iter().enumerate() {
+        put_member(buf, member, &members[..i], &mut dirs);
     }
 }
 
@@ -404,7 +528,7 @@ fn members_to_reserve(count: usize, remaining: usize) -> usize {
 }
 
 /// Reads a member sequence back — the inverse of [`put_members`] —
-/// handing each member's decoder the member before it.
+/// handing each member's decoder the members before it.
 ///
 /// # Errors
 ///
@@ -422,7 +546,7 @@ pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinD
                 r.remaining()
             )));
         };
-        let member = T::decode_bin(r, out.last())?;
+        let member = T::decode_bin(r, &out)?;
         if r.remaining() != end {
             let used = end + len - r.remaining();
             return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
@@ -436,11 +560,16 @@ pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinD
 mod tests {
     use super::*;
 
-    fn roundtrip<T: BinPayload + PartialEq + fmt::Debug>(value: T) {
+    fn encoded<T: BinPayload>(value: &T) -> Vec<u8> {
         let mut buf = Vec::new();
-        value.encode_bin(None, &mut buf);
+        value.encode_bin(&[], &mut DirTable::new(), &mut buf);
+        buf
+    }
+
+    fn roundtrip<T: BinPayload + PartialEq + fmt::Debug>(value: T) {
+        let buf = encoded(&value);
         let mut r = BinReader::new(&buf);
-        assert_eq!(T::decode_bin(&mut r, None).unwrap(), value);
+        assert_eq!(T::decode_bin(&mut r, &[]).unwrap(), value);
         assert!(r.is_empty(), "decoder must consume exactly the encoding");
     }
 
@@ -450,23 +579,23 @@ mod tests {
         roundtrip(u64::MAX);
         roundtrip(String::from("héllo/wörld"));
         roundtrip(String::new());
-        roundtrip(TraceContext::sampled(0xabcd, 0x1234));
+        let trace = TraceContext::sampled(0xabcd, 0x1234);
+        let mut buf = Vec::new();
+        put_trace(&mut buf, &trace);
+        assert_eq!(buf.len(), 17);
+        assert_eq!(BinReader::new(&buf).trace().unwrap(), trace);
     }
 
     #[test]
     fn fixed_integers_are_little_endian() {
-        let mut buf = Vec::new();
-        0x0102_0304_0506_0708u64.encode_bin(None, &mut buf);
+        let buf = encoded(&0x0102_0304_0506_0708u64);
         assert_eq!(buf, [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01]);
     }
 
     #[test]
     fn strings_are_varint_length_prefixed() {
-        let mut buf = Vec::new();
-        String::from("ab").encode_bin(None, &mut buf);
-        assert_eq!(buf, [2, b'a', b'b']);
-        buf.clear();
-        "x".repeat(300).encode_bin(None, &mut buf);
+        assert_eq!(encoded(&String::from("ab")), [2, b'a', b'b']);
+        let buf = encoded(&"x".repeat(300));
         assert_eq!(buf[..2], [0xac, 0x02]);
         assert_eq!(buf.len(), 302);
     }
@@ -538,8 +667,10 @@ mod tests {
     }
 
     fn front_coded(current: &str, prev: &str) -> Vec<u8> {
+        let shared = common_prefix(current.as_bytes(), prev.as_bytes());
         let mut buf = Vec::new();
-        put_front_coded(&mut buf, current.as_bytes(), prev.as_bytes());
+        put_front_coded(&mut buf, current.as_bytes(), shared);
+        assert_eq!(buf.len(), front_coded_len(current.len(), shared));
         buf
     }
 
@@ -639,6 +770,42 @@ mod tests {
         assert_eq!(prev.as_str().len(), MAX_PATH_LEN);
     }
 
+    /// The table answers with the latest member of a directory, whatever
+    /// other directories came between.
+    #[test]
+    fn the_dir_table_remembers_the_latest_member_of_each_directory() {
+        let mut dirs = DirTable::new();
+        let name = |d: usize| format!("/t0000001/d{d:07x}/");
+        for d in 0..64 {
+            assert_eq!(dirs.replace(name(d).as_bytes(), d), None, "directory {d} is new");
+        }
+        for d in 0..64 {
+            assert_eq!(dirs.replace(name(d).as_bytes(), 64 + d), Some(d));
+        }
+        assert_eq!(dirs.replace(name(7).as_bytes(), 200), Some(71));
+    }
+
+    /// More directories than slots: the table evicts instead of growing
+    /// or probing without bound, whatever it answers is an index it was
+    /// given, and an index past what a slot holds is not remembered.
+    #[test]
+    fn a_full_dir_table_evicts_and_never_invents_a_member() {
+        let mut dirs = DirTable::new();
+        let name = |d: usize| format!("/x{d:05x}/");
+        for round in 0..4 {
+            for d in 0..4 * DIR_SLOTS {
+                let index = round * 4 * DIR_SLOTS + d;
+                if let Some(before) = dirs.replace(name(d).as_bytes(), index) {
+                    assert!(before < index, "{before} answered for member {index}");
+                }
+            }
+        }
+        let mut dirs = DirTable::new();
+        assert_eq!(dirs.replace(b"/a/", usize::from(u16::MAX)), None);
+        assert_eq!(dirs.replace(b"/a/", 3), None, "member 65,535 was not remembered");
+        assert_eq!(dirs.replace(b"/a/", 4), Some(3));
+    }
+
     /// A count word never sizes the reservation: the bytes on hand and
     /// the fixed cap bound it, while an honest sequence still reserves
     /// exactly its count.
@@ -658,15 +825,15 @@ mod tests {
 
     #[test]
     fn truncation_and_bad_bytes_are_errors() {
-        assert!(u64::decode_bin(&mut BinReader::new(&[1, 2, 3]), None).is_err());
+        assert!(u64::decode_bin(&mut BinReader::new(&[1, 2, 3]), &[]).is_err());
         // String length prefix runs past the buffer.
-        assert!(String::decode_bin(&mut BinReader::new(&[200, 1, b'x']), None).is_err());
+        assert!(String::decode_bin(&mut BinReader::new(&[200, 1, b'x']), &[]).is_err());
         // Non-UTF-8 string bytes.
-        assert!(String::decode_bin(&mut BinReader::new(&[1, 0xFF]), None).is_err());
+        assert!(String::decode_bin(&mut BinReader::new(&[1, 0xFF]), &[]).is_err());
         // A trace context's sampled byte is a bool.
         let mut buf = Vec::new();
-        TraceContext::sampled(1, 2).encode_bin(None, &mut buf);
+        put_trace(&mut buf, &TraceContext::sampled(1, 2));
         *buf.last_mut().unwrap() = 9;
-        assert!(TraceContext::decode_bin(&mut BinReader::new(&buf), None).is_err());
+        assert!(BinReader::new(&buf).trace().is_err());
     }
 }

@@ -5,6 +5,7 @@
 //! (path-resolved, consumer-friendly events, §4 step 2) which the
 //! Aggregator stores and publishes (§4 step 3).
 
+use crate::bin::{BinDecodeError, BinReader, DirTable};
 use crate::{EventPath, Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -387,41 +388,123 @@ const FLAG_SAME_MDT: u8 = 1 << 4;
 /// Member flags bit: `kind` is `changelog_kind.event_kind()` and is not
 /// carried.
 const FLAG_DERIVED_KIND: u8 = 1 << 5;
-/// Every assigned flags bit; a member carrying any other is refused.
-const FLAGS_KNOWN: u8 = (1 << 6) - 1;
+/// Member flags bit: the path is front-coded against an earlier member's
+/// — a back-distance precedes it — instead of the predecessor's.
+const FLAG_PATH_REF: u8 = 1 << 6;
+/// Member flags bit: `index` is the predecessor's plus one and is not
+/// carried.
+const FLAG_NEXT_INDEX: u8 = 1 << 7;
 
-/// Binary layout, relative to the previous member `p` of the same frame
-/// (for a frame's first member: index 0, MDT 0, time 0, an empty path,
-/// the zero FID, stamp 0). Varints, zig-zag deltas and front-coded
-/// strings are the [`crate::bin`] primitives.
+/// The record-type byte's low bits: the [`ChangelogKind`] code (0..=20).
+const KIND_CODE: u8 = (1 << 5) - 1;
+/// Record-type byte bit: `target.seq` and `target.ver` are the
+/// predecessor's; only the `oid` delta is carried.
+const KIND_SAME_FID_HOME: u8 = 1 << 5;
+/// Record-type byte bit: `extracted_unix_ns` is the predecessor's and is
+/// not carried.
+const KIND_SAME_EXTRACTED: u8 = 1 << 6;
+/// Record-type byte bit: unassigned; a member carrying it is refused.
+const KIND_RESERVED: u8 = 1 << 7;
+
+/// The parent directory of `path`, trailing slash included, when naming
+/// it again could pay for a path reference: `None` for a path with no
+/// directory but the root.
+fn parent_dir(path: &[u8]) -> Option<&[u8]> {
+    let slash = path.iter().rposition(|b| *b == b'/')?;
+    (slash > 0).then(|| &path[..=slash])
+}
+
+/// The member codec. A member is coded among the earlier members of its
+/// sequence, which need not be events themselves: `event_of` says which
+/// event, if any, one of them holds (the identity for a sequence of
+/// events; a feed's heartbeat holds none). The **predecessor** `p` is the
+/// event of the member right before this one — none for a first member
+/// and for one that follows a member without an event, which are coded
+/// against index 0, MDT 0, time 0, an empty path, the zero FID and stamp
+/// 0, and may claim nothing "same as the predecessor's". Varints,
+/// zig-zag deltas and front-coded strings are the [`crate::bin`]
+/// primitives.
 ///
 /// ```text
-/// flags            u8      bit 0 src_path present    bit 3 is_dir
-///                          bit 1 extracted present   bit 4 mdt = p.mdt
-///                          bit 2 trace present       bit 5 kind = changelog_kind.event_kind()
-///                          bits 6-7 must be zero
-/// index            delta   against p.index
+/// flags            u8      bit 0 src_path present    bit 4 mdt = p.mdt
+///                          bit 1 extracted present   bit 5 kind = changelog_kind.event_kind()
+///                          bit 2 trace present       bit 6 path base is an earlier member
+///                          bit 3 is_dir              bit 7 index = p.index + 1
+/// index            delta   against p.index, only when bit 7 is clear
 /// mdt              varint  only when bit 4 is clear
-/// changelog_kind   u8      ChangelogKind::code
-/// kind             u8      EventKind::code, only when bit 5 is clear
+/// changelog_kind   u8      bits 0-4 ChangelogKind::code
+///                          bit 5 target.seq and target.ver = p's
+///                          bit 6 extracted = p's     bit 7 must be zero
+/// kind             u8      EventKind::code, only when flags bit 5 is clear
 /// time             delta   against p.time (nanoseconds)
-/// path             front-coded against p.path
+/// path base        varint  k >= 2: the base is the path of the member k before
+///                          this one; only when flags bit 6 is set — the base is
+///                          p.path otherwise
+/// path             front-coded against its base
 /// src_path         front-coded against this member's own path (a rename
 ///                  usually stays in its directory), only when bit 0 is set
-/// target           seq delta, oid delta, ver delta against p.target
-/// extracted        delta against p.extracted_unix_ns (0 when p has none),
-///                  only when bit 1 is set
+/// target           seq delta, oid delta, ver delta against p.target; the oid
+///                  delta alone when record-type bit 5 is set
+/// extracted        delta against p.extracted_unix_ns (0 when p has none), only
+///                  when flags bit 1 is set and record-type bit 6 is clear
 /// trace            17 bytes (TraceContext), only when bit 2 is set
 /// ```
 ///
+/// A member that sets none of flags bits 6-7 and record-type bits 5-7 is
+/// a wire-version-7 member, byte for byte, and decodes as it always did:
+/// that is why "index = p.index + 1" sits in the flags byte — the index
+/// field precedes the record-type byte, and a reader must know whether
+/// to expect it.
+///
+/// The encoder takes the path base that costs fewer bytes: the
+/// predecessor, or the latest earlier member in the same parent
+/// directory ([`DirTable`]). The decoder follows whatever reference it
+/// is given, within the sequence: a back-distance of 0 or 1, one past the
+/// first member, or one naming a member without an event is refused.
+///
 /// Paths cross the wire as UTF-8: an [`EventPath`] is UTF-8 by
-/// construction, a path that is not having
-/// been converted lossily when the event was built.
-impl crate::bin::BinPayload for FileEvent {
-    fn encode_bin(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
-        use crate::bin::{put_delta, put_front_coded, put_varint};
+/// construction, a path that is not UTF-8 having been converted lossily
+/// when the event was built.
+impl FileEvent {
+    /// Appends this event as a member of the sequence that so far holds
+    /// `earlier`.
+    pub fn encode_among<'a, T>(
+        &self,
+        earlier: &'a [T],
+        event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
+        dirs: &mut DirTable,
+        buf: &mut Vec<u8>,
+    ) {
+        use crate::bin::{
+            common_prefix, front_coded_len, put_delta, put_front_coded, put_trace, put_varint,
+            varint_len,
+        };
+        let prev = earlier.last().and_then(&event_of);
         let same_mdt = self.mdt == prev.map_or(MdtIndex::new(0), |p| p.mdt);
         let derived_kind = self.kind == self.changelog_kind.event_kind();
+        let next_index = prev.is_some_and(|p| self.index == p.index.wrapping_add(1));
+        let same_fid_home = prev
+            .is_some_and(|p| (self.target.seq, self.target.ver) == (p.target.seq, p.target.ver));
+        let same_extracted = self.extracted_unix_ns.is_some()
+            && prev.is_some_and(|p| p.extracted_unix_ns == self.extracted_unix_ns);
+
+        // The path base: the predecessor, unless the latest earlier member
+        // of this directory is a cheaper one — back-distance included.
+        let path = self.path.as_str().as_bytes();
+        let shared_with = |base: &FileEvent| common_prefix(path, base.path.as_str().as_bytes());
+        let mut shared = prev.map_or(0, shared_with);
+        let mut back = None;
+        let latest = parent_dir(path).and_then(|dir| dirs.replace(dir, earlier.len()));
+        // One back is the predecessor itself, already counted.
+        let latest = latest.filter(|at| at + 2 <= earlier.len());
+        if let Some((at, base)) = latest.and_then(|at| Some((at, event_of(earlier.get(at)?)?))) {
+            let (distance, via_ref) = (earlier.len() - at, shared_with(base));
+            let cost = varint_len(distance as u64) + front_coded_len(path.len(), via_ref);
+            if cost < front_coded_len(path.len(), shared) {
+                (shared, back) = (via_ref, Some(distance));
+            }
+        }
+
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
         buf.push(
             flag(self.src_path.is_some(), FLAG_SRC_PATH)
@@ -429,50 +512,81 @@ impl crate::bin::BinPayload for FileEvent {
                 | flag(self.trace.is_some(), FLAG_TRACE)
                 | flag(self.is_dir, FLAG_IS_DIR)
                 | flag(same_mdt, FLAG_SAME_MDT)
-                | flag(derived_kind, FLAG_DERIVED_KIND),
+                | flag(derived_kind, FLAG_DERIVED_KIND)
+                | flag(back.is_some(), FLAG_PATH_REF)
+                | flag(next_index, FLAG_NEXT_INDEX),
         );
-        put_delta(buf, self.index, prev.map_or(0, |p| p.index));
+        if !next_index {
+            put_delta(buf, self.index, prev.map_or(0, |p| p.index));
+        }
         if !same_mdt {
             put_varint(buf, self.mdt.as_u32().into());
         }
-        buf.push(self.changelog_kind.code());
+        buf.push(
+            self.changelog_kind.code()
+                | flag(same_fid_home, KIND_SAME_FID_HOME)
+                | flag(same_extracted, KIND_SAME_EXTRACTED),
+        );
         if !derived_kind {
             buf.push(self.kind.code());
         }
         put_delta(buf, self.time.as_nanos(), prev.map_or(0, |p| p.time.as_nanos()));
-        let path = self.path.as_str().as_bytes();
-        put_front_coded(buf, path, prev.map_or(&[], |p| p.path.as_str().as_bytes()));
+        if let Some(distance) = back {
+            put_varint(buf, distance as u64);
+        }
+        put_front_coded(buf, path, shared);
         if let Some(src) = &self.src_path {
-            put_front_coded(buf, src.as_str().as_bytes(), path);
+            let src = src.as_str().as_bytes();
+            put_front_coded(buf, src, common_prefix(src, path));
         }
         let base = prev.map_or(Fid::ZERO, |p| p.target);
-        put_delta(buf, self.target.seq, base.seq);
+        if !same_fid_home {
+            put_delta(buf, self.target.seq, base.seq);
+        }
         put_delta(buf, self.target.oid.into(), base.oid.into());
-        put_delta(buf, self.target.ver.into(), base.ver.into());
-        if let Some(ns) = self.extracted_unix_ns {
+        if !same_fid_home {
+            put_delta(buf, self.target.ver.into(), base.ver.into());
+        }
+        if let (Some(ns), false) = (self.extracted_unix_ns, same_extracted) {
             put_delta(buf, ns, prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0));
         }
         if let Some(trace) = &self.trace {
-            trace.encode_bin(None, buf);
+            put_trace(buf, trace);
         }
     }
 
-    fn decode_bin(
-        r: &mut crate::bin::BinReader<'_>,
-        prev: Option<&Self>,
-    ) -> Result<Self, crate::bin::BinDecodeError> {
-        use crate::bin::BinDecodeError;
+    /// Decodes one member of the sequence that so far holds `earlier` —
+    /// the inverse of [`FileEvent::encode_among`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BinDecodeError`] on truncated fields, invalid codes, an
+    /// unassigned bit, a "same as the predecessor's" bit on a member
+    /// without a predecessor, a path reference that does not name an
+    /// earlier event of the sequence, malformed varints, deltas or prefix
+    /// lengths, and paths that are too long or not UTF-8.
+    pub fn decode_among<'a, T>(
+        r: &mut BinReader<'_>,
+        earlier: &'a [T],
+        event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
+    ) -> Result<FileEvent, BinDecodeError> {
+        let prev = earlier.last().and_then(&event_of);
         let flags = r.u8()?;
-        if flags & !FLAGS_KNOWN != 0 {
-            return Err(BinDecodeError::msg(format!("unknown FileEvent flags {flags:#x}")));
-        }
-        let index = r.delta(prev.map_or(0, |p| p.index))?;
+        let index = if flags & FLAG_NEXT_INDEX != 0 {
+            same_as(prev, "index")?.index.wrapping_add(1)
+        } else {
+            r.delta(prev.map_or(0, |p| p.index))?
+        };
         let mdt = if flags & FLAG_SAME_MDT != 0 {
             prev.map_or(MdtIndex::new(0), |p| p.mdt)
         } else {
             MdtIndex::new(u32::try_from(r.varint()?).map_err(BinDecodeError::msg)?)
         };
-        let code = r.u8()?;
+        let kind_byte = r.u8()?;
+        if kind_byte & KIND_RESERVED != 0 {
+            return Err(BinDecodeError::msg(format!("unknown record-type bits {kind_byte:#x}")));
+        }
+        let code = kind_byte & KIND_CODE;
         let changelog_kind = ChangelogKind::from_code(code)
             .ok_or_else(|| BinDecodeError::msg(format!("invalid ChangelogKind code {code}")))?;
         let kind = if flags & FLAG_DERIVED_KIND != 0 {
@@ -483,22 +597,44 @@ impl crate::bin::BinPayload for FileEvent {
                 .ok_or_else(|| BinDecodeError::msg(format!("invalid EventKind code {code}")))?
         };
         let time = SimTime::from_nanos(r.delta(prev.map_or(0, |p| p.time.as_nanos()))?);
-        let path = r.front_coded(prev.map(|p| &p.path))?;
+        let base = if flags & FLAG_PATH_REF != 0 {
+            let back = r.length()?;
+            let member = (back >= 2).then(|| earlier.len().checked_sub(back)).flatten();
+            let Some(base) = member.and_then(|at| event_of(&earlier[at])) else {
+                return Err(BinDecodeError::msg(format!(
+                    "path reference {back} back from member {} names no earlier event",
+                    earlier.len()
+                )));
+            };
+            Some(&base.path)
+        } else {
+            prev.map(|p| &p.path)
+        };
+        let path = r.front_coded(base)?;
         let src_path =
             if flags & FLAG_SRC_PATH != 0 { Some(r.front_coded(Some(&path))?) } else { None };
-        let base = prev.map_or(Fid::ZERO, |p| p.target);
-        let target = Fid {
-            seq: r.delta(base.seq)?,
-            oid: r.delta_u32(base.oid)?,
-            ver: r.delta_u32(base.ver)?,
-        };
-        let extracted_unix_ns = if flags & FLAG_EXTRACTED != 0 {
-            Some(r.delta(prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0))?)
+        let target = if kind_byte & KIND_SAME_FID_HOME != 0 {
+            let home = same_as(prev, "FID sequence")?.target;
+            Fid { oid: r.delta_u32(home.oid)?, ..home }
         } else {
-            None
+            let base = prev.map_or(Fid::ZERO, |p| p.target);
+            Fid {
+                seq: r.delta(base.seq)?,
+                oid: r.delta_u32(base.oid)?,
+                ver: r.delta_u32(base.ver)?,
+            }
         };
-        let trace =
-            if flags & FLAG_TRACE != 0 { Some(TraceContext::decode_bin(r, None)?) } else { None };
+        let extracted_unix_ns = match (flags & FLAG_EXTRACTED != 0, kind_byte & KIND_SAME_EXTRACTED)
+        {
+            (true, 0) => Some(r.delta(prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0))?),
+            (true, _) => match same_as(prev, "extraction stamp")?.extracted_unix_ns {
+                Some(ns) => Some(ns),
+                None => return Err(BinDecodeError::msg("no extraction stamp to be the same as")),
+            },
+            (false, 0) => None,
+            (false, _) => return Err(BinDecodeError::msg("an absent extraction stamp is 'same'")),
+        };
+        let trace = if flags & FLAG_TRACE != 0 { Some(r.trace()?) } else { None };
         Ok(FileEvent {
             index,
             mdt,
@@ -512,6 +648,22 @@ impl crate::bin::BinPayload for FileEvent {
             extracted_unix_ns,
             trace,
         })
+    }
+}
+
+/// The predecessor a "same as the predecessor's" bit refers to.
+fn same_as<'a>(prev: Option<&'a FileEvent>, field: &str) -> Result<&'a FileEvent, BinDecodeError> {
+    prev.ok_or_else(|| BinDecodeError::msg(format!("{field} of a predecessor that is not there")))
+}
+
+/// An event among events: every earlier member is one.
+impl crate::bin::BinPayload for FileEvent {
+    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
+        self.encode_among(earlier, Some, dirs, buf);
+    }
+
+    fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
+        FileEvent::decode_among(r, earlier, Some)
     }
 }
 
@@ -600,17 +752,29 @@ mod tests {
         assert_eq!(EventKind::from_code(6), None);
     }
 
-    /// Encodes `ev` against `prev` and decodes it back against the same.
-    fn recode(ev: &FileEvent, prev: Option<&FileEvent>) -> Vec<u8> {
-        use crate::bin::{BinPayload, BinReader};
+    /// Encodes `ev` as the next member after `earlier`, with a table that
+    /// has seen none of them, so the predecessor is its only path base.
+    fn encode(ev: &FileEvent, earlier: &[FileEvent]) -> Vec<u8> {
+        use crate::bin::BinPayload;
         let mut buf = Vec::new();
-        ev.encode_bin(prev, &mut buf);
-        let mut r = BinReader::new(&buf);
-        let got = FileEvent::decode_bin(&mut r, prev).unwrap();
-        assert!(r.is_empty());
+        ev.encode_bin(earlier, &mut DirTable::new(), &mut buf);
+        buf
+    }
+
+    fn decode(bytes: &[u8], earlier: &[FileEvent]) -> Result<FileEvent, BinDecodeError> {
+        use crate::bin::BinPayload;
+        let mut r = BinReader::new(bytes);
+        let got = FileEvent::decode_bin(&mut r, earlier)?;
+        assert!(r.is_empty(), "decoder must consume exactly the encoding");
         // The decoded paths are readable once their reader is gone.
         drop(r);
-        assert_eq!(&got, ev);
+        Ok(got)
+    }
+
+    /// Encodes `ev` after `earlier` and decodes it back after the same.
+    fn recode(ev: &FileEvent, earlier: &[FileEvent]) -> Vec<u8> {
+        let buf = encode(ev, earlier);
+        assert_eq!(&decode(&buf, earlier).unwrap(), ev);
         buf
     }
 
@@ -620,11 +784,13 @@ mod tests {
         let mut ev = FileEvent::from_record(&rec, MdtIndex::new(2), PathBuf::from("/a/b.txt"));
         ev.src_path = Some("/a/old.txt".into());
         ev = ev.with_extracted_unix_ns(123_456).with_trace(TraceContext::sampled(0xabc, 7));
-        recode(&ev, None);
+        recode(&ev, &[]);
     }
 
     /// The successor of an event in the same directory, one record and a
-    /// few microseconds later, costs its file name and a byte per field.
+    /// few microseconds later, costs its file name, its time and object
+    /// id, and two bytes of bits: the record number, the FID's sequence
+    /// and version and the extraction stamp are all "the predecessor's".
     #[test]
     fn binary_event_is_coded_against_its_predecessor() {
         let rec = sample_record();
@@ -635,11 +801,12 @@ mod tests {
         next.time = SimTime::from_nanos(prev.time.as_nanos() + 5_000);
         next.path = "/a/dir/two.txt".into();
         next.target.oid += 1;
-        let buf = recode(&next, Some(&prev));
-        // flags, index, changelog kind, time (2), shared, suffix length,
-        // "two.txt", FID (3), stamp.
-        assert_eq!(buf.len(), 1 + 1 + 1 + 2 + 1 + 1 + 7 + 3 + 1, "{buf:?}");
-        assert_eq!(buf[0], FLAG_EXTRACTED | FLAG_SAME_MDT | FLAG_DERIVED_KIND);
+        let buf = recode(&next, std::slice::from_ref(&prev));
+        // flags, record type, time (2), shared, suffix length, "two.txt",
+        // object id.
+        assert_eq!(buf.len(), 1 + 1 + 2 + 1 + 1 + 7 + 1, "{buf:?}");
+        assert_eq!(buf[0], FLAG_EXTRACTED | FLAG_SAME_MDT | FLAG_DERIVED_KIND | FLAG_NEXT_INDEX);
+        assert_eq!(buf[1], ChangelogKind::Create.code() | KIND_SAME_FID_HOME | KIND_SAME_EXTRACTED);
 
         // Every field may also differ from its predecessor, in either
         // direction, and a first member is coded against zeros.
@@ -653,9 +820,64 @@ mod tests {
         other.target = Fid::new(1, u32::MAX, 9);
         other.is_dir = true;
         other.extracted_unix_ns = None;
-        recode(&other, Some(&next));
-        recode(&next, Some(&other));
-        recode(&other, None);
+        recode(&other, std::slice::from_ref(&next));
+        recode(&next, std::slice::from_ref(&other));
+        recode(&other, &[]);
+        // The record number wraps like every other counter.
+        let mut last = next.clone();
+        last.index = u64::MAX;
+        next.index = 0;
+        assert_eq!(recode(&next, &[last])[0] & FLAG_NEXT_INDEX, FLAG_NEXT_INDEX);
+    }
+
+    /// Records interleaving over two directories: from its second visit
+    /// on, a directory's member names the previous visit, two or more
+    /// members back, and carries only its file name; a neighbour in the
+    /// same directory is still coded against the predecessor.
+    #[test]
+    fn a_path_is_coded_against_the_latest_member_of_its_directory() {
+        use crate::bin::{put_members, read_members};
+        let rec = sample_record();
+        let paths = [
+            "/top/alpha/f1",
+            "/top/beta-longer/f2",
+            "/top/alpha/f3",
+            "/top/beta-longer/f4",
+            "/top/beta-longer/f5",
+            "/top/alpha/f6",
+            "/f7",
+        ];
+        let events: Vec<FileEvent> = (0u64..)
+            .zip(paths)
+            .map(|(i, path)| {
+                let mut ev = FileEvent::from_record(&rec, MdtIndex::new(0), path);
+                ev.index += i;
+                ev
+            })
+            .collect();
+        let mut buf = Vec::new();
+        put_members(&mut buf, &events);
+        let mut r = BinReader::new(&buf);
+        let got: Vec<FileEvent> = read_members(&mut r).unwrap();
+        assert!(r.is_empty());
+        drop(r);
+        assert_eq!(got, events);
+
+        // Walk the members: count, then each behind its one-byte length.
+        assert_eq!(buf[0] as usize, events.len());
+        let mut at = 1;
+        let mut bases = Vec::new();
+        for _ in &events {
+            let member = &buf[at + 1..at + 1 + buf[at] as usize];
+            // After a first member: flags, record type, a one-byte time.
+            bases.push((member[0] & FLAG_PATH_REF != 0).then(|| member[3]));
+            at += 1 + member.len();
+        }
+        assert_eq!(bases, [None, None, Some(2), Some(2), None, Some(3), None]);
+        // `/top/alpha/f3` after `/top/beta-longer/f2`, two back to
+        // `/top/alpha/f1`: distance, 12 shared, a one-byte suffix.
+        let third = 1 + (1 + buf[1] as usize) + (1 + buf[2 + buf[1] as usize] as usize);
+        assert_eq!(buf[third + 4..third + 8], [2, 12, 1, b'3']);
     }
 
     /// A path that is not UTF-8 is sent lossily, and its successor's
@@ -665,34 +887,32 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn a_non_utf8_path_travels_lossily_and_its_successor_still_decodes() {
-        use crate::bin::{BinPayload, BinReader};
         use std::os::unix::ffi::OsStrExt;
         let mut first = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/");
         first.path = PathBuf::from(std::ffi::OsStr::from_bytes(b"/d/\xc3(/x")).into();
         let mut second = first.clone();
         second.path = "/d/é/y".into();
 
-        let mut buf = Vec::new();
-        first.encode_bin(None, &mut buf);
-        let got_first = FileEvent::decode_bin(&mut BinReader::new(&buf), None).unwrap();
+        let got_first = decode(&encode(&first, &[]), &[]).unwrap();
         assert_eq!(got_first.path, PathBuf::from("/d/\u{fffd}(/x"));
 
-        buf.clear();
-        second.encode_bin(Some(&first), &mut buf);
+        let buf = encode(&second, std::slice::from_ref(&first));
         // flags, index, record kind and time are a byte each: the shared length is byte 4.
         assert_eq!(buf[4], 3, "only `/d/` is shared with what the peer decoded");
-        let got_second = FileEvent::decode_bin(&mut BinReader::new(&buf), Some(&got_first));
-        assert_eq!(got_second.unwrap(), second);
+        assert_eq!(decode(&buf, &[got_first]).unwrap(), second);
     }
 
-    /// The lossy conversion happens once, where the event is built, and
-    /// the members are byte-for-byte what the commit before `EventPath`
+    /// The lossy conversion happens once, where the event is built, and a
+    /// first member is byte-for-byte what the commit before `EventPath`
     /// — which converted at every encode — put on the wire (printed by
-    /// that commit's encoder for these two events).
+    /// that commit's encoder for these two events). Its successor's
+    /// bytes from that commit, wire version 7, set none of the bits
+    /// version 8 added and still decode to the same event; version 8
+    /// says "same FID sequence, version and stamp" in the record-type
+    /// byte and drops those three fields.
     #[cfg(unix)]
     #[test]
     fn a_non_utf8_path_buf_makes_the_frame_it_always_made() {
-        use crate::bin::BinPayload;
         use std::os::unix::ffi::OsStrExt;
         let raw = |bytes: &[u8]| PathBuf::from(std::ffi::OsStr::from_bytes(bytes));
         let first = FileEvent {
@@ -709,67 +929,120 @@ mod tests {
             trace: None,
         };
         let second = FileEvent { path: "/d/é/y".into(), src_path: None, ..first.clone() };
-        let mut buf = Vec::new();
-        first.encode_bin(None, &mut buf);
         assert_eq!(
-            buf,
+            encode(&first, &[]),
             [
                 35, 202, 1, 1, 1, 142, 168, 214, 185, 7, 0, 9, 47, 100, 47, 239, 191, 189, 40, 47,
                 120, 6, 2, 47, 120, 132, 144, 128, 128, 64, 130, 128, 5, 0, 130, 128, 152, 191,
                 132, 225, 173, 215, 49
             ]
         );
-        buf.clear();
-        second.encode_bin(Some(&first), &mut buf);
-        assert_eq!(buf, [50, 0, 1, 0, 3, 4, 195, 169, 47, 121, 0, 0, 0, 0]);
+        let earlier = std::slice::from_ref(&first);
+        let v7 = [50, 0, 1, 0, 3, 4, 195, 169, 47, 121, 0, 0, 0, 0];
+        assert_eq!(decode(&v7, earlier).unwrap(), second);
+        let same = KIND_SAME_FID_HOME | KIND_SAME_EXTRACTED;
+        assert_eq!(encode(&second, earlier), [50, 0, 1 | same, 0, 3, 4, 195, 169, 47, 121, 0]);
     }
 
     #[test]
     fn binary_event_rejects_invalid_codes_flags_and_deltas() {
-        use crate::bin::{BinPayload, BinReader};
         let mut ev = FileEvent::from_record(&sample_record(), MdtIndex::new(0), "/x");
         ev.index = 1;
         ev.time = SimTime::from_nanos(1);
-        let buf = recode(&ev, None);
-        let rejected = |bytes: &[u8], prev: Option<&FileEvent>| {
-            FileEvent::decode_bin(&mut BinReader::new(bytes), prev).is_err()
-        };
-        // Byte 2 is the ChangelogKind code (after flags and a one-byte index
+        ev.extracted_unix_ns = Some(5);
+        let buf = recode(&ev, &[]);
+        let rejected = |bytes: &[u8], earlier: &[FileEvent]| decode(bytes, earlier).is_err();
+        // Byte 2 is the record-type byte (after flags and a one-byte index
         // delta); a one-byte time delta puts the path at byte 4.
         let mut bad = buf.clone();
-        bad[2] = 99;
-        assert!(rejected(&bad, None));
+        bad[2] = 21;
+        assert!(rejected(&bad, &[]));
         // An explicit EventKind code is validated too.
         let mut odd = ev.clone();
         odd.kind = EventKind::Other;
-        let mut bad = recode(&odd, None);
+        let mut bad = recode(&odd, &[]);
         assert_eq!(bad[3], EventKind::Other.code());
         bad[3] = 6;
-        assert!(rejected(&bad, None));
-        // Unassigned flags bits.
-        for bit in [1 << 6, 1 << 7] {
-            let mut bad = buf.clone();
-            bad[0] |= bit;
-            assert!(rejected(&bad, None));
+        assert!(rejected(&bad, &[]));
+        // The unassigned record-type bit, with or without a predecessor.
+        let second = recode(&ev, std::slice::from_ref(&ev));
+        assert_eq!(
+            second[2],
+            ChangelogKind::Create.code() | KIND_SAME_FID_HOME | KIND_SAME_EXTRACTED
+        );
+        for (bytes, earlier) in [(&buf, &[][..]), (&second, std::slice::from_ref(&ev))] {
+            let mut bad = bytes.clone();
+            bad[2] |= KIND_RESERVED;
+            assert!(rejected(&bad, earlier));
         }
-        // A first member cannot share a prefix with anything.
+        // A first member has no predecessor to be the same as: not its
+        // record number (which takes the index field with it), its FID
+        // sequence and version (which take two of the last three bytes
+        // but one), nor its stamp (the last byte).
+        let mut bad = buf.clone();
+        bad[0] |= FLAG_NEXT_INDEX;
+        bad.remove(1);
+        assert!(rejected(&bad, &[]));
+        let stamp = buf.len() - 1;
+        let mut bad = buf.clone();
+        bad[2] |= KIND_SAME_FID_HOME;
+        bad.remove(stamp - 1);
+        bad.remove(stamp - 3);
+        assert!(rejected(&bad, &[]));
+        let mut bad = buf.clone();
+        bad[2] |= KIND_SAME_EXTRACTED;
+        bad.truncate(stamp);
+        assert!(rejected(&bad, &[]));
+        // The same three are fine after a predecessor — unless the stamp
+        // is one neither member has.
+        let mut bare = ev.clone();
+        bare.extracted_unix_ns = None;
+        assert!(rejected(&second, std::slice::from_ref(&bare)));
+        let mut bad = recode(&bare, std::slice::from_ref(&bare));
+        bad[2] |= KIND_SAME_EXTRACTED;
+        assert!(rejected(&bad, std::slice::from_ref(&bare)));
+        // A first member cannot share a prefix with anything, nor
+        // reference anyone.
         let mut bad = buf.clone();
         assert_eq!(bad[4..8], [0, 2, b'/', b'x']);
         bad[4] = 1;
-        assert!(rejected(&bad, None));
+        assert!(rejected(&bad, &[]));
+        for back in [0, 1, 2] {
+            let mut bad = buf.clone();
+            bad[0] |= FLAG_PATH_REF;
+            bad.insert(4, back);
+            assert!(rejected(&bad, &[]), "a first member referenced {back} back");
+        }
+        // After two members a reference may reach the first (2 back) and
+        // nothing else: not itself, its predecessor, or past the start.
+        let pair = [ev.clone(), ev.clone()];
+        let third = recode(&ev, &pair);
+        assert_eq!(third[3..6], [0, 2, 0], "time, then all of `/x` shared, no suffix");
+        for back in 0..5 {
+            let mut coded = third.clone();
+            coded[0] |= FLAG_PATH_REF;
+            coded.insert(4, back);
+            assert_eq!(decode(&coded, &pair).is_ok(), back == 2, "{back} back of two members");
+        }
         // An object id stepping below zero: `ev` coded against a larger
         // oid, decoded against a smaller one.
         let mut big = ev.clone();
         big.target.oid = ev.target.oid + 10;
-        let mut coded = Vec::new();
-        ev.encode_bin(Some(&big), &mut coded);
+        let coded = encode(&ev, std::slice::from_ref(&big));
         let mut small = ev.clone();
         small.target.oid = 3;
-        assert!(rejected(&coded, Some(&small)));
+        assert!(rejected(&coded, &[small]));
         // Every truncation of a valid member is an error, not a panic.
         for cut in 0..buf.len() {
-            assert!(rejected(&buf[..cut], None), "accepted {cut} of {} bytes", buf.len());
+            assert!(decode_prefix(&buf[..cut]).is_err(), "accepted {cut} of {}", buf.len());
         }
+    }
+
+    /// Decodes a first member from `bytes` without asking that they all
+    /// be consumed.
+    fn decode_prefix(bytes: &[u8]) -> Result<FileEvent, BinDecodeError> {
+        use crate::bin::BinPayload;
+        FileEvent::decode_bin(&mut BinReader::new(bytes), &[])
     }
 
     #[test]

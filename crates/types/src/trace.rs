@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Serialized as a three-field JSON object in a control frame (a store
 /// query carries its caller's), and as 17 fixed bytes inside a data
-/// frame or an event member ([`crate::bin::BinPayload`]).
+/// frame or an event member ([`crate::bin::put_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     /// Identifier shared by every span of one end-to-end trace.
