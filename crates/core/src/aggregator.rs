@@ -21,7 +21,7 @@ use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_types::bin::DirTable;
+use sdci_types::bin::SeqEncoder;
 use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent, TraceCarrier, TraceContext};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,12 +68,12 @@ impl SequencedEvent {
         &self,
         earlier: &'a [T],
         sev_of: impl Fn(&'a T) -> Option<&'a SequencedEvent>,
-        dirs: &mut DirTable,
+        seq: &mut SeqEncoder,
         buf: &mut Vec<u8>,
     ) {
         let prev = earlier.last().and_then(&sev_of);
         sdci_types::bin::put_delta(buf, self.seq, prev.map_or(0, |p| p.seq));
-        self.event.encode_among(earlier, |m| sev_of(m).map(|sev| &sev.event), dirs, buf);
+        self.event.encode_among(earlier, |m| sev_of(m).map(|sev| &sev.event), seq, buf);
     }
 
     fn decode_among<'a, T>(
@@ -90,8 +90,8 @@ impl SequencedEvent {
 }
 
 impl BinPayload for SequencedEvent {
-    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
-        self.encode_among(earlier, Some, dirs, buf);
+    fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+        self.encode_among(earlier, Some, seq, buf);
     }
 
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
@@ -125,11 +125,11 @@ impl FeedMessage {
 /// `Event` — or a `Heartbeat`'s `last_seq` as a delta against the
 /// previous member's sequence number, whichever variant it was.
 impl BinPayload for FeedMessage {
-    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
         match self {
             FeedMessage::Event(sev) => {
                 buf.push(0);
-                sev.encode_among(earlier, FeedMessage::as_event, dirs, buf);
+                sev.encode_among(earlier, FeedMessage::as_event, seq, buf);
             }
             FeedMessage::Heartbeat { last_seq } => {
                 buf.push(1);

@@ -309,6 +309,9 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
     }
 }
 
+/// Most bytes [`ConsumerCursor::load`] reads of a cursor file.
+const MAX_CURSOR_FILE_LEN: usize = 32;
+
 /// A durable consumer position: one sequence number in a sidecar file,
 /// replaced atomically (write-tmp-rename, like the store's manifest) so
 /// a crash mid-checkpoint leaves the previous cursor intact rather than
@@ -328,17 +331,32 @@ impl ConsumerCursor {
     /// exists yet (a fresh consumer). A torn or corrupt file is a hard
     /// error, not a silent restart from 0: resuming from the wrong seq
     /// re-delivers (or skips) events.
+    ///
+    /// The file is untrusted input, so at most 32 bytes of it are read
+    /// (a `u64` and a newline take 21): a longer file, or one that is not
+    /// UTF-8, is `InvalidData` naming the path, like one that is not a
+    /// number.
     pub fn load(&self) -> std::io::Result<Option<u64>> {
-        match std::fs::read_to_string(&self.path) {
-            Ok(body) => body.trim().parse::<u64>().map(Some).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("corrupt cursor file {}: {e}", self.path.display()),
-                )
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
+        use std::io::Read;
+        let file = match std::fs::File::open(&self.path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let corrupt = |why: &dyn fmt::Display| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("corrupt cursor file {}: {why}", self.path.display()),
+            )
+        };
+        // One byte past the cap tells a longer file from one at the cap.
+        let mut body = Vec::with_capacity(MAX_CURSOR_FILE_LEN + 1);
+        file.take(MAX_CURSOR_FILE_LEN as u64 + 1).read_to_end(&mut body)?;
+        if body.len() > MAX_CURSOR_FILE_LEN {
+            return Err(corrupt(&format_args!("longer than {MAX_CURSOR_FILE_LEN} bytes")));
         }
+        let text = std::str::from_utf8(&body).map_err(|e| corrupt(&e))?;
+        text.trim().parse::<u64>().map(Some).map_err(|e| corrupt(&e))
     }
 
     /// Checkpoints `seq` (an [`EventConsumer::cursor`] value)
@@ -637,6 +655,32 @@ mod tests {
         // Corruption is a hard error, never a silent restart from 0.
         std::fs::write(dir.join("consumer.cursor"), "not-a-seq\n").unwrap();
         assert!(cursor.load().is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cursor file is untrusted: a 1 MiB one is refused after its first
+    /// 33 bytes, and one that is not UTF-8 is refused too — each as
+    /// `InvalidData` naming the file. A cursor with room to spare at the
+    /// cap still loads.
+    #[test]
+    fn an_oversized_or_non_utf8_cursor_file_is_invalid_data_naming_the_file() {
+        let dir = std::env::temp_dir().join(format!("sdci-cursor-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("consumer.cursor");
+        let cursor = ConsumerCursor::new(&path);
+        for (what, body) in [
+            ("1 MiB", vec![b'7'; 1 << 20]),
+            ("a digit past the cap", vec![b'7'; MAX_CURSOR_FILE_LEN + 1]),
+            ("invalid UTF-8", b"42\xff\xfe\n".to_vec()),
+        ] {
+            std::fs::write(&path, body).unwrap();
+            let err = cursor.load().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(&path.display().to_string()), "{what}: {err}");
+        }
+        let padded = format!("{:>width$}\n", u64::MAX, width = MAX_CURSOR_FILE_LEN - 1);
+        std::fs::write(&path, padded).unwrap();
+        assert_eq!(cursor.load().unwrap(), Some(u64::MAX));
         std::fs::remove_dir_all(&dir).ok();
     }
 

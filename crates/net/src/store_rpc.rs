@@ -19,11 +19,11 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_header, bin_read_header, invalid, json_decode, json_encode, timed_out, write_msg,
-    write_msg_bin, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
+    bin_read_header, invalid, json_decode, json_encode, put_batch, timed_out, write_msg,
+    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
-use sdci_types::bin::{put_members, read_members};
+use sdci_types::bin::read_members;
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
@@ -66,8 +66,7 @@ impl WireMsg for StoreRpc {
     fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
         let control = match self {
             StoreRpc::Batch { events } => {
-                bin_header(buf, BIN_KIND_STORE_BATCH, None);
-                put_members(buf, events);
+                put_batch(buf, BIN_KIND_STORE_BATCH, BatchHead::Empty, events, None);
                 return Ok(true);
             }
             StoreRpc::Query { query, trace } => {

@@ -32,10 +32,10 @@
 //! whichever frames were dropped, duplicated or resent around it:
 //!
 //! ```text
-//! +------+-------+-----------------------+----------------------------+
-//! | kind | flags | trace (17B, flags&1)  | kind's fields              |
-//! |  u8  |  u8   | id u64, span u64, u8  |                            |
-//! +------+-------+-----------------------+----------------------------+
+//! +------+-------+----------------------+-----------------------+---------------+
+//! | kind | flags | trace (17B, flags&1) | code table (flags&2)  | kind's fields |
+//! |  u8  |  u8   | id u64, span u64, u8 | n−1, symbols, lengths |               |
+//! +------+-------+----------------------+-----------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | members
@@ -44,11 +44,14 @@
 //!           member 0 coded against nothing, member i against members 0..i
 //! ```
 //!
-//! The member sequence is [`sdci_types::bin::put_members`] /
+//! The member sequence is [`sdci_types::bin::put_members_coded`] /
 //! [`read_members`]: the format lives beside [`BinPayload`], because a
-//! store node's snapshot files are blocks of the same bytes; this
-//! module adds the header and head in front of it and chunks a batch
-//! into frames.
+//! store node's snapshot files are blocks of the same bytes (never
+//! suffix-coded); this module adds the header and head in front of it
+//! and chunks a batch into frames. Flags bit 1 says the frame's path
+//! suffixes are under the Huffman code whose table follows the trace
+//! section ([`BinReader::read_code`]); the writer sets it when that
+//! makes the frame smaller, table included, and not otherwise.
 //!
 //! A member whose decoder does not consume exactly `len` bytes is
 //! `InvalidData`. What front-coding lets a small frame expand to is
@@ -75,8 +78,8 @@
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
 use sdci_types::bin::{
-    put_bytes, put_member, put_members, put_trace, put_varint, read_members, varint_len,
-    BinPayload, BinReader, DirTable, MAX_FRAME_MEMBERS,
+    code_members, put_bytes, put_member, put_members_coded, put_trace, put_varint, read_members,
+    varint_len, BinPayload, BinReader, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -101,7 +104,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 8;
+pub const WIRE_PROTO: u32 = 9;
 
 /// The opening frame of every connection: the peer's wire version and
 /// the service it wants from the endpoint it dialed. Always JSON.
@@ -299,11 +302,16 @@ const BIN_KIND_DELIVER_BATCH: u8 = 4;
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
 const BIN_FLAG_TRACE: u8 = 1;
 
+/// Flags bit: the members' path suffixes are coded, and the code's table
+/// follows the trace section ([`BinReader::read_code`]).
+const BIN_FLAG_CODE: u8 = 2;
+
 /// Size of the trace section [`BIN_FLAG_TRACE`] announces.
 const BIN_TRACE_LEN: usize = 17;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
-/// optional trace section.
+/// optional trace section. The code flag is set afterwards, by whoever
+/// writes the members ([`put_batch`], [`write_batch`]).
 pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     buf.push(kind);
     match trace {
@@ -315,30 +323,52 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
     }
 }
 
-/// Reads the fixed binary header back: `(kind, trace)`.
+/// Reads the fixed binary header back: `(kind, trace)`. A suffix code
+/// the flags announce is read into `r`, which decodes the members'
+/// suffixes through it.
 pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<TraceContext>)> {
     let kind = r.u8().map_err(invalid)?;
     let flags = r.u8().map_err(invalid)?;
-    if flags & !BIN_FLAG_TRACE != 0 {
+    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODE) != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
+    if flags & BIN_FLAG_CODE != 0 {
+        r.read_code().map_err(invalid)?;
+    }
     Ok((kind, trace))
+}
+
+/// Appends one whole batch body — header, `head`, members — with the
+/// members suffix-coded when that is smaller
+/// ([`sdci_types::bin::put_members_coded`]), the flag and the table
+/// placed to say so.
+pub(crate) fn put_batch<T: BinPayload>(
+    buf: &mut Vec<u8>,
+    kind: u8,
+    head: BatchHead<'_>,
+    payloads: &[T],
+    trace: Option<TraceContext>,
+) {
+    let at = buf.len();
+    bin_header(buf, kind, trace);
+    let table_at = buf.len();
+    head.put(buf, 0);
+    if put_members_coded(buf, table_at, payloads) {
+        buf[at + 1] |= BIN_FLAG_CODE;
+    }
 }
 
 impl<T: BinPayload> WireMsg for Frame<T> {
     fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
         let control = match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
-                bin_header(buf, BIN_KIND_ITEM_BATCH, *trace);
-                buf.extend_from_slice(&first_seq.to_le_bytes());
-                put_members(buf, payloads);
+                let head = BatchHead::FirstSeq(*first_seq);
+                put_batch(buf, BIN_KIND_ITEM_BATCH, head, payloads, *trace);
                 return Ok(true);
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
-                bin_header(buf, BIN_KIND_DELIVER_BATCH, *trace);
-                put_bytes(buf, topic.as_bytes());
-                put_members(buf, payloads);
+                put_batch(buf, BIN_KIND_DELIVER_BATCH, BatchHead::Topic(topic), payloads, *trace);
                 return Ok(true);
             }
             Frame::Nack { expected } => Control::Nack { expected: *expected },
@@ -394,14 +424,17 @@ impl BinEncoder {
     }
 }
 
-/// What a batch body carries between its fixed header and its members.
+/// What a batch body carries between its fixed header (and a code's
+/// table) and its members.
 #[derive(Clone, Copy)]
-enum BatchHead<'a> {
+pub(crate) enum BatchHead<'a> {
     /// [`Frame::ItemBatch`]: the sequence number of the batch's first
     /// member; a chunk starting at member `lo` carries `first_seq + lo`.
     FirstSeq(u64),
     /// [`Frame::DeliverBatch`]: the topic, repeated on every chunk.
     Topic(&'a str),
+    /// A store-RPC batch reply: nothing.
+    Empty,
 }
 
 impl BatchHead<'_> {
@@ -409,6 +442,7 @@ impl BatchHead<'_> {
         match self {
             BatchHead::FirstSeq(_) => 8,
             BatchHead::Topic(topic) => varint_len(topic.len() as u64) + topic.len(),
+            BatchHead::Empty => 0,
         }
     }
 
@@ -418,6 +452,7 @@ impl BatchHead<'_> {
                 body.extend_from_slice(&(first_seq + lo as u64).to_le_bytes());
             }
             BatchHead::Topic(topic) => put_bytes(body, topic.as_bytes()),
+            BatchHead::Empty => {}
         }
     }
 }
@@ -427,11 +462,16 @@ impl BatchHead<'_> {
 /// members, each repeating `trace` and `head`. Every frame is its own
 /// member sequence and decodes alone: a member that does not fit is
 /// taken back out and coded again as the first member of the next frame,
-/// against nothing, with a fresh [`DirTable`] — no member ever
+/// against nothing, with a fresh [`SeqEncoder`] — no member ever
 /// references across a split. A single member that alone exceeds the cap
 /// still gets its own frame — it cannot be split, and the
 /// [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
-/// Returns the number of frames written.
+///
+/// The chunk is packed raw, counting its suffix bytes; then
+/// [`code_members`] makes the cost choice for it, exactly as
+/// [`Frame::encode`] does for the same members — a coded frame is never
+/// larger than its raw form, so it fits the cap too. Returns the number
+/// of frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
@@ -449,12 +489,12 @@ fn write_batch<T: BinPayload>(
     let mut lo = 0;
     while lo < payloads.len() {
         members.clear();
-        let mut dirs = DirTable::new();
-        put_member(members, &payloads[lo], &[], &mut dirs);
+        let mut seq = SeqEncoder::new();
+        put_member(members, &payloads[lo], &[], &mut seq);
         let mut hi = lo + 1;
         while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
             let fits = members.len();
-            put_member(members, &payloads[hi], &payloads[lo..hi], &mut dirs);
+            put_member(members, &payloads[hi], &payloads[lo..hi], &mut seq);
             // The count is a varint too: it is sized for the chunk this
             // member would make, or a chunk packed exactly to the cap
             // would overshoot it when the count grows a byte — fatal at
@@ -462,15 +502,27 @@ fn write_batch<T: BinPayload>(
             // instead of splitting it.
             if fixed + varint_len((hi - lo + 1) as u64) + members.len() > max_len {
                 members.truncate(fits);
+                // Its suffixes were counted: count the chunk again
+                // without it (`body` is scratch until the frame is built).
+                seq = SeqEncoder::new();
+                body.clear();
+                for i in lo..hi {
+                    put_member(body, &payloads[i], &payloads[lo..i], &mut seq);
+                }
                 break;
             }
             hi += 1;
         }
         body.clear();
         bin_header(body, kind, trace);
+        let table_at = body.len();
         head.put(body, lo);
+        let members_at = body.len();
         put_varint(body, (hi - lo) as u64);
         body.extend_from_slice(members);
+        if code_members(body, table_at, members_at, &payloads[lo..hi], &seq) {
+            body[1] |= BIN_FLAG_CODE;
+        }
         write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
@@ -820,9 +872,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":8,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":9,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":8,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":9,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -838,7 +890,7 @@ mod tests {
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in [r#"{"service":"Store"}"#, r#"{"proto":8}"#, r#"{"proto":8,"service":"Nope"}"#]
+        for body in [r#"{"service":"Store"}"#, r#"{"proto":9}"#, r#"{"proto":9,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1110,14 +1162,17 @@ mod tests {
     /// The flags byte of every member of an item-batch body whose count
     /// and member lengths are one byte each.
     fn member_flags(body: &[u8]) -> Vec<u8> {
-        // kind, flags, first_seq (8), count.
-        let mut at = 11;
+        // kind, flags, a code's table (n−1, n symbols, n nibbles),
+        // first_seq (8), count.
+        let n = body[2] as usize + 1;
+        let table = if body[1] & BIN_FLAG_CODE == 0 { 0 } else { 1 + n + n.div_ceil(2) };
+        let mut at = 11 + table;
         let mut flags = Vec::new();
         while at < body.len() {
             flags.push(body[at + 1]);
             at += 1 + body[at] as usize;
         }
-        assert_eq!(flags.len(), body[10] as usize);
+        assert_eq!(flags.len(), body[10 + table] as usize);
         flags
     }
 
@@ -1315,10 +1370,23 @@ mod tests {
         ]
     }
 
-    /// Encode → decode is the identity on one frame, and at every cap
-    /// the chunker emits frames that each decode alone — a later frame
-    /// never needs an earlier one — to the same members in order, none
-    /// over the cap unless it holds a single member.
+    /// `payloads` as an item-batch body with raw members: what the frame
+    /// encoding writes when a code would not pay, and what wire version 8
+    /// wrote for every frame.
+    fn raw_item_body<T: BinPayload>(payloads: &[T]) -> Vec<u8> {
+        let mut body = Vec::new();
+        bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
+        BatchHead::FirstSeq(1).put(&mut body, 0);
+        sdci_types::bin::put_members(&mut body, payloads);
+        body
+    }
+
+    /// Encode → decode is the identity on one frame, which is never
+    /// larger than the same members raw (and, raw, is exactly them); at
+    /// every cap the chunker emits frames that each decode alone — a
+    /// later frame never needs an earlier one — to the same members in
+    /// order, none over the cap unless it holds a single member, each
+    /// exactly what the frame encoding makes of its members.
     fn roundtrips_whole_and_split<T>(payloads: &[T]) -> Result<(), TestCaseError>
     where
         T: BinPayload + Clone + PartialEq + std::fmt::Debug,
@@ -1329,6 +1397,11 @@ mod tests {
         let mut body = Vec::new();
         prop_assert!(frame.encode(&mut body).unwrap());
         prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
+        let raw = raw_item_body(payloads);
+        prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
+        if body[1] & BIN_FLAG_CODE == 0 {
+            prop_assert_eq!(&body, &raw);
+        }
         for cap in 0..=body.len() {
             let mut got = Vec::new();
             for chunk in split_at(payloads, cap) {
@@ -1336,6 +1409,16 @@ mod tests {
                     Ok(Frame::ItemBatch { first_seq, payloads: members, trace: None }) => {
                         prop_assert_eq!(first_seq, 1 + got.len() as u64, "cap {}", cap);
                         prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
+                        let mut again = Vec::new();
+                        Frame::ItemBatch { first_seq, payloads: members.clone(), trace: None }
+                            .encode(&mut again)
+                            .unwrap();
+                        prop_assert_eq!(
+                            &again,
+                            &chunk,
+                            "cap {}: a chunk is not its members' frame",
+                            cap
+                        );
                         got.extend(members);
                     }
                     other => prop_assert!(false, "cap {}: decoded {:?}", cap, other),
@@ -1346,8 +1429,40 @@ mod tests {
         Ok(())
     }
 
+    /// A path of random characters of every UTF-8 width, so a frame's
+    /// suffix bytes range from a handful of values to most of the 256.
+    fn utf8_path() -> impl Strategy<Value = sdci_types::EventPath> {
+        let ch = prop_oneof![
+            4 => 0x20u32..0x7f,
+            1 => 0x80u32..0x800,
+            1 => 0x800u32..0xd800,
+            1 => 0x1_0000u32..0x11_0000,
+        ]
+        .prop_map(|c| char::from_u32(c).unwrap_or('?'));
+        prop::collection::vec(ch, 0..24)
+            .prop_map(|chars| format!("/{}", chars.into_iter().collect::<String>()).into())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever the paths, coded or not, a frame is exact and never
+        /// larger than its members raw.
+        #[test]
+        fn random_utf8_paths_roundtrip_and_never_cost_more_than_raw(
+            paths in prop::collection::vec((utf8_path(), prop::option::of(utf8_path())), 1..64),
+        ) {
+            let batch: Vec<FileEvent> = (0..)
+                .zip(paths)
+                .map(|(i, (path, src_path))| FileEvent { path, src_path, ..event(i) })
+                .collect();
+            let frame = Frame::ItemBatch { first_seq: 1, payloads: batch.clone(), trace: None };
+            let mut body = Vec::new();
+            frame.encode(&mut body).unwrap();
+            let raw = raw_item_body(&batch);
+            prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
+            prop_assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), frame);
+        }
 
         #[test]
         fn event_batches_roundtrip_whole_and_split_at_every_cap(
@@ -1373,6 +1488,66 @@ mod tests {
             prop_assert!(reply.encode(&mut body).unwrap());
             prop_assert_eq!(crate::store_rpc::StoreRpc::decode(true, &body).unwrap(), reply);
         }
+    }
+
+    /// Two frames a code would not shrink go out raw, byte for byte what
+    /// wire version 8 wrote: a lone heartbeat (no path at all), and
+    /// names over a large alphabet, whose table would cost more than its
+    /// codewords save. Every benchmark workload's names take a few dozen
+    /// byte values, so this is the case no workload shows.
+    #[test]
+    fn frames_a_code_would_not_shrink_go_out_raw() {
+        let heartbeat = Frame::DeliverBatch {
+            topic: "feed/all".into(),
+            payloads: vec![FeedMessage::Heartbeat { last_seq: 12 }],
+            trace: None,
+        };
+        let mut body = Vec::new();
+        heartbeat.encode(&mut body).unwrap();
+        assert_eq!(body, [&[4, 0, 8][..], b"feed/all", &[1, 2, 1, 24]].concat());
+
+        let wide: Vec<FileEvent> = (0..8u64)
+            .map(|i| {
+                let letter = |k: u64| char::from_u32(0x100 + ((i * 12 + k) * 97 % 0x700) as u32);
+                let name: String = (0..12).filter_map(letter).collect();
+                FileEvent { path: format!("/wire/{name}").into(), ..event(i) }
+            })
+            .collect();
+        let frame = Frame::ItemBatch { first_seq: 1, payloads: wide.clone(), trace: None };
+        let mut body = Vec::new();
+        frame.encode(&mut body).unwrap();
+        assert_eq!(body[1] & BIN_FLAG_CODE, 0, "a code over 90-odd byte values does not pay");
+        assert_eq!(body, raw_item_body(&wide));
+        let mut written = Vec::new();
+        write_item_batch_bin(&mut written, &mut BinEncoder::new(), 1, &wide, None).unwrap();
+        assert_eq!(raw_frames(&written), [(true, body)]);
+    }
+
+    /// Frames of the benchmark's shape go out coded, and a code's flag
+    /// and table sit where the header says: after the trace section,
+    /// before the kind's own fields.
+    #[test]
+    fn a_coded_frame_carries_its_table_after_the_trace_section() {
+        let payloads: Vec<FileEvent> = (0..64)
+            .map(|i| FileEvent {
+                path: format!("/t0a1b2c3/d{:07x}/f{i:011x}", i % 8).into(),
+                ..event(i)
+            })
+            .collect();
+        let trace = Some(TraceContext::sampled(0xabc, 0xdef));
+        let frame = Frame::ItemBatch { first_seq: 77, payloads: payloads.clone(), trace };
+        let mut body = Vec::new();
+        frame.encode(&mut body).unwrap();
+        assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_CODE);
+        // The table: n−1, then n ascending symbols — the suffixes' bytes.
+        let n = usize::from(body[2 + BIN_TRACE_LEN]) + 1;
+        let symbols = &body[3 + BIN_TRACE_LEN..3 + BIN_TRACE_LEN + n];
+        assert!(symbols.windows(2).all(|pair| pair[0] < pair[1]));
+        assert!(symbols.contains(&b'/') && symbols.contains(&b'f') && !symbols.contains(&b'z'));
+        let head = 3 + BIN_TRACE_LEN + n + n.div_ceil(2);
+        assert_eq!(body[head..head + 8], 77u64.to_le_bytes());
+        assert!(body.len() < raw_item_body(&payloads).len());
+        assert_eq!(read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap(), frame);
     }
 
     #[test]

@@ -126,6 +126,58 @@ fn a_256_member_frame_of_each_kind_decodes_in_at_most_eight_allocations() {
     }
 }
 
+/// Checks that `msg` goes out suffix-coded, smaller than `raw` — the same
+/// members laid out raw, as a frame goes out when coding would not pay —
+/// and decodes in exactly the allocations `raw` does.
+fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
+    kind: &str,
+    msg: &M,
+    raw: &[u8],
+) {
+    let mut body = Vec::new();
+    msg.encode(&mut body).expect("encodes");
+    assert_eq!(body[1] & 2, 2, "{kind}: a batch of the benchmark's shape goes out coded");
+    assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());
+    let (decoded, raw_made) = allocations(|| M::decode(true, raw).expect("raw decodes"));
+    assert_eq!(&decoded, msg);
+    let coded_made = decode_cost(msg);
+    assert_eq!(coded_made, raw_made, "{kind}: coded {coded_made} allocations, raw {raw_made}");
+}
+
+/// A suffix-coded frame decodes in exactly the allocations of the same
+/// members sent raw: its code's lookup table lives in the reader, on the
+/// stack, and the arena — reserved at a multiple of the (now smaller)
+/// body — still holds every path without growing.
+#[test]
+fn a_coded_frame_decodes_in_the_allocations_of_a_raw_one() {
+    use sdci_types::bin::{put_bytes, put_members};
+    let sequenced = batch();
+    let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
+    let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+
+    let mut item = vec![1, 0];
+    item.extend_from_slice(&9u64.to_le_bytes());
+    put_members(&mut item, &events);
+    let mut deliver = vec![4, 0];
+    put_bytes(&mut deliver, b"feed/all");
+    put_members(&mut deliver, &feed);
+    let mut store = vec![3, 0];
+    put_members(&mut store, &sequenced);
+
+    coded_costs_what_raw_does(
+        "item",
+        &Frame::ItemBatch { first_seq: 9, payloads: events, trace: None },
+        &item,
+    );
+    let topic = "feed/all".to_string();
+    coded_costs_what_raw_does(
+        "deliver",
+        &Frame::DeliverBatch { topic, payloads: feed, trace: None },
+        &deliver,
+    );
+    coded_costs_what_raw_does("store-batch", &StoreRpc::Batch { events: sequenced }, &store);
+}
+
 #[test]
 fn cloning_a_decoded_batch_allocates_once() {
     let reply = StoreRpc::Batch { events: batch() };

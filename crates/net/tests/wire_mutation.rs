@@ -1,9 +1,11 @@
 //! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
-//! valid kind-1, kind-3 and kind-4 bodies, each fed to all three
-//! decoders, then path length and prefix words claiming what the body
-//! does not hold, then hand-laid members whose references and "same as
-//! the predecessor's" bits name what the frame does not hold. Every one
-//! is decoded or refused as `InvalidData` — the
+//! valid kind-1, kind-3 and kind-4 bodies with raw members, and 10,000
+//! of the same bodies suffix-coded, each fed to all three decoders; then
+//! path length and prefix words claiming what the body does not hold;
+//! then hand-laid members whose references and "same as the
+//! predecessor's" bits name what the frame does not hold; then
+//! hand-laid suffix codes and coded suffixes that break every rule of
+//! the code. Every one is decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
 //! frame's path arena) is sized by a length, count or prefix word
@@ -18,7 +20,9 @@
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{Frame, WireMsg};
-use sdci_types::bin::{put_bytes, put_varint, FRAME_PATH_BUDGET, MAX_PATH_LEN};
+use sdci_types::bin::{
+    put_bytes, put_members, put_trace, put_varint, FRAME_PATH_BUDGET, MAX_PATH_LEN,
+};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -178,15 +182,28 @@ fn allocation_bound(body: &[u8]) -> usize {
     (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN)
 }
 
-/// The three data-frame kinds carrying `events`: item, store batch
-/// (sequenced from 9) and deliver (with a heartbeat among the events).
-fn bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3] {
+/// Frame-header flags bit 1: the members' suffixes are coded, and the
+/// code's table follows the trace section.
+const CODE: u8 = 2;
+
+/// The three data-frame kinds' members for `events`: item payloads,
+/// store-batch events (sequenced from 9) and deliver payloads (with a
+/// heartbeat among the events).
+fn members_of(events: Vec<FileEvent>) -> (Vec<FileEvent>, Vec<SequencedEvent>, Vec<FeedMessage>) {
     let sequenced: Vec<SequencedEvent> = (9..)
         .zip(&events)
         .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
         .collect();
     let mut feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
     feed.insert(feed.len() / 3, FeedMessage::Heartbeat { last_seq: 12 });
+    (events, sequenced, feed)
+}
+
+/// The three data-frame kinds carrying `events` (see [`members_of`]),
+/// as their encoders write them — suffix-coded, for any names the
+/// code pays on.
+fn bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3] {
+    let (events, sequenced, feed) = members_of(events);
     [
         body_of(&Frame::ItemBatch { first_seq: 7, payloads: events, trace }),
         body_of(&StoreRpc::Batch { events: sequenced }),
@@ -194,9 +211,26 @@ fn bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3
     ]
 }
 
-#[test]
-fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
-    let bodies = bodies_of(events(), Some(TraceContext::sampled(1, 2)));
+/// The same three bodies with their members raw — header, head, the
+/// member sequence — as a frame goes out when coding would not pay.
+fn raw_bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3] {
+    let (events, sequenced, feed) = members_of(events);
+    let mut item = vec![1, u8::from(trace.is_some())];
+    if let Some(trace) = &trace {
+        put_trace(&mut item, trace);
+    }
+    item.extend_from_slice(&7u64.to_le_bytes());
+    put_members(&mut item, &events);
+    let mut store = vec![3, 0];
+    put_members(&mut store, &sequenced);
+    let mut deliver = vec![4, 0];
+    put_bytes(&mut deliver, b"feed/all");
+    put_members(&mut deliver, &feed);
+    [item, store, deliver]
+}
+
+/// Feeds 10,000 seeded mutations of `bodies` to all three decoders.
+fn mutations_decode_or_fail_closed(rng: &mut Rng, bodies: &[Vec<u8>; 3]) {
     // Each unmutated body is accepted by its own decoder and by no other.
     let accepted = |body: &[u8]| {
         [
@@ -209,10 +243,9 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     assert_eq!(accepted(&bodies[1]), [false, true, false]);
     assert_eq!(accepted(&bodies[2]), [false, false, true]);
 
-    let mut rng = Rng(0x5dc1_0007);
     let (mut survived, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
-        let body = mutate(&mut rng, &bodies[round % bodies.len()]);
+        let body = mutate(rng, &bodies[round % bodies.len()]);
         let bound = allocation_bound(&body);
         for (ok, largest) in [
             fed::<Frame<FileEvent>>(&body),
@@ -237,8 +270,18 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     assert!(refused > 20_000, "only {refused} refusals");
 }
 
+#[test]
+fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
+    let trace = Some(TraceContext::sampled(1, 2));
+    let mut rng = Rng(0x5dc1_0007);
+    mutations_decode_or_fail_closed(&mut rng, &raw_bodies_of(events(), trace));
+    let coded = bodies_of(events(), trace);
+    assert!(coded.iter().all(|body| body[1] & CODE != 0), "these names go out coded");
+    mutations_decode_or_fail_closed(&mut rng, &coded);
+}
+
 /// Path words that claim what the body does not hold, in the first
-/// member of each kind: a suffix length of gigabytes, a shared prefix on
+/// member of each kind's raw body: a suffix length of gigabytes, a shared prefix on
 /// a member with no predecessor, and a path one byte over its cap with
 /// every byte present. Each is refused — the last with the message the
 /// single-path cap has always given — and the frame's arena is never
@@ -260,7 +303,7 @@ fn a_claimed_path_length_sizes_nothing() {
     };
 
     let name = format!("/adversarial/{}", "n".repeat(100));
-    for body in bodies_of(one_event(&name), None) {
+    for body in raw_bodies_of(one_event(&name), None) {
         // The path is a first member's: shared 0, its length, its bytes.
         let at = body.windows(name.len()).position(|w| w == name.as_bytes()).expect("the path");
         assert_eq!(body[at - 2..at], [0, name.len() as u8]);
@@ -277,7 +320,7 @@ fn a_claimed_path_length_sizes_nothing() {
         }
     }
 
-    let over = bodies_of(one_event(&"p".repeat(MAX_PATH_LEN + 1)), None);
+    let over = raw_bodies_of(one_event(&"p".repeat(MAX_PATH_LEN + 1)), None);
     over.iter().for_each(|body| refused(body));
     let err = Frame::<FileEvent>::decode(true, &over[0]).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
@@ -301,6 +344,14 @@ const RESERVED: u8 = 1 << 7;
 /// fields those bits drop left out. `back` is the path reference, when
 /// there is one; the path is `shared` bytes of its base, then `suffix`.
 fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) -> Vec<u8> {
+    let mut carried = Vec::new();
+    put_bytes(&mut carried, suffix);
+    laid_member(flags, kind, back, shared, &carried)
+}
+
+/// [`member`], its suffix field — the byte (or symbol) count, then the
+/// bytes or codewords — laid out by the caller.
+fn laid_member(flags: u8, kind: u8, back: Option<u64>, shared: usize, carried: &[u8]) -> Vec<u8> {
     // Bit 4: same MDT; bit 5: the event kind the record type implies.
     let flags = flags | 0x30 | if back.is_some() { PATH_REF } else { 0 };
     let mut out = vec![flags];
@@ -312,7 +363,7 @@ fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) 
         put_varint(&mut out, back);
     }
     put_varint(&mut out, shared as u64);
-    put_bytes(&mut out, suffix);
+    out.extend_from_slice(carried);
     if kind & SAME_FID_HOME == 0 {
         out.extend([0, 2, 0]); // seq, oid +1, ver
     } else {
@@ -328,7 +379,7 @@ fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) 
 /// in an item batch, behind a sequence delta in a store batch, behind a
 /// tag and a sequence delta in a deliver batch — where a `None` is a
 /// heartbeat (the other two kinds carry no such member and skip it).
-fn raw_bodies(members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
+fn hand_laid(members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
     let events = members.iter().flatten().count() as u64;
     let mut item = vec![1, 0];
     item.extend_from_slice(&7u64.to_le_bytes());
@@ -404,15 +455,15 @@ fn references_outside_the_frame_and_bits_without_a_predecessor_are_refused() {
 
     // Two back from the third member is the first; every bit there is
     // may be set on a member that has a predecessor.
-    let honest = decoded_paths(&raw_bodies(&[first(), second(), third(2)]));
+    let honest = decoded_paths(&hand_laid(&[first(), second(), third(2)]));
     assert_eq!(honest, [(); 3].map(|()| all(&["/d/alpha/x", "/d/beta/y", "/d/alpha/z"])));
     let every_bit = member(NEXT_INDEX | EXTRACTED, SAME_FID_HOME | SAME_EXTRACTED, None, 10, b"");
     let stamped = Some(member(EXTRACTED, 0, None, 0, b"/d/alpha/x"));
-    let twice = decoded_paths(&raw_bodies(&[stamped.clone(), Some(every_bit.clone())]));
+    let twice = decoded_paths(&hand_laid(&[stamped.clone(), Some(every_bit.clone())]));
     assert_eq!(twice, [(); 3].map(|()| all(&["/d/alpha/x", "/d/alpha/x"])));
 
     let refused = |what: &str, members: &[Option<Vec<u8>>]| {
-        assert_eq!(decoded_paths(&raw_bodies(members)), [None, None, None], "{what}");
+        assert_eq!(decoded_paths(&hand_laid(members)), [None, None, None], "{what}");
     };
     refused("a reference to itself", &[first(), second(), third(0)]);
     refused("a reference to the predecessor", &[first(), second(), third(1)]);
@@ -437,14 +488,14 @@ fn references_outside_the_frame_and_bits_without_a_predecessor_are_refused() {
     // refuses a reference onto it and "same" bits right after it, while
     // the other two kinds — which never saw it — see honest members.
     let alone = Some(member(0, 0, None, 0, b"/d/beta/y"));
-    let onto = decoded_paths(&raw_bodies(&[first(), None, alone, third(2)]));
+    let onto = decoded_paths(&hand_laid(&[first(), None, alone, third(2)]));
     assert_eq!(onto[2], None, "two back is the heartbeat");
     assert_eq!(onto[..2], honest[..2], "two back is the first member");
-    let across = decoded_paths(&raw_bodies(&[first(), second(), None, third(3)]));
+    let across = decoded_paths(&hand_laid(&[first(), second(), None, third(3)]));
     assert_eq!(across[2], all(&["/d/alpha/x", "/d/beta/y", "/d/alpha/z"]), "three back, over it");
     assert_eq!(across[..2], [None, None], "three back of two");
     let after =
-        decoded_paths(&raw_bodies(&[first(), None, Some(member(NEXT_INDEX, 0, None, 0, b"/x"))]));
+        decoded_paths(&hand_laid(&[first(), None, Some(member(NEXT_INDEX, 0, None, 0, b"/x"))]));
     assert_eq!(after, [all(&["/d/alpha/x", "/x"]), all(&["/d/alpha/x", "/x"]), None]);
 }
 
@@ -460,7 +511,7 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     let chain = |len: usize| -> Vec<Option<Vec<u8>>> {
         [long(b'p'), long(b'q')].into_iter().chain((2..len).map(|_| again())).collect()
     };
-    let honest = decoded_paths(&raw_bodies(&chain(8)));
+    let honest = decoded_paths(&hand_laid(&chain(8)));
     for paths in honest {
         let paths = paths.expect("eight pages are within every limit");
         assert_eq!(paths.len(), 8);
@@ -470,7 +521,7 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     // One byte more than a page, reached through a reference.
     let mut over = chain(8);
     over.push(Some(member(0, 0, Some(2), MAX_PATH_LEN, b"x")));
-    let bodies = raw_bodies(&over);
+    let bodies = hand_laid(&over);
     assert_eq!(decoded_paths(&bodies), [None, None, None]);
     let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
@@ -479,13 +530,142 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     // the reader that keeps the count) stops at the member that would
     // cross it, having allocated no more than the budget's doubling.
     let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
-    let [body, ..] = raw_bodies(&chain(pages + 1));
+    let [body, ..] = hand_laid(&chain(pages + 1));
     assert!(body.len() < 64 * pages, "{} bytes claim {pages} pages", body.len());
     let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &body));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
-    let [fits, ..] = raw_bodies(&chain(pages));
+    let [fits, ..] = hand_laid(&chain(pages));
     assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
+}
+
+/// `hand_laid` bodies with the code flag set and `table` after the
+/// header — where the encoder puts a code's table.
+fn coded(table: &[u8], members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
+    hand_laid(members).map(|mut body| {
+        body[1] |= CODE;
+        body.splice(2..2, table.iter().copied());
+        body
+    })
+}
+
+/// Every byte value, each with an eight-bit codeword: the canonical
+/// codewords are then the bytes themselves, so under this table a coded
+/// member is the raw member, byte for byte.
+fn identity() -> Vec<u8> {
+    let mut table = vec![255];
+    table.extend(0..=u8::MAX);
+    table.extend([0x88; 128]);
+    table
+}
+
+/// `/`, `a`, `b` and `x`, two bits each: `00`, `01`, `10`, `11`.
+const FOUR: [u8; 7] = [3, b'/', b'a', b'b', b'x', 0x22, 0x22];
+
+/// A coded suffix field: the symbol count, then `bits`.
+fn coded_suffix(count: u64, bits: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_varint(&mut out, count);
+    out.extend_from_slice(bits);
+    out
+}
+
+/// A first member whose whole path is the coded suffix `count` + `bits`.
+fn coded_first(count: u64, bits: &[u8]) -> Option<Vec<u8>> {
+    Some(laid_member(0, 0, None, 0, &coded_suffix(count, bits)))
+}
+
+/// Tables that break a rule of the code, and coded suffixes that break
+/// a rule of the suffix, each beside an honest neighbour that decodes:
+/// one symbol; over-subscribed and incomplete lengths; symbols out of
+/// order or twice; a length of 0 or 13 (12 is the longest allowed); a
+/// padding nibble or padding bit that is not zero; more symbols than
+/// the bits left could hold, and codewords that run past the body; a
+/// path one byte over `MAX_PATH_LEN` through its symbol count; and a
+/// code on a frame with no path to code. Each is `InvalidData` from all
+/// three decoders, within the allocation bound.
+#[test]
+fn a_suffix_code_or_coded_suffix_that_breaks_a_rule_is_refused() {
+    let all = |paths: &[&str]| Some(paths.iter().map(|p| p.to_string()).collect::<Vec<_>>());
+    let decodes = |table: &[u8], members: &[Option<Vec<u8>>], want: &[&str]| {
+        assert_eq!(decoded_paths(&coded(table, members)), [(); 3].map(|()| all(want)));
+    };
+    // Refused by all three decoders, the item decoder saying `why`.
+    let refused = |why: &str, table: &[u8], members: &[Option<Vec<u8>>]| {
+        let bodies = coded(table, members);
+        assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
+        let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
+        assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
+    };
+    let honest = [
+        Some(member(0, 0, None, 0, b"/d/alpha/x")),
+        Some(member(0, 0, None, 3, b"beta/y")),
+        Some(member(0, 0, Some(2), 9, b"z")),
+    ];
+    decodes(&identity(), &honest, &["/d/alpha/x", "/d/beta/y", "/d/alpha/z"]);
+
+    // The table.
+    refused("one symbol", &[0, b'/', 0x10], &honest);
+    refused("over-subscribed", &[2, b'/', b'a', b'b', 0x11, 0x10], &honest);
+    refused("incomplete", &[1, b'/', b'a', 0x12], &honest);
+    refused("not strictly ascending", &[1, b'a', b'/', 0x11], &honest);
+    refused("not strictly ascending", &[1, b'/', b'/', 0x11], &honest);
+    refused("length of 0", &[1, b'/', b'a', 0x01], &honest);
+    refused("length of 13", &[1, b'/', b'a', 0xd1], &honest);
+    // Lengths 1, 2, ..., 11, 12, 12 are complete: `/` is the one-bit `0`.
+    let longest =
+        [12, b'/', b'a', b'b', b'c', b'd', b'e', b'f', b'g', b'h', b'i', b'j', b'k', b'l'];
+    let longest = [&longest[..], &[0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xc0]].concat();
+    decodes(&longest, &[coded_first(1, &[0])], &["/"]);
+    // `/` 1 bit, `a` and `b` 2: `/ab` is `0 10 11`, then three padding bits.
+    let three = [2, b'/', b'a', b'b', 0x12, 0x20];
+    decodes(&three, &[coded_first(3, &[0b0101_1000])], &["/ab"]);
+    refused("padding nibble", &[2, b'/', b'a', b'b', 0x12, 0x21], &[coded_first(3, &[0x58])]);
+
+    // The suffix: `/ab` under FOUR is `00 01 10`, then two padding bits.
+    decodes(&FOUR, &[coded_first(3, &[0b0001_1000])], &["/ab"]);
+    refused("padding bits", &FOUR, &[coded_first(3, &[0b0001_1001])]);
+    refused("padding bits", &FOUR, &[coded_first(3, &[0b0001_1010])]);
+    refused("a coded suffix of 1000 bytes", &FOUR, &[coded_first(1_000, &[0x12])]);
+    refused("exceeds 4096", &FOUR, &[coded_first(u64::MAX, &[0x12])]);
+    // No bits at all: thirteen symbols fit the 24 bits of the object id
+    // fields that follow, but take 26, one byte past the body.
+    refused("a coded suffix of 26 bits", &FOUR, &[coded_first(13, &[])]);
+    // `/` and 4,095 `a`s is a 4,096-byte path in 1,024 bytes; one `a` more
+    // is refused on its count, before a bit is decoded.
+    let page = [&[0b0001_0101][..], &[0x55; 1_023]].concat();
+    let want = format!("/{}", "a".repeat(MAX_PATH_LEN - 1));
+    decodes(&FOUR, &[coded_first(MAX_PATH_LEN as u64, &page)], &[&want]);
+    let over = [&page[..], &[0b0100_0000]].concat();
+    refused("exceeds 4096", &FOUR, &[coded_first(MAX_PATH_LEN as u64 + 1, &over)]);
+
+    // A code with nothing to code: no members, or a heartbeat alone.
+    refused("no paths", &identity(), &[]);
+    let [.., deliver] = coded(&identity(), &[None]);
+    let err = Frame::<FeedMessage>::decode(true, &deliver).unwrap_err();
+    assert!(err.to_string().contains("no paths"), "got: {err}");
+    assert_eq!(decoded_paths(&coded(&identity(), &[None])), [None, None, None]);
+}
+
+/// A coded suffix is charged to the frame's path budget like any other:
+/// the chain of references that fills the budget exactly still decodes
+/// under a code, and one coded byte more is refused.
+#[test]
+fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
+    let long = |fill: u8| Some(member(0, 0, None, 0, &[fill; MAX_PATH_LEN]));
+    let again = || Some(member(0, 0, Some(2), MAX_PATH_LEN, b""));
+    let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
+    let mut chain: Vec<Option<Vec<u8>>> =
+        [long(b'p'), long(b'q')].into_iter().chain((2..pages).map(|_| again())).collect();
+    let [fits, ..] = coded(&identity(), &chain);
+    assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
+    chain.push(coded_first(1, b"/"));
+    let [over, ..] = coded(&identity(), &chain);
+    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &over));
+    let err = result.unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("path bytes"), "got: {err}");
+    assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
 }

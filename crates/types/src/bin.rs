@@ -15,7 +15,8 @@
 //! the predecessor and costs a byte — or a spare flag bit — instead of
 //! its width; a path may instead name any earlier member as its base, so
 //! records that interleave over a few directories still carry each
-//! directory once ([`DirTable`] is how the encoder finds that member).
+//! directory once (a [`SeqEncoder`]'s table is how the encoder finds that
+//! member).
 //! Nothing outside the frame is ever referenced: a frame still decodes
 //! from nothing but its own bytes. The primitives:
 //!
@@ -39,6 +40,16 @@
 //! store node's snapshot files are blocks of it under a length and a
 //! checksum. Both close a sequence at [`MAX_FRAME_MEMBERS`].
 //!
+//! A frame's sequence may also be **suffix-coded**
+//! ([`put_members_coded`]): the bytes its front-coded paths carry
+//! verbatim take a few dozen values, so one canonical Huffman code
+//! built from the frame's own suffix bytes — its table travels in the
+//! frame ([`BinReader::read_code`]) — carries each suffix as its byte
+//! count and its codewords, padded to a byte. Nothing else in a member
+//! changes, and the encoder keeps the coded form only when it is
+//! smaller, table included ([`code_members`]). A snapshot block is never
+//! coded.
+//!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
 //! borrows from the received frame via [`BinReader`]. Both sides are
@@ -51,7 +62,10 @@
 //! whichever earlier member the base is — so what a decoder assembles is
 //! bounded twice: no single
 //! string may exceed [`MAX_PATH_LEN`], and one [`BinReader`] assembles
-//! at most [`FRAME_PATH_BUDGET`] bytes in all. What it assembles it
+//! at most [`FRAME_PATH_BUDGET`] bytes in all. A coded suffix changes
+//! neither bound: its byte count is checked against both before a bit
+//! is decoded, and against the bits left (a codeword is at least one).
+//! What it assembles it
 //! also owns: every front-coded path of a frame is appended to one
 //! arena ([`crate::PathArenaBuilder`]) and returned as an
 //! [`EventPath`] handle, so a frame's paths cost one buffer, not one
@@ -78,6 +92,18 @@ pub const MAX_PATH_LEN: usize = 4096;
 /// frame could carry verbatim, so front-coding does not raise the
 /// memory one connection can pin.
 pub const FRAME_PATH_BUDGET: usize = 64 << 20;
+
+/// Longest codeword a frame's suffix code may assign: the decoder's
+/// lookup table has `1 << MAX_CODE_LEN` entries.
+pub const MAX_CODE_LEN: u32 = 12;
+
+/// The path arena a [`BinReader`] reserves, per body byte left when its
+/// first path is read — never a length the body claims. A path is mostly
+/// shared with a frame-mate's, and a coded suffix carries a byte in about
+/// half a byte: a coded frame of the benchmark's shape assembles 1.8
+/// path bytes per body byte (31-byte paths in 17-byte members), more
+/// with renames, so at twice the body its arena would grow once.
+const ARENA_PER_BODY_BYTE: usize = 3;
 
 /// A malformed binary payload: truncated field, invalid enum code,
 /// over-long varint, out-of-range delta or prefix length, non-UTF-8
@@ -109,6 +135,10 @@ impl std::error::Error for BinDecodeError {}
 /// — and the [`EventPath`]s into it become readable — when the reader
 /// drops. A decoder therefore returns its events only after its reader
 /// is gone, and on an error returns none.
+///
+/// It holds its frame's suffix code too, once [`BinReader::read_code`]
+/// has read one: every front-coded suffix after that is decoded through
+/// it.
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
@@ -116,12 +146,15 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
+    /// The frame's suffix code, when it carries one.
+    code: Option<SuffixTable>,
 }
 
 impl<'a> BinReader<'a> {
-    /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`].
+    /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`] and no
+    /// suffix code.
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None }
+        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, code: None }
     }
 
     /// Bytes not yet consumed.
@@ -205,27 +238,30 @@ impl<'a> BinReader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(BinDecodeError::msg)
     }
 
-    /// Reads a front-coded path — the inverse of [`put_front_coded`] —
-    /// into this reader's arena: the first `shared` bytes of `base`,
-    /// then the suffix carried inline. `base` is any path this reader
-    /// assembled earlier (the predecessor's, or the member's a path
-    /// reference names). The handle is readable once the reader has
-    /// dropped; until then it serves as a later member's base.
+    /// Reads a front-coded path — the inverse of
+    /// [`SeqEncoder::put_front_coded`] — into this reader's arena: the
+    /// first `shared` bytes of `base`, then the suffix, carried verbatim
+    /// or, when the frame has a suffix code, as codewords. `base` is any
+    /// path this reader assembled earlier (the predecessor's, or the
+    /// member's a path reference names). The handle is readable once the
+    /// reader has dropped; until then it serves as a later member's base.
     ///
-    /// The arena is reserved on the first call, at twice the bytes then
-    /// left in the body — a path coded against a frame-mate's is about
-    /// half carried and half shared — and never at a length the body
-    /// claims; it grows from there within [`FRAME_PATH_BUDGET`].
+    /// The arena is reserved on the first call, at three times the bytes
+    /// then left in the body (capped at [`FRAME_PATH_BUDGET`]) and never
+    /// at a length the body claims; it grows from there within the
+    /// budget.
     ///
     /// # Errors
     ///
     /// A shared length `base` cannot supply (any non-zero one when there
     /// is no `base`), a result longer than [`MAX_PATH_LEN`] or past this
     /// reader's [`FRAME_PATH_BUDGET`] — whichever member the bytes are
-    /// shared from, every assembled path is charged to both — and
-    /// assembled bytes that are not UTF-8. The halves are not validated
-    /// separately: a shared prefix may legally end inside a multi-byte
-    /// character.
+    /// shared from, every assembled path is charged to both, before a
+    /// coded suffix is decoded — a coded suffix of more bytes than the
+    /// bits left could hold, of codewords running past the body or
+    /// padded with a non-zero bit, and assembled bytes that are not
+    /// UTF-8. The halves are not validated separately: a shared prefix
+    /// may legally end inside a multi-byte character.
     pub fn front_coded(&mut self, base: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
         let shared = self.length()?;
         let base_len = base.map_or(0, EventPath::len);
@@ -234,20 +270,83 @@ impl<'a> BinReader<'a> {
                 "shared prefix {shared} exceeds its base's {base_len} bytes"
             )));
         }
-        let suffix = self.bytes()?;
-        // `shared` and `suffix.len()` are each bounded by a slice in memory.
-        let len = shared + suffix.len();
+        let carried = self.length()?;
+        let len = shared.saturating_add(carried);
         if len > MAX_PATH_LEN {
             return Err(BinDecodeError::msg(format!("path of {len} bytes exceeds {MAX_PATH_LEN}")));
         }
         self.path_budget = self.path_budget.checked_sub(len).ok_or_else(|| {
             BinDecodeError::msg(format!("frame assembles more than {FRAME_PATH_BUDGET} path bytes"))
         })?;
-        let reserve = 2 * (suffix.len() + self.buf.len());
+        let reserve = (ARENA_PER_BODY_BYTE * self.buf.len()).min(FRAME_PATH_BUDGET);
+        let suffix = match &mut self.code {
+            None => self.take(carried)?,
+            Some(code) => {
+                if carried > self.buf.len().saturating_mul(8) {
+                    return Err(BinDecodeError::msg(format!(
+                        "truncated: a coded suffix of {carried} bytes, {} bytes left",
+                        self.buf.len()
+                    )));
+                }
+                self.buf = &self.buf[code.decode(self.buf, carried)?..];
+                &code.suffix[..carried]
+            }
+        };
         self.paths
             .get_or_insert_with(|| PathArenaBuilder::with_capacity(reserve))
             .push_front_coded(base, shared, suffix)
             .map_err(BinDecodeError::msg)
+    }
+
+    /// Reads a frame's suffix code — the table [`code_members`] places —
+    /// and decodes every later front-coded suffix through it:
+    ///
+    /// ```text
+    /// n−1 u8 | n symbols, strictly ascending | n codeword lengths, 4 bits
+    ///          each, high nibble first, a last odd nibble zero
+    /// ```
+    ///
+    /// The lengths give the codewords: canonical, in order of length,
+    /// then symbol. The lookup table is built here, on this reader, with
+    /// an entry for every `longest`-bit string.
+    ///
+    /// # Errors
+    ///
+    /// Truncation, fewer than two symbols, symbols out of order or
+    /// repeated, a length of 0 or above [`MAX_CODE_LEN`], a non-zero
+    /// padding nibble, and lengths that over-subscribe the code or leave
+    /// it incomplete — so every bit string starts with exactly one
+    /// codeword.
+    pub fn read_code(&mut self) -> Result<(), BinDecodeError> {
+        let n = usize::from(self.u8()?) + 1;
+        if n < 2 {
+            return Err(BinDecodeError::msg("a suffix code of one symbol"));
+        }
+        let symbols = self.take(n)?;
+        if symbols.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(BinDecodeError::msg("suffix code symbols are not strictly ascending"));
+        }
+        let packed = self.take(n.div_ceil(2))?;
+        if n % 2 == 1 && packed[n / 2] & 0x0f != 0 {
+            return Err(BinDecodeError::msg("a suffix code's padding nibble is not zero"));
+        }
+        let mut lens = [0u8; 256];
+        let mut kraft = 0u32;
+        for (i, len) in lens[..n].iter_mut().enumerate() {
+            *len = (packed[i / 2] >> if i % 2 == 0 { 4 } else { 0 }) & 0x0f;
+            if *len == 0 || u32::from(*len) > MAX_CODE_LEN {
+                return Err(BinDecodeError::msg(format!("a codeword length of {len}")));
+            }
+            kraft += 1 << (MAX_CODE_LEN - u32::from(*len));
+        }
+        if kraft != 1 << MAX_CODE_LEN {
+            let why = if kraft > 1 << MAX_CODE_LEN { "over-subscribed" } else { "incomplete" };
+            return Err(BinDecodeError::msg(format!("an {why} suffix code")));
+        }
+        let table =
+            SuffixTable { longest: 0, entries: [0; CODE_TABLE_LEN], suffix: [0; MAX_PATH_LEN] };
+        self.code.insert(table).fill(symbols, &lens[..n]);
+        Ok(())
     }
 
     /// Reads a [`TraceContext`] — the inverse of [`put_trace`].
@@ -261,6 +360,96 @@ impl<'a> BinReader<'a> {
                 other => return Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
             },
         })
+    }
+}
+
+/// Entries in a [`SuffixTable`]: one for every [`MAX_CODE_LEN`]-bit
+/// string, of which a code whose longest codeword is shorter fills the
+/// first `1 << longest`.
+const CODE_TABLE_LEN: usize = 1 << MAX_CODE_LEN;
+
+/// A frame's suffix code as its decoder holds it: indexed by the next
+/// `longest` bits of a coded suffix, each entry is the symbol those bits
+/// begin with (low byte) and its codeword's length (high byte). Beside
+/// it, room for one decoded suffix, which the arena then takes as it
+/// takes a raw one.
+struct SuffixTable {
+    longest: u32,
+    entries: [u16; CODE_TABLE_LEN],
+    suffix: [u8; MAX_PATH_LEN],
+}
+
+impl fmt::Debug for SuffixTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SuffixTable").field("longest", &self.longest).finish_non_exhaustive()
+    }
+}
+
+impl SuffixTable {
+    /// Fills the first `1 << longest` entries for the canonical code of
+    /// `symbols` (ascending) with `lens` — a complete code, so each of
+    /// them is written.
+    fn fill(&mut self, symbols: &[u8], lens: &[u8]) {
+        self.longest = lens.iter().copied().max().map_or(0, u32::from);
+        let mut next = first_codewords(lens);
+        for (&symbol, &len) in symbols.iter().zip(lens) {
+            let spare = self.longest - u32::from(len);
+            let first = usize::from(next[usize::from(len)]) << spare;
+            next[usize::from(len)] += 1;
+            let entry = (u16::from(len) << 8) | u16::from(symbol);
+            self.entries[first..first + (1 << spare)].fill(entry);
+        }
+    }
+
+    /// Decodes a suffix of `len` bytes (at most [`MAX_PATH_LEN`]) from the
+    /// codewords at the front of `bytes`, most significant bit first,
+    /// into `self.suffix`, and returns the bytes they took, rounded up to
+    /// a byte. Past the end of `bytes` the loop reads zeros, so it cannot
+    /// fail on its own; what it read is checked after.
+    ///
+    /// # Errors
+    ///
+    /// Codewords that ran past `bytes`, and padding that is not zero.
+    fn decode(&mut self, bytes: &[u8], len: usize) -> Result<usize, BinDecodeError> {
+        let SuffixTable { longest, entries, suffix } = self;
+        let longest = *longest;
+        // `window` holds the next `filled` bits, left-aligned; below them
+        // are zeros or the stream's own next bits, so topping it up — a
+        // word at a time, or near the end a byte at a time — is an OR.
+        let (mut window, mut filled, mut next, mut used) = (0u64, 0u32, 0usize, 0usize);
+        for out in &mut suffix[..len] {
+            if filled < longest {
+                if let Some(word) = bytes.get(next..next + 8) {
+                    window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> filled;
+                    let whole = (64 - filled) / 8;
+                    next += whole as usize;
+                    filled += 8 * whole;
+                } else {
+                    while filled <= 56 {
+                        window |= u64::from(bytes.get(next).copied().unwrap_or(0)) << (56 - filled);
+                        next += 1;
+                        filled += 8;
+                    }
+                }
+            }
+            let entry = entries[(window >> (64 - longest)) as usize & (CODE_TABLE_LEN - 1)];
+            let bits = u32::from(entry >> 8);
+            window <<= bits;
+            filled -= bits;
+            used += bits as usize;
+            *out = entry as u8;
+        }
+        let took = used.div_ceil(8);
+        if took > bytes.len() {
+            return Err(BinDecodeError::msg(format!(
+                "truncated: a coded suffix of {used} bits, {} bytes left",
+                bytes.len()
+            )));
+        }
+        if used % 8 != 0 && bytes[took - 1] & (0xff >> (used % 8)) != 0 {
+            return Err(BinDecodeError::msg("a coded suffix's padding bits are not zero"));
+        }
+        Ok(took)
     }
 }
 
@@ -319,7 +508,8 @@ pub(crate) fn front_coded_len(len: usize, shared: usize) -> usize {
 
 /// Appends `current` front-coded against a base it shares its first
 /// `shared` bytes with: that length as a varint,
-/// then the rest of `current` length-prefixed.
+/// then the rest of `current` length-prefixed — the raw form, which a
+/// member writes through [`SeqEncoder::put_front_coded`].
 pub fn put_front_coded(buf: &mut Vec<u8>, current: &[u8], shared: usize) {
     put_varint(buf, shared as u64);
     put_bytes(buf, &current[shared..]);
@@ -340,10 +530,10 @@ const DIR_SLOTS: usize = 1024;
 /// Slots a [`DirTable`] lookup examines before it gives up and evicts.
 const DIR_PROBES: usize = 8;
 
-/// The encoder's memory of one member sequence: for each parent
-/// directory, the latest member whose path lies in it — the member a
-/// path reference would name. Fixed-size and open-addressed, so it lives
-/// on its encoder's stack and a frame allocates nothing for it.
+/// A [`SeqEncoder`]'s memory of its sequence's directories: for each
+/// parent directory, the latest member whose path lies in it — the
+/// member a path reference would name. Fixed-size and open-addressed, so
+/// it lives on its encoder's stack and a frame allocates nothing for it.
 ///
 /// A slot is `hash tag << 16 | member index + 1`, zero when empty. The
 /// table never reads a path: two directories whose hashes agree in slot
@@ -353,13 +543,13 @@ const DIR_PROBES: usize = 8;
 /// cost a frame some compression and nothing else; a full neighbourhood
 /// evicts, forgetting a directory, and a member past index 65,534 is
 /// not remembered.
-pub struct DirTable {
+pub(crate) struct DirTable {
     slots: [u32; DIR_SLOTS],
 }
 
 impl DirTable {
     /// An empty table: the start of a sequence.
-    pub fn new() -> DirTable {
+    fn new() -> DirTable {
         DirTable { slots: [0; DIR_SLOTS] }
     }
 
@@ -380,12 +570,6 @@ impl DirTable {
         }
         self.slots[home] = entry;
         None
-    }
-}
-
-impl Default for DirTable {
-    fn default() -> DirTable {
-        DirTable::new()
     }
 }
 
@@ -416,6 +600,228 @@ fn dir_hash(dir: &[u8]) -> u32 {
     (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
 }
 
+/// The encoder's state for one member sequence, carried from member to
+/// member: its directory table, and what becomes of path suffixes — on the
+/// raw pass each is written verbatim and its bytes are counted into a
+/// histogram, on the coded pass ([`code_members`]) each is written as
+/// codewords. Fixed-size: it lives on its writer's stack.
+pub struct SeqEncoder {
+    pub(crate) dirs: DirTable,
+    suffixes: Suffixes,
+}
+
+enum Suffixes {
+    /// How many times each byte value has been written in a suffix.
+    Raw([u32; 256]),
+    /// Each byte value's codeword (`bits << 4 | length`).
+    Coded([u32; 256]),
+}
+
+impl SeqEncoder {
+    /// The raw pass over a new sequence.
+    pub fn new() -> SeqEncoder {
+        SeqEncoder { dirs: DirTable::new(), suffixes: Suffixes::Raw([0; 256]) }
+    }
+
+    /// Appends `current` front-coded against a base it shares its first
+    /// `shared` bytes with: that length as a varint, the suffix's length
+    /// in bytes as a varint, then the suffix — verbatim (and counted), or
+    /// on a coded pass as its codewords, most significant bit first and
+    /// zero-padded to a byte.
+    pub fn put_front_coded(&mut self, buf: &mut Vec<u8>, current: &[u8], shared: usize) {
+        let suffix = &current[shared..];
+        match &mut self.suffixes {
+            Suffixes::Raw(counts) => {
+                suffix.iter().for_each(|&byte| counts[usize::from(byte)] += 1);
+                put_front_coded(buf, current, shared);
+            }
+            Suffixes::Coded(codewords) => {
+                put_varint(buf, shared as u64);
+                put_varint(buf, suffix.len() as u64);
+                // `pending` holds the low `held` bits not yet written (and
+                // above them bits already written, which shift out); they
+                // go out four bytes at a time.
+                let (mut pending, mut held) = (0u64, 0u32);
+                for &byte in suffix {
+                    let codeword = codewords[usize::from(byte)];
+                    let len = codeword & 0xf;
+                    debug_assert!(len > 0, "byte {byte:#x} was not counted on the raw pass");
+                    pending = (pending << len) | u64::from(codeword >> 4);
+                    held += len;
+                    if held >= 32 {
+                        held -= 32;
+                        buf.extend_from_slice(&((pending >> held) as u32).to_be_bytes());
+                    }
+                }
+                while held >= 8 {
+                    held -= 8;
+                    buf.push((pending >> held) as u8);
+                }
+                if held > 0 {
+                    buf.push((pending << (8 - held)) as u8);
+                }
+            }
+        }
+    }
+}
+
+impl Default for SeqEncoder {
+    fn default() -> SeqEncoder {
+        SeqEncoder::new()
+    }
+}
+
+/// A suffix code as the encoder builds it and the table carries it: the
+/// byte values it codes, ascending, and each one's codeword length. The
+/// code is canonical — codewords are assigned in order of length, then
+/// symbol ([`first_codewords`]) — so the lengths are all a decoder needs.
+struct SuffixCode {
+    n: usize,
+    symbols: [u8; 256],
+    lens: [u8; 256],
+}
+
+impl SuffixCode {
+    /// The Huffman code for a raw pass's suffix histogram, its codewords
+    /// limited to [`MAX_CODE_LEN`] bits; `None` when fewer than two byte
+    /// values occur (a code needs two).
+    fn for_counts(counts: &[u32; 256]) -> Option<SuffixCode> {
+        let mut code = SuffixCode { n: 0, symbols: [0; 256], lens: [0; 256] };
+        let mut weights = [0u64; 256];
+        for (first, chunk) in (0..).step_by(8).zip(counts.chunks_exact(8)) {
+            // Most byte values never occur in a frame's suffixes.
+            if chunk.iter().all(|&count| count == 0) {
+                continue;
+            }
+            for (byte, &count) in (first..).zip(chunk) {
+                if count > 0 {
+                    (code.symbols[code.n], weights[code.n]) = (byte as u8, count.into());
+                    code.n += 1;
+                }
+            }
+        }
+        if code.n < 2 {
+            return None;
+        }
+        // Too deep for the decoder's table: flatten the weights and build
+        // again. Weights of one stay one, so this ends at a balanced tree.
+        while !huffman_lengths(&weights[..code.n], &mut code.lens) {
+            weights[..code.n].iter_mut().for_each(|w| *w = w.div_ceil(2));
+        }
+        Some(code)
+    }
+
+    /// Bytes the table takes in a frame.
+    fn table_len(&self) -> usize {
+        1 + self.n + self.n.div_ceil(2)
+    }
+
+    /// Writes the table ([`BinReader::read_code`]) over `out`, which is
+    /// [`SuffixCode::table_len`] bytes.
+    fn put_table(&self, out: &mut [u8]) {
+        let (count, rest) = out.split_first_mut().expect("a table has a count byte");
+        let (symbols, lens) = rest.split_at_mut(self.n);
+        *count = (self.n - 1) as u8;
+        symbols.copy_from_slice(&self.symbols[..self.n]);
+        lens.fill(0);
+        for (i, &len) in self.lens[..self.n].iter().enumerate() {
+            lens[i / 2] |= len << if i % 2 == 0 { 4 } else { 0 };
+        }
+    }
+
+    /// Each byte value's codeword, as [`Suffixes::Coded`] holds it.
+    fn codewords(&self) -> [u32; 256] {
+        let mut next = first_codewords(&self.lens[..self.n]);
+        let mut codewords = [0u32; 256];
+        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens[..self.n]) {
+            let len = usize::from(len);
+            codewords[usize::from(symbol)] = (u32::from(next[len]) << 4) | len as u32;
+            next[len] += 1;
+        }
+        codewords
+    }
+}
+
+/// The first codeword of each length, for a canonical code with `lens`
+/// (each 1..=[`MAX_CODE_LEN`]): each length's codewords follow the
+/// shorter ones', the way deflate assigns them.
+fn first_codewords(lens: &[u8]) -> [u16; MAX_CODE_LEN as usize + 1] {
+    let mut per_len = [0u16; MAX_CODE_LEN as usize + 1];
+    lens.iter().for_each(|&len| per_len[usize::from(len)] += 1);
+    let mut first = [0u16; MAX_CODE_LEN as usize + 1];
+    for len in 1..first.len() {
+        first[len] = (first[len - 1] + per_len[len - 1]) << 1;
+    }
+    first
+}
+
+/// Huffman codeword lengths for `weights` (at least two, none zero),
+/// written to `lens` in the same order; false when the longest exceeds
+/// [`MAX_CODE_LEN`]. Computed in place, after Moffat and Katajainen
+/// ("In-place calculation of minimum-redundancy codes", 1995): one array
+/// of the weights, sorted ascending, becomes the inner nodes' weights
+/// and parent pointers, then their depths, then each leaf's length —
+/// nothing but that array and the sort order, on the stack.
+fn huffman_lengths(weights: &[u64], lens: &mut [u8; 256]) -> bool {
+    let n = weights.len();
+    // Positions sorted by weight, then position: the code is a function
+    // of the histogram alone.
+    let mut order = [0u64; 256];
+    for ((slot, &weight), i) in order.iter_mut().zip(weights).zip(0u64..) {
+        *slot = (weight << 8) | i;
+    }
+    order[..n].sort_unstable();
+    let mut a = [0u64; 256];
+    a.iter_mut().zip(&order[..n]).for_each(|(a, &o)| *a = o >> 8);
+    // Left to right: merge the two lightest of the leaves and the inner
+    // nodes made so far; a merged node's slot then names its parent.
+    a[0] += a[1];
+    let (mut root, mut leaf) = (0, 2);
+    for next in 1..n - 1 {
+        if leaf >= n || a[root] < a[leaf] {
+            (a[next], a[root]) = (a[root], next as u64);
+            root += 1;
+        } else {
+            a[next] = a[leaf];
+            leaf += 1;
+        }
+        if leaf >= n || (root < next && a[root] < a[leaf]) {
+            a[next] += a[root];
+            a[root] = next as u64;
+            root += 1;
+        } else {
+            a[next] += a[leaf];
+            leaf += 1;
+        }
+    }
+    // Right to left: each inner node's depth, from its parent's.
+    a[n - 2] = 0;
+    for next in (0..n - 2).rev() {
+        a[next] = a[a[next] as usize] + 1;
+    }
+    // Right to left: as many leaves at each depth as the inner nodes
+    // there leave room for.
+    let (mut room, mut inner, mut depth) = (1, 0, 0);
+    let (mut root, mut next) = (n as isize - 2, n as isize - 1);
+    while room > 0 {
+        while root >= 0 && a[root as usize] == depth {
+            inner += 1;
+            root -= 1;
+        }
+        while room > inner {
+            a[next as usize] = depth;
+            next -= 1;
+            room -= 1;
+        }
+        (room, inner, depth) = (2 * inner, 0, depth + 1);
+    }
+    for (&o, &len) in order[..n].iter().zip(&a[..n]) {
+        lens[(o & 0xff) as usize] = len as u8;
+    }
+    // The lightest leaf is the deepest.
+    a[0] <= u64::from(MAX_CODE_LEN)
+}
+
 /// A type with a binary payload form, coded relative to the earlier
 /// members of the same sequence. Encoding appends to a reusable scratch
 /// buffer; decoding reads from a [`BinReader`] positioned at the value's
@@ -424,10 +830,11 @@ pub trait BinPayload: Sized {
     /// Appends the binary encoding of `self` to `buf`. `earlier` holds
     /// the members before this one in the same sequence, in order —
     /// empty for the first — and must be what the decoder will be
-    /// handed; `dirs` is the sequence's [`DirTable`], which a member
-    /// with a path consults and updates. Types with nothing to gain
-    /// from either ignore them.
-    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>);
+    /// handed; `seq` is the sequence's [`SeqEncoder`]: a member with a
+    /// path consults and updates its directory table and writes every
+    /// front-coded string through [`SeqEncoder::put_front_coded`]. Types
+    /// with nothing to gain from either ignore them.
+    fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>);
 
     /// Decodes one value coded against `earlier`, consuming exactly its
     /// bytes from `r`.
@@ -441,7 +848,7 @@ pub trait BinPayload: Sized {
 }
 
 impl BinPayload for u64 {
-    fn encode_bin(&self, _earlier: &[Self], _dirs: &mut DirTable, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _earlier: &[Self], _seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.to_le_bytes());
     }
 
@@ -451,7 +858,7 @@ impl BinPayload for u64 {
 }
 
 impl BinPayload for String {
-    fn encode_bin(&self, _earlier: &[Self], _dirs: &mut DirTable, buf: &mut Vec<u8>) {
+    fn encode_bin(&self, _earlier: &[Self], _seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
         put_bytes(buf, self.as_bytes());
     }
 
@@ -477,14 +884,14 @@ pub fn put_member<T: BinPayload>(
     buf: &mut Vec<u8>,
     member: &T,
     earlier: &[T],
-    dirs: &mut DirTable,
+    seq: &mut SeqEncoder,
 ) {
     // One pass, no per-member scratch: a one-byte length is reserved,
     // and the rare member of 128 bytes or more is shifted right to make
     // room for the longer varint.
     let at = buf.len();
     buf.push(0);
-    member.encode_bin(earlier, dirs, buf);
+    member.encode_bin(earlier, seq, buf);
     let len = buf.len() - at - 1;
     let extra = varint_len(len as u64) - 1;
     if extra > 0 {
@@ -508,12 +915,70 @@ pub fn put_member<T: BinPayload>(
 /// members = count varint | count × (len varint | member: len bytes)
 ///           member 0 coded against nothing, member i against members 0..i
 /// ```
+///
+/// This is the raw form, the only one a snapshot block takes; a frame's
+/// sequence is written by [`put_members_coded`].
 pub fn put_members<T: BinPayload>(buf: &mut Vec<u8>, members: &[T]) {
+    put_sequence(buf, members, &mut SeqEncoder::new());
+}
+
+fn put_sequence<T: BinPayload>(buf: &mut Vec<u8>, members: &[T], seq: &mut SeqEncoder) {
     put_varint(buf, members.len() as u64);
-    let mut dirs = DirTable::new();
     for (i, member) in members.iter().enumerate() {
-        put_member(buf, member, &members[..i], &mut dirs);
+        put_member(buf, member, &members[..i], seq);
     }
+}
+
+/// Appends a frame's member sequence, raw or suffix-coded — whichever is
+/// smaller ([`code_members`]) — and returns whether it is coded. A coded
+/// sequence's table is placed at `table_at`, a position at or before the
+/// end of `buf` (a frame puts it after its header's trace section, ahead
+/// of the kind's own fields); what lies between moves up to make room.
+pub fn put_members_coded<T: BinPayload>(buf: &mut Vec<u8>, table_at: usize, members: &[T]) -> bool {
+    let members_at = buf.len();
+    let mut raw = SeqEncoder::new();
+    put_sequence(buf, members, &mut raw);
+    code_members(buf, table_at, members_at, members, &raw)
+}
+
+/// The encoder's cost choice for a member sequence already written raw
+/// at `buf[members_at..]` by `raw`: builds the length-limited Huffman
+/// code of the suffix bytes `raw` counted, writes `members` again under
+/// it and keeps that only when it is smaller, table included — then the
+/// table goes in at `table_at`, what lay between moves up, and the
+/// result is true. Otherwise `buf` is as it was. Like the path
+/// reference, this is a cost choice made frame by frame, not an option.
+///
+/// The coded pass takes the same path bases as the raw one (the choice
+/// weighs raw bytes on both passes), so its suffixes are the very bytes
+/// the code was built from.
+pub fn code_members<T: BinPayload>(
+    buf: &mut Vec<u8>,
+    table_at: usize,
+    members_at: usize,
+    members: &[T],
+    raw: &SeqEncoder,
+) -> bool {
+    let Suffixes::Raw(counts) = &raw.suffixes else { return false };
+    let Some(code) = SuffixCode::for_counts(counts) else { return false };
+    let coded_at = buf.len();
+    let mut coded =
+        SeqEncoder { dirs: DirTable::new(), suffixes: Suffixes::Coded(code.codewords()) };
+    put_sequence(buf, members, &mut coded);
+    let (raw_len, coded_len) = (coded_at - members_at, buf.len() - coded_at);
+    let table_len = code.table_len();
+    if table_len + coded_len >= raw_len {
+        buf.truncate(coded_at);
+        return false;
+    }
+    // [.. table_at | head | raw | coded] → [.. table_at | table | head | coded]:
+    // the coded members land inside the raw ones' room, the head behind
+    // them, and the table before it.
+    buf.copy_within(coded_at.., members_at + table_len);
+    buf.copy_within(table_at..members_at, table_at + table_len);
+    code.put_table(&mut buf[table_at..table_at + table_len]);
+    buf.truncate(members_at + table_len + coded_len);
+    true
 }
 
 /// How many members to reserve room for before decoding a sequence whose
@@ -533,8 +998,9 @@ fn members_to_reserve(count: usize, remaining: usize) -> usize {
 /// # Errors
 ///
 /// A count or member length the bytes cannot hold, a member whose
-/// decoder fails, and a member whose decoder does not consume exactly
-/// the length its prefix announced.
+/// decoder fails, a member whose decoder does not consume exactly the
+/// length its prefix announced, and a suffix code
+/// ([`BinReader::read_code`]) on a sequence without a path to code.
 pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinDecodeError> {
     let count = r.length()?;
     let mut out: Vec<T> = Vec::with_capacity(members_to_reserve(count, r.remaining()));
@@ -553,6 +1019,9 @@ pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinD
         }
         out.push(member);
     }
+    if r.code.is_some() && r.paths.is_none() {
+        return Err(BinDecodeError::msg("a suffix code on a sequence with no paths"));
+    }
     Ok(out)
 }
 
@@ -562,7 +1031,7 @@ mod tests {
 
     fn encoded<T: BinPayload>(value: &T) -> Vec<u8> {
         let mut buf = Vec::new();
-        value.encode_bin(&[], &mut DirTable::new(), &mut buf);
+        value.encode_bin(&[], &mut SeqEncoder::new(), &mut buf);
         buf
     }
 
@@ -821,6 +1290,72 @@ mod tests {
         assert_eq!(members_to_reserve(hostile, FRAME_PATH_BUDGET), MAX_RESERVED_MEMBERS);
         assert_eq!(members_to_reserve(512, 512 * 34), 512, "honest sequences reserve exactly once");
         assert_eq!(members_to_reserve(65_536, 65_536 * 34), 65_536);
+    }
+
+    /// Sums each codeword's share of the code space: exactly
+    /// `1 << MAX_CODE_LEN` for a complete code.
+    fn kraft(lens: &[u8]) -> u32 {
+        lens.iter().map(|&len| 1 << (MAX_CODE_LEN - u32::from(len))).sum()
+    }
+
+    /// Whatever the histogram, the code is complete and no codeword is
+    /// longer than twelve bits: Fibonacci counts — the deepest tree there
+    /// is, 29 bits for 30 symbols — are flattened until twelve suffice;
+    /// even counts of every byte give every byte eight bits; two bytes
+    /// take a bit each; one byte value alone is no code at all.
+    #[test]
+    fn codes_are_complete_and_at_most_twelve_bits_deep() {
+        let mut fibonacci = [0u32; 256];
+        let (mut a, mut b) = (1u32, 1u32);
+        for slot in &mut fibonacci[0x40..0x40 + 30] {
+            *slot = a;
+            (a, b) = (b, a + b);
+        }
+        let code = SuffixCode::for_counts(&fibonacci).unwrap();
+        let lens = &code.lens[..code.n];
+        assert_eq!((code.n, kraft(lens)), (30, 1 << MAX_CODE_LEN));
+        assert_eq!(lens.iter().max(), Some(&12), "flattened to the limit, not past it");
+        assert!(
+            lens.windows(2).all(|pair| pair[0] >= pair[1]),
+            "heavier symbols, shorter codewords"
+        );
+
+        let code = SuffixCode::for_counts(&[7; 256]).unwrap();
+        assert!(code.lens.iter().all(|&len| len == 8));
+        let mut two = [0; 256];
+        (two[b'/' as usize], two[b'x' as usize]) = (1, 1_000);
+        let code = SuffixCode::for_counts(&two).unwrap();
+        assert_eq!((&code.symbols[..2], &code.lens[..2]), (&b"/x"[..], &[1, 1][..]));
+        let mut one = [0; 256];
+        one[b'x' as usize] = 9;
+        assert!(SuffixCode::for_counts(&one).is_none());
+        assert!(SuffixCode::for_counts(&[0; 256]).is_none());
+    }
+
+    /// A table as the encoder writes it is one the reader accepts, and
+    /// every codeword the encoder assigns decodes to its own symbol.
+    #[test]
+    fn every_codeword_decodes_to_its_symbol() {
+        let mut counts = [0u32; 256];
+        for (i, byte) in b"0123456789abcdef/dt".iter().enumerate() {
+            counts[usize::from(*byte)] = 1 + (i as u32 * 37) % 11;
+        }
+        let code = SuffixCode::for_counts(&counts).unwrap();
+        let mut table = vec![0; code.table_len()];
+        code.put_table(&mut table);
+        let mut r = BinReader::new(&table);
+        r.read_code().unwrap();
+        assert!(r.is_empty());
+        let mut reader = r.code.expect("a code was read");
+        let codewords = code.codewords();
+        for &symbol in &code.symbols[..code.n] {
+            let (codeword, len) =
+                (codewords[usize::from(symbol)] >> 4, codewords[usize::from(symbol)] & 0xf);
+            // The codeword, left-aligned in two bytes.
+            let bytes = ((codeword << (16 - len)) as u16).to_be_bytes();
+            assert_eq!(reader.decode(&bytes, 1).unwrap(), usize::from(len > 8) + 1);
+            assert_eq!(reader.suffix[0], symbol);
+        }
     }
 
     #[test]

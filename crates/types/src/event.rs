@@ -5,7 +5,7 @@
 //! (path-resolved, consumer-friendly events, §4 step 2) which the
 //! Aggregator stores and publishes (§4 step 3).
 
-use crate::bin::{BinDecodeError, BinReader, DirTable};
+use crate::bin::{BinDecodeError, BinReader, SeqEncoder};
 use crate::{EventPath, Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -440,7 +440,8 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// path base        varint  k >= 2: the base is the path of the member k before
 ///                          this one; only when flags bit 6 is set — the base is
 ///                          p.path otherwise
-/// path             front-coded against its base
+/// path             front-coded against its base; in a frame with a suffix
+///                  code the suffix is codewords (crate::bin)
 /// src_path         front-coded against this member's own path (a rename
 ///                  usually stays in its directory), only when bit 0 is set
 /// target           seq delta, oid delta, ver delta against p.target; the oid
@@ -456,9 +457,10 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// field precedes the record-type byte, and a reader must know whether
 /// to expect it.
 ///
-/// The encoder takes the path base that costs fewer bytes: the
+/// The encoder takes the path base that costs fewer raw bytes: the
 /// predecessor, or the latest earlier member in the same parent
-/// directory ([`DirTable`]). The decoder follows whatever reference it
+/// directory (the [`SeqEncoder`]'s table) — raw bytes on a coded pass
+/// too, so both passes carry the same suffixes. The decoder follows whatever reference it
 /// is given, within the sequence: a back-distance of 0 or 1, one past the
 /// first member, or one naming a member without an event is refused.
 ///
@@ -472,12 +474,11 @@ impl FileEvent {
         &self,
         earlier: &'a [T],
         event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
-        dirs: &mut DirTable,
+        seq: &mut SeqEncoder,
         buf: &mut Vec<u8>,
     ) {
         use crate::bin::{
-            common_prefix, front_coded_len, put_delta, put_front_coded, put_trace, put_varint,
-            varint_len,
+            common_prefix, front_coded_len, put_delta, put_trace, put_varint, varint_len,
         };
         let prev = earlier.last().and_then(&event_of);
         let same_mdt = self.mdt == prev.map_or(MdtIndex::new(0), |p| p.mdt);
@@ -494,7 +495,7 @@ impl FileEvent {
         let shared_with = |base: &FileEvent| common_prefix(path, base.path.as_str().as_bytes());
         let mut shared = prev.map_or(0, shared_with);
         let mut back = None;
-        let latest = parent_dir(path).and_then(|dir| dirs.replace(dir, earlier.len()));
+        let latest = parent_dir(path).and_then(|dir| seq.dirs.replace(dir, earlier.len()));
         // One back is the predecessor itself, already counted.
         let latest = latest.filter(|at| at + 2 <= earlier.len());
         if let Some((at, base)) = latest.and_then(|at| Some((at, event_of(earlier.get(at)?)?))) {
@@ -534,10 +535,10 @@ impl FileEvent {
         if let Some(distance) = back {
             put_varint(buf, distance as u64);
         }
-        put_front_coded(buf, path, shared);
+        seq.put_front_coded(buf, path, shared);
         if let Some(src) = &self.src_path {
             let src = src.as_str().as_bytes();
-            put_front_coded(buf, src, common_prefix(src, path));
+            seq.put_front_coded(buf, src, common_prefix(src, path));
         }
         let base = prev.map_or(Fid::ZERO, |p| p.target);
         if !same_fid_home {
@@ -658,8 +659,8 @@ fn same_as<'a>(prev: Option<&'a FileEvent>, field: &str) -> Result<&'a FileEvent
 
 /// An event among events: every earlier member is one.
 impl crate::bin::BinPayload for FileEvent {
-    fn encode_bin(&self, earlier: &[Self], dirs: &mut DirTable, buf: &mut Vec<u8>) {
-        self.encode_among(earlier, Some, dirs, buf);
+    fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+        self.encode_among(earlier, Some, seq, buf);
     }
 
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
@@ -757,7 +758,7 @@ mod tests {
     fn encode(ev: &FileEvent, earlier: &[FileEvent]) -> Vec<u8> {
         use crate::bin::BinPayload;
         let mut buf = Vec::new();
-        ev.encode_bin(earlier, &mut DirTable::new(), &mut buf);
+        ev.encode_bin(earlier, &mut SeqEncoder::new(), &mut buf);
         buf
     }
 
@@ -878,6 +879,45 @@ mod tests {
         // `/top/alpha/f1`: distance, 12 shared, a one-byte suffix.
         let third = 1 + (1 + buf[1] as usize) + (1 + buf[2 + buf[1] as usize] as usize);
         assert_eq!(buf[third + 4..third + 8], [2, 12, 1, b'3']);
+    }
+
+    /// A frame's sequence goes out suffix-coded when that is smaller:
+    /// the table lands where the frame asks (here after a one-byte
+    /// header), a reader that has read it decodes the same events, and
+    /// the coded bytes are fewer. Sequences a code does not shrink — one
+    /// path, or none to code — are the raw sequence byte for byte.
+    #[test]
+    fn a_sequence_goes_out_coded_when_that_is_smaller() {
+        use crate::bin::{put_members, put_members_coded, read_members};
+        let rec = sample_record();
+        let events: Vec<FileEvent> = (0..40u64)
+            .map(|i| {
+                let path = format!("/top/d{}/f{:08x}", i % 4, i * 0x9e37_79b9);
+                let mut ev = FileEvent::from_record(&rec, MdtIndex::new(0), path);
+                ev.index += i;
+                ev.src_path = (i % 5 == 0).then(|| format!("/top/d0/old{i}").into());
+                ev
+            })
+            .collect();
+        let mut raw = vec![0xaa];
+        put_members(&mut raw, &events);
+        let mut coded = vec![0xaa];
+        assert!(put_members_coded(&mut coded, 1, &events));
+        assert!(coded.len() < raw.len(), "{} coded bytes, {} raw", coded.len(), raw.len());
+        let mut r = BinReader::new(&coded);
+        assert_eq!(r.u8().unwrap(), 0xaa);
+        r.read_code().unwrap();
+        let got: Vec<FileEvent> = read_members(&mut r).unwrap();
+        assert!(r.is_empty());
+        drop(r);
+        assert_eq!(got, events);
+
+        for few in [&events[1..2], &[]] {
+            let (mut raw, mut coded) = (vec![0xaa], vec![0xaa]);
+            put_members(&mut raw, few);
+            assert!(!put_members_coded(&mut coded, 1, few), "{} members", few.len());
+            assert_eq!(coded, raw);
+        }
     }
 
     /// A path that is not UTF-8 is sent lossily, and its successor's
