@@ -11,7 +11,11 @@
 //! [`StoreServer`](crate::StoreServer) or [`MapServer`](crate::MapServer).
 //! A hello that does not decode, announces another version, or names a
 //! service nobody attached here is refused: logged at error level,
-//! counted in `sdci_net_hello_refused_total{leg}`, connection closed.
+//! counted in `sdci_net_hello_refused_total{leg}`, connection closed. So
+//! is one whose length word claims more than
+//! [`MAX_HELLO_LEN`](crate::wire::MAX_HELLO_LEN) bytes or a binary body —
+//! refused on the word, before a byte of the body is buffered — and one
+//! cut short by the peer closing or going silent for the liveness window.
 //!
 //! A connection whose first four bytes are `GET ` is an HTTP scrape —
 //! as a length word they exceed [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN),
@@ -22,7 +26,8 @@
 use crate::conn::NetConfig;
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::wire::{
-    timed_out, write_hello, FrameReader, Hello, Service, FRAME_HEADER_LEN, WIRE_PROTO,
+    timed_out, write_hello, FrameReader, Hello, Service, BIN_FRAME_BIT, FRAME_HEADER_LEN,
+    MAX_HELLO_LEN, WIRE_PROTO,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -227,6 +232,19 @@ fn serve_conn(
         let _ = sdci_obs::expose::serve_http(stream);
         return;
     }
+    // Bounded before anything is buffered: the reader would otherwise
+    // size its buffer by whatever length the word claims.
+    let word = u32::from_be_bytes(first);
+    if word & BIN_FRAME_BIT != 0 {
+        return refuse("unknown", &stream, "a hello is a JSON frame, not a binary one");
+    }
+    if word as usize > MAX_HELLO_LEN {
+        return refuse(
+            "unknown",
+            &stream,
+            format!("a hello of {word} bytes exceeds {MAX_HELLO_LEN}"),
+        );
+    }
     let Ok(read_half) = stream.try_clone() else { return };
     // A `FrameReader` rather than reads on the raw socket: the heartbeat
     // tick may fire mid-frame, and losing the already-consumed length
@@ -238,7 +256,20 @@ fn serve_conn(
         match reader.read_msg::<Hello>() {
             Ok(hello) => break hello,
             Err(e) if timed_out(&e) && !expired() => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            Err(_) if stop.load(Ordering::Relaxed) => return,
+            Err(e) if timed_out(&e) => {
+                return refuse(
+                    "unknown",
+                    reader.get_ref(),
+                    "no whole hello in the liveness window",
+                );
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ) =>
+            {
                 return refuse("unknown", reader.get_ref(), e);
             }
             Err(_) => return,

@@ -32,26 +32,29 @@
 //! whichever frames were dropped, duplicated or resent around it:
 //!
 //! ```text
-//! +------+-------+----------------------+-----------------------+---------------+
-//! | kind | flags | trace (17B, flags&1) | code table (flags&2)  | kind's fields |
-//! |  u8  |  u8   | id u64, span u64, u8 | n−1, symbols, lengths |               |
-//! +------+-------+----------------------+-----------------------+---------------+
+//! +------+-------+----------------------+------------------+-------------------+---------------+
+//! | kind | flags | trace (17B, flags&1) | path code table  | field code table  | kind's fields |
+//! |  u8  |  u8   | id u64, span u64, u8 | (flags&2)        | (flags&4)         |               |
+//! +------+-------+----------------------+------------------+-------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | members
 //!
-//! members = count varint | count × (len varint | member: len bytes)
-//!           member 0 coded against nothing, member i against members 0..i
+//! members    = count varint | count × (len varint | member: len bytes)
+//!              member 0 coded against nothing, member i against members 0..i
+//! code table = symbol bitmap (32 bytes) | a 4-bit codeword length per symbol
 //! ```
 //!
 //! The member sequence is [`sdci_types::bin::put_members_coded`] /
 //! [`read_members`]: the format lives beside [`BinPayload`], because a
 //! store node's snapshot files are blocks of the same bytes (never
-//! suffix-coded); this module adds the header and head in front of it
-//! and chunks a batch into frames. Flags bit 1 says the frame's path
-//! suffixes are under the Huffman code whose table follows the trace
-//! section ([`BinReader::read_code`]); the writer sets it when that
-//! makes the frame smaller, table included, and not otherwise.
+//! coded); this module adds the header and head in front of it and
+//! chunks a batch into frames. Flags bits 1 and 2 say the member section
+//! is coded — its raw bytes as one bit stream of codewords, the bytes
+//! paths carry verbatim under the path code, the rest under the field
+//! code, whose tables follow the trace section
+//! ([`BinReader::read_codes`]); the writer sets each when it makes the
+//! frame smaller, table included, and not otherwise.
 //!
 //! A member whose decoder does not consume exactly `len` bytes is
 //! `InvalidData`. What front-coding lets a small frame expand to is
@@ -79,7 +82,7 @@
 
 use sdci_types::bin::{
     code_members, put_bytes, put_member, put_members_coded, put_trace, put_varint, read_members,
-    varint_len, BinPayload, BinReader, SeqEncoder, MAX_FRAME_MEMBERS,
+    varint_len, BinPayload, BinReader, SectionCodes, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -104,7 +107,14 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 9;
+pub const WIRE_PROTO: u32 = 10;
+
+/// Longest [`Hello`] body an endpoint reads. The largest legitimate one
+/// is a subscriber's prefix list, and this holds a thousand prefixes of
+/// sixty bytes; an endpoint refuses a length word claiming more before it
+/// buffers a byte of the body, so a peer that has not yet said who it is
+/// cannot make a connection pin [`MAX_FRAME_LEN`] bytes.
+pub const MAX_HELLO_LEN: usize = 64 << 10;
 
 /// The opening frame of every connection: the peer's wire version and
 /// the service it wants from the endpoint it dialed. Always JSON.
@@ -168,9 +178,17 @@ impl WireMsg for Hello {
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the underlying writer.
+/// `InvalidInput` for a hello longer than [`MAX_HELLO_LEN`], which no
+/// endpoint would read; otherwise I/O failures from the underlying
+/// writer.
 pub fn write_hello(w: &mut impl Write, service: Service) -> io::Result<()> {
-    write_msg(w, &Hello { proto: WIRE_PROTO, service })
+    let mut body = Vec::new();
+    Hello { proto: WIRE_PROTO, service }.encode(&mut body)?;
+    if body.len() > MAX_HELLO_LEN {
+        let why = format!("a hello of {} bytes exceeds {MAX_HELLO_LEN}", body.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    }
+    write_frame(w, false, &body)
 }
 
 /// One protocol message. `T` is the event payload type (e.g. `FileEvent`
@@ -302,15 +320,25 @@ const BIN_KIND_DELIVER_BATCH: u8 = 4;
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
 const BIN_FLAG_TRACE: u8 = 1;
 
-/// Flags bit: the members' path suffixes are coded, and the code's table
-/// follows the trace section ([`BinReader::read_code`]).
-const BIN_FLAG_CODE: u8 = 2;
+/// Flags bit: the member section carries a path code, whose table
+/// follows the trace section ([`BinReader::read_codes`]).
+const BIN_FLAG_PATH_CODE: u8 = 2;
+
+/// Flags bit: the member section carries a field code, whose table
+/// follows the path code's, if any.
+const BIN_FLAG_FIELD_CODE: u8 = 4;
+
+/// The flags bits that announce `codes`.
+fn code_flags(codes: SectionCodes) -> u8 {
+    (if codes.path { BIN_FLAG_PATH_CODE } else { 0 })
+        | if codes.field { BIN_FLAG_FIELD_CODE } else { 0 }
+}
 
 /// Size of the trace section [`BIN_FLAG_TRACE`] announces.
 const BIN_TRACE_LEN: usize = 17;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
-/// optional trace section. The code flag is set afterwards, by whoever
+/// optional trace section. The code flags are set afterwards, by whoever
 /// writes the members ([`put_batch`], [`write_batch`]).
 pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     buf.push(kind);
@@ -323,25 +351,25 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
     }
 }
 
-/// Reads the fixed binary header back: `(kind, trace)`. A suffix code
-/// the flags announce is read into `r`, which decodes the members'
-/// suffixes through it.
+/// Reads the fixed binary header back: `(kind, trace)`. The codes the
+/// flags announce are read into `r`, which decodes the member section
+/// through them.
 pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<TraceContext>)> {
     let kind = r.u8().map_err(invalid)?;
     let flags = r.u8().map_err(invalid)?;
-    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODE) != 0 {
+    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE) != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
-    if flags & BIN_FLAG_CODE != 0 {
-        r.read_code().map_err(invalid)?;
-    }
+    let path = flags & BIN_FLAG_PATH_CODE != 0;
+    r.read_codes(SectionCodes { path, field: flags & BIN_FLAG_FIELD_CODE != 0 })
+        .map_err(invalid)?;
     Ok((kind, trace))
 }
 
 /// Appends one whole batch body — header, `head`, members — with the
-/// members suffix-coded when that is smaller
-/// ([`sdci_types::bin::put_members_coded`]), the flag and the table
+/// member section coded when that is smaller
+/// ([`sdci_types::bin::put_members_coded`]), the flags and the tables
 /// placed to say so.
 pub(crate) fn put_batch<T: BinPayload>(
     buf: &mut Vec<u8>,
@@ -354,9 +382,7 @@ pub(crate) fn put_batch<T: BinPayload>(
     bin_header(buf, kind, trace);
     let table_at = buf.len();
     head.put(buf, 0);
-    if put_members_coded(buf, table_at, payloads) {
-        buf[at + 1] |= BIN_FLAG_CODE;
-    }
+    buf[at + 1] |= code_flags(put_members_coded(buf, table_at, payloads));
 }
 
 impl<T: BinPayload> WireMsg for Frame<T> {
@@ -393,7 +419,7 @@ impl<T: BinPayload> WireMsg for Frame<T> {
                 trace,
             },
             BIN_KIND_DELIVER_BATCH => Frame::DeliverBatch {
-                topic: r.str().map_err(invalid)?.to_string(),
+                topic: r.string().map_err(invalid)?,
                 payloads: read_members(&mut r).map_err(invalid)?,
                 trace,
             },
@@ -411,7 +437,7 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 #[derive(Debug, Default)]
 pub struct BinEncoder {
     /// The member section of the frame being packed: each member
-    /// length-prefixed and coded against the ones before it.
+    /// length-prefixed and coded against the ones before it, and noted.
     members: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
@@ -467,11 +493,11 @@ impl BatchHead<'_> {
 /// still gets its own frame — it cannot be split, and the
 /// [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
 ///
-/// The chunk is packed raw, counting its suffix bytes; then
-/// [`code_members`] makes the cost choice for it, exactly as
-/// [`Frame::encode`] does for the same members — a coded frame is never
-/// larger than its raw form, so it fits the cap too. Returns the number
-/// of frames written.
+/// The chunk is packed raw, each member noted
+/// ([`SeqEncoder::for_coding`]); then [`code_members`] makes the cost
+/// choice for it, exactly as [`Frame::encode`] does for the same members
+/// — a coded frame is never larger than its raw form, so it fits the cap
+/// too. Returns the number of frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
@@ -489,7 +515,7 @@ fn write_batch<T: BinPayload>(
     let mut lo = 0;
     while lo < payloads.len() {
         members.clear();
-        let mut seq = SeqEncoder::new();
+        let mut seq = SeqEncoder::for_coding();
         put_member(members, &payloads[lo], &[], &mut seq);
         let mut hi = lo + 1;
         while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
@@ -499,16 +525,12 @@ fn write_batch<T: BinPayload>(
             // member would make, or a chunk packed exactly to the cap
             // would overshoot it when the count grows a byte — fatal at
             // `MAX_FRAME_LEN`, where `write_frame` rejects the frame
-            // instead of splitting it.
-            if fixed + varint_len((hi - lo + 1) as u64) + members.len() > max_len {
+            // instead of splitting it. The notes are not sent.
+            let raw = members.len() - seq.notes_len();
+            if fixed + varint_len((hi - lo + 1) as u64) + raw > max_len {
+                // The member and its note come back out.
+                seq.forget(&members[fits..]);
                 members.truncate(fits);
-                // Its suffixes were counted: count the chunk again
-                // without it (`body` is scratch until the frame is built).
-                seq = SeqEncoder::new();
-                body.clear();
-                for i in lo..hi {
-                    put_member(body, &payloads[i], &payloads[lo..i], &mut seq);
-                }
                 break;
             }
             hi += 1;
@@ -520,9 +542,7 @@ fn write_batch<T: BinPayload>(
         let members_at = body.len();
         put_varint(body, (hi - lo) as u64);
         body.extend_from_slice(members);
-        if code_members(body, table_at, members_at, &payloads[lo..hi], &seq) {
-            body[1] |= BIN_FLAG_CODE;
-        }
+        body[1] |= code_flags(code_members(body, table_at, members_at, &seq));
         write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
@@ -872,9 +892,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":9,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":10,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":9,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":10,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -890,11 +910,27 @@ mod tests {
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in [r#"{"service":"Store"}"#, r#"{"proto":9}"#, r#"{"proto":9,"service":"Nope"}"#]
+        for body in
+            [r#"{"service":"Store"}"#, r#"{"proto":10}"#, r#"{"proto":10,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
         }
+    }
+
+    /// A client never writes a hello an endpoint would refuse for its
+    /// length: a thousand sixty-byte prefixes fit, a megabyte does not.
+    #[test]
+    fn a_hello_longer_than_an_endpoint_reads_is_not_written() {
+        let prefixes =
+            |n: usize, len: usize| Service::Subscriber { prefixes: vec!["p".repeat(len); n] };
+        let mut buf = Vec::new();
+        write_hello(&mut buf, prefixes(1_000, 60)).unwrap();
+        assert!(buf.len() - FRAME_HEADER_LEN <= MAX_HELLO_LEN);
+        let mut buf = Vec::new();
+        let err = write_hello(&mut buf, prefixes(1, 1 << 20)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing was written");
     }
 
     /// The endpoint tells an HTTP scrape from a framed peer by the
@@ -1075,32 +1111,44 @@ mod tests {
     /// emitted, or a chunk sized exactly at the cap overshoots it — at
     /// [`MAX_FRAME_LEN`] that turns a splittable batch into a hard
     /// `write_frame` rejection. `u64` payloads encode to exactly 8
-    /// bytes, so frame sizes are fully predictable:
+    /// bytes, so raw frame sizes are fully predictable:
     /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×(1+8).
+    /// A chunk goes out under a code when that is smaller, so what is
+    /// checked is how many members each chunk holds, and that none is
+    /// over the cap.
     #[test]
     fn binary_chunk_cap_is_exact_at_the_boundary() {
+        let members = |bodies: &[Vec<u8>], cap: usize| -> Vec<usize> {
+            bodies
+                .iter()
+                .map(|body| {
+                    assert!(body.len() <= cap, "a body of {} bytes, cap {cap}", body.len());
+                    match Frame::<u64>::decode(true, body).unwrap() {
+                        Frame::ItemBatch { payloads, .. } => payloads.len(),
+                        other => panic!("expected ItemBatch, got {other:?}"),
+                    }
+                })
+                .collect()
+        };
         let payloads: Vec<u64> = (0..9).collect();
         let three_member_body = 11 + 3 * 9;
 
-        // Cap exactly at a three-member body: three members per frame,
-        // and every emitted body is within the cap.
+        // Cap exactly at a three-member body: three members per frame.
         let bodies = split_at(&payloads, three_member_body);
-        assert_eq!(bodies.len(), 3);
-        assert!(bodies.iter().all(|body| body.len() == three_member_body));
+        assert_eq!(members(&bodies, three_member_body), [3, 3, 3]);
+        assert!(bodies.iter().all(|body| body.len() == three_member_body), "three go out raw");
 
         // One byte under the cap must drop to two members per frame.
         let bodies = split_at(&payloads, three_member_body - 1);
-        assert_eq!(bodies.len(), 5, "9 payloads at 2/frame");
-        assert!(bodies.iter().all(|body| body.len() < three_member_body));
+        assert_eq!(members(&bodies, three_member_body - 1), [2, 2, 2, 2, 1], "9 payloads at 2");
 
         // The count is a varint: the 128th member costs its nine bytes
         // and the count's second byte, and the accounting sees both.
         let payloads: Vec<u64> = (0..200).collect();
         let body_of_128 = 10 + 2 + 128 * 9;
-        assert_eq!(split_at(&payloads, body_of_128)[0].len(), body_of_128);
+        assert_eq!(members(&split_at(&payloads, body_of_128), body_of_128), [128, 72]);
         let bodies = split_at(&payloads, body_of_128 - 1);
-        assert_eq!(bodies[0].len(), 10 + 1 + 127 * 9, "127 members and a one-byte count");
-        assert_eq!(bodies.len(), 2);
+        assert_eq!(members(&bodies, body_of_128 - 1), [127, 73], "127 and a one-byte count");
     }
 
     /// However small its members, a frame closes at the member cap that
@@ -1159,20 +1207,23 @@ mod tests {
         assert_eq!(got, payloads);
     }
 
-    /// The flags byte of every member of an item-batch body whose count
-    /// and member lengths are one byte each.
+    /// The flags byte of every member of an item-batch body, read off its
+    /// members' raw section — what a coded section codes, byte for byte —
+    /// where the count and each member length are one byte.
     fn member_flags(body: &[u8]) -> Vec<u8> {
-        // kind, flags, a code's table (n−1, n symbols, n nibbles),
-        // first_seq (8), count.
-        let n = body[2] as usize + 1;
-        let table = if body[1] & BIN_FLAG_CODE == 0 { 0 } else { 1 + n + n.div_ceil(2) };
-        let mut at = 11 + table;
+        let Frame::ItemBatch { payloads, .. } = Frame::<FileEvent>::decode(true, body).unwrap()
+        else {
+            panic!("an item batch");
+        };
+        let raw = raw_item_body(&payloads);
+        // kind, flags, first_seq (8), count.
+        let mut at = 11;
         let mut flags = Vec::new();
-        while at < body.len() {
-            flags.push(body[at + 1]);
-            at += 1 + body[at] as usize;
+        while at < raw.len() {
+            flags.push(raw[at + 1]);
+            at += 1 + raw[at] as usize;
         }
-        assert_eq!(flags.len(), body[10 + table] as usize);
+        assert_eq!(flags.len(), raw[10] as usize);
         flags
     }
 
@@ -1197,7 +1248,9 @@ mod tests {
         assert!(flags[..2].iter().all(|f| f & PATH_REF == 0));
         assert!(flags[2..].iter().all(|f| f & PATH_REF != 0), "{flags:x?}");
 
-        for cap in [whole[0].len() - 1, whole[0].len() / 2, whole[0].len() / 5, 60] {
+        // The chunker splits on raw sizes; a coded chunk is smaller still.
+        let raw = raw_item_body(&payloads).len();
+        for cap in [raw - 1, raw / 2, raw / 5, 60] {
             let chunks = split_at(&payloads, cap);
             assert!(chunks.len() > 1, "cap {cap} splits");
             let mut got = Vec::new();
@@ -1399,7 +1452,7 @@ mod tests {
         prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
         let raw = raw_item_body(payloads);
         prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
-        if body[1] & BIN_FLAG_CODE == 0 {
+        if body[1] & (BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE) == 0 {
             prop_assert_eq!(&body, &raw);
         }
         for cap in 0..=body.len() {
@@ -1446,15 +1499,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Whatever the paths, coded or not, a frame is exact and never
-        /// larger than its members raw.
+        /// Whatever the paths and the fields beside them, coded or not, a
+        /// frame is exact and never larger than its members raw.
         #[test]
-        fn random_utf8_paths_roundtrip_and_never_cost_more_than_raw(
-            paths in prop::collection::vec((utf8_path(), prop::option::of(utf8_path())), 1..64),
+        fn random_utf8_paths_and_fields_roundtrip_and_never_cost_more_than_raw(
+            members in prop::collection::vec(
+                (utf8_path(), prop::option::of(utf8_path()), file_event()),
+                1..64,
+            ),
         ) {
-            let batch: Vec<FileEvent> = (0..)
-                .zip(paths)
-                .map(|(i, (path, src_path))| FileEvent { path, src_path, ..event(i) })
+            let batch: Vec<FileEvent> = members
+                .into_iter()
+                .map(|(path, src_path, fields)| FileEvent { path, src_path, ..fields })
                 .collect();
             let frame = Frame::ItemBatch { first_seq: 1, payloads: batch.clone(), trace: None };
             let mut body = Vec::new();
@@ -1491,10 +1547,12 @@ mod tests {
     }
 
     /// Two frames a code would not shrink go out raw, byte for byte what
-    /// wire version 8 wrote: a lone heartbeat (no path at all), and
-    /// names over a large alphabet, whose table would cost more than its
-    /// codewords save. Every benchmark workload's names take a few dozen
-    /// byte values, so this is the case no workload shows.
+    /// wire version 8 wrote: a lone heartbeat (no path at all, three
+    /// bytes of fields), and names over a large alphabet, whose path
+    /// table would cost more than its codewords save — and eight members'
+    /// fields pay for no field table either. Every benchmark workload's
+    /// names take a few dozen byte values, so this is the case no
+    /// workload shows.
     #[test]
     fn frames_a_code_would_not_shrink_go_out_raw() {
         let heartbeat = Frame::DeliverBatch {
@@ -1516,18 +1574,25 @@ mod tests {
         let frame = Frame::ItemBatch { first_seq: 1, payloads: wide.clone(), trace: None };
         let mut body = Vec::new();
         frame.encode(&mut body).unwrap();
-        assert_eq!(body[1] & BIN_FLAG_CODE, 0, "a code over 90-odd byte values does not pay");
+        assert_eq!(body[1], 0, "a code over 90-odd byte values does not pay");
         assert_eq!(body, raw_item_body(&wide));
         let mut written = Vec::new();
         write_item_batch_bin(&mut written, &mut BinEncoder::new(), 1, &wide, None).unwrap();
         assert_eq!(raw_frames(&written), [(true, body)]);
     }
 
-    /// Frames of the benchmark's shape go out coded, and a code's flag
-    /// and table sit where the header says: after the trace section,
-    /// before the kind's own fields.
+    /// How many bytes the code table at the front of `bytes` takes: its
+    /// bitmap, and a nibble per byte value the bitmap names.
+    fn table_len(bytes: &[u8]) -> usize {
+        let symbols: u32 = bytes[..32].iter().map(|byte| byte.count_ones()).sum();
+        32 + (symbols as usize).div_ceil(2)
+    }
+
+    /// Frames of the benchmark's shape go out under both codes, and the
+    /// codes' flags and tables sit where the header says: after the trace
+    /// section, the path code's first, before the kind's own fields.
     #[test]
-    fn a_coded_frame_carries_its_table_after_the_trace_section() {
+    fn a_coded_frame_carries_its_tables_after_the_trace_section() {
         let payloads: Vec<FileEvent> = (0..64)
             .map(|i| FileEvent {
                 path: format!("/t0a1b2c3/d{:07x}/f{i:011x}", i % 8).into(),
@@ -1538,13 +1603,13 @@ mod tests {
         let frame = Frame::ItemBatch { first_seq: 77, payloads: payloads.clone(), trace };
         let mut body = Vec::new();
         frame.encode(&mut body).unwrap();
-        assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_CODE);
-        // The table: n−1, then n ascending symbols — the suffixes' bytes.
-        let n = usize::from(body[2 + BIN_TRACE_LEN]) + 1;
-        let symbols = &body[3 + BIN_TRACE_LEN..3 + BIN_TRACE_LEN + n];
-        assert!(symbols.windows(2).all(|pair| pair[0] < pair[1]));
-        assert!(symbols.contains(&b'/') && symbols.contains(&b'f') && !symbols.contains(&b'z'));
-        let head = 3 + BIN_TRACE_LEN + n + n.div_ceil(2);
+        assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE);
+        // The path code's bitmap names the suffixes' bytes.
+        let path_at = 2 + BIN_TRACE_LEN;
+        let names = |byte: u8| body[path_at + usize::from(byte >> 3)] >> (byte & 7) & 1 == 1;
+        assert!(names(b'/') && names(b'f') && names(b'9') && !names(b'z') && !names(0));
+        let field_at = path_at + table_len(&body[path_at..]);
+        let head = field_at + table_len(&body[field_at..]);
         assert_eq!(body[head..head + 8], 77u64.to_le_bytes());
         assert!(body.len() < raw_item_body(&payloads).len());
         assert_eq!(read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap(), frame);
@@ -1582,6 +1647,33 @@ mod tests {
         put_varint(&mut body, u64::MAX); // count
         let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A store reply is one sequence however long: a consumer's recovery
+    /// asks for up to the store's 65,536 events, eight times the members a
+    /// chunked frame closes at. Coded, it round-trips, and its count is
+    /// one the decoder's member-count rule accepts.
+    #[test]
+    fn a_65_536_member_coded_reply_roundtrips() {
+        use crate::store_rpc::StoreRpc;
+
+        let events: Vec<SequencedEvent> = (0..65_536u64)
+            .map(|i| SequencedEvent {
+                seq: 1 + i,
+                event: FileEvent {
+                    path: format!("/t0a1b2c3/d{:07x}/f{:011x}", i % 64, i * 0x9e37_79b9).into(),
+                    extracted_unix_ns: Some(1_790_000_000_000_000_000 + (i / 256) * 1_000),
+                    ..event(i)
+                },
+            })
+            .collect();
+        assert_eq!(events.len(), 8 * MAX_FRAME_MEMBERS);
+        let reply = StoreRpc::Batch { events };
+        let mut body = Vec::new();
+        assert!(reply.encode(&mut body).unwrap());
+        assert_eq!(body[1], BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE);
+        assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
+        assert_eq!(StoreRpc::decode(true, &body).unwrap(), reply);
     }
 
     #[test]

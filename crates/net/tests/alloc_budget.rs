@@ -100,6 +100,52 @@ fn batch() -> Vec<SequencedEvent> {
         .collect()
 }
 
+/// A batch shaped like the benchmark's `resolve`: creates round-robin
+/// over 8^5 leaf directories at depth six — 57-byte paths, each in a
+/// directory the frame has not met — and, halfway, a leaf's rename: its
+/// new path and its `src_path`.
+fn resolve_batch() -> Vec<SequencedEvent> {
+    let dir = |leaf: u64| -> String {
+        let names = (1..=5).map(|level| {
+            let above = leaf >> (3 * (5 - level));
+            format!("/x{:05x}", above.wrapping_mul(0x9e37_79b9).wrapping_add(level) & 0xf_ffff)
+        });
+        format!("/t0a1b2c3{}", names.collect::<String>())
+    };
+    (0..BATCH)
+        .map(|i| {
+            let leaf = (9_000 + i) % (1 << 15);
+            let renamed = i == BATCH / 2;
+            let (path, src_path) = if renamed {
+                let old = dir(leaf);
+                (format!("{}/x{:05x}", &old[..old.len() - 7], 0xabcde), Some(old.into()))
+            } else {
+                (format!("{}/f{:011x}", dir(leaf), i * 0x9e37_79b9), None)
+            };
+            SequencedEvent {
+                seq: 500_000 + i,
+                event: FileEvent {
+                    index: 70_000 + i,
+                    mdt: MdtIndex::new(0),
+                    changelog_kind: if renamed {
+                        ChangelogKind::Rename
+                    } else {
+                        ChangelogKind::Create
+                    },
+                    kind: if renamed { EventKind::Moved } else { EventKind::Created },
+                    time: SimTime::from_nanos(90_000_000 + 1_000 * i),
+                    path: path.into(),
+                    src_path,
+                    target: Fid::new(0x2_4000_0400, i as u32, 0),
+                    is_dir: renamed,
+                    extracted_unix_ns: Some(1_790_000_000_123_456_789),
+                    trace: None,
+                },
+            }
+        })
+        .collect()
+}
+
 /// Decodes `msg`'s one body and returns the allocations that took.
 fn decode_cost<M: WireMsg + PartialEq + std::fmt::Debug>(msg: &M) -> u64 {
     let mut body = Vec::new();
@@ -126,9 +172,9 @@ fn a_256_member_frame_of_each_kind_decodes_in_at_most_eight_allocations() {
     }
 }
 
-/// Checks that `msg` goes out suffix-coded, smaller than `raw` — the same
-/// members laid out raw, as a frame goes out when coding would not pay —
-/// and decodes in exactly the allocations `raw` does.
+/// Checks that `msg` goes out under both codes, smaller than `raw` — the
+/// same members laid out raw, as a frame goes out when coding would not
+/// pay — and decodes in exactly the allocations `raw` does.
 fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
     kind: &str,
     msg: &M,
@@ -136,7 +182,7 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
 ) {
     let mut body = Vec::new();
     msg.encode(&mut body).expect("encodes");
-    assert_eq!(body[1] & 2, 2, "{kind}: a batch of the benchmark's shape goes out coded");
+    assert_eq!(body[1] & 6, 6, "{kind}: a batch of the benchmark's shape goes out coded");
     assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());
     let (decoded, raw_made) = allocations(|| M::decode(true, raw).expect("raw decodes"));
     assert_eq!(&decoded, msg);
@@ -144,14 +190,21 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
     assert_eq!(coded_made, raw_made, "{kind}: coded {coded_made} allocations, raw {raw_made}");
 }
 
-/// A suffix-coded frame decodes in exactly the allocations of the same
-/// members sent raw: its code's lookup table lives in the reader, on the
-/// stack, and the arena — reserved at a multiple of the (now smaller)
-/// body — still holds every path without growing.
+/// A coded frame decodes in exactly the allocations of the same members
+/// sent raw: its codes' lookup tables live in the reader, on the stack,
+/// and the arena — reserved at a multiple of the (now smaller) body —
+/// still holds every path without growing: for the `steady` shape, and
+/// for `resolve`'s long paths in short members, where a coded body
+/// assembles about four path bytes for each of its own.
 #[test]
 fn a_coded_frame_decodes_in_the_allocations_of_a_raw_one() {
+    for sequenced in [batch(), resolve_batch()] {
+        coded_frames_cost_what_raw_ones_do(sequenced);
+    }
+}
+
+fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
     use sdci_types::bin::{put_bytes, put_members};
-    let sequenced = batch();
     let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
     let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
 

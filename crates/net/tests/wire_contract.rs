@@ -8,9 +8,11 @@
 //!   into a feed): the connection is closed, nothing sent behind the
 //!   hello is applied, the refusal is recorded, and the endpoint keeps
 //!   serving peers that speak its version.
-//! * Bytes that are neither a hello nor `GET ` are closed, not routed; a
-//!   silent peer is dropped after the liveness window; `GET /metrics`
-//!   is answered on the same address, outside any fault plan.
+//! * Bytes that are neither a hello nor `GET ` are closed, not routed —
+//!   a hello cut short, and one whose length word claims more than a
+//!   hello can be, are refused like any other; a silent peer is dropped
+//!   after the liveness window; `GET /metrics` is answered on the same
+//!   address, outside any fault plan.
 //! * A lone event on each leg travels as exactly one binary one-member
 //!   batch frame and arrives intact, trace context included.
 //! * A store query and the store ping are the JSON they have always
@@ -359,21 +361,59 @@ fn post_and_garbage_first_bytes_are_closed_not_routed() {
     let addr = endpoint.local_addr();
     let before = refused("unknown");
     // `POST` (and any other text) reads as an oversized length word; a
-    // binary-flagged or non-JSON body is no hello either.
-    let hostile: [&[u8]; 5] = [
+    // binary-flagged or non-JSON body is no hello either, nor is one the
+    // peer cuts short by closing.
+    let hostile: [&[u8]; 6] = [
         b"POST /metrics HTTP/1.1\r\nHost: sdci\r\n\r\n",
         b"get /metrics HTTP/1.1\r\n\r\n",
         &[0xff; 64],
         &[0x80, 0, 0, 2, 1, 0],
         b"\0\0\0\x08not json",
+        b"\0\0\0\x30{\"proto\":10,\"serv",
     ];
     for bytes in hostile {
         let what = String::from_utf8_lossy(bytes).into_owned();
-        assert_closed_unanswered(&mut connect_and_send(addr, bytes), &what);
+        let mut stream = connect_and_send(addr, bytes);
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_closed_unanswered(&mut stream, &what);
     }
     assert_eq!(refused("unknown"), before + hostile.len() as u64, "each one is recorded");
     assert_eq!(pull.stats().accepted, 0, "nothing hostile reached a service");
     assert!(http_get(addr, "/metrics").0.contains("200"), "the front door still answers");
+    endpoint.shutdown();
+}
+
+/// An unauthenticated peer's length word sizes nothing: one claiming a
+/// body just under `MAX_FRAME_LEN`, then silence, is refused on the word
+/// alone — at once, not after the liveness window — and so is a word one
+/// byte over `MAX_HELLO_LEN`; a hello cut short and left silent is
+/// refused when the window runs out. Meanwhile another peer on the same
+/// endpoint is served.
+#[test]
+fn a_hello_length_word_past_what_a_hello_can_be_is_refused_before_it_is_buffered() {
+    let _serial = endpoints();
+    let cfg = fast_cfg();
+    let store = StoreServer::new(Arc::new(EventStore::new(64)));
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![store.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let before = refused("unknown");
+    let over = (sdci_net::wire::MAX_HELLO_LEN as u32 + 1).to_be_bytes();
+    for word in [0x03FF_FFFFu32.to_be_bytes(), over] {
+        let sent = Instant::now();
+        let mut silent = connect_and_send(addr, &word);
+        assert_closed_unanswered(&mut silent, &format!("length word {word:x?}"));
+        assert!(sent.elapsed() < cfg.liveness / 2, "refused after {:?}", sent.elapsed());
+    }
+    assert_eq!(refused("unknown"), before + 2, "each one is recorded");
+
+    let sent = Instant::now();
+    let mut cut = connect_and_send(addr, b"\0\0\0\x30{\"proto\":10");
+    let remote = RemoteStore::connect(addr, fast_cfg());
+    assert!(remote.try_query(&StoreQuery::after_seq(0)).is_ok(), "another peer is served");
+    assert_closed_unanswered(&mut cut, "a hello cut short");
+    assert!(sent.elapsed() >= cfg.liveness, "refused after {:?}", sent.elapsed());
+    assert_eq!(refused("unknown"), before + 3);
+    assert_eq!(store.queries(), 1);
     endpoint.shutdown();
 }
 

@@ -1,11 +1,14 @@
 //! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
 //! valid kind-1, kind-3 and kind-4 bodies with raw members, and 10,000
-//! of the same bodies suffix-coded, each fed to all three decoders; then
+//! of the same bodies coded — paths under a path code, every other
+//! member byte under a field code — each fed to all three decoders; then
 //! path length and prefix words claiming what the body does not hold;
 //! then hand-laid members whose references and "same as the
 //! predecessor's" bits name what the frame does not hold; then
-//! hand-laid suffix codes and coded suffixes that break every rule of
-//! the code. Every one is decoded or refused as `InvalidData` — the
+//! hand-laid code tables and coded member sections that break every
+//! rule of the codes, and a coded section whose codewords are short
+//! enough to claim far more members than a raw one could hold. Every
+//! one is decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
 //! frame's path arena) is sized by a length, count or prefix word
@@ -101,7 +104,7 @@ impl Rng {
 /// explicit event kind, a trace context, and names whose shared prefix
 /// ends inside a character.
 fn events() -> Vec<FileEvent> {
-    let mut events: Vec<FileEvent> = (0..12u64)
+    let mut events: Vec<FileEvent> = (0..24u64)
         .map(|i| FileEvent {
             index: 40 + i,
             mdt: MdtIndex::new(0),
@@ -182,9 +185,11 @@ fn allocation_bound(body: &[u8]) -> usize {
     (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN)
 }
 
-/// Frame-header flags bit 1: the members' suffixes are coded, and the
-/// code's table follows the trace section.
-const CODE: u8 = 2;
+/// Frame-header flags bits 1 and 2: the member section carries a path
+/// code, a field code; their tables follow the trace section, in that
+/// order.
+const PATH_CODE: u8 = 2;
+const FIELD_CODE: u8 = 4;
 
 /// The three data-frame kinds' members for `events`: item payloads,
 /// store-batch events (sequenced from 9) and deliver payloads (with a
@@ -200,8 +205,7 @@ fn members_of(events: Vec<FileEvent>) -> (Vec<FileEvent>, Vec<SequencedEvent>, V
 }
 
 /// The three data-frame kinds carrying `events` (see [`members_of`]),
-/// as their encoders write them — suffix-coded, for any names the
-/// code pays on.
+/// as their encoders write them — coded, where a code pays.
 fn bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8>; 3] {
     let (events, sequenced, feed) = members_of(events);
     [
@@ -276,7 +280,8 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     let mut rng = Rng(0x5dc1_0007);
     mutations_decode_or_fail_closed(&mut rng, &raw_bodies_of(events(), trace));
     let coded = bodies_of(events(), trace);
-    assert!(coded.iter().all(|body| body[1] & CODE != 0), "these names go out coded");
+    let both = PATH_CODE | FIELD_CODE;
+    assert!(coded.iter().all(|body| body[1] & both == both), "these members go out coded");
     mutations_decode_or_fail_closed(&mut rng, &coded);
 }
 
@@ -338,67 +343,131 @@ const SAME_FID_HOME: u8 = 1 << 5;
 const SAME_EXTRACTED: u8 = 1 << 6;
 const RESERVED: u8 = 1 << 7;
 
+/// A member, or a member section, laid out by hand: its raw bytes, and
+/// which of them a front-coded path carries verbatim — the bytes a path
+/// code codes; a field code codes the rest.
+#[derive(Clone, Default)]
+struct Laid {
+    bytes: Vec<u8>,
+    path: Vec<bool>,
+}
+
+impl Laid {
+    fn field(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.path.resize(self.bytes.len(), false);
+    }
+
+    fn varint(&mut self, value: u64) {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, value);
+        self.field(&bytes);
+    }
+
+    fn path(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.path.resize(self.bytes.len(), true);
+    }
+
+    /// `member` behind its length, as a sequence holds it.
+    fn member(&mut self, member: &Laid) {
+        self.varint(member.bytes.len() as u64);
+        self.bytes.extend_from_slice(&member.bytes);
+        self.path.extend_from_slice(&member.path);
+    }
+}
+
 /// One event member laid out by hand — a create on MDT 0, one record and
 /// a nanosecond after its predecessor, its object id one up — with
 /// `flags` and `kind` or-ed into the two bytes that carry bits and the
 /// fields those bits drop left out. `back` is the path reference, when
 /// there is one; the path is `shared` bytes of its base, then `suffix`.
-fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) -> Vec<u8> {
-    let mut carried = Vec::new();
-    put_bytes(&mut carried, suffix);
-    laid_member(flags, kind, back, shared, &carried)
+fn member(flags: u8, kind: u8, back: Option<u64>, shared: usize, suffix: &[u8]) -> Laid {
+    laid_member(flags, kind, back, shared, suffix.len() as u64, suffix)
 }
 
-/// [`member`], its suffix field — the byte (or symbol) count, then the
-/// bytes or codewords — laid out by the caller.
-fn laid_member(flags: u8, kind: u8, back: Option<u64>, shared: usize, carried: &[u8]) -> Vec<u8> {
+/// [`member`], with a suffix whose byte count, `carried`, need not be
+/// how many bytes it has.
+fn laid_member(
+    flags: u8,
+    kind: u8,
+    back: Option<u64>,
+    shared: usize,
+    carried: u64,
+    suffix: &[u8],
+) -> Laid {
     // Bit 4: same MDT; bit 5: the event kind the record type implies.
     let flags = flags | 0x30 | if back.is_some() { PATH_REF } else { 0 };
-    let mut out = vec![flags];
+    let mut out = Laid::default();
+    out.field(&[flags]);
     if flags & NEXT_INDEX == 0 {
-        out.push(2); // index +1
+        out.field(&[2]); // index +1
     }
-    out.extend([1 | kind, 2]); // 01CREAT, time +1
+    out.field(&[1 | kind, 2]); // 01CREAT, time +1
     if let Some(back) = back {
-        put_varint(&mut out, back);
+        out.varint(back);
     }
-    put_varint(&mut out, shared as u64);
-    out.extend_from_slice(carried);
+    out.varint(shared as u64);
+    out.varint(carried);
+    out.path(suffix);
     if kind & SAME_FID_HOME == 0 {
-        out.extend([0, 2, 0]); // seq, oid +1, ver
+        out.field(&[0, 2, 0]); // seq, oid +1, ver
     } else {
-        out.push(2);
+        out.field(&[2]);
     }
     if flags & EXTRACTED != 0 && kind & SAME_EXTRACTED == 0 {
-        out.push(0);
+        out.field(&[0]);
     }
     out
 }
 
-/// The three data-frame kinds carrying hand-laid `members`: as they are
-/// in an item batch, behind a sequence delta in a store batch, behind a
-/// tag and a sequence delta in a deliver batch — where a `None` is a
-/// heartbeat (the other two kinds carry no such member and skip it).
-fn hand_laid(members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
+/// The member sections of the three data-frame kinds carrying hand-laid
+/// `members`: as they are in an item batch, behind a sequence delta in a
+/// store batch, behind a tag and a sequence delta in a deliver batch —
+/// where a `None` is a heartbeat (the other two kinds carry no such
+/// member and skip it).
+fn sections(members: &[Option<Laid>]) -> [Laid; 3] {
+    let mut sections: [Laid; 3] = Default::default();
     let events = members.iter().flatten().count() as u64;
-    let mut item = vec![1, 0];
-    item.extend_from_slice(&7u64.to_le_bytes());
-    put_varint(&mut item, events);
-    let mut store = vec![3, 0];
-    put_varint(&mut store, events);
-    let mut deliver = vec![4, 0];
-    put_bytes(&mut deliver, b"feed/all");
-    put_varint(&mut deliver, members.len() as u64);
+    sections[0].varint(events);
+    sections[1].varint(events);
+    sections[2].varint(members.len() as u64);
     for event in members {
         let Some(event) = event else {
-            put_bytes(&mut deliver, &[1, 0]);
+            let mut heartbeat = Laid::default();
+            heartbeat.field(&[1, 0]);
+            sections[2].member(&heartbeat);
             continue;
         };
-        put_bytes(&mut item, event);
-        put_bytes(&mut store, &[&[2][..], event].concat());
-        put_bytes(&mut deliver, &[&[0, 2][..], event].concat());
+        sections[0].member(event);
+        for (section, prefix) in sections[1..].iter_mut().zip([&[2][..], &[0, 2]]) {
+            let mut member = Laid::default();
+            member.field(prefix);
+            member.bytes.extend_from_slice(&event.bytes);
+            member.path.extend_from_slice(&event.path);
+            section.member(&member);
+        }
     }
+    sections
+}
+
+/// The three kinds' headers with `flags` and `tables`, and their heads.
+fn heads(flags: u8, tables: &[u8]) -> [Vec<u8>; 3] {
+    let mut item = [&[1, flags][..], tables].concat();
+    item.extend_from_slice(&7u64.to_le_bytes());
+    let store = [&[3, flags][..], tables].concat();
+    let mut deliver = [&[4, flags][..], tables].concat();
+    put_bytes(&mut deliver, b"feed/all");
     [item, store, deliver]
+}
+
+/// The three data-frame kinds carrying hand-laid `members` raw.
+fn hand_laid(members: &[Option<Laid>]) -> [Vec<u8>; 3] {
+    let mut bodies = heads(0, &[]);
+    for (body, section) in bodies.iter_mut().zip(sections(members)) {
+        body.extend_from_slice(&section.bytes);
+    }
+    bodies
 }
 
 /// What each kind's own decoder made of its body: the paths it decoded,
@@ -462,7 +531,7 @@ fn references_outside_the_frame_and_bits_without_a_predecessor_are_refused() {
     let twice = decoded_paths(&hand_laid(&[stamped.clone(), Some(every_bit.clone())]));
     assert_eq!(twice, [(); 3].map(|()| all(&["/d/alpha/x", "/d/alpha/x"])));
 
-    let refused = |what: &str, members: &[Option<Vec<u8>>]| {
+    let refused = |what: &str, members: &[Option<Laid>]| {
         assert_eq!(decoded_paths(&hand_laid(members)), [None, None, None], "{what}");
     };
     refused("a reference to itself", &[first(), second(), third(0)]);
@@ -508,7 +577,7 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     // sharing all of the one two back: a few bytes that assemble a page.
     let long = |fill: u8| Some(member(0, 0, None, 0, &[fill; MAX_PATH_LEN]));
     let again = || Some(member(0, 0, Some(2), MAX_PATH_LEN, b""));
-    let chain = |len: usize| -> Vec<Option<Vec<u8>>> {
+    let chain = |len: usize| -> Vec<Option<Laid>> {
         [long(b'p'), long(b'q')].into_iter().chain((2..len).map(|_| again())).collect()
     };
     let honest = decoded_paths(&hand_laid(&chain(8)));
@@ -541,60 +610,122 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
 }
 
-/// `hand_laid` bodies with the code flag set and `table` after the
-/// header — where the encoder puts a code's table.
-fn coded(table: &[u8], members: &[Option<Vec<u8>>]) -> [Vec<u8>; 3] {
-    hand_laid(members).map(|mut body| {
-        body[1] |= CODE;
-        body.splice(2..2, table.iter().copied());
-        body
-    })
+/// A code table as a frame carries it, for `(symbol, codeword length)`
+/// pairs in ascending order: a bitmap of the symbols, then the lengths,
+/// four bits each — whatever the pairs are.
+fn table(lens: &[(u8, u8)]) -> Vec<u8> {
+    let mut out = vec![0; 32];
+    for (i, &(symbol, len)) in lens.iter().enumerate() {
+        out[usize::from(symbol >> 3)] |= 1 << (symbol & 7);
+        if i % 2 == 0 {
+            out.push(len << 4);
+        } else {
+            *out.last_mut().unwrap() |= len;
+        }
+    }
+    out
 }
 
 /// Every byte value, each with an eight-bit codeword: the canonical
 /// codewords are then the bytes themselves, so under this table a coded
-/// member is the raw member, byte for byte.
+/// section is the raw section, byte for byte.
 fn identity() -> Vec<u8> {
-    let mut table = vec![255];
-    table.extend(0..=u8::MAX);
-    table.extend([0x88; 128]);
-    table
+    table(&(0..=u8::MAX).map(|symbol| (symbol, 8)).collect::<Vec<_>>())
 }
 
 /// `/`, `a`, `b` and `x`, two bits each: `00`, `01`, `10`, `11`.
-const FOUR: [u8; 7] = [3, b'/', b'a', b'b', b'x', 0x22, 0x22];
+fn four() -> Vec<u8> {
+    table(&[(b'/', 2), (b'a', 2), (b'b', 2), (b'x', 2)])
+}
 
-/// A coded suffix field: the symbol count, then `bits`.
-fn coded_suffix(count: u64, bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, count);
-    out.extend_from_slice(bits);
+/// Each byte value's canonical codeword (bits, length) under a valid
+/// `table`, written here independently of the encoder; a frame without
+/// the table sends the byte itself in eight bits.
+fn codewords(table: Option<&[u8]>) -> [(u64, u32); 256] {
+    let Some(table) = table else { return std::array::from_fn(|byte| (byte as u64, 8)) };
+    let symbols: Vec<usize> = (0..256).filter(|s| table[s >> 3] >> (s & 7) & 1 == 1).collect();
+    let len = |i: usize| u32::from(table[32 + i / 2] >> (4 - 4 * (i & 1))) & 0xf;
+    let mut out = [(0, 0); 256];
+    let mut next = 0u64;
+    for bits in 1..=12 {
+        for (i, &symbol) in symbols.iter().enumerate() {
+            if len(i) == bits {
+                out[symbol] = (next, bits);
+                next += 1;
+            }
+        }
+        next <<= 1;
+    }
     out
 }
 
-/// A first member whose whole path is the coded suffix `count` + `bits`.
-fn coded_first(count: u64, bits: &[u8]) -> Option<Vec<u8>> {
-    Some(laid_member(0, 0, None, 0, &coded_suffix(count, bits)))
+/// `section` as one bit stream: path bytes under `path`, the rest under
+/// `field`, the final byte's padding bits set from `padding`.
+fn code_section(section: &Laid, path: Option<&[u8]>, field: Option<&[u8]>, padding: u8) -> Vec<u8> {
+    let (path, field) = (codewords(path), codewords(field));
+    let (mut out, mut pending, mut held) = (Vec::new(), 0u64, 0u32);
+    for (&byte, &is_path) in section.bytes.iter().zip(&section.path) {
+        let (bits, len) = if is_path { path[usize::from(byte)] } else { field[usize::from(byte)] };
+        assert!(len > 0, "byte {byte:#x} has no codeword");
+        pending = (pending << len) | bits;
+        held += len;
+        while held >= 8 {
+            held -= 8;
+            out.push((pending >> held) as u8);
+        }
+    }
+    if held > 0 {
+        out.push((pending << (8 - held)) as u8 | (padding & (0xff >> held)));
+    }
+    out
 }
 
-/// Tables that break a rule of the code, and coded suffixes that break
-/// a rule of the suffix, each beside an honest neighbour that decodes:
-/// one symbol; over-subscribed and incomplete lengths; symbols out of
-/// order or twice; a length of 0 or 13 (12 is the longest allowed); a
-/// padding nibble or padding bit that is not zero; more symbols than
-/// the bits left could hold, and codewords that run past the body; a
-/// path one byte over `MAX_PATH_LEN` through its symbol count; and a
-/// code on a frame with no path to code. Each is `InvalidData` from all
-/// three decoders, within the allocation bound.
+/// The three kinds carrying hand-laid `members` under `path` and `field`
+/// tables (`None`: the frame carries no such code), the final padding
+/// bits set from `padding`.
+fn coded_with(
+    path: Option<&[u8]>,
+    field: Option<&[u8]>,
+    padding: u8,
+    members: &[Option<Laid>],
+) -> [Vec<u8>; 3] {
+    let flags = path.map_or(0, |_| PATH_CODE) | field.map_or(0, |_| FIELD_CODE);
+    let tables = [path.unwrap_or_default(), field.unwrap_or_default()].concat();
+    let mut bodies = heads(flags, &tables);
+    for (body, section) in bodies.iter_mut().zip(sections(members)) {
+        body.extend(code_section(&section, path, field, padding));
+    }
+    bodies
+}
+
+/// [`coded_with`], its padding zero.
+fn coded(path: Option<&[u8]>, field: Option<&[u8]>, members: &[Option<Laid>]) -> [Vec<u8>; 3] {
+    coded_with(path, field, 0, members)
+}
+
+/// A first member whose whole path is a suffix of `carried` bytes, `suffix`.
+fn coded_first(carried: u64, suffix: &[u8]) -> Option<Laid> {
+    Some(laid_member(0, 0, None, 0, carried, suffix))
+}
+
+/// Code tables and coded sections that break a rule, each beside an
+/// honest neighbour that decodes: a table cut short, of one symbol, of
+/// over-subscribed or incomplete lengths, of a length of 0 or 13 (12 is
+/// the longest allowed), of a padding nibble that is not zero — the
+/// field code's and the path code's alike; then a section whose final
+/// padding bits are not zero, whose codewords run past the body, whose
+/// suffix claims more bytes than the bits left could hold or a path one
+/// byte over `MAX_PATH_LEN`, and a path code on a section with no path
+/// to code. Each is `InvalidData` from all three decoders, within the
+/// allocation bound, refused with its own message.
 #[test]
-fn a_suffix_code_or_coded_suffix_that_breaks_a_rule_is_refused() {
+fn a_code_table_or_coded_section_that_breaks_a_rule_is_refused() {
     let all = |paths: &[&str]| Some(paths.iter().map(|p| p.to_string()).collect::<Vec<_>>());
-    let decodes = |table: &[u8], members: &[Option<Vec<u8>>], want: &[&str]| {
-        assert_eq!(decoded_paths(&coded(table, members)), [(); 3].map(|()| all(want)));
+    let decodes = |bodies: [Vec<u8>; 3], want: &[&str]| {
+        assert_eq!(decoded_paths(&bodies), [(); 3].map(|()| all(want)));
     };
     // Refused by all three decoders, the item decoder saying `why`.
-    let refused = |why: &str, table: &[u8], members: &[Option<Vec<u8>>]| {
-        let bodies = coded(table, members);
+    let refused = |why: &str, bodies: [Vec<u8>; 3]| {
         assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
         let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
         assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
@@ -604,49 +735,75 @@ fn a_suffix_code_or_coded_suffix_that_breaks_a_rule_is_refused() {
         Some(member(0, 0, None, 3, b"beta/y")),
         Some(member(0, 0, Some(2), 9, b"z")),
     ];
-    decodes(&identity(), &honest, &["/d/alpha/x", "/d/beta/y", "/d/alpha/z"]);
+    let want = ["/d/alpha/x", "/d/beta/y", "/d/alpha/z"];
+    let id = identity();
+    for (path, field) in [(Some(&id[..]), None), (None, Some(&id[..])), (Some(&id), Some(&id))] {
+        decodes(coded(path, field, &honest), &want);
+        // Under identity tables the section is the raw one.
+        let tables = path.map_or(0, <[u8]>::len) + field.map_or(0, <[u8]>::len);
+        assert_eq!(coded(path, field, &honest)[1][2 + tables..], hand_laid(&honest)[1][2..]);
+    }
 
-    // The table.
-    refused("one symbol", &[0, b'/', 0x10], &honest);
-    refused("over-subscribed", &[2, b'/', b'a', b'b', 0x11, 0x10], &honest);
-    refused("incomplete", &[1, b'/', b'a', 0x12], &honest);
-    refused("not strictly ascending", &[1, b'a', b'/', 0x11], &honest);
-    refused("not strictly ascending", &[1, b'/', b'/', 0x11], &honest);
-    refused("length of 0", &[1, b'/', b'a', 0x01], &honest);
-    refused("length of 13", &[1, b'/', b'a', 0xd1], &honest);
+    // The tables, each as the field code (beside an identity path code)
+    // and as the path code (beside no field code).
+    let bad_tables: [(&str, Vec<u8>); 7] = [
+        ("truncated", id[..20].to_vec()),
+        ("fewer than two symbols", table(&[(b'/', 1)])),
+        ("over-subscribed", table(&[(0, 1), (1, 1), (2, 1)])),
+        ("incomplete", table(&[(0, 1), (1, 2)])),
+        ("length of 0", table(&[(0, 1), (1, 0)])),
+        ("length of 13", table(&[(0, 1), (1, 13)])),
+        ("padding nibble", [&table(&[(0, 1), (1, 2), (2, 2)])[..], &[]].concat()),
+    ];
+    for (why, bad) in bad_tables {
+        let mut bad = bad;
+        if why == "padding nibble" {
+            *bad.last_mut().unwrap() |= 1;
+        }
+        let bodies_with = |path: &[u8], field: Option<&[u8]>| {
+            let flags = PATH_CODE | field.map_or(0, |_| FIELD_CODE);
+            // The tables are read before a member byte: no section needed.
+            heads(flags, &[path, field.unwrap_or_default()].concat())
+        };
+        refused(why, bodies_with(&id, Some(&bad)));
+        refused(why, bodies_with(&bad, None));
+    }
     // Lengths 1, 2, ..., 11, 12, 12 are complete: `/` is the one-bit `0`.
-    let longest =
-        [12, b'/', b'a', b'b', b'c', b'd', b'e', b'f', b'g', b'h', b'i', b'j', b'k', b'l'];
-    let longest = [&longest[..], &[0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xc0]].concat();
-    decodes(&longest, &[coded_first(1, &[0])], &["/"]);
-    // `/` 1 bit, `a` and `b` 2: `/ab` is `0 10 11`, then three padding bits.
-    let three = [2, b'/', b'a', b'b', 0x12, 0x20];
-    decodes(&three, &[coded_first(3, &[0b0101_1000])], &["/ab"]);
-    refused("padding nibble", &[2, b'/', b'a', b'b', 0x12, 0x21], &[coded_first(3, &[0x58])]);
+    let longest: Vec<(u8, u8)> = (b'a'..=b'l').zip(2..=12).chain([(b'/', 1), (b'z', 12)]).collect();
+    let mut longest = longest;
+    longest.sort();
+    decodes(coded(Some(&table(&longest)), None, &[coded_first(1, b"/")]), &["/"]);
 
-    // The suffix: `/ab` under FOUR is `00 01 10`, then two padding bits.
-    decodes(&FOUR, &[coded_first(3, &[0b0001_1000])], &["/ab"]);
-    refused("padding bits", &FOUR, &[coded_first(3, &[0b0001_1001])]);
-    refused("padding bits", &FOUR, &[coded_first(3, &[0b0001_1010])]);
-    refused("a coded suffix of 1000 bytes", &FOUR, &[coded_first(1_000, &[0x12])]);
-    refused("exceeds 4096", &FOUR, &[coded_first(u64::MAX, &[0x12])]);
-    // No bits at all: thirteen symbols fit the 24 bits of the object id
-    // fields that follow, but take 26, one byte past the body.
-    refused("a coded suffix of 26 bits", &FOUR, &[coded_first(13, &[])]);
+    // The section. `/ab` under `four` is `00 01 10`, between field bytes
+    // of eight bits each, and the section ends six bits into a byte.
+    let four = four();
+    decodes(coded(Some(&four), None, &[coded_first(3, b"/ab")]), &["/ab"]);
+    refused("padding bits", coded_with(Some(&four), None, 0x01, &[coded_first(3, b"/ab")]));
+    refused("padding bits", coded_with(Some(&four), None, 0x02, &[coded_first(3, b"/ab")]));
+    let cut = coded(Some(&four), None, &[coded_first(3, b"/ab")]).map(|mut body| {
+        body.pop();
+        body
+    });
+    refused("past the body", cut);
+    // A suffix count past what the bits left could hold, or past a page.
+    refused("a coded suffix of 1000 bytes", coded(Some(&four), None, &[coded_first(1_000, b"/a")]));
+    refused("exceeds 4096", coded(Some(&four), None, &[coded_first(u64::MAX, b"/a")]));
     // `/` and 4,095 `a`s is a 4,096-byte path in 1,024 bytes; one `a` more
     // is refused on its count, before a bit is decoded.
-    let page = [&[0b0001_0101][..], &[0x55; 1_023]].concat();
-    let want = format!("/{}", "a".repeat(MAX_PATH_LEN - 1));
-    decodes(&FOUR, &[coded_first(MAX_PATH_LEN as u64, &page)], &[&want]);
-    let over = [&page[..], &[0b0100_0000]].concat();
-    refused("exceeds 4096", &FOUR, &[coded_first(MAX_PATH_LEN as u64 + 1, &over)]);
+    let page = [&b"/"[..], &[b'a'; MAX_PATH_LEN - 1]].concat();
+    let want = String::from_utf8(page.clone()).unwrap();
+    decodes(coded(Some(&four), None, &[coded_first(MAX_PATH_LEN as u64, &page)]), &[&want]);
+    let over = [&page[..], b"a"].concat();
+    refused("exceeds 4096", coded(Some(&four), None, &[coded_first(over.len() as u64, &over)]));
 
-    // A code with nothing to code: no members, or a heartbeat alone.
-    refused("no paths", &identity(), &[]);
-    let [.., deliver] = coded(&identity(), &[None]);
+    // A path code with nothing to code: no members, or a heartbeat alone.
+    refused("no paths", coded(Some(&id), None, &[]));
+    let [.., deliver] = coded(Some(&id), None, &[None]);
     let err = Frame::<FeedMessage>::decode(true, &deliver).unwrap_err();
     assert!(err.to_string().contains("no paths"), "got: {err}");
-    assert_eq!(decoded_paths(&coded(&identity(), &[None])), [None, None, None]);
+    assert_eq!(decoded_paths(&coded(Some(&id), None, &[None])), [None, None, None]);
+    // A field code has something to code in every section.
+    assert_eq!(decoded_paths(&coded(None, Some(&id), &[])), [(); 3].map(|()| all(&[])));
 }
 
 /// A coded suffix is charged to the frame's path budget like any other:
@@ -657,15 +814,55 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
     let long = |fill: u8| Some(member(0, 0, None, 0, &[fill; MAX_PATH_LEN]));
     let again = || Some(member(0, 0, Some(2), MAX_PATH_LEN, b""));
     let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
-    let mut chain: Vec<Option<Vec<u8>>> =
+    let mut chain: Vec<Option<Laid>> =
         [long(b'p'), long(b'q')].into_iter().chain((2..pages).map(|_| again())).collect();
-    let [fits, ..] = coded(&identity(), &chain);
+    let id = identity();
+    let [fits, ..] = coded(Some(&id), Some(&id), &chain);
     assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
     chain.push(coded_first(1, b"/"));
-    let [over, ..] = coded(&identity(), &chain);
+    let [over, ..] = coded(Some(&id), Some(&id), &chain);
     let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &over));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
+}
+
+/// Under a field code, a member can be a few bits: here a heartbeat —
+/// its length, tag and delta, `02 01 00` — takes six. A deliver body of
+/// 2^20 such members is every one of them well formed, and a member
+/// `Vec` that grew to hold them would be eight times what the same bytes
+/// could hold raw. So a section claims no more members than half its
+/// bytes after the count, coded or not: this one is refused on its count
+/// word, within the allocation bound, as is a short run of the same
+/// members, while the run raw decodes. And the encoder never writes a
+/// frame the rule refuses: a long run of heartbeats it sends without a
+/// field code.
+#[test]
+fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
+    // `00` one bit, `01` two, `02` three; the count's bytes five.
+    let short = table(&[(0, 1), (1, 2), (2, 3), (3, 5), (0x20, 5), (0x40, 5), (0x80, 5)]);
+    let deliver = |count: usize| {
+        let [.., body] = coded(None, Some(&short), &vec![None; count]);
+        body
+    };
+    let claimed = 1 << 20;
+    let body = deliver(claimed);
+    assert!(body.len() < claimed, "{} bytes for {claimed} members", body.len());
+    let (ok, largest) = fed::<Frame<FeedMessage>>(&body);
+    assert!(!ok, "2^20 members in {} bytes", body.len());
+    assert!(largest <= allocation_bound(&body), "{largest} bytes for {}", body.len());
+    let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
+    assert!(err.to_string().contains("members claimed"), "got: {err}");
+    let err = Frame::<FeedMessage>::decode(true, &deliver(4_096)).unwrap_err();
+    assert!(err.to_string().contains("members claimed"), "got: {err}");
+    let [.., raw] = hand_laid(&vec![None; 4_096]);
+    assert!(fed::<Frame<FeedMessage>>(&raw).0, "the same members raw");
+
+    let heartbeats: Vec<FeedMessage> =
+        (1..=100_000).map(|last_seq| FeedMessage::Heartbeat { last_seq }).collect();
+    let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
+    let body = body_of(&frame);
+    assert_eq!(body[1] & FIELD_CODE, 0, "three-byte members go out without a field code");
+    assert_eq!(Frame::<FeedMessage>::decode(true, &body).unwrap(), frame);
 }

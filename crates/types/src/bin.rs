@@ -38,17 +38,26 @@
 //! ([`put_members`], [`read_members`]): a count, then each member
 //! length-prefixed. sdci-net puts a frame header in front of it; a
 //! store node's snapshot files are blocks of it under a length and a
-//! checksum. Both close a sequence at [`MAX_FRAME_MEMBERS`].
+//! checksum. The chunked frame writers and the snapshot writer close a
+//! sequence at [`MAX_FRAME_MEMBERS`]; a store reply is one sequence
+//! however long it is — a consumer's recovery query may ask for every
+//! event the store holds, 65,536 by default — so what bounds it is its
+//! reader's [`FRAME_PATH_BUDGET`], not a member cap. Whoever wrote it, a
+//! sequence claims no more members than half the bytes after its count
+//! could hold: a raw member is at least two bytes.
 //!
-//! A frame's sequence may also be **suffix-coded**
-//! ([`put_members_coded`]): the bytes its front-coded paths carry
-//! verbatim take a few dozen values, so one canonical Huffman code
-//! built from the frame's own suffix bytes — its table travels in the
-//! frame ([`BinReader::read_code`]) — carries each suffix as its byte
-//! count and its codewords, padded to a byte. Nothing else in a member
-//! changes, and the encoder keeps the coded form only when it is
-//! smaller, table included ([`code_members`]). A snapshot block is never
-//! coded.
+//! A frame's member section may also be **coded**
+//! ([`put_members_coded`]): it is the raw section with every byte
+//! replaced by a codeword — the bytes front-coded paths carry verbatim
+//! under the frame's *path code*, every other byte (the count, the
+//! length prefixes, flags, deltas, shared lengths, back-distances) under
+//! its *field code*. Both are canonical Huffman codes built from the
+//! frame's own bytes, and their tables travel in the frame
+//! ([`BinReader::read_codes`]). The section is one bit stream, zero-padded
+//! once, at its end. The encoder keeps each code only when it makes the
+//! frame smaller, table included ([`code_members`]); a code the frame
+//! does not carry leaves its bytes as they are, eight bits each. A
+//! snapshot block is never coded.
 //!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
@@ -93,17 +102,21 @@ pub const MAX_PATH_LEN: usize = 4096;
 /// memory one connection can pin.
 pub const FRAME_PATH_BUDGET: usize = 64 << 20;
 
-/// Longest codeword a frame's suffix code may assign: the decoder's
-/// lookup table has `1 << MAX_CODE_LEN` entries.
+/// Longest codeword either of a frame's codes may assign: the decoder's
+/// lookup tables have `1 << MAX_CODE_LEN` entries.
 pub const MAX_CODE_LEN: u32 = 12;
+
+/// Bytes a code table's symbol bitmap takes: one bit per byte value.
+const CODE_BITMAP_LEN: usize = 32;
 
 /// The path arena a [`BinReader`] reserves, per body byte left when its
 /// first path is read — never a length the body claims. A path is mostly
-/// shared with a frame-mate's, and a coded suffix carries a byte in about
-/// half a byte: a coded frame of the benchmark's shape assembles 1.8
-/// path bytes per body byte (31-byte paths in 17-byte members), more
-/// with renames, so at twice the body its arena would grow once.
-const ARENA_PER_BODY_BYTE: usize = 3;
+/// shared with a frame-mate's, and a coded member carries its fields and
+/// suffix in a few bits each: a coded 256-member frame of the benchmark's
+/// `resolve` shape assembles between four and five path bytes per body
+/// byte (57-byte paths in 14-byte members), more with renames, so at four
+/// times the body its arena would grow once.
+const ARENA_PER_BODY_BYTE: usize = 6;
 
 /// A malformed binary payload: truncated field, invalid enum code,
 /// over-long varint, out-of-range delta or prefix length, non-UTF-8
@@ -126,6 +139,15 @@ impl fmt::Display for BinDecodeError {
 
 impl std::error::Error for BinDecodeError {}
 
+/// Which of a member section's two codes a frame carries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SectionCodes {
+    /// The path code: the bytes front-coded paths carry verbatim.
+    pub path: bool,
+    /// The field code: every other byte of the member section.
+    pub field: bool,
+}
+
 /// A cursor over a received binary payload. All reads are bounds-checked
 /// and borrow from the underlying frame; nothing is copied until a field
 /// needs an owned value.
@@ -136,9 +158,10 @@ impl std::error::Error for BinDecodeError {}
 /// drops. A decoder therefore returns its events only after its reader
 /// is gone, and on an error returns none.
 ///
-/// It holds its frame's suffix code too, once [`BinReader::read_code`]
-/// has read one: every front-coded suffix after that is decoded through
-/// it.
+/// It holds its frame's codes too, once [`BinReader::read_codes`] has
+/// read them: inside the member section ([`read_members`]) every
+/// primitive then reads through the field code, and
+/// [`BinReader::front_coded`] reads suffixes through the path code.
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
@@ -146,18 +169,20 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
-    /// The frame's suffix code, when it carries one.
-    code: Option<SuffixTable>,
+    /// `buf.len()` where a raw member section began.
+    section_len: usize,
+    /// The frame's codes, when it carries one.
+    codes: Option<Codes<'a>>,
 }
 
 impl<'a> BinReader<'a> {
     /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`] and no
-    /// suffix code.
+    /// codes.
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, code: None }
+        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, section_len: 0, codes: None }
     }
 
-    /// Bytes not yet consumed.
+    /// Bytes not yet consumed, outside a coded member section.
     pub fn remaining(&self) -> usize {
         self.buf.len()
     }
@@ -168,6 +193,7 @@ impl<'a> BinReader<'a> {
         self.buf.is_empty()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], BinDecodeError> {
         if self.buf.len() < n {
             return Err(BinDecodeError::msg(format!(
@@ -180,18 +206,58 @@ impl<'a> BinReader<'a> {
         Ok(head)
     }
 
+    /// The codes, while a coded member section is being read.
+    #[inline]
+    fn live(&self) -> Option<&Codes<'a>> {
+        self.codes.as_ref().filter(|codes| codes.live)
+    }
+
+    #[inline]
+    fn live_mut(&mut self) -> Option<&mut Codes<'a>> {
+        self.codes.as_mut().filter(|codes| codes.live)
+    }
+
+    /// Bits left to read: in a coded member section, up to its end
+    /// (padding included); elsewhere, eight a byte.
+    #[inline]
+    fn bits_left(&self) -> usize {
+        self.live().map_or(8 * self.buf.len(), Codes::bits_left)
+    }
+
+    /// Most bytes (symbols) the rest of the body could still hold: a
+    /// codeword is at least one bit.
+    #[inline]
+    fn symbols_left(&self) -> usize {
+        self.live().map_or(self.buf.len(), Codes::bits_left)
+    }
+
+    /// Bytes (symbols) of the member section read so far.
+    #[inline]
+    fn position(&self) -> usize {
+        self.live().map_or(self.section_len - self.buf.len(), |codes| codes.symbols)
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, BinDecodeError> {
-        Ok(self.take(1)?[0])
+        match self.live_mut() {
+            Some(codes) => Ok(codes.field()),
+            None => Ok(self.take(1)?[0]),
+        }
     }
 
     /// Reads a fixed-width little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, BinDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        match self.live_mut() {
+            Some(codes) => Ok(u64::from_le_bytes(std::array::from_fn(|_| codes.field()))),
+            None => Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
+        }
     }
 
     /// Reads an unsigned LEB128 varint: at most ten bytes, and the tenth
     /// may only carry the one bit a `u64` has left.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, BinDecodeError> {
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
@@ -208,13 +274,15 @@ impl<'a> BinReader<'a> {
     }
 
     /// Reads a varint length or count. It is unvalidated input: bound it
-    /// by [`BinReader::remaining`] before allocating on its say-so.
+    /// by what the body can still hold before allocating on its say-so.
+    #[inline]
     pub fn length(&mut self) -> Result<usize, BinDecodeError> {
         usize::try_from(self.varint()?).map_err(BinDecodeError::msg)
     }
 
     /// Reads a zig-zag varint delta and applies it to `prev`, modulo
     /// 2^64 — the inverse of [`put_delta`].
+    #[inline]
     pub fn delta(&mut self, prev: u64) -> Result<u64, BinDecodeError> {
         let zigzag = self.varint()?;
         Ok(prev.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg()))
@@ -222,31 +290,40 @@ impl<'a> BinReader<'a> {
 
     /// [`BinReader::delta`] for a 32-bit field: a delta that takes the
     /// value below zero or above `u32::MAX` is an error.
+    #[inline]
     pub fn delta_u32(&mut self, prev: u32) -> Result<u32, BinDecodeError> {
         u32::try_from(self.delta(prev.into())?)
             .map_err(|_| BinDecodeError::msg("delta leaves its 32-bit field"))
     }
 
-    /// Reads a varint-length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8], BinDecodeError> {
-        let len = self.length()?;
-        self.take(len)
-    }
-
     /// Reads a varint-length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<&'a str, BinDecodeError> {
-        std::str::from_utf8(self.bytes()?).map_err(BinDecodeError::msg)
+    pub fn string(&mut self) -> Result<String, BinDecodeError> {
+        let len = self.length()?;
+        let bytes = match self.live_mut() {
+            Some(codes) => {
+                if len > codes.bits_left() {
+                    return Err(BinDecodeError::msg(format!(
+                        "truncated: a string of {len} bytes, {} bits left",
+                        codes.bits_left()
+                    )));
+                }
+                (0..len).map(|_| codes.field()).collect()
+            }
+            None => self.take(len)?.to_vec(),
+        };
+        String::from_utf8(bytes).map_err(BinDecodeError::msg)
     }
 
     /// Reads a front-coded path — the inverse of
     /// [`SeqEncoder::put_front_coded`] — into this reader's arena: the
     /// first `shared` bytes of `base`, then the suffix, carried verbatim
-    /// or, when the frame has a suffix code, as codewords. `base` is any
-    /// path this reader assembled earlier (the predecessor's, or the
-    /// member's a path reference names). The handle is readable once the
-    /// reader has dropped; until then it serves as a later member's base.
+    /// or, in a coded member section, as codewords of the path code.
+    /// `base` is any path this reader assembled earlier (the
+    /// predecessor's, or the member's a path reference names). The handle
+    /// is readable once the reader has dropped; until then it serves as a
+    /// later member's base.
     ///
-    /// The arena is reserved on the first call, at three times the bytes
+    /// The arena is reserved on the first call, at six times the bytes
     /// then left in the body (capped at [`FRAME_PATH_BUDGET`]) and never
     /// at a length the body claims; it grows from there within the
     /// budget.
@@ -258,10 +335,10 @@ impl<'a> BinReader<'a> {
     /// reader's [`FRAME_PATH_BUDGET`] — whichever member the bytes are
     /// shared from, every assembled path is charged to both, before a
     /// coded suffix is decoded — a coded suffix of more bytes than the
-    /// bits left could hold, of codewords running past the body or
-    /// padded with a non-zero bit, and assembled bytes that are not
-    /// UTF-8. The halves are not validated separately: a shared prefix
-    /// may legally end inside a multi-byte character.
+    /// bits left could hold or of codewords running past the body, and
+    /// assembled bytes that are not UTF-8. The halves are not validated
+    /// separately: a shared prefix may legally end inside a multi-byte
+    /// character.
     pub fn front_coded(&mut self, base: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
         let shared = self.length()?;
         let base_len = base.map_or(0, EventPath::len);
@@ -278,19 +355,10 @@ impl<'a> BinReader<'a> {
         self.path_budget = self.path_budget.checked_sub(len).ok_or_else(|| {
             BinDecodeError::msg(format!("frame assembles more than {FRAME_PATH_BUDGET} path bytes"))
         })?;
-        let reserve = (ARENA_PER_BODY_BYTE * self.buf.len()).min(FRAME_PATH_BUDGET);
-        let suffix = match &mut self.code {
+        let reserve = (ARENA_PER_BODY_BYTE * (self.bits_left() / 8)).min(FRAME_PATH_BUDGET);
+        let suffix = match self.codes.as_mut().filter(|codes| codes.live) {
             None => self.take(carried)?,
-            Some(code) => {
-                if carried > self.buf.len().saturating_mul(8) {
-                    return Err(BinDecodeError::msg(format!(
-                        "truncated: a coded suffix of {carried} bytes, {} bytes left",
-                        self.buf.len()
-                    )));
-                }
-                self.buf = &self.buf[code.decode(self.buf, carried)?..];
-                &code.suffix[..carried]
-            }
+            Some(codes) => codes.suffix(carried)?,
         };
         self.paths
             .get_or_insert_with(|| PathArenaBuilder::with_capacity(reserve))
@@ -298,41 +366,68 @@ impl<'a> BinReader<'a> {
             .map_err(BinDecodeError::msg)
     }
 
-    /// Reads a frame's suffix code — the table [`code_members`] places —
-    /// and decodes every later front-coded suffix through it:
+    /// Reads the tables of the codes a frame announces — the path code's
+    /// first, then the field code's, as [`code_members`] places them —
+    /// and decodes the member section through them. Each table is
     ///
     /// ```text
-    /// n−1 u8 | n symbols, strictly ascending | n codeword lengths, 4 bits
-    ///          each, high nibble first, a last odd nibble zero
+    /// bitmap: 32 bytes, bit (s & 7) of byte s >> 3 set when byte value s
+    ///         has a codeword | one 4-bit codeword length per set bit, in
+    ///         ascending order, high nibble first, a last odd nibble zero
     /// ```
     ///
     /// The lengths give the codewords: canonical, in order of length,
-    /// then symbol. The lookup table is built here, on this reader, with
-    /// an entry for every `longest`-bit string.
+    /// then symbol. The lookup tables are built here, on this reader, an
+    /// entry for every `longest`-bit string; a code the frame does not
+    /// carry reads its bytes eight bits each.
     ///
     /// # Errors
     ///
-    /// Truncation, fewer than two symbols, symbols out of order or
-    /// repeated, a length of 0 or above [`MAX_CODE_LEN`], a non-zero
-    /// padding nibble, and lengths that over-subscribe the code or leave
-    /// it incomplete — so every bit string starts with exactly one
-    /// codeword.
-    pub fn read_code(&mut self) -> Result<(), BinDecodeError> {
-        let n = usize::from(self.u8()?) + 1;
-        if n < 2 {
-            return Err(BinDecodeError::msg("a suffix code of one symbol"));
+    /// Truncation, fewer than two symbols, a length of 0 or above
+    /// [`MAX_CODE_LEN`], a non-zero padding nibble, and lengths that
+    /// over-subscribe the code or leave it incomplete — so every bit
+    /// string starts with exactly one codeword.
+    pub fn read_codes(&mut self, announced: SectionCodes) -> Result<(), BinDecodeError> {
+        if !announced.path && !announced.field {
+            return Ok(());
         }
-        let symbols = self.take(n)?;
-        if symbols.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return Err(BinDecodeError::msg("suffix code symbols are not strictly ascending"));
+        let path = if announced.path { Some(self.read_table("path")?) } else { None };
+        let field = if announced.field { Some(self.read_table("field")?) } else { None };
+        let codes = self.codes.get_or_insert_with(Codes::new);
+        codes.path_code = announced.path;
+        for (table, code) in [(&mut codes.path, path), (&mut codes.field, field)] {
+            match code {
+                Some(code) => table.fill(&code),
+                None => table.identity(),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads one code table (see [`BinReader::read_codes`]).
+    fn read_table(&mut self, which: &str) -> Result<Code, BinDecodeError> {
+        let bitmap = self.take(CODE_BITMAP_LEN)?;
+        let mut code = Code { n: 0, symbols: [0; 256], lens: [0; 256] };
+        for (first, word) in (0..).step_by(64).zip(bitmap.chunks_exact(8)) {
+            let mut word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            while word != 0 {
+                code.symbols[code.n] = (first + word.trailing_zeros()) as u8;
+                code.n += 1;
+                word &= word - 1;
+            }
+        }
+        let n = code.n;
+        if n < 2 {
+            return Err(BinDecodeError::msg(format!("a {which} code of fewer than two symbols")));
         }
         let packed = self.take(n.div_ceil(2))?;
         if n % 2 == 1 && packed[n / 2] & 0x0f != 0 {
-            return Err(BinDecodeError::msg("a suffix code's padding nibble is not zero"));
+            return Err(BinDecodeError::msg(format!(
+                "a {which} code's padding nibble is not zero"
+            )));
         }
-        let mut lens = [0u8; 256];
         let mut kraft = 0u32;
-        for (i, len) in lens[..n].iter_mut().enumerate() {
+        for (i, len) in code.lens[..n].iter_mut().enumerate() {
             *len = (packed[i / 2] >> if i % 2 == 0 { 4 } else { 0 }) & 0x0f;
             if *len == 0 || u32::from(*len) > MAX_CODE_LEN {
                 return Err(BinDecodeError::msg(format!("a codeword length of {len}")));
@@ -341,11 +436,44 @@ impl<'a> BinReader<'a> {
         }
         if kraft != 1 << MAX_CODE_LEN {
             let why = if kraft > 1 << MAX_CODE_LEN { "over-subscribed" } else { "incomplete" };
-            return Err(BinDecodeError::msg(format!("an {why} suffix code")));
+            return Err(BinDecodeError::msg(format!("an {why} {which} code")));
         }
-        let table =
-            SuffixTable { longest: 0, entries: [0; CODE_TABLE_LEN], suffix: [0; MAX_PATH_LEN] };
-        self.code.insert(table).fill(symbols, &lens[..n]);
+        Ok(code)
+    }
+
+    /// Enters the member section: from here to its end, a coded frame's
+    /// bytes are one bit stream.
+    fn begin_members(&mut self) {
+        self.section_len = self.buf.len();
+        if let Some(codes) = &mut self.codes {
+            codes.bytes = std::mem::take(&mut self.buf);
+            codes.live = true;
+        }
+    }
+
+    /// Leaves the member section: a coded one ends at its first whole
+    /// byte after the last codeword, and what follows is the frame's
+    /// again.
+    ///
+    /// # Errors
+    ///
+    /// Codewords that ran past the body, padding bits that are not zero,
+    /// and a path code on a section that read no path.
+    fn end_members(&mut self) -> Result<(), BinDecodeError> {
+        let Some(codes) = self.codes.as_mut().filter(|codes| codes.live) else { return Ok(()) };
+        codes.live = false;
+        codes.check_within()?;
+        let (used, bytes) = (codes.bits_used(), codes.bytes);
+        let took = used.div_ceil(8);
+        if used % 8 != 0 && bytes[took - 1] & (0xff >> (used % 8)) != 0 {
+            return Err(BinDecodeError::msg(
+                "the member section's final padding bits are not zero",
+            ));
+        }
+        self.buf = &bytes[took..];
+        if codes.path_code && self.paths.is_none() {
+            return Err(BinDecodeError::msg("a path code on a sequence with no paths"));
+        }
         Ok(())
     }
 
@@ -363,33 +491,33 @@ impl<'a> BinReader<'a> {
     }
 }
 
-/// Entries in a [`SuffixTable`]: one for every [`MAX_CODE_LEN`]-bit
+/// Entries in a [`CodeTable`]: one for every [`MAX_CODE_LEN`]-bit
 /// string, of which a code whose longest codeword is shorter fills the
 /// first `1 << longest`.
 const CODE_TABLE_LEN: usize = 1 << MAX_CODE_LEN;
 
-/// A frame's suffix code as its decoder holds it: indexed by the next
-/// `longest` bits of a coded suffix, each entry is the symbol those bits
-/// begin with (low byte) and its codeword's length (high byte). Beside
-/// it, room for one decoded suffix, which the arena then takes as it
-/// takes a raw one.
-struct SuffixTable {
+/// One code as its decoder holds it: indexed by the next `longest` bits
+/// of the stream, each entry is the symbol those bits begin with (low
+/// byte) and its codeword's length (high byte).
+struct CodeTable {
     longest: u32,
     entries: [u16; CODE_TABLE_LEN],
-    suffix: [u8; MAX_PATH_LEN],
 }
 
-impl fmt::Debug for SuffixTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SuffixTable").field("longest", &self.longest).finish_non_exhaustive()
+impl CodeTable {
+    /// The table of a code a frame does not carry: each byte is itself,
+    /// eight bits.
+    fn identity(&mut self) {
+        self.longest = 8;
+        for (symbol, entry) in self.entries[..256].iter_mut().enumerate() {
+            *entry = (8 << 8) | symbol as u16;
+        }
     }
-}
 
-impl SuffixTable {
-    /// Fills the first `1 << longest` entries for the canonical code of
-    /// `symbols` (ascending) with `lens` — a complete code, so each of
-    /// them is written.
-    fn fill(&mut self, symbols: &[u8], lens: &[u8]) {
+    /// Fills the first `1 << longest` entries for the canonical code
+    /// `code` — a complete code, so each of them is written.
+    fn fill(&mut self, code: &Code) {
+        let (symbols, lens) = (&code.symbols[..code.n], &code.lens[..code.n]);
         self.longest = lens.iter().copied().max().map_or(0, u32::from);
         let mut next = first_codewords(lens);
         for (&symbol, &len) in symbols.iter().zip(lens) {
@@ -401,59 +529,154 @@ impl SuffixTable {
         }
     }
 
-    /// Decodes a suffix of `len` bytes (at most [`MAX_PATH_LEN`]) from the
-    /// codewords at the front of `bytes`, most significant bit first,
-    /// into `self.suffix`, and returns the bytes they took, rounded up to
-    /// a byte. Past the end of `bytes` the loop reads zeros, so it cannot
-    /// fail on its own; what it read is checked after.
+    /// The entry the top `longest` bits of `window` select.
+    fn entry(&self, window: u64) -> u16 {
+        self.entries[(window >> (64 - self.longest)) as usize & (CODE_TABLE_LEN - 1)]
+    }
+}
+
+/// A frame's two codes as its reader holds them, and the bit stream of
+/// its member section while that is being read. Beside them, room for
+/// one decoded suffix, which the arena then takes as it takes a raw one.
+struct Codes<'a> {
+    /// Whether the frame announced a path code (`path` is the identity
+    /// otherwise).
+    path_code: bool,
+    path: CodeTable,
+    field: CodeTable,
+    /// Set while the member section is being read.
+    live: bool,
+    /// The member section and the rest of the body.
+    bytes: &'a [u8],
+    /// The next `filled` bits of the stream, left-aligned; below them are
+    /// zeros or the stream's own next bits, so topping it up — a word at
+    /// a time, or near the end a byte at a time — is an OR.
+    window: u64,
+    filled: u32,
+    /// The first byte of `bytes` not yet in `window`; past the end the
+    /// stream reads zeros, which [`Codes::check_within`] refuses after.
+    next: usize,
+    /// Symbols — raw bytes — read so far.
+    symbols: usize,
+    suffix: [u8; MAX_PATH_LEN],
+}
+
+impl fmt::Debug for Codes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Codes")
+            .field("path_code", &self.path_code)
+            .field("live", &self.live)
+            .field("symbols", &self.symbols)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Tops `window` up to at least 57 bits from `bytes[*next..]`.
+#[inline]
+fn refill(bytes: &[u8], window: &mut u64, filled: &mut u32, next: &mut usize) {
+    if let Some(word) = bytes.get(*next..*next + 8) {
+        *window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> *filled;
+        let whole = (64 - *filled) / 8;
+        *next += whole as usize;
+        *filled += 8 * whole;
+    } else {
+        while *filled <= 56 {
+            *window |= u64::from(bytes.get(*next).copied().unwrap_or(0)) << (56 - *filled);
+            *next += 1;
+            *filled += 8;
+        }
+    }
+}
+
+impl Codes<'_> {
+    /// Codes with empty tables, for [`BinReader::read_codes`] to fill.
+    fn new() -> Self {
+        let table = || CodeTable { longest: 0, entries: [0; CODE_TABLE_LEN] };
+        Codes {
+            path_code: false,
+            path: table(),
+            field: table(),
+            live: false,
+            bytes: &[],
+            window: 0,
+            filled: 0,
+            next: 0,
+            symbols: 0,
+            suffix: [0; MAX_PATH_LEN],
+        }
+    }
+
+    #[inline]
+    fn bits_used(&self) -> usize {
+        8 * self.next - self.filled as usize
+    }
+
+    fn bits_left(&self) -> usize {
+        (8 * self.bytes.len()).saturating_sub(self.bits_used())
+    }
+
+    /// # Errors
+    ///
+    /// Codewords that ran past the body.
+    #[inline]
+    fn check_within(&self) -> Result<(), BinDecodeError> {
+        if self.bits_used() > 8 * self.bytes.len() {
+            return Err(BinDecodeError::msg(format!(
+                "truncated: codewords run {} bits past the body",
+                self.bits_used() - 8 * self.bytes.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// The next byte of a field.
+    #[inline]
+    fn field(&mut self) -> u8 {
+        if self.filled < MAX_CODE_LEN {
+            refill(self.bytes, &mut self.window, &mut self.filled, &mut self.next);
+        }
+        let entry = self.field.entry(self.window);
+        let bits = u32::from(entry >> 8);
+        self.window <<= bits;
+        self.filled -= bits;
+        self.symbols += 1;
+        entry as u8
+    }
+
+    /// The next `len` bytes (at most [`MAX_PATH_LEN`]), a path's suffix.
     ///
     /// # Errors
     ///
-    /// Codewords that ran past `bytes`, and padding that is not zero.
-    fn decode(&mut self, bytes: &[u8], len: usize) -> Result<usize, BinDecodeError> {
-        let SuffixTable { longest, entries, suffix } = self;
-        let longest = *longest;
-        // `window` holds the next `filled` bits, left-aligned; below them
-        // are zeros or the stream's own next bits, so topping it up — a
-        // word at a time, or near the end a byte at a time — is an OR.
-        let (mut window, mut filled, mut next, mut used) = (0u64, 0u32, 0usize, 0usize);
-        for out in &mut suffix[..len] {
-            if filled < longest {
-                if let Some(word) = bytes.get(next..next + 8) {
-                    window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> filled;
-                    let whole = (64 - filled) / 8;
-                    next += whole as usize;
-                    filled += 8 * whole;
-                } else {
-                    while filled <= 56 {
-                        window |= u64::from(bytes.get(next).copied().unwrap_or(0)) << (56 - filled);
-                        next += 1;
-                        filled += 8;
-                    }
-                }
-            }
-            let entry = entries[(window >> (64 - longest)) as usize & (CODE_TABLE_LEN - 1)];
-            let bits = u32::from(entry >> 8);
-            window <<= bits;
-            filled -= bits;
-            used += bits as usize;
-            *out = entry as u8;
-        }
-        let took = used.div_ceil(8);
-        if took > bytes.len() {
+    /// More bytes than the bits left could hold, and codewords that ran
+    /// past the body.
+    fn suffix(&mut self, len: usize) -> Result<&[u8], BinDecodeError> {
+        if len > self.bits_left() {
             return Err(BinDecodeError::msg(format!(
-                "truncated: a coded suffix of {used} bits, {} bytes left",
-                bytes.len()
+                "truncated: a coded suffix of {len} bytes, {} bits left",
+                self.bits_left()
             )));
         }
-        if used % 8 != 0 && bytes[took - 1] & (0xff >> (used % 8)) != 0 {
-            return Err(BinDecodeError::msg("a coded suffix's padding bits are not zero"));
+        let Codes { path, bytes, window, filled, next, suffix, .. } = self;
+        let (mut w, mut f, mut n) = (*window, *filled, *next);
+        for out in &mut suffix[..len] {
+            if f < MAX_CODE_LEN {
+                refill(bytes, &mut w, &mut f, &mut n);
+            }
+            let entry = path.entry(w);
+            let bits = u32::from(entry >> 8);
+            w <<= bits;
+            f -= bits;
+            *out = entry as u8;
         }
-        Ok(took)
+        (*window, *filled, *next) = (w, f, n);
+        self.symbols += len;
+        self.check_within()?;
+        Ok(&self.suffix[..len])
     }
 }
 
 /// Appends `value` as an unsigned LEB128 varint.
+#[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
     while value >= 0x80 {
         buf.push(value as u8 | 0x80);
@@ -474,6 +697,7 @@ pub fn varint_len(value: u64) -> usize {
 
 /// Appends `current − prev` (modulo 2^64, so every pair of values has a
 /// delta) as a zig-zag varint: one byte for steps of −64..=63.
+#[inline]
 pub fn put_delta(buf: &mut Vec<u8>, current: u64, prev: u64) {
     let delta = current.wrapping_sub(prev) as i64;
     put_varint(buf, ((delta << 1) ^ (delta >> 63)) as u64);
@@ -600,68 +824,101 @@ fn dir_hash(dir: &[u8]) -> u32 {
     (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
 }
 
+/// Most front-coded strings one member writes — a [`crate::FileEvent`]'s
+/// `path` and `src_path` — and so the most path suffixes a frame's raw
+/// pass notes for it.
+const MAX_MEMBER_PATHS: usize = 2;
+
 /// The encoder's state for one member sequence, carried from member to
-/// member: its directory table, and what becomes of path suffixes — on the
-/// raw pass each is written verbatim and its bytes are counted into a
-/// histogram, on the coded pass ([`code_members`]) each is written as
-/// codewords. Fixed-size: it lives on its writer's stack.
+/// member: its directory table and, on a frame's raw pass
+/// ([`SeqEncoder::for_coding`]), what [`code_members`] needs to code the
+/// sequence afterwards. Fixed-size: it lives on its writer's stack.
 pub struct SeqEncoder {
     pub(crate) dirs: DirTable,
-    suffixes: Suffixes,
+    notes: Option<Notes>,
 }
 
-enum Suffixes {
-    /// How many times each byte value has been written in a suffix.
-    Raw([u32; 256]),
-    /// Each byte value's codeword (`bits << 4 | length`).
-    Coded([u32; 256]),
+/// A frame's raw pass's notes: the current member's path suffixes, as
+/// (position in the buffer, length), and the bytes of notes written so
+/// far ([`put_member`] writes a member's note right behind it); and the
+/// raw sequence's histograms so far — of its members' bytes, length
+/// prefixes included, and of their path suffixes' bytes alone.
+struct Notes {
+    suffixes: [(usize, usize); MAX_MEMBER_PATHS],
+    n: usize,
+    written: usize,
+    counts: [u32; 256],
+    path_counts: [u32; 256],
 }
 
 impl SeqEncoder {
-    /// The raw pass over a new sequence.
+    /// The encoder for a sequence that is never coded: a snapshot block.
     pub fn new() -> SeqEncoder {
-        SeqEncoder { dirs: DirTable::new(), suffixes: Suffixes::Raw([0; 256]) }
+        SeqEncoder { dirs: DirTable::new(), notes: None }
+    }
+
+    /// The encoder for a frame's raw pass, which [`code_members`] then
+    /// codes: behind each member, [`put_member`] writes a *note* saying
+    /// where the member's path suffixes lie —
+    ///
+    /// ```text
+    /// note = n u8 | n × (offset in the member varint | length varint)
+    /// ```
+    ///
+    /// — which [`code_members`] reads and removes.
+    pub fn for_coding() -> SeqEncoder {
+        let notes = Notes {
+            suffixes: [(0, 0); MAX_MEMBER_PATHS],
+            n: 0,
+            written: 0,
+            counts: [0; 256],
+            path_counts: [0; 256],
+        };
+        SeqEncoder { dirs: DirTable::new(), notes: Some(notes) }
+    }
+
+    /// Bytes of notes written into the sequence so far: what its buffer
+    /// holds beyond the raw sequence.
+    pub fn notes_len(&self) -> usize {
+        self.notes.as_ref().map_or(0, |notes| notes.written)
+    }
+
+    /// Forgets the last member written, which `noted` — the end of its
+    /// buffer, from the member's length prefix on — holds with its note:
+    /// the caller takes those bytes back out.
+    pub fn forget(&mut self, noted: &[u8]) {
+        let Some(notes) = &mut self.notes else { return };
+        let member = Noted::at(noted);
+        for &byte in member.prefix.iter().chain(member.bytes) {
+            notes.counts[usize::from(byte)] -= 1;
+        }
+        for &(offset, len) in &member.suffixes[..member.n] {
+            member.bytes[offset..offset + len]
+                .iter()
+                .for_each(|&byte| notes.path_counts[usize::from(byte)] -= 1);
+        }
+        notes.written -= member.note_len;
     }
 
     /// Appends `current` front-coded against a base it shares its first
-    /// `shared` bytes with: that length as a varint, the suffix's length
-    /// in bytes as a varint, then the suffix — verbatim (and counted), or
-    /// on a coded pass as its codewords, most significant bit first and
-    /// zero-padded to a byte.
+    /// `shared` bytes with ([`put_front_coded`]), noting where its suffix
+    /// lies on a frame's raw pass.
+    ///
+    /// # Panics
+    ///
+    /// On a frame's raw pass, for a member's third front-coded string:
+    /// a member writes at most two.
     pub fn put_front_coded(&mut self, buf: &mut Vec<u8>, current: &[u8], shared: usize) {
         let suffix = &current[shared..];
-        match &mut self.suffixes {
-            Suffixes::Raw(counts) => {
-                suffix.iter().for_each(|&byte| counts[usize::from(byte)] += 1);
-                put_front_coded(buf, current, shared);
-            }
-            Suffixes::Coded(codewords) => {
-                put_varint(buf, shared as u64);
-                put_varint(buf, suffix.len() as u64);
-                // `pending` holds the low `held` bits not yet written (and
-                // above them bits already written, which shift out); they
-                // go out four bytes at a time.
-                let (mut pending, mut held) = (0u64, 0u32);
-                for &byte in suffix {
-                    let codeword = codewords[usize::from(byte)];
-                    let len = codeword & 0xf;
-                    debug_assert!(len > 0, "byte {byte:#x} was not counted on the raw pass");
-                    pending = (pending << len) | u64::from(codeword >> 4);
-                    held += len;
-                    if held >= 32 {
-                        held -= 32;
-                        buf.extend_from_slice(&((pending >> held) as u32).to_be_bytes());
-                    }
-                }
-                while held >= 8 {
-                    held -= 8;
-                    buf.push((pending >> held) as u8);
-                }
-                if held > 0 {
-                    buf.push((pending << (8 - held)) as u8);
-                }
-            }
+        put_varint(buf, shared as u64);
+        put_varint(buf, suffix.len() as u64);
+        if let Some(notes) = self.notes.as_mut().filter(|_| !suffix.is_empty()) {
+            assert!(notes.n < MAX_MEMBER_PATHS, "a member writes at most two front-coded strings");
+            notes.suffixes[notes.n] = (buf.len(), suffix.len());
+            notes.n += 1;
+            tally(suffix, &mut notes.path_counts);
         }
+        buf.extend_from_slice(suffix);
     }
 }
 
@@ -671,22 +928,22 @@ impl Default for SeqEncoder {
     }
 }
 
-/// A suffix code as the encoder builds it and the table carries it: the
-/// byte values it codes, ascending, and each one's codeword length. The
-/// code is canonical — codewords are assigned in order of length, then
-/// symbol ([`first_codewords`]) — so the lengths are all a decoder needs.
-struct SuffixCode {
+/// A code as its table carries it: the byte values it codes, ascending,
+/// and each one's codeword length. The code is canonical — codewords are
+/// assigned in order of length, then symbol ([`first_codewords`]) — so
+/// the lengths are all a decoder needs.
+struct Code {
     n: usize,
     symbols: [u8; 256],
     lens: [u8; 256],
 }
 
-impl SuffixCode {
-    /// The Huffman code for a raw pass's suffix histogram, its codewords
-    /// limited to [`MAX_CODE_LEN`] bits; `None` when fewer than two byte
-    /// values occur (a code needs two).
-    fn for_counts(counts: &[u32; 256]) -> Option<SuffixCode> {
-        let mut code = SuffixCode { n: 0, symbols: [0; 256], lens: [0; 256] };
+impl Code {
+    /// The Huffman code for a histogram, its codewords limited to
+    /// [`MAX_CODE_LEN`] bits; `None` when fewer than two byte values
+    /// occur (a code needs two).
+    fn for_counts(counts: &[u32; 256]) -> Option<Code> {
+        let mut code = Code { n: 0, symbols: [0; 256], lens: [0; 256] };
         let mut weights = [0u64; 256];
         for (first, chunk) in (0..).step_by(8).zip(counts.chunks_exact(8)) {
             // Most byte values never occur in a frame's suffixes.
@@ -711,35 +968,55 @@ impl SuffixCode {
         Some(code)
     }
 
-    /// Bytes the table takes in a frame.
-    fn table_len(&self) -> usize {
-        1 + self.n + self.n.div_ceil(2)
+    /// Bits the bytes `counts` tallies take under this code.
+    fn bits(&self, counts: &[u32; 256]) -> u64 {
+        let coded = self.symbols[..self.n].iter().zip(&self.lens);
+        coded.map(|(&symbol, &len)| u64::from(counts[usize::from(symbol)]) * u64::from(len)).sum()
     }
 
-    /// Writes the table ([`BinReader::read_code`]) over `out`, which is
-    /// [`SuffixCode::table_len`] bytes.
+    /// Bytes the table takes in a frame.
+    fn table_len(&self) -> usize {
+        CODE_BITMAP_LEN + self.n.div_ceil(2)
+    }
+
+    /// Writes the table ([`BinReader::read_codes`]) over `out`, which is
+    /// [`Code::table_len`] bytes.
     fn put_table(&self, out: &mut [u8]) {
-        let (count, rest) = out.split_first_mut().expect("a table has a count byte");
-        let (symbols, lens) = rest.split_at_mut(self.n);
-        *count = (self.n - 1) as u8;
-        symbols.copy_from_slice(&self.symbols[..self.n]);
-        lens.fill(0);
-        for (i, &len) in self.lens[..self.n].iter().enumerate() {
-            lens[i / 2] |= len << if i % 2 == 0 { 4 } else { 0 };
+        let (bitmap, nibbles) = out.split_at_mut(CODE_BITMAP_LEN);
+        bitmap.fill(0);
+        nibbles.fill(0);
+        let coded = self.symbols[..self.n].iter().zip(&self.lens);
+        for (i, (&symbol, &len)) in coded.enumerate() {
+            bitmap[usize::from(symbol >> 3)] |= 1 << (symbol & 7);
+            nibbles[i / 2] |= len << if i % 2 == 0 { 4 } else { 0 };
         }
     }
 
-    /// Each byte value's codeword, as [`Suffixes::Coded`] holds it.
+    /// Each byte value's codeword, as [`BitWriter::put_all`] takes them.
     fn codewords(&self) -> [u32; 256] {
         let mut next = first_codewords(&self.lens[..self.n]);
         let mut codewords = [0u32; 256];
-        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens[..self.n]) {
+        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens) {
             let len = usize::from(len);
             codewords[usize::from(symbol)] = (u32::from(next[len]) << 4) | len as u32;
             next[len] += 1;
         }
         codewords
     }
+
+    /// Each byte's codeword length, zero for a byte the code leaves out.
+    fn len_of(&self) -> [u8; 256] {
+        let mut lens = [0u8; 256];
+        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens) {
+            lens[usize::from(symbol)] = len;
+        }
+        lens
+    }
+}
+
+/// Each byte value a code leaves uncoded, as its own eight-bit codeword.
+fn identity_codewords() -> [u32; 256] {
+    std::array::from_fn(|byte| ((byte as u32) << 4) | 8)
 }
 
 /// The first codeword of each length, for a canonical code with `lens`
@@ -832,8 +1109,9 @@ pub trait BinPayload: Sized {
     /// empty for the first — and must be what the decoder will be
     /// handed; `seq` is the sequence's [`SeqEncoder`]: a member with a
     /// path consults and updates its directory table and writes every
-    /// front-coded string through [`SeqEncoder::put_front_coded`]. Types
-    /// with nothing to gain from either ignore them.
+    /// front-coded string — at most two — through
+    /// [`SeqEncoder::put_front_coded`]. Types with nothing to gain from
+    /// either ignore it.
     fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>);
 
     /// Decodes one value coded against `earlier`, consuming exactly its
@@ -863,15 +1141,15 @@ impl BinPayload for String {
     }
 
     fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
-        Ok(r.str()?.to_string())
+        r.string()
     }
 }
 
-/// Most members one sequence holds. A member assembles at most two paths
-/// of [`MAX_PATH_LEN`], so a sequence of this many stays within its
-/// reader's [`FRAME_PATH_BUDGET`] whatever its paths are: a writer that
-/// closes its frames and snapshot blocks here cannot produce one its
-/// reader refuses.
+/// Most members one chunked frame or snapshot block holds. A member
+/// assembles at most two paths of [`MAX_PATH_LEN`], so a sequence of
+/// this many stays within its reader's [`FRAME_PATH_BUDGET`] whatever
+/// its paths are: a writer that closes its frames and blocks here cannot
+/// produce one its reader refuses.
 pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
 
 /// Most members a decoder reserves room for on a count word's say-so;
@@ -879,7 +1157,8 @@ pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
 const MAX_RESERVED_MEMBERS: usize = 65_536;
 
 /// Appends one sequence member: its length as a varint, then its
-/// encoding against `earlier`, the members of the sequence so far.
+/// encoding against `earlier`, the members of the sequence so far — and,
+/// on a frame's raw pass ([`SeqEncoder::for_coding`]), its note.
 pub fn put_member<T: BinPayload>(
     buf: &mut Vec<u8>,
     member: &T,
@@ -891,6 +1170,9 @@ pub fn put_member<T: BinPayload>(
     // room for the longer varint.
     let at = buf.len();
     buf.push(0);
+    if let Some(notes) = &mut seq.notes {
+        notes.n = 0;
+    }
     member.encode_bin(earlier, seq, buf);
     let len = buf.len() - at - 1;
     let extra = varint_len(len as u64) - 1;
@@ -904,6 +1186,17 @@ pub fn put_member<T: BinPayload>(
         rest >>= 7;
     }
     buf[at + extra] &= 0x7f;
+    if let Some(notes) = &mut seq.notes {
+        tally(&buf[at..], &mut notes.counts);
+        let noted = buf.len();
+        buf.push(notes.n as u8);
+        for &(start, len) in &notes.suffixes[..notes.n] {
+            // Offsets from the member's first byte, which the shift moved.
+            put_varint(buf, (start - at - 1) as u64);
+            put_varint(buf, len as u64);
+        }
+        notes.written += buf.len() - noted;
+    }
 }
 
 /// Appends a member sequence — the one form a run of events takes as
@@ -929,99 +1222,300 @@ fn put_sequence<T: BinPayload>(buf: &mut Vec<u8>, members: &[T], seq: &mut SeqEn
     }
 }
 
-/// Appends a frame's member sequence, raw or suffix-coded — whichever is
-/// smaller ([`code_members`]) — and returns whether it is coded. A coded
-/// sequence's table is placed at `table_at`, a position at or before the
-/// end of `buf` (a frame puts it after its header's trace section, ahead
-/// of the kind's own fields); what lies between moves up to make room.
-pub fn put_members_coded<T: BinPayload>(buf: &mut Vec<u8>, table_at: usize, members: &[T]) -> bool {
+/// Appends a frame's member sequence, raw or coded — whichever is
+/// smaller ([`code_members`]) — and returns the codes it carries. A
+/// coded sequence's tables are placed at `table_at`, a position at or
+/// before the end of `buf` (a frame puts them after its header's trace
+/// section, ahead of the kind's own fields); what lies between moves up
+/// to make room.
+pub fn put_members_coded<T: BinPayload>(
+    buf: &mut Vec<u8>,
+    table_at: usize,
+    members: &[T],
+) -> SectionCodes {
     let members_at = buf.len();
-    let mut raw = SeqEncoder::new();
-    put_sequence(buf, members, &mut raw);
-    code_members(buf, table_at, members_at, members, &raw)
+    let mut seq = SeqEncoder::for_coding();
+    put_sequence(buf, members, &mut seq);
+    code_members(buf, table_at, members_at, &seq)
 }
 
-/// The encoder's cost choice for a member sequence already written raw
-/// at `buf[members_at..]` by `raw`: builds the length-limited Huffman
-/// code of the suffix bytes `raw` counted, writes `members` again under
-/// it and keeps that only when it is smaller, table included — then the
-/// table goes in at `table_at`, what lay between moves up, and the
-/// result is true. Otherwise `buf` is as it was. Like the path
-/// reference, this is a cost choice made frame by frame, not an option.
-///
-/// The coded pass takes the same path bases as the raw one (the choice
-/// weighs raw bytes on both passes), so its suffixes are the very bytes
-/// the code was built from.
-pub fn code_members<T: BinPayload>(
+/// Reads the varint at the front of `bytes` — one this encoder wrote —
+/// and returns it with its length in bytes.
+fn raw_varint(bytes: &[u8]) -> (u64, usize) {
+    let mut value = 0;
+    for (i, &byte) in bytes.iter().enumerate() {
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return (value, i + 1);
+        }
+    }
+    unreachable!("a varint this encoder wrote ends")
+}
+
+/// One member of a noted sequence ([`SeqEncoder::for_coding`]): its
+/// length prefix and bytes, where its path suffixes lie in them, and the
+/// length of its note.
+struct Noted<'a> {
+    prefix: &'a [u8],
+    bytes: &'a [u8],
+    suffixes: [(usize, usize); MAX_MEMBER_PATHS],
+    n: usize,
+    note_len: usize,
+}
+
+impl<'a> Noted<'a> {
+    /// The member at the front of `section`, which must hold one.
+    fn at(section: &'a [u8]) -> Noted<'a> {
+        let (len, prefix_len) = raw_varint(section);
+        let (prefix, rest) = section.split_at(prefix_len);
+        let (bytes, note) = rest.split_at(len as usize);
+        let mut member =
+            Noted { prefix, bytes, suffixes: [(0, 0); MAX_MEMBER_PATHS], n: 0, note_len: 1 };
+        member.n = usize::from(note[0]);
+        for suffix in &mut member.suffixes[..member.n] {
+            let (offset, used) = raw_varint(&note[member.note_len..]);
+            member.note_len += used;
+            let (len, used) = raw_varint(&note[member.note_len..]);
+            member.note_len += used;
+            *suffix = (offset as usize, len as usize);
+        }
+        member
+    }
+
+    /// Bytes of the section this member and its note take.
+    fn whole_len(&self) -> usize {
+        self.prefix.len() + self.bytes.len() + self.note_len
+    }
+}
+
+/// Writes bytes as codewords (`bits << 4 | length`) into a slice sized
+/// for them, four bytes at a time: the low `held` bits of `pending` are
+/// not yet written (above them are bits already written, which shift
+/// out).
+struct BitWriter<'a> {
+    out: &'a mut [u8],
+    at: usize,
+    pending: u64,
+    held: u32,
+}
+
+impl BitWriter<'_> {
+    /// Writes each of `bytes` as its codeword in `codewords`.
+    fn put_all(&mut self, bytes: &[u8], codewords: &[u32; 256]) {
+        let BitWriter { out, at, pending, held } = self;
+        let (mut at_, mut pending_, mut held_) = (*at, *pending, *held);
+        for &byte in bytes {
+            let codeword = codewords[usize::from(byte)];
+            let len = codeword & 0xf;
+            pending_ = (pending_ << len) | u64::from(codeword >> 4);
+            held_ += len;
+            if held_ >= 32 {
+                held_ -= 32;
+                out[at_..at_ + 4].copy_from_slice(&((pending_ >> held_) as u32).to_be_bytes());
+                at_ += 4;
+            }
+        }
+        (*at, *pending, *held) = (at_, pending_, held_);
+    }
+
+    /// Writes the bits still held, zero-padded to a byte, and returns
+    /// how many bytes were written.
+    fn finish(mut self) -> usize {
+        while self.held >= 8 {
+            self.held -= 8;
+            self.out[self.at] = (self.pending >> self.held) as u8;
+            self.at += 1;
+        }
+        if self.held > 0 {
+            self.out[self.at] = (self.pending << (8 - self.held)) as u8;
+            self.at += 1;
+        }
+        self.at
+    }
+}
+
+/// Adds how many times each byte value occurs in `bytes` to `counts`.
+fn tally(bytes: &[u8], counts: &mut [u32; 256]) {
+    bytes.iter().for_each(|&byte| counts[usize::from(byte)] += 1);
+}
+
+/// The encoder's cost choice for a member sequence a frame's raw pass,
+/// `raw` ([`SeqEncoder::for_coding`]), wrote at `buf[members_at..]`, notes
+/// and all: builds the length-limited Huffman codes of the path-suffix
+/// bytes and of every other byte, from the histograms `raw` kept as it
+/// wrote them, and prices the section
+/// raw, under either code and under both — exactly, each byte's codeword
+/// length summed, tables included. The cheapest wins; a form whose count
+/// claims more members than half the bytes after it is not a candidate,
+/// so no writer produces a frame [`read_members`] refuses. When a code
+/// wins, the section is transcoded — each byte replaced by its codeword
+/// under the code of its class — the tables go in at `table_at` (the path
+/// code's first), what lay between moves up, and the codes are returned;
+/// otherwise the notes are taken out and the raw sequence is left. Like
+/// the path reference, this is a cost choice made frame by frame, not an
+/// option. Nothing is allocated beyond `buf`'s own growth.
+pub fn code_members(
     buf: &mut Vec<u8>,
     table_at: usize,
     members_at: usize,
-    members: &[T],
     raw: &SeqEncoder,
-) -> bool {
-    let Suffixes::Raw(counts) = &raw.suffixes else { return false };
-    let Some(code) = SuffixCode::for_counts(counts) else { return false };
-    let coded_at = buf.len();
-    let mut coded =
-        SeqEncoder { dirs: DirTable::new(), suffixes: Suffixes::Coded(code.codewords()) };
-    put_sequence(buf, members, &mut coded);
-    let (raw_len, coded_len) = (coded_at - members_at, buf.len() - coded_at);
-    let table_len = code.table_len();
-    if table_len + coded_len >= raw_len {
-        buf.truncate(coded_at);
-        return false;
+) -> SectionCodes {
+    let Some(notes) = &raw.notes else { return SectionCodes::default() };
+    let section = &buf[members_at..];
+    let (count, count_len) = raw_varint(section);
+    let raw_len = section.len() - notes.written;
+    let (mut field_counts, path_counts) = (notes.counts, notes.path_counts);
+    tally(&section[..count_len], &mut field_counts);
+    field_counts.iter_mut().zip(&path_counts).for_each(|(field, &path)| *field -= path);
+    let (path, field) = (Code::for_counts(&path_counts), Code::for_counts(&field_counts));
+
+    // Each class of bytes: its raw bits, and its bits and table coded.
+    let raw_bits = |counts: &[u32; 256]| 8 * counts.iter().map(|&c| u64::from(c)).sum::<u64>();
+    let priced =
+        |code: &Option<Code>, counts| code.as_ref().map(|c| (c.bits(counts), c.table_len()));
+    let (path_raw, path_coded) = (raw_bits(&path_counts), priced(&path, &path_counts));
+    let (field_raw, field_coded) = (raw_bits(&field_counts), priced(&field, &field_counts));
+    let field_lens = field.as_ref().map(Code::len_of);
+    let mut best = (raw_len, SectionCodes::default());
+    for (use_path, use_field) in [(true, false), (false, true), (true, true)] {
+        let (path_bits, path_table) = match (use_path, path_coded) {
+            (false, _) => (path_raw, 0),
+            (true, Some(coded)) => coded,
+            (true, None) => continue,
+        };
+        let (field_bits, field_table) = match (use_field, field_coded) {
+            (false, _) => (field_raw, 0),
+            (true, Some(coded)) => coded,
+            (true, None) => continue,
+        };
+        let bytes = (path_bits + field_bits).div_ceil(8) as usize;
+        let count_bits: usize = section[..count_len]
+            .iter()
+            .map(|&byte| match &field_lens {
+                Some(lens) if use_field => usize::from(lens[usize::from(byte)]),
+                _ => 8,
+            })
+            .sum();
+        if 16 * count as usize > 8 * bytes - count_bits {
+            continue;
+        }
+        let cost = path_table + field_table + bytes;
+        if cost < best.0 {
+            best = (cost, SectionCodes { path: use_path, field: use_field });
+        }
     }
-    // [.. table_at | head | raw | coded] → [.. table_at | table | head | coded]:
-    // the coded members land inside the raw ones' room, the head behind
-    // them, and the table before it.
-    buf.copy_within(coded_at.., members_at + table_len);
-    buf.copy_within(table_at..members_at, table_at + table_len);
-    code.put_table(&mut buf[table_at..table_at + table_len]);
-    buf.truncate(members_at + table_len + coded_len);
-    true
+    let (cost, chosen) = best;
+    if chosen == SectionCodes::default() {
+        drop_notes(buf, members_at, count, count_len);
+        return chosen;
+    }
+
+    let tables = [(&path, chosen.path), (&field, chosen.field)]
+        .map(|(code, on)| code.as_ref().filter(|_| on))
+        .into_iter()
+        .flatten();
+    let tables_len: usize = tables.clone().map(Code::table_len).sum();
+    let codewords = |code: &Option<Code>, on: bool| match code {
+        Some(code) if on => code.codewords(),
+        _ => identity_codewords(),
+    };
+    let (path_codewords, field_codewords) =
+        (codewords(&path, chosen.path), codewords(&field, chosen.field));
+    let coded_at = buf.len();
+    let coded_len = cost - tables_len;
+    buf.resize(coded_at + coded_len, 0);
+    let (noted, out) = buf.split_at_mut(coded_at);
+    let section = &noted[members_at..];
+    let mut bits = BitWriter { out, at: 0, pending: 0, held: 0 };
+    bits.put_all(&section[..count_len], &field_codewords);
+    let mut at = count_len;
+    for _ in 0..count {
+        let member = Noted::at(&section[at..]);
+        bits.put_all(member.prefix, &field_codewords);
+        let mut from = 0;
+        for &(offset, len) in &member.suffixes[..member.n] {
+            bits.put_all(&member.bytes[from..offset], &field_codewords);
+            bits.put_all(&member.bytes[offset..offset + len], &path_codewords);
+            from = offset + len;
+        }
+        bits.put_all(&member.bytes[from..], &field_codewords);
+        at += member.whole_len();
+    }
+    let written = bits.finish();
+    debug_assert_eq!(written, coded_len, "the price was not the bytes");
+
+    // [.. table_at | head | noted | coded] → [.. table_at | tables | head | coded]:
+    // the coded members land inside the noted ones' room, the head behind
+    // them, and the tables before it.
+    buf.copy_within(coded_at.., members_at + tables_len);
+    buf.copy_within(table_at..members_at, table_at + tables_len);
+    let mut at = table_at;
+    for code in tables {
+        code.put_table(&mut buf[at..at + code.table_len()]);
+        at += code.table_len();
+    }
+    buf.truncate(members_at + tables_len + coded_len);
+    chosen
 }
 
-/// How many members to reserve room for before decoding a sequence whose
-/// count word says `count`, with `remaining` body bytes left. The word
-/// is unvalidated input: it is bounded by what the bytes can hold (a
-/// member is at least its length byte and one byte of encoding) and by
-/// a fixed cap, so it can never size an allocation beyond a multiple of
-/// the body. It is only a reservation: a sequence of more members grows
-/// the `Vec` as they decode.
-fn members_to_reserve(count: usize, remaining: usize) -> usize {
-    count.min(remaining / 2).min(MAX_RESERVED_MEMBERS)
+/// Takes the notes out of a noted sequence of `count` members at
+/// `buf[members_at..]`, leaving the raw sequence.
+fn drop_notes(buf: &mut Vec<u8>, members_at: usize, count: u64, count_len: usize) {
+    let (mut read, mut write) = (members_at + count_len, members_at + count_len);
+    for _ in 0..count {
+        let member = Noted::at(&buf[read..]);
+        let (kept, whole) = (member.prefix.len() + member.bytes.len(), member.whole_len());
+        buf.copy_within(read..read + kept, write);
+        (read, write) = (read + whole, write + kept);
+    }
+    buf.truncate(write);
 }
 
-/// Reads a member sequence back — the inverse of [`put_members`] —
-/// handing each member's decoder the members before it.
+/// Reads a member sequence back — the inverse of [`put_members`] and
+/// [`put_members_coded`] — handing each member's decoder the members
+/// before it. In a frame whose reader holds codes
+/// ([`BinReader::read_codes`]), the sequence is the coded member section
+/// and runs to the end of the body.
 ///
 /// # Errors
 ///
-/// A count or member length the bytes cannot hold, a member whose
-/// decoder fails, a member whose decoder does not consume exactly the
-/// length its prefix announced, and a suffix code
-/// ([`BinReader::read_code`]) on a sequence without a path to code.
+/// A count that claims more members than half the bytes after it could
+/// hold (what the `Vec` may reserve or grow to is bounded by that), a
+/// member length the bytes cannot hold, a member whose decoder fails, a
+/// member whose decoder does not consume exactly the length its prefix
+/// announced, and in a coded section, codewords that run past the body,
+/// final padding that is not zero, and a path code on a sequence
+/// without a path to code.
 pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinDecodeError> {
+    r.begin_members();
     let count = r.length()?;
-    let mut out: Vec<T> = Vec::with_capacity(members_to_reserve(count, r.remaining()));
+    if count > r.bits_left() / 16 {
+        return Err(BinDecodeError::msg(format!(
+            "{count} members claimed in {} bits",
+            r.bits_left()
+        )));
+    }
+    let mut out: Vec<T> = Vec::with_capacity(count.min(MAX_RESERVED_MEMBERS));
     for _ in 0..count {
         let len = r.length()?;
-        let Some(end) = r.remaining().checked_sub(len) else {
+        if len > r.symbols_left() {
             return Err(BinDecodeError::msg(format!(
                 "truncated: a member of {len} bytes, {} left in the frame",
-                r.remaining()
+                r.symbols_left()
             )));
-        };
+        }
+        let start = r.position();
         let member = T::decode_bin(r, &out)?;
-        if r.remaining() != end {
-            let used = end + len - r.remaining();
+        if let Some(codes) = r.live() {
+            codes.check_within()?;
+        }
+        let used = r.position() - start;
+        if used != len {
             return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
         }
         out.push(member);
     }
-    if r.code.is_some() && r.paths.is_none() {
-        return Err(BinDecodeError::msg("a suffix code on a sequence with no paths"));
-    }
+    r.end_members()?;
     Ok(out)
 }
 
@@ -1077,6 +1571,7 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, value);
             assert_eq!(buf.len(), varint_len(value), "varint_len({value:#x})");
+            assert_eq!(raw_varint(&buf), (value, buf.len()));
             let mut r = BinReader::new(&buf);
             assert_eq!(r.varint().unwrap(), value);
             assert!(r.is_empty());
@@ -1275,27 +1770,38 @@ mod tests {
         assert_eq!(dirs.replace(b"/a/", 4), Some(3));
     }
 
-    /// A count word never sizes the reservation: the bytes on hand and
-    /// the fixed cap bound it, while an honest sequence still reserves
-    /// exactly its count.
+    /// A count word never sizes the reservation: a count of more members
+    /// than half the bytes after it is refused before anything is
+    /// reserved, and an honest sequence still decodes whole.
     #[test]
     fn a_hostile_count_is_rejected_not_allocated() {
         let mut body = Vec::new();
         put_varint(&mut body, u64::MAX);
         assert!(read_members::<u64>(&mut BinReader::new(&body)).is_err());
 
-        let hostile = usize::MAX;
-        assert_eq!(members_to_reserve(hostile, 0), 0);
-        assert_eq!(members_to_reserve(hostile, 43), 21, "bounded by two bytes per member");
-        assert_eq!(members_to_reserve(hostile, FRAME_PATH_BUDGET), MAX_RESERVED_MEMBERS);
-        assert_eq!(members_to_reserve(512, 512 * 34), 512, "honest sequences reserve exactly once");
-        assert_eq!(members_to_reserve(65_536, 65_536 * 34), 65_536);
+        // 21 members in 43 bytes is the most a raw sequence could hold;
+        // 22 is refused on its count alone.
+        for (count, refused) in [(21u64, false), (22, true)] {
+            let mut body = Vec::new();
+            put_varint(&mut body, count);
+            body.extend([0; 43]);
+            let err = read_members::<String>(&mut BinReader::new(&body)).unwrap_err();
+            assert_eq!(err.to_string().contains("members claimed"), refused, "{count}: {err}");
+        }
+        let honest: Vec<u64> = (0..512).collect();
+        let mut body = Vec::new();
+        put_members(&mut body, &honest);
+        assert_eq!(read_members::<u64>(&mut BinReader::new(&body)).unwrap(), honest);
     }
 
     /// Sums each codeword's share of the code space: exactly
     /// `1 << MAX_CODE_LEN` for a complete code.
-    fn kraft(lens: &[u8]) -> u32 {
-        lens.iter().map(|&len| 1 << (MAX_CODE_LEN - u32::from(len))).sum()
+    fn kraft(code: &Code) -> u32 {
+        code.lens
+            .iter()
+            .filter(|&&len| len > 0)
+            .map(|&len| 1 << (MAX_CODE_LEN - u32::from(len)))
+            .sum()
     }
 
     /// Whatever the histogram, the code is complete and no codeword is
@@ -1311,51 +1817,92 @@ mod tests {
             *slot = a;
             (a, b) = (b, a + b);
         }
-        let code = SuffixCode::for_counts(&fibonacci).unwrap();
+        let code = Code::for_counts(&fibonacci).unwrap();
         let lens = &code.lens[..code.n];
-        assert_eq!((code.n, kraft(lens)), (30, 1 << MAX_CODE_LEN));
+        assert_eq!((code.n, kraft(&code)), (30, 1 << MAX_CODE_LEN));
         assert_eq!(lens.iter().max(), Some(&12), "flattened to the limit, not past it");
         assert!(
             lens.windows(2).all(|pair| pair[0] >= pair[1]),
             "heavier symbols, shorter codewords"
         );
 
-        let code = SuffixCode::for_counts(&[7; 256]).unwrap();
-        assert!(code.lens.iter().all(|&len| len == 8));
+        let code = Code::for_counts(&[7; 256]).unwrap();
+        assert!(code.len_of().iter().all(|&len| len == 8));
         let mut two = [0; 256];
         (two[b'/' as usize], two[b'x' as usize]) = (1, 1_000);
-        let code = SuffixCode::for_counts(&two).unwrap();
+        let code = Code::for_counts(&two).unwrap();
         assert_eq!((&code.symbols[..2], &code.lens[..2]), (&b"/x"[..], &[1, 1][..]));
+        assert_eq!(code.bits(&two), 1_001);
         let mut one = [0; 256];
         one[b'x' as usize] = 9;
-        assert!(SuffixCode::for_counts(&one).is_none());
-        assert!(SuffixCode::for_counts(&[0; 256]).is_none());
+        assert!(Code::for_counts(&one).is_none());
+        assert!(Code::for_counts(&[0; 256]).is_none());
     }
 
-    /// A table as the encoder writes it is one the reader accepts, and
-    /// every codeword the encoder assigns decodes to its own symbol.
+    /// A table as the encoder writes it is one the reader accepts — its
+    /// bitmap names the coded values, its nibbles their lengths — and
+    /// every codeword the encoder assigns decodes to its own symbol, as a
+    /// field byte and as a path byte.
     #[test]
     fn every_codeword_decodes_to_its_symbol() {
         let mut counts = [0u32; 256];
         for (i, byte) in b"0123456789abcdef/dt".iter().enumerate() {
             counts[usize::from(*byte)] = 1 + (i as u32 * 37) % 11;
         }
-        let code = SuffixCode::for_counts(&counts).unwrap();
+        let code = Code::for_counts(&counts).unwrap();
         let mut table = vec![0; code.table_len()];
         code.put_table(&mut table);
-        let mut r = BinReader::new(&table);
-        r.read_code().unwrap();
-        assert!(r.is_empty());
-        let mut reader = r.code.expect("a code was read");
+        assert_eq!(table.len(), 32 + 9, "a bitmap and 18 nibbles (`d` twice)");
+        assert_eq!(table[usize::from(b'/' >> 3)] >> (b'/' & 7) & 1, 1);
+        assert_eq!(table[usize::from(b'z' >> 3)] >> (b'z' & 7) & 1, 0);
         let codewords = code.codewords();
-        for &symbol in &code.symbols[..code.n] {
-            let (codeword, len) =
-                (codewords[usize::from(symbol)] >> 4, codewords[usize::from(symbol)] & 0xf);
-            // The codeword, left-aligned in two bytes.
-            let bytes = ((codeword << (16 - len)) as u16).to_be_bytes();
-            assert_eq!(reader.decode(&bytes, 1).unwrap(), usize::from(len > 8) + 1);
-            assert_eq!(reader.suffix[0], symbol);
+        for (symbol, &codeword) in (0..=u8::MAX).zip(&codewords) {
+            if codeword == 0 {
+                continue;
+            }
+            let (bits, len) = (codeword >> 4, codeword & 0xf);
+            // The codeword, left-aligned in two bytes: a section of one
+            // member of one byte, under both codes.
+            let mut body = [&table[..], &table[..]].concat();
+            body.extend(((bits << (16 - len)) as u16).to_be_bytes());
+            let mut r = BinReader::new(&body);
+            r.read_codes(SectionCodes { path: true, field: true }).unwrap();
+            r.begin_members();
+            assert_eq!(r.u8().unwrap(), symbol);
+            assert_eq!(r.position(), 1);
+            assert_eq!(r.bits_left(), 16 - len as usize);
+            // Back to the section's start, to read the same bits as a
+            // path byte.
+            let codes = r.codes.as_mut().unwrap();
+            (codes.window, codes.filled, codes.next) = (0, 0, 0);
+            assert_eq!(codes.suffix(1).unwrap(), [symbol]);
         }
+    }
+
+    /// Sequences of every shape go out coded only when that is smaller,
+    /// never larger than raw, and decode to what went in; the tables sit
+    /// where the caller asks, the path code's first.
+    #[test]
+    fn a_coded_sequence_is_its_raw_bytes_under_two_codes() {
+        let strings: Vec<String> = (0..200).map(|i| format!("member {}", i % 7)).collect();
+        let mut raw = vec![0xaa];
+        put_members(&mut raw, &strings);
+        let mut coded = vec![0xaa];
+        let codes = put_members_coded(&mut coded, 1, &strings);
+        assert_eq!(codes, SectionCodes { path: false, field: true }, "strings have no paths");
+        assert!(coded.len() < raw.len() / 2, "{} coded bytes, {} raw", coded.len(), raw.len());
+        let mut r = BinReader::new(&coded);
+        assert_eq!(r.u8().unwrap(), 0xaa);
+        r.read_codes(codes).unwrap();
+        assert_eq!(read_members::<String>(&mut r).unwrap(), strings);
+        assert!(r.is_empty());
+
+        // Eight random bytes a member: no code pays.
+        let random: Vec<u64> = (1..200u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let (mut raw, mut coded) = (Vec::new(), Vec::new());
+        put_members(&mut raw, &random);
+        assert_eq!(put_members_coded(&mut coded, 0, &random), SectionCodes::default());
+        assert_eq!(coded, raw);
     }
 
     #[test]

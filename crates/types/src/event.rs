@@ -440,8 +440,7 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// path base        varint  k >= 2: the base is the path of the member k before
 ///                          this one; only when flags bit 6 is set — the base is
 ///                          p.path otherwise
-/// path             front-coded against its base; in a frame with a suffix
-///                  code the suffix is codewords (crate::bin)
+/// path             front-coded against its base
 /// src_path         front-coded against this member's own path (a rename
 ///                  usually stays in its directory), only when bit 0 is set
 /// target           seq delta, oid delta, ver delta against p.target; the oid
@@ -457,12 +456,13 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// field precedes the record-type byte, and a reader must know whether
 /// to expect it.
 ///
-/// The encoder takes the path base that costs fewer raw bytes: the
-/// predecessor, or the latest earlier member in the same parent
-/// directory (the [`SeqEncoder`]'s table) — raw bytes on a coded pass
-/// too, so both passes carry the same suffixes. The decoder follows whatever reference it
-/// is given, within the sequence: a back-distance of 0 or 1, one past the
-/// first member, or one naming a member without an event is refused.
+/// These are the raw bytes; a coded frame carries each as its codeword
+/// ([`crate::bin`]). The encoder takes the path base that costs fewer raw
+/// bytes: the predecessor, or the latest earlier member in the same
+/// parent directory (the [`SeqEncoder`]'s table). The decoder follows
+/// whatever reference it is given, within the sequence: a back-distance
+/// of 0 or 1, one past the first member, or one naming a member without
+/// an event is refused.
 ///
 /// Paths cross the wire as UTF-8: an [`EventPath`] is UTF-8 by
 /// construction, a path that is not UTF-8 having been converted lossily
@@ -881,14 +881,14 @@ mod tests {
         assert_eq!(buf[third + 4..third + 8], [2, 12, 1, b'3']);
     }
 
-    /// A frame's sequence goes out suffix-coded when that is smaller:
-    /// the table lands where the frame asks (here after a one-byte
-    /// header), a reader that has read it decodes the same events, and
-    /// the coded bytes are fewer. Sequences a code does not shrink — one
-    /// path, or none to code — are the raw sequence byte for byte.
+    /// A frame's sequence goes out coded when that is smaller: the
+    /// tables land where the frame asks (here after a one-byte header), a
+    /// reader that has read them decodes the same events, and the coded
+    /// bytes are fewer. Sequences a code does not shrink — one path, or
+    /// none to code — are the raw sequence byte for byte.
     #[test]
     fn a_sequence_goes_out_coded_when_that_is_smaller() {
-        use crate::bin::{put_members, put_members_coded, read_members};
+        use crate::bin::{put_members, put_members_coded, read_members, SectionCodes};
         let rec = sample_record();
         let events: Vec<FileEvent> = (0..40u64)
             .map(|i| {
@@ -902,11 +902,12 @@ mod tests {
         let mut raw = vec![0xaa];
         put_members(&mut raw, &events);
         let mut coded = vec![0xaa];
-        assert!(put_members_coded(&mut coded, 1, &events));
+        let codes = put_members_coded(&mut coded, 1, &events);
+        assert_eq!(codes, SectionCodes { path: true, field: true });
         assert!(coded.len() < raw.len(), "{} coded bytes, {} raw", coded.len(), raw.len());
         let mut r = BinReader::new(&coded);
         assert_eq!(r.u8().unwrap(), 0xaa);
-        r.read_code().unwrap();
+        r.read_codes(codes).unwrap();
         let got: Vec<FileEvent> = read_members(&mut r).unwrap();
         assert!(r.is_empty());
         drop(r);
@@ -915,7 +916,8 @@ mod tests {
         for few in [&events[1..2], &[]] {
             let (mut raw, mut coded) = (vec![0xaa], vec![0xaa]);
             put_members(&mut raw, few);
-            assert!(!put_members_coded(&mut coded, 1, few), "{} members", few.len());
+            let codes = put_members_coded(&mut coded, 1, few);
+            assert_eq!(codes, SectionCodes::default(), "{} members", few.len());
             assert_eq!(coded, raw);
         }
     }
