@@ -21,7 +21,7 @@ use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
-use sdci_types::bin::SeqEncoder;
+use sdci_types::bin::{Class, SeqEncoder};
 use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent, TraceCarrier, TraceContext};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,8 +58,8 @@ pub enum FeedMessage {
     },
 }
 
-/// Binary layout: `seq` as a delta against the predecessor's, then the
-/// event coded among the earlier members' events
+/// Binary layout: `seq` as a delta against the predecessor's (of the
+/// sequence class, [`Class::Seq`]), then the event coded among the earlier members' events
 /// ([`FileEvent::encode_among`]). As for the event, the members need not
 /// be sequenced events themselves: `sev_of` says which one, if any, a
 /// member holds, and the predecessor is the one right before this.
@@ -72,7 +72,7 @@ impl SequencedEvent {
         buf: &mut Vec<u8>,
     ) {
         let prev = earlier.last().and_then(&sev_of);
-        sdci_types::bin::put_delta(buf, self.seq, prev.map_or(0, |p| p.seq));
+        seq.delta(buf, Class::Seq, self.seq, prev.map_or(0, |p| p.seq));
         self.event.encode_among(earlier, |m| sev_of(m).map(|sev| &sev.event), seq, buf);
     }
 
@@ -83,7 +83,7 @@ impl SequencedEvent {
     ) -> Result<SequencedEvent, BinDecodeError> {
         let prev = earlier.last().and_then(&sev_of);
         Ok(SequencedEvent {
-            seq: r.delta(prev.map_or(0, |p| p.seq))?,
+            seq: r.delta(Class::Seq, prev.map_or(0, |p| p.seq))?,
             event: FileEvent::decode_among(r, earlier, |m| sev_of(m).map(|sev| &sev.event))?,
         })
     }
@@ -119,32 +119,33 @@ impl FeedMessage {
 }
 
 /// Binary layout: a one-byte variant tag (`0` = `Event`, `1` =
-/// `Heartbeat`), then an `Event`'s [`SequencedEvent`] coded among the
+/// `Heartbeat`; of the tag class, [`Class::Tag`]), then an `Event`'s [`SequencedEvent`] coded among the
 /// earlier members — against the previous one when that was an `Event`
 /// too, as a first member otherwise; its path may name any earlier
 /// `Event` — or a `Heartbeat`'s `last_seq` as a delta against the
-/// previous member's sequence number, whichever variant it was.
+/// previous member's sequence number, whichever variant it was (of the
+/// sequence class).
 impl BinPayload for FeedMessage {
     fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
         match self {
             FeedMessage::Event(sev) => {
-                buf.push(0);
+                seq.byte(buf, Class::Tag, 0);
                 sev.encode_among(earlier, FeedMessage::as_event, seq, buf);
             }
             FeedMessage::Heartbeat { last_seq } => {
-                buf.push(1);
+                seq.byte(buf, Class::Tag, 1);
                 let prev = earlier.last().map_or(0, FeedMessage::seq);
-                sdci_types::bin::put_delta(buf, *last_seq, prev);
+                seq.delta(buf, Class::Seq, *last_seq, prev);
             }
         }
     }
 
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
-        match r.u8()? {
+        match r.u8(Class::Tag)? {
             0 => SequencedEvent::decode_among(r, earlier, FeedMessage::as_event)
                 .map(FeedMessage::Event),
             1 => Ok(FeedMessage::Heartbeat {
-                last_seq: r.delta(earlier.last().map_or(0, FeedMessage::seq))?,
+                last_seq: r.delta(Class::Seq, earlier.last().map_or(0, FeedMessage::seq))?,
             }),
             other => Err(BinDecodeError::msg(format!("invalid FeedMessage tag {other}"))),
         }

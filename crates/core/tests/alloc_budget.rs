@@ -1,14 +1,16 @@
 //! Allocation budgets for the per-event paths the pipeline benchmark
 //! found allocating most: the Collector on a path-cache hit, the store
-//! sealing a segment, and the store answering a query (the decoders'
-//! are in `crates/net/tests/alloc_budget.rs`). The counting allocator
+//! sealing a segment, the store answering a query, and the member
+//! sequence the aggregator's legs carry, coded (the frame decoders' are
+//! in `crates/net/tests/alloc_budget.rs`). The counting allocator
 //! is `common/mod.rs`'s; `trace_budget.rs` holds the tracer's budget in
 //! a process of its own.
 
 mod common;
 
 use common::{allocations, HotCollector, DIRS, RECORDS};
-use sdci_core::{EventBackend, EventStore, SequencedEvent, StoreQuery, StoreStack};
+use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuery, StoreStack};
+use sdci_types::bin::{put_members, put_members_coded, read_members, BinPayload, BinReader};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -125,6 +127,56 @@ fn a_query_hit_costs_a_reference_count_not_a_path() {
         "{made} allocations to return {EVENTS} retained events = {per_event:.3} per event; \
          the budget is the result `Vec` growing"
     );
+}
+
+/// A member sequence of each kind the aggregator's legs carry — events,
+/// sequenced events, feed messages with a heartbeat among them — coded
+/// class by class, as every data frame's writer codes it
+/// (`put_members_coded`): written into a buffer with room, it allocates
+/// nothing, its histograms, codes and codeword tables all on the stack;
+/// read back, it costs exactly what the same members raw do, its lookup
+/// tables living in the reader.
+#[test]
+fn a_coded_sequence_of_each_kind_allocates_what_a_raw_one_does() {
+    let mut sequenced = sequenced(256);
+    for sev in &mut sequenced {
+        sev.event.extracted_unix_ns = Some(1_790_000_000_123_456_789);
+    }
+    let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
+    let mut feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+    feed.insert(100, FeedMessage::Heartbeat { last_seq: 100 });
+    coded_costs_what_raw_does("events", &events);
+    coded_costs_what_raw_does("sequenced events", &sequenced);
+    coded_costs_what_raw_does("feed messages", &feed);
+}
+
+fn coded_costs_what_raw_does<T: BinPayload + PartialEq + std::fmt::Debug>(
+    kind: &str,
+    members: &[T],
+) {
+    let mut raw = Vec::new();
+    put_members(&mut raw, members);
+    let mut coded = Vec::with_capacity(4 * raw.len());
+    let mut mask = 0;
+    let made = allocations(|| mask = put_members_coded(&mut coded, 0, members));
+    assert_eq!(made, 0, "{kind}: {made} allocations to code a sequence into a buffer with room");
+    assert_ne!(mask, 0, "{kind}: goes out coded");
+    assert!(coded.len() < raw.len(), "{kind}: {} coded bytes, {} raw", coded.len(), raw.len());
+
+    let read = |bytes: &[u8], coded: bool| {
+        let mut r = BinReader::new(bytes);
+        if coded {
+            r.read_codes().expect("codes");
+        }
+        let members = read_members::<T>(&mut r).expect("decodes");
+        assert!(r.is_empty());
+        members
+    };
+    let (mut from_raw, mut from_coded) = (Vec::new(), Vec::new());
+    let raw_made = allocations(|| from_raw = read(&raw, false));
+    let coded_made = allocations(|| from_coded = read(&coded, true));
+    assert_eq!(coded_made, raw_made, "{kind}: coded {coded_made} allocations, raw {raw_made}");
+    assert_eq!((from_raw.as_slice(), from_coded.as_slice()), (members, members), "{kind}");
 }
 
 #[test]

@@ -545,15 +545,11 @@ fn marks_commit_with_the_events_and_are_captured_after_them() {
     assert!(restored.is_empty() && marks.is_empty());
 }
 
-/// Flush → restore → flush reproduces every file byte for byte — the
-/// manifest included, its marks in key order — for a store whose events
-/// exercise the member layout: a rename carrying `src_path`, a traced
-/// event, an accent, a quote and a backslash, a trailing separator. And
-/// what the form costs: bytes per event of a 4-event and a 4,096-event
-/// segment file (printed; `--nocapture` shows them).
-#[test]
-fn a_restored_store_flushes_byte_identical_files() {
-    let scratch = Scratch::new("identical");
+/// A store whose events exercise the member layout — a rename carrying
+/// `src_path`, a traced event, an accent, a quote and a backslash, a
+/// trailing separator — sealed as one four-event segment and a two-event
+/// head, the events it holds, and the marks its flushes commit.
+fn layout_store() -> (EventStore, Vec<SequencedEvent>, HashMap<String, u64>) {
     let store = EventStore::with_segment_size(100_000, 4);
     let mut events: Vec<SequencedEvent> =
         (1..=6).map(|i| sev(i, &format!("/proj/run-{}/f{i}", i % 2))).collect();
@@ -566,8 +562,19 @@ fn a_restored_store_flushes_byte_identical_files() {
     events[4].event.extracted_unix_ns = Some(1_790_000_000_000_000_004);
     events[5].event.path = "/other/plain/".into();
     store.insert_batch(events.clone()).unwrap();
-    let marks = || HashMap::from([("mdt1".to_string(), 2), ("mdt0".to_string(), 4)]);
-    SnapshotDir::open(scratch.path()).unwrap().flush(&store, marks).unwrap();
+    let marks = HashMap::from([("mdt1".to_string(), 2), ("mdt0".to_string(), 4)]);
+    (store, events, marks)
+}
+
+/// Flush → restore → flush reproduces every file byte for byte — the
+/// manifest included, its marks in key order — for [`layout_store`]. And
+/// what the form costs: bytes per event of a 4-event and a 4,096-event
+/// segment file (printed; `--nocapture` shows them).
+#[test]
+fn a_restored_store_flushes_byte_identical_files() {
+    let scratch = Scratch::new("identical");
+    let (store, events, marks) = layout_store();
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, || marks).unwrap();
     let first = dir_bytes(scratch.path());
     assert_eq!(first.len(), 3, "manifest, one four-event segment, a two-event head");
 
@@ -589,4 +596,25 @@ fn a_restored_store_flushes_byte_identical_files() {
         large.len() as f64 / 4096.0
     );
     assert!(large.len() / 4096 < 40, "a dense segment costs about its members: {}", large.len());
+}
+
+/// The disk form stays put whatever the wire does: `fixtures/pr26-snapshot`
+/// is [`layout_store`] as the commit before wire version 11 flushed it,
+/// and a flush of the same store writes the same files, byte for byte,
+/// the manifest included — a snapshot block is the raw member sequence,
+/// never coded, under manifest version 3.
+#[test]
+fn a_flush_writes_the_files_the_pinned_fixture_holds() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr26-snapshot");
+    let scratch = Scratch::new("pinned");
+    let (store, events, marks) = layout_store();
+    SnapshotDir::open(scratch.path()).unwrap().flush(&store, || marks.clone()).unwrap();
+    let pinned = dir_bytes(&fixture);
+    assert_eq!(pinned.len(), 3, "manifest, one four-event segment, a two-event head");
+    assert!(pinned["MANIFEST.json"].starts_with(br#"{"version":3,"#));
+    assert_eq!(dir_bytes(scratch.path()), pinned);
+
+    let (restored, restored_marks) = restore_snapshot(&fixture, 100_000).unwrap();
+    assert_eq!(restored.query(&StoreQuery::after_seq(0)), events);
+    assert_eq!(restored_marks, marks);
 }

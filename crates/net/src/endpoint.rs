@@ -13,7 +13,7 @@
 //! service nobody attached here is refused: logged at error level,
 //! counted in `sdci_net_hello_refused_total{leg}`, connection closed. So
 //! is one whose length word claims more than
-//! [`MAX_HELLO_LEN`](crate::wire::MAX_HELLO_LEN) bytes or a binary body —
+//! [`MAX_HELLO_LEN`] bytes or a binary body —
 //! refused on the word, before a byte of the body is buffered — and one
 //! cut short by the peer closing or going silent for the liveness window.
 //!

@@ -32,29 +32,31 @@
 //! whichever frames were dropped, duplicated or resent around it:
 //!
 //! ```text
-//! +------+-------+----------------------+------------------+-------------------+---------------+
-//! | kind | flags | trace (17B, flags&1) | path code table  | field code table  | kind's fields |
-//! |  u8  |  u8   | id u64, span u64, u8 | (flags&2)        | (flags&4)         |               |
-//! +------+-------+----------------------+------------------+-------------------+---------------+
+//! +------+-------+----------------------+---------------------------+---------------+
+//! | kind | flags | trace (17B, flags&1) | class mask u16le | tables | kind's fields |
+//! |  u8  |  u8   | id u64, span u64, u8 | (flags&2)                 |               |
+//! +------+-------+----------------------+---------------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | members
 //!
 //! members    = count varint | count × (len varint | member: len bytes)
 //!              member 0 coded against nothing, member i against members 0..i
-//! code table = symbol bitmap (32 bytes) | a 4-bit codeword length per symbol
+//! tables     = one per class the mask names, in class order:
+//!              n−1 u8 | symbols (n < 32: a list; else a 32-byte bitmap) |
+//!              a 4-bit codeword length per symbol
 //! ```
 //!
 //! The member sequence is [`sdci_types::bin::put_members_coded`] /
 //! [`read_members`]: the format lives beside [`BinPayload`], because a
 //! store node's snapshot files are blocks of the same bytes (never
 //! coded); this module adds the header and head in front of it and
-//! chunks a batch into frames. Flags bits 1 and 2 say the member section
-//! is coded — its raw bytes as one bit stream of codewords, the bytes
-//! paths carry verbatim under the path code, the rest under the field
-//! code, whose tables follow the trace section
-//! ([`BinReader::read_codes`]); the writer sets each when it makes the
-//! frame smaller, table included, and not otherwise.
+//! chunks a batch into frames. Flags bit 1 says the member section is
+//! coded — its raw bytes as one bit stream, each byte the codeword of
+//! its field class's code, or itself for a class the mask leaves out —
+//! and a class mask and the coded classes' tables follow the trace
+//! section ([`BinReader::read_codes`]); the writer codes each class when
+//! that makes the frame smaller, table included, and not otherwise.
 //!
 //! A member whose decoder does not consume exactly `len` bytes is
 //! `InvalidData`. What front-coding lets a small frame expand to is
@@ -82,7 +84,7 @@
 
 use sdci_types::bin::{
     code_members, put_bytes, put_member, put_members_coded, put_trace, put_varint, read_members,
-    varint_len, BinPayload, BinReader, SectionCodes, SeqEncoder, MAX_FRAME_MEMBERS,
+    varint_len, BinPayload, BinReader, Class, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -107,13 +109,16 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 10;
+pub const WIRE_PROTO: u32 = 11;
 
-/// Longest [`Hello`] body an endpoint reads. The largest legitimate one
-/// is a subscriber's prefix list, and this holds a thousand prefixes of
-/// sixty bytes; an endpoint refuses a length word claiming more before it
-/// buffers a byte of the body, so a peer that has not yet said who it is
-/// cannot make a connection pin [`MAX_FRAME_LEN`] bytes.
+/// Longest JSON body — a [`Hello`], or any other control frame — a
+/// reader accepts. The largest legitimate one is a subscriber's prefix
+/// list, and this holds a thousand prefixes of sixty bytes; every other
+/// control frame (acks, pings, a store query with its 4,096-byte prefix,
+/// the shard map) is far below it. A length word claiming more is
+/// refused before a byte of the body is buffered, so a peer cannot make
+/// a connection pin [`MAX_FRAME_LEN`] bytes with a control frame — nor,
+/// before it has said who it is, with any frame.
 pub const MAX_HELLO_LEN: usize = 64 << 10;
 
 /// The opening frame of every connection: the peer's wire version and
@@ -182,13 +187,7 @@ impl WireMsg for Hello {
 /// endpoint would read; otherwise I/O failures from the underlying
 /// writer.
 pub fn write_hello(w: &mut impl Write, service: Service) -> io::Result<()> {
-    let mut body = Vec::new();
-    Hello { proto: WIRE_PROTO, service }.encode(&mut body)?;
-    if body.len() > MAX_HELLO_LEN {
-        let why = format!("a hello of {} bytes exceeds {MAX_HELLO_LEN}", body.len());
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
-    }
-    write_frame(w, false, &body)
+    write_msg(w, &Hello { proto: WIRE_PROTO, service })
 }
 
 /// One protocol message. `T` is the event payload type (e.g. `FileEvent`
@@ -320,25 +319,24 @@ const BIN_KIND_DELIVER_BATCH: u8 = 4;
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
 const BIN_FLAG_TRACE: u8 = 1;
 
-/// Flags bit: the member section carries a path code, whose table
-/// follows the trace section ([`BinReader::read_codes`]).
-const BIN_FLAG_PATH_CODE: u8 = 2;
+/// Flags bit: the member section is coded; its class mask and tables
+/// follow the trace section ([`BinReader::read_codes`]).
+const BIN_FLAG_CODED: u8 = 2;
 
-/// Flags bit: the member section carries a field code, whose table
-/// follows the path code's, if any.
-const BIN_FLAG_FIELD_CODE: u8 = 4;
-
-/// The flags bits that announce `codes`.
-fn code_flags(codes: SectionCodes) -> u8 {
-    (if codes.path { BIN_FLAG_PATH_CODE } else { 0 })
-        | if codes.field { BIN_FLAG_FIELD_CODE } else { 0 }
+/// The flags bit that announces a member section coded under `mask`.
+fn coded_flag(mask: u16) -> u8 {
+    if mask != 0 {
+        BIN_FLAG_CODED
+    } else {
+        0
+    }
 }
 
 /// Size of the trace section [`BIN_FLAG_TRACE`] announces.
 const BIN_TRACE_LEN: usize = 17;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
-/// optional trace section. The code flags are set afterwards, by whoever
+/// optional trace section. The coded flag is set afterwards, by whoever
 /// writes the members ([`put_batch`], [`write_batch`]).
 pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     buf.push(kind);
@@ -351,26 +349,26 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
     }
 }
 
-/// Reads the fixed binary header back: `(kind, trace)`. The codes the
-/// flags announce are read into `r`, which decodes the member section
-/// through them.
+/// Reads the fixed binary header back: `(kind, trace)`. The codes a
+/// coded frame carries are read into `r`, which decodes the member
+/// section through them.
 pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<TraceContext>)> {
-    let kind = r.u8().map_err(invalid)?;
-    let flags = r.u8().map_err(invalid)?;
-    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE) != 0 {
+    let kind = r.u8(Class::Other).map_err(invalid)?;
+    let flags = r.u8(Class::Other).map_err(invalid)?;
+    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODED) != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
-    let path = flags & BIN_FLAG_PATH_CODE != 0;
-    r.read_codes(SectionCodes { path, field: flags & BIN_FLAG_FIELD_CODE != 0 })
-        .map_err(invalid)?;
+    if flags & BIN_FLAG_CODED != 0 {
+        r.read_codes().map_err(invalid)?;
+    }
     Ok((kind, trace))
 }
 
 /// Appends one whole batch body — header, `head`, members — with the
 /// member section coded when that is smaller
-/// ([`sdci_types::bin::put_members_coded`]), the flags and the tables
-/// placed to say so.
+/// ([`sdci_types::bin::put_members_coded`]), the flag, the class mask
+/// and the tables placed to say so.
 pub(crate) fn put_batch<T: BinPayload>(
     buf: &mut Vec<u8>,
     kind: u8,
@@ -382,7 +380,7 @@ pub(crate) fn put_batch<T: BinPayload>(
     bin_header(buf, kind, trace);
     let table_at = buf.len();
     head.put(buf, 0);
-    buf[at + 1] |= code_flags(put_members_coded(buf, table_at, payloads));
+    buf[at + 1] |= coded_flag(put_members_coded(buf, table_at, payloads));
 }
 
 impl<T: BinPayload> WireMsg for Frame<T> {
@@ -450,8 +448,8 @@ impl BinEncoder {
     }
 }
 
-/// What a batch body carries between its fixed header (and a code's
-/// table) and its members.
+/// What a batch body carries between its fixed header (and a coded
+/// frame's class mask and tables) and its members.
 #[derive(Clone, Copy)]
 pub(crate) enum BatchHead<'a> {
     /// [`Frame::ItemBatch`]: the sequence number of the batch's first
@@ -542,7 +540,7 @@ fn write_batch<T: BinPayload>(
         let members_at = body.len();
         put_varint(body, (hi - lo) as u64);
         body.extend_from_slice(members);
-        body[1] |= code_flags(code_members(body, table_at, members_at, &seq));
+        body[1] |= coded_flag(code_members(body, table_at, members_at, &mut seq));
         write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
@@ -617,10 +615,14 @@ pub fn write_msg_bin<M: WireMsg>(
 /// Writes one frame: the length word (with [`BIN_FRAME_BIT`] set for a
 /// binary body), then the body, as a single vectored write and exactly
 /// one flush (the frame-alignment invariant
-/// [`crate::faulted::FaultedWriter`] relies on).
+/// [`crate::faulted::FaultedWriter`] relies on). A body longer than a
+/// reader accepts — [`MAX_FRAME_LEN`] binary, [`MAX_HELLO_LEN`] JSON —
+/// is refused with `InvalidInput` before a byte is written.
 fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> {
-    if body.len() > MAX_FRAME_LEN {
-        return Err(invalid(format!("frame length {} exceeds {MAX_FRAME_LEN}", body.len())));
+    let limit = if binary { MAX_FRAME_LEN } else { MAX_HELLO_LEN };
+    if body.len() > limit {
+        let why = format!("a frame of {} bytes exceeds {limit}", body.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
     }
     let word = (body.len() as u32) | if binary { BIN_FRAME_BIT } else { 0 };
     let header = word.to_be_bytes();
@@ -646,6 +648,12 @@ fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> 
     Ok(())
 }
 
+/// Most bytes a [`FrameReader`] grows its buffer by for one read: a
+/// binary body's buffer follows the body's bytes as they arrive, so a
+/// length word — a peer's claim — never sizes it. Every frame the
+/// pipeline sends in steady state fits one step.
+const READ_STEP: usize = 64 << 10;
+
 /// Incremental, timeout-tolerant frame reader.
 ///
 /// sdci-net sockets use a short read timeout as their heartbeat tick,
@@ -655,6 +663,11 @@ fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> 
 /// desynchronize the stream; `FrameReader` instead keeps the partial
 /// frame across calls, so a timed-out [`FrameReader::read_msg`] is
 /// simply called again and resumes where the stream left off.
+///
+/// What a peer's length word can make it hold is bounded: a JSON body —
+/// a control frame — is refused as soon as a word claims more than
+/// [`MAX_HELLO_LEN`], the largest any control frame is, and a binary
+/// body's buffer grows 64 KiB at a time as its bytes arrive.
 pub struct FrameReader<R> {
     inner: R,
     /// Bytes of the current frame received so far, header included.
@@ -715,9 +728,10 @@ impl<R: Read> FrameReader<R> {
     /// # Errors
     ///
     /// `WouldBlock`/`TimedOut` are resumable: call again to continue
-    /// the same frame. Any other error — `InvalidData` on an oversized
-    /// length word or a body [`WireMsg::decode`] rejects — means the
-    /// stream is no longer usable.
+    /// the same frame. Any other error — `InvalidData` on a length word
+    /// over [`MAX_FRAME_LEN`], or over [`MAX_HELLO_LEN`] for a JSON body,
+    /// or a body [`WireMsg::decode`] rejects — means the stream is no
+    /// longer usable.
     pub fn read_msg<M: WireMsg>(&mut self) -> io::Result<M> {
         if let Some((was_bin, body)) = self.replay.take() {
             // The second delivery of an injected duplicate.
@@ -735,7 +749,7 @@ impl<R: Read> FrameReader<R> {
         loop {
             while self.buf.len() < self.need {
                 let have = self.buf.len();
-                self.buf.resize(self.need, 0);
+                self.buf.resize(self.need.min(have + READ_STEP), 0);
                 match self.inner.read(&mut self.buf[have..]) {
                     Ok(0) => {
                         self.buf.truncate(have);
@@ -796,6 +810,10 @@ impl<R: Read> FrameReader<R> {
             let len = (word & !BIN_FRAME_BIT) as usize;
             if len > MAX_FRAME_LEN {
                 return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
+            }
+            if !self.bin && len > MAX_HELLO_LEN {
+                let why = format!("a control frame of {len} bytes exceeds {MAX_HELLO_LEN}");
+                return Err(invalid(why));
             }
             self.need = FRAME_HEADER_LEN + len;
             self.have_header = true;
@@ -892,9 +910,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":10,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":11,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":10,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":11,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -911,17 +929,19 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":10}"#, r#"{"proto":10,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":11}"#, r#"{"proto":11,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
         }
     }
 
-    /// A client never writes a hello an endpoint would refuse for its
-    /// length: a thousand sixty-byte prefixes fit, a megabyte does not.
+    /// No control frame is written that a reader would refuse for its
+    /// length: a hello of a thousand sixty-byte prefixes fits, one of a
+    /// megabyte does not, nor does a shard map grown past 64 KiB — each
+    /// fails at its writer, not at the connection's other end.
     #[test]
-    fn a_hello_longer_than_an_endpoint_reads_is_not_written() {
+    fn a_control_frame_longer_than_a_reader_accepts_is_not_written() {
         let prefixes =
             |n: usize, len: usize| Service::Subscriber { prefixes: vec!["p".repeat(len); n] };
         let mut buf = Vec::new();
@@ -930,6 +950,13 @@ mod tests {
         let mut buf = Vec::new();
         let err = write_hello(&mut buf, prefixes(1, 1 << 20)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing was written");
+
+        let addrs = (0..4_000).map(|i| format!("shard-{i:05}.example:7090"));
+        let map = crate::cluster::ClusterRpc::Map { map: sdci_core::ShardMap::new(addrs) };
+        let err = write_msg(&mut buf, &map).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains(&format!("exceeds {MAX_HELLO_LEN}")), "{err}");
         assert!(buf.is_empty(), "nothing was written");
     }
 
@@ -1113,9 +1140,9 @@ mod tests {
     /// `write_frame` rejection. `u64` payloads encode to exactly 8
     /// bytes, so raw frame sizes are fully predictable:
     /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×(1+8).
-    /// A chunk goes out under a code when that is smaller, so what is
-    /// checked is how many members each chunk holds, and that none is
-    /// over the cap.
+    /// A chunk goes out coded when that is smaller — these small numbers'
+    /// seven zero bytes each make it so — so what is checked is how many
+    /// members each chunk holds, and that none is over the cap.
     #[test]
     fn binary_chunk_cap_is_exact_at_the_boundary() {
         let members = |bodies: &[Vec<u8>], cap: usize| -> Vec<usize> {
@@ -1136,7 +1163,6 @@ mod tests {
         // Cap exactly at a three-member body: three members per frame.
         let bodies = split_at(&payloads, three_member_body);
         assert_eq!(members(&bodies, three_member_body), [3, 3, 3]);
-        assert!(bodies.iter().all(|body| body.len() == three_member_body), "three go out raw");
 
         // One byte under the cap must drop to two members per frame.
         let bodies = split_at(&payloads, three_member_body - 1);
@@ -1452,7 +1478,7 @@ mod tests {
         prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
         let raw = raw_item_body(payloads);
         prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
-        if body[1] & (BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE) == 0 {
+        if body[1] & BIN_FLAG_CODED == 0 {
             prop_assert_eq!(&body, &raw);
         }
         for cap in 0..=body.len() {
@@ -1546,15 +1572,17 @@ mod tests {
         }
     }
 
-    /// Two frames a code would not shrink go out raw, byte for byte what
-    /// wire version 8 wrote: a lone heartbeat (no path at all, three
-    /// bytes of fields), and names over a large alphabet, whose path
-    /// table would cost more than its codewords save — and eight members'
-    /// fields pay for no field table either. Every benchmark workload's
-    /// names take a few dozen byte values, so this is the case no
-    /// workload shows.
+    /// A frame no code would shrink goes out raw, byte for byte what wire
+    /// version 8 wrote: a lone heartbeat (no path at all, three bytes of
+    /// fields). And a class no code would shrink stays raw beside coded
+    /// ones: names over a large alphabet, whose path table — a bitmap and
+    /// ninety-odd nibbles — would cost more than its codewords save,
+    /// while eight members' flags, kinds, lengths and deltas, a value or
+    /// two each, go under one-bit codes. Every benchmark workload's names
+    /// take a few dozen byte values, so this is the case no workload
+    /// shows.
     #[test]
-    fn frames_a_code_would_not_shrink_go_out_raw() {
+    fn a_frame_or_a_class_a_code_would_not_shrink_goes_out_raw() {
         let heartbeat = Frame::DeliverBatch {
             topic: "feed/all".into(),
             payloads: vec![FeedMessage::Heartbeat { last_seq: 12 }],
@@ -1574,23 +1602,28 @@ mod tests {
         let frame = Frame::ItemBatch { first_seq: 1, payloads: wide.clone(), trace: None };
         let mut body = Vec::new();
         frame.encode(&mut body).unwrap();
-        assert_eq!(body[1], 0, "a code over 90-odd byte values does not pay");
-        assert_eq!(body, raw_item_body(&wide));
+        assert_eq!(body[1], BIN_FLAG_CODED);
+        let mask = u16::from_le_bytes([body[2], body[3]]);
+        assert_eq!(mask & Class::Path.bit(), 0, "a code over 90-odd byte values does not pay");
+        assert_ne!(mask & Class::Flags.bit(), 0, "{mask:#x}");
+        assert!(body.len() < raw_item_body(&wide).len());
+        assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), frame);
         let mut written = Vec::new();
         write_item_batch_bin(&mut written, &mut BinEncoder::new(), 1, &wide, None).unwrap();
         assert_eq!(raw_frames(&written), [(true, body)]);
     }
 
     /// How many bytes the code table at the front of `bytes` takes: its
-    /// bitmap, and a nibble per byte value the bitmap names.
+    /// count, its symbols — listed, or a bitmap from 32 on — and a nibble
+    /// per symbol.
     fn table_len(bytes: &[u8]) -> usize {
-        let symbols: u32 = bytes[..32].iter().map(|byte| byte.count_ones()).sum();
-        32 + (symbols as usize).div_ceil(2)
+        let n = usize::from(bytes[0]) + 1;
+        1 + n.min(32) + n.div_ceil(2)
     }
 
-    /// Frames of the benchmark's shape go out under both codes, and the
-    /// codes' flags and tables sit where the header says: after the trace
-    /// section, the path code's first, before the kind's own fields.
+    /// Frames of the benchmark's shape go out coded, and the class mask
+    /// and tables sit where the header says: after the trace section, one
+    /// table a coded class in class order, before the kind's own fields.
     #[test]
     fn a_coded_frame_carries_its_tables_after_the_trace_section() {
         let payloads: Vec<FileEvent> = (0..64)
@@ -1603,13 +1636,22 @@ mod tests {
         let frame = Frame::ItemBatch { first_seq: 77, payloads: payloads.clone(), trace };
         let mut body = Vec::new();
         frame.encode(&mut body).unwrap();
-        assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE);
-        // The path code's bitmap names the suffixes' bytes.
-        let path_at = 2 + BIN_TRACE_LEN;
-        let names = |byte: u8| body[path_at + usize::from(byte >> 3)] >> (byte & 7) & 1 == 1;
+        assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_CODED);
+        let mask_at = 2 + BIN_TRACE_LEN;
+        let mask = u16::from_le_bytes([body[mask_at], body[mask_at + 1]]);
+        for class in [Class::Path, Class::Len, Class::Flags, Class::Kind, Class::Shared] {
+            assert_ne!(mask & class.bit(), 0, "{class} in {mask:#x}");
+        }
+        // The path class's table, first, lists the suffixes' bytes.
+        let path_at = mask_at + 2;
+        let n = usize::from(body[path_at]) + 1;
+        let listed = &body[path_at + 1..=path_at + n];
+        let names = |byte: u8| listed.contains(&byte);
         assert!(names(b'/') && names(b'f') && names(b'9') && !names(b'z') && !names(0));
-        let field_at = path_at + table_len(&body[path_at..]);
-        let head = field_at + table_len(&body[field_at..]);
+        let mut head = path_at;
+        for _ in 0..mask.count_ones() {
+            head += table_len(&body[head..]);
+        }
         assert_eq!(body[head..head + 8], 77u64.to_le_bytes());
         assert!(body.len() < raw_item_body(&payloads).len());
         assert_eq!(read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap(), frame);
@@ -1671,7 +1713,7 @@ mod tests {
         let reply = StoreRpc::Batch { events };
         let mut body = Vec::new();
         assert!(reply.encode(&mut body).unwrap());
-        assert_eq!(body[1], BIN_FLAG_PATH_CODE | BIN_FLAG_FIELD_CODE);
+        assert_eq!(body[1], BIN_FLAG_CODED);
         assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
         assert_eq!(StoreRpc::decode(true, &body).unwrap(), reply);
     }

@@ -1,15 +1,19 @@
-//! Allocation budgets for the decoders every event crosses, beside the
-//! byte budgets of `byte_budget.rs` and the Collector's and store's in
-//! `crates/core/tests/alloc_budget.rs`: a 256-member frame of each
-//! data-frame kind decodes in a handful of allocations — the member
+//! Allocation budgets for the encoders and decoders every event crosses,
+//! beside the byte budgets of `byte_budget.rs` and the Collector's and
+//! store's in `crates/core/tests/alloc_budget.rs`: a 256-member frame of
+//! each data-frame kind decodes in a handful of allocations — the member
 //! `Vec`, the frame's path arena and its seal, a topic — not one per
-//! path, and handing a decoded batch on by `clone()` copies no path.
+//! path, a coded frame encodes and decodes in exactly what the same
+//! members cost raw, and handing a decoded batch on by `clone()` copies
+//! no path.
 //! The counting `#[global_allocator]` keeps a per-thread tally, as
 //! `benchmark/src/alloc.rs` does.
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
-use sdci_net::wire::{Frame, WireMsg};
+use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg_bin};
+use sdci_net::wire::{BinEncoder, Frame, WireMsg};
+use sdci_types::bin::Class;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -172,17 +176,27 @@ fn a_256_member_frame_of_each_kind_decodes_in_at_most_eight_allocations() {
     }
 }
 
-/// Checks that `msg` goes out under both codes, smaller than `raw` — the
-/// same members laid out raw, as a frame goes out when coding would not
-/// pay — and decodes in exactly the allocations `raw` does.
+/// Checks that `msg` goes out coded, its fields and its paths each under
+/// their class's code, smaller than `raw` — the same members laid out
+/// raw, as a frame goes out when coding would not pay — and decodes in
+/// exactly the allocations `raw` does. Encoding it into a fresh buffer
+/// allocates only that buffer's growth: twelve doublings, from eight
+/// bytes to the 16 KiB that hold the raw pass, its notes and the coded
+/// section — every histogram, code and codeword table lives on the
+/// encoder's stack.
 fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
     kind: &str,
     msg: &M,
     raw: &[u8],
 ) {
     let mut body = Vec::new();
-    msg.encode(&mut body).expect("encodes");
-    assert_eq!(body[1] & 6, 6, "{kind}: a batch of the benchmark's shape goes out coded");
+    let made = allocations(|| msg.encode(&mut body).expect("encodes")).1;
+    assert_eq!(made, 12, "{kind}: {made} allocations to encode into a fresh buffer");
+    assert_eq!(body[1] & 2, 2, "{kind}: a batch of the benchmark's shape goes out coded");
+    let mask = u16::from_le_bytes([body[2], body[3]]);
+    for class in [Class::Path, Class::Len, Class::Flags, Class::Time, Class::Carried] {
+        assert_ne!(mask & class.bit(), 0, "{kind}: {class} in {mask:#x}");
+    }
     assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());
     let (decoded, raw_made) = allocations(|| M::decode(true, raw).expect("raw decodes"));
     assert_eq!(&decoded, msg);
@@ -195,7 +209,7 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
 /// and the arena — reserved at a multiple of the (now smaller) body —
 /// still holds every path without growing: for the `steady` shape, and
 /// for `resolve`'s long paths in short members, where a coded body
-/// assembles about four path bytes for each of its own.
+/// assembles about five path bytes for each of its own.
 #[test]
 fn a_coded_frame_decodes_in_the_allocations_of_a_raw_one() {
     for sequenced in [batch(), resolve_batch()] {
@@ -229,6 +243,44 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
         &deliver,
     );
     coded_costs_what_raw_does("store-batch", &StoreRpc::Batch { events: sequenced }, &store);
+}
+
+/// What every sender does — frames through a per-connection
+/// `BinEncoder` whose buffers have grown to the session's frames — costs
+/// no allocation at all once they have: 50- and 256-member item, deliver
+/// and store-batch frames of both shapes, coded, the raw pass's notes
+/// riding in the encoder's own member buffer.
+#[test]
+fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
+    for sequenced in [batch(), resolve_batch()] {
+        let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
+        let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
+        let replies = [50, 256].map(|n| (n, StoreRpc::Batch { events: sequenced[..n].to_vec() }));
+        let mut enc = BinEncoder::new();
+        let mut out = Vec::with_capacity(1 << 20);
+        // The first pass grows the encoder's buffers to these frames.
+        for pass in 0..2 {
+            for (n, reply) in &replies {
+                let (_, made) = allocations(|| {
+                    out.clear();
+                    write_item_batch_bin(&mut out, &mut enc, 9, &events[..*n], None)
+                        .expect("writes");
+                    out.clear();
+                    write_deliver_batch_bin(&mut out, &mut enc, "feed/all", &feed[..*n], None)
+                        .expect("writes");
+                    out.clear();
+                    write_msg_bin(&mut out, &mut enc, reply).expect("writes");
+                });
+                if pass == 1 {
+                    assert_eq!(made, 0, "{n} members: {made} allocations through a warm encoder");
+                }
+                // The reply went out coded, and reads back.
+                let body = &out[4..];
+                assert_eq!(body[1] & 2, 2, "{n} members: coded");
+                assert_eq!(&StoreRpc::decode(true, body).expect("decodes"), reply);
+            }
+        }
+    }
 }
 
 #[test]

@@ -17,23 +17,85 @@
 //!   batch frame and arrives intact, trace context included.
 //! * A store query and the store ping are the JSON they have always
 //!   been, byte for byte; a store reply has no JSON form at all.
+//! * After the hello a length word still sizes nothing: a JSON body —
+//!   every control frame — is refused as soon as its word claims more
+//!   than a hello may be, and a binary body's buffer grows with the
+//!   bytes that actually arrive, not with the claim; a long store query
+//!   and a reply far over one growth step still round-trip.
+//!
+//! The allocator is this binary's own (as in `wire_mutation.rs`): it
+//! records the largest single request the calling thread has made.
 
-use sdci_core::{EventBackend, EventStore, FeedMessage, ShardMap, StoreQuery};
+use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, ShardMap, StoreQuery};
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
-    write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, Hello, Service,
+    write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
+    MAX_HELLO_LEN,
 };
 use sdci_net::{
     fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker,
     TcpPullServer, TcpPush, TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    // A `const`-initialised `Cell` needs no lazy set-up and no
+    // destructor, so the allocator can touch it without allocating.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct LargestRequest;
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs during a thread's TLS teardown.
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the note touches only a
+// thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as in `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as in `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
+
+/// The largest single allocation request `f` makes on this thread.
+fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
+}
 
 fn fast_cfg() -> NetConfig {
     NetConfig {
@@ -414,6 +476,116 @@ fn a_hello_length_word_past_what_a_hello_can_be_is_refused_before_it_is_buffered
     assert!(sent.elapsed() >= cfg.liveness, "refused after {:?}", sent.elapsed());
     assert_eq!(refused("unknown"), before + 3);
     assert_eq!(store.queries(), 1);
+    endpoint.shutdown();
+}
+
+/// Hands out whatever bytes the test has sent so far, then reports
+/// `WouldBlock`: a peer that sends a frame piece by piece and falls
+/// silent in between.
+struct Trickle(std::rc::Rc<std::cell::RefCell<std::collections::VecDeque<u8>>>);
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut sent = self.0.borrow_mut();
+        if sent.is_empty() {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(sent.len());
+        buf.iter_mut().zip(sent.drain(..n)).for_each(|(slot, byte)| *slot = byte);
+        Ok(n)
+    }
+}
+
+/// A length word an authenticated peer sends sizes nothing either. A
+/// JSON word claiming a megabyte is refused on the word alone — on a
+/// reader handed nothing else, and on an established push session, which
+/// the endpoint closes at once, not after the liveness window. A binary
+/// word claiming 60 MiB, followed by silence, leaves the reader holding
+/// at most 128 KiB however many times it is called; once a megabyte of
+/// the body has come, it holds at most twice that and a step.
+#[test]
+fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
+    let json_word = (1u32 << 20).to_be_bytes();
+    let err = FrameReader::new(&json_word[..]).read_msg::<Frame<FileEvent>>().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains(&format!("exceeds {MAX_HELLO_LEN}")), "{err}");
+
+    let sent = std::rc::Rc::new(std::cell::RefCell::new(std::collections::VecDeque::new()));
+    let mut reader = FrameReader::new(Trickle(sent.clone()));
+    let silent_reads = |reader: &mut FrameReader<Trickle>| {
+        largest_request(|| {
+            for _ in 0..8 {
+                let err = reader.read_msg::<Frame<FileEvent>>().unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "{err}");
+            }
+        })
+        .1
+    };
+    sent.borrow_mut().extend(((60u32 << 20) | BIN_FRAME_BIT).to_be_bytes());
+    let largest = silent_reads(&mut reader);
+    assert!(largest <= 128 << 10, "on the word alone, a request for {largest} bytes");
+    sent.borrow_mut().extend(std::iter::repeat_n(0xa5, 1 << 20));
+    let largest = silent_reads(&mut reader);
+    assert!(largest <= 2 * ((1 << 20) + (64 << 10)), "after 1 MiB, a request for {largest} bytes");
+
+    let _serial = endpoints();
+    let cfg = fast_cfg();
+    let pull = TcpPullServer::<FeedMessage>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![pull.clone()]).unwrap();
+    let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_hello(&mut stream, Service::Push { client: "claims".into(), resume_after: 0 }).unwrap();
+    let (binary, greeting) = read_raw_frame(&mut stream);
+    assert!(!binary);
+    assert_eq!(Frame::<FeedMessage>::decode(false, &greeting).unwrap(), Frame::Ack { up_to: 0 });
+    let sent = Instant::now();
+    stream.write_all(&json_word).unwrap();
+    assert_closed_unanswered(&mut stream, "a megabyte-long control frame");
+    assert!(sent.elapsed() < cfg.liveness / 2, "refused after {:?}", sent.elapsed());
+    endpoint.shutdown();
+}
+
+/// The largest honest frames still travel: a query under a 4,096-byte
+/// prefix — a control frame of over four kilobytes — and a 1,000-event
+/// reply of long names, well past one step of the reader's buffer
+/// growth, each round-trip through a remote store.
+#[test]
+fn a_long_store_query_and_a_reply_past_one_read_step_round_trip() {
+    let _serial = endpoints();
+    let mut rng = 0x5dc1_0011u64;
+    let mut hex = |len: usize| -> String {
+        (0..len)
+            .map(|_| {
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                char::from_digit((rng >> 60) as u32, 16).unwrap()
+            })
+            .collect()
+    };
+    let event = |seq: u64, path: String| SequencedEvent {
+        seq,
+        event: FileEvent { index: seq, path: path.into(), trace: None, ..traced_event() },
+    };
+    let mut events: Vec<SequencedEvent> =
+        (1..=1_000).map(|seq| event(seq, format!("/long/d{}/{}", seq % 7, hex(200)))).collect();
+    let page = format!("/{}", "p".repeat(4_095));
+    events.push(event(1_001, page.clone()));
+    let store = EventStore::new(2_000);
+    store.insert_batch(events.clone()).unwrap();
+    let server = StoreServer::new(Arc::new(store));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let remote = RemoteStore::connect(endpoint.local_addr(), fast_cfg());
+
+    let under = remote.try_query(&StoreQuery::after_seq(0).under(&page)).unwrap();
+    assert_eq!(under, events[1_000..]);
+    let reply = StoreRpc::Batch { events: events[..1_000].to_vec() };
+    let mut body = Vec::new();
+    reply.encode(&mut body).unwrap();
+    assert!(body.len() > 64 << 10, "a {}-byte reply fits one read step", body.len());
+    let all = remote.try_query(&StoreQuery::after_seq(0).limit(1_000)).unwrap();
+    assert_eq!(all, events[..1_000]);
+    assert_eq!(server.queries(), 2);
     endpoint.shutdown();
 }
 

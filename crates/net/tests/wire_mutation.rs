@@ -1,14 +1,14 @@
 //! Hostile bytes at the data-frame decoders: 10,000 seeded mutations of
 //! valid kind-1, kind-3 and kind-4 bodies with raw members, and 10,000
-//! of the same bodies coded — paths under a path code, every other
-//! member byte under a field code — each fed to all three decoders; then
-//! path length and prefix words claiming what the body does not hold;
-//! then hand-laid members whose references and "same as the
-//! predecessor's" bits name what the frame does not hold; then
-//! hand-laid code tables and coded member sections that break every
-//! rule of the codes, and a coded section whose codewords are short
-//! enough to claim far more members than a raw one could hold. Every
-//! one is decoded or refused as `InvalidData` — the
+//! of the same bodies coded — every member byte under the code of its
+//! field class — each fed to all three decoders; then path length and
+//! prefix words claiming what the body does not hold; then hand-laid
+//! members whose references and "same as the predecessor's" bits name
+//! what the frame does not hold; then hand-laid class masks, per-class
+//! code tables and coded member sections that break every rule of the
+//! codes, each refused with its own message, and a coded section whose
+//! codewords are short enough to claim far more members than a raw one
+//! could hold. Every one is decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
 //! frame's path arena) is sized by a length, count or prefix word
@@ -24,7 +24,8 @@ use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{Frame, WireMsg};
 use sdci_types::bin::{
-    put_bytes, put_members, put_trace, put_varint, FRAME_PATH_BUDGET, MAX_PATH_LEN,
+    put_bytes, put_members, put_trace, put_varint, Class, CLASSES, FRAME_PATH_BUDGET,
+    LOOKUP_ENTRIES, MAX_CODE_LEN, MAX_PATH_LEN,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -185,11 +186,9 @@ fn allocation_bound(body: &[u8]) -> usize {
     (body.len() * std::mem::size_of::<FeedMessage>()).max(MAX_PATH_LEN)
 }
 
-/// Frame-header flags bits 1 and 2: the member section carries a path
-/// code, a field code; their tables follow the trace section, in that
-/// order.
-const PATH_CODE: u8 = 2;
-const FIELD_CODE: u8 = 4;
+/// Frame-header flags bit 1: the member section is coded; a class mask
+/// and a table for each class it names follow the trace section.
+const CODED: u8 = 2;
 
 /// The three data-frame kinds' members for `events`: item payloads,
 /// store-batch events (sequenced from 9) and deliver payloads (with a
@@ -280,8 +279,14 @@ fn ten_thousand_mutations_decode_or_fail_closed_with_bounded_allocation() {
     let mut rng = Rng(0x5dc1_0007);
     mutations_decode_or_fail_closed(&mut rng, &raw_bodies_of(events(), trace));
     let coded = bodies_of(events(), trace);
-    let both = PATH_CODE | FIELD_CODE;
-    assert!(coded.iter().all(|body| body[1] & both == both), "these members go out coded");
+    for body in &coded {
+        assert_eq!(body[1] & CODED, CODED, "these members go out coded");
+        // Flags, trace (on the item body), then the mask: several classes
+        // each under a code of its own.
+        let at = if body[0] == 1 { 19 } else { 2 };
+        let mask = u16::from_le_bytes([body[at], body[at + 1]]);
+        assert!(mask.count_ones() >= 6, "{mask:#x}");
+    }
     mutations_decode_or_fail_closed(&mut rng, &coded);
 }
 
@@ -344,36 +349,30 @@ const SAME_EXTRACTED: u8 = 1 << 6;
 const RESERVED: u8 = 1 << 7;
 
 /// A member, or a member section, laid out by hand: its raw bytes, and
-/// which of them a front-coded path carries verbatim — the bytes a path
-/// code codes; a field code codes the rest.
+/// the field class of each — what a coded frame codes it under.
 #[derive(Clone, Default)]
 struct Laid {
     bytes: Vec<u8>,
-    path: Vec<bool>,
+    classes: Vec<Class>,
 }
 
 impl Laid {
-    fn field(&mut self, bytes: &[u8]) {
+    fn put(&mut self, class: Class, bytes: &[u8]) {
         self.bytes.extend_from_slice(bytes);
-        self.path.resize(self.bytes.len(), false);
+        self.classes.resize(self.bytes.len(), class);
     }
 
-    fn varint(&mut self, value: u64) {
+    fn varint(&mut self, class: Class, value: u64) {
         let mut bytes = Vec::new();
         put_varint(&mut bytes, value);
-        self.field(&bytes);
-    }
-
-    fn path(&mut self, bytes: &[u8]) {
-        self.bytes.extend_from_slice(bytes);
-        self.path.resize(self.bytes.len(), true);
+        self.put(class, &bytes);
     }
 
     /// `member` behind its length, as a sequence holds it.
     fn member(&mut self, member: &Laid) {
-        self.varint(member.bytes.len() as u64);
+        self.varint(Class::Len, member.bytes.len() as u64);
         self.bytes.extend_from_slice(&member.bytes);
-        self.path.extend_from_slice(&member.path);
+        self.classes.extend_from_slice(&member.classes);
     }
 }
 
@@ -399,24 +398,27 @@ fn laid_member(
     // Bit 4: same MDT; bit 5: the event kind the record type implies.
     let flags = flags | 0x30 | if back.is_some() { PATH_REF } else { 0 };
     let mut out = Laid::default();
-    out.field(&[flags]);
+    out.put(Class::Flags, &[flags]);
     if flags & NEXT_INDEX == 0 {
-        out.field(&[2]); // index +1
+        out.put(Class::Other, &[2]); // index +1
     }
-    out.field(&[1 | kind, 2]); // 01CREAT, time +1
+    out.put(Class::Kind, &[1 | kind]); // 01CREAT
+    out.put(Class::Time, &[2]); // time +1
     if let Some(back) = back {
-        out.varint(back);
+        out.varint(Class::Back, back);
     }
-    out.varint(shared as u64);
-    out.varint(carried);
-    out.path(suffix);
+    out.varint(Class::Shared, shared as u64);
+    out.varint(Class::Carried, carried);
+    out.put(Class::Path, suffix);
     if kind & SAME_FID_HOME == 0 {
-        out.field(&[0, 2, 0]); // seq, oid +1, ver
+        out.put(Class::Other, &[0]); // seq
+        out.put(Class::Oid, &[2]); // oid +1
+        out.put(Class::Other, &[0]); // ver
     } else {
-        out.field(&[2]);
+        out.put(Class::Oid, &[2]);
     }
     if flags & EXTRACTED != 0 && kind & SAME_EXTRACTED == 0 {
-        out.field(&[0]);
+        out.put(Class::Other, &[0]);
     }
     out
 }
@@ -429,34 +431,39 @@ fn laid_member(
 fn sections(members: &[Option<Laid>]) -> [Laid; 3] {
     let mut sections: [Laid; 3] = Default::default();
     let events = members.iter().flatten().count() as u64;
-    sections[0].varint(events);
-    sections[1].varint(events);
-    sections[2].varint(members.len() as u64);
+    sections[0].varint(Class::Other, events);
+    sections[1].varint(Class::Other, events);
+    sections[2].varint(Class::Other, members.len() as u64);
     for event in members {
         let Some(event) = event else {
             let mut heartbeat = Laid::default();
-            heartbeat.field(&[1, 0]);
+            heartbeat.put(Class::Tag, &[1]);
+            heartbeat.put(Class::Seq, &[0]);
             sections[2].member(&heartbeat);
             continue;
         };
         sections[0].member(event);
-        for (section, prefix) in sections[1..].iter_mut().zip([&[2][..], &[0, 2]]) {
+        for (section, tagged) in sections[1..].iter_mut().zip([false, true]) {
             let mut member = Laid::default();
-            member.field(prefix);
+            if tagged {
+                member.put(Class::Tag, &[0]);
+            }
+            member.put(Class::Seq, &[2]);
             member.bytes.extend_from_slice(&event.bytes);
-            member.path.extend_from_slice(&event.path);
+            member.classes.extend_from_slice(&event.classes);
             section.member(&member);
         }
     }
     sections
 }
 
-/// The three kinds' headers with `flags` and `tables`, and their heads.
-fn heads(flags: u8, tables: &[u8]) -> [Vec<u8>; 3] {
-    let mut item = [&[1, flags][..], tables].concat();
+/// The three kinds' headers with `flags` and `codes` — a coded frame's
+/// class mask and tables — and their heads.
+fn heads(flags: u8, codes: &[u8]) -> [Vec<u8>; 3] {
+    let mut item = [&[1, flags][..], codes].concat();
     item.extend_from_slice(&7u64.to_le_bytes());
-    let store = [&[3, flags][..], tables].concat();
-    let mut deliver = [&[4, flags][..], tables].concat();
+    let store = [&[3, flags][..], codes].concat();
+    let mut deliver = [&[4, flags][..], codes].concat();
     put_bytes(&mut deliver, b"feed/all");
     [item, store, deliver]
 }
@@ -611,24 +618,25 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
 }
 
 /// A code table as a frame carries it, for `(symbol, codeword length)`
-/// pairs in ascending order: a bitmap of the symbols, then the lengths,
-/// four bits each — whatever the pairs are.
+/// pairs: `n−1`, the symbols — listed when fewer than 32, else a bitmap
+/// — then the lengths, four bits each, whatever the pairs are.
 fn table(lens: &[(u8, u8)]) -> Vec<u8> {
-    let mut out = vec![0; 32];
-    for (i, &(symbol, len)) in lens.iter().enumerate() {
-        out[usize::from(symbol >> 3)] |= 1 << (symbol & 7);
-        if i % 2 == 0 {
-            out.push(len << 4);
-        } else {
-            *out.last_mut().unwrap() |= len;
-        }
+    let n = lens.len();
+    let mut out = vec![(n - 1) as u8];
+    if n < 32 {
+        out.extend(lens.iter().map(|&(symbol, _)| symbol));
+    } else {
+        let mut bitmap = [0u8; 32];
+        lens.iter().for_each(|&(symbol, _)| bitmap[usize::from(symbol >> 3)] |= 1 << (symbol & 7));
+        out.extend(bitmap);
     }
+    out.extend(lens.chunks(2).map(|pair| (pair[0].1 << 4) | pair.get(1).map_or(0, |p| p.1)));
     out
 }
 
 /// Every byte value, each with an eight-bit codeword: the canonical
 /// codewords are then the bytes themselves, so under this table a coded
-/// section is the raw section, byte for byte.
+/// class is its raw bytes, bit for bit.
 fn identity() -> Vec<u8> {
     table(&(0..=u8::MAX).map(|symbol| (symbol, 8)).collect::<Vec<_>>())
 }
@@ -638,35 +646,45 @@ fn four() -> Vec<u8> {
     table(&[(b'/', 2), (b'a', 2), (b'b', 2), (b'x', 2)])
 }
 
-/// Each byte value's canonical codeword (bits, length) under a valid
-/// `table`, written here independently of the encoder; a frame without
-/// the table sends the byte itself in eight bits.
-fn codewords(table: Option<&[u8]>) -> [(u64, u32); 256] {
-    let Some(table) = table else { return std::array::from_fn(|byte| (byte as u64, 8)) };
-    let symbols: Vec<usize> = (0..256).filter(|s| table[s >> 3] >> (s & 7) & 1 == 1).collect();
-    let len = |i: usize| u32::from(table[32 + i / 2] >> (4 - 4 * (i & 1))) & 0xf;
-    let mut out = [(0, 0); 256];
-    let mut next = 0u64;
-    for bits in 1..=12 {
-        for (i, &symbol) in symbols.iter().enumerate() {
-            if len(i) == bits {
-                out[symbol] = (next, bits);
-                next += 1;
+/// Each byte value's codeword (bits, length) in each class: the class's
+/// canonical code under its table in `codes`, worked out here
+/// independently of the encoder, or the byte itself in eight bits for a
+/// class `codes` leaves out.
+type Codewords = [[(u64, u32); 256]; CLASSES];
+
+fn codewords(codes: &[(Class, Vec<u8>)]) -> Codewords {
+    let mut out = [std::array::from_fn(|byte| (byte as u64, 8)); CLASSES];
+    for (class, table) in codes {
+        let n = usize::from(table[0]) + 1;
+        let (symbols, nibbles): (Vec<usize>, &[u8]) = if n < 32 {
+            (table[1..=n].iter().map(|&s| usize::from(s)).collect(), &table[1 + n..])
+        } else {
+            ((0..256).filter(|s| table[1 + (s >> 3)] >> (s & 7) & 1 == 1).collect(), &table[33..])
+        };
+        let len = |i: usize| u32::from(nibbles[i / 2] >> (4 - 4 * (i & 1))) & 0xf;
+        let map = &mut out[*class as usize];
+        *map = [(0, 0); 256];
+        let mut next = 0u64;
+        for bits in 1..=12 {
+            for (i, &symbol) in symbols.iter().enumerate() {
+                if len(i) == bits {
+                    map[symbol] = (next, bits);
+                    next += 1;
+                }
             }
+            next <<= 1;
         }
-        next <<= 1;
     }
     out
 }
 
-/// `section` as one bit stream: path bytes under `path`, the rest under
-/// `field`, the final byte's padding bits set from `padding`.
-fn code_section(section: &Laid, path: Option<&[u8]>, field: Option<&[u8]>, padding: u8) -> Vec<u8> {
-    let (path, field) = (codewords(path), codewords(field));
+/// `section` as one bit stream, each byte under its class's codeword in
+/// `words`, the final byte's padding bits set from `padding`.
+fn code_section(section: &Laid, words: &Codewords, padding: u8) -> Vec<u8> {
     let (mut out, mut pending, mut held) = (Vec::new(), 0u64, 0u32);
-    for (&byte, &is_path) in section.bytes.iter().zip(&section.path) {
-        let (bits, len) = if is_path { path[usize::from(byte)] } else { field[usize::from(byte)] };
-        assert!(len > 0, "byte {byte:#x} has no codeword");
+    for (&byte, &class) in section.bytes.iter().zip(&section.classes) {
+        let (bits, len) = words[class as usize][usize::from(byte)];
+        assert!(len > 0, "byte {byte:#x} of the {class} class has no codeword");
         pending = (pending << len) | bits;
         held += len;
         while held >= 8 {
@@ -680,27 +698,39 @@ fn code_section(section: &Laid, path: Option<&[u8]>, field: Option<&[u8]>, paddi
     out
 }
 
-/// The three kinds carrying hand-laid `members` under `path` and `field`
-/// tables (`None`: the frame carries no such code), the final padding
-/// bits set from `padding`.
-fn coded_with(
-    path: Option<&[u8]>,
-    field: Option<&[u8]>,
+/// A coded frame's class mask and tables for `codes`, in the order given.
+fn mask_and_tables(codes: &[(Class, Vec<u8>)]) -> Vec<u8> {
+    let mask = codes.iter().fold(0u16, |mask, (class, _)| mask | class.bit());
+    let tables = codes.iter().flat_map(|(_, table)| table.iter().copied());
+    mask.to_le_bytes().into_iter().chain(tables).collect()
+}
+
+/// The three kinds carrying hand-laid `members` coded, their class mask
+/// and tables `codes`, each byte under `words`, the final padding bits
+/// set from `padding`.
+fn laid_coded(
+    codes: &[u8],
+    words: &Codewords,
     padding: u8,
     members: &[Option<Laid>],
 ) -> [Vec<u8>; 3] {
-    let flags = path.map_or(0, |_| PATH_CODE) | field.map_or(0, |_| FIELD_CODE);
-    let tables = [path.unwrap_or_default(), field.unwrap_or_default()].concat();
-    let mut bodies = heads(flags, &tables);
+    let mut bodies = heads(CODED, codes);
     for (body, section) in bodies.iter_mut().zip(sections(members)) {
-        body.extend(code_section(&section, path, field, padding));
+        body.extend(code_section(&section, words, padding));
     }
     bodies
 }
 
+/// The three kinds carrying hand-laid `members` under the tables of
+/// `codes` (a class it leaves out goes raw), the final padding bits set
+/// from `padding`.
+fn coded_with(codes: &[(Class, Vec<u8>)], padding: u8, members: &[Option<Laid>]) -> [Vec<u8>; 3] {
+    laid_coded(&mask_and_tables(codes), &codewords(codes), padding, members)
+}
+
 /// [`coded_with`], its padding zero.
-fn coded(path: Option<&[u8]>, field: Option<&[u8]>, members: &[Option<Laid>]) -> [Vec<u8>; 3] {
-    coded_with(path, field, 0, members)
+fn coded(codes: &[(Class, Vec<u8>)], members: &[Option<Laid>]) -> [Vec<u8>; 3] {
+    coded_with(codes, 0, members)
 }
 
 /// A first member whose whole path is a suffix of `carried` bytes, `suffix`.
@@ -708,107 +738,224 @@ fn coded_first(carried: u64, suffix: &[u8]) -> Option<Laid> {
     Some(laid_member(0, 0, None, 0, carried, suffix))
 }
 
-/// Code tables and coded sections that break a rule, each beside an
-/// honest neighbour that decodes: a table cut short, of one symbol, of
-/// over-subscribed or incomplete lengths, of a length of 0 or 13 (12 is
-/// the longest allowed), of a padding nibble that is not zero — the
-/// field code's and the path code's alike; then a section whose final
-/// padding bits are not zero, whose codewords run past the body, whose
-/// suffix claims more bytes than the bits left could hold or a path one
-/// byte over `MAX_PATH_LEN`, and a path code on a section with no path
-/// to code. Each is `InvalidData` from all three decoders, within the
-/// allocation bound, refused with its own message.
-#[test]
-fn a_code_table_or_coded_section_that_breaks_a_rule_is_refused() {
-    let all = |paths: &[&str]| Some(paths.iter().map(|p| p.to_string()).collect::<Vec<_>>());
-    let decodes = |bodies: [Vec<u8>; 3], want: &[&str]| {
-        assert_eq!(decoded_paths(&bodies), [(); 3].map(|()| all(want)));
-    };
-    // Refused by all three decoders, the item decoder saying `why`.
-    let refused = |why: &str, bodies: [Vec<u8>; 3]| {
-        assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
-        let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
-        assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
-    };
-    let honest = [
+/// The three kinds' bodies cut right after a coded frame's class mask
+/// and tables, `codes`, as given: they are read before anything else, so
+/// a table cut short is one the body ends inside.
+fn headed(codes: &[u8]) -> [Vec<u8>; 3] {
+    [1, 3, 4].map(|kind| [&[kind, CODED][..], codes].concat())
+}
+
+/// Honest members beside every rule, and the paths they decode to.
+fn honest() -> [Option<Laid>; 3] {
+    [
         Some(member(0, 0, None, 0, b"/d/alpha/x")),
         Some(member(0, 0, None, 3, b"beta/y")),
         Some(member(0, 0, Some(2), 9, b"z")),
-    ];
-    let want = ["/d/alpha/x", "/d/beta/y", "/d/alpha/z"];
+    ]
+}
+
+const HONEST_PATHS: [&str; 3] = ["/d/alpha/x", "/d/beta/y", "/d/alpha/z"];
+
+fn all(paths: &[&str]) -> Option<Vec<String>> {
+    Some(paths.iter().map(|p| p.to_string()).collect())
+}
+
+/// Decoded to `want` by all three decoders.
+fn decodes(bodies: [Vec<u8>; 3], want: &[&str]) {
+    assert_eq!(decoded_paths(&bodies), [(); 3].map(|()| all(want)));
+}
+
+/// Refused by all three decoders, the item decoder saying `why`.
+fn refused(why: &str, bodies: [Vec<u8>; 3]) {
+    assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
+    let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
+    assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
+}
+
+/// Per-class tables that break a rule, each beside honest neighbours that
+/// decode, each refused with its own message — as the path class's table,
+/// first in the frame, and as the flags class's, after an honest one: a
+/// table cut short in its count, its symbols or its lengths; a list that
+/// is not strictly ascending, or repeats a symbol; a bitmap naming other
+/// than its count of symbols — which is what a list claiming 32 symbols
+/// or more reads as; over-subscribed or incomplete lengths, a length of 0
+/// or of 13 (12 is the longest allowed), a padding nibble that is not
+/// zero; and a one-symbol code whose codeword is not one bit. Beside them
+/// what the rules allow: a list of 31 symbols, a bitmap of 32, codes as
+/// deep as twelve bits, a one-symbol code of one bit.
+#[test]
+fn a_class_table_that_breaks_a_rule_is_refused_with_its_own_message() {
     let id = identity();
-    for (path, field) in [(Some(&id[..]), None), (None, Some(&id[..])), (Some(&id), Some(&id))] {
-        decodes(coded(path, field, &honest), &want);
+    for codes in [
+        vec![(Class::Path, id.clone())],
+        vec![(Class::Flags, id.clone())],
+        // Every class all three sections hold: not the tag (only a feed's
+        // members carry one) nor the sequence delta (an item's do not).
+        Class::ALL
+            .into_iter()
+            .filter(|class| !matches!(class, Class::Tag | Class::Seq))
+            .map(|class| (class, id.clone()))
+            .collect(),
+    ] {
+        decodes(coded(&codes, &honest()), &HONEST_PATHS);
         // Under identity tables the section is the raw one.
-        let tables = path.map_or(0, <[u8]>::len) + field.map_or(0, <[u8]>::len);
-        assert_eq!(coded(path, field, &honest)[1][2 + tables..], hand_laid(&honest)[1][2..]);
+        let laid = mask_and_tables(&codes).len();
+        assert_eq!(coded(&codes, &honest())[1][2 + laid..], hand_laid(&honest())[1][2..]);
     }
 
-    // The tables, each as the field code (beside an identity path code)
-    // and as the path code (beside no field code).
-    let bad_tables: [(&str, Vec<u8>); 7] = [
+    let two = || table(&[(0, 1), (1, 1)]);
+    let mut padded = table(&[(0, 1), (1, 2), (2, 2)]);
+    *padded.last_mut().unwrap() |= 1;
+    // 32 symbols listed, `0x20`..`0x3f`: read as a 32-byte bitmap, whose
+    // bits name more.
+    let listed_32 = [&[31][..], &(0x20..0x40).collect::<Vec<u8>>(), &[0x55; 16]].concat();
+    let named: u32 = (0x20u8..0x40).map(u8::count_ones).sum();
+    let listed_32_why = format!("bitmap names {named} symbols, its count 32");
+    let bad_tables: Vec<(&str, Vec<u8>)> = vec![
+        ("truncated", vec![]),
+        ("truncated", two()[..2].to_vec()),
+        ("truncated", two()[..3].to_vec()),
         ("truncated", id[..20].to_vec()),
-        ("fewer than two symbols", table(&[(b'/', 1)])),
+        ("not strictly ascending", [&[1, b'b', b'a'][..], &[0x11]].concat()),
+        ("not strictly ascending", [&[1, b'a', b'a'][..], &[0x11]].concat()),
+        (&listed_32_why, listed_32),
+        (
+            "bitmap names 31 symbols, its count 32",
+            [&[31][..], &[0xff; 3], &[0x7f], &[0; 28], &[0x55; 16]].concat(),
+        ),
         ("over-subscribed", table(&[(0, 1), (1, 1), (2, 1)])),
         ("incomplete", table(&[(0, 1), (1, 2)])),
         ("length of 0", table(&[(0, 1), (1, 0)])),
         ("length of 13", table(&[(0, 1), (1, 13)])),
-        ("padding nibble", [&table(&[(0, 1), (1, 2), (2, 2)])[..], &[]].concat()),
+        ("padding nibble", padded),
+        ("one-symbol path code whose codeword is 2 bits", table(&[(b'/', 2)])),
+        ("one-symbol path code whose codeword is 12 bits", table(&[(b'/', 12)])),
+        ("length of 0", table(&[(b'/', 0)])),
     ];
     for (why, bad) in bad_tables {
-        let mut bad = bad;
-        if why == "padding nibble" {
-            *bad.last_mut().unwrap() |= 1;
-        }
-        let bodies_with = |path: &[u8], field: Option<&[u8]>| {
-            let flags = PATH_CODE | field.map_or(0, |_| FIELD_CODE);
-            // The tables are read before a member byte: no section needed.
-            heads(flags, &[path, field.unwrap_or_default()].concat())
-        };
-        refused(why, bodies_with(&id, Some(&bad)));
-        refused(why, bodies_with(&bad, None));
+        // As the path class's table, first; and as the flags class's,
+        // after the path class's honest one.
+        let first = [&Class::Path.bit().to_le_bytes()[..], &bad].concat();
+        refused(why, headed(&first));
+        let mask = (Class::Path.bit() | Class::Flags.bit()).to_le_bytes();
+        let second = [&mask[..], &id, &bad].concat();
+        refused(&why.replace("path", "flags"), headed(&second));
     }
-    // Lengths 1, 2, ..., 11, 12, 12 are complete: `/` is the one-bit `0`.
-    let longest: Vec<(u8, u8)> = (b'a'..=b'l').zip(2..=12).chain([(b'/', 1), (b'z', 12)]).collect();
-    let mut longest = longest;
-    longest.sort();
-    decodes(coded(Some(&table(&longest)), None, &[coded_first(1, b"/")]), &["/"]);
+
+    // What the rules allow. Lengths 1, 2, ..., 11, 12, 12 are complete:
+    // `/` is the one-bit `0`.
+    let mut deepest: Vec<(u8, u8)> =
+        (b'a'..=b'l').zip(2..=12).chain([(b'/', 1), (b'z', 12)]).collect();
+    deepest.sort();
+    decodes(coded(&[(Class::Path, table(&deepest))], &[coded_first(1, b"/")]), &["/"]);
+    // A list of 31 — thirty 5-bit codewords and one of 4 — and a bitmap
+    // of 32 5-bit ones, over `@`, `A`..`Z`, `[`, `\`, `]`, `^`, `_`.
+    let listed: Vec<(u8, u8)> = (0x41..0x60).map(|s| (s, if s == 0x41 { 4 } else { 5 })).collect();
+    let mapped: Vec<(u8, u8)> = (0x40..0x60).map(|s| (s, 5)).collect();
+    assert_eq!((table(&listed).len(), table(&mapped).len()), (1 + 31 + 16, 1 + 32 + 16));
+    for symbols in [listed, mapped] {
+        decodes(coded(&[(Class::Path, table(&symbols))], &[coded_first(3, b"ABC")]), &["ABC"]);
+    }
+    // A one-symbol code of one bit: every member's kind byte, `01`.
+    let one = vec![(Class::Kind, table(&[(1, 1)]))];
+    decodes(coded(&one, &honest()), &HONEST_PATHS);
+}
+
+/// What a coded frame's header and section may not be, each refused with
+/// its own message: class-mask bits past the last class, or a mask with
+/// no bit; codes whose lookup tables together take more than 8,192
+/// entries (two twelve-bit-deep codes are the most that fit); the
+/// codeword `1` of a one-symbol code; final padding bits that are not
+/// zero; codewords that run past the body; a suffix claiming more bytes
+/// than the bits left could hold, or a path one byte over `MAX_PATH_LEN`;
+/// and a code for a class the section has no byte of.
+#[test]
+fn a_class_mask_or_coded_section_that_breaks_a_rule_is_refused_with_its_own_message() {
+    let id = identity();
+    for bit in 12..16 {
+        let mask = (Class::Path.bit() | (1 << bit)).to_le_bytes();
+        refused("unknown class-mask bits", headed(&[&mask[..], &id].concat()));
+    }
+    refused("codes nothing", headed(&[0, 0]));
+
+    // Twelve bits deep: `0x30` (the flags byte), `/` and `x` among them.
+    let deep = |common: u8| {
+        let mut lens: Vec<(u8, u8)> =
+            (b'a'..=b'k').zip(2..=12).chain([(common, 1), (b'x', 12)]).collect();
+        lens.sort();
+        table(&lens)
+    };
+    assert_eq!(2 << MAX_CODE_LEN, LOOKUP_ENTRIES, "two twelve-bit codes fill the entries");
+    let two = vec![(Class::Path, deep(b'/')), (Class::Flags, deep(0x30))];
+    decodes(coded(&two, &[coded_first(3, b"/ax")]), &["/ax"]);
+    let three = [two.clone(), vec![(Class::Time, deep(2))]].concat();
+    refused("lookup tables take more than 8192 entries", coded(&three, &[coded_first(3, b"/ax")]));
+
+    // The one-symbol kind code's `1`, where its `0` belongs.
+    let one = vec![(Class::Kind, table(&[(1, 1)]))];
+    let mut words = codewords(&one);
+    words[Class::Kind as usize][1] = (1, 1);
+    refused(
+        "the codeword `1` of a one-symbol kind code",
+        laid_coded(&mask_and_tables(&one), &words, 0, &honest()),
+    );
+    // ... and as a path byte, inside a suffix.
+    let one = vec![(Class::Path, table(&[(b'/', 1)]))];
+    let mut words = codewords(&one);
+    words[Class::Path as usize][usize::from(b'/')] = (1, 1);
+    decodes(coded(&one, &[coded_first(2, b"//")]), &["//"]);
+    refused(
+        "the codeword `1` of a one-symbol path code",
+        laid_coded(&mask_and_tables(&one), &words, 0, &[coded_first(2, b"//")]),
+    );
 
     // The section. `/ab` under `four` is `00 01 10`, between field bytes
     // of eight bits each, and the section ends six bits into a byte.
-    let four = four();
-    decodes(coded(Some(&four), None, &[coded_first(3, b"/ab")]), &["/ab"]);
-    refused("padding bits", coded_with(Some(&four), None, 0x01, &[coded_first(3, b"/ab")]));
-    refused("padding bits", coded_with(Some(&four), None, 0x02, &[coded_first(3, b"/ab")]));
-    let cut = coded(Some(&four), None, &[coded_first(3, b"/ab")]).map(|mut body| {
+    let four = vec![(Class::Path, four())];
+    decodes(coded(&four, &[coded_first(3, b"/ab")]), &["/ab"]);
+    refused("padding bits", coded_with(&four, 0x01, &[coded_first(3, b"/ab")]));
+    refused("padding bits", coded_with(&four, 0x02, &[coded_first(3, b"/ab")]));
+    let cut = coded(&four, &[coded_first(3, b"/ab")]).map(|mut body| {
         body.pop();
         body
     });
     refused("past the body", cut);
     // A suffix count past what the bits left could hold, or past a page.
-    refused("a coded suffix of 1000 bytes", coded(Some(&four), None, &[coded_first(1_000, b"/a")]));
-    refused("exceeds 4096", coded(Some(&four), None, &[coded_first(u64::MAX, b"/a")]));
+    refused("a coded suffix of 1000 bytes", coded(&four, &[coded_first(1_000, b"/a")]));
+    refused("exceeds 4096", coded(&four, &[coded_first(u64::MAX, b"/a")]));
     // `/` and 4,095 `a`s is a 4,096-byte path in 1,024 bytes; one `a` more
     // is refused on its count, before a bit is decoded.
     let page = [&b"/"[..], &[b'a'; MAX_PATH_LEN - 1]].concat();
     let want = String::from_utf8(page.clone()).unwrap();
-    decodes(coded(Some(&four), None, &[coded_first(MAX_PATH_LEN as u64, &page)]), &[&want]);
+    decodes(coded(&four, &[coded_first(MAX_PATH_LEN as u64, &page)]), &[&want]);
     let over = [&page[..], b"a"].concat();
-    refused("exceeds 4096", coded(Some(&four), None, &[coded_first(over.len() as u64, &over)]));
+    refused("exceeds 4096", coded(&four, &[coded_first(over.len() as u64, &over)]));
 
-    // A path code with nothing to code: no members, or a heartbeat alone.
-    refused("no paths", coded(Some(&id), None, &[]));
-    let [.., deliver] = coded(Some(&id), None, &[None]);
+    // A code for a class the section has no byte of: a path code on no
+    // members, or on a heartbeat alone; a back-distance code on members
+    // that reference nothing; a tag code on an item or store section,
+    // which hold no tag.
+    let path = vec![(Class::Path, id.clone())];
+    refused("a path code on a section with no path bytes", coded(&path, &[]));
+    let [.., deliver] = coded(&path, &[None]);
     let err = Frame::<FeedMessage>::decode(true, &deliver).unwrap_err();
-    assert!(err.to_string().contains("no paths"), "got: {err}");
-    assert_eq!(decoded_paths(&coded(Some(&id), None, &[None])), [None, None, None]);
-    // A field code has something to code in every section.
-    assert_eq!(decoded_paths(&coded(None, Some(&id), &[])), [(); 3].map(|()| all(&[])));
+    assert!(err.to_string().contains("no path bytes"), "got: {err}");
+    let back = vec![(Class::Back, id.clone())];
+    refused(
+        "a back-distance code on a section with no back-distance bytes",
+        coded(&back, &honest()[..2]),
+    );
+    let tag = coded(&[(Class::Tag, id.clone())], &honest());
+    let [item, store, deliver] = decoded_paths(&tag);
+    assert_eq!((item, store, deliver), (None, None, all(&HONEST_PATHS)));
+    // Every section has a count, of the other class.
+    let other = vec![(Class::Other, id)];
+    assert_eq!(decoded_paths(&coded(&other, &[])), [(); 3].map(|()| all(&[])));
 }
 
 /// A coded suffix is charged to the frame's path budget like any other:
 /// the chain of references that fills the budget exactly still decodes
-/// under a code, and one coded byte more is refused.
+/// under codes, and one coded byte more is refused.
 #[test]
 fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
     let long = |fill: u8| Some(member(0, 0, None, 0, &[fill; MAX_PATH_LEN]));
@@ -816,11 +963,16 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
     let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
     let mut chain: Vec<Option<Laid>> =
         [long(b'p'), long(b'q')].into_iter().chain((2..pages).map(|_| again())).collect();
-    let id = identity();
-    let [fits, ..] = coded(Some(&id), Some(&id), &chain);
+    // Every class an item section holds, each under an identity code.
+    let codes: Vec<(Class, Vec<u8>)> = Class::ALL
+        .into_iter()
+        .filter(|class| !matches!(class, Class::Tag | Class::Seq))
+        .map(|class| (class, identity()))
+        .collect();
+    let [fits, ..] = coded(&codes, &chain);
     assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
     chain.push(coded_first(1, b"/"));
-    let [over, ..] = coded(Some(&id), Some(&id), &chain);
+    let [over, ..] = coded(&codes, &chain);
     let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &over));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -828,22 +980,24 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
 }
 
-/// Under a field code, a member can be a few bits: here a heartbeat —
-/// its length, tag and delta, `02 01 00` — takes six. A deliver body of
-/// 2^20 such members is every one of them well formed, and a member
-/// `Vec` that grew to hold them would be eight times what the same bytes
-/// could hold raw. So a section claims no more members than half its
-/// bytes after the count, coded or not: this one is refused on its count
-/// word, within the allocation bound, as is a short run of the same
-/// members, while the run raw decodes. And the encoder never writes a
-/// frame the rule refuses: a long run of heartbeats it sends without a
-/// field code.
+/// Under one-symbol codes, a member can be a few bits: here a heartbeat —
+/// its length, tag and delta, `02 01 00` — takes three, one a class. A
+/// deliver body of 2^20 such members is every one of them well formed,
+/// and a member `Vec` that grew to hold them would be five times what the
+/// same bytes could hold raw. So a section claims no more members than
+/// half its bytes after the count, coded or not: this one is refused on
+/// its count word, within the allocation bound, as is a short run of the
+/// same members, while the run raw decodes. And the encoder never writes
+/// a frame the rule refuses: a long run of heartbeats goes out with
+/// codes dropped until each member takes at least sixteen bits.
 #[test]
 fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
-    // `00` one bit, `01` two, `02` three; the count's bytes five.
-    let short = table(&[(0, 1), (1, 2), (2, 3), (3, 5), (0x20, 5), (0x40, 5), (0x80, 5)]);
+    let codes = [(Class::Seq, 0), (Class::Len, 2), (Class::Tag, 1)]
+        .map(|(class, symbol)| (class, table(&[(symbol, 1)])));
+    let mut codes = codes.to_vec();
+    codes.sort_by_key(|(class, _)| *class as u8);
     let deliver = |count: usize| {
-        let [.., body] = coded(None, Some(&short), &vec![None; count]);
+        let [.., body] = coded(&codes, &vec![None; count]);
         body
     };
     let claimed = 1 << 20;
@@ -863,6 +1017,6 @@ fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
         (1..=100_000).map(|last_seq| FeedMessage::Heartbeat { last_seq }).collect();
     let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
     let body = body_of(&frame);
-    assert_eq!(body[1] & FIELD_CODE, 0, "three-byte members go out without a field code");
+    assert!(body.len() >= 2 * 100_000, "{} bytes for 100,000 members", body.len());
     assert_eq!(Frame::<FeedMessage>::decode(true, &body).unwrap(), frame);
 }

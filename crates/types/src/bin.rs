@@ -46,18 +46,19 @@
 //! sequence claims no more members than half the bytes after its count
 //! could hold: a raw member is at least two bytes.
 //!
-//! A frame's member section may also be **coded**
-//! ([`put_members_coded`]): it is the raw section with every byte
-//! replaced by a codeword — the bytes front-coded paths carry verbatim
-//! under the frame's *path code*, every other byte (the count, the
-//! length prefixes, flags, deltas, shared lengths, back-distances) under
-//! its *field code*. Both are canonical Huffman codes built from the
-//! frame's own bytes, and their tables travel in the frame
-//! ([`BinReader::read_codes`]). The section is one bit stream, zero-padded
-//! once, at its end. The encoder keeps each code only when it makes the
-//! frame smaller, table included ([`code_members`]); a code the frame
-//! does not carry leaves its bytes as they are, eight bits each. A
-//! snapshot block is never coded.
+//! Every byte of a member section belongs to a field [`Class`] — a path
+//! suffix's, a time delta's, a length prefix's, a flags byte's... — and
+//! every primitive a member encoder writes through ([`SeqEncoder`]) and a
+//! decoder reads through ([`BinReader`]) names it. A frame's member
+//! section may be **coded** ([`put_members_coded`]): it is the raw
+//! section with every byte replaced by a codeword under the code of its
+//! class — a canonical Huffman code per class, built from the frame's
+//! own bytes of that class, whose table travels in the frame
+//! ([`BinReader::read_codes`]); a class the frame does not code keeps
+//! its bytes as they are, eight bits each. The section is one bit
+//! stream, zero-padded once, at its end. The encoder codes each class
+//! only when that makes the frame smaller, table included
+//! ([`code_members`]). A snapshot block is never coded.
 //!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
@@ -102,9 +103,18 @@ pub const MAX_PATH_LEN: usize = 4096;
 /// memory one connection can pin.
 pub const FRAME_PATH_BUDGET: usize = 64 << 20;
 
-/// Longest codeword either of a frame's codes may assign: the decoder's
-/// lookup tables have `1 << MAX_CODE_LEN` entries.
+/// Longest codeword any of a frame's codes may assign.
 pub const MAX_CODE_LEN: u32 = 12;
+
+/// Lookup-table entries a [`BinReader`] holds for all of a frame's codes
+/// together: a code whose longest codeword is `l` bits takes `1 << l` of
+/// them, and a frame whose codes take more is refused — its encoder
+/// flattens its deepest codes until they fit.
+pub const LOOKUP_ENTRIES: usize = 8192;
+
+/// A code table lists its symbols when it has fewer than this many, and
+/// names them in a bitmap, one bit per byte value, otherwise.
+const LIST_LIMIT: usize = 32;
 
 /// Bytes a code table's symbol bitmap takes: one bit per byte value.
 const CODE_BITMAP_LEN: usize = 32;
@@ -113,8 +123,8 @@ const CODE_BITMAP_LEN: usize = 32;
 /// first path is read — never a length the body claims. A path is mostly
 /// shared with a frame-mate's, and a coded member carries its fields and
 /// suffix in a few bits each: a coded 256-member frame of the benchmark's
-/// `resolve` shape assembles between four and five path bytes per body
-/// byte (57-byte paths in 14-byte members), more with renames, so at four
+/// `resolve` shape assembles about five path bytes per body byte
+/// (57-byte paths in 12-byte members), more with renames, so at five
 /// times the body its arena would grow once.
 const ARENA_PER_BODY_BYTE: usize = 6;
 
@@ -139,13 +149,98 @@ impl fmt::Display for BinDecodeError {
 
 impl std::error::Error for BinDecodeError {}
 
-/// Which of a member section's two codes a frame carries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SectionCodes {
-    /// The path code: the bytes front-coded paths carry verbatim.
-    pub path: bool,
-    /// The field code: every other byte of the member section.
-    pub field: bool,
+/// How many field classes there are: the bits a coded frame's class mask
+/// may set.
+pub const CLASSES: usize = 12;
+
+/// The field a member-section byte belongs to. A coded frame carries each
+/// class under a code of its own, or raw; every write a member encoder
+/// makes through [`SeqEncoder`] and every read through [`BinReader`]
+/// names the class of its bytes, and a class's bit in a coded frame's
+/// mask is `1 << class as u16`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// The bytes front-coded strings carry verbatim: path and `src_path`
+    /// suffixes.
+    Path,
+    /// A FID's object-id delta.
+    Oid,
+    /// A path reference's back-distance.
+    Back,
+    /// A time delta.
+    Time,
+    /// A sequence-number delta: a sequenced event's `seq`, a heartbeat's
+    /// `last_seq`.
+    Seq,
+    /// A member's length prefix.
+    Len,
+    /// A member's flags byte.
+    Flags,
+    /// The record-type byte, and an explicit event-kind byte.
+    Kind,
+    /// A feed member's variant tag.
+    Tag,
+    /// A front-coded string's shared-prefix length.
+    Shared,
+    /// A front-coded string's suffix byte count.
+    Carried,
+    /// Everything else: the member count, record numbers, MDTs, a FID's
+    /// sequence and version, extraction stamps, trace contexts, and
+    /// `String` and `u64` members.
+    Other,
+}
+
+impl Class {
+    /// Every class, in mask-bit order.
+    pub const ALL: [Class; CLASSES] = [
+        Class::Path,
+        Class::Oid,
+        Class::Back,
+        Class::Time,
+        Class::Seq,
+        Class::Len,
+        Class::Flags,
+        Class::Kind,
+        Class::Tag,
+        Class::Shared,
+        Class::Carried,
+        Class::Other,
+    ];
+
+    /// The class's bit in a coded frame's class mask.
+    pub const fn bit(self) -> u16 {
+        1 << self as u16
+    }
+}
+
+impl fmt::Display for Class {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Class::Path => "path",
+            Class::Oid => "oid",
+            Class::Back => "back-distance",
+            Class::Time => "time",
+            Class::Seq => "sequence",
+            Class::Len => "length",
+            Class::Flags => "flags",
+            Class::Kind => "kind",
+            Class::Tag => "tag",
+            Class::Shared => "shared-length",
+            Class::Carried => "carried-length",
+            Class::Other => "other",
+        })
+    }
+}
+
+/// Takes the next `n` bytes off the front of `buf`.
+#[inline]
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
+    if buf.len() < n {
+        return Err(BinDecodeError::msg(format!("truncated: need {n} bytes, have {}", buf.len())));
+    }
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
 }
 
 /// A cursor over a received binary payload. All reads are bounds-checked
@@ -160,8 +255,9 @@ pub struct SectionCodes {
 ///
 /// It holds its frame's codes too, once [`BinReader::read_codes`] has
 /// read them: inside the member section ([`read_members`]) every
-/// primitive then reads through the field code, and
-/// [`BinReader::front_coded`] reads suffixes through the path code.
+/// primitive then reads through the code of the [`Class`] it names, and
+/// [`BinReader::front_coded`] reads suffixes through the path class's.
+/// Outside a coded section the class a read names is not used.
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
@@ -171,7 +267,7 @@ pub struct BinReader<'a> {
     paths: Option<PathArenaBuilder>,
     /// `buf.len()` where a raw member section began.
     section_len: usize,
-    /// The frame's codes, when it carries one.
+    /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
 }
 
@@ -195,15 +291,7 @@ impl<'a> BinReader<'a> {
 
     #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], BinDecodeError> {
-        if self.buf.len() < n {
-            return Err(BinDecodeError::msg(format!(
-                "truncated: need {n} bytes, have {}",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
+        take(&mut self.buf, n)
     }
 
     /// The codes, while a coded member section is being read.
@@ -221,14 +309,14 @@ impl<'a> BinReader<'a> {
     /// (padding included); elsewhere, eight a byte.
     #[inline]
     fn bits_left(&self) -> usize {
-        self.live().map_or(8 * self.buf.len(), Codes::bits_left)
+        self.live().map_or(8 * self.buf.len(), |codes| codes.stream.bits_left())
     }
 
     /// Most bytes (symbols) the rest of the body could still hold: a
     /// codeword is at least one bit.
     #[inline]
     fn symbols_left(&self) -> usize {
-        self.live().map_or(self.buf.len(), Codes::bits_left)
+        self.live().map_or(self.buf.len(), |codes| codes.stream.bits_left())
     }
 
     /// Bytes (symbols) of the member section read so far.
@@ -237,31 +325,37 @@ impl<'a> BinReader<'a> {
         self.live().map_or(self.section_len - self.buf.len(), |codes| codes.symbols)
     }
 
-    /// Reads one byte.
+    /// Reads one byte of `class`.
     #[inline]
-    pub fn u8(&mut self) -> Result<u8, BinDecodeError> {
+    pub fn u8(&mut self, class: Class) -> Result<u8, BinDecodeError> {
         match self.live_mut() {
-            Some(codes) => Ok(codes.field()),
+            Some(codes) => codes.symbol(class),
             None => Ok(self.take(1)?[0]),
         }
     }
 
-    /// Reads a fixed-width little-endian `u64`.
+    /// Reads a fixed-width little-endian `u64` (of [`Class::Other`]).
     #[inline]
     pub fn u64(&mut self) -> Result<u64, BinDecodeError> {
         match self.live_mut() {
-            Some(codes) => Ok(u64::from_le_bytes(std::array::from_fn(|_| codes.field()))),
+            Some(codes) => {
+                let mut bytes = [0u8; 8];
+                for byte in &mut bytes {
+                    *byte = codes.symbol(Class::Other)?;
+                }
+                Ok(u64::from_le_bytes(bytes))
+            }
             None => Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
         }
     }
 
-    /// Reads an unsigned LEB128 varint: at most ten bytes, and the tenth
-    /// may only carry the one bit a `u64` has left.
+    /// Reads an unsigned LEB128 varint of `class`: at most ten bytes, and
+    /// the tenth may only carry the one bit a `u64` has left.
     #[inline]
-    pub fn varint(&mut self) -> Result<u64, BinDecodeError> {
+    pub fn varint(&mut self, class: Class) -> Result<u64, BinDecodeError> {
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
+            let byte = self.u8(class)?;
             if shift == 63 && byte > 1 {
                 break;
             }
@@ -273,41 +367,42 @@ impl<'a> BinReader<'a> {
         Err(BinDecodeError::msg("varint overflows u64"))
     }
 
-    /// Reads a varint length or count. It is unvalidated input: bound it
-    /// by what the body can still hold before allocating on its say-so.
+    /// Reads a varint length or count of `class`. It is unvalidated
+    /// input: bound it by what the body can still hold before allocating
+    /// on its say-so.
     #[inline]
-    pub fn length(&mut self) -> Result<usize, BinDecodeError> {
-        usize::try_from(self.varint()?).map_err(BinDecodeError::msg)
+    pub fn length(&mut self, class: Class) -> Result<usize, BinDecodeError> {
+        usize::try_from(self.varint(class)?).map_err(BinDecodeError::msg)
     }
 
-    /// Reads a zig-zag varint delta and applies it to `prev`, modulo
-    /// 2^64 — the inverse of [`put_delta`].
+    /// Reads a zig-zag varint delta of `class` and applies it to `prev`,
+    /// modulo 2^64 — the inverse of [`put_delta`].
     #[inline]
-    pub fn delta(&mut self, prev: u64) -> Result<u64, BinDecodeError> {
-        let zigzag = self.varint()?;
+    pub fn delta(&mut self, class: Class, prev: u64) -> Result<u64, BinDecodeError> {
+        let zigzag = self.varint(class)?;
         Ok(prev.wrapping_add((zigzag >> 1) ^ (zigzag & 1).wrapping_neg()))
     }
 
     /// [`BinReader::delta`] for a 32-bit field: a delta that takes the
     /// value below zero or above `u32::MAX` is an error.
     #[inline]
-    pub fn delta_u32(&mut self, prev: u32) -> Result<u32, BinDecodeError> {
-        u32::try_from(self.delta(prev.into())?)
+    pub fn delta_u32(&mut self, class: Class, prev: u32) -> Result<u32, BinDecodeError> {
+        u32::try_from(self.delta(class, prev.into())?)
             .map_err(|_| BinDecodeError::msg("delta leaves its 32-bit field"))
     }
 
-    /// Reads a varint-length-prefixed UTF-8 string.
+    /// Reads a varint-length-prefixed UTF-8 string (of [`Class::Other`]).
     pub fn string(&mut self) -> Result<String, BinDecodeError> {
-        let len = self.length()?;
+        let len = self.length(Class::Other)?;
         let bytes = match self.live_mut() {
             Some(codes) => {
-                if len > codes.bits_left() {
+                let left = codes.stream.bits_left();
+                if len > left {
                     return Err(BinDecodeError::msg(format!(
-                        "truncated: a string of {len} bytes, {} bits left",
-                        codes.bits_left()
+                        "truncated: a string of {len} bytes, {left} bits left"
                     )));
                 }
-                (0..len).map(|_| codes.field()).collect()
+                (0..len).map(|_| codes.symbol(Class::Other)).collect::<Result<_, _>>()?
             }
             None => self.take(len)?.to_vec(),
         };
@@ -317,7 +412,7 @@ impl<'a> BinReader<'a> {
     /// Reads a front-coded path — the inverse of
     /// [`SeqEncoder::put_front_coded`] — into this reader's arena: the
     /// first `shared` bytes of `base`, then the suffix, carried verbatim
-    /// or, in a coded member section, as codewords of the path code.
+    /// or, in a coded member section, as codewords of the path class.
     /// `base` is any path this reader assembled earlier (the
     /// predecessor's, or the member's a path reference names). The handle
     /// is readable once the reader has dropped; until then it serves as a
@@ -335,19 +430,19 @@ impl<'a> BinReader<'a> {
     /// reader's [`FRAME_PATH_BUDGET`] — whichever member the bytes are
     /// shared from, every assembled path is charged to both, before a
     /// coded suffix is decoded — a coded suffix of more bytes than the
-    /// bits left could hold or of codewords running past the body, and
-    /// assembled bytes that are not UTF-8. The halves are not validated
-    /// separately: a shared prefix may legally end inside a multi-byte
-    /// character.
+    /// bits left could hold, of codewords running past the body or of a
+    /// codeword its code refuses, and assembled bytes that are not UTF-8.
+    /// The halves are not validated separately: a shared prefix may
+    /// legally end inside a multi-byte character.
     pub fn front_coded(&mut self, base: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
-        let shared = self.length()?;
+        let shared = self.length(Class::Shared)?;
         let base_len = base.map_or(0, EventPath::len);
         if shared > base_len {
             return Err(BinDecodeError::msg(format!(
                 "shared prefix {shared} exceeds its base's {base_len} bytes"
             )));
         }
-        let carried = self.length()?;
+        let carried = self.length(Class::Carried)?;
         let len = shared.saturating_add(carried);
         if len > MAX_PATH_LEN {
             return Err(BinDecodeError::msg(format!("path of {len} bytes exceeds {MAX_PATH_LEN}")));
@@ -366,79 +461,64 @@ impl<'a> BinReader<'a> {
             .map_err(BinDecodeError::msg)
     }
 
-    /// Reads the tables of the codes a frame announces — the path code's
-    /// first, then the field code's, as [`code_members`] places them —
-    /// and decodes the member section through them. Each table is
+    /// Reads the codes a coded frame carries — its class mask, then a
+    /// table for each class the mask names, in class order, as
+    /// [`code_members`] places them — and builds their lookup tables on
+    /// this reader, so the member section decodes through them:
     ///
     /// ```text
-    /// bitmap: 32 bytes, bit (s & 7) of byte s >> 3 set when byte value s
-    ///         has a codeword | one 4-bit codeword length per set bit, in
-    ///         ascending order, high nibble first, a last odd nibble zero
+    /// class mask = u16le: bit i set when Class::ALL[i] is coded
+    /// table      = n−1 u8 | symbols | n 4-bit codeword lengths, high nibble
+    ///              first, a last odd nibble zero
+    /// symbols    = n < 32: the n byte values, strictly ascending
+    ///              n ≥ 32: a 32-byte bitmap, bit (s & 7) of byte s >> 3 set
+    ///              when byte value s has a codeword
     /// ```
     ///
     /// The lengths give the codewords: canonical, in order of length,
-    /// then symbol. The lookup tables are built here, on this reader, an
-    /// entry for every `longest`-bit string; a code the frame does not
-    /// carry reads its bytes eight bits each.
+    /// then symbol. A one-symbol code's codeword is the one bit `0`, and
+    /// the bit `1` is refused where it is read. Each code's lookup table
+    /// has an entry for every `longest`-bit string, and a frame's tables
+    /// share [`LOOKUP_ENTRIES`]; a class the mask leaves out reads its
+    /// bytes eight bits each.
     ///
     /// # Errors
     ///
-    /// Truncation, fewer than two symbols, a length of 0 or above
-    /// [`MAX_CODE_LEN`], a non-zero padding nibble, and lengths that
-    /// over-subscribe the code or leave it incomplete — so every bit
-    /// string starts with exactly one codeword.
-    pub fn read_codes(&mut self, announced: SectionCodes) -> Result<(), BinDecodeError> {
-        if !announced.path && !announced.field {
-            return Ok(());
+    /// Truncation, mask bits past the last class or no bit at all, a
+    /// list that is not strictly ascending, a bitmap naming other than
+    /// `n` symbols, a length of 0 or above [`MAX_CODE_LEN`], a non-zero
+    /// padding nibble, a one-symbol code whose codeword is not one bit,
+    /// lengths that over-subscribe a code of two symbols or more or leave
+    /// it incomplete — so every bit string starts with at most one
+    /// codeword — and codes whose lookup tables take more than
+    /// [`LOOKUP_ENTRIES`].
+    pub fn read_codes(&mut self) -> Result<(), BinDecodeError> {
+        let mask = u16::from_le_bytes(self.take(2)?.try_into().expect("two bytes"));
+        if mask >> CLASSES != 0 {
+            return Err(BinDecodeError::msg(format!("unknown class-mask bits {mask:#06x}")));
         }
-        let path = if announced.path { Some(self.read_table("path")?) } else { None };
-        let field = if announced.field { Some(self.read_table("field")?) } else { None };
+        if mask == 0 {
+            return Err(BinDecodeError::msg("a coded frame whose class mask codes nothing"));
+        }
         let codes = self.codes.get_or_insert_with(Codes::new);
-        codes.path_code = announced.path;
-        for (table, code) in [(&mut codes.path, path), (&mut codes.field, field)] {
-            match code {
-                Some(code) => table.fill(&code),
-                None => table.identity(),
+        codes.mask = mask;
+        let mut taken = 0;
+        for class in Class::ALL {
+            codes.longest[class as usize] = 0;
+            if mask & class.bit() == 0 {
+                continue;
             }
+            let code = read_table(&mut self.buf, class)?;
+            let entries = 1 << code.longest();
+            if taken + entries > LOOKUP_ENTRIES {
+                return Err(BinDecodeError::msg(format!(
+                    "codes whose lookup tables take more than {LOOKUP_ENTRIES} entries"
+                )));
+            }
+            codes.fill(class, taken, &code);
+            taken += entries;
         }
         Ok(())
-    }
-
-    /// Reads one code table (see [`BinReader::read_codes`]).
-    fn read_table(&mut self, which: &str) -> Result<Code, BinDecodeError> {
-        let bitmap = self.take(CODE_BITMAP_LEN)?;
-        let mut code = Code { n: 0, symbols: [0; 256], lens: [0; 256] };
-        for (first, word) in (0..).step_by(64).zip(bitmap.chunks_exact(8)) {
-            let mut word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
-            while word != 0 {
-                code.symbols[code.n] = (first + word.trailing_zeros()) as u8;
-                code.n += 1;
-                word &= word - 1;
-            }
-        }
-        let n = code.n;
-        if n < 2 {
-            return Err(BinDecodeError::msg(format!("a {which} code of fewer than two symbols")));
-        }
-        let packed = self.take(n.div_ceil(2))?;
-        if n % 2 == 1 && packed[n / 2] & 0x0f != 0 {
-            return Err(BinDecodeError::msg(format!(
-                "a {which} code's padding nibble is not zero"
-            )));
-        }
-        let mut kraft = 0u32;
-        for (i, len) in code.lens[..n].iter_mut().enumerate() {
-            *len = (packed[i / 2] >> if i % 2 == 0 { 4 } else { 0 }) & 0x0f;
-            if *len == 0 || u32::from(*len) > MAX_CODE_LEN {
-                return Err(BinDecodeError::msg(format!("a codeword length of {len}")));
-            }
-            kraft += 1 << (MAX_CODE_LEN - u32::from(*len));
-        }
-        if kraft != 1 << MAX_CODE_LEN {
-            let why = if kraft > 1 << MAX_CODE_LEN { "over-subscribed" } else { "incomplete" };
-            return Err(BinDecodeError::msg(format!("an {why} {which} code")));
-        }
-        Ok(code)
     }
 
     /// Enters the member section: from here to its end, a coded frame's
@@ -446,7 +526,7 @@ impl<'a> BinReader<'a> {
     fn begin_members(&mut self) {
         self.section_len = self.buf.len();
         if let Some(codes) = &mut self.codes {
-            codes.bytes = std::mem::take(&mut self.buf);
+            codes.stream.bytes = std::mem::take(&mut self.buf);
             codes.live = true;
         }
     }
@@ -458,12 +538,12 @@ impl<'a> BinReader<'a> {
     /// # Errors
     ///
     /// Codewords that ran past the body, padding bits that are not zero,
-    /// and a path code on a section that read no path.
+    /// and a code for a class the section has no byte of.
     fn end_members(&mut self) -> Result<(), BinDecodeError> {
         let Some(codes) = self.codes.as_mut().filter(|codes| codes.live) else { return Ok(()) };
         codes.live = false;
-        codes.check_within()?;
-        let (used, bytes) = (codes.bits_used(), codes.bytes);
+        codes.stream.check_within()?;
+        let (used, bytes) = (codes.stream.bits_used(), codes.stream.bytes);
         let took = used.div_ceil(8);
         if used % 8 != 0 && bytes[took - 1] & (0xff >> (used % 8)) != 0 {
             return Err(BinDecodeError::msg(
@@ -471,18 +551,22 @@ impl<'a> BinReader<'a> {
             ));
         }
         self.buf = &bytes[took..];
-        if codes.path_code && self.paths.is_none() {
-            return Err(BinDecodeError::msg("a path code on a sequence with no paths"));
+        let unused = codes.mask & !codes.used;
+        if let Some(class) = Class::ALL.into_iter().find(|class| unused & class.bit() != 0) {
+            return Err(BinDecodeError::msg(format!(
+                "a {class} code on a section with no {class} bytes"
+            )));
         }
         Ok(())
     }
 
-    /// Reads a [`TraceContext`] — the inverse of [`put_trace`].
+    /// Reads a [`TraceContext`] (of [`Class::Other`]) — the inverse of
+    /// [`put_trace`].
     pub fn trace(&mut self) -> Result<TraceContext, BinDecodeError> {
         Ok(TraceContext {
             trace_id: self.u64()?,
             parent_span_id: self.u64()?,
-            sampled: match self.u8()? {
+            sampled: match self.u8(Class::Other)? {
                 0 => false,
                 1 => true,
                 other => return Err(BinDecodeError::msg(format!("invalid bool byte {other}"))),
@@ -491,61 +575,67 @@ impl<'a> BinReader<'a> {
     }
 }
 
-/// Entries in a [`CodeTable`]: one for every [`MAX_CODE_LEN`]-bit
-/// string, of which a code whose longest codeword is shorter fills the
-/// first `1 << longest`.
-const CODE_TABLE_LEN: usize = 1 << MAX_CODE_LEN;
-
-/// One code as its decoder holds it: indexed by the next `longest` bits
-/// of the stream, each entry is the symbol those bits begin with (low
-/// byte) and its codeword's length (high byte).
-struct CodeTable {
-    longest: u32,
-    entries: [u16; CODE_TABLE_LEN],
-}
-
-impl CodeTable {
-    /// The table of a code a frame does not carry: each byte is itself,
-    /// eight bits.
-    fn identity(&mut self) {
-        self.longest = 8;
-        for (symbol, entry) in self.entries[..256].iter_mut().enumerate() {
-            *entry = (8 << 8) | symbol as u16;
+/// Reads one code table (see [`BinReader::read_codes`]) off the front of
+/// `buf`.
+fn read_table(buf: &mut &[u8], class: Class) -> Result<Code, BinDecodeError> {
+    let mut code = Code::empty();
+    let n = usize::from(take(buf, 1)?[0]) + 1;
+    if n < LIST_LIMIT {
+        let list = take(buf, n)?;
+        if list.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(BinDecodeError::msg(format!(
+                "the {class} code's symbol list is not strictly ascending"
+            )));
+        }
+        code.symbols[..n].copy_from_slice(list);
+        code.n = n;
+    } else {
+        let bitmap = take(buf, CODE_BITMAP_LEN)?;
+        for (first, word) in (0..).step_by(64).zip(bitmap.chunks_exact(8)) {
+            let mut word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            while word != 0 {
+                code.symbols[code.n] = (first + word.trailing_zeros()) as u8;
+                code.n += 1;
+                word &= word - 1;
+            }
+        }
+        if code.n != n {
+            return Err(BinDecodeError::msg(format!(
+                "the {class} code's bitmap names {} symbols, its count {n}",
+                code.n
+            )));
         }
     }
-
-    /// Fills the first `1 << longest` entries for the canonical code
-    /// `code` — a complete code, so each of them is written.
-    fn fill(&mut self, code: &Code) {
-        let (symbols, lens) = (&code.symbols[..code.n], &code.lens[..code.n]);
-        self.longest = lens.iter().copied().max().map_or(0, u32::from);
-        let mut next = first_codewords(lens);
-        for (&symbol, &len) in symbols.iter().zip(lens) {
-            let spare = self.longest - u32::from(len);
-            let first = usize::from(next[usize::from(len)]) << spare;
-            next[usize::from(len)] += 1;
-            let entry = (u16::from(len) << 8) | u16::from(symbol);
-            self.entries[first..first + (1 << spare)].fill(entry);
+    let packed = take(buf, n.div_ceil(2))?;
+    if n % 2 == 1 && packed[n / 2] & 0x0f != 0 {
+        return Err(BinDecodeError::msg(format!("the {class} code's padding nibble is not zero")));
+    }
+    let mut kraft = 0u32;
+    for (i, len) in code.lens[..n].iter_mut().enumerate() {
+        *len = (packed[i / 2] >> if i % 2 == 0 { 4 } else { 0 }) & 0x0f;
+        if *len == 0 || u32::from(*len) > MAX_CODE_LEN {
+            return Err(BinDecodeError::msg(format!("a codeword length of {len}")));
         }
+        kraft += 1 << (MAX_CODE_LEN - u32::from(*len));
     }
-
-    /// The entry the top `longest` bits of `window` select.
-    fn entry(&self, window: u64) -> u16 {
-        self.entries[(window >> (64 - self.longest)) as usize & (CODE_TABLE_LEN - 1)]
+    if n == 1 {
+        if code.lens[0] != 1 {
+            return Err(BinDecodeError::msg(format!(
+                "a one-symbol {class} code whose codeword is {} bits, not one",
+                code.lens[0]
+            )));
+        }
+    } else if kraft != 1 << MAX_CODE_LEN {
+        let why = if kraft > 1 << MAX_CODE_LEN { "over-subscribed" } else { "incomplete" };
+        return Err(BinDecodeError::msg(format!("an {why} {class} code")));
     }
+    Ok(code)
 }
 
-/// A frame's two codes as its reader holds them, and the bit stream of
-/// its member section while that is being read. Beside them, room for
-/// one decoded suffix, which the arena then takes as it takes a raw one.
-struct Codes<'a> {
-    /// Whether the frame announced a path code (`path` is the identity
-    /// otherwise).
-    path_code: bool,
-    path: CodeTable,
-    field: CodeTable,
-    /// Set while the member section is being read.
-    live: bool,
+/// The member section of a coded frame as its reader reads it: the bits
+/// of `bytes`, most significant first.
+#[derive(Clone, Copy)]
+struct BitStream<'a> {
     /// The member section and the rest of the body.
     bytes: &'a [u8],
     /// The next `filled` bits of the stream, left-aligned; below them are
@@ -554,56 +644,48 @@ struct Codes<'a> {
     window: u64,
     filled: u32,
     /// The first byte of `bytes` not yet in `window`; past the end the
-    /// stream reads zeros, which [`Codes::check_within`] refuses after.
+    /// stream reads zeros, which [`BitStream::check_within`] refuses
+    /// after.
     next: usize,
-    /// Symbols — raw bytes — read so far.
-    symbols: usize,
-    suffix: [u8; MAX_PATH_LEN],
 }
 
-impl fmt::Debug for Codes<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Codes")
-            .field("path_code", &self.path_code)
-            .field("live", &self.live)
-            .field("symbols", &self.symbols)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Tops `window` up to at least 57 bits from `bytes[*next..]`.
-#[inline]
-fn refill(bytes: &[u8], window: &mut u64, filled: &mut u32, next: &mut usize) {
-    if let Some(word) = bytes.get(*next..*next + 8) {
-        *window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> *filled;
-        let whole = (64 - *filled) / 8;
-        *next += whole as usize;
-        *filled += 8 * whole;
-    } else {
-        while *filled <= 56 {
-            *window |= u64::from(bytes.get(*next).copied().unwrap_or(0)) << (56 - *filled);
-            *next += 1;
-            *filled += 8;
+impl BitStream<'_> {
+    /// Tops `window` up to at least 57 bits.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.next..self.next + 8) {
+            self.window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> self.filled;
+            let whole = (64 - self.filled) / 8;
+            self.next += whole as usize;
+            self.filled += 8 * whole;
+        } else {
+            while self.filled <= 56 {
+                let byte = self.bytes.get(self.next).copied().unwrap_or(0);
+                self.window |= u64::from(byte) << (56 - self.filled);
+                self.next += 1;
+                self.filled += 8;
+            }
         }
     }
-}
 
-impl Codes<'_> {
-    /// Codes with empty tables, for [`BinReader::read_codes`] to fill.
-    fn new() -> Self {
-        let table = || CodeTable { longest: 0, entries: [0; CODE_TABLE_LEN] };
-        Codes {
-            path_code: false,
-            path: table(),
-            field: table(),
-            live: false,
-            bytes: &[],
-            window: 0,
-            filled: 0,
-            next: 0,
-            symbols: 0,
-            suffix: [0; MAX_PATH_LEN],
+    /// Reads one symbol through a code whose lookup table is
+    /// `entries[offset..]` and whose longest codeword is `longest` bits —
+    /// or, when `longest` is 0, eight bits as they are — and returns its
+    /// entry: the symbol in the low byte, the codeword's length in the
+    /// high, a length of 0 for a codeword the code refuses.
+    #[inline(always)]
+    fn read(&mut self, entries: &[u16; LOOKUP_ENTRIES], offset: usize, longest: u32) -> u16 {
+        if self.filled < MAX_CODE_LEN {
+            self.refill();
         }
+        let entry = match longest {
+            0 => (8 << 8) | (self.window >> 56) as u16,
+            _ => entries[offset + (self.window >> (64 - longest)) as usize],
+        };
+        let bits = u32::from(entry >> 8);
+        self.window <<= bits;
+        self.filled -= bits;
+        entry
     }
 
     #[inline]
@@ -628,49 +710,133 @@ impl Codes<'_> {
         }
         Ok(())
     }
+}
 
-    /// The next byte of a field.
-    #[inline]
-    fn field(&mut self) -> u8 {
-        if self.filled < MAX_CODE_LEN {
-            refill(self.bytes, &mut self.window, &mut self.filled, &mut self.next);
+/// A frame's codes as its reader holds them, and the bit stream of its
+/// member section while that is being read. Beside them, room for one
+/// decoded suffix, which the arena then takes as it takes a raw one.
+struct Codes<'a> {
+    /// The classes the frame codes.
+    mask: u16,
+    /// The classes the section has read a byte of so far.
+    used: u16,
+    /// Each class's longest codeword, 0 for a class the frame carries
+    /// raw, and where its lookup table starts in `entries`.
+    longest: [u32; CLASSES],
+    offset: [usize; CLASSES],
+    /// Every code's lookup table, one after another: indexed by the next
+    /// `longest` bits of the stream, an entry is the symbol those bits
+    /// begin with (low byte) and its codeword's length (high byte).
+    entries: [u16; LOOKUP_ENTRIES],
+    /// Set while the member section is being read.
+    live: bool,
+    stream: BitStream<'a>,
+    /// Symbols — raw bytes — read so far.
+    symbols: usize,
+    suffix: [u8; MAX_PATH_LEN],
+}
+
+impl fmt::Debug for Codes<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Codes")
+            .field("mask", &self.mask)
+            .field("live", &self.live)
+            .field("symbols", &self.symbols)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The error for the codeword `1` of a one-symbol code — the only bit
+/// string a code the reader accepted does not begin with a codeword of.
+fn refused_codeword(class: Class) -> BinDecodeError {
+    BinDecodeError::msg(format!("the codeword `1` of a one-symbol {class} code"))
+}
+
+impl Codes<'_> {
+    /// Codes with empty tables, for [`BinReader::read_codes`] to fill.
+    fn new() -> Self {
+        Codes {
+            mask: 0,
+            used: 0,
+            longest: [0; CLASSES],
+            offset: [0; CLASSES],
+            entries: [0; LOOKUP_ENTRIES],
+            live: false,
+            stream: BitStream { bytes: &[], window: 0, filled: 0, next: 0 },
+            symbols: 0,
+            suffix: [0; MAX_PATH_LEN],
         }
-        let entry = self.field.entry(self.window);
-        let bits = u32::from(entry >> 8);
-        self.window <<= bits;
-        self.filled -= bits;
+    }
+
+    /// Fills `1 << code.longest()` entries from `at` for the canonical
+    /// code `code` of `class` — a complete code, so each of them is
+    /// written, or a one-symbol code, whose second entry is the refused
+    /// codeword `1`.
+    fn fill(&mut self, class: Class, at: usize, code: &Code) {
+        let longest = code.longest();
+        (self.longest[class as usize], self.offset[class as usize]) = (longest, at);
+        let (symbols, lens) = (&code.symbols[..code.n], &code.lens[..code.n]);
+        let table = &mut self.entries[at..at + (1 << longest)];
+        let mut next = first_codewords(lens);
+        for (&symbol, &len) in symbols.iter().zip(lens) {
+            let spare = longest - u32::from(len);
+            let first = usize::from(next[usize::from(len)]) << spare;
+            next[usize::from(len)] += 1;
+            table[first..first + (1 << spare)].fill((u16::from(len) << 8) | u16::from(symbol));
+        }
+        if code.n == 1 {
+            table[1] = 0;
+        }
+    }
+
+    /// The next byte of `class`.
+    ///
+    /// # Errors
+    ///
+    /// The refused codeword of a one-symbol code.
+    #[inline]
+    fn symbol(&mut self, class: Class) -> Result<u8, BinDecodeError> {
+        let c = class as usize;
+        let entry = self.stream.read(&self.entries, self.offset[c], self.longest[c]);
+        if entry >> 8 == 0 {
+            return Err(refused_codeword(class));
+        }
         self.symbols += 1;
-        entry as u8
+        self.used |= class.bit();
+        Ok(entry as u8)
     }
 
     /// The next `len` bytes (at most [`MAX_PATH_LEN`]), a path's suffix.
     ///
     /// # Errors
     ///
-    /// More bytes than the bits left could hold, and codewords that ran
-    /// past the body.
+    /// More bytes than the bits left could hold, the refused codeword of
+    /// a one-symbol code, and codewords that ran past the body.
     fn suffix(&mut self, len: usize) -> Result<&[u8], BinDecodeError> {
-        if len > self.bits_left() {
+        if len > self.stream.bits_left() {
             return Err(BinDecodeError::msg(format!(
                 "truncated: a coded suffix of {len} bytes, {} bits left",
-                self.bits_left()
+                self.stream.bits_left()
             )));
         }
-        let Codes { path, bytes, window, filled, next, suffix, .. } = self;
-        let (mut w, mut f, mut n) = (*window, *filled, *next);
-        for out in &mut suffix[..len] {
-            if f < MAX_CODE_LEN {
-                refill(bytes, &mut w, &mut f, &mut n);
-            }
-            let entry = path.entry(w);
-            let bits = u32::from(entry >> 8);
-            w <<= bits;
-            f -= bits;
+        let c = Class::Path as usize;
+        let (offset, longest) = (self.offset[c], self.longest[c]);
+        let mut stream = self.stream;
+        let mut refused = false;
+        for out in &mut self.suffix[..len] {
+            let entry = stream.read(&self.entries, offset, longest);
+            refused |= entry >> 8 == 0;
             *out = entry as u8;
         }
-        (*window, *filled, *next) = (w, f, n);
+        self.stream = stream;
+        if refused {
+            return Err(refused_codeword(Class::Path));
+        }
+        if len > 0 {
+            self.used |= Class::Path.bit();
+        }
         self.symbols += len;
-        self.check_within()?;
+        self.stream.check_within()?;
         Ok(&self.suffix[..len])
     }
 }
@@ -824,31 +990,43 @@ fn dir_hash(dir: &[u8]) -> u32 {
     (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
 }
 
-/// Most front-coded strings one member writes — a [`crate::FileEvent`]'s
-/// `path` and `src_path` — and so the most path suffixes a frame's raw
-/// pass notes for it.
-const MAX_MEMBER_PATHS: usize = 2;
+/// Most runs — stretches of one class — one member writes: a
+/// [`crate::FileEvent`] behind a feed tag and a sequence delta writes
+/// sixteen at most, consecutive bytes of one class making one run.
+const MAX_MEMBER_RUNS: usize = 32;
 
 /// The encoder's state for one member sequence, carried from member to
 /// member: its directory table and, on a frame's raw pass
 /// ([`SeqEncoder::for_coding`]), what [`code_members`] needs to code the
 /// sequence afterwards. Fixed-size: it lives on its writer's stack.
+///
+/// A member encoder writes every field through it — [`SeqEncoder::byte`],
+/// [`SeqEncoder::varint`], [`SeqEncoder::delta`], [`SeqEncoder::bytes`],
+/// [`SeqEncoder::put_front_coded`], [`SeqEncoder::trace`] — naming the
+/// [`Class`] of the bytes, which its decoder names again to read them.
 pub struct SeqEncoder {
     pub(crate) dirs: DirTable,
     notes: Option<Notes>,
 }
 
-/// A frame's raw pass's notes: the current member's path suffixes, as
-/// (position in the buffer, length), and the bytes of notes written so
-/// far ([`put_member`] writes a member's note right behind it); and the
-/// raw sequence's histograms so far — of its members' bytes, length
-/// prefixes included, and of their path suffixes' bytes alone.
+/// A frame's raw pass's notes: where the current member's bytes start
+/// in the buffer and its runs so far, as (class, where the run ends);
+/// the bytes of notes written so far ([`put_member`] writes a member's
+/// note right behind it); and the raw sequence's histograms so far, one
+/// per class.
 struct Notes {
-    suffixes: [(usize, usize); MAX_MEMBER_PATHS],
+    start: usize,
+    runs: [(Class, usize); MAX_MEMBER_RUNS],
     n: usize,
     written: usize,
-    counts: [u32; 256],
-    path_counts: [u32; 256],
+    counts: [[u32; 256]; CLASSES],
+}
+
+impl Notes {
+    /// Where the current member's noted bytes end.
+    fn end(&self) -> usize {
+        self.n.checked_sub(1).map_or(self.start, |last| self.runs[last].1)
+    }
 }
 
 impl SeqEncoder {
@@ -858,21 +1036,23 @@ impl SeqEncoder {
     }
 
     /// The encoder for a frame's raw pass, which [`code_members`] then
-    /// codes: behind each member, [`put_member`] writes a *note* saying
-    /// where the member's path suffixes lie —
+    /// codes: behind each member, [`put_member`] writes a *note* of the
+    /// classes of its bytes, run by run —
     ///
     /// ```text
-    /// note = n u8 | n × (offset in the member varint | length varint)
+    /// note = k u8 | runs: k bytes
+    /// run  = class as u8 | bytes << 4, for 1 to 15 bytes
+    ///      | class as u8, then bytes varint, for more
     /// ```
     ///
     /// — which [`code_members`] reads and removes.
     pub fn for_coding() -> SeqEncoder {
         let notes = Notes {
-            suffixes: [(0, 0); MAX_MEMBER_PATHS],
+            start: 0,
+            runs: [(Class::Other, 0); MAX_MEMBER_RUNS],
             n: 0,
             written: 0,
-            counts: [0; 256],
-            path_counts: [0; 256],
+            counts: [[0; 256]; CLASSES],
         };
         SeqEncoder { dirs: DirTable::new(), notes: Some(notes) }
     }
@@ -889,36 +1069,97 @@ impl SeqEncoder {
     pub fn forget(&mut self, noted: &[u8]) {
         let Some(notes) = &mut self.notes else { return };
         let member = Noted::at(noted);
-        for &byte in member.prefix.iter().chain(member.bytes) {
-            notes.counts[usize::from(byte)] -= 1;
-        }
-        for &(offset, len) in &member.suffixes[..member.n] {
-            member.bytes[offset..offset + len]
-                .iter()
-                .for_each(|&byte| notes.path_counts[usize::from(byte)] -= 1);
+        let counts = &mut notes.counts;
+        member.prefix.iter().for_each(|&byte| counts[Class::Len as usize][usize::from(byte)] -= 1);
+        let (mut runs, mut from) = (member.runs, 0);
+        while let Some((class, len)) = next_run(&mut runs) {
+            let bytes = &member.bytes[from..from + len];
+            bytes.iter().for_each(|&byte| counts[class][usize::from(byte)] -= 1);
+            from += len;
         }
         notes.written -= member.note_len;
     }
 
-    /// Appends `current` front-coded against a base it shares its first
-    /// `shared` bytes with ([`put_front_coded`]), noting where its suffix
-    /// lies on a frame's raw pass.
+    /// Notes that the member's bytes `from..end`, just written, are of
+    /// `class`: on a frame's raw pass, they extend the member's last run,
+    /// or start a new one.
     ///
     /// # Panics
     ///
-    /// On a frame's raw pass, for a member's third front-coded string:
-    /// a member writes at most two.
+    /// On a frame's raw pass, for a member's run past
+    /// [`MAX_MEMBER_RUNS`], and — in a debug build — when `from` is not
+    /// where the member's noted bytes end: a byte written to the buffer
+    /// other than through this encoder would be coded under a class its
+    /// decoder does not read it with. (A release build checks only the
+    /// member's end, in [`put_member`]: this check, on every write,
+    /// measurably slows the feed encoder.)
+    #[inline]
+    fn noted(&mut self, from: usize, end: usize, class: Class) {
+        let Some(notes) = &mut self.notes else { return };
+        debug_assert_eq!(from, notes.end(), "a member writes every byte through its SeqEncoder");
+        match notes.n.checked_sub(1) {
+            Some(last) if notes.runs[last].0 == class => notes.runs[last].1 = end,
+            _ if end == from => {}
+            _ => {
+                assert!(
+                    notes.n < MAX_MEMBER_RUNS,
+                    "a member writes at most {MAX_MEMBER_RUNS} runs"
+                );
+                notes.runs[notes.n] = (class, end);
+                notes.n += 1;
+            }
+        }
+    }
+
+    /// Appends one byte of `class`.
+    #[inline]
+    pub fn byte(&mut self, buf: &mut Vec<u8>, class: Class, byte: u8) {
+        let from = buf.len();
+        buf.push(byte);
+        self.noted(from, buf.len(), class);
+    }
+
+    /// Appends `bytes` as they are, of `class`.
+    #[inline]
+    pub fn bytes(&mut self, buf: &mut Vec<u8>, class: Class, bytes: &[u8]) {
+        let from = buf.len();
+        buf.extend_from_slice(bytes);
+        self.noted(from, buf.len(), class);
+    }
+
+    /// Appends `value` as a varint of `class` ([`put_varint`]).
+    #[inline]
+    pub fn varint(&mut self, buf: &mut Vec<u8>, class: Class, value: u64) {
+        let from = buf.len();
+        put_varint(buf, value);
+        self.noted(from, buf.len(), class);
+    }
+
+    /// Appends `current − prev` as a zig-zag varint of `class`
+    /// ([`put_delta`]).
+    #[inline]
+    pub fn delta(&mut self, buf: &mut Vec<u8>, class: Class, current: u64, prev: u64) {
+        let from = buf.len();
+        put_delta(buf, current, prev);
+        self.noted(from, buf.len(), class);
+    }
+
+    /// Appends a [`TraceContext`] ([`put_trace`]), of [`Class::Other`].
+    pub fn trace(&mut self, buf: &mut Vec<u8>, trace: &TraceContext) {
+        let from = buf.len();
+        put_trace(buf, trace);
+        self.noted(from, buf.len(), Class::Other);
+    }
+
+    /// Appends `current` front-coded against a base it shares its first
+    /// `shared` bytes with ([`put_front_coded`]): the shared length of
+    /// [`Class::Shared`], the suffix's byte count of [`Class::Carried`]
+    /// and its bytes of [`Class::Path`].
     pub fn put_front_coded(&mut self, buf: &mut Vec<u8>, current: &[u8], shared: usize) {
         let suffix = &current[shared..];
-        put_varint(buf, shared as u64);
-        put_varint(buf, suffix.len() as u64);
-        if let Some(notes) = self.notes.as_mut().filter(|_| !suffix.is_empty()) {
-            assert!(notes.n < MAX_MEMBER_PATHS, "a member writes at most two front-coded strings");
-            notes.suffixes[notes.n] = (buf.len(), suffix.len());
-            notes.n += 1;
-            tally(suffix, &mut notes.path_counts);
-        }
-        buf.extend_from_slice(suffix);
+        self.varint(buf, Class::Shared, shared as u64);
+        self.varint(buf, Class::Carried, suffix.len() as u64);
+        self.bytes(buf, Class::Path, suffix);
     }
 }
 
@@ -929,43 +1170,76 @@ impl Default for SeqEncoder {
 }
 
 /// A code as its table carries it: the byte values it codes, ascending,
-/// and each one's codeword length. The code is canonical — codewords are
-/// assigned in order of length, then symbol ([`first_codewords`]) — so
-/// the lengths are all a decoder needs.
+/// and each one's codeword length; no symbols is no code. The code is
+/// canonical — codewords are assigned in order of length, then symbol
+/// ([`first_codewords`]) — so the lengths are all a decoder needs.
 struct Code {
     n: usize,
     symbols: [u8; 256],
     lens: [u8; 256],
 }
 
+/// Scratch for building one code after another: a histogram's symbols'
+/// weights, and [`huffman_lengths`]'s working arrays.
+struct HuffmanScratch {
+    weights: [u64; 256],
+    order: [u64; 256],
+    tree: [u64; 256],
+}
+
 impl Code {
-    /// The Huffman code for a histogram, its codewords limited to
-    /// [`MAX_CODE_LEN`] bits; `None` when fewer than two byte values
-    /// occur (a code needs two).
-    fn for_counts(counts: &[u32; 256]) -> Option<Code> {
-        let mut code = Code { n: 0, symbols: [0; 256], lens: [0; 256] };
-        let mut weights = [0u64; 256];
+    fn empty() -> Code {
+        Code { n: 0, symbols: [0; 256], lens: [0; 256] }
+    }
+
+    /// Builds over `self` the Huffman code for a histogram, its
+    /// codewords limited to `limit` bits (at least the depth of a
+    /// balanced tree over its symbols); a single byte value is a one-bit
+    /// code. Leaves no code when no byte value occurs, or when the
+    /// histogram is too small for any code of its symbols to pay for its
+    /// table.
+    fn build(&mut self, counts: &[u32; 256], limit: u32, scratch: &mut HuffmanScratch) {
+        self.n = 0;
+        let mut total = 0u64;
         for (first, chunk) in (0..).step_by(8).zip(counts.chunks_exact(8)) {
-            // Most byte values never occur in a frame's suffixes.
+            // Most byte values never occur in a frame's bytes of a class.
             if chunk.iter().all(|&count| count == 0) {
                 continue;
             }
             for (byte, &count) in (first..).zip(chunk) {
                 if count > 0 {
-                    (code.symbols[code.n], weights[code.n]) = (byte as u8, count.into());
-                    code.n += 1;
+                    (self.symbols[self.n], scratch.weights[self.n]) = (byte as u8, count.into());
+                    self.n += 1;
+                    total += u64::from(count);
                 }
             }
         }
-        if code.n < 2 {
-            return None;
+        // A codeword is at least a bit, so coding saves at most seven a
+        // byte: a class that cannot save its table is not worth a code.
+        if self.n == 0 || 7 * total <= 8 * self.table_len() as u64 {
+            self.n = 0;
+            return;
         }
-        // Too deep for the decoder's table: flatten the weights and build
-        // again. Weights of one stay one, so this ends at a balanced tree.
-        while !huffman_lengths(&weights[..code.n], &mut code.lens) {
-            weights[..code.n].iter_mut().for_each(|w| *w = w.div_ceil(2));
+        if self.n == 1 {
+            self.lens[0] = 1;
+            return;
         }
-        Some(code)
+        // Too deep: flatten the weights and build again. Weights of one
+        // stay one, so this ends at a balanced tree.
+        while !huffman_lengths(self.n, scratch, &mut self.lens, limit) {
+            scratch.weights[..self.n].iter_mut().for_each(|w| *w = w.div_ceil(2));
+        }
+    }
+
+    /// The longest codeword's length.
+    fn longest(&self) -> u32 {
+        self.lens[..self.n].iter().copied().max().map_or(0, u32::from)
+    }
+
+    /// The depth of a balanced tree over this code's symbols: the least
+    /// `longest` any code of them can have.
+    fn shallowest(&self) -> u32 {
+        self.n.next_power_of_two().trailing_zeros().max(1)
     }
 
     /// Bits the bytes `counts` tallies take under this code.
@@ -974,49 +1248,45 @@ impl Code {
         coded.map(|(&symbol, &len)| u64::from(counts[usize::from(symbol)]) * u64::from(len)).sum()
     }
 
+    /// `byte`'s codeword length; 0 when the code leaves it out.
+    fn len_of(&self, byte: u8) -> u32 {
+        self.symbols[..self.n].binary_search(&byte).map_or(0, |i| u32::from(self.lens[i]))
+    }
+
     /// Bytes the table takes in a frame.
     fn table_len(&self) -> usize {
-        CODE_BITMAP_LEN + self.n.div_ceil(2)
+        1 + if self.n < LIST_LIMIT { self.n } else { CODE_BITMAP_LEN } + self.n.div_ceil(2)
     }
 
     /// Writes the table ([`BinReader::read_codes`]) over `out`, which is
     /// [`Code::table_len`] bytes.
     fn put_table(&self, out: &mut [u8]) {
-        let (bitmap, nibbles) = out.split_at_mut(CODE_BITMAP_LEN);
-        bitmap.fill(0);
-        nibbles.fill(0);
-        let coded = self.symbols[..self.n].iter().zip(&self.lens);
-        for (i, (&symbol, &len)) in coded.enumerate() {
-            bitmap[usize::from(symbol >> 3)] |= 1 << (symbol & 7);
+        out.fill(0);
+        out[0] = (self.n - 1) as u8;
+        let symbols = &self.symbols[..self.n];
+        let nibbles = if self.n < LIST_LIMIT {
+            out[1..=self.n].copy_from_slice(symbols);
+            &mut out[1 + self.n..]
+        } else {
+            let (bitmap, nibbles) = out[1..].split_at_mut(CODE_BITMAP_LEN);
+            symbols
+                .iter()
+                .for_each(|&symbol| bitmap[usize::from(symbol >> 3)] |= 1 << (symbol & 7));
+            nibbles
+        };
+        for (i, &len) in self.lens[..self.n].iter().enumerate() {
             nibbles[i / 2] |= len << if i % 2 == 0 { 4 } else { 0 };
         }
     }
 
-    /// Each byte value's codeword, as [`BitWriter::put_all`] takes them.
-    fn codewords(&self) -> [u32; 256] {
+    /// Writes each byte value's codeword into `out`.
+    fn codewords_into(&self, out: &mut [Codeword; 256]) {
         let mut next = first_codewords(&self.lens[..self.n]);
-        let mut codewords = [0u32; 256];
         for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens) {
-            let len = usize::from(len);
-            codewords[usize::from(symbol)] = (u32::from(next[len]) << 4) | len as u32;
-            next[len] += 1;
+            out[usize::from(symbol)] = (next[usize::from(len)] << 4) | Codeword::from(len);
+            next[usize::from(len)] += 1;
         }
-        codewords
     }
-
-    /// Each byte's codeword length, zero for a byte the code leaves out.
-    fn len_of(&self) -> [u8; 256] {
-        let mut lens = [0u8; 256];
-        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens) {
-            lens[usize::from(symbol)] = len;
-        }
-        lens
-    }
-}
-
-/// Each byte value a code leaves uncoded, as its own eight-bit codeword.
-fn identity_codewords() -> [u32; 256] {
-    std::array::from_fn(|byte| ((byte as u32) << 4) | 8)
 }
 
 /// The first codeword of each length, for a canonical code with `lens`
@@ -1032,24 +1302,43 @@ fn first_codewords(lens: &[u8]) -> [u16; MAX_CODE_LEN as usize + 1] {
     first
 }
 
-/// Huffman codeword lengths for `weights` (at least two, none zero),
-/// written to `lens` in the same order; false when the longest exceeds
-/// [`MAX_CODE_LEN`]. Computed in place, after Moffat and Katajainen
-/// ("In-place calculation of minimum-redundancy codes", 1995): one array
-/// of the weights, sorted ascending, becomes the inner nodes' weights
-/// and parent pointers, then their depths, then each leaf's length —
-/// nothing but that array and the sort order, on the stack.
-fn huffman_lengths(weights: &[u64], lens: &mut [u8; 256]) -> bool {
-    let n = weights.len();
+/// Huffman codeword lengths for the first `n` of `scratch.weights` (at
+/// least two, none zero), written to `lens` in the same order; false
+/// when the longest exceeds `limit`. Computed in place, after Moffat and
+/// Katajainen ("In-place calculation of minimum-redundancy codes",
+/// 1995): one array of the weights, sorted ascending, becomes the inner
+/// nodes' weights and parent pointers, then their depths, then each
+/// leaf's length — nothing but that array and the sort order, in
+/// `scratch`.
+fn huffman_lengths(
+    n: usize,
+    scratch: &mut HuffmanScratch,
+    lens: &mut [u8; 256],
+    limit: u32,
+) -> bool {
+    let HuffmanScratch { weights, order, tree: a } = scratch;
     // Positions sorted by weight, then position: the code is a function
-    // of the histogram alone.
-    let mut order = [0u64; 256];
-    for ((slot, &weight), i) in order.iter_mut().zip(weights).zip(0u64..) {
-        *slot = (weight << 8) | i;
+    // of the histogram alone. A frame's large alphabets (object-id
+    // deltas, back-distances) are mostly of small weights, which a
+    // counting sort puts in that order in one pass.
+    let heaviest = weights[..n].iter().copied().max().unwrap_or(0);
+    if n > 16 && heaviest < 256 {
+        let mut starts = [0u16; 257];
+        let starts = &mut starts[..heaviest as usize + 2];
+        weights[..n].iter().for_each(|&weight| starts[weight as usize + 1] += 1);
+        (1..starts.len()).for_each(|w| starts[w] += starts[w - 1]);
+        for (i, &weight) in (0u64..).zip(&weights[..n]) {
+            let slot = &mut starts[weight as usize];
+            order[usize::from(*slot)] = (weight << 8) | i;
+            *slot += 1;
+        }
+    } else {
+        for ((slot, &weight), i) in order[..n].iter_mut().zip(&weights[..n]).zip(0u64..) {
+            *slot = (weight << 8) | i;
+        }
+        order[..n].sort_unstable();
     }
-    order[..n].sort_unstable();
-    let mut a = [0u64; 256];
-    a.iter_mut().zip(&order[..n]).for_each(|(a, &o)| *a = o >> 8);
+    a[..n].iter_mut().zip(&order[..n]).for_each(|(a, &o)| *a = o >> 8);
     // Left to right: merge the two lightest of the leaves and the inner
     // nodes made so far; a merged node's slot then names its parent.
     a[0] += a[1];
@@ -1096,7 +1385,7 @@ fn huffman_lengths(weights: &[u64], lens: &mut [u8; 256]) -> bool {
         lens[(o & 0xff) as usize] = len as u8;
     }
     // The lightest leaf is the deepest.
-    a[0] <= u64::from(MAX_CODE_LEN)
+    a[0] <= u64::from(limit)
 }
 
 /// A type with a binary payload form, coded relative to the earlier
@@ -1107,15 +1396,14 @@ pub trait BinPayload: Sized {
     /// Appends the binary encoding of `self` to `buf`. `earlier` holds
     /// the members before this one in the same sequence, in order —
     /// empty for the first — and must be what the decoder will be
-    /// handed; `seq` is the sequence's [`SeqEncoder`]: a member with a
-    /// path consults and updates its directory table and writes every
-    /// front-coded string — at most two — through
-    /// [`SeqEncoder::put_front_coded`]. Types with nothing to gain from
-    /// either ignore it.
+    /// handed; `seq` is the sequence's [`SeqEncoder`], through whose
+    /// primitives every byte is written, naming its [`Class`]: a member
+    /// with a path consults and updates its directory table and writes
+    /// every front-coded string through [`SeqEncoder::put_front_coded`].
     fn encode_bin(&self, earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>);
 
     /// Decodes one value coded against `earlier`, consuming exactly its
-    /// bytes from `r`.
+    /// bytes from `r` — each read naming the class its write named.
     ///
     /// # Errors
     ///
@@ -1126,8 +1414,8 @@ pub trait BinPayload: Sized {
 }
 
 impl BinPayload for u64 {
-    fn encode_bin(&self, _earlier: &[Self], _seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.to_le_bytes());
+    fn encode_bin(&self, _earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+        seq.bytes(buf, Class::Other, &self.to_le_bytes());
     }
 
     fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
@@ -1136,8 +1424,9 @@ impl BinPayload for u64 {
 }
 
 impl BinPayload for String {
-    fn encode_bin(&self, _earlier: &[Self], _seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
-        put_bytes(buf, self.as_bytes());
+    fn encode_bin(&self, _earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+        seq.varint(buf, Class::Other, self.len() as u64);
+        seq.bytes(buf, Class::Other, self.as_bytes());
     }
 
     fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
@@ -1159,6 +1448,12 @@ const MAX_RESERVED_MEMBERS: usize = 65_536;
 /// Appends one sequence member: its length as a varint, then its
 /// encoding against `earlier`, the members of the sequence so far — and,
 /// on a frame's raw pass ([`SeqEncoder::for_coding`]), its note.
+///
+/// # Panics
+///
+/// On a frame's raw pass, when the member's last byte was written to
+/// `buf` other than through `seq`'s primitives, which would leave it out
+/// of the coded frame — and, in a debug build, when any byte was.
 pub fn put_member<T: BinPayload>(
     buf: &mut Vec<u8>,
     member: &T,
@@ -1171,9 +1466,12 @@ pub fn put_member<T: BinPayload>(
     let at = buf.len();
     buf.push(0);
     if let Some(notes) = &mut seq.notes {
-        notes.n = 0;
+        (notes.start, notes.n) = (buf.len(), 0);
     }
     member.encode_bin(earlier, seq, buf);
+    if let Some(notes) = &seq.notes {
+        assert_eq!(notes.end(), buf.len(), "a member writes every byte through its SeqEncoder");
+    }
     let len = buf.len() - at - 1;
     let extra = varint_len(len as u64) - 1;
     if extra > 0 {
@@ -1187,14 +1485,28 @@ pub fn put_member<T: BinPayload>(
     }
     buf[at + extra] &= 0x7f;
     if let Some(notes) = &mut seq.notes {
-        tally(&buf[at..], &mut notes.counts);
-        let noted = buf.len();
-        buf.push(notes.n as u8);
-        for &(start, len) in &notes.suffixes[..notes.n] {
-            // Offsets from the member's first byte, which the shift moved.
-            put_varint(buf, (start - at - 1) as u64);
-            put_varint(buf, len as u64);
+        // The runs' ends were taken before the member moved `extra` right.
+        let runs = &notes.runs[..notes.n];
+        tally(&buf[at..=at + extra], &mut notes.counts[Class::Len as usize]);
+        let mut from = at + 1 + extra;
+        for &(class, end) in runs {
+            tally(&buf[from..end + extra], &mut notes.counts[class as usize]);
+            from = end + extra;
         }
+        let noted = buf.len();
+        buf.push(0);
+        let mut from = at + 1;
+        for &(class, end) in runs {
+            match end - from {
+                len @ 1..=15 => buf.push(class as u8 | (len as u8) << 4),
+                len => {
+                    buf.push(class as u8);
+                    put_varint(buf, len as u64);
+                }
+            }
+            from = end;
+        }
+        buf[noted] = u8::try_from(buf.len() - noted - 1).expect("a member's runs fit 255 bytes");
         notes.written += buf.len() - noted;
     }
 }
@@ -1223,20 +1535,16 @@ fn put_sequence<T: BinPayload>(buf: &mut Vec<u8>, members: &[T], seq: &mut SeqEn
 }
 
 /// Appends a frame's member sequence, raw or coded — whichever is
-/// smaller ([`code_members`]) — and returns the codes it carries. A
-/// coded sequence's tables are placed at `table_at`, a position at or
-/// before the end of `buf` (a frame puts them after its header's trace
-/// section, ahead of the kind's own fields); what lies between moves up
-/// to make room.
-pub fn put_members_coded<T: BinPayload>(
-    buf: &mut Vec<u8>,
-    table_at: usize,
-    members: &[T],
-) -> SectionCodes {
+/// smaller ([`code_members`]) — and returns the mask of the classes it
+/// codes, 0 for a raw one. A coded sequence's class mask and tables are
+/// placed at `table_at`, a position at or before the end of `buf` (a
+/// frame puts them after its header's trace section, ahead of the kind's
+/// own fields); what lies between moves up to make room.
+pub fn put_members_coded<T: BinPayload>(buf: &mut Vec<u8>, table_at: usize, members: &[T]) -> u16 {
     let members_at = buf.len();
     let mut seq = SeqEncoder::for_coding();
     put_sequence(buf, members, &mut seq);
-    code_members(buf, table_at, members_at, &seq)
+    code_members(buf, table_at, members_at, &mut seq)
 }
 
 /// Reads the varint at the front of `bytes` — one this encoder wrote —
@@ -1253,33 +1561,41 @@ fn raw_varint(bytes: &[u8]) -> (u64, usize) {
 }
 
 /// One member of a noted sequence ([`SeqEncoder::for_coding`]): its
-/// length prefix and bytes, where its path suffixes lie in them, and the
+/// length prefix and bytes, its note's runs ([`next_run`]), and the
 /// length of its note.
 struct Noted<'a> {
     prefix: &'a [u8],
     bytes: &'a [u8],
-    suffixes: [(usize, usize); MAX_MEMBER_PATHS],
-    n: usize,
+    runs: &'a [u8],
     note_len: usize,
+}
+
+/// Takes the next run off the front of a note's `runs`: the class index
+/// of its bytes, and how many.
+#[inline]
+fn next_run(runs: &mut &[u8]) -> Option<(usize, usize)> {
+    let (&run, rest) = runs.split_first()?;
+    *runs = rest;
+    let class = usize::from(run & 0xf);
+    match run >> 4 {
+        0 => {
+            let (len, used) = raw_varint(runs);
+            *runs = &runs[used..];
+            Some((class, len as usize))
+        }
+        len => Some((class, usize::from(len))),
+    }
 }
 
 impl<'a> Noted<'a> {
     /// The member at the front of `section`, which must hold one.
+    #[inline]
     fn at(section: &'a [u8]) -> Noted<'a> {
         let (len, prefix_len) = raw_varint(section);
         let (prefix, rest) = section.split_at(prefix_len);
         let (bytes, note) = rest.split_at(len as usize);
-        let mut member =
-            Noted { prefix, bytes, suffixes: [(0, 0); MAX_MEMBER_PATHS], n: 0, note_len: 1 };
-        member.n = usize::from(note[0]);
-        for suffix in &mut member.suffixes[..member.n] {
-            let (offset, used) = raw_varint(&note[member.note_len..]);
-            member.note_len += used;
-            let (len, used) = raw_varint(&note[member.note_len..]);
-            member.note_len += used;
-            *suffix = (offset as usize, len as usize);
-        }
-        member
+        let runs = &note[1..=usize::from(note[0])];
+        Noted { prefix, bytes, runs, note_len: 1 + runs.len() }
     }
 
     /// Bytes of the section this member and its note take.
@@ -1288,10 +1604,16 @@ impl<'a> Noted<'a> {
     }
 }
 
-/// Writes bytes as codewords (`bits << 4 | length`) into a slice sized
-/// for them, four bytes at a time: the low `held` bits of `pending` are
-/// not yet written (above them are bits already written, which shift
-/// out).
+/// A byte's codeword as [`BitWriter::put`] takes it: `bits << 4 |
+/// length`, twelve bits and four.
+type Codeword = u16;
+
+/// Each class's codewords, indexed by byte value.
+type Codewords = [[Codeword; 256]; CLASSES];
+
+/// Writes codewords into a slice sized for them, four bytes at a time:
+/// the low `held` bits of `pending` are not yet written (above them are
+/// bits already written, which shift out).
 struct BitWriter<'a> {
     out: &'a mut [u8],
     at: usize,
@@ -1300,22 +1622,17 @@ struct BitWriter<'a> {
 }
 
 impl BitWriter<'_> {
-    /// Writes each of `bytes` as its codeword in `codewords`.
-    fn put_all(&mut self, bytes: &[u8], codewords: &[u32; 256]) {
-        let BitWriter { out, at, pending, held } = self;
-        let (mut at_, mut pending_, mut held_) = (*at, *pending, *held);
-        for &byte in bytes {
-            let codeword = codewords[usize::from(byte)];
-            let len = codeword & 0xf;
-            pending_ = (pending_ << len) | u64::from(codeword >> 4);
-            held_ += len;
-            if held_ >= 32 {
-                held_ -= 32;
-                out[at_..at_ + 4].copy_from_slice(&((pending_ >> held_) as u32).to_be_bytes());
-                at_ += 4;
-            }
+    #[inline(always)]
+    fn put(&mut self, codeword: Codeword) {
+        let len = u32::from(codeword & 0xf);
+        self.pending = (self.pending << len) | u64::from(codeword >> 4);
+        self.held += len;
+        if self.held >= 32 {
+            self.held -= 32;
+            let word = (self.pending >> self.held) as u32;
+            self.out[self.at..self.at + 4].copy_from_slice(&word.to_be_bytes());
+            self.at += 4;
         }
-        (*at, *pending, *held) = (at_, pending_, held_);
     }
 
     /// Writes the bits still held, zero-padded to a byte, and returns
@@ -1335,127 +1652,198 @@ impl BitWriter<'_> {
 }
 
 /// Adds how many times each byte value occurs in `bytes` to `counts`.
+#[inline]
 fn tally(bytes: &[u8], counts: &mut [u32; 256]) {
     bytes.iter().for_each(|&byte| counts[usize::from(byte)] += 1);
 }
 
+/// One class of a noted sequence, priced: its bytes' bits raw, its code
+/// when one could pay, and their bits under that code.
+struct Priced {
+    raw_bits: u64,
+    code: Code,
+    coded_bits: u64,
+}
+
+impl Priced {
+    /// Bits coding the class saves the frame, its table's included;
+    /// negative when it costs.
+    fn saving(&self) -> i64 {
+        self.raw_bits as i64 - self.coded_bits as i64 - 8 * self.code.table_len() as i64
+    }
+
+    /// (Re)builds the class's code for `counts`, its codewords limited to
+    /// `limit` bits.
+    fn build(&mut self, counts: &[u32; 256], limit: u32, scratch: &mut HuffmanScratch) {
+        self.code.build(counts, limit, scratch);
+        self.coded_bits = self.code.bits(counts);
+    }
+
+    /// Whether the class has a code that saves bits.
+    fn pays(&self) -> bool {
+        self.code.n > 0 && self.saving() > 0
+    }
+}
+
 /// The encoder's cost choice for a member sequence a frame's raw pass,
-/// `raw` ([`SeqEncoder::for_coding`]), wrote at `buf[members_at..]`, notes
-/// and all: builds the length-limited Huffman codes of the path-suffix
-/// bytes and of every other byte, from the histograms `raw` kept as it
-/// wrote them, and prices the section
-/// raw, under either code and under both — exactly, each byte's codeword
-/// length summed, tables included. The cheapest wins; a form whose count
-/// claims more members than half the bytes after it is not a candidate,
-/// so no writer produces a frame [`read_members`] refuses. When a code
-/// wins, the section is transcoded — each byte replaced by its codeword
-/// under the code of its class — the tables go in at `table_at` (the path
-/// code's first), what lay between moves up, and the codes are returned;
-/// otherwise the notes are taken out and the raw sequence is left. Like
-/// the path reference, this is a cost choice made frame by frame, not an
-/// option. Nothing is allocated beyond `buf`'s own growth.
+/// `raw` ([`SeqEncoder::for_coding`]), wrote at `buf[members_at..]`,
+/// notes and all. From the histograms `raw` kept as it wrote, it builds
+/// each class's length-limited Huffman code and prices the class on its
+/// own — raw, or coded with its table, exactly, each byte's codeword
+/// length summed — and codes the classes a code saves bytes on. Then:
+/// while the codes' lookup tables would take more than
+/// [`LOOKUP_ENTRIES`], the deepest is built again a bit shallower (and
+/// left raw if it no longer pays); while the coded count would claim more
+/// members than half the bits after it hold — the rule [`read_members`]
+/// enforces — the code saving least is dropped. The section goes out
+/// coded only when that, class mask and tables included, is smaller than
+/// raw: it is transcoded — each byte replaced by its codeword under its
+/// class's code, or itself — the mask and tables go in at `table_at`
+/// (the tables in class order), what lay between moves up, and the mask
+/// is returned. Otherwise the notes are taken out, the raw sequence is
+/// left, and 0 is returned. Like the path reference, this is a cost
+/// choice made frame by frame, not an option. Nothing is allocated
+/// beyond `buf`'s own growth; `raw`'s notes are spent.
 pub fn code_members(
     buf: &mut Vec<u8>,
     table_at: usize,
     members_at: usize,
-    raw: &SeqEncoder,
-) -> SectionCodes {
-    let Some(notes) = &raw.notes else { return SectionCodes::default() };
+    raw: &mut SeqEncoder,
+) -> u16 {
+    let Some(notes) = &mut raw.notes else { return 0 };
     let section = &buf[members_at..];
     let (count, count_len) = raw_varint(section);
     let raw_len = section.len() - notes.written;
-    let (mut field_counts, path_counts) = (notes.counts, notes.path_counts);
-    tally(&section[..count_len], &mut field_counts);
-    field_counts.iter_mut().zip(&path_counts).for_each(|(field, &path)| *field -= path);
-    let (path, field) = (Code::for_counts(&path_counts), Code::for_counts(&field_counts));
+    tally(&section[..count_len], &mut notes.counts[Class::Other as usize]);
+    let counts = &notes.counts;
 
-    // Each class of bytes: its raw bits, and its bits and table coded.
-    let raw_bits = |counts: &[u32; 256]| 8 * counts.iter().map(|&c| u64::from(c)).sum::<u64>();
-    let priced =
-        |code: &Option<Code>, counts| code.as_ref().map(|c| (c.bits(counts), c.table_len()));
-    let (path_raw, path_coded) = (raw_bits(&path_counts), priced(&path, &path_counts));
-    let (field_raw, field_coded) = (raw_bits(&field_counts), priced(&field, &field_counts));
-    let field_lens = field.as_ref().map(Code::len_of);
-    let mut best = (raw_len, SectionCodes::default());
-    for (use_path, use_field) in [(true, false), (false, true), (true, true)] {
-        let (path_bits, path_table) = match (use_path, path_coded) {
-            (false, _) => (path_raw, 0),
-            (true, Some(coded)) => coded,
-            (true, None) => continue,
-        };
-        let (field_bits, field_table) = match (use_field, field_coded) {
-            (false, _) => (field_raw, 0),
-            (true, Some(coded)) => coded,
-            (true, None) => continue,
-        };
-        let bytes = (path_bits + field_bits).div_ceil(8) as usize;
-        let count_bits: usize = section[..count_len]
-            .iter()
-            .map(|&byte| match &field_lens {
-                Some(lens) if use_field => usize::from(lens[usize::from(byte)]),
-                _ => 8,
+    let mut scratch = HuffmanScratch { weights: [0; 256], order: [0; 256], tree: [0; 256] };
+    let mut classes: [Priced; CLASSES] =
+        std::array::from_fn(|_| Priced { raw_bits: 0, code: Code::empty(), coded_bits: 0 });
+    let mut mask = 0u16;
+    for ((class, priced), counts) in Class::ALL.into_iter().zip(&mut classes).zip(counts) {
+        priced.raw_bits = 8 * counts.iter().map(|&n| u64::from(n)).sum::<u64>();
+        if priced.raw_bits > 0 {
+            priced.build(counts, MAX_CODE_LEN, &mut scratch);
+            if priced.pays() {
+                mask |= class.bit();
+            }
+        }
+    }
+    let coded = |mask: u16| Class::ALL.into_iter().filter(move |class| mask & class.bit() != 0);
+
+    // The decoder's lookup tables: the deepest code is flattened until
+    // they fit. A balanced code of a class takes at most 256 entries, so
+    // one deep enough to flatten is there while they do not.
+    loop {
+        let depth = |class: Class| classes[class as usize].code.longest();
+        let entries: usize = coded(mask).map(|class| 1 << depth(class)).sum();
+        let deepest = coded(mask).max_by_key(|&class| depth(class));
+        let Some(deepest) = deepest.filter(|_| entries > LOOKUP_ENTRIES) else { break };
+        let limit = depth(deepest) - 1;
+        let priced = &mut classes[deepest as usize];
+        debug_assert!(limit >= priced.code.shallowest());
+        priced.build(&counts[deepest as usize], limit, &mut scratch);
+        if !priced.pays() {
+            mask &= !deepest.bit();
+        }
+    }
+
+    // The section's bytes and the tables' under the codes `mask` names.
+    let priced = |mask: u16| {
+        let bits: u64 = Class::ALL
+            .into_iter()
+            .zip(&classes)
+            .map(|(class, priced)| match mask & class.bit() {
+                0 => priced.raw_bits,
+                _ => priced.coded_bits,
             })
             .sum();
-        if 16 * count as usize > 8 * bytes - count_bits {
-            continue;
+        let tables = coded(mask).map(|class| classes[class as usize].code.table_len());
+        (bits.div_ceil(8) as usize, tables.sum::<usize>())
+    };
+    // The member-count rule: the code saving least goes until it holds.
+    loop {
+        let (bytes, _) = priced(mask);
+        let count_bits: usize = section[..count_len]
+            .iter()
+            .map(|&byte| match mask & Class::Other.bit() {
+                0 => 8,
+                _ => classes[Class::Other as usize].code.len_of(byte) as usize,
+            })
+            .sum();
+        if 16 * count as usize <= 8 * bytes - count_bits || mask == 0 {
+            break;
         }
-        let cost = path_table + field_table + bytes;
-        if cost < best.0 {
-            best = (cost, SectionCodes { path: use_path, field: use_field });
-        }
+        let least = coded(mask).min_by_key(|&class| classes[class as usize].saving());
+        mask &= !least.expect("a coded class").bit();
     }
-    let (cost, chosen) = best;
-    if chosen == SectionCodes::default() {
+    let (coded_len, tables_len) = priced(mask);
+    let header_len = 2 + tables_len;
+    if mask == 0 || header_len + coded_len >= raw_len {
         drop_notes(buf, members_at, count, count_len);
-        return chosen;
+        return 0;
     }
 
-    let tables = [(&path, chosen.path), (&field, chosen.field)]
-        .map(|(code, on)| code.as_ref().filter(|_| on))
-        .into_iter()
-        .flatten();
-    let tables_len: usize = tables.clone().map(Code::table_len).sum();
-    let codewords = |code: &Option<Code>, on: bool| match code {
-        Some(code) if on => code.codewords(),
-        _ => identity_codewords(),
-    };
-    let (path_codewords, field_codewords) =
-        (codewords(&path, chosen.path), codewords(&field, chosen.field));
+    let mut codewords: Codewords = [[0; 256]; CLASSES];
+    for ((class, priced), codewords) in Class::ALL.iter().zip(&classes).zip(&mut codewords) {
+        if mask & class.bit() != 0 {
+            priced.code.codewords_into(codewords);
+        } else if priced.raw_bits > 0 {
+            *codewords = std::array::from_fn(|byte| ((byte as Codeword) << 4) | 8);
+        }
+    }
     let coded_at = buf.len();
-    let coded_len = cost - tables_len;
     buf.resize(coded_at + coded_len, 0);
     let (noted, out) = buf.split_at_mut(coded_at);
-    let section = &noted[members_at..];
-    let mut bits = BitWriter { out, at: 0, pending: 0, held: 0 };
-    bits.put_all(&section[..count_len], &field_codewords);
-    let mut at = count_len;
-    for _ in 0..count {
-        let member = Noted::at(&section[at..]);
-        bits.put_all(member.prefix, &field_codewords);
-        let mut from = 0;
-        for &(offset, len) in &member.suffixes[..member.n] {
-            bits.put_all(&member.bytes[from..offset], &field_codewords);
-            bits.put_all(&member.bytes[offset..offset + len], &path_codewords);
-            from = offset + len;
-        }
-        bits.put_all(&member.bytes[from..], &field_codewords);
-        at += member.whole_len();
-    }
-    let written = bits.finish();
+    let written = transcode(&noted[members_at..], count, count_len, &codewords, out);
     debug_assert_eq!(written, coded_len, "the price was not the bytes");
 
-    // [.. table_at | head | noted | coded] → [.. table_at | tables | head | coded]:
+    // [.. table_at | head | noted | coded] → [.. table_at | mask | tables | head | coded]:
     // the coded members land inside the noted ones' room, the head behind
-    // them, and the tables before it.
-    buf.copy_within(coded_at.., members_at + tables_len);
-    buf.copy_within(table_at..members_at, table_at + tables_len);
-    let mut at = table_at;
-    for code in tables {
+    // them, and the mask and tables before it.
+    buf.copy_within(coded_at.., members_at + header_len);
+    buf.copy_within(table_at..members_at, table_at + header_len);
+    buf[table_at..table_at + 2].copy_from_slice(&mask.to_le_bytes());
+    let mut at = table_at + 2;
+    for code in coded(mask).map(|class| &classes[class as usize].code) {
         code.put_table(&mut buf[at..at + code.table_len()]);
         at += code.table_len();
     }
-    buf.truncate(members_at + tables_len + coded_len);
-    chosen
+    buf.truncate(members_at + header_len + coded_len);
+    mask
+}
+
+/// Writes the noted `section` of `count` members, its count `count_len`
+/// bytes, as codewords into `out` — the count's bytes and each run's
+/// under their class's codewords, each length prefix under the length
+/// class's — and returns the bytes written.
+fn transcode(
+    section: &[u8],
+    count: u64,
+    count_len: usize,
+    codewords: &Codewords,
+    out: &mut [u8],
+) -> usize {
+    let mut bits = BitWriter { out, at: 0, pending: 0, held: 0 };
+    let other = &codewords[Class::Other as usize];
+    section[..count_len].iter().for_each(|&byte| bits.put(other[usize::from(byte)]));
+    let mut at = count_len;
+    for _ in 0..count {
+        let member = Noted::at(&section[at..]);
+        let len = &codewords[Class::Len as usize];
+        member.prefix.iter().for_each(|&byte| bits.put(len[usize::from(byte)]));
+        let (mut runs, mut from) = (member.runs, 0);
+        while let Some((class, len)) = next_run(&mut runs) {
+            let codewords = &codewords[class];
+            for &byte in &member.bytes[from..from + len] {
+                bits.put(codewords[usize::from(byte)]);
+            }
+            from += len;
+        }
+        at += member.whole_len();
+    }
+    bits.finish()
 }
 
 /// Takes the notes out of a noted sequence of `count` members at
@@ -1484,11 +1872,11 @@ fn drop_notes(buf: &mut Vec<u8>, members_at: usize, count: u64, count_len: usize
 /// member length the bytes cannot hold, a member whose decoder fails, a
 /// member whose decoder does not consume exactly the length its prefix
 /// announced, and in a coded section, codewords that run past the body,
-/// final padding that is not zero, and a path code on a sequence
-/// without a path to code.
+/// a codeword its code refuses, final padding that is not zero, and a
+/// code for a class the section has no byte of.
 pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinDecodeError> {
     r.begin_members();
-    let count = r.length()?;
+    let count = r.length(Class::Other)?;
     if count > r.bits_left() / 16 {
         return Err(BinDecodeError::msg(format!(
             "{count} members claimed in {} bits",
@@ -1497,7 +1885,7 @@ pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinD
     }
     let mut out: Vec<T> = Vec::with_capacity(count.min(MAX_RESERVED_MEMBERS));
     for _ in 0..count {
-        let len = r.length()?;
+        let len = r.length(Class::Len)?;
         if len > r.symbols_left() {
             return Err(BinDecodeError::msg(format!(
                 "truncated: a member of {len} bytes, {} left in the frame",
@@ -1507,7 +1895,7 @@ pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinD
         let start = r.position();
         let member = T::decode_bin(r, &out)?;
         if let Some(codes) = r.live() {
-            codes.check_within()?;
+            codes.stream.check_within()?;
         }
         let used = r.position() - start;
         if used != len {
@@ -1573,7 +1961,7 @@ mod tests {
             assert_eq!(buf.len(), varint_len(value), "varint_len({value:#x})");
             assert_eq!(raw_varint(&buf), (value, buf.len()));
             let mut r = BinReader::new(&buf);
-            assert_eq!(r.varint().unwrap(), value);
+            assert_eq!(r.varint(Class::Other).unwrap(), value);
             assert!(r.is_empty());
         }
         assert_eq!(varint_len(0x7f), 1);
@@ -1583,17 +1971,18 @@ mod tests {
 
     #[test]
     fn overlong_and_overflowing_varints_are_errors() {
+        let varint = |bytes: &[u8]| BinReader::new(bytes).varint(Class::Other);
         // Eleven bytes: a continuation bit on the tenth.
-        assert!(BinReader::new(&[0x80; 11]).varint().is_err());
-        assert!(BinReader::new(&[0xff; 16]).varint().is_err());
+        assert!(varint(&[0x80; 11]).is_err());
+        assert!(varint(&[0xff; 16]).is_err());
         // Ten bytes whose last carries more than the 64th bit.
         let mut buf = vec![0xff; 9];
         buf.push(0x02);
-        assert!(BinReader::new(&buf).varint().is_err());
+        assert!(varint(&buf).is_err());
         *buf.last_mut().unwrap() = 0x01;
-        assert_eq!(BinReader::new(&buf).varint().unwrap(), u64::MAX);
+        assert_eq!(varint(&buf).unwrap(), u64::MAX);
         // Truncated inside the varint.
-        assert!(BinReader::new(&[0x80, 0x80]).varint().is_err());
+        assert!(varint(&[0x80, 0x80]).is_err());
     }
 
     #[test]
@@ -1604,7 +1993,7 @@ mod tests {
                 let mut buf = Vec::new();
                 put_delta(&mut buf, current, prev);
                 let mut r = BinReader::new(&buf);
-                assert_eq!(r.delta(prev).unwrap(), current, "{prev} -> {current}");
+                assert_eq!(r.delta(Class::Time, prev).unwrap(), current, "{prev} -> {current}");
                 assert!(r.is_empty());
             }
         }
@@ -1623,11 +2012,12 @@ mod tests {
             put_delta(&mut buf, current, prev);
             buf
         };
-        assert_eq!(BinReader::new(&coded(7, 9)).delta_u32(9).unwrap(), 7);
-        assert_eq!(BinReader::new(&coded(u32::MAX.into(), 0)).delta_u32(0).unwrap(), u32::MAX);
+        let read = |buf: &[u8], prev: u32| BinReader::new(buf).delta_u32(Class::Oid, prev);
+        assert_eq!(read(&coded(7, 9), 9).unwrap(), 7);
+        assert_eq!(read(&coded(u32::MAX.into(), 0), 0).unwrap(), u32::MAX);
         // −3 applied to 2, and +1 applied to u32::MAX.
-        assert!(BinReader::new(&coded(6, 9)).delta_u32(2).is_err());
-        assert!(BinReader::new(&coded(1, 0)).delta_u32(u32::MAX).is_err());
+        assert!(read(&coded(6, 9), 2).is_err());
+        assert!(read(&coded(1, 0), u32::MAX).is_err());
     }
 
     fn front_coded(current: &str, prev: &str) -> Vec<u8> {
@@ -1659,6 +2049,10 @@ mod tests {
             let path = read_front_coded(&front_coded(current, prev), prev).unwrap();
             assert_eq!(path.as_str(), current);
         }
+        // The encoder's primitive writes the same bytes.
+        let mut buf = Vec::new();
+        SeqEncoder::for_coding().put_front_coded(&mut buf, b"/a/b/two", 5);
+        assert_eq!(buf, front_coded("/a/b/two", "/a/b/one"));
     }
 
     /// A frame's paths share one arena, each coded against the one the
@@ -1678,7 +2072,7 @@ mod tests {
         assert!(one.shares_arena(&two) && two.shares_arena(&three));
 
         let mut r = BinReader::new(&[7, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!((r.u8().unwrap(), r.u64().unwrap()), (7, 0));
+        assert_eq!((r.u8(Class::Flags).unwrap(), r.u64().unwrap()), (7, 0));
         assert!(r.paths.is_none());
     }
 
@@ -1794,115 +2188,307 @@ mod tests {
         assert_eq!(read_members::<u64>(&mut BinReader::new(&body)).unwrap(), honest);
     }
 
+    fn scratch() -> HuffmanScratch {
+        HuffmanScratch { weights: [0; 256], order: [0; 256], tree: [0; 256] }
+    }
+
+    /// The code [`Code::build`] makes of `counts`, if any.
+    fn code_for(counts: &[u32; 256], limit: u32) -> Option<Code> {
+        let mut code = Code::empty();
+        code.build(counts, limit, &mut scratch());
+        (code.n > 0).then_some(code)
+    }
+
     /// Sums each codeword's share of the code space: exactly
     /// `1 << MAX_CODE_LEN` for a complete code.
     fn kraft(code: &Code) -> u32 {
-        code.lens
-            .iter()
-            .filter(|&&len| len > 0)
-            .map(|&len| 1 << (MAX_CODE_LEN - u32::from(len)))
-            .sum()
+        code.lens[..code.n].iter().map(|&len| 1 << (MAX_CODE_LEN - u32::from(len))).sum()
     }
 
-    /// Whatever the histogram, the code is complete and no codeword is
-    /// longer than twelve bits: Fibonacci counts — the deepest tree there
-    /// is, 29 bits for 30 symbols — are flattened until twelve suffice;
-    /// even counts of every byte give every byte eight bits; two bytes
-    /// take a bit each; one byte value alone is no code at all.
+    /// Whatever the histogram and the limit, the code is complete and no
+    /// codeword is longer than the limit: Fibonacci counts — the deepest
+    /// tree there is, 29 bits for 30 symbols — are flattened until twelve
+    /// (or nine) suffice; even counts of every byte give every byte eight
+    /// bits; two bytes take a bit each; one byte value alone is a one-bit
+    /// code; and a class too small to pay for any table has no code.
     #[test]
-    fn codes_are_complete_and_at_most_twelve_bits_deep() {
+    fn codes_are_complete_and_no_deeper_than_their_limit() {
         let mut fibonacci = [0u32; 256];
         let (mut a, mut b) = (1u32, 1u32);
         for slot in &mut fibonacci[0x40..0x40 + 30] {
             *slot = a;
             (a, b) = (b, a + b);
         }
-        let code = Code::for_counts(&fibonacci).unwrap();
-        let lens = &code.lens[..code.n];
-        assert_eq!((code.n, kraft(&code)), (30, 1 << MAX_CODE_LEN));
-        assert_eq!(lens.iter().max(), Some(&12), "flattened to the limit, not past it");
-        assert!(
-            lens.windows(2).all(|pair| pair[0] >= pair[1]),
-            "heavier symbols, shorter codewords"
-        );
+        for limit in [MAX_CODE_LEN, 9] {
+            let code = code_for(&fibonacci, limit).unwrap();
+            let lens = &code.lens[..code.n];
+            assert_eq!((code.n, kraft(&code)), (30, 1 << MAX_CODE_LEN));
+            assert_eq!(code.longest(), limit, "flattened to the limit, not past it");
+            assert!(
+                lens.windows(2).all(|pair| pair[0] >= pair[1]),
+                "heavier symbols, shorter codewords"
+            );
+        }
 
-        let code = Code::for_counts(&[7; 256]).unwrap();
-        assert!(code.len_of().iter().all(|&len| len == 8));
+        let code = code_for(&[7; 256], MAX_CODE_LEN).unwrap();
+        assert!(code.lens.iter().all(|&len| len == 8));
+        assert_eq!((code.shallowest(), code.table_len()), (8, 1 + 32 + 128));
         let mut two = [0; 256];
         (two[b'/' as usize], two[b'x' as usize]) = (1, 1_000);
-        let code = Code::for_counts(&two).unwrap();
+        let code = code_for(&two, MAX_CODE_LEN).unwrap();
         assert_eq!((&code.symbols[..2], &code.lens[..2]), (&b"/x"[..], &[1, 1][..]));
         assert_eq!(code.bits(&two), 1_001);
         let mut one = [0; 256];
         one[b'x' as usize] = 9;
-        assert!(Code::for_counts(&one).is_none());
-        assert!(Code::for_counts(&[0; 256]).is_none());
+        let code = code_for(&one, MAX_CODE_LEN).unwrap();
+        assert_eq!((code.n, code.lens[0], code.table_len()), (1, 1, 3));
+        one[b'x' as usize] = 3;
+        assert!(code_for(&one, MAX_CODE_LEN).is_none(), "3 bytes, 3 of table");
+        assert!(code_for(&[0; 256], MAX_CODE_LEN).is_none());
     }
 
-    /// A table as the encoder writes it is one the reader accepts — its
-    /// bitmap names the coded values, its nibbles their lengths — and
-    /// every codeword the encoder assigns decodes to its own symbol, as a
-    /// field byte and as a path byte.
+    /// A histogram's code depends on its weights' order alone, so scaling
+    /// every weight by 256 leaves it as it was — and takes a large
+    /// alphabet's weights from the counting sort's range to the
+    /// comparison sort's: the two sorts make one code, ties included,
+    /// shallow codes and flattened ones.
+    #[test]
+    fn both_weight_sorts_make_the_same_code() {
+        let mut seed = 0x5dc1_0027u64;
+        for n in [2usize, 3, 17, 115, 256] {
+            for limit in [MAX_CODE_LEN, 9] {
+                let mut counts = [0u32; 256];
+                for slot in counts.iter_mut().take(n) {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    // Mostly ones and twos, as an object-id class's are.
+                    *slot = 1 + (seed >> 61) as u32 * (seed >> 58 & 1) as u32 * 30;
+                }
+                let small = code_for(&counts, limit).unwrap();
+                let large = code_for(&counts.map(|count| count << 8), limit).unwrap();
+                assert_eq!(small.lens[..n], large.lens[..n], "{n} symbols, limit {limit}");
+            }
+        }
+    }
+
+    /// A code of `n` symbols with counts that make it as balanced as it
+    /// can be, from byte value `first` on.
+    fn code_of(n: usize, first: u8) -> Code {
+        let mut counts = [0u32; 256];
+        counts[usize::from(first)..usize::from(first) + n].fill(100);
+        code_for(&counts, MAX_CODE_LEN).unwrap()
+    }
+
+    /// A table lists its symbols below 32 and maps them at 32 and over —
+    /// `n−1`, the symbols, the nibbles — and reads back to the same code.
+    #[test]
+    fn a_table_is_a_list_below_32_symbols_and_a_bitmap_from_32() {
+        for (n, symbols_len) in [(1, 1), (2, 2), (31, 31), (32, 32), (33, 32), (256, 32)] {
+            let code = code_of(n, if n == 256 { 0 } else { 0x20 });
+            let mut table = vec![0xee; code.table_len()];
+            code.put_table(&mut table);
+            assert_eq!(table.len(), 1 + symbols_len + n.div_ceil(2), "{n} symbols");
+            assert_eq!(usize::from(table[0]) + 1, n);
+            if n < LIST_LIMIT {
+                assert_eq!(table[1..=n], code.symbols[..n], "{n} symbols, listed");
+            } else {
+                let named: u32 = table[1..33].iter().map(|byte| byte.count_ones()).sum();
+                assert_eq!(named as usize, n, "{n} symbols, mapped");
+            }
+            let read = read_table(&mut &table[..], Class::Path).unwrap();
+            assert_eq!(read.symbols[..n], code.symbols[..n]);
+            assert_eq!(read.lens[..n], code.lens[..n]);
+        }
+    }
+
+    /// A frame coding the flags class and the path class under the same
+    /// table: every codeword the encoder assigns decodes to its own
+    /// symbol as a flags byte and as a path byte; a one-symbol code's
+    /// codeword `0` is its symbol, and its `1` is refused.
     #[test]
     fn every_codeword_decodes_to_its_symbol() {
         let mut counts = [0u32; 256];
         for (i, byte) in b"0123456789abcdef/dt".iter().enumerate() {
             counts[usize::from(*byte)] = 1 + (i as u32 * 37) % 11;
         }
-        let code = Code::for_counts(&counts).unwrap();
+        let code = code_for(&counts, MAX_CODE_LEN).unwrap();
         let mut table = vec![0; code.table_len()];
         code.put_table(&mut table);
-        assert_eq!(table.len(), 32 + 9, "a bitmap and 18 nibbles (`d` twice)");
-        assert_eq!(table[usize::from(b'/' >> 3)] >> (b'/' & 7) & 1, 1);
-        assert_eq!(table[usize::from(b'z' >> 3)] >> (b'z' & 7) & 1, 0);
-        let codewords = code.codewords();
+        assert_eq!(table.len(), 1 + 18 + 9, "`n−1`, 18 listed symbols (`d` twice), 18 nibbles");
+        let mut codewords = [0; 256];
+        code.codewords_into(&mut codewords);
+        let mask = (Class::Path.bit() | Class::Flags.bit()).to_le_bytes();
         for (symbol, &codeword) in (0..=u8::MAX).zip(&codewords) {
             if codeword == 0 {
                 continue;
             }
             let (bits, len) = (codeword >> 4, codeword & 0xf);
-            // The codeword, left-aligned in two bytes: a section of one
-            // member of one byte, under both codes.
-            let mut body = [&table[..], &table[..]].concat();
-            body.extend(((bits << (16 - len)) as u16).to_be_bytes());
+            // The codeword, left-aligned in two bytes.
+            let mut body = [&mask[..], &table[..], &table[..]].concat();
+            body.extend((bits << (16 - len)).to_be_bytes());
             let mut r = BinReader::new(&body);
-            r.read_codes(SectionCodes { path: true, field: true }).unwrap();
+            r.read_codes().unwrap();
             r.begin_members();
-            assert_eq!(r.u8().unwrap(), symbol);
+            assert_eq!(r.u8(Class::Flags).unwrap(), symbol);
             assert_eq!(r.position(), 1);
             assert_eq!(r.bits_left(), 16 - len as usize);
             // Back to the section's start, to read the same bits as a
             // path byte.
             let codes = r.codes.as_mut().unwrap();
-            (codes.window, codes.filled, codes.next) = (0, 0, 0);
+            (codes.stream.window, codes.stream.filled, codes.stream.next) = (0, 0, 0);
             assert_eq!(codes.suffix(1).unwrap(), [symbol]);
+        }
+
+        // One symbol, `x`, one bit: `0` is `x`, `1` is no codeword.
+        let one = [&Class::Kind.bit().to_le_bytes()[..], &[0, b'x', 0x10]].concat();
+        for (bits, want) in [(0x00u8, Ok(b'x')), (0x80, Err(()))] {
+            let body = [&one[..], &[bits]].concat();
+            let mut r = BinReader::new(&body);
+            r.read_codes().unwrap();
+            r.begin_members();
+            let got = r.u8(Class::Kind);
+            assert_eq!(got.as_ref().map_err(|_| ()), want.as_ref().map_err(|_| ()));
+            if let Err(err) = got {
+                assert!(err.to_string().contains("codeword `1`"), "{err}");
+            }
         }
     }
 
     /// Sequences of every shape go out coded only when that is smaller,
-    /// never larger than raw, and decode to what went in; the tables sit
-    /// where the caller asks, the path code's first.
+    /// never larger than raw, and decode to what went in; the class mask
+    /// and tables sit where the caller asks.
     #[test]
-    fn a_coded_sequence_is_its_raw_bytes_under_two_codes() {
+    fn a_coded_sequence_is_its_raw_bytes_under_its_classes_codes() {
         let strings: Vec<String> = (0..200).map(|i| format!("member {}", i % 7)).collect();
         let mut raw = vec![0xaa];
         put_members(&mut raw, &strings);
         let mut coded = vec![0xaa];
-        let codes = put_members_coded(&mut coded, 1, &strings);
-        assert_eq!(codes, SectionCodes { path: false, field: true }, "strings have no paths");
+        let mask = put_members_coded(&mut coded, 1, &strings);
+        assert_eq!(mask & Class::Path.bit(), 0, "strings have no paths");
+        assert_ne!(mask & Class::Other.bit(), 0, "{mask:#x}");
+        assert_eq!(coded[1..3], mask.to_le_bytes());
         assert!(coded.len() < raw.len() / 2, "{} coded bytes, {} raw", coded.len(), raw.len());
         let mut r = BinReader::new(&coded);
-        assert_eq!(r.u8().unwrap(), 0xaa);
-        r.read_codes(codes).unwrap();
+        assert_eq!(r.u8(Class::Other).unwrap(), 0xaa);
+        r.read_codes().unwrap();
         assert_eq!(read_members::<String>(&mut r).unwrap(), strings);
         assert!(r.is_empty());
 
-        // Eight random bytes a member: no code pays.
+        // Eight random bytes a member: only the length prefixes, all 8,
+        // pay for a code — one symbol, a bit each — and two members pay
+        // for none.
         let random: Vec<u64> = (1..200u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let (mut raw, mut coded) = (Vec::new(), Vec::new());
         put_members(&mut raw, &random);
-        assert_eq!(put_members_coded(&mut coded, 0, &random), SectionCodes::default());
+        assert_eq!(put_members_coded(&mut coded, 0, &random), Class::Len.bit());
+        assert_eq!(coded.len(), 2 + 3 + (16 + 199 * 65usize).div_ceil(8), "a two-byte count");
+        let mut r = BinReader::new(&coded);
+        r.read_codes().unwrap();
+        assert_eq!(read_members::<u64>(&mut r).unwrap(), random);
+        let (mut raw, mut coded) = (Vec::new(), Vec::new());
+        put_members(&mut raw, &random[..2]);
+        assert_eq!(put_members_coded(&mut coded, 0, &random[..2]), 0);
         assert_eq!(coded, raw);
+    }
+
+    /// A member that writes one byte straight to the buffer, behind its
+    /// encoder's back: after its first field, or after its last.
+    struct Stray {
+        last: bool,
+    }
+
+    impl BinPayload for Stray {
+        fn encode_bin(&self, _earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+            seq.byte(buf, Class::Flags, 1);
+            if !self.last {
+                buf.push(2);
+            }
+            seq.byte(buf, Class::Path, 3);
+            if self.last {
+                buf.push(2);
+            }
+        }
+
+        fn decode_bin(_: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
+            unreachable!("never written")
+        }
+    }
+
+    /// A frame's raw pass refuses a byte its encoder did not write, in
+    /// the middle of a member — a debug build's check: it would be coded
+    /// under the next field's class…
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a member writes every byte through its SeqEncoder")]
+    fn a_stray_byte_within_a_member_is_caught() {
+        put_members_coded(&mut Vec::new(), 0, &[Stray { last: false }]);
+    }
+
+    /// …and at its end, in any build, where it would be left out of the
+    /// transcode.
+    #[test]
+    #[should_panic(expected = "a member writes every byte through its SeqEncoder")]
+    fn a_stray_byte_ending_a_member_is_caught() {
+        put_members_coded(&mut Vec::new(), 0, &[Stray { last: true }]);
+    }
+
+    /// A member that writes its bytes in any class, as they are given.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Classed(Vec<(Class, u8)>);
+
+    impl BinPayload for Classed {
+        fn encode_bin(&self, _earlier: &[Self], seq: &mut SeqEncoder, buf: &mut Vec<u8>) {
+            self.0.iter().for_each(|&(class, byte)| seq.byte(buf, class, byte));
+        }
+
+        fn decode_bin(r: &mut BinReader<'_>, _earlier: &[Self]) -> Result<Self, BinDecodeError> {
+            // Every member here is the same shape: three bytes of each of
+            // the first four classes in turn.
+            let classes =
+                [Class::Path, Class::Oid, Class::Back, Class::Time].map(|class| [class; 3]);
+            let read = classes.as_flattened().iter().map(|&class| Ok((class, r.u8(class)?)));
+            read.collect::<Result<_, _>>().map(Classed)
+        }
+    }
+
+    /// Four classes, each of two dozen byte values at Fibonacci counts:
+    /// each one's code alone would be twelve bits deep and take 4,096
+    /// lookup entries, 16,384 together. The encoder flattens the deepest,
+    /// a bit at a time, until the four (and the length prefixes' one-bit
+    /// code) fit in 8,192 — and the frame still goes out coded and reads
+    /// back, the reader having checked the same sum.
+    #[test]
+    fn the_encoder_keeps_a_frames_codes_within_the_lookup_entries() {
+        let classes = [Class::Path, Class::Oid, Class::Back, Class::Time];
+        let mut weights = Vec::new();
+        let (mut a, mut b) = (1usize, 1usize);
+        for symbol in 0..30u8 {
+            weights.extend(std::iter::repeat_n(0x40 + symbol, a));
+            (a, b) = (b, a + b);
+        }
+        // 60,000 bytes of each class, twelve a member.
+        let members: Vec<Classed> = weights
+            .chunks_exact(3)
+            .take(20_000)
+            .map(|three| {
+                Classed(
+                    classes
+                        .iter()
+                        .flat_map(|&class| three.iter().map(move |&b| (class, b)))
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut coded = Vec::new();
+        let mask = put_members_coded(&mut coded, 0, &members);
+        let four: u16 = classes.iter().map(|class| class.bit()).sum();
+        assert_eq!(mask, four | Class::Len.bit(), "the count's three bytes are left raw");
+        let mut r = BinReader::new(&coded);
+        r.read_codes().unwrap();
+        let codes = r.codes.as_ref().unwrap();
+        let entries: usize = codes.longest.iter().filter(|&&l| l > 0).map(|&l| 1 << l).sum();
+        assert!(entries <= LOOKUP_ENTRIES, "{entries} entries");
+        assert!(entries > LOOKUP_ENTRIES / 2, "flattened past need: {entries} entries");
+        assert_eq!(read_members::<Classed>(&mut r).unwrap(), members);
     }
 
     #[test]

@@ -457,7 +457,12 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// to expect it.
 ///
 /// These are the raw bytes; a coded frame carries each as its codeword
-/// ([`crate::bin`]). The encoder takes the path base that costs fewer raw
+/// under the code of its field class ([`crate::bin::Class`]): flags is
+/// the flags class; the record-type and kind bytes the kind class; time,
+/// the path base and the oid delta their own; a front-coded string's
+/// shared length, suffix count and suffix bytes the shared-length,
+/// carried-length and path classes; index, mdt, the FID's seq and ver,
+/// extracted and trace the other class. The encoder takes the path base that costs fewer raw
 /// bytes: the predecessor, or the latest earlier member in the same
 /// parent directory (the [`SeqEncoder`]'s table). The decoder follows
 /// whatever reference it is given, within the sequence: a back-distance
@@ -477,9 +482,7 @@ impl FileEvent {
         seq: &mut SeqEncoder,
         buf: &mut Vec<u8>,
     ) {
-        use crate::bin::{
-            common_prefix, front_coded_len, put_delta, put_trace, put_varint, varint_len,
-        };
+        use crate::bin::{common_prefix, front_coded_len, varint_len, Class};
         let prev = earlier.last().and_then(&event_of);
         let same_mdt = self.mdt == prev.map_or(MdtIndex::new(0), |p| p.mdt);
         let derived_kind = self.kind == self.changelog_kind.event_kind();
@@ -507,33 +510,32 @@ impl FileEvent {
         }
 
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        buf.push(
-            flag(self.src_path.is_some(), FLAG_SRC_PATH)
-                | flag(self.extracted_unix_ns.is_some(), FLAG_EXTRACTED)
-                | flag(self.trace.is_some(), FLAG_TRACE)
-                | flag(self.is_dir, FLAG_IS_DIR)
-                | flag(same_mdt, FLAG_SAME_MDT)
-                | flag(derived_kind, FLAG_DERIVED_KIND)
-                | flag(back.is_some(), FLAG_PATH_REF)
-                | flag(next_index, FLAG_NEXT_INDEX),
-        );
+        let flags = flag(self.src_path.is_some(), FLAG_SRC_PATH)
+            | flag(self.extracted_unix_ns.is_some(), FLAG_EXTRACTED)
+            | flag(self.trace.is_some(), FLAG_TRACE)
+            | flag(self.is_dir, FLAG_IS_DIR)
+            | flag(same_mdt, FLAG_SAME_MDT)
+            | flag(derived_kind, FLAG_DERIVED_KIND)
+            | flag(back.is_some(), FLAG_PATH_REF)
+            | flag(next_index, FLAG_NEXT_INDEX);
+        seq.byte(buf, Class::Flags, flags);
         if !next_index {
-            put_delta(buf, self.index, prev.map_or(0, |p| p.index));
+            seq.delta(buf, Class::Other, self.index, prev.map_or(0, |p| p.index));
         }
         if !same_mdt {
-            put_varint(buf, self.mdt.as_u32().into());
+            seq.varint(buf, Class::Other, self.mdt.as_u32().into());
         }
-        buf.push(
-            self.changelog_kind.code()
-                | flag(same_fid_home, KIND_SAME_FID_HOME)
-                | flag(same_extracted, KIND_SAME_EXTRACTED),
-        );
+        let kind_byte = self.changelog_kind.code()
+            | flag(same_fid_home, KIND_SAME_FID_HOME)
+            | flag(same_extracted, KIND_SAME_EXTRACTED);
+        seq.byte(buf, Class::Kind, kind_byte);
         if !derived_kind {
-            buf.push(self.kind.code());
+            seq.byte(buf, Class::Kind, self.kind.code());
         }
-        put_delta(buf, self.time.as_nanos(), prev.map_or(0, |p| p.time.as_nanos()));
+        let prev_time = prev.map_or(0, |p| p.time.as_nanos());
+        seq.delta(buf, Class::Time, self.time.as_nanos(), prev_time);
         if let Some(distance) = back {
-            put_varint(buf, distance as u64);
+            seq.varint(buf, Class::Back, distance as u64);
         }
         seq.put_front_coded(buf, path, shared);
         if let Some(src) = &self.src_path {
@@ -542,17 +544,18 @@ impl FileEvent {
         }
         let base = prev.map_or(Fid::ZERO, |p| p.target);
         if !same_fid_home {
-            put_delta(buf, self.target.seq, base.seq);
+            seq.delta(buf, Class::Other, self.target.seq, base.seq);
         }
-        put_delta(buf, self.target.oid.into(), base.oid.into());
+        seq.delta(buf, Class::Oid, self.target.oid.into(), base.oid.into());
         if !same_fid_home {
-            put_delta(buf, self.target.ver.into(), base.ver.into());
+            seq.delta(buf, Class::Other, self.target.ver.into(), base.ver.into());
         }
         if let (Some(ns), false) = (self.extracted_unix_ns, same_extracted) {
-            put_delta(buf, ns, prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0));
+            let prev_ns = prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0);
+            seq.delta(buf, Class::Other, ns, prev_ns);
         }
         if let Some(trace) = &self.trace {
-            put_trace(buf, trace);
+            seq.trace(buf, trace);
         }
     }
 
@@ -571,19 +574,20 @@ impl FileEvent {
         earlier: &'a [T],
         event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
     ) -> Result<FileEvent, BinDecodeError> {
+        use crate::bin::Class;
         let prev = earlier.last().and_then(&event_of);
-        let flags = r.u8()?;
+        let flags = r.u8(Class::Flags)?;
         let index = if flags & FLAG_NEXT_INDEX != 0 {
             same_as(prev, "index")?.index.wrapping_add(1)
         } else {
-            r.delta(prev.map_or(0, |p| p.index))?
+            r.delta(Class::Other, prev.map_or(0, |p| p.index))?
         };
         let mdt = if flags & FLAG_SAME_MDT != 0 {
             prev.map_or(MdtIndex::new(0), |p| p.mdt)
         } else {
-            MdtIndex::new(u32::try_from(r.varint()?).map_err(BinDecodeError::msg)?)
+            MdtIndex::new(u32::try_from(r.varint(Class::Other)?).map_err(BinDecodeError::msg)?)
         };
-        let kind_byte = r.u8()?;
+        let kind_byte = r.u8(Class::Kind)?;
         if kind_byte & KIND_RESERVED != 0 {
             return Err(BinDecodeError::msg(format!("unknown record-type bits {kind_byte:#x}")));
         }
@@ -593,13 +597,14 @@ impl FileEvent {
         let kind = if flags & FLAG_DERIVED_KIND != 0 {
             changelog_kind.event_kind()
         } else {
-            let code = r.u8()?;
+            let code = r.u8(Class::Kind)?;
             EventKind::from_code(code)
                 .ok_or_else(|| BinDecodeError::msg(format!("invalid EventKind code {code}")))?
         };
-        let time = SimTime::from_nanos(r.delta(prev.map_or(0, |p| p.time.as_nanos()))?);
+        let time =
+            SimTime::from_nanos(r.delta(Class::Time, prev.map_or(0, |p| p.time.as_nanos()))?);
         let base = if flags & FLAG_PATH_REF != 0 {
-            let back = r.length()?;
+            let back = r.length(Class::Back)?;
             let member = (back >= 2).then(|| earlier.len().checked_sub(back)).flatten();
             let Some(base) = member.and_then(|at| event_of(&earlier[at])) else {
                 return Err(BinDecodeError::msg(format!(
@@ -616,18 +621,20 @@ impl FileEvent {
             if flags & FLAG_SRC_PATH != 0 { Some(r.front_coded(Some(&path))?) } else { None };
         let target = if kind_byte & KIND_SAME_FID_HOME != 0 {
             let home = same_as(prev, "FID sequence")?.target;
-            Fid { oid: r.delta_u32(home.oid)?, ..home }
+            Fid { oid: r.delta_u32(Class::Oid, home.oid)?, ..home }
         } else {
             let base = prev.map_or(Fid::ZERO, |p| p.target);
             Fid {
-                seq: r.delta(base.seq)?,
-                oid: r.delta_u32(base.oid)?,
-                ver: r.delta_u32(base.ver)?,
+                seq: r.delta(Class::Other, base.seq)?,
+                oid: r.delta_u32(Class::Oid, base.oid)?,
+                ver: r.delta_u32(Class::Other, base.ver)?,
             }
         };
         let extracted_unix_ns = match (flags & FLAG_EXTRACTED != 0, kind_byte & KIND_SAME_EXTRACTED)
         {
-            (true, 0) => Some(r.delta(prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0))?),
+            (true, 0) => {
+                Some(r.delta(Class::Other, prev.and_then(|p| p.extracted_unix_ns).unwrap_or(0))?)
+            }
             (true, _) => match same_as(prev, "extraction stamp")?.extracted_unix_ns {
                 Some(ns) => Some(ns),
                 None => return Err(BinDecodeError::msg("no extraction stamp to be the same as")),
@@ -881,14 +888,14 @@ mod tests {
         assert_eq!(buf[third + 4..third + 8], [2, 12, 1, b'3']);
     }
 
-    /// A frame's sequence goes out coded when that is smaller: the
-    /// tables land where the frame asks (here after a one-byte header), a
-    /// reader that has read them decodes the same events, and the coded
-    /// bytes are fewer. Sequences a code does not shrink — one path, or
-    /// none to code — are the raw sequence byte for byte.
+    /// A frame's sequence goes out coded when that is smaller: the class
+    /// mask and tables land where the frame asks (here after a one-byte
+    /// header), a reader that has read them decodes the same events, and
+    /// the coded bytes are fewer. Sequences no code shrinks — one member,
+    /// or none — are the raw sequence byte for byte.
     #[test]
     fn a_sequence_goes_out_coded_when_that_is_smaller() {
-        use crate::bin::{put_members, put_members_coded, read_members, SectionCodes};
+        use crate::bin::{put_members, put_members_coded, read_members, Class};
         let rec = sample_record();
         let events: Vec<FileEvent> = (0..40u64)
             .map(|i| {
@@ -902,12 +909,14 @@ mod tests {
         let mut raw = vec![0xaa];
         put_members(&mut raw, &events);
         let mut coded = vec![0xaa];
-        let codes = put_members_coded(&mut coded, 1, &events);
-        assert_eq!(codes, SectionCodes { path: true, field: true });
+        let mask = put_members_coded(&mut coded, 1, &events);
+        for class in [Class::Path, Class::Flags, Class::Time, Class::Shared, Class::Carried] {
+            assert_ne!(mask & class.bit(), 0, "{class} in {mask:#x}");
+        }
         assert!(coded.len() < raw.len(), "{} coded bytes, {} raw", coded.len(), raw.len());
         let mut r = BinReader::new(&coded);
-        assert_eq!(r.u8().unwrap(), 0xaa);
-        r.read_codes(codes).unwrap();
+        assert_eq!(r.u8(Class::Other).unwrap(), 0xaa);
+        r.read_codes().unwrap();
         let got: Vec<FileEvent> = read_members(&mut r).unwrap();
         assert!(r.is_empty());
         drop(r);
@@ -916,8 +925,7 @@ mod tests {
         for few in [&events[1..2], &[]] {
             let (mut raw, mut coded) = (vec![0xaa], vec![0xaa]);
             put_members(&mut raw, few);
-            let codes = put_members_coded(&mut coded, 1, few);
-            assert_eq!(codes, SectionCodes::default(), "{} members", few.len());
+            assert_eq!(put_members_coded(&mut coded, 1, few), 0, "{} members", few.len());
             assert_eq!(coded, raw);
         }
     }
