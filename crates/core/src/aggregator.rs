@@ -97,6 +97,10 @@ impl BinPayload for SequencedEvent {
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
         SequencedEvent::decode_among(r, earlier, Some)
     }
+
+    fn event(&self) -> Option<&FileEvent> {
+        Some(&self.event)
+    }
 }
 
 impl FeedMessage {
@@ -149,6 +153,10 @@ impl BinPayload for FeedMessage {
             }),
             other => Err(BinDecodeError::msg(format!("invalid FeedMessage tag {other}"))),
         }
+    }
+
+    fn event(&self) -> Option<&FileEvent> {
+        self.as_event().map(|sev| &sev.event)
     }
 }
 

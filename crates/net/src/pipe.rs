@@ -37,7 +37,9 @@
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
-use crate::wire::{timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service};
+use crate::wire::{
+    is_continuity_gap, timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service,
+};
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceCarrier, TraceContext};
@@ -321,6 +323,19 @@ fn serve_pusher<T>(
             }
             Ok(Frame::Fin) => return,
             Ok(_) => {}
+            Err(e) if is_continuity_gap(&e) => {
+                // A batch continuing frames this connection did not
+                // deliver (lost, or duplicated behind them): none of its
+                // members was read, so the pusher must resume after the
+                // mark, as after any gap — and its rewind starts fresh.
+                last_traffic = Instant::now();
+                let expected = *mark.lock() + 1;
+                if nack_gap::<T>(&mut writer, counters, &mut nacked_at, expected, cfg.heartbeat)
+                    .is_err()
+                {
+                    return;
+                }
+            }
             Err(e) if timed_out(&e) => {
                 if last_traffic.elapsed() > cfg.liveness {
                     return;
@@ -409,6 +424,7 @@ where
             std::thread::Builder::new()
                 .name(format!("sdci-net-push-{client}"))
                 .spawn(move || push_worker(addr, client, cfg, rx, state))
+                // cannot fail: short of a thread refused by the OS, which no pusher outlives.
                 .expect("spawn push worker");
         }
         TcpPush { tx, state }
@@ -590,7 +606,9 @@ fn push_worker<T>(
         } else {
             ack_up_to(server_mark, &mut unacked, &mut last_acked, &state);
         }
-        // Re-send everything the server has not seen.
+        // Re-send everything the server has not seen. The new
+        // connection's reader holds nothing of the last one's frames.
+        enc.start_fresh();
         if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
             continue 'reconnect;
@@ -736,6 +754,9 @@ fn push_worker<T>(
                         );
                         state.rewinds.fetch_add(1, Ordering::Relaxed);
                         sdci_obs::static_metric!(counter, "sdci_net_push_fast_rewinds_total").inc();
+                        // The server may have skipped frames this encoder's
+                        // history holds: the resend starts fresh.
+                        enc.start_fresh();
                         if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
                             backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                             continue 'reconnect;

@@ -350,7 +350,7 @@ fn encode_batch<T: BinPayload>(
 fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     let mut off = 0;
     while off + 4 <= bytes.len() {
-        let word = u32::from_be_bytes(bytes[off..off + 4].try_into().expect("4-byte slice"));
+        let word = u32::from_be_bytes(std::array::from_fn(|i| bytes[off + i]));
         let end = off + 4 + (word & !BIN_FRAME_BIT) as usize;
         w.write_all(&bytes[off..end])?;
         w.flush()?;
@@ -409,6 +409,7 @@ where
             std::thread::Builder::new()
                 .name("sdci-net-sub".into())
                 .spawn(move || subscriber_worker(addr, prefixes, cfg, tx, stop, counters))
+                // cannot fail: short of a thread refused by the OS, which no subscriber outlives.
                 .expect("spawn subscriber worker")
         };
         TcpSubscriber { rx, stop, counters, _worker: worker }

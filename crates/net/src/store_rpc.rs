@@ -86,7 +86,7 @@ impl WireMsg for StoreRpc {
             });
         }
         let mut r = sdci_types::BinReader::new(body);
-        let (kind, trace) = bin_read_header(&mut r)?;
+        let (kind, trace, _) = bin_read_header(&mut r)?;
         if kind != BIN_KIND_STORE_BATCH {
             return Err(invalid(format!("unknown binary store-RPC kind {kind}")));
         }

@@ -24,25 +24,36 @@
 //!
 //! A binary body is a fixed header, then the kind's fields. Lengths
 //! and counts are LEB128 varints; every member is length-prefixed and
-//! coded **relative to the members before it in the same frame**
-//! ([`BinPayload`]: zig-zag deltas and "same as the predecessor's" bits
-//! for counters and stamps, paths as shared-prefix length + suffix
-//! against the predecessor's or a named earlier member's), the first
-//! against nothing — so a frame decodes from its own bytes alone,
-//! whichever frames were dropped, duplicated or resent around it:
+//! coded **relative to the members before it** ([`BinPayload`]: zig-zag
+//! deltas and "same as the predecessor's" bits for counters and stamps,
+//! paths as shared-prefix length + suffix against the predecessor's or a
+//! named earlier member's). In a *fresh* frame those are the members
+//! before it in the same frame, the first coded against nothing, so the
+//! frame decodes from its own bytes alone; deliver frames and store
+//! replies are always fresh. An item batch may instead *continue* its
+//! connection (flags bit 2): its members are coded against what the item
+//! frames written before it on the same connection carried as well —
+//! the last member, the paths of the last
+//! [`HISTORY_MEMBERS`](sdci_types::bin::HISTORY_MEMBERS) members, the
+//! last frame's codes — and only that connection's [`FrameReader`],
+//! which holds the same [`History`], reads it; one that does not start
+//! where the history ends is a [`ContinuityGap`], never a misdecode:
 //!
 //! ```text
-//! +------+-------+----------------------+---------------------------+---------------+
-//! | kind | flags | trace (17B, flags&1) | class mask u16le | tables | kind's fields |
-//! |  u8  |  u8   | id u64, span u64, u8 | (flags&2)                 |               |
-//! +------+-------+----------------------+---------------------------+---------------+
+//! +------+-------+----------------------+-----------------------------------+---------------+
+//! | kind | flags | trace (17B, flags&1) | class mask u16le | [reuse u16le]  | kind's fields |
+//! |  u8  |  u8   | id u64, span u64, u8 | | tables (flags&2)               |               |
+//! +------+-------+----------------------+-----------------------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | members
 //!
 //! members    = count varint | count × (len varint | member: len bytes)
-//!              member 0 coded against nothing, member i against members 0..i
-//! tables     = one per class the mask names, in class order:
+//!              member i coded against members 0..i — and, in a continuing
+//!              frame, against the connection's history before member 0
+//! reuse      = a continuing frame's: the classes coded under the code they
+//!              had in the connection's last item frame, with no table here
+//! tables     = one per class the mask names and reuse does not, in class order:
 //!              n−1 u8 | symbols (n < 32: a list; else a 32-byte bitmap) |
 //!              a 4-bit codeword length per symbol
 //! ```
@@ -84,7 +95,7 @@
 
 use sdci_types::bin::{
     code_members, put_bytes, put_member, put_members_coded, put_trace, put_varint, read_members,
-    varint_len, BinPayload, BinReader, Class, SeqEncoder, MAX_FRAME_MEMBERS,
+    varint_len, BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -109,7 +120,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 11;
+pub const WIRE_PROTO: u32 = 12;
 
 /// Longest JSON body — a [`Hello`], or any other control frame — a
 /// reader accepts. The largest legitimate one is a subscriber's prefix
@@ -291,6 +302,22 @@ pub trait WireMsg: Sized {
     /// whose encoding is binary (or the reverse), unknown kind bytes,
     /// truncated fields, or trailing garbage — the stream is corrupt.
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self>;
+
+    /// Decodes one complete frame body as a connection's reader does —
+    /// [`FrameReader::read_msg`] — whose `history` holds what the item
+    /// frames it read before carried: an item batch that continues its
+    /// connection is read against it, and every item batch is recorded
+    /// in it. A message without item batches decodes as
+    /// [`WireMsg::decode`] does.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`WireMsg::decode`]; and a [`ContinuityGap`] — on a stream
+    /// still good to read — for a continuing batch that does not start
+    /// where `history` ends.
+    fn decode_on(binary: bool, body: &[u8], _history: &mut History) -> io::Result<Self> {
+        Self::decode(binary, body)
+    }
 }
 
 /// Appends `msg` as a JSON body — the control-frame encoding.
@@ -323,6 +350,11 @@ const BIN_FLAG_TRACE: u8 = 1;
 /// follow the trace section ([`BinReader::read_codes`]).
 const BIN_FLAG_CODED: u8 = 2;
 
+/// Flags bit: the frame continues its connection — its members are coded
+/// against the connection's [`History`] as well as against one another,
+/// and its coded header has a reuse mask. Only an item batch sets it.
+const BIN_FLAG_CONTINUES: u8 = 4;
+
 /// The flags bit that announces a member section coded under `mask`.
 fn coded_flag(mask: u16) -> u8 {
     if mask != 0 {
@@ -349,20 +381,31 @@ pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext
     }
 }
 
-/// Reads the fixed binary header back: `(kind, trace)`. The codes a
-/// coded frame carries are read into `r`, which decodes the member
-/// section through them.
-pub(crate) fn bin_read_header(r: &mut BinReader<'_>) -> io::Result<(u8, Option<TraceContext>)> {
+/// Reads the fixed binary header back: `(kind, trace, continues)`. The
+/// codes a coded frame carries are read into `r`, which decodes the
+/// member section through them — a continuing frame's once the history
+/// is at hand ([`BinReader::continue_from`]).
+pub(crate) fn bin_read_header(
+    r: &mut BinReader<'_>,
+) -> io::Result<(u8, Option<TraceContext>, bool)> {
     let kind = r.u8(Class::Other).map_err(invalid)?;
     let flags = r.u8(Class::Other).map_err(invalid)?;
-    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODED) != 0 {
+    if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODED | BIN_FLAG_CONTINUES) != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
-    let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
-    if flags & BIN_FLAG_CODED != 0 {
-        r.read_codes().map_err(invalid)?;
+    let continues = flags & BIN_FLAG_CONTINUES != 0;
+    if continues && kind != BIN_KIND_ITEM_BATCH {
+        return Err(invalid(format!(
+            "a kind-{kind} frame that continues its connection: only an item batch may"
+        )));
     }
-    Ok((kind, trace))
+    let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
+    match (flags & BIN_FLAG_CODED != 0, continues) {
+        (true, false) => r.read_codes().map_err(invalid)?,
+        (true, true) => r.read_continuing_codes().map_err(invalid)?,
+        (false, _) => {}
+    }
+    Ok((kind, trace, continues))
 }
 
 /// Appends one whole batch body — header, `head`, members — with the
@@ -381,6 +424,127 @@ pub(crate) fn put_batch<T: BinPayload>(
     let table_at = buf.len();
     head.put(buf, 0);
     buf[at + 1] |= coded_flag(put_members_coded(buf, table_at, payloads));
+}
+
+/// Why a connection's reader read none of an item batch that continues
+/// its connection: the batch does not start where the reader's
+/// [`History`] ends — a frame before it was lost, or it is a duplicate —
+/// or the reader holds no history at all. Reading its members against a
+/// history they were not coded against would misdecode them, so none is
+/// read, and the history is left as it was. It is not corruption: the
+/// stream is still framed, and the pull server answers it as it answers a
+/// sequence gap, with a `Nack` naming where the pusher must resume. It
+/// travels as an `InvalidData` [`io::Error`]; [`is_continuity_gap`]
+/// tells it apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContinuityGap {
+    /// The sequence number the batch starts at.
+    pub first_seq: u64,
+    /// The one the reader's history says it must start at; `None` when
+    /// the reader holds none.
+    pub expected: Option<u64>,
+}
+
+impl std::fmt::Display for ContinuityGap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.expected {
+            Some(expected) => write!(
+                f,
+                "an item batch continuing its connection from sequence {}, where its history \
+                 ends at {expected}",
+                self.first_seq
+            ),
+            None => write!(
+                f,
+                "an item batch continuing its connection from sequence {} on a reader that \
+                 holds none of its history",
+                self.first_seq
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ContinuityGap {}
+
+/// Whether `e` is a [`ContinuityGap`]: a frame the reader skipped, on a
+/// stream still good to read.
+pub fn is_continuity_gap(e: &io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<ContinuityGap>())
+}
+
+impl<T: BinPayload> Frame<T> {
+    /// Decodes a frame body, against and into `history` when a
+    /// connection's reader holds one ([`WireMsg::decode_on`]).
+    fn decode_in(binary: bool, body: &[u8], mut history: Option<&mut History>) -> io::Result<Self> {
+        if !binary {
+            return json_decode::<Control>(body).map(Frame::from);
+        }
+        // The reader — some 27 KB, dropped in place at the end of this
+        // block rather than moved — may borrow `history` while it reads a
+        // batch that continues its connection.
+        let (first_seq, trace, continues, read) = {
+            let mut r = BinReader::new(body);
+            let (kind, trace, continues) = bin_read_header(&mut r)?;
+            match kind {
+                BIN_KIND_ITEM_BATCH => {}
+                BIN_KIND_DELIVER_BATCH => {
+                    let topic = r.string().map_err(invalid)?;
+                    return Ok(Frame::DeliverBatch { topic, payloads: read_all(&mut r)?, trace });
+                }
+                other => return Err(invalid(format!("unknown binary frame kind {other}"))),
+            }
+            let first_seq = r.u64().map_err(invalid)?;
+            let read = match history.as_deref_mut() {
+                None if continues => {
+                    let why = "an item batch that continues its connection, decoded apart from it";
+                    return Err(invalid(why));
+                }
+                None => {
+                    return Ok(Frame::ItemBatch { first_seq, payloads: read_all(&mut r)?, trace })
+                }
+                // A batch that does not start where the history ends is
+                // not read at all, and leaves the history as it was.
+                Some(history) if continues => {
+                    let expected = history.next_seq();
+                    if expected != Some(first_seq) {
+                        let gap = ContinuityGap { first_seq, expected };
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, gap));
+                    }
+                    r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
+                }
+                Some(history) => {
+                    let read = read_all(&mut r);
+                    if let Ok(payloads) = &read {
+                        history.record(false, first_seq, payloads.iter().map(T::event));
+                        r.keep_codes(history);
+                    }
+                    read
+                }
+            };
+            (first_seq, trace, continues, read)
+        };
+        // A batch refused for anything but a gap leaves nothing for a
+        // later one to continue.
+        if let Some(history) = history {
+            match &read {
+                Ok(payloads) if continues => {
+                    history.record(true, first_seq, payloads.iter().map(T::event));
+                }
+                Ok(_) => {}
+                Err(_) => history.clear(),
+            }
+        }
+        read.map(|payloads| Frame::ItemBatch { first_seq, payloads, trace })
+    }
+}
+
+/// Reads a body's member section, which must end it.
+fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
+    let payloads = read_members(r).map_err(invalid)?;
+    match r.remaining() {
+        0 => Ok(payloads),
+        n => Err(invalid(format!("binary frame has {n} trailing bytes"))),
+    }
 }
 
 impl<T: BinPayload> WireMsg for Frame<T> {
@@ -405,46 +569,55 @@ impl<T: BinPayload> WireMsg for Frame<T> {
     }
 
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
-        if !binary {
-            return json_decode::<Control>(body).map(Frame::from);
-        }
-        let mut r = BinReader::new(body);
-        let (kind, trace) = bin_read_header(&mut r)?;
-        let frame = match kind {
-            BIN_KIND_ITEM_BATCH => Frame::ItemBatch {
-                first_seq: r.u64().map_err(invalid)?,
-                payloads: read_members(&mut r).map_err(invalid)?,
-                trace,
-            },
-            BIN_KIND_DELIVER_BATCH => Frame::DeliverBatch {
-                topic: r.string().map_err(invalid)?,
-                payloads: read_members(&mut r).map_err(invalid)?,
-                trace,
-            },
-            other => return Err(invalid(format!("unknown binary frame kind {other}"))),
-        };
-        if !r.is_empty() {
-            return Err(invalid(format!("binary frame has {} trailing bytes", r.remaining())));
-        }
-        Ok(frame)
+        Frame::decode_in(binary, body, None)
+    }
+
+    fn decode_on(binary: bool, body: &[u8], history: &mut History) -> io::Result<Self> {
+        Frame::decode_in(binary, body, Some(history))
     }
 }
 
 /// Per-connection reusable scratch for binary encoding; its buffers grow
 /// to the session's working set and are then reused for every batch.
-#[derive(Debug, Default)]
+///
+/// It also remembers what the item frames it wrote carried — their
+/// directories, last member and codes ([`SeqEncoder::history`]) — so an
+/// item frame whose first sequence number is one past the last member it
+/// wrote *continues* them: the reader of the same connection holds the
+/// same history. Any other frame leaves nothing to continue. A writer
+/// whose frames may not reach that reader in order — a new connection,
+/// a rewind — says so first ([`BinEncoder::start_fresh`]).
+#[derive(Default)]
 pub struct BinEncoder {
     /// The member section of the frame being packed: each member
     /// length-prefixed and coded against the ones before it, and noted.
     members: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
+    /// The sequence state kept from frame to frame; made by the first
+    /// batch written.
+    seq: Option<Box<SeqEncoder>>,
+}
+
+impl std::fmt::Debug for BinEncoder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let history = self.seq.as_ref().map(|seq| seq.history());
+        f.debug_struct("BinEncoder").field("history", &history).finish_non_exhaustive()
+    }
 }
 
 impl BinEncoder {
     /// A fresh encoder.
     pub fn new() -> BinEncoder {
         BinEncoder::default()
+    }
+
+    /// Forgets what the item frames written so far carried: the next one
+    /// goes out fresh, decodable by a reader that saw none of them.
+    pub fn start_fresh(&mut self) {
+        if let Some(seq) = &mut self.seq {
+            seq.forget_history();
+        }
     }
 }
 
@@ -483,19 +656,23 @@ impl BatchHead<'_> {
 
 /// The one chunked batch writer: greedily packs `payloads` into `kind`
 /// frames of at most `max_len` body bytes and [`MAX_FRAME_MEMBERS`]
-/// members, each repeating `trace` and `head`. Every frame is its own
-/// member sequence and decodes alone: a member that does not fit is
-/// taken back out and coded again as the first member of the next frame,
-/// against nothing, with a fresh [`SeqEncoder`] — no member ever
-/// references across a split. A single member that alone exceeds the cap
-/// still gets its own frame — it cannot be split, and the
-/// [`MAX_FRAME_LEN`] check in [`write_frame`] remains the backstop.
+/// members, each repeating `trace` and `head`. Each frame is a member
+/// sequence of its own: a member that does not fit is taken back out —
+/// leaving no trace in the encoder's directory table — and coded again
+/// as the first member of the next frame. A deliver frame starts from
+/// nothing and decodes alone; an item frame whose first member holds an
+/// event *continues* the encoder's history when its first sequence
+/// number is one past the last member the encoder wrote — the chunk
+/// before it, or the call before this one — and starts from nothing
+/// otherwise. A single member that alone exceeds the cap still gets its
+/// own frame — it cannot be split, and the [`MAX_FRAME_LEN`] check in
+/// [`write_frame`] remains the backstop.
 ///
 /// The chunk is packed raw, each member noted
 /// ([`SeqEncoder::for_coding`]); then [`code_members`] makes the cost
-/// choice for it, exactly as [`Frame::encode`] does for the same members
-/// — a coded frame is never larger than its raw form, so it fits the cap
-/// too. Returns the number of frames written.
+/// choice for it — for a fresh frame exactly as [`Frame::encode`] does
+/// for the same members — and a coded frame is never larger than its raw
+/// form, so it fits the cap too. Returns the number of frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
@@ -505,7 +682,8 @@ fn write_batch<T: BinPayload>(
     trace: Option<TraceContext>,
     max_len: usize,
 ) -> io::Result<usize> {
-    let BinEncoder { members, body } = enc;
+    let BinEncoder { members, body, seq } = enc;
+    let seq = seq.get_or_insert_with(|| Box::new(SeqEncoder::for_coding()));
     // Per-frame body cost before the member count: kind + flags, the
     // optional trace section and the head.
     let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
@@ -513,12 +691,18 @@ fn write_batch<T: BinPayload>(
     let mut lo = 0;
     while lo < payloads.len() {
         members.clear();
-        let mut seq = SeqEncoder::for_coding();
-        put_member(members, &payloads[lo], &[], &mut seq);
+        let first_seq = match head {
+            BatchHead::FirstSeq(first_seq) => Some(first_seq + lo as u64),
+            _ => None,
+        };
+        let continues = payloads[lo].event().is_some()
+            && first_seq.is_some_and(|first| seq.history().next_seq() == Some(first));
+        seq.begin(continues);
+        put_member(members, &payloads[lo], &[], seq);
         let mut hi = lo + 1;
         while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
             let fits = members.len();
-            put_member(members, &payloads[hi], &payloads[lo..hi], &mut seq);
+            put_member(members, &payloads[hi], &payloads[lo..hi], seq);
             // The count is a varint too: it is sized for the chunk this
             // member would make, or a chunk packed exactly to the cap
             // would overshoot it when the count grows a byte — fatal at
@@ -540,7 +724,14 @@ fn write_batch<T: BinPayload>(
         let members_at = body.len();
         put_varint(body, (hi - lo) as u64);
         body.extend_from_slice(members);
-        body[1] |= coded_flag(code_members(body, table_at, members_at, &mut seq));
+        match first_seq {
+            Some(first_seq) => seq.record(first_seq, &payloads[lo..hi]),
+            None => seq.forget_history(),
+        }
+        body[1] |= coded_flag(code_members(body, table_at, members_at, seq));
+        if continues {
+            body[1] |= BIN_FLAG_CONTINUES;
+        }
         write_frame(w, true, body)?;
         frames += 1;
         lo = hi;
@@ -685,6 +876,9 @@ pub struct FrameReader<R> {
     /// Raw body (and its encoding) of a frame an injected *duplicate*
     /// fault will deliver again on the next call.
     replay: Option<(bool, Vec<u8>)>,
+    /// What the item frames read so far carried, for the next one to
+    /// continue ([`WireMsg::decode_on`]).
+    history: History,
 }
 
 impl<R> std::fmt::Debug for FrameReader<R> {
@@ -715,6 +909,7 @@ impl<R: Read> FrameReader<R> {
             bin: false,
             faults,
             replay: None,
+            history: History::default(),
         }
     }
 
@@ -735,7 +930,7 @@ impl<R: Read> FrameReader<R> {
     pub fn read_msg<M: WireMsg>(&mut self) -> io::Result<M> {
         if let Some((was_bin, body)) = self.replay.take() {
             // The second delivery of an injected duplicate.
-            return M::decode(was_bin, &body);
+            return M::decode_on(was_bin, &body, &mut self.history);
         }
         if let Some(faults) = &self.faults {
             if faults.partitioned() {
@@ -797,14 +992,14 @@ impl<R: Read> FrameReader<R> {
                     }
                     Some(sdci_faults::FrameFault::Deliver) | None => {}
                 }
-                let result = M::decode(self.bin, &self.buf[FRAME_HEADER_LEN..]);
+                let result =
+                    M::decode_on(self.bin, &self.buf[FRAME_HEADER_LEN..], &mut self.history);
                 self.buf.clear();
                 self.need = FRAME_HEADER_LEN;
                 self.have_header = false;
                 return result;
             }
-            let header: [u8; FRAME_HEADER_LEN] =
-                self.buf[..FRAME_HEADER_LEN].try_into().expect("header length");
+            let header: [u8; FRAME_HEADER_LEN] = std::array::from_fn(|i| self.buf[i]);
             let word = u32::from_be_bytes(header);
             self.bin = word & BIN_FRAME_BIT != 0;
             let len = (word & !BIN_FRAME_BIT) as usize;
@@ -910,9 +1105,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":11,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":12,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":11,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":12,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -929,7 +1124,7 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":11}"#, r#"{"proto":11,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":12}"#, r#"{"proto":12,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1255,13 +1450,15 @@ mod tests {
 
     /// Records interleaving over two directories reference two members
     /// back, so in one frame every member from the third on carries a
-    /// path reference — across any point a cap could split at. Split,
-    /// each chunk is its own sequence: its first two members reference
-    /// nothing (there is nothing of their directory before them *in this
-    /// frame*), it decodes from its own bytes, and the chunks concatenate
-    /// to the input.
+    /// path reference — across any point a cap could split at. Split, the
+    /// first chunk starts fresh and decodes alone, and every later one
+    /// continues the chunk before it: its first member follows the last
+    /// one written, its first two members find their directories in the
+    /// chunks before, so it is smaller than its members coded on their
+    /// own, and only a reader that read those chunks decodes it. The
+    /// chunks concatenate to the input.
     #[test]
-    fn binary_split_never_references_across_frames() {
+    fn binary_split_chunks_continue_one_another() {
         const PATH_REF: u8 = 1 << 6;
         let payloads: Vec<FileEvent> = (0..24)
             .map(|i| {
@@ -1279,14 +1476,27 @@ mod tests {
         for cap in [raw - 1, raw / 2, raw / 5, 60] {
             let chunks = split_at(&payloads, cap);
             assert!(chunks.len() > 1, "cap {cap} splits");
+            let mut history = History::default();
             let mut got = Vec::new();
-            for chunk in &chunks {
+            for (i, chunk) in chunks.iter().enumerate() {
                 assert!(chunk.len() <= cap, "cap {cap}: a chunk of {} bytes", chunk.len());
-                let flags = member_flags(chunk);
-                assert!(flags.iter().take(2).all(|f| f & PATH_REF == 0), "cap {cap}: {flags:x?}");
-                match Frame::<FileEvent>::decode(true, chunk).unwrap() {
+                assert_eq!(chunk[1] & BIN_FLAG_CONTINUES != 0, i > 0, "cap {cap}, chunk {i}");
+                if i > 0 {
+                    let err = Frame::<FileEvent>::decode(true, chunk).unwrap_err();
+                    assert!(err.to_string().contains("decoded apart"), "{err}");
+                }
+                match Frame::<FileEvent>::decode_on(true, chunk, &mut history).unwrap() {
                     Frame::ItemBatch { first_seq, payloads: members, .. } => {
                         assert_eq!(first_seq, 1 + got.len() as u64);
+                        let mut fresh = Vec::new();
+                        Frame::ItemBatch { first_seq, payloads: members.clone(), trace: None }
+                            .encode(&mut fresh)
+                            .unwrap();
+                        let (len, fresh) = (chunk.len(), fresh.len());
+                        assert!(
+                            i == 0 || len < fresh,
+                            "cap {cap}, chunk {i}: {len} B, {fresh} fresh"
+                        );
                         got.extend(members);
                     }
                     other => panic!("expected ItemBatch, got {other:?}"),
@@ -1462,10 +1672,12 @@ mod tests {
 
     /// Encode → decode is the identity on one frame, which is never
     /// larger than the same members raw (and, raw, is exactly them); at
-    /// every cap the chunker emits frames that each decode alone — a
-    /// later frame never needs an earlier one — to the same members in
-    /// order, none over the cap unless it holds a single member, each
-    /// exactly what the frame encoding makes of its members.
+    /// every cap the chunker emits frames that a connection's reader
+    /// decodes in turn to the same members in order, none over the cap
+    /// unless it holds a single member. A chunk that starts fresh is
+    /// exactly what the frame encoding makes of its members; one that
+    /// continues the chunk before it — whose first member holds an event —
+    /// is no larger, and does not decode alone.
     fn roundtrips_whole_and_split<T>(payloads: &[T]) -> Result<(), TestCaseError>
     where
         T: BinPayload + Clone + PartialEq + std::fmt::Debug,
@@ -1483,8 +1695,9 @@ mod tests {
         }
         for cap in 0..=body.len() {
             let mut got = Vec::new();
+            let mut history = History::default();
             for chunk in split_at(payloads, cap) {
-                match Frame::<T>::decode(true, &chunk) {
+                match Frame::<T>::decode_on(true, &chunk, &mut history) {
                     Ok(Frame::ItemBatch { first_seq, payloads: members, trace: None }) => {
                         prop_assert_eq!(first_seq, 1 + got.len() as u64, "cap {}", cap);
                         prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
@@ -1492,12 +1705,17 @@ mod tests {
                         Frame::ItemBatch { first_seq, payloads: members.clone(), trace: None }
                             .encode(&mut again)
                             .unwrap();
-                        prop_assert_eq!(
-                            &again,
-                            &chunk,
-                            "cap {}: a chunk is not its members' frame",
-                            cap
-                        );
+                        if chunk[1] & BIN_FLAG_CONTINUES == 0 {
+                            prop_assert_eq!(
+                                &again,
+                                &chunk,
+                                "cap {}: a fresh chunk is not its members' frame",
+                                cap
+                            );
+                        } else {
+                            prop_assert!(!got.is_empty() && members[0].event().is_some());
+                            prop_assert!(Frame::<T>::decode(true, &chunk).is_err(), "cap {}", cap);
+                        }
                         got.extend(members);
                     }
                     other => prop_assert!(false, "cap {}: decoded {:?}", cap, other),

@@ -76,7 +76,13 @@ const BATCH: u64 = 256;
 /// names, dense record numbers, one extraction stamp; every eighth
 /// event a rename, so the arena holds second paths too.
 fn batch() -> Vec<SequencedEvent> {
-    (0..BATCH)
+    batch_at(0)
+}
+
+/// [`batch`]'s shape, from record `from` on: the batches that follow it
+/// on one connection.
+fn batch_at(from: u64) -> Vec<SequencedEvent> {
+    (from..from + BATCH)
         .map(|i| {
             let path = format!("/t0a1b2c3/d{:07x}/f{:011x}", (i * 37) % 64, i * 0x9e37_79b9);
             let renamed = i % 8 == 0;
@@ -109,6 +115,12 @@ fn batch() -> Vec<SequencedEvent> {
 /// directory the frame has not met — and, halfway, a leaf's rename: its
 /// new path and its `src_path`.
 fn resolve_batch() -> Vec<SequencedEvent> {
+    resolve_batch_at(0)
+}
+
+/// [`resolve_batch`]'s shape, from record `from` on: the batches that
+/// follow it on one connection, each in leaves none before it met.
+fn resolve_batch_at(from: u64) -> Vec<SequencedEvent> {
     let dir = |leaf: u64| -> String {
         let names = (1..=5).map(|level| {
             let above = leaf >> (3 * (5 - level));
@@ -116,10 +128,10 @@ fn resolve_batch() -> Vec<SequencedEvent> {
         });
         format!("/t0a1b2c3{}", names.collect::<String>())
     };
-    (0..BATCH)
+    (from..from + BATCH)
         .map(|i| {
             let leaf = (9_000 + i) % (1 << 15);
-            let renamed = i == BATCH / 2;
+            let renamed = i % BATCH == BATCH / 2;
             let (path, src_path) = if renamed {
                 let old = dir(leaf);
                 (format!("{}/x{:05x}", &old[..old.len() - 7], 0xabcde), Some(old.into()))
@@ -298,4 +310,58 @@ fn cloning_a_decoded_batch_allocates_once() {
     assert!(copy.iter().zip(&events).all(|(a, b)| a.event.path.shares_arena(&b.event.path)));
     assert!(events[1].event.path.shares_arena(&events[0].event.path), "one arena a frame");
     assert!(events[0].event.src_path.as_ref().unwrap().shares_arena(&events[0].event.path));
+}
+
+/// What a pusher does on one connection: 256-member item frames, each
+/// continuing the one before. Through an encoder warm from the frames
+/// before, a continuing frame encodes without allocating; and a reader
+/// warm the same way decodes it in exactly the allocations of the same
+/// members sent fresh — its history's storage was made by the first
+/// frame, and the arena, reserved at a multiple of a body that now
+/// carries fewer path bytes, still holds every path without growing: for
+/// the `steady` shape, and for `resolve`'s long paths, whose leaves come
+/// back only after 32,768 records.
+#[test]
+fn a_continuing_frame_encodes_without_allocating_and_decodes_as_a_fresh_one_does() {
+    use sdci_types::bin::History;
+    type Shape = fn(u64) -> Vec<SequencedEvent>;
+    for (shape, batch_at) in [("steady", batch_at as Shape), ("resolve", resolve_batch_at)] {
+        let mut enc = BinEncoder::new();
+        let mut history = History::default();
+        let mut out = Vec::with_capacity(1 << 20);
+        for frame in 0..6u64 {
+            let events: Vec<FileEvent> =
+                batch_at(frame * BATCH).into_iter().map(|sev| sev.event).collect();
+            let first_seq = 1 + frame * BATCH;
+            out.clear();
+            let (_, made) = allocations(|| {
+                write_item_batch_bin(&mut out, &mut enc, first_seq, &events, None).expect("writes")
+            });
+            let body = &out[4..];
+            assert_eq!(body[1] & 4 != 0, frame > 0, "{shape} frame {frame}: continues");
+            let mut fresh = Vec::new();
+            let item = Frame::ItemBatch { first_seq, payloads: events, trace: None };
+            item.encode(&mut fresh).expect("encodes");
+            // Decoded fresh by a reader holding a history, which the
+            // fresh frame then replaces: the same allocations as the
+            // continuing frame, decoded next on a reader that holds
+            // everything before it.
+            let fresh_made = {
+                let mut replaced = History::default();
+                Frame::<FileEvent>::decode_on(true, &fresh, &mut replaced).expect("decodes");
+                allocations(|| Frame::<FileEvent>::decode_on(true, &fresh, &mut replaced)).1
+            };
+            let (decoded, decode_made) =
+                allocations(|| Frame::<FileEvent>::decode_on(true, body, &mut history));
+            assert_eq!(decoded.expect("decodes"), item, "{shape} frame {frame}");
+            if frame >= 2 {
+                assert_eq!(made, 0, "{shape} frame {frame}: {made} allocations to encode");
+                assert_eq!(
+                    decode_made, fresh_made,
+                    "{shape} frame {frame}: {decode_made} allocations to decode, fresh {fresh_made}"
+                );
+                assert!(body.len() < fresh.len(), "{shape} frame {frame}: smaller than fresh");
+            }
+        }
+    }
 }

@@ -133,3 +133,33 @@ fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
     assert!(reply <= 10.4, "1,000-member store reply: {reply} B per member");
     assert!(item > 13.0 && reply > 8.5, "item {item} B, reply {reply} B per member");
 }
+
+/// The TCP leg's frames as a pusher sends them: 50 members a frame, one
+/// encoder and one connection, each frame continuing the one before —
+/// its first member coded against the last one sent, its paths against
+/// the directories the frames before it carried, its codes reused where
+/// they still fit. The eighth frame's cost a member, with the budget at
+/// its measured value plus half a byte; a connection's reader decodes
+/// every frame to the members sent.
+#[test]
+fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member() {
+    use sdci_net::wire::{write_item_batch_bin, BinEncoder};
+    use sdci_types::bin::History;
+    const FRAME: usize = 50;
+    let events = steady_batch(8 * FRAME);
+    let (mut enc, mut history) = (BinEncoder::new(), History::default());
+    let mut eighth = 0.0;
+    for (n, frame) in events.chunks(FRAME).enumerate() {
+        let mut out = Vec::new();
+        let first_seq = 9 + (n * FRAME) as u64;
+        write_item_batch_bin(&mut out, &mut enc, first_seq, frame, None).expect("writes");
+        let body = &out[4..];
+        let decoded = Frame::<FileEvent>::decode_on(true, body, &mut history).expect("decodes");
+        let sent = Frame::ItemBatch { first_seq, payloads: frame.to_vec(), trace: None };
+        assert_eq!(decoded, sent, "frame {n}");
+        eighth = body.len() as f64 / FRAME as f64;
+    }
+    println!("the eighth 50-member frame of a connection: {eighth:.3} B per member");
+    assert!(eighth <= 11.0, "{eighth} B per member");
+    assert!(eighth > 7.0, "{eighth} B per member");
+}

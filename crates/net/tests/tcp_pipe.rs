@@ -5,8 +5,10 @@
 
 use sdci_net::wire::{
     write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
+    WireMsg,
 };
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
+use sdci_types::bin::History;
 use sdci_types::{
     ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
 };
@@ -14,6 +16,9 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Item-frame flags bit 2: the frame continues its connection.
+const CONTINUES: u8 = 4;
 
 fn fast_cfg() -> NetConfig {
     NetConfig {
@@ -67,11 +72,22 @@ impl RawPusher {
         }
     }
 
-    /// Ships `payloads` as one `ItemBatch` starting at `first_seq`.
-    fn send(&mut self, first_seq: u64, payloads: &[u64]) {
-        let frames =
-            write_item_batch_bin(&mut self.writer, &mut self.enc, first_seq, payloads, None);
+    /// Ships `payloads` as one `ItemBatch` starting at `first_seq`, and
+    /// returns whether the frame continued the ones before it.
+    fn send<T: sdci_types::BinPayload>(&mut self, first_seq: u64, payloads: &[T]) -> bool {
+        let body = self.lose(first_seq, payloads);
+        std::io::Write::write_all(&mut self.writer, &body).unwrap();
+        body[5] & CONTINUES != 0
+    }
+
+    /// Encodes `payloads` as one `ItemBatch` starting at `first_seq`, as
+    /// `send` does, and returns the frame instead of shipping it: a frame
+    /// that vanished in transit.
+    fn lose<T: sdci_types::BinPayload>(&mut self, first_seq: u64, payloads: &[T]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let frames = write_item_batch_bin(&mut frame, &mut self.enc, first_seq, payloads, None);
         assert_eq!(frames.unwrap(), 1);
+        frame
     }
 
     fn recv(&mut self) -> Frame<u64> {
@@ -545,4 +561,183 @@ fn resent_partial_batch_is_deduplicated_not_reapplied() {
     assert_eq!(drain_all(&server, 5), (6..=10).collect::<Vec<_>>());
     assert_eq!(server.marks().get("c"), Some(&10));
     endpoint.shutdown();
+}
+
+/// Events over 64 directories, as the benchmark's `steady` pushes them:
+/// each frame of them finds most of its directories in the frames
+/// before it on the same connection, so it continues them.
+fn dir_event(i: u64) -> FileEvent {
+    FileEvent {
+        index: 70_000 + i,
+        mdt: MdtIndex::new(0),
+        changelog_kind: ChangelogKind::Create,
+        kind: EventKind::Created,
+        time: SimTime::from_nanos(90_000_000 + 1_000 * i),
+        path: format!("/t0a1b2c3/d{:07x}/f{:011x}", (i * 37) % 64, i * 0x9e37_79b9).into(),
+        src_path: None,
+        target: Fid::new(0x2_4000_0400, i as u32, 0),
+        is_dir: false,
+        extracted_unix_ns: Some(1_790_000_000_123_456_789),
+        trace: None,
+    }
+}
+
+/// The paths of `events`, to compare what arrived with what was sent.
+fn paths(events: &[FileEvent]) -> Vec<PathBuf> {
+    events.iter().map(|e| e.path.to_path_buf()).collect()
+}
+
+/// The twin of `gap_nack_rewinds_a_pusher_in_place` on a leg that
+/// carries events: a frame that continues one lost in transit is not
+/// read at all — its members were coded against a history the server
+/// never saw — and draws exactly one `Nack`, as does the next frame past
+/// the same gap. The rewound frame starts fresh, the frames after it
+/// continue it, and every event arrives once, in order, with its path.
+#[test]
+fn a_frame_continuing_a_lost_one_draws_one_nack_and_the_rewind_starts_fresh() {
+    let cfg = NetConfig {
+        heartbeat: Duration::from_secs(1),
+        liveness: Duration::from_secs(5),
+        ..fast_cfg()
+    };
+    let server = TcpPullServer::<FileEvent>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
+    assert_eq!(greeting, 0);
+    let events: Vec<FileEvent> = (0..40).map(dir_event).collect();
+    let frame = |n: usize| &events[10 * n..10 * n + 10];
+
+    assert!(!pusher.send(1, frame(0)), "a connection's first frame is fresh");
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 10 });
+    pusher.lose(11, frame(1));
+    assert!(pusher.send(21, frame(2)), "it continues the lost frame");
+    assert!(pusher.send(31, frame(3)));
+    assert_eq!(pusher.recv(), Frame::Nack { expected: 11 });
+
+    pusher.enc.start_fresh();
+    assert!(!pusher.send(11, frame(1)), "the rewind starts fresh");
+    assert_eq!(pusher.recv(), Frame::Ack { up_to: 20 });
+    for (n, first_seq) in [(2, 21), (3, 31)] {
+        assert!(pusher.send(first_seq, frame(n)), "and the frames after it continue it");
+        assert_eq!(pusher.recv(), Frame::Ack { up_to: first_seq + 9 });
+    }
+    pusher.fin();
+
+    let got = drain_all(&server, 40);
+    assert_eq!(got, events, "lost, duplicated or misdecoded events");
+    assert_eq!(paths(&got), paths(&events));
+    let stats = server.stats();
+    assert_eq!((stats.nacks, stats.items, stats.duplicates), (1, 40, 0));
+    endpoint.shutdown();
+}
+
+/// The twin of `dropped_frames_recover_via_fast_rewind` on a leg that
+/// carries events, whose frames continue one another: with frames
+/// dropped — and, in a second run, duplicated — every event still
+/// arrives exactly once and in order, each path as sent, and the
+/// pusher recovered through at least one in-place rewind.
+#[test]
+fn continuing_frames_recover_from_drops_and_duplicates_via_fast_rewind() {
+    for spec in ["seed=11,drop=0.08", "seed=11,dup=0.05"] {
+        let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse(spec).unwrap());
+        let server = TcpPullServer::<FileEvent>::new(4096);
+        let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+        let push_cfg = NetConfig { max_batch: 1, ..fast_cfg() }.with_faults(Some(plan));
+        let push = TcpPush::connect(endpoint.local_addr(), "rewind", push_cfg);
+        let events: Vec<FileEvent> = (0..200).map(dir_event).collect();
+        for event in &events {
+            assert!(push.send(event.clone()));
+        }
+        assert!(push.drain(Duration::from_secs(60)), "{spec}: acks never fully arrived");
+
+        let got = drain_all(&server, events.len());
+        assert_eq!(got, events, "{spec}: lost, duplicated, reordered or misdecoded events");
+        assert_eq!(paths(&got), paths(&events), "{spec}");
+        assert_eq!(server.stats().items, events.len() as u64, "{spec}");
+        assert!(push.fast_rewinds() >= 1, "{spec}: no in-place rewind");
+        endpoint.shutdown();
+    }
+}
+
+/// A frame body exactly as it arrived, undecoded.
+struct Raw {
+    binary: bool,
+    body: Vec<u8>,
+}
+
+impl WireMsg for Raw {
+    fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+        buf.extend_from_slice(&self.body);
+        Ok(self.binary)
+    }
+
+    fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
+        Ok(Raw { binary, body: body.to_vec() })
+    }
+}
+
+/// Serves one pusher connection by hand: greets it with `mark`, then
+/// reads item frames — decoding each as the connection's reader does —
+/// and acks each until `events` have arrived. Returns whether each frame
+/// continued the one before, and the events.
+fn serve_by_hand(listener: &TcpListener, mark: u64, events: usize) -> (Vec<bool>, Vec<FileEvent>) {
+    let (stream, _) = listener.accept().unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    let _hello: Hello = reader.read_msg().unwrap();
+    write_msg(&mut writer, &Frame::<FileEvent>::Ack { up_to: mark }).unwrap();
+    let (mut history, mut continued, mut got) = (History::default(), Vec::new(), Vec::new());
+    while got.len() < events {
+        let Raw { binary, body } = reader.read_msg().unwrap();
+        if !binary {
+            continue; // a ping
+        }
+        continued.push(body[1] & CONTINUES != 0);
+        match Frame::<FileEvent>::decode_on(true, &body, &mut history).unwrap() {
+            Frame::ItemBatch { first_seq, payloads, .. } => {
+                assert_eq!(first_seq, mark + 1 + got.len() as u64);
+                got.extend(payloads);
+                let up_to = mark + got.len() as u64;
+                write_msg(&mut writer, &Frame::<FileEvent>::Ack { up_to }).unwrap();
+            }
+            other => panic!("expected an item batch, got {other:?}"),
+        }
+    }
+    (continued, got)
+}
+
+/// A connection cut mid-stream, after every frame on it was acked — so
+/// the sequence numbers on the next connection line up with the last
+/// frame written: the pusher's first frame on the new connection is
+/// fresh all the same, and the frames after it continue it.
+#[test]
+fn the_first_frame_on_a_new_connection_is_fresh() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let events: Vec<FileEvent> = (0..60).map(dir_event).collect();
+    let push = TcpPush::<FileEvent>::connect(addr, "cut", fast_cfg());
+    let send = |range: std::ops::Range<usize>| {
+        for event in &events[range] {
+            assert!(push.send(event.clone()));
+            std::thread::sleep(Duration::from_millis(3));
+        }
+    };
+    let first = std::thread::scope(|scope| {
+        let first = scope.spawn(|| serve_by_hand(&listener, 0, 30));
+        send(0..30);
+        first.join().unwrap()
+    });
+    // The first connection is gone with its server thread.
+    let second = std::thread::scope(|scope| {
+        let second = scope.spawn(|| serve_by_hand(&listener, 30, 30));
+        send(30..60);
+        second.join().unwrap()
+    });
+    assert!(push.drain(Duration::from_secs(10)));
+    for (connection, (continued, got), range) in [(1, first, 0..30), (2, second, 30..60)] {
+        assert!(!continued[0], "connection {connection}: its first frame is fresh");
+        assert!(continued[1..].iter().any(|&c| c), "connection {connection}: {continued:?}");
+        assert_eq!(got, events[range], "connection {connection}");
+    }
+    assert!(push.connections() >= 2);
 }

@@ -22,9 +22,9 @@
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
-use sdci_net::wire::{Frame, WireMsg};
+use sdci_net::wire::{is_continuity_gap, write_item_batch_bin, BinEncoder, Frame, WireMsg};
 use sdci_types::bin::{
-    put_bytes, put_members, put_trace, put_varint, Class, CLASSES, FRAME_PATH_BUDGET,
+    put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
     LOOKUP_ENTRIES, MAX_CODE_LEN, MAX_PATH_LEN,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
@@ -1019,4 +1019,203 @@ fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
     let body = body_of(&frame);
     assert!(body.len() >= 2 * 100_000, "{} bytes for 100,000 members", body.len());
     assert_eq!(Frame::<FeedMessage>::decode(true, &body).unwrap(), frame);
+}
+
+/// Frame-header flags bit 2: the frame continues its connection.
+const CONTINUES: u8 = 4;
+
+/// An item-batch head: kind 1, `flags`, `codes`, `first_seq`.
+fn item_head(flags: u8, codes: &[u8], first_seq: u64) -> Vec<u8> {
+    let mut head = [&[1, flags][..], codes].concat();
+    head.extend_from_slice(&first_seq.to_le_bytes());
+    head
+}
+
+/// An item batch of hand-laid `members`, raw, starting at `first_seq`;
+/// continuing its connection when `continues`.
+fn laid_item(continues: bool, first_seq: u64, members: &[Laid]) -> Vec<u8> {
+    let flags = if continues { CONTINUES } else { 0 };
+    let [section, ..] = sections(&members.iter().cloned().map(Some).collect::<Vec<_>>());
+    [item_head(flags, &[], first_seq), section.bytes].concat()
+}
+
+/// Decodes `body` as the reader of a connection whose history is
+/// `history` does: the paths it decoded, or the error.
+fn read_on(history: &mut History, body: &[u8]) -> Result<Vec<String>, std::io::Error> {
+    match Frame::<FileEvent>::decode_on(true, body, history)? {
+        Frame::ItemBatch { payloads, .. } => {
+            Ok(payloads.iter().map(|e| e.path.to_str().expect("UTF-8").to_string()).collect())
+        }
+        other => panic!("an item body decoded as {other:?}"),
+    }
+}
+
+/// Refused as `InvalidData`, saying `why`; a gap when `gap`.
+fn refused_on(history: &mut History, body: &[u8], gap: bool, why: &str) {
+    let err = read_on(history, body).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(is_continuity_gap(&err), gap, "{why}: {err}");
+    assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
+}
+
+/// `frames` item batches of events over three directories, as one
+/// encoder writes them to one connection: the first fresh, each after it
+/// continuing the one before.
+fn continuing_stream(frames: usize) -> Vec<Vec<u8>> {
+    let mut enc = BinEncoder::new();
+    let mut out = Vec::new();
+    let mut first_seq = 7;
+    for frame in 0..frames as u64 {
+        let events: Vec<FileEvent> = events()
+            .into_iter()
+            .map(|e| FileEvent {
+                index: e.index + 24 * frame,
+                time: SimTime::from_nanos(e.time.as_nanos() + 24 * 7_000 * frame),
+                ..e
+            })
+            .collect();
+        write_item_batch_bin(&mut out, &mut enc, first_seq, &events, None).unwrap();
+        first_seq += events.len() as u64;
+    }
+    let mut bodies = Vec::new();
+    let mut rest = &out[..];
+    while !rest.is_empty() {
+        let len = (u32::from_be_bytes(rest[..4].try_into().unwrap()) & !(1 << 31)) as usize;
+        bodies.push(rest[4..4 + len].to_vec());
+        rest = &rest[4 + len..];
+    }
+    assert_eq!(bodies.len(), frames);
+    bodies
+}
+
+/// Every way a continuing frame can fail to match its reader's history,
+/// each refused with its own message: on a reader that holds none, or
+/// decoded apart from any connection; a `first_seq` one off either way
+/// (both a gap — the history is left as it was and the right frame
+/// still reads); a back-distance one past what the reader holds, and
+/// one past the 1,024-member window, where one less is read; a reuse
+/// bit for a class the last frame did not code, or outside the class
+/// mask; and bit 2 on a deliver batch or a store batch.
+#[test]
+fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
+    let stream = continuing_stream(2);
+    assert_eq!(stream[0][1] & CONTINUES, 0);
+    assert_eq!(stream[1][1] & CONTINUES, CONTINUES);
+    refused_on(&mut History::default(), &stream[1], true, "holds none of its history");
+    let err = Frame::<FileEvent>::decode(true, &stream[1]).unwrap_err();
+    assert!(err.to_string().contains("decoded apart from it"), "{err}");
+
+    let mut history = History::default();
+    assert_eq!(read_on(&mut history, &stream[0]).unwrap().len(), 24);
+    let first_seq = (7u64 + 24).to_le_bytes();
+    let at = stream[1].windows(8).position(|w| w == first_seq).expect("the head");
+    for off_by in [1u64, u64::MAX] {
+        let mut bad = stream[1].clone();
+        bad[at..at + 8].copy_from_slice(&(31u64.wrapping_add(off_by)).to_le_bytes());
+        refused_on(&mut history, &bad, true, "where its history ends at 31");
+    }
+    assert_eq!(read_on(&mut history, &stream[1]).unwrap().len(), 24, "the history stood");
+
+    // Three members held: three back from the next frame's first member
+    // is the first of them, four is past them.
+    let holding = |body: &[u8]| {
+        let mut history = History::default();
+        read_on(&mut history, body).unwrap();
+        history
+    };
+    let [fresh, ..] = hand_laid(&honest());
+    let reaching = |back| laid_item(true, 10, &[member(0, 0, Some(back), 9, b"w")]);
+    assert_eq!(read_on(&mut holding(&fresh), &reaching(3)).unwrap(), ["/d/alpha/w"]);
+    refused_on(&mut holding(&fresh), &reaching(4), false, "reaches past the 3 members");
+
+    // A full window: 1,024 back is the oldest held, 1,025 is past it.
+    let window: Vec<Laid> = std::iter::once(member(0, 0, None, 0, b"/d/alpha/x"))
+        .chain((1..1_100).map(|_| member(0, 0, None, 10, b"")))
+        .collect();
+    let full = laid_item(false, 7, &window);
+    let reaching = |back| laid_item(true, 1_107, &[member(0, 0, Some(back), 9, b"w")]);
+    assert_eq!(read_on(&mut holding(&full), &reaching(1_024)).unwrap(), ["/d/alpha/w"]);
+    let why = "past the 1024-member history window";
+    refused_on(&mut holding(&full), &reaching(1_025), false, why);
+
+    // Reuse: the path code the last frame carried may be reused with no
+    // table; one it did not carry may not, nor may a reuse bit stand
+    // outside the class mask.
+    let four = vec![(Class::Path, four())];
+    let words = codewords(&four);
+    let path_frame = |first_seq: u64, codes: &[u8], flags: u8| {
+        let [section, ..] = sections(&[coded_first(3, b"/ab")]);
+        [item_head(CODED | flags, codes, first_seq), code_section(&section, &words, 0)].concat()
+    };
+    let reused = [Class::Path.bit(), Class::Path.bit()].map(u16::to_le_bytes).concat();
+    let mut history = History::default();
+    assert_eq!(read_on(&mut history, &path_frame(1, &mask_and_tables(&four), 0)).unwrap(), ["/ab"]);
+    assert_eq!(read_on(&mut history, &path_frame(2, &reused, CONTINUES)).unwrap(), ["/ab"]);
+    assert_eq!(read_on(&mut history, &path_frame(3, &reused, CONTINUES)).unwrap(), ["/ab"]);
+    let mut history = History::default();
+    let [raw, ..] = hand_laid(&honest());
+    read_on(&mut history, &raw).unwrap();
+    let why = "a reuse bit for a path code the previous frame did not carry";
+    refused_on(&mut history, &path_frame(10, &reused, CONTINUES), false, why);
+    let mut history = History::default();
+    read_on(&mut history, &path_frame(1, &mask_and_tables(&four), 0)).unwrap();
+    let outside = [Class::Path.bit(), Class::Flags.bit()].map(u16::to_le_bytes).concat();
+    let outside = [&outside[..], &four[0].1].concat();
+    refused_on(&mut history, &path_frame(2, &outside, CONTINUES), false, "outside the class mask");
+
+    // Only an item batch continues its connection.
+    let [_, store, deliver] = heads(CONTINUES, &[]);
+    for body in [store, deliver] {
+        let [(a, _), (b, _), (c, _)] = [
+            fed::<Frame<FileEvent>>(&body),
+            fed::<StoreRpc>(&body),
+            fed::<Frame<FeedMessage>>(&body),
+        ];
+        assert!(!a && !b && !c);
+        let err = if body[0] == 3 {
+            StoreRpc::decode(true, &body).unwrap_err()
+        } else {
+            Frame::<FeedMessage>::decode(true, &body).unwrap_err()
+        };
+        assert!(err.to_string().contains("only an item batch may"), "{err}");
+    }
+}
+
+/// 10,000 seeded mutations over a five-frame continuing stream: one
+/// frame of the five is mutated, and the stream is read in order by one
+/// connection's reader. Each frame is read or refused — a gap or
+/// `InvalidData`, never a panic — within the allocation bound; and no
+/// frame after a refused one is read against it: every later frame,
+/// each continuing the one before, is refused too.
+#[test]
+fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
+    let stream = continuing_stream(5);
+    let mut rng = Rng(0x5dc1_0028);
+    let (mut read, mut refused) = (0u32, 0u32);
+    for round in 0..10_000 {
+        let target = rng.below(stream.len());
+        let mutated = mutate(&mut rng, &stream[target]);
+        // The history's storage is made by a frame of another stream,
+        // before any allocation is measured.
+        let mut history = History::default();
+        read_on(&mut history, &hand_laid(&honest())[0]).unwrap();
+        let mut refused_before = false;
+        for (i, honest) in stream.iter().enumerate() {
+            let body = if i == target { &mutated } else { honest };
+            let (result, largest) = largest_request(|| read_on(&mut history, body));
+            assert!(largest <= allocation_bound(body), "round {round}: {largest} bytes");
+            match result {
+                Ok(_) => {
+                    assert!(!refused_before, "round {round}: frame {i} read after a refused one");
+                    read += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "round {round}: {e}");
+                    refused_before = true;
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }

@@ -17,8 +17,14 @@
 //! records that interleave over a few directories still carry each
 //! directory once (a [`SeqEncoder`]'s table is how the encoder finds that
 //! member).
-//! Nothing outside the frame is ever referenced: a frame still decodes
-//! from nothing but its own bytes. The primitives:
+//! A *fresh* sequence references nothing outside itself and decodes from
+//! its own bytes alone: every snapshot block, store reply and deliver
+//! frame is one. A pushed frame may instead *continue* its connection:
+//! its first member's predecessor is the last member the connection's
+//! item frames carried, a path reference may reach past its first member
+//! into the last [`HISTORY_MEMBERS`] of them, and a class may keep the
+//! code it had in the last frame — all held, on each side, in a
+//! [`History`], which only that connection's reader has. The primitives:
 //!
 //! * **varints** — unsigned LEB128, at most ten bytes, for every
 //!   length, count and delta ([`put_varint`], [`BinReader::varint`]);
@@ -87,8 +93,8 @@
 //! subscriber leg then shares by reference — the encode cost is paid
 //! once per run, not once per subscriber.
 
-use crate::path::{EventPath, PathArenaBuilder};
-use crate::TraceContext;
+use crate::path::{EventPath, PathArenaBuilder, PathView};
+use crate::{FileEvent, TraceContext};
 use std::fmt;
 
 /// Longest string a decoder assembles from a front-coded field: Linux's
@@ -125,7 +131,12 @@ const CODE_BITMAP_LEN: usize = 32;
 /// suffix in a few bits each: a coded 256-member frame of the benchmark's
 /// `resolve` shape assembles about five path bytes per body byte
 /// (57-byte paths in 12-byte members), more with renames, so at five
-/// times the body its arena would grow once.
+/// times the body its arena would grow once. A frame that continues its
+/// connection carries fewer path bytes for the same paths — a base may
+/// be an earlier frame's member — and still fits: the base lends only
+/// its shared bytes to the arena, and
+/// `crates/net/tests/alloc_budget.rs` holds continuing frames of both
+/// shapes to a fresh frame's allocations.
 const ARENA_PER_BODY_BYTE: usize = 6;
 
 /// A malformed binary payload: truncated field, invalid enum code,
@@ -232,6 +243,16 @@ impl fmt::Display for Class {
     }
 }
 
+/// Takes the next `N` bytes off the front of `buf`, as an array.
+#[inline]
+fn take_chunk<'a, const N: usize>(buf: &mut &'a [u8]) -> Result<&'a [u8; N], BinDecodeError> {
+    let (head, tail) = buf.split_first_chunk::<N>().ok_or_else(|| {
+        BinDecodeError::msg(format!("truncated: need {N} bytes, have {}", buf.len()))
+    })?;
+    *buf = tail;
+    Ok(head)
+}
+
 /// Takes the next `n` bytes off the front of `buf`.
 #[inline]
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
@@ -258,6 +279,11 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// primitive then reads through the code of the [`Class`] it names, and
 /// [`BinReader::front_coded`] reads suffixes through the path class's.
 /// Outside a coded section the class a read names is not used.
+///
+/// A frame that continues its connection is read against the
+/// connection's [`History`] as well ([`BinReader::continue_from`]): its
+/// first member's predecessor, the paths a back-distance may reach past
+/// its first member, the codes it reuses.
 #[derive(Debug)]
 pub struct BinReader<'a> {
     buf: &'a [u8],
@@ -269,13 +295,27 @@ pub struct BinReader<'a> {
     section_len: usize,
     /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
+    /// The history the frame continues, when it continues one.
+    history: Option<&'a History>,
 }
 
 impl<'a> BinReader<'a> {
     /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`] and no
     /// codes.
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, section_len: 0, codes: None }
+        BinReader {
+            buf,
+            path_budget: FRAME_PATH_BUDGET,
+            paths: None,
+            section_len: 0,
+            codes: None,
+            history: None,
+        }
+    }
+
+    /// The history the frame continues, when it continues one.
+    pub(crate) fn history(&self) -> Option<&'a History> {
+        self.history
     }
 
     /// Bytes not yet consumed, outside a coded member section.
@@ -345,7 +385,7 @@ impl<'a> BinReader<'a> {
                 }
                 Ok(u64::from_le_bytes(bytes))
             }
-            None => Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
+            None => Ok(u64::from_le_bytes(*take_chunk(&mut self.buf)?)),
         }
     }
 
@@ -414,7 +454,8 @@ impl<'a> BinReader<'a> {
     /// first `shared` bytes of `base`, then the suffix, carried verbatim
     /// or, in a coded member section, as codewords of the path class.
     /// `base` is any path this reader assembled earlier (the
-    /// predecessor's, or the member's a path reference names). The handle
+    /// predecessor's, or the member's a path reference names), or one its
+    /// connection's history holds. The handle
     /// is readable once the reader has dropped; until then it serves as a
     /// later member's base.
     ///
@@ -434,9 +475,12 @@ impl<'a> BinReader<'a> {
     /// codeword its code refuses, and assembled bytes that are not UTF-8.
     /// The halves are not validated separately: a shared prefix may
     /// legally end inside a multi-byte character.
-    pub fn front_coded(&mut self, base: Option<&EventPath>) -> Result<EventPath, BinDecodeError> {
+    pub(crate) fn front_coded(
+        &mut self,
+        base: Option<PathView<'_>>,
+    ) -> Result<EventPath, BinDecodeError> {
         let shared = self.length(Class::Shared)?;
-        let base_len = base.map_or(0, EventPath::len);
+        let base_len = base.as_ref().map_or(0, PathView::len);
         if shared > base_len {
             return Err(BinDecodeError::msg(format!(
                 "shared prefix {shared} exceeds its base's {base_len} bytes"
@@ -493,32 +537,115 @@ impl<'a> BinReader<'a> {
     /// codeword — and codes whose lookup tables take more than
     /// [`LOOKUP_ENTRIES`].
     pub fn read_codes(&mut self) -> Result<(), BinDecodeError> {
-        let mask = u16::from_le_bytes(self.take(2)?.try_into().expect("two bytes"));
+        self.read_tables(false)?;
+        self.build_lookups(None)
+    }
+
+    /// Reads the codes a frame that continues its connection carries: as
+    /// [`BinReader::read_codes`] does, but behind the class mask comes a
+    /// second, the *reuse* mask — `u16le`, within the first — and a class
+    /// it names has no table here: it is coded under the code it had in
+    /// the connection's last frame. The lookup tables are built once the
+    /// history is at hand ([`BinReader::continue_from`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`BinReader::read_codes`], and reuse bits outside the
+    /// class mask.
+    pub fn read_continuing_codes(&mut self) -> Result<(), BinDecodeError> {
+        self.read_tables(true)
+    }
+
+    /// Reads the class mask — and on a continuing frame the reuse mask —
+    /// and the tables of the classes coded under codes of their own.
+    fn read_tables(&mut self, continues: bool) -> Result<(), BinDecodeError> {
+        let mut word = || self.take(2).map(|word| u16::from_le_bytes([word[0], word[1]]));
+        let (mask, reused) = (word()?, if continues { word()? } else { 0 });
         if mask >> CLASSES != 0 {
             return Err(BinDecodeError::msg(format!("unknown class-mask bits {mask:#06x}")));
         }
         if mask == 0 {
             return Err(BinDecodeError::msg("a coded frame whose class mask codes nothing"));
         }
+        if reused & !mask != 0 {
+            return Err(BinDecodeError::msg(format!(
+                "reuse bits {reused:#06x} outside the class mask {mask:#06x}"
+            )));
+        }
         let codes = self.codes.get_or_insert_with(Codes::new);
-        codes.mask = mask;
+        (codes.mask, codes.reused) = (mask, reused);
+        for class in Class::ALL {
+            if mask & !reused & class.bit() != 0 {
+                read_table(&mut self.buf, class, &mut codes.held[class as usize])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds the lookup tables of the frame's codes, a reused one's from
+    /// `history`'s.
+    ///
+    /// # Errors
+    ///
+    /// A reuse bit for a class the history holds no code of, and codes
+    /// whose lookup tables take more than [`LOOKUP_ENTRIES`].
+    fn build_lookups(&mut self, history: Option<&History>) -> Result<(), BinDecodeError> {
+        let Some(codes) = &mut self.codes else { return Ok(()) };
         let mut taken = 0;
         for class in Class::ALL {
-            codes.longest[class as usize] = 0;
-            if mask & class.bit() == 0 {
+            let c = class as usize;
+            codes.longest[c] = 0;
+            if codes.mask & class.bit() == 0 {
                 continue;
             }
-            let code = read_table(&mut self.buf, class)?;
-            let entries = 1 << code.longest();
+            if codes.reused & class.bit() != 0 {
+                let Some(code) = history.and_then(|history| history.code(class)) else {
+                    return Err(BinDecodeError::msg(format!(
+                        "a reuse bit for a {class} code the previous frame did not carry"
+                    )));
+                };
+                codes.held[c].copy_from(code);
+            }
+            let entries = 1 << codes.held[c].longest();
             if taken + entries > LOOKUP_ENTRIES {
                 return Err(BinDecodeError::msg(format!(
                     "codes whose lookup tables take more than {LOOKUP_ENTRIES} entries"
                 )));
             }
-            codes.fill(class, taken, &code);
+            codes.fill(class, taken);
             taken += entries;
         }
         Ok(())
+    }
+
+    /// Sets a continuing frame up to be read against its connection's
+    /// `history`, once the caller has checked the frame starts where the
+    /// history ends: the reused codes' lookup tables are built from it,
+    /// the frame's codes — carried or reused — become the history's last
+    /// ones, and the members read next may reach into it. Once the
+    /// reader is gone the caller records the frame ([`History::record`])
+    /// — or, should its members be refused, clears the history, whose
+    /// codes are already the refused frame's.
+    ///
+    /// # Errors
+    ///
+    /// Those of building the lookup tables ([`BinReader::read_codes`]),
+    /// and a reuse bit for a class the history's last frame had no code
+    /// of.
+    pub fn continue_from(&mut self, history: &'a mut History) -> Result<(), BinDecodeError> {
+        self.build_lookups(Some(history))?;
+        self.keep_codes(history);
+        self.history = Some(&*history);
+        Ok(())
+    }
+
+    /// Makes the frame's codes — none, for a raw frame — `history`'s last
+    /// ones.
+    pub fn keep_codes(&self, history: &mut History) {
+        match &self.codes {
+            Some(codes) => history.keep_codes(codes.mask, &codes.held),
+            None => history.keep_codes(0, &[]),
+        }
     }
 
     /// Enters the member section: from here to its end, a coded frame's
@@ -576,9 +703,9 @@ impl<'a> BinReader<'a> {
 }
 
 /// Reads one code table (see [`BinReader::read_codes`]) off the front of
-/// `buf`.
-fn read_table(buf: &mut &[u8], class: Class) -> Result<Code, BinDecodeError> {
-    let mut code = Code::empty();
+/// `buf` into `code`.
+fn read_table(buf: &mut &[u8], class: Class, code: &mut Code) -> Result<(), BinDecodeError> {
+    code.n = 0;
     let n = usize::from(take(buf, 1)?[0]) + 1;
     if n < LIST_LIMIT {
         let list = take(buf, n)?;
@@ -590,9 +717,9 @@ fn read_table(buf: &mut &[u8], class: Class) -> Result<Code, BinDecodeError> {
         code.symbols[..n].copy_from_slice(list);
         code.n = n;
     } else {
-        let bitmap = take(buf, CODE_BITMAP_LEN)?;
-        for (first, word) in (0..).step_by(64).zip(bitmap.chunks_exact(8)) {
-            let mut word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let bitmap: &[u8; CODE_BITMAP_LEN] = take_chunk(buf)?;
+        for (first, word) in (0..).step_by(64).zip(bitmap.as_chunks::<8>().0) {
+            let mut word = u64::from_le_bytes(*word);
             while word != 0 {
                 code.symbols[code.n] = (first + word.trailing_zeros()) as u8;
                 code.n += 1;
@@ -629,7 +756,7 @@ fn read_table(buf: &mut &[u8], class: Class) -> Result<Code, BinDecodeError> {
         let why = if kraft > 1 << MAX_CODE_LEN { "over-subscribed" } else { "incomplete" };
         return Err(BinDecodeError::msg(format!("an {why} {class} code")));
     }
-    Ok(code)
+    Ok(())
 }
 
 /// The member section of a coded frame as its reader reads it: the bits
@@ -653,8 +780,8 @@ impl BitStream<'_> {
     /// Tops `window` up to at least 57 bits.
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.bytes.get(self.next..self.next + 8) {
-            self.window |= u64::from_be_bytes(word.try_into().expect("eight bytes")) >> self.filled;
+        if let Some(word) = self.bytes.get(self.next..).and_then(<[u8]>::first_chunk::<8>) {
+            self.window |= u64::from_be_bytes(*word) >> self.filled;
             let whole = (64 - self.filled) / 8;
             self.next += whole as usize;
             self.filled += 8 * whole;
@@ -716,8 +843,12 @@ impl BitStream<'_> {
 /// member section while that is being read. Beside them, room for one
 /// decoded suffix, which the arena then takes as it takes a raw one.
 struct Codes<'a> {
-    /// The classes the frame codes.
+    /// The classes the frame codes, and of them those it codes under its
+    /// connection's last frame's codes.
     mask: u16,
+    reused: u16,
+    /// Each coded class's code, as its table gave it or the history held it.
+    held: [Code; CLASSES],
     /// The classes the section has read a byte of so far.
     used: u16,
     /// Each class's longest codeword, 0 for a class the frame carries
@@ -757,6 +888,8 @@ impl Codes<'_> {
     fn new() -> Self {
         Codes {
             mask: 0,
+            reused: 0,
+            held: std::array::from_fn(|_| Code::empty()),
             used: 0,
             longest: [0; CLASSES],
             offset: [0; CLASSES],
@@ -769,10 +902,11 @@ impl Codes<'_> {
     }
 
     /// Fills `1 << code.longest()` entries from `at` for the canonical
-    /// code `code` of `class` — a complete code, so each of them is
-    /// written, or a one-symbol code, whose second entry is the refused
-    /// codeword `1`.
-    fn fill(&mut self, class: Class, at: usize, code: &Code) {
+    /// code `class` holds — a complete code, so each of them is written,
+    /// or a one-symbol code, whose second entry is the refused codeword
+    /// `1`.
+    fn fill(&mut self, class: Class, at: usize) {
+        let code = &self.held[class as usize];
         let longest = code.longest();
         (self.longest[class as usize], self.offset[class as usize]) = (longest, at);
         let (symbols, lens) = (&code.symbols[..code.n], &code.lens[..code.n]);
@@ -878,9 +1012,8 @@ pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
 /// Length of the common byte prefix of `a` and `b`, eight bytes a step.
 pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let mut shared = 0;
-    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
-        let x = u64::from_le_bytes(x.try_into().expect("eight bytes"));
-        let y = u64::from_le_bytes(y.try_into().expect("eight bytes"));
+    for (x, y) in a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0) {
+        let (x, y) = (u64::from_le_bytes(*x), u64::from_le_bytes(*y));
         if x != y {
             return shared + ((x ^ y).trailing_zeros() / 8) as usize;
         }
@@ -920,46 +1053,250 @@ const DIR_SLOTS: usize = 1024;
 /// Slots a [`DirTable`] lookup examines before it gives up and evicts.
 const DIR_PROBES: usize = 8;
 
-/// A [`SeqEncoder`]'s memory of its sequence's directories: for each
+/// A [`SeqEncoder`]'s memory of its stream's directories: for each
 /// parent directory, the latest member whose path lies in it — the
 /// member a path reference would name. Fixed-size and open-addressed, so
-/// it lives on its encoder's stack and a frame allocates nothing for it.
+/// a frame allocates nothing for it; a continuing frame
+/// ([`SeqEncoder::begin`]) finds its connection's directories there
+/// still, and a fresh one starts from an empty table.
 ///
-/// A slot is `hash tag << 16 | member index + 1`, zero when empty. The
-/// table never reads a path: two directories whose hashes agree in slot
-/// and tag answer for each other, and the caller — who compares the
-/// bytes of whatever member it is handed before coding against it —
-/// just falls back to the predecessor. So a crafted directory name can
-/// cost a frame some compression and nothing else; a full neighbourhood
-/// evicts, forgetting a directory, and a member past index 65,534 is
-/// not remembered.
+/// A member is known by its *position*: its index in the stream of
+/// members coded since the last fresh frame. A slot is `hash tag << 16 |
+/// (position + 1) mod 2^16`, zero when empty, and what a lookup answers
+/// is a distance back, modulo 2^16 — exact within a frame of fewer than
+/// 65,536 members, and checked against what the stream holds by the
+/// caller. The table never reads a path: two directories whose hashes
+/// agree in slot and tag answer for each other, as does an entry 65,536
+/// positions old, and the caller — who compares the bytes of whatever
+/// member it is handed before coding against it — just falls back to the
+/// predecessor. So a crafted directory name can cost a frame some
+/// compression and nothing else; a full neighbourhood evicts, forgetting
+/// a directory, and every 65,536th position is not remembered.
 pub(crate) struct DirTable {
     slots: [u32; DIR_SLOTS],
+    /// The slot the current member's lookup wrote and what it held
+    /// before, so a member taken back leaves no trace ([`SeqEncoder::forget`]).
+    undo: Option<(usize, u32)>,
 }
 
 impl DirTable {
     /// An empty table: the start of a sequence.
     fn new() -> DirTable {
-        DirTable { slots: [0; DIR_SLOTS] }
+        DirTable { slots: [0; DIR_SLOTS], undo: None }
     }
 
-    /// Remembers member `index` as the latest in directory `dir`, and
-    /// returns the member remembered there before it.
-    pub(crate) fn replace(&mut self, dir: &[u8], index: usize) -> Option<usize> {
-        let Ok(marker) = u16::try_from(index + 1) else { return None };
+    /// Remembers the member at `position` as the latest in directory
+    /// `dir`, and returns how far back the member remembered there before
+    /// it is.
+    pub(crate) fn replace(&mut self, dir: &[u8], position: u64) -> Option<usize> {
+        let marker = (position.wrapping_add(1) & 0xffff) as u16;
+        if marker == 0 {
+            return None;
+        }
         let hash = dir_hash(dir);
         let entry = (hash & 0xffff_0000) | u32::from(marker);
         let home = hash as usize % DIR_SLOTS;
         for probe in 0..DIR_PROBES {
-            let slot = &mut self.slots[(home + probe) % DIR_SLOTS];
-            if *slot == 0 || *slot >> 16 == hash >> 16 {
-                let before = (*slot & 0xffff) as usize;
-                *slot = entry;
-                return before.checked_sub(1);
+            let at = (home + probe) % DIR_SLOTS;
+            let slot = self.slots[at];
+            if slot == 0 || slot >> 16 == hash >> 16 {
+                (self.slots[at], self.undo) = (entry, Some((at, slot)));
+                let before = (slot & 0xffff) as u16;
+                return (before != 0).then(|| usize::from(marker.wrapping_sub(before)));
             }
         }
-        self.slots[home] = entry;
+        (self.slots[home], self.undo) = (entry, Some((home, self.slots[home])));
         None
+    }
+
+    /// Puts back what the last member's lookup replaced.
+    fn undo(&mut self) {
+        if let Some((at, slot)) = self.undo.take() {
+            self.slots[at] = slot;
+        }
+    }
+}
+
+/// Members a connection's history holds: how far before a continuing
+/// frame's first member a path reference may reach. A protocol constant —
+/// a reader holds exactly this many, and a writer never references
+/// further — and the size of a [`SeqEncoder`]'s directory table.
+pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
+
+/// What the item frames written, or read, on one connection carried, as
+/// far as a frame that *continues* them needs it: the paths of their last
+/// [`HISTORY_MEMBERS`] members, the last member's event, the codes the
+/// last frame carried or reused, and the sequence number a continuing
+/// frame must start at. The writer's lives in its [`SeqEncoder`], the
+/// reader's beside its frame reader; each records every item frame it
+/// codes or decodes ([`History::record`]), and both record the same.
+///
+/// Nothing is generic here: a member is kept as its event
+/// ([`BinPayload::event`]), and one without an event as nothing — a
+/// frame whose first member has none leaves an empty history, so such
+/// payloads always go fresh. The storage is allocated once, by the first
+/// frame recorded, and reused: a frame allocates nothing for it.
+#[derive(Default)]
+pub struct History(Option<Box<Held>>);
+
+struct Held {
+    /// The first sequence number a continuing frame may carry; `None`
+    /// when nothing is held.
+    next_seq: Option<u64>,
+    /// The next member's position: members recorded since the last fresh
+    /// frame.
+    next: u64,
+    /// Each held member's path, at its position modulo the window: the
+    /// slot of `arenas` holding its arena, and its place there; `None` for
+    /// a member without an event.
+    paths: Vec<Option<(u16, (u32, u32))>>,
+    /// A handle on each arena those paths lie in, one for each run of
+    /// members whose paths share it, in a ring as long as the window. A
+    /// run takes the next slot, so a slot is taken again only a window's
+    /// length of members later, when the members it served have left the
+    /// window: recording a member clones no handle but its run's first.
+    arenas: Vec<Option<EventPath>>,
+    /// The slot of `arenas` the latest run's arena is in.
+    arena: usize,
+    /// The last member's event.
+    last: Option<FileEvent>,
+    /// Each class's code in the last frame — carried or reused — or none.
+    codes: [Code; CLASSES],
+}
+
+impl fmt::Debug for History {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("History")
+            .field("next_seq", &self.next_seq())
+            .field("held", &self.held())
+            .finish()
+    }
+}
+
+impl History {
+    /// The sequence number a frame that continues this history must
+    /// start at; `None` when nothing is held.
+    pub fn next_seq(&self) -> Option<u64> {
+        self.0.as_ref().and_then(|held| held.next_seq)
+    }
+
+    /// Forgets everything: the next item frame is fresh.
+    pub fn clear(&mut self) {
+        if let Some(held) = &mut self.0 {
+            held.next_seq = None;
+        }
+    }
+
+    /// Members a continuing frame may reach back into: the window, or
+    /// fewer when fewer have been recorded since the last fresh frame.
+    pub(crate) fn held(&self) -> usize {
+        match &self.0 {
+            Some(held) if held.next_seq.is_some() => {
+                usize::try_from(held.next).map_or(HISTORY_MEMBERS, |n| n.min(HISTORY_MEMBERS))
+            }
+            _ => 0,
+        }
+    }
+
+    /// The position a continuing frame's first member takes.
+    fn next_position(&self) -> u64 {
+        self.0.as_ref().map_or(0, |held| held.next)
+    }
+
+    /// The last member's event.
+    pub(crate) fn last(&self) -> Option<&FileEvent> {
+        self.0.as_ref().and_then(|held| held.last.as_ref())
+    }
+
+    /// The path of the member `k` before a continuing frame's first
+    /// (`1..=held()`), if it had one.
+    pub(crate) fn path_back(&self, k: usize) -> Option<PathView<'_>> {
+        let held = self.0.as_ref().filter(|_| (1..=self.held()).contains(&k))?;
+        let position = held.next - k as u64;
+        let (arena, place) = held.paths[(position % HISTORY_MEMBERS as u64) as usize]?;
+        Some(held.arenas[usize::from(arena)].as_ref()?.view_at(place))
+    }
+
+    /// The code `class` had in the last frame, if it had one.
+    fn code(&self, class: Class) -> Option<&Code> {
+        self.0.as_ref().map(|held| &held.codes[class as usize]).filter(|code| code.n > 0)
+    }
+
+    /// Records an item frame that started at `first_seq` and whose
+    /// members held `events`: after a fresh frame (`continued` false) it
+    /// is all the history holds, after a continuing one it extends it. A
+    /// frame whose first member holds no event leaves the history empty.
+    /// The frame's codes are recorded apart: by the writer as it chooses
+    /// them ([`code_members`]), by the reader as it reads them
+    /// ([`BinReader::continue_from`], [`BinReader::keep_codes`]).
+    pub fn record<'e>(
+        &mut self,
+        continued: bool,
+        first_seq: u64,
+        events: impl IntoIterator<Item = Option<&'e FileEvent>>,
+    ) {
+        let mut events = events.into_iter().peekable();
+        if !matches!(events.peek(), Some(Some(_))) {
+            self.clear();
+            return;
+        }
+        let held = self.0.get_or_insert_with(|| {
+            Box::new(Held {
+                next_seq: None,
+                next: 0,
+                paths: vec![None; HISTORY_MEMBERS],
+                arenas: vec![None; HISTORY_MEMBERS],
+                arena: 0,
+                last: None,
+                codes: std::array::from_fn(|_| Code::empty()),
+            })
+        });
+        if !continued {
+            held.next = 0;
+        }
+        let mut count = 0u64;
+        let mut last = None;
+        for event in events {
+            let path = event.map(|event| {
+                let path = &event.path;
+                if !held.arenas[held.arena].as_ref().is_some_and(|kept| kept.shares_arena(path)) {
+                    held.arena = (held.arena + 1) % HISTORY_MEMBERS;
+                    held.arenas[held.arena] = Some(path.clone());
+                }
+                (held.arena as u16, path.place())
+            });
+            held.paths[(held.next % HISTORY_MEMBERS as u64) as usize] = path;
+            held.next += 1;
+            count += 1;
+            last = event;
+        }
+        held.last = last.cloned();
+        held.next_seq = Some(first_seq.wrapping_add(count));
+    }
+
+    /// Keeps a written frame's codes as the last frame's: each class in
+    /// `mask` under its own code, or — in `reused` — under the one kept.
+    fn keep_frame_codes(&mut self, mask: u16, reused: u16, classes: &[Priced; CLASSES]) {
+        let Some(held) = &mut self.0 else { return };
+        for ((class, kept), priced) in Class::ALL.into_iter().zip(&mut held.codes).zip(classes) {
+            if mask & !reused & class.bit() != 0 {
+                kept.copy_from(&priced.code);
+            } else if mask & class.bit() == 0 {
+                kept.n = 0;
+            }
+        }
+    }
+
+    /// Keeps the codes of the classes in `mask` — a read frame's, carried
+    /// or reused — as the last frame's; every other class has none.
+    fn keep_codes(&mut self, mask: u16, codes: &[Code]) {
+        let Some(held) = &mut self.0 else { return };
+        for (class, kept) in Class::ALL.into_iter().zip(&mut held.codes) {
+            match codes.get(class as usize).filter(|_| mask & class.bit() != 0) {
+                Some(code) => kept.copy_from(code),
+                None => kept.n = 0,
+            }
+        }
     }
 }
 
@@ -984,8 +1321,8 @@ fn dir_hash(dir: &[u8]) -> u32 {
             short
         }
     };
-    for word in dir[..dir.len().saturating_sub(1)].chunks_exact(8) {
-        hash = step(hash, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    for word in dir[..dir.len().saturating_sub(1)].as_chunks::<8>().0 {
+        hash = step(hash, u64::from_le_bytes(*word));
     }
     (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
 }
@@ -998,7 +1335,10 @@ const MAX_MEMBER_RUNS: usize = 32;
 /// The encoder's state for one member sequence, carried from member to
 /// member: its directory table and, on a frame's raw pass
 /// ([`SeqEncoder::for_coding`]), what [`code_members`] needs to code the
-/// sequence afterwards. Fixed-size: it lives on its writer's stack.
+/// sequence afterwards. Fixed-size: it lives on its writer's stack — or,
+/// for a connection whose item frames continue one another, in the
+/// connection's encoder, with the [`History`] of what it wrote
+/// ([`SeqEncoder::begin`], [`SeqEncoder::record`]).
 ///
 /// A member encoder writes every field through it — [`SeqEncoder::byte`],
 /// [`SeqEncoder::varint`], [`SeqEncoder::delta`], [`SeqEncoder::bytes`],
@@ -1007,6 +1347,10 @@ const MAX_MEMBER_RUNS: usize = 32;
 pub struct SeqEncoder {
     pub(crate) dirs: DirTable,
     notes: Option<Notes>,
+    /// What the connection's earlier item frames carried.
+    history: History,
+    /// Whether the sequence being written continues `history`.
+    continues: bool,
 }
 
 /// A frame's raw pass's notes: where the current member's bytes start
@@ -1032,7 +1376,11 @@ impl Notes {
 impl SeqEncoder {
     /// The encoder for a sequence that is never coded: a snapshot block.
     pub fn new() -> SeqEncoder {
-        SeqEncoder { dirs: DirTable::new(), notes: None }
+        SeqEncoder::with_notes(None)
+    }
+
+    fn with_notes(notes: Option<Notes>) -> SeqEncoder {
+        SeqEncoder { dirs: DirTable::new(), notes, history: History::default(), continues: false }
     }
 
     /// The encoder for a frame's raw pass, which [`code_members`] then
@@ -1054,7 +1402,53 @@ impl SeqEncoder {
             written: 0,
             counts: [[0; 256]; CLASSES],
         };
-        SeqEncoder { dirs: DirTable::new(), notes: Some(notes) }
+        SeqEncoder::with_notes(Some(notes))
+    }
+
+    /// What the item frames this encoder wrote carried.
+    pub fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// Starts the next frame's sequence on an encoder kept from frame to
+    /// frame: one that *continues* the history — its directory table,
+    /// member positions, predecessor and codes carry on from the last
+    /// frame recorded — or a fresh one, coded exactly as on a new encoder:
+    /// an empty table, positions from 0, nothing before its first member.
+    /// A frame's raw pass's notes start empty either way.
+    pub fn begin(&mut self, continues: bool) {
+        self.continues = continues && self.history.next_seq().is_some();
+        if !self.continues {
+            self.dirs.slots.fill(0);
+        }
+        if let Some(notes) = &mut self.notes {
+            notes.written = 0;
+            notes.counts.iter_mut().for_each(|counts| counts.fill(0));
+        }
+    }
+
+    /// Records the frame just written, which started at `first_seq` and
+    /// carried `members`, in the history ([`History::record`]): what the
+    /// next frame may continue. Its codes are recorded as
+    /// [`code_members`] chooses them, after this.
+    pub fn record<T: BinPayload>(&mut self, first_seq: u64, members: &[T]) {
+        self.history.record(self.continues, first_seq, members.iter().map(T::event));
+    }
+
+    /// Forgets the history: the next frame is fresh.
+    pub fn forget_history(&mut self) {
+        self.history.clear();
+    }
+
+    /// The history, when the sequence being written continues it.
+    pub(crate) fn continued(&self) -> Option<&History> {
+        self.continues.then_some(&self.history)
+    }
+
+    /// The stream position of the sequence's member `index`.
+    pub(crate) fn position(&self, index: usize) -> u64 {
+        let base = if self.continues { self.history.next_position() } else { 0 };
+        base + index as u64
     }
 
     /// Bytes of notes written into the sequence so far: what its buffer
@@ -1065,8 +1459,11 @@ impl SeqEncoder {
 
     /// Forgets the last member written, which `noted` — the end of its
     /// buffer, from the member's length prefix on — holds with its note:
-    /// the caller takes those bytes back out.
+    /// the caller takes those bytes back out. Its directory-table entry
+    /// goes too, so the member, coded again as the next frame's first,
+    /// finds the table as it was.
     pub fn forget(&mut self, noted: &[u8]) {
+        self.dirs.undo();
         let Some(notes) = &mut self.notes else { return };
         let member = Noted::at(noted);
         let counts = &mut notes.counts;
@@ -1192,6 +1589,13 @@ impl Code {
         Code { n: 0, symbols: [0; 256], lens: [0; 256] }
     }
 
+    /// Makes this code `other`, copying only the symbols it has.
+    fn copy_from(&mut self, other: &Code) {
+        self.n = other.n;
+        self.symbols[..other.n].copy_from_slice(&other.symbols[..other.n]);
+        self.lens[..other.n].copy_from_slice(&other.lens[..other.n]);
+    }
+
     /// Builds over `self` the Huffman code for a histogram, its
     /// codewords limited to `limit` bits (at least the depth of a
     /// balanced tree over its symbols); a single byte value is a one-bit
@@ -1246,6 +1650,17 @@ impl Code {
     fn bits(&self, counts: &[u32; 256]) -> u64 {
         let coded = self.symbols[..self.n].iter().zip(&self.lens);
         coded.map(|(&symbol, &len)| u64::from(counts[usize::from(symbol)]) * u64::from(len)).sum()
+    }
+
+    /// Bits the `total` bytes `counts` tallies take under this code, when
+    /// it has a codeword for each of them.
+    fn covering_bits(&self, counts: &[u32; 256], total: u64) -> Option<u64> {
+        let (mut covered, mut bits) = (0, 0);
+        for (&symbol, &len) in self.symbols[..self.n].iter().zip(&self.lens) {
+            let count = u64::from(counts[usize::from(symbol)]);
+            (covered, bits) = (covered + count, bits + count * u64::from(len));
+        }
+        (covered == total).then_some(bits)
     }
 
     /// `byte`'s codeword length; 0 when the code leaves it out.
@@ -1389,9 +1804,10 @@ fn huffman_lengths(
 }
 
 /// A type with a binary payload form, coded relative to the earlier
-/// members of the same sequence. Encoding appends to a reusable scratch
-/// buffer; decoding reads from a [`BinReader`] positioned at the value's
-/// first byte.
+/// members of the same sequence — and, in a frame that continues its
+/// connection, to the [`History`] before it. Encoding appends to a
+/// reusable scratch buffer; decoding reads from a [`BinReader`]
+/// positioned at the value's first byte.
 pub trait BinPayload: Sized {
     /// Appends the binary encoding of `self` to `buf`. `earlier` holds
     /// the members before this one in the same sequence, in order —
@@ -1411,6 +1827,13 @@ pub trait BinPayload: Sized {
     /// codes, malformed varints, deltas or prefix lengths, a reference
     /// to a member `earlier` does not hold, or non-UTF-8 string bytes.
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError>;
+
+    /// The event this member holds, if any: what a [`History`] keeps of
+    /// it. A member without one — and every member of a type without
+    /// events — is neither a later frame's predecessor nor its path base.
+    fn event(&self) -> Option<&FileEvent> {
+        None
+    }
 }
 
 impl BinPayload for u64 {
@@ -1465,6 +1888,7 @@ pub fn put_member<T: BinPayload>(
     // room for the longer varint.
     let at = buf.len();
     buf.push(0);
+    seq.dirs.undo = None;
     if let Some(notes) = &mut seq.notes {
         (notes.start, notes.n) = (buf.len(), 0);
     }
@@ -1506,6 +1930,7 @@ pub fn put_member<T: BinPayload>(
             }
             from = end;
         }
+        // cannot fail: at most 32 runs, each a byte and a length of at most five (under 32 GiB).
         buf[noted] = u8::try_from(buf.len() - noted - 1).expect("a member's runs fit 255 bytes");
         notes.written += buf.len() - noted;
     }
@@ -1658,30 +2083,73 @@ fn tally(bytes: &[u8], counts: &mut [u32; 256]) {
 }
 
 /// One class of a noted sequence, priced: its bytes' bits raw, its code
-/// when one could pay, and their bits under that code.
+/// when one could pay, and their bits under that code — and, in a frame
+/// that continues its connection, their bits under the class's code in
+/// the last frame, when that has a codeword for each of them; and which
+/// of the two codes the class goes under, if it is coded.
 struct Priced {
     raw_bits: u64,
     code: Code,
     coded_bits: u64,
+    last_bits: Option<u64>,
+    reuse: bool,
 }
 
 impl Priced {
-    /// Bits coding the class saves the frame, its table's included;
-    /// negative when it costs.
-    fn saving(&self) -> i64 {
+    /// Bits coding the class under its own code saves the frame, its
+    /// table's included; negative when it costs.
+    fn own_saving(&self) -> i64 {
         self.raw_bits as i64 - self.coded_bits as i64 - 8 * self.code.table_len() as i64
     }
 
+    /// Bits coding the class under the last frame's code saves the
+    /// frame, when that code can code it.
+    fn reused_saving(&self) -> Option<i64> {
+        self.last_bits.map(|bits| self.raw_bits as i64 - bits as i64)
+    }
+
+    /// Bits coding the class saves the frame, under the code it goes
+    /// under.
+    fn saving(&self) -> i64 {
+        match self.reused_saving().filter(|_| self.reuse) {
+            Some(saving) => saving,
+            None => self.own_saving(),
+        }
+    }
+
+    /// The code the class goes under, coded: its own, or `last`.
+    fn under<'c>(&'c self, last: Option<&'c Code>) -> &'c Code {
+        match last.filter(|_| self.reuse) {
+            Some(code) => code,
+            None => &self.code,
+        }
+    }
+
+    /// Bits the class's bytes take coded, and the bytes its table does.
+    fn coded(&self) -> (u64, usize) {
+        match self.last_bits.filter(|_| self.reuse) {
+            Some(bits) => (bits, 0),
+            None => (self.coded_bits, self.code.table_len()),
+        }
+    }
+
     /// (Re)builds the class's code for `counts`, its codewords limited to
-    /// `limit` bits.
+    /// `limit` bits, and goes under it if coded.
     fn build(&mut self, counts: &[u32; 256], limit: u32, scratch: &mut HuffmanScratch) {
         self.code.build(counts, limit, scratch);
         self.coded_bits = self.code.bits(counts);
+        self.reuse = false;
     }
 
-    /// Whether the class has a code that saves bits.
-    fn pays(&self) -> bool {
-        self.code.n > 0 && self.saving() > 0
+    /// Picks the code that saves more, and says whether it saves bits.
+    fn choose(&mut self) -> bool {
+        let (own, reused) = ((self.code.n > 0).then(|| self.own_saving()), self.reused_saving());
+        self.reuse = match (own, reused) {
+            (Some(own), Some(reused)) => reused > own,
+            (None, reused) => reused.is_some(),
+            (Some(_), None) => false,
+        };
+        (if self.reuse { reused } else { own }).is_some_and(|saving| saving > 0)
     }
 }
 
@@ -1690,42 +2158,59 @@ impl Priced {
 /// notes and all. From the histograms `raw` kept as it wrote, it builds
 /// each class's length-limited Huffman code and prices the class on its
 /// own — raw, or coded with its table, exactly, each byte's codeword
-/// length summed — and codes the classes a code saves bytes on. Then:
-/// while the codes' lookup tables would take more than
-/// [`LOOKUP_ENTRIES`], the deepest is built again a bit shallower (and
-/// left raw if it no longer pays); while the coded count would claim more
-/// members than half the bits after it hold — the rule [`read_members`]
-/// enforces — the code saving least is dropped. The section goes out
-/// coded only when that, class mask and tables included, is smaller than
-/// raw: it is transcoded — each byte replaced by its codeword under its
-/// class's code, or itself — the mask and tables go in at `table_at`
-/// (the tables in class order), what lay between moves up, and the mask
-/// is returned. Otherwise the notes are taken out, the raw sequence is
-/// left, and 0 is returned. Like the path reference, this is a cost
-/// choice made frame by frame, not an option. Nothing is allocated
-/// beyond `buf`'s own growth; `raw`'s notes are spent.
+/// length summed, or, when the sequence continues its connection
+/// ([`SeqEncoder::begin`]), under the code the class had in the last
+/// frame with no table, when that code has a codeword for each of its
+/// bytes — and codes the classes a code saves bytes on, under the code
+/// that saves more. Then: while the codes' lookup tables would take more
+/// than [`LOOKUP_ENTRIES`], the deepest is given up if reused, or built
+/// again a bit shallower (and left raw if it no longer pays); while the
+/// coded count would claim more members than half the bits after it
+/// hold — the rule [`read_members`] enforces — the code saving least is
+/// dropped. The section goes out coded only when that, masks and tables
+/// included, is smaller than raw: it is transcoded — each byte replaced
+/// by its codeword under its class's code, or itself — the class mask
+/// (and a continuing sequence's reuse mask) and the tables of the
+/// classes not reused go in at `table_at` (in class order), what lay
+/// between moves up, and the mask is returned. Otherwise the notes are
+/// taken out, the raw sequence is left, and 0 is returned. Either way
+/// the codes the frame went under become the history's last ones. Like
+/// the path reference, this is a cost choice made frame by frame, not an
+/// option. Nothing is allocated beyond `buf`'s own growth; `raw`'s notes
+/// are spent.
 pub fn code_members(
     buf: &mut Vec<u8>,
     table_at: usize,
     members_at: usize,
     raw: &mut SeqEncoder,
 ) -> u16 {
-    let Some(notes) = &mut raw.notes else { return 0 };
+    let SeqEncoder { notes, history, continues, .. } = raw;
+    let Some(notes) = notes else { return 0 };
     let section = &buf[members_at..];
     let (count, count_len) = raw_varint(section);
     let raw_len = section.len() - notes.written;
     tally(&section[..count_len], &mut notes.counts[Class::Other as usize]);
     let counts = &notes.counts;
+    // The codes the connection's last frame went under, when this one
+    // continues it.
+    let last = |class: Class| history.code(class).filter(|_| *continues);
 
     let mut scratch = HuffmanScratch { weights: [0; 256], order: [0; 256], tree: [0; 256] };
-    let mut classes: [Priced; CLASSES] =
-        std::array::from_fn(|_| Priced { raw_bits: 0, code: Code::empty(), coded_bits: 0 });
+    let mut classes: [Priced; CLASSES] = std::array::from_fn(|_| Priced {
+        raw_bits: 0,
+        code: Code::empty(),
+        coded_bits: 0,
+        last_bits: None,
+        reuse: false,
+    });
     let mut mask = 0u16;
     for ((class, priced), counts) in Class::ALL.into_iter().zip(&mut classes).zip(counts) {
         priced.raw_bits = 8 * counts.iter().map(|&n| u64::from(n)).sum::<u64>();
         if priced.raw_bits > 0 {
             priced.build(counts, MAX_CODE_LEN, &mut scratch);
-            if priced.pays() {
+            let total = priced.raw_bits / 8;
+            priced.last_bits = last(class).and_then(|code| code.covering_bits(counts, total));
+            if priced.choose() {
                 mask |= class.bit();
             }
         }
@@ -1733,34 +2218,38 @@ pub fn code_members(
     let coded = |mask: u16| Class::ALL.into_iter().filter(move |class| mask & class.bit() != 0);
 
     // The decoder's lookup tables: the deepest code is flattened until
-    // they fit. A balanced code of a class takes at most 256 entries, so
-    // one deep enough to flatten is there while they do not.
+    // they fit — a reused one is given up for the class's own first. A
+    // balanced code of a class takes at most 256 entries, so one deep
+    // enough to flatten is there while they do not.
     loop {
-        let depth = |class: Class| classes[class as usize].code.longest();
+        let depth = |class: Class| classes[class as usize].under(last(class)).longest();
         let entries: usize = coded(mask).map(|class| 1 << depth(class)).sum();
         let deepest = coded(mask).max_by_key(|&class| depth(class));
         let Some(deepest) = deepest.filter(|_| entries > LOOKUP_ENTRIES) else { break };
         let limit = depth(deepest) - 1;
         let priced = &mut classes[deepest as usize];
-        debug_assert!(limit >= priced.code.shallowest());
-        priced.build(&counts[deepest as usize], limit, &mut scratch);
-        if !priced.pays() {
+        if priced.reuse {
+            (priced.reuse, priced.last_bits) = (false, None);
+        } else {
+            debug_assert!(limit >= priced.code.shallowest());
+            priced.build(&counts[deepest as usize], limit, &mut scratch);
+        }
+        if !priced.choose() {
             mask &= !deepest.bit();
         }
     }
 
     // The section's bytes and the tables' under the codes `mask` names.
     let priced = |mask: u16| {
-        let bits: u64 = Class::ALL
-            .into_iter()
-            .zip(&classes)
-            .map(|(class, priced)| match mask & class.bit() {
-                0 => priced.raw_bits,
-                _ => priced.coded_bits,
-            })
-            .sum();
-        let tables = coded(mask).map(|class| classes[class as usize].code.table_len());
-        (bits.div_ceil(8) as usize, tables.sum::<usize>())
+        let (mut bits, mut tables) = (0, 0);
+        for (class, priced) in Class::ALL.into_iter().zip(&classes) {
+            let (class_bits, table) = match mask & class.bit() {
+                0 => (priced.raw_bits, 0),
+                _ => priced.coded(),
+            };
+            (bits, tables) = (bits + class_bits, tables + table);
+        }
+        (bits.div_ceil(8) as usize, tables)
     };
     // The member-count rule: the code saving least goes until it holds.
     loop {
@@ -1769,26 +2258,30 @@ pub fn code_members(
             .iter()
             .map(|&byte| match mask & Class::Other.bit() {
                 0 => 8,
-                _ => classes[Class::Other as usize].code.len_of(byte) as usize,
+                _ => classes[Class::Other as usize].under(last(Class::Other)).len_of(byte) as usize,
             })
             .sum();
-        if 16 * count as usize <= 8 * bytes - count_bits || mask == 0 {
-            break;
-        }
         let least = coded(mask).min_by_key(|&class| classes[class as usize].saving());
-        mask &= !least.expect("a coded class").bit();
+        match least {
+            Some(least) if 16 * count as usize > 8 * bytes - count_bits => mask &= !least.bit(),
+            _ => break,
+        }
     }
+    let reused = coded(mask).filter(|&class| classes[class as usize].reuse);
+    let reused = reused.fold(0, |reused, class| reused | class.bit());
     let (coded_len, tables_len) = priced(mask);
-    let header_len = 2 + tables_len;
+    let masks_len = if *continues { 4 } else { 2 };
+    let header_len = masks_len + tables_len;
     if mask == 0 || header_len + coded_len >= raw_len {
         drop_notes(buf, members_at, count, count_len);
+        history.keep_codes(0, &[]);
         return 0;
     }
 
     let mut codewords: Codewords = [[0; 256]; CLASSES];
-    for ((class, priced), codewords) in Class::ALL.iter().zip(&classes).zip(&mut codewords) {
+    for ((class, priced), codewords) in Class::ALL.into_iter().zip(&classes).zip(&mut codewords) {
         if mask & class.bit() != 0 {
-            priced.code.codewords_into(codewords);
+            classes[class as usize].under(last(class)).codewords_into(codewords);
         } else if priced.raw_bits > 0 {
             *codewords = std::array::from_fn(|byte| ((byte as Codeword) << 4) | 8);
         }
@@ -1799,18 +2292,22 @@ pub fn code_members(
     let written = transcode(&noted[members_at..], count, count_len, &codewords, out);
     debug_assert_eq!(written, coded_len, "the price was not the bytes");
 
-    // [.. table_at | head | noted | coded] → [.. table_at | mask | tables | head | coded]:
+    // [.. table_at | head | noted | coded] → [.. table_at | masks | tables | head | coded]:
     // the coded members land inside the noted ones' room, the head behind
-    // them, and the mask and tables before it.
+    // them, and the masks and tables before it.
     buf.copy_within(coded_at.., members_at + header_len);
     buf.copy_within(table_at..members_at, table_at + header_len);
     buf[table_at..table_at + 2].copy_from_slice(&mask.to_le_bytes());
-    let mut at = table_at + 2;
-    for code in coded(mask).map(|class| &classes[class as usize].code) {
+    if *continues {
+        buf[table_at + 2..table_at + 4].copy_from_slice(&reused.to_le_bytes());
+    }
+    let mut at = table_at + masks_len;
+    for code in coded(mask & !reused).map(|class| &classes[class as usize].code) {
         code.put_table(&mut buf[at..at + code.table_len()]);
         at += code.table_len();
     }
     buf.truncate(members_at + header_len + coded_len);
+    history.keep_frame_codes(mask, reused, &classes);
     mask
 }
 
@@ -2033,7 +2530,7 @@ mod tests {
     fn read_front_coded(buf: &[u8], prev: &str) -> Result<EventPath, BinDecodeError> {
         let prev = (!prev.is_empty()).then(|| EventPath::from(prev));
         let mut r = BinReader::new(buf);
-        let path = r.front_coded(prev.as_ref())?;
+        let path = r.front_coded(prev.as_ref().map(EventPath::view))?;
         assert!(r.is_empty());
         Ok(path)
     }
@@ -2065,8 +2562,8 @@ mod tests {
         buf.extend(front_coded("/a/c", "/a/b/two"));
         let mut r = BinReader::new(&buf);
         let one = r.front_coded(None).unwrap();
-        let two = r.front_coded(Some(&one)).unwrap();
-        let three = r.front_coded(Some(&two)).unwrap();
+        let two = r.front_coded(Some(one.view())).unwrap();
+        let three = r.front_coded(Some(two.view())).unwrap();
         drop(r);
         assert_eq!([one.as_str(), two.as_str(), three.as_str()], ["/a/b/one", "/a/b/two", "/a/c"]);
         assert!(one.shares_arena(&two) && two.shares_arena(&three));
@@ -2120,48 +2617,65 @@ mod tests {
         let mut r = BinReader::new(&body);
         let mut prev = EventPath::from(path);
         for _ in 0..fits {
-            prev = r.front_coded(Some(&prev)).unwrap();
+            prev = r.front_coded(Some(prev.view())).unwrap();
         }
-        let err = r.front_coded(Some(&prev)).unwrap_err();
+        let err = r.front_coded(Some(prev.view())).unwrap_err();
         assert!(err.to_string().contains("path bytes"), "got: {err}");
         drop(r);
         assert_eq!(prev.as_str().len(), MAX_PATH_LEN);
     }
 
-    /// The table answers with the latest member of a directory, whatever
-    /// other directories came between.
+    /// The table answers with how far back the latest member of a
+    /// directory is, whatever other directories came between.
     #[test]
     fn the_dir_table_remembers_the_latest_member_of_each_directory() {
         let mut dirs = DirTable::new();
-        let name = |d: usize| format!("/t0000001/d{d:07x}/");
+        let name = |d: u64| format!("/t0000001/d{d:07x}/");
         for d in 0..64 {
             assert_eq!(dirs.replace(name(d).as_bytes(), d), None, "directory {d} is new");
         }
         for d in 0..64 {
-            assert_eq!(dirs.replace(name(d).as_bytes(), 64 + d), Some(d));
+            assert_eq!(dirs.replace(name(d).as_bytes(), 64 + d), Some(64));
         }
-        assert_eq!(dirs.replace(name(7).as_bytes(), 200), Some(71));
+        assert_eq!(dirs.replace(name(7).as_bytes(), 200), Some(200 - 71));
     }
 
     /// More directories than slots: the table evicts instead of growing
-    /// or probing without bound, whatever it answers is an index it was
-    /// given, and an index past what a slot holds is not remembered.
+    /// or probing without bound, and whatever it answers is a member
+    /// before the one asking. Positions run on past 2^16 — a stream of
+    /// continuing frames — and distances stay exact across the wrap;
+    /// only the position whose marker would be zero is not remembered.
     #[test]
     fn a_full_dir_table_evicts_and_never_invents_a_member() {
         let mut dirs = DirTable::new();
-        let name = |d: usize| format!("/x{d:05x}/");
+        let name = |d: u64| format!("/x{d:05x}/");
+        let slots = DIR_SLOTS as u64;
         for round in 0..4 {
-            for d in 0..4 * DIR_SLOTS {
-                let index = round * 4 * DIR_SLOTS + d;
-                if let Some(before) = dirs.replace(name(d).as_bytes(), index) {
-                    assert!(before < index, "{before} answered for member {index}");
+            for d in 0..4 * slots {
+                let position = round * 4 * slots + d;
+                if let Some(back) = dirs.replace(name(d).as_bytes(), position) {
+                    assert!((1..=position as usize).contains(&back), "{back} back from {position}");
                 }
             }
         }
         let mut dirs = DirTable::new();
-        assert_eq!(dirs.replace(b"/a/", usize::from(u16::MAX)), None);
-        assert_eq!(dirs.replace(b"/a/", 3), None, "member 65,535 was not remembered");
-        assert_eq!(dirs.replace(b"/a/", 4), Some(3));
+        assert_eq!(dirs.replace(b"/a/", u64::from(u16::MAX)), None);
+        assert_eq!(dirs.replace(b"/a/", 3), None, "position 65,535 was not remembered");
+        assert_eq!(dirs.replace(b"/a/", 4), Some(1));
+        let wrap = 3 << 16;
+        assert_eq!(dirs.replace(b"/b/", wrap - 3), None);
+        assert_eq!(dirs.replace(b"/b/", wrap + 5), Some(8), "exact across the wrap");
+    }
+
+    /// A member taken back leaves the table as it found it.
+    #[test]
+    fn a_forgotten_member_leaves_no_trace_in_the_dir_table() {
+        let mut seq = SeqEncoder::new();
+        assert_eq!(seq.dirs.replace(b"/a/", 0), None);
+        seq.dirs.undo = None;
+        assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5));
+        seq.forget(&[]);
+        assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5), "the member at 0 is still the latest");
     }
 
     /// A count word never sizes the reservation: a count of more members
@@ -2294,7 +2808,8 @@ mod tests {
                 let named: u32 = table[1..33].iter().map(|byte| byte.count_ones()).sum();
                 assert_eq!(named as usize, n, "{n} symbols, mapped");
             }
-            let read = read_table(&mut &table[..], Class::Path).unwrap();
+            let mut read = Code::empty();
+            read_table(&mut &table[..], Class::Path, &mut read).unwrap();
             assert_eq!(read.symbols[..n], code.symbols[..n]);
             assert_eq!(read.lens[..n], code.lens[..n]);
         }

@@ -482,8 +482,29 @@ impl FileEvent {
         seq: &mut SeqEncoder,
         buf: &mut Vec<u8>,
     ) {
+        match earlier.last() {
+            Some(member) => self.encode_after(event_of(member), earlier, event_of, seq, buf),
+            // A continuing frame's first member follows the last one its
+            // connection carried.
+            None => {
+                let last = seq.continued().and_then(crate::bin::History::last).cloned();
+                self.encode_after(last.as_ref(), earlier, event_of, seq, buf);
+            }
+        }
+    }
+
+    /// [`FileEvent::encode_among`] once the predecessor `prev` is known:
+    /// handed in, so that the member's fields are read through a
+    /// reference the writes to `buf` and `seq` cannot touch.
+    fn encode_after<'a, T>(
+        &self,
+        prev: Option<&FileEvent>,
+        earlier: &'a [T],
+        event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
+        seq: &mut SeqEncoder,
+        buf: &mut Vec<u8>,
+    ) {
         use crate::bin::{common_prefix, front_coded_len, varint_len, Class};
-        let prev = earlier.last().and_then(&event_of);
         let same_mdt = self.mdt == prev.map_or(MdtIndex::new(0), |p| p.mdt);
         let derived_kind = self.kind == self.changelog_kind.event_kind();
         let next_index = prev.is_some_and(|p| self.index == p.index.wrapping_add(1));
@@ -493,16 +514,23 @@ impl FileEvent {
             && prev.is_some_and(|p| p.extracted_unix_ns == self.extracted_unix_ns);
 
         // The path base: the predecessor, unless the latest earlier member
-        // of this directory is a cheaper one — back-distance included.
+        // of this directory — in this frame, or one the connection's last
+        // frames carried — is a cheaper one, back-distance included.
         let path = self.path.as_str().as_bytes();
-        let shared_with = |base: &FileEvent| common_prefix(path, base.path.as_str().as_bytes());
-        let mut shared = prev.map_or(0, shared_with);
+        let shared_with = |base: &str| common_prefix(path, base.as_bytes());
+        let mut shared = prev.map_or(0, |p| shared_with(p.path.as_str()));
         let mut back = None;
-        let latest = parent_dir(path).and_then(|dir| seq.dirs.replace(dir, earlier.len()));
+        let (index, position) = (earlier.len(), seq.position(earlier.len()));
+        let latest = parent_dir(path).and_then(|dir| seq.dirs.replace(dir, position));
         // One back is the predecessor itself, already counted.
-        let latest = latest.filter(|at| at + 2 <= earlier.len());
-        if let Some((at, base)) = latest.and_then(|at| Some((at, event_of(earlier.get(at)?)?))) {
-            let (distance, via_ref) = (earlier.len() - at, shared_with(base));
+        let reference = latest.filter(|&distance| distance >= 2).and_then(|distance| {
+            let base = match index.checked_sub(distance) {
+                Some(at) => event_of(&earlier[at]).map(|event| event.path.as_str()),
+                None => seq.continued()?.path_back(distance - index).map(|path| path.as_str()),
+            };
+            Some((distance, shared_with(base?)))
+        });
+        if let Some((distance, via_ref)) = reference {
             let cost = varint_len(distance as u64) + front_coded_len(path.len(), via_ref);
             if cost < front_coded_len(path.len(), shared) {
                 (shared, back) = (via_ref, Some(distance));
@@ -574,8 +602,12 @@ impl FileEvent {
         earlier: &'a [T],
         event_of: impl Fn(&'a T) -> Option<&'a FileEvent>,
     ) -> Result<FileEvent, BinDecodeError> {
-        use crate::bin::Class;
-        let prev = earlier.last().and_then(&event_of);
+        use crate::bin::{Class, History, HISTORY_MEMBERS};
+        let history = r.history();
+        let prev = match earlier.last() {
+            Some(member) => event_of(member),
+            None => history.and_then(History::last),
+        };
         let flags = r.u8(Class::Flags)?;
         let index = if flags & FLAG_NEXT_INDEX != 0 {
             same_as(prev, "index")?.index.wrapping_add(1)
@@ -604,21 +636,42 @@ impl FileEvent {
         let time =
             SimTime::from_nanos(r.delta(Class::Time, prev.map_or(0, |p| p.time.as_nanos()))?);
         let base = if flags & FLAG_PATH_REF != 0 {
-            let back = r.length(Class::Back)?;
-            let member = (back >= 2).then(|| earlier.len().checked_sub(back)).flatten();
-            let Some(base) = member.and_then(|at| event_of(&earlier[at])) else {
+            let (back, index) = (r.length(Class::Back)?, earlier.len());
+            let base = match ((back >= 2).then(|| index.checked_sub(back)), history) {
+                (Some(Some(at)), _) => event_of(&earlier[at]).map(|event| event.path.view()),
+                // Past this frame's first member: into the history of a
+                // frame that continues its connection, as far as it holds.
+                (Some(None), Some(history)) => {
+                    let before = back - index;
+                    if before > HISTORY_MEMBERS {
+                        return Err(BinDecodeError::msg(format!(
+                            "path reference {back} back from member {index} reaches past the \
+                             {HISTORY_MEMBERS}-member history window"
+                        )));
+                    }
+                    if before > history.held() {
+                        return Err(BinDecodeError::msg(format!(
+                            "path reference {back} back from member {index} reaches past the {} \
+                             members its connection's history holds",
+                            history.held()
+                        )));
+                    }
+                    history.path_back(before)
+                }
+                _ => None,
+            };
+            let Some(base) = base else {
                 return Err(BinDecodeError::msg(format!(
-                    "path reference {back} back from member {} names no earlier event",
-                    earlier.len()
+                    "path reference {back} back from member {index} names no earlier event"
                 )));
             };
-            Some(&base.path)
+            Some(base)
         } else {
-            prev.map(|p| &p.path)
+            prev.map(|p| p.path.view())
         };
         let path = r.front_coded(base)?;
         let src_path =
-            if flags & FLAG_SRC_PATH != 0 { Some(r.front_coded(Some(&path))?) } else { None };
+            if flags & FLAG_SRC_PATH != 0 { Some(r.front_coded(Some(path.view()))?) } else { None };
         let target = if kind_byte & KIND_SAME_FID_HOME != 0 {
             let home = same_as(prev, "FID sequence")?.target;
             Fid { oid: r.delta_u32(Class::Oid, home.oid)?, ..home }
@@ -672,6 +725,10 @@ impl crate::bin::BinPayload for FileEvent {
 
     fn decode_bin(r: &mut BinReader<'_>, earlier: &[Self]) -> Result<Self, BinDecodeError> {
         FileEvent::decode_among(r, earlier, Some)
+    }
+
+    fn event(&self) -> Option<&FileEvent> {
+        Some(self)
     }
 }
 

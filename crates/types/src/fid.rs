@@ -146,6 +146,7 @@ impl FidSequence {
     /// a configuration error).
     pub fn next_fid(&mut self) -> Fid {
         let oid = self.next_oid;
+        // cannot fail: a simulated MDT mints far fewer than 2^32 FIDs from one sequence.
         self.next_oid = self.next_oid.checked_add(1).expect("FID sequence exhausted");
         Fid { seq: self.seq, oid, ver: 0 }
     }

@@ -52,8 +52,7 @@ impl EventPath {
     /// When the [`PathArenaBuilder`] that made this handle is still
     /// alive (see the module docs).
     pub fn as_str(&self) -> &str {
-        let bytes = self.arena.0.get().expect("an EventPath is read after its arena is sealed");
-        &bytes[self.range()]
+        self.view().as_str()
     }
 
     /// Whether `self` and `other` keep the same arena alive.
@@ -69,11 +68,53 @@ impl EventPath {
     fn range(&self) -> Range<usize> {
         self.start as usize..self.start as usize + self.len as usize
     }
+
+    /// The path, borrowed.
+    pub(crate) fn view(&self) -> PathView<'_> {
+        PathView { arena: &self.arena, start: self.start, len: self.len }
+    }
+
+    /// Where the path lies in its arena: what [`EventPath::view_at`]
+    /// takes back.
+    pub(crate) fn place(&self) -> (u32, u32) {
+        (self.start, self.len)
+    }
+
+    /// The path of the same arena at `place`, borrowed.
+    pub(crate) fn view_at(&self, (start, len): (u32, u32)) -> PathView<'_> {
+        PathView { arena: &self.arena, start, len }
+    }
+}
+
+/// An [`EventPath`] borrowed: its arena and its place there. A
+/// connection's [`History`](crate::bin::History) keeps the place of each
+/// member's path and one handle for the members that share an arena, so
+/// recording a member touches no reference count.
+#[derive(Clone, Copy)]
+pub(crate) struct PathView<'a> {
+    arena: &'a Arc<PathArena>,
+    start: u32,
+    len: u32,
+}
+
+impl<'a> PathView<'a> {
+    /// As [`EventPath::as_str`], with the same panic.
+    pub(crate) fn as_str(&self) -> &'a str {
+        // cannot fail: a batch's handles are handed out only once its builder has sealed them.
+        let bytes = self.arena.0.get().expect("an EventPath is read after its arena is sealed");
+        &bytes[self.start as usize..self.start as usize + self.len as usize]
+    }
+
+    /// Length in bytes; unlike reading, this needs no sealed arena.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
 }
 
 /// An arena of one path, for an event built on its own, outside a batch.
 impl From<String> for EventPath {
     fn from(path: String) -> EventPath {
+        // cannot fail: a path is at most PATH_MAX, 4,096 bytes, where it enters the monitor.
         let len = u32::try_from(path.len()).expect("a path is shorter than 4 GiB");
         EventPath {
             arena: Arc::new(PathArena(OnceLock::from(path.into_boxed_str()))),
@@ -210,30 +251,41 @@ impl PathArenaBuilder {
     /// exceed `prev`'s length, nor the result what a frame may assemble.
     pub(crate) fn push_front_coded(
         &mut self,
-        prev: Option<&EventPath>,
+        prev: Option<PathView<'_>>,
         shared: usize,
         suffix: &[u8],
     ) -> Result<EventPath, Utf8Error> {
-        let from = match prev {
-            None => 0,
-            Some(prev) if self.owns(prev) => prev.start as usize,
-            // A predecessor decoded elsewhere — a member decoded by hand,
-            // outside its frame — is copied in to be shared from.
-            Some(prev) => {
-                self.bytes.push_str(prev.as_str());
-                self.bytes.len() - prev.len()
-            }
-        };
         let start = self.bytes.len();
-        if self.bytes.is_char_boundary(from + shared) {
-            let suffix = std::str::from_utf8(suffix)?;
-            self.bytes.extend_from_within(from..from + shared);
-            self.bytes.push_str(suffix);
-        } else {
-            let mut whole = self.bytes.as_bytes()[from..from + shared].to_vec();
-            whole.extend_from_slice(suffix);
-            self.bytes.push_str(std::str::from_utf8(&whole)?);
+        // A prefix that ends inside a character the suffix completes is
+        // checked whole, at the cost of a copy.
+        match prev {
+            Some(prev) if Arc::ptr_eq(prev.arena, &self.arena) => {
+                let from = prev.start as usize;
+                if self.bytes.is_char_boundary(from + shared) {
+                    let suffix = std::str::from_utf8(suffix)?;
+                    self.bytes.extend_from_within(from..from + shared);
+                    self.bytes.push_str(suffix);
+                } else {
+                    let whole = [&self.bytes.as_bytes()[from..from + shared], suffix].concat();
+                    self.bytes.push_str(std::str::from_utf8(&whole)?);
+                }
+            }
+            // No base, or one assembled elsewhere — an earlier frame's
+            // member, or one decoded by hand — which lends its shared
+            // bytes and nothing more.
+            _ => {
+                let base = prev.as_ref().map_or("", PathView::as_str);
+                if let Some(prefix) = base.get(..shared) {
+                    let suffix = std::str::from_utf8(suffix)?;
+                    self.bytes.push_str(prefix);
+                    self.bytes.push_str(suffix);
+                } else {
+                    let whole = [&base.as_bytes()[..shared], suffix].concat();
+                    self.bytes.push_str(std::str::from_utf8(&whole)?);
+                }
+            }
         }
+        // cannot fail: a reader assembles at most FRAME_PATH_BUDGET, 64 MiB, into its arena.
         Ok(self.handle(start).expect("a frame assembles far less than 4 GiB"))
     }
 
