@@ -172,9 +172,8 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
             }
             let front_seq = self.backlog.front()?.seq;
             if front_seq == self.next_seq {
-                let sev = self.backlog.pop_front().expect("peeked entry");
                 self.next_seq += 1;
-                return Some(sev.event);
+                return self.backlog.pop_front().map(|sev| sev.event);
             }
             // Still gapped: try to backfill, then re-check.
             self.backfill_to(front_seq);

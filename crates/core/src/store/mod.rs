@@ -398,6 +398,7 @@ impl EventStore {
             }
         };
         let footprint = dropped.unwrap_or_else(|| {
+            // cannot fail: the store holds more than its capacity (at least one) and none of it sealed.
             let old = head.events.pop_front().expect("over-capacity store has a front event");
             let footprint = old.event.footprint_bytes() as u64;
             head.bytes -= footprint;
@@ -667,6 +668,7 @@ pub fn merge_seq_ordered(parts: Vec<Vec<SequencedEvent>>, limit: usize) -> Vec<S
         heads.push(head);
     }
     while let Some(Reverse((_, i))) = heap.pop() {
+        // cannot fail: part `i` is on the heap exactly while `heads[i]` holds its next event.
         let sev = heads[i].take().expect("heap entries track live heads");
         merged.push(sev);
         if limit != 0 && merged.len() >= limit {

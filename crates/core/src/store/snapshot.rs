@@ -355,7 +355,7 @@ impl SnapshotDir {
             head_len: state.head.len(),
             marks: marks.into_iter().collect(),
         };
-        let json = serde_json::to_string(&manifest).expect("manifest always serializes");
+        let json = serde_json::to_string(&manifest).map_err(|e| invalid(e.to_string()))?;
         crate::write_atomically(&self.dir.join(MANIFEST_NAME), |out| {
             out.write_all(json.as_bytes())?;
             // The tmp is whole before the kill location between it and
@@ -401,14 +401,15 @@ fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
             return Err(corrupt(format!("{} bytes where a block length belongs", rest.len())));
         };
         let len = u32::from_le_bytes(*len) as usize;
-        if after_len.len().checked_sub(8).is_none_or(|room| len > room) {
+        let block = after_len.split_at_checked(len);
+        let Some((body, (sum, after_sum))) =
+            block.and_then(|(body, after)| Some((body, after.split_first_chunk::<8>()?)))
+        else {
             return Err(corrupt(format!(
                 "a block of {len} bytes and its checksum, {} left in the file",
                 after_len.len()
             )));
-        }
-        let (body, after_body) = after_len.split_at(len);
-        let (sum, after_sum) = after_body.split_first_chunk::<8>().expect("room checked above");
+        };
         if u64::from_le_bytes(*sum) != fnv1a(body) {
             return Err(corrupt("a block does not match its checksum".to_string()));
         }

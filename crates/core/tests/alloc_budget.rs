@@ -10,7 +10,9 @@ mod common;
 
 use common::{allocations, HotCollector, DIRS, RECORDS};
 use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuery, StoreStack};
-use sdci_types::bin::{put_members, put_members_coded, read_members, BinPayload, BinReader};
+use sdci_types::bin::{
+    code_members, put_member, put_members, read_members, BinPayload, BinReader, SeqEncoder,
+};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -131,11 +133,13 @@ fn a_query_hit_costs_a_reference_count_not_a_path() {
 
 /// A member sequence of each kind the aggregator's legs carry — events,
 /// sequenced events, feed messages with a heartbeat among them — coded
-/// class by class, as every data frame's writer codes it
-/// (`put_members_coded`): written into a buffer with room, it allocates
-/// nothing, its histograms, codes and codeword tables all on the stack;
-/// read back, it costs exactly what the same members raw do, its lookup
-/// tables living in the reader.
+/// class by class, as every data frame's packer codes it: each member
+/// written raw through one coding `SeqEncoder`, which tags each byte with
+/// its class, then `code_members`. Through an encoder, a member buffer
+/// and a body buffer warm from the same sequence, it allocates nothing —
+/// the tags reuse their buffer, and the histograms, codes and codeword
+/// tables all live on the stack; read back, it costs exactly what the
+/// same members raw do, its lookup tables living in the reader.
 #[test]
 fn a_coded_sequence_of_each_kind_allocates_what_a_raw_one_does() {
     let mut sequenced = sequenced(256);
@@ -156,10 +160,23 @@ fn coded_costs_what_raw_does<T: BinPayload + PartialEq + std::fmt::Debug>(
 ) {
     let mut raw = Vec::new();
     put_members(&mut raw, members);
-    let mut coded = Vec::with_capacity(4 * raw.len());
-    let mut mask = 0;
-    let made = allocations(|| mask = put_members_coded(&mut coded, 0, members));
-    assert_eq!(made, 0, "{kind}: {made} allocations to code a sequence into a buffer with room");
+    let (mut seq, mut section, mut coded) = (SeqEncoder::for_coding(), Vec::new(), Vec::new());
+    let mut code = || {
+        seq.begin(false);
+        section.clear();
+        for (i, member) in members.iter().enumerate() {
+            put_member(&mut section, member, &members[..i], &mut seq);
+        }
+        coded.clear();
+        code_members(&mut coded, 0, members.len(), &section, &mut seq)
+    };
+    code();
+    let (mask, made) = {
+        let mut mask = 0;
+        let made = allocations(|| mask = code());
+        (mask, made)
+    };
+    assert_eq!(made, 0, "{kind}: {made} allocations to code a sequence through a warm encoder");
     assert_ne!(mask, 0, "{kind}: goes out coded");
     assert!(coded.len() < raw.len(), "{kind}: {} coded bytes, {} raw", coded.len(), raw.len());
 

@@ -31,7 +31,9 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::pipe::TcpPush;
 use crate::store_rpc::RemoteStore;
-use crate::wire::{invalid, json_decode, json_encode, timed_out, write_msg, Service, WireMsg};
+use crate::wire::{
+    invalid, json_decode, json_encode, timed_out, write_msg, BinEncoder, Service, WireMsg,
+};
 use sdci_core::{
     merge_seq_ordered, EventBackend, SequencedEvent, ShardId, ShardMap, StoreError, StoreQuery,
 };
@@ -67,7 +69,7 @@ pub enum ClusterRpc {
 /// Map-service traffic is rare, tiny control plane — all of it is
 /// JSON, so `nc` against a map server works.
 impl WireMsg for ClusterRpc {
-    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
         json_encode(self, buf).map(|()| false)
     }
 

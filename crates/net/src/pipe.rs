@@ -257,6 +257,11 @@ fn serve_pusher<T>(
                 // whole frame gets one `Ack`.
                 let outcome = {
                     let mut m = mark.lock();
+                    // The mark is the peer's to raise (`resume_after`)
+                    // and its frames' to advance: one with no sequence
+                    // number after it, or that a frame would carry past
+                    // `u64::MAX`, costs the connection.
+                    let Some(next) = mark_after(*m, 1) else { return };
                     // A client sends densely from its last ack, and
                     // batch members are dense from `first_seq`, so a
                     // jump past mark+1 means frames vanished in
@@ -266,14 +271,15 @@ fn serve_pusher<T>(
                     // seq so it rewinds and retransmits in place. (The
                     // client treats non-advancing acks as liveness, so
                     // stalling acks here would livelock, not recover.)
-                    if first_seq > *m + 1 {
-                        Err(*m + 1)
+                    if first_seq > next {
+                        Err(next)
                     } else {
                         // A re-sent batch may be only partially
                         // stale: accept the tail, drop the prefix.
-                        let dups = (*m + 1 - first_seq).min(payloads.len() as u64);
+                        let dups = (next - first_seq).min(payloads.len() as u64);
                         payloads.drain(..dups as usize);
                         let fresh = payloads.len() as u64;
+                        let Some(advanced) = mark_after(*m, fresh) else { return };
                         // Ack only after the pipeline takes the frame:
                         // an ack means "processed", so a crash before
                         // this point makes the client re-send, never
@@ -282,7 +288,7 @@ fn serve_pusher<T>(
                             if !push.send(payloads) {
                                 return;
                             }
-                            *m += fresh;
+                            *m = advanced;
                         }
                         counters.items.fetch_add(fresh, Ordering::Relaxed);
                         sdci_obs::static_metric!(counter, "sdci_net_pull_items_total").add(fresh);
@@ -329,7 +335,7 @@ fn serve_pusher<T>(
                 // members was read, so the pusher must resume after the
                 // mark, as after any gap — and its rewind starts fresh.
                 last_traffic = Instant::now();
-                let expected = *mark.lock() + 1;
+                let Some(expected) = mark_after(*mark.lock(), 1) else { return };
                 if nack_gap::<T>(&mut writer, counters, &mut nacked_at, expected, cfg.heartbeat)
                     .is_err()
                 {
@@ -344,6 +350,17 @@ fn serve_pusher<T>(
             Err(_) => return,
         }
     }
+}
+
+/// `mark + n`, or `None` — with a warning — when that is past
+/// `u64::MAX`: a mark no sequence number can follow, which only a peer's
+/// `resume_after` or frames can have pushed there.
+fn mark_after(mark: u64, n: u64) -> Option<u64> {
+    let after = mark.checked_add(n);
+    if after.is_none() {
+        sdci_obs::warn!("a push mark past u64::MAX; dropping the connection"; mark = mark, n = n);
+    }
+    after
 }
 
 /// Tells a pusher where the stream must resume: one `Nack` per stalled
@@ -600,8 +617,14 @@ fn push_worker<T>(
             // to a previous incarnation of this client identity — adopt
             // it and number upward from there, rather than starting at
             // 1 and having every new item discarded (and still acked!)
-            // as a duplicate of the old incarnation's.
-            next_seq = server_mark + 1;
+            // as a duplicate of the old incarnation's. A mark no
+            // sequence number can follow fails the handshake.
+            let Some(first) = server_mark.checked_add(1) else {
+                sdci_obs::warn!("the pull server's mark is u64::MAX; reconnecting"; client = client.as_str());
+                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
+                continue 'reconnect;
+            };
+            next_seq = first;
             last_acked = server_mark;
         } else {
             ack_up_to(server_mark, &mut unacked, &mut last_acked, &state);

@@ -19,8 +19,8 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_read_header, invalid, json_decode, json_encode, put_batch, timed_out, write_msg,
-    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
+    bin_read_header, invalid, json_decode, json_encode, timed_out, write_msg, write_msg_bin,
+    BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
 use sdci_types::bin::read_members;
@@ -63,10 +63,10 @@ enum Control {
 /// The bulky reply leg is the data frame: `Batch` travels binary,
 /// while the tiny `Query`/`Ping` control frames are JSON.
 impl WireMsg for StoreRpc {
-    fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
         let control = match self {
             StoreRpc::Batch { events } => {
-                put_batch(buf, BIN_KIND_STORE_BATCH, BatchHead::Empty, events, None);
+                enc.pack_frame(buf, BatchHead::Empty, events, None);
                 return Ok(true);
             }
             StoreRpc::Query { query, trace } => {

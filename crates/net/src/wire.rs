@@ -58,16 +58,22 @@
 //!              a 4-bit codeword length per symbol
 //! ```
 //!
-//! The member sequence is [`sdci_types::bin::put_members_coded`] /
+//! The member sequence is [`sdci_types::bin::code_members`] /
 //! [`read_members`]: the format lives beside [`BinPayload`], because a
 //! store node's snapshot files are blocks of the same bytes (never
 //! coded); this module adds the header and head in front of it and
-//! chunks a batch into frames. Flags bit 1 says the member section is
-//! coded — its raw bytes as one bit stream, each byte the codeword of
-//! its field class's code, or itself for a class the mask leaves out —
-//! and a class mask and the coded classes' tables follow the trace
-//! section ([`BinReader::read_codes`]); the writer codes each class when
-//! that makes the frame smaller, table included, and not otherwise.
+//! chunks a batch into frames. One packer lays out every batch body —
+//! the chunked writers' ([`write_item_batch_bin`],
+//! [`write_deliver_batch_bin`]) and a whole batch's ([`WireMsg::encode`],
+//! one frame however long) — through a per-connection [`BinEncoder`],
+//! which holds the raw member section and, beside it, each byte's field
+//! class. Flags bit 1 says the member
+//! section is coded — its raw bytes as one bit stream, each byte the
+//! codeword of its field class's code, or itself for a class the mask
+//! leaves out — and a class mask and the coded classes' tables follow
+//! the trace section ([`BinReader::read_codes`]); the writer codes each
+//! class when that makes the frame smaller, table included, and not
+//! otherwise.
 //!
 //! A member whose decoder does not consume exactly `len` bytes is
 //! `InvalidData`. What front-coding lets a small frame expand to is
@@ -94,8 +100,8 @@
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
 use sdci_types::bin::{
-    code_members, put_bytes, put_member, put_members_coded, put_trace, put_varint, read_members,
-    varint_len, BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
+    code_members, put_bytes, put_member, put_trace, read_members, varint_len, BinPayload,
+    BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -178,7 +184,7 @@ impl Service {
 }
 
 impl WireMsg for Hello {
-    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
         json_encode(self, buf).map(|()| false)
     }
 
@@ -286,12 +292,15 @@ pub(crate) fn timed_out(e: &io::Error) -> bool {
 /// word's high bit ([`BIN_FRAME_BIT`]) says which one a body is in.
 pub trait WireMsg: Sized {
     /// Appends this message's body to `buf` and returns whether that
-    /// body is binary.
+    /// body is binary. A batch is packed through `enc` — the scratch and
+    /// the history of the connection the body is for, as a chunked batch
+    /// writer packs it ([`write_item_batch_bin`]) — into one frame however
+    /// long it is.
     ///
     /// # Errors
     ///
     /// `InvalidData` when a control message cannot be rendered as JSON.
-    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool>;
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool>;
 
     /// Decodes one complete frame body in the encoding its length word
     /// announced.
@@ -368,9 +377,9 @@ fn coded_flag(mask: u16) -> u8 {
 const BIN_TRACE_LEN: usize = 17;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
-/// optional trace section. The coded flag is set afterwards, by whoever
-/// writes the members ([`put_batch`], [`write_batch`]).
-pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
+/// optional trace section. The coded and continuing flags are set
+/// afterwards, by the packer that writes the members ([`write_batch`]).
+fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     buf.push(kind);
     match trace {
         None => buf.push(0),
@@ -406,24 +415,6 @@ pub(crate) fn bin_read_header(
         (false, _) => {}
     }
     Ok((kind, trace, continues))
-}
-
-/// Appends one whole batch body — header, `head`, members — with the
-/// member section coded when that is smaller
-/// ([`sdci_types::bin::put_members_coded`]), the flag, the class mask
-/// and the tables placed to say so.
-pub(crate) fn put_batch<T: BinPayload>(
-    buf: &mut Vec<u8>,
-    kind: u8,
-    head: BatchHead<'_>,
-    payloads: &[T],
-    trace: Option<TraceContext>,
-) {
-    let at = buf.len();
-    bin_header(buf, kind, trace);
-    let table_at = buf.len();
-    head.put(buf, 0);
-    buf[at + 1] |= coded_flag(put_members_coded(buf, table_at, payloads));
 }
 
 /// Why a connection's reader read none of an item batch that continues
@@ -548,15 +539,14 @@ fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
 }
 
 impl<T: BinPayload> WireMsg for Frame<T> {
-    fn encode(&self, buf: &mut Vec<u8>) -> io::Result<bool> {
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
         let control = match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
-                let head = BatchHead::FirstSeq(*first_seq);
-                put_batch(buf, BIN_KIND_ITEM_BATCH, head, payloads, *trace);
+                enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace);
                 return Ok(true);
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
-                put_batch(buf, BIN_KIND_DELIVER_BATCH, BatchHead::Topic(topic), payloads, *trace);
+                enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
                 return Ok(true);
             }
             Frame::Nack { expected } => Control::Nack { expected: *expected },
@@ -578,7 +568,9 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 }
 
 /// Per-connection reusable scratch for binary encoding; its buffers grow
-/// to the session's working set and are then reused for every batch.
+/// to the session's working set and are then reused for every batch,
+/// whether a chunked writer ([`write_item_batch_bin`]) or
+/// [`WireMsg::encode`] packs it.
 ///
 /// It also remembers what the item frames it wrote carried — their
 /// directories, last member and codes ([`SeqEncoder::history`]) — so an
@@ -589,13 +581,14 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// a rewind — says so first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
 pub struct BinEncoder {
-    /// The member section of the frame being packed: each member
-    /// length-prefixed and coded against the ones before it, and noted.
+    /// The raw member section of the frame being packed: each member
+    /// length-prefixed and coded against the ones before it.
     members: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
-    /// The sequence state kept from frame to frame; made by the first
-    /// batch written.
+    /// The sequence state kept from frame to frame — the directory table,
+    /// the tag of each byte of `members`, the history; made by the first
+    /// batch packed.
     seq: Option<Box<SeqEncoder>>,
 }
 
@@ -619,14 +612,29 @@ impl BinEncoder {
             seq.forget_history();
         }
     }
+
+    /// Appends `payloads` to `buf` as one batch body however many they
+    /// are — [`write_batch`]'s packer, uncapped.
+    pub(crate) fn pack_frame<T: BinPayload>(
+        &mut self,
+        buf: &mut Vec<u8>,
+        head: BatchHead<'_>,
+        payloads: &[T],
+        trace: Option<TraceContext>,
+    ) {
+        let BinEncoder { members, seq, .. } = self;
+        let seq = seq.get_or_insert_with(|| Box::new(SeqEncoder::for_coding()));
+        pack_chunk(members, seq, buf, head, payloads, trace, None);
+    }
 }
 
 /// What a batch body carries between its fixed header (and a coded
-/// frame's class mask and tables) and its members.
+/// frame's class mask and tables) and its members — one head per kind of
+/// batch.
 #[derive(Clone, Copy)]
 pub(crate) enum BatchHead<'a> {
     /// [`Frame::ItemBatch`]: the sequence number of the batch's first
-    /// member; a chunk starting at member `lo` carries `first_seq + lo`.
+    /// member.
     FirstSeq(u64),
     /// [`Frame::DeliverBatch`]: the topic, repeated on every chunk.
     Topic(&'a str),
@@ -635,6 +643,24 @@ pub(crate) enum BatchHead<'a> {
 }
 
 impl BatchHead<'_> {
+    /// The kind byte of a batch with this head.
+    fn kind(self) -> u8 {
+        match self {
+            BatchHead::FirstSeq(_) => BIN_KIND_ITEM_BATCH,
+            BatchHead::Topic(_) => BIN_KIND_DELIVER_BATCH,
+            BatchHead::Empty => BIN_KIND_STORE_BATCH,
+        }
+    }
+
+    /// The head of the chunk that starts at the batch's member `lo`: an
+    /// item chunk's first sequence number is `first_seq + lo`.
+    fn at(self, lo: usize) -> Self {
+        match self {
+            BatchHead::FirstSeq(first_seq) => BatchHead::FirstSeq(first_seq + lo as u64),
+            head => head,
+        }
+    }
+
     fn len(self) -> usize {
         match self {
             BatchHead::FirstSeq(_) => 8,
@@ -643,40 +669,22 @@ impl BatchHead<'_> {
         }
     }
 
-    fn put(self, body: &mut Vec<u8>, lo: usize) {
+    fn put(self, body: &mut Vec<u8>) {
         match self {
-            BatchHead::FirstSeq(first_seq) => {
-                body.extend_from_slice(&(first_seq + lo as u64).to_le_bytes());
-            }
+            BatchHead::FirstSeq(first_seq) => body.extend_from_slice(&first_seq.to_le_bytes()),
             BatchHead::Topic(topic) => put_bytes(body, topic.as_bytes()),
             BatchHead::Empty => {}
         }
     }
 }
 
-/// The one chunked batch writer: greedily packs `payloads` into `kind`
-/// frames of at most `max_len` body bytes and [`MAX_FRAME_MEMBERS`]
-/// members, each repeating `trace` and `head`. Each frame is a member
-/// sequence of its own: a member that does not fit is taken back out —
-/// leaving no trace in the encoder's directory table — and coded again
-/// as the first member of the next frame. A deliver frame starts from
-/// nothing and decodes alone; an item frame whose first member holds an
-/// event *continues* the encoder's history when its first sequence
-/// number is one past the last member the encoder wrote — the chunk
-/// before it, or the call before this one — and starts from nothing
-/// otherwise. A single member that alone exceeds the cap still gets its
-/// own frame — it cannot be split, and the [`MAX_FRAME_LEN`] check in
-/// [`write_frame`] remains the backstop.
-///
-/// The chunk is packed raw, each member noted
-/// ([`SeqEncoder::for_coding`]); then [`code_members`] makes the cost
-/// choice for it — for a fresh frame exactly as [`Frame::encode`] does
-/// for the same members — and a coded frame is never larger than its raw
-/// form, so it fits the cap too. Returns the number of frames written.
+/// The one chunked batch writer: greedily packs `payloads` into frames of
+/// at most `max_len` body bytes and [`MAX_FRAME_MEMBERS`] members, each
+/// repeating `trace` and `head`, and writes them. Returns the number of
+/// frames written.
 fn write_batch<T: BinPayload>(
     w: &mut impl Write,
     enc: &mut BinEncoder,
-    kind: u8,
     head: BatchHead<'_>,
     payloads: &[T],
     trace: Option<TraceContext>,
@@ -684,59 +692,87 @@ fn write_batch<T: BinPayload>(
 ) -> io::Result<usize> {
     let BinEncoder { members, body, seq } = enc;
     let seq = seq.get_or_insert_with(|| Box::new(SeqEncoder::for_coding()));
-    // Per-frame body cost before the member count: kind + flags, the
-    // optional trace section and the head.
-    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
     let mut frames = 0;
     let mut lo = 0;
     while lo < payloads.len() {
-        members.clear();
-        let first_seq = match head {
-            BatchHead::FirstSeq(first_seq) => Some(first_seq + lo as u64),
-            _ => None,
-        };
-        let continues = payloads[lo].event().is_some()
-            && first_seq.is_some_and(|first| seq.history().next_seq() == Some(first));
-        seq.begin(continues);
-        put_member(members, &payloads[lo], &[], seq);
-        let mut hi = lo + 1;
-        while hi < payloads.len() && hi - lo < MAX_FRAME_MEMBERS {
-            let fits = members.len();
-            put_member(members, &payloads[hi], &payloads[lo..hi], seq);
-            // The count is a varint too: it is sized for the chunk this
-            // member would make, or a chunk packed exactly to the cap
-            // would overshoot it when the count grows a byte — fatal at
-            // `MAX_FRAME_LEN`, where `write_frame` rejects the frame
-            // instead of splitting it. The notes are not sent.
-            let raw = members.len() - seq.notes_len();
-            if fixed + varint_len((hi - lo + 1) as u64) + raw > max_len {
-                // The member and its note come back out.
-                seq.forget(&members[fits..]);
-                members.truncate(fits);
-                break;
-            }
-            hi += 1;
-        }
         body.clear();
-        bin_header(body, kind, trace);
-        let table_at = body.len();
-        head.put(body, lo);
-        let members_at = body.len();
-        put_varint(body, (hi - lo) as u64);
-        body.extend_from_slice(members);
-        match first_seq {
-            Some(first_seq) => seq.record(first_seq, &payloads[lo..hi]),
-            None => seq.forget_history(),
-        }
-        body[1] |= coded_flag(code_members(body, table_at, members_at, seq));
-        if continues {
-            body[1] |= BIN_FLAG_CONTINUES;
-        }
+        lo += pack_chunk(members, seq, body, head.at(lo), &payloads[lo..], trace, Some(max_len));
         write_frame(w, true, body)?;
         frames += 1;
-        lo = hi;
     }
     Ok(frames)
+}
+
+/// The one batch packer: appends to `body` one frame of the members at
+/// the front of `payloads`, and returns how many it took — with a
+/// `max_len`, those that fit in that many body bytes and
+/// [`MAX_FRAME_MEMBERS`]; without, all of them, in one frame however long
+/// (a store reply). Each frame is a member sequence of its own: a member
+/// that does not fit is taken back out — leaving no trace in `seq`'s
+/// directory table — and is the next chunk's first. A deliver frame or a
+/// store reply starts from nothing and decodes alone; an item frame whose
+/// first member holds an event *continues* `seq`'s history when its first
+/// sequence number is one past the last member `seq` wrote — the chunk
+/// before it, or the batch before this one — and starts from nothing
+/// otherwise. A single member that alone exceeds the cap still gets its
+/// own frame — it cannot be split, and the [`MAX_FRAME_LEN`] check in
+/// [`write_frame`] remains the backstop.
+///
+/// The members are packed raw into `members`, `seq` tagging every byte
+/// with its class ([`SeqEncoder::for_coding`]); then [`code_members`]
+/// makes the cost choice and lays them out behind the header and head,
+/// raw or coded — and a coded section is never larger than the raw one,
+/// so it fits the cap too.
+fn pack_chunk<T: BinPayload>(
+    members: &mut Vec<u8>,
+    seq: &mut SeqEncoder,
+    body: &mut Vec<u8>,
+    head: BatchHead<'_>,
+    payloads: &[T],
+    trace: Option<TraceContext>,
+    max_len: Option<usize>,
+) -> usize {
+    let (max_len, max_members) =
+        max_len.map_or((usize::MAX, usize::MAX), |max_len| (max_len, MAX_FRAME_MEMBERS));
+    // Per-frame body cost before the member count: kind + flags, the
+    // optional trace section and the head.
+    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
+    let first_seq = match head {
+        BatchHead::FirstSeq(first_seq) => Some(first_seq),
+        _ => None,
+    };
+    let continues = payloads.first().is_some_and(|first| first.event().is_some())
+        && first_seq.is_some_and(|first| seq.history().next_seq() == Some(first));
+    members.clear();
+    seq.begin(continues);
+    let mut n = 0;
+    while n < payloads.len() && n < max_members {
+        let fits = members.len();
+        put_member(members, &payloads[n], &payloads[..n], seq);
+        // The count is a varint too: it is sized for the chunk this
+        // member would make, or a chunk packed exactly to the cap would
+        // overshoot it when the count grows a byte — fatal at
+        // `MAX_FRAME_LEN`, where `write_frame` rejects the frame instead
+        // of splitting it.
+        if n > 0 && fixed + varint_len(n as u64 + 1) + members.len() > max_len {
+            seq.forget(members, fits);
+            break;
+        }
+        n += 1;
+    }
+    let at = body.len();
+    bin_header(body, head.kind(), trace);
+    let table_at = body.len();
+    head.put(body);
+    match first_seq {
+        Some(first_seq) => seq.record(first_seq, &payloads[..n]),
+        None => seq.forget_history(),
+    }
+    body[at + 1] |= coded_flag(code_members(body, table_at, n, members, seq));
+    if continues {
+        body[at + 1] |= BIN_FLAG_CONTINUES;
+    }
+    n
 }
 
 /// Writes `payloads` as [`Frame::ItemBatch`] frames (member `i`
@@ -754,8 +790,7 @@ pub fn write_item_batch_bin<T: BinPayload>(
     payloads: &[T],
     trace: Option<TraceContext>,
 ) -> io::Result<usize> {
-    let head = BatchHead::FirstSeq(first_seq);
-    write_batch(w, enc, BIN_KIND_ITEM_BATCH, head, payloads, trace, MAX_FRAME_LEN)
+    write_batch(w, enc, BatchHead::FirstSeq(first_seq), payloads, trace, MAX_FRAME_LEN)
 }
 
 /// Writes `payloads` as [`Frame::DeliverBatch`] frames on `topic`,
@@ -774,8 +809,7 @@ pub fn write_deliver_batch_bin<T: BinPayload>(
     payloads: &[T],
     trace: Option<TraceContext>,
 ) -> io::Result<usize> {
-    let head = BatchHead::Topic(topic);
-    write_batch(w, enc, BIN_KIND_DELIVER_BATCH, head, payloads, trace, MAX_FRAME_LEN)
+    write_batch(w, enc, BatchHead::Topic(topic), payloads, trace, MAX_FRAME_LEN)
 }
 
 /// Writes `msg` as one frame in its one encoding, flushing the writer.
@@ -787,8 +821,8 @@ pub fn write_msg<M: WireMsg>(w: &mut impl Write, msg: &M) -> io::Result<()> {
     write_msg_bin(w, &mut BinEncoder::new(), msg)
 }
 
-/// [`write_msg`] through a caller-owned scratch encoder, whose body
-/// buffer is reused across calls — for senders of bulk messages.
+/// [`write_msg`] through a caller-owned scratch encoder, whose buffers
+/// are reused across calls — for senders of bulk messages.
 ///
 /// # Errors
 ///
@@ -798,9 +832,13 @@ pub fn write_msg_bin<M: WireMsg>(
     enc: &mut BinEncoder,
     msg: &M,
 ) -> io::Result<()> {
-    enc.body.clear();
-    let binary = msg.encode(&mut enc.body)?;
-    write_frame(w, binary, &enc.body)
+    // The body buffer is lent out while `msg` packs through the rest of
+    // the encoder.
+    let mut body = std::mem::take(&mut enc.body);
+    body.clear();
+    let written = msg.encode(enc, &mut body).and_then(|binary| write_frame(w, binary, &body));
+    enc.body = body;
+    written
 }
 
 /// Writes one frame: the length word (with [`BIN_FRAME_BIT`] set for a
@@ -1022,6 +1060,7 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use sdci_core::{FeedMessage, SequencedEvent};
+    use sdci_types::bin::put_varint;
     use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 
     fn event(i: u64) -> FileEvent {
@@ -1314,16 +1353,8 @@ mod tests {
     fn split_at<T: BinPayload>(payloads: &[T], max_len: usize) -> Vec<Vec<u8>> {
         let mut buf = Vec::new();
         let head = BatchHead::FirstSeq(1);
-        let frames = write_batch(
-            &mut buf,
-            &mut BinEncoder::new(),
-            BIN_KIND_ITEM_BATCH,
-            head,
-            payloads,
-            None,
-            max_len,
-        )
-        .unwrap();
+        let frames =
+            write_batch(&mut buf, &mut BinEncoder::new(), head, payloads, None, max_len).unwrap();
         let bodies: Vec<Vec<u8>> = raw_frames(&buf).into_iter().map(|(_, body)| body).collect();
         assert_eq!(bodies.len(), frames);
         bodies
@@ -1402,9 +1433,7 @@ mod tests {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         let head = BatchHead::FirstSeq(1);
-        let frames =
-            write_batch(&mut buf, &mut enc, BIN_KIND_ITEM_BATCH, head, &payloads, trace, cap)
-                .unwrap();
+        let frames = write_batch(&mut buf, &mut enc, head, &payloads, trace, cap).unwrap();
         assert!(frames > 1, "cap {cap} should split 16 events, got {frames} frame(s)");
 
         let mut reader = FrameReader::new(&buf[..]);
@@ -1490,7 +1519,7 @@ mod tests {
                         assert_eq!(first_seq, 1 + got.len() as u64);
                         let mut fresh = Vec::new();
                         Frame::ItemBatch { first_seq, payloads: members.clone(), trace: None }
-                            .encode(&mut fresh)
+                            .encode(&mut BinEncoder::new(), &mut fresh)
                             .unwrap();
                         let (len, fresh) = (chunk.len(), fresh.len());
                         assert!(
@@ -1515,9 +1544,7 @@ mod tests {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         let head = BatchHead::FirstSeq(1);
-        let frames =
-            write_batch(&mut buf, &mut enc, BIN_KIND_ITEM_BATCH, head, &payloads, None, 20)
-                .unwrap();
+        let frames = write_batch(&mut buf, &mut enc, head, &payloads, None, 20).unwrap();
         assert_eq!(frames, 2);
         let mut reader = FrameReader::new(&buf[..]);
         let mut got: Vec<String> = Vec::new();
@@ -1538,9 +1565,7 @@ mod tests {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         let head = BatchHead::Topic("feed/all");
-        let frames =
-            write_batch(&mut buf, &mut enc, BIN_KIND_DELIVER_BATCH, head, &payloads, None, 64)
-                .unwrap();
+        let frames = write_batch(&mut buf, &mut enc, head, &payloads, None, 64).unwrap();
         assert!(frames > 1);
         let mut reader = FrameReader::new(&buf[..]);
         let mut delivered = Vec::new();
@@ -1665,7 +1690,7 @@ mod tests {
     fn raw_item_body<T: BinPayload>(payloads: &[T]) -> Vec<u8> {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
-        BatchHead::FirstSeq(1).put(&mut body, 0);
+        BatchHead::FirstSeq(1).put(&mut body);
         sdci_types::bin::put_members(&mut body, payloads);
         body
     }
@@ -1686,7 +1711,7 @@ mod tests {
         prop_assert_eq!(whole.len(), 1);
         let frame = Frame::ItemBatch { first_seq: 1, payloads: payloads.to_vec(), trace: None };
         let mut body = Vec::new();
-        prop_assert!(frame.encode(&mut body).unwrap());
+        prop_assert!(frame.encode(&mut BinEncoder::new(), &mut body).unwrap());
         prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
         let raw = raw_item_body(payloads);
         prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
@@ -1703,7 +1728,7 @@ mod tests {
                         prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
                         let mut again = Vec::new();
                         Frame::ItemBatch { first_seq, payloads: members.clone(), trace: None }
-                            .encode(&mut again)
+                            .encode(&mut BinEncoder::new(), &mut again)
                             .unwrap();
                         if chunk[1] & BIN_FLAG_CONTINUES == 0 {
                             prop_assert_eq!(
@@ -1758,7 +1783,7 @@ mod tests {
                 .collect();
             let frame = Frame::ItemBatch { first_seq: 1, payloads: batch.clone(), trace: None };
             let mut body = Vec::new();
-            frame.encode(&mut body).unwrap();
+            frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
             let raw = raw_item_body(&batch);
             prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
             prop_assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), frame);
@@ -1785,7 +1810,7 @@ mod tests {
                 .collect();
             let reply = crate::store_rpc::StoreRpc::Batch { events };
             let mut body = Vec::new();
-            prop_assert!(reply.encode(&mut body).unwrap());
+            prop_assert!(reply.encode(&mut BinEncoder::new(), &mut body).unwrap());
             prop_assert_eq!(crate::store_rpc::StoreRpc::decode(true, &body).unwrap(), reply);
         }
     }
@@ -1807,7 +1832,7 @@ mod tests {
             trace: None,
         };
         let mut body = Vec::new();
-        heartbeat.encode(&mut body).unwrap();
+        heartbeat.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body, [&[4, 0, 8][..], b"feed/all", &[1, 2, 1, 24]].concat());
 
         let wide: Vec<FileEvent> = (0..8u64)
@@ -1819,7 +1844,7 @@ mod tests {
             .collect();
         let frame = Frame::ItemBatch { first_seq: 1, payloads: wide.clone(), trace: None };
         let mut body = Vec::new();
-        frame.encode(&mut body).unwrap();
+        frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body[1], BIN_FLAG_CODED);
         let mask = u16::from_le_bytes([body[2], body[3]]);
         assert_eq!(mask & Class::Path.bit(), 0, "a code over 90-odd byte values does not pay");
@@ -1853,7 +1878,7 @@ mod tests {
         let trace = Some(TraceContext::sampled(0xabc, 0xdef));
         let frame = Frame::ItemBatch { first_seq: 77, payloads: payloads.clone(), trace };
         let mut body = Vec::new();
-        frame.encode(&mut body).unwrap();
+        frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_CODED);
         let mask_at = 2 + BIN_TRACE_LEN;
         let mask = u16::from_le_bytes([body[mask_at], body[mask_at + 1]]);
@@ -1930,7 +1955,7 @@ mod tests {
         assert_eq!(events.len(), 8 * MAX_FRAME_MEMBERS);
         let reply = StoreRpc::Batch { events };
         let mut body = Vec::new();
-        assert!(reply.encode(&mut body).unwrap());
+        assert!(reply.encode(&mut BinEncoder::new(), &mut body).unwrap());
         assert_eq!(body[1], BIN_FLAG_CODED);
         assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
         assert_eq!(StoreRpc::decode(true, &body).unwrap(), reply);

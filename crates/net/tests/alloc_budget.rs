@@ -3,9 +3,9 @@
 //! store's in `crates/core/tests/alloc_budget.rs`: a 256-member frame of
 //! each data-frame kind decodes in a handful of allocations — the member
 //! `Vec`, the frame's path arena and its seal, a topic — not one per
-//! path, a coded frame encodes and decodes in exactly what the same
-//! members cost raw, and handing a decoded batch on by `clone()` copies
-//! no path.
+//! path, a coded frame decodes in exactly what the same members cost raw
+//! and encodes through a warm encoder in no allocation at all, and
+//! handing a decoded batch on by `clone()` copies no path.
 //! The counting `#[global_allocator]` keeps a per-thread tally, as
 //! `benchmark/src/alloc.rs` does.
 
@@ -165,7 +165,7 @@ fn resolve_batch_at(from: u64) -> Vec<SequencedEvent> {
 /// Decodes `msg`'s one body and returns the allocations that took.
 fn decode_cost<M: WireMsg + PartialEq + std::fmt::Debug>(msg: &M) -> u64 {
     let mut body = Vec::new();
-    assert!(msg.encode(&mut body).expect("encodes"), "a batch is a binary frame");
+    assert!(msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes"), "a binary frame");
     let (decoded, made) = allocations(|| M::decode(true, &body).expect("decodes"));
     assert_eq!(&decoded, msg);
     made
@@ -191,19 +191,20 @@ fn a_256_member_frame_of_each_kind_decodes_in_at_most_eight_allocations() {
 /// Checks that `msg` goes out coded, its fields and its paths each under
 /// their class's code, smaller than `raw` — the same members laid out
 /// raw, as a frame goes out when coding would not pay — and decodes in
-/// exactly the allocations `raw` does. Encoding it into a fresh buffer
-/// allocates only that buffer's growth: twelve doublings, from eight
-/// bytes to the 16 KiB that hold the raw pass, its notes and the coded
-/// section — every histogram, code and codeword table lives on the
-/// encoder's stack.
+/// exactly the allocations `raw` does. Encoded again through the encoder
+/// that encoded it, into a buffer with room, it allocates nothing: the
+/// raw pass and its tags reuse the encoder's buffers, and every
+/// histogram, code and codeword table lives on the stack.
 fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
     kind: &str,
     msg: &M,
     raw: &[u8],
 ) {
-    let mut body = Vec::new();
-    let made = allocations(|| msg.encode(&mut body).expect("encodes")).1;
-    assert_eq!(made, 12, "{kind}: {made} allocations to encode into a fresh buffer");
+    let (mut enc, mut body) = (BinEncoder::new(), Vec::with_capacity(1 << 20));
+    msg.encode(&mut enc, &mut body).expect("encodes");
+    body.clear();
+    let made = allocations(|| msg.encode(&mut enc, &mut body).expect("encodes")).1;
+    assert_eq!(made, 0, "{kind}: {made} allocations to encode through a warm encoder");
     assert_eq!(body[1] & 2, 2, "{kind}: a batch of the benchmark's shape goes out coded");
     let mask = u16::from_le_bytes([body[2], body[3]]);
     for class in [Class::Path, Class::Len, Class::Flags, Class::Time, Class::Carried] {
@@ -260,8 +261,9 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
 /// What every sender does — frames through a per-connection
 /// `BinEncoder` whose buffers have grown to the session's frames — costs
 /// no allocation at all once they have: 50- and 256-member item, deliver
-/// and store-batch frames of both shapes, coded, the raw pass's notes
-/// riding in the encoder's own member buffer.
+/// and store-batch frames of both shapes, coded, the raw pass in the
+/// encoder's member buffer and each byte's class tag in the buffer of
+/// tags beside it.
 #[test]
 fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
     for sequenced in [batch(), resolve_batch()] {
@@ -299,7 +301,7 @@ fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
 fn cloning_a_decoded_batch_allocates_once() {
     let reply = StoreRpc::Batch { events: batch() };
     let mut body = Vec::new();
-    reply.encode(&mut body).expect("encodes");
+    reply.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
     let StoreRpc::Batch { events } = StoreRpc::decode(true, &body).expect("decodes") else {
         panic!("a store batch decodes as one");
     };
@@ -341,7 +343,7 @@ fn a_continuing_frame_encodes_without_allocating_and_decodes_as_a_fresh_one_does
             assert_eq!(body[1] & 4 != 0, frame > 0, "{shape} frame {frame}: continues");
             let mut fresh = Vec::new();
             let item = Frame::ItemBatch { first_seq, payloads: events, trace: None };
-            item.encode(&mut fresh).expect("encodes");
+            item.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
             // Decoded fresh by a reader holding a history, which the
             // fresh frame then replaces: the same allocations as the
             // continuing frame, decoded next on a reader that holds

@@ -22,7 +22,7 @@
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
-use sdci_net::wire::{Frame, WireMsg};
+use sdci_net::wire::{BinEncoder, Frame, WireMsg};
 use sdci_types::{ChangelogKind, Fid, FileEvent, MdtIndex, RawChangelogRecord, SimTime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -94,18 +94,18 @@ fn bytes_per_member(members: usize) -> [f64; 3] {
         .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
         .collect();
     let feed = sequenced.iter().cloned().map(FeedMessage::Event).collect();
-    let per_member = |frame: &dyn Fn(&mut Vec<u8>) -> std::io::Result<bool>| {
+    let per_member = |msg: &dyn Fn(&mut BinEncoder, &mut Vec<u8>) -> std::io::Result<bool>| {
         let mut body = Vec::new();
-        assert!(frame(&mut body).expect("encodes"), "a batch is a binary frame");
+        assert!(msg(&mut BinEncoder::new(), &mut body).expect("encodes"), "a binary frame");
         body.len() as f64 / members as f64
     };
     let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
     let deliver = Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None };
     let reply = StoreRpc::Batch { events: sequenced };
     [
-        per_member(&|body| item.encode(body)),
-        per_member(&|body| deliver.encode(body)),
-        per_member(&|body| reply.encode(body)),
+        per_member(&|enc, body| item.encode(enc, body)),
+        per_member(&|enc, body| deliver.encode(enc, body)),
+        per_member(&|enc, body| reply.encode(enc, body)),
     ]
 }
 
@@ -143,7 +143,7 @@ fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
 /// every frame to the members sent.
 #[test]
 fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member() {
-    use sdci_net::wire::{write_item_batch_bin, BinEncoder};
+    use sdci_net::wire::write_item_batch_bin;
     use sdci_types::bin::History;
     const FRAME: usize = 50;
     let events = steady_batch(8 * FRAME);
@@ -162,4 +162,112 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member(
     println!("the eighth 50-member frame of a connection: {eighth:.3} B per member");
     assert!(eighth <= 11.0, "{eighth} B per member");
     assert!(eighth > 7.0, "{eighth} B per member");
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The length and digest of each frame body in `stream`, a run of whole
+/// frames.
+fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
+    let mut out = Vec::new();
+    while let Some((word, rest)) = stream.split_first_chunk::<4>() {
+        let len = (u32::from_be_bytes(*word) & !sdci_net::wire::BIN_FRAME_BIT) as usize;
+        out.push((len, fnv1a(&rest[..len])));
+        stream = &rest[len..];
+    }
+    out
+}
+
+/// Every data frame the byte budgets above measure, byte for byte: the
+/// 256-member item and deliver frames, the 1,000-member store reply, the
+/// eight 50-member frames of one pushing connection, and a batch past the
+/// member cap, which the chunked writers split — item frames that
+/// continue one another, deliver frames that start fresh. Each body's
+/// length and FNV-1a digest are pinned: a change to how a frame is laid
+/// out, rather than to what it costs, fails here first.
+#[test]
+fn every_measured_frame_is_pinned_byte_for_byte() {
+    use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg};
+    use sdci_types::bin::MAX_FRAME_MEMBERS;
+
+    let sequenced = |events: &[FileEvent]| -> Vec<SequencedEvent> {
+        (500_000..)
+            .zip(events)
+            .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
+            .collect()
+    };
+    let mut got = Vec::new();
+    let events = steady_batch(256);
+    let feed: Vec<FeedMessage> = sequenced(&events).into_iter().map(FeedMessage::Event).collect();
+    let mut out = Vec::new();
+    write_msg(&mut out, &Frame::ItemBatch { first_seq: 9, payloads: events, trace: None })
+        .expect("writes");
+    let topic = "feed/all".to_string();
+    write_msg(&mut out, &Frame::DeliverBatch { topic, payloads: feed, trace: None })
+        .expect("writes");
+    write_msg(&mut out, &StoreRpc::Batch { events: sequenced(&steady_batch(1_000)) })
+        .expect("writes");
+    got.push(("256-member item, deliver; 1,000-member reply", digests(&out)));
+
+    let mut enc = BinEncoder::new();
+    let mut out = Vec::new();
+    for (n, frame) in steady_batch(400).chunks(50).enumerate() {
+        write_item_batch_bin(&mut out, &mut enc, 9 + 50 * n as u64, frame, None).expect("writes");
+    }
+    got.push(("eight continuing 50-member item frames", digests(&out)));
+
+    let events = steady_batch(MAX_FRAME_MEMBERS + 808);
+    let feed: Vec<FeedMessage> = sequenced(&events).into_iter().map(FeedMessage::Event).collect();
+    let trace = Some(sdci_types::TraceContext::sampled(0xabcd, 0x1234));
+    let mut out = Vec::new();
+    write_item_batch_bin(&mut out, &mut BinEncoder::new(), 9, &events, trace).expect("writes");
+    write_deliver_batch_bin(&mut out, &mut BinEncoder::new(), "feed/all", &feed, None)
+        .expect("writes");
+    got.push(("a split traced item batch, a split deliver batch", digests(&out)));
+
+    for (what, frames) in &got {
+        let frames: Vec<String> =
+            frames.iter().map(|(len, digest)| format!("({len}, {digest:#018x})")).collect();
+        println!("{what}: {}", frames.join(", "));
+    }
+    let want: [(&str, &[(usize, u64)]); 3] = [
+        (
+            "256-member item, deliver; 1,000-member reply",
+            &[
+                (2819, 0xc122_61f0_9455_52f5),
+                (2895, 0xf166_0cc0_4f80_cbec),
+                (9932, 0x1a62_04ed_7165_f05f),
+            ],
+        ),
+        (
+            "eight continuing 50-member item frames",
+            &[
+                (748, 0x9c18_20a5_0ef6_d498),
+                (572, 0xed0d_9a92_c7d6_1309),
+                (508, 0x94aa_a20c_de82_dc26),
+                (546, 0x0d21_5e3c_4473_751a),
+                (501, 0xaeed_a451_38f1_a922),
+                (505, 0xf906_839b_0aa8_15ab),
+                (503, 0x3571_5b13_78be_5759),
+                (524, 0xc8e5_1518_eed4_36e4),
+            ],
+        ),
+        (
+            "a split traced item batch, a split deliver batch",
+            &[
+                (75_944, 0x3263_49e1_b678_a91b),
+                (7_481, 0x04dc_d1c6_87f5_0a97),
+                (77_987, 0xda8e_3d36_116b_d429),
+                (8_234, 0x5e72_8cec_5f9d_ae22),
+            ],
+        ),
+    ];
+    for ((what, frames), (want_what, want_frames)) in got.iter().zip(want) {
+        assert_eq!((*what, frames.as_slice()), (want_what, want_frames));
+    }
 }

@@ -666,7 +666,7 @@ struct Raw {
 }
 
 impl WireMsg for Raw {
-    fn encode(&self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
         buf.extend_from_slice(&self.body);
         Ok(self.binary)
     }

@@ -17,6 +17,10 @@
 //!   batch frame and arrives intact, trace context included.
 //! * A store query and the store ping are the JSON they have always
 //!   been, byte for byte; a store reply has no JSON form at all.
+//! * A push mark never wraps: a peer's `resume_after`, a batch that would
+//!   carry the mark past `u64::MAX`, and a server's greeting of
+//!   `u64::MAX` each cost one connection — neither side panics, and the
+//!   server goes on serving, the pusher on dialing.
 //! * After the hello a length word still sizes nothing: a JSON body —
 //!   every control frame — is refused as soon as its word claims more
 //!   than a hello may be, and a binary body's buffer grows with the
@@ -43,6 +47,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -581,7 +586,7 @@ fn a_long_store_query_and_a_reply_past_one_read_step_round_trip() {
     assert_eq!(under, events[1_000..]);
     let reply = StoreRpc::Batch { events: events[..1_000].to_vec() };
     let mut body = Vec::new();
-    reply.encode(&mut body).unwrap();
+    reply.encode(&mut BinEncoder::new(), &mut body).unwrap();
     assert!(body.len() > 64 << 10, "a {}-byte reply fits one read step", body.len());
     let all = remote.try_query(&StoreQuery::after_seq(0).limit(1_000)).unwrap();
     assert_eq!(all, events[..1_000]);
@@ -697,7 +702,10 @@ fn store_queries_and_pings_are_the_json_they_were_and_a_json_batch_is_invalid_da
         (StoreRpc::Ping, r#""Ping""#),
     ] {
         let mut body = Vec::new();
-        assert!(!msg.encode(&mut body).unwrap(), "{msg:?} is a control frame");
+        assert!(
+            !msg.encode(&mut BinEncoder::new(), &mut body).unwrap(),
+            "{msg:?} is a control frame"
+        );
         assert_eq!(std::str::from_utf8(&body).unwrap(), json);
         assert_eq!(StoreRpc::decode(false, json.as_bytes()).unwrap(), msg);
     }
@@ -713,4 +721,143 @@ fn store_queries_and_pings_are_the_json_they_were_and_a_json_batch_is_invalid_da
         let err = StoreRpc::decode(false, body.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
     }
+}
+
+/// Threads of this process named `sdci-net-…` — an endpoint's connection
+/// handlers, a pusher's worker — that have panicked so far. The first
+/// call installs the hook that counts them, ahead of the one that
+/// reports them.
+fn net_thread_panics() -> usize {
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if std::thread::current().name().is_some_and(|name| name.starts_with("sdci-net-")) {
+                PANICS.fetch_add(1, Ordering::Relaxed);
+            }
+            report(info);
+        }));
+    });
+    PANICS.load(Ordering::Relaxed)
+}
+
+fn pushed_event(i: u64) -> FileEvent {
+    FileEvent {
+        index: i,
+        path: format!("/mark/f{i}").into(),
+        target: Fid::new(1, i as u32, 0),
+        trace: None,
+        ..traced_event()
+    }
+}
+
+/// Opens a push session by hand, as `client` resuming after
+/// `resume_after`, and checks the server greets it with that mark.
+fn greeted(addr: SocketAddr, client: &str, resume_after: u64) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_hello(&mut stream, Service::Push { client: client.into(), resume_after }).unwrap();
+    let (binary, body) = read_raw_frame(&mut stream);
+    assert!(!binary, "the greeting is a control frame");
+    let greeting = Frame::<FileEvent>::decode(false, &body).unwrap();
+    assert_eq!(greeting, Frame::Ack { up_to: resume_after });
+    stream
+}
+
+/// A push mark is the peer's to raise — its hello's `resume_after` — and
+/// its frames' to advance, and no sum of them may pass `u64::MAX`: a mark
+/// with no sequence number after it, a batch that would carry the mark
+/// past it, and a continuing batch the server must nack from it each cost
+/// their connection, closed unanswered, with none of their members handed
+/// on and no handler panicking; the server goes on serving a well-behaved
+/// pusher.
+#[test]
+fn a_push_mark_past_u64_max_costs_the_connection_not_the_server() {
+    let _serial = endpoints();
+    let panics = net_thread_panics();
+    let server = TcpPullServer::<FileEvent>::new(64);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+
+    let mut stream = greeted(addr, "at-max", u64::MAX);
+    write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[pushed_event(1)], None).unwrap();
+    assert_closed_unanswered(&mut stream, "a batch after a mark of u64::MAX");
+
+    let mut stream = greeted(addr, "past-max", u64::MAX - 1);
+    let two = [pushed_event(1), pushed_event(2)];
+    write_item_batch_bin(&mut stream, &mut BinEncoder::new(), u64::MAX, &two, None).unwrap();
+    assert_closed_unanswered(&mut stream, "a batch carrying the mark past u64::MAX");
+
+    // The second batch continues a first the server never read.
+    let mut stream = greeted(addr, "gap-at-max", u64::MAX);
+    let mut enc = BinEncoder::new();
+    write_item_batch_bin(&mut Vec::new(), &mut enc, 1, &[pushed_event(1)], None).unwrap();
+    write_item_batch_bin(&mut stream, &mut enc, 2, &[pushed_event(2)], None).unwrap();
+    assert_closed_unanswered(&mut stream, "a continuity gap after a mark of u64::MAX");
+
+    let push = TcpPush::connect(addr, "polite", fast_cfg());
+    for i in 1..=3 {
+        assert!(push.send(pushed_event(i)));
+    }
+    assert!(push.drain(Duration::from_secs(10)), "the well-behaved pusher was not served");
+    assert_eq!(server.stats().items, 3, "only the well-behaved pusher's events were handed on");
+    drop(push);
+    endpoint.shutdown();
+    assert_eq!(net_thread_panics(), panics, "a connection handler panicked");
+}
+
+/// Accepts the next connection on `listener`, failing the test if none
+/// arrives within `within`.
+fn accept_within(listener: &TcpListener, within: Duration) -> TcpStream {
+    listener.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + within;
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false).unwrap();
+                stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                return stream;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("no connection within {within:?}: {e}"),
+        }
+    }
+}
+
+/// A server that greets a fresh pusher with a mark of `u64::MAX` leaves
+/// it no sequence number to send under: the pusher counts the handshake
+/// as failed — its worker does not panic, and sends nothing on that
+/// connection — backs off and dials again, and, greeted sanely there,
+/// sends its event as sequence 1.
+#[test]
+fn a_server_mark_of_u64_max_fails_the_pushers_handshake() {
+    let panics = net_thread_panics();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let push = TcpPush::<FileEvent>::connect(addr, "greeted-max", fast_cfg());
+    assert!(push.send(pushed_event(1)));
+
+    let hello = Service::Push { client: "greeted-max".into(), resume_after: 0 };
+    let mut stream = accept_within(&listener, Duration::from_secs(5));
+    assert_eq!(read_hello(&mut stream), hello);
+    write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: u64::MAX }).unwrap();
+    assert_closed_unanswered(&mut stream, "a pusher greeted with a mark of u64::MAX");
+
+    let mut stream = accept_within(&listener, Duration::from_secs(5));
+    assert_eq!(read_hello(&mut stream), hello);
+    write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
+    let (binary, body) = read_raw_frame(&mut stream);
+    assert!(binary, "the event travels as a batch");
+    assert_eq!(
+        Frame::<FileEvent>::decode(true, &body).unwrap(),
+        Frame::ItemBatch { first_seq: 1, payloads: vec![pushed_event(1)], trace: None }
+    );
+    write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 1 }).unwrap();
+    assert!(push.drain(Duration::from_secs(10)));
+    drop(push);
+    expect_only_control_until_fin(&mut stream, "push leg");
+    assert_eq!(net_thread_panics(), panics, "the pusher's worker panicked");
 }

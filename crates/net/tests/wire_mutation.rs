@@ -136,7 +136,8 @@ fn events() -> Vec<FileEvent> {
 
 fn body_of(msg: &impl WireMsg) -> Vec<u8> {
     let mut body = Vec::new();
-    assert!(msg.encode(&mut body).expect("encodes"), "a data frame is binary");
+    let encoded = msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
+    assert!(encoded, "a data frame is binary");
     body
 }
 

@@ -35,7 +35,7 @@
 //! * **front-coded strings** — the number of leading bytes shared with
 //!   a base string (the predecessor's, or an earlier member's), then
 //!   the rest length-prefixed ([`put_front_coded`],
-//!   [`BinReader::front_coded`]);
+//!   `BinReader::front_coded`);
 //! * length-prefixed byte strings (varint length + raw UTF-8 bytes),
 //!   single bytes, and fixed-width little-endian `u64`s for values with
 //!   nothing to be relative to (frame sequence numbers, trace ids).
@@ -56,15 +56,17 @@
 //! suffix's, a time delta's, a length prefix's, a flags byte's... — and
 //! every primitive a member encoder writes through ([`SeqEncoder`]) and a
 //! decoder reads through ([`BinReader`]) names it. A frame's member
-//! section may be **coded** ([`put_members_coded`]): it is the raw
-//! section with every byte replaced by a codeword under the code of its
-//! class — a canonical Huffman code per class, built from the frame's
-//! own bytes of that class, whose table travels in the frame
+//! section may be **coded** ([`code_members`]): it is the raw section
+//! with every byte replaced by a codeword under the code of its class —
+//! a canonical Huffman code per class, built from the frame's own bytes
+//! of that class, whose table travels in the frame
 //! ([`BinReader::read_codes`]); a class the frame does not code keeps
 //! its bytes as they are, eight bits each. The section is one bit
-//! stream, zero-padded once, at its end. The encoder codes each class
-//! only when that makes the frame smaller, table included
-//! ([`code_members`]). A snapshot block is never coded.
+//! stream, zero-padded once, at its end. The encoder writes the section
+//! raw first, its [`SeqEncoder`] keeping each byte's class in a tag
+//! beside it ([`SeqEncoder::for_coding`]), and codes each class only
+//! when that makes the frame smaller, table included. A snapshot block
+//! is never coded, and its writer keeps no tags.
 //!
 //! [`BinPayload`] is deliberately *not* the vendored serde: encoding
 //! appends straight to a caller-owned scratch buffer and decoding
@@ -85,7 +87,7 @@
 //! also owns: every front-coded path of a frame is appended to one
 //! arena ([`crate::PathArenaBuilder`]) and returned as an
 //! [`EventPath`] handle, so a frame's paths cost one buffer, not one
-//! allocation each ([`BinReader::front_coded`]).
+//! allocation each (`BinReader::front_coded`).
 //!
 //! The scratch-buffer design is what makes the broker's encode-once
 //! fan-out cheap on the deliver direction too: a `DeliverBatch` run is
@@ -269,7 +271,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// needs an owned value.
 ///
 /// The reader also owns the path bytes its frame assembles: every
-/// [`BinReader::front_coded`] string lands in one arena, which is sealed
+/// `BinReader::front_coded` string lands in one arena, which is sealed
 /// — and the [`EventPath`]s into it become readable — when the reader
 /// drops. A decoder therefore returns its events only after its reader
 /// is gone, and on an error returns none.
@@ -277,7 +279,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// It holds its frame's codes too, once [`BinReader::read_codes`] has
 /// read them: inside the member section ([`read_members`]) every
 /// primitive then reads through the code of the [`Class`] it names, and
-/// [`BinReader::front_coded`] reads suffixes through the path class's.
+/// `BinReader::front_coded` reads suffixes through the path class's.
 /// Outside a coded section the class a read names is not used.
 ///
 /// A frame that continues its connection is read against the
@@ -1327,18 +1329,13 @@ fn dir_hash(dir: &[u8]) -> u32 {
     (step(hash, u64::from_le_bytes(last)).wrapping_mul(K) >> 32) as u32
 }
 
-/// Most runs — stretches of one class — one member writes: a
-/// [`crate::FileEvent`] behind a feed tag and a sequence delta writes
-/// sixteen at most, consecutive bytes of one class making one run.
-const MAX_MEMBER_RUNS: usize = 32;
-
 /// The encoder's state for one member sequence, carried from member to
 /// member: its directory table and, on a frame's raw pass
-/// ([`SeqEncoder::for_coding`]), what [`code_members`] needs to code the
-/// sequence afterwards. Fixed-size: it lives on its writer's stack — or,
-/// for a connection whose item frames continue one another, in the
-/// connection's encoder, with the [`History`] of what it wrote
-/// ([`SeqEncoder::begin`], [`SeqEncoder::record`]).
+/// ([`SeqEncoder::for_coding`]), the class of every byte written, which
+/// [`code_members`] codes the sequence by afterwards. A snapshot block's
+/// lives on its writer's stack; a frame's in the connection's encoder,
+/// kept from frame to frame with its tags' buffer and the [`History`] of
+/// what it wrote ([`SeqEncoder::begin`], [`SeqEncoder::record`]).
 ///
 /// A member encoder writes every field through it — [`SeqEncoder::byte`],
 /// [`SeqEncoder::varint`], [`SeqEncoder::delta`], [`SeqEncoder::bytes`],
@@ -1346,63 +1343,33 @@ const MAX_MEMBER_RUNS: usize = 32;
 /// [`Class`] of the bytes, which its decoder names again to read them.
 pub struct SeqEncoder {
     pub(crate) dirs: DirTable,
-    notes: Option<Notes>,
+    /// On a frame's raw pass, a tag for each byte of the member buffer:
+    /// its class, as `u8`. The buffer and its tags start empty together
+    /// ([`SeqEncoder::begin`]) and grow together, byte for byte.
+    tags: Option<Vec<u8>>,
     /// What the connection's earlier item frames carried.
     history: History,
     /// Whether the sequence being written continues `history`.
     continues: bool,
 }
 
-/// A frame's raw pass's notes: where the current member's bytes start
-/// in the buffer and its runs so far, as (class, where the run ends);
-/// the bytes of notes written so far ([`put_member`] writes a member's
-/// note right behind it); and the raw sequence's histograms so far, one
-/// per class.
-struct Notes {
-    start: usize,
-    runs: [(Class, usize); MAX_MEMBER_RUNS],
-    n: usize,
-    written: usize,
-    counts: [[u32; 256]; CLASSES],
-}
-
-impl Notes {
-    /// Where the current member's noted bytes end.
-    fn end(&self) -> usize {
-        self.n.checked_sub(1).map_or(self.start, |last| self.runs[last].1)
-    }
-}
-
 impl SeqEncoder {
     /// The encoder for a sequence that is never coded: a snapshot block.
     pub fn new() -> SeqEncoder {
-        SeqEncoder::with_notes(None)
+        SeqEncoder::with_tags(None)
     }
 
-    fn with_notes(notes: Option<Notes>) -> SeqEncoder {
-        SeqEncoder { dirs: DirTable::new(), notes, history: History::default(), continues: false }
+    fn with_tags(tags: Option<Vec<u8>>) -> SeqEncoder {
+        SeqEncoder { dirs: DirTable::new(), tags, history: History::default(), continues: false }
     }
 
     /// The encoder for a frame's raw pass, which [`code_members`] then
-    /// codes: behind each member, [`put_member`] writes a *note* of the
-    /// classes of its bytes, run by run —
-    ///
-    /// ```text
-    /// note = k u8 | runs: k bytes
-    /// run  = class as u8 | bytes << 4, for 1 to 15 bytes
-    ///      | class as u8, then bytes varint, for more
-    /// ```
-    ///
-    /// — which [`code_members`] reads and removes.
+    /// codes: every byte written through it is tagged with its class, in
+    /// a buffer of tags that runs beside the member buffer. The member
+    /// buffer holds the members alone — each length-prefixed by
+    /// [`put_member`] — from empty.
     pub fn for_coding() -> SeqEncoder {
-        let notes = Notes {
-            start: 0,
-            runs: [(Class::Other, 0); MAX_MEMBER_RUNS],
-            n: 0,
-            written: 0,
-            counts: [[0; 256]; CLASSES],
-        };
-        SeqEncoder::with_notes(Some(notes))
+        SeqEncoder::with_tags(Some(Vec::new()))
     }
 
     /// What the item frames this encoder wrote carried.
@@ -1415,15 +1382,15 @@ impl SeqEncoder {
     /// member positions, predecessor and codes carry on from the last
     /// frame recorded — or a fresh one, coded exactly as on a new encoder:
     /// an empty table, positions from 0, nothing before its first member.
-    /// A frame's raw pass's notes start empty either way.
+    /// A frame's raw pass's tags start empty either way, as the member
+    /// buffer must.
     pub fn begin(&mut self, continues: bool) {
         self.continues = continues && self.history.next_seq().is_some();
         if !self.continues {
             self.dirs.slots.fill(0);
         }
-        if let Some(notes) = &mut self.notes {
-            notes.written = 0;
-            notes.counts.iter_mut().for_each(|counts| counts.fill(0));
+        if let Some(tags) = &mut self.tags {
+            tags.clear();
         }
     }
 
@@ -1451,77 +1418,39 @@ impl SeqEncoder {
         base + index as u64
     }
 
-    /// Bytes of notes written into the sequence so far: what its buffer
-    /// holds beyond the raw sequence.
-    pub fn notes_len(&self) -> usize {
-        self.notes.as_ref().map_or(0, |notes| notes.written)
-    }
-
-    /// Forgets the last member written, which `noted` — the end of its
-    /// buffer, from the member's length prefix on — holds with its note:
-    /// the caller takes those bytes back out. Its directory-table entry
-    /// goes too, so the member, coded again as the next frame's first,
-    /// finds the table as it was.
-    pub fn forget(&mut self, noted: &[u8]) {
-        self.dirs.undo();
-        let Some(notes) = &mut self.notes else { return };
-        let member = Noted::at(noted);
-        let counts = &mut notes.counts;
-        member.prefix.iter().for_each(|&byte| counts[Class::Len as usize][usize::from(byte)] -= 1);
-        let (mut runs, mut from) = (member.runs, 0);
-        while let Some((class, len)) = next_run(&mut runs) {
-            let bytes = &member.bytes[from..from + len];
-            bytes.iter().for_each(|&byte| counts[class][usize::from(byte)] -= 1);
-            from += len;
+    /// Takes back the last member written, which starts at `buf[at..]`
+    /// with its length prefix: its bytes and their tags, and its
+    /// directory-table entry, so the member, coded again as the next
+    /// frame's first, finds the table as it was.
+    pub fn forget(&mut self, buf: &mut Vec<u8>, at: usize) {
+        buf.truncate(at);
+        if let Some(tags) = &mut self.tags {
+            tags.truncate(at);
         }
-        notes.written -= member.note_len;
+        self.dirs.undo();
     }
 
-    /// Notes that the member's bytes `from..end`, just written, are of
-    /// `class`: on a frame's raw pass, they extend the member's last run,
-    /// or start a new one.
-    ///
-    /// # Panics
-    ///
-    /// On a frame's raw pass, for a member's run past
-    /// [`MAX_MEMBER_RUNS`], and — in a debug build — when `from` is not
-    /// where the member's noted bytes end: a byte written to the buffer
-    /// other than through this encoder would be coded under a class its
-    /// decoder does not read it with. (A release build checks only the
-    /// member's end, in [`put_member`]: this check, on every write,
-    /// measurably slows the feed encoder.)
+    /// Tags the `written` bytes just appended as of `class`, on a frame's
+    /// raw pass.
     #[inline]
-    fn noted(&mut self, from: usize, end: usize, class: Class) {
-        let Some(notes) = &mut self.notes else { return };
-        debug_assert_eq!(from, notes.end(), "a member writes every byte through its SeqEncoder");
-        match notes.n.checked_sub(1) {
-            Some(last) if notes.runs[last].0 == class => notes.runs[last].1 = end,
-            _ if end == from => {}
-            _ => {
-                assert!(
-                    notes.n < MAX_MEMBER_RUNS,
-                    "a member writes at most {MAX_MEMBER_RUNS} runs"
-                );
-                notes.runs[notes.n] = (class, end);
-                notes.n += 1;
-            }
+    fn tag(&mut self, written: usize, class: Class) {
+        if let Some(tags) = &mut self.tags {
+            tags.resize(tags.len() + written, class as u8);
         }
     }
 
     /// Appends one byte of `class`.
     #[inline]
     pub fn byte(&mut self, buf: &mut Vec<u8>, class: Class, byte: u8) {
-        let from = buf.len();
         buf.push(byte);
-        self.noted(from, buf.len(), class);
+        self.tag(1, class);
     }
 
     /// Appends `bytes` as they are, of `class`.
     #[inline]
     pub fn bytes(&mut self, buf: &mut Vec<u8>, class: Class, bytes: &[u8]) {
-        let from = buf.len();
         buf.extend_from_slice(bytes);
-        self.noted(from, buf.len(), class);
+        self.tag(bytes.len(), class);
     }
 
     /// Appends `value` as a varint of `class` ([`put_varint`]).
@@ -1529,7 +1458,7 @@ impl SeqEncoder {
     pub fn varint(&mut self, buf: &mut Vec<u8>, class: Class, value: u64) {
         let from = buf.len();
         put_varint(buf, value);
-        self.noted(from, buf.len(), class);
+        self.tag(buf.len() - from, class);
     }
 
     /// Appends `current − prev` as a zig-zag varint of `class`
@@ -1538,14 +1467,14 @@ impl SeqEncoder {
     pub fn delta(&mut self, buf: &mut Vec<u8>, class: Class, current: u64, prev: u64) {
         let from = buf.len();
         put_delta(buf, current, prev);
-        self.noted(from, buf.len(), class);
+        self.tag(buf.len() - from, class);
     }
 
     /// Appends a [`TraceContext`] ([`put_trace`]), of [`Class::Other`].
     pub fn trace(&mut self, buf: &mut Vec<u8>, trace: &TraceContext) {
         let from = buf.len();
         put_trace(buf, trace);
-        self.noted(from, buf.len(), Class::Other);
+        self.tag(buf.len() - from, Class::Other);
     }
 
     /// Appends `current` front-coded against a base it shares its first
@@ -1869,14 +1798,16 @@ pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
 const MAX_RESERVED_MEMBERS: usize = 65_536;
 
 /// Appends one sequence member: its length as a varint, then its
-/// encoding against `earlier`, the members of the sequence so far — and,
-/// on a frame's raw pass ([`SeqEncoder::for_coding`]), its note.
+/// encoding against `earlier`, the members of the sequence so far — on a
+/// frame's raw pass ([`SeqEncoder::for_coding`]), each byte tagged with
+/// its class, the length's of [`Class::Len`].
 ///
 /// # Panics
 ///
-/// On a frame's raw pass, when the member's last byte was written to
-/// `buf` other than through `seq`'s primitives, which would leave it out
-/// of the coded frame — and, in a debug build, when any byte was.
+/// On a frame's raw pass, when any byte of the member was written to
+/// `buf` other than through `seq`'s primitives — it would go untagged,
+/// and be coded under a class its decoder does not read it with — or
+/// when `buf` is not the member buffer `seq`'s tags run beside.
 pub fn put_member<T: BinPayload>(
     buf: &mut Vec<u8>,
     member: &T,
@@ -1887,17 +1818,19 @@ pub fn put_member<T: BinPayload>(
     // and the rare member of 128 bytes or more is shifted right to make
     // room for the longer varint.
     let at = buf.len();
-    buf.push(0);
     seq.dirs.undo = None;
-    if let Some(notes) = &mut seq.notes {
-        (notes.start, notes.n) = (buf.len(), 0);
-    }
+    seq.byte(buf, Class::Len, 0);
     member.encode_bin(earlier, seq, buf);
-    if let Some(notes) = &seq.notes {
-        assert_eq!(notes.end(), buf.len(), "a member writes every byte through its SeqEncoder");
-    }
     let len = buf.len() - at - 1;
     let extra = varint_len(len as u64) - 1;
+    if let Some(tags) = &mut seq.tags {
+        assert_eq!(tags.len(), buf.len(), "a member writes every byte through its SeqEncoder");
+        if extra > 0 {
+            tags.resize(tags.len() + extra, 0);
+            tags.copy_within(at + 1..at + 1 + len, at + 1 + extra);
+            tags[at..=at + extra].fill(Class::Len as u8);
+        }
+    }
     if extra > 0 {
         buf.resize(buf.len() + extra, 0);
         buf.copy_within(at + 1..at + 1 + len, at + 1 + extra);
@@ -1908,32 +1841,6 @@ pub fn put_member<T: BinPayload>(
         rest >>= 7;
     }
     buf[at + extra] &= 0x7f;
-    if let Some(notes) = &mut seq.notes {
-        // The runs' ends were taken before the member moved `extra` right.
-        let runs = &notes.runs[..notes.n];
-        tally(&buf[at..=at + extra], &mut notes.counts[Class::Len as usize]);
-        let mut from = at + 1 + extra;
-        for &(class, end) in runs {
-            tally(&buf[from..end + extra], &mut notes.counts[class as usize]);
-            from = end + extra;
-        }
-        let noted = buf.len();
-        buf.push(0);
-        let mut from = at + 1;
-        for &(class, end) in runs {
-            match end - from {
-                len @ 1..=15 => buf.push(class as u8 | (len as u8) << 4),
-                len => {
-                    buf.push(class as u8);
-                    put_varint(buf, len as u64);
-                }
-            }
-            from = end;
-        }
-        // cannot fail: at most 32 runs, each a byte and a length of at most five (under 32 GiB).
-        buf[noted] = u8::try_from(buf.len() - noted - 1).expect("a member's runs fit 255 bytes");
-        notes.written += buf.len() - noted;
-    }
 }
 
 /// Appends a member sequence — the one form a run of events takes as
@@ -1947,85 +1854,13 @@ pub fn put_member<T: BinPayload>(
 /// ```
 ///
 /// This is the raw form, the only one a snapshot block takes; a frame's
-/// sequence is written by [`put_members_coded`].
+/// members are written raw by [`put_member`], tagged, and then laid out
+/// raw or coded by [`code_members`].
 pub fn put_members<T: BinPayload>(buf: &mut Vec<u8>, members: &[T]) {
-    put_sequence(buf, members, &mut SeqEncoder::new());
-}
-
-fn put_sequence<T: BinPayload>(buf: &mut Vec<u8>, members: &[T], seq: &mut SeqEncoder) {
+    let mut seq = SeqEncoder::new();
     put_varint(buf, members.len() as u64);
     for (i, member) in members.iter().enumerate() {
-        put_member(buf, member, &members[..i], seq);
-    }
-}
-
-/// Appends a frame's member sequence, raw or coded — whichever is
-/// smaller ([`code_members`]) — and returns the mask of the classes it
-/// codes, 0 for a raw one. A coded sequence's class mask and tables are
-/// placed at `table_at`, a position at or before the end of `buf` (a
-/// frame puts them after its header's trace section, ahead of the kind's
-/// own fields); what lies between moves up to make room.
-pub fn put_members_coded<T: BinPayload>(buf: &mut Vec<u8>, table_at: usize, members: &[T]) -> u16 {
-    let members_at = buf.len();
-    let mut seq = SeqEncoder::for_coding();
-    put_sequence(buf, members, &mut seq);
-    code_members(buf, table_at, members_at, &mut seq)
-}
-
-/// Reads the varint at the front of `bytes` — one this encoder wrote —
-/// and returns it with its length in bytes.
-fn raw_varint(bytes: &[u8]) -> (u64, usize) {
-    let mut value = 0;
-    for (i, &byte) in bytes.iter().enumerate() {
-        value |= u64::from(byte & 0x7f) << (7 * i);
-        if byte & 0x80 == 0 {
-            return (value, i + 1);
-        }
-    }
-    unreachable!("a varint this encoder wrote ends")
-}
-
-/// One member of a noted sequence ([`SeqEncoder::for_coding`]): its
-/// length prefix and bytes, its note's runs ([`next_run`]), and the
-/// length of its note.
-struct Noted<'a> {
-    prefix: &'a [u8],
-    bytes: &'a [u8],
-    runs: &'a [u8],
-    note_len: usize,
-}
-
-/// Takes the next run off the front of a note's `runs`: the class index
-/// of its bytes, and how many.
-#[inline]
-fn next_run(runs: &mut &[u8]) -> Option<(usize, usize)> {
-    let (&run, rest) = runs.split_first()?;
-    *runs = rest;
-    let class = usize::from(run & 0xf);
-    match run >> 4 {
-        0 => {
-            let (len, used) = raw_varint(runs);
-            *runs = &runs[used..];
-            Some((class, len as usize))
-        }
-        len => Some((class, usize::from(len))),
-    }
-}
-
-impl<'a> Noted<'a> {
-    /// The member at the front of `section`, which must hold one.
-    #[inline]
-    fn at(section: &'a [u8]) -> Noted<'a> {
-        let (len, prefix_len) = raw_varint(section);
-        let (prefix, rest) = section.split_at(prefix_len);
-        let (bytes, note) = rest.split_at(len as usize);
-        let runs = &note[1..=usize::from(note[0])];
-        Noted { prefix, bytes, runs, note_len: 1 + runs.len() }
-    }
-
-    /// Bytes of the section this member and its note take.
-    fn whole_len(&self) -> usize {
-        self.prefix.len() + self.bytes.len() + self.note_len
+        put_member(buf, member, &members[..i], &mut seq);
     }
 }
 
@@ -2076,13 +1911,7 @@ impl BitWriter<'_> {
     }
 }
 
-/// Adds how many times each byte value occurs in `bytes` to `counts`.
-#[inline]
-fn tally(bytes: &[u8], counts: &mut [u32; 256]) {
-    bytes.iter().for_each(|&byte| counts[usize::from(byte)] += 1);
-}
-
-/// One class of a noted sequence, priced: its bytes' bits raw, its code
+/// One class of a tagged sequence, priced: its bytes' bits raw, its code
 /// when one could pay, and their bits under that code — and, in a frame
 /// that continues its connection, their bits under the class's code in
 /// the last frame, when that has a codeword for each of them; and which
@@ -2153,44 +1982,57 @@ impl Priced {
     }
 }
 
-/// The encoder's cost choice for a member sequence a frame's raw pass,
-/// `raw` ([`SeqEncoder::for_coding`]), wrote at `buf[members_at..]`,
-/// notes and all. From the histograms `raw` kept as it wrote, it builds
-/// each class's length-limited Huffman code and prices the class on its
-/// own — raw, or coded with its table, exactly, each byte's codeword
-/// length summed, or, when the sequence continues its connection
-/// ([`SeqEncoder::begin`]), under the code the class had in the last
-/// frame with no table, when that code has a codeword for each of its
-/// bytes — and codes the classes a code saves bytes on, under the code
-/// that saves more. Then: while the codes' lookup tables would take more
-/// than [`LOOKUP_ENTRIES`], the deepest is given up if reused, or built
-/// again a bit shallower (and left raw if it no longer pays); while the
-/// coded count would claim more members than half the bits after it
-/// hold — the rule [`read_members`] enforces — the code saving least is
-/// dropped. The section goes out coded only when that, masks and tables
-/// included, is smaller than raw: it is transcoded — each byte replaced
-/// by its codeword under its class's code, or itself — the class mask
-/// (and a continuing sequence's reuse mask) and the tables of the
-/// classes not reused go in at `table_at` (in class order), what lay
-/// between moves up, and the mask is returned. Otherwise the notes are
-/// taken out, the raw sequence is left, and 0 is returned. Either way
-/// the codes the frame went under become the history's last ones. Like
-/// the path reference, this is a cost choice made frame by frame, not an
-/// option. Nothing is allocated beyond `buf`'s own growth; `raw`'s notes
-/// are spent.
+/// The encoder's cost choice for a frame's member sequence: the `count`
+/// members a frame's raw pass, `raw` ([`SeqEncoder::for_coding`]), wrote
+/// to `members` and tagged, appended to `body` behind their count, raw or
+/// coded. One walk over the section's bytes and their tags makes each
+/// class's histogram; from it the encoder builds each class's
+/// length-limited Huffman code and prices the class on its own — raw, or
+/// coded with its table, exactly, each byte's codeword length summed, or,
+/// when the sequence continues its connection ([`SeqEncoder::begin`]),
+/// under the code the class had in the last frame with no table, when
+/// that code has a codeword for each of its bytes — and codes the classes
+/// a code saves bytes on, under the code that saves more. Then: while the
+/// codes' lookup tables would take more than [`LOOKUP_ENTRIES`], the
+/// deepest is given up if reused, or built again a bit shallower (and
+/// left raw if it no longer pays); while the coded count would claim more
+/// members than half the bits after it hold — the rule [`read_members`]
+/// enforces — the code saving least is dropped. The section goes out
+/// coded only when that, masks and tables included, is smaller than raw:
+/// the class mask (and a continuing sequence's reuse mask) and the tables
+/// of the classes not reused go in at `table_at` (in class order), what
+/// lay between moves up, the same walk again puts each byte's codeword
+/// under its tag's class's code, or the byte itself, and the mask is
+/// returned. Otherwise the section goes out as it is, and 0 is returned.
+/// Either way the codes the frame went under become the history's last
+/// ones. Like the path reference, this is a cost choice made frame by
+/// frame, not an option. Nothing is allocated beyond `body`'s own growth.
+///
+/// # Panics
+///
+/// When `members` is not the section `raw` tagged.
 pub fn code_members(
-    buf: &mut Vec<u8>,
+    body: &mut Vec<u8>,
     table_at: usize,
-    members_at: usize,
+    count: usize,
+    members: &[u8],
     raw: &mut SeqEncoder,
 ) -> u16 {
-    let SeqEncoder { notes, history, continues, .. } = raw;
-    let Some(notes) = notes else { return 0 };
-    let section = &buf[members_at..];
-    let (count, count_len) = raw_varint(section);
-    let raw_len = section.len() - notes.written;
-    tally(&section[..count_len], &mut notes.counts[Class::Other as usize]);
-    let counts = &notes.counts;
+    let SeqEncoder { tags, history, continues, .. } = raw;
+    let tags = tags.as_deref().unwrap_or(&[]);
+    assert_eq!(tags.len(), members.len(), "the member section is the one its encoder tagged");
+    let count_at = body.len();
+    put_varint(body, count as u64);
+    let mut count_bytes = [0u8; 10];
+    let count_len = body.len() - count_at;
+    count_bytes[..count_len].copy_from_slice(&body[count_at..]);
+    let count_bytes = &count_bytes[..count_len];
+    let raw_len = count_len + members.len();
+    let mut counts = [[0u32; 256]; CLASSES];
+    count_bytes.iter().for_each(|&byte| counts[Class::Other as usize][usize::from(byte)] += 1);
+    for (&byte, &tag) in members.iter().zip(tags) {
+        counts[usize::from(tag)][usize::from(byte)] += 1;
+    }
     // The codes the connection's last frame went under, when this one
     // continues it.
     let last = |class: Class| history.code(class).filter(|_| *continues);
@@ -2204,7 +2046,7 @@ pub fn code_members(
         reuse: false,
     });
     let mut mask = 0u16;
-    for ((class, priced), counts) in Class::ALL.into_iter().zip(&mut classes).zip(counts) {
+    for ((class, priced), counts) in Class::ALL.into_iter().zip(&mut classes).zip(&counts) {
         priced.raw_bits = 8 * counts.iter().map(|&n| u64::from(n)).sum::<u64>();
         if priced.raw_bits > 0 {
             priced.build(counts, MAX_CODE_LEN, &mut scratch);
@@ -2254,7 +2096,7 @@ pub fn code_members(
     // The member-count rule: the code saving least goes until it holds.
     loop {
         let (bytes, _) = priced(mask);
-        let count_bits: usize = section[..count_len]
+        let count_bits: usize = count_bytes
             .iter()
             .map(|&byte| match mask & Class::Other.bit() {
                 0 => 8,
@@ -2263,7 +2105,7 @@ pub fn code_members(
             .sum();
         let least = coded(mask).min_by_key(|&class| classes[class as usize].saving());
         match least {
-            Some(least) if 16 * count as usize > 8 * bytes - count_bits => mask &= !least.bit(),
+            Some(least) if 16 * count > 8 * bytes - count_bits => mask &= !least.bit(),
             _ => break,
         }
     }
@@ -2273,7 +2115,7 @@ pub fn code_members(
     let masks_len = if *continues { 4 } else { 2 };
     let header_len = masks_len + tables_len;
     if mask == 0 || header_len + coded_len >= raw_len {
-        drop_notes(buf, members_at, count, count_len);
+        body.extend_from_slice(members);
         history.keep_codes(0, &[]);
         return 0;
     }
@@ -2286,78 +2128,49 @@ pub fn code_members(
             *codewords = std::array::from_fn(|byte| ((byte as Codeword) << 4) | 8);
         }
     }
-    let coded_at = buf.len();
-    buf.resize(coded_at + coded_len, 0);
-    let (noted, out) = buf.split_at_mut(coded_at);
-    let written = transcode(&noted[members_at..], count, count_len, &codewords, out);
-    debug_assert_eq!(written, coded_len, "the price was not the bytes");
-
-    // [.. table_at | head | noted | coded] → [.. table_at | masks | tables | head | coded]:
-    // the coded members land inside the noted ones' room, the head behind
-    // them, and the masks and tables before it.
-    buf.copy_within(coded_at.., members_at + header_len);
-    buf.copy_within(table_at..members_at, table_at + header_len);
-    buf[table_at..table_at + 2].copy_from_slice(&mask.to_le_bytes());
+    // [.. table_at | head | count] → [.. table_at | masks | tables | head | coded]:
+    // the head moves up behind the masks and tables, and the coded count
+    // and members follow it.
+    body.resize(count_at + header_len + coded_len, 0);
+    body.copy_within(table_at..count_at, table_at + header_len);
+    body[table_at..table_at + 2].copy_from_slice(&mask.to_le_bytes());
     if *continues {
-        buf[table_at + 2..table_at + 4].copy_from_slice(&reused.to_le_bytes());
+        body[table_at + 2..table_at + 4].copy_from_slice(&reused.to_le_bytes());
     }
     let mut at = table_at + masks_len;
     for code in coded(mask & !reused).map(|class| &classes[class as usize].code) {
-        code.put_table(&mut buf[at..at + code.table_len()]);
+        code.put_table(&mut body[at..at + code.table_len()]);
         at += code.table_len();
     }
-    buf.truncate(members_at + header_len + coded_len);
+    let out = &mut body[count_at + header_len..];
+    let written = transcode(count_bytes, members, tags, &codewords, out);
+    debug_assert_eq!(written, coded_len, "the price was not the bytes");
     history.keep_frame_codes(mask, reused, &classes);
     mask
 }
 
-/// Writes the noted `section` of `count` members, its count `count_len`
-/// bytes, as codewords into `out` — the count's bytes and each run's
-/// under their class's codewords, each length prefix under the length
-/// class's — and returns the bytes written.
+/// Writes a sequence's count bytes `count` and its raw `members` as
+/// codewords into `out` — each member byte under the codewords of the
+/// class its tag names, the count's under the other class's — and
+/// returns the bytes written.
 fn transcode(
-    section: &[u8],
-    count: u64,
-    count_len: usize,
+    count: &[u8],
+    members: &[u8],
+    tags: &[u8],
     codewords: &Codewords,
     out: &mut [u8],
 ) -> usize {
     let mut bits = BitWriter { out, at: 0, pending: 0, held: 0 };
     let other = &codewords[Class::Other as usize];
-    section[..count_len].iter().for_each(|&byte| bits.put(other[usize::from(byte)]));
-    let mut at = count_len;
-    for _ in 0..count {
-        let member = Noted::at(&section[at..]);
-        let len = &codewords[Class::Len as usize];
-        member.prefix.iter().for_each(|&byte| bits.put(len[usize::from(byte)]));
-        let (mut runs, mut from) = (member.runs, 0);
-        while let Some((class, len)) = next_run(&mut runs) {
-            let codewords = &codewords[class];
-            for &byte in &member.bytes[from..from + len] {
-                bits.put(codewords[usize::from(byte)]);
-            }
-            from += len;
-        }
-        at += member.whole_len();
+    count.iter().for_each(|&byte| bits.put(other[usize::from(byte)]));
+    for (&byte, &tag) in members.iter().zip(tags) {
+        bits.put(codewords[usize::from(tag)][usize::from(byte)]);
     }
     bits.finish()
 }
 
-/// Takes the notes out of a noted sequence of `count` members at
-/// `buf[members_at..]`, leaving the raw sequence.
-fn drop_notes(buf: &mut Vec<u8>, members_at: usize, count: u64, count_len: usize) {
-    let (mut read, mut write) = (members_at + count_len, members_at + count_len);
-    for _ in 0..count {
-        let member = Noted::at(&buf[read..]);
-        let (kept, whole) = (member.prefix.len() + member.bytes.len(), member.whole_len());
-        buf.copy_within(read..read + kept, write);
-        (read, write) = (read + whole, write + kept);
-    }
-    buf.truncate(write);
-}
-
 /// Reads a member sequence back — the inverse of [`put_members`] and
-/// [`put_members_coded`] — handing each member's decoder the members
+/// [`code_members`] — handing each member's decoder the members
 /// before it. In a frame whose reader holds codes
 /// ([`BinReader::read_codes`]), the sequence is the coded member section
 /// and runs to the end of the body.
@@ -2456,7 +2269,6 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, value);
             assert_eq!(buf.len(), varint_len(value), "varint_len({value:#x})");
-            assert_eq!(raw_varint(&buf), (value, buf.len()));
             let mut r = BinReader::new(&buf);
             assert_eq!(r.varint(Class::Other).unwrap(), value);
             assert!(r.is_empty());
@@ -2674,7 +2486,7 @@ mod tests {
         assert_eq!(seq.dirs.replace(b"/a/", 0), None);
         seq.dirs.undo = None;
         assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5));
-        seq.forget(&[]);
+        seq.forget(&mut Vec::new(), 0);
         assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5), "the member at 0 is still the latest");
     }
 
@@ -2868,6 +2680,17 @@ mod tests {
         }
     }
 
+    /// Appends `members` as a frame's packer does — each written raw and
+    /// tagged, then the sequence laid out raw or coded, the class mask and
+    /// tables at `table_at` — and returns the mask.
+    fn code_sequence<T: BinPayload>(buf: &mut Vec<u8>, table_at: usize, members: &[T]) -> u16 {
+        let (mut seq, mut section) = (SeqEncoder::for_coding(), Vec::new());
+        for (i, member) in members.iter().enumerate() {
+            put_member(&mut section, member, &members[..i], &mut seq);
+        }
+        code_members(buf, table_at, members.len(), &section, &mut seq)
+    }
+
     /// Sequences of every shape go out coded only when that is smaller,
     /// never larger than raw, and decode to what went in; the class mask
     /// and tables sit where the caller asks.
@@ -2877,7 +2700,7 @@ mod tests {
         let mut raw = vec![0xaa];
         put_members(&mut raw, &strings);
         let mut coded = vec![0xaa];
-        let mask = put_members_coded(&mut coded, 1, &strings);
+        let mask = code_sequence(&mut coded, 1, &strings);
         assert_eq!(mask & Class::Path.bit(), 0, "strings have no paths");
         assert_ne!(mask & Class::Other.bit(), 0, "{mask:#x}");
         assert_eq!(coded[1..3], mask.to_le_bytes());
@@ -2894,14 +2717,14 @@ mod tests {
         let random: Vec<u64> = (1..200u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let (mut raw, mut coded) = (Vec::new(), Vec::new());
         put_members(&mut raw, &random);
-        assert_eq!(put_members_coded(&mut coded, 0, &random), Class::Len.bit());
+        assert_eq!(code_sequence(&mut coded, 0, &random), Class::Len.bit());
         assert_eq!(coded.len(), 2 + 3 + (16 + 199 * 65usize).div_ceil(8), "a two-byte count");
         let mut r = BinReader::new(&coded);
         r.read_codes().unwrap();
         assert_eq!(read_members::<u64>(&mut r).unwrap(), random);
         let (mut raw, mut coded) = (Vec::new(), Vec::new());
         put_members(&mut raw, &random[..2]);
-        assert_eq!(put_members_coded(&mut coded, 0, &random[..2]), 0);
+        assert_eq!(code_sequence(&mut coded, 0, &random[..2]), 0);
         assert_eq!(coded, raw);
     }
 
@@ -2929,21 +2752,20 @@ mod tests {
     }
 
     /// A frame's raw pass refuses a byte its encoder did not write, in
-    /// the middle of a member — a debug build's check: it would be coded
-    /// under the next field's class…
+    /// the middle of a member, where it would go untagged and the bytes
+    /// after it be coded under their neighbours' classes…
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "a member writes every byte through its SeqEncoder")]
     fn a_stray_byte_within_a_member_is_caught() {
-        put_members_coded(&mut Vec::new(), 0, &[Stray { last: false }]);
+        put_member(&mut Vec::new(), &Stray { last: false }, &[], &mut SeqEncoder::for_coding());
     }
 
-    /// …and at its end, in any build, where it would be left out of the
-    /// transcode.
+    /// …and at its end, where it would go untagged — in every build, by
+    /// one comparison of the member buffer with its tags.
     #[test]
     #[should_panic(expected = "a member writes every byte through its SeqEncoder")]
     fn a_stray_byte_ending_a_member_is_caught() {
-        put_members_coded(&mut Vec::new(), 0, &[Stray { last: true }]);
+        put_member(&mut Vec::new(), &Stray { last: true }, &[], &mut SeqEncoder::for_coding());
     }
 
     /// A member that writes its bytes in any class, as they are given.
@@ -2994,7 +2816,7 @@ mod tests {
             })
             .collect();
         let mut coded = Vec::new();
-        let mask = put_members_coded(&mut coded, 0, &members);
+        let mask = code_sequence(&mut coded, 0, &members);
         let four: u16 = classes.iter().map(|class| class.bit()).sum();
         assert_eq!(mask, four | Class::Len.bit(), "the count's three bytes are left raw");
         let mut r = BinReader::new(&coded);

@@ -952,7 +952,16 @@ mod tests {
     /// or none — are the raw sequence byte for byte.
     #[test]
     fn a_sequence_goes_out_coded_when_that_is_smaller() {
-        use crate::bin::{put_members, put_members_coded, read_members, Class};
+        use crate::bin::{code_members, put_member, put_members, read_members, Class};
+        // What a frame's packer does: each member raw and tagged, then the
+        // cost choice.
+        let code_sequence = |buf: &mut Vec<u8>, table_at: usize, events: &[FileEvent]| {
+            let (mut seq, mut section) = (SeqEncoder::for_coding(), Vec::new());
+            for (i, event) in events.iter().enumerate() {
+                put_member(&mut section, event, &events[..i], &mut seq);
+            }
+            code_members(buf, table_at, events.len(), &section, &mut seq)
+        };
         let rec = sample_record();
         let events: Vec<FileEvent> = (0..40u64)
             .map(|i| {
@@ -966,7 +975,7 @@ mod tests {
         let mut raw = vec![0xaa];
         put_members(&mut raw, &events);
         let mut coded = vec![0xaa];
-        let mask = put_members_coded(&mut coded, 1, &events);
+        let mask = code_sequence(&mut coded, 1, &events);
         for class in [Class::Path, Class::Flags, Class::Time, Class::Shared, Class::Carried] {
             assert_ne!(mask & class.bit(), 0, "{class} in {mask:#x}");
         }
@@ -982,7 +991,7 @@ mod tests {
         for few in [&events[1..2], &[]] {
             let (mut raw, mut coded) = (vec![0xaa], vec![0xaa]);
             put_members(&mut raw, few);
-            assert_eq!(put_members_coded(&mut coded, 1, few), 0, "{} members", few.len());
+            assert_eq!(code_sequence(&mut coded, 1, few), 0, "{} members", few.len());
             assert_eq!(coded, raw);
         }
     }
