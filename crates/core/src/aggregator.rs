@@ -59,7 +59,10 @@ pub enum FeedMessage {
 }
 
 /// Binary layout: `seq` as a delta against the predecessor's (of the
-/// sequence class, [`Class::Seq`]), then the event coded among the earlier members' events
+/// sequence class, [`Class::Seq`]) — a frame's first member's against
+/// the number before the frame's first when the frame continues its
+/// connection ([`SeqEncoder::seq_before`]), against 0 otherwise — then the
+/// event coded among the earlier members' events
 /// ([`FileEvent::encode_among`]). As for the event, the members need not
 /// be sequenced events themselves: `sev_of` says which one, if any, a
 /// member holds, and the predecessor is the one right before this.
@@ -71,8 +74,11 @@ impl SequencedEvent {
         seq: &mut SeqEncoder,
         buf: &mut Vec<u8>,
     ) {
-        let prev = earlier.last().and_then(&sev_of);
-        seq.delta(buf, Class::Seq, self.seq, prev.map_or(0, |p| p.seq));
+        let prev = match earlier.last() {
+            Some(member) => sev_of(member).map(|p| p.seq),
+            None => seq.seq_before(),
+        };
+        seq.delta(buf, Class::Seq, self.seq, prev.unwrap_or(0));
         self.event.encode_among(earlier, |m| sev_of(m).map(|sev| &sev.event), seq, buf);
     }
 
@@ -81,9 +87,12 @@ impl SequencedEvent {
         earlier: &'a [T],
         sev_of: impl Fn(&'a T) -> Option<&'a SequencedEvent>,
     ) -> Result<SequencedEvent, BinDecodeError> {
-        let prev = earlier.last().and_then(&sev_of);
+        let prev = match earlier.last() {
+            Some(member) => sev_of(member).map(|p| p.seq),
+            None => r.seq_before(),
+        };
         Ok(SequencedEvent {
-            seq: r.delta(Class::Seq, prev.map_or(0, |p| p.seq))?,
+            seq: r.delta(Class::Seq, prev.unwrap_or(0))?,
             event: FileEvent::decode_among(r, earlier, |m| sev_of(m).map(|sev| &sev.event))?,
         })
     }
@@ -101,6 +110,10 @@ impl BinPayload for SequencedEvent {
     fn event(&self) -> Option<&FileEvent> {
         Some(&self.event)
     }
+
+    fn seq(&self) -> Option<u64> {
+        Some(self.seq)
+    }
 }
 
 impl FeedMessage {
@@ -113,8 +126,9 @@ impl FeedMessage {
         }
     }
 
-    /// The sequence number this member carries, whichever variant it is.
-    fn seq(&self) -> u64 {
+    /// The sequence number this member carries, whichever variant it is:
+    /// what a heartbeat's `last_seq` is coded against.
+    fn progress(&self) -> u64 {
         match self {
             FeedMessage::Event(sev) => sev.seq,
             FeedMessage::Heartbeat { last_seq } => *last_seq,
@@ -138,7 +152,7 @@ impl BinPayload for FeedMessage {
             }
             FeedMessage::Heartbeat { last_seq } => {
                 seq.byte(buf, Class::Tag, 1);
-                let prev = earlier.last().map_or(0, FeedMessage::seq);
+                let prev = earlier.last().map_or(0, FeedMessage::progress);
                 seq.delta(buf, Class::Seq, *last_seq, prev);
             }
         }
@@ -149,7 +163,7 @@ impl BinPayload for FeedMessage {
             0 => SequencedEvent::decode_among(r, earlier, FeedMessage::as_event)
                 .map(FeedMessage::Event),
             1 => Ok(FeedMessage::Heartbeat {
-                last_seq: r.delta(Class::Seq, earlier.last().map_or(0, FeedMessage::seq))?,
+                last_seq: r.delta(Class::Seq, earlier.last().map_or(0, FeedMessage::progress))?,
             }),
             other => Err(BinDecodeError::msg(format!("invalid FeedMessage tag {other}"))),
         }
@@ -157,6 +171,12 @@ impl BinPayload for FeedMessage {
 
     fn event(&self) -> Option<&FileEvent> {
         self.as_event().map(|sev| &sev.event)
+    }
+
+    /// An event's sequence number; a heartbeat carries none, so a frame
+    /// it opens is never continued.
+    fn seq(&self) -> Option<u64> {
+        self.as_event().map(|sev| sev.seq)
     }
 }
 

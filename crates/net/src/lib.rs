@@ -24,7 +24,9 @@
 //! * [`pubsub`] — the lossy feed leg ([`TcpBroker`], [`TcpSubscriber`])
 //!   with per-subscriber high-water-mark shedding, mirroring
 //!   `sdci_mq::pubsub`. Only the process that owns a broker publishes
-//!   into it; the wire carries deliveries, never publications.
+//!   into it; the wire carries deliveries, never publications, each
+//!   publish encoded once for every leg — and coded against the publish
+//!   before it when every leg it goes to took that one.
 //! * [`pipe`] — lossless PUSH/PULL ([`TcpPullServer`], [`TcpPush`]):
 //!   per-client sequence numbers, acknowledgements, and resend-on-
 //!   reconnect give at-least-once delivery with server-side dedup —

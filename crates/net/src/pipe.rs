@@ -38,7 +38,7 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::wire::{
-    is_continuity_gap, timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service,
+    continuity_gap, timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service,
 };
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
@@ -329,7 +329,7 @@ fn serve_pusher<T>(
             }
             Ok(Frame::Fin) => return,
             Ok(_) => {}
-            Err(e) if is_continuity_gap(&e) => {
+            Err(e) if continuity_gap(&e).is_some() => {
                 // A batch continuing frames this connection did not
                 // deliver (lost, or duplicated behind them): none of its
                 // members was read, so the pusher must resume after the

@@ -14,6 +14,16 @@
 //! subscriber leg. N subscribers cost one encode, not N, and a batch
 //! published whole leaves as one frame.
 //!
+//! The dispatcher's publishes are one stream, and a frame may continue
+//! it ([`crate::wire`]): coded against the publish before it, which
+//! every leg it goes to must then hold. Each leg records whether it took
+//! the encoder's last frame; a publish with a matching leg that did not —
+//! one that shed it, did not match its topic, or joined since — goes out
+//! fresh to every leg, still encoded once. So a leg only ever receives a
+//! continuing frame whose predecessor it holds, and a subscriber that
+//! nevertheless sees a gap — a fault on its socket — skips a frame it has
+//! read already and reconnects on anything else.
+//!
 //! Semantics match `sdci_mq::pubsub`: best-effort delivery with a
 //! per-subscriber high-water mark. Backpressure from a slow socket
 //! fills that subscriber's local queue, and the broker sheds newer
@@ -28,7 +38,8 @@ use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::spawn_worker;
 use crate::wire::{
-    timed_out, write_deliver_batch_bin, write_msg, BinEncoder, Frame, Service, BIN_FRAME_BIT,
+    continuity_gap, timed_out, write_deliver_batch_bin, write_msg, BinEncoder, ContinuityGap,
+    Frame, Service, BIN_FRAME_BIT,
 };
 use sdci_mq::pubsub::{Broker, Message, Tap};
 use sdci_mq::transport::Subscribe;
@@ -85,6 +96,9 @@ struct DeliverChunk {
 struct FanoutLeg {
     prefixes: Vec<String>,
     tx: crossbeam_channel::Sender<DeliverChunk>,
+    /// Whether the leg took the dispatcher encoder's last frame, so the
+    /// next may continue it; false for a leg that just joined.
+    synced: bool,
 }
 
 impl FanoutLeg {
@@ -198,7 +212,7 @@ fn serve_subscriber<T>(
         return; // spawn failed: drop the connection, the client retries
     }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
-    hub.legs.lock().push(FanoutLeg { prefixes, tx });
+    hub.legs.lock().push(FanoutLeg { prefixes, tx, synced: false });
     let mut last_write = Instant::now();
     loop {
         match rx.recv_timeout(cfg.heartbeat) {
@@ -306,24 +320,48 @@ fn fanout_dispatcher<T>(
     hub.legs.lock().clear();
 }
 
-/// Encodes one publish — once, on the first matching leg — and feeds
-/// the frozen bytes to every matching leg.
+/// Encodes one publish once — fresh when a matching leg did not take the
+/// encoder's last frame — and feeds the frozen bytes to every matching
+/// leg, noting under the same lock which legs now hold what the encoder
+/// wrote. A publish no leg matches is not encoded; one that cannot be
+/// (a frame over [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN), say) is
+/// shed for every leg, and the next goes out fresh.
 fn fan_out_batch<T: BinPayload>(enc: &mut BinEncoder, topic: &str, batch: &[T], hub: &FanoutHub) {
-    let mut shared: Option<DeliverChunk> = None;
-    hub.legs.lock().retain(|leg| {
+    let mut legs = hub.legs.lock();
+    let matching = || legs.iter().filter(|leg| leg.matches(topic));
+    if matching().next().is_none() {
+        return;
+    }
+    if matching().any(|leg| !leg.synced) {
+        enc.start_fresh();
+    }
+    let shed = sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total");
+    let chunk = match encode_batch(enc, topic, batch) {
+        Ok(chunk) => chunk,
+        Err(e) => {
+            sdci_obs::error!("fan-out could not encode a publish; shed for every subscriber";
+                topic = topic, messages = batch.len(), error = e.to_string());
+            shed.add(batch.len() as u64);
+            enc.start_fresh();
+            legs.iter_mut().for_each(|leg| leg.synced = false);
+            return;
+        }
+    };
+    legs.retain_mut(|leg| {
         if !leg.matches(topic) {
+            leg.synced = false;
             return true;
         }
-        if shared.is_none() {
-            shared = encode_batch(enc, topic, batch).ok();
-        }
-        let Some(chunk) = shared.clone() else { return true };
-        match leg.tx.try_send(chunk) {
-            Ok(()) => true,
+        match leg.tx.try_send(chunk.clone()) {
+            Ok(()) => {
+                leg.synced = true;
+                true
+            }
             Err(crossbeam_channel::TrySendError::Full(c)) => {
                 // This leg's socket fell behind: shed for it alone —
                 // the same high-water-mark contract as in-process.
-                sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total").add(c.msgs);
+                shed.add(c.msgs);
+                leg.synced = false;
                 true
             }
             Err(crossbeam_channel::TrySendError::Disconnected(_)) => false,
@@ -511,6 +549,11 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
                     continue 'reconnect;
                 }
                 Ok(_) => {}
+                // A frame read already, delivered again: none of it was
+                // read this time, and the history it continues stands.
+                Err(e) if continuity_gap(&e).is_some_and(ContinuityGap::is_duplicate) => {
+                    last_traffic = Instant::now();
+                }
                 Err(e) if timed_out(&e) => {
                     if stop.load(Ordering::Relaxed) {
                         return;
@@ -520,7 +563,14 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
                         continue 'reconnect;
                     }
                 }
-                Err(_) => {
+                // Any other gap means a frame this leg was sent never
+                // arrived: a new connection starts fresh, and the
+                // consumer heals what it missed from the store.
+                Err(e) => {
+                    if let Some(gap) = continuity_gap(&e) {
+                        sdci_obs::warn!("feed frame continues one never read; reconnecting";
+                            error = gap.to_string());
+                    }
                     backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                     continue 'reconnect;
                 }

@@ -29,15 +29,19 @@
 //! paths as shared-prefix length + suffix against the predecessor's or a
 //! named earlier member's). In a *fresh* frame those are the members
 //! before it in the same frame, the first coded against nothing, so the
-//! frame decodes from its own bytes alone; deliver frames and store
-//! replies are always fresh. An item batch may instead *continue* its
-//! connection (flags bit 2): its members are coded against what the item
-//! frames written before it on the same connection carried as well —
-//! the last member, the paths of the last
+//! frame decodes from its own bytes alone; store replies are always
+//! fresh. An item or deliver batch may instead *continue* its connection
+//! (flags bit 2): its members are coded against what the frames written
+//! before it on the same connection carried as well — the last member,
+//! the paths of the last
 //! [`HISTORY_MEMBERS`](sdci_types::bin::HISTORY_MEMBERS) members, the
 //! last frame's codes — and only that connection's [`FrameReader`],
-//! which holds the same [`History`], reads it; one that does not start
-//! where the history ends is a [`ContinuityGap`], never a misdecode:
+//! which holds the same [`History`], reads it. A frame's history is keyed
+//! by a sequence number — an item batch's `first_seq`, a deliver batch's
+//! first member's ([`BinPayload::seq`]) — and a frame continues only the
+//! one right before it, starting where that one ended; one that does not
+//! start where the reader's history ends is a [`ContinuityGap`], never a
+//! misdecode:
 //!
 //! ```text
 //! +------+-------+----------------------+-----------------------------------+---------------+
@@ -46,13 +50,16 @@
 //! +------+-------+----------------------+-----------------------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
-//! kind 4 DeliverBatch: topic (varint len + bytes) | members
+//! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq u64le, flags&4] | members
 //!
 //! members    = count varint | count × (len varint | member: len bytes)
 //!              member i coded against members 0..i — and, in a continuing
 //!              frame, against the connection's history before member 0
+//! first_seq  = a continuing deliver batch's: its first member's sequence
+//!              number, which the reader checks against its history before
+//!              it reads a member
 //! reuse      = a continuing frame's: the classes coded under the code they
-//!              had in the connection's last item frame, with no table here
+//!              had in the connection's last frame, with no table here
 //! tables     = one per class the mask names and reuse does not, in class order:
 //!              n−1 u8 | symbols (n < 32: a list; else a 32-byte bitmap) |
 //!              a 4-bit codeword length per symbol
@@ -126,7 +133,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 12;
+pub const WIRE_PROTO: u32 = 13;
 
 /// Longest JSON body — a [`Hello`], or any other control frame — a
 /// reader accepts. The largest legitimate one is a subscriber's prefix
@@ -313,11 +320,10 @@ pub trait WireMsg: Sized {
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self>;
 
     /// Decodes one complete frame body as a connection's reader does —
-    /// [`FrameReader::read_msg`] — whose `history` holds what the item
-    /// frames it read before carried: an item batch that continues its
-    /// connection is read against it, and every item batch is recorded
-    /// in it. A message without item batches decodes as
-    /// [`WireMsg::decode`] does.
+    /// [`FrameReader::read_msg`] — whose `history` holds what the frames
+    /// it read before carried: an item or deliver batch that continues its
+    /// connection is read against it, and every one is recorded in it. A
+    /// message without such batches decodes as [`WireMsg::decode`] does.
     ///
     /// # Errors
     ///
@@ -361,7 +367,9 @@ const BIN_FLAG_CODED: u8 = 2;
 
 /// Flags bit: the frame continues its connection — its members are coded
 /// against the connection's [`History`] as well as against one another,
-/// and its coded header has a reuse mask. Only an item batch sets it.
+/// and its coded header has a reuse mask. Only an item or a deliver batch
+/// sets it; a deliver batch that does carries its first member's sequence
+/// number after its topic.
 const BIN_FLAG_CONTINUES: u8 = 4;
 
 /// The flags bit that announces a member section coded under `mask`.
@@ -403,9 +411,10 @@ pub(crate) fn bin_read_header(
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let continues = flags & BIN_FLAG_CONTINUES != 0;
-    if continues && kind != BIN_KIND_ITEM_BATCH {
+    if continues && kind != BIN_KIND_ITEM_BATCH && kind != BIN_KIND_DELIVER_BATCH {
         return Err(invalid(format!(
-            "a kind-{kind} frame that continues its connection: only an item batch may"
+            "a kind-{kind} frame that continues its connection: only an item or a deliver batch \
+             may"
         )));
     }
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
@@ -417,16 +426,16 @@ pub(crate) fn bin_read_header(
     Ok((kind, trace, continues))
 }
 
-/// Why a connection's reader read none of an item batch that continues
-/// its connection: the batch does not start where the reader's
-/// [`History`] ends — a frame before it was lost, or it is a duplicate —
-/// or the reader holds no history at all. Reading its members against a
-/// history they were not coded against would misdecode them, so none is
-/// read, and the history is left as it was. It is not corruption: the
-/// stream is still framed, and the pull server answers it as it answers a
-/// sequence gap, with a `Nack` naming where the pusher must resume. It
-/// travels as an `InvalidData` [`io::Error`]; [`is_continuity_gap`]
-/// tells it apart.
+/// Why a connection's reader read none of a batch that continues its
+/// connection: the batch does not start where the reader's [`History`]
+/// ends — a frame before it was lost, or it is a duplicate — or the
+/// reader holds no history at all. Reading its members against a history
+/// they were not coded against would misdecode them, so none is read, and
+/// the history is left as it was. It is not corruption: the stream is
+/// still framed. The pull server answers it as it answers a sequence gap,
+/// with a `Nack` naming where the pusher must resume; a subscriber skips
+/// a duplicate and reconnects on anything else. It travels as an
+/// `InvalidData` [`io::Error`]; [`continuity_gap`] tells it apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuityGap {
     /// The sequence number the batch starts at.
@@ -436,19 +445,27 @@ pub struct ContinuityGap {
     pub expected: Option<u64>,
 }
 
+impl ContinuityGap {
+    /// Whether the batch starts before where the reader's history ends:
+    /// a frame read already, delivered again.
+    pub fn is_duplicate(&self) -> bool {
+        self.expected.is_some_and(|expected| self.first_seq < expected)
+    }
+}
+
 impl std::fmt::Display for ContinuityGap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.expected {
             Some(expected) => write!(
                 f,
-                "an item batch continuing its connection from sequence {}, where its history \
-                 ends at {expected}",
+                "a batch continuing its connection from sequence {}, where its history ends at \
+                 {expected}",
                 self.first_seq
             ),
             None => write!(
                 f,
-                "an item batch continuing its connection from sequence {} on a reader that \
-                 holds none of its history",
+                "a batch continuing its connection from sequence {} on a reader that holds none \
+                 of its history",
                 self.first_seq
             ),
         }
@@ -457,10 +474,10 @@ impl std::fmt::Display for ContinuityGap {
 
 impl std::error::Error for ContinuityGap {}
 
-/// Whether `e` is a [`ContinuityGap`]: a frame the reader skipped, on a
-/// stream still good to read.
-pub fn is_continuity_gap(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<ContinuityGap>())
+/// The [`ContinuityGap`] `e` is, if it is one: a frame the reader
+/// skipped, on a stream still good to read.
+pub fn continuity_gap(e: &io::Error) -> Option<&ContinuityGap> {
+    e.get_ref().and_then(|inner| inner.downcast_ref::<ContinuityGap>())
 }
 
 impl<T: BinPayload> Frame<T> {
@@ -473,26 +490,28 @@ impl<T: BinPayload> Frame<T> {
         // The reader — some 27 KB, dropped in place at the end of this
         // block rather than moved — may borrow `history` while it reads a
         // batch that continues its connection.
-        let (first_seq, trace, continues, read) = {
+        let (topic, first_seq, trace, continues, read) = {
             let mut r = BinReader::new(body);
             let (kind, trace, continues) = bin_read_header(&mut r)?;
-            match kind {
-                BIN_KIND_ITEM_BATCH => {}
+            // An item batch's head is its first sequence number; a deliver
+            // batch's is its topic and — only when it continues its
+            // connection — its first member's sequence number.
+            let (topic, first_seq) = match kind {
+                BIN_KIND_ITEM_BATCH => (None, r.u64().map_err(invalid)?),
                 BIN_KIND_DELIVER_BATCH => {
                     let topic = r.string().map_err(invalid)?;
-                    return Ok(Frame::DeliverBatch { topic, payloads: read_all(&mut r)?, trace });
+                    (Some(topic), if continues { r.u64().map_err(invalid)? } else { 0 })
                 }
                 other => return Err(invalid(format!("unknown binary frame kind {other}"))),
-            }
-            let first_seq = r.u64().map_err(invalid)?;
+            };
             let read = match history.as_deref_mut() {
                 None if continues => {
-                    let why = "an item batch that continues its connection, decoded apart from it";
+                    let what = if topic.is_some() { "a deliver batch" } else { "an item batch" };
+                    let why =
+                        format!("{what} that continues its connection, decoded apart from it");
                     return Err(invalid(why));
                 }
-                None => {
-                    return Ok(Frame::ItemBatch { first_seq, payloads: read_all(&mut r)?, trace })
-                }
+                None => read_all(&mut r),
                 // A batch that does not start where the history ends is
                 // not read at all, and leaves the history as it was.
                 Some(history) if continues => {
@@ -503,17 +522,38 @@ impl<T: BinPayload> Frame<T> {
                     }
                     r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
                 }
+                // A fresh batch is all the history holds next, keyed as its
+                // writer keyed it.
                 Some(history) => {
                     let read = read_all(&mut r);
                     if let Ok(payloads) = &read {
-                        history.record(false, first_seq, payloads.iter().map(T::event));
+                        let key = match topic {
+                            None => Some(first_seq),
+                            Some(_) => payloads.first().and_then(T::seq),
+                        };
+                        match key {
+                            Some(key) => history.record(false, key, payloads.iter().map(T::event)),
+                            None => history.clear(),
+                        }
                         r.keep_codes(history);
                     }
                     read
                 }
             };
-            (first_seq, trace, continues, read)
+            (topic, first_seq, trace, continues, read)
         };
+        // A continuing deliver batch is keyed by its first member's
+        // sequence number, as a fresh one is, and its head must say so.
+        let read = read.and_then(|payloads| {
+            let carried = payloads.first().and_then(T::seq);
+            if continues && topic.is_some() && carried != Some(first_seq) {
+                return Err(invalid(format!(
+                    "a deliver batch continuing from sequence {first_seq} whose first member \
+                     carries {carried:?}"
+                )));
+            }
+            Ok(payloads)
+        });
         // A batch refused for anything but a gap leaves nothing for a
         // later one to continue.
         if let Some(history) = history {
@@ -525,7 +565,10 @@ impl<T: BinPayload> Frame<T> {
                 Err(_) => history.clear(),
             }
         }
-        read.map(|payloads| Frame::ItemBatch { first_seq, payloads, trace })
+        read.map(|payloads| match topic {
+            None => Frame::ItemBatch { first_seq, payloads, trace },
+            Some(topic) => Frame::DeliverBatch { topic, payloads, trace },
+        })
     }
 }
 
@@ -572,13 +615,14 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// whether a chunked writer ([`write_item_batch_bin`]) or
 /// [`WireMsg::encode`] packs it.
 ///
-/// It also remembers what the item frames it wrote carried — their
+/// It also remembers what the frames it wrote carried — their
 /// directories, last member and codes ([`SeqEncoder::history`]) — so an
-/// item frame whose first sequence number is one past the last member it
-/// wrote *continues* them: the reader of the same connection holds the
-/// same history. Any other frame leaves nothing to continue. A writer
-/// whose frames may not reach that reader in order — a new connection,
-/// a rewind — says so first ([`BinEncoder::start_fresh`]).
+/// item or deliver frame whose first sequence number is one past the
+/// last member it wrote *continues* them: the reader of the same
+/// connection holds the same history. A store reply leaves nothing to
+/// continue. A writer whose frames may not reach that reader in order —
+/// a new connection, a rewind, a fan-out leg that missed the last frame
+/// — says so first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
 pub struct BinEncoder {
     /// The raw member section of the frame being packed: each member
@@ -605,8 +649,8 @@ impl BinEncoder {
         BinEncoder::default()
     }
 
-    /// Forgets what the item frames written so far carried: the next one
-    /// goes out fresh, decodable by a reader that saw none of them.
+    /// Forgets what the frames written so far carried: the next one goes
+    /// out fresh, decodable by a reader that saw none of them.
     pub fn start_fresh(&mut self) {
         if let Some(seq) = &mut self.seq {
             seq.forget_history();
@@ -661,18 +705,41 @@ impl BatchHead<'_> {
         }
     }
 
-    fn len(self) -> usize {
+    /// The sequence number a frame of `payloads` under this head is keyed
+    /// by in its history: an item frame's first, a deliver frame's first
+    /// member's; a store reply has none, nor has a deliver frame whose
+    /// first member carries none.
+    fn key<T: BinPayload>(self, payloads: &[T]) -> Option<u64> {
+        match self {
+            BatchHead::FirstSeq(first_seq) => Some(first_seq),
+            BatchHead::Topic(_) => payloads.first().and_then(T::seq),
+            BatchHead::Empty => None,
+        }
+    }
+
+    /// Bytes the head takes in a frame that does or does not continue its
+    /// connection.
+    fn len(self, continues: bool) -> usize {
         match self {
             BatchHead::FirstSeq(_) => 8,
-            BatchHead::Topic(topic) => varint_len(topic.len() as u64) + topic.len(),
+            BatchHead::Topic(topic) => {
+                varint_len(topic.len() as u64) + topic.len() + if continues { 8 } else { 0 }
+            }
             BatchHead::Empty => 0,
         }
     }
 
-    fn put(self, body: &mut Vec<u8>) {
+    /// Appends the head; `continued` is the key of a frame that continues
+    /// its connection, which a deliver frame carries after its topic.
+    fn put(self, body: &mut Vec<u8>, continued: Option<u64>) {
         match self {
             BatchHead::FirstSeq(first_seq) => body.extend_from_slice(&first_seq.to_le_bytes()),
-            BatchHead::Topic(topic) => put_bytes(body, topic.as_bytes()),
+            BatchHead::Topic(topic) => {
+                put_bytes(body, topic.as_bytes());
+                if let Some(first_seq) = continued {
+                    body.extend_from_slice(&first_seq.to_le_bytes());
+                }
+            }
             BatchHead::Empty => {}
         }
     }
@@ -709,14 +776,14 @@ fn write_batch<T: BinPayload>(
 /// [`MAX_FRAME_MEMBERS`]; without, all of them, in one frame however long
 /// (a store reply). Each frame is a member sequence of its own: a member
 /// that does not fit is taken back out — leaving no trace in `seq`'s
-/// directory table — and is the next chunk's first. A deliver frame or a
-/// store reply starts from nothing and decodes alone; an item frame whose
-/// first member holds an event *continues* `seq`'s history when its first
-/// sequence number is one past the last member `seq` wrote — the chunk
-/// before it, or the batch before this one — and starts from nothing
-/// otherwise. A single member that alone exceeds the cap still gets its
-/// own frame — it cannot be split, and the [`MAX_FRAME_LEN`] check in
-/// [`write_frame`] remains the backstop.
+/// directory table — and is the next chunk's first. A store reply starts
+/// from nothing and decodes alone; an item or deliver frame whose first
+/// member holds an event *continues* `seq`'s history when its key
+/// ([`BatchHead::key`]) is one past the last member `seq` wrote — the
+/// chunk before it, or the batch before this one — and starts from
+/// nothing otherwise. A single member that alone exceeds the cap still
+/// gets its own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
+/// check in [`write_frame`] remains the backstop.
 ///
 /// The members are packed raw into `members`, `seq` tagging every byte
 /// with its class ([`SeqEncoder::for_coding`]); then [`code_members`]
@@ -734,15 +801,12 @@ fn pack_chunk<T: BinPayload>(
 ) -> usize {
     let (max_len, max_members) =
         max_len.map_or((usize::MAX, usize::MAX), |max_len| (max_len, MAX_FRAME_MEMBERS));
+    let key = head.key(payloads);
+    let continues = payloads.first().is_some_and(|first| first.event().is_some())
+        && key.is_some_and(|key| seq.history().next_seq() == Some(key));
     // Per-frame body cost before the member count: kind + flags, the
     // optional trace section and the head.
-    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len();
-    let first_seq = match head {
-        BatchHead::FirstSeq(first_seq) => Some(first_seq),
-        _ => None,
-    };
-    let continues = payloads.first().is_some_and(|first| first.event().is_some())
-        && first_seq.is_some_and(|first| seq.history().next_seq() == Some(first));
+    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len(continues);
     members.clear();
     seq.begin(continues);
     let mut n = 0;
@@ -763,9 +827,9 @@ fn pack_chunk<T: BinPayload>(
     let at = body.len();
     bin_header(body, head.kind(), trace);
     let table_at = body.len();
-    head.put(body);
-    match first_seq {
-        Some(first_seq) => seq.record(first_seq, &payloads[..n]),
+    head.put(body, key.filter(|_| continues));
+    match key {
+        Some(key) => seq.record(key, &payloads[..n]),
         None => seq.forget_history(),
     }
     body[at + 1] |= coded_flag(code_members(body, table_at, n, members, seq));
@@ -796,8 +860,12 @@ pub fn write_item_batch_bin<T: BinPayload>(
 /// Writes `payloads` as [`Frame::DeliverBatch`] frames on `topic`,
 /// splitting by encoded size. Returns the number of frames written.
 /// This is the encode-once half of the subscriber fan-out: the broker
-/// writes into a shared byte buffer exactly once per run, and every
-/// subscriber leg ships the same bytes.
+/// writes into a shared byte buffer exactly once per publish, and every
+/// subscriber leg ships the same bytes. A frame whose first member's
+/// sequence number is one past the last member `enc` wrote continues
+/// `enc`'s history, so every leg it goes to must have received the frames
+/// `enc` wrote before it; the fan-out calls [`BinEncoder::start_fresh`]
+/// first when one has not.
 ///
 /// # Errors
 ///
@@ -914,8 +982,8 @@ pub struct FrameReader<R> {
     /// Raw body (and its encoding) of a frame an injected *duplicate*
     /// fault will deliver again on the next call.
     replay: Option<(bool, Vec<u8>)>,
-    /// What the item frames read so far carried, for the next one to
-    /// continue ([`WireMsg::decode_on`]).
+    /// What the item and deliver frames read so far carried, for the next
+    /// one to continue ([`WireMsg::decode_on`]).
     history: History,
 }
 
@@ -1144,9 +1212,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":12,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":13,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":12,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":13,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -1163,7 +1231,7 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":12}"#, r#"{"proto":12,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":13}"#, r#"{"proto":13,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1690,7 +1758,7 @@ mod tests {
     fn raw_item_body<T: BinPayload>(payloads: &[T]) -> Vec<u8> {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
-        BatchHead::FirstSeq(1).put(&mut body);
+        BatchHead::FirstSeq(1).put(&mut body, None);
         sdci_types::bin::put_members(&mut body, payloads);
         body
     }

@@ -314,56 +314,78 @@ fn cloning_a_decoded_batch_allocates_once() {
     assert!(events[0].event.src_path.as_ref().unwrap().shares_arena(&events[0].event.path));
 }
 
-/// What a pusher does on one connection: 256-member item frames, each
-/// continuing the one before. Through an encoder warm from the frames
-/// before, a continuing frame encodes without allocating; and a reader
-/// warm the same way decodes it in exactly the allocations of the same
-/// members sent fresh — its history's storage was made by the first
-/// frame, and the arena, reserved at a multiple of a body that now
-/// carries fewer path bytes, still holds every path without growing: for
-/// the `steady` shape, and for `resolve`'s long paths, whose leaves come
-/// back only after 32,768 records.
+/// What a pusher does on one connection — 256-member item frames — and
+/// what the fan-out does on a feed — 256-member deliver frames of
+/// densely sequenced events — each frame continuing the one before.
+/// Through an encoder warm from the frames before, a continuing frame
+/// encodes without allocating; and a reader warm the same way decodes it
+/// in exactly the allocations of the same members sent fresh — its
+/// history's storage was made by the first frame, and the arena, reserved
+/// at a multiple of a body that now carries fewer path bytes, still holds
+/// every path without growing: for the `steady` shape, and for
+/// `resolve`'s long paths, whose leaves come back only after 32,768
+/// records.
 #[test]
 fn a_continuing_frame_encodes_without_allocating_and_decodes_as_a_fresh_one_does() {
-    use sdci_types::bin::History;
     type Shape = fn(u64) -> Vec<SequencedEvent>;
     for (shape, batch_at) in [("steady", batch_at as Shape), ("resolve", resolve_batch_at)] {
-        let mut enc = BinEncoder::new();
-        let mut history = History::default();
-        let mut out = Vec::with_capacity(1 << 20);
-        for frame in 0..6u64 {
-            let events: Vec<FileEvent> =
-                batch_at(frame * BATCH).into_iter().map(|sev| sev.event).collect();
-            let first_seq = 1 + frame * BATCH;
-            out.clear();
-            let (_, made) = allocations(|| {
-                write_item_batch_bin(&mut out, &mut enc, first_seq, &events, None).expect("writes")
-            });
-            let body = &out[4..];
-            assert_eq!(body[1] & 4 != 0, frame > 0, "{shape} frame {frame}: continues");
-            let mut fresh = Vec::new();
-            let item = Frame::ItemBatch { first_seq, payloads: events, trace: None };
-            item.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
-            // Decoded fresh by a reader holding a history, which the
-            // fresh frame then replaces: the same allocations as the
-            // continuing frame, decoded next on a reader that holds
-            // everything before it.
-            let fresh_made = {
-                let mut replaced = History::default();
-                Frame::<FileEvent>::decode_on(true, &fresh, &mut replaced).expect("decodes");
-                allocations(|| Frame::<FileEvent>::decode_on(true, &fresh, &mut replaced)).1
-            };
-            let (decoded, decode_made) =
-                allocations(|| Frame::<FileEvent>::decode_on(true, body, &mut history));
-            assert_eq!(decoded.expect("decodes"), item, "{shape} frame {frame}");
-            if frame >= 2 {
-                assert_eq!(made, 0, "{shape} frame {frame}: {made} allocations to encode");
-                assert_eq!(
-                    decode_made, fresh_made,
-                    "{shape} frame {frame}: {decode_made} allocations to decode, fresh {fresh_made}"
-                );
-                assert!(body.len() < fresh.len(), "{shape} frame {frame}: smaller than fresh");
+        continuing_frames_cost(&format!("{shape} item"), |frame| {
+            let events = batch_at(frame * BATCH).into_iter().map(|sev| sev.event).collect();
+            Frame::ItemBatch { first_seq: 1 + frame * BATCH, payloads: events, trace: None }
+        });
+        continuing_frames_cost(&format!("{shape} deliver"), |frame| {
+            let feed = batch_at(frame * BATCH).into_iter().map(FeedMessage::Event).collect();
+            Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }
+        });
+    }
+}
+
+/// Six frames, `frame(0)` to `frame(5)`, written as their chunked writer
+/// writes them through one encoder and read by one connection's reader:
+/// from the third on, each continues the one before, encodes with no
+/// allocation and decodes in exactly a fresh frame's.
+fn continuing_frames_cost<T>(what: &str, frame: impl Fn(u64) -> Frame<T>)
+where
+    T: sdci_types::BinPayload + Clone + PartialEq + std::fmt::Debug,
+{
+    use sdci_types::bin::History;
+    let mut enc = BinEncoder::new();
+    let mut history = History::default();
+    let mut out = Vec::with_capacity(1 << 20);
+    for n in 0..6u64 {
+        let sent = frame(n);
+        out.clear();
+        let (_, made) = allocations(|| match &sent {
+            Frame::ItemBatch { first_seq, payloads, .. } => {
+                write_item_batch_bin(&mut out, &mut enc, *first_seq, payloads, None)
             }
+            Frame::DeliverBatch { topic, payloads, .. } => {
+                write_deliver_batch_bin(&mut out, &mut enc, topic, payloads, None)
+            }
+            other => panic!("not a batch: {other:?}"),
+        });
+        let body = &out[4..];
+        assert_eq!(body[1] & 4 != 0, n > 0, "{what} frame {n}: continues");
+        let mut fresh = Vec::new();
+        sent.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
+        // Decoded fresh by a reader holding a history, which the fresh
+        // frame then replaces: the same allocations as the continuing
+        // frame, decoded next on a reader that holds everything before it.
+        let fresh_made = {
+            let mut replaced = History::default();
+            Frame::<T>::decode_on(true, &fresh, &mut replaced).expect("decodes");
+            allocations(|| Frame::<T>::decode_on(true, &fresh, &mut replaced)).1
+        };
+        let (decoded, decode_made) =
+            allocations(|| Frame::<T>::decode_on(true, body, &mut history));
+        assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
+        if n >= 2 {
+            assert_eq!(made, 0, "{what} frame {n}: {made} allocations to encode");
+            assert_eq!(
+                decode_made, fresh_made,
+                "{what} frame {n}: {decode_made} allocations to decode, fresh {fresh_made}"
+            );
+            assert!(body.len() < fresh.len(), "{what} frame {n}: smaller than fresh");
         }
     }
 }

@@ -15,10 +15,14 @@
 //! fields travelled raw beside coded suffixes, 17.1 and 19.1; version 8,
 //! the same members raw, 22.9 and 24.9; version 7, which coded a path
 //! against the predecessor only, 33.0 and 35.1; the fixed-width version
-//! 6 89 and 98). The TCP leg's 50-member frames still introduce a
-//! directory every other member and spread their tables over fewer
-//! members (15.0 and 15.4; were 17.6 and 19.0), and a 1,000-member store
-//! reply hardly ever meets a new directory (9.9; was 13.1).
+//! 6 89 and 98). The TCP legs' 50-member frames, coded fresh, still
+//! introduce a directory every other member and spread their tables over
+//! fewer members (15.0 and 15.4; were 17.6 and 19.0), and a 1,000-member
+//! store reply hardly ever meets a new directory (9.9; was 13.1). On a
+//! live connection those frames continue one another — a pushed frame
+//! since wire version 12, a delivered one since 13 — finding their
+//! directories and codes in the frames before them: the eighth costs
+//! 10.5 bytes a member pushed and 10.9 delivered.
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
@@ -164,6 +168,39 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member(
     assert!(eighth > 7.0, "{eighth} B per member");
 }
 
+/// The feed leg's frames as the fan-out writes them: 50 sequenced events
+/// a publish, dense sequence numbers, one encoder and one subscriber that
+/// took every frame, so each frame continues the one before — its first
+/// member's sequence number coded against the one before the frame's, its
+/// event against the last one delivered. The eighth frame's cost a
+/// member, with the budget at its measured value plus half a byte; a
+/// connection's reader decodes every frame to the members sent.
+#[test]
+fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_4_bytes_a_member() {
+    use sdci_net::wire::write_deliver_batch_bin;
+    use sdci_types::bin::History;
+    const FRAME: usize = 50;
+    let feed: Vec<FeedMessage> = (500_000..)
+        .zip(steady_batch(8 * FRAME))
+        .map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event }))
+        .collect();
+    let (mut enc, mut history) = (BinEncoder::new(), History::default());
+    let mut eighth = 0.0;
+    for (n, frame) in feed.chunks(FRAME).enumerate() {
+        let mut out = Vec::new();
+        write_deliver_batch_bin(&mut out, &mut enc, "feed/all", frame, None).expect("writes");
+        let body = &out[4..];
+        assert_eq!(body[1] & 4 != 0, n > 0, "frame {n} continues the one before");
+        let decoded = Frame::<FeedMessage>::decode_on(true, body, &mut history).expect("decodes");
+        let topic = "feed/all".to_string();
+        assert_eq!(decoded, Frame::DeliverBatch { topic, payloads: frame.to_vec(), trace: None });
+        eighth = body.len() as f64 / FRAME as f64;
+    }
+    println!("the eighth 50-member deliver frame of a feed: {eighth:.3} B per member");
+    assert!(eighth <= 11.4, "{eighth} B per member");
+    assert!(eighth > 7.0, "{eighth} B per member");
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
@@ -186,10 +223,13 @@ fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
 /// Every data frame the byte budgets above measure, byte for byte: the
 /// 256-member item and deliver frames, the 1,000-member store reply, the
 /// eight 50-member frames of one pushing connection, and a batch past the
-/// member cap, which the chunked writers split — item frames that
-/// continue one another, deliver frames that start fresh. Each body's
-/// length and FNV-1a digest are pinned: a change to how a frame is laid
-/// out, rather than to what it costs, fails here first.
+/// member cap, which the chunked writers split into frames that continue
+/// one another. Each body's length and FNV-1a digest are pinned: a change
+/// to how a frame is laid out, rather than to what it costs, fails here
+/// first. Every fresh frame is pinned as wire version 12 wrote it; the
+/// split deliver batch's second frame, which version 12 wrote fresh
+/// (8,234 bytes), continues the first since version 13 and is pinned as
+/// that.
 #[test]
 fn every_measured_frame_is_pinned_byte_for_byte() {
     use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg};
@@ -263,7 +303,7 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
                 (75_944, 0x3263_49e1_b678_a91b),
                 (7_481, 0x04dc_d1c6_87f5_0a97),
                 (77_987, 0xda8e_3d36_116b_d429),
-                (8_234, 0x5e72_8cec_5f9d_ae22),
+                (7_675, 0x3ea0_4db2_7d17_8dd7),
             ],
         ),
     ];

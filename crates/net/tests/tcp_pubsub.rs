@@ -199,11 +199,20 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
     endpoint.shutdown();
 }
 
+/// The process-wide `sdci_net_fanout_shed_total` series: a test that
+/// counts what it adds holds this lock, so no other test's sheds land in
+/// its count.
+static SHED_SERIES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn shed_total() -> u64 {
+    sdci_obs::registry().counter("sdci_net_fanout_shed_total").get()
+}
+
 /// What the dispatcher's tap sheds is lost to every remote subscriber,
 /// so it must move the same `/metrics` series a slow leg's sheds do.
 #[test]
 fn tap_overflow_is_counted_in_the_fanout_shed_series() {
-    let shed_total = || sdci_obs::registry().counter("sdci_net_fanout_shed_total").get();
+    let _series = SHED_SERIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // A one-publish tap (and leg queue) on the serving side.
     let serving = NetConfig { hwm: 1, ..fast_cfg() };
     let broker = TcpBroker::<u64>::new(Broker::new(8192));
@@ -230,5 +239,47 @@ fn tap_overflow_is_counted_in_the_fanout_shed_series() {
         assert!(std::time::Instant::now() < deadline, "tap sheds never reached the series");
         std::thread::sleep(Duration::from_millis(5));
     }
+    endpoint.shutdown();
+}
+
+/// A publish the dispatcher cannot encode — one string whose frame is
+/// over `MAX_FRAME_LEN` even coded — is lost to every subscriber: it is
+/// encoded once, not once a leg, counted once in the shed series, and
+/// costs no connection, so the publish after it reaches both subscribers.
+#[test]
+fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered() {
+    let _series = SHED_SERIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let broker = TcpBroker::<String>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
+    let subscribers = [(); 2]
+        .map(|()| TcpSubscriber::<String>::connect(endpoint.local_addr(), &["t/"], fast_cfg()));
+    let publisher = broker.publisher();
+    // Probe until both legs demonstrably deliver, then quiesce.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut ready = [false; 2];
+    while ready != [true; 2] {
+        assert!(std::time::Instant::now() < deadline, "loopback never became ready");
+        publisher.publish("t/probe", "probe".to_string());
+        for (sub, ready) in subscribers.iter().zip(&mut ready) {
+            *ready |= sub.recv_timeout(Duration::from_millis(10)).is_some();
+        }
+    }
+    for sub in &subscribers {
+        while sub.recv_timeout(Duration::from_millis(100)).is_some() {}
+    }
+
+    // Each of the 128 ASCII bytes as often as any other: a code spends
+    // seven bits on each, so 74 MiB of them codes to 64.75 MiB.
+    let block: String = (0u8..128).map(char::from).collect();
+    let huge = block.repeat((74 << 20) / block.len());
+    let before = shed_total();
+    publisher.publish("t/huge", huge);
+    publisher.publish("t/after", "after".to_string());
+    for (n, sub) in subscribers.iter().enumerate() {
+        let msg = sub.recv_timeout(Duration::from_secs(30)).expect("the publish after it");
+        assert_eq!((msg.topic.as_str(), msg.payload.as_str()), ("t/after", "after"), "leg {n}");
+        assert_eq!(sub.connections(), 1, "leg {n} reconnected");
+    }
+    assert_eq!(shed_total() - before, 1, "one message shed, once");
     endpoint.shutdown();
 }

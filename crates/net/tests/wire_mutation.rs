@@ -8,7 +8,10 @@
 //! code tables and coded member sections that break every rule of the
 //! codes, each refused with its own message, and a coded section whose
 //! codewords are short enough to claim far more members than a raw one
-//! could hold. Every one is decoded or refused as `InvalidData` — the
+//! could hold; then item and deliver frames that continue their
+//! connection against a history they do not match, and 10,000
+//! mutations of a five-frame continuing stream of each. Every one is
+//! decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
 //! frame's path arena) is sized by a length, count or prefix word
@@ -22,7 +25,9 @@
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
-use sdci_net::wire::{is_continuity_gap, write_item_batch_bin, BinEncoder, Frame, WireMsg};
+use sdci_net::wire::{
+    continuity_gap, write_deliver_batch_bin, write_item_batch_bin, BinEncoder, Frame, WireMsg,
+};
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
     LOOKUP_ENTRIES, MAX_CODE_LEN, MAX_PATH_LEN,
@@ -1053,10 +1058,38 @@ fn read_on(history: &mut History, body: &[u8]) -> Result<Vec<String>, std::io::E
 
 /// Refused as `InvalidData`, saying `why`; a gap when `gap`.
 fn refused_on(history: &mut History, body: &[u8], gap: bool, why: &str) {
-    let err = read_on(history, body).unwrap_err();
+    refused_as(read_on(history, body).unwrap_err(), gap, why);
+}
+
+/// `err` is `InvalidData`, says `why`, and is a gap when `gap`.
+fn refused_as(err: std::io::Error, gap: bool, why: &str) {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert_eq!(is_continuity_gap(&err), gap, "{why}: {err}");
+    assert_eq!(continuity_gap(&err).is_some(), gap, "{why}: {err}");
     assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
+}
+
+/// The events of frame `frame` of a continuing stream: [`events`], moved
+/// on past the frames before it.
+fn frame_events(frame: u64) -> Vec<FileEvent> {
+    events()
+        .into_iter()
+        .map(|e| FileEvent {
+            index: e.index + 24 * frame,
+            time: SimTime::from_nanos(e.time.as_nanos() + 24 * 7_000 * frame),
+            ..e
+        })
+        .collect()
+}
+
+/// The bodies of a run of whole frames.
+fn bodies(mut rest: &[u8]) -> Vec<Vec<u8>> {
+    let mut bodies = Vec::new();
+    while !rest.is_empty() {
+        let len = (u32::from_be_bytes(rest[..4].try_into().unwrap()) & !(1 << 31)) as usize;
+        bodies.push(rest[4..4 + len].to_vec());
+        rest = &rest[4 + len..];
+    }
+    bodies
 }
 
 /// `frames` item batches of events over three directories, as one
@@ -1065,28 +1098,46 @@ fn refused_on(history: &mut History, body: &[u8], gap: bool, why: &str) {
 fn continuing_stream(frames: usize) -> Vec<Vec<u8>> {
     let mut enc = BinEncoder::new();
     let mut out = Vec::new();
-    let mut first_seq = 7;
     for frame in 0..frames as u64 {
-        let events: Vec<FileEvent> = events()
-            .into_iter()
-            .map(|e| FileEvent {
-                index: e.index + 24 * frame,
-                time: SimTime::from_nanos(e.time.as_nanos() + 24 * 7_000 * frame),
-                ..e
-            })
-            .collect();
-        write_item_batch_bin(&mut out, &mut enc, first_seq, &events, None).unwrap();
-        first_seq += events.len() as u64;
+        write_item_batch_bin(&mut out, &mut enc, 7 + 24 * frame, &frame_events(frame), None)
+            .unwrap();
     }
-    let mut bodies = Vec::new();
-    let mut rest = &out[..];
-    while !rest.is_empty() {
-        let len = (u32::from_be_bytes(rest[..4].try_into().unwrap()) & !(1 << 31)) as usize;
-        bodies.push(rest[4..4 + len].to_vec());
-        rest = &rest[4 + len..];
-    }
+    let bodies = bodies(&out);
     assert_eq!(bodies.len(), frames);
     bodies
+}
+
+/// The same events as `frames` deliver batches, sequenced densely from 7,
+/// as the fan-out writes them to a subscriber that took every one: the
+/// first fresh, each after it continuing the one before.
+fn continuing_feed(frames: usize) -> Vec<Vec<u8>> {
+    let mut enc = BinEncoder::new();
+    let mut out = Vec::new();
+    for frame in 0..frames as u64 {
+        let feed: Vec<FeedMessage> = (7 + 24 * frame..)
+            .zip(frame_events(frame))
+            .map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event }))
+            .collect();
+        write_deliver_batch_bin(&mut out, &mut enc, "feed/all", &feed, None).unwrap();
+    }
+    let bodies = bodies(&out);
+    assert_eq!(bodies.len(), frames);
+    bodies
+}
+
+/// Decodes deliver `body` as the reader of a connection whose history is
+/// `history` does: the sequence numbers it decoded, or the error.
+fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
+    match Frame::<FeedMessage>::decode_on(true, body, history)? {
+        Frame::DeliverBatch { payloads, .. } => Ok(payloads
+            .iter()
+            .map(|m| match m {
+                FeedMessage::Event(sev) => sev.seq,
+                FeedMessage::Heartbeat { last_seq } => *last_seq,
+            })
+            .collect()),
+        other => panic!("a deliver body decoded as {other:?}"),
+    }
 }
 
 /// Every way a continuing frame can fail to match its reader's history,
@@ -1096,7 +1147,7 @@ fn continuing_stream(frames: usize) -> Vec<Vec<u8>> {
 /// still reads); a back-distance one past what the reader holds, and
 /// one past the 1,024-member window, where one less is read; a reuse
 /// bit for a class the last frame did not code, or outside the class
-/// mask; and bit 2 on a deliver batch or a store batch.
+/// mask; and bit 2 on a store batch.
 #[test]
 fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
     let stream = continuing_stream(2);
@@ -1164,46 +1215,82 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let outside = [&outside[..], &four[0].1].concat();
     refused_on(&mut history, &path_frame(2, &outside, CONTINUES), false, "outside the class mask");
 
-    // Only an item batch continues its connection.
-    let [_, store, deliver] = heads(CONTINUES, &[]);
-    for body in [store, deliver] {
-        let [(a, _), (b, _), (c, _)] = [
-            fed::<Frame<FileEvent>>(&body),
-            fed::<StoreRpc>(&body),
-            fed::<Frame<FeedMessage>>(&body),
-        ];
-        assert!(!a && !b && !c);
-        let err = if body[0] == 3 {
-            StoreRpc::decode(true, &body).unwrap_err()
-        } else {
-            Frame::<FeedMessage>::decode(true, &body).unwrap_err()
-        };
-        assert!(err.to_string().contains("only an item batch may"), "{err}");
-    }
+    // A store batch never continues its connection.
+    let [_, store, _] = heads(CONTINUES, &[]);
+    let [(a, _), (b, _), (c, _)] = [
+        fed::<Frame<FileEvent>>(&store),
+        fed::<StoreRpc>(&store),
+        fed::<Frame<FeedMessage>>(&store),
+    ];
+    assert!(!a && !b && !c);
+    let err = StoreRpc::decode(true, &store).unwrap_err();
+    assert!(err.to_string().contains("only an item or a deliver batch may"), "{err}");
 }
 
-/// 10,000 seeded mutations over a five-frame continuing stream: one
-/// frame of the five is mutated, and the stream is read in order by one
-/// connection's reader. Each frame is read or refused — a gap or
-/// `InvalidData`, never a panic — within the allocation bound; and no
-/// frame after a refused one is read against it: every later frame,
-/// each continuing the one before, is refused too.
+/// The deliver batch's twin of the test above, each refusal with its own
+/// message: a continuing deliver batch on a reader that holds none of its
+/// history, or decoded apart from any connection; a head whose
+/// `first_seq` is one off either way (a gap: the history is left as it
+/// was, and the right frame still reads); and one whose head matches the
+/// history but whose first member carries no sequence number — a deliver
+/// batch's history is keyed by its first member's.
 #[test]
-fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
-    let stream = continuing_stream(5);
+fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
+    let feed = continuing_feed(2);
+    assert_eq!(feed[0][1] & CONTINUES, 0);
+    assert_eq!(feed[1][1] & CONTINUES, CONTINUES);
+    let why = "holds none of its history";
+    refused_as(read_feed_on(&mut History::default(), &feed[1]).unwrap_err(), true, why);
+    let err = Frame::<FeedMessage>::decode(true, &feed[1]).unwrap_err();
+    let why = "a deliver batch that continues its connection, decoded apart from it";
+    assert!(err.to_string().contains(why), "{err}");
+
+    let mut history = History::default();
+    assert_eq!(read_feed_on(&mut history, &feed[0]).unwrap(), (7..31).collect::<Vec<_>>());
+    // The head: the topic, then the first member's sequence number.
+    let first_seq = 31u64.to_le_bytes();
+    let at = feed[1].windows(8).position(|w| w == first_seq).expect("the head");
+    assert_eq!(&feed[1][at - 8..at], b"feed/all");
+    for off_by in [1u64, u64::MAX] {
+        let mut bad = feed[1].clone();
+        bad[at..at + 8].copy_from_slice(&(31u64.wrapping_add(off_by)).to_le_bytes());
+        let err = read_feed_on(&mut history, &bad).unwrap_err();
+        refused_as(err, true, "where its history ends at 31");
+    }
+    let read = read_feed_on(&mut history, &feed[1]).unwrap();
+    assert_eq!(read, (31..55).collect::<Vec<_>>(), "the history stood");
+
+    let mut history = History::default();
+    read_feed_on(&mut history, &feed[0]).unwrap();
+    let [.., heartbeat] = sections(&[None]);
+    let mut body = vec![4, CONTINUES];
+    put_bytes(&mut body, b"feed/all");
+    body.extend_from_slice(&31u64.to_le_bytes());
+    body.extend_from_slice(&heartbeat.bytes);
+    let why = "continuing from sequence 31 whose first member carries None";
+    refused_as(read_feed_on(&mut history, &body).unwrap_err(), false, why);
+}
+
+/// Reads 10,000 seeded mutations of `stream`, a run of frames each
+/// continuing the one before: one frame is mutated, and the stream is
+/// read in order by one connection's reader, whose history's storage
+/// `warm` — a frame of another stream — has made before any allocation is
+/// measured. Each frame is read or refused — a gap or `InvalidData`,
+/// never a panic — within the allocation bound; and no frame after a
+/// refused one is read against it. Returns how many frames were read and
+/// how many refused.
+fn read_mutated_streams<M: WireMsg>(stream: &[Vec<u8>], warm: &[u8]) -> (u32, u32) {
     let mut rng = Rng(0x5dc1_0028);
     let (mut read, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
         let target = rng.below(stream.len());
         let mutated = mutate(&mut rng, &stream[target]);
-        // The history's storage is made by a frame of another stream,
-        // before any allocation is measured.
         let mut history = History::default();
-        read_on(&mut history, &hand_laid(&honest())[0]).unwrap();
+        M::decode_on(true, warm, &mut history).unwrap();
         let mut refused_before = false;
         for (i, honest) in stream.iter().enumerate() {
             let body = if i == target { &mutated } else { honest };
-            let (result, largest) = largest_request(|| read_on(&mut history, body));
+            let (result, largest) = largest_request(|| M::decode_on(true, body, &mut history));
             assert!(largest <= allocation_bound(body), "round {round}: {largest} bytes");
             match result {
                 Ok(_) => {
@@ -1218,5 +1305,23 @@ fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
             }
         }
     }
+    (read, refused)
+}
+
+/// 10,000 mutations over a five-frame continuing item stream: every
+/// later frame, each continuing the one before, is refused after a
+/// refused one.
+#[test]
+fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
+    let warm = &hand_laid(&honest())[0];
+    let (read, refused) = read_mutated_streams::<Frame<FileEvent>>(&continuing_stream(5), warm);
+    assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
+}
+
+/// The same over a five-frame continuing feed, as the fan-out writes it.
+#[test]
+fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
+    let warm = &hand_laid(&honest())[2];
+    let (read, refused) = read_mutated_streams::<Frame<FeedMessage>>(&continuing_feed(5), warm);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }

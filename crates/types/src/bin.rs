@@ -18,13 +18,15 @@
 //! directory once (a [`SeqEncoder`]'s table is how the encoder finds that
 //! member).
 //! A *fresh* sequence references nothing outside itself and decodes from
-//! its own bytes alone: every snapshot block, store reply and deliver
-//! frame is one. A pushed frame may instead *continue* its connection:
-//! its first member's predecessor is the last member the connection's
-//! item frames carried, a path reference may reach past its first member
-//! into the last [`HISTORY_MEMBERS`] of them, and a class may keep the
-//! code it had in the last frame — all held, on each side, in a
-//! [`History`], which only that connection's reader has. The primitives:
+//! its own bytes alone: every snapshot block and store reply is one. A
+//! pushed or delivered frame may instead *continue* its connection: its
+//! first member's predecessor is the last member the connection's frames
+//! carried (and a sequenced first member's number is coded against the
+//! one before the frame's first, [`SeqEncoder::seq_before`]), a path
+//! reference may reach past its first member into the last
+//! [`HISTORY_MEMBERS`] of them, and a class may keep the code it had in
+//! the last frame — all held, on each side, in a [`History`], which only
+//! that connection's reader has. The primitives:
 //!
 //! * **varints** — unsigned LEB128, at most ten bytes, for every
 //!   length, count and delta ([`put_varint`], [`BinReader::varint`]);
@@ -318,6 +320,13 @@ impl<'a> BinReader<'a> {
     /// The history the frame continues, when it continues one.
     pub(crate) fn history(&self) -> Option<&'a History> {
         self.history
+    }
+
+    /// In a frame that continues its connection, the sequence number one
+    /// before the frame's first: what its first member's sequence number
+    /// is coded against ([`SeqEncoder::seq_before`]).
+    pub fn seq_before(&self) -> Option<u64> {
+        self.history?.next_seq().map(|next| next.wrapping_sub(1))
     }
 
     /// Bytes not yet consumed, outside a coded member section.
@@ -1125,13 +1134,15 @@ impl DirTable {
 /// further — and the size of a [`SeqEncoder`]'s directory table.
 pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 
-/// What the item frames written, or read, on one connection carried, as
+/// What the data frames written, or read, on one connection carried, as
 /// far as a frame that *continues* them needs it: the paths of their last
 /// [`HISTORY_MEMBERS`] members, the last member's event, the codes the
 /// last frame carried or reused, and the sequence number a continuing
-/// frame must start at. The writer's lives in its [`SeqEncoder`], the
-/// reader's beside its frame reader; each records every item frame it
-/// codes or decodes ([`History::record`]), and both record the same.
+/// frame must start at — an item frame's `first_seq`, a deliver frame's
+/// first member's ([`BinPayload::seq`]). The writer's lives in its
+/// [`SeqEncoder`], the reader's beside its frame reader; each records
+/// every item and deliver frame it codes or decodes ([`History::record`]),
+/// and both record the same.
 ///
 /// Nothing is generic here: a member is kept as its event
 /// ([`BinPayload::event`]), and one without an event as nothing — a
@@ -1224,10 +1235,12 @@ impl History {
         self.0.as_ref().map(|held| &held.codes[class as usize]).filter(|code| code.n > 0)
     }
 
-    /// Records an item frame that started at `first_seq` and whose
-    /// members held `events`: after a fresh frame (`continued` false) it
-    /// is all the history holds, after a continuing one it extends it. A
-    /// frame whose first member holds no event leaves the history empty.
+    /// Records a frame keyed by `first_seq` — the sequence number it
+    /// started at — whose members held `events`: after a fresh frame
+    /// (`continued` false) it is all the history holds, after a continuing
+    /// one it extends it, and the next frame that continues it must start
+    /// `events` later. A frame whose first member holds no event leaves
+    /// the history empty.
     /// The frame's codes are recorded apart: by the writer as it chooses
     /// them ([`code_members`]), by the reader as it reads them
     /// ([`BinReader::continue_from`], [`BinReader::keep_codes`]).
@@ -1347,7 +1360,7 @@ pub struct SeqEncoder {
     /// its class, as `u8`. The buffer and its tags start empty together
     /// ([`SeqEncoder::begin`]) and grow together, byte for byte.
     tags: Option<Vec<u8>>,
-    /// What the connection's earlier item frames carried.
+    /// What the connection's earlier frames carried.
     history: History,
     /// Whether the sequence being written continues `history`.
     continues: bool,
@@ -1372,7 +1385,7 @@ impl SeqEncoder {
         SeqEncoder::with_tags(Some(Vec::new()))
     }
 
-    /// What the item frames this encoder wrote carried.
+    /// What the frames this encoder wrote carried.
     pub fn history(&self) -> &History {
         &self.history
     }
@@ -1394,8 +1407,8 @@ impl SeqEncoder {
         }
     }
 
-    /// Records the frame just written, which started at `first_seq` and
-    /// carried `members`, in the history ([`History::record`]): what the
+    /// Records the frame just written, keyed by `first_seq` and carrying
+    /// `members`, in the history ([`History::record`]): what the
     /// next frame may continue. Its codes are recorded as
     /// [`code_members`] chooses them, after this.
     pub fn record<T: BinPayload>(&mut self, first_seq: u64, members: &[T]) {
@@ -1410,6 +1423,15 @@ impl SeqEncoder {
     /// The history, when the sequence being written continues it.
     pub(crate) fn continued(&self) -> Option<&History> {
         self.continues.then_some(&self.history)
+    }
+
+    /// When the sequence being written continues its history, the
+    /// sequence number one before the frame's first — the history's last
+    /// member's, in a stream of dense numbers: a sequenced member first in
+    /// the frame codes its own number against this rather than against 0,
+    /// so it costs what it would one member later.
+    pub fn seq_before(&self) -> Option<u64> {
+        self.continued()?.next_seq().map(|next| next.wrapping_sub(1))
     }
 
     /// The stream position of the sequence's member `index`.
@@ -1761,6 +1783,14 @@ pub trait BinPayload: Sized {
     /// it. A member without one — and every member of a type without
     /// events — is neither a later frame's predecessor nor its path base.
     fn event(&self) -> Option<&FileEvent> {
+        None
+    }
+
+    /// The sequence number this member carries, if any: a deliver frame's
+    /// first member's is the key its [`History`] is recorded under, as an
+    /// item frame's `first_seq` is. A frame whose first member carries
+    /// none is never continued.
+    fn seq(&self) -> Option<u64> {
         None
     }
 }
