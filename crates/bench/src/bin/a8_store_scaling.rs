@@ -7,8 +7,8 @@
 //! recovering a gap asks for "everything after seq N" (or "since time
 //! T", or "under /project"), and with a flat scan that costs O(window)
 //! regardless of how little the consumer is missing. The segmented
-//! store's per-segment seq/time/path-root metadata makes those queries
-//! scale with the result instead.
+//! store's per-segment seq/time ranges and directory column make those
+//! queries scale with the result instead.
 //!
 //! This harness fills both stores with identical events across a sweep
 //! of window sizes and reports median query latency for the recovery
@@ -53,13 +53,11 @@ const TAIL: u64 = 1_000;
 /// Distinct top-level roots in the shard-scaling workload. Routing is
 /// by path-root hash, so with this many roots spread round-robin the
 /// partitions stay near-balanced at every shard count measured (the
-/// 4-shard max partition carries 25.3% of the stream). The count is
-/// deliberately high enough that every arm's stores overflow the
-/// per-segment root fingerprint (64 roots), as an aggregate tier over a
-/// datacenter filesystem with hundreds of project roots would: at fewer
-/// roots the single-store arm overflows (skipping per-event fingerprint
-/// upkeep) while the narrower shard partitions do not, and the arms
-/// measure fingerprint maintenance instead of ingest scaling.
+/// 4-shard max partition carries 25.3% of the stream), as in an
+/// aggregate tier over a datacenter filesystem with hundreds of project
+/// roots. Every arm's segments stay within the directory column's cap
+/// (512 directories), so every arm files each event under its directory
+/// and the arms measure ingest scaling, not a difference in upkeep.
 const SHARD_ROOTS: u64 = 384;
 
 /// Required aggregate-ingest speedup per shard count — the CI gate.
@@ -304,8 +302,10 @@ fn main() {
     print_table(&["window", "query", "results", "scan (us)", "segmented (us)", "speedup"], &rows);
     println!(
         "\nscan cost grows with the window; the segmented store binary-searches \
-         to the first candidate segment (seq), skips segments by time range and \
-         path-root fingerprint, so recovery-query cost tracks the result size."
+         to the first candidate segment (seq), skips segments by time range and, \
+         through each segment's directory column, visits only the events filed \
+         under a directory the prefix can match, so recovery-query cost tracks \
+         the result size."
     );
 
     // ------------------------------------------------------------------

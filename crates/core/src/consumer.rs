@@ -8,7 +8,7 @@
 //! the store before delivering newer events.
 
 use crate::aggregator::{FeedMessage, SequencedEvent};
-use crate::store::{EventBackend, SharedStore, StoreQuery};
+use crate::store::{EventBackend, PathPrefix, SharedStore, StoreQuery};
 use sdci_mq::pubsub::Subscriber;
 use sdci_mq::transport::Subscribe;
 use sdci_types::FileEvent;
@@ -47,7 +47,7 @@ pub struct EventConsumer<F = Subscriber<FeedMessage>, R = SharedStore> {
     store: R,
     next_seq: u64,
     backlog: VecDeque<SequencedEvent>,
-    filter: Option<PathBuf>,
+    filter: Option<PathPrefix<'static>>,
     stats: ConsumerStats,
     /// Extra attempts for a backfill query that returned empty.
     backfill_retries: u32,
@@ -97,7 +97,7 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
     /// [`ConsumerStats::delivered`]'s complement, `filtered_out`), so
     /// sequence tracking and gap recovery keep working.
     pub fn under(mut self, prefix: impl Into<PathBuf>) -> Self {
-        self.filter = Some(prefix.into());
+        self.filter = Some(PathPrefix::new(&prefix.into()).into_owned());
         self
     }
 
@@ -134,7 +134,7 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
 
     fn apply_filter(&mut self, ev: FileEvent) -> Option<FileEvent> {
         match &self.filter {
-            Some(prefix) if !ev.path.starts_with(prefix) => {
+            Some(prefix) if !prefix.matches(ev.path.as_str()) => {
                 self.stats.filtered_out += 1;
                 None
             }

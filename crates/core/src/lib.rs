@@ -88,7 +88,8 @@ pub use pathcache::{CacheStats, PathCache};
 pub use resource::{ComponentUsage, ResourceModel, ResourceReport};
 pub use store::{
     merge_seq_ordered, restore_snapshot, EventBackend, EventStore, FlushStats, MeteredBackend,
-    SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery, StoreStack, StoreStats,
+    PathPrefix, PreparedQuery, SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery,
+    StoreStack, StoreStats,
 };
 
 /// Replaces the file at `path` with what `write` produces, so that a

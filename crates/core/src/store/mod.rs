@@ -25,12 +25,15 @@
 //! ```
 //!
 //! Every segment carries its sequence range, its time range, and a
-//! sorted fingerprint of top-level path components, so a query
-//! binary-searches to the first candidate segment and skips segments
-//! that cannot overlap — query cost scales with the result, not the
-//! window. Ingest serializes on the head lock; queries read the sealed
-//! chain through `Arc`s without blocking it, and all counters are
-//! atomics, so every read path takes `&self`.
+//! directory column (each distinct parent directory once, a small id per
+//! event), so a query binary-searches to the first candidate segment,
+//! skips segments that cannot overlap, and within a segment touches only
+//! the events filed under a directory its prefix can match — query cost
+//! scales with the result, not the window. Each answer is allocated
+//! once, sized by what the store can return. Ingest serializes on the
+//! head lock; queries read the sealed chain through `Arc`s without
+//! blocking it, and all counters are atomics, so every read path takes
+//! `&self`.
 //!
 //! Crash recovery is incremental: [`SnapshotDir`] flushes each sealed
 //! segment to its own file exactly once and rewrites only the manifest
@@ -40,11 +43,13 @@
 
 mod backend;
 mod layers;
+mod prefix;
 mod segment;
 mod snapshot;
 
 pub use backend::{EventBackend, StoreError};
 pub use layers::{MeteredBackend, StoreStack};
+pub use prefix::PathPrefix;
 pub use snapshot::{restore_snapshot, FlushStats, SnapshotDir};
 
 use crate::aggregator::SequencedEvent;
@@ -152,28 +157,57 @@ impl StoreQuery {
         self
     }
 
-    /// Whether `ev` satisfies every constraint of this query. Remote
-    /// readers use this to validate that a reply frame is a plausible
-    /// answer to the query they actually sent — a stale reply replayed
-    /// by a faulted link fails it and is discarded instead of being
-    /// mis-correlated.
+    /// This query made ready to test events: its prefix spelled
+    /// canonically once, its limit resolved. Remote readers use it to
+    /// validate that a reply frame is a plausible answer to the query
+    /// they actually sent — a stale reply replayed by a faulted link
+    /// fails it and is discarded instead of being mis-correlated.
+    pub fn prepare(&self) -> PreparedQuery<'_> {
+        PreparedQuery {
+            after: self.after_seq,
+            since: self.since,
+            prefix: self.path_prefix.as_deref().map(PathPrefix::new),
+            limit: if self.limit == 0 { usize::MAX } else { self.limit },
+        }
+    }
+}
+
+/// A [`StoreQuery`] ready to test many events: made once per query by
+/// [`StoreQuery::prepare`], so the prefix is spelled once, not once per
+/// event.
+#[derive(Debug, Clone)]
+pub struct PreparedQuery<'q> {
+    after: Option<u64>,
+    since: Option<SimTime>,
+    prefix: Option<PathPrefix<'q>>,
+    /// The query's limit, `usize::MAX` for none.
+    limit: usize,
+}
+
+impl PreparedQuery<'_> {
+    /// Whether `ev` satisfies every constraint of the query but its
+    /// limit.
     pub fn matches(&self, ev: &SequencedEvent) -> bool {
-        if let Some(after) = self.after_seq {
-            if ev.seq <= after {
-                return false;
+        self.after.is_none_or(|after| ev.seq > after)
+            && self.since.is_none_or(|since| ev.event.time >= since)
+            && self.prefix.as_ref().is_none_or(|prefix| prefix.matches(ev.event.path.as_str()))
+    }
+
+    /// Appends the matches among `events`, in order, until `out` holds
+    /// the query's limit.
+    fn collect<'e>(
+        &self,
+        events: impl IntoIterator<Item = &'e SequencedEvent>,
+        out: &mut Vec<SequencedEvent>,
+    ) {
+        for sev in events {
+            if out.len() >= self.limit {
+                return;
+            }
+            if self.matches(sev) {
+                out.push(sev.clone());
             }
         }
-        if let Some(since) = self.since {
-            if ev.event.time < since {
-                return false;
-            }
-        }
-        if let Some(prefix) = &self.path_prefix {
-            if !ev.event.path.starts_with(prefix) {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -183,6 +217,15 @@ impl StoreQuery {
 struct Head {
     events: VecDeque<SequencedEvent>,
     bytes: u64,
+}
+
+/// The head's events past a query's `after_seq` when the query starts:
+/// `len` of them, sequence numbers `first..=last`.
+#[derive(Clone, Copy)]
+struct HeadRange {
+    first: u64,
+    last: u64,
+    len: usize,
 }
 
 /// The sealed chain, oldest segment first. `trim` is the count of
@@ -410,47 +453,83 @@ impl EventStore {
 
     /// Runs a query over the retained window, oldest first.
     ///
-    /// Sealed segments are shared out of the chain by `Arc` and scanned
-    /// without any store lock held; segments whose sequence range, time
-    /// range, or path fingerprint cannot overlap the query are skipped
-    /// entirely, and the in-segment start position is binary-searched.
+    /// The answer is allocated once, sized by what the store can return:
+    /// the query's limit, or fewer when fewer events are retained past
+    /// `after_seq` (for a prefix query, fewer filed under a directory it
+    /// can match). The chain's segments are shared out by `Arc` and
+    /// scanned without any store lock held; a segment whose sequence or
+    /// time range cannot overlap, or with no directory under the prefix,
+    /// is skipped, and the in-segment start position is binary-searched.
+    ///
+    /// Every event retained when the query starts is returned exactly
+    /// once, if it matches and fits: the chain and the head's range are
+    /// read together under the head lock, so each event is in exactly one
+    /// of the two, and the head's range is collected last — from the head,
+    /// or from the segment it sealed into meanwhile.
     pub fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let limit = if query.limit == 0 { usize::MAX } else { query.limit };
-        // Head first: anything sealed between the two lock windows is
-        // then excluded from the chain scan by `head_first_seq`, so an
-        // event present when the query started is returned exactly once.
-        let (head_hits, head_first_seq) = {
+        let query = query.prepare();
+        let after = query.after.unwrap_or(0);
+        let (segs, trim, head) = {
             let head = self.head.lock();
-            let first = head.events.front().map_or(u64::MAX, |e| e.seq);
-            let mut hits = Vec::new();
-            for sev in &head.events {
-                if hits.len() >= limit {
-                    break;
-                }
-                if query.matches(sev) {
-                    hits.push(sev.clone());
-                }
-            }
-            (hits, first)
+            let chain = self.sealed.read();
+            let events = &head.events;
+            let from = events.partition_point(|e| e.seq <= after);
+            let range = events.get(from).zip(events.back()).map(|(first, last)| HeadRange {
+                first: first.seq,
+                last: last.seq,
+                len: events.len() - from,
+            });
+            (chain.segs.iter().cloned().collect::<Vec<_>>(), chain.trim, range)
         };
-        let (segs, trim) = self.chain_snapshot();
-        let mut out = Vec::new();
-        let after = query.after_seq.unwrap_or(0);
         let start = segs.partition_point(|s| s.last_seq() <= after);
+        let lo = |i: usize| if i == 0 { trim } else { 0 };
+        let mut size = head.map_or(0, |range| range.len);
         for (i, seg) in segs.iter().enumerate().skip(start) {
-            if out.len() >= limit {
+            if size >= query.limit {
                 break;
             }
-            if !seg.may_match(query) {
-                continue;
-            }
-            let lo = if i == 0 { trim } else { 0 };
-            seg.collect_into(query, lo, head_first_seq, limit, &mut out);
+            size += seg.candidates(&query, lo(i));
         }
-        out.extend(head_hits);
-        out.truncate(limit);
+        let mut out = Vec::with_capacity(size.min(query.limit));
+        for (i, seg) in segs.iter().enumerate().skip(start) {
+            if out.len() >= query.limit {
+                break;
+            }
+            seg.collect_into(&query, lo(i), &mut out);
+        }
+        match head {
+            Some(range) if out.len() < query.limit => self.collect_head(&query, range, &mut out),
+            _ => {}
+        }
         out
+    }
+
+    /// Appends the matches among the head's events in `range`, taken when
+    /// `query` started. They are still in the head unless it has sealed
+    /// since; then they are in the segment it sealed into, which is
+    /// scanned outside the lock.
+    fn collect_head(
+        &self,
+        query: &PreparedQuery<'_>,
+        HeadRange { first, last, .. }: HeadRange,
+        out: &mut Vec<SequencedEvent>,
+    ) {
+        let in_range = |e: &&SequencedEvent| e.seq <= last;
+        let sealed: Vec<Arc<Segment>> = {
+            let head = self.head.lock();
+            if head.events.front().is_some_and(|e| e.seq <= last) {
+                let from = head.events.partition_point(|e| e.seq < first);
+                query.collect(head.events.range(from..).take_while(in_range), out);
+                return;
+            }
+            let chain = self.sealed.read();
+            chain.segs.iter().filter(|s| s.last_seq() >= first).cloned().collect()
+        };
+        for seg in sealed {
+            let from = seg.events().partition_point(|e| e.seq < first);
+            query.collect(seg.events()[from..].iter().take_while(in_range), out);
+        }
     }
 
     /// The most recent `n` events, oldest first.
@@ -839,6 +918,26 @@ mod tests {
         fill(&store, 1..=10);
         let got = store.query(&StoreQuery::after_seq(2).limit(5));
         assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn the_head_range_a_query_started_with_is_read_once_sealed_or_not() {
+        let seqs = |out: Vec<SequencedEvent>| out.iter().map(|e| e.seq).collect::<Vec<_>>();
+        let store = EventStore::with_segment_size(100, 8);
+        fill(&store, 1..=5);
+        let range = HeadRange { first: 2, last: 5, len: 4 };
+        let query = StoreQuery::after_seq(1);
+        // The head grew meanwhile: what came after the range is not read.
+        fill(&store, 6..=7);
+        let mut out = Vec::new();
+        store.collect_head(&query.prepare(), range, &mut out);
+        assert_eq!(seqs(out), vec![2, 3, 4, 5]);
+        // The head sealed meanwhile: the range is read from its segment.
+        fill(&store, 8..=10);
+        assert_eq!(store.stats().segments, 1);
+        let mut out = Vec::new();
+        store.collect_head(&query.prepare(), range, &mut out);
+        assert_eq!(seqs(out), vec![2, 3, 4, 5]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Allocation budgets for the per-event paths the pipeline benchmark
 //! found allocating most: the Collector on a path-cache hit, the store
-//! sealing a segment, the store answering a query, and the member
+//! sealing a segment, the store answering a query (exact counts), and the member
 //! sequence the aggregator's legs carry, coded (the frame decoders' are
 //! in `crates/net/tests/alloc_budget.rs`). The counting allocator
 //! is `common/mod.rs`'s; `trace_budget.rs` holds the tracer's budget in
@@ -64,7 +64,7 @@ fn sequenced(count: u64) -> Vec<SequencedEvent> {
 }
 
 #[test]
-fn sealing_a_segment_allocates_per_root_not_per_event() {
+fn sealing_a_segment_allocates_per_segment_not_per_directory() {
     const EVENTS: u64 = 2_048;
     let events = sequenced(EVENTS);
     let store = EventStore::with_segment_size(1 << 20, EVENTS as usize);
@@ -72,13 +72,18 @@ fn sealing_a_segment_allocates_per_root_not_per_event() {
     let made = allocations(|| store.insert_batch(events).expect("ascending seqs"));
 
     assert_eq!(store.len(), EVENTS as usize);
-    let per_event = made as f64 / EVENTS as f64;
-    assert!(
-        per_event <= 0.1,
-        "{made} allocations to insert and seal {EVENTS} events = {per_event:.3} per event; \
-         the fingerprint owns one string per distinct root ({DIRS} here), not one per event"
+    // The head growing to 2,048 events (ten), the sealed event array, the
+    // directory column's id and directory arrays, the segment's `Arc` and
+    // the chain's first slot: nothing per directory.
+    assert_eq!(
+        made, SEAL_ALLOCATIONS,
+        "allocations to insert and seal {EVENTS} events over {DIRS} directories; the \
+         column keeps each directory as the place of its spelling in an event's path"
     );
 }
+
+/// What inserting and sealing [`sequenced`]`(2_048)` allocates.
+const SEAL_ALLOCATIONS: u64 = 15;
 
 #[test]
 fn the_metrics_wrapper_adds_no_allocation_to_an_insert() {
@@ -107,6 +112,13 @@ fn the_metrics_wrapper_adds_no_allocation_to_an_insert() {
     );
 }
 
+/// `store.query(query)` and the allocations it made.
+fn query_allocations(store: &EventStore, query: &StoreQuery) -> (Vec<SequencedEvent>, u64) {
+    let mut hits = Vec::new();
+    let made = allocations(|| hits = store.query(query));
+    (hits, made)
+}
+
 #[test]
 fn a_query_hit_costs_a_reference_count_not_a_path() {
     const EVENTS: u64 = 1_024;
@@ -114,21 +126,58 @@ fn a_query_hit_costs_a_reference_count_not_a_path() {
     let store = EventStore::with_segment_size(1 << 20, 300);
     store.insert_batch(sequenced(EVENTS)).expect("ascending seqs");
 
-    let (hits, made) = {
-        let mut hits = Vec::new();
-        let made = allocations(|| hits = store.query(&StoreQuery::after_seq(0)));
-        (hits, made)
-    };
+    let (hits, made) = query_allocations(&store, &StoreQuery::after_seq(0));
 
     assert_eq!(hits.len(), EVENTS as usize);
     let retained = store.recent(1);
     assert!(hits[1_023].event.path.shares_arena(&retained[0].event.path));
-    let per_event = made as f64 / EVENTS as f64;
-    assert!(
-        per_event <= 0.05,
-        "{made} allocations to return {EVENTS} retained events = {per_event:.3} per event; \
-         the budget is the result `Vec` growing"
+    assert_eq!(
+        made, 2,
+        "allocations to return {EVENTS} retained events: the chain's segment list and the \
+         answer, sized once"
     );
+}
+
+#[test]
+fn a_prefix_query_allocates_its_answer_once() {
+    // 32 segments of 2,048 events over 64 directories, as a backfill
+    // window: a directory holds 1,024 of them.
+    const EVENTS: u64 = 65_536;
+    let store = EventStore::with_segment_size(1 << 20, 2_048);
+    store.insert_batch(sequenced(EVENTS)).expect("ascending seqs");
+
+    let (hits, made) = query_allocations(&store, &StoreQuery::after_seq(0).under("/root07"));
+
+    assert_eq!(hits.len(), 1_024);
+    assert!(hits.iter().all(|e| e.event.path.starts_with("/root07/sub")));
+    assert_eq!(hits.capacity(), 1_024, "sized by the directory column's count");
+    assert_eq!(
+        made, 2,
+        "allocations to return 1,024 hits under a canonical prefix: the chain's segment list \
+         and the answer"
+    );
+}
+
+#[test]
+fn an_unlimited_query_reserves_no_more_than_the_store_holds() {
+    const EVENTS: u64 = 1_024;
+    let store = EventStore::with_segment_size(1 << 20, 300);
+    store.insert_batch(sequenced(EVENTS)).expect("ascending seqs");
+
+    for query in [
+        StoreQuery::after_seq(0).limit(usize::MAX),
+        StoreQuery::after_seq(1_000).limit(usize::MAX),
+        StoreQuery::default().under("/root07").limit(usize::MAX),
+    ] {
+        let (hits, made) = query_allocations(&store, &query);
+        assert!(
+            hits.capacity() <= store.len() && hits.capacity() - hits.len() <= 300,
+            "{query:?}: {} hits in room for {}",
+            hits.len(),
+            hits.capacity()
+        );
+        assert_eq!(made, 2, "{query:?}");
+    }
 }
 
 /// A member sequence of each kind the aggregator's legs carry — events,

@@ -32,6 +32,79 @@ fn sev(seq: u64) -> SequencedEvent {
     }
 }
 
+/// An event whose path is spelled by `choice` (see [`spelled`]): some are
+/// directories, and some renames whose `src_path` lies under a prefix
+/// their path does not — a query judges the path alone.
+fn sev_at(seq: u64, choice: u16, wide: bool) -> SequencedEvent {
+    let mut e = sev(seq);
+    e.event.path = spelled(choice, wide).into();
+    e.event.is_dir = choice.is_multiple_of(5);
+    if choice % 16 == 9 {
+        e.event.changelog_kind = ChangelogKind::Rename;
+        e.event.kind = EventKind::Moved;
+        e.event.src_path = Some(format!("/p0/sub/old{}", choice >> 4).into());
+    }
+    e
+}
+
+/// Path spellings a prefix test must judge exactly as `Path::starts_with`
+/// does: nested directories, `//`, `/./`, a trailing `/`, `..`,
+/// dotfiles, relative paths, the root, paths that *are* a prefix, and a
+/// component that shares a prefix's bytes but not its name. `wide` files
+/// three events in four under one of 16,384 directories, so a segment of
+/// a thousand events lies in more directories than a segment indexes.
+fn spelled(choice: u16, wide: bool) -> String {
+    let n = choice >> 4;
+    if wide && !choice.is_multiple_of(4) {
+        return format!("/w/d{}/f", choice >> 2);
+    }
+    match choice % 16 {
+        0 => format!("/p0/f{n}"),
+        1 => format!("/p0/sub/f{n}"),
+        2 => format!("/p0//sub/f{n}"),
+        3 => format!("/p0/./f{n}"),
+        4 => "/p0/sub/".to_string(),
+        5 => format!("/p0/../p1/f{n}"),
+        6 => format!("/p0/.hidden{}", n % 4),
+        7 => "/p0".to_string(),
+        8 => "/p0/sub".to_string(),
+        9 => format!("/p1/f{n}"),
+        10 => format!("/p00/f{n}"),
+        11 => format!("p0/f{n}"),
+        12 => format!("./p0/sub/f{n}"),
+        13 => "/".to_string(),
+        14 => format!("/w/d{}/f", n % 8),
+        _ => format!("/p0/sub/deep{}/f{n}", n % 4),
+    }
+}
+
+/// Prefixes a query may carry: empty, the root, relative, with a trailing
+/// `/`, spelled with `//` or `/./`, the parent of a path, a path itself.
+const PREFIXES: &[&str] = &[
+    "",
+    "/",
+    "/p0",
+    "/p0/",
+    "p0",
+    "./p0",
+    "/p0/sub",
+    "/p0//sub/",
+    "/p0/./sub",
+    "/p0/sub/f3",
+    "/p0/..",
+    "..",
+    "/p1",
+    "/p00",
+    "/w",
+    "/w/d5",
+    "/p0/.hidden1",
+    "/nowhere",
+];
+
+fn prefix_at(i: u8) -> &'static str {
+    PREFIXES[i as usize % PREFIXES.len()]
+}
+
 /// Reference LRU: ordered vec of (fid, path), most recent last.
 #[derive(Default)]
 struct RefLru {
@@ -102,8 +175,9 @@ impl NaiveStore {
 /// One step of the store/model equivalence drive.
 #[derive(Debug, Clone)]
 enum StoreOp {
-    /// Insert a run of events (sequence numbers may skip ahead).
-    Insert { count: u8, seq_step: u8 },
+    /// Insert a run of events (sequence numbers may skip ahead), their
+    /// paths spelled from `path` on.
+    Insert { count: u16, seq_step: u8, path: u16 },
     /// Compare an arbitrary query.
     Query { after_frac: u8, since_frac: u8, prefix: Option<u8>, limit: u8 },
     /// Compare the `recent` tail.
@@ -114,8 +188,12 @@ enum StoreOp {
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
     prop_oneof![
-        4 => (1u8..20, 1u8..3).prop_map(|(count, seq_step)| StoreOp::Insert { count, seq_step }),
-        4 => (any::<u8>(), any::<u8>(), prop::option::of(0u8..3), 0u8..30)
+        4 => (1u16..20, 1u8..3, any::<u16>())
+            .prop_map(|(count, seq_step, path)| StoreOp::Insert { count, seq_step, path }),
+        // Runs long enough to seal segments of a thousand events.
+        1 => (600u16..800, Just(1u8), any::<u16>())
+            .prop_map(|(count, seq_step, path)| StoreOp::Insert { count, seq_step, path }),
+        4 => (any::<u8>(), any::<u8>(), prop::option::of(any::<u8>()), 0u8..30)
             .prop_map(|(after_frac, since_frac, prefix, limit)| StoreOp::Query {
                 after_frac,
                 since_frac,
@@ -124,6 +202,17 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
             }),
         2 => any::<u8>().prop_map(StoreOp::Recent),
         1 => Just(StoreOp::Roundtrip),
+    ]
+}
+
+/// A store's capacity and segment size: tiny segments for deep chains,
+/// partial trims and whole-segment drops, or segments of a thousand
+/// events, which a `wide` run spreads over more directories than a
+/// segment indexes.
+fn segment_shape() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        3 => (1usize..64, 1usize..8),
+        1 => (1000usize..3000, Just(1000usize)),
     ]
 }
 
@@ -175,24 +264,33 @@ proptest! {
     }
 
     /// EventStore queries agree with naive filtering over the retained
-    /// window, for arbitrary query shapes.
+    /// window — a linear `Path::starts_with` filter — for arbitrary query
+    /// shapes over arbitrary path spellings, with segments of the default
+    /// size and segments of a thousand events that lie in more
+    /// directories than a segment indexes (`wide`).
     #[test]
     fn store_queries_match_naive_filter(
-        n in 1u64..150,
-        capacity in 1usize..200,
+        paths in prop::collection::vec(any::<u16>(), 1..3000),
+        capacity in 1usize..4000,
+        wide in any::<bool>(),
         after_frac in any::<u8>(),
         since_frac in any::<u8>(),
-        prefix in prop::option::of(0u64..3),
-        limit in 0usize..20,
+        prefix in prop::option::of(any::<u8>()),
+        limit in 0usize..2000,
     ) {
-        let store = EventStore::new(capacity);
-        let mut retained: Vec<SequencedEvent> = Vec::new();
-        for seq in 1..=n {
-            let e = sev(seq);
+        let store = if wide {
+            EventStore::with_segment_size(capacity, 1024)
+        } else {
+            EventStore::new(capacity)
+        };
+        let n = paths.len() as u64;
+        let mut retained: std::collections::VecDeque<SequencedEvent> = Default::default();
+        for (seq, &path) in (1..=n).zip(&paths) {
+            let e = sev_at(seq, path, wide);
             store.insert(e.clone()).unwrap();
-            retained.push(e);
+            retained.push_back(e);
             if retained.len() > capacity {
-                retained.remove(0);
+                retained.pop_front();
             }
         }
         let after = (after_frac as u64 * n) / 255;
@@ -200,7 +298,7 @@ proptest! {
         let mut query = StoreQuery::after_seq(after);
         query.since = Some(since);
         if let Some(p) = prefix {
-            query = query.under(format!("/p{p}"));
+            query = query.under(prefix_at(p));
         }
         query = query.limit(limit);
 
@@ -208,7 +306,7 @@ proptest! {
             .iter()
             .filter(|e| e.seq > after)
             .filter(|e| e.event.time >= since)
-            .filter(|e| prefix.is_none_or(|p| e.event.path.starts_with(format!("/p{p}"))))
+            .filter(|e| prefix.is_none_or(|p| e.event.path.starts_with(prefix_at(p))))
             .take(if limit == 0 { usize::MAX } else { limit })
             .cloned()
             .collect();
@@ -259,22 +357,27 @@ proptest! {
     /// rotation), queries, `recent` reads, and snapshot/restore cycles
     /// through a `SnapshotDir`. Tiny segment sizes force deep sealed
     /// chains, partial front-segment trims, and whole-segment drops (a
-    /// restored store keeps its chain and seals at the default size).
+    /// restored store keeps its chain and seals at the default size);
+    /// segments of a thousand events index their directories, or, in a
+    /// `wide` run, lie in too many to. Paths are spelled every way a
+    /// prefix test can misjudge (see [`spelled`]), and queries mix
+    /// `after_seq`, `since`, every prefix of [`PREFIXES`] and `limit`.
     #[test]
     fn segmented_store_matches_naive_model(
         ops in prop::collection::vec(store_op(), 1..60),
-        capacity in 1usize..64,
-        segment_events in 1usize..8,
+        shape in segment_shape(),
+        wide in any::<bool>(),
     ) {
+        let (capacity, segment_events) = shape;
         let mut store = EventStore::with_segment_size(capacity, segment_events);
         let mut model = NaiveStore::new(capacity);
         let mut seq = 0u64;
         for op in ops {
             match op {
-                StoreOp::Insert { count, seq_step } => {
-                    for _ in 0..count {
+                StoreOp::Insert { count, seq_step, path } => {
+                    for i in 0..count {
                         seq += seq_step as u64;
-                        let e = sev(seq);
+                        let e = sev_at(seq, path.wrapping_add(i.wrapping_mul(7)), wide);
                         store.insert(e.clone()).unwrap();
                         model.insert(e);
                     }
@@ -283,7 +386,7 @@ proptest! {
                     let mut q = StoreQuery::after_seq((after_frac as u64 * seq) / 255);
                     q.since = Some(SimTime::from_secs((since_frac as u64 * seq) / 255));
                     if let Some(p) = prefix {
-                        q = q.under(format!("/p{p}"));
+                        q = q.under(prefix_at(p));
                     }
                     q = q.limit(limit as usize);
                     prop_assert_eq!(store.query(&q), model.query(&q));
@@ -318,9 +421,10 @@ proptest! {
     #[test]
     fn every_backend_matches_naive_model_through_the_trait(
         ops in prop::collection::vec(store_op(), 1..60),
-        capacity in 1usize..64,
-        segment_events in 1usize..8,
+        shape in segment_shape(),
+        wide in any::<bool>(),
     ) {
+        let (capacity, segment_events) = shape;
         let mut model = NaiveStore::new(capacity);
         let backends: Vec<(&str, Arc<dyn EventBackend>)> = vec![
             ("seg", Arc::new(EventStore::with_segment_size(capacity, segment_events))),
@@ -337,12 +441,13 @@ proptest! {
         let mut seq = 0u64;
         for op in ops {
             match op {
-                StoreOp::Insert { count, seq_step } => {
+                StoreOp::Insert { count, seq_step, path } => {
                     let mut batch = Vec::new();
-                    for _ in 0..count {
+                    for i in 0..count {
                         seq += seq_step as u64;
-                        batch.push(sev(seq));
-                        model.insert(sev(seq));
+                        let e = sev_at(seq, path.wrapping_add(i.wrapping_mul(7)), wide);
+                        batch.push(e.clone());
+                        model.insert(e);
                     }
                     for (name, backend) in &backends {
                         backend
@@ -354,7 +459,7 @@ proptest! {
                     let mut q = StoreQuery::after_seq((after_frac as u64 * seq) / 255);
                     q.since = Some(SimTime::from_secs((since_frac as u64 * seq) / 255));
                     if let Some(p) = prefix {
-                        q = q.under(format!("/p{p}"));
+                        q = q.under(prefix_at(p));
                     }
                     q = q.limit(limit as usize);
                     let expected = model.query(&q);

@@ -209,6 +209,7 @@ fn batch_answers(query: &StoreQuery, events: &[SequencedEvent]) -> bool {
     if query.limit > 0 && events.len() > query.limit {
         return false;
     }
+    let query = query.prepare();
     events.iter().all(|e| query.matches(e)) && events.windows(2).all(|w| w[0].seq <= w[1].seq)
 }
 
