@@ -16,15 +16,22 @@
 //! ```
 //!
 //! Control is JSON, data is binary — the wire's rule, on disk. The
-//! manifest is JSON; a segment or head file is a run of blocks, each the
-//! member sequence a data frame carries
-//! ([`sdci_types::bin::put_members`]) under a length and a checksum:
+//! manifest is JSON; a segment or head file is a run of blocks, each a
+//! sequence of the members a data frame carries
+//! ([`sdci_types::bin::put_member`], never coded) under a length and a
+//! checksum:
 //!
 //! ```text
 //! file  = block*                         # an empty head is an empty file
 //! block = len u32le | body: len bytes | fnv1a(body) u64le
-//! body  = members of at most MAX_FRAME_MEMBERS events
+//! body  = count varint | count × (len varint | member: len bytes)
+//!         at most MAX_FRAME_MEMBERS events, member i coded against 0..i
 //! ```
+//!
+//! A frame's members carry no length since wire version 14; a block's
+//! keep theirs ([`put_block`], [`read_block`]). A file is read back
+//! later, perhaps by another build, which checks that each member
+//! decodes to exactly the bytes its length announces.
 //!
 //! A block closes where a frame would, so its reader's path budget
 //! covers whatever it holds: no file can be written that cannot be
@@ -54,8 +61,9 @@ use super::EventStore;
 use crate::aggregator::SequencedEvent;
 use crate::cluster::fnv1a;
 use crate::store::segment::Segment;
-use sdci_types::bin::{put_members, read_members, BinReader, MAX_FRAME_MEMBERS};
+use sdci_types::bin::{put_bytes, put_member, put_varint, Class, SeqEncoder, MAX_FRAME_MEMBERS};
 use sdci_types::SimTime;
+use sdci_types::{BinDecodeError, BinPayload, BinReader};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs;
@@ -374,10 +382,10 @@ impl SnapshotDir {
 /// Writes `events` to `path` as blocks of at most [`MAX_FRAME_MEMBERS`].
 pub(super) fn write_blocks(path: &Path, events: &[SequencedEvent]) -> io::Result<()> {
     crate::write_atomically(path, |out| {
-        let mut body = Vec::new();
+        let (mut body, mut member) = (Vec::new(), Vec::new());
         for block in events.chunks(MAX_FRAME_MEMBERS) {
             body.clear();
-            put_members(&mut body, block);
+            put_block(&mut body, block, &mut member);
             let len = u32::try_from(body.len()).map_err(|_| invalid("a block of 4 GiB or more"))?;
             out.write_all(&len.to_le_bytes())?;
             out.write_all(&body)?;
@@ -387,10 +395,55 @@ pub(super) fn write_blocks(path: &Path, events: &[SequencedEvent]) -> io::Result
     })
 }
 
+/// Appends `block` as a block's body: its count, then each member behind
+/// its length, coded against the ones before it; `member` is scratch.
+fn put_block(body: &mut Vec<u8>, block: &[SequencedEvent], member: &mut Vec<u8>) {
+    let mut seq = SeqEncoder::new();
+    put_varint(body, block.len() as u64);
+    for (i, sev) in block.iter().enumerate() {
+        member.clear();
+        put_member(member, sev, &block[..i], &mut seq);
+        put_bytes(body, member);
+    }
+}
+
+/// Reads a block's body back — the inverse of [`put_block`]. A count of
+/// more members than half the bytes after it is refused (a member is at
+/// least its length and a byte), and the `Vec` reserves no more than a
+/// block holds; a member length the bytes cannot hold, a member whose
+/// decoder fails or does not consume exactly its length, and a byte after
+/// the last member are refused too. The reader owns the block's path
+/// arena and seals it on return, before the caller touches an event.
+fn read_block(body: &[u8]) -> Result<Vec<SequencedEvent>, BinDecodeError> {
+    let mut r = BinReader::new(body);
+    let count = r.length(Class::Other)?;
+    if count > r.remaining() / 2 {
+        let left = r.remaining();
+        return Err(BinDecodeError::msg(format!("{count} members claimed in {left} bytes")));
+    }
+    let mut block = Vec::with_capacity(count.min(MAX_FRAME_MEMBERS));
+    for _ in 0..count {
+        let len = r.length(Class::Other)?;
+        let left = r.remaining();
+        if len > left {
+            return Err(BinDecodeError::msg(format!("a member of {len} bytes, {left} left")));
+        }
+        block.push(SequencedEvent::decode_bin(&mut r, &block)?);
+        let used = left - r.remaining();
+        if used != len {
+            return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
+        }
+    }
+    if !r.is_empty() {
+        return Err(BinDecodeError::msg(format!("{} bytes after the last member", r.remaining())));
+    }
+    Ok(block)
+}
+
 /// Reads a segment or head file back. The file is outside input: a
 /// length word is checked against the bytes on hand before anything is
-/// sized by it, a body is decoded only once its checksum holds, and the
-/// member decoder bounds what a count word may reserve.
+/// sized by it, a body is decoded only once its checksum holds, and
+/// [`read_block`] bounds what a count word may reserve.
 fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
     let bytes = fs::read(path)?;
     let corrupt = |what: String| invalid(format!("{}: {what}", path.display()));
@@ -413,17 +466,7 @@ fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
         if u64::from_le_bytes(*sum) != fnv1a(body) {
             return Err(corrupt("a block does not match its checksum".to_string()));
         }
-        // The reader owns the block's path arena and seals it on drop:
-        // the events are touched only after this scope ends.
-        let block: Vec<SequencedEvent> = {
-            let mut r = BinReader::new(body);
-            let block = read_members(&mut r).map_err(|e| corrupt(e.to_string()))?;
-            if !r.is_empty() {
-                return Err(corrupt(format!("a block has {} trailing bytes", r.remaining())));
-            }
-            block
-        };
-        events.extend(block);
+        events.extend(read_block(body).map_err(|e| corrupt(e.to_string()))?);
         rest = after_sum;
     }
     Ok(events)

@@ -378,6 +378,63 @@ fn a_block_whose_members_reference_what_it_does_not_hold_is_refused() {
     }
 }
 
+/// A block's members keep their lengths, and each must decode to exactly
+/// its own: under a checksum that holds, the last member's length one
+/// short or one long of the member, one past the bytes on hand, and a
+/// byte after the last member are each refused for what they are,
+/// sizing nothing.
+#[test]
+fn a_block_member_that_disagrees_with_its_length_is_refused() {
+    let flushed = Flushed::new("lengths", 12, 8);
+    let name = flushed.file("seg-");
+    let whole = &flushed.files[name];
+    let biggest_file = flushed.files.values().map(Vec::len).max().unwrap();
+    // Walk the block: its count, then each member behind its length.
+    let body = &whole[4..whole.len() - 8];
+    assert_eq!(body[0], 8);
+    let (mut at, mut last) = (1, 0);
+    for _ in 0..8 {
+        assert!(body[at] < 0x80, "a one-byte length");
+        (last, at) = (at, at + 1 + usize::from(body[at]));
+    }
+    assert_eq!(at, body.len(), "the members fill the block");
+    let len = usize::from(body[last]);
+    let with = |claimed: usize, extra: &[u8]| {
+        let mut bad = body.to_vec();
+        bad[last] = claimed as u8;
+        bad.extend_from_slice(extra);
+        let mut file = (bad.len() as u32).to_le_bytes().to_vec();
+        file.extend_from_slice(&bad);
+        file.extend_from_slice(&fnv1a(&bad).to_le_bytes());
+        file
+    };
+    let (short, long) = (len - 1, len + 1);
+    for (what, why, bad) in [
+        (
+            "a length one short",
+            format!("a member of {short} bytes decoded as {len}"),
+            with(short, &[]),
+        ),
+        (
+            "a length one long",
+            format!("a member of {long} bytes decoded as {len}"),
+            with(long, &[0]),
+        ),
+        (
+            "a length past the block",
+            format!("a member of {long} bytes, {len} left"),
+            with(long, &[]),
+        ),
+        ("a byte after the last member", "1 bytes after the last member".into(), with(len, &[0])),
+    ] {
+        let ((_, err), largest) = largest_request(|| flushed.refused_with(name, &bad, what));
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{what}: {err}");
+        assert!(err.to_string().contains(&why), "{what}: {err}");
+        let bound = bad.len() * std::mem::size_of::<SequencedEvent>();
+        assert!(largest <= bound.max(4 * biggest_file), "{what} sized a {largest}-byte request");
+    }
+}
+
 /// The manifest is outside input too: `marks` that is not a map, and a
 /// file name that leaves the directory, are refused by `open` and by
 /// `restore_snapshot` alike — before anything is read, swept or reused

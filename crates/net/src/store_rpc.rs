@@ -19,11 +19,10 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_read_header, invalid, json_decode, json_encode, timed_out, write_msg, write_msg_bin,
-    BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
+    bin_read_header, invalid, json_decode, json_encode, read_all, timed_out, write_msg,
+    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
-use sdci_types::bin::read_members;
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
@@ -93,14 +92,7 @@ impl WireMsg for StoreRpc {
         if trace.is_some() {
             return Err(invalid("store-RPC batch replies carry no trace section"));
         }
-        let events = read_members(&mut r).map_err(invalid)?;
-        if !r.is_empty() {
-            return Err(invalid(format!(
-                "binary store-RPC frame has {} trailing bytes",
-                r.remaining()
-            )));
-        }
-        Ok(StoreRpc::Batch { events })
+        Ok(StoreRpc::Batch { events: read_all(&mut r)? })
     }
 }
 

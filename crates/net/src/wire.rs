@@ -23,9 +23,10 @@
 //! bit is unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
 //!
 //! A binary body is a fixed header, then the kind's fields. Lengths
-//! and counts are LEB128 varints; every member is length-prefixed and
-//! coded **relative to the members before it** ([`BinPayload`]: zig-zag
-//! deltas and "same as the predecessor's" bits for counters and stamps,
+//! and counts are LEB128 varints; the members follow one another with no
+//! length between them, each coded **relative to the members before
+//! it** ([`BinPayload`]: zig-zag deltas and "same as the predecessor's"
+//! bits for counters and stamps,
 //! paths as shared-prefix length + suffix against the predecessor's or a
 //! named earlier member's). In a *fresh* frame those are the members
 //! before it in the same frame, the first coded against nothing, so the
@@ -52,9 +53,10 @@
 //! kind 3 StoreBatch:   members                      (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq u64le, flags&4] | members
 //!
-//! members    = count varint | count × (len varint | member: len bytes)
+//! members    = count varint | count × member
 //!              member i coded against members 0..i — and, in a continuing
-//!              frame, against the connection's history before member 0
+//!              frame, against the connection's history before member 0;
+//!              each ends where its own flags, tag and record-type bits say
 //! first_seq  = a continuing deliver batch's: its first member's sequence
 //!              number, which the reader checks against its history before
 //!              it reads a member
@@ -67,9 +69,9 @@
 //!
 //! The member sequence is [`sdci_types::bin::code_members`] /
 //! [`read_members`]: the format lives beside [`BinPayload`], because a
-//! store node's snapshot files are blocks of the same bytes (never
-//! coded); this module adds the header and head in front of it and
-//! chunks a batch into frames. One packer lays out every batch body —
+//! store node's snapshot files are blocks of the same members (never
+//! coded, each behind its length); this module adds the header and head
+//! in front of it and chunks a batch into frames. One packer lays out every batch body —
 //! the chunked writers' ([`write_item_batch_bin`],
 //! [`write_deliver_batch_bin`]) and a whole batch's ([`WireMsg::encode`],
 //! one frame however long) — through a per-connection [`BinEncoder`],
@@ -82,8 +84,9 @@
 //! class when that makes the frame smaller, table included, and not
 //! otherwise.
 //!
-//! A member whose decoder does not consume exactly `len` bytes is
-//! `InvalidData`. What front-coding lets a small frame expand to is
+//! A member cut short, a count past the members present or past the
+//! section's bits, and a byte after the last member are `InvalidData`.
+//! What front-coding lets a small frame expand to is
 //! bounded by [`sdci_types::bin`]: 4,096 bytes a path, and
 //! [`MAX_FRAME_LEN`] assembled path bytes a frame — what the largest
 //! frame could have carried verbatim. A decoded frame's paths are
@@ -133,7 +136,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 13;
+pub const WIRE_PROTO: u32 = 14;
 
 /// Longest JSON body — a [`Hello`], or any other control frame — a
 /// reader accepts. The largest legitimate one is a subscriber's prefix
@@ -573,7 +576,7 @@ impl<T: BinPayload> Frame<T> {
 }
 
 /// Reads a body's member section, which must end it.
-fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
+pub(crate) fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
     let payloads = read_members(r).map_err(invalid)?;
     match r.remaining() {
         0 => Ok(payloads),
@@ -625,8 +628,8 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// — says so first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
 pub struct BinEncoder {
-    /// The raw member section of the frame being packed: each member
-    /// length-prefixed and coded against the ones before it.
+    /// The raw member section of the frame being packed: the members back
+    /// to back, each coded against the ones before it.
     members: Vec<u8>,
     /// Frame-body assembly buffer.
     body: Vec<u8>,
@@ -1212,9 +1215,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":13,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":14,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":13,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":14,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -1231,7 +1234,7 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":13}"#, r#"{"proto":13,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":14}"#, r#"{"proto":14,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -1433,7 +1436,7 @@ mod tests {
     /// [`MAX_FRAME_LEN`] that turns a splittable batch into a hard
     /// `write_frame` rejection. `u64` payloads encode to exactly 8
     /// bytes, so raw frame sizes are fully predictable:
-    /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×(1+8).
+    /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×8.
     /// A chunk goes out coded when that is smaller — these small numbers'
     /// seven zero bytes each make it so — so what is checked is how many
     /// members each chunk holds, and that none is over the cap.
@@ -1452,7 +1455,7 @@ mod tests {
                 .collect()
         };
         let payloads: Vec<u64> = (0..9).collect();
-        let three_member_body = 11 + 3 * 9;
+        let three_member_body = 11 + 3 * 8;
 
         // Cap exactly at a three-member body: three members per frame.
         let bodies = split_at(&payloads, three_member_body);
@@ -1462,10 +1465,10 @@ mod tests {
         let bodies = split_at(&payloads, three_member_body - 1);
         assert_eq!(members(&bodies, three_member_body - 1), [2, 2, 2, 2, 1], "9 payloads at 2");
 
-        // The count is a varint: the 128th member costs its nine bytes
+        // The count is a varint: the 128th member costs its eight bytes
         // and the count's second byte, and the accounting sees both.
         let payloads: Vec<u64> = (0..200).collect();
-        let body_of_128 = 10 + 2 + 128 * 9;
+        let body_of_128 = 10 + 2 + 128 * 8;
         assert_eq!(members(&split_at(&payloads, body_of_128), body_of_128), [128, 72]);
         let bodies = split_at(&payloads, body_of_128 - 1);
         assert_eq!(members(&bodies, body_of_128 - 1), [127, 73], "127 and a one-byte count");
@@ -1525,23 +1528,19 @@ mod tests {
         assert_eq!(got, payloads);
     }
 
-    /// The flags byte of every member of an item-batch body, read off its
-    /// members' raw section — what a coded section codes, byte for byte —
-    /// where the count and each member length are one byte.
+    /// The flags byte of every member of an item-batch body: each
+    /// member's first raw byte — what a coded section codes, byte for byte.
     fn member_flags(body: &[u8]) -> Vec<u8> {
         let Frame::ItemBatch { payloads, .. } = Frame::<FileEvent>::decode(true, body).unwrap()
         else {
             panic!("an item batch");
         };
-        let raw = raw_item_body(&payloads);
-        // kind, flags, first_seq (8), count.
-        let mut at = 11;
-        let mut flags = Vec::new();
-        while at < raw.len() {
-            flags.push(raw[at + 1]);
-            at += 1 + raw[at] as usize;
+        let (mut seq, mut members, mut flags) = (SeqEncoder::new(), Vec::new(), Vec::new());
+        for (i, payload) in payloads.iter().enumerate() {
+            let at = members.len();
+            put_member(&mut members, payload, &payloads[..i], &mut seq);
+            flags.push(members[at]);
         }
-        assert_eq!(flags.len(), raw[10] as usize);
         flags
     }
 
@@ -1648,9 +1647,9 @@ mod tests {
         assert_eq!(delivered, payloads);
     }
 
-    /// A member's length varint grows with the member: the one-byte
-    /// reservation is widened in place, whichever side of 128 or 16,384
-    /// bytes the encoding lands on.
+    /// A string member's own length varint grows with it, whichever side
+    /// of 128 or 16,384 bytes the string lands on, and the member after it
+    /// starts where it ends.
     #[test]
     fn members_of_every_length_width_roundtrip() {
         for len in (120..135).chain(16_375..16_390) {
@@ -1659,26 +1658,6 @@ mod tests {
             let mut buf = Vec::new();
             write_msg(&mut buf, &frame).unwrap();
             assert_eq!(read_one::<Frame<String>>(&buf).unwrap(), frame, "string of {len} bytes");
-        }
-    }
-
-    /// The length word of a member is checked against what its decoder
-    /// consumed, in both directions.
-    #[test]
-    fn a_member_whose_length_disagrees_with_its_decoding_is_rejected() {
-        let mut buf = Vec::new();
-        write_item_batch_bin(&mut buf, &mut BinEncoder::new(), 1, &[event(1), event(2)], None)
-            .unwrap();
-        let body = raw_frames(&buf).remove(0).1;
-        // kind, flags, first_seq (8) and a one-byte count put the first
-        // member's length at byte 11.
-        let at = 11;
-        assert_eq!(body[10], 2);
-        for wrong in [body[at] - 1, body[at] + 1, 0, 0x7f] {
-            let mut bad = body.clone();
-            bad[at] = wrong;
-            let err = read_one::<Frame<FileEvent>>(&framed(true, &bad)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "length {wrong} accepted");
         }
     }
 
@@ -1753,8 +1732,7 @@ mod tests {
     }
 
     /// `payloads` as an item-batch body with raw members: what the frame
-    /// encoding writes when a code would not pay, and what wire version 8
-    /// wrote for every frame.
+    /// encoding writes when a code would not pay.
     fn raw_item_body<T: BinPayload>(payloads: &[T]) -> Vec<u8> {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
@@ -1883,13 +1861,13 @@ mod tests {
         }
     }
 
-    /// A frame no code would shrink goes out raw, byte for byte what wire
-    /// version 8 wrote: a lone heartbeat (no path at all, three bytes of
-    /// fields). And a class no code would shrink stays raw beside coded
-    /// ones: names over a large alphabet, whose path table — a bitmap and
-    /// ninety-odd nibbles — would cost more than its codewords save,
-    /// while eight members' flags, kinds, lengths and deltas, a value or
-    /// two each, go under one-bit codes. Every benchmark workload's names
+    /// A frame no code would shrink goes out raw, its members as they
+    /// are: a lone heartbeat (no path at all, a tag and a delta). And a
+    /// class no code would shrink stays raw beside coded ones: names over
+    /// a large alphabet, whose path table — a bitmap and ninety-odd
+    /// nibbles — would cost more than its codewords save, while eight
+    /// members' flags, kinds and deltas, a value or two each, go under
+    /// one-bit codes. Every benchmark workload's names
     /// take a few dozen byte values, so this is the case no workload
     /// shows.
     #[test]
@@ -1901,7 +1879,7 @@ mod tests {
         };
         let mut body = Vec::new();
         heartbeat.encode(&mut BinEncoder::new(), &mut body).unwrap();
-        assert_eq!(body, [&[4, 0, 8][..], b"feed/all", &[1, 2, 1, 24]].concat());
+        assert_eq!(body, [&[4, 0, 8][..], b"feed/all", &[1, 1, 24]].concat());
 
         let wide: Vec<FileEvent> = (0..8u64)
             .map(|i| {
@@ -1950,7 +1928,7 @@ mod tests {
         assert_eq!(body[1], BIN_FLAG_TRACE | BIN_FLAG_CODED);
         let mask_at = 2 + BIN_TRACE_LEN;
         let mask = u16::from_le_bytes([body[mask_at], body[mask_at + 1]]);
-        for class in [Class::Path, Class::Len, Class::Flags, Class::Kind, Class::Shared] {
+        for class in [Class::Path, Class::Flags, Class::Kind, Class::Shared] {
             assert_ne!(mask & class.bit(), 0, "{class} in {mask:#x}");
         }
         // The path class's table, first, lists the suffixes' bytes.

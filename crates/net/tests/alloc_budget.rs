@@ -207,7 +207,7 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
     assert_eq!(made, 0, "{kind}: {made} allocations to encode through a warm encoder");
     assert_eq!(body[1] & 2, 2, "{kind}: a batch of the benchmark's shape goes out coded");
     let mask = u16::from_le_bytes([body[2], body[3]]);
-    for class in [Class::Path, Class::Len, Class::Flags, Class::Time, Class::Carried] {
+    for class in [Class::Path, Class::Flags, Class::Time, Class::Carried] {
         assert_ne!(mask & class.bit(), 0, "{kind}: {class} in {mask:#x}");
     }
     assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());

@@ -3,26 +3,32 @@
 //! needs `sdci-net`, so it lives here): a batch shaped like the pipeline
 //! benchmark's `steady` workload — 64 hot directories of one length,
 //! 12-character names, create → write → unlink over a live set, dense
-//! record numbers, one extraction stamp, a microsecond between records.
+//! record numbers, one extraction stamp, a microsecond between records —
+//! and one shaped like its `resolve` workload.
 //! Each budget is the measured cost plus half a byte (`--nocapture`
 //! prints the measurements). Every member byte goes under the code of
-//! its field class — suffixes, time deltas, flags, lengths, shared
-//! lengths... each with a table of its own, most of them a list of a few
-//! symbols — so a 256-member frame costs 11.0 bytes a member as an item
-//! batch and 11.3 as a deliver batch, whose constant tag and sequence
-//! delta now take a bit each (wire version 10, whose two codes shared
-//! one table among every field, spent 13.4 and 14.9; version 9, whose
-//! fields travelled raw beside coded suffixes, 17.1 and 19.1; version 8,
-//! the same members raw, 22.9 and 24.9; version 7, which coded a path
-//! against the predecessor only, 33.0 and 35.1; the fixed-width version
-//! 6 89 and 98). The TCP legs' 50-member frames, coded fresh, still
-//! introduce a directory every other member and spread their tables over
-//! fewer members (15.0 and 15.4; were 17.6 and 19.0), and a 1,000-member
-//! store reply hardly ever meets a new directory (9.9; was 13.1). On a
-//! live connection those frames continue one another — a pushed frame
-//! since wire version 12, a delivered one since 13 — finding their
-//! directories and codes in the frames before them: the eighth costs
-//! 10.5 bytes a member pushed and 10.9 delivered.
+//! its field class — suffixes, time deltas, flags, shared lengths...
+//! each with a table of its own, most of them a list of a few symbols —
+//! and the members follow one another with no length between them, so a
+//! 256-member frame costs 10.8 bytes a member as an item batch and 11.1
+//! as a deliver batch, whose constant tag and sequence delta take a bit
+//! each (wire version 13, whose members each opened with their length,
+//! spent 11.0 and 11.3; version 10, whose two codes shared one table
+//! among every field, 13.4 and 14.9; version 9, whose fields travelled
+//! raw beside coded suffixes, 17.1 and 19.1; version 8, the same members
+//! raw, 22.9 and 24.9; version 7, which coded a path against the
+//! predecessor only, 33.0 and 35.1; the fixed-width version 6 89 and
+//! 98). A `resolve` frame, each of its 57-byte paths in a directory no
+//! frame-mate names, costs 11.6 as an item batch (11.8 under version
+//! 13). The TCP legs' 50-member frames, coded fresh, still introduce a
+//! directory every other member and spread their tables over fewer
+//! members (14.6 and 15.1; were 15.0 and 15.4, and 17.6 and 19.0 before
+//! that), and a 1,000-member store reply hardly ever meets a new
+//! directory (9.7; was 9.9, and 13.1). On a live connection those frames
+//! continue one another — a pushed frame since wire version 12, a
+//! delivered one since 13 — finding their directories and codes in the
+//! frames before them: the eighth costs 10.1 bytes a member pushed and
+//! 10.6 delivered (10.5 and 10.9 under version 13).
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
@@ -88,6 +94,69 @@ fn steady_batch(members: usize) -> Vec<FileEvent> {
         .collect()
 }
 
+/// Leaf directories of the `resolve` shape: 8^5, at depth six.
+const LEAVES: u64 = 1 << 15;
+/// Creates between two renames in the `resolve` shape.
+const RENAME_EVERY: u64 = 256;
+
+/// A leaf directory's path: the top, then five levels whose names are a
+/// function of the subtree they head, so siblings differ.
+fn leaf_dir(leaf: u64) -> String {
+    let levels = (1..=5u64).map(|level| {
+        let above = leaf >> (3 * (5 - level));
+        format!("/x{:05x}", above.wrapping_mul(0x9e37_79b9).wrapping_add(level) & 0xf_ffff)
+    });
+    format!("/t0a1b2c3{}", levels.collect::<String>())
+}
+
+/// A batch shaped like the benchmark's `resolve` workload: creates
+/// round-robin over the 32,768 leaves — 57-byte paths, each in a
+/// directory no frame-mate names — and, one record pair per 256 creates,
+/// a leaf half a round away renamed within its parent: `RENME` on its old
+/// path, `RNMTO` on its new one. The pair falls in the batch's middle.
+fn resolve_batch(members: usize) -> Vec<FileEvent> {
+    let mut rng = Rng(23);
+    let (mut cursor, mut since_rename, mut files_made) = (9_000u64, RENAME_EVERY / 2, 0u64);
+    (0..members as u64)
+        .map(|i| {
+            let (kind, target, path) = if since_rename < RENAME_EVERY {
+                let leaf = cursor;
+                (cursor, since_rename, files_made) =
+                    ((cursor + 1) % LEAVES, since_rename + 1, files_made + 1);
+                let name = format!(
+                    "f{:011x}",
+                    files_made.wrapping_mul(0x9e37_79b9_7f4a_7c15) & 0xfff_ffff_ffff
+                );
+                let file = Fid::new(0x2_4000_0400, files_made as u32, 0);
+                (ChangelogKind::Create, file, format!("{}/{name}", leaf_dir(leaf)))
+            } else {
+                let leaf = (cursor + LEAVES / 2) % LEAVES;
+                let dir = Fid::new(0x2_0000_0007, leaf as u32, 0);
+                let old = leaf_dir(leaf);
+                if since_rename == RENAME_EVERY {
+                    since_rename += 1;
+                    (ChangelogKind::Rename, dir, old)
+                } else {
+                    since_rename = 0;
+                    let new = format!("/x{:05x}", rng.next() & 0xf_ffff);
+                    (ChangelogKind::RenameTarget, dir, format!("{}{new}", &old[..old.len() - 7]))
+                }
+            };
+            let record = RawChangelogRecord {
+                index: 70_000 + i,
+                kind,
+                time: SimTime::from_nanos(90_000_000 + 1_000 * i),
+                flags: 0,
+                target,
+                parent: Fid::ROOT,
+                name: String::new(),
+            };
+            FileEvent::from_record(&record, MdtIndex::new(0), PathBuf::from(path))
+                .with_extracted_unix_ns(1_790_000_000_123_456_789)
+        })
+        .collect()
+}
+
 /// Bytes per member of the `item`, `deliver` and store-reply frames that
 /// carry a steady batch of `members` events, frame header included.
 fn bytes_per_member(members: usize) -> [f64; 3] {
@@ -114,14 +183,36 @@ fn bytes_per_member(members: usize) -> [f64; 3] {
 }
 
 #[test]
-fn a_steady_batch_costs_at_most_11_5_bytes_a_member_pushed_and_11_8_delivered() {
+fn a_steady_batch_costs_at_most_11_3_bytes_a_member_pushed_and_11_6_delivered() {
     let [item, deliver, _] = bytes_per_member(256);
     println!("256 members: item {item:.3} B, deliver {deliver:.3} B per member");
-    assert!(item <= 11.5, "item batch: {item} B per member");
-    assert!(deliver <= 11.8, "deliver batch: {deliver} B per member");
+    assert!(item <= 11.3, "item batch: {item} B per member");
+    assert!(deliver <= 11.6, "deliver batch: {deliver} B per member");
     // The budgets have slack, not an order of magnitude of it: a batch
     // that suddenly costs far less is a shape bug in this test.
     assert!(item > 9.5 && deliver > item, "item {item} B, deliver {deliver} B per member");
+}
+
+/// A 256-member item frame of the benchmark's `resolve` shape: each
+/// path in a directory no frame-mate names, so each carries its
+/// directory's last level and its file name — 57-byte paths in members
+/// of about eleven bytes. The budget is the measured cost plus half a
+/// byte.
+#[test]
+fn a_resolve_batch_costs_at_most_12_1_bytes_a_member_pushed() {
+    let events = resolve_batch(256);
+    let (creates, renames): (Vec<_>, Vec<_>) =
+        events.iter().partition(|e| e.changelog_kind == ChangelogKind::Create);
+    assert_eq!(renames.len(), 2, "RENME and RNMTO");
+    assert!(creates.iter().all(|e| e.path.as_os_str().len() == 57));
+    let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
+    let mut body = Vec::new();
+    assert!(item.encode(&mut BinEncoder::new(), &mut body).expect("encodes"));
+    assert_eq!(Frame::<FileEvent>::decode(true, &body).expect("decodes"), item);
+    let item = body.len() as f64 / 256.0;
+    println!("256 resolve members: item {item:.3} B per member");
+    assert!(item <= 12.1, "item batch: {item} B per member");
+    assert!(item > 10.0, "item batch: {item} B per member");
 }
 
 /// The frame sizes on either side of the benchmark's 256: the 50 members
@@ -131,10 +222,10 @@ fn a_steady_batch_costs_at_most_11_5_bytes_a_member_pushed_and_11_8_delivered() 
 fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
     let [item, deliver, _] = bytes_per_member(50);
     println!("50 members: item {item:.3} B, deliver {deliver:.3} B per member");
-    assert!(item <= 15.5 && deliver <= 15.9, "50 members: item {item} B, deliver {deliver} B");
+    assert!(item <= 15.1 && deliver <= 15.6, "50 members: item {item} B, deliver {deliver} B");
     let [_, _, reply] = bytes_per_member(1_000);
     println!("1,000-member store reply: {reply:.3} B per member");
-    assert!(reply <= 10.4, "1,000-member store reply: {reply} B per member");
+    assert!(reply <= 10.2, "1,000-member store reply: {reply} B per member");
     assert!(item > 13.0 && reply > 8.5, "item {item} B, reply {reply} B per member");
 }
 
@@ -146,7 +237,7 @@ fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
 /// its measured value plus half a byte; a connection's reader decodes
 /// every frame to the members sent.
 #[test]
-fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member() {
+fn a_pushed_frame_that_continues_its_connection_costs_at_most_10_6_bytes_a_member() {
     use sdci_net::wire::write_item_batch_bin;
     use sdci_types::bin::History;
     const FRAME: usize = 50;
@@ -164,7 +255,7 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member(
         eighth = body.len() as f64 / FRAME as f64;
     }
     println!("the eighth 50-member frame of a connection: {eighth:.3} B per member");
-    assert!(eighth <= 11.0, "{eighth} B per member");
+    assert!(eighth <= 10.6, "{eighth} B per member");
     assert!(eighth > 7.0, "{eighth} B per member");
 }
 
@@ -176,7 +267,7 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_11_bytes_a_member(
 /// member, with the budget at its measured value plus half a byte; a
 /// connection's reader decodes every frame to the members sent.
 #[test]
-fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_4_bytes_a_member() {
+fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_1_bytes_a_member() {
     use sdci_net::wire::write_deliver_batch_bin;
     use sdci_types::bin::History;
     const FRAME: usize = 50;
@@ -197,7 +288,7 @@ fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_4_bytes_a_mem
         eighth = body.len() as f64 / FRAME as f64;
     }
     println!("the eighth 50-member deliver frame of a feed: {eighth:.3} B per member");
-    assert!(eighth <= 11.4, "{eighth} B per member");
+    assert!(eighth <= 11.1, "{eighth} B per member");
     assert!(eighth > 7.0, "{eighth} B per member");
 }
 
@@ -222,14 +313,14 @@ fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
 
 /// Every data frame the byte budgets above measure, byte for byte: the
 /// 256-member item and deliver frames, the 1,000-member store reply, the
-/// eight 50-member frames of one pushing connection, and a batch past the
-/// member cap, which the chunked writers split into frames that continue
-/// one another. Each body's length and FNV-1a digest are pinned: a change
-/// to how a frame is laid out, rather than to what it costs, fails here
-/// first. Every fresh frame is pinned as wire version 12 wrote it; the
-/// split deliver batch's second frame, which version 12 wrote fresh
-/// (8,234 bytes), continues the first since version 13 and is pinned as
-/// that.
+/// 256-member `resolve` item frame, the eight 50-member frames of one
+/// pushing connection, and a batch past the member cap, which the
+/// chunked writers split into frames that continue one another. Each
+/// body's length and FNV-1a digest are pinned: a change to how a frame
+/// is laid out, rather than to what it costs, fails here first. Every
+/// frame is pinned as wire version 14 writes it, its members back to
+/// back (version 13's, each member behind its length: 2,819, 2,895 and
+/// 9,932 bytes; 3,026 for `resolve`; 748 … 524 for the eight).
 #[test]
 fn every_measured_frame_is_pinned_byte_for_byte() {
     use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg};
@@ -254,6 +345,12 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
         .expect("writes");
     got.push(("256-member item, deliver; 1,000-member reply", digests(&out)));
 
+    let mut out = Vec::new();
+    let resolve = resolve_batch(256);
+    write_msg(&mut out, &Frame::ItemBatch { first_seq: 9, payloads: resolve, trace: None })
+        .expect("writes");
+    got.push(("256-member resolve item", digests(&out)));
+
     let mut enc = BinEncoder::new();
     let mut out = Vec::new();
     for (n, frame) in steady_batch(400).chunks(50).enumerate() {
@@ -275,35 +372,36 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
             frames.iter().map(|(len, digest)| format!("({len}, {digest:#018x})")).collect();
         println!("{what}: {}", frames.join(", "));
     }
-    let want: [(&str, &[(usize, u64)]); 3] = [
+    let want: [(&str, &[(usize, u64)]); 4] = [
         (
             "256-member item, deliver; 1,000-member reply",
             &[
-                (2819, 0xc122_61f0_9455_52f5),
-                (2895, 0xf166_0cc0_4f80_cbec),
-                (9932, 0x1a62_04ed_7165_f05f),
+                (2756, 0xf602_c9d6_bb75_1e72),
+                (2832, 0xed53_a231_e507_cf3e),
+                (9732, 0x16a7_1bd0_67f7_10f7),
             ],
         ),
+        ("256-member resolve item", &[(2975, 0xec04_0247_b3ea_2e77)]),
         (
             "eight continuing 50-member item frames",
             &[
-                (748, 0x9c18_20a5_0ef6_d498),
-                (572, 0xed0d_9a92_c7d6_1309),
-                (508, 0x94aa_a20c_de82_dc26),
-                (546, 0x0d21_5e3c_4473_751a),
-                (501, 0xaeed_a451_38f1_a922),
-                (505, 0xf906_839b_0aa8_15ab),
-                (503, 0x3571_5b13_78be_5759),
-                (524, 0xc8e5_1518_eed4_36e4),
+                (732, 0xab5a_5432_67ca_e4f7),
+                (556, 0xcbcb_dd2e_a1fa_7436),
+                (493, 0x6458_e58c_6153_1d4d),
+                (527, 0xef23_3ae5_aed6_843c),
+                (493, 0x0f67_8254_4d60_e5ba),
+                (496, 0x377d_6e4d_4df1_5cdf),
+                (494, 0x450a_f3cb_fc90_15c1),
+                (506, 0x3569_ffd9_5bb5_e4b3),
             ],
         ),
         (
             "a split traced item batch, a split deliver batch",
             &[
-                (75_944, 0x3263_49e1_b678_a91b),
-                (7_481, 0x04dc_d1c6_87f5_0a97),
-                (77_987, 0xda8e_3d36_116b_d429),
-                (7_675, 0x3ea0_4db2_7d17_8dd7),
+                (74_567, 0x84dc_a9b3_51b4_8c8e),
+                (7_351, 0xe12e_8e5e_b1f6_93b2),
+                (76_610, 0xea7f_9fb3_2134_dfc5),
+                (7_545, 0x5110_2f31_87b5_88ba),
             ],
         ),
     ];

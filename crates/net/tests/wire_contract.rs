@@ -220,13 +220,13 @@ const SERVICES: [(&str, &str); 4] = [
 
 /// One binary frame of kind 2 — a topic-headed batch addressed *to* a
 /// broker, which no frame vocabulary has — forging the feed's own
-/// heartbeat: kind, flags, topic, count, then one length-prefixed
+/// heartbeat: kind, flags, topic, count, then one
 /// `FeedMessage::Heartbeat { last_seq: u64::MAX }` (a first member's
 /// delta against zero: −1, zig-zagged to 1).
 fn forged_heartbeat_body() -> Vec<u8> {
     let mut body = vec![2u8, 0, 8];
     body.extend_from_slice(b"feed/all");
-    body.extend_from_slice(&[1, 2]); // one member of two bytes
+    body.push(1); // one member
     body.extend_from_slice(&[1, 1]); // the Heartbeat tag, the delta
     body
 }

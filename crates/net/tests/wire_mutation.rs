@@ -6,9 +6,10 @@
 //! members whose references and "same as the predecessor's" bits name
 //! what the frame does not hold; then hand-laid class masks, per-class
 //! code tables and coded member sections that break every rule of the
-//! codes, each refused with its own message, and a coded section whose
-//! codewords are short enough to claim far more members than a raw one
-//! could hold; then item and deliver frames that continue their
+//! codes, each refused with its own message; then members back to back
+//! that a frame cuts short, miscounts or follows with a stray byte, and a
+//! coded section whose count claims more members than its bits; then
+//! item and deliver frames that continue their
 //! connection against a history they do not match, and 10,000
 //! mutations of a five-frame continuing stream of each. Every one is
 //! decoded or refused as `InvalidData` — the
@@ -182,10 +183,11 @@ fn fed<M: WireMsg + std::fmt::Debug>(bytes: &[u8]) -> (bool, usize) {
     }
 }
 
-/// The stated allocation bound for a body. A member costs at least two
-/// bytes, so the count word reserves at most `len / 2` members and a
-/// `Vec` growing past its reservation at most doubles what has decoded:
-/// `len` members' worth. The path arena reserves twice the bytes left in
+/// The stated allocation bound for a body. The count word reserves at
+/// most a member for every sixteen bits, `len / 2` members, and a `Vec`
+/// growing past its reservation at most doubles what has decoded — which,
+/// for these bodies' members of several bytes each, stays within `len`
+/// members' worth. The path arena reserves twice the bytes left in
 /// the body and grows the same way, a path at a time. A topic or an error
 /// message is far below either.
 fn allocation_bound(body: &[u8]) -> usize {
@@ -374,9 +376,8 @@ impl Laid {
         self.put(class, &bytes);
     }
 
-    /// `member` behind its length, as a sequence holds it.
+    /// `member` as a sequence holds it: right after the one before.
     fn member(&mut self, member: &Laid) {
-        self.varint(Class::Len, member.bytes.len() as u64);
         self.bytes.extend_from_slice(&member.bytes);
         self.classes.extend_from_slice(&member.classes);
     }
@@ -986,36 +987,102 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
 }
 
-/// Under one-symbol codes, a member can be a few bits: here a heartbeat —
-/// its length, tag and delta, `02 01 00` — takes three, one a class. A
-/// deliver body of 2^20 such members is every one of them well formed,
-/// and a member `Vec` that grew to hold them would be five times what the
-/// same bytes could hold raw. So a section claims no more members than
-/// half its bytes after the count, coded or not: this one is refused on
-/// its count word, within the allocation bound, as is a short run of the
-/// same members, while the run raw decodes. And the encoder never writes
-/// a frame the rule refuses: a long run of heartbeats goes out with
-/// codes dropped until each member takes at least sixteen bits.
+/// Members back to back, each refused with its own message where the
+/// frame does not hold what its count and fields say: a member cut in
+/// the middle of its path suffix raw, or of its last field coded (every
+/// class under an identity code, so the cut is a byte of codewords); a
+/// count one past the members present; and a byte after the last member,
+/// raw or coded.
 #[test]
-fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
-    let codes = [(Class::Seq, 0), (Class::Len, 2), (Class::Tag, 1)]
-        .map(|(class, symbol)| (class, table(&[(symbol, 1)])));
-    let mut codes = codes.to_vec();
-    codes.sort_by_key(|(class, _)| *class as u8);
-    let deliver = |count: usize| {
-        let [.., body] = coded(&codes, &vec![None; count]);
-        body
+fn members_back_to_back_that_the_frame_does_not_hold_are_refused_with_their_own_messages() {
+    let honest = honest();
+    decodes(hand_laid(&honest), &HONEST_PATHS);
+    let cut = |bodies: [Vec<u8>; 3], by: usize| {
+        bodies.map(|mut body| {
+            body.truncate(body.len() - by);
+            body
+        })
     };
-    let claimed = 1 << 20;
-    let body = deliver(claimed);
-    assert!(body.len() < claimed, "{} bytes for {claimed} members", body.len());
-    let (ok, largest) = fed::<Frame<FeedMessage>>(&body);
-    assert!(!ok, "2^20 members in {} bytes", body.len());
-    assert!(largest <= allocation_bound(&body), "{largest} bytes for {}", body.len());
-    let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
-    assert!(err.to_string().contains("members claimed"), "got: {err}");
-    let err = Frame::<FeedMessage>::decode(true, &deliver(4_096)).unwrap_err();
-    assert!(err.to_string().contains("members claimed"), "got: {err}");
+    // `beta/y` is the second member's suffix, and its FID's three bytes
+    // follow it: cut by five, four of the suffix's six bytes are there.
+    let two = [honest[0].clone(), honest[1].clone()];
+    refused("truncated: need 6 bytes, have 4", cut(hand_laid(&two), 5));
+    let codes: Vec<(Class, Vec<u8>)> = Class::ALL
+        .into_iter()
+        .filter(|class| !matches!(class, Class::Tag | Class::Seq))
+        .map(|class| (class, identity()))
+        .collect();
+    decodes(coded(&codes, &honest), &HONEST_PATHS);
+    refused("codewords run 8 bits past the body", cut(coded(&codes, &honest), 1));
+
+    // The count is a byte after the head: after the first sequence number
+    // of an item, the header of a store reply, the topic of a deliver.
+    let recount = |bodies: [Vec<u8>; 3], count: u8| {
+        bodies.map(|mut body| {
+            let at = match body[0] {
+                1 => 10,
+                3 => 2,
+                _ => 3 + b"feed/all".len(),
+            };
+            assert_eq!(body[at], 3, "three members");
+            body[at] = count;
+            body
+        })
+    };
+    refused("4 members claimed, the section ends after 3", recount(hand_laid(&honest), 4));
+
+    let stray = |bodies: [Vec<u8>; 3]| {
+        bodies.map(|mut body| {
+            body.push(0);
+            body
+        })
+    };
+    refused("1 trailing bytes", stray(hand_laid(&honest)));
+    refused("1 trailing bytes", stray(coded(&codes, &honest)));
+}
+
+/// Under one-symbol codes a member can be two bits: here a heartbeat —
+/// its tag and delta, `01 00` — takes one a class. A member is at least
+/// one byte, a coded byte at least one bit, so a section's count may
+/// claim as many members as the bits after it: 4,096 heartbeats in 1,024
+/// bytes decode, coded and raw. A count of more members than those bits
+/// is refused on the count word, before a member is read; a count the
+/// bits allow past the members present is refused where the section
+/// ends. Neither sizes what the member `Vec` reserves: it grows as the
+/// members decode, to the 4,096 present. And the encoder's run of
+/// 100,000 heartbeats goes out under those codes and reads back.
+#[test]
+fn a_coded_count_is_held_to_the_bits_after_it() {
+    let codes: Vec<(Class, Vec<u8>)> = [(Class::Seq, 0), (Class::Tag, 1)]
+        .map(|(class, symbol)| (class, table(&[(symbol, 1)])))
+        .to_vec();
+    let words = codewords(&codes);
+    let [.., head] = heads(CODED, &mask_and_tables(&codes));
+    let deliver = |count: u64| {
+        let mut section = Laid::default();
+        section.varint(Class::Other, count);
+        for _ in 0..4_096 {
+            section.put(Class::Tag, &[1]);
+            section.put(Class::Seq, &[0]);
+        }
+        [&head[..], &code_section(&section, &words, 0)].concat()
+    };
+    let grown = 4_096 * std::mem::size_of::<FeedMessage>();
+    for (count, ok) in [(4_096, true), (4_097, false), (8_192, false)] {
+        let body = deliver(count);
+        let (accepted, largest) = fed::<Frame<FeedMessage>>(&body);
+        assert_eq!(accepted, ok, "{count} members claimed");
+        assert!(largest <= grown, "{count} claimed: one allocation of {largest} bytes");
+    }
+    let err = Frame::<FeedMessage>::decode(true, &deliver(8_192)).unwrap_err();
+    assert!(err.to_string().contains("8192 members claimed, the section ends after 4096"), "{err}");
+    for count in [8_193, 1 << 40] {
+        let body = deliver(count);
+        let (accepted, largest) = fed::<Frame<FeedMessage>>(&body);
+        assert!(!accepted && largest <= allocation_bound(&body), "{count}: {largest} bytes");
+        let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
+        assert!(err.to_string().contains("members claimed in 8192 bits"), "{count}: {err}");
+    }
     let [.., raw] = hand_laid(&vec![None; 4_096]);
     assert!(fed::<Frame<FeedMessage>>(&raw).0, "the same members raw");
 
@@ -1023,7 +1090,7 @@ fn a_coded_section_claims_no_more_members_than_a_raw_one_could() {
         (1..=100_000).map(|last_seq| FeedMessage::Heartbeat { last_seq }).collect();
     let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
     let body = body_of(&frame);
-    assert!(body.len() >= 2 * 100_000, "{} bytes for 100,000 members", body.len());
+    assert!(body.len() < 100_000 / 4 + 64, "{} bytes for 100,000 members", body.len());
     assert_eq!(Frame::<FeedMessage>::decode(true, &body).unwrap(), frame);
 }
 

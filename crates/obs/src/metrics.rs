@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 const BUCKETS: usize = 64;
@@ -246,11 +246,11 @@ impl CounterVec {
     /// `name{key="value"}` series on first use and answering from the
     /// cache afterwards.
     pub fn with(&self, value: &str) -> Counter {
-        if let Some(c) = self.cells.read().unwrap().get(value) {
+        if let Some(c) = self.cells.read().unwrap_or_else(PoisonError::into_inner).get(value) {
             return c.clone();
         }
         let counter = self.registry.counter_with(&self.name, &[(self.key.as_str(), value)]);
-        let mut cells = self.cells.write().unwrap();
+        let mut cells = self.cells.write().unwrap_or_else(PoisonError::into_inner);
         cells.entry(value.to_string()).or_insert(counter).clone()
     }
 
@@ -269,7 +269,10 @@ impl CounterVec {
 type Key = (String, Vec<(String, String)>);
 
 /// A registry of named metrics. Most code uses the process-global
-/// [`registry()`]; tests construct their own.
+/// [`registry()`]; tests construct their own. Its locks, and a
+/// [`CounterVec`]'s, recover from poisoning ([`PoisonError::into_inner`]):
+/// every operation leaves the map whole, so a thread that panicked
+/// holding one stops no other from registering or scraping.
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<Key, Metric>>,
@@ -291,7 +294,7 @@ impl Registry {
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
         let key = (name.to_string(), labels);
-        let mut metrics = self.metrics.lock().unwrap();
+        let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let metric = metrics.entry(key).or_insert_with(make);
         metric.clone()
     }
@@ -362,7 +365,7 @@ impl Registry {
     /// only non-empty buckets are listed (plus `+Inf`), keeping 64-bucket
     /// histograms compact on the wire.
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::with_capacity(4096);
         let mut last_name = "";
         for ((name, labels), metric) in metrics.iter() {
@@ -414,7 +417,7 @@ impl Registry {
     /// `{"count":..,"p50":..,"p90":..,"p99":..,"max":..}` with values in
     /// seconds.
     pub fn render_json(&self) -> String {
-        let metrics = self.metrics.lock().unwrap();
+        let metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::with_capacity(1024);
         out.push('{');
         let mut first = true;
@@ -455,7 +458,7 @@ impl Registry {
 
     /// Number of registered time series (histograms count as one).
     pub fn series_count(&self) -> usize {
-        self.metrics.lock().unwrap().len()
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 

@@ -43,19 +43,23 @@
 //!   nothing to be relative to (frame sequence numbers, trace ids).
 //!
 //! A run of members is written one way, the **member sequence**
-//! ([`put_members`], [`read_members`]): a count, then each member
-//! length-prefixed. sdci-net puts a frame header in front of it; a
-//! store node's snapshot files are blocks of it under a length and a
-//! checksum. The chunked frame writers and the snapshot writer close a
-//! sequence at [`MAX_FRAME_MEMBERS`]; a store reply is one sequence
-//! however long it is — a consumer's recovery query may ask for every
-//! event the store holds, 65,536 by default — so what bounds it is its
-//! reader's [`FRAME_PATH_BUDGET`], not a member cap. Whoever wrote it, a
-//! sequence claims no more members than half the bytes after its count
-//! could hold: a raw member is at least two bytes.
+//! ([`put_members`], [`read_members`]): a count, then the members back
+//! to back. No length travels with a member: it ends where its own
+//! flags, tag and record-type bits say it ends, and whoever reads the
+//! sequence refuses any byte after the last. sdci-net puts a frame
+//! header in front of it; a store node's snapshot blocks keep a length
+//! in front of each member, on their own writer and reader. The chunked
+//! frame writers and the snapshot writer close a sequence at
+//! [`MAX_FRAME_MEMBERS`]; a store reply is one sequence however long it
+//! is — a consumer's recovery query may ask for every event the store
+//! holds, 65,536 by default — so what bounds it is its reader's
+//! [`FRAME_PATH_BUDGET`], not a member cap. A member is at least one
+//! byte, and a coded byte at least one bit, so a sequence claims no more
+//! members than the bits after its count; a decoder reserves room for at
+//! most a sixteenth of them on the count's say-so.
 //!
 //! Every byte of a member section belongs to a field [`Class`] — a path
-//! suffix's, a time delta's, a length prefix's, a flags byte's... — and
+//! suffix's, a time delta's, a flags byte's... — and
 //! every primitive a member encoder writes through ([`SeqEncoder`]) and a
 //! decoder reads through ([`BinReader`]) names it. A frame's member
 //! section may be **coded** ([`code_members`]): it is the raw section
@@ -134,7 +138,7 @@ const CODE_BITMAP_LEN: usize = 32;
 /// shared with a frame-mate's, and a coded member carries its fields and
 /// suffix in a few bits each: a coded 256-member frame of the benchmark's
 /// `resolve` shape assembles about five path bytes per body byte
-/// (57-byte paths in 12-byte members), more with renames, so at five
+/// (57-byte paths in members of 11 to 12 bytes), more with renames, so at five
 /// times the body its arena would grow once. A frame that continues its
 /// connection carries fewer path bytes for the same paths — a base may
 /// be an earlier frame's member — and still fits: the base lends only
@@ -166,7 +170,7 @@ impl std::error::Error for BinDecodeError {}
 
 /// How many field classes there are: the bits a coded frame's class mask
 /// may set.
-pub const CLASSES: usize = 12;
+pub const CLASSES: usize = 11;
 
 /// The field a member-section byte belongs to. A coded frame carries each
 /// class under a code of its own, or raw; every write a member encoder
@@ -187,8 +191,6 @@ pub enum Class {
     /// A sequence-number delta: a sequenced event's `seq`, a heartbeat's
     /// `last_seq`.
     Seq,
-    /// A member's length prefix.
-    Len,
     /// A member's flags byte.
     Flags,
     /// The record-type byte, and an explicit event-kind byte.
@@ -213,7 +215,6 @@ impl Class {
         Class::Back,
         Class::Time,
         Class::Seq,
-        Class::Len,
         Class::Flags,
         Class::Kind,
         Class::Tag,
@@ -236,7 +237,6 @@ impl fmt::Display for Class {
             Class::Back => "back-distance",
             Class::Time => "time",
             Class::Seq => "sequence",
-            Class::Len => "length",
             Class::Flags => "flags",
             Class::Kind => "kind",
             Class::Tag => "tag",
@@ -295,8 +295,6 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
-    /// `buf.len()` where a raw member section began.
-    section_len: usize,
     /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
     /// The history the frame continues, when it continues one.
@@ -307,14 +305,7 @@ impl<'a> BinReader<'a> {
     /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`] and no
     /// codes.
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader {
-            buf,
-            path_budget: FRAME_PATH_BUDGET,
-            paths: None,
-            section_len: 0,
-            codes: None,
-            history: None,
-        }
+        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, codes: None, history: None }
     }
 
     /// The history the frame continues, when it continues one.
@@ -361,19 +352,6 @@ impl<'a> BinReader<'a> {
     #[inline]
     fn bits_left(&self) -> usize {
         self.live().map_or(8 * self.buf.len(), |codes| codes.stream.bits_left())
-    }
-
-    /// Most bytes (symbols) the rest of the body could still hold: a
-    /// codeword is at least one bit.
-    #[inline]
-    fn symbols_left(&self) -> usize {
-        self.live().map_or(self.buf.len(), |codes| codes.stream.bits_left())
-    }
-
-    /// Bytes (symbols) of the member section read so far.
-    #[inline]
-    fn position(&self) -> usize {
-        self.live().map_or(self.section_len - self.buf.len(), |codes| codes.symbols)
     }
 
     /// Reads one byte of `class`.
@@ -662,7 +640,6 @@ impl<'a> BinReader<'a> {
     /// Enters the member section: from here to its end, a coded frame's
     /// bytes are one bit stream.
     fn begin_members(&mut self) {
-        self.section_len = self.buf.len();
         if let Some(codes) = &mut self.codes {
             codes.stream.bytes = std::mem::take(&mut self.buf);
             codes.live = true;
@@ -873,8 +850,6 @@ struct Codes<'a> {
     /// Set while the member section is being read.
     live: bool,
     stream: BitStream<'a>,
-    /// Symbols — raw bytes — read so far.
-    symbols: usize,
     suffix: [u8; MAX_PATH_LEN],
 }
 
@@ -883,7 +858,6 @@ impl fmt::Debug for Codes<'_> {
         f.debug_struct("Codes")
             .field("mask", &self.mask)
             .field("live", &self.live)
-            .field("symbols", &self.symbols)
             .finish_non_exhaustive()
     }
 }
@@ -907,7 +881,6 @@ impl Codes<'_> {
             entries: [0; LOOKUP_ENTRIES],
             live: false,
             stream: BitStream { bytes: &[], window: 0, filled: 0, next: 0 },
-            symbols: 0,
             suffix: [0; MAX_PATH_LEN],
         }
     }
@@ -946,7 +919,6 @@ impl Codes<'_> {
         if entry >> 8 == 0 {
             return Err(refused_codeword(class));
         }
-        self.symbols += 1;
         self.used |= class.bit();
         Ok(entry as u8)
     }
@@ -980,7 +952,6 @@ impl Codes<'_> {
         if len > 0 {
             self.used |= Class::Path.bit();
         }
-        self.symbols += len;
         self.stream.check_within()?;
         Ok(&self.suffix[..len])
     }
@@ -1379,8 +1350,8 @@ impl SeqEncoder {
     /// The encoder for a frame's raw pass, which [`code_members`] then
     /// codes: every byte written through it is tagged with its class, in
     /// a buffer of tags that runs beside the member buffer. The member
-    /// buffer holds the members alone — each length-prefixed by
-    /// [`put_member`] — from empty.
+    /// buffer holds the members alone, back to back ([`put_member`]),
+    /// from empty.
     pub fn for_coding() -> SeqEncoder {
         SeqEncoder::with_tags(Some(Vec::new()))
     }
@@ -1440,8 +1411,8 @@ impl SeqEncoder {
         base + index as u64
     }
 
-    /// Takes back the last member written, which starts at `buf[at..]`
-    /// with its length prefix: its bytes and their tags, and its
+    /// Takes back the last member written, which starts at `buf[at..]`:
+    /// its bytes and their tags, and its
     /// directory-table entry, so the member, coded again as the next
     /// frame's first, finds the table as it was.
     pub fn forget(&mut self, buf: &mut Vec<u8>, at: usize) {
@@ -1612,11 +1583,6 @@ impl Code {
             (covered, bits) = (covered + count, bits + count * u64::from(len));
         }
         (covered == total).then_some(bits)
-    }
-
-    /// `byte`'s codeword length; 0 when the code leaves it out.
-    fn len_of(&self, byte: u8) -> u32 {
-        self.symbols[..self.n].binary_search(&byte).map_or(0, |i| u32::from(self.lens[i]))
     }
 
     /// Bytes the table takes in a frame.
@@ -1827,10 +1793,11 @@ pub const MAX_FRAME_MEMBERS: usize = FRAME_PATH_BUDGET / (2 * MAX_PATH_LEN);
 /// a larger (still valid) sequence grows its `Vec` as members decode.
 const MAX_RESERVED_MEMBERS: usize = 65_536;
 
-/// Appends one sequence member: its length as a varint, then its
-/// encoding against `earlier`, the members of the sequence so far — on a
-/// frame's raw pass ([`SeqEncoder::for_coding`]), each byte tagged with
-/// its class, the length's of [`Class::Len`].
+/// Appends one sequence member: its encoding against `earlier`, the
+/// members of the sequence so far — on a frame's raw pass
+/// ([`SeqEncoder::for_coding`]), each byte tagged with its class. No
+/// length goes with it: its decoder reads exactly the bytes its encoder
+/// wrote.
 ///
 /// # Panics
 ///
@@ -1844,48 +1811,25 @@ pub fn put_member<T: BinPayload>(
     earlier: &[T],
     seq: &mut SeqEncoder,
 ) {
-    // One pass, no per-member scratch: a one-byte length is reserved,
-    // and the rare member of 128 bytes or more is shifted right to make
-    // room for the longer varint.
-    let at = buf.len();
     seq.dirs.undo = None;
-    seq.byte(buf, Class::Len, 0);
     member.encode_bin(earlier, seq, buf);
-    let len = buf.len() - at - 1;
-    let extra = varint_len(len as u64) - 1;
-    if let Some(tags) = &mut seq.tags {
+    if let Some(tags) = &seq.tags {
         assert_eq!(tags.len(), buf.len(), "a member writes every byte through its SeqEncoder");
-        if extra > 0 {
-            tags.resize(tags.len() + extra, 0);
-            tags.copy_within(at + 1..at + 1 + len, at + 1 + extra);
-            tags[at..=at + extra].fill(Class::Len as u8);
-        }
     }
-    if extra > 0 {
-        buf.resize(buf.len() + extra, 0);
-        buf.copy_within(at + 1..at + 1 + len, at + 1 + extra);
-    }
-    let mut rest = len;
-    for slot in &mut buf[at..=at + extra] {
-        *slot = rest as u8 | 0x80;
-        rest >>= 7;
-    }
-    buf[at + extra] &= 0x7f;
 }
 
 /// Appends a member sequence — the one form a run of events takes as
-/// bytes, in a data frame and in a snapshot block alike: the member
-/// count, then each member length-prefixed and coded against the ones
-/// before it.
+/// bytes in a data frame: the member count, then the members back to
+/// back, each coded against the ones before it.
 ///
 /// ```text
-/// members = count varint | count × (len varint | member: len bytes)
+/// members = count varint | count × member
 ///           member 0 coded against nothing, member i against members 0..i
 /// ```
 ///
-/// This is the raw form, the only one a snapshot block takes; a frame's
-/// members are written raw by [`put_member`], tagged, and then laid out
-/// raw or coded by [`code_members`].
+/// This is the raw form; a frame's members are written raw by
+/// [`put_member`], tagged, and then laid out raw or coded by
+/// [`code_members`].
 pub fn put_members<T: BinPayload>(buf: &mut Vec<u8>, members: &[T]) {
     let mut seq = SeqEncoder::new();
     put_varint(buf, members.len() as u64);
@@ -1967,15 +1911,6 @@ impl Priced {
         self.last_bits.map(|bits| self.raw_bits as i64 - bits as i64)
     }
 
-    /// Bits coding the class saves the frame, under the code it goes
-    /// under.
-    fn saving(&self) -> i64 {
-        match self.reused_saving().filter(|_| self.reuse) {
-            Some(saving) => saving,
-            None => self.own_saving(),
-        }
-    }
-
     /// The code the class goes under, coded: its own, or `last`.
     fn under<'c>(&'c self, last: Option<&'c Code>) -> &'c Code {
         match last.filter(|_| self.reuse) {
@@ -2025,9 +1960,7 @@ impl Priced {
 /// a code saves bytes on, under the code that saves more. Then: while the
 /// codes' lookup tables would take more than [`LOOKUP_ENTRIES`], the
 /// deepest is given up if reused, or built again a bit shallower (and
-/// left raw if it no longer pays); while the coded count would claim more
-/// members than half the bits after it hold — the rule [`read_members`]
-/// enforces — the code saving least is dropped. The section goes out
+/// left raw if it no longer pays). The section goes out
 /// coded only when that, masks and tables included, is smaller than raw:
 /// the class mask (and a continuing sequence's reuse mask) and the tables
 /// of the classes not reused go in at `table_at` (in class order), what
@@ -2112,36 +2045,17 @@ pub fn code_members(
     }
 
     // The section's bytes and the tables' under the codes `mask` names.
-    let priced = |mask: u16| {
-        let (mut bits, mut tables) = (0, 0);
-        for (class, priced) in Class::ALL.into_iter().zip(&classes) {
-            let (class_bits, table) = match mask & class.bit() {
-                0 => (priced.raw_bits, 0),
-                _ => priced.coded(),
-            };
-            (bits, tables) = (bits + class_bits, tables + table);
-        }
-        (bits.div_ceil(8) as usize, tables)
-    };
-    // The member-count rule: the code saving least goes until it holds.
-    loop {
-        let (bytes, _) = priced(mask);
-        let count_bits: usize = count_bytes
-            .iter()
-            .map(|&byte| match mask & Class::Other.bit() {
-                0 => 8,
-                _ => classes[Class::Other as usize].under(last(Class::Other)).len_of(byte) as usize,
-            })
-            .sum();
-        let least = coded(mask).min_by_key(|&class| classes[class as usize].saving());
-        match least {
-            Some(least) if 16 * count > 8 * bytes - count_bits => mask &= !least.bit(),
-            _ => break,
-        }
+    let (mut bits, mut tables_len) = (0, 0);
+    for (class, priced) in Class::ALL.into_iter().zip(&classes) {
+        let (class_bits, table) = match mask & class.bit() {
+            0 => (priced.raw_bits, 0),
+            _ => priced.coded(),
+        };
+        (bits, tables_len) = (bits + class_bits, tables_len + table);
     }
+    let coded_len = bits.div_ceil(8) as usize;
     let reused = coded(mask).filter(|&class| classes[class as usize].reuse);
     let reused = reused.fold(0, |reused, class| reused | class.bit());
-    let (coded_len, tables_len) = priced(mask);
     let masks_len = if *continues { 4 } else { 2 };
     let header_len = masks_len + tables_len;
     if mask == 0 || header_len + coded_len >= raw_len {
@@ -2203,43 +2117,42 @@ fn transcode(
 /// [`code_members`] — handing each member's decoder the members
 /// before it. In a frame whose reader holds codes
 /// ([`BinReader::read_codes`]), the sequence is the coded member section
-/// and runs to the end of the body.
+/// and runs to the end of the body. The members are back to back: each
+/// decoder reads its member's fields and stops where they end, and the
+/// next member starts there. What follows the last member is the
+/// caller's to refuse.
+///
+/// The member-count rule: every member is at least one byte, and a byte
+/// at least one bit of a coded section, so a count of more members than
+/// the bits after it is refused — and no sequence a writer makes is. What
+/// the count may make the `Vec` reserve is a sixteenth of those bits, at
+/// most 65,536 members; past that it grows only as members
+/// decode, each one's bits within the body.
 ///
 /// # Errors
 ///
-/// A count that claims more members than half the bytes after it could
-/// hold (what the `Vec` may reserve or grow to is bounded by that), a
-/// member length the bytes cannot hold, a member whose decoder fails, a
-/// member whose decoder does not consume exactly the length its prefix
-/// announced, and in a coded section, codewords that run past the body,
-/// a codeword its code refuses, final padding that is not zero, and a
-/// code for a class the section has no byte of.
+/// A count past the bits after it, a member where the section has ended,
+/// a member whose decoder fails — a field cut short among them — and in a
+/// coded section, codewords that run past the body, a codeword its code
+/// refuses, final padding that is not zero, and a code for a class the
+/// section has no byte of.
 pub fn read_members<T: BinPayload>(r: &mut BinReader<'_>) -> Result<Vec<T>, BinDecodeError> {
     r.begin_members();
     let count = r.length(Class::Other)?;
-    if count > r.bits_left() / 16 {
-        return Err(BinDecodeError::msg(format!(
-            "{count} members claimed in {} bits",
-            r.bits_left()
-        )));
+    let bits = r.bits_left();
+    if count > bits {
+        return Err(BinDecodeError::msg(format!("{count} members claimed in {bits} bits")));
     }
-    let mut out: Vec<T> = Vec::with_capacity(count.min(MAX_RESERVED_MEMBERS));
-    for _ in 0..count {
-        let len = r.length(Class::Len)?;
-        if len > r.symbols_left() {
+    let mut out: Vec<T> = Vec::with_capacity(count.min(bits / 16).min(MAX_RESERVED_MEMBERS));
+    for i in 0..count {
+        if r.bits_left() == 0 {
             return Err(BinDecodeError::msg(format!(
-                "truncated: a member of {len} bytes, {} left in the frame",
-                r.symbols_left()
+                "{count} members claimed, the section ends after {i}"
             )));
         }
-        let start = r.position();
         let member = T::decode_bin(r, &out)?;
         if let Some(codes) = r.live() {
             codes.stream.check_within()?;
-        }
-        let used = r.position() - start;
-        if used != len {
-            return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
         }
         out.push(member);
     }
@@ -2521,23 +2434,33 @@ mod tests {
     }
 
     /// A count word never sizes the reservation: a count of more members
-    /// than half the bytes after it is refused before anything is
-    /// reserved, and an honest sequence still decodes whole.
+    /// than the bits after it is refused before anything is reserved, one
+    /// past the members present where the section ends, and honest
+    /// sequences decode whole — one-byte members too, more of them than a
+    /// sixteenth of their bits.
     #[test]
     fn a_hostile_count_is_rejected_not_allocated() {
         let mut body = Vec::new();
         put_varint(&mut body, u64::MAX);
         assert!(read_members::<u64>(&mut BinReader::new(&body)).is_err());
 
-        // 21 members in 43 bytes is the most a raw sequence could hold;
-        // 22 is refused on its count alone.
-        for (count, refused) in [(21u64, false), (22, true)] {
+        // 43 empty strings are a byte each: 43 decode; 344 is a member a
+        // bit, past what 43 bytes hold; 345 is refused on its count alone.
+        let read = |count: u64| {
             let mut body = Vec::new();
             put_varint(&mut body, count);
             body.extend([0; 43]);
-            let err = read_members::<String>(&mut BinReader::new(&body)).unwrap_err();
-            assert_eq!(err.to_string().contains("members claimed"), refused, "{count}: {err}");
+            read_members::<String>(&mut BinReader::new(&body))
+        };
+        assert_eq!(read(43).unwrap(), vec![String::new(); 43]);
+        for (count, why) in
+            [(44, "44 members claimed, the section ends after 43"), (344, "after 43")]
+        {
+            let err = read(count).unwrap_err();
+            assert!(err.to_string().contains(why), "{count}: {err}");
         }
+        let err = read(345).unwrap_err();
+        assert!(err.to_string().contains("345 members claimed in 344 bits"), "{err}");
         let honest: Vec<u64> = (0..512).collect();
         let mut body = Vec::new();
         put_members(&mut body, &honest);
@@ -2686,7 +2609,6 @@ mod tests {
             r.read_codes().unwrap();
             r.begin_members();
             assert_eq!(r.u8(Class::Flags).unwrap(), symbol);
-            assert_eq!(r.position(), 1);
             assert_eq!(r.bits_left(), 16 - len as usize);
             // Back to the section's start, to read the same bits as a
             // path byte.
@@ -2741,21 +2663,14 @@ mod tests {
         assert_eq!(read_members::<String>(&mut r).unwrap(), strings);
         assert!(r.is_empty());
 
-        // Eight random bytes a member: only the length prefixes, all 8,
-        // pay for a code — one symbol, a bit each — and two members pay
-        // for none.
+        // Eight random bytes a member, and nothing beside them: no code
+        // pays, and the sequence goes out raw.
         let random: Vec<u64> = (1..200u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let (mut raw, mut coded) = (Vec::new(), Vec::new());
         put_members(&mut raw, &random);
-        assert_eq!(code_sequence(&mut coded, 0, &random), Class::Len.bit());
-        assert_eq!(coded.len(), 2 + 3 + (16 + 199 * 65usize).div_ceil(8), "a two-byte count");
-        let mut r = BinReader::new(&coded);
-        r.read_codes().unwrap();
-        assert_eq!(read_members::<u64>(&mut r).unwrap(), random);
-        let (mut raw, mut coded) = (Vec::new(), Vec::new());
-        put_members(&mut raw, &random[..2]);
-        assert_eq!(code_sequence(&mut coded, 0, &random[..2]), 0);
+        assert_eq!(code_sequence(&mut coded, 0, &random), 0);
         assert_eq!(coded, raw);
+        assert_eq!(raw.len(), 2 + 8 * 199, "a two-byte count, then the members back to back");
     }
 
     /// A member that writes one byte straight to the buffer, behind its
@@ -2820,9 +2735,9 @@ mod tests {
     /// Four classes, each of two dozen byte values at Fibonacci counts:
     /// each one's code alone would be twelve bits deep and take 4,096
     /// lookup entries, 16,384 together. The encoder flattens the deepest,
-    /// a bit at a time, until the four (and the length prefixes' one-bit
-    /// code) fit in 8,192 — and the frame still goes out coded and reads
-    /// back, the reader having checked the same sum.
+    /// a bit at a time, until the four fit in 8,192 — and the frame still
+    /// goes out coded and reads back, the reader having checked the same
+    /// sum.
     #[test]
     fn the_encoder_keeps_a_frames_codes_within_the_lookup_entries() {
         let classes = [Class::Path, Class::Oid, Class::Back, Class::Time];
@@ -2848,7 +2763,7 @@ mod tests {
         let mut coded = Vec::new();
         let mask = code_sequence(&mut coded, 0, &members);
         let four: u16 = classes.iter().map(|class| class.bit()).sum();
-        assert_eq!(mask, four | Class::Len.bit(), "the count's three bytes are left raw");
+        assert_eq!(mask, four, "the count's three bytes are left raw");
         let mut r = BinReader::new(&coded);
         r.read_codes().unwrap();
         let codes = r.codes.as_ref().unwrap();

@@ -456,6 +456,10 @@ fn parent_dir(path: &[u8]) -> Option<&[u8]> {
 /// field precedes the record-type byte, and a reader must know whether
 /// to expect it.
 ///
+/// No length travels with a member (since wire version 14): the flags
+/// and record-type bits say which fields follow, the decoder reads those
+/// and stops, and the next member starts where it stopped.
+///
 /// These are the raw bytes; a coded frame carries each as its codeword
 /// under the code of its field class ([`crate::bin::Class`]): flags is
 /// the flags class; the record-type and kind bytes the kind class; time,
@@ -901,7 +905,7 @@ mod tests {
     /// same directory is still coded against the predecessor.
     #[test]
     fn a_path_is_coded_against_the_latest_member_of_its_directory() {
-        use crate::bin::{put_members, read_members};
+        use crate::bin::{put_member, put_members, read_members};
         let rec = sample_record();
         let paths = [
             "/top/alpha/f1",
@@ -928,21 +932,23 @@ mod tests {
         drop(r);
         assert_eq!(got, events);
 
-        // Walk the members: count, then each behind its one-byte length.
-        assert_eq!(buf[0] as usize, events.len());
-        let mut at = 1;
-        let mut bases = Vec::new();
-        for _ in &events {
-            let member = &buf[at + 1..at + 1 + buf[at] as usize];
-            // After a first member: flags, record type, a one-byte time.
-            bases.push((member[0] & FLAG_PATH_REF != 0).then(|| member[3]));
-            at += 1 + member.len();
-        }
+        // The sequence is the count, then the members back to back.
+        let mut seq = SeqEncoder::new();
+        let members: Vec<Vec<u8>> = (0..events.len())
+            .map(|i| {
+                let mut member = Vec::new();
+                put_member(&mut member, &events[i], &events[..i], &mut seq);
+                member
+            })
+            .collect();
+        assert_eq!(buf, [&[events.len() as u8][..], &members.concat()].concat());
+        // After a first member: flags, record type, a one-byte time.
+        let bases: Vec<_> =
+            members.iter().map(|m| (m[0] & FLAG_PATH_REF != 0).then(|| m[3])).collect();
         assert_eq!(bases, [None, None, Some(2), Some(2), None, Some(3), None]);
         // `/top/alpha/f3` after `/top/beta-longer/f2`, two back to
         // `/top/alpha/f1`: distance, 12 shared, a one-byte suffix.
-        let third = 1 + (1 + buf[1] as usize) + (1 + buf[2 + buf[1] as usize] as usize);
-        assert_eq!(buf[third + 4..third + 8], [2, 12, 1, b'3']);
+        assert_eq!(members[2][3..7], [2, 12, 1, b'3']);
     }
 
     /// A frame's sequence goes out coded when that is smaller: the class
