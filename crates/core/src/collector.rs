@@ -90,6 +90,10 @@ pub struct Collector<P = Publisher<FileEvent>> {
     /// Path bytes the last batch joined: what the next batch's arena
     /// reserves, so a steady stream sizes it once.
     path_bytes: usize,
+    /// Where every cache miss has `fid2path` write its parent's path, as
+    /// the real ioctl writes into its caller's buffer; the cache copies
+    /// it from here. Kept between batches for its capacity.
+    parent_path: PathBuf,
     config: MonitorConfig,
     stats: CollectorStats,
 }
@@ -154,6 +158,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             topic: format!("events/mdt{}", mdt.as_u32()),
             resolved: Vec::new(),
             path_bytes: 0,
+            parent_path: PathBuf::new(),
             config,
             stats: CollectorStats::default(),
         }
@@ -266,7 +271,10 @@ impl<P: Publish<FileEvent>> Collector<P> {
     /// `fid2path`) and join the recorded name — this works uniformly for
     /// creations, deletions (whose target FID is already gone), and both
     /// halves of a rename. The joined path is appended to `paths`, the
-    /// batch's arena, so a cache hit allocates nothing.
+    /// batch's arena, so a cache hit allocates nothing; a miss resolves
+    /// into `parent_path` and the cache copies it into a slot's buffer,
+    /// so once both have grown to the longest path it allocates nothing
+    /// either.
     fn resolve(
         &mut self,
         fs: &LustreFs,
@@ -282,16 +290,13 @@ impl<P: Publish<FileEvent>> Collector<P> {
             None => {
                 self.stats.fid2path_calls += 1;
                 sdci_obs::static_metric!(counter, "sdci_collector_fid2path_calls_total").inc();
-                let parent = fs.fid2path(record.parent).ok()?;
+                fs.fid2path_into(record.parent, &mut self.parent_path).ok()?;
+                let parent = &self.parent_path;
                 // The cache stores paths spelled as their components and
                 // hits are joined onto that spelling; `fid2path` already
                 // spells them so, so a miss publishes the same bytes.
-                debug_assert_eq!(
-                    parent.components().collect::<PathBuf>().as_os_str(),
-                    parent.as_os_str()
-                );
-                let path = join(paths, &parent, &record.name);
-                // The cache takes the resolved path itself, not a copy.
+                debug_assert!(spelled_as_components(parent), "{parent:?}");
+                let path = join(paths, parent, &record.name);
                 self.cache.insert(record.parent, parent);
                 path
             }
@@ -341,6 +346,18 @@ impl<P: Publish<FileEvent>> Collector<P> {
     pub fn cache_memory(&self) -> sdci_types::ByteSize {
         self.cache.memory()
     }
+}
+
+/// Whether the absolute `path` reads exactly as its components joined:
+/// a doubled or trailing separator, or a `.`, would make it longer than
+/// its names and the separators between them. Checked without building
+/// the joined path, so a debug build's misses allocate what a release
+/// build's do.
+fn spelled_as_components(path: &Path) -> bool {
+    let names: usize = path.components().map(|c| c.as_os_str().len()).sum();
+    // The root's component is its own separator.
+    let separators = path.components().count().saturating_sub(2);
+    names + separators == path.as_os_str().len()
 }
 
 /// `parent.join(name)`, appended to the batch's arena (lossily, should
@@ -648,6 +665,20 @@ mod tests {
         assert_eq!(stats.processed, 5);
         assert_eq!(stats.published, 1, "only the queued event was delivered anywhere");
         assert_eq!(stats.shed, 4, "the rest were shed at the subscriber's HWM");
+    }
+
+    #[test]
+    fn spelled_as_components_is_components_collected() {
+        for path in ["/", "/a", "/a/b", "/a/.b", "//", "//a", "/a//b", "/a/./b", "/a/b/", "/a/b/."]
+        {
+            let path = Path::new(path);
+            let joined: PathBuf = path.components().collect();
+            assert_eq!(
+                spelled_as_components(path),
+                joined.as_os_str() == path.as_os_str(),
+                "{path:?}"
+            );
+        }
     }
 
     #[test]

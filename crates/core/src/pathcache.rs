@@ -46,6 +46,8 @@ const NIL: usize = usize::MAX;
 /// [`NIL`].
 struct Entry {
     fid: Fid,
+    /// The slot's own buffer: cleared when the entry goes, keeping its
+    /// capacity for the next entry in the slot.
     path: PathBuf,
     /// The entries used just before and just after this one. A vacant
     /// slot keeps the next vacant slot in `newer`.
@@ -103,8 +105,9 @@ fn is_spelled(path: &Path) -> bool {
 /// answers a lookup, the recency list names the eviction victim, and
 /// the path tree keeps the entries in path order so that a rename drops
 /// a subtree without looking at the rest of the cache. List and tree
-/// are threaded through the table itself, so the only allocation an
-/// insert can make is the path it is given, and a hit makes none.
+/// are threaded through the table itself, and each slot keeps its path
+/// buffer across entries, so an insert allocates only to grow a slot's
+/// buffer past the longest path it has held, and a hit makes none.
 pub struct PathCache {
     capacity: usize,
     /// FID → slot in `entries`.
@@ -172,9 +175,10 @@ impl PathCache {
     }
 
     /// Inserts a resolution, evicting the least-recently-used entry at
-    /// capacity. No-op when the cache is disabled. An owned path is
-    /// kept as it is, not copied.
-    pub fn insert(&mut self, fid: Fid, path: impl Into<PathBuf>) {
+    /// capacity. No-op when the cache is disabled. The path is copied
+    /// into the buffer of the slot it lands in, which an evicting insert
+    /// takes over from its victim.
+    pub fn insert(&mut self, fid: Fid, path: impl AsRef<Path>) {
         if self.capacity == 0 {
             return;
         }
@@ -185,25 +189,29 @@ impl PathCache {
             self.remove(self.oldest);
             self.stats.evictions += 1;
         }
-        let mut path = path.into();
-        if !is_spelled(&path) {
-            path = path.components().collect();
-        }
         // Ranks only have to be spread out, and the same on every run.
         self.dice = self.dice.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
         let rank = (self.dice >> 32) as u32;
-        let entry = Entry { fid, path, older: NIL, newer: NIL, up: NIL, kids: [NIL; 2], rank };
-        let slot = match self.vacant {
-            NIL => {
-                self.entries.push(entry);
-                self.entries.len() - 1
-            }
+        // A vacant slot hands over its buffer, empty but with its capacity.
+        let (slot, mut own) = match self.vacant {
+            NIL => (self.entries.len(), PathBuf::new()),
             slot => {
                 self.vacant = self.entries[slot].newer;
-                self.entries[slot] = entry;
-                slot
+                (slot, std::mem::take(&mut self.entries[slot].path))
             }
         };
+        let path = path.as_ref();
+        if is_spelled(path) {
+            own.as_mut_os_string().push(path.as_os_str());
+        } else {
+            own.extend(path.components());
+        }
+        let entry = Entry { fid, path: own, older: NIL, newer: NIL, up: NIL, kids: [NIL; 2], rank };
+        if slot == self.entries.len() {
+            self.entries.push(entry);
+        } else {
+            self.entries[slot] = entry;
+        }
         self.map.insert(fid, slot);
         self.link_newest(slot);
         self.plant(slot);
@@ -255,7 +263,7 @@ impl PathCache {
         self.unlink(slot);
         self.uproot(slot);
         let entry = &mut self.entries[slot];
-        entry.path = PathBuf::new();
+        entry.path.as_mut_os_string().clear();
         entry.newer = self.vacant;
         self.vacant = slot;
         let fid = entry.fid;

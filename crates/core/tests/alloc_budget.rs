@@ -1,5 +1,6 @@
 //! Allocation budgets for the per-event paths the pipeline benchmark
-//! found allocating most: the Collector on a path-cache hit, the store
+//! found allocating most: the Collector on a path-cache hit and on a
+//! miss, the store
 //! sealing a segment, the store answering a query (exact counts), and the member
 //! sequence the aggregator's legs carry, coded (the frame decoders' are
 //! in `crates/net/tests/alloc_budget.rs`). The counting allocator
@@ -40,6 +41,35 @@ fn collector_allocates_per_batch_not_per_event_on_a_cache_hit() {
     assert!(published.iter().all(|e| e.path.starts_with("/") && e.path.file_name().is_some()));
     assert!(published[0].path.shares_arena(&published[1].path));
 }
+
+#[test]
+fn collector_allocates_per_batch_not_per_event_on_a_cache_miss() {
+    let mut cold = HotCollector::missing();
+    let warm = cold.collector.stats();
+
+    let made = cold.round(1);
+
+    let stats = cold.collector.stats();
+    assert_eq!(stats.fid2path_calls - warm.fid2path_calls, RECORDS as u64, "every record missed");
+    assert_eq!(stats.cache_hits, warm.cache_hits);
+    assert_eq!(stats.published - warm.published, RECORDS as u64);
+    let published = cold.sink.0.lock().expect("sink lock");
+    assert!(published.iter().all(|e| e.path.starts_with("/") && e.path.file_name().is_some()));
+    // `fid2path` writes into the Collector's one buffer and the cache
+    // copies from it into the evicted entry's buffer, so a miss costs
+    // what a hit does: each batch's path arena, nothing per event.
+    assert_eq!(
+        made, MISS_ROUND_ALLOCATIONS,
+        "allocations to resolve {RECORDS} records, each through fid2path into a full cache"
+    );
+}
+
+/// What [`HotCollector::missing`]'s first round after its warm-up
+/// allocates: each of its 16 batches of 256 records seals one path
+/// arena, a buffer and its shared handle; and the first batch's buffer
+/// grows once, sized by the warm-up's last batch, which was short.
+/// A hit costs the same (the rounds after are 32 either way).
+const MISS_ROUND_ALLOCATIONS: u64 = 2 * 16 + 1;
 
 /// `count` events over [`DIRS`] roots, seqs from 1.
 fn sequenced(count: u64) -> Vec<SequencedEvent> {
@@ -247,22 +277,34 @@ fn coded_costs_what_raw_does<T: BinPayload + PartialEq + std::fmt::Debug>(
 
 #[test]
 fn a_full_path_cache_allocates_nothing_of_its_own() {
-    // All three indexes live in the entry table, so once it has grown
-    // to capacity an evicting insert keeps the path it is handed and
-    // allocates nothing else — which is what lets a miss-heavy run's
-    // allocation count repeat exactly whatever the names are.
+    // All three indexes live in the entry table, and each slot keeps its
+    // path buffer, so once the table has grown to capacity and its
+    // buffers to the longest path, an evicting insert copies into the
+    // victim's buffer and allocates nothing — which is what lets a
+    // miss-heavy run's allocation count repeat exactly whatever the
+    // names are.
     const CAPACITY: usize = 512;
+    const PAD: &str = "-padding-to-vary";
     let fid = |n: usize| Fid::new(0x200, n as u32, 0);
-    let path = |n: usize| PathBuf::from(format!("/pool/{:02}/dir{n:05}", n * 7 % 31));
+    // Lengths go up and down by up to 16 bytes from one path to the next.
+    let path = |n: usize, pad: usize| format!("/pool/{:02}/dir{n:05}{}", n * 7 % 31, &PAD[..pad]);
     let mut cache = sdci_core::PathCache::new(CAPACITY);
     for n in 0..CAPACITY {
-        cache.insert(fid(n), path(n));
+        cache.insert(fid(n), path(n, PAD.len()));
     }
-    let fresh: Vec<PathBuf> = (CAPACITY..3 * CAPACITY).map(path).collect();
+    let by_str: Vec<String> = (CAPACITY..3 * CAPACITY).map(|n| path(n, n * 5 % 17)).collect();
+    let by_path: Vec<PathBuf> = by_str.iter().map(PathBuf::from).collect();
+    let mut read_back = Vec::with_capacity(by_str.len());
 
     let made = allocations(|| {
-        for (n, path) in fresh.into_iter().enumerate() {
-            cache.insert(fid(CAPACITY + n), path);
+        for (n, (spelled, path)) in by_str.iter().zip(&by_path).enumerate() {
+            let key = fid(CAPACITY + n);
+            if n % 2 == 0 {
+                cache.insert(key, spelled.as_str());
+            } else {
+                cache.insert(key, path.as_path());
+            }
+            read_back.push(cache.get(key).map(|p| p.as_os_str().len()));
             std::hint::black_box(cache.get(fid(CAPACITY + n / 2)));
             if n % 64 == 0 {
                 cache.invalidate_prefix(std::path::Path::new("/pool/07"));
@@ -272,5 +314,12 @@ fn a_full_path_cache_allocates_nothing_of_its_own() {
 
     let stats = cache.stats();
     assert!(stats.hits > 0 && stats.evictions > 0 && stats.invalidations > 0, "{stats:?}");
-    assert_eq!(made, 0, "inserts, hits, evictions and a rename's subtree drop");
+    assert_eq!(made, 0, "inserts by &str and &Path, hits, evictions and a rename's subtree drop");
+    let lengths: Vec<Option<usize>> = by_str.iter().map(|s| Some(s.len())).collect();
+    assert_eq!(read_back, lengths, "each path reads back at its own length, with no stale tail");
+    for (n, spelled) in by_str.iter().enumerate().rev().take(CAPACITY / 4) {
+        if let Some(cached) = cache.get(fid(CAPACITY + n)) {
+            assert_eq!(cached.as_os_str(), spelled.as_str(), "slot reused from a longer path");
+        }
+    }
 }

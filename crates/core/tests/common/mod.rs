@@ -1,8 +1,8 @@
 //! What the allocation-count test binaries share: a counting
 //! `#[global_allocator]` with a per-thread tally (as
 //! `benchmark/src/alloc.rs` keeps), which charges each test only with
-//! what its own thread allocated, and a Collector whose every record
-//! hits the path cache.
+//! what its own thread allocated, and a warm Collector whose every
+//! record hits the path cache, or misses it.
 
 use lustre_sim::{LustreConfig, LustreFs};
 use sdci_core::{Collector, MonitorConfig};
@@ -78,44 +78,56 @@ impl Publish<FileEvent> for Sink {
 pub const DIRS: usize = 64;
 pub const RECORDS: usize = 4_096;
 
-/// A Collector over [`DIRS`] directories it has already cached, warmed
-/// by one round of [`RECORDS`] creates: every metric is registered and
-/// the Collector's own buffers have grown.
+/// A Collector warmed by one round of [`RECORDS`] creates over its
+/// directories: every metric is registered and the Collector's own
+/// buffers — its path cache's included — have grown.
 pub struct HotCollector {
     fs: Arc<parking_lot::Mutex<LustreFs>>,
+    dirs: usize,
     pub sink: Sink,
     pub collector: Collector<Sink>,
 }
 
 impl HotCollector {
+    /// Over [`DIRS`] directories it has cached: every record hits.
     pub fn new() -> HotCollector {
+        HotCollector::over(DIRS, MonitorConfig::default())
+    }
+
+    /// Over twice as many directories as its full cache holds, created
+    /// round-robin: every record misses, and its parent's path evicts the
+    /// least recently used one. Every directory's path has one length.
+    #[allow(dead_code)] // not every test binary that shares this module uses it
+    pub fn missing() -> HotCollector {
+        HotCollector::over(
+            2 * DIRS,
+            MonitorConfig { path_cache_capacity: DIRS, ..MonitorConfig::default() },
+        )
+    }
+
+    fn over(dirs: usize, config: MonitorConfig) -> HotCollector {
         let fs = Arc::new(parking_lot::Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
-        let sink = Sink(Arc::new(Mutex::new(Vec::with_capacity(RECORDS + 2 * DIRS))));
-        let collector = Collector::new(
-            Arc::clone(&fs),
-            MdtIndex::new(0),
-            sink.clone(),
-            MonitorConfig::default(),
-        );
+        let sink = Sink(Arc::new(Mutex::new(Vec::with_capacity(RECORDS + 2 * dirs))));
+        let collector = Collector::new(Arc::clone(&fs), MdtIndex::new(0), sink.clone(), config);
         {
             let mut guard = fs.lock();
-            for d in 0..DIRS {
-                guard.mkdir(format!("/dir{d:02}"), SimTime::EPOCH).expect("mkdir");
+            for d in 0..dirs {
+                guard.mkdir(format!("/dir{d:04}"), SimTime::EPOCH).expect("mkdir");
             }
         }
-        let mut hot = HotCollector { fs, sink, collector };
+        let mut hot = HotCollector { fs, dirs, sink, collector };
         hot.round(0);
         hot
     }
 
-    /// Creates [`RECORDS`] files named for `round`, empties the sink,
-    /// and returns the allocation calls the Collector makes draining
-    /// them into it.
+    /// Creates [`RECORDS`] files named for `round`, round-robin over the
+    /// directories, empties the sink, and returns the allocation calls
+    /// the Collector makes draining them into it.
     pub fn round(&mut self, round: usize) -> u64 {
         {
             let mut guard = self.fs.lock();
             for n in 0..RECORDS {
-                let path = format!("/dir{:02}/file-{round}-{n:04}", n % DIRS);
+                let path = format!("/dir{:04}/file-{round}-{n:04}", n % self.dirs);
                 guard.create(path, SimTime::from_secs(n as u64)).expect("create");
             }
         }

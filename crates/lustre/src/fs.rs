@@ -128,46 +128,63 @@ impl LustreFs {
     /// Namespace lookup errors.
     pub fn fid_of_path(&self, path: impl AsRef<Path>) -> Result<Fid, LustreError> {
         let inode = self.fs.lookup(path)?;
-        Ok(*self.inode_to_fid.get(&inode).expect("inode without FID"))
+        Ok(self.fid_of_inode(inode))
     }
 
     /// Resolves a FID to its absolute path — the simulator's `fid2path`.
-    /// Each call increments [`LustreFs::resolution_count`].
+    /// Each call increments [`LustreFs::resolution_count`]. The path is
+    /// allocated once, at its exact length; [`LustreFs::fid2path_into`]
+    /// reuses a buffer instead.
     ///
     /// # Errors
     ///
     /// [`LustreError::UnknownFid`] for FIDs that no longer (or never)
     /// existed.
     pub fn fid2path(&self, fid: Fid) -> Result<PathBuf, LustreError> {
-        self.resolutions.fetch_add(1, Ordering::Relaxed);
-        let inode = self.fid_to_inode.get(&fid).ok_or(LustreError::UnknownFid(fid))?;
-        Ok(self.fs.path_of(*inode))
+        let mut path = PathBuf::new();
+        self.fid2path_into(fid, &mut path)?;
+        Ok(path)
     }
 
-    /// Resolves the absolute path of the object a ChangeLog record refers
-    /// to — the monitor's processing step.
-    ///
-    /// Deletions (and the source side of renames) name objects that no
-    /// longer exist, so resolution goes through the *parent* FID plus the
-    /// recorded name, exactly as a real consumer must.
+    /// `fid2path` into a caller's buffer, replacing what it held, as
+    /// `llapi_fid2path(…, char *path, int pathlen, …)` writes into the
+    /// `path` it is handed. The buffer grows only when the path is longer
+    /// than its capacity. Each call increments
+    /// [`LustreFs::resolution_count`].
     ///
     /// # Errors
     ///
-    /// [`LustreError::UnknownFid`] when even the parent is gone (e.g. the
+    /// [`LustreError::UnknownFid`] for FIDs that no longer (or never)
+    /// existed; `path` is then left as it was.
+    pub fn fid2path_into(&self, fid: Fid, path: &mut PathBuf) -> Result<(), LustreError> {
+        self.resolutions.fetch_add(1, Ordering::Relaxed);
+        let inode = self.fid_to_inode.get(&fid).ok_or(LustreError::UnknownFid(fid))?;
+        self.fs.path_into(*inode, path);
+        Ok(())
+    }
+
+    /// Resolves the absolute path of the object a ChangeLog record refers
+    /// to — the monitor's processing step. The path is allocated once, at
+    /// its exact length.
+    ///
+    /// Resolution goes through the *parent* FID plus the recorded name,
+    /// exactly as a real consumer must: the record names the object as it
+    /// was when logged. Deletions (and the source side of renames) name
+    /// objects that no longer exist there, and a target renamed since the
+    /// record has a new path that is not the record's. A target whose
+    /// name and parent still match the record has this very path, so the
+    /// target FID is never the shorter way.
+    ///
+    /// # Errors
+    ///
+    /// [`LustreError::UnknownFid`] when the parent is gone (e.g. the
     /// whole subtree was removed before the record was processed).
     pub fn resolve_record_path(&self, record: &RawChangelogRecord) -> Result<PathBuf, LustreError> {
         self.resolutions.fetch_add(1, Ordering::Relaxed);
-        if let Some(&inode) = self.fid_to_inode.get(&record.target) {
-            // Guard against FID reuse after rename chains: verify the
-            // inode still has the recorded name, else fall through to
-            // parent-based resolution.
-            let path = self.fs.path_of(inode);
-            return Ok(path);
-        }
         let parent =
             self.fid_to_inode.get(&record.parent).ok_or(LustreError::UnknownFid(record.parent))?;
-        let mut path = self.fs.path_of(*parent);
-        path.push(&record.name);
+        let mut path = PathBuf::new();
+        self.fs.entry_path_into(*parent, &record.name, &mut path);
         Ok(path)
     }
 
@@ -224,6 +241,7 @@ impl LustreFs {
     }
 
     fn fid_of_inode(&self, inode: InodeId) -> Fid {
+        // cannot fail: only this type changes `fs`; it gives each inode a FID and takes it with the last link.
         *self.inode_to_fid.get(&inode).expect("inode without FID")
     }
 
@@ -604,6 +622,43 @@ mod tests {
     }
 
     #[test]
+    fn records_resolve_to_the_path_they_were_logged_at() {
+        let mut lfs = single();
+        lfs.mkdir("/a", t(0)).unwrap();
+        lfs.mkdir("/b", t(0)).unwrap();
+        lfs.create("/a/f", t(1)).unwrap();
+        lfs.rename("/a/f", "/b/g", t(2)).unwrap();
+        let recs = lfs.changelog(MdtIndex::new(0)).read_from(0, 10);
+        let path = |kind| {
+            let record = recs.iter().find(|r| r.kind == kind).unwrap();
+            lfs.resolve_record_path(record).unwrap()
+        };
+        assert_eq!(path(ChangelogKind::Rename), PathBuf::from("/a/f"), "RENME names the source");
+        assert_eq!(path(ChangelogKind::RenameTarget), PathBuf::from("/b/g"));
+        assert_eq!(
+            path(ChangelogKind::Create),
+            PathBuf::from("/a/f"),
+            "a create resolves to where the file was made, not where it went"
+        );
+        assert_eq!(lfs.resolution_count(), 3);
+    }
+
+    #[test]
+    fn fid2path_into_reuses_one_buffer() {
+        let mut lfs = single();
+        let deep = lfs.mkdir_all("/deep/er/still", t(0)).unwrap();
+        let top = lfs.create("/t", t(0)).unwrap();
+        let mut path = PathBuf::new();
+        lfs.fid2path_into(deep, &mut path).unwrap();
+        assert_eq!(path, PathBuf::from("/deep/er/still"));
+        lfs.fid2path_into(top, &mut path).unwrap();
+        assert_eq!(path.as_os_str(), "/t", "no tail of the longer path is left");
+        assert!(lfs.fid2path_into(Fid::new(0xdead, 1, 0), &mut path).is_err());
+        assert_eq!(path.as_os_str(), "/t", "a failed resolution leaves the buffer alone");
+        assert_eq!(lfs.fid2path(top).unwrap().capacity(), 2, "exact length");
+    }
+
+    #[test]
     fn rename_logs_renme_and_rnmto() {
         let mut lfs = single();
         lfs.mkdir("/a", t(0)).unwrap();
@@ -686,8 +741,8 @@ mod tests {
         let fid = lfs.create("/a", t(0)).unwrap();
         lfs.hardlink("/a", "/b", t(1)).unwrap();
         lfs.unlink("/a", t(2)).unwrap();
-        // FID still resolves (one link left).
-        assert!(lfs.fid2path(fid).is_ok());
+        // FID still resolves (one link left), to that link.
+        assert_eq!(lfs.fid2path(fid).unwrap(), PathBuf::from("/b"));
         lfs.unlink("/b", t(3)).unwrap();
         assert!(lfs.fid2path(fid).is_err());
         let recs = lfs.changelog(MdtIndex::new(0)).read_from(0, 10);

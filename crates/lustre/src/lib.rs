@@ -11,7 +11,8 @@
 //!    [`sdci_types::RawChangelogRecord`].
 //! 2. **`fid2path`** — FIDs are opaque to external services and must be
 //!    resolved to absolute path names during the monitor's processing
-//!    step. See [`LustreFs::fid2path`] and
+//!    step. See [`LustreFs::fid2path_into`], which fills a caller's
+//!    buffer as `llapi_fid2path` does, [`LustreFs::fid2path`] and
 //!    [`LustreFs::resolve_record_path`].
 //! 3. **ChangeLog consumption/purge** — registered ChangeLog users
 //!    acknowledge records; acknowledged records can be purged so "the

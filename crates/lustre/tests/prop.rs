@@ -136,8 +136,9 @@ proptest! {
 
     /// Under random namespace churn across 4 DNE-distributed MDTs:
     /// every record's path resolves via `resolve_record_path` when
-    /// processed promptly, every live file's FID round-trips through
-    /// `fid2path`, and per-MDT record counts sum to the total.
+    /// processed promptly, every live object's FID round-trips through
+    /// `fid2path` and `fid2path_into`, and per-MDT record counts sum to
+    /// the total.
     #[test]
     fn lustre_namespace_and_resolution(ops in prop::collection::vec(ns_op(), 1..80)) {
         let mut lfs = LustreFs::new(
@@ -187,12 +188,15 @@ proptest! {
                 }
             }
         }
-        // Every live file's FID round-trips.
-        for (path, stat) in lfs.fs().walk() {
-            if stat.file_type != simfs::FileType::Directory {
-                let fid = lfs.fid_of_path(&path).unwrap();
-                prop_assert_eq!(lfs.fid2path(fid).unwrap(), path);
-            }
+        // Every live object's FID round-trips, through a fresh path and
+        // through one buffer reused for all of them, whose paths grow and
+        // shrink in walk order.
+        let mut reused = std::path::PathBuf::new();
+        for (path, _) in lfs.fs().walk() {
+            let fid = lfs.fid_of_path(&path).unwrap();
+            lfs.fid2path_into(fid, &mut reused).unwrap();
+            prop_assert_eq!(reused.as_os_str(), path.as_os_str());
+            prop_assert_eq!(lfs.fid2path(fid).unwrap(), path);
         }
         // Per-MDT sums match total.
         let sum: u64 = (0..4).map(|m| lfs.changelog(MdtIndex::new(m)).stats().appended).sum();

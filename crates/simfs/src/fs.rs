@@ -101,10 +101,12 @@ impl SimFs {
     // ---- lookup -------------------------------------------------------
 
     fn node(&self, id: InodeId) -> &Inode {
+        // cannot fail: lookups, entries and parents name live inodes; a caller's stale id is a documented panic.
         self.inodes.get(&id).expect("dangling inode id")
     }
 
     fn node_mut(&mut self, id: InodeId) -> &mut Inode {
+        // cannot fail: as `node`; every caller passes an id it has just looked up.
         self.inodes.get_mut(&id).expect("dangling inode id")
     }
 
@@ -137,21 +139,61 @@ impl SimFs {
 
     /// Reconstructs the absolute path of an inode by following parent
     /// links — the namespace-side primitive behind Lustre's `fid2path`.
+    /// Allocates once, at the path's exact length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` names no live inode.
     pub fn path_of(&self, id: InodeId) -> PathBuf {
-        let mut parts = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let node = self.node(c);
-            if c != InodeId::ROOT {
-                parts.push(node.name.clone());
-            }
-            cur = node.parent;
-        }
-        let mut path = PathBuf::from("/");
-        for part in parts.into_iter().rev() {
-            path.push(part);
-        }
+        let mut path = PathBuf::new();
+        self.path_into(id, &mut path);
         path
+    }
+
+    /// Writes the absolute path of an inode into `path`, replacing what
+    /// it held, as `llapi_fid2path` writes into the buffer it is handed.
+    /// The buffer grows only when the path is longer than its capacity,
+    /// and then once; no name is cloned.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` names no live inode.
+    pub fn path_into(&self, id: InodeId, path: &mut PathBuf) {
+        self.entry_path_into(id, "", path);
+    }
+
+    /// Writes the absolute path of the entry `name` in directory `dir`
+    /// into `path`, as [`SimFs::path_into`] does. The entry need not
+    /// exist: this is the path a removed or renamed-away name had. An
+    /// empty `name` is `dir` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dir` names no live inode.
+    pub fn entry_path_into(&self, dir: InodeId, name: &str, path: &mut PathBuf) {
+        path.as_mut_os_string().clear();
+        let tail = if name.is_empty() { 0 } else { 1 + name.len() };
+        self.push_names(dir, tail, path);
+        if !name.is_empty() {
+            path.push(name);
+        }
+    }
+
+    /// Appends the names from the root down to `id` to the empty `path`.
+    /// `below` is what the names under `id` will add, so the root, where
+    /// the recursion turns, reserves the whole path at once.
+    fn push_names(&self, id: InodeId, below: usize, path: &mut PathBuf) {
+        let node = self.node(id);
+        match node.parent {
+            Some(parent) => {
+                self.push_names(parent, 1 + node.name.len() + below, path);
+                path.push(&node.name);
+            }
+            None => {
+                path.reserve_exact(below.max(1));
+                path.push("/");
+            }
+        }
     }
 
     /// Returns metadata for `path`.
@@ -165,6 +207,10 @@ impl SimFs {
     }
 
     /// Returns metadata for an inode id.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` names no live inode.
     pub fn stat_inode(&self, id: InodeId) -> Stat {
         let n = self.node(id);
         Stat {
@@ -451,10 +497,21 @@ impl SimFs {
         if last_link {
             self.inodes.remove(&id);
             self.files -= 1;
-        } else if self.node(id).parent == Some(parent) && self.node(id).name == name {
-            // The primary parent entry went away; we intentionally leave
-            // the stale primary pointer (path_of for multi-link files is
-            // best-effort, as in Lustre's linkEA behaviour).
+        } else if node.parent == Some(parent) && node.name == name {
+            // The primary link went: another link takes its place, the
+            // least by (directory, name) so every run picks the same, and
+            // a path walk never follows a parent that may be removed.
+            let link = self
+                .inodes
+                .values()
+                .filter_map(|dir| Some((dir.id, dir.entries.iter().find(|e| *e.1 == id)?.0)))
+                .min()
+                .map(|(dir, name)| (dir, name.clone()));
+            if let Some((dir, name)) = link {
+                let node = self.node_mut(id);
+                node.parent = Some(dir);
+                node.name = name;
+            }
         }
         self.notify(FsOp {
             kind: FsOpKind::Unlink { last_link },
@@ -1006,6 +1063,48 @@ mod tests {
         let _ = fs.create("/missing/f", t(0));
         let _ = fs.unlink("/nope", t(0));
         assert_eq!(*ops.lock().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_reused_buffer_holds_exactly_each_path_written_into_it() {
+        let mut fs = SimFs::new();
+        fs.mkdir_all("/a-long-directory/b", t(0)).unwrap();
+        fs.create("/a-long-directory/b/f", t(0)).unwrap();
+        fs.create("/g", t(0)).unwrap();
+        let mut path = PathBuf::from("/stale/contents/longer/than/any");
+        for spelled in ["/a-long-directory/b/f", "/g", "/", "/a-long-directory"] {
+            let id = fs.lookup(spelled).unwrap();
+            fs.path_into(id, &mut path);
+            assert_eq!(path.as_os_str(), spelled);
+            assert_eq!(fs.path_of(id).as_os_str(), spelled);
+        }
+        let dir = fs.lookup("/a-long-directory/b").unwrap();
+        fs.entry_path_into(dir, "gone", &mut path);
+        assert_eq!(path.as_os_str(), "/a-long-directory/b/gone");
+        fs.entry_path_into(InodeId::ROOT, "top", &mut path);
+        assert_eq!(path.as_os_str(), "/top");
+    }
+
+    #[test]
+    fn path_of_allocates_the_exact_length() {
+        let mut fs = SimFs::new();
+        fs.mkdir_all("/one/two/three", t(0)).unwrap();
+        let id = fs.lookup("/one/two/three").unwrap();
+        assert_eq!(fs.path_of(id).capacity(), "/one/two/three".len());
+    }
+
+    #[test]
+    fn unlinking_the_primary_link_moves_the_path_to_a_surviving_link() {
+        let mut fs = SimFs::new();
+        fs.mkdir("/d1", t(0)).unwrap();
+        fs.mkdir("/d2", t(0)).unwrap();
+        let id = fs.create("/d1/f", t(0)).unwrap();
+        fs.hardlink("/d1/f", "/d2/g", t(1)).unwrap();
+        fs.unlink("/d1/f", t(2)).unwrap();
+        assert_eq!(fs.path_of(id), PathBuf::from("/d2/g"));
+        // The old primary directory can go without stranding the file.
+        fs.rmdir("/d1", t(3)).unwrap();
+        assert_eq!(fs.path_of(id), PathBuf::from("/d2/g"));
     }
 
     #[test]
