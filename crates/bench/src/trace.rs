@@ -254,7 +254,7 @@ mod tests {
         tc.ingest_json(&doc("collector", &[(7, 1, 0, "collector.extract")])).unwrap();
         tc.ingest_json(&doc("shard0", &[(7, 2, 1, "aggregator.ingest")])).unwrap();
         tc.ingest_json(&doc("shard0", &[(7, 3, 2, "store.seg.insert")])).unwrap();
-        tc.ingest_json(&doc("other", &[(9, 9, 0, "router.cutover")])).unwrap();
+        tc.ingest_json(&doc("other", &[(9, 9, 0, "router.publish")])).unwrap();
 
         assert_eq!(tc.trace_ids(), vec![7, 9]);
         let trace = tc.trace(7);

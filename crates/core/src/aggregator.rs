@@ -22,7 +22,7 @@ use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_types::bin::{Class, SeqEncoder};
-use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent, TraceCarrier, TraceContext};
+use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,24 +177,6 @@ impl BinPayload for FeedMessage {
     /// it opens is never continued.
     fn seq(&self) -> Option<u64> {
         self.as_event().map(|sev| sev.seq)
-    }
-}
-
-/// A sequenced event carries whatever context its inner event does, so
-/// network endpoints treat both shapes uniformly.
-impl TraceCarrier for SequencedEvent {
-    fn trace_context(&self) -> Option<TraceContext> {
-        self.event.trace_context()
-    }
-}
-
-/// Heartbeats carry no context; events delegate to the payload.
-impl TraceCarrier for FeedMessage {
-    fn trace_context(&self) -> Option<TraceContext> {
-        match self {
-            FeedMessage::Event(sev) => sev.trace_context(),
-            FeedMessage::Heartbeat { .. } => None,
-        }
     }
 }
 

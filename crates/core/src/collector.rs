@@ -8,6 +8,7 @@
 
 use crate::config::MonitorConfig;
 use crate::pathcache::PathCache;
+use crate::store::is_plain;
 use lustre_sim::{ChangelogUser, LustreFs};
 use parking_lot::Mutex;
 use sdci_mq::pubsub::Publisher;
@@ -295,7 +296,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
                 // The cache stores paths spelled as their components and
                 // hits are joined onto that spelling; `fid2path` already
                 // spells them so, so a miss publishes the same bytes.
-                debug_assert!(spelled_as_components(parent), "{parent:?}");
+                debug_assert!(is_plain(parent.as_os_str().as_encoded_bytes()), "{parent:?}");
                 let path = join(paths, parent, &record.name);
                 self.cache.insert(record.parent, parent);
                 path
@@ -336,28 +337,6 @@ impl<P: Publish<FileEvent>> Collector<P> {
     pub fn stats(&self) -> CollectorStats {
         self.stats
     }
-
-    /// Path-cache counters.
-    pub fn cache_stats(&self) -> crate::pathcache::CacheStats {
-        self.cache.stats()
-    }
-
-    /// Approximate memory used by the Collector's cache.
-    pub fn cache_memory(&self) -> sdci_types::ByteSize {
-        self.cache.memory()
-    }
-}
-
-/// Whether the absolute `path` reads exactly as its components joined:
-/// a doubled or trailing separator, or a `.`, would make it longer than
-/// its names and the separators between them. Checked without building
-/// the joined path, so a debug build's misses allocate what a release
-/// build's do.
-fn spelled_as_components(path: &Path) -> bool {
-    let names: usize = path.components().map(|c| c.as_os_str().len()).sum();
-    // The root's component is its own separator.
-    let separators = path.components().count().saturating_sub(2);
-    names + separators == path.as_os_str().len()
 }
 
 /// `parent.join(name)`, appended to the batch's arena (lossily, should
@@ -665,20 +644,6 @@ mod tests {
         assert_eq!(stats.processed, 5);
         assert_eq!(stats.published, 1, "only the queued event was delivered anywhere");
         assert_eq!(stats.shed, 4, "the rest were shed at the subscriber's HWM");
-    }
-
-    #[test]
-    fn spelled_as_components_is_components_collected() {
-        for path in ["/", "/a", "/a/b", "/a/.b", "//", "//a", "/a//b", "/a/./b", "/a/b/", "/a/b/."]
-        {
-            let path = Path::new(path);
-            let joined: PathBuf = path.components().collect();
-            assert_eq!(
-                spelled_as_components(path),
-                joined.as_os_str() == path.as_os_str(),
-                "{path:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Monitor configuration.
 
-use sdci_types::ByteSize;
-use std::time::Duration;
-
 /// Tunables for the monitor pipeline (shared by live and modelled modes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MonitorConfig {
@@ -10,15 +7,9 @@ pub struct MonitorConfig {
     /// proposes processing "events in batches, rather than independently"
     /// as a remediation for the fid2path bottleneck.
     pub batch_size: usize,
-    /// How long a live Collector sleeps when its ChangeLog is empty.
-    pub poll_interval: Duration,
     /// Capacity of the parent-FID → path cache (0 disables caching; the
     /// paper's baseline configuration resolves every event independently).
     pub path_cache_capacity: usize,
-    /// High-water mark between Collectors and the Aggregator. Shedding
-    /// here loses events before they reach the store, so this should be
-    /// sized to absorb bursts.
-    pub publish_hwm: usize,
     /// High-water mark between the Aggregator and each consumer. Events
     /// shed here are recoverable from the store.
     pub feed_hwm: usize,
@@ -35,9 +26,7 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             batch_size: 256,
-            poll_interval: Duration::from_millis(1),
             path_cache_capacity: 4096,
-            publish_hwm: 65_536,
             feed_hwm: 65_536,
             store_capacity: 1_000_000,
             purge_every: 1024,
@@ -50,18 +39,6 @@ impl MonitorConfig {
     /// resolution (§5.2 reports the resulting bottleneck).
     pub fn paper_baseline() -> Self {
         MonitorConfig { path_cache_capacity: 0, batch_size: 1, ..MonitorConfig::default() }
-    }
-
-    /// The paper's proposed remediation: batch extraction plus a
-    /// temporary path-mapping cache.
-    pub fn batched_cached() -> Self {
-        MonitorConfig::default()
-    }
-
-    /// Approximate steady-state memory bound of the Aggregator's store
-    /// under this configuration, at `bytes_per_event` per entry.
-    pub fn store_memory_bound(&self, bytes_per_event: ByteSize) -> ByteSize {
-        bytes_per_event.saturating_mul(self.store_capacity as u64)
     }
 }
 
@@ -81,11 +58,5 @@ mod tests {
         let c = MonitorConfig::paper_baseline();
         assert_eq!(c.path_cache_capacity, 0);
         assert_eq!(c.batch_size, 1);
-    }
-
-    #[test]
-    fn store_bound_multiplies() {
-        let c = MonitorConfig { store_capacity: 1000, ..MonitorConfig::default() };
-        assert_eq!(c.store_memory_bound(ByteSize::from_bytes(200)), ByteSize::from_bytes(200_000));
     }
 }

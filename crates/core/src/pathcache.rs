@@ -7,6 +7,7 @@
 //! events in a burst share a handful of parent directories, so caching
 //! the *parent* resolution converts almost every lookup into a hit.
 
+use crate::store::is_plain;
 use sdci_types::{ByteSize, Fid};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -68,7 +69,7 @@ fn path_bytes(path: &Path) -> &[u8] {
 /// Byte order with the separator ranked below every other byte, so that
 /// everything under a directory sits in one contiguous run starting at
 /// the directory itself: `/a/b`, `/a/b/c`, then `/a/b.d` and `/a/bc`.
-/// On paths spelled as their components (see [`is_spelled`]) that is
+/// On paths spelled as their components (see [`is_plain`]) that is
 /// the order `Path` gives names component by component, without parsing
 /// components on each comparison of a descent.
 fn subtree_order(a: &Path, b: &Path) -> Ordering {
@@ -83,17 +84,6 @@ fn subtree_order(a: &Path, b: &Path) -> Ordering {
     }
     let rank = |byte: &u8| if *byte == b'/' { 0 } else { u16::from(*byte) + 1 };
     a[at..].iter().map(rank).cmp(b[at..].iter().map(rank))
-}
-
-/// Whether `path` is spelled exactly as its components: no doubled or
-/// trailing separator, no `.` after a separator. That is what `Path`'s
-/// `Eq`, `Ord` and `starts_with` see, and what lets the path tree
-/// compare bytes. `fid2path` output joined with a record's name is so
-/// spelled. Errs towards `false` (a dot-file is respelled as itself).
-fn is_spelled(path: &Path) -> bool {
-    let bytes = path_bytes(path);
-    !(bytes.windows(2).any(|pair| pair == b"//" || pair == b"/.")
-        || bytes.len() > 1 && bytes.ends_with(b"/"))
 }
 
 /// A bounded LRU map from directory FIDs to their absolute paths.
@@ -201,7 +191,7 @@ impl PathCache {
             }
         };
         let path = path.as_ref();
-        if is_spelled(path) {
+        if is_plain(path_bytes(path)) {
             own.as_mut_os_string().push(path.as_os_str());
         } else {
             own.extend(path.components());
@@ -231,7 +221,7 @@ impl PathCache {
     /// whatever the size of the cache.
     pub fn invalidate_prefix(&mut self, prefix: &Path) {
         let respelled: PathBuf;
-        let prefix = if is_spelled(prefix) {
+        let prefix = if is_plain(path_bytes(prefix)) {
             prefix
         } else {
             respelled = prefix.components().collect();
@@ -518,7 +508,7 @@ mod tests {
             }
         }
         for a in &paths {
-            assert!(is_spelled(a), "{a:?} is spelled as its components");
+            assert!(is_plain(path_bytes(a)), "{a:?} is spelled as its components");
             for b in &paths {
                 assert_eq!(subtree_order(a, b), a.cmp(b), "{a:?} vs {b:?}");
             }
@@ -527,9 +517,6 @@ mod tests {
 
     #[test]
     fn odd_spellings_are_cached_as_their_components() {
-        for odd in ["/a//b", "/a/b/", "/a/./b", "/a/b/.", "//"] {
-            assert!(!is_spelled(Path::new(odd)), "{odd}");
-        }
         let mut c = PathCache::new(8);
         c.insert(fid(1), "/a//b/c/");
         c.insert(fid(2), "/a/bc");

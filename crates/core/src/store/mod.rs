@@ -49,6 +49,7 @@ mod snapshot;
 
 pub use backend::{EventBackend, StoreError};
 pub use layers::{MeteredBackend, StoreStack};
+pub(crate) use prefix::is_plain;
 pub use prefix::PathPrefix;
 pub use snapshot::{restore_snapshot, FlushStats, SnapshotDir};
 

@@ -7,9 +7,8 @@
 //! prefix is spelled canonically once (its components, joined), and a
 //! canonically spelled path is under it exactly when its bytes start
 //! with the prefix and the match ends at a component boundary. A path
-//! spelled otherwise — `//`, `/./`, a trailing `/`, a leading `./` — is
-//! handed to `Path::starts_with`, so every input gets the component-wise
-//! answer.
+//! spelled otherwise — `//`, `/./`, a trailing `/` — is handed to
+//! `Path::starts_with`, so every input gets the component-wise answer.
 
 use std::borrow::Cow;
 use std::path::Path;
@@ -64,7 +63,7 @@ impl<'a> PathPrefix<'a> {
         let Some(text) = prefix.to_str() else {
             return PathPrefix(Form::Path(Cow::Borrowed(prefix)));
         };
-        let canon = if is_plain(text) {
+        let canon = if is_plain(text.as_bytes()) {
             Cow::Borrowed(text)
         } else {
             let mut joined = String::with_capacity(text.len());
@@ -106,7 +105,7 @@ impl<'a> PathPrefix<'a> {
             Form::Any => true,
             Form::Bytes { canon, .. } => {
                 starts_at_boundary(path, canon)
-                    || (!is_plain(path) && Path::new(path).starts_with(canon.as_ref()))
+                    || (!is_plain(path.as_bytes()) && Path::new(path).starts_with(canon.as_ref()))
             }
             Form::Path(prefix) => Path::new(path).starts_with(prefix),
         }
@@ -119,7 +118,7 @@ impl<'a> PathPrefix<'a> {
             Form::Any => DirClass::All,
             Form::Path(_) => DirClass::TestEach,
             Form::Bytes { canon, parent } => {
-                if !is_plain(dir) {
+                if !is_plain(dir.as_bytes()) {
                     DirClass::TestEach
                 } else if starts_at_boundary(dir, canon) {
                     DirClass::All
@@ -155,20 +154,18 @@ fn starts_at_boundary(path: &str, canon: &str) -> bool {
             || path.as_bytes()[canon.len()] == b'/')
 }
 
-/// Whether `s` is spelled as its components joined: no empty component
-/// (`//`, a trailing `/` other than the root itself), no `.` component.
-/// Conservative: a `false` only costs the caller a `Path::starts_with`.
-fn is_plain(s: &str) -> bool {
-    let b = s.as_bytes();
-    if b == b"/" {
-        return true;
-    }
-    if b.ends_with(b"/") || b.ends_with(b"/.") || b == b"." || b.starts_with(b"./") {
-        return false;
-    }
-    b.iter()
-        .enumerate()
-        .all(|(i, &c)| c != b'/' || !matches!(&b[i + 1..], [b'/', ..] | [b'.', b'/', ..]))
+/// Whether `path` is spelled as its components joined, as
+/// `Path::components().collect::<PathBuf>()` spells it: no empty
+/// component (`//`, a trailing `/` other than the root itself) and no
+/// `.` component but a leading one (`./x`, which `Path` keeps). Exact,
+/// on bytes. On a path so spelled, `Path`'s `Eq`, `Ord` and
+/// `starts_with`, which compare components, agree with its bytes.
+pub(crate) fn is_plain(path: &[u8]) -> bool {
+    path == b"/"
+        || path
+            .split(|&b| b == b'/')
+            .enumerate()
+            .all(|(i, name)| i == 0 || !matches!(name, b"" | b"."))
 }
 
 #[cfg(test)]
@@ -200,6 +197,15 @@ mod tests {
         "a/",
         ".a/b",
     ];
+
+    #[test]
+    fn is_plain_is_components_collected() {
+        let hostile = ["//a", "/a/./b", "/a/b/", "/.b", "/a/.b", "/.", ".//x", "././x", "./x"];
+        for path in PATHS.iter().chain(&hostile) {
+            let joined: std::path::PathBuf = Path::new(path).components().collect();
+            assert_eq!(is_plain(path.as_bytes()), joined.as_os_str() == *path, "{path:?}");
+        }
+    }
 
     #[test]
     fn matches_is_path_starts_with_for_every_pair() {

@@ -4,18 +4,14 @@
 //! A sharded deployment partitions the aggregator tier by the
 //! [`ShardMap`] (see `sdci_core::cluster`): every role fetches the map
 //! from the front-end's [`MapServer`], so all of them agree on who owns
-//! which path root. Three pieces live here:
+//! which path root. The map is fixed when the front starts; changing
+//! the roster means restarting the tier. Three pieces live here:
 //!
-//! * [`MapServer`] / [`fetch_map`] / [`add_shard`] — the map service.
-//!   The server is the single writer of the map; `AddShard` bumps the
-//!   version and every later `GetMap` returns the new table.
+//! * [`MapServer`] / [`fetch_map`] — the map service: `GetMap` returns
+//!   the one map the front was started with.
 //! * [`ShardRouter`] — a collector-side publisher that keeps one
 //!   [`TcpPush`] pipe per shard and routes each event by
-//!   [`ShardMap::route_event`]. [`ShardRouter::update_map`] performs
-//!   the cutover protocol: drain every in-flight push to the old
-//!   owners first, and only then swap the table — a drain timeout
-//!   leaves the old map in place so the caller can retry, which is
-//!   what "the cutover is not acked" means on the wire.
+//!   [`ShardMap::route_event`].
 //! * [`ScatterStore`] — a read-only [`EventBackend`] that fans a query out to
 //!   every shard's store RPC, merges the legs in sequence order, and
 //!   answers even when some shards are down (a *degraded* result,
@@ -50,17 +46,12 @@ use std::time::{Duration, Instant};
 /// One cluster-RPC message; requests and responses share the enum.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClusterRpc {
-    /// Client → server: send me the current shard map.
+    /// Client → server: send me the shard map.
     GetMap,
-    /// Server → client: the current map (also the reply to `AddShard`).
+    /// Server → client: the shard map.
     Map {
-        /// The versioned partition table.
+        /// The partition table.
         map: ShardMap,
-    },
-    /// Client → server: append a shard at `addr` and bump the version.
-    AddShard {
-        /// The new shard's address.
-        addr: String,
     },
     /// Liveness probe; the server echoes it.
     Ping,
@@ -91,17 +82,11 @@ fn parse_addr(base: &str) -> io::Result<SocketAddr> {
 // Map service
 // ---------------------------------------------------------------------------
 
-/// The [`Handler`] for [`Service::Cluster`]: serves the authoritative
-/// [`ShardMap`] over the wire.
-///
-/// The server is the map's single writer: `AddShard` requests are
-/// serialized through its lock, each one producing a new version that
-/// every subsequent `GetMap` (from any role) observes. Collectors poll
-/// the map on reconnect; there is no push channel — a stale reader
-/// keeps routing by its old map, which is consistent, just not yet
-/// rebalanced.
+/// The [`Handler`] for [`Service::Cluster`]: serves the tier's
+/// [`ShardMap`] over the wire. The map is the one the front was started
+/// with; no request changes it.
 pub struct MapServer {
-    map: parking_lot::Mutex<ShardMap>,
+    map: ShardMap,
     fetches: AtomicU64,
 }
 
@@ -112,14 +97,14 @@ impl std::fmt::Debug for MapServer {
 }
 
 impl MapServer {
-    /// A server whose first version of the map is `map`.
+    /// A server of `map`.
     pub fn new(map: ShardMap) -> Arc<Self> {
-        Arc::new(MapServer { map: parking_lot::Mutex::new(map), fetches: AtomicU64::new(0) })
+        Arc::new(MapServer { map, fetches: AtomicU64::new(0) })
     }
 
-    /// The current map.
-    pub fn map(&self) -> ShardMap {
-        self.map.lock().clone()
+    /// The map served.
+    pub fn map(&self) -> &ShardMap {
+        &self.map
     }
 
     /// `GetMap` requests answered so far.
@@ -134,59 +119,38 @@ impl Handler for MapServer {
     }
 
     fn serve(&self, _service: Service, conn: Conn) {
-        serve_map_client(conn, &self.map, &self.fetches);
-    }
-}
-
-fn serve_map_client(conn: Conn, map: &parking_lot::Mutex<ShardMap>, fetches: &AtomicU64) {
-    let Conn { mut reader, mut writer, stop, .. } = conn;
-    while !stop.load(Ordering::Relaxed) {
-        match reader.read_msg::<ClusterRpc>() {
-            Ok(ClusterRpc::GetMap) => {
-                let current = map.lock().clone();
-                fetches.fetch_add(1, Ordering::Relaxed);
-                sdci_obs::static_metric!(counter, "sdci_cluster_map_fetches_total").inc();
-                if write_msg(&mut writer, &ClusterRpc::Map { map: current }).is_err() {
-                    return;
+        let Conn { mut reader, mut writer, stop, .. } = conn;
+        while !stop.load(Ordering::Relaxed) {
+            let reply = match reader.read_msg::<ClusterRpc>() {
+                Ok(ClusterRpc::GetMap) => {
+                    self.fetches.fetch_add(1, Ordering::Relaxed);
+                    sdci_obs::static_metric!(counter, "sdci_cluster_map_fetches_total").inc();
+                    ClusterRpc::Map { map: self.map.clone() }
                 }
+                Ok(ClusterRpc::Ping) => ClusterRpc::Ping,
+                Ok(ClusterRpc::Map { .. }) => continue, // nonsensical from a client; ignore
+                // Map clients ask once; idleness is fine.
+                Err(e) if timed_out(&e) => continue,
+                // Anything that does not decode — a message this
+                // service does not know included — closes the connection.
+                Err(_) => return,
+            };
+            if write_msg(&mut writer, &reply).is_err() {
+                return;
             }
-            Ok(ClusterRpc::AddShard { addr }) => {
-                // The address is a peer's say-so: check it names a
-                // socket *before* it enters the map, or the next
-                // scatter re-fan over the map fails on it.
-                if let Err(e) = parse_addr(&addr) {
-                    sdci_obs::warn!("AddShard refused; closing the connection"; error = e.to_string());
-                    return;
-                }
-                let updated = {
-                    let mut guard = map.lock();
-                    let next = guard.with_shard(addr.as_str());
-                    *guard = next.clone();
-                    next
-                };
-                sdci_obs::static_metric!(counter, "sdci_cluster_shards_added_total").inc();
-                sdci_obs::info!("shard added to the map"; addr = addr, version = updated.version(),);
-                if write_msg(&mut writer, &ClusterRpc::Map { map: updated }).is_err() {
-                    return;
-                }
-            }
-            Ok(ClusterRpc::Ping) => {
-                if write_msg(&mut writer, &ClusterRpc::Ping).is_err() {
-                    return;
-                }
-            }
-            Ok(ClusterRpc::Map { .. }) => {} // nonsensical from a client; ignore
-            // Map clients poll; idleness is fine.
-            Err(e) if timed_out(&e) => {}
-            Err(_) => return,
         }
     }
 }
 
-/// One-shot request/response against a [`MapServer`].
-fn map_round_trip(addr: SocketAddr, cfg: &NetConfig, req: &ClusterRpc) -> io::Result<ShardMap> {
+/// Fetches the [`ShardMap`] from the [`MapServer`] at `addr`.
+///
+/// # Errors
+///
+/// Propagates connect and round-trip failures, and `InvalidData` for a
+/// reply that is not a map — one with no shard included.
+pub fn fetch_map(addr: SocketAddr, cfg: &NetConfig) -> io::Result<ShardMap> {
     let (mut reader, mut writer) = dial(cfg, addr, Service::Cluster)?;
-    write_msg(&mut writer, req)?;
+    write_msg(&mut writer, &ClusterRpc::GetMap)?;
     let deadline = Instant::now() + cfg.liveness;
     loop {
         match reader.read_msg::<ClusterRpc>() {
@@ -205,102 +169,37 @@ fn map_round_trip(addr: SocketAddr, cfg: &NetConfig, req: &ClusterRpc) -> io::Re
     }
 }
 
-/// Fetches the current [`ShardMap`] from the [`MapServer`] at `addr`.
-///
-/// # Errors
-///
-/// Propagates connect and round-trip failures; the caller decides
-/// whether to retry or keep routing by a previously fetched map.
-pub fn fetch_map(addr: SocketAddr, cfg: &NetConfig) -> io::Result<ShardMap> {
-    map_round_trip(addr, cfg, &ClusterRpc::GetMap)
-}
-
-/// Asks the [`MapServer`] at `addr` to append the shard at
-/// `shard_addr`, returning the bumped map.
-///
-/// # Errors
-///
-/// Propagates connect and round-trip failures. The request is not
-/// idempotent — on a timed-out reply the caller should `fetch_map`
-/// before retrying.
-pub fn add_shard(addr: SocketAddr, shard_addr: &str, cfg: &NetConfig) -> io::Result<ShardMap> {
-    map_round_trip(addr, cfg, &ClusterRpc::AddShard { addr: shard_addr.to_string() })
-}
-
 // ---------------------------------------------------------------------------
 // Collector-side routing
 // ---------------------------------------------------------------------------
 
-/// One live pipe to a shard, with its routing tally.
+/// One live pipe to a shard, with this router's tally of events sent
+/// down it.
 struct ShardPipe {
     id: ShardId,
-    addr: String,
     push: TcpPush<FileEvent>,
-    routed: Counter,
-}
-
-impl Clone for ShardPipe {
-    fn clone(&self) -> Self {
-        ShardPipe {
-            id: self.id,
-            addr: self.addr.clone(),
-            push: self.push.clone(),
-            routed: self.routed.clone(),
-        }
-    }
-}
-
-impl ShardPipe {
-    fn connect(id: ShardId, addr: &str, client: &str, cfg: &NetConfig) -> io::Result<ShardPipe> {
-        let socket = parse_addr(addr)?;
-        // The per-shard client id keys the shard's dedup marks, so it
-        // must be stable across reconnects *and* map versions.
-        let push = TcpPush::connect(socket, format!("{client}@s{id}"), cfg.clone());
-        let routed = sdci_obs::registry()
-            .counter_with("sdci_cluster_routed_total", &[("shard", &id.to_string())]);
-        Ok(ShardPipe { id, addr: addr.to_string(), push, routed })
-    }
-}
-
-struct RouterState {
-    map: ShardMap,
-    pipes: Vec<ShardPipe>,
+    routed: AtomicU64,
 }
 
 struct RouterInner {
-    client: String,
-    cfg: NetConfig,
-    state: parking_lot::RwLock<RouterState>,
-    cutovers: AtomicU64,
+    map: ShardMap,
+    pipes: Vec<ShardPipe>,
 }
 
 /// A collector-side event router over a sharded aggregator tier.
 ///
 /// Maintains one lossless [`TcpPush`] pipe per shard and routes every
-/// published event to its owner by [`ShardMap::route_event`]. Clones
-/// share the pipes and the map, so a multi-threaded collector routes
-/// consistently.
-///
-/// Map changes go through [`ShardRouter::update_map`], which implements
-/// the drain-before-cutover protocol; see the module docs.
+/// published event to its owner by [`ShardMap::route_event`]. The map
+/// is fixed for the router's life, so routing takes no lock. Clones
+/// share the pipes, so a multi-threaded collector routes consistently.
+#[derive(Clone)]
 pub struct ShardRouter {
     inner: Arc<RouterInner>,
 }
 
-impl Clone for ShardRouter {
-    fn clone(&self) -> Self {
-        ShardRouter { inner: Arc::clone(&self.inner) }
-    }
-}
-
 impl std::fmt::Debug for ShardRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.state.read();
-        f.debug_struct("ShardRouter")
-            .field("client", &self.inner.client)
-            .field("version", &state.map.version())
-            .field("shards", &state.pipes.len())
-            .finish()
+        f.debug_struct("ShardRouter").field("shards", &self.inner.pipes.len()).finish()
     }
 }
 
@@ -319,115 +218,33 @@ impl ShardRouter {
         let pipes = map
             .shards()
             .iter()
-            .map(|s| ShardPipe::connect(s.id, &s.addr, &client, &cfg))
+            .map(|s| {
+                // The per-shard client id keys the shard's dedup marks,
+                // so it must be stable across reconnects.
+                let push = TcpPush::connect(
+                    parse_addr(&s.addr)?,
+                    format!("{client}@s{}", s.id),
+                    cfg.clone(),
+                );
+                Ok(ShardPipe { id: s.id, push, routed: AtomicU64::new(0) })
+            })
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(ShardRouter {
-            inner: Arc::new(RouterInner {
-                client,
-                cfg,
-                state: parking_lot::RwLock::new(RouterState { map, pipes }),
-                cutovers: AtomicU64::new(0),
-            }),
-        })
-    }
-
-    /// The version of the map currently routing traffic.
-    pub fn map_version(&self) -> u64 {
-        self.inner.state.read().map.version()
-    }
-
-    /// Completed map cutovers.
-    pub fn cutovers(&self) -> u64 {
-        self.inner.cutovers.load(Ordering::Relaxed)
+        Ok(ShardRouter { inner: Arc::new(RouterInner { map, pipes }) })
     }
 
     /// Events routed to each shard so far, in slot order.
     pub fn routed(&self) -> Vec<(ShardId, u64)> {
-        self.inner.state.read().pipes.iter().map(|p| (p.id, p.routed.get())).collect()
+        self.inner.pipes.iter().map(|p| (p.id, p.routed.load(Ordering::Relaxed))).collect()
     }
 
     /// Waits until every routed event has been acknowledged by its
     /// shard, or `timeout` elapses. Returns `true` when fully drained.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let pipes: Vec<TcpPush<FileEvent>> =
-            self.inner.state.read().pipes.iter().map(|p| p.push.clone()).collect();
-        pipes.iter().all(|p| p.drain(deadline.saturating_duration_since(Instant::now())))
-    }
-
-    /// Applies a new shard map with the drain-before-cutover protocol:
-    ///
-    /// 1. Every pipe of the *current* map is drained — the old owners
-    ///    must acknowledge all in-flight pushes first.
-    /// 2. Under the routing lock (no concurrent publishes), stragglers
-    ///    are drained with whatever deadline remains.
-    /// 3. The table is swapped. Pipes whose shard survives unchanged
-    ///    (same id and address) are reused, keeping their dedup state;
-    ///    new shards get fresh pipes.
-    ///
-    /// A map that is not newer than the current one is a no-op. A drain
-    /// timeout returns an error *without* swapping — the cutover is not
-    /// acked, the router keeps the old map, and the caller retries once
-    /// the stuck shard recovers.
-    ///
-    /// # Errors
-    ///
-    /// `TimedOut` when the drain did not finish within `drain_timeout`;
-    /// `InvalidInput` when a new shard's address does not parse.
-    pub fn update_map(&self, new_map: ShardMap, drain_timeout: Duration) -> io::Result<()> {
-        if new_map.version() <= self.inner.state.read().map.version() {
-            return Ok(());
-        }
-        // Cutovers are rare, operator-relevant moments: trace each one
-        // as its own root so drain stalls show up on `/tracez`.
-        let mut cutover_span = sdci_obs::trace::root("router.cutover");
-        cutover_span.set_detail(|| format!("to v{}", new_map.version()));
-        let deadline = Instant::now() + drain_timeout;
-        // Bulk of the drain happens outside the write lock so publishers
-        // are not stalled while the old owners catch up.
-        if !self.drain(drain_timeout) {
-            sdci_obs::static_metric!(counter, "sdci_cluster_cutover_drain_timeouts_total").inc();
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "cutover not acked: old shard owners did not drain in time",
-            ));
-        }
-        let mut state = self.inner.state.write();
-        if new_map.version() <= state.map.version() {
-            return Ok(()); // another clone won the race
-        }
-        // Publishers clone a pipe handle under the read lock and send
-        // after releasing it, so a few stragglers may have queued since
-        // the drain above; finish them under the write lock, where no
-        // new sends can start.
-        for pipe in &state.pipes {
-            if !pipe.push.drain(deadline.saturating_duration_since(Instant::now())) {
-                sdci_obs::static_metric!(counter, "sdci_cluster_cutover_drain_timeouts_total")
-                    .inc();
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "cutover not acked: old shard owners did not drain in time",
-                ));
-            }
-        }
-        let mut pipes = Vec::with_capacity(new_map.shards().len());
-        for shard in new_map.shards() {
-            match state.pipes.iter().find(|p| p.id == shard.id && p.addr == shard.addr) {
-                Some(existing) => pipes.push(existing.clone()),
-                None => pipes.push(ShardPipe::connect(
-                    shard.id,
-                    &shard.addr,
-                    &self.inner.client,
-                    &self.inner.cfg,
-                )?),
-            }
-        }
-        sdci_obs::info!("shard map cutover applied"; from = state.map.version(), to = new_map.version(), shards = pipes.len(),);
-        sdci_obs::static_metric!(counter, "sdci_cluster_cutovers_total").inc();
-        self.inner.cutovers.fetch_add(1, Ordering::Relaxed);
-        state.map = new_map;
-        state.pipes = pipes;
-        Ok(())
+        self.inner
+            .pipes
+            .iter()
+            .all(|p| p.push.drain(deadline.saturating_duration_since(Instant::now())))
     }
 }
 
@@ -436,28 +253,20 @@ impl ShardRouter {
 /// and the shard map picks the pipe.
 impl Publish<FileEvent> for ShardRouter {
     fn publish(&self, _topic: &str, mut payload: FileEvent) -> PublishOutcome {
-        // Clone the pipe handle out of the lock: `send` blocks on
-        // backpressure, and a blocked reader must not starve a cutover
-        // waiting for the write lock.
-        let (push, routed, shard) = {
-            let state = self.inner.state.read();
-            let idx = state.map.route_index(&payload.path, payload.target);
-            let pipe = &state.pipes[idx];
-            (pipe.push.clone(), pipe.routed.clone(), pipe.id)
-        };
+        let pipe = &self.inner.pipes[self.inner.map.route_index(&payload.path, payload.target)];
         // The routing decision is a traced hop: re-parent the event's
         // context under a `router.publish` span naming the chosen
         // shard, so the shard's ingest hangs under it in the trace.
         if let Some(t) = payload.trace.filter(|t| t.sampled) {
             let mut span =
                 sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "router.publish");
-            span.set_detail(|| format!("shard {shard}"));
+            span.set_detail(|| format!("shard {}", pipe.id));
             if let Some(sc) = span.context() {
                 payload.trace = Some(TraceContext::sampled(sc.trace_id, sc.span_id));
             }
         }
-        routed.inc();
-        if push.send(payload) {
+        pipe.routed.fetch_add(1, Ordering::Relaxed);
+        if pipe.push.send(payload) {
             PublishOutcome::Queued
         } else {
             PublishOutcome::Shed
@@ -542,11 +351,6 @@ impl ScatterStore {
             .map(|s| Ok((s.id, parse_addr(&s.addr)?)))
             .collect::<io::Result<Vec<_>>>()?;
         Ok(ScatterStore::new(shards, cfg))
-    }
-
-    /// Shards fanned out to.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Queries that lost at least one leg and returned a partial merge.
@@ -634,12 +438,7 @@ mod tests {
     #[test]
     fn cluster_rpc_round_trips() {
         let map = ShardMap::new(["127.0.0.1:7070", "127.0.0.1:7080"]);
-        for msg in [
-            ClusterRpc::GetMap,
-            ClusterRpc::Map { map },
-            ClusterRpc::AddShard { addr: "127.0.0.1:7090".into() },
-            ClusterRpc::Ping,
-        ] {
+        for msg in [ClusterRpc::GetMap, ClusterRpc::Map { map }, ClusterRpc::Ping] {
             let json = serde_json::to_string(&msg).unwrap();
             let back: ClusterRpc = serde_json::from_str(&json).unwrap();
             assert_eq!(back, msg);

@@ -50,9 +50,6 @@ pub struct NetConfig {
     /// Most payloads coalesced into one batch frame. `1` disables
     /// coalescing: every payload travels as a one-member batch.
     pub max_batch: usize,
-    /// How long a partially filled batch may wait for more payloads
-    /// before it is flushed anyway (the adaptive-flush deadline).
-    pub flush_interval: Duration,
     /// Bound on every blocking outbound `connect` — a black-holed peer
     /// address fails within this window instead of the kernel's
     /// minutes-long SYN retry budget.
@@ -72,7 +69,6 @@ impl Default for NetConfig {
             heartbeat: Duration::from_millis(100),
             liveness: Duration::from_secs(3),
             max_batch: 512,
-            flush_interval: Duration::from_millis(1),
             connect_timeout: Duration::from_secs(1),
             faults: None,
         }

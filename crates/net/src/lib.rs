@@ -65,7 +65,7 @@ pub mod pubsub;
 pub mod store_rpc;
 pub mod wire;
 
-pub use cluster::{add_shard, fetch_map, ClusterRpc, MapServer, ScatterStore, ShardRouter};
+pub use cluster::{fetch_map, ClusterRpc, MapServer, ScatterStore, ShardRouter};
 pub use conn::{Backoff, NetConfig, RetryPolicy};
 pub use endpoint::{Endpoint, Handler};
 pub use faulted::FaultedWriter;

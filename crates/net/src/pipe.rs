@@ -42,12 +42,16 @@ use crate::wire::{
 };
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
-use sdci_types::{BinPayload, TraceCarrier, TraceContext};
+use sdci_types::{BinPayload, TraceContext};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long a partially filled batch may wait for more payloads before
+/// it is flushed anyway (the adaptive-flush deadline).
+const FLUSH_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Counter snapshot for a [`TcpPullServer`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -427,7 +431,7 @@ impl<T> std::fmt::Debug for TcpPush<T> {
 
 impl<T> TcpPush<T>
 where
-    T: Clone + Send + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     /// Starts a supervised pusher toward `addr`. `client` must be
     /// stable across restarts of the same logical pusher — it keys the
@@ -496,7 +500,7 @@ where
 /// leg is point-to-point and events carry their own MDT index.
 impl<T> Publish<T> for TcpPush<T>
 where
-    T: Clone + Send + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     fn publish(&self, _topic: &str, payload: T) -> PublishOutcome {
         // `send` only fails when the worker is gone, which never
@@ -514,7 +518,7 @@ where
 /// `unacked` are dense, so the whole window re-ships as a few
 /// `ItemBatch` runs (the encoder re-splits any run whose encoded size
 /// would overrun a frame).
-fn resend_window<T: Clone + TraceCarrier + BinPayload>(
+fn resend_window<T: Clone + BinPayload>(
     writer: &mut impl std::io::Write,
     enc: &mut BinEncoder,
     unacked: &mut VecDeque<(u64, T, Instant)>,
@@ -532,7 +536,8 @@ fn resend_window<T: Clone + TraceCarrier + BinPayload>(
         .collect();
     let mut offset = 0u64;
     for chunk in payloads.chunks(max_batch) {
-        let trace = chunk.iter().find_map(|i| i.trace_context().filter(|c| c.sampled));
+        let trace =
+            chunk.iter().find_map(|i| i.event().and_then(|e| e.trace).filter(|c| c.sampled));
         write_item_batch_bin(writer, enc, first_seq + offset, chunk, trace)?;
         offset += chunk.len() as u64;
     }
@@ -546,7 +551,7 @@ fn push_worker<T>(
     rx: crossbeam_channel::Receiver<T>,
     state: Arc<PushState>,
 ) where
-    T: Clone + Send + TraceCarrier + BinPayload + 'static,
+    T: Clone + Send + BinPayload + 'static,
 {
     let window = cfg.window.max(1);
     let max_batch = cfg.max_batch.max(1);
@@ -665,10 +670,10 @@ fn push_worker<T>(
             }
             // Adaptive flush: a partially filled batch waits up to the
             // flush deadline for stragglers, so a trickle still
-            // coalesces without adding more than ~flush_interval of
+            // coalesces without adding more than ~`FLUSH_INTERVAL` of
             // latency. A full batch (or a full window) flushes at once.
             if !batch.is_empty() && batch.len() < budget && !senders_gone {
-                let deadline = Instant::now() + cfg.flush_interval;
+                let deadline = Instant::now() + FLUSH_INTERVAL;
                 loop {
                     let now = Instant::now();
                     if now >= deadline || batch.len() >= budget {
@@ -704,8 +709,9 @@ fn push_worker<T>(
                     // The batch frame carries the first sampled event's
                     // context re-parented under a send span, so the
                     // receive side can mark the network hop itself.
-                    let carried =
-                        batch.iter().find_map(|i| i.trace_context().filter(|c| c.sampled));
+                    let carried = batch
+                        .iter()
+                        .find_map(|i| i.event().and_then(|e| e.trace).filter(|c| c.sampled));
                     let mut send_span = carried.map(|t| {
                         sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.push.send")
                     });

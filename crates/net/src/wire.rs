@@ -136,7 +136,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 14;
+pub const WIRE_PROTO: u32 = 15;
 
 /// Longest JSON body — a [`Hello`], or any other control frame — a
 /// reader accepts. The largest legitimate one is a subscriber's prefix
@@ -1215,9 +1215,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":14,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":15,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":14,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":15,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -1234,7 +1234,7 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":14}"#, r#"{"proto":14,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":15}"#, r#"{"proto":15,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");

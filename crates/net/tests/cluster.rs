@@ -1,15 +1,17 @@
 //! Sharded-tier integration at the net layer: the map service, the
-//! collector-side router's drain-first cutover (including a shard
-//! crash mid-cutover), and the scatter-gather store front.
+//! collector-side router (including a shard crash with pushes in
+//! flight), and the scatter-gather store front.
 
 use sdci_core::{EventBackend, EventStore, SequencedEvent, ShardMap, StoreQuery};
 use sdci_mq::transport::Publish;
 use sdci_net::{
-    add_shard, fetch_map, Endpoint, MapServer, NetConfig, RetryPolicy, ScatterStore, ShardRouter,
-    StoreServer, TcpPullServer,
+    fetch_map, Endpoint, MapServer, NetConfig, RetryPolicy, ScatterStore, ShardRouter, StoreServer,
+    TcpPullServer, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::collections::{BTreeMap, HashSet};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,180 +60,165 @@ fn collect_paths(pull: &sdci_mq::pipe::Pull<Vec<FileEvent>>, n: usize) -> Vec<Pa
     got
 }
 
+/// One raw control frame: the length word, then the JSON body.
+fn json_frame(body: &str) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    frame
+}
+
+/// Reads one raw frame body off `stream`.
+fn read_frame(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_be_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    body
+}
+
 #[test]
-fn map_server_serves_and_bumps_the_map() {
+fn map_server_serves_the_map() {
     let cfg = fast_cfg();
-    let initial = ShardMap::new(["127.0.0.1:7070"]);
+    let initial = ShardMap::new(["127.0.0.1:7070", "127.0.0.1:7080"]);
     let srv = MapServer::new(initial.clone());
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![srv.clone()]).unwrap();
 
-    let fetched = fetch_map(endpoint.local_addr(), &cfg).unwrap();
-    assert_eq!(fetched, initial);
-
-    // AddShard is observed by the next GetMap from a *different*
-    // connection — the server is the single writer.
-    let bumped = add_shard(endpoint.local_addr(), "127.0.0.1:7080", &cfg).unwrap();
-    assert_eq!(bumped.version(), 2);
-    assert_eq!(bumped.shards().len(), 2);
-    assert_eq!(bumped.shards()[1].id, 1);
-    assert_eq!(fetch_map(endpoint.local_addr(), &cfg).unwrap(), bumped);
-    assert_eq!(srv.map(), bumped);
+    // Every connection is served the same map.
+    for _ in 0..2 {
+        assert_eq!(fetch_map(endpoint.local_addr(), &cfg).unwrap(), initial);
+    }
+    assert_eq!(srv.map(), &initial);
     assert_eq!(srv.fetches(), 2);
     endpoint.shutdown();
 }
 
+/// The map service knows `GetMap`, `Map` and `Ping`. Anything else — an
+/// `AddShard`, say — fails closed: the connection is dropped unanswered
+/// and the map every reader is served stays as it was.
 #[test]
-fn map_server_refuses_a_shard_address_it_could_never_scatter_to() {
+fn map_server_closes_on_a_message_it_does_not_know() {
     let cfg = fast_cfg();
     let initial = ShardMap::new(["127.0.0.1:7070"]);
     let srv = MapServer::new(initial.clone());
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![srv.clone()]).unwrap();
 
-    // Something that is not a socket address may not enter the map:
-    // the front's next scatter re-fan would fail on it.
-    for bad in ["not-an-addr", "127.0.0.1:65536"] {
-        let err = add_shard(endpoint.local_addr(), bad, &cfg).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{bad}: connection not closed");
-        assert_eq!(srv.map(), initial, "{bad}: map touched");
+    let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":"Cluster"}}"#);
+    stream.write_all(&json_frame(&hello)).unwrap();
+    stream.write_all(&json_frame(r#"{"AddShard":{"addr":"127.0.0.1:7080"}}"#)).unwrap();
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the connection closed, got {other:?}"),
     }
-    // The map every reader sees still scatters, and a good shard still
-    // joins at the next version.
-    let fetched = fetch_map(endpoint.local_addr(), &cfg).unwrap();
-    assert_eq!(fetched.version(), 1);
-    assert!(ScatterStore::from_map(&fetched, cfg.clone()).is_ok());
-    assert_eq!(add_shard(endpoint.local_addr(), "127.0.0.1:7080", &cfg).unwrap().version(), 2);
+    assert_eq!(srv.map(), &initial);
+    assert_eq!(fetch_map(endpoint.local_addr(), &cfg).unwrap(), initial);
     endpoint.shutdown();
 }
 
+/// A map with no shard could not route: one arriving over the wire is
+/// refused as it is decoded, so `fetch_map` fails instead of handing a
+/// router a map whose first `publish` would divide by zero.
 #[test]
-fn router_reroutes_after_a_version_bump_with_drain_ack() {
+fn fetch_map_refuses_a_map_with_no_shard() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream); // the hello
+        assert_eq!(read_frame(&mut stream), br#""GetMap""#);
+        stream.write_all(&json_frame(r#"{"Map":{"map":{"shards":[]}}}"#)).unwrap();
+        // Hold the connection open until the client has read the reply.
+        let _ = stream.read(&mut [0u8; 1]);
+    });
+    let err = fetch_map(addr, &fast_cfg()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    server.join().unwrap();
+}
+
+#[test]
+fn router_sends_each_root_to_the_shard_the_map_names() {
     let cfg = fast_cfg();
     let shard_a = TcpPullServer::<FileEvent>::new(4096);
     let shard_a_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_a.clone()]).unwrap();
-    let v1 = ShardMap::new([shard_a_ep.local_addr().to_string()]);
-    let router = ShardRouter::connect(v1.clone(), "col", cfg.clone()).unwrap();
-    assert_eq!(router.map_version(), 1);
-
-    // Round 1: a one-shard map routes every root to shard 0.
-    let roots: Vec<String> = (0..16).map(|r| format!("/proj{r}")).collect();
-    for (i, root) in roots.iter().enumerate() {
-        router.publish("events/", fev(&format!("{root}/before"), i as u64));
-    }
-    assert!(router.drain(Duration::from_secs(10)));
-    let pull_a = shard_a.pull();
-    assert_eq!(collect_paths(&pull_a, roots.len()).len(), roots.len());
-
-    // Cutover to a two-shard map. The drain must be acked (it is —
-    // shard 0 is alive), after which the router routes by v2.
     let shard_b = TcpPullServer::<FileEvent>::new(4096);
     let shard_b_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_b.clone()]).unwrap();
-    let v2 = v1.with_shard(shard_b_ep.local_addr().to_string());
-    router.update_map(v2.clone(), Duration::from_secs(5)).unwrap();
-    assert_eq!(router.map_version(), 2);
-    assert_eq!(router.cutovers(), 1);
-    // A stale (or equal) map is a no-op, not a re-cutover.
-    router.update_map(v2.clone(), Duration::from_secs(5)).unwrap();
-    assert_eq!(router.cutovers(), 1);
+    let map =
+        ShardMap::new([shard_a_ep.local_addr().to_string(), shard_b_ep.local_addr().to_string()]);
+    let router = ShardRouter::connect(map.clone(), "col", cfg.clone()).unwrap();
 
-    // Round 2: live traffic re-routes — each root lands where v2 says.
     let mut expect_a = HashSet::new();
     let mut expect_b = HashSet::new();
-    for (i, root) in roots.iter().enumerate() {
-        let path = format!("{root}/after");
-        let ev = fev(&path, 100 + i as u64);
-        match v2.route_event(&ev).id {
+    for i in 0..16u64 {
+        let path = format!("/proj{i}/f");
+        let ev = fev(&path, i);
+        match map.route_event(&ev).id {
             0 => expect_a.insert(PathBuf::from(&path)),
             _ => expect_b.insert(PathBuf::from(&path)),
         };
         router.publish("events/", ev);
     }
-    assert!(!expect_b.is_empty(), "16 roots must split across 2 shards");
+    assert!(!expect_a.is_empty() && !expect_b.is_empty(), "16 roots must split across 2 shards");
     assert!(router.drain(Duration::from_secs(10)));
 
-    let got_a: HashSet<PathBuf> = collect_paths(&pull_a, expect_a.len()).into_iter().collect();
-    let got_b: HashSet<PathBuf> =
-        collect_paths(&shard_b.pull(), expect_b.len()).into_iter().collect();
-    assert_eq!(got_a, expect_a, "shard 0 received off-map traffic");
-    assert_eq!(got_b, expect_b, "shard 1 received off-map traffic");
+    let got_a = collect_paths(&shard_a.pull(), expect_a.len());
+    let got_b = collect_paths(&shard_b.pull(), expect_b.len());
+    assert_eq!(got_a.len(), expect_a.len(), "shard 0 received off-map or duplicated traffic");
+    assert_eq!(got_b.len(), expect_b.len(), "shard 1 received off-map or duplicated traffic");
+    assert_eq!(got_a.into_iter().collect::<HashSet<_>>(), expect_a);
+    assert_eq!(got_b.into_iter().collect::<HashSet<_>>(), expect_b);
     let routed: BTreeMap<_, _> = router.routed().into_iter().collect();
-    assert_eq!(routed[&0], (roots.len() + expect_a.len()) as u64);
+    assert_eq!(routed[&0], expect_a.len() as u64);
     assert_eq!(routed[&1], expect_b.len() as u64);
     shard_a_ep.shutdown();
     shard_b_ep.shutdown();
 }
 
-/// The chaos case the cutover protocol exists for: the old owner
-/// crashes with pushes in flight, so the drain cannot complete and the
-/// cutover must NOT be acked — the router keeps the old map. Once the
-/// shard is back (same address, restored dedup marks), the retried
-/// cutover drains, swaps, and nothing is lost or duplicated.
+/// A shard killed with pushes in flight holds up only its own pipe:
+/// once it restarts at the same address with its restored dedup marks,
+/// the supervised pipe reconnects and re-delivers the unacked window
+/// exactly once.
 #[test]
-fn shard_crash_mid_cutover_is_not_acked_and_the_retry_recovers() {
+fn a_restarted_shard_receives_the_unacked_window_exactly_once() {
     let cfg = fast_cfg();
     let shard_a = TcpPullServer::<FileEvent>::new(4096);
     let shard_a_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_a.clone()]).unwrap();
     let addr_a = shard_a_ep.local_addr();
-    let v1 = ShardMap::new([addr_a.to_string()]);
-    let router = ShardRouter::connect(v1.clone(), "col", cfg.clone()).unwrap();
+    let router =
+        ShardRouter::connect(ShardMap::new([addr_a.to_string()]), "col", cfg.clone()).unwrap();
 
     // Round 1 is fully acked, so it can never be resent.
     for i in 0..20u64 {
         router.publish("events/", fev(&format!("/r{}/warm{i}", i % 4), i));
     }
     assert!(router.drain(Duration::from_secs(10)));
-    let pull_a1 = shard_a.pull();
-    assert_eq!(collect_paths(&pull_a1, 20).len(), 20);
+    assert_eq!(collect_paths(&shard_a.pull(), 20).len(), 20);
 
     // Crash the shard, then keep publishing: round 2 sits unacked in
-    // the router's pipe.
+    // the router's pipe, and a drain cannot finish.
     let marks = shard_a.marks();
     shard_a_ep.shutdown();
     let round2: Vec<String> = (0..15u64).map(|i| format!("/r{}/crash{i}", i % 4)).collect();
     for (i, path) in round2.iter().enumerate() {
         router.publish("events/", fev(path, 100 + i as u64));
     }
+    assert!(!router.drain(Duration::from_millis(300)), "a dead shard cannot ack");
 
-    // Mid-cutover: the old owner cannot drain, so the cutover is not
-    // acked and the old map stays live.
-    let shard_b = TcpPullServer::<FileEvent>::new(4096);
-    let shard_b_ep = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![shard_b.clone()]).unwrap();
-    let v2 = v1.with_shard(shard_b_ep.local_addr().to_string());
-    let err = router.update_map(v2.clone(), Duration::from_millis(300)).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-    assert_eq!(router.map_version(), 1, "a failed cutover must not swap the map");
-    assert_eq!(router.cutovers(), 0);
-
-    // The shard restarts at the same address with its restored marks;
-    // the supervised pipe reconnects and re-delivers round 2 exactly
-    // once, after which the retried cutover is acked.
+    // The shard restarts at the same address with its restored marks.
     let shard_a2 = TcpPullServer::<FileEvent>::with_marks(4096, marks);
     let shard_a2_ep = Endpoint::bind(addr_a, cfg.clone(), vec![shard_a2.clone()]).unwrap();
-    router.update_map(v2.clone(), Duration::from_secs(10)).unwrap();
-    assert_eq!(router.map_version(), 2);
-
-    // Round 3 routes by the new map.
-    let mut expect_a: HashSet<PathBuf> = round2.iter().map(PathBuf::from).collect();
-    let mut expect_b = HashSet::new();
-    for i in 0..16u64 {
-        let path = format!("/r{}/after{i}", i % 8);
-        let ev = fev(&path, 200 + i);
-        match v2.route_event(&ev).id {
-            0 => expect_a.insert(PathBuf::from(&path)),
-            _ => expect_b.insert(PathBuf::from(&path)),
-        };
-        router.publish("events/", ev);
-    }
-    assert!(!expect_b.is_empty(), "8 roots must split across 2 shards");
     assert!(router.drain(Duration::from_secs(10)));
 
-    let got_a = collect_paths(&shard_a2.pull(), expect_a.len());
-    let got_b = collect_paths(&shard_b.pull(), expect_b.len());
-    assert_eq!(got_a.len(), expect_a.len(), "restarted shard lost or duplicated items");
-    assert_eq!(got_a.iter().cloned().collect::<HashSet<_>>(), expect_a);
-    assert_eq!(got_b.iter().cloned().collect::<HashSet<_>>(), expect_b);
+    let got = collect_paths(&shard_a2.pull(), round2.len());
+    assert_eq!(got.len(), round2.len(), "restarted shard lost or duplicated items");
+    assert_eq!(
+        got.into_iter().collect::<HashSet<_>>(),
+        round2.iter().map(PathBuf::from).collect::<HashSet<_>>()
+    );
     assert_eq!(shard_a2.stats().duplicates, 0, "restored marks must dedup the resend window");
     shard_a2_ep.shutdown();
-    shard_b_ep.shutdown();
 }
 
 #[test]

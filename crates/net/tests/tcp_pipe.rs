@@ -9,9 +9,7 @@ use sdci_net::wire::{
 };
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
 use sdci_types::bin::History;
-use sdci_types::{
-    ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
-};
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -461,7 +459,7 @@ fn session_carries_the_trace_context_end_to_end() {
     for (i, ev) in got.iter().enumerate() {
         assert_eq!(ev.index, i as u64, "events reordered");
         assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "payload corrupted");
-        let ctx = ev.trace_context().expect("the session must carry the context");
+        let ctx = ev.trace.expect("the session must carry the context");
         assert_eq!(ctx.trace_id, 0x1111_2222_3333_4444);
         assert_eq!(ctx.parent_span_id, ev.index + 1);
         assert!(ctx.sampled);

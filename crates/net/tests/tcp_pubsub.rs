@@ -118,9 +118,7 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
 /// trace context intact.
 #[test]
 fn a_publish_is_a_frame_delivered_in_order_with_context() {
-    use sdci_types::{
-        ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceCarrier, TraceContext,
-    };
+    use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
     use std::path::PathBuf;
     use std::time::Instant;
 
@@ -170,7 +168,7 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
             let i = i as u64;
             assert_eq!(ev.index, i, "{what}: deliveries reordered");
             assert_eq!(ev.path, PathBuf::from(format!("/t/f{i}")), "{what}: payload corrupted");
-            let ctx = ev.trace_context().expect("payload-embedded context dropped");
+            let ctx = ev.trace.expect("payload-embedded context dropped");
             assert_eq!(ctx.parent_span_id, i + 1, "{what}: context corrupted");
         }
     };

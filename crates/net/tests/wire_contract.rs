@@ -288,7 +288,7 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     });
     assert!(delivered, "a correct subscriber is still served");
     assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
-    assert_eq!(fetch_map(addr, &fast_cfg()).unwrap().version(), 1);
+    assert_eq!(&fetch_map(addr, &fast_cfg()).unwrap(), map.map());
     endpoint.shutdown();
 }
 

@@ -6,7 +6,7 @@
 //! Aggregator stores and publishes (§4 step 3).
 
 use crate::bin::{BinDecodeError, BinReader, SeqEncoder};
-use crate::{EventPath, Fid, MdtIndex, SimTime, TraceCarrier, TraceContext};
+use crate::{EventPath, Fid, MdtIndex, SimTime, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
@@ -365,12 +365,6 @@ impl fmt::Display for FileEvent {
             write!(f, " (from {})", src.display())?;
         }
         Ok(())
-    }
-}
-
-impl TraceCarrier for FileEvent {
-    fn trace_context(&self) -> Option<TraceContext> {
-        self.trace
     }
 }
 

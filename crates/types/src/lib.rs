@@ -57,4 +57,4 @@ pub use ids::{AgentId, CollectorId, ConsumerId, MdtIndex, OstIndex, RuleId, Subs
 pub use path::{EventPath, PathArenaBuilder};
 pub use rate::{ByteSize, EventsPerSec};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceCarrier, TraceContext};
+pub use trace::TraceContext;

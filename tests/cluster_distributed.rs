@@ -3,8 +3,7 @@
 //! scatter-gather store RPC, and collectors routing per event with
 //! `--cluster`. Asserts the tentpole guarantees: exactly-once delivery
 //! across shards, scatter-gather equivalence with a single-aggregator
-//! baseline, degraded-but-answered queries when a shard dies, and live
-//! re-routing after a shard-map version bump.
+//! baseline, and degraded-but-answered queries when a shard dies.
 //!
 //! The harness (spawn, readiness line, scrape, collector runs) is
 //! `tests/common`.
@@ -16,9 +15,7 @@ use common::{
     EVENTS_PER_COLLECTOR,
 };
 use sdci::monitor::{EventBackend, StoreQuery};
-use sdci::net::{add_shard, fetch_map, NetConfig};
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -166,38 +163,4 @@ fn two_shard_pipeline_is_exactly_once_and_matches_the_single_store_baseline() {
         .and_then(|v| v.trim().parse::<u64>().ok())
         .expect("per-shard error counter exported");
     assert!(shard1_errors >= 1, "shard 1's failed legs must be attributed:\n{front_metrics}");
-}
-
-#[test]
-fn adding_a_shard_bumps_the_map_and_reroutes_new_collectors() {
-    let mut shard0 = spawn(&["shard", "--shard-id", "0", "--bind", "127.0.0.1:0"]);
-    let addr0 = wait_for_listen_addr(&mut shard0);
-    let mut front = spawn(&["front", "--bind", "127.0.0.1:0", "--shards", &addr0]);
-    let front_addr = wait_for_listen_addr(&mut front);
-    let front_sock: SocketAddr = front_addr.parse().expect("front addr");
-    let cfg = NetConfig::default();
-
-    // With one shard, everything routes to it.
-    let (c_zero, c_one) = split_clients();
-    let out0 = run_collector("--cluster", &front_addr, &c_zero, None);
-    assert!(out0.contains("over map v1"), "first collector should route by v1:\n{out0}");
-
-    // Grow the tier: a second shard joins, the front bumps the map, and
-    // the scatter re-fans. Collectors starting afterwards route by v2.
-    let mut shard1 = spawn(&["shard", "--shard-id", "1", "--bind", "127.0.0.1:0"]);
-    let addr1 = wait_for_listen_addr(&mut shard1);
-    let bumped = add_shard(front_sock, &addr1, &cfg).expect("add shard");
-    assert_eq!(bumped.version(), 2);
-    assert_eq!(fetch_map(front_sock, &cfg).expect("fetch map").version(), 2);
-
-    let out1 = run_collector("--cluster", &front_addr, &c_one, None);
-    assert!(out1.contains("over map v2"), "second collector should route by v2:\n{out1}");
-    assert!(
-        out1.contains(&format!("s0=0 s1={EVENTS_PER_COLLECTOR}")),
-        "{c_one} should route everything to the new shard:\n{out1}"
-    );
-
-    // The scatter sees both shards' stores through one logical query.
-    let merged = query_store(&front_addr, 2 * EVENTS_PER_COLLECTOR, Duration::from_secs(30));
-    assert_scattered_exactly_once(&merged, &[&c_zero, &c_one]);
 }
