@@ -5,17 +5,18 @@
 //! it to both publish events to subscribed consumers and store the events
 //! in a local database with minimal overhead."
 //!
-//! Here "multi-threaded … publish and store" is two threads: this
-//! module's *ingest* thread, which takes a batch of Collector events (a
+//! Here "multi-threaded … publish and store" is this module's *ingest*
+//! thread plus, in a networked deployment, one socket thread per remote
+//! consumer. The ingest thread takes a batch of Collector events (a
 //! whole TCP frame, or whatever an in-process subscription has queued),
 //! assigns global sequence numbers, inserts the batch into the
-//! [`EventStore`] and then publishes it on the feed with one call; and,
-//! in a networked deployment, `sdci-net`'s fan-out dispatcher, which
-//! encodes each published batch once for the remote consumers.
+//! [`EventStore`] and then publishes it on the feed with one call —
+//! during which `sdci-net`'s fan-out relay encodes the batch once and
+//! queues the bytes for each remote consumer's socket thread to write.
 //! Store-before-publish is program order on the ingest thread, so
 //! anything a consumer has seen announced is retrievable from the
-//! historic API; the publish cannot stall ingest, because the feed
-//! broker sheds at a full queue rather than block.
+//! historic API; the publish cannot stall ingest, because every queue it
+//! feeds sheds when full rather than block.
 
 use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
@@ -321,9 +322,10 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut seq = store.last_seq();
-                // The highest sequence number this run has published;
-                // nothing is announced before the first event.
-                let mut announced = 0u64;
+                // The highest sequence number the feed has announced: a
+                // restored store's last, so an idle feed over it still
+                // heartbeats; nothing before a fresh store's first event.
+                let mut announced = seq;
                 let mut last_publish = std::time::Instant::now();
                 loop {
                     let Some(first) = recv(Some(IDLE)) else {
@@ -628,6 +630,23 @@ mod tests {
             let beat = consumer.recv_timeout(Duration::from_millis(100)).expect("no heartbeat");
             assert_eq!(beat.payload, FeedMessage::Heartbeat { last_seq: 50 });
         }
+        agg.shutdown();
+    }
+
+    #[test]
+    fn idle_feed_over_a_restored_store_heartbeats_its_last_seq() {
+        // A restart over a store holding 1..=10 and no new traffic: the
+        // heartbeat alone tells a consumer from 0 to backfill.
+        let store = EventStore::new(1000);
+        for seq in 1..=10 {
+            store.insert(SequencedEvent { seq, event: event(seq) }).expect("ordered insert");
+        }
+        let broker: Broker<FileEvent> = Broker::new(16);
+        let agg = Aggregator::start_with_store(broker.subscribe(&["events/"]), store, 1024);
+        let mut consumer =
+            crate::EventConsumer::new(agg.feed().subscribe(&["feed/"]), agg.store(), 0);
+        let first = consumer.next_timeout(Duration::from_secs(2)).expect("no backfill");
+        assert_eq!(first, event(1));
         agg.shutdown();
     }
 

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, Once, OnceLock, PoisonError};
 
 /// Environment variable listing armed crash points.
 pub const ENV_CRASH_POINTS: &str = "SDCI_CRASH_POINTS";
@@ -46,6 +46,9 @@ struct ArmedPoint {
 static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
 
+/// The armed points. Every update is one insert, remove or clear, so a
+/// panic while the lock was held leaves the map whole, and callers take
+/// a poisoned lock as it is.
 fn registry() -> &'static Mutex<HashMap<String, ArmedPoint>> {
     static REGISTRY: OnceLock<Mutex<HashMap<String, ArmedPoint>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
@@ -96,7 +99,7 @@ fn parse_term(term: &str) -> Result<(String, u32, CrashMode), String> {
 /// Arms `name` to fire on its `after`-th hit (1 = next hit) in `mode`.
 /// Re-arming an already-armed point resets its hit counter.
 pub fn arm(name: &str, after: u32, mode: CrashMode) {
-    let mut reg = registry().lock().expect("crash point registry poisoned");
+    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     reg.insert(name.to_string(), ArmedPoint { after: after.max(1), hits: 0, mode });
     ANY_ARMED.store(true, Ordering::Release);
     sdci_obs::info!("crash point armed"; point = name, after = u64::from(after), mode = format!("{mode:?}"));
@@ -104,7 +107,7 @@ pub fn arm(name: &str, after: u32, mode: CrashMode) {
 
 /// Disarms one point; returns true if it was armed.
 pub fn disarm(name: &str) -> bool {
-    let mut reg = registry().lock().expect("crash point registry poisoned");
+    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     let removed = reg.remove(name).is_some();
     if reg.is_empty() {
         ANY_ARMED.store(false, Ordering::Release);
@@ -114,7 +117,7 @@ pub fn disarm(name: &str) -> bool {
 
 /// Disarms every point (tests call this between cases).
 pub fn disarm_all() {
-    let mut reg = registry().lock().expect("crash point registry poisoned");
+    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     reg.clear();
     ANY_ARMED.store(false, Ordering::Release);
 }
@@ -122,7 +125,7 @@ pub fn disarm_all() {
 /// Renders the currently armed points as an env-style spec (for
 /// failure reports); empty string when nothing is armed.
 pub fn armed_spec() -> String {
-    let reg = registry().lock().expect("crash point registry poisoned");
+    let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     let mut terms: Vec<String> = reg
         .iter()
         .map(|(name, p)| {
@@ -146,7 +149,7 @@ pub fn crash_point(name: &str) -> io::Result<()> {
         return Ok(());
     }
     let mode = {
-        let mut reg = registry().lock().expect("crash point registry poisoned");
+        let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
         let Some(point) = reg.get_mut(name) else { return Ok(()) };
         point.hits += 1;
         if point.hits < point.after {
@@ -177,10 +180,13 @@ pub fn crash_point(name: &str) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    // Registry is process-global; run every scenario in one test to
-    // avoid cross-test interference under the threaded test runner.
+    /// The registry is process-global: a test that arms points holds
+    /// this lock, so no other test's arming or disarming lands in it.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn arm_fire_and_disarm_semantics() {
+        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         disarm_all();
         assert!(crash_point("unarmed.point").is_ok());
 
@@ -208,6 +214,25 @@ mod tests {
         disarm_all();
         assert_eq!(armed_spec(), "");
         assert!(crash_point("t.b").is_ok());
+    }
+
+    #[test]
+    fn a_panic_holding_the_registry_lock_leaves_crash_points_working() {
+        let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let poisoner = std::thread::spawn(|| {
+            let _held = registry().lock();
+            panic!("panicking while holding the crash point registry");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(registry().is_poisoned());
+
+        assert!(crash_point("t.poisoned").is_ok());
+        arm("t.poisoned", 1, CrashMode::Error);
+        assert!(crash_point("t.poisoned").is_err(), "an armed point still fires");
+        arm("t.poisoned", 1, CrashMode::Error);
+        disarm_all();
+        assert!(crash_point("t.poisoned").is_ok(), "disarm_all still disarms");
+        assert_eq!(armed_spec(), "");
     }
 
     #[test]

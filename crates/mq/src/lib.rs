@@ -53,6 +53,6 @@ pub mod transport;
 
 pub use lambda::{LambdaPool, LambdaStats};
 pub use pipe::{pipeline, Pull, Push};
-pub use pubsub::{Batch, Broker, Message, Publisher, Subscriber, Tap};
+pub use pubsub::{Broker, Message, Publisher, Subscriber};
 pub use sqs::{Receipt, SqsConfig, SqsQueue, SqsStats};
 pub use transport::{Publish, PublishOutcome, Subscribe};

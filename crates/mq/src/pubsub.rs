@@ -6,10 +6,11 @@
 //! when it is full the message is dropped *for that subscriber only* and
 //! counted, exactly as a ZeroMQ PUB socket sheds load.
 //!
-//! A [`Tap`] is the one other kind of queue a broker feeds: it receives
-//! every publish *whole* — a [`Publisher::publish_batch`] of 256 payloads
-//! is one queue entry, not 256 — for a relay (the TCP broker's
-//! encode-once dispatcher) that forwards publishes as units.
+//! A relay ([`Broker::relay`]) is the one other thing a broker feeds,
+//! and it is not a queue: the broker calls it with every publish
+//! *whole* — a [`Publisher::publish_batch`] of 256 payloads is one call,
+//! not 256 — on the publishing thread, for a forwarder (the TCP
+//! broker's encode-once fan-out) that handles publishes as units.
 
 use crate::transport::PublishOutcome;
 use crossbeam_channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
@@ -34,24 +35,12 @@ struct SubscriberSlot<T> {
     dropped: Arc<AtomicU64>,
 }
 
-/// One publish as a [`Tap`] receives it: every payload of the call, in
-/// order, under the topic they were published on.
-#[derive(Debug, Clone)]
-pub struct Batch<T> {
-    /// Routing topic of the publish.
-    pub topic: Arc<str>,
-    /// The payloads, in publish order.
-    pub payloads: Vec<T>,
-}
-
-struct TapSlot<T> {
-    sender: Sender<Batch<T>>,
-    shed: Arc<AtomicU64>,
-}
+/// A registered [`Broker::relay`].
+type Relay<T> = Box<dyn FnMut(&str, &[T]) + Send>;
 
 struct BrokerState<T> {
     subscribers: Vec<SubscriberSlot<T>>,
-    taps: Vec<TapSlot<T>>,
+    relays: Vec<Relay<T>>,
 }
 
 /// An in-process PUB/SUB broker.
@@ -91,7 +80,10 @@ impl<T: Clone + Send + 'static> Broker<T> {
     /// (the high-water mark; minimum 1).
     pub fn new(hwm: usize) -> Self {
         Broker {
-            state: Arc::new(Mutex::new(BrokerState { subscribers: Vec::new(), taps: Vec::new() })),
+            state: Arc::new(Mutex::new(BrokerState {
+                subscribers: Vec::new(),
+                relays: Vec::new(),
+            })),
             hwm: hwm.max(1),
             published: Arc::new(AtomicU64::new(0)),
             delivered: Arc::new(AtomicU64::new(0)),
@@ -117,14 +109,14 @@ impl<T: Clone + Send + 'static> Broker<T> {
         Subscriber { receiver: rx, dropped }
     }
 
-    /// Registers a [`Tap`]: a queue of up to `depth` whole publishes
-    /// (minimum 1) on every topic. A publish that finds the queue full
-    /// is shed for this tap only, and the tap counts its payloads.
-    pub fn tap(&self, depth: usize) -> Tap<T> {
-        let (tx, rx) = bounded(depth.max(1));
-        let shed = Arc::new(AtomicU64::new(0));
-        self.state.lock().taps.push(TapSlot { sender: tx, shed: Arc::clone(&shed) });
-        Tap { receiver: rx, shed }
+    /// Registers `relay`, which the broker calls with every non-empty
+    /// publish on every topic — its topic and all its payloads, in
+    /// order — on the publishing thread, under the same lock hold that
+    /// queues the publish for subscribers, so calls arrive in publish
+    /// order. A relay is not a queue: nothing it does counts as a
+    /// delivery or a shed, and it must not call back into this broker.
+    pub fn relay(&self, relay: impl FnMut(&str, &[T]) + Send + 'static) {
+        self.state.lock().relays.push(Box::new(relay));
     }
 
     /// Messages published so far.
@@ -144,14 +136,10 @@ impl<T: Clone + Send + 'static> Broker<T> {
     }
 
     /// Fans one publish out under a single hold of the state lock:
-    /// ordinary subscribers get one [`Message`] per payload, taps get
-    /// the publish whole. `payloads` is a `[T; 1]` or a `Vec<T>`, made a
-    /// queue entry only when a tap is registered.
-    fn fan_out<P>(&self, topic: &str, payloads: P) -> PublishOutcome
-    where
-        P: AsRef<[T]> + Into<Vec<T>>,
-    {
-        let count = payloads.as_ref().len() as u64;
+    /// ordinary subscribers get one [`Message`] per payload, relays the
+    /// publish whole.
+    fn fan_out(&self, topic: &str, payloads: &[T]) -> PublishOutcome {
+        let count = payloads.len() as u64;
         if count == 0 {
             return PublishOutcome::Delivered;
         }
@@ -167,7 +155,7 @@ impl<T: Clone + Send + 'static> Broker<T> {
                 return true;
             }
             matched += 1;
-            for payload in payloads.as_ref() {
+            for payload in payloads {
                 let msg = Message { topic: topic.to_owned(), payload: payload.clone() };
                 match slot.sender.try_send(msg) {
                     Ok(()) => accepted += 1,
@@ -185,29 +173,8 @@ impl<T: Clone + Send + 'static> Broker<T> {
             }
             true
         });
-        if !state.taps.is_empty() {
-            // The last tap takes the publish itself, any before it a
-            // copy: with the usual single tap nothing is cloned.
-            let mut batch = Some(Batch { topic: Arc::from(topic), payloads: payloads.into() });
-            let mut remaining = state.taps.len();
-            state.taps.retain(|tap| {
-                remaining -= 1;
-                let entry = if remaining == 0 { batch.take() } else { batch.clone() }
-                    .expect("taken only by the last tap");
-                matched += 1;
-                match tap.sender.try_send(entry) {
-                    Ok(()) => accepted += count,
-                    Err(TrySendError::Full(_)) => {
-                        tap.shed.fetch_add(count, Ordering::Relaxed);
-                        shed += count;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        matched -= 1;
-                        return false;
-                    }
-                }
-                true
-            });
+        for relay in &mut state.relays {
+            relay(topic, payloads);
         }
         self.delivered.fetch_add(accepted, Ordering::Relaxed);
         self.dropped.fetch_add(shed, Ordering::Relaxed);
@@ -238,16 +205,16 @@ impl<T: Clone + Send + 'static> Publisher<T> {
     /// Reports [`PublishOutcome::Shed`] only when every matching
     /// subscriber shed it.
     pub fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
-        self.broker.fan_out(topic, [payload])
+        self.broker.fan_out(topic, std::slice::from_ref(&payload))
     }
 
     /// Publishes every payload of `payloads` under `topic`, in order,
     /// as one publish: the broker's state is locked once, subscribers
-    /// still receive one [`Message`] per payload, and a [`Tap`] receives
-    /// the batch whole. Reports [`PublishOutcome::Shed`] only when
+    /// still receive one [`Message`] per payload, and a relay is called
+    /// once with the batch whole. Reports [`PublishOutcome::Shed`] only when
     /// nothing of a non-empty batch was accepted by anyone it matched.
     pub fn publish_batch(&self, topic: &str, payloads: Vec<T>) -> PublishOutcome {
-        self.broker.fan_out(topic, payloads)
+        self.broker.fan_out(topic, &payloads)
     }
 }
 
@@ -297,37 +264,6 @@ impl<T> Subscriber<T> {
     /// Messages this subscriber missed at its high-water mark.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-/// The receiving half of a [`Broker::tap`]: whole publishes, in publish
-/// order.
-pub struct Tap<T> {
-    receiver: Receiver<Batch<T>>,
-    shed: Arc<AtomicU64>,
-}
-
-impl<T> fmt::Debug for Tap<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tap").field("queued", &self.receiver.len()).finish()
-    }
-}
-
-impl<T> Tap<T> {
-    /// Receives without blocking.
-    pub fn try_recv(&self) -> Option<Batch<T>> {
-        self.receiver.try_recv().ok()
-    }
-
-    /// Receives, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Batch<T>> {
-        self.receiver.recv_timeout(timeout).ok()
-    }
-
-    /// Payloads (not publishes) this tap missed because its queue was
-    /// full.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 }
 
@@ -394,48 +330,39 @@ mod tests {
     }
 
     #[test]
-    fn publish_batch_is_one_message_per_payload_and_one_tap_entry() {
+    fn publish_batch_is_one_message_per_payload_and_one_relay_call() {
         let broker: Broker<u32> = Broker::new(16);
         let sub = broker.subscribe(&["a/"]);
-        let tap = broker.tap(4);
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&calls);
+        broker
+            .relay(move |topic, payloads| seen.lock().push((topic.to_owned(), payloads.to_vec())));
         let p = broker.publisher();
         assert_eq!(p.publish_batch("a/x", vec![1, 2, 3]), PublishOutcome::Delivered);
         p.publish("b/y", 4);
+        p.publish_batch("a/z", vec![5, 6]);
         let got: Vec<(String, u32)> =
             std::iter::from_fn(|| sub.try_recv().map(|m| (m.topic, m.payload))).collect();
-        assert_eq!(got, vec![("a/x".into(), 1), ("a/x".into(), 2), ("a/x".into(), 3)]);
-        let whole = tap.try_recv().unwrap();
-        assert_eq!((&*whole.topic, &*whole.payloads), ("a/x", &[1, 2, 3][..]));
-        let single = tap.try_recv().unwrap();
-        assert_eq!((&*single.topic, &*single.payloads), ("b/y", &[4][..]));
-        assert!(tap.try_recv().is_none());
-        assert_eq!(broker.published(), 4);
-        assert_eq!(broker.delivered(), 3 + 4);
+        assert_eq!(
+            got,
+            vec![
+                ("a/x".into(), 1),
+                ("a/x".into(), 2),
+                ("a/x".into(), 3),
+                ("a/z".into(), 5),
+                ("a/z".into(), 6)
+            ]
+        );
+        let whole = |topic: &str, payloads: &[u32]| (topic.to_owned(), payloads.to_vec());
+        assert_eq!(
+            *calls.lock(),
+            vec![whole("a/x", &[1, 2, 3]), whole("b/y", &[4]), whole("a/z", &[5, 6])],
+            "a batch is one call, a single publish a one-payload call, in publish order"
+        );
+        assert_eq!(broker.published(), 6);
+        assert_eq!(broker.delivered(), 5, "a relay call is not a delivery");
         assert_eq!(p.publish_batch("a/x", Vec::new()), PublishOutcome::Delivered);
-        assert!(tap.try_recv().is_none(), "an empty publish queues nothing");
-    }
-
-    #[test]
-    fn full_tap_sheds_whole_publishes_and_counts_their_payloads() {
-        let broker: Broker<u32> = Broker::new(16);
-        let sub = broker.subscribe(&[""]);
-        let tap = broker.tap(1);
-        let p = broker.publisher();
-        for base in [0, 4, 8] {
-            p.publish_batch("t", (base..base + 4).collect());
-        }
-        assert_eq!(tap.shed(), 8, "two 4-payload publishes found the depth-1 queue full");
-        assert_eq!(&*tap.try_recv().unwrap().payloads, &[0, 1, 2, 3][..]);
-        assert!(tap.try_recv().is_none());
-        assert_eq!(broker.dropped(), 8);
-        // The ordinary subscriber on the same broker saw everything.
-        assert_eq!(sub.dropped(), 0);
-        let got: Vec<u32> = std::iter::from_fn(|| sub.try_recv().map(|m| m.payload)).collect();
-        assert_eq!(got, (0..12).collect::<Vec<_>>());
-        // A dropped tap is reaped, not counted as shedding.
-        drop(tap);
-        p.publish("t", 99);
-        assert_eq!(broker.dropped(), 8);
+        assert_eq!(calls.lock().len(), 3, "an empty publish calls nothing");
     }
 
     #[test]

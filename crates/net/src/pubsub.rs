@@ -7,14 +7,16 @@
 //! broker writes its feed, through [`TcpBroker::publisher`]; a remote
 //! peer can read the feed, never inject into it.
 //!
-//! Delivery is **encode-once**: a single dispatcher thread per broker
-//! drains one [`Tap`] of the local broker, renders each publish — a
-//! whole batch, or a lone message — once into frozen frame bytes
-//! (`Arc<[u8]>`), and hands the same buffer to every matching
-//! subscriber leg. N subscribers cost one encode, not N, and a batch
-//! published whole leaves as one frame.
+//! Delivery is **encode-once**: the broker's one relay
+//! ([`Broker::relay`]) runs on the publishing thread — in an Aggregator,
+//! its ingest thread — and renders each publish — a whole batch, or a
+//! lone message — once into frozen frame bytes (`Arc<[u8]>`), handing
+//! the same buffer to the queue of every matching subscriber leg. N
+//! subscribers cost one encode, not N, a batch published whole leaves
+//! as one frame, and a leg's queue is the only one between a publish
+//! and its socket.
 //!
-//! The dispatcher's publishes are one stream, and a frame may continue
+//! The relay's publishes are one stream, and a frame may continue
 //! it ([`crate::wire`]): coded against the publish before it, which
 //! every leg it goes to must then hold. Each leg records whether it took
 //! the encoder's last frame; a publish with a matching leg that did not —
@@ -36,12 +38,11 @@
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
-use crate::faulted::spawn_worker;
 use crate::wire::{
     continuity_gap, timed_out, write_deliver_batch_bin, write_msg, BinEncoder, ContinuityGap,
     Frame, Service, BIN_FRAME_BIT,
 };
-use sdci_mq::pubsub::{Broker, Message, Tap};
+use sdci_mq::pubsub::{Broker, Message};
 use sdci_mq::transport::Subscribe;
 use sdci_types::BinPayload;
 use std::io::Write;
@@ -77,7 +78,7 @@ struct BrokerCounters {
 pub struct TcpBroker<T> {
     local: Broker<T>,
     counters: BrokerCounters,
-    fanout: Arc<FanoutHub>,
+    legs: Arc<Legs>,
 }
 
 /// One encoded publish, frozen for fan-out: the frame bytes are rendered
@@ -92,11 +93,11 @@ struct DeliverChunk {
     msgs: u64,
 }
 
-/// A connected remote subscriber, as the fan-out dispatcher sees it.
+/// A connected remote subscriber, as the fan-out relay sees it.
 struct FanoutLeg {
     prefixes: Vec<String>,
     tx: crossbeam_channel::Sender<DeliverChunk>,
-    /// Whether the leg took the dispatcher encoder's last frame, so the
+    /// Whether the leg took the relay encoder's last frame, so the
     /// next may continue it; false for a leg that just joined.
     synced: bool,
 }
@@ -109,15 +110,9 @@ impl FanoutLeg {
     }
 }
 
-/// Shared fan-out state on a [`TcpBroker`]: the registered subscriber
-/// legs plus the dispatcher thread that encodes for them, spawned
-/// lazily with the first remote subscriber so brokers that never see
-/// one never pay for it.
-#[derive(Default)]
-struct FanoutHub {
-    legs: parking_lot::Mutex<Vec<FanoutLeg>>,
-    dispatcher: parking_lot::Mutex<Option<JoinHandle<()>>>,
-}
+/// The registered subscriber legs of a [`TcpBroker`], shared by its
+/// relay and its connections.
+type Legs = parking_lot::Mutex<Vec<FanoutLeg>>;
 
 impl<T> std::fmt::Debug for TcpBroker<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -130,18 +125,14 @@ where
     T: Clone + Send + BinPayload + 'static,
 {
     /// Serves `local` to remote clients — e.g. the Aggregator's feed
-    /// broker, exposing `feed/` to remote consumers.
+    /// broker, exposing `feed/` to remote consumers — through one relay
+    /// on it, which encodes each publish for the legs.
     pub fn new(local: Broker<T>) -> Arc<Self> {
-        Arc::new(TcpBroker {
-            local,
-            counters: BrokerCounters::default(),
-            fanout: Arc::new(FanoutHub::default()),
-        })
-    }
-
-    /// The wrapped local broker.
-    pub fn local(&self) -> &Broker<T> {
-        &self.local
+        let legs = Arc::new(Legs::default());
+        let relayed = Arc::clone(&legs);
+        let mut enc = BinEncoder::new();
+        local.relay(move |topic, batch| fan_out_batch(&mut enc, topic, batch, &relayed));
+        Arc::new(TcpBroker { local, counters: BrokerCounters::default(), legs })
     }
 
     /// A publisher into the local broker (same-process side).
@@ -174,33 +165,28 @@ where
     fn serve(&self, service: Service, conn: Conn) {
         let Service::Subscriber { prefixes } = service else { return };
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        serve_subscriber(conn, &self.local, prefixes, &self.counters, &self.fanout);
+        serve_subscriber::<T>(conn, prefixes, &self.counters, &self.legs);
     }
 
-    /// Joins the dispatcher: its exit is what releases the subscriber
-    /// legs (its final flush drains into their queues, then their
-    /// senders drop), so it goes before the endpoint joins them.
+    /// Releases the subscriber legs: every publish is already in their
+    /// queues, so dropping their senders lets each drain and `Fin`.
     fn drain(&self) {
-        let dispatcher = self.fanout.dispatcher.lock().take();
-        if let Some(t) = dispatcher {
-            let _ = t.join();
-        }
+        self.legs.lock().clear();
     }
 }
 
-/// Serves one remote subscriber: ships the shared dispatcher's
-/// encode-once chunks down this socket, probing with `Ping` while idle. On shutdown the dispatcher's final
-/// flush lands in this leg's queue and drains — through the same
-/// crash-pointed write path as live traffic — before the `Fin`.
-fn serve_subscriber<T>(
+/// Serves one remote subscriber: ships the encode-once chunks the relay
+/// queues for this leg down its socket, probing with `Ping` while idle.
+/// On shutdown the drain drops the leg's sender, and what is queued
+/// drains — through the same crash-pointed write path as live traffic —
+/// before the `Fin`; a leg that joined after the drain ends at its first
+/// idle tick.
+fn serve_subscriber<T: BinPayload>(
     conn: Conn,
-    local: &Broker<T>,
     prefixes: Vec<String>,
     counters: &BrokerCounters,
-    hub: &Arc<FanoutHub>,
-) where
-    T: Clone + Send + BinPayload + 'static,
-{
+    legs: &Legs,
+) {
     let Conn { mut writer, cfg, stop, .. } = conn;
     // Crash point: a broker that dies right after the handshake leaves
     // the client reconnecting with backoff — the chaos tests kill here
@@ -208,20 +194,17 @@ fn serve_subscriber<T>(
     if sdci_faults::crash_point("net.pubsub.greet").is_err() {
         return;
     }
-    if !ensure_dispatcher(hub, local, &cfg, &stop) {
-        return; // spawn failed: drop the connection, the client retries
-    }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
-    hub.legs.lock().push(FanoutLeg { prefixes, tx, synced: false });
+    legs.lock().push(FanoutLeg { prefixes, tx, synced: false });
     let mut last_write = Instant::now();
     loop {
         match rx.recv_timeout(cfg.heartbeat) {
             Ok(chunk) => {
-                // Crash point: dying between the dispatcher dequeue and
-                // the socket write loses the in-flight chunk for this
-                // subscriber only — the lossy fanout contract. Both the
-                // live path and the shutdown drain pass through here,
-                // so chaos schedules can fault the graceful drain too.
+                // Crash point: dying between the dequeue and the socket
+                // write loses the in-flight chunk for this subscriber
+                // only — the lossy fanout contract. Both the live path
+                // and the shutdown drain pass through here, so chaos
+                // schedules can fault the graceful drain too.
                 if sdci_faults::crash_point("net.pubsub.fanout").is_err() {
                     return;
                 }
@@ -231,6 +214,13 @@ fn serve_subscriber<T>(
                 counters.frames_out.fetch_add(chunk.frames, Ordering::Relaxed);
                 last_write = Instant::now();
             }
+            // Drained and dropped by the broker, or idle while the
+            // endpoint stops — a leg that joined after the drain has no
+            // sender left to drop: graceful drain complete.
+            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
+            Err(crossbeam_channel::RecvTimeoutError::Timeout) if stop.load(Ordering::Relaxed) => {
+                break
+            }
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                 if last_write.elapsed() >= cfg.heartbeat
                     && write_msg(&mut writer, &Frame::<T>::Ping).is_err()
@@ -238,86 +228,9 @@ fn serve_subscriber<T>(
                     return;
                 }
             }
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                // The dispatcher flushed everything queued for this leg
-                // and dropped its sender: graceful drain complete.
-                let _ = write_msg(&mut writer, &Frame::<T>::Fin);
-                return;
-            }
         }
     }
-}
-
-/// Spawns the fan-out dispatcher on first use. The tap is registered
-/// here, synchronously, so a message published right after the first
-/// subscriber's hello is already queued by the time the dispatcher
-/// thread starts. Returns `false` when the spawn fails (an
-/// armed fail point or a real EAGAIN).
-fn ensure_dispatcher<T>(
-    hub: &Arc<FanoutHub>,
-    local: &Broker<T>,
-    cfg: &NetConfig,
-    stop: &Arc<AtomicBool>,
-) -> bool
-where
-    T: Clone + Send + BinPayload + 'static,
-{
-    let mut slot = hub.dispatcher.lock();
-    if slot.is_some() {
-        return true;
-    }
-    // As deep in publishes as each leg's queue is in chunks, so a burst
-    // sheds at a slow leg's own mark before it sheds here for everyone.
-    let tap = local.tap(cfg.hwm);
-    let heartbeat = cfg.heartbeat;
-    let stop = Arc::clone(stop);
-    let hub = Arc::clone(hub);
-    match spawn_worker("sdci-net-fanout".into(), "net.pubsub.spawn_fanout", move || {
-        fanout_dispatcher(tap, heartbeat, stop, hub)
-    }) {
-        Ok(handle) => {
-            *slot = Some(handle);
-            true
-        }
-        Err(e) => {
-            sdci_obs::error!("fanout dispatcher spawn failed; dropping subscriber"; error = e.to_string());
-            sdci_obs::static_metric!(counter, "sdci_net_spawn_failures_total").inc();
-            false
-        }
-    }
-}
-
-/// The per-broker fan-out dispatcher: takes one publish at a time off
-/// the tap and encodes it once for all matching legs. What the tap shed
-/// while this thread was behind is lost to *every* remote subscriber,
-/// so it is counted where their per-leg sheds are. On shutdown it
-/// flushes everything already queued into the legs, then drops their
-/// senders, releasing each leg to drain and `Fin`.
-fn fanout_dispatcher<T>(
-    tap: Tap<T>,
-    heartbeat: Duration,
-    stop: Arc<AtomicBool>,
-    hub: Arc<FanoutHub>,
-) where
-    T: BinPayload,
-{
-    let mut enc = BinEncoder::new();
-    let mut shed_seen = 0;
-    loop {
-        // Read before the receive: on the final pass every queued
-        // publish must still go out after `stop` was seen.
-        let draining = stop.load(Ordering::Relaxed);
-        let next = if draining { tap.try_recv() } else { tap.recv_timeout(heartbeat) };
-        let shed = tap.shed();
-        sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total").add(shed - shed_seen);
-        shed_seen = shed;
-        match next {
-            Some(batch) => fan_out_batch(&mut enc, &batch.topic, &batch.payloads, &hub),
-            None if draining => break,
-            None => {}
-        }
-    }
-    hub.legs.lock().clear();
+    let _ = write_msg(&mut writer, &Frame::<T>::Fin);
 }
 
 /// Encodes one publish once — fresh when a matching leg did not take the
@@ -326,8 +239,8 @@ fn fanout_dispatcher<T>(
 /// wrote. A publish no leg matches is not encoded; one that cannot be
 /// (a frame over [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN), say) is
 /// shed for every leg, and the next goes out fresh.
-fn fan_out_batch<T: BinPayload>(enc: &mut BinEncoder, topic: &str, batch: &[T], hub: &FanoutHub) {
-    let mut legs = hub.legs.lock();
+fn fan_out_batch<T: BinPayload>(enc: &mut BinEncoder, topic: &str, batch: &[T], legs: &Legs) {
+    let mut legs = legs.lock();
     let matching = || legs.iter().filter(|leg| leg.matches(topic));
     if matching().next().is_none() {
         return;
@@ -576,5 +489,39 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faulted::FaultedWriter;
+    use crate::wire::FrameReader;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A subscriber whose hello was read just before the endpoint
+    /// stopped is served after the drain released the legs: its leg must
+    /// still end, or `Endpoint::shutdown` would wait on its thread.
+    #[test]
+    fn a_leg_that_joins_after_the_drain_ends_with_fin() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let broker = TcpBroker::new(Broker::<u64>::new(16));
+        broker.drain();
+        let conn = Conn {
+            reader: FrameReader::new(server.try_clone().unwrap()),
+            writer: FaultedWriter::new(server, None),
+            cfg: NetConfig { heartbeat: Duration::from_millis(20), ..NetConfig::default() },
+            stop: Arc::new(AtomicBool::new(true)),
+        };
+        let serving = std::thread::spawn({
+            let broker = Arc::clone(&broker);
+            move || broker.serve(Service::Subscriber { prefixes: vec![String::new()] }, conn)
+        });
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let frame = FrameReader::new(client).read_msg::<Frame<u64>>().unwrap();
+        assert!(matches!(frame, Frame::Fin), "got {frame:?}");
+        serving.join().unwrap();
     }
 }

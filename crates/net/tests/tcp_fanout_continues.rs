@@ -1,5 +1,5 @@
 //! The fan-out continues a frame only for legs that hold its
-//! predecessor: a `TcpBroker`'s dispatcher encodes each publish once, and
+//! predecessor: a `TcpBroker`'s relay encodes each publish once, and
 //! codes it against the publish before it only when every leg it goes to
 //! took that one. Subscribers here are read by hand, frame by frame, each
 //! body decoded as the connection's reader decodes it — so a frame
@@ -256,7 +256,7 @@ fn a_leg_that_shed_gets_a_fresh_frame_next_and_sees_no_gap() {
 
     // The stalled reader reads nothing: its socket fills, then its
     // one-chunk queue, and the leg sheds. Each publish waits for the
-    // healthy leg, so the dispatcher's own one-publish tap never does.
+    // healthy leg, so its one-chunk queue never does.
     let before = shed_total();
     let deadline = Instant::now() + Duration::from_secs(60);
     while shed_total() == before {

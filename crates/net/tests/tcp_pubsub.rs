@@ -197,56 +197,15 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
     endpoint.shutdown();
 }
 
-/// The process-wide `sdci_net_fanout_shed_total` series: a test that
-/// counts what it adds holds this lock, so no other test's sheds land in
-/// its count.
-static SHED_SERIES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn shed_total() -> u64 {
-    sdci_obs::registry().counter("sdci_net_fanout_shed_total").get()
-}
-
-/// What the dispatcher's tap sheds is lost to every remote subscriber,
-/// so it must move the same `/metrics` series a slow leg's sheds do.
-#[test]
-fn tap_overflow_is_counted_in_the_fanout_shed_series() {
-    let _series = SHED_SERIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    // A one-publish tap (and leg queue) on the serving side.
-    let serving = NetConfig { hwm: 1, ..fast_cfg() };
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
-    let endpoint = Endpoint::bind("127.0.0.1:0", serving, vec![broker.clone()]).unwrap();
-    let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["probe/"], fast_cfg());
-    let publisher = broker.publisher();
-    wait_ready(&publisher, &subscriber);
-
-    // No leg matches `events/`, so nothing here can shed at a leg, and
-    // the broker has no ordinary subscriber: every drop it counts is
-    // the tap's.
-    let before = shed_total();
-    let dropped_before = broker.local().dropped();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while broker.local().dropped() == dropped_before {
-        assert!(std::time::Instant::now() < deadline, "the tap never overflowed");
-        for base in 0..500u64 {
-            publisher.publish_batch("events/e", (base * 4..base * 4 + 4).collect());
-        }
-    }
-    let shed = broker.local().dropped() - dropped_before;
-    assert_eq!(shed % 4, 0, "sheds are whole publishes, counted in payloads");
-    while shed_total() - before < shed {
-        assert!(std::time::Instant::now() < deadline, "tap sheds never reached the series");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    endpoint.shutdown();
-}
-
-/// A publish the dispatcher cannot encode — one string whose frame is
+/// A publish the fan-out cannot encode — one string whose frame is
 /// over `MAX_FRAME_LEN` even coded — is lost to every subscriber: it is
 /// encoded once, not once a leg, counted once in the shed series, and
 /// costs no connection, so the publish after it reaches both subscribers.
 #[test]
 fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered() {
-    let _series = SHED_SERIES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    // No other test here sheds at a serving leg, so this one's count of
+    // the process-wide series is its own.
+    let shed_total = || sdci_obs::registry().counter("sdci_net_fanout_shed_total").get();
     let broker = TcpBroker::<String>::new(Broker::new(8192));
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let subscribers = [(); 2]

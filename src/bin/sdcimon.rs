@@ -332,8 +332,9 @@ fn run_shard(flags: &Flags) -> Result<(), String> {
 const PULL_QUEUE_FRAMES: usize = 256;
 
 /// Queue bound of an in-process `Broker::subscribe` on the feed. No
-/// `sdcimon` role subscribes in process — remote legs are sized by
-/// `NetConfig::hwm` through `Broker::tap` — so this sizes nothing here.
+/// `sdcimon` role subscribes in process — the ingest thread encodes each
+/// publish for the remote legs, whose queues `NetConfig::hwm` sizes — so
+/// this sizes nothing here.
 const FEED_HWM: usize = 65_536;
 
 fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
