@@ -142,6 +142,7 @@ impl Server {
         let now = sim.now();
         let finish = {
             let mut st = self.state.borrow_mut();
+            // cannot fail: `new` gives the server at least one slot, and every slot popped here is pushed back below.
             let Reverse(free_at) = st.slots.pop().expect("server has no slots");
             let start = free_at.max(now);
             let wait = start - now;

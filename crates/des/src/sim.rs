@@ -169,6 +169,7 @@ impl Simulation {
                 match self.queue.peek() {
                     None => break None,
                     Some(ev) if self.cancelled.contains(&ev.handle) => {
+                        // cannot fail: `peek` has just returned this entry and nothing ran in between.
                         let ev = self.queue.pop().expect("peeked entry vanished");
                         self.cancelled.remove(&ev.handle);
                     }

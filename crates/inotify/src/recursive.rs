@@ -68,7 +68,7 @@ impl RecursiveWatcher {
         self.stats.watches_placed += 1;
         for entry in fs.read_dir(dir)? {
             if entry.file_type == FileType::Directory {
-                let child = simfs::join_path(dir, &entry.name);
+                let child = dir.join(&entry.name);
                 self.crawl(fs, &child)?;
             } else {
                 self.stats.files_enumerated += 1;
@@ -120,7 +120,7 @@ impl RecursiveWatcher {
         self.stats.directories_crawled += 1;
         self.stats.watches_placed += 1;
         for entry in fs.read_dir(dir)? {
-            let child = simfs::join_path(dir, &entry.name);
+            let child = dir.join(&entry.name);
             let is_dir = entry.file_type == FileType::Directory;
             out.push(InotifyEvent {
                 wd,

@@ -1,15 +1,19 @@
 //! The simulated Lustre filesystem: namespace + FIDs + ChangeLogs.
+//!
+//! Each path-taking operation resolves its path once, with
+//! [`SimFs::lookup`] or [`SimFs::lookup_parent`], and hands the parent
+//! directory and name to `SimFs`'s `_at` form of the operation.
 
 use crate::changelog::Changelog;
 use crate::topology::{DnePolicy, LustreConfig};
 use crate::LustreError;
 use sdci_types::{ChangelogKind, Fid, FidSequence, MdtIndex, RawChangelogRecord, SimTime};
-use simfs::{FileType, InodeId, SimFs};
+use simfs::{FileType, FsError, IdMap, InodeId, SimFs};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Flag set on `UNLNK` records that remove an object's last link
@@ -25,14 +29,14 @@ pub struct LustreFs {
     fs: SimFs,
     fid_sequences: Vec<FidSequence>,
     changelogs: Vec<Changelog>,
-    fid_to_inode: HashMap<Fid, InodeId>,
-    inode_to_fid: HashMap<InodeId, Fid>,
-    dir_mdt: HashMap<InodeId, MdtIndex>,
+    fid_to_inode: IdMap<Fid, InodeId>,
+    inode_to_fid: IdMap<InodeId, Fid>,
+    dir_mdt: IdMap<InodeId, MdtIndex>,
     round_robin: u32,
     resolutions: AtomicU64,
     pub(crate) ost_usage: Vec<crate::ost::OstUsage>,
-    pub(crate) layouts: HashMap<InodeId, crate::ost::Layout>,
-    pub(crate) dir_default_stripe: HashMap<InodeId, u32>,
+    pub(crate) layouts: IdMap<InodeId, crate::ost::Layout>,
+    pub(crate) dir_default_stripe: IdMap<InodeId, u32>,
     pub(crate) ost_round_robin: u32,
 }
 
@@ -54,16 +58,16 @@ impl LustreFs {
         let mut lfs = LustreFs {
             fid_sequences: (0..config.mdt_count).map(FidSequence::for_mdt).collect(),
             changelogs: (0..mdts).map(|_| Changelog::new(config.changelog_capacity)).collect(),
-            fid_to_inode: HashMap::new(),
-            inode_to_fid: HashMap::new(),
-            dir_mdt: HashMap::new(),
+            fid_to_inode: IdMap::default(),
+            inode_to_fid: IdMap::default(),
+            dir_mdt: IdMap::default(),
             round_robin: 0,
             resolutions: AtomicU64::new(0),
             ost_usage: (0..config.ost_count as usize)
                 .map(|_| crate::ost::OstUsage::default())
                 .collect(),
-            layouts: HashMap::new(),
-            dir_default_stripe: HashMap::new(),
+            layouts: IdMap::default(),
+            dir_default_stripe: IdMap::default(),
             ost_round_robin: 0,
             fs: SimFs::new(),
             config,
@@ -205,6 +209,9 @@ impl LustreFs {
         Ok(self.mdt_of_dir(inode))
     }
 
+    /// The MDT that homes a new directory `name` in `parent`. Called only
+    /// once the directory exists, so a mkdir that fails takes no turn of
+    /// the round robin.
     fn assign_mdt(&mut self, parent: InodeId, name: &str) -> MdtIndex {
         match self.config.dne_policy {
             DnePolicy::SingleMdt => MdtIndex::new(0),
@@ -225,24 +232,47 @@ impl LustreFs {
         }
     }
 
-    fn log(&mut self, mdt: MdtIndex, record: RawChangelogRecord) {
-        self.changelogs[mdt.as_usize()].append(record);
-    }
-
-    fn record(
+    /// Logs a record about the entry `name` in directory `parent` on the
+    /// MDT that owns `parent`, as every ChangeLog record is.
+    pub(crate) fn log(
+        &mut self,
         kind: ChangelogKind,
         time: SimTime,
         flags: u32,
         target: Fid,
-        parent: Fid,
+        parent: InodeId,
         name: &str,
-    ) -> RawChangelogRecord {
-        RawChangelogRecord { index: 0, kind, time, flags, target, parent, name: name.into() }
+    ) {
+        let record = RawChangelogRecord {
+            index: 0,
+            kind,
+            time,
+            flags,
+            target,
+            parent: self.fid_of_inode(parent),
+            name: name.into(),
+        };
+        let mdt = self.mdt_of_dir(parent);
+        self.changelogs[mdt.as_usize()].append(record);
     }
 
-    fn fid_of_inode(&self, inode: InodeId) -> Fid {
+    pub(crate) fn fid_of_inode(&self, inode: InodeId) -> Fid {
         // cannot fail: only this type changes `fs`; it gives each inode a FID and takes it with the last link.
         *self.inode_to_fid.get(&inode).expect("inode without FID")
+    }
+
+    /// Gives the new `inode` the next FID of `mdt`'s sequence.
+    fn bind(&mut self, inode: InodeId, mdt: MdtIndex) -> Fid {
+        let fid = self.fid_sequences[mdt.as_usize()].next_fid();
+        self.fid_to_inode.insert(fid, inode);
+        self.inode_to_fid.insert(inode, fid);
+        fid
+    }
+
+    /// Forgets the FID of an object whose last link went.
+    fn unbind(&mut self, inode: InodeId, fid: Fid) {
+        self.fid_to_inode.remove(&fid);
+        self.inode_to_fid.remove(&inode);
     }
 
     // ---- namespace operations -------------------------------------------
@@ -253,16 +283,11 @@ impl LustreFs {
     ///
     /// Namespace errors from [`simfs::SimFs::create`].
     pub fn create(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<Fid, LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let mdt = self.mdt_of_dir(parent_inode);
-        let inode = self.fs.create(path.as_ref(), now)?;
-        let fid = self.fid_sequences[mdt.as_usize()].next_fid();
-        self.fid_to_inode.insert(fid, inode);
-        self.inode_to_fid.insert(inode, fid);
-        self.allocate_layout(inode, parent_inode);
-        let parent_fid = self.fid_of_inode(parent_inode);
-        self.log(mdt, Self::record(ChangelogKind::Create, now, 0, fid, parent_fid, &name));
+        let (parent, name) = self.fs.lookup_parent(path.as_ref())?;
+        let inode = self.fs.create_at(parent, &name, now)?;
+        let fid = self.bind(inode, self.mdt_of_dir(parent));
+        self.allocate_layout(inode, parent);
+        self.log(ChangelogKind::Create, now, 0, fid, parent, &name);
         Ok(fid)
     }
 
@@ -273,44 +298,47 @@ impl LustreFs {
     ///
     /// Namespace errors from [`simfs::SimFs::mkdir`].
     pub fn mkdir(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<Fid, LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let log_mdt = self.mdt_of_dir(parent_inode);
-        let home_mdt = self.assign_mdt(parent_inode, &name);
-        let inode = self.fs.mkdir(path.as_ref(), now)?;
-        let fid = self.fid_sequences[home_mdt.as_usize()].next_fid();
-        self.fid_to_inode.insert(fid, inode);
-        self.inode_to_fid.insert(inode, fid);
-        self.dir_mdt.insert(inode, home_mdt);
-        let parent_fid = self.fid_of_inode(parent_inode);
-        self.log(log_mdt, Self::record(ChangelogKind::Mkdir, now, 0, fid, parent_fid, &name));
-        Ok(fid)
+        let (parent, name) = self.fs.lookup_parent(path.as_ref())?;
+        self.mkdir_at(parent, &name, now).map(|(_, fid)| fid)
     }
 
-    /// Creates a directory chain, logging one `02MKDIR` per directory
-    /// actually created.
+    /// [`LustreFs::mkdir`] of `name` in `parent`: the directory first,
+    /// then its home MDT and a FID from that MDT's sequence.
+    fn mkdir_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        now: SimTime,
+    ) -> Result<(InodeId, Fid), LustreError> {
+        let inode = self.fs.mkdir_at(parent, name, now)?;
+        let home = self.assign_mdt(parent, name);
+        let fid = self.bind(inode, home);
+        self.dir_mdt.insert(inode, home);
+        self.log(ChangelogKind::Mkdir, now, 0, fid, parent, name);
+        Ok((inode, fid))
+    }
+
+    /// Creates a directory chain in one descent, logging one `02MKDIR`
+    /// per directory actually created.
     ///
     /// # Errors
     ///
     /// [`simfs::FsError::NotADirectory`] when a component is a file.
     pub fn mkdir_all(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<Fid, LustreError> {
-        let norm = simfs::normalize_path(path.as_ref())?;
-        let mut cur = PathBuf::from("/");
-        let mut fid = Fid::ROOT;
-        for comp in norm.components().skip(1) {
-            cur.push(comp);
-            fid = match self.fs.lookup(&cur) {
-                Ok(inode) => {
-                    if self.fs.stat_inode(inode).file_type != FileType::Directory {
-                        return Err(simfs::FsError::NotADirectory(cur).into());
-                    }
-                    self.fid_of_inode(inode)
+        let path = simfs::walkable(path.as_ref())?;
+        let mut dir = InodeId::ROOT;
+        for comp in path.components() {
+            let Component::Normal(name) = comp else { continue };
+            let name = name.to_string_lossy();
+            dir = match self.fs.child(dir, &name) {
+                Some(id) if self.fs.stat_inode(id).file_type == FileType::Directory => id,
+                Some(_) => {
+                    return Err(FsError::NotADirectory(self.fs.entry_path(dir, &name)).into())
                 }
-                Err(simfs::FsError::NotFound(_)) => self.mkdir(&cur, now)?,
-                Err(e) => return Err(e.into()),
+                None => self.mkdir_at(dir, &name, now)?.0,
             };
         }
-        Ok(fid)
+        Ok(self.fid_of_inode(dir))
     }
 
     /// Creates a symlink, logging `04SLINK`.
@@ -324,15 +352,10 @@ impl LustreFs {
         target: &str,
         now: SimTime,
     ) -> Result<Fid, LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let mdt = self.mdt_of_dir(parent_inode);
-        let inode = self.fs.symlink(path.as_ref(), target, now)?;
-        let fid = self.fid_sequences[mdt.as_usize()].next_fid();
-        self.fid_to_inode.insert(fid, inode);
-        self.inode_to_fid.insert(inode, fid);
-        let parent_fid = self.fid_of_inode(parent_inode);
-        self.log(mdt, Self::record(ChangelogKind::SoftLink, now, 0, fid, parent_fid, &name));
+        let (parent, name) = self.fs.lookup_parent(path.as_ref())?;
+        let inode = self.fs.symlink_at(parent, &name, target, now)?;
+        let fid = self.bind(inode, self.mdt_of_dir(parent));
+        self.log(ChangelogKind::SoftLink, now, 0, fid, parent, &name);
         Ok(fid)
     }
 
@@ -347,14 +370,19 @@ impl LustreFs {
         new_path: impl AsRef<Path>,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let target_fid = self.fid_of_path(existing.as_ref())?;
-        let (parent_path, name) = simfs::parent_and_name(new_path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let mdt = self.mdt_of_dir(parent_inode);
-        self.fs.hardlink(existing.as_ref(), new_path.as_ref(), now)?;
-        let parent_fid = self.fid_of_inode(parent_inode);
-        self.log(mdt, Self::record(ChangelogKind::HardLink, now, 0, target_fid, parent_fid, &name));
+        let target = self.fs.lookup(existing)?;
+        let (parent, name) = self.fs.lookup_parent(new_path.as_ref())?;
+        self.fs.hardlink_at(target, parent, &name, now)?;
+        self.log(ChangelogKind::HardLink, now, 0, self.fid_of_inode(target), parent, &name);
         Ok(())
+    }
+
+    /// The directory holding `path`'s last name, the name, and the
+    /// object it names: one descent, and the last step.
+    fn resolve<'p>(&self, path: &'p Path) -> Result<(InodeId, Cow<'p, str>, InodeId), LustreError> {
+        let (parent, name) = self.fs.lookup_parent(path)?;
+        let inode = self.fs.lookup_at(parent, &name)?;
+        Ok((parent, name, inode))
     }
 
     /// Removes a file or symlink, logging `06UNLNK` (flags `0x1` when the
@@ -364,21 +392,16 @@ impl LustreFs {
     ///
     /// Namespace errors from [`simfs::SimFs::unlink`].
     pub fn unlink(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<(), LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let mdt = self.mdt_of_dir(parent_inode);
-        let inode = self.fs.lookup(path.as_ref())?;
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
         let fid = self.fid_of_inode(inode);
         let last_link = self.fs.stat_inode(inode).nlink == 1;
-        self.fs.unlink(path.as_ref(), now)?;
+        self.fs.unlink_at(parent, &name, now)?;
         if last_link {
-            self.fid_to_inode.remove(&fid);
-            self.inode_to_fid.remove(&inode);
+            self.unbind(inode, fid);
             self.free_layout(inode);
         }
-        let parent_fid = self.fid_of_inode(parent_inode);
         let flags = if last_link { CLF_UNLINK_LAST } else { 0 };
-        self.log(mdt, Self::record(ChangelogKind::Unlink, now, flags, fid, parent_fid, &name));
+        self.log(ChangelogKind::Unlink, now, flags, fid, parent, &name);
         Ok(())
     }
 
@@ -388,20 +411,12 @@ impl LustreFs {
     ///
     /// Namespace errors from [`simfs::SimFs::rmdir`].
     pub fn rmdir(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<(), LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let mdt = self.mdt_of_dir(parent_inode);
-        let inode = self.fs.lookup(path.as_ref())?;
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
         let fid = self.fid_of_inode(inode);
-        self.fs.rmdir(path.as_ref(), now)?;
-        self.fid_to_inode.remove(&fid);
-        self.inode_to_fid.remove(&inode);
+        self.fs.rmdir_at(parent, &name, now)?;
+        self.unbind(inode, fid);
         self.dir_mdt.remove(&inode);
-        let parent_fid = self.fid_of_inode(parent_inode);
-        self.log(
-            mdt,
-            Self::record(ChangelogKind::Rmdir, now, CLF_UNLINK_LAST, fid, parent_fid, &name),
-        );
+        self.log(ChangelogKind::Rmdir, now, CLF_UNLINK_LAST, fid, parent, &name);
         Ok(())
     }
 
@@ -419,56 +434,37 @@ impl LustreFs {
         to: impl AsRef<Path>,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let from_norm = simfs::normalize_path(from.as_ref())?;
-        let to_norm = simfs::normalize_path(to.as_ref())?;
-        if from_norm == to_norm {
+        let Some(((from_parent, from_name), (to_parent, to_name))) =
+            self.fs.lookup_rename(from.as_ref(), to.as_ref())?
+        else {
             return Ok(());
-        }
-        let (from_parent_path, from_name) = simfs::parent_and_name(&from_norm)?;
-        let (to_parent_path, to_name) = simfs::parent_and_name(&to_norm)?;
-        let from_parent = self.fs.lookup(&from_parent_path)?;
-        let to_parent = self.fs.lookup(&to_parent_path)?;
-        let inode = self.fs.lookup(&from_norm)?;
+        };
+        let inode = self.fs.lookup_at(from_parent, &from_name)?;
         let fid = self.fid_of_inode(inode);
 
         // An existing destination file will be replaced: capture its FID
         // for the implicit unlink record.
-        let overwritten = match self.fs.lookup(&to_norm) {
-            Ok(dest)
-                if dest != inode && self.fs.stat_inode(dest).file_type != FileType::Directory =>
-            {
-                Some((dest, self.fid_of_inode(dest), self.fs.stat_inode(dest).nlink == 1))
+        let overwritten = match self.fs.child(to_parent, &to_name) {
+            Some(dest) if dest != inode => {
+                let dest_stat = self.fs.stat_inode(dest);
+                (dest_stat.file_type != FileType::Directory)
+                    .then(|| (dest, self.fid_of_inode(dest), dest_stat.nlink == 1))
             }
             _ => None,
         };
 
-        self.fs.rename(&from_norm, &to_norm, now)?;
-
-        let src_mdt = self.mdt_of_dir(from_parent);
-        let dst_mdt = self.mdt_of_dir(to_parent);
-        let from_parent_fid = self.fid_of_inode(from_parent);
-        let to_parent_fid = self.fid_of_inode(to_parent);
+        self.fs.rename_at(from_parent, &from_name, to_parent, &to_name, now)?;
 
         if let Some((dest_inode, dest_fid, last)) = overwritten {
             if last {
-                self.fid_to_inode.remove(&dest_fid);
-                self.inode_to_fid.remove(&dest_inode);
+                self.unbind(dest_inode, dest_fid);
                 self.free_layout(dest_inode);
             }
             let flags = if last { CLF_UNLINK_LAST } else { 0 };
-            self.log(
-                dst_mdt,
-                Self::record(ChangelogKind::Unlink, now, flags, dest_fid, to_parent_fid, &to_name),
-            );
+            self.log(ChangelogKind::Unlink, now, flags, dest_fid, to_parent, &to_name);
         }
-        self.log(
-            src_mdt,
-            Self::record(ChangelogKind::Rename, now, 0, fid, from_parent_fid, &from_name),
-        );
-        self.log(
-            dst_mdt,
-            Self::record(ChangelogKind::RenameTarget, now, 0, fid, to_parent_fid, &to_name),
-        );
+        self.log(ChangelogKind::Rename, now, 0, fid, from_parent, &from_name);
+        self.log(ChangelogKind::RenameTarget, now, 0, fid, to_parent, &to_name);
         Ok(())
     }
 
@@ -485,11 +481,10 @@ impl LustreFs {
         bytes: u64,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let (parent_fid, name, mdt, fid) = self.content_target(path.as_ref())?;
-        let inode = self.fs.lookup(path.as_ref())?;
-        self.fs.write(path.as_ref(), bytes, now)?;
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
+        self.fs.write_at(parent, &name, bytes, now)?;
         self.account_write(inode, bytes);
-        self.log(mdt, Self::record(ChangelogKind::MtimeChange, now, 0, fid, parent_fid, &name));
+        self.log(ChangelogKind::MtimeChange, now, 0, self.fid_of_inode(inode), parent, &name);
         Ok(())
     }
 
@@ -504,9 +499,9 @@ impl LustreFs {
         size: u64,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let (parent_fid, name, mdt, fid) = self.content_target(path.as_ref())?;
-        self.fs.truncate(path.as_ref(), size, now)?;
-        self.log(mdt, Self::record(ChangelogKind::Truncate, now, 0, fid, parent_fid, &name));
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
+        self.fs.truncate_at(parent, &name, size, now)?;
+        self.log(ChangelogKind::Truncate, now, 0, self.fid_of_inode(inode), parent, &name);
         Ok(())
     }
 
@@ -521,9 +516,9 @@ impl LustreFs {
         mode: u32,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let (parent_fid, name, mdt, fid) = self.content_target(path.as_ref())?;
-        self.fs.set_attr(path.as_ref(), mode, now)?;
-        self.log(mdt, Self::record(ChangelogKind::SetAttr, now, 0, fid, parent_fid, &name));
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
+        self.fs.set_attr_at(parent, &name, mode, now)?;
+        self.log(ChangelogKind::SetAttr, now, 0, self.fid_of_inode(inode), parent, &name);
         Ok(())
     }
 
@@ -539,22 +534,10 @@ impl LustreFs {
         value: impl Into<Vec<u8>>,
         now: SimTime,
     ) -> Result<(), LustreError> {
-        let (parent_fid, name, mdt, fid) = self.content_target(path.as_ref())?;
-        self.fs.set_xattr(path.as_ref(), key, value, now)?;
-        self.log(mdt, Self::record(ChangelogKind::SetXattr, now, 0, fid, parent_fid, &name));
+        let (parent, name, inode) = self.resolve(path.as_ref())?;
+        self.fs.set_xattr_at(parent, &name, key, value, now)?;
+        self.log(ChangelogKind::SetXattr, now, 0, self.fid_of_inode(inode), parent, &name);
         Ok(())
-    }
-
-    fn content_target(&self, path: &Path) -> Result<(Fid, String, MdtIndex, Fid), LustreError> {
-        let (parent_path, name) = simfs::parent_and_name(path)?;
-        let parent_inode = self.fs.lookup(&parent_path)?;
-        let inode = self.fs.lookup(path)?;
-        Ok((
-            self.fid_of_inode(parent_inode),
-            name,
-            self.mdt_of_dir(parent_inode),
-            self.fid_of_inode(inode),
-        ))
     }
 }
 
@@ -769,6 +752,28 @@ mod tests {
         lfs.create("/d1/f", t(1)).unwrap();
         let recs = lfs.changelog(MdtIndex::new(1)).read_from(0, 10);
         assert!(recs.iter().any(|r| r.kind == ChangelogKind::Create && r.name == "f"));
+    }
+
+    #[test]
+    fn a_failed_top_level_mkdir_takes_no_turn_of_the_round_robin() {
+        let mut lfs = LustreFs::new(
+            LustreConfig::builder("t")
+                .mdt_count(2)
+                .dne_policy(DnePolicy::RoundRobinTopLevel)
+                .build(),
+        );
+        lfs.mkdir("/a", t(0)).unwrap();
+        assert!(matches!(lfs.mkdir("/a", t(1)), Err(LustreError::Fs(FsError::AlreadyExists(_)))));
+        assert!(lfs.mkdir("/", t(1)).is_err());
+        lfs.mkdir("/b", t(2)).unwrap();
+        assert_eq!(lfs.mdt_of_path("/a").unwrap(), MdtIndex::new(0));
+        assert_eq!(lfs.mdt_of_path("/b").unwrap(), MdtIndex::new(1), "the next turn is MDT1's");
+        // /b's FID comes from MDT1's sequence, its MKDIR record from the
+        // root's MDT.
+        let fid_b = lfs.fid_of_path("/b").unwrap();
+        assert_eq!(fid_b.seq, FidSequence::for_mdt(1).next_fid().seq);
+        let recs = lfs.changelog(MdtIndex::new(0)).read_from(0, 10);
+        assert_eq!(recs.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(), vec!["a", "b"]);
     }
 
     #[test]

@@ -180,20 +180,10 @@ impl LustreFs {
         self.place_stripes(inode, stripe_count.clamp(1, self.config().ost_count));
         self.account_write(inode, size);
 
-        let (parent_path, name) = simfs::parent_and_name(path.as_ref())?;
-        let mdt = self.mdt_of_path(&parent_path)?;
-        let fid = self.fid_of_path(path.as_ref())?;
-        let parent_fid = self.fid_of_path(&parent_path)?;
-        let record = sdci_types::RawChangelogRecord {
-            index: 0,
-            kind: ChangelogKind::Layout,
-            time: now,
-            flags: 0,
-            target: fid,
-            parent: parent_fid,
-            name,
-        };
-        self.changelog_mut(mdt).append(record);
+        // A file has a parent: this second descent cannot fail.
+        let (parent, name) = self.fs().lookup_parent(path.as_ref())?;
+        let fid = self.fid_of_inode(inode);
+        self.log(ChangelogKind::Layout, now, 0, fid, parent, &name);
         Ok(())
     }
 

@@ -203,3 +203,64 @@ proptest! {
         prop_assert_eq!(sum, lfs.total_events());
     }
 }
+
+/// A path over `{a, b}` and one way of spelling each of its names: as
+/// is, behind `./`, behind an extra `/`, or behind a `z/..` detour,
+/// which sends the walk to its normalising fallback. A trailing `/` or
+/// `/.` is the last choice.
+fn spelled_path() -> impl Strategy<Value = String> {
+    let name = (prop::sample::select(vec!["a", "b"]), 0u8..8);
+    (prop::collection::vec(name, 1..=6), 0u8..4).prop_map(|(names, tail)| {
+        let mut spelled = String::new();
+        for (name, how) in names {
+            spelled.push_str(match how {
+                0 => "/./",
+                1 => "//",
+                2 => "/z/../",
+                _ => "/",
+            });
+            spelled.push_str(name);
+        }
+        spelled.push_str(match tail {
+            0 => "/",
+            1 => "/.",
+            _ => "",
+        });
+        spelled
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// However a path is spelled, `fid_of_path` resolves it to what the
+    /// normalised path names, and `fid2path` hands back exactly that
+    /// normalised path; a spelling that names nothing fails as its
+    /// normalised form does.
+    #[test]
+    fn fid_of_path_agrees_with_the_normalised_path_for_every_spelling(
+        spelled in spelled_path(),
+    ) {
+        let mut lfs = LustreFs::new(LustreConfig::builder("spell").mdt_count(1).build());
+        // Every directory over {a, b} to depth 5: a depth-6 spelling
+        // names nothing, so misses are generated too.
+        let mut level = vec![String::new()];
+        for _ in 0..5 {
+            let mut next = Vec::new();
+            for parent in &level {
+                for name in ["a", "b"] {
+                    let path = format!("{parent}/{name}");
+                    lfs.mkdir(&path, SimTime::EPOCH).unwrap();
+                    next.push(path);
+                }
+            }
+            level = next;
+        }
+        let normal = simfs::normalize_path(&spelled).unwrap();
+        let got = lfs.fid_of_path(&spelled);
+        prop_assert_eq!(&got, &lfs.fid_of_path(&normal));
+        if let Ok(fid) = got {
+            prop_assert_eq!(lfs.fid2path(fid).unwrap(), normal);
+        }
+    }
+}

@@ -338,6 +338,7 @@ impl Ripple {
     pub fn add_local_agent(&mut self, name: &str) -> AgentHandle {
         let fs = Arc::new(Mutex::new(SimFs::new()));
         let source = WatchdogSource::new(Arc::clone(&fs), &["/"])
+            // cannot fail: the crawl fails on a missing root or at the watch limit, and a fresh filesystem's `/` exists and is its only directory.
             .expect("watching the root of a fresh filesystem cannot fail");
         self.add_agent(AgentId::new(name), AgentStorage::Local(fs), source)
     }
@@ -424,8 +425,13 @@ impl Ripple {
 
     /// Exports the registered rule set as JSON — the control-plane
     /// artifact an administrator versions and redeploys.
-    pub fn export_rules(&self) -> String {
-        serde_json::to_string_pretty(&*self.cloud.rules.lock()).expect("rules always serialize")
+    ///
+    /// # Errors
+    ///
+    /// Returns the JSON error message when a rule names a path that is
+    /// not UTF-8, which JSON cannot spell.
+    pub fn export_rules(&self) -> Result<String, String> {
+        serde_json::to_string_pretty(&*self.cloud.rules.lock()).map_err(|e| e.to_string())
     }
 
     /// Imports a rule set previously produced by
@@ -725,7 +731,7 @@ mod tests {
         source.add_rule(
             Rule::when(Trigger::on(AgentId::new("a")).under("/tmp")).then(ActionSpec::purge()),
         );
-        let exported = source.export_rules();
+        let exported = source.export_rules().unwrap();
         source.shutdown();
 
         let mut fresh = RippleBuilder::new().build();

@@ -1,13 +1,21 @@
 //! The filesystem proper.
+//!
+//! Every path-taking operation makes one descent from the root
+//! ([`SimFs::lookup`] for the object, [`SimFs::lookup_parent`] for the
+//! directory that holds its name) and then calls the operation's one
+//! implementation, its `_at` form, which takes the directory's inode and
+//! the name. The descent borrows each name from the caller's path; only
+//! a path spelled with `..` is normalised into a copy first.
 
 use crate::error::FsError;
+use crate::hash::IdMap;
 use crate::node::{FileType, Inode, InodeId};
 use crate::ops::{FsOp, FsOpKind, Observer, ObserverId};
-use crate::path::{join_path, normalize_path, parent_and_name};
+use crate::path::{normalized, walkable};
 use sdci_types::SimTime;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 /// Metadata returned by [`SimFs::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,10 +49,15 @@ pub struct DirEntry {
     pub file_type: FileType,
 }
 
+/// A name resolved by [`SimFs::lookup_parent`]: the directory that
+/// holds it and the name, borrowed from the caller's path unless the
+/// path was spelled with `..`.
+pub type ParentAndName<'p> = (InodeId, Cow<'p, str>);
+
 /// An in-memory POSIX-style filesystem (see the crate docs for an
 /// overview and example).
 pub struct SimFs {
-    inodes: HashMap<InodeId, Inode>,
+    inodes: IdMap<InodeId, Inode>,
     next_inode: u64,
     observers: Vec<(ObserverId, Box<dyn Observer + Send>)>,
     next_observer: u64,
@@ -69,10 +82,39 @@ impl Default for SimFs {
     }
 }
 
+/// A walkable path split into its parent's names and its last name.
+struct Split<'p> {
+    dir: Cow<'p, Path>,
+    name: Cow<'p, str>,
+}
+
+/// Splits a path [`walkable`] returned. The root has no last name:
+/// [`FsError::InvalidPath`]`("/")`.
+fn split(path: Cow<'_, Path>) -> Result<Split<'_>, FsError> {
+    match path {
+        Cow::Borrowed(path) => {
+            let mut names = path.components();
+            match names.next_back() {
+                Some(Component::Normal(name)) => {
+                    Ok(Split { dir: Cow::Borrowed(names.as_path()), name: name.to_string_lossy() })
+                }
+                _ => Err(FsError::InvalidPath(normalized(path))),
+            }
+        }
+        Cow::Owned(mut path) => {
+            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
+                return Err(FsError::InvalidPath(path));
+            };
+            path.pop();
+            Ok(Split { dir: Cow::Owned(path), name: Cow::Owned(name) })
+        }
+    }
+}
+
 impl SimFs {
     /// Creates an empty filesystem containing only the root directory.
     pub fn new() -> Self {
-        let mut inodes = HashMap::new();
+        let mut inodes = IdMap::default();
         inodes.insert(InodeId::ROOT, Inode::new_dir(InodeId::ROOT, None, "", SimTime::EPOCH));
         SimFs { inodes, next_inode: 2, observers: Vec::new(), next_observer: 0, files: 0, dirs: 1 }
     }
@@ -92,9 +134,40 @@ impl SimFs {
         self.observers.retain(|(oid, _)| *oid != id);
     }
 
-    fn notify(&mut self, op: FsOp) {
+    /// Hands the observers the op `build` makes. With none registered,
+    /// nothing is built: an op's name and paths are copies only an
+    /// observer reads.
+    fn notify(&mut self, build: impl FnOnce(&Self) -> FsOp) {
+        if self.observers.is_empty() {
+            return;
+        }
+        let op = build(self);
         for (_, obs) in &mut self.observers {
             obs.on_op(&op);
+        }
+    }
+
+    /// The op for a mutation of the entry `name` in `parent`, named by
+    /// its path from the root.
+    fn entry_op(
+        &self,
+        kind: FsOpKind,
+        time: SimTime,
+        inode: InodeId,
+        parent: InodeId,
+        name: &str,
+        is_dir: bool,
+    ) -> FsOp {
+        FsOp {
+            kind,
+            time,
+            inode,
+            parent,
+            name: name.to_owned(),
+            path: self.entry_path(parent, name),
+            src_parent: None,
+            src_path: None,
+            is_dir,
         }
     }
 
@@ -110,6 +183,30 @@ impl SimFs {
         self.inodes.get_mut(&id).expect("dangling inode id")
     }
 
+    fn is_dir(&self, id: InodeId) -> bool {
+        self.node(id).file_type == FileType::Directory
+    }
+
+    /// The descent every path-taking operation makes: from the root
+    /// through `path`'s names, each borrowed from `path`, which
+    /// [`walkable`] has vetted. A missing name reports `path`
+    /// normalised; a non-directory on the way reports its own path.
+    fn descend(&self, path: &Path) -> Result<InodeId, FsError> {
+        let mut cur = InodeId::ROOT;
+        for comp in path.components() {
+            let Component::Normal(name) = comp else { continue };
+            let node = self.node(cur);
+            if node.file_type != FileType::Directory {
+                return Err(FsError::NotADirectory(self.path_of(cur)));
+            }
+            match node.entries.get(&*name.to_string_lossy()) {
+                Some(&id) => cur = id,
+                None => return Err(FsError::NotFound(normalized(path))),
+            }
+        }
+        Ok(cur)
+    }
+
     /// Resolves an absolute path to an inode id.
     ///
     /// # Errors
@@ -118,18 +215,68 @@ impl SimFs {
     /// [`FsError::NotADirectory`] if a non-final component is not a
     /// directory, [`FsError::InvalidPath`] for relative paths.
     pub fn lookup(&self, path: impl AsRef<Path>) -> Result<InodeId, FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let mut cur = InodeId::ROOT;
-        for comp in norm.components().skip(1) {
-            let name = comp.as_os_str().to_string_lossy();
-            let node = self.node(cur);
-            if node.file_type != FileType::Directory {
-                return Err(FsError::NotADirectory(self.path_of(cur)));
-            }
-            cur =
-                *node.entries.get(name.as_ref()).ok_or_else(|| FsError::NotFound(norm.clone()))?;
+        self.descend(&walkable(path.as_ref())?)
+    }
+
+    /// Resolves the directory that holds `path`'s last name, and that
+    /// name: the one descent behind every `_at` operation's path form.
+    /// The directory is not checked to be one; each `_at` form reports
+    /// that in its own way.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::InvalidPath`] for relative paths and for the root
+    /// (which has no name), and [`SimFs::lookup`]'s errors on the
+    /// parent.
+    pub fn lookup_parent<'p>(&self, path: &'p Path) -> Result<ParentAndName<'p>, FsError> {
+        let Split { dir, name } = split(walkable(path)?)?;
+        Ok((self.descend(&dir)?, name))
+    }
+
+    /// Resolves both sides of a rename, [`SimFs::lookup_parent`] for
+    /// each, or `None` when `from` and `to` name the same path (a
+    /// rename that does nothing). Both paths are vetted and split
+    /// before either is walked.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimFs::lookup_parent`], `from`'s before `to`'s.
+    pub fn lookup_rename<'p>(
+        &self,
+        from: &'p Path,
+        to: &'p Path,
+    ) -> Result<Option<(ParentAndName<'p>, ParentAndName<'p>)>, FsError> {
+        let (from, to) = (walkable(from)?, walkable(to)?);
+        if from == to {
+            return Ok(None);
         }
-        Ok(cur)
+        let (from, to) = (split(from)?, split(to)?);
+        Ok(Some(((self.descend(&from.dir)?, from.name), (self.descend(&to.dir)?, to.name))))
+    }
+
+    /// The entry `name` in `dir`, if there is one (never, when `dir` is
+    /// not a directory).
+    pub fn child(&self, dir: InodeId, name: &str) -> Option<InodeId> {
+        self.node(dir).entries.get(name).copied()
+    }
+
+    /// Resolves the entry `name` in `dir`: the last step of
+    /// [`SimFs::lookup`].
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotADirectory`] when `dir` is not a directory,
+    /// [`FsError::NotFound`] when it has no such entry.
+    pub fn lookup_at(&self, dir: InodeId, name: &str) -> Result<InodeId, FsError> {
+        if !self.is_dir(dir) {
+            return Err(FsError::NotADirectory(self.path_of(dir)));
+        }
+        self.existing(dir, name)
+    }
+
+    /// [`SimFs::child`], or [`FsError::NotFound`] naming the entry.
+    fn existing(&self, dir: InodeId, name: &str) -> Result<InodeId, FsError> {
+        self.child(dir, name).ok_or_else(|| FsError::NotFound(self.entry_path(dir, name)))
     }
 
     /// True when `path` resolves to an object.
@@ -145,8 +292,19 @@ impl SimFs {
     ///
     /// Panics when `id` names no live inode.
     pub fn path_of(&self, id: InodeId) -> PathBuf {
+        self.entry_path(id, "")
+    }
+
+    /// The absolute path of the entry `name` in directory `dir`, as
+    /// [`SimFs::entry_path_into`] writes it, allocated once at its exact
+    /// length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dir` names no live inode.
+    pub fn entry_path(&self, dir: InodeId, name: &str) -> PathBuf {
         let mut path = PathBuf::new();
-        self.path_into(id, &mut path);
+        self.entry_path_into(dir, name, &mut path);
         path
     }
 
@@ -232,9 +390,9 @@ impl SimFs {
     /// [`FsError::InvalidPath`] when `path` is not a symlink, plus lookup
     /// errors.
     pub fn read_link(&self, path: impl AsRef<Path>) -> Result<String, FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let id = self.lookup(&norm)?;
-        self.node(id).link_target.clone().ok_or(FsError::InvalidPath(norm))
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
+        self.node(id).link_target.clone().ok_or_else(|| FsError::InvalidPath(normalized(path)))
     }
 
     /// Lists a directory's entries in name order.
@@ -244,10 +402,11 @@ impl SimFs {
     /// [`FsError::NotADirectory`] when `path` is not a directory, plus
     /// lookup errors.
     pub fn read_dir(&self, path: impl AsRef<Path>) -> Result<Vec<DirEntry>, FsError> {
-        let id = self.lookup(path.as_ref())?;
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
         let node = self.node(id);
         if node.file_type != FileType::Directory {
-            return Err(FsError::NotADirectory(normalize_path(path.as_ref())?));
+            return Err(FsError::NotADirectory(normalized(path)));
         }
         Ok(node
             .entries
@@ -264,16 +423,16 @@ impl SimFs {
     /// every object (excluding the root itself). Order is deterministic.
     pub fn walk(&self) -> Vec<(PathBuf, Stat)> {
         let mut out = Vec::new();
-        self.walk_into(InodeId::ROOT, &PathBuf::from("/"), &mut out);
+        self.walk_into(InodeId::ROOT, Path::new("/"), &mut out);
         out
     }
 
     fn walk_into(&self, dir: InodeId, dir_path: &Path, out: &mut Vec<(PathBuf, Stat)>) {
         let node = self.node(dir);
         for (name, &child) in &node.entries {
-            let child_path = join_path(dir_path, name);
+            let child_path = dir_path.join(name);
             out.push((child_path.clone(), self.stat_inode(child)));
-            if self.node(child).file_type == FileType::Directory {
+            if self.is_dir(child) {
                 self.walk_into(child, &child_path, out);
             }
         }
@@ -297,23 +456,34 @@ impl SimFs {
         id
     }
 
-    /// Resolves the parent directory of `path`, returning
-    /// `(parent_id, name, normalized_path)` and verifying the name is not
-    /// already taken.
-    fn prepare_new_entry(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<(InodeId, String, PathBuf), FsError> {
-        let (parent_path, name) = parent_and_name(path.as_ref())?;
-        let parent = self.lookup(&parent_path)?;
-        if self.node(parent).file_type != FileType::Directory {
-            return Err(FsError::NotADirectory(parent_path));
+    /// Checks that `name` can be made in `parent`: a single, proper name
+    /// in a directory that does not hold it yet.
+    fn check_new(&self, parent: InodeId, name: &str) -> Result<(), FsError> {
+        self.check_name(parent, name)?;
+        let node = self.node(parent);
+        if node.file_type != FileType::Directory {
+            return Err(FsError::NotADirectory(self.path_of(parent)));
         }
-        let full = join_path(&parent_path, &name);
-        if self.node(parent).entries.contains_key(&name) {
-            return Err(FsError::AlreadyExists(full));
+        if node.entries.contains_key(name) {
+            return Err(FsError::AlreadyExists(self.entry_path(parent, name)));
         }
-        Ok((parent, name, full))
+        Ok(())
+    }
+
+    /// Checks that `name`, to be made in `parent`, is one proper name,
+    /// as a path's last component always is.
+    fn check_name(&self, parent: InodeId, name: &str) -> Result<(), FsError> {
+        if name.is_empty() || name == "." || name == ".." || name.contains('/') {
+            return Err(FsError::InvalidPath(self.entry_path(parent, name)));
+        }
+        Ok(())
+    }
+
+    /// Puts the new `inode` in the table and under `name` in `parent`.
+    fn insert_new(&mut self, parent: InodeId, name: &str, inode: Inode, now: SimTime) {
+        let id = inode.id;
+        self.inodes.insert(id, inode);
+        self.insert_child(parent, name, id, now);
     }
 
     fn insert_child(&mut self, parent: InodeId, name: &str, child: InodeId, now: SimTime) {
@@ -321,6 +491,15 @@ impl SimFs {
         p.entries.insert(name.to_owned(), child);
         p.mtime = now;
         p.ctime = now;
+    }
+
+    /// Takes `name` out of `parent`.
+    fn remove_child(&mut self, parent: InodeId, name: &str, now: SimTime) -> &mut Inode {
+        let p = self.node_mut(parent);
+        p.entries.remove(name);
+        p.mtime = now;
+        p.ctime = now;
+        p
     }
 
     // ---- mutations ------------------------------------------------------
@@ -332,22 +511,28 @@ impl SimFs {
     /// [`FsError::AlreadyExists`] when the name is taken, plus lookup
     /// errors on the parent.
     pub fn create(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<InodeId, FsError> {
-        let (parent, name, full) = self.prepare_new_entry(path)?;
+        let (parent, name) = self.lookup_parent(path.as_ref())?;
+        self.create_at(parent, &name, now)
+    }
+
+    /// [`SimFs::create`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotADirectory`] when `parent` is not a directory,
+    /// [`FsError::AlreadyExists`] when the name is taken,
+    /// [`FsError::InvalidPath`] when `name` is not a single name.
+    pub fn create_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        now: SimTime,
+    ) -> Result<InodeId, FsError> {
+        self.check_new(parent, name)?;
         let id = self.alloc_id();
-        self.inodes.insert(id, Inode::new_file(id, parent, &name, now));
-        self.insert_child(parent, &name, id, now);
+        self.insert_new(parent, name, Inode::new_file(id, parent, name, now), now);
         self.files += 1;
-        self.notify(FsOp {
-            kind: FsOpKind::Create,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: full,
-            src_parent: None,
-            src_path: None,
-            is_dir: false,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::Create, now, id, parent, name, false));
         Ok(id)
     }
 
@@ -358,50 +543,49 @@ impl SimFs {
     /// [`FsError::AlreadyExists`] when the name is taken, plus lookup
     /// errors on the parent.
     pub fn mkdir(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<InodeId, FsError> {
-        let (parent, name, full) = self.prepare_new_entry(path)?;
+        let (parent, name) = self.lookup_parent(path.as_ref())?;
+        self.mkdir_at(parent, &name, now)
+    }
+
+    /// [`SimFs::mkdir`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimFs::create_at`].
+    pub fn mkdir_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        now: SimTime,
+    ) -> Result<InodeId, FsError> {
+        self.check_new(parent, name)?;
         let id = self.alloc_id();
-        self.inodes.insert(id, Inode::new_dir(id, Some(parent), &name, now));
-        self.insert_child(parent, &name, id, now);
+        self.insert_new(parent, name, Inode::new_dir(id, Some(parent), name, now), now);
         self.node_mut(parent).nlink += 1;
         self.dirs += 1;
-        self.notify(FsOp {
-            kind: FsOpKind::Mkdir,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: full,
-            src_parent: None,
-            src_path: None,
-            is_dir: true,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::Mkdir, now, id, parent, name, true));
         Ok(id)
     }
 
-    /// Creates a directory and any missing ancestors. Existing
-    /// directories along the way are fine.
+    /// Creates a directory and any missing ancestors, in one descent.
+    /// Existing directories along the way are fine.
     ///
     /// # Errors
     ///
     /// [`FsError::NotADirectory`] if an existing component is a file.
     pub fn mkdir_all(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<InodeId, FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let mut cur = PathBuf::from("/");
-        let mut id = InodeId::ROOT;
-        for comp in norm.components().skip(1) {
-            cur.push(comp);
-            id = match self.lookup(&cur) {
-                Ok(existing) => {
-                    if self.node(existing).file_type != FileType::Directory {
-                        return Err(FsError::NotADirectory(cur));
-                    }
-                    existing
-                }
-                Err(FsError::NotFound(_)) => self.mkdir(&cur, now)?,
-                Err(e) => return Err(e),
+        let path = walkable(path.as_ref())?;
+        let mut dir = InodeId::ROOT;
+        for comp in path.components() {
+            let Component::Normal(name) = comp else { continue };
+            let name = name.to_string_lossy();
+            dir = match self.child(dir, &name) {
+                Some(id) if self.is_dir(id) => id,
+                Some(_) => return Err(FsError::NotADirectory(self.entry_path(dir, &name))),
+                None => self.mkdir_at(dir, &name, now)?,
             };
         }
-        Ok(id)
+        Ok(dir)
     }
 
     /// Creates a symbolic link at `path` pointing at `target`.
@@ -416,22 +600,27 @@ impl SimFs {
         target: &str,
         now: SimTime,
     ) -> Result<InodeId, FsError> {
-        let (parent, name, full) = self.prepare_new_entry(path)?;
+        let (parent, name) = self.lookup_parent(path.as_ref())?;
+        self.symlink_at(parent, &name, target, now)
+    }
+
+    /// [`SimFs::symlink`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimFs::create_at`].
+    pub fn symlink_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        target: &str,
+        now: SimTime,
+    ) -> Result<InodeId, FsError> {
+        self.check_new(parent, name)?;
         let id = self.alloc_id();
-        self.inodes.insert(id, Inode::new_symlink(id, parent, &name, target, now));
-        self.insert_child(parent, &name, id, now);
+        self.insert_new(parent, name, Inode::new_symlink(id, parent, name, target, now), now);
         self.files += 1;
-        self.notify(FsOp {
-            kind: FsOpKind::Symlink,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: full,
-            src_parent: None,
-            src_path: None,
-            is_dir: false,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::Symlink, now, id, parent, name, false));
         Ok(id)
     }
 
@@ -448,26 +637,41 @@ impl SimFs {
         new_path: impl AsRef<Path>,
         now: SimTime,
     ) -> Result<(), FsError> {
-        let target = self.lookup(existing.as_ref())?;
-        if self.node(target).file_type == FileType::Directory {
-            return Err(FsError::IsADirectory(normalize_path(existing.as_ref())?));
-        }
-        let (parent, name, full) = self.prepare_new_entry(new_path)?;
-        self.insert_child(parent, &name, target, now);
+        let target = self.lookup(existing)?;
+        // A directory is refused before the new path is walked.
+        self.linkable(target)?;
+        let (parent, name) = self.lookup_parent(new_path.as_ref())?;
+        self.hardlink_at(target, parent, &name, now)
+    }
+
+    /// [`SimFs::hardlink`] of the object `target` as the entry `name` in
+    /// directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::IsADirectory`] when `target` is a directory, then as
+    /// [`SimFs::create_at`].
+    pub fn hardlink_at(
+        &mut self,
+        target: InodeId,
+        parent: InodeId,
+        name: &str,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        self.linkable(target)?;
+        self.check_new(parent, name)?;
+        self.insert_child(parent, name, target, now);
         let n = self.node_mut(target);
         n.nlink += 1;
         n.ctime = now;
-        self.notify(FsOp {
-            kind: FsOpKind::HardLink,
-            time: now,
-            inode: target,
-            parent,
-            name,
-            path: full,
-            src_parent: None,
-            src_path: None,
-            is_dir: false,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::HardLink, now, target, parent, name, false));
+        Ok(())
+    }
+
+    fn linkable(&self, target: InodeId) -> Result<(), FsError> {
+        if self.is_dir(target) {
+            return Err(FsError::IsADirectory(self.path_of(target)));
+        }
         Ok(())
     }
 
@@ -478,18 +682,22 @@ impl SimFs {
     /// [`FsError::IsADirectory`] for directories (use [`SimFs::rmdir`]),
     /// plus lookup errors.
     pub fn unlink(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<(), FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let (parent_path, name) = parent_and_name(&norm)?;
-        let parent = self.lookup(&parent_path)?;
-        let id =
-            *self.node(parent).entries.get(&name).ok_or_else(|| FsError::NotFound(norm.clone()))?;
-        if self.node(id).file_type == FileType::Directory {
-            return Err(FsError::IsADirectory(norm));
+        let (parent, name) = self.lookup_parent(path.as_ref())?;
+        self.unlink_at(parent, &name, now)
+    }
+
+    /// [`SimFs::unlink`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotFound`] when `parent` holds no such entry (or is no
+    /// directory), [`FsError::IsADirectory`] for a directory.
+    pub fn unlink_at(&mut self, parent: InodeId, name: &str, now: SimTime) -> Result<(), FsError> {
+        let id = self.existing(parent, name)?;
+        if self.is_dir(id) {
+            return Err(FsError::IsADirectory(self.entry_path(parent, name)));
         }
-        self.node_mut(parent).entries.remove(&name);
-        let p = self.node_mut(parent);
-        p.mtime = now;
-        p.ctime = now;
+        self.remove_child(parent, name, now);
         let node = self.node_mut(id);
         node.nlink -= 1;
         node.ctime = now;
@@ -513,17 +721,7 @@ impl SimFs {
                 node.name = name;
             }
         }
-        self.notify(FsOp {
-            kind: FsOpKind::Unlink { last_link },
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: norm,
-            src_parent: None,
-            src_path: None,
-            is_dir: false,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::Unlink { last_link }, now, id, parent, name, false));
         Ok(())
     }
 
@@ -535,36 +733,30 @@ impl SimFs {
     /// [`FsError::NotADirectory`] when it is a file,
     /// [`FsError::InvalidPath`] for the root, plus lookup errors.
     pub fn rmdir(&mut self, path: impl AsRef<Path>, now: SimTime) -> Result<(), FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let (parent_path, name) = parent_and_name(&norm)?;
-        let parent = self.lookup(&parent_path)?;
-        let id =
-            *self.node(parent).entries.get(&name).ok_or_else(|| FsError::NotFound(norm.clone()))?;
+        let (parent, name) = self.lookup_parent(path.as_ref())?;
+        self.rmdir_at(parent, &name, now)
+    }
+
+    /// [`SimFs::rmdir`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotFound`] when `parent` holds no such entry (or is no
+    /// directory), [`FsError::NotADirectory`] when the entry is not one,
+    /// [`FsError::NotEmpty`] when it still has entries.
+    pub fn rmdir_at(&mut self, parent: InodeId, name: &str, now: SimTime) -> Result<(), FsError> {
+        let id = self.existing(parent, name)?;
         let node = self.node(id);
         if node.file_type != FileType::Directory {
-            return Err(FsError::NotADirectory(norm));
+            return Err(FsError::NotADirectory(self.entry_path(parent, name)));
         }
         if !node.entries.is_empty() {
-            return Err(FsError::NotEmpty(norm));
+            return Err(FsError::NotEmpty(self.entry_path(parent, name)));
         }
-        self.node_mut(parent).entries.remove(&name);
-        let p = self.node_mut(parent);
-        p.mtime = now;
-        p.ctime = now;
-        p.nlink -= 1;
+        self.remove_child(parent, name, now).nlink -= 1;
         self.inodes.remove(&id);
         self.dirs -= 1;
-        self.notify(FsOp {
-            kind: FsOpKind::Rmdir,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: norm,
-            src_parent: None,
-            src_path: None,
-            is_dir: true,
-        });
+        self.notify(|fs| fs.entry_op(FsOpKind::Rmdir, now, id, parent, name, true));
         Ok(())
     }
 
@@ -582,74 +774,76 @@ impl SimFs {
         to: impl AsRef<Path>,
         now: SimTime,
     ) -> Result<(), FsError> {
-        let from_norm = normalize_path(from.as_ref())?;
-        let to_norm = normalize_path(to.as_ref())?;
-        if from_norm == to_norm {
-            return Ok(());
+        match self.lookup_rename(from.as_ref(), to.as_ref())? {
+            Some(((from_parent, from_name), (to_parent, to_name))) => {
+                self.rename_at(from_parent, &from_name, to_parent, &to_name, now)
+            }
+            None => Ok(()),
         }
-        let (from_parent_path, from_name) = parent_and_name(&from_norm)?;
-        let (to_parent_path, to_name) = parent_and_name(&to_norm)?;
-        let from_parent = self.lookup(&from_parent_path)?;
-        let to_parent = self.lookup(&to_parent_path)?;
-        if self.node(to_parent).file_type != FileType::Directory {
-            return Err(FsError::NotADirectory(to_parent_path));
+    }
+
+    /// [`SimFs::rename`] of the entry `from_name` in directory
+    /// `from_parent` to the entry `to_name` in directory `to_parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::NotADirectory`] when `to_parent` is not a directory,
+    /// [`FsError::NotFound`] when `from_parent` holds no `from_name`,
+    /// then as [`SimFs::rename`].
+    pub fn rename_at(
+        &mut self,
+        from_parent: InodeId,
+        from_name: &str,
+        to_parent: InodeId,
+        to_name: &str,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        if !self.is_dir(to_parent) {
+            return Err(FsError::NotADirectory(self.path_of(to_parent)));
         }
-        let id = *self
-            .node(from_parent)
-            .entries
-            .get(&from_name)
-            .ok_or_else(|| FsError::NotFound(from_norm.clone()))?;
-        let moving_dir = self.node(id).file_type == FileType::Directory;
+        let id = self.existing(from_parent, from_name)?;
+        let moving_dir = self.is_dir(id);
 
         if moving_dir {
             // Guard against moving a directory into its own subtree.
             let mut cur = Some(to_parent);
             while let Some(c) = cur {
                 if c == id {
-                    return Err(FsError::RenameIntoSelf(from_norm));
+                    return Err(FsError::RenameIntoSelf(self.entry_path(from_parent, from_name)));
                 }
                 cur = self.node(c).parent;
             }
         }
 
         // Handle an existing destination.
-        if let Some(&dest) = self.node(to_parent).entries.get(&to_name) {
+        if let Some(dest) = self.child(to_parent, to_name) {
             if dest == id {
                 return Ok(());
             }
-            if self.node(dest).file_type == FileType::Directory {
-                return Err(FsError::AlreadyExists(to_norm));
+            if self.is_dir(dest) {
+                return Err(FsError::AlreadyExists(self.entry_path(to_parent, to_name)));
             }
-            self.unlink(&to_norm, now)?;
+            self.unlink_at(to_parent, to_name, now)?;
+        } else {
+            self.check_name(to_parent, to_name)?;
         }
 
-        self.node_mut(from_parent).entries.remove(&from_name);
-        {
-            let p = self.node_mut(from_parent);
-            p.mtime = now;
-            p.ctime = now;
-            if moving_dir {
-                p.nlink -= 1;
-            }
+        let from = self.remove_child(from_parent, from_name, now);
+        if moving_dir {
+            from.nlink -= 1;
         }
-        self.insert_child(to_parent, &to_name, id, now);
+        self.insert_child(to_parent, to_name, id, now);
         if moving_dir {
             self.node_mut(to_parent).nlink += 1;
         }
         let n = self.node_mut(id);
         n.parent = Some(to_parent);
-        n.name = to_name.clone();
+        n.name = to_name.to_owned();
         n.ctime = now;
-        self.notify(FsOp {
-            kind: FsOpKind::Rename,
-            time: now,
-            inode: id,
-            parent: to_parent,
-            name: to_name,
-            path: to_norm,
+        self.notify(|fs| FsOp {
             src_parent: Some(from_parent),
-            src_path: Some(from_norm),
-            is_dir: moving_dir,
+            src_path: Some(fs.entry_path(from_parent, from_name)),
+            ..fs.entry_op(FsOpKind::Rename, now, id, to_parent, to_name, moving_dir)
         });
         Ok(())
     }
@@ -665,7 +859,26 @@ impl SimFs {
         bytes: u64,
         now: SimTime,
     ) -> Result<(), FsError> {
-        self.content_op(path, now, FsOpKind::Write, |n| n.size += bytes)
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
+        self.change(id, |_| normalized(path), now, FsOpKind::Write, |n| n.size += bytes)
+    }
+
+    /// [`SimFs::write`] to the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimFs::lookup_at`]'s errors, and [`FsError::IsADirectory`].
+    pub fn write_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        bytes: u64,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let id = self.lookup_at(parent, name)?;
+        let path = |fs: &Self| fs.entry_path(parent, name);
+        self.change(id, path, now, FsOpKind::Write, |n| n.size += bytes)
     }
 
     /// Truncates the file at `path` to `size` bytes.
@@ -679,37 +892,64 @@ impl SimFs {
         size: u64,
         now: SimTime,
     ) -> Result<(), FsError> {
-        self.content_op(path, now, FsOpKind::Truncate, |n| n.size = size)
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
+        self.change(id, |_| normalized(path), now, FsOpKind::Truncate, |n| n.size = size)
     }
 
-    fn content_op(
+    /// [`SimFs::truncate`] of the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimFs::write_at`].
+    pub fn truncate_at(
         &mut self,
-        path: impl AsRef<Path>,
+        parent: InodeId,
+        name: &str,
+        size: u64,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let id = self.lookup_at(parent, name)?;
+        let path = |fs: &Self| fs.entry_path(parent, name);
+        self.change(id, path, now, FsOpKind::Truncate, |n| n.size = size)
+    }
+
+    /// Applies a change of `kind` to `id`, which `path` names: a content
+    /// change (a write or truncate) to a file only, stamping its mtime,
+    /// a metadata change to any object, stamping its ctime. Notifies it
+    /// under the object's primary parent and name.
+    fn change(
+        &mut self,
+        id: InodeId,
+        path: impl FnOnce(&Self) -> PathBuf,
         now: SimTime,
         kind: FsOpKind,
         apply: impl FnOnce(&mut Inode),
     ) -> Result<(), FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let id = self.lookup(&norm)?;
-        if self.node(id).file_type == FileType::Directory {
-            return Err(FsError::IsADirectory(norm));
+        let content = matches!(kind, FsOpKind::Write | FsOpKind::Truncate);
+        if content && self.is_dir(id) {
+            return Err(FsError::IsADirectory(path(self)));
         }
-        let (parent, name) = {
-            let n = self.node_mut(id);
-            apply(n);
+        let n = self.node_mut(id);
+        apply(n);
+        if content {
             n.mtime = now;
-            (n.parent.unwrap_or(InodeId::ROOT), n.name.clone())
-        };
-        self.notify(FsOp {
-            kind,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: norm,
-            src_parent: None,
-            src_path: None,
-            is_dir: false,
+        } else {
+            n.ctime = now;
+        }
+        self.notify(|fs| {
+            let n = fs.node(id);
+            FsOp {
+                kind,
+                time: now,
+                inode: id,
+                parent: n.parent.unwrap_or(InodeId::ROOT),
+                name: n.name.clone(),
+                path: path(fs),
+                src_parent: None,
+                src_path: None,
+                is_dir: n.file_type == FileType::Directory,
+            }
         });
         Ok(())
     }
@@ -726,26 +966,28 @@ impl SimFs {
         value: impl Into<Vec<u8>>,
         now: SimTime,
     ) -> Result<(), FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let id = self.lookup(&norm)?;
-        let (parent, name, is_dir) = {
-            let n = self.node_mut(id);
-            n.xattrs.insert(key.into(), value.into());
-            n.ctime = now;
-            (n.parent.unwrap_or(InodeId::ROOT), n.name.clone(), n.file_type == FileType::Directory)
-        };
-        self.notify(FsOp {
-            kind: FsOpKind::SetXattr,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: norm,
-            src_parent: None,
-            src_path: None,
-            is_dir,
-        });
-        Ok(())
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
+        let apply = |n: &mut Inode| drop(n.xattrs.insert(key.into(), value.into()));
+        self.change(id, |_| normalized(path), now, FsOpKind::SetXattr, apply)
+    }
+
+    /// [`SimFs::set_xattr`] on the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimFs::lookup_at`]'s errors.
+    pub fn set_xattr_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        key: impl Into<String>,
+        value: impl Into<Vec<u8>>,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let id = self.lookup_at(parent, name)?;
+        let apply = |n: &mut Inode| drop(n.xattrs.insert(key.into(), value.into()));
+        self.change(id, |fs| fs.entry_path(parent, name), now, FsOpKind::SetXattr, apply)
     }
 
     /// Reads an extended attribute, if set.
@@ -779,26 +1021,25 @@ impl SimFs {
         mode: u32,
         now: SimTime,
     ) -> Result<(), FsError> {
-        let norm = normalize_path(path.as_ref())?;
-        let id = self.lookup(&norm)?;
-        let (parent, name, is_dir) = {
-            let n = self.node_mut(id);
-            n.mode = mode;
-            n.ctime = now;
-            (n.parent.unwrap_or(InodeId::ROOT), n.name.clone(), n.file_type == FileType::Directory)
-        };
-        self.notify(FsOp {
-            kind: FsOpKind::SetAttr,
-            time: now,
-            inode: id,
-            parent,
-            name,
-            path: norm,
-            src_parent: None,
-            src_path: None,
-            is_dir,
-        });
-        Ok(())
+        let path = path.as_ref();
+        let id = self.lookup(path)?;
+        self.change(id, |_| normalized(path), now, FsOpKind::SetAttr, |n| n.mode = mode)
+    }
+
+    /// [`SimFs::set_attr`] on the entry `name` in directory `parent`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimFs::lookup_at`]'s errors.
+    pub fn set_attr_at(
+        &mut self,
+        parent: InodeId,
+        name: &str,
+        mode: u32,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let id = self.lookup_at(parent, name)?;
+        self.change(id, |fs| fs.entry_path(parent, name), now, FsOpKind::SetAttr, |n| n.mode = mode)
     }
 }
 
@@ -1111,6 +1352,59 @@ mod tests {
     fn path_of_root() {
         let fs = SimFs::new();
         assert_eq!(fs.path_of(InodeId::ROOT), PathBuf::from("/"));
+    }
+
+    #[test]
+    fn at_forms_take_a_directory_and_one_name() {
+        let mut fs = SimFs::new();
+        let d = fs.mkdir_at(InodeId::ROOT, "d", t(0)).unwrap();
+        let f = fs.create_at(d, "f", t(0)).unwrap();
+        assert_eq!(fs.lookup_at(d, "f"), Ok(f));
+        assert_eq!(fs.lookup("/d/f"), Ok(f));
+        fs.write_at(d, "f", 5, t(1)).unwrap();
+        assert_eq!(fs.stat_inode(f).size, 5);
+        fs.rename_at(d, "f", InodeId::ROOT, "g", t(2)).unwrap();
+        assert_eq!(fs.path_of(f), PathBuf::from("/g"));
+        for bad in ["", ".", "..", "x/y"] {
+            assert!(matches!(fs.create_at(d, bad, t(3)), Err(FsError::InvalidPath(_))), "{bad:?}");
+            assert!(matches!(
+                fs.rename_at(InodeId::ROOT, "g", d, bad, t(3)),
+                Err(FsError::InvalidPath(_))
+            ));
+        }
+        assert_eq!(fs.lookup_at(f, "x"), Err(FsError::NotADirectory(PathBuf::from("/g"))));
+        assert_eq!(fs.lookup_at(d, "f"), Err(FsError::NotFound(PathBuf::from("/d/f"))));
+        fs.unlink_at(InodeId::ROOT, "g", t(4)).unwrap();
+        fs.rmdir_at(InodeId::ROOT, "d", t(5)).unwrap();
+        assert_eq!(fs.walk(), vec![]);
+    }
+
+    #[test]
+    fn lookup_parent_borrows_the_name_unless_the_path_has_dot_dot() {
+        let mut fs = SimFs::new();
+        let a = fs.mkdir("/a", t(0)).unwrap();
+        let (dir, name) = fs.lookup_parent(Path::new("/a//b/")).unwrap();
+        assert_eq!((dir, &*name), (a, "b"));
+        assert!(matches!(name, Cow::Borrowed(_)));
+        let (dir, name) = fs.lookup_parent(Path::new("/x/../a/b")).unwrap();
+        assert_eq!((dir, &*name), (a, "b"));
+        assert!(matches!(name, Cow::Owned(_)));
+        assert_eq!(fs.lookup_parent(Path::new("/")), Err(FsError::InvalidPath("/".into())));
+        assert_eq!(
+            fs.lookup_parent(Path::new("/a/..")).map(|(d, _)| d),
+            Err(FsError::InvalidPath("/".into()))
+        );
+    }
+
+    #[test]
+    fn a_linked_file_used_as_a_directory_is_named_by_its_primary_link() {
+        let mut fs = SimFs::new();
+        fs.create("/f", t(0)).unwrap();
+        fs.hardlink("/f", "/g", t(0)).unwrap();
+        let named = |e: FsError| e.path().clone();
+        assert_eq!(fs.lookup("/g/x").map_err(named), Err(PathBuf::from("/f")));
+        assert_eq!(fs.create("/g/x", t(1)).map_err(named), Err(PathBuf::from("/f")));
+        assert_eq!(fs.unlink("/g/x", t(1)).map_err(named), Err(PathBuf::from("/f/x")));
     }
 
     #[test]

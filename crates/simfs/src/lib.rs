@@ -15,6 +15,12 @@
 //! [`FsOp`] to registered observers — the hook from which both ChangeLogs
 //! and inotify events are derived.
 //!
+//! Each mutation has one implementation, its `_at` form
+//! ([`SimFs::mkdir_at`], [`SimFs::rename_at`], …), which takes the
+//! parent directory's inode and a name. The path form walks the path
+//! once ([`SimFs::lookup_parent`]) and calls it; callers that already
+//! hold the directory, such as `lustre-sim`, call the `_at` form.
+//!
 //! Timestamps are supplied by the caller as [`SimTime`] so the filesystem
 //! composes with both the discrete-event kernel and wall-clock drivers.
 //!
@@ -42,14 +48,16 @@
 
 mod error;
 mod fs;
+mod hash;
 mod node;
 mod ops;
 mod path;
 
 pub use error::FsError;
-pub use fs::{DirEntry, SimFs, Stat};
+pub use fs::{DirEntry, ParentAndName, SimFs, Stat};
+pub use hash::{IdHasher, IdMap};
 pub use node::{FileType, InodeId};
 pub use ops::{FsOp, FsOpKind, Observer, ObserverId};
-pub use path::{join_path, normalize_path, parent_and_name};
+pub use path::{normalize_path, walkable};
 
 pub use sdci_types::SimTime;

@@ -1,10 +1,11 @@
 //! Absolute-path helpers.
 //!
-//! `SimFs` works exclusively with normalized absolute paths ("/a/b/c").
-//! These helpers normalize user input and split paths into (parent, name)
-//! pairs without touching the real filesystem.
+//! `SimFs` names objects by absolute paths ("/a/b/c"). These helpers
+//! vet and normalise caller input without touching the real filesystem,
+//! and copy a path only when its spelling holds a `..`.
 
 use crate::FsError;
+use std::borrow::Cow;
 use std::path::{Component, Path, PathBuf};
 
 /// Normalizes `path` to an absolute path with no `.`/`..` components.
@@ -30,49 +31,63 @@ use std::path::{Component, Path, PathBuf};
 pub fn normalize_path(path: impl AsRef<Path>) -> Result<PathBuf, FsError> {
     let path = path.as_ref();
     let mut components = path.components();
-    match components.next() {
-        Some(Component::RootDir) => {}
-        _ => return Err(FsError::InvalidPath(path.to_path_buf())),
+    if components.next() != Some(Component::RootDir)
+        || components.any(|c| matches!(c, Component::RootDir | Component::Prefix(_)))
+    {
+        return Err(FsError::InvalidPath(path.to_path_buf()));
     }
+    Ok(normalized(path))
+}
+
+/// What [`normalize_path`] returns for a path it accepts: the names
+/// under the root, `.` dropped and `..` applied lexically. Errors name
+/// a path this way, so only a failing or observed operation builds it.
+pub(crate) fn normalized(path: &Path) -> PathBuf {
     let mut out = PathBuf::from("/");
-    for comp in components {
+    for comp in path.components() {
         match comp {
             Component::Normal(name) => out.push(name),
-            Component::CurDir => {}
             Component::ParentDir => {
                 out.pop();
             }
-            Component::RootDir | Component::Prefix(_) => {
-                return Err(FsError::InvalidPath(path.to_path_buf()))
-            }
+            Component::RootDir | Component::CurDir | Component::Prefix(_) => {}
         }
     }
-    Ok(out)
+    out
 }
 
-/// Splits a normalized absolute path into its parent directory and final
-/// name component.
+/// `path` as a walk reads it: the caller's own bytes when it is
+/// absolute and names no `..` (`Path::components` already skips `.` and
+/// repeated or trailing separators), a normalised copy when it does, so
+/// `..` stays lexical. Its `Normal` components are the names to descend
+/// through, in order.
 ///
 /// # Errors
 ///
-/// Returns [`FsError::InvalidPath`] for the root itself (it has no parent
-/// entry) and for non-absolute input.
-pub fn parent_and_name(path: impl AsRef<Path>) -> Result<(PathBuf, String), FsError> {
-    let norm = normalize_path(path.as_ref())?;
-    let name = norm
-        .file_name()
-        .ok_or_else(|| FsError::InvalidPath(norm.clone()))?
-        .to_string_lossy()
-        .into_owned();
-    let parent = norm.parent().unwrap_or(Path::new("/")).to_path_buf();
-    Ok((parent, name))
-}
-
-/// Joins a directory path and an entry name.
-pub fn join_path(dir: &Path, name: &str) -> PathBuf {
-    let mut p = dir.to_path_buf();
-    p.push(name);
-    p
+/// [`FsError::InvalidPath`] as [`normalize_path`] reports it.
+///
+/// # Example
+///
+/// ```
+/// use simfs::walkable;
+/// use std::borrow::Cow;
+/// use std::path::Path;
+///
+/// assert!(matches!(walkable(Path::new("/a/./b//c/"))?, Cow::Borrowed(_)));
+/// assert_eq!(walkable(Path::new("/a/x/../c"))?, Path::new("/a/c"));
+/// assert!(walkable(Path::new("a/b")).is_err());
+/// # Ok::<(), simfs::FsError>(())
+/// ```
+pub fn walkable(path: &Path) -> Result<Cow<'_, Path>, FsError> {
+    let mut components = path.components();
+    if components.next() != Some(Component::RootDir) {
+        return Err(FsError::InvalidPath(path.to_path_buf()));
+    }
+    if components.all(|c| matches!(c, Component::Normal(_))) {
+        Ok(Cow::Borrowed(path))
+    } else {
+        normalize_path(path).map(Cow::Owned)
+    }
 }
 
 #[cfg(test)]
@@ -91,26 +106,5 @@ mod tests {
     fn normalize_rejects_relative() {
         assert!(matches!(normalize_path("a/b"), Err(FsError::InvalidPath(_))));
         assert!(matches!(normalize_path(""), Err(FsError::InvalidPath(_))));
-    }
-
-    #[test]
-    fn parent_and_name_splits() {
-        let (p, n) = parent_and_name("/a/b/c.txt").unwrap();
-        assert_eq!(p, PathBuf::from("/a/b"));
-        assert_eq!(n, "c.txt");
-        let (p, n) = parent_and_name("/top").unwrap();
-        assert_eq!(p, PathBuf::from("/"));
-        assert_eq!(n, "top");
-    }
-
-    #[test]
-    fn parent_and_name_rejects_root() {
-        assert!(parent_and_name("/").is_err());
-    }
-
-    #[test]
-    fn join_appends() {
-        assert_eq!(join_path(Path::new("/a"), "b"), PathBuf::from("/a/b"));
-        assert_eq!(join_path(Path::new("/"), "b"), PathBuf::from("/b"));
     }
 }

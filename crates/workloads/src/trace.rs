@@ -129,6 +129,11 @@ impl From<std::io::Error> for TraceError {
 
 /// Writes trace records as newline-delimited JSON.
 ///
+/// # Errors
+///
+/// [`TraceError::Io`] when the sink fails, or when a record's path is
+/// not UTF-8, which JSON cannot spell.
+///
 /// # Example
 ///
 /// ```
@@ -147,7 +152,8 @@ impl From<std::io::Error> for TraceError {
 /// ```
 pub fn write_trace(mut sink: impl Write, records: &[TraceRecord]) -> Result<(), TraceError> {
     for record in records {
-        let line = serde_json::to_string(record).expect("trace records always serialize");
+        let line = serde_json::to_string(record)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         sink.write_all(line.as_bytes())?;
         sink.write_all(b"\n")?;
     }

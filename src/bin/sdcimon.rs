@@ -255,6 +255,7 @@ impl<'a> Flags<'a> {
 
     /// The value of a flag the role table marks required.
     fn required(&self, flag: &str) -> &'a str {
+        // cannot fail: parsing refuses a command line that lacks a flag the role table marks required.
         self.get(flag).expect("required flags are checked when the arguments are parsed")
     }
 }
@@ -343,7 +344,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
         None => "aggregator".to_string(),
     };
     trace_setup(flags, &role)?;
-    let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7070".parse().unwrap())?;
+    let bind: SocketAddr = flags.parse_or("--bind", SocketAddr::from(([127, 0, 0, 1], 7070)))?;
     let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
 
     let cfg = net_config(flags)?;
@@ -453,7 +454,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
 /// consumers see the whole tier as one logical store.
 fn run_front(flags: &Flags) -> Result<(), String> {
     trace_setup(flags, "front")?;
-    let bind: SocketAddr = flags.parse_or("--bind", "127.0.0.1:7170".parse().unwrap())?;
+    let bind: SocketAddr = flags.parse_or("--bind", SocketAddr::from(([127, 0, 0, 1], 7170)))?;
     let shards: Vec<String> = flags
         .required("--shards")
         .split(',')
@@ -724,8 +725,8 @@ fn run_demo(flags: &Flags) -> Result<(), String> {
         ..MonitorConfig::default()
     };
     let cluster = MonitorClusterBuilder::new(Arc::clone(&lfs)).config(monitor_config).start();
-    let mut generator =
-        EventGenerator::new(Arc::clone(&lfs), 32, OpMix::paper(), 1).expect("generator setup");
+    let mut generator = EventGenerator::new(Arc::clone(&lfs), 32, OpMix::paper(), 1)
+        .map_err(|e| format!("generator setup: {e}"))?;
 
     let mut tick_time = 0u64;
     let start = Instant::now();
@@ -740,7 +741,7 @@ fn run_demo(flags: &Flags) -> Result<(), String> {
                     tick_time += 1;
                     SimTime::from_nanos(tick_time * 100)
                 })
-                .expect("workload");
+                .map_err(|e| format!("workload: {e}"))?;
         }
         // Rates are the counters' deltas over the tick just ended.
         let now = (Instant::now(), cluster.stats());
