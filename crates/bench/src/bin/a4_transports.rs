@@ -36,12 +36,14 @@
 //! a4_transports [--smoke]
 //! ```
 
+use sdci_bench::{joined, write_report};
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_net::wire::{write_hello, Service, BIN_FRAME_BIT};
 use sdci_net::{Endpoint, NetConfig, TcpBroker};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -51,6 +53,9 @@ const PRODUCERS: u64 = 4;
 
 /// Subscriber counts for the consumer-scaling (fan-out) ladder.
 const FANOUT_LADDER: [usize; 5] = [1, 4, 16, 64, 256];
+
+/// The ladder's top rung.
+const FANOUT_TOP: usize = FANOUT_LADDER[FANOUT_LADDER.len() - 1];
 
 /// Events per `publish_batch` on the fan-out ladder: the Aggregator's
 /// ingest batch bound.
@@ -114,9 +119,7 @@ fn run_push_pull(events: u64) -> (f64, u64) {
     while pull.recv().is_some() {
         received += 1;
     }
-    for p in producers {
-        p.join().unwrap();
-    }
+    producers.into_iter().for_each(joined);
     (events as f64 / start.elapsed().as_secs_f64(), received)
 }
 
@@ -145,10 +148,8 @@ fn run_pubsub(events: u64) -> (f64, u64) {
         }
         received
     });
-    for p in producers {
-        p.join().unwrap();
-    }
-    let received = consumer.join().unwrap();
+    producers.into_iter().for_each(joined);
+    let received = joined(consumer);
     (events as f64 / start.elapsed().as_secs_f64(), received)
 }
 
@@ -185,10 +186,8 @@ fn run_pubsub_batched(events: u64, batch: usize) -> (f64, u64) {
         }
         received
     });
-    for p in producers {
-        p.join().unwrap();
-    }
-    let received = consumer.join().unwrap();
+    producers.into_iter().for_each(joined);
+    let received = joined(consumer);
     (events as f64 / start.elapsed().as_secs_f64(), received)
 }
 
@@ -208,22 +207,24 @@ fn frame_contains(frame: &[u8], needle: &[u8]) -> bool {
 /// bytes inside a binary payload, so no decoding is needed). Keeping the client this thin isolates
 /// the broker-side fan-out cost — 256 real consumers' deserializers
 /// would otherwise dominate the measurement and mask the encode delta.
-fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread::JoinHandle<()> {
+fn drain_subscriber(
+    addr: std::net::SocketAddr,
+    ready: Arc<AtomicU64>,
+) -> thread::JoinHandle<io::Result<()>> {
     thread::spawn(move || {
         use std::io::Read;
-        let stream = std::net::TcpStream::connect(addr).expect("connect fan-out subscriber");
-        let mut writer = stream.try_clone().expect("clone fan-out stream");
-        write_hello(&mut writer, Service::Subscriber { prefixes: vec!["bench/".into()] })
-            .expect("subscriber hello");
-        let mut reader = std::io::BufReader::with_capacity(1 << 16, stream);
+        let stream = std::net::TcpStream::connect(addr)?;
+        let mut writer = stream.try_clone()?;
+        write_hello(&mut writer, Service::Subscriber { prefixes: vec!["bench/".into()] })?;
+        let mut reader = io::BufReader::with_capacity(1 << 16, stream);
         let mut announced = false;
         let mut frame = Vec::new();
         loop {
             let mut word = [0u8; 4];
-            reader.read_exact(&mut word).expect("read frame length");
+            reader.read_exact(&mut word)?;
             let len = (u32::from_be_bytes(word) & !BIN_FRAME_BIT) as usize;
             frame.resize(len, 0);
-            reader.read_exact(&mut frame).expect("read frame body");
+            reader.read_exact(&mut frame)?;
             // Markers ride one-member `DeliverBatch` frames, which are
             // small; bulk batch frames are skipped without scanning.
             if len < 1024 {
@@ -232,7 +233,7 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
                     ready.fetch_add(1, Ordering::Relaxed);
                 }
                 if frame_contains(&frame, b"/bench/FIN") {
-                    return;
+                    return Ok(());
                 }
             }
         }
@@ -247,10 +248,13 @@ fn drain_subscriber(addr: std::net::SocketAddr, ready: Arc<AtomicU64>) -> thread
 /// sentinel. Sentinel receipt implies full delivery: every queue on
 /// the path is FIFO and sized above the run, and the sentinel is
 /// published last.
-fn run_fanout(subs: usize, events: u64) -> f64 {
+///
+/// # Errors
+///
+/// The broker's bind, or a subscriber's connect, hello or read.
+fn run_fanout(subs: usize, events: u64) -> io::Result<f64> {
     let broker = TcpBroker::<FileEvent>::new(Broker::new(65_536));
-    let endpoint = Endpoint::bind("127.0.0.1:0", NetConfig::default(), vec![broker.clone()])
-        .expect("bind loopback fan-out broker");
+    let endpoint = Endpoint::bind("127.0.0.1:0", NetConfig::default(), vec![broker.clone()])?;
     let addr = endpoint.local_addr();
     let ready = Arc::new(AtomicU64::new(0));
     let consumers: Vec<_> = (0..subs).map(|_| drain_subscriber(addr, Arc::clone(&ready))).collect();
@@ -271,14 +275,14 @@ fn run_fanout(subs: usize, events: u64) -> f64 {
     // A single publish is its own small frame, which the scanners spot.
     publisher.publish("bench/fin", marker_event("/bench/FIN"));
     for consumer in consumers {
-        consumer.join().expect("fan-out subscriber panicked");
+        joined(consumer)?;
     }
     let rate = (subs as u64 * events) as f64 / start.elapsed().as_secs_f64();
     endpoint.shutdown();
-    rate
+    Ok(rate)
 }
 
-fn main() {
+fn main() -> io::Result<()> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let events: u64 = if smoke { 40_000 } else { 200_000 };
 
@@ -294,14 +298,15 @@ fn main() {
     // Consumer scaling: the fan-out ladder, best of three at the top
     // rung (where scheduler noise is largest), one run below it.
     let fanout_events: u64 = if smoke { 2_000 } else { 6_000 };
-    let top = *FANOUT_LADDER.last().expect("non-empty ladder");
-    let fanout_once: Vec<f64> = FANOUT_LADDER
+    let fanout_once = FANOUT_LADDER
         .iter()
         .map(|&subs| {
-            let runs = if subs == top { 3 } else { 1 };
-            (0..runs).map(|_| run_fanout(subs, fanout_events)).fold(0.0, f64::max)
+            let runs = if subs == FANOUT_TOP { 3 } else { 1 };
+            (0..runs)
+                .map(|_| run_fanout(subs, fanout_events))
+                .try_fold(0.0, |best, rate| rate.map(|rate| f64::max(best, rate)))
         })
-        .collect();
+        .collect::<io::Result<Vec<f64>>>()?;
 
     sdci_bench::print_table(
         &["transport", "throughput (events/s)", "delivered", "semantics"],
@@ -352,8 +357,7 @@ fn main() {
         pubsub_batched_events_per_sec: psb_rate,
     };
     let out = "BENCH_a4_transports.json";
-    let body = serde_json::to_string_pretty(&report).expect("serialize bench report");
-    std::fs::write(out, body + "\n").expect("write bench report");
+    write_report(out, &report)?;
     println!("\nwrote {out}");
 
     let fanout_report = A4FanoutReport {
@@ -365,7 +369,7 @@ fn main() {
         encode_once_deliveries_per_sec: fanout_once,
     };
     let fanout_out = "BENCH_a4_consumer_scaling.json";
-    let body = serde_json::to_string_pretty(&fanout_report).expect("serialize fan-out report");
-    std::fs::write(fanout_out, body + "\n").expect("write fan-out report");
+    write_report(fanout_out, &fanout_report)?;
     println!("wrote {fanout_out}");
+    Ok(())
 }

@@ -15,31 +15,32 @@ use inotify_sim::{Inotify, InotifyLimits, RecursiveWatcher};
 use sdci_baselines::PollingMonitor;
 use sdci_bench::print_table;
 use sdci_types::{ByteSize, SimTime};
-use simfs::SimFs;
+use simfs::{FsError, SimFs};
+use std::error::Error;
 
-fn build_tree(dirs: usize, files_per_dir: usize) -> SimFs {
+fn build_tree(dirs: usize, files_per_dir: usize) -> Result<SimFs, FsError> {
     let mut fs = SimFs::new();
     for d in 0..dirs {
         // Two-level fan-out so the tree has realistic depth.
         let path = format!("/g{}/d{}", d / 256, d % 256);
-        fs.mkdir_all(&path, SimTime::EPOCH).expect("mkdir");
+        fs.mkdir_all(&path, SimTime::EPOCH)?;
         for f in 0..files_per_dir {
-            fs.create(format!("{path}/f{f}"), SimTime::EPOCH).expect("create");
+            fs.create(format!("{path}/f{f}"), SimTime::EPOCH)?;
         }
     }
-    fs
+    Ok(fs)
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     println!("== A5: targeted-monitoring limits (inotify + polling) vs ChangeLog ==\n");
 
     println!("-- inotify setup cost and kernel memory --");
     let mut rows = Vec::new();
     for dirs in [1_024usize, 8_192, 65_536] {
-        let mut fs = build_tree(dirs, 2);
+        let mut fs = build_tree(dirs, 2)?;
         let ino = Inotify::attach(&mut fs);
         let mut watcher = RecursiveWatcher::new(ino);
-        watcher.watch_tree(&fs, "/").expect("crawl");
+        watcher.watch_tree(&fs, "/")?;
         let stats = watcher.stats();
         rows.push(vec![
             dirs.to_string(),
@@ -58,7 +59,7 @@ fn main() {
     print_table(&["directories", "dirs crawled", "files enumerated", "kernel memory"], &rows);
 
     println!("\n-- inotify watch limit --");
-    let mut fs = build_tree(600, 0);
+    let mut fs = build_tree(600, 0)?;
     let ino = Inotify::attach_with_limits(
         &mut fs,
         InotifyLimits { max_user_watches: 512, ..InotifyLimits::default() },
@@ -70,11 +71,11 @@ fn main() {
     println!("\n-- polling crawl cost per detected change --");
     let mut rows = Vec::new();
     for namespace in [1_000usize, 10_000, 100_000] {
-        let mut fs = build_tree(namespace / 10, 9);
+        let mut fs = build_tree(namespace / 10, 9)?;
         let mut monitor = PollingMonitor::primed(&fs);
         // 10 polls, 10 changes total.
         for i in 0..10u64 {
-            fs.write(format!("/g0/d0/f{}", i % 9), 1, SimTime::from_secs(i + 1)).expect("write");
+            fs.write(format!("/g0/d0/f{}", i % 9), 1, SimTime::from_secs(i + 1))?;
             monitor.poll(&fs);
         }
         let stats = monitor.stats();
@@ -92,4 +93,5 @@ fn main() {
          fid2path), independent of namespace size — 0 watches, 0 crawls; \
          see r1_throughput for its event-rate-bound cost."
     );
+    Ok(())
 }

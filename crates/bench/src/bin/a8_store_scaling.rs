@@ -34,11 +34,12 @@
 //! a8_store_scaling [--smoke]
 //! ```
 
-use sdci_bench::print_table;
+use sdci_bench::{print_table, write_report};
 use sdci_core::{EventStore, SequencedEvent, ShardMap, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
+use std::error::Error;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -208,23 +209,31 @@ fn shard_partitions(total: u64, shards: usize) -> Vec<Vec<SequencedEvent>> {
 /// Median wall-clock time to ingest `part` into a fresh store. Each
 /// repeat inserts a batch cloned *outside* the timed region, so the
 /// measurement is the store's ingest cost, not the harness's copies.
-fn ingest_time(part: &[SequencedEvent], capacity: usize, repeats: usize) -> Duration {
+///
+/// # Errors
+///
+/// A `part` out of sequence order, which the store refuses.
+fn ingest_time(
+    part: &[SequencedEvent],
+    capacity: usize,
+    repeats: usize,
+) -> Result<Duration, Box<dyn Error>> {
     let mut times = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let batch = part.to_vec();
         let store = EventStore::new(capacity);
         let start = Instant::now();
         for e in batch {
-            store.insert(e).unwrap();
+            store.insert(e)?;
         }
         times.push(start.elapsed());
         black_box(store.len());
     }
     times.sort();
-    times[times.len() / 2]
+    Ok(times[times.len() / 2])
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (windows, iters, required_speedup): (&[u64], usize, f64) = if smoke {
         (&[50_000, 200_000], 15, 5.0)
@@ -239,7 +248,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut query_rows = Vec::new();
     let mut gate_failures = Vec::new();
-    for &window in windows {
+    for (w, &window) in windows.iter().enumerate() {
+        let last_window = w + 1 == windows.len();
         let mut scan = ScanStore::new(window as usize);
         let segmented = EventStore::new(window as usize);
         // Overfill by 10% so rotation has happened and the window is a
@@ -248,7 +258,7 @@ fn main() {
         for seq in 1..=total {
             let e = sev(seq);
             scan.insert(e.clone());
-            segmented.insert(e).unwrap();
+            segmented.insert(e)?;
         }
 
         // The gap-recovery shapes: a consumer missing the last TAIL
@@ -284,7 +294,7 @@ fn main() {
                 fmt_us(seg_t),
                 format!("{speedup:.1}x"),
             ]);
-            if gated && window == *windows.last().unwrap() && speedup < required_speedup {
+            if gated && last_window && speedup < required_speedup {
                 gate_failures.push(format!(
                     "{name} at window {window}: {speedup:.1}x < required {required_speedup:.0}x"
                 ));
@@ -324,12 +334,11 @@ fn main() {
         // Each shard retains its slice of the window, so its store (and
         // the lazy first-touch allocation inside the timed region) is
         // sized to its partition, not the whole stream.
-        let critical_path = parts
-            .iter()
-            .map(|p| ingest_time(p, p.len().max(1), shard_repeats))
-            .max()
-            .expect("at least one shard");
-        let max_part = parts.iter().map(Vec::len).max().unwrap();
+        let mut critical_path = Duration::ZERO;
+        for part in &parts {
+            critical_path = critical_path.max(ingest_time(part, part.len().max(1), shard_repeats)?);
+        }
+        let max_part = parts.iter().map(Vec::len).max().unwrap_or(0);
         let rate = shard_events as f64 / critical_path.as_secs_f64();
         if shards == 1 {
             single_rate = rate;
@@ -378,8 +387,7 @@ fn main() {
         shard_arms,
     };
     let out = "BENCH_a8_store_scaling.json";
-    let body = serde_json::to_string_pretty(&report).expect("serialize bench report");
-    std::fs::write(out, body).expect("write bench report");
+    write_report(out, &report)?;
     println!("\nwrote {out}");
 
     if !gate_failures.is_empty() {
@@ -389,4 +397,5 @@ fn main() {
         }
         std::process::exit(1);
     }
+    Ok(())
 }

@@ -184,7 +184,7 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
         }
     }
     for (p, producer) in producers.into_iter().enumerate() {
-        if !producer.join().expect("producer thread") {
+        if !sdci_bench::joined(producer) {
             return Err(format!("producer {p} did not drain within its bounded retries"));
         }
     }
@@ -266,8 +266,9 @@ fn fail(schedule: &Schedule, base_seed: u64, failure: String) -> ! {
         ),
     };
     let out = "CHAOS_failing_schedule.json";
-    let body = serde_json::to_string_pretty(&report).expect("serialize failing schedule");
-    std::fs::write(out, body + "\n").expect("write failing schedule");
+    if let Err(e) = sdci_bench::write_report(out, &report) {
+        eprintln!("could not write {out}: {e}");
+    }
     eprintln!(
         "\nCHAOS FAILURE (base seed {base_seed}, round {}, seed {}): {failure}\n\
          schedule written to {out}; replay with: {}",
@@ -276,7 +277,7 @@ fn fail(schedule: &Schedule, base_seed: u64, failure: String) -> ! {
     std::process::exit(1);
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag = |name: &str| -> Option<u64> {
@@ -351,7 +352,7 @@ fn main() {
         mean_events_per_sec: mean_rate,
     };
     let out = "BENCH_chaos.json";
-    let body = serde_json::to_string_pretty(&report).expect("serialize bench report");
-    std::fs::write(out, body + "\n").expect("write bench report");
+    sdci_bench::write_report(out, &report)?;
     println!("wrote {out}");
+    Ok(())
 }

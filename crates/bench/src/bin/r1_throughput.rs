@@ -16,10 +16,11 @@ use sdci_core::model::{PipelineModel, PipelineParams};
 use sdci_core::{MonitorClusterBuilder, MonitorConfig};
 use sdci_types::SimDuration;
 use sdci_workloads::{EventGenerator, OpMix, TestbedProfile};
+use std::error::Error;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     println!("== R1 (§5.2): Event Throughput ==\n");
     let mut rows = Vec::new();
     for profile in [TestbedProfile::aws(), TestbedProfile::iota()] {
@@ -75,18 +76,15 @@ fn main() {
         Arc::new(Mutex::new(lustre_sim::LustreFs::new(lustre_sim::LustreConfig::iota_testbed())));
     let cluster =
         MonitorClusterBuilder::new(Arc::clone(&lfs)).config(MonitorConfig::default()).start();
-    let mut generator =
-        EventGenerator::new(Arc::clone(&lfs), 16, OpMix::paper(), 7).expect("generator");
+    let mut generator = EventGenerator::new(Arc::clone(&lfs), 16, OpMix::paper(), 7)?;
     let start = Instant::now();
     let mut ops = 0u64;
     let mut tick = 0u64;
     while start.elapsed() < Duration::from_secs(1) {
-        generator
-            .run(2_000, || {
-                tick += 1;
-                sdci_types::SimTime::from_nanos(tick)
-            })
-            .expect("workload");
+        generator.run(2_000, || {
+            tick += 1;
+            sdci_types::SimTime::from_nanos(tick)
+        })?;
         ops += 2_000;
     }
     let total = lfs.lock().total_events();
@@ -107,17 +105,21 @@ fn main() {
     // BENCH_a4_transports.json; this is one line of context next to
     // the throughput numbers above.
     println!("\n-- wire (collector->aggregator TCP, 20k events) --");
-    println!("batched {:.0} events/s", wire_rate());
+    println!("batched {:.0} events/s", wire_rate()?);
+    Ok(())
 }
 
 /// Wall-clock rate of one pusher streaming 20k `u64`s through a
 /// loopback PULL server.
-fn wire_rate() -> f64 {
+///
+/// # Errors
+///
+/// The PULL server's bind.
+fn wire_rate() -> std::io::Result<f64> {
     const N: u64 = 20_000;
     let cfg = sdci_net::NetConfig::default();
     let server = sdci_net::TcpPullServer::<u64>::new(65_536);
-    let endpoint =
-        sdci_net::Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).expect("bind");
+    let endpoint = sdci_net::Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()])?;
     let pull = server.pull();
     let start = Instant::now();
     let push = sdci_net::TcpPush::<u64>::connect(endpoint.local_addr(), "r1-wire", cfg);
@@ -132,5 +134,5 @@ fn wire_rate() -> f64 {
     let rate = N as f64 / start.elapsed().as_secs_f64();
     assert_eq!(received, N, "the lossless wire may not drop events");
     endpoint.shutdown();
-    rate
+    Ok(rate)
 }

@@ -62,6 +62,25 @@ pub fn vs_paper(measured: f64, paper: f64) -> String {
     format!("{measured:.0} (paper {paper:.0}, {:+.1}%)", pct_diff(measured, paper))
 }
 
+/// The value a bench thread returned. A thread that panicked has printed
+/// its message already; its panic goes on here, on the joining thread,
+/// as the failed run it is.
+pub fn joined<T>(handle: std::thread::JoinHandle<T>) -> T {
+    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Writes `report` to `path` as pretty JSON and a final newline: the
+/// `BENCH_*.json` a binary leaves behind.
+///
+/// # Errors
+///
+/// A report that does not render as JSON, or a file that cannot be
+/// written.
+pub fn write_report(path: &str, report: &impl serde::Serialize) -> std::io::Result<()> {
+    let body = serde_json::to_string_pretty(report).map_err(std::io::Error::other)?;
+    std::fs::write(path, body + "\n")
+}
+
 /// A crude horizontal bar for terminal "figures".
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let filled = if max > 0.0 { ((value / max) * width as f64).round() as usize } else { 0 };

@@ -61,7 +61,7 @@ pub enum FeedMessage {
 
 /// Binary layout: `seq` as a delta against the predecessor's (of the
 /// sequence class, [`Class::Seq`]) — a frame's first member's against
-/// the number before the frame's first when the frame continues its
+/// the last member's of the frame before when the frame continues its
 /// connection ([`SeqEncoder::seq_before`]), against 0 otherwise — then the
 /// event coded among the earlier members' events
 /// ([`FileEvent::encode_among`]). As for the event, the members need not

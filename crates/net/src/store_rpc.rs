@@ -8,21 +8,31 @@
 //!
 //! The protocol is deliberately tiny: after the connection's hello, one
 //! JSON request frame, one binary response frame, same length-prefixed
-//! framing as the rest of sdci-net.
+//! framing as the rest of sdci-net. A connection's replies continue one
+//! another as every batch frame does (`crate::wire`): the server packs
+//! them through one encoder for the life of the connection, so a reply's
+//! members are coded against the ones the replies before it carried, and
+//! only that connection's reader decodes it. A reply is keyed by its
+//! position — the members the replies before it carried since the last
+//! fresh one — so a replayed one is a [`ContinuityGap`], which the client
+//! skips; the first reply on a connection, and one after an empty reply,
+//! are fresh, and a redial starts both sides fresh.
 //! Failure semantics follow [`EventBackend::query`]'s contract — a
 //! query that cannot be answered returns an empty slice, and the
 //! consumer simply retries at the next heartbeat-detected gap.
 //!
+//! [`ContinuityGap`]: crate::wire::ContinuityGap
 //! [`EventStore`]: sdci_core::EventStore
 
 use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_read_header, invalid, json_decode, json_encode, read_all, timed_out, write_msg,
-    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_KIND_STORE_BATCH,
+    continuity_gap, json_decode, json_encode, read_batch, timed_out, write_msg, write_msg_bin,
+    BatchHead, BinEncoder, FrameReader, Service, WireMsg, STORE_KINDS,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
+use sdci_types::bin::History;
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpStream};
@@ -59,13 +69,33 @@ enum Control {
     Ping,
 }
 
+impl StoreRpc {
+    /// Decodes a message body, a reply against and into `history` when a
+    /// connection's reader holds one ([`WireMsg::decode_on`]).
+    fn decode_in(
+        binary: bool,
+        body: &[u8],
+        history: Option<&mut History>,
+    ) -> std::io::Result<Self> {
+        if !binary {
+            return Ok(match json_decode(body)? {
+                Control::Query { query, trace } => StoreRpc::Query { query, trace },
+                Control::Ping => StoreRpc::Ping,
+            });
+        }
+        let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
+        Ok(StoreRpc::Batch { events })
+    }
+}
+
 /// The bulky reply leg is the data frame: `Batch` travels binary,
-/// while the tiny `Query`/`Ping` control frames are JSON.
+/// while the tiny `Query`/`Ping` control frames are JSON. A reply packed
+/// through the connection's encoder continues the replies before it.
 impl WireMsg for StoreRpc {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
         let control = match self {
             StoreRpc::Batch { events } => {
-                enc.pack_frame(buf, BatchHead::Empty, events, None);
+                enc.pack_frame(buf, BatchHead::Position, events, None);
                 return Ok(true);
             }
             StoreRpc::Query { query, trace } => {
@@ -78,21 +108,11 @@ impl WireMsg for StoreRpc {
     }
 
     fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
-        if !binary {
-            return Ok(match json_decode(body)? {
-                Control::Query { query, trace } => StoreRpc::Query { query, trace },
-                Control::Ping => StoreRpc::Ping,
-            });
-        }
-        let mut r = sdci_types::BinReader::new(body);
-        let (kind, trace, _) = bin_read_header(&mut r)?;
-        if kind != BIN_KIND_STORE_BATCH {
-            return Err(invalid(format!("unknown binary store-RPC kind {kind}")));
-        }
-        if trace.is_some() {
-            return Err(invalid("store-RPC batch replies carry no trace section"));
-        }
-        Ok(StoreRpc::Batch { events: read_all(&mut r)? })
+        StoreRpc::decode_in(binary, body, None)
+    }
+
+    fn decode_on(binary: bool, body: &[u8], history: &mut History) -> std::io::Result<Self> {
+        StoreRpc::decode_in(binary, body, Some(history))
     }
 }
 
@@ -136,7 +156,8 @@ impl Handler for StoreServer {
 
 fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64) {
     let Conn { mut reader, mut writer, stop, .. } = conn;
-    // Per-connection scratch for binary replies; reused across queries.
+    // Per-connection scratch for binary replies, reused across queries,
+    // and the history every reply after the first continues.
     let mut enc = BinEncoder::new();
     // `stop` is checked every iteration so a chatty client cannot pin
     // the handler past shutdown.
@@ -215,8 +236,9 @@ struct StoreConn {
 /// A read-only [`EventBackend`] that queries a remote [`StoreServer`].
 ///
 /// The connection is lazy and cached; a failed round trip drops it,
-/// retries once on a fresh connection, and then gives up with an empty
-/// result — the consumer's backfill loop will simply query again.
+/// retries once on a fresh connection — whose replies, and its reader's
+/// history, start fresh — and then gives up with an empty result — the
+/// consumer's backfill loop will simply query again.
 ///
 /// Connects are bounded by [`NetConfig::connect_timeout`] and happen
 /// *outside* the connection cache's lock, so one black-holed aggregator
@@ -365,6 +387,22 @@ impl RemoteStore {
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::InvalidData,
                             "store reply stream flooded with non-Batch frames",
+                        ));
+                    }
+                }
+                Err(e) if continuity_gap(&e).is_some_and(|gap| gap.is_duplicate()) => {
+                    // A reply read already, delivered again: it continued
+                    // the replies before it, so its position is behind
+                    // where this connection's history ends. The reader
+                    // skipped it and kept its history, and the stream is
+                    // still aligned — a stray like a stale `Batch`. Any
+                    // other gap means a reply was lost, and no later one
+                    // can be read on this connection: it is dropped below.
+                    strays += 1;
+                    if strays > MAX_STRAY_REPLIES {
+                        return Err(std::io::Error::new(
+                            std::io::ErrorKind::InvalidData,
+                            "store reply stream flooded with replayed replies",
                         ));
                     }
                 }

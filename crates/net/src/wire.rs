@@ -30,19 +30,23 @@
 //! paths as shared-prefix length + suffix against the predecessor's or a
 //! named earlier member's). In a *fresh* frame those are the members
 //! before it in the same frame, the first coded against nothing, so the
-//! frame decodes from its own bytes alone; store replies are always
-//! fresh. An item or deliver batch may instead *continue* its connection
-//! (flags bit 2): its members are coded against what the frames written
-//! before it on the same connection carried as well — the last member,
-//! the paths of the last
+//! frame decodes from its own bytes alone. Any batch may instead
+//! *continue* its connection (flags bit 2): its members are coded against
+//! what the frames written before it on the same connection carried as
+//! well — the last member, the paths of the last
 //! [`HISTORY_MEMBERS`](sdci_types::bin::HISTORY_MEMBERS) members, the
 //! last frame's codes — and only that connection's [`FrameReader`],
 //! which holds the same [`History`], reads it. A frame's history is keyed
-//! by a sequence number — an item batch's `first_seq`, a deliver batch's
-//! first member's ([`BinPayload::seq`]) — and a frame continues only the
-//! one right before it, starting where that one ended; one that does not
-//! start where the reader's history ends is a [`ContinuityGap`], never a
-//! misdecode:
+//! — an item batch by its `first_seq`, a deliver batch by its first
+//! member's sequence number ([`BinPayload::seq`]), a store reply by its
+//! *position*, the members the replies before it carried since the last
+//! fresh one ([`History::next_position`]) — and a frame continues only
+//! the one right before it, starting where that one ended; one that does
+//! not start where the reader's history ends is a [`ContinuityGap`],
+//! never a misdecode. A sequenced first member's number is coded against
+//! the last member's, never against a position. A connection's first
+//! frame, and one after a frame whose first member holds no event (an
+//! empty reply, a lone heartbeat), is fresh:
 //!
 //! ```text
 //! +------+-------+----------------------+-----------------------------------+---------------+
@@ -50,7 +54,7 @@
 //! |  u8  |  u8   | id u64, span u64, u8 | | tables (flags&2)               |               |
 //! +------+-------+----------------------+-----------------------------------+---------------+
 //! kind 1 ItemBatch:    first_seq u64le | members
-//! kind 3 StoreBatch:   members                      (of SequencedEvent)
+//! kind 3 StoreBatch:   [position varint, flags&4] | members  (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq u64le, flags&4] | members
 //!
 //! members    = count varint | count × member
@@ -60,6 +64,7 @@
 //! first_seq  = a continuing deliver batch's: its first member's sequence
 //!              number, which the reader checks against its history before
 //!              it reads a member
+//! position   = a continuing store reply's key, checked the same way
 //! reuse      = a continuing frame's: the classes coded under the code they
 //!              had in the connection's last frame, with no table here
 //! tables     = one per class the mask names and reuse does not, in class order:
@@ -110,8 +115,8 @@
 //! connection to `sdci_obs`'s `/metrics` handler instead.
 
 use sdci_types::bin::{
-    code_members, put_bytes, put_member, put_trace, read_members, varint_len, BinPayload,
-    BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
+    code_members, put_bytes, put_member, put_trace, put_varint, read_members, varint_len,
+    BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -136,7 +141,7 @@ pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 15;
+pub const WIRE_PROTO: u32 = 16;
 
 /// Longest JSON body — a [`Hello`], or any other control frame — a
 /// reader accepts. The largest legitimate one is a subscriber's prefix
@@ -324,9 +329,9 @@ pub trait WireMsg: Sized {
 
     /// Decodes one complete frame body as a connection's reader does —
     /// [`FrameReader::read_msg`] — whose `history` holds what the frames
-    /// it read before carried: an item or deliver batch that continues its
-    /// connection is read against it, and every one is recorded in it. A
-    /// message without such batches decodes as [`WireMsg::decode`] does.
+    /// it read before carried: a batch that continues its connection is
+    /// read against it, and every batch is recorded in it. A message
+    /// without batches decodes as [`WireMsg::decode`] does.
     ///
     /// # Errors
     ///
@@ -357,7 +362,7 @@ pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
 /// Binary body kind byte: [`Frame::ItemBatch`].
 const BIN_KIND_ITEM_BATCH: u8 = 1;
 /// Binary body kind byte: a store-RPC batch reply (`StoreRpc::Batch`).
-pub(crate) const BIN_KIND_STORE_BATCH: u8 = 3;
+const BIN_KIND_STORE_BATCH: u8 = 3;
 /// Binary body kind byte: [`Frame::DeliverBatch`].
 const BIN_KIND_DELIVER_BATCH: u8 = 4;
 
@@ -370,9 +375,9 @@ const BIN_FLAG_CODED: u8 = 2;
 
 /// Flags bit: the frame continues its connection — its members are coded
 /// against the connection's [`History`] as well as against one another,
-/// and its coded header has a reuse mask. Only an item or a deliver batch
-/// sets it; a deliver batch that does carries its first member's sequence
-/// number after its topic.
+/// and its coded header has a reuse mask. A deliver batch that sets it
+/// carries its first member's sequence number after its topic, and a
+/// store reply its position.
 const BIN_FLAG_CONTINUES: u8 = 4;
 
 /// The flags bit that announces a member section coded under `mask`.
@@ -401,25 +406,24 @@ fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     }
 }
 
-/// Reads the fixed binary header back: `(kind, trace, continues)`. The
-/// codes a coded frame carries are read into `r`, which decodes the
-/// member section through them — a continuing frame's once the history
-/// is at hand ([`BinReader::continue_from`]).
-pub(crate) fn bin_read_header(
+/// Reads the fixed binary header back: `(kind, trace, continues)`, for a
+/// reader of the batch kinds `kinds` — any other is refused before a byte
+/// past it is read. The codes a coded frame carries are read into `r`,
+/// which decodes the member section through them — a continuing frame's
+/// once the history is at hand ([`BinReader::continue_from`]).
+fn bin_read_header(
     r: &mut BinReader<'_>,
+    kinds: &[u8],
 ) -> io::Result<(u8, Option<TraceContext>, bool)> {
     let kind = r.u8(Class::Other).map_err(invalid)?;
+    if !kinds.contains(&kind) {
+        return Err(invalid(format!("unknown binary frame kind {kind}")));
+    }
     let flags = r.u8(Class::Other).map_err(invalid)?;
     if flags & !(BIN_FLAG_TRACE | BIN_FLAG_CODED | BIN_FLAG_CONTINUES) != 0 {
         return Err(invalid(format!("unknown binary frame flags {flags:#x}")));
     }
     let continues = flags & BIN_FLAG_CONTINUES != 0;
-    if continues && kind != BIN_KIND_ITEM_BATCH && kind != BIN_KIND_DELIVER_BATCH {
-        return Err(invalid(format!(
-            "a kind-{kind} frame that continues its connection: only an item or a deliver batch \
-             may"
-        )));
-    }
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace().map_err(invalid)?) } else { None };
     match (flags & BIN_FLAG_CODED != 0, continues) {
         (true, false) => r.read_codes().map_err(invalid)?,
@@ -437,14 +441,16 @@ pub(crate) fn bin_read_header(
 /// the history is left as it was. It is not corruption: the stream is
 /// still framed. The pull server answers it as it answers a sequence gap,
 /// with a `Nack` naming where the pusher must resume; a subscriber skips
-/// a duplicate and reconnects on anything else. It travels as an
-/// `InvalidData` [`io::Error`]; [`continuity_gap`] tells it apart.
+/// a duplicate and reconnects on anything else, and so does a store
+/// client. It travels as an `InvalidData` [`io::Error`]; [`continuity_gap`]
+/// tells it apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContinuityGap {
-    /// The sequence number the batch starts at.
+    /// The key the batch carries: the sequence number it starts at, or a
+    /// store reply's position.
     pub first_seq: u64,
-    /// The one the reader's history says it must start at; `None` when
-    /// the reader holds none.
+    /// The one the reader's history says it must carry; `None` when the
+    /// reader holds none.
     pub expected: Option<u64>,
 }
 
@@ -461,14 +467,13 @@ impl std::fmt::Display for ContinuityGap {
         match self.expected {
             Some(expected) => write!(
                 f,
-                "a batch continuing its connection from sequence {}, where its history ends at \
-                 {expected}",
+                "a batch continuing its connection from {}, where its history ends at {expected}",
                 self.first_seq
             ),
             None => write!(
                 f,
-                "a batch continuing its connection from sequence {} on a reader that holds none \
-                 of its history",
+                "a batch continuing its connection from {} on a reader that holds none of its \
+                 history",
                 self.first_seq
             ),
         }
@@ -483,100 +488,158 @@ pub fn continuity_gap(e: &io::Error) -> Option<&ContinuityGap> {
     e.get_ref().and_then(|inner| inner.downcast_ref::<ContinuityGap>())
 }
 
+/// What a batch body carries between its header and its members, as the
+/// one batch reader ([`read_batch`]) hands it back.
+pub(crate) enum Head {
+    /// An item batch's first sequence number.
+    Item(u64),
+    /// A deliver batch's topic.
+    Deliver(String),
+    /// A store reply's: nothing its caller needs, its position being the
+    /// reader's to check.
+    Reply,
+}
+
+impl Head {
+    /// What the batch is, for an error message.
+    fn what(&self) -> &'static str {
+        match self {
+            Head::Item(_) => "an item batch",
+            Head::Deliver(_) => "a deliver batch",
+            Head::Reply => "a store reply",
+        }
+    }
+}
+
+/// The batch kinds a [`Frame`] reader reads.
+const FRAME_KINDS: &[u8] = &[BIN_KIND_ITEM_BATCH, BIN_KIND_DELIVER_BATCH];
+
+/// The batch kind a store-RPC reader reads.
+pub(crate) const STORE_KINDS: &[u8] = &[BIN_KIND_STORE_BATCH];
+
+/// The one batch reader: decodes a binary body of one of `kinds` — its
+/// header, its kind's head and its members — against and into `history`
+/// when a connection's reader holds one ([`WireMsg::decode_on`]).
+///
+/// Each kind's head gives the key its history is keyed by: an item
+/// batch's `first_seq`; a deliver batch's first member's sequence number,
+/// which it carries after its topic only when it continues; a store
+/// reply's position, which it carries only when it continues — a fresh
+/// one is at position 0. A store reply has no trace section.
+pub(crate) fn read_batch<T: BinPayload>(
+    body: &[u8],
+    kinds: &[u8],
+    mut history: Option<&mut History>,
+) -> io::Result<(Head, Option<TraceContext>, Vec<T>)> {
+    // The reader — some 27 KB, dropped in place at the end of this
+    // block rather than moved — may borrow `history` while it reads a
+    // batch that continues its connection.
+    let (head, key, trace, continues, read) = {
+        let mut r = BinReader::new(body);
+        let (kind, trace, continues) = bin_read_header(&mut r, kinds)?;
+        let (head, key) = match kind {
+            BIN_KIND_ITEM_BATCH => {
+                let first_seq = r.u64().map_err(invalid)?;
+                (Head::Item(first_seq), first_seq)
+            }
+            BIN_KIND_DELIVER_BATCH => {
+                let topic = r.string().map_err(invalid)?;
+                (Head::Deliver(topic), if continues { r.u64().map_err(invalid)? } else { 0 })
+            }
+            // Kind 3: `bin_read_header` admitted only the reader's kinds.
+            _ if trace.is_some() => {
+                return Err(invalid("store-RPC batch replies carry no trace section"));
+            }
+            _ => {
+                let position =
+                    if continues { r.varint(Class::Other).map_err(invalid)? } else { 0 };
+                (Head::Reply, position)
+            }
+        };
+        let read = match history.as_deref_mut() {
+            None if continues => {
+                let what = head.what();
+                return Err(invalid(format!(
+                    "{what} that continues its connection, decoded apart from it"
+                )));
+            }
+            None => read_all(&mut r),
+            // A batch that does not start where the history ends is
+            // not read at all, and leaves the history as it was.
+            Some(history) if continues => {
+                let expected = history.next_seq();
+                if expected != Some(key) {
+                    let gap = ContinuityGap { first_seq: key, expected };
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, gap));
+                }
+                r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
+            }
+            // A fresh batch is all the history holds next, keyed as its
+            // writer keyed it.
+            Some(history) => {
+                let read = read_all(&mut r);
+                if let Ok(payloads) = &read {
+                    let key = match head {
+                        Head::Deliver(_) => payloads.first().and_then(T::seq),
+                        Head::Item(_) | Head::Reply => Some(key),
+                    };
+                    match key {
+                        Some(key) => history.record(false, key, payloads),
+                        None => history.clear(),
+                    }
+                    r.keep_codes(history);
+                }
+                read
+            }
+        };
+        (head, key, trace, continues, read)
+    };
+    // A continuing deliver batch is keyed by its first member's
+    // sequence number, as a fresh one is, and its head must say so.
+    let read = read.and_then(|payloads| {
+        let carried = payloads.first().and_then(T::seq);
+        if continues && matches!(head, Head::Deliver(_)) && carried != Some(key) {
+            return Err(invalid(format!(
+                "a deliver batch continuing from sequence {key} whose first member carries \
+                 {carried:?}"
+            )));
+        }
+        Ok(payloads)
+    });
+    // A batch refused for anything but a gap leaves nothing for a
+    // later one to continue.
+    if let Some(history) = history {
+        match &read {
+            Ok(payloads) if continues => history.record(true, key, payloads),
+            Ok(_) => {}
+            Err(_) => history.clear(),
+        }
+    }
+    read.map(|payloads| (head, trace, payloads))
+}
+
 impl<T: BinPayload> Frame<T> {
     /// Decodes a frame body, against and into `history` when a
     /// connection's reader holds one ([`WireMsg::decode_on`]).
-    fn decode_in(binary: bool, body: &[u8], mut history: Option<&mut History>) -> io::Result<Self> {
+    fn decode_in(binary: bool, body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
         if !binary {
             return json_decode::<Control>(body).map(Frame::from);
         }
-        // The reader — some 27 KB, dropped in place at the end of this
-        // block rather than moved — may borrow `history` while it reads a
-        // batch that continues its connection.
-        let (topic, first_seq, trace, continues, read) = {
-            let mut r = BinReader::new(body);
-            let (kind, trace, continues) = bin_read_header(&mut r)?;
-            // An item batch's head is its first sequence number; a deliver
-            // batch's is its topic and — only when it continues its
-            // connection — its first member's sequence number.
-            let (topic, first_seq) = match kind {
-                BIN_KIND_ITEM_BATCH => (None, r.u64().map_err(invalid)?),
-                BIN_KIND_DELIVER_BATCH => {
-                    let topic = r.string().map_err(invalid)?;
-                    (Some(topic), if continues { r.u64().map_err(invalid)? } else { 0 })
-                }
-                other => return Err(invalid(format!("unknown binary frame kind {other}"))),
-            };
-            let read = match history.as_deref_mut() {
-                None if continues => {
-                    let what = if topic.is_some() { "a deliver batch" } else { "an item batch" };
-                    let why =
-                        format!("{what} that continues its connection, decoded apart from it");
-                    return Err(invalid(why));
-                }
-                None => read_all(&mut r),
-                // A batch that does not start where the history ends is
-                // not read at all, and leaves the history as it was.
-                Some(history) if continues => {
-                    let expected = history.next_seq();
-                    if expected != Some(first_seq) {
-                        let gap = ContinuityGap { first_seq, expected };
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, gap));
-                    }
-                    r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
-                }
-                // A fresh batch is all the history holds next, keyed as its
-                // writer keyed it.
-                Some(history) => {
-                    let read = read_all(&mut r);
-                    if let Ok(payloads) = &read {
-                        let key = match topic {
-                            None => Some(first_seq),
-                            Some(_) => payloads.first().and_then(T::seq),
-                        };
-                        match key {
-                            Some(key) => history.record(false, key, payloads.iter().map(T::event)),
-                            None => history.clear(),
-                        }
-                        r.keep_codes(history);
-                    }
-                    read
-                }
-            };
-            (topic, first_seq, trace, continues, read)
-        };
-        // A continuing deliver batch is keyed by its first member's
-        // sequence number, as a fresh one is, and its head must say so.
-        let read = read.and_then(|payloads| {
-            let carried = payloads.first().and_then(T::seq);
-            if continues && topic.is_some() && carried != Some(first_seq) {
-                return Err(invalid(format!(
-                    "a deliver batch continuing from sequence {first_seq} whose first member \
-                     carries {carried:?}"
-                )));
+        match read_batch(body, FRAME_KINDS, history)? {
+            (Head::Item(first_seq), trace, payloads) => {
+                Ok(Frame::ItemBatch { first_seq, payloads, trace })
             }
-            Ok(payloads)
-        });
-        // A batch refused for anything but a gap leaves nothing for a
-        // later one to continue.
-        if let Some(history) = history {
-            match &read {
-                Ok(payloads) if continues => {
-                    history.record(true, first_seq, payloads.iter().map(T::event));
-                }
-                Ok(_) => {}
-                Err(_) => history.clear(),
+            (Head::Deliver(topic), trace, payloads) => {
+                Ok(Frame::DeliverBatch { topic, payloads, trace })
             }
+            // `FRAME_KINDS` names no store reply, so none is read here.
+            (Head::Reply, ..) => Err(invalid("a store reply read as a frame")),
         }
-        read.map(|payloads| match topic {
-            None => Frame::ItemBatch { first_seq, payloads, trace },
-            Some(topic) => Frame::DeliverBatch { topic, payloads, trace },
-        })
     }
 }
 
 /// Reads a body's member section, which must end it.
-pub(crate) fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
+fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
     let payloads = read_members(r).map_err(invalid)?;
     match r.remaining() {
         0 => Ok(payloads),
@@ -621,9 +684,9 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// It also remembers what the frames it wrote carried — their
 /// directories, last member and codes ([`SeqEncoder::history`]) — so an
 /// item or deliver frame whose first sequence number is one past the
-/// last member it wrote *continues* them: the reader of the same
-/// connection holds the same history. A store reply leaves nothing to
-/// continue. A writer whose frames may not reach that reader in order —
+/// last member it wrote *continues* them, and so does every store reply
+/// after the first: the reader of the same connection holds the same
+/// history. A writer whose frames may not reach that reader in order —
 /// a new connection, a rewind, a fan-out leg that missed the last frame
 /// — says so first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
@@ -685,8 +748,9 @@ pub(crate) enum BatchHead<'a> {
     FirstSeq(u64),
     /// [`Frame::DeliverBatch`]: the topic, repeated on every chunk.
     Topic(&'a str),
-    /// A store-RPC batch reply: nothing.
-    Empty,
+    /// A store-RPC batch reply: its position on the connection, which it
+    /// carries only when it continues.
+    Position,
 }
 
 impl BatchHead<'_> {
@@ -695,7 +759,7 @@ impl BatchHead<'_> {
         match self {
             BatchHead::FirstSeq(_) => BIN_KIND_ITEM_BATCH,
             BatchHead::Topic(_) => BIN_KIND_DELIVER_BATCH,
-            BatchHead::Empty => BIN_KIND_STORE_BATCH,
+            BatchHead::Position => BIN_KIND_STORE_BATCH,
         }
     }
 
@@ -708,32 +772,33 @@ impl BatchHead<'_> {
         }
     }
 
-    /// The sequence number a frame of `payloads` under this head is keyed
-    /// by in its history: an item frame's first, a deliver frame's first
-    /// member's; a store reply has none, nor has a deliver frame whose
-    /// first member carries none.
-    fn key<T: BinPayload>(self, payloads: &[T]) -> Option<u64> {
+    /// The key a frame of `payloads` under this head is recorded under
+    /// in `history`, the writer's: an item frame's first sequence number,
+    /// a deliver frame's first member's — none when that member carries
+    /// none — and a store reply's position ([`History::next_position`]).
+    fn key<T: BinPayload>(self, payloads: &[T], history: &History) -> Option<u64> {
         match self {
             BatchHead::FirstSeq(first_seq) => Some(first_seq),
             BatchHead::Topic(_) => payloads.first().and_then(T::seq),
-            BatchHead::Empty => None,
+            BatchHead::Position => Some(history.next_position()),
         }
     }
 
-    /// Bytes the head takes in a frame that does or does not continue its
-    /// connection.
-    fn len(self, continues: bool) -> usize {
+    /// Bytes the head takes; `continued` is the key of a frame that
+    /// continues its connection.
+    fn len(self, continued: Option<u64>) -> usize {
         match self {
             BatchHead::FirstSeq(_) => 8,
             BatchHead::Topic(topic) => {
-                varint_len(topic.len() as u64) + topic.len() + if continues { 8 } else { 0 }
+                varint_len(topic.len() as u64) + topic.len() + continued.map_or(0, |_| 8)
             }
-            BatchHead::Empty => 0,
+            BatchHead::Position => continued.map_or(0, varint_len),
         }
     }
 
     /// Appends the head; `continued` is the key of a frame that continues
-    /// its connection, which a deliver frame carries after its topic.
+    /// its connection, which a deliver frame carries after its topic and a
+    /// store reply as a varint.
     fn put(self, body: &mut Vec<u8>, continued: Option<u64>) {
         match self {
             BatchHead::FirstSeq(first_seq) => body.extend_from_slice(&first_seq.to_le_bytes()),
@@ -743,7 +808,11 @@ impl BatchHead<'_> {
                     body.extend_from_slice(&first_seq.to_le_bytes());
                 }
             }
-            BatchHead::Empty => {}
+            BatchHead::Position => {
+                if let Some(position) = continued {
+                    put_varint(body, position);
+                }
+            }
         }
     }
 }
@@ -779,12 +848,12 @@ fn write_batch<T: BinPayload>(
 /// [`MAX_FRAME_MEMBERS`]; without, all of them, in one frame however long
 /// (a store reply). Each frame is a member sequence of its own: a member
 /// that does not fit is taken back out — leaving no trace in `seq`'s
-/// directory table — and is the next chunk's first. A store reply starts
-/// from nothing and decodes alone; an item or deliver frame whose first
+/// directory table — and is the next chunk's first. A frame whose first
 /// member holds an event *continues* `seq`'s history when its key
-/// ([`BatchHead::key`]) is one past the last member `seq` wrote — the
-/// chunk before it, or the batch before this one — and starts from
-/// nothing otherwise. A single member that alone exceeds the cap still
+/// ([`BatchHead::key`]) is where that history ends — an item or deliver
+/// frame's one past the last member `seq` wrote, the chunk before it or
+/// the batch before this one; a store reply's whenever `seq` holds a
+/// history — and starts from nothing otherwise. A single member that alone exceeds the cap still
 /// gets its own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
 /// check in [`write_frame`] remains the backstop.
 ///
@@ -804,12 +873,13 @@ fn pack_chunk<T: BinPayload>(
 ) -> usize {
     let (max_len, max_members) =
         max_len.map_or((usize::MAX, usize::MAX), |max_len| (max_len, MAX_FRAME_MEMBERS));
-    let key = head.key(payloads);
+    let key = head.key(payloads, seq.history());
     let continues = payloads.first().is_some_and(|first| first.event().is_some())
         && key.is_some_and(|key| seq.history().next_seq() == Some(key));
+    let continued = key.filter(|_| continues);
     // Per-frame body cost before the member count: kind + flags, the
     // optional trace section and the head.
-    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len(continues);
+    let fixed = 2 + if trace.is_some() { BIN_TRACE_LEN } else { 0 } + head.len(continued);
     members.clear();
     seq.begin(continues);
     let mut n = 0;
@@ -830,7 +900,7 @@ fn pack_chunk<T: BinPayload>(
     let at = body.len();
     bin_header(body, head.kind(), trace);
     let table_at = body.len();
-    head.put(body, key.filter(|_| continues));
+    head.put(body, continued);
     match key {
         Some(key) => seq.record(key, &payloads[..n]),
         None => seq.forget_history(),
@@ -985,8 +1055,8 @@ pub struct FrameReader<R> {
     /// Raw body (and its encoding) of a frame an injected *duplicate*
     /// fault will deliver again on the next call.
     replay: Option<(bool, Vec<u8>)>,
-    /// What the item and deliver frames read so far carried, for the next
-    /// one to continue ([`WireMsg::decode_on`]).
+    /// What the batch frames read so far carried, for the next one to
+    /// continue ([`WireMsg::decode_on`]).
     history: History,
 }
 
@@ -1131,7 +1201,6 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use sdci_core::{FeedMessage, SequencedEvent};
-    use sdci_types::bin::put_varint;
     use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 
     fn event(i: u64) -> FileEvent {
@@ -1215,9 +1284,9 @@ mod tests {
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":15,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":16,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":15,"service":"Store"}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":16,"service":"Store"}"#);
         assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
     }
 
@@ -1234,7 +1303,7 @@ mod tests {
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
         for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":15}"#, r#"{"proto":15,"service":"Nope"}"#]
+            [r#"{"service":"Store"}"#, r#"{"proto":16}"#, r#"{"proto":16,"service":"Nope"}"#]
         {
             let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
@@ -2005,6 +2074,46 @@ mod tests {
         assert_eq!(body[1], BIN_FLAG_CODED);
         assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
         assert_eq!(StoreRpc::decode(true, &body).unwrap(), reply);
+    }
+
+    /// The replies of one store connection continue one another, keyed by
+    /// their position on it, whatever store offset each starts at: the
+    /// first is fresh, each after it carries the members the replies
+    /// before it carried as a varint after its header, the reply after an
+    /// empty one is fresh again, and the connection's reader reads every
+    /// one back. Apart from its connection, a continuing reply is refused.
+    #[test]
+    fn store_replies_continue_their_connection_keyed_by_position() {
+        use crate::store_rpc::StoreRpc;
+
+        let reply = |from: u64, n: u64| StoreRpc::Batch {
+            events: (from..from + n).map(|i| SequencedEvent { seq: i, event: event(i) }).collect(),
+        };
+        let replies =
+            [reply(900, 3), reply(100, 2), reply(5_000, 4), reply(0, 0), reply(7, 3), reply(11, 1)];
+        let mut enc = BinEncoder::new();
+        let mut buf = Vec::new();
+        for reply in &replies {
+            write_msg_bin(&mut buf, &mut enc, reply).unwrap();
+        }
+        let frames = raw_frames(&buf);
+        let flags: Vec<u8> = frames.iter().map(|(_, body)| body[1]).collect();
+        let continues = flags.iter().map(|flags| flags & BIN_FLAG_CONTINUES != 0);
+        assert_eq!(continues.collect::<Vec<_>>(), [false, true, true, false, false, true]);
+        // These few members go out raw, so the position is the byte after
+        // the flags: three members before the second reply, five before
+        // the third, three before the last — counted from the fresh reply
+        // after the empty one.
+        for (frame, position) in [(1, 3), (2, 5), (5, 3)] {
+            assert_eq!(flags[frame] & BIN_FLAG_CODED, 0, "reply {frame}");
+            assert_eq!(frames[frame].1[2], position, "reply {frame}");
+        }
+        let mut reader = FrameReader::new(&buf[..]);
+        for reply in &replies {
+            assert_eq!(&reader.read_msg::<StoreRpc>().unwrap(), reply);
+        }
+        let err = StoreRpc::decode(true, &frames[1].1).unwrap_err();
+        assert!(err.to_string().contains("decoded apart from it"), "{err}");
     }
 
     #[test]

@@ -263,18 +263,22 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
 /// no allocation at all once they have: 50- and 256-member item, deliver
 /// and store-batch frames of both shapes, coded, the raw pass in the
 /// encoder's member buffer and each byte's class tag in the buffer of
-/// tags beside it.
+/// tags beside it. The replies go out through a store connection's own
+/// encoder, so every one after the first continues the one before, and
+/// that connection's reader reads them back.
 #[test]
 fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
+    use sdci_types::bin::History;
     for sequenced in [batch(), resolve_batch()] {
         let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
         let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
         let replies = [50, 256].map(|n| (n, StoreRpc::Batch { events: sequenced[..n].to_vec() }));
-        let mut enc = BinEncoder::new();
+        let (mut enc, mut store_enc) = (BinEncoder::new(), BinEncoder::new());
+        let mut history = History::default();
         let mut out = Vec::with_capacity(1 << 20);
-        // The first pass grows the encoder's buffers to these frames.
+        // The first pass grows the encoders' buffers to these frames.
         for pass in 0..2 {
-            for (n, reply) in &replies {
+            for (i, (n, reply)) in replies.iter().enumerate() {
                 let (_, made) = allocations(|| {
                     out.clear();
                     write_item_batch_bin(&mut out, &mut enc, 9, &events[..*n], None)
@@ -283,15 +287,18 @@ fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
                     write_deliver_batch_bin(&mut out, &mut enc, "feed/all", &feed[..*n], None)
                         .expect("writes");
                     out.clear();
-                    write_msg_bin(&mut out, &mut enc, reply).expect("writes");
+                    write_msg_bin(&mut out, &mut store_enc, reply).expect("writes");
                 });
                 if pass == 1 {
                     assert_eq!(made, 0, "{n} members: {made} allocations through a warm encoder");
                 }
-                // The reply went out coded, and reads back.
+                // The reply went out coded, continuing the replies before
+                // it, and reads back on its connection.
                 let body = &out[4..];
                 assert_eq!(body[1] & 2, 2, "{n} members: coded");
-                assert_eq!(&StoreRpc::decode(true, body).expect("decodes"), reply);
+                assert_eq!(body[1] & 4 != 0, pass + i > 0, "{n} members: continues");
+                let decoded = StoreRpc::decode_on(true, body, &mut history).expect("decodes");
+                assert_eq!(&decoded, reply);
             }
         }
     }
@@ -314,9 +321,11 @@ fn cloning_a_decoded_batch_allocates_once() {
     assert!(events[0].event.src_path.as_ref().unwrap().shares_arena(&events[0].event.path));
 }
 
-/// What a pusher does on one connection — 256-member item frames — and
-/// what the fan-out does on a feed — 256-member deliver frames of
-/// densely sequenced events — each frame continuing the one before.
+/// What a pusher does on one connection — 256-member item frames — what
+/// the fan-out does on a feed — 256-member deliver frames of densely
+/// sequenced events — and what a store server does on one connection —
+/// 256-member replies to queries at scattered offsets — each frame
+/// continuing the one before.
 /// Through an encoder warm from the frames before, a continuing frame
 /// encodes without allocating; and a reader warm the same way decodes it
 /// in exactly the allocations of the same members sent fresh — its
@@ -337,17 +346,46 @@ fn a_continuing_frame_encodes_without_allocating_and_decodes_as_a_fresh_one_does
             let feed = batch_at(frame * BATCH).into_iter().map(FeedMessage::Event).collect();
             Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }
         });
+        continuing_frames_cost(&format!("{shape} store reply"), |frame| StoreRpc::Batch {
+            events: batch_at((frame * 5 % 6) * BATCH),
+        });
     }
 }
 
-/// Six frames, `frame(0)` to `frame(5)`, written as their chunked writer
-/// writes them through one encoder and read by one connection's reader:
-/// from the third on, each continues the one before, encodes with no
-/// allocation and decodes in exactly a fresh frame's.
-fn continuing_frames_cost<T>(what: &str, frame: impl Fn(u64) -> Frame<T>)
+/// How a batch message goes out on its connection: a frame through its
+/// chunked writer, a store reply as one message.
+trait Batch: WireMsg + PartialEq + std::fmt::Debug {
+    fn write(&self, out: &mut Vec<u8>, enc: &mut BinEncoder);
+}
+
+impl<T> Batch for Frame<T>
 where
     T: sdci_types::BinPayload + Clone + PartialEq + std::fmt::Debug,
 {
+    fn write(&self, out: &mut Vec<u8>, enc: &mut BinEncoder) {
+        match self {
+            Frame::ItemBatch { first_seq, payloads, .. } => {
+                write_item_batch_bin(out, enc, *first_seq, payloads, None).expect("writes");
+            }
+            Frame::DeliverBatch { topic, payloads, .. } => {
+                write_deliver_batch_bin(out, enc, topic, payloads, None).expect("writes");
+            }
+            other => panic!("not a batch: {other:?}"),
+        }
+    }
+}
+
+impl Batch for StoreRpc {
+    fn write(&self, out: &mut Vec<u8>, enc: &mut BinEncoder) {
+        write_msg_bin(out, enc, self).expect("writes");
+    }
+}
+
+/// Six frames, `frame(0)` to `frame(5)`, written as their connection's
+/// writer writes them through one encoder and read by one connection's
+/// reader: from the third on, each continues the one before, encodes
+/// with no allocation and decodes in exactly a fresh frame's.
+fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
     use sdci_types::bin::History;
     let mut enc = BinEncoder::new();
     let mut history = History::default();
@@ -355,15 +393,7 @@ where
     for n in 0..6u64 {
         let sent = frame(n);
         out.clear();
-        let (_, made) = allocations(|| match &sent {
-            Frame::ItemBatch { first_seq, payloads, .. } => {
-                write_item_batch_bin(&mut out, &mut enc, *first_seq, payloads, None)
-            }
-            Frame::DeliverBatch { topic, payloads, .. } => {
-                write_deliver_batch_bin(&mut out, &mut enc, topic, payloads, None)
-            }
-            other => panic!("not a batch: {other:?}"),
-        });
+        let ((), made) = allocations(|| sent.write(&mut out, &mut enc));
         let body = &out[4..];
         assert_eq!(body[1] & 4 != 0, n > 0, "{what} frame {n}: continues");
         let mut fresh = Vec::new();
@@ -373,11 +403,10 @@ where
         // frame, decoded next on a reader that holds everything before it.
         let fresh_made = {
             let mut replaced = History::default();
-            Frame::<T>::decode_on(true, &fresh, &mut replaced).expect("decodes");
-            allocations(|| Frame::<T>::decode_on(true, &fresh, &mut replaced)).1
+            M::decode_on(true, &fresh, &mut replaced).expect("decodes");
+            allocations(|| M::decode_on(true, &fresh, &mut replaced)).1
         };
-        let (decoded, decode_made) =
-            allocations(|| Frame::<T>::decode_on(true, body, &mut history));
+        let (decoded, decode_made) = allocations(|| M::decode_on(true, body, &mut history));
         assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
         if n >= 2 {
             assert_eq!(made, 0, "{what} frame {n}: {made} allocations to encode");

@@ -23,12 +23,15 @@
 //! 13). The TCP legs' 50-member frames, coded fresh, still introduce a
 //! directory every other member and spread their tables over fewer
 //! members (14.6 and 15.1; were 15.0 and 15.4, and 17.6 and 19.0 before
-//! that), and a 1,000-member store reply hardly ever meets a new
-//! directory (9.7; was 9.9, and 13.1). On a live connection those frames
-//! continue one another — a pushed frame since wire version 12, a
-//! delivered one since 13 — finding their directories and codes in the
-//! frames before them: the eighth costs 10.1 bytes a member pushed and
-//! 10.6 delivered (10.5 and 10.9 under version 13).
+//! that), and a 1,000-member store reply, coded fresh, hardly ever meets
+//! a new directory (9.7; was 9.9, and 13.1). On a live connection those
+//! frames continue one another — a pushed frame since wire version 12, a
+//! delivered one since 13, a store reply since 16 — finding their
+//! directories and codes in the frames before them: the eighth costs 10.1
+//! bytes a member pushed and 10.6 delivered (10.5 and 10.9 under version
+//! 13), and the eighth 1,000-member reply of one store connection, to a
+//! query at a scattered offset, 9.2 — half a byte a member below the same
+//! reply coded fresh.
 
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
@@ -292,6 +295,55 @@ fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_1_bytes_a_mem
     assert!(eighth > 7.0, "{eighth} B per member");
 }
 
+/// Where the eight replies of [`store_replies`] start in the store, in
+/// thousands of events: scattered, forwards and back, as a consumer's
+/// gap queries and an operator's history queries land.
+const REPLY_OFFSETS: [usize; 8] = [7, 2, 12, 5, 0, 9, 14, 3];
+
+/// Eight 1,000-event store replies to queries at [`REPLY_OFFSETS`] of a
+/// store of the steady shape, sequenced densely from 500,000.
+fn store_replies() -> Vec<StoreRpc> {
+    let store: Vec<SequencedEvent> = (500_000..)
+        .zip(steady_batch(16_000))
+        .map(|(seq, event)| SequencedEvent { seq, event })
+        .collect();
+    let page = |at: usize| store[1_000 * at..1_000 * (at + 1)].to_vec();
+    REPLY_OFFSETS.iter().map(|&at| StoreRpc::Batch { events: page(at) }).collect()
+}
+
+/// The store leg's replies as a server writes them on one connection:
+/// one encoder for the life of the connection, so each reply after the
+/// first continues the one before, keyed by its position on the
+/// connection rather than by where in the store it starts — its first
+/// member's sequence number coded against the last one sent, its paths
+/// against the directories the replies before it carried, its codes
+/// reused where they still fit. The eighth reply's cost a member, with
+/// the budget at its measured value plus half a byte; the connection's
+/// reader decodes every reply to the events sent.
+#[test]
+fn the_eighth_1_000_member_reply_of_one_store_connection_costs_at_most_9_7_bytes_a_member() {
+    use sdci_net::wire::write_msg_bin;
+    use sdci_types::bin::History;
+    let (mut enc, mut history) = (BinEncoder::new(), History::default());
+    let mut eighth = 0.0;
+    for (n, reply) in store_replies().iter().enumerate() {
+        let mut out = Vec::new();
+        write_msg_bin(&mut out, &mut enc, reply).expect("writes");
+        let body = &out[4..];
+        assert_eq!(body[1] & 4 != 0, n > 0, "reply {n} continues the one before");
+        let decoded = StoreRpc::decode_on(true, body, &mut history).expect("decodes");
+        assert_eq!(&decoded, reply, "reply {n}");
+        let mut fresh = Vec::new();
+        reply.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
+        println!("reply {n}: {} bytes, {} fresh", body.len(), fresh.len());
+        assert!(n == 0 || body.len() < fresh.len(), "reply {n}: smaller than fresh");
+        eighth = body.len() as f64 / 1_000.0;
+    }
+    println!("the eighth 1,000-member reply of a store connection: {eighth:.3} B per member");
+    assert!(eighth <= 9.7, "{eighth} B per member");
+    assert!(eighth > 7.0, "{eighth} B per member");
+}
+
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
@@ -314,13 +366,16 @@ fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
 /// Every data frame the byte budgets above measure, byte for byte: the
 /// 256-member item and deliver frames, the 1,000-member store reply, the
 /// 256-member `resolve` item frame, the eight 50-member frames of one
-/// pushing connection, and a batch past the member cap, which the
-/// chunked writers split into frames that continue one another. Each
+/// pushing connection, a batch past the member cap, which the chunked
+/// writers split into frames that continue one another, and the eight
+/// 1,000-member replies of one store connection. Each
 /// body's length and FNV-1a digest are pinned: a change to how a frame
 /// is laid out, rather than to what it costs, fails here first. Every
 /// frame is pinned as wire version 14 writes it, its members back to
 /// back (version 13's, each member behind its length: 2,819, 2,895 and
-/// 9,932 bytes; 3,026 for `resolve`; 748 … 524 for the eight).
+/// 9,932 bytes; 3,026 for `resolve`; 748 … 524 for the eight), and as
+/// version 16 does, whose store replies alone changed: before it, each of
+/// the eight replies went out fresh, 9,684 to 9,735 bytes.
 #[test]
 fn every_measured_frame_is_pinned_byte_for_byte() {
     use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg};
@@ -367,12 +422,19 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
         .expect("writes");
     got.push(("a split traced item batch, a split deliver batch", digests(&out)));
 
+    let mut enc = BinEncoder::new();
+    let mut out = Vec::new();
+    for reply in store_replies() {
+        sdci_net::wire::write_msg_bin(&mut out, &mut enc, &reply).expect("writes");
+    }
+    got.push(("eight continuing 1,000-member store replies", digests(&out)));
+
     for (what, frames) in &got {
         let frames: Vec<String> =
             frames.iter().map(|(len, digest)| format!("({len}, {digest:#018x})")).collect();
         println!("{what}: {}", frames.join(", "));
     }
-    let want: [(&str, &[(usize, u64)]); 4] = [
+    let want: [(&str, &[(usize, u64)]); 5] = [
         (
             "256-member item, deliver; 1,000-member reply",
             &[
@@ -402,6 +464,19 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
                 (7_351, 0xe12e_8e5e_b1f6_93b2),
                 (76_610, 0xea7f_9fb3_2134_dfc5),
                 (7_545, 0x5110_2f31_87b5_88ba),
+            ],
+        ),
+        (
+            "eight continuing 1,000-member store replies",
+            &[
+                (9720, 0xc3c9_59bd_0a05_0b01),
+                (9296, 0x7259_5594_257a_ea07),
+                (9266, 0x846a_fa4d_9276_4873),
+                (9238, 0xd48e_5728_ae4f_2c14),
+                (9261, 0x69ae_cd3c_b642_1b64),
+                (9248, 0xa69c_1c23_3692_8b6f),
+                (9246, 0x0fa0_7a9f_2e2a_1110),
+                (9212, 0x54fd_90d7_d2a8_8c91),
             ],
         ),
     ];

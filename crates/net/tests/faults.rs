@@ -242,6 +242,48 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
     server.join().unwrap();
 }
 
+/// Store replies continue their connection, so a faulted link that sends
+/// a reply twice hands the client a copy whose position is behind where
+/// its reader's history ends: a duplicate continuity gap, skipped as a
+/// stray, with the connection kept. The queries land at scattered
+/// offsets, forwards and back, so a stale page would often pass the
+/// range check that correlates replies: only its position gives it away.
+/// The first reply is fresh and its copy is read as a reply, but its page
+/// is the lowest, which no later query's range admits. Every query gets
+/// its own page; no dial fails, and none is retried — a dropped
+/// connection would have run a query twice.
+#[test]
+fn duplicated_store_replies_are_skipped_without_a_reconnect() {
+    let _serial = endpoints();
+    let server = StoreServer::new(seeded_store(4_000));
+    let cfg = faulted_cfg("seed=5,send.dup=0.3");
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let dups = || {
+        let labels = [("dir", "send"), ("kind", "duplicate")];
+        sdci_obs::registry().counter_with("sdci_faults_injected_total", &labels).get()
+    };
+    let dups_before = dups();
+
+    let remote = RemoteStore::connect(endpoint.local_addr(), fast_cfg());
+    let mut offsets = vec![0u64];
+    let mut at = 17u64;
+    for _ in 0..40 {
+        at = (at * 1_103 + 12_345) % 3_900;
+        offsets.push(50 + at);
+    }
+    for &after in &offsets {
+        let page = remote.query(&StoreQuery::after_seq(after).limit(50));
+        let seqs: Vec<u64> = page.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (after + 1..=after + 50).collect::<Vec<_>>(), "after seq {after}");
+        assert!(page.iter().all(|e| e == &sev(e.seq)), "after seq {after}: the events themselves");
+    }
+    assert!(dups() - dups_before >= 5, "only {} replies duplicated", dups() - dups_before);
+    assert_eq!(remote.connect_failures(), 0);
+    assert_eq!(remote.failures(), 0);
+    assert_eq!(server.queries(), offsets.len() as u64, "a query was retried on a new connection");
+    endpoint.shutdown();
+}
+
 /// A fanout-leg death between the broker's local dequeue and the socket
 /// write (the `net.pubsub.fanout` crash point in error mode) costs that
 /// subscriber one in-flight message and one connection — the lossy feed

@@ -9,7 +9,7 @@
 //! codes, each refused with its own message; then members back to back
 //! that a frame cuts short, miscounts or follows with a stray byte, and a
 //! coded section whose count claims more members than its bits; then
-//! item and deliver frames that continue their
+//! item and deliver frames and store replies that continue their
 //! connection against a history they do not match, and 10,000
 //! mutations of a five-frame continuing stream of each. Every one is
 //! decoded or refused as `InvalidData` — the
@@ -27,7 +27,8 @@
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
-    continuity_gap, write_deliver_batch_bin, write_item_batch_bin, BinEncoder, Frame, WireMsg,
+    continuity_gap, write_deliver_batch_bin, write_item_batch_bin, write_msg_bin, BinEncoder,
+    Frame, WireMsg,
 };
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
@@ -1192,6 +1193,42 @@ fn continuing_feed(frames: usize) -> Vec<Vec<u8>> {
     bodies
 }
 
+/// The events of [`continuing_replies`]' reply `reply` of `replies`: the
+/// events of frame `reply` of a continuing stream, sequenced from an
+/// offset that falls as the replies go on — a consumer's queries land
+/// anywhere in the store, and a reply's key is its position on the
+/// connection, not a sequence number.
+fn reply_events(reply: u64, replies: u64) -> Vec<SequencedEvent> {
+    (7 + 1_000 * (replies - reply)..)
+        .zip(frame_events(reply))
+        .map(|(seq, event)| SequencedEvent { seq, event })
+        .collect()
+}
+
+/// `replies` store replies as one server connection writes them through
+/// its encoder: the first fresh, each after it continuing the one before.
+fn continuing_replies(replies: usize) -> Vec<Vec<u8>> {
+    let mut enc = BinEncoder::new();
+    let mut out = Vec::new();
+    for reply in 0..replies as u64 {
+        let events = reply_events(reply, replies as u64);
+        write_msg_bin(&mut out, &mut enc, &StoreRpc::Batch { events }).unwrap();
+    }
+    let bodies = bodies(&out);
+    assert_eq!(bodies.len(), replies);
+    bodies
+}
+
+/// Decodes reply `body` as the store client of a connection whose
+/// history is `history` does: the sequence numbers it decoded, or the
+/// error.
+fn read_reply_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
+    match StoreRpc::decode_on(true, body, history)? {
+        StoreRpc::Batch { events } => Ok(events.iter().map(|e| e.seq).collect()),
+        other => panic!("a reply body decoded as {other:?}"),
+    }
+}
+
 /// Decodes deliver `body` as the reader of a connection whose history is
 /// `history` does: the sequence numbers it decoded, or the error.
 fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
@@ -1212,9 +1249,12 @@ fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io:
 /// decoded apart from any connection; a `first_seq` one off either way
 /// (both a gap — the history is left as it was and the right frame
 /// still reads); a back-distance one past what the reader holds, and
-/// one past the 1,024-member window, where one less is read; a reuse
+/// one past the 1,024-member window, where one less is read; and a reuse
 /// bit for a class the last frame did not code, or outside the class
-/// mask; and bit 2 on a store batch.
+/// mask. A store reply continues its connection too: decoded apart from
+/// it, it is refused; replayed, its position is behind where the history
+/// ends — a duplicate gap that leaves the history as it was, so the next
+/// reply still reads.
 #[test]
 fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
     let stream = continuing_stream(2);
@@ -1282,16 +1322,25 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let outside = [&outside[..], &four[0].1].concat();
     refused_on(&mut history, &path_frame(2, &outside, CONTINUES), false, "outside the class mask");
 
-    // A store batch never continues its connection.
-    let [_, store, _] = heads(CONTINUES, &[]);
-    let [(a, _), (b, _), (c, _)] = [
-        fed::<Frame<FileEvent>>(&store),
-        fed::<StoreRpc>(&store),
-        fed::<Frame<FeedMessage>>(&store),
-    ];
-    assert!(!a && !b && !c);
-    let err = StoreRpc::decode(true, &store).unwrap_err();
-    assert!(err.to_string().contains("only an item or a deliver batch may"), "{err}");
+    // A store reply continues the replies before it, keyed by position.
+    let replies = continuing_replies(3);
+    assert_eq!(replies[0][1] & CONTINUES, 0);
+    assert_eq!(replies[1][1] & CONTINUES, CONTINUES);
+    let err = StoreRpc::decode(true, &replies[1]).unwrap_err();
+    let why = "a store reply that continues its connection, decoded apart from it";
+    assert!(err.to_string().contains(why), "{err}");
+    let err = read_reply_on(&mut History::default(), &replies[1]).unwrap_err();
+    refused_as(err, true, "holds none of its history");
+    let seqs = |reply| reply_events(reply, 3).iter().map(|e| e.seq).collect::<Vec<_>>();
+    let mut history = History::default();
+    assert_eq!(read_reply_on(&mut history, &replies[0]).unwrap(), seqs(0));
+    assert_eq!(read_reply_on(&mut history, &replies[1]).unwrap(), seqs(1));
+    let err = read_reply_on(&mut history, &replies[1]).unwrap_err();
+    assert!(continuity_gap(&err).is_some_and(|gap| gap.is_duplicate()), "{err}");
+    refused_as(err, true, "from 24, where its history ends at 48");
+    assert_eq!(read_reply_on(&mut history, &replies[2]).unwrap(), seqs(2), "the history stood");
+    // Only a store reader reads a reply.
+    assert!(!fed::<Frame<FileEvent>>(&replies[0]).0 && !fed::<Frame<FeedMessage>>(&replies[0]).0);
 }
 
 /// The deliver batch's twin of the test above, each refusal with its own
@@ -1339,14 +1388,22 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
 }
 
 /// Reads 10,000 seeded mutations of `stream`, a run of frames each
-/// continuing the one before: one frame is mutated, and the stream is
-/// read in order by one connection's reader, whose history's storage
-/// `warm` — a frame of another stream — has made before any allocation is
-/// measured. Each frame is read or refused — a gap or `InvalidData`,
-/// never a panic — within the allocation bound; and no frame after a
-/// refused one is read against it. Returns how many frames were read and
-/// how many refused.
-fn read_mutated_streams<M: WireMsg>(stream: &[Vec<u8>], warm: &[u8]) -> (u32, u32) {
+/// continuing the one before, carrying `sent`: one frame is mutated, and
+/// the stream is read in order by one connection's reader, whose
+/// history's storage `warm` — a frame of another stream — has made before
+/// any allocation is measured. Each frame is read or refused — a gap or
+/// `InvalidData`, never a panic — within the allocation bound; every
+/// frame before the mutated one decodes to exactly what was sent; and no
+/// frame after a refused one is read against it. Returns how many frames
+/// were read and how many refused.
+fn read_mutated_streams<M>(stream: &[Vec<u8>], sent: &[M], warm: &[u8]) -> (u32, u32)
+where
+    M: WireMsg + PartialEq + std::fmt::Debug,
+{
+    let mut history = History::default();
+    for (body, sent) in stream.iter().zip(sent) {
+        assert_eq!(&M::decode_on(true, body, &mut history).unwrap(), sent, "unmutated");
+    }
     let mut rng = Rng(0x5dc1_0028);
     let (mut read, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
@@ -1360,8 +1417,14 @@ fn read_mutated_streams<M: WireMsg>(stream: &[Vec<u8>], warm: &[u8]) -> (u32, u3
             let (result, largest) = largest_request(|| M::decode_on(true, body, &mut history));
             assert!(largest <= allocation_bound(body), "round {round}: {largest} bytes");
             match result {
-                Ok(_) => {
+                Ok(got) => {
                     assert!(!refused_before, "round {round}: frame {i} read after a refused one");
+                    if i < target {
+                        assert_eq!(
+                            &got, &sent[i],
+                            "round {round}: frame {i}, before the mutated one"
+                        );
+                    }
                     read += 1;
                 }
                 Err(e) => {
@@ -1381,7 +1444,14 @@ fn read_mutated_streams<M: WireMsg>(stream: &[Vec<u8>], warm: &[u8]) -> (u32, u3
 #[test]
 fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
     let warm = &hand_laid(&honest())[0];
-    let (read, refused) = read_mutated_streams::<Frame<FileEvent>>(&continuing_stream(5), warm);
+    let sent: Vec<Frame<FileEvent>> = (0..5)
+        .map(|frame| Frame::ItemBatch {
+            first_seq: 7 + 24 * frame,
+            payloads: frame_events(frame),
+            trace: None,
+        })
+        .collect();
+    let (read, refused) = read_mutated_streams(&continuing_stream(5), &sent, warm);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }
 
@@ -1389,6 +1459,27 @@ fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
 #[test]
 fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
     let warm = &hand_laid(&honest())[2];
-    let (read, refused) = read_mutated_streams::<Frame<FeedMessage>>(&continuing_feed(5), warm);
+    let sent: Vec<Frame<FeedMessage>> = (0..5)
+        .map(|frame| Frame::DeliverBatch {
+            topic: "feed/all".into(),
+            payloads: (7 + 24 * frame..)
+                .zip(frame_events(frame))
+                .map(|(seq, event)| FeedMessage::Event(SequencedEvent { seq, event }))
+                .collect(),
+            trace: None,
+        })
+        .collect();
+    let (read, refused) = read_mutated_streams(&continuing_feed(5), &sent, warm);
+    assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
+}
+
+/// The same over five replies of one store connection, each continuing
+/// the one before at a store offset of its own.
+#[test]
+fn mutations_of_continuing_store_replies_never_decode_against_a_refused_reply() {
+    let warm = &hand_laid(&honest())[1];
+    let sent: Vec<StoreRpc> =
+        (0..5).map(|reply| StoreRpc::Batch { events: reply_events(reply, 5) }).collect();
+    let (read, refused) = read_mutated_streams(&continuing_replies(5), &sent, warm);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }

@@ -18,11 +18,12 @@
 //! directory once (a [`SeqEncoder`]'s table is how the encoder finds that
 //! member).
 //! A *fresh* sequence references nothing outside itself and decodes from
-//! its own bytes alone: every snapshot block and store reply is one. A
-//! pushed or delivered frame may instead *continue* its connection: its
-//! first member's predecessor is the last member the connection's frames
-//! carried (and a sequenced first member's number is coded against the
-//! one before the frame's first, [`SeqEncoder::seq_before`]), a path
+//! its own bytes alone: every snapshot block is one, and so is a
+//! connection's first frame. A pushed or delivered frame, or a store
+//! reply, may instead *continue* its connection: its first member's
+//! predecessor is the last member the connection's frames carried (and a
+//! sequenced first member's number is coded against that member's,
+//! [`SeqEncoder::seq_before`]), a path
 //! reference may reach past its first member into the last
 //! [`HISTORY_MEMBERS`] of them, and a class may keep the code it had in
 //! the last frame — all held, on each side, in a [`History`], which only
@@ -313,11 +314,12 @@ impl<'a> BinReader<'a> {
         self.history
     }
 
-    /// In a frame that continues its connection, the sequence number one
-    /// before the frame's first: what its first member's sequence number
-    /// is coded against ([`SeqEncoder::seq_before`]).
+    /// In a frame that continues its connection, the sequence number of
+    /// the last member before the frame's first, when it carried one: what
+    /// its first member's sequence number is coded against
+    /// ([`SeqEncoder::seq_before`]).
     pub fn seq_before(&self) -> Option<u64> {
-        self.history?.next_seq().map(|next| next.wrapping_sub(1))
+        self.history?.last_seq()
     }
 
     /// Bytes not yet consumed, outside a coded member section.
@@ -1107,13 +1109,15 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 
 /// What the data frames written, or read, on one connection carried, as
 /// far as a frame that *continues* them needs it: the paths of their last
-/// [`HISTORY_MEMBERS`] members, the last member's event, the codes the
-/// last frame carried or reused, and the sequence number a continuing
-/// frame must start at — an item frame's `first_seq`, a deliver frame's
-/// first member's ([`BinPayload::seq`]). The writer's lives in its
+/// [`HISTORY_MEMBERS`] members, the last member's event and sequence
+/// number, the codes the last frame carried or reused, and the key a
+/// continuing frame must carry — an item frame's `first_seq`, a deliver
+/// frame's first member's sequence number ([`BinPayload::seq`]), a store
+/// reply's position (the members the replies before it carried since the
+/// last fresh one, [`History::next_position`]). The writer's lives in its
 /// [`SeqEncoder`], the reader's beside its frame reader; each records
-/// every item and deliver frame it codes or decodes ([`History::record`]),
-/// and both record the same.
+/// every batch frame it codes or decodes ([`History::record`]), and both
+/// record the same.
 ///
 /// Nothing is generic here: a member is kept as its event
 /// ([`BinPayload::event`]), and one without an event as nothing — a
@@ -1124,8 +1128,8 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 pub struct History(Option<Box<Held>>);
 
 struct Held {
-    /// The first sequence number a continuing frame may carry; `None`
-    /// when nothing is held.
+    /// The key a continuing frame must carry; `None` when nothing is
+    /// held.
     next_seq: Option<u64>,
     /// The next member's position: members recorded since the last fresh
     /// frame.
@@ -1144,6 +1148,8 @@ struct Held {
     arena: usize,
     /// The last member's event.
     last: Option<FileEvent>,
+    /// The last member's sequence number ([`BinPayload::seq`]).
+    last_seq: Option<u64>,
     /// Each class's code in the last frame — carried or reused — or none.
     codes: [Code; CLASSES],
 }
@@ -1158,8 +1164,9 @@ impl fmt::Debug for History {
 }
 
 impl History {
-    /// The sequence number a frame that continues this history must
-    /// start at; `None` when nothing is held.
+    /// The key a frame that continues this history must carry — the
+    /// sequence number it starts at, or a store reply's position; `None`
+    /// when nothing is held.
     pub fn next_seq(&self) -> Option<u64> {
         self.0.as_ref().and_then(|held| held.next_seq)
     }
@@ -1182,14 +1189,22 @@ impl History {
         }
     }
 
-    /// The position a continuing frame's first member takes.
-    fn next_position(&self) -> u64 {
-        self.0.as_ref().map_or(0, |held| held.next)
+    /// The position a continuing frame's first member takes: the members
+    /// recorded since the last fresh frame, 0 when nothing is held. A
+    /// store reply is keyed by it.
+    pub fn next_position(&self) -> u64 {
+        self.0.as_ref().filter(|held| held.next_seq.is_some()).map_or(0, |held| held.next)
     }
 
     /// The last member's event.
     pub(crate) fn last(&self) -> Option<&FileEvent> {
         self.0.as_ref().and_then(|held| held.last.as_ref())
+    }
+
+    /// The last member's sequence number, when it carried one: what a
+    /// continuing frame's sequenced first member is coded against.
+    fn last_seq(&self) -> Option<u64> {
+        self.0.as_ref().filter(|held| held.next_seq.is_some()).and_then(|held| held.last_seq)
     }
 
     /// The path of the member `k` before a continuing frame's first
@@ -1206,23 +1221,17 @@ impl History {
         self.0.as_ref().map(|held| &held.codes[class as usize]).filter(|code| code.n > 0)
     }
 
-    /// Records a frame keyed by `first_seq` — the sequence number it
-    /// started at — whose members held `events`: after a fresh frame
-    /// (`continued` false) it is all the history holds, after a continuing
-    /// one it extends it, and the next frame that continues it must start
-    /// `events` later. A frame whose first member holds no event leaves
-    /// the history empty.
+    /// Records a frame keyed by `key` — the sequence number it started
+    /// at, or a store reply's position — carrying `members`: after a fresh
+    /// frame (`continued` false) it is all the history holds, after a
+    /// continuing one it extends it, and the next frame that continues it
+    /// must carry a key `members.len()` later. A frame whose first member
+    /// holds no event leaves the history empty.
     /// The frame's codes are recorded apart: by the writer as it chooses
     /// them ([`code_members`]), by the reader as it reads them
     /// ([`BinReader::continue_from`], [`BinReader::keep_codes`]).
-    pub fn record<'e>(
-        &mut self,
-        continued: bool,
-        first_seq: u64,
-        events: impl IntoIterator<Item = Option<&'e FileEvent>>,
-    ) {
-        let mut events = events.into_iter().peekable();
-        if !matches!(events.peek(), Some(Some(_))) {
+    pub fn record<T: BinPayload>(&mut self, continued: bool, key: u64, members: &[T]) {
+        if members.first().and_then(T::event).is_none() {
             self.clear();
             return;
         }
@@ -1234,15 +1243,15 @@ impl History {
                 arenas: vec![None; HISTORY_MEMBERS],
                 arena: 0,
                 last: None,
+                last_seq: None,
                 codes: std::array::from_fn(|_| Code::empty()),
             })
         });
         if !continued {
             held.next = 0;
         }
-        let mut count = 0u64;
         let mut last = None;
-        for event in events {
+        for event in members.iter().map(T::event) {
             let path = event.map(|event| {
                 let path = &event.path;
                 if !held.arenas[held.arena].as_ref().is_some_and(|kept| kept.shares_arena(path)) {
@@ -1253,11 +1262,11 @@ impl History {
             });
             held.paths[(held.next % HISTORY_MEMBERS as u64) as usize] = path;
             held.next += 1;
-            count += 1;
             last = event;
         }
         held.last = last.cloned();
-        held.next_seq = Some(first_seq.wrapping_add(count));
+        held.last_seq = members.last().and_then(T::seq);
+        held.next_seq = Some(key.wrapping_add(members.len() as u64));
     }
 
     /// Keeps a written frame's codes as the last frame's: each class in
@@ -1378,12 +1387,12 @@ impl SeqEncoder {
         }
     }
 
-    /// Records the frame just written, keyed by `first_seq` and carrying
+    /// Records the frame just written, keyed by `key` and carrying
     /// `members`, in the history ([`History::record`]): what the
     /// next frame may continue. Its codes are recorded as
     /// [`code_members`] chooses them, after this.
-    pub fn record<T: BinPayload>(&mut self, first_seq: u64, members: &[T]) {
-        self.history.record(self.continues, first_seq, members.iter().map(T::event));
+    pub fn record<T: BinPayload>(&mut self, key: u64, members: &[T]) {
+        self.history.record(self.continues, key, members);
     }
 
     /// Forgets the history: the next frame is fresh.
@@ -1397,12 +1406,13 @@ impl SeqEncoder {
     }
 
     /// When the sequence being written continues its history, the
-    /// sequence number one before the frame's first — the history's last
-    /// member's, in a stream of dense numbers: a sequenced member first in
-    /// the frame codes its own number against this rather than against 0,
-    /// so it costs what it would one member later.
+    /// sequence number of the history's last member, when it carried one —
+    /// never the frame's key, which for a store reply is a position: a
+    /// sequenced member first in the frame codes its own number against
+    /// this rather than against 0, so it costs what it would one member
+    /// later.
     pub fn seq_before(&self) -> Option<u64> {
-        self.continued()?.next_seq().map(|next| next.wrapping_sub(1))
+        self.continued()?.last_seq()
     }
 
     /// The stream position of the sequence's member `index`.
