@@ -7,8 +7,8 @@
 //!
 //! Here "multi-threaded … publish and store" is this module's *ingest*
 //! thread plus, in a networked deployment, one socket thread per remote
-//! consumer. The ingest thread takes a batch of Collector events (a
-//! whole TCP frame, or whatever an in-process subscription has queued),
+//! consumer. The ingest thread takes a batch of Collector events (one
+//! whole frame, off a TCP connection or an in-process Collector alike),
 //! assigns global sequence numbers, inserts the batch into the
 //! [`EventStore`] and then publishes it on the feed with one call —
 //! during which `sdci-net`'s fan-out relay encodes the batch once and
@@ -21,7 +21,6 @@
 use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
 use sdci_mq::pubsub::Broker;
-use sdci_mq::transport::Subscribe;
 use sdci_types::bin::{Class, SeqEncoder};
 use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent};
 use std::fmt;
@@ -214,8 +213,8 @@ pub struct AggregatorSnapshot {
 /// The running Aggregator: the ingest thread plus the shared store.
 ///
 /// Generic over its [`EventBackend`], defaulting to the in-process
-/// segmented [`EventStore`]; `sdcimon` hands it a metered one
-/// (`Arc<dyn EventBackend>`) via [`Aggregator::start_with_backend`].
+/// segmented [`EventStore`]; `sdcimon` hands [`Aggregator::start`] a
+/// metered one (`Arc<dyn EventBackend>`).
 pub struct Aggregator<B: EventBackend + ?Sized = EventStore> {
     store: Arc<B>,
     feed: Broker<FeedMessage>,
@@ -244,70 +243,24 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(20);
 /// backlog cannot grow one batch without bound.
 const MAX_INGEST_BATCH: usize = 256;
 
-impl Aggregator<EventStore> {
-    /// Starts the Aggregator over `events` (an in-process Collector-side
-    /// subscription), with a store retaining `store_capacity` events and
-    /// a consumer feed with the given high-water mark.
-    pub fn start<S>(events: S, store_capacity: usize, feed_hwm: usize) -> Self
-    where
-        S: Subscribe<FileEvent>,
-    {
-        Self::start_with_store(events, EventStore::new(store_capacity), feed_hwm)
-    }
-
-    /// Starts the Aggregator with a pre-populated store (restored from a
-    /// snapshot after a crash). Sequence
-    /// numbering resumes after the snapshot's last event, so consumers
-    /// reconnecting with `subscribe_from(old_seq)` recover seamlessly
-    /// across the restart.
-    pub fn start_with_store<S>(events: S, store: EventStore, feed_hwm: usize) -> Self
-    where
-        S: Subscribe<FileEvent>,
-    {
-        // Whatever is queued when the thread looks is one batch; a
-        // trickling feed degenerates to one event per batch.
-        let recv = move |wait: Option<Duration>| {
-            let msg = match wait {
-                Some(timeout) => events.recv_timeout(timeout),
-                None => events.try_recv(),
-            };
-            msg.map(|m| [m.payload])
-        };
-        Aggregator::spawn(recv, Arc::new(store), feed_hwm)
-    }
-}
+/// Frames queued for the ingest thread before Collectors block
+/// (backpressure, never loss): the bound of `sdcimon`'s pull server and
+/// of a [`MonitorCluster`](crate::MonitorCluster)'s in-process queue
+/// alike — 131,072 events at the pusher's 512-event frame cap.
+pub const INGEST_QUEUE_FRAMES: usize = 256;
 
 impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
-    /// Starts the Aggregator over `frames` — the pull end of
-    /// `sdci-net`'s `TcpPullServer`, one `Vec` per accepted Collector
-    /// frame — and any [`EventBackend`]: a bare store, or one built by
-    /// [`StoreStack`](crate::StoreStack). Sequence numbering resumes
-    /// after the backend's last event. A frame stays whole: it is
-    /// sequenced, stored and published as one batch (joined by further
-    /// frames only when they are already queued behind it).
-    pub fn start_with_backend(
-        frames: Pull<Vec<FileEvent>>,
-        store: Arc<B>,
-        feed_hwm: usize,
-    ) -> Self {
-        let recv = move |wait: Option<Duration>| match wait {
-            Some(timeout) => frames.recv_timeout(timeout),
-            None => frames.try_recv(),
-        };
-        Aggregator::spawn(recv, store, feed_hwm)
-    }
-
-    /// Spawns the ingest thread over `recv`, which yields the next group
-    /// of events — waiting up to the given timeout, or not at all for
-    /// `None` — and `None` when nothing is queued.
-    fn spawn<I>(
-        mut recv: impl FnMut(Option<Duration>) -> Option<I> + Send + 'static,
-        store: Arc<B>,
-        feed_hwm: usize,
-    ) -> Self
-    where
-        I: IntoIterator<Item = FileEvent>,
-    {
+    /// Starts the Aggregator over `frames`, a queue of Collector batches
+    /// (one `Vec` each: `sdci-net`'s `TcpPullServer::pull`, or the
+    /// in-process pipeline a [`MonitorCluster`](crate::MonitorCluster)'s
+    /// Collectors push to), and any [`EventBackend`]: a bare store, or
+    /// one built by [`StoreStack`](crate::StoreStack). Sequence numbering
+    /// resumes after the backend's last event, so over a restored store
+    /// consumers reconnecting with `subscribe_from(old_seq)` recover
+    /// across the restart. A frame stays whole: it is sequenced, stored
+    /// and published as one batch (joined by further frames only when
+    /// they are already queued behind it).
+    pub fn start(frames: Pull<Vec<FileEvent>>, store: Arc<B>, feed_hwm: usize) -> Self {
         let feed: Broker<FeedMessage> = Broker::new(feed_hwm);
         let stats = Arc::new(AggregatorStats::default());
         let stop = Arc::new(AtomicBool::new(false));
@@ -328,7 +281,7 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                 let mut announced = seq;
                 let mut last_publish = std::time::Instant::now();
                 loop {
-                    let Some(first) = recv(Some(IDLE)) else {
+                    let Some(first) = frames.recv_timeout(IDLE) else {
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
@@ -343,12 +296,13 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                     };
                     let mut batch: Vec<SequencedEvent> = Vec::new();
                     let mut next = Some(first);
-                    while let Some(group) = next {
-                        batch.extend(group.into_iter().map(|event| {
+                    while let Some(frame) = next {
+                        batch.extend(frame.into_iter().map(|event| {
                             seq += 1;
                             SequencedEvent { seq, event }
                         }));
-                        next = if batch.len() < MAX_INGEST_BATCH { recv(None) } else { None };
+                        next =
+                            if batch.len() < MAX_INGEST_BATCH { frames.try_recv() } else { None };
                     }
                     let n = batch.len() as u64;
                     stats.received.fetch_add(n, Ordering::Relaxed);
@@ -487,6 +441,7 @@ impl<B: EventBackend + ?Sized> Drop for Aggregator<B> {
 mod tests {
     use super::*;
     use crate::store::StoreQuery;
+    use sdci_mq::pipe::{pipeline, Push};
     use sdci_types::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime};
 
     fn event(i: u64) -> FileEvent {
@@ -505,6 +460,12 @@ mod tests {
         }
     }
 
+    /// An Aggregator over `store` and the queue its frames arrive on.
+    fn start_over(store: EventStore, feed_hwm: usize) -> (Push<Vec<FileEvent>>, Aggregator) {
+        let (push, frames) = pipeline(INGEST_QUEUE_FRAMES);
+        (push, Aggregator::start(frames, Arc::new(store), feed_hwm))
+    }
+
     fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
         let end = std::time::Instant::now() + deadline;
         while std::time::Instant::now() < end {
@@ -518,12 +479,10 @@ mod tests {
 
     #[test]
     fn sequences_stores_and_publishes() {
-        let broker: Broker<FileEvent> = Broker::new(1024);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 1000, 1024);
+        let (events, agg) = start_over(EventStore::new(1000), 1024);
         let consumer = agg.feed().subscribe(&["feed/"]);
-        let p = broker.publisher();
         for i in 1..=50 {
-            p.publish("events/mdt0", event(i));
+            events.send(vec![event(i)]);
         }
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().published >= 50));
         let mut seqs = Vec::new();
@@ -540,13 +499,11 @@ mod tests {
     #[test]
     fn store_is_ahead_of_feed() {
         // Anything seen on the feed must already be in the store.
-        let broker: Broker<FileEvent> = Broker::new(1024);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 1000, 1024);
+        let (events, agg) = start_over(EventStore::new(1000), 1024);
         let consumer = agg.feed().subscribe(&["feed/"]);
         let store = agg.store();
-        let p = broker.publisher();
         for i in 1..=200 {
-            p.publish("events/mdt0", event(i));
+            events.send(vec![event(i)]);
         }
         let mut checked = 0;
         while checked < 200 {
@@ -568,11 +525,9 @@ mod tests {
 
     #[test]
     fn store_rotates_at_capacity() {
-        let broker: Broker<FileEvent> = Broker::new(1024);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 10, 1024);
-        let p = broker.publisher();
+        let (events, agg) = start_over(EventStore::new(10), 1024);
         for i in 1..=30 {
-            p.publish("events/mdt0", event(i));
+            events.send(vec![event(i)]);
         }
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().stored >= 30));
         let store = agg.store();
@@ -588,16 +543,14 @@ mod tests {
         // next sequence the Aggregator assigns is stale. The old code
         // died in `.expect(...)` and took the thread down silently; now
         // the error is counted, ingest halts, and shutdown still joins.
-        let broker: Broker<FileEvent> = Broker::new(1024);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 1000, 1024);
-        let p = broker.publisher();
-        p.publish("events/mdt0", event(1));
+        let (events, agg) = start_over(EventStore::new(1000), 1024);
+        events.send(vec![event(1)]);
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().stored >= 1));
 
         agg.store()
             .insert(SequencedEvent { seq: 1_000_000, event: event(2) })
             .expect("out-of-band insert");
-        p.publish("events/mdt0", event(3));
+        events.send(vec![event(3)]);
 
         assert!(
             wait_until(Duration::from_secs(5), || agg.snapshot().insert_errors == 1),
@@ -611,15 +564,13 @@ mod tests {
 
     #[test]
     fn idle_feed_heartbeats_last_seq() {
-        let broker: Broker<FileEvent> = Broker::new(1024);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 1000, 1024);
+        let (events, agg) = start_over(EventStore::new(1000), 1024);
         let consumer = agg.feed().subscribe(&["feed/"]);
         // Nothing is announced before the first event, however long the
         // feed idles.
         assert!(consumer.recv_timeout(Duration::from_millis(60)).is_none());
-        let p = broker.publisher();
         for i in 1..=50 {
-            p.publish("events/mdt0", event(i));
+            events.send(vec![event(i)]);
         }
         for seq in 1..=50 {
             let msg = consumer.recv_timeout(Duration::from_secs(5)).expect("feed stalled");
@@ -641,8 +592,7 @@ mod tests {
         for seq in 1..=10 {
             store.insert(SequencedEvent { seq, event: event(seq) }).expect("ordered insert");
         }
-        let broker: Broker<FileEvent> = Broker::new(16);
-        let agg = Aggregator::start_with_store(broker.subscribe(&["events/"]), store, 1024);
+        let (_events, agg) = start_over(store, 1024);
         let mut consumer =
             crate::EventConsumer::new(agg.feed().subscribe(&["feed/"]), agg.store(), 0);
         let first = consumer.next_timeout(Duration::from_secs(2)).expect("no backfill");
@@ -652,8 +602,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_cleanly() {
-        let broker: Broker<FileEvent> = Broker::new(16);
-        let agg = Aggregator::start(broker.subscribe(&["events/"]), 10, 16);
+        let (_events, agg) = start_over(EventStore::new(10), 16);
         agg.shutdown();
     }
 }

@@ -1,14 +1,14 @@
 //! Wiring: one Collector thread per MDT + the Aggregator (Figure 2),
 //! plus the [`ShardMap`] a sharded aggregator tier partitions by.
 
-use crate::aggregator::{Aggregator, AggregatorSnapshot};
+use crate::aggregator::{Aggregator, AggregatorSnapshot, INGEST_QUEUE_FRAMES};
 use crate::collector::{Collector, CollectorStats};
 use crate::config::MonitorConfig;
 use crate::consumer::EventConsumer;
-use crate::store::StoreStats;
+use crate::store::{EventStore, StoreStats};
 use lustre_sim::LustreFs;
 use parking_lot::Mutex;
-use sdci_mq::pubsub::Broker;
+use sdci_mq::pipe::pipeline;
 use sdci_types::{FileEvent, MdtIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -20,16 +20,11 @@ use std::time::Duration;
 /// How long a live Collector thread sleeps when its ChangeLog is empty.
 const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
-/// High-water mark between the Collectors and the Aggregator. Shedding
-/// here loses events before they reach the store, so it is sized to
-/// absorb bursts.
-const PUBLISH_HWM: usize = 65_536;
-
 /// Builder for a [`MonitorCluster`].
 pub struct MonitorClusterBuilder {
     fs: Arc<Mutex<LustreFs>>,
     config: MonitorConfig,
-    restored_store: Option<crate::store::EventStore>,
+    restored_store: Option<EventStore>,
 }
 
 impl fmt::Debug for MonitorClusterBuilder {
@@ -53,28 +48,21 @@ impl MonitorClusterBuilder {
     /// Seeds the Aggregator with a store restored from a snapshot
     /// (see [`crate::restore_snapshot`]); sequence numbering resumes
     /// after the snapshot.
-    pub fn restore_store(mut self, store: crate::store::EventStore) -> Self {
+    pub fn restore_store(mut self, store: EventStore) -> Self {
         self.restored_store = Some(store);
         self
     }
 
-    /// Deploys one Collector thread per MDT plus the Aggregator over an
-    /// in-process broker, and begins monitoring.
+    /// Deploys one Collector thread per MDT plus the Aggregator, joined
+    /// by an in-process frame queue (one frame per Collector batch; a
+    /// full queue blocks the Collectors, never sheds), and begins
+    /// monitoring.
     pub fn start(self) -> MonitorCluster {
-        let events: Broker<FileEvent> = Broker::new(PUBLISH_HWM);
+        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
         let mdt_count = self.fs.lock().mdt_count();
-        let aggregator = match self.restored_store {
-            Some(store) => Aggregator::start_with_store(
-                events.subscribe(&["events/"]),
-                store,
-                self.config.feed_hwm,
-            ),
-            None => Aggregator::start(
-                events.subscribe(&["events/"]),
-                self.config.store_capacity,
-                self.config.feed_hwm,
-            ),
-        };
+        let store =
+            self.restored_store.unwrap_or_else(|| EventStore::new(self.config.store_capacity));
+        let aggregator = Aggregator::start(frames, Arc::new(store), self.config.feed_hwm);
         let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
         let mut collector_stats: Vec<Arc<Mutex<CollectorStats>>> = Vec::new();
@@ -82,7 +70,7 @@ impl MonitorClusterBuilder {
             let mut collector = Collector::new(
                 Arc::clone(&self.fs),
                 MdtIndex::new(mdt),
-                events.publisher(),
+                events.clone(),
                 self.config.clone(),
             );
             let shared = Arc::new(Mutex::new(CollectorStats::default()));
@@ -401,14 +389,9 @@ mod tests {
     #[test]
     fn cache_hit_rate_matches_a_live_collector() {
         let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
-        let broker: Broker<FileEvent> = Broker::new(65_536);
-        let _sub = broker.subscribe(&["events/"]);
-        let mut collector = Collector::new(
-            Arc::clone(&fs),
-            MdtIndex::new(0),
-            broker.publisher(),
-            MonitorConfig::default(),
-        );
+        let (events, _frames) = pipeline::<Vec<FileEvent>>(16);
+        let mut collector =
+            Collector::new(Arc::clone(&fs), MdtIndex::new(0), events, MonitorConfig::default());
         {
             let mut guard = fs.lock();
             guard.mkdir("/d", t(0)).unwrap();
@@ -423,6 +406,80 @@ mod tests {
             store: StoreStats::default(),
         };
         assert!((stats.cache_hit_rate() - 20.0 / 21.0).abs() < 1e-9);
+    }
+
+    /// The in-process link is lossless: with ingest stalled, a Collector
+    /// publishing more frames than the queue holds blocks instead of
+    /// shedding, and once ingest resumes every event is stored exactly
+    /// once, in the Collector's order.
+    #[test]
+    fn a_stalled_aggregator_blocks_its_collector_and_loses_nothing() {
+        use crate::aggregator::SequencedEvent;
+        use crate::store::{EventBackend, StoreError, StoreQuery};
+
+        /// A store whose inserts wait until `open` is set.
+        struct Latched {
+            store: EventStore,
+            open: AtomicBool,
+        }
+        impl EventBackend for Latched {
+            fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
+                while !self.open.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                EventBackend::insert_batch(&self.store, events)
+            }
+            fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {
+                self.store.query(query)
+            }
+            fn last_seq(&self) -> u64 {
+                self.store.last_seq()
+            }
+        }
+
+        // One event a frame. A stalled ingest thread holds at most one
+        // batch of 256 events and the queue as many frames, so a
+        // Collector with four times the bound to push must block.
+        let files = 4 * INGEST_QUEUE_FRAMES;
+        let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
+        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+        let queue = events.clone();
+        let store =
+            Arc::new(Latched { store: EventStore::new(files), open: AtomicBool::new(false) });
+        let aggregator = Aggregator::start(frames, Arc::clone(&store), 16);
+        let config = MonitorConfig { batch_size: 1, ..MonitorConfig::default() };
+        let mut collector = Collector::new(Arc::clone(&fs), MdtIndex::new(0), events, config);
+        {
+            let mut guard = fs.lock();
+            for i in 0..files {
+                guard.create(format!("/f{i}"), t(i as u64)).unwrap();
+            }
+        }
+        let pusher = std::thread::spawn(move || {
+            while collector.run_once() > 0 {}
+            collector.stats()
+        });
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while queue.queued() < INGEST_QUEUE_FRAMES && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(queue.queued(), INGEST_QUEUE_FRAMES, "the queue fills while ingest stalls");
+        assert!(!pusher.is_finished(), "a full queue blocks the Collector");
+
+        store.open.store(true, Ordering::SeqCst);
+        let stats = pusher.join().expect("collector thread");
+        assert_eq!((stats.processed, stats.published, stats.shed), (files as u64, files as u64, 0));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while aggregator.snapshot().stored < files as u64 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let stored = store.query(&StoreQuery::after_seq(0));
+        let paths: Vec<String> =
+            stored.iter().map(|e| e.event.path.display().to_string()).collect();
+        assert_eq!(paths, (0..files).map(|i| format!("/f{i}")).collect::<Vec<_>>());
+        assert!(stored.iter().map(|e| e.seq).eq(1..=files as u64));
+        aggregator.shutdown();
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::pathcache::PathCache;
 use crate::store::is_plain;
 use lustre_sim::{ChangelogUser, LustreFs};
 use parking_lot::Mutex;
-use sdci_mq::pubsub::Publisher;
-use sdci_mq::transport::{Publish, PublishOutcome};
+use sdci_mq::pipe::Push;
+use sdci_mq::transport::Publish;
 use sdci_types::{
     ChangelogKind, EventPath, FileEvent, MdtIndex, PathArenaBuilder, RawChangelogRecord,
     TraceContext,
@@ -70,10 +70,11 @@ pub struct CollectorCheckpoint {
 
 /// A Collector bound to one MDT of a shared [`LustreFs`].
 ///
-/// The Collector publishes through any [`Publish`] implementation: the
-/// in-process broker's `Publisher` (the default) or `sdci-net`'s TCP
+/// The Collector hands each batch, whole, to any [`Publish`]
+/// implementation: the in-process frame queue's [`Push`] (the default;
+/// one frame per batch, blocking when full) or `sdci-net`'s TCP
 /// endpoints when the monitor runs distributed.
-pub struct Collector<P = Publisher<FileEvent>> {
+pub struct Collector<P = Push<Vec<FileEvent>>> {
     mdt: MdtIndex,
     fs: Arc<Mutex<LustreFs>>,
     user: ChangelogUser,
@@ -85,8 +86,8 @@ pub struct Collector<P = Publisher<FileEvent>> {
     /// The one topic this Collector publishes on.
     topic: String,
     /// The batch being resolved: filled under the filesystem lock,
-    /// drained into the publisher once it is released. Kept between
-    /// batches for its capacity.
+    /// handed to the publisher whole, with one `publish_batch`, once it
+    /// is released. Kept between batches for its capacity.
     resolved: Vec<FileEvent>,
     /// Path bytes the last batch joined: what the next batch's arena
     /// reserves, so a steady stream sizes it once.
@@ -245,18 +246,14 @@ impl<P: Publish<FileEvent>> Collector<P> {
         // still reaches the slow-trace tail.
         let mut publish_span = sdci_obs::trace::root("collector.publish");
         publish_span.set_detail(|| format!("{} events", self.resolved.len()));
-        self.stats.processed += self.resolved.len() as u64;
-        sdci_obs::static_metric!(counter, "sdci_collector_processed_total")
-            .add(self.resolved.len() as u64);
-        for event in self.resolved.drain(..) {
-            if self.publisher.publish(&self.topic, event) == PublishOutcome::Shed {
-                self.stats.shed += 1;
-                sdci_obs::static_metric!(counter, "sdci_collector_shed_total").inc();
-            } else {
-                self.stats.published += 1;
-                sdci_obs::static_metric!(counter, "sdci_collector_published_total").inc();
-            }
-        }
+        let processed = self.resolved.len() as u64;
+        self.stats.processed += processed;
+        sdci_obs::static_metric!(counter, "sdci_collector_processed_total").add(processed);
+        let shed = self.publisher.publish_batch(&self.topic, &mut self.resolved) as u64;
+        self.stats.shed += shed;
+        sdci_obs::static_metric!(counter, "sdci_collector_shed_total").add(shed);
+        self.stats.published += processed - shed;
+        sdci_obs::static_metric!(counter, "sdci_collector_published_total").add(processed - shed);
         drop(publish_span);
         self.unacked += read;
         if self.unacked >= self.config.purge_every {
@@ -352,7 +349,7 @@ fn join(paths: &mut PathArenaBuilder, parent: &Path, name: &str) -> EventPath {
 mod tests {
     use super::*;
     use lustre_sim::LustreConfig;
-    use sdci_mq::pubsub::Broker;
+    use sdci_mq::pubsub::{Broker, Publisher};
     use sdci_types::{EventKind, SimTime};
 
     fn t(secs: u64) -> SimTime {
@@ -361,7 +358,11 @@ mod tests {
 
     fn setup(
         config: MonitorConfig,
-    ) -> (Arc<Mutex<LustreFs>>, Collector, sdci_mq::pubsub::Subscriber<FileEvent>) {
+    ) -> (
+        Arc<Mutex<LustreFs>>,
+        Collector<Publisher<FileEvent>>,
+        sdci_mq::pubsub::Subscriber<FileEvent>,
+    ) {
         let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
         let broker: Broker<FileEvent> = Broker::new(65_536);
         let sub = broker.subscribe(&["events/"]);

@@ -6,9 +6,9 @@
 //!
 //! ```text
 //!  MDT0 ChangeLog ──> Collector 0 ──┐
-//!  MDT1 ChangeLog ──> Collector 1 ──┤  pub-sub   ┌──────────────┐  feed  ┌──────────┐
+//!  MDT1 ChangeLog ──> Collector 1 ──┤  batches   ┌──────────────┐  feed  ┌──────────┐
 //!  MDT2 ChangeLog ──> Collector 2 ──┼───────────>│  Aggregator  │───────>│ Consumer │
-//!  MDT3 ChangeLog ──> Collector 3 ──┘  (ZeroMQ)  │ store + API  │        │ (Ripple) │
+//!  MDT3 ChangeLog ──> Collector 3 ──┘ (push/pull)│ store + API  │        │ (Ripple) │
 //!                                                └──────────────┘        └──────────┘
 //! ```
 //!
@@ -20,10 +20,10 @@
 //!    resolved to absolute paths (`fid2path`). This is the measured
 //!    bottleneck (§5.2); the [`PathCache`] and batching implement the
 //!    paper's proposed remediation.
-//! 3. **Aggregation** — events flow over a pub-sub fabric to the
-//!    [`Aggregator`], which stores each batch in a rotating local
-//!    [`EventStore`] and then publishes it to subscribed consumers; the
-//!    store's query API gives consumers fault tolerance
+//! 3. **Aggregation** — each Collector hands its batch, whole, to a
+//!    bounded queue the [`Aggregator`] drains; it stores each batch in
+//!    a rotating local [`EventStore`] and then publishes it to
+//!    subscribed consumers; the store's query API gives consumers fault tolerance
 //!    ([`EventConsumer`] uses it to backfill gaps).
 //!
 //! Collectors also purge their ChangeLogs as records are consumed, so the
@@ -32,8 +32,10 @@
 //! Two execution modes share this code:
 //!
 //! * **Live mode** — [`MonitorCluster`] spawns real collector/aggregator
-//!   threads over [`sdci_mq`] channels; integration tests and the Ripple
-//!   examples run this.
+//!   threads joined by the same frame queue a deployed aggregator's TCP
+//!   pull server feeds (an [`sdci_mq::pipe`] pipeline: one frame per
+//!   Collector batch, blocking when full, never shedding); integration
+//!   tests and the Ripple examples run this.
 //! * **Modelled mode** — [`model::PipelineModel`] replays the same
 //!   pipeline inside the discrete-event kernel with calibrated service
 //!   times, reproducing the paper's throughput and overhead numbers
@@ -77,6 +79,7 @@ mod store;
 
 pub use aggregator::{
     Aggregator, AggregatorSnapshot, AggregatorStats, FeedMessage, SequencedEvent,
+    INGEST_QUEUE_FRAMES,
 };
 pub use cluster::{
     ClusterStats, MonitorCluster, MonitorClusterBuilder, ShardId, ShardInfo, ShardMap,

@@ -6,7 +6,7 @@
 
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Creates a PUSH/PULL pair with a queue bound of `capacity` (minimum 1).
 ///
@@ -83,11 +83,19 @@ impl<T: Send + 'static> Pull<T> {
     }
 
     /// Receives, waiting at most `timeout`. Returns `None` on timeout
-    /// *or* disconnect; use [`Pull::recv`] to distinguish.
+    /// *or* disconnect; use [`Pull::recv`] to distinguish. A queue whose
+    /// pushers are all gone still yields what they queued, then waits
+    /// out `timeout` as an open, idle queue would: a polling loop costs
+    /// the same either way, rather than spinning once its source closes.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
+        let deadline = Instant::now() + timeout;
         match self.receiver.recv_timeout(timeout) {
             Ok(v) => Some(v),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => {
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                None
+            }
         }
     }
 
@@ -181,5 +189,16 @@ mod tests {
     fn recv_timeout_when_idle() {
         let (_push, pull) = pipeline::<u32>(4);
         assert_eq!(pull.recv_timeout(Duration::from_millis(10)), None);
+    }
+
+    #[test]
+    fn recv_timeout_drains_then_waits_on_a_closed_queue() {
+        let (push, pull) = pipeline::<u32>(4);
+        push.send(9);
+        drop(push);
+        assert_eq!(pull.recv_timeout(Duration::from_millis(20)), Some(9));
+        let start = Instant::now();
+        assert_eq!(pull.recv_timeout(Duration::from_millis(20)), None);
+        assert!(start.elapsed() >= Duration::from_millis(20), "a closed queue must not spin");
     }
 }

@@ -8,11 +8,12 @@
 //! paper's real deployment).
 //!
 //! * [`Publish`] — the sending side: what a Collector hands its events
-//!   to (a broker [`Publisher`], or `sdci-net`'s `TcpPush` and
-//!   `ShardRouter`).
+//!   to (the in-process frame queue's [`Push`], or `sdci-net`'s
+//!   `TcpPush` and `ShardRouter`; a broker [`Publisher`] too).
 //! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
 //!   broker [`Subscriber`], or `sdci-net`'s `TcpSubscriber`).
 
+use crate::pipe::Push;
 use crate::pubsub::{Message, Publisher, Subscriber};
 use std::time::Duration;
 
@@ -31,14 +32,54 @@ pub enum PublishOutcome {
     Queued,
 }
 
-/// The sending side of a topic-addressed event fan-out.
+/// The sending side of a topic-addressed event hand-off.
 ///
-/// Delivery follows the PUB/SUB contract: best-effort, shedding at a
-/// high-water mark when a subscriber (or the wire) falls behind.
+/// Whether a slow far end blocks the caller or sheds depends on the
+/// leg. A broker [`Publisher`] never blocks: each subscriber sheds at
+/// its high-water mark (PUB/SUB). A pipeline [`Push`] and `sdci-net`'s
+/// `TcpPush` never shed: they block while their queue is full
+/// (PUSH/PULL backpressure). Either way the outcome is reported, so
+/// callers count sheds honestly.
 pub trait Publish<T>: Send + 'static {
-    /// Publishes `payload` on `topic`. Never blocks on slow consumers;
-    /// reports what happened so callers can count sheds honestly.
+    /// Publishes `payload` on `topic` and reports what became of it.
     fn publish(&self, topic: &str, payload: T) -> PublishOutcome;
+
+    /// Publishes every payload of `batch` on `topic`, in order, leaving
+    /// `batch` empty (its capacity kept for the caller's next batch),
+    /// and returns how many payloads were shed. The default publishes
+    /// them one at a time.
+    fn publish_batch(&self, topic: &str, batch: &mut Vec<T>) -> usize {
+        batch
+            .drain(..)
+            .map(|payload| self.publish(topic, payload))
+            .filter(|outcome| *outcome == PublishOutcome::Shed)
+            .count()
+    }
+}
+
+/// The in-process frame queue: a batch is one frame, queued whole, and
+/// a full queue blocks the publisher rather than shed. Only a queue
+/// whose puller is gone loses payloads, and those count as shed.
+impl<T: Send + 'static> Publish<T> for Push<Vec<T>> {
+    fn publish(&self, _topic: &str, payload: T) -> PublishOutcome {
+        if self.send(vec![payload]) {
+            PublishOutcome::Delivered
+        } else {
+            PublishOutcome::Shed
+        }
+    }
+
+    fn publish_batch(&self, _topic: &str, batch: &mut Vec<T>) -> usize {
+        let n = batch.len();
+        // The frame gets a buffer of its own; the caller keeps theirs.
+        let mut frame = Vec::with_capacity(n);
+        frame.append(batch);
+        if n == 0 || self.send(frame) {
+            0
+        } else {
+            n
+        }
+    }
 }
 
 /// The receiving side of a topic-addressed event fan-out.
@@ -93,5 +134,27 @@ mod tests {
         let publisher = broker.publisher();
         publish_via(&publisher);
         assert_eq!(drain_via(&sub), vec![7]);
+    }
+
+    #[test]
+    fn a_pipeline_queues_a_batch_as_one_frame() {
+        let (push, pull) = crate::pipe::pipeline::<Vec<u32>>(4);
+        let mut batch = Vec::with_capacity(8);
+        batch.extend([1, 2, 3]);
+        assert_eq!(push.publish_batch("events/t", &mut batch), 0);
+        assert!(batch.is_empty() && batch.capacity() >= 8, "the caller keeps its buffer");
+        assert_eq!(pull.try_recv(), Some(vec![1, 2, 3]));
+        drop(pull);
+        batch.extend([4, 5]);
+        assert_eq!(push.publish_batch("events/t", &mut batch), 2, "nobody can pull it");
+    }
+
+    #[test]
+    fn the_default_batch_counts_each_shed_payload() {
+        let broker: Broker<u32> = Broker::new(1);
+        let _stuck = broker.subscribe(&["events/"]);
+        let mut batch = vec![1, 2, 3];
+        assert_eq!(Publish::publish_batch(&broker.publisher(), "events/t", &mut batch), 2);
+        assert!(batch.is_empty());
     }
 }

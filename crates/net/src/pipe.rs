@@ -697,9 +697,8 @@ fn push_worker<T>(
                     next_seq += 1;
                 }
                 let reason = if batch.len() >= budget { "size" } else { "deadline" };
-                sdci_obs::registry()
-                    .counter_with("sdci_net_batch_flush_total", &[("reason", reason)])
-                    .inc();
+                sdci_obs::static_metric!(counter_vec, "sdci_net_batch_flush_total", "reason")
+                    .inc(reason);
                 // The histogram's base unit is seconds; recording
                 // `len` seconds as nanoseconds makes the exported
                 // values read directly as batch sizes.

@@ -412,9 +412,8 @@ fn enqueue_delivery<T>(
         Ok(()) => true,
         Err(crossbeam_channel::TrySendError::Full(msg)) => {
             counters.dropped.fetch_add(1, Ordering::Relaxed);
-            sdci_obs::registry()
-                .counter_with("sdci_net_sub_dropped_total", &[("topic", &msg.topic)])
-                .inc();
+            sdci_obs::static_metric!(counter_vec, "sdci_net_sub_dropped_total", "topic")
+                .inc(&msg.topic);
             true
         }
         Err(crossbeam_channel::TrySendError::Disconnected(_)) => false,

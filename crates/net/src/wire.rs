@@ -1219,6 +1219,24 @@ mod tests {
         }
     }
 
+    /// DESIGN.md quotes the wire version in prose and in its sample
+    /// hellos; every quote must name the version this crate speaks.
+    #[test]
+    fn the_design_doc_quotes_the_current_wire_version() {
+        let doc = include_str!("../../../DESIGN.md");
+        let mut quotes = 0;
+        for marker in ["\"proto\":", "WIRE_PROTO = "] {
+            for (at, _) in doc.match_indices(marker) {
+                let rest = &doc[at + marker.len()..];
+                let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+                let quoted: u32 = rest[..digits].parse().expect("a version number");
+                assert_eq!(quoted, WIRE_PROTO, "DESIGN.md quotes `{marker}{quoted}`");
+                quotes += 1;
+            }
+        }
+        assert!(quotes >= 5, "DESIGN.md quotes the wire version {quotes} times");
+    }
+
     /// Reads the first frame of an in-memory stream.
     fn read_one<M: WireMsg>(buf: &[u8]) -> io::Result<M> {
         FrameReader::new(buf).read_msg()

@@ -68,7 +68,7 @@ fn one_item_frame_in_is_one_deliver_frame_out() {
         ..NetConfig::default()
     };
     let pull_srv = TcpPullServer::<FileEvent>::new(16);
-    let agg = Aggregator::start_with_backend(pull_srv.pull(), Arc::new(EventStore::new(4096)), 64);
+    let agg = Aggregator::start(pull_srv.pull(), Arc::new(EventStore::new(4096)), 64);
     let broker = TcpBroker::new(agg.feed().clone());
     let endpoint = Endpoint::bind(
         "127.0.0.1:0",

@@ -9,7 +9,10 @@
 //! dense sequence numbers and `steady`-shaped paths: 64 directories,
 //! fixed-width names.
 
-use sdci_core::{Aggregator, EventConsumer, FeedMessage, SequencedEvent};
+use sdci_core::{
+    Aggregator, EventConsumer, EventStore, FeedMessage, SequencedEvent, INGEST_QUEUE_FRAMES,
+};
+use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::{Broker, Publisher};
 use sdci_net::wire::{write_hello, BinEncoder, Frame, FrameReader, Service, WireMsg};
 use sdci_net::{
@@ -350,8 +353,8 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_only_for_drops() {
     let reconnects = || sdci_obs::registry().counter("sdci_net_subscriber_reconnects_total").get();
     let drops = || counter("sdci_faults_injected_total", &[("dir", "recv"), ("kind", "drop")]);
     for spec in ["seed=11,recv.drop=0.08", "seed=11,recv.dup=0.05"] {
-        let events = Broker::<FileEvent>::new(8192);
-        let agg = Aggregator::start(events.subscribe(&["events/"]), 100_000, 8192);
+        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+        let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), 8192);
         let handlers: Vec<Arc<dyn Handler>> =
             vec![TcpBroker::new(agg.feed().clone()), StoreServer::new(agg.store())];
         let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), handlers).unwrap();
@@ -363,14 +366,13 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_only_for_drops() {
 
         // The subscription must be live before the events it is to see
         // are published: a heartbeat reaching it says so.
-        let publisher = events.publisher();
-        publisher.publish("events/mdt0", dir_event(1));
+        assert!(events.send(vec![dir_event(1)]));
         assert!(consumer.next_timeout(Duration::from_secs(10)).is_some(), "{spec}: never joined");
         const FRAMES: u64 = 40;
         const EACH: u64 = 50;
         for frame in 0..FRAMES {
             let batch = (0..EACH).map(|i| dir_event(2 + frame * EACH + i)).collect();
-            publisher.publish_batch("events/mdt0", batch);
+            assert!(events.send(batch));
             std::thread::sleep(Duration::from_millis(2));
         }
         let mut got = vec![dir_event(1)];

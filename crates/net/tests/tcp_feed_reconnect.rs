@@ -3,8 +3,8 @@
 //! feed-server restart by backfilling the gap from the store (§4 step 3
 //! fault tolerance, over real sockets).
 
-use sdci_core::{Aggregator, EventConsumer};
-use sdci_mq::pubsub::Broker;
+use sdci_core::{Aggregator, EventConsumer, EventStore, INGEST_QUEUE_FRAMES};
+use sdci_mq::pipe::pipeline;
 use sdci_net::{Endpoint, Handler, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
@@ -41,9 +41,8 @@ fn event(i: u64) -> FileEvent {
 fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     let cfg = fast_cfg();
     // In-process aggregator; only the consumer feed crosses TCP here.
-    let events = Broker::<FileEvent>::new(8192);
-    let agg = Aggregator::start(events.subscribe(&["events/"]), 100_000, 8192);
-    let publisher = events.publisher();
+    let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+    let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), 8192);
 
     let feed = || -> Vec<Arc<dyn Handler>> { vec![TcpBroker::new(agg.feed().clone())] };
     let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), feed()).unwrap();
@@ -53,7 +52,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
 
     const A: u64 = 50;
     for i in 1..=A {
-        publisher.publish("events/mdt0", event(i));
+        assert!(events.send(vec![event(i)]));
     }
     let mut got = Vec::new();
     while got.len() < A as usize {
@@ -66,7 +65,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     endpoint1.shutdown();
     const B: u64 = 50;
     for i in A + 1..=A + B {
-        publisher.publish("events/mdt0", event(i));
+        assert!(events.send(vec![event(i)]));
     }
     // Wait for the aggregator to sequence all of batch 2 into the store.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);

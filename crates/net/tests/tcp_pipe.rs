@@ -114,6 +114,12 @@ fn pushed_items_arrive_exactly_once_in_order() {
     assert_eq!(got, (0..N).collect::<Vec<_>>());
     assert_eq!(server.stats().items, N);
     assert_eq!(server.stats().duplicates, 0);
+    // Every pushed frame counts its flush on /metrics, labelled with why.
+    let metrics = sdci_obs::registry().render_prometheus();
+    let flushed = |reason: &str| {
+        metrics.contains(&format!("sdci_net_batch_flush_total{{reason=\"{reason}\"}}"))
+    };
+    assert!(flushed("size") || flushed("deadline"), "{metrics}");
     endpoint.shutdown();
 }
 

@@ -108,6 +108,9 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
         assert!(std::time::Instant::now() < deadline, "HWM shedding never engaged");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // Each shed counts on /metrics under the shed message's topic.
+    let metrics = sdci_obs::registry().render_prometheus();
+    assert!(metrics.contains("sdci_net_sub_dropped_total{topic=\"events/e\"}"), "{metrics}");
     endpoint.shutdown();
 }
 

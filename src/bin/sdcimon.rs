@@ -64,7 +64,7 @@ use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
 use sdci::monitor::{
     restore_snapshot, Aggregator, ClusterStats, Collector, ConsumerCursor, EventBackend,
     EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, ShardId, ShardMap,
-    SnapshotDir, StoreStack,
+    SnapshotDir, StoreStack, INGEST_QUEUE_FRAMES,
 };
 use sdci::mq::transport::Publish;
 use sdci::net::{
@@ -327,11 +327,6 @@ fn run_shard(flags: &Flags) -> Result<(), String> {
     run_store_node(flags, Some(id))
 }
 
-/// Frames the pull server queues for the ingest thread before collector
-/// connections block (backpressure, never loss): 131,072 events at the
-/// pusher's 512-event frame cap.
-const PULL_QUEUE_FRAMES: usize = 256;
-
 /// Queue bound of an in-process `Broker::subscribe` on the feed. No
 /// `sdcimon` role subscribes in process — the ingest thread encodes each
 /// publish for the remote legs, whose queues `NetConfig::hwm` sizes — so
@@ -377,10 +372,10 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
             (Some(dir), store, marks)
         }
     };
-    let events_srv = TcpPullServer::<FileEvent>::with_marks(PULL_QUEUE_FRAMES, marks);
+    let events_srv = TcpPullServer::<FileEvent>::with_marks(INGEST_QUEUE_FRAMES, marks);
     let base_store = Arc::new(base_store);
     let store = StoreStack::over(base_store.clone()).metered("sdci_store").build();
-    let agg = Aggregator::start_with_backend(events_srv.pull(), store, FEED_HWM);
+    let agg = Aggregator::start(events_srv.pull(), store, FEED_HWM);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
     agg.register_health_probe(&role);
