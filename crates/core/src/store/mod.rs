@@ -24,6 +24,11 @@
 //!      trimmed segment is dropped whole (O(1) amortized)
 //! ```
 //!
+//! An insert, one event or a batch, checks the sequence order, appends
+//! to the head (sealing it wherever it fills) and then rotates the
+//! excess over capacity out once, under one chain write lock; a restore
+//! re-applies a smaller capacity through the same trim.
+//!
 //! Every segment carries its sequence range, its time range, and a
 //! directory column (each distinct parent directory once, a small id per
 //! event), so a query binary-searches to the first candidate segment,
@@ -212,14 +217,6 @@ impl PreparedQuery<'_> {
     }
 }
 
-/// The actively-written head: a short sequence-ordered run that seals
-/// into a [`Segment`] once it reaches the segment target.
-#[derive(Default)]
-struct Head {
-    events: VecDeque<SequencedEvent>,
-    bytes: u64,
-}
-
 /// The head's events past a query's `after_seq` when the query starts:
 /// `len` of them, sequence numbers `first..=last`.
 #[derive(Clone, Copy)]
@@ -237,6 +234,35 @@ struct HeadRange {
 struct Chain {
     segs: VecDeque<Arc<Segment>>,
     trim: usize,
+}
+
+/// Rotates the `excess` oldest retained events out — the chain's front
+/// first, by advancing `trim` and dropping each fully trimmed segment
+/// whole, then the head's front — and returns their footprint. The one
+/// capacity rule: ingest runs it once per insert, restore once.
+fn rotate_out(chain: &mut Chain, head: &mut VecDeque<SequencedEvent>, mut excess: usize) -> u64 {
+    let mut dropped = 0;
+    while excess > 0 {
+        let Some(front) = chain.segs.front() else { break };
+        let take = excess.min(front.len() - chain.trim);
+        dropped += if take == front.len() {
+            front.bytes()
+        } else {
+            footprint(&front.events()[chain.trim..chain.trim + take])
+        };
+        excess -= take;
+        chain.trim += take;
+        if chain.trim == front.len() {
+            chain.segs.pop_front();
+            chain.trim = 0;
+        }
+    }
+    dropped + head.drain(..excess).map(|e| e.event.footprint_bytes() as u64).sum::<u64>()
+}
+
+/// The summed footprint of `events`.
+fn footprint<'e>(events: impl IntoIterator<Item = &'e SequencedEvent>) -> u64 {
+    events.into_iter().map(|e| e.event.footprint_bytes() as u64).sum()
 }
 
 /// A bounded, rotating, in-memory event database ordered by sequence
@@ -274,7 +300,7 @@ struct Chain {
 pub struct EventStore {
     capacity: usize,
     segment_events: usize,
-    head: Mutex<Head>,
+    head: Mutex<VecDeque<SequencedEvent>>,
     sealed: RwLock<Chain>,
     last_seq: AtomicU64,
     len: AtomicUsize,
@@ -317,7 +343,7 @@ impl EventStore {
         EventStore {
             capacity: capacity.max(1),
             segment_events: segment_events.max(1),
-            head: Mutex::new(Head::default()),
+            head: Mutex::new(VecDeque::new()),
             sealed: RwLock::new(Chain::default()),
             last_seq: AtomicU64::new(0),
             len: AtomicUsize::new(0),
@@ -338,18 +364,15 @@ impl EventStore {
     /// rejected with [`StoreOrderError`] and the store is unchanged.
     pub fn insert(&self, event: SequencedEvent) -> Result<(), StoreOrderError> {
         let mut head = self.head.lock();
-        let last = self.last_seq.load(Ordering::Relaxed);
-        if event.seq <= last {
-            return Err(StoreOrderError { last_seq: last, offered_seq: event.seq });
-        }
-        self.append_locked(&mut head, event);
-        self.finish_locked(&mut head);
+        self.check(std::slice::from_ref(&event))?;
+        self.append(&mut head, std::iter::once(event));
         Ok(())
     }
 
-    /// Inserts a batch of events under one head-lock acquisition —
-    /// sealing and rotation bookkeeping run once per batch instead of
-    /// once per event (the ingest hot path for batched wire frames).
+    /// Inserts a batch of events under one head-lock acquisition: the
+    /// head seals wherever it fills, and rotation takes the chain's
+    /// write lock and updates the counters once per batch (the ingest
+    /// hot path for batched wire frames).
     ///
     /// # Errors
     ///
@@ -358,55 +381,62 @@ impl EventStore {
     /// sequence is reported via [`StoreOrderError`] and the store is
     /// left entirely unchanged (all-or-nothing).
     pub fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreOrderError> {
-        if events.is_empty() {
-            return Ok(());
-        }
         let mut head = self.head.lock();
-        // Validate everything up front so a mid-batch violation cannot
-        // leave a prefix behind.
+        self.check(&events)?;
+        self.append(&mut head, events);
+        Ok(())
+    }
+
+    /// Validates that `events` continue the strictly increasing sequence
+    /// order, up front, so a mid-batch violation cannot leave a prefix
+    /// behind. Caller holds the head lock.
+    fn check(&self, events: &[SequencedEvent]) -> Result<(), StoreOrderError> {
         let mut last = self.last_seq.load(Ordering::Relaxed);
-        for event in &events {
+        for event in events {
             if event.seq <= last {
                 return Err(StoreOrderError { last_seq: last, offered_seq: event.seq });
             }
             last = event.seq;
         }
-        for event in events {
-            self.append_locked(&mut head, event);
-        }
-        self.finish_locked(&mut head);
         Ok(())
     }
 
-    /// Appends one pre-validated event to the head. Caller holds the
-    /// head lock and runs [`EventStore::finish_locked`] afterwards.
-    fn append_locked(&self, head: &mut Head, event: SequencedEvent) {
-        let footprint = event.event.footprint_bytes() as u64;
-        self.last_seq.store(event.seq, Ordering::Relaxed);
-        head.bytes += footprint;
-        head.events.push_back(event);
-        self.bytes.fetch_add(footprint, Ordering::Relaxed);
-        self.inserted.fetch_add(1, Ordering::Relaxed);
-        self.len.fetch_add(1, Ordering::Relaxed);
-        if head.events.len() >= self.segment_events {
-            self.seal(head);
+    /// Appends checked events to the head, sealing it whenever it
+    /// reaches the segment target, then rotates the excess over capacity
+    /// out in one [`rotate_out`]. Caller holds the head lock. (Occupancy
+    /// gauges are the [`MeteredBackend`] layer's job, not the store's.)
+    fn append(
+        &self,
+        head: &mut VecDeque<SequencedEvent>,
+        events: impl IntoIterator<Item = SequencedEvent>,
+    ) {
+        let (mut added, mut bytes, mut last) = (0, 0, None);
+        for event in events {
+            added += 1;
+            bytes += event.event.footprint_bytes() as u64;
+            last = Some(event.seq);
+            head.push_back(event);
+            if head.len() >= self.segment_events {
+                self.seal(head);
+            }
         }
-    }
-
-    /// Post-append bookkeeping: rotate down to capacity. Caller holds
-    /// the head lock. (Occupancy gauges are the [`MeteredBackend`]
-    /// layer's job, not the store's.)
-    fn finish_locked(&self, head: &mut Head) {
-        let mut len = self.len.load(Ordering::Relaxed);
-        while len > self.capacity {
-            self.rotate_one(head);
-            len = self.len.fetch_sub(1, Ordering::Relaxed) - 1;
-        }
+        let Some(last) = last else { return };
+        let held = self.len.load(Ordering::Relaxed) + added;
+        let excess = held.saturating_sub(self.capacity);
+        let dropped = match excess {
+            0 => 0,
+            _ => rotate_out(&mut self.sealed.write(), head, excess),
+        };
+        self.last_seq.store(last, Ordering::Relaxed);
+        self.len.store(held - excess, Ordering::Relaxed);
+        self.bytes.store(self.bytes.load(Ordering::Relaxed) + bytes - dropped, Ordering::Relaxed);
+        self.inserted.fetch_add(added as u64, Ordering::Relaxed);
+        self.rotated.fetch_add(excess as u64, Ordering::Relaxed);
     }
 
     /// Seals the head into an immutable segment on the chain.
-    fn seal(&self, head: &mut Head) {
-        if head.events.is_empty() {
+    fn seal(&self, head: &mut VecDeque<SequencedEvent>) {
+        if head.is_empty() {
             return;
         }
         // Sealing is in-memory and infallible, so an error-mode crash
@@ -415,41 +445,9 @@ impl EventStore {
         if let Err(e) = sdci_faults::crash_point("store.seal") {
             panic!("{e}");
         }
-        let events: Vec<SequencedEvent> = head.events.drain(..).collect();
-        head.bytes = 0;
+        let events: Vec<SequencedEvent> = head.drain(..).collect();
         let mut chain = self.sealed.write();
         chain.segs.push_back(Arc::new(Segment::build(events)));
-    }
-
-    /// Rotates the single oldest retained event out: advance the chain's
-    /// trim offset (dropping the front segment whole once exhausted), or
-    /// pop from the head when nothing is sealed yet.
-    fn rotate_one(&self, head: &mut Head) {
-        let dropped = {
-            let mut chain = self.sealed.write();
-            match chain.segs.front() {
-                Some(front) => {
-                    let footprint = front.events()[chain.trim].event.footprint_bytes() as u64;
-                    let front_len = front.len();
-                    chain.trim += 1;
-                    if chain.trim == front_len {
-                        chain.segs.pop_front();
-                        chain.trim = 0;
-                    }
-                    Some(footprint)
-                }
-                None => None,
-            }
-        };
-        let footprint = dropped.unwrap_or_else(|| {
-            // cannot fail: the store holds more than its capacity (at least one) and none of it sealed.
-            let old = head.events.pop_front().expect("over-capacity store has a front event");
-            let footprint = old.event.footprint_bytes() as u64;
-            head.bytes -= footprint;
-            footprint
-        });
-        self.bytes.fetch_sub(footprint, Ordering::Relaxed);
-        self.rotated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Runs a query over the retained window, oldest first.
@@ -472,9 +470,8 @@ impl EventStore {
         let query = query.prepare();
         let after = query.after.unwrap_or(0);
         let (segs, trim, head) = {
-            let head = self.head.lock();
+            let events = self.head.lock();
             let chain = self.sealed.read();
-            let events = &head.events;
             let from = events.partition_point(|e| e.seq <= after);
             let range = events.get(from).zip(events.back()).map(|(first, last)| HeadRange {
                 first: first.seq,
@@ -519,9 +516,9 @@ impl EventStore {
         let in_range = |e: &&SequencedEvent| e.seq <= last;
         let sealed: Vec<Arc<Segment>> = {
             let head = self.head.lock();
-            if head.events.front().is_some_and(|e| e.seq <= last) {
-                let from = head.events.partition_point(|e| e.seq < first);
-                query.collect(head.events.range(from..).take_while(in_range), out);
+            if head.front().is_some_and(|e| e.seq <= last) {
+                let from = head.partition_point(|e| e.seq < first);
+                query.collect(head.range(from..).take_while(in_range), out);
                 return;
             }
             let chain = self.sealed.read();
@@ -538,9 +535,9 @@ impl EventStore {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let (head_tail, head_first_seq) = {
             let head = self.head.lock();
-            let first = head.events.front().map_or(u64::MAX, |e| e.seq);
-            let skip = head.events.len().saturating_sub(n);
-            (head.events.iter().skip(skip).cloned().collect::<Vec<_>>(), first)
+            let first = head.front().map_or(u64::MAX, |e| e.seq);
+            let skip = head.len().saturating_sub(n);
+            (head.iter().skip(skip).cloned().collect::<Vec<_>>(), first)
         };
         if head_tail.len() >= n {
             return head_tail;
@@ -581,7 +578,7 @@ impl EventStore {
         StoreState {
             segs: chain.segs.iter().cloned().collect(),
             trim: chain.trim,
-            head: head.events.iter().cloned().collect(),
+            head: head.iter().cloned().collect(),
         }
     }
 
@@ -606,7 +603,7 @@ impl EventStore {
         let chain = self.sealed.read();
         match chain.segs.front() {
             Some(front) => front.events()[chain.trim].seq,
-            None => head.events.front().map_or(0, |e| e.seq),
+            None => head.front().map_or(0, |e| e.seq),
         }
     }
 
@@ -633,55 +630,32 @@ impl EventStore {
     /// `head` strictly after them — the snapshot reader validates this.
     pub(crate) fn from_parts(
         capacity: usize,
-        mut segs: VecDeque<Arc<Segment>>,
-        mut trim: usize,
+        segs: VecDeque<Arc<Segment>>,
+        trim: usize,
         head: Vec<SequencedEvent>,
     ) -> EventStore {
         let capacity = capacity.max(1);
         let mut head: VecDeque<SequencedEvent> = head.into();
-        let mut len: usize = segs.iter().map(|s| s.len()).sum::<usize>() - trim + head.len();
+        let mut chain = Chain { segs, trim };
+        let held = chain.segs.iter().map(|s| s.len()).sum::<usize>() - trim + head.len();
+        let held_bytes = chain.segs.iter().map(|s| s.bytes()).sum::<u64>()
+            - chain.segs.front().map_or(0, |front| footprint(&front.events()[..trim]))
+            + footprint(&head);
         // Re-apply the capacity bound (a restore may use a smaller
         // window than the snapshot was taken with).
-        while len > capacity {
-            let excess = len - capacity;
-            match segs.front() {
-                Some(front) => {
-                    let avail = front.len() - trim;
-                    if avail <= excess {
-                        len -= avail;
-                        trim = 0;
-                        segs.pop_front();
-                    } else {
-                        trim += excess;
-                        len = capacity;
-                    }
-                }
-                None => {
-                    head.drain(..excess);
-                    len = capacity;
-                }
-            }
-        }
-        let bytes: u64 = segs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if i == 0 && trim > 0 {
-                    s.events()[trim..].iter().map(|e| e.event.footprint_bytes() as u64).sum()
-                } else {
-                    s.bytes()
-                }
-            })
-            .sum::<u64>()
-            + head.iter().map(|e| e.event.footprint_bytes() as u64).sum::<u64>();
-        let last_seq =
-            head.back().map(|e| e.seq).or_else(|| segs.back().map(|s| s.last_seq())).unwrap_or(0);
-        let head_bytes = head.iter().map(|e| e.event.footprint_bytes() as u64).sum();
+        let excess = held.saturating_sub(capacity);
+        let bytes = held_bytes - rotate_out(&mut chain, &mut head, excess);
+        let len = held - excess;
+        let last_seq = head
+            .back()
+            .map(|e| e.seq)
+            .or_else(|| chain.segs.back().map(|s| s.last_seq()))
+            .unwrap_or(0);
         EventStore {
             capacity,
             segment_events: default_segment_events(capacity),
-            head: Mutex::new(Head { events: head, bytes: head_bytes }),
-            sealed: RwLock::new(Chain { segs, trim }),
+            head: Mutex::new(head),
+            sealed: RwLock::new(chain),
             last_seq: AtomicU64::new(last_seq),
             len: AtomicUsize::new(len),
             bytes: AtomicU64::new(bytes),

@@ -1,7 +1,7 @@
 //! Allocation budgets for the per-event paths the pipeline benchmark
 //! found allocating most: the Collector on a path-cache hit and on a
 //! miss, the store
-//! sealing a segment, the store answering a query (exact counts), and the member
+//! sealing a segment and rotating at capacity, the store answering a query (exact counts), and the member
 //! sequence the aggregator's legs carry, coded (the frame decoders' are
 //! in `crates/net/tests/alloc_budget.rs`). The counting allocator
 //! is `common/mod.rs`'s; `trace_budget.rs` holds the tracer's budget in
@@ -114,6 +114,43 @@ fn sealing_a_segment_allocates_per_segment_not_per_directory() {
 
 /// What inserting and sealing [`sequenced`]`(2_048)` allocates.
 const SEAL_ALLOCATIONS: u64 = 15;
+
+#[test]
+fn rotating_a_full_store_allocates_nothing_per_batch() {
+    const SEGMENT: usize = 1_024;
+    const CAPACITY: usize = 4 * SEGMENT;
+    const BATCH: usize = 256;
+    let store = EventStore::with_segment_size(CAPACITY, SEGMENT);
+    let events = sequenced((2 * CAPACITY + SEGMENT) as u64);
+    let mut batches: Vec<Vec<SequencedEvent>> = events.chunks(BATCH).map(<[_]>::to_vec).collect();
+    let measured = batches.split_off(2 * CAPACITY / BATCH);
+    // Full, then one whole rotation cycle: the head and the chain's
+    // slots are at their steady-state size.
+    for batch in batches {
+        store.insert_batch(batch).expect("ascending seqs");
+    }
+    let before = store.stats();
+
+    let made = allocations(|| {
+        for batch in measured {
+            store.insert_batch(batch).expect("ascending seqs");
+        }
+    });
+
+    let stats = store.stats();
+    assert_eq!(store.len(), CAPACITY);
+    assert_eq!(stats.rotated - before.rotated, SEGMENT as u64, "one segment's worth rotated out");
+    assert_eq!(stats.segments, before.segments, "the sealed segment replaced the dropped one");
+    assert_eq!(
+        made, STEADY_SEAL_ALLOCATIONS,
+        "allocations to insert {SEGMENT} events into a full store in batches of {BATCH}; \
+         rotation trims the chain's front and drops whole segments in place"
+    );
+}
+
+/// What one seal in a store at steady state allocates: the sealed event
+/// array, the directory column's two arrays and the segment's `Arc`.
+const STEADY_SEAL_ALLOCATIONS: u64 = 4;
 
 #[test]
 fn the_metrics_wrapper_adds_no_allocation_to_an_insert() {

@@ -8,7 +8,7 @@ use sdci_core::{
     SequencedEvent, SnapshotDir, StoreQuery, StoreStack,
 };
 use sdci_mq::pubsub::Broker;
-use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use sdci_types::{ByteSize, ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -140,18 +140,44 @@ impl RefLru {
 struct NaiveStore {
     events: std::collections::VecDeque<SequencedEvent>,
     capacity: usize,
+    /// Events inserted since the store was made or restored.
+    inserted: u64,
+    /// Events rotated out since the store was made or restored.
+    rotated: u64,
 }
 
 impl NaiveStore {
     fn new(capacity: usize) -> Self {
-        NaiveStore { events: std::collections::VecDeque::new(), capacity: capacity.max(1) }
+        NaiveStore {
+            events: std::collections::VecDeque::new(),
+            capacity: capacity.max(1),
+            inserted: 0,
+            rotated: 0,
+        }
     }
 
     fn insert(&mut self, e: SequencedEvent) {
         self.events.push_back(e);
+        self.inserted += 1;
         while self.events.len() > self.capacity {
             self.events.pop_front();
+            self.rotated += 1;
         }
+    }
+
+    /// A restore at `capacity`: the newest events that fit are kept, and
+    /// counted as the restored store's inserts.
+    fn restore(&mut self, capacity: usize) {
+        self.capacity = capacity.max(1);
+        let excess = self.events.len().saturating_sub(self.capacity);
+        self.events.drain(..excess);
+        self.inserted = self.events.len() as u64;
+        self.rotated = 0;
+    }
+
+    /// The summed footprint of the retained events.
+    fn bytes(&self) -> u64 {
+        self.events.iter().map(|e| e.event.footprint_bytes() as u64).sum()
     }
 
     fn query(&self, q: &StoreQuery) -> Vec<SequencedEvent> {
@@ -182,8 +208,9 @@ enum StoreOp {
     Query { after_frac: u8, since_frac: u8, prefix: Option<u8>, limit: u8 },
     /// Compare the `recent` tail.
     Recent(u8),
-    /// Legacy-snapshot the store and replace it with the restore.
-    Roundtrip,
+    /// Snapshot the store and replace it with the restore, at half the
+    /// capacity when `shrink`.
+    Roundtrip { shrink: bool },
 }
 
 fn store_op() -> impl Strategy<Value = StoreOp> {
@@ -201,7 +228,7 @@ fn store_op() -> impl Strategy<Value = StoreOp> {
                 limit,
             }),
         2 => any::<u8>().prop_map(StoreOp::Recent),
-        1 => Just(StoreOp::Roundtrip),
+        1 => any::<bool>().prop_map(|shrink| StoreOp::Roundtrip { shrink }),
     ]
 }
 
@@ -353,11 +380,15 @@ proptest! {
     }
 
     /// The segmented store is observationally identical to the naive
-    /// VecDeque model under an arbitrary interleaving of inserts (with
-    /// rotation), queries, `recent` reads, and snapshot/restore cycles
-    /// through a `SnapshotDir`. Tiny segment sizes force deep sealed
-    /// chains, partial front-segment trims, and whole-segment drops (a
-    /// restored store keeps its chain and seals at the default size);
+    /// VecDeque model under an arbitrary interleaving of batch inserts
+    /// (with rotation), queries, `recent` reads, and snapshot/restore
+    /// cycles through a `SnapshotDir`, some at half the capacity; its
+    /// resident bytes and its insert and rotation counts match the
+    /// model's after every step. Batches of up to three segments cross
+    /// seals and the capacity bound at once. Tiny segment sizes force
+    /// deep sealed chains, partial front-segment trims, and
+    /// whole-segment drops (a restored store keeps its chain and seals
+    /// at the default size);
     /// segments of a thousand events index their directories, or, in a
     /// `wide` run, lie in too many to. Paths are spelled every way a
     /// prefix test can misjudge (see [`spelled`]), and queries mix
@@ -375,11 +406,15 @@ proptest! {
         for op in ops {
             match op {
                 StoreOp::Insert { count, seq_step, path } => {
+                    let mut batch = Vec::new();
                     for i in 0..count {
                         seq += seq_step as u64;
                         let e = sev_at(seq, path.wrapping_add(i.wrapping_mul(7)), wide);
-                        store.insert(e.clone()).unwrap();
+                        batch.push(e.clone());
                         model.insert(e);
+                    }
+                    for chunk in batch.chunks(3 * segment_events) {
+                        store.insert_batch(chunk.to_vec()).unwrap();
                     }
                 }
                 StoreOp::Query { after_frac, since_frac, prefix, limit } => {
@@ -394,18 +429,24 @@ proptest! {
                 StoreOp::Recent(n) => {
                     prop_assert_eq!(store.recent(n as usize), model.recent(n as usize));
                 }
-                StoreOp::Roundtrip => {
+                StoreOp::Roundtrip { shrink } => {
+                    let capacity = if shrink { model.capacity / 2 } else { model.capacity };
                     let dir = std::env::temp_dir()
                         .join(format!("sdci-prop-roundtrip-{}", std::process::id()));
                     let _ = std::fs::remove_dir_all(&dir);
                     SnapshotDir::open(&dir).unwrap().flush(&store, HashMap::new).unwrap();
                     store = restore_snapshot(&dir, capacity).unwrap().0;
                     let _ = std::fs::remove_dir_all(&dir);
+                    model.restore(capacity);
                 }
             }
             prop_assert_eq!(store.len(), model.events.len());
             prop_assert_eq!(store.first_seq(), model.events.front().map_or(0, |e| e.seq));
             prop_assert_eq!(store.last_seq(), seq);
+            prop_assert_eq!(store.memory(), ByteSize::from_bytes(model.bytes()));
+            let stats = store.stats();
+            prop_assert_eq!(stats.inserted, model.inserted);
+            prop_assert_eq!(stats.rotated, model.rotated);
         }
         prop_assert_eq!(
             store.query(&StoreQuery::default()),
@@ -475,7 +516,7 @@ proptest! {
                 // `recent` and snapshot roundtrips are segmented-store
                 // surface, not part of the trait; an interleaving that
                 // drew them just advances to the next op.
-                StoreOp::Recent(_) | StoreOp::Roundtrip => {}
+                StoreOp::Recent(_) | StoreOp::Roundtrip { .. } => {}
             }
             for (name, backend) in &backends {
                 prop_assert_eq!(backend.len(), model.events.len(), "backend {} len", name);

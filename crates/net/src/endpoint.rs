@@ -30,7 +30,7 @@ use crate::wire::{
     MAX_HELLO_LEN, WIRE_PROTO,
 };
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -116,7 +116,6 @@ impl Endpoint {
     ) -> io::Result<Endpoint> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let handlers: Arc<[Arc<dyn Handler>]> = handlers.into();
@@ -151,7 +150,17 @@ impl Endpoint {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         let Some(accept) = self.accept.take() else { return };
-        let _ = accept.join();
+        // The accept loop blocks in `accept`: one connection of our own
+        // wakes it to see `stop`. Should even that fail, the thread is
+        // left blocked rather than joined.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let v4 = wake.is_ipv4();
+            wake.set_ip(if v4 { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            let _ = accept.join();
+        }
         for handler in self.handlers.iter() {
             handler.drain();
         }
@@ -171,8 +180,14 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     conns: Arc<parking_lot::Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The wake-up from `halt`, or a peer that raced it: dropped
+        // unserved.
+        if stop.load(Ordering::Relaxed) {
+            return;
+        }
+        match accepted {
             Ok((stream, peer)) => {
                 let (handlers, cfg, stop) = (Arc::clone(&handlers), cfg.clone(), Arc::clone(&stop));
                 let spawned =
@@ -195,6 +210,8 @@ fn accept_loop(
                     }
                 }
             }
+            // A real accept error (EMFILE, say): pause so the loop
+            // cannot spin on it.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

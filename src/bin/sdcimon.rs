@@ -677,8 +677,8 @@ fn run_consumer(flags: &Flags) -> Result<(), String> {
     }
     let stats = consumer.stats();
     println!(
-        "sdcimon consumer done: delivered {} recovered {} lost {}",
-        stats.delivered, stats.recovered, stats.lost
+        "sdcimon consumer done: delivered {} recovered {} lost {} filtered {}",
+        stats.delivered, stats.recovered, stats.lost, stats.filtered_out
     );
     trace_dump(flags);
     match expect {

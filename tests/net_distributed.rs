@@ -69,6 +69,50 @@ fn three_processes_deliver_every_event_in_order() {
 }
 
 #[test]
+fn a_consumer_under_a_prefix_prints_only_that_subtree_and_counts_the_rest() {
+    let mut agg = spawn(&["aggregator", "--bind", "127.0.0.1:0"]);
+    let addr = wait_for_listen_addr(&mut agg);
+
+    // c1's events all precede c2's, so by the time the consumer has
+    // delivered c2's last event it has filtered exactly c1's.
+    let expect = EVENTS_PER_COLLECTOR.to_string();
+    let consumer = spawn(&[
+        "consumer",
+        "--connect",
+        &addr,
+        "--under",
+        "/c2",
+        "--verbose",
+        "--expect",
+        &expect,
+        "--timeout",
+        "60",
+    ]);
+    run_collector("--connect", &addr, "c1", None);
+    run_collector("--connect", &addr, "c2", None);
+
+    let out = consumer.into_child().wait_with_output().expect("wait for consumer");
+    assert!(out.status.success(), "consumer failed: {:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let paths: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("event ")?.split_once(' ').map(|(_, path)| path))
+        .collect();
+    assert_eq!(paths.len(), EVENTS_PER_COLLECTOR, "wrong event count:\n{stdout}");
+    assert!(
+        paths.iter().all(|p| std::path::Path::new(p).starts_with("/c2")),
+        "a printed path lies outside /c2:\n{stdout}"
+    );
+    assert_eq!(check_consumer_output(&stdout, &["c2"]), EVENTS_PER_COLLECTOR);
+    let done = stdout.lines().last().unwrap_or_default();
+    let total = 2 * EVENTS_PER_COLLECTOR;
+    assert!(done.contains(&format!("delivered {EVENTS_PER_COLLECTOR} ")), "{done}");
+    assert!(done.contains("lost 0"), "consumer reported loss: {done}");
+    let filtered = total - EVENTS_PER_COLLECTOR;
+    assert!(done.ends_with(&format!(" filtered {filtered}")), "filtered count wrong: {done}");
+}
+
+#[test]
 fn killed_aggregator_restarts_from_snapshot_without_losing_events() {
     let snapshot = std::env::temp_dir().join(format!("sdci-net-snap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&snapshot);
