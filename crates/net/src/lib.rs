@@ -6,12 +6,13 @@
 //! three OS processes (or three hosts):
 //!
 //! * [`wire`] — the framing: 4-byte big-endian length word + one
-//!   frame body, in the one encoding its kind has. Data frames — the
-//!   `ItemBatch`/`DeliverBatch` runs senders coalesce payloads into,
-//!   and store-RPC replies — are compact binary (the
-//!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body).
-//!   Control frames — handshakes, acks, pings, queries — are JSON, so
-//!   a session remains debuggable with `nc`. There is one wire version
+//!   frame body, in the one encoding its kind has. After its hello,
+//!   every frame on a push, feed or store connection is binary (the
+//!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body):
+//!   the `ItemBatch`/`DeliverBatch` runs senders coalesce payloads into,
+//!   store-RPC replies, and the acks, nacks, pings and queries of a few
+//!   bytes each. JSON is the hello's and the cluster RPC's only. There
+//!   is one wire version
 //!   ([`wire::WIRE_PROTO`]): every connection's opening
 //!   [`wire::Hello`] announces it and a mismatch closes the connection.
 //! * [`endpoint`] — one address per server role: [`Endpoint`] owns the

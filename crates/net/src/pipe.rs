@@ -38,7 +38,7 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::wire::{
-    continuity_gap, timed_out, write_item_batch_bin, write_msg, BinEncoder, Frame, Service,
+    continuity_gap, timed_out, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, Service,
 };
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
@@ -207,6 +207,8 @@ fn serve_pusher<T>(
     T: Send + BinPayload + 'static,
 {
     let Conn { mut reader, mut writer, cfg, stop } = conn;
+    // The scratch every ack and nack of the connection is written through.
+    let mut enc = BinEncoder::new();
     // One mark per client identity, shared by every connection that
     // claims it — including the next one, when a reconnect races a
     // handler still blocked on the pipeline.
@@ -226,7 +228,7 @@ fn serve_pusher<T>(
         }
         *m
     };
-    if write_msg(&mut writer, &Frame::<T>::Ack { up_to: greeting }).is_err() {
+    if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ack { up_to: greeting }).is_err() {
         return;
     }
     let mut last_traffic = Instant::now();
@@ -304,13 +306,15 @@ fn serve_pusher<T>(
                 match outcome {
                     Ok(up_to) => {
                         nacked_at = None;
-                        if write_msg(&mut writer, &Frame::<T>::Ack { up_to }).is_err() {
+                        let ack = Frame::<T>::Ack { up_to };
+                        if write_msg_bin(&mut writer, &mut enc, &ack).is_err() {
                             return;
                         }
                     }
                     Err(expected) => {
                         if nack_gap::<T>(
                             &mut writer,
+                            &mut enc,
                             counters,
                             &mut nacked_at,
                             expected,
@@ -327,7 +331,7 @@ fn serve_pusher<T>(
                 last_traffic = Instant::now();
                 // Re-ack as a keepalive so an idle client still hears us.
                 let up_to = *mark.lock();
-                if write_msg(&mut writer, &Frame::<T>::Ack { up_to }).is_err() {
+                if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ack { up_to }).is_err() {
                     return;
                 }
             }
@@ -340,9 +344,15 @@ fn serve_pusher<T>(
                 // mark, as after any gap — and its rewind starts fresh.
                 last_traffic = Instant::now();
                 let Some(expected) = mark_after(*mark.lock(), 1) else { return };
-                if nack_gap::<T>(&mut writer, counters, &mut nacked_at, expected, cfg.heartbeat)
-                    .is_err()
-                {
+                let nacked = nack_gap::<T>(
+                    &mut writer,
+                    &mut enc,
+                    counters,
+                    &mut nacked_at,
+                    expected,
+                    cfg.heartbeat,
+                );
+                if nacked.is_err() {
                     return;
                 }
             }
@@ -374,6 +384,7 @@ fn mark_after(mark: u64, n: u64) -> Option<u64> {
 /// window.
 fn nack_gap<T: BinPayload>(
     writer: &mut impl std::io::Write,
+    enc: &mut BinEncoder,
     counters: &ServerCounters,
     nacked_at: &mut Option<(u64, Instant)>,
     expected: u64,
@@ -389,7 +400,7 @@ fn nack_gap<T: BinPayload>(
         "sequence gap on the push leg; nacking to request an in-place rewind";
         expected = expected,
     );
-    write_msg(writer, &Frame::<T>::Nack { expected })
+    write_msg_bin(writer, enc, &Frame::<T>::Nack { expected })
 }
 
 #[derive(Debug, Default)]
@@ -598,19 +609,21 @@ fn push_worker<T>(
         // The server replies with its own high-water mark, which may be
         // ahead of ours (acks lost with the previous connection). A
         // server speaking another wire version closes the connection
-        // instead, and the backoff paces the retries.
+        // instead, and the backoff paces the retries. Its first frame is
+        // the greeting or the connection is lost: a peer that answers
+        // with anything else — a stream of pings, say — does not hold the
+        // lossless leg here.
         let hello_sent = Instant::now();
         let server_mark = loop {
             match reader.read_msg::<Frame<T>>() {
                 Ok(Frame::Ack { up_to }) => break up_to,
-                Ok(_) => {}
                 Err(e) if timed_out(&e) => {
                     if hello_sent.elapsed() > cfg.liveness {
                         backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                         continue 'reconnect;
                     }
                 }
-                Err(_) => {
+                Ok(_) | Err(_) => {
                     backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                     continue 'reconnect;
                 }
@@ -734,7 +747,7 @@ fn push_worker<T>(
             }
             if unacked.is_empty() {
                 if senders_gone {
-                    let _ = write_msg(&mut writer, &Frame::<T>::Fin);
+                    let _ = write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Fin);
                     return;
                 }
                 // Idle: wait for new items, pinging to stay alive. The
@@ -744,7 +757,7 @@ fn push_worker<T>(
                     Ok(item) => carry = Some(item),
                     Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                         if last_write.elapsed() >= cfg.heartbeat {
-                            if write_msg(&mut writer, &Frame::<T>::Ping).is_err() {
+                            if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
                                 backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                                 continue 'reconnect;
                             }
@@ -798,7 +811,7 @@ fn push_worker<T>(
                             continue 'reconnect;
                         }
                         if last_write.elapsed() >= cfg.heartbeat {
-                            if write_msg(&mut writer, &Frame::<T>::Ping).is_err() {
+                            if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
                                 backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                                 continue 'reconnect;
                             }

@@ -39,7 +39,7 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::wire::{
-    continuity_gap, timed_out, write_deliver_batch_bin, write_msg, BinEncoder, ContinuityGap,
+    continuity_gap, timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, ContinuityGap,
     Frame, Service, BIN_FRAME_BIT,
 };
 use sdci_mq::pubsub::{Broker, Message};
@@ -196,6 +196,9 @@ fn serve_subscriber<T: BinPayload>(
     }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
     legs.lock().push(FanoutLeg { prefixes, tx, synced: false });
+    // The scratch the leg's own frames — pings, its `Fin` — are written
+    // through; its batches come encoded from the relay.
+    let mut enc = BinEncoder::new();
     let mut last_write = Instant::now();
     loop {
         match rx.recv_timeout(cfg.heartbeat) {
@@ -223,14 +226,14 @@ fn serve_subscriber<T: BinPayload>(
             }
             Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
                 if last_write.elapsed() >= cfg.heartbeat
-                    && write_msg(&mut writer, &Frame::<T>::Ping).is_err()
+                    && write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err()
                 {
                     return;
                 }
             }
         }
     }
-    let _ = write_msg(&mut writer, &Frame::<T>::Fin);
+    let _ = write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Fin);
 }
 
 /// Encodes one publish once — fresh when a matching leg did not take the

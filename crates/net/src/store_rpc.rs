@@ -7,8 +7,10 @@
 //! to the Aggregator process's [`StoreServer`].
 //!
 //! The protocol is deliberately tiny: after the connection's hello, one
-//! JSON request frame, one binary response frame, same length-prefixed
-//! framing as the rest of sdci-net. A connection's replies continue one
+//! request frame, one response frame, both binary — a query is a dozen
+//! bytes of varints, a reply a batch of members — in the same
+//! length-prefixed framing as the rest of sdci-net; JSON is the hello's
+//! alone here. A connection's replies continue one
 //! another as every batch frame does (`crate::wire`): the server packs
 //! them through one encoder for the life of the connection, so a reply's
 //! members are coded against the ones the replies before it carried, and
@@ -28,13 +30,15 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    continuity_gap, json_decode, json_encode, read_batch, timed_out, write_msg, write_msg_bin,
-    BatchHead, BinEncoder, FrameReader, Service, WireMsg, STORE_KINDS,
+    bin_header, continuity_gap, invalid, put_control, read_batch, read_control, timed_out,
+    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_FLAG_TRACE,
+    BIN_KIND_PING, BIN_KIND_QUERY, STORE_KINDS,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
-use sdci_types::bin::History;
-use sdci_types::TraceContext;
-use serde::{Deserialize, Serialize};
+use sdci_types::bin::{
+    put_bytes, put_varint, BinDecodeError, BinReader, Class, History, MAX_PATH_LEN,
+};
+use sdci_types::{SimTime, TraceContext};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,12 +65,80 @@ pub enum StoreRpc {
     Ping,
 }
 
-/// The JSON form of [`StoreRpc`]'s control vocabulary. `Batch` is
-/// deliberately absent: a JSON body naming it is `InvalidData`.
-#[derive(Serialize, Deserialize)]
-enum Control {
-    Query { query: StoreQuery, trace: Option<TraceContext> },
-    Ping,
+/// Query presence bits: which of a [`StoreQuery`]'s optional fields a
+/// query body carries, in this order, before its limit.
+const HAS_AFTER_SEQ: u8 = 1;
+const HAS_SINCE: u8 = 2;
+const HAS_PREFIX: u8 = 4;
+
+/// Appends `query` as a query body: the header (with `trace`'s section
+/// when there is one), a presence byte, each field present as a varint —
+/// the prefix as its UTF-8 length and bytes — and the limit.
+///
+/// # Errors
+///
+/// `InvalidInput`, before a byte is appended, for a prefix that is not
+/// UTF-8 or is longer than [`MAX_PATH_LEN`]: no reader would accept it.
+fn put_query(
+    buf: &mut Vec<u8>,
+    query: &StoreQuery,
+    trace: Option<TraceContext>,
+) -> std::io::Result<()> {
+    let prefix = match query.path_prefix.as_deref().map(|prefix| prefix.to_str()) {
+        None => None,
+        Some(Some(prefix)) if prefix.len() <= MAX_PATH_LEN => Some(prefix),
+        Some(_) => {
+            let why = format!("a query prefix must be UTF-8 of at most {MAX_PATH_LEN} bytes");
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        }
+    };
+    bin_header(buf, BIN_KIND_QUERY, trace);
+    let bit = |present: bool, bit: u8| if present { bit } else { 0 };
+    buf.push(
+        bit(query.after_seq.is_some(), HAS_AFTER_SEQ)
+            | bit(query.since.is_some(), HAS_SINCE)
+            | bit(prefix.is_some(), HAS_PREFIX),
+    );
+    if let Some(after_seq) = query.after_seq {
+        put_varint(buf, after_seq);
+    }
+    if let Some(since) = query.since {
+        put_varint(buf, since.as_nanos());
+    }
+    if let Some(prefix) = prefix {
+        put_bytes(buf, prefix.as_bytes());
+    }
+    put_varint(buf, query.limit as u64);
+    Ok(())
+}
+
+/// Reads a query body's fields after its kind and flags: the inverse of
+/// [`put_query`]. Presence bits it does not know, a prefix longer than
+/// [`MAX_PATH_LEN`] or not UTF-8, and a limit past `usize` are refused.
+fn read_query(r: &mut BinReader<'_>, flags: u8) -> Result<StoreRpc, BinDecodeError> {
+    let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace()?) } else { None };
+    let presence = r.u8(Class::Other)?;
+    if presence & !(HAS_AFTER_SEQ | HAS_SINCE | HAS_PREFIX) != 0 {
+        return Err(BinDecodeError::msg(format!("unknown query presence bits {presence:#x}")));
+    }
+    let mut query = StoreQuery::default();
+    if presence & HAS_AFTER_SEQ != 0 {
+        query.after_seq = Some(r.varint(Class::Other)?);
+    }
+    if presence & HAS_SINCE != 0 {
+        query.since = Some(SimTime::from_nanos(r.varint(Class::Other)?));
+    }
+    if presence & HAS_PREFIX != 0 {
+        let len = r.length(Class::Other)?;
+        if len > MAX_PATH_LEN {
+            let why = format!("a query prefix of {len} bytes exceeds {MAX_PATH_LEN}");
+            return Err(BinDecodeError::msg(why));
+        }
+        let prefix = std::str::from_utf8(r.bytes(len)?).map_err(BinDecodeError::msg)?;
+        query.path_prefix = Some(prefix.into());
+    }
+    query.limit = usize::try_from(r.varint(Class::Other)?).map_err(BinDecodeError::msg)?;
+    Ok(StoreRpc::Query { query, trace })
 }
 
 impl StoreRpc {
@@ -78,33 +150,32 @@ impl StoreRpc {
         history: Option<&mut History>,
     ) -> std::io::Result<Self> {
         if !binary {
-            return Ok(match json_decode(body)? {
-                Control::Query { query, trace } => StoreRpc::Query { query, trace },
-                Control::Ping => StoreRpc::Ping,
-            });
+            return Err(invalid("a JSON body after the hello, where every frame is binary"));
         }
-        let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
-        Ok(StoreRpc::Batch { events })
+        match body.first() {
+            Some(&BIN_KIND_QUERY) => {
+                read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags))
+            }
+            Some(&BIN_KIND_PING) => read_control(body, 0, |_, _, _| Ok(StoreRpc::Ping)),
+            _ => {
+                let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
+                Ok(StoreRpc::Batch { events })
+            }
+        }
     }
 }
 
-/// The bulky reply leg is the data frame: `Batch` travels binary,
-/// while the tiny `Query`/`Ping` control frames are JSON. A reply packed
-/// through the connection's encoder continues the replies before it.
+/// Every message is binary: the query and the ping are control frames of
+/// a few bytes, and the reply is a batch, which — packed through the
+/// connection's encoder — continues the replies before it.
 impl WireMsg for StoreRpc {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-        let control = match self {
-            StoreRpc::Batch { events } => {
-                enc.pack_frame(buf, BatchHead::Position, events, None);
-                return Ok(true);
-            }
-            StoreRpc::Query { query, trace } => {
-                Control::Query { query: query.clone(), trace: *trace }
-            }
-            StoreRpc::Ping => Control::Ping,
-        };
-        json_encode(&control, buf)?;
-        Ok(false)
+        match self {
+            StoreRpc::Batch { events } => enc.pack_frame(buf, BatchHead::Position, events, None),
+            StoreRpc::Query { query, trace } => put_query(buf, query, *trace)?,
+            StoreRpc::Ping => put_control(buf, BIN_KIND_PING, None),
+        }
+        Ok(true)
     }
 
     fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
@@ -156,8 +227,8 @@ impl Handler for StoreServer {
 
 fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64) {
     let Conn { mut reader, mut writer, stop, .. } = conn;
-    // Per-connection scratch for binary replies, reused across queries,
-    // and the history every reply after the first continues.
+    // Per-connection scratch for every frame it writes, reused across
+    // queries, and the history every reply after the first continues.
     let mut enc = BinEncoder::new();
     // `stop` is checked every iteration so a chatty client cannot pin
     // the handler past shutdown.
@@ -189,7 +260,7 @@ fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64)
                 }
             }
             Ok(StoreRpc::Ping) => {
-                if write_msg(&mut writer, &StoreRpc::Ping).is_err() {
+                if write_msg_bin(&mut writer, &mut enc, &StoreRpc::Ping).is_err() {
                     return;
                 }
             }
@@ -226,10 +297,11 @@ fn batch_answers(query: &StoreQuery, events: &[SequencedEvent]) -> bool {
     events.iter().all(|e| query.matches(e)) && events.windows(2).all(|w| w[0].seq <= w[1].seq)
 }
 
-/// An established store-RPC connection: faulted write half + resumable
-/// read half.
+/// An established store-RPC connection: faulted write half, the scratch
+/// its queries are written through, and resumable read half.
 struct StoreConn {
     writer: FaultedWriter<TcpStream>,
+    enc: BinEncoder,
     reader: FrameReader<TcpStream>,
 }
 
@@ -285,7 +357,7 @@ impl RemoteStore {
     /// called with the cache lock held.
     fn open(&self) -> Option<StoreConn> {
         match dial(&self.cfg, self.addr, Service::Store) {
-            Ok((reader, writer)) => Some(StoreConn { writer, reader }),
+            Ok((reader, writer)) => Some(StoreConn { writer, enc: BinEncoder::new(), reader }),
             Err(e) => {
                 self.connect_failures.fetch_add(1, Ordering::Relaxed);
                 sdci_obs::static_metric!(counter, "sdci_net_store_connect_failures_total").inc();
@@ -353,7 +425,8 @@ impl RemoteStore {
         let trace = sdci_obs::trace::current()
             .filter(|c| c.sampled)
             .map(|c| TraceContext::sampled(c.trace_id, c.span_id));
-        write_msg(&mut conn.writer, &StoreRpc::Query { query: query.clone(), trace })?;
+        let request = StoreRpc::Query { query: query.clone(), trace };
+        write_msg_bin(&mut conn.writer, &mut conn.enc, &request)?;
         let deadline = Instant::now() + self.cfg.liveness;
         let mut strays = 0u32;
         loop {

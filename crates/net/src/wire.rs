@@ -8,21 +8,36 @@
 //! +--------------+---------------------------------------+
 //! | word: u32be  | body: (word & 0x7FFFFFFF) bytes       |
 //! +--------------+---------------------------------------+
-//!   bit 31 clear → JSON: a control frame
-//!   bit 31 set   → binary: a data frame (a batch of payloads)
+//!   bit 31 clear → JSON: a hello, or a cluster RPC
+//!   bit 31 set   → binary: every other frame
 //! ```
 //!
-//! Every kind of message has exactly one encoding ([`WireMsg`]).
-//! Control frames — handshakes, acks, nacks, pings, store queries,
-//! cluster RPC — are JSON in the workspace's serde conventions
-//! (externally tagged enums), so a session stays debuggable with `nc`
-//! and `tcpdump`. Data frames — [`Frame::ItemBatch`],
-//! [`Frame::DeliverBatch`] and store-RPC batch replies — are compact
-//! binary bodies built from
-//! [`sdci_types::bin`]; a lone event travels as a batch of one. The high
-//! bit is unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
+//! Every kind of message has exactly one encoding ([`WireMsg`]). JSON
+//! is the [`Hello`]'s — read before anything about the connection is
+//! known — and the cluster RPC's
+//! ([`ClusterRpc`](crate::cluster::ClusterRpc)), in the workspace's serde
+//! conventions (externally tagged enums), and no one else's: once its
+//! hello is done, every frame on a push, feed or store connection is
+//! binary, built from [`sdci_types::bin`]. That is the data frames —
+//! [`Frame::ItemBatch`], [`Frame::DeliverBatch`] and store-RPC batch
+//! replies; a lone event travels as a batch of one — and the control
+//! frames: acks, nacks, pings, `Fin` and store queries, a few bytes each.
+//! A JSON body on such a connection is `InvalidData`. The high bit is
+//! unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
 //!
-//! A binary body is a fixed header, then the kind's fields. Lengths
+//! A control body is a kind byte, a flags byte, the kind's fields as
+//! varints, and nothing after them; the flags byte is 0, but for a
+//! store query's trace bit:
+//!
+//! ```text
+//! kind 5 Ack:   up_to varint          kind 6 Nack: expected varint
+//! kind 7 Ping   (any connection)      kind 8 Fin
+//! kind 9 Query: [trace 17B, flags&1] | presence u8 (1 after_seq, 2 since, 4 path_prefix) |
+//!               [after_seq varint] | [since ns varint] |
+//!               [prefix: UTF-8 length varint (≤ MAX_PATH_LEN) + bytes] | limit varint
+//! ```
+//!
+//! A batch body is a fixed header, then the kind's fields. Lengths
 //! and counts are LEB128 varints; the members follow one another with no
 //! length between them, each coded **relative to the members before
 //! it** ([`BinPayload`]: zig-zag deltas and "same as the predecessor's"
@@ -53,9 +68,9 @@
 //! | kind | flags | trace (17B, flags&1) | class mask u16le | [reuse u16le]  | kind's fields |
 //! |  u8  |  u8   | id u64, span u64, u8 | | tables (flags&2)               |               |
 //! +------+-------+----------------------+-----------------------------------+---------------+
-//! kind 1 ItemBatch:    first_seq u64le | members
+//! kind 1 ItemBatch:    first_seq varint | members
 //! kind 3 StoreBatch:   [position varint, flags&4] | members  (of SequencedEvent)
-//! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq u64le, flags&4] | members
+//! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq varint, flags&4] | members
 //!
 //! members    = count varint | count × member
 //!              member i coded against members 0..i — and, in a continuing
@@ -101,7 +116,9 @@
 //!
 //! Kind 2 is unassigned: a feed is written only by the process that
 //! owns its broker, so there is no publish batch, and a body carrying
-//! that kind is `InvalidData` like any other unknown one.
+//! that kind is `InvalidData` like any other unknown one. Each reader
+//! reads its own kinds only — a [`Frame`] reader 1, 4 and 5–8, a store
+//! reader 3, 7 and 9 — and refuses any other before a byte past it.
 //!
 //! There is one wire version, [`WIRE_PROTO`]. Every connection opens
 //! with one [`Hello`] frame announcing it and naming the [`Service`] the
@@ -116,7 +133,7 @@
 
 use sdci_types::bin::{
     code_members, put_bytes, put_member, put_trace, put_varint, read_members, varint_len,
-    BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
+    BinDecodeError, BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
 use serde::{Deserialize, Serialize};
@@ -134,23 +151,22 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 // largest frame could have carried verbatim.
 const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
 
-/// High bit of the length word: set when the frame body is binary (a
-/// data frame) instead of JSON (a control frame). Never ambiguous —
+/// High bit of the length word: set when the frame body is binary
+/// instead of JSON (a hello or a cluster RPC). Never ambiguous —
 /// [`MAX_FRAME_LEN`] keeps legal lengths far below this bit.
 pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 16;
+pub const WIRE_PROTO: u32 = 17;
 
-/// Longest JSON body — a [`Hello`], or any other control frame — a
-/// reader accepts. The largest legitimate one is a subscriber's prefix
-/// list, and this holds a thousand prefixes of sixty bytes; every other
-/// control frame (acks, pings, a store query with its 4,096-byte prefix,
-/// the shard map) is far below it. A length word claiming more is
-/// refused before a byte of the body is buffered, so a peer cannot make
-/// a connection pin [`MAX_FRAME_LEN`] bytes with a control frame — nor,
-/// before it has said who it is, with any frame.
+/// Longest JSON body — a [`Hello`], or a cluster RPC — a reader
+/// accepts. The largest legitimate one is a subscriber's prefix list,
+/// and this holds a thousand prefixes of sixty bytes; the shard map is
+/// far below it. A length word claiming more is refused before a byte of
+/// the body is buffered, so a peer cannot make a connection pin
+/// [`MAX_FRAME_LEN`] bytes with a JSON body — nor, before it has said
+/// who it is, with any frame.
 pub const MAX_HELLO_LEN: usize = 64 << 10;
 
 /// The opening frame of every connection: the peer's wire version and
@@ -271,27 +287,6 @@ pub enum Frame<T> {
     Fin,
 }
 
-/// The JSON form of [`Frame`]'s control vocabulary. The batch variants
-/// are deliberately absent: a JSON body naming one is `InvalidData`.
-#[derive(Serialize, Deserialize)]
-enum Control {
-    Nack { expected: u64 },
-    Ack { up_to: u64 },
-    Ping,
-    Fin,
-}
-
-impl<T> From<Control> for Frame<T> {
-    fn from(control: Control) -> Self {
-        match control {
-            Control::Nack { expected } => Frame::Nack { expected },
-            Control::Ack { up_to } => Frame::Ack { up_to },
-            Control::Ping => Frame::Ping,
-            Control::Fin => Frame::Fin,
-        }
-    }
-}
-
 pub(crate) fn invalid(err: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, err.to_string())
 }
@@ -303,18 +298,22 @@ pub(crate) fn timed_out(e: &io::Error) -> bool {
 }
 
 /// A message sdci-net can frame. Each kind of message has exactly one
-/// encoding — bulk data is binary, control is JSON — and the length
-/// word's high bit ([`BIN_FRAME_BIT`]) says which one a body is in.
+/// encoding — a hello and a cluster RPC are JSON, everything else is
+/// binary — and the length word's high bit ([`BIN_FRAME_BIT`]) says
+/// which one a body is in.
 pub trait WireMsg: Sized {
     /// Appends this message's body to `buf` and returns whether that
     /// body is binary. A batch is packed through `enc` — the scratch and
     /// the history of the connection the body is for, as a chunked batch
     /// writer packs it ([`write_item_batch_bin`]) — into one frame however
-    /// long it is.
+    /// long it is; a control frame takes a few bytes of `buf` and nothing
+    /// of `enc`.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when a control message cannot be rendered as JSON.
+    /// `InvalidData` when a JSON message cannot be rendered; `InvalidInput`
+    /// for a store query whose prefix no reader would accept (not UTF-8,
+    /// or longer than [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN)).
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool>;
 
     /// Decodes one complete frame body in the encoding its length word
@@ -322,9 +321,10 @@ pub trait WireMsg: Sized {
     ///
     /// # Errors
     ///
-    /// `InvalidData` on undecodable JSON, a JSON body naming a message
-    /// whose encoding is binary (or the reverse), unknown kind bytes,
-    /// truncated fields, or trailing garbage — the stream is corrupt.
+    /// `InvalidData` on undecodable JSON, a body in the encoding its
+    /// message does not have (a JSON ack, a binary hello), kind bytes
+    /// that are not the reader's, flags or fields out of range, truncated
+    /// fields, or trailing garbage — the stream is corrupt.
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self>;
 
     /// Decodes one complete frame body as a connection's reader does —
@@ -343,13 +343,13 @@ pub trait WireMsg: Sized {
     }
 }
 
-/// Appends `msg` as a JSON body — the control-frame encoding.
+/// Appends `msg` as a JSON body — a hello's or a cluster RPC's encoding.
 pub(crate) fn json_encode<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
     buf.extend_from_slice(serde_json::to_string(msg).map_err(invalid)?.as_bytes());
     Ok(())
 }
 
-/// Decodes a JSON control-frame body.
+/// Decodes a JSON body.
 pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
     let text = std::str::from_utf8(body).map_err(invalid)?;
     serde_json::from_str(text).map_err(invalid)
@@ -365,9 +365,19 @@ const BIN_KIND_ITEM_BATCH: u8 = 1;
 const BIN_KIND_STORE_BATCH: u8 = 3;
 /// Binary body kind byte: [`Frame::DeliverBatch`].
 const BIN_KIND_DELIVER_BATCH: u8 = 4;
+/// Binary body kind byte: [`Frame::Ack`].
+const BIN_KIND_ACK: u8 = 5;
+/// Binary body kind byte: [`Frame::Nack`].
+const BIN_KIND_NACK: u8 = 6;
+/// Binary body kind byte: a ping — [`Frame::Ping`], and the store RPC's.
+pub(crate) const BIN_KIND_PING: u8 = 7;
+/// Binary body kind byte: [`Frame::Fin`].
+const BIN_KIND_FIN: u8 = 8;
+/// Binary body kind byte: a store query (`StoreRpc::Query`).
+pub(crate) const BIN_KIND_QUERY: u8 = 9;
 
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
-const BIN_FLAG_TRACE: u8 = 1;
+pub(crate) const BIN_FLAG_TRACE: u8 = 1;
 
 /// Flags bit: the member section is coded; its class mask and tables
 /// follow the trace section ([`BinReader::read_codes`]).
@@ -393,9 +403,9 @@ fn coded_flag(mask: u16) -> u8 {
 const BIN_TRACE_LEN: usize = 17;
 
 /// Writes the fixed binary header: kind byte, flags byte, and the
-/// optional trace section. The coded and continuing flags are set
+/// optional trace section. A batch's coded and continuing flags are set
 /// afterwards, by the packer that writes the members ([`write_batch`]).
-fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
+pub(crate) fn bin_header(buf: &mut Vec<u8>, kind: u8, trace: Option<TraceContext>) {
     buf.push(kind);
     match trace {
         None => buf.push(0),
@@ -431,6 +441,37 @@ fn bin_read_header(
         (false, _) => {}
     }
     Ok((kind, trace, continues))
+}
+
+/// Appends an untraced control body: its kind, a flags byte of 0, and
+/// `field` as a varint when the kind carries one.
+pub(crate) fn put_control(buf: &mut Vec<u8>, kind: u8, field: Option<u64>) {
+    buf.extend_from_slice(&[kind, 0]);
+    if let Some(field) = field {
+        put_varint(buf, field);
+    }
+}
+
+/// Reads a control body: its kind byte, a flags byte that sets no bit
+/// but those in `allowed`, then the kind's fields through `fields`, which
+/// must reach the body's end. Nothing is allocated but what `fields`
+/// allocates, and an error's message.
+pub(crate) fn read_control<M>(
+    body: &[u8],
+    allowed: u8,
+    fields: impl FnOnce(u8, u8, &mut BinReader<'_>) -> Result<M, BinDecodeError>,
+) -> io::Result<M> {
+    let mut r = BinReader::new(body);
+    let kind = r.u8(Class::Other).map_err(invalid)?;
+    let flags = r.u8(Class::Other).map_err(invalid)?;
+    if flags & !allowed != 0 {
+        return Err(invalid(format!("control frame of kind {kind} with flags {flags:#x}")));
+    }
+    let msg = fields(kind, flags, &mut r).map_err(invalid)?;
+    match r.remaining() {
+        0 => Ok(msg),
+        n => Err(invalid(format!("control frame of kind {kind} has {n} trailing bytes"))),
+    }
 }
 
 /// Why a connection's reader read none of a batch that continues its
@@ -539,12 +580,14 @@ pub(crate) fn read_batch<T: BinPayload>(
         let (kind, trace, continues) = bin_read_header(&mut r, kinds)?;
         let (head, key) = match kind {
             BIN_KIND_ITEM_BATCH => {
-                let first_seq = r.u64().map_err(invalid)?;
+                let first_seq = r.varint(Class::Other).map_err(invalid)?;
                 (Head::Item(first_seq), first_seq)
             }
             BIN_KIND_DELIVER_BATCH => {
                 let topic = r.string().map_err(invalid)?;
-                (Head::Deliver(topic), if continues { r.u64().map_err(invalid)? } else { 0 })
+                let first_seq =
+                    if continues { r.varint(Class::Other).map_err(invalid)? } else { 0 };
+                (Head::Deliver(topic), first_seq)
             }
             // Kind 3: `bin_read_header` admitted only the reader's kinds.
             _ if trace.is_some() => {
@@ -623,7 +666,17 @@ impl<T: BinPayload> Frame<T> {
     /// connection's reader holds one ([`WireMsg::decode_on`]).
     fn decode_in(binary: bool, body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
         if !binary {
-            return json_decode::<Control>(body).map(Frame::from);
+            return Err(invalid("a JSON body after the hello, where every frame is binary"));
+        }
+        if let Some(&(BIN_KIND_ACK | BIN_KIND_NACK | BIN_KIND_PING | BIN_KIND_FIN)) = body.first() {
+            return read_control(body, 0, |kind, _, r| {
+                Ok(match kind {
+                    BIN_KIND_ACK => Frame::Ack { up_to: r.varint(Class::Other)? },
+                    BIN_KIND_NACK => Frame::Nack { expected: r.varint(Class::Other)? },
+                    BIN_KIND_PING => Frame::Ping,
+                    _ => Frame::Fin,
+                })
+            });
         }
         match read_batch(body, FRAME_KINDS, history)? {
             (Head::Item(first_seq), trace, payloads) => {
@@ -649,22 +702,19 @@ fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
 
 impl<T: BinPayload> WireMsg for Frame<T> {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
-        let control = match self {
+        match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
                 enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace);
-                return Ok(true);
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
                 enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
-                return Ok(true);
             }
-            Frame::Nack { expected } => Control::Nack { expected: *expected },
-            Frame::Ack { up_to } => Control::Ack { up_to: *up_to },
-            Frame::Ping => Control::Ping,
-            Frame::Fin => Control::Fin,
-        };
-        json_encode(&control, buf)?;
-        Ok(false)
+            Frame::Ack { up_to } => put_control(buf, BIN_KIND_ACK, Some(*up_to)),
+            Frame::Nack { expected } => put_control(buf, BIN_KIND_NACK, Some(*expected)),
+            Frame::Ping => put_control(buf, BIN_KIND_PING, None),
+            Frame::Fin => put_control(buf, BIN_KIND_FIN, None),
+        }
+        Ok(true)
     }
 
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
@@ -788,24 +838,25 @@ impl BatchHead<'_> {
     /// continues its connection.
     fn len(self, continued: Option<u64>) -> usize {
         match self {
-            BatchHead::FirstSeq(_) => 8,
+            BatchHead::FirstSeq(first_seq) => varint_len(first_seq),
             BatchHead::Topic(topic) => {
-                varint_len(topic.len() as u64) + topic.len() + continued.map_or(0, |_| 8)
+                varint_len(topic.len() as u64) + topic.len() + continued.map_or(0, varint_len)
             }
             BatchHead::Position => continued.map_or(0, varint_len),
         }
     }
 
-    /// Appends the head; `continued` is the key of a frame that continues
+    /// Appends the head, every key in it a varint: an item frame's first
+    /// sequence number; and `continued`, the key of a frame that continues
     /// its connection, which a deliver frame carries after its topic and a
-    /// store reply as a varint.
+    /// store reply alone.
     fn put(self, body: &mut Vec<u8>, continued: Option<u64>) {
         match self {
-            BatchHead::FirstSeq(first_seq) => body.extend_from_slice(&first_seq.to_le_bytes()),
+            BatchHead::FirstSeq(first_seq) => put_varint(body, first_seq),
             BatchHead::Topic(topic) => {
                 put_bytes(body, topic.as_bytes());
                 if let Some(first_seq) = continued {
-                    body.extend_from_slice(&first_seq.to_le_bytes());
+                    put_varint(body, first_seq);
                 }
             }
             BatchHead::Position => {
@@ -1035,9 +1086,9 @@ const READ_STEP: usize = 64 << 10;
 /// simply called again and resumes where the stream left off.
 ///
 /// What a peer's length word can make it hold is bounded: a JSON body —
-/// a control frame — is refused as soon as a word claims more than
-/// [`MAX_HELLO_LEN`], the largest any control frame is, and a binary
-/// body's buffer grows 64 KiB at a time as its bytes arrive.
+/// a hello or a cluster RPC — is refused as soon as a word claims more
+/// than [`MAX_HELLO_LEN`], the largest either is, and a binary body's
+/// buffer grows 64 KiB at a time as its bytes arrive.
 pub struct FrameReader<R> {
     inner: R,
     /// Bytes of the current frame received so far, header included.
@@ -1186,7 +1237,7 @@ impl<R: Read> FrameReader<R> {
                 return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
             }
             if !self.bin && len > MAX_HELLO_LEN {
-                let why = format!("a control frame of {len} bytes exceeds {MAX_HELLO_LEN}");
+                let why = format!("a JSON body of {len} bytes exceeds {MAX_HELLO_LEN}");
                 return Err(invalid(why));
             }
             self.need = FRAME_HEADER_LEN + len;
@@ -1274,11 +1325,12 @@ mod tests {
     }
 
     #[test]
-    fn control_frames_roundtrip_as_json_and_batches_as_binary() {
-        roundtrip(Frame::Nack { expected: 12 }, false);
-        roundtrip(Frame::Ack { up_to: 9 }, false);
-        roundtrip(Frame::Ping, false);
-        roundtrip(Frame::Fin, false);
+    fn control_frames_and_batches_roundtrip_as_binary() {
+        roundtrip(Frame::Nack { expected: 12 }, true);
+        roundtrip(Frame::Ack { up_to: 9 }, true);
+        roundtrip(Frame::Ack { up_to: u64::MAX }, true);
+        roundtrip(Frame::Ping, true);
+        roundtrip(Frame::Fin, true);
         for trace in [None, Some(TraceContext::sampled(0xabcd, 0x1234))] {
             roundtrip(
                 Frame::ItemBatch { first_seq: 7, payloads: vec![event(7), event(8)], trace },
@@ -1291,21 +1343,55 @@ mod tests {
         }
     }
 
-    /// The control plane stays readable with `nc`: the bytes are the
-    /// plain externally-tagged JSON, the hello's version field first.
+    /// A hello is the plain externally-tagged JSON, its version field
+    /// first; every control frame after it is a kind byte, a zero flags
+    /// byte and its field as a varint — an ack of a mark below 2^21 is
+    /// nine bytes framed.
     #[test]
-    fn control_frames_are_plain_json_on_the_wire() {
+    fn hellos_are_plain_json_and_control_frames_a_few_binary_bytes() {
         let mut buf = Vec::new();
         write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 41 }).unwrap();
         write_hello(&mut buf, Service::Store).unwrap();
-        write_msg(&mut buf, &Frame::<FileEvent>::Ack { up_to: 9 }).unwrap();
+        for frame in [
+            Frame::<FileEvent>::Ack { up_to: 9 },
+            Frame::Ack { up_to: (1 << 21) - 1 },
+            Frame::Nack { expected: 300 },
+            Frame::Ping,
+            Frame::Fin,
+        ] {
+            write_msg(&mut buf, &frame).unwrap();
+        }
         let frames = raw_frames(&buf);
         assert_eq!(
             std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":16,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
+            r#"{"proto":17,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
         );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":16,"service":"Store"}"#);
-        assert_eq!(std::str::from_utf8(&frames[2].1).unwrap(), r#"{"Ack":{"up_to":9}}"#);
+        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":17,"service":"Store"}"#);
+        let bodies: Vec<&[u8]> = frames[2..].iter().map(|(_, body)| &body[..]).collect();
+        let want: [&[u8]; 5] =
+            [&[5, 0, 9], &[5, 0, 0xff, 0xff, 0x7f], &[6, 0, 0xac, 2], &[7, 0], &[8, 0]];
+        assert_eq!(bodies, want);
+        assert!(frames[2..].iter().all(|(binary, _)| *binary));
+        assert_eq!(FRAME_HEADER_LEN + want[1].len(), 9);
+    }
+
+    /// A control body is exact: a flags bit, a byte after its field, a
+    /// field cut short or overflowing a `u64` is `InvalidData`.
+    #[test]
+    fn a_control_body_with_flags_a_trailing_byte_or_a_bad_varint_is_invalid_data() {
+        let bodies: [&[u8]; 7] = [
+            &[5, 1, 9],
+            &[7, 0x80],
+            &[5, 0, 9, 0],
+            &[8, 0, 0],
+            &[6, 0],
+            &[5, 0, 0x80],
+            &[6, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+        ];
+        for body in bodies {
+            let err = Frame::<FileEvent>::decode(true, body).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body:?}");
+        }
     }
 
     #[test]
@@ -1328,7 +1414,7 @@ mod tests {
         }
     }
 
-    /// No control frame is written that a reader would refuse for its
+    /// No JSON frame is written that a reader would refuse for its
     /// length: a hello of a thousand sixty-byte prefixes fits, one of a
     /// megabyte does not, nor does a shard map grown past 64 KiB — each
     /// fails at its writer, not at the connection's other end.
@@ -1360,13 +1446,18 @@ mod tests {
         assert_eq!(u32::from_be_bytes(*b"GET ") & BIN_FRAME_BIT, 0, "nor a binary frame's");
     }
 
-    /// A batch has no JSON form: a JSON body naming one is corruption.
+    /// After the hello no frame has a JSON form, batch or control frame:
+    /// a JSON body is corruption.
     #[test]
-    fn json_batches_are_invalid_data() {
+    fn json_batches_and_control_frames_are_invalid_data() {
         for body in [
             r#"{"ItemBatch":{"first_seq":1,"payloads":[1,2]}}"#,
             r#"{"DeliverBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"Item":{"seq":1,"payload":1}}"#,
+            r#"{"Ack":{"up_to":9}}"#,
+            r#"{"Nack":{"expected":9}}"#,
+            r#""Ping""#,
+            r#""Fin""#,
         ] {
             let buf = framed(false, body.as_bytes());
             let err = read_one::<Frame<u64>>(&buf).unwrap_err();
@@ -1481,11 +1572,10 @@ mod tests {
         }
     }
 
-    /// One `FrameReader` must switch decoders frame by frame: sessions
-    /// send control frames (acks, pings, handshakes) as JSON between
-    /// binary batches.
+    /// One `FrameReader` reads a connection's JSON hello, then binary
+    /// batches and the control frames between them.
     #[test]
-    fn binary_and_json_frames_interleave_on_one_stream() {
+    fn a_json_hello_then_binary_batches_and_control_frames_on_one_stream() {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 0 }).unwrap();
@@ -1522,8 +1612,8 @@ mod tests {
     /// emitted, or a chunk sized exactly at the cap overshoots it — at
     /// [`MAX_FRAME_LEN`] that turns a splittable batch into a hard
     /// `write_frame` rejection. `u64` payloads encode to exactly 8
-    /// bytes, so raw frame sizes are fully predictable:
-    /// body = kind(1) + flags(1) + first_seq(8) + count(1 or 2) + n×8.
+    /// bytes, so raw frame sizes are fully predictable: body = kind(1) +
+    /// flags(1) + first_seq(1 below 128, else 2) + count(1 or 2) + n×8.
     /// A chunk goes out coded when that is smaller — these small numbers'
     /// seven zero bytes each make it so — so what is checked is how many
     /// members each chunk holds, and that none is over the cap.
@@ -1542,7 +1632,7 @@ mod tests {
                 .collect()
         };
         let payloads: Vec<u64> = (0..9).collect();
-        let three_member_body = 11 + 3 * 8;
+        let three_member_body = 4 + 3 * 8;
 
         // Cap exactly at a three-member body: three members per frame.
         let bodies = split_at(&payloads, three_member_body);
@@ -1553,9 +1643,10 @@ mod tests {
         assert_eq!(members(&bodies, three_member_body - 1), [2, 2, 2, 2, 1], "9 payloads at 2");
 
         // The count is a varint: the 128th member costs its eight bytes
-        // and the count's second byte, and the accounting sees both.
+        // and the count's second byte, and the accounting sees both — as
+        // it sees the second chunk's first_seq of 128 take two bytes.
         let payloads: Vec<u64> = (0..200).collect();
-        let body_of_128 = 10 + 2 + 128 * 8;
+        let body_of_128 = 3 + 2 + 128 * 8;
         assert_eq!(members(&split_at(&payloads, body_of_128), body_of_128), [128, 72]);
         let bodies = split_at(&payloads, body_of_128 - 1);
         assert_eq!(members(&bodies, body_of_128 - 1), [127, 73], "127 and a one-byte count");
@@ -2028,7 +2119,7 @@ mod tests {
         for _ in 0..mask.count_ones() {
             head += table_len(&body[head..]);
         }
-        assert_eq!(body[head..head + 8], 77u64.to_le_bytes());
+        assert_eq!(body[head], 77, "first_seq, a one-byte varint");
         assert!(body.len() < raw_item_body(&payloads).len());
         assert_eq!(read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap(), frame);
     }
@@ -2048,11 +2139,25 @@ mod tests {
 
     #[test]
     fn binary_unknown_kind_and_flags_are_rejected() {
-        // Kind 2 (a topic-headed batch *towards* a broker) is as unknown as 9.
-        for body in [vec![9u8, 0], vec![2u8, 0], vec![BIN_KIND_ITEM_BATCH, 0x7e]] {
-            let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
+        use crate::store_rpc::StoreRpc;
+
+        // Kind 2 (a topic-headed batch *towards* a broker) is as unknown as
+        // 10, and each reader refuses the kinds that are another's: a store
+        // reply or query on a push or feed connection, an ack or a `Fin` on
+        // a store connection.
+        for kind in [2, 3, 9, 10] {
+            let err = read_one::<Frame<FileEvent>>(&framed(true, &[kind, 0])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
         }
+        for kind in [1, 2, 4, 5, 6, 8, 10] {
+            let err = read_one::<StoreRpc>(&framed(true, &[kind, 0, 1])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
+        }
+        let body = [BIN_KIND_ITEM_BATCH, 0x7e];
+        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     /// A hostile count word is rejected once the members run out (what
@@ -2061,7 +2166,7 @@ mod tests {
     fn binary_hostile_count_is_rejected_not_allocated() {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
-        body.extend_from_slice(&1u64.to_le_bytes());
+        put_varint(&mut body, 1); // first_seq
         put_varint(&mut body, u64::MAX); // count
         let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -2147,8 +2252,8 @@ mod tests {
         assert!(raw_frames(&buf)[0].0, "store batch replies go binary");
         assert_eq!(read_one::<StoreRpc>(&buf).unwrap(), reply);
 
-        // A reply has no second encoding: a JSON body naming one is
-        // not in the control vocabulary.
+        // A reply has no second encoding: a JSON body is none of a store
+        // reader's.
         let err = read_one::<StoreRpc>(&framed(false, br#"{"Batch":{"events":[]}}"#)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 

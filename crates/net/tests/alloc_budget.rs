@@ -5,16 +5,18 @@
 //! `Vec`, the frame's path arena and its seal, a topic — not one per
 //! path, a coded frame decodes in exactly what the same members cost raw
 //! and encodes through a warm encoder in no allocation at all, and
-//! handing a decoded batch on by `clone()` copies no path.
+//! handing a decoded batch on by `clone()` copies no path. A control
+//! frame — an ack, a nack, a ping, a `Fin`, a store query — costs no
+//! allocation to write or to read on a warm connection.
 //! The counting `#[global_allocator]` keeps a per-thread tally, as
 //! `benchmark/src/alloc.rs` does.
 
-use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg_bin};
-use sdci_net::wire::{BinEncoder, Frame, WireMsg};
+use sdci_net::wire::{BinEncoder, Frame, FrameReader, WireMsg};
 use sdci_types::bin::Class;
-use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -235,8 +237,7 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
     let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
     let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
 
-    let mut item = vec![1, 0];
-    item.extend_from_slice(&9u64.to_le_bytes());
+    let mut item = vec![1, 0, 9];
     put_members(&mut item, &events);
     let mut deliver = vec![4, 0];
     put_bytes(&mut deliver, b"feed/all");
@@ -417,4 +418,63 @@ fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
             assert!(body.len() < fresh.len(), "{what} frame {n}: smaller than fresh");
         }
     }
+}
+
+/// Writes each of `msgs` through one connection's encoder into a buffer
+/// with room, then reads them back through one connection's reader, twice
+/// over: the first pass grows the encoder's body buffer and the reader's
+/// frame buffer, and the second must allocate nothing to write any of
+/// them. Returns what reading each cost on the second pass.
+fn control_costs<M: WireMsg + PartialEq + std::fmt::Debug>(msgs: &[M]) -> Vec<u64> {
+    let (mut enc, mut out) = (BinEncoder::new(), Vec::with_capacity(1 << 16));
+    let mut wrote = Vec::new();
+    for pass in 0..2 {
+        for msg in msgs {
+            let made = allocations(|| write_msg_bin(&mut out, &mut enc, msg).expect("writes")).1;
+            if pass == 1 {
+                assert_eq!(made, 0, "{msg:?}: {made} allocations to write");
+            }
+        }
+        wrote.push(out.len());
+    }
+    assert_eq!(wrote[1], 2 * wrote[0], "each pass writes the same bytes");
+    let mut reader = FrameReader::new(&out[..]);
+    for msg in msgs {
+        assert_eq!(&reader.read_msg::<M>().expect("reads"), msg);
+    }
+    msgs.iter()
+        .map(|msg| {
+            let (read, made) = allocations(|| reader.read_msg::<M>().expect("reads"));
+            assert_eq!(&read, msg);
+            made
+        })
+        .collect()
+}
+
+/// Control frames cost no allocation on a warm connection. An ack, a
+/// nack, a ping and a `Fin` — the frames a pusher and its server trade
+/// once per batch — and a store query by sequence number and limit are
+/// written and read in none. A query under a prefix is written in none
+/// and read in exactly one: the `PathBuf` the decoded query owns.
+#[test]
+fn control_frames_are_written_and_read_without_allocating() {
+    let frames = [
+        Frame::<FileEvent>::Ack { up_to: 1_000_000 },
+        Frame::Nack { expected: 1_000_001 },
+        Frame::Ping,
+        Frame::Fin,
+        Frame::Ack { up_to: u64::MAX },
+    ];
+    assert_eq!(control_costs(&frames), [0; 5]);
+
+    let traced = Some(TraceContext::sampled(0xfeed, 77));
+    let queries = [
+        StoreRpc::Query { query: StoreQuery::after_seq(1_234_567).limit(4_096), trace: None },
+        StoreRpc::Ping,
+        StoreRpc::Query {
+            query: StoreQuery::after_seq(0).under("/t0a1b2c3/d0000007"),
+            trace: traced,
+        },
+    ];
+    assert_eq!(control_costs(&queries), [0, 0, 1]);
 }

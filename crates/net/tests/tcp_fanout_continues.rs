@@ -142,9 +142,7 @@ impl RawSub {
                 }
                 Err(e) => panic!("the connection failed: {e}"),
             };
-            if !binary {
-                continue; // a ping
-            }
+            assert!(binary, "a JSON frame after the hello");
             let continues = body[1] & CONTINUES != 0;
             let seqs = match Frame::<FeedMessage>::decode_on(true, &body, &mut self.history) {
                 Ok(Frame::DeliverBatch { payloads, .. }) => payloads
@@ -154,6 +152,7 @@ impl RawSub {
                         other => panic!("a heartbeat on this feed: {other:?}"),
                     })
                     .collect(),
+                Ok(Frame::Ping) => continue,
                 Ok(other) => panic!("expected a deliver batch, got {other:?}"),
                 Err(e) => panic!("frame {} did not decode: {e}", self.frames.len()),
             };

@@ -13,7 +13,7 @@ use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, Tr
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Item-frame flags bit 2: the frame continues its connection.
 const CONTINUES: u8 = 4;
@@ -693,12 +693,11 @@ fn serve_by_hand(listener: &TcpListener, mark: u64, events: usize) -> (Vec<bool>
     let (mut history, mut continued, mut got) = (History::default(), Vec::new(), Vec::new());
     while got.len() < events {
         let Raw { binary, body } = reader.read_msg().unwrap();
-        if !binary {
-            continue; // a ping
-        }
-        continued.push(body[1] & CONTINUES != 0);
+        assert!(binary, "a JSON frame after the hello");
         match Frame::<FileEvent>::decode_on(true, &body, &mut history).unwrap() {
+            Frame::Ping => {}
             Frame::ItemBatch { first_seq, payloads, .. } => {
+                continued.push(body[1] & CONTINUES != 0);
                 assert_eq!(first_seq, mark + 1 + got.len() as u64);
                 got.extend(payloads);
                 let up_to = mark + got.len() as u64;
@@ -744,4 +743,41 @@ fn the_first_frame_on_a_new_connection_is_fresh() {
         assert_eq!(got, events[range], "connection {connection}");
     }
     assert!(push.connections() >= 2);
+}
+
+/// A peer that answers a push hello with anything but the greeting `Ack`
+/// costs the pusher that connection. One that streams pings every 10 ms —
+/// closer than the pusher's 20 ms read tick, so a wait that checked its
+/// liveness deadline only when a read timed out would never check it —
+/// does not hold the lossless leg: with a 200 ms liveness window, the
+/// pusher dials again within a second.
+#[test]
+fn a_pusher_answered_with_pings_instead_of_its_greeting_dials_again() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let cfg = NetConfig { liveness: Duration::from_millis(200), ..fast_cfg() };
+    let push = TcpPush::<FileEvent>::connect(listener.local_addr().unwrap(), "pinged", cfg);
+    let (stream, _) = listener.accept().unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let _hello: Hello = FrameReader::new(stream).read_msg().unwrap();
+    let pinging = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline && write_msg(&mut writer, &Frame::<FileEvent>::Ping).is_ok()
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    listener.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        match listener.accept() {
+            Ok(_) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("no second connection within 1 s of a stream of pings: {e}"),
+        }
+    }
+    assert!(push.connections() == 0, "a connection that was never greeted is not counted");
+    drop(push);
+    pinging.join().unwrap();
 }

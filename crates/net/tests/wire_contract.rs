@@ -15,17 +15,21 @@
 //!   address, outside any fault plan.
 //! * A lone event on each leg travels as exactly one binary one-member
 //!   batch frame and arrives intact, trace context included.
-//! * A store query and the store ping are the JSON they have always
-//!   been, byte for byte; a store reply has no JSON form at all.
+//! * After the hello every frame is binary: a store query and the store
+//!   ping are a few bytes, pinned byte for byte. A JSON body — an ack, a
+//!   ping, a query or a reply — is refused on a push, feed or store
+//!   connection and costs that connection only, as does a query whose
+//!   prefix is not UTF-8 or is too long, or that sets a presence bit no
+//!   field has.
 //! * A push mark never wraps: a peer's `resume_after`, a batch that would
 //!   carry the mark past `u64::MAX`, and a server's greeting of
 //!   `u64::MAX` each cost one connection — neither side panics, and the
 //!   server goes on serving, the pusher on dialing.
-//! * After the hello a length word still sizes nothing: a JSON body —
-//!   every control frame — is refused as soon as its word claims more
-//!   than a hello may be, and a binary body's buffer grows with the
-//!   bytes that actually arrive, not with the claim; a long store query
-//!   and a reply far over one growth step still round-trip.
+//! * After the hello a length word still sizes nothing: a JSON body is
+//!   refused as soon as its word claims more than a hello may be, and a
+//!   binary body's buffer grows with the bytes that actually arrive, not
+//!   with the claim; a long store query and a reply far over one growth
+//!   step still round-trip.
 //!
 //! The allocator is this binary's own (as in `wire_mutation.rs`): it
 //! records the largest single request the calling thread has made.
@@ -150,9 +154,7 @@ fn connect_and_send(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
 
 /// Connects and sends `body` as one hand-written JSON frame.
 fn connect_with_hello(addr: SocketAddr, body: &str) -> TcpStream {
-    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(body.as_bytes());
-    connect_and_send(addr, &frame)
+    connect_and_send(addr, &json_frame(body))
 }
 
 /// The server must close the connection without sending a byte: EOF,
@@ -192,22 +194,38 @@ fn read_raw_frame(stream: &mut TcpStream) -> (bool, Vec<u8>) {
 /// Reads the hello a client endpoint opened its connection with.
 fn read_hello(stream: &mut TcpStream) -> Service {
     let (binary, body) = read_raw_frame(stream);
-    assert!(!binary, "the hello is a control frame");
+    assert!(!binary, "the hello is JSON");
     let hello = Hello::decode(false, &body).unwrap();
     assert_eq!(hello.proto, WIRE_PROTO);
     hello.service
 }
 
-/// Reads the rest of a session up to its `Fin`, asserting no further
-/// data frame arrives on the way.
+/// Reads the rest of a session up to its `Fin`, asserting every frame on
+/// the way is binary and none is a second data frame.
 fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     loop {
         let (binary, body) = read_raw_frame(stream);
-        assert!(!binary, "{what}: a second data frame followed the lone event's");
-        if Frame::<FileEvent>::decode(false, &body).unwrap() == Frame::Fin {
-            return;
+        assert!(binary, "{what}: a JSON frame after the hello");
+        match Frame::<FileEvent>::decode(true, &body).unwrap() {
+            Frame::Fin => return,
+            Frame::Ack { .. } | Frame::Nack { .. } | Frame::Ping => {}
+            batch => panic!("{what}: a second data frame followed the lone event's: {batch:?}"),
         }
     }
+}
+
+/// `body` behind a length word announcing a JSON frame.
+fn json_frame(body: &str) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    frame
+}
+
+/// `value` as an unsigned LEB128 varint.
+fn varint(value: u64) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    sdci_types::bin::put_varint(&mut bytes, value);
+    bytes
 }
 
 /// The four services, as the JSON a hello names them with.
@@ -371,8 +389,8 @@ fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "hostile".into(), resume_after: 0 }).unwrap();
     let (binary, greeting) = read_raw_frame(&mut stream);
-    assert!(!binary);
-    assert_eq!(Frame::<FeedMessage>::decode(false, &greeting).unwrap(), Frame::Ack { up_to: 0 });
+    assert!(binary, "the greeting is a binary ack");
+    assert_eq!(Frame::<FeedMessage>::decode(true, &greeting).unwrap(), Frame::Ack { up_to: 0 });
     stream.write_all(&binary_frame(&body)).unwrap();
     assert_closed_unanswered(&mut stream, "a kind-2 frame on a push session");
     assert_eq!(pull.stats().items, 0, "the undecodable frame was applied");
@@ -541,8 +559,8 @@ fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "claims".into(), resume_after: 0 }).unwrap();
     let (binary, greeting) = read_raw_frame(&mut stream);
-    assert!(!binary);
-    assert_eq!(Frame::<FeedMessage>::decode(false, &greeting).unwrap(), Frame::Ack { up_to: 0 });
+    assert!(binary, "the greeting is a binary ack");
+    assert_eq!(Frame::<FeedMessage>::decode(true, &greeting).unwrap(), Frame::Ack { up_to: 0 });
     let sent = Instant::now();
     stream.write_all(&json_word).unwrap();
     assert_closed_unanswered(&mut stream, "a megabyte-long control frame");
@@ -551,7 +569,7 @@ fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
 }
 
 /// The largest honest frames still travel: a query under a 4,096-byte
-/// prefix — a control frame of over four kilobytes — and a 1,000-event
+/// prefix — a binary query of over four kilobytes — and a 1,000-event
 /// reply of long names, well past one step of the reader's buffer
 /// growth, each round-trip through a remote store.
 #[test]
@@ -654,13 +672,13 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     // The leg registers asynchronously; publish the lone event only
     // once the leg's first `Ping` shows it is being served.
     let (binary, body) = read_raw_frame(&mut stream);
-    assert!(!binary);
-    assert_eq!(Frame::<FileEvent>::decode(false, &body).unwrap(), Frame::Ping);
+    assert!(binary, "a ping is a binary control frame");
+    assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), Frame::Ping);
     broker.publisher().publish("feed/all", traced_event());
 
     let (binary, body) = loop {
         let (binary, body) = read_raw_frame(&mut stream);
-        if binary || Frame::<FileEvent>::decode(false, &body).unwrap() != Frame::Ping {
+        if !binary || Frame::<FileEvent>::decode(true, &body).unwrap() != Frame::Ping {
             break (binary, body);
         }
     };
@@ -677,50 +695,159 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     expect_only_control_until_fin(&mut stream, "deliver leg");
 }
 
-/// The store RPC's control frames, pinned as bytes: what PR 22's binary
-/// wrote for an `after_seq` query, a time-and-prefix query with a limit,
-/// a query carrying its caller's trace context, and the ping — and a
-/// JSON body naming the reply variant is `InvalidData`, whatever it
-/// holds.
+/// The store RPC's control frames, pinned as bytes: an `after_seq`
+/// query, a time-and-prefix query with a limit, a query carrying its
+/// caller's trace context, and the ping — a kind byte, a flags byte (bit
+/// 0: a trace section follows), a presence byte and the fields present as
+/// varints, the prefix as its UTF-8 length and bytes, then the limit. A
+/// JSON body is `InvalidData`, whether it is a query, the ping or a reply.
 #[test]
-fn store_queries_and_pings_are_the_json_they_were_and_a_json_batch_is_invalid_data() {
-    let prefixed = StoreQuery::since(SimTime::from_secs(3)).under("/proj/é \"q\"").limit(7);
+fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
+    let prefix = "/proj/é \"q\"";
+    let prefixed = StoreQuery::since(SimTime::from_secs(3)).under(prefix).limit(7);
     let traced = Some(TraceContext::sampled(0xfeed, 77));
-    for (msg, json) in [
-        (
-            StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None },
-            r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
-        ),
+    let mut trace = 0xfeed_u64.to_le_bytes().to_vec();
+    trace.extend_from_slice(&77u64.to_le_bytes());
+    trace.push(1);
+    for (msg, bytes) in [
+        (StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None }, vec![9, 0, 1, 41, 0]),
         (
             StoreRpc::Query { query: prefixed, trace: None },
-            r#"{"Query":{"query":{"after_seq":null,"since":3000000000,"path_prefix":"/proj/é \"q\"","limit":7},"trace":null}}"#,
+            [&[9, 0, 6][..], &varint(3_000_000_000), &varint(prefix.len() as u64)]
+                .concat()
+                .into_iter()
+                .chain(prefix.bytes())
+                .chain([7])
+                .collect(),
         ),
         (
             StoreRpc::Query { query: StoreQuery::after_seq(0), trace: traced },
-            r#"{"Query":{"query":{"after_seq":0,"since":null,"path_prefix":null,"limit":0},"trace":{"trace_id":65261,"parent_span_id":77,"sampled":true}}}"#,
+            [&[9, 1][..], &trace, &[1, 0, 0]].concat(),
         ),
-        (StoreRpc::Ping, r#""Ping""#),
+        (StoreRpc::Ping, vec![7, 0]),
     ] {
         let mut body = Vec::new();
-        assert!(
-            !msg.encode(&mut BinEncoder::new(), &mut body).unwrap(),
-            "{msg:?} is a control frame"
-        );
-        assert_eq!(std::str::from_utf8(&body).unwrap(), json);
-        assert_eq!(StoreRpc::decode(false, json.as_bytes()).unwrap(), msg);
+        assert!(msg.encode(&mut BinEncoder::new(), &mut body).unwrap(), "{msg:?} is binary");
+        assert_eq!(body, bytes, "{msg:?}");
+        assert_eq!(StoreRpc::decode(true, &bytes).unwrap(), msg);
     }
-    // A query sent without the trace key reads as untraced.
-    let bare = r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0}}}"#;
-    assert_eq!(
-        StoreRpc::decode(false, bare.as_bytes()).unwrap(),
-        StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None }
-    );
 
-    for body in [r#"{"Batch":{"events":[]}}"#, r#"{"Batch":{"events":[{"seq":1}]}}"#, r#""Batch""#]
-    {
+    for body in [
+        r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
+        r#"{"Query":{"query":{"after_seq":41,"since":null,"path_prefix":null,"limit":0}}}"#,
+        r#""Ping""#,
+        r#"{"Batch":{"events":[]}}"#,
+        r#"{"Batch":{"events":[{"seq":1}]}}"#,
+        r#""Batch""#,
+    ] {
         let err = StoreRpc::decode(false, body.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
     }
+}
+
+/// A query no reader would accept is not written: a prefix of
+/// `MAX_PATH_LEN` bytes goes out, one a byte longer, and one that is not
+/// UTF-8, fail at the writer with `InvalidInput`, before a byte is
+/// written.
+#[test]
+fn a_query_whose_prefix_no_reader_accepts_is_not_written() {
+    use std::os::unix::ffi::OsStrExt;
+    let max = sdci_types::bin::MAX_PATH_LEN;
+    let query = |prefix: std::path::PathBuf| StoreRpc::Query {
+        query: StoreQuery::after_seq(0).under(prefix),
+        trace: None,
+    };
+    let mut out = Vec::new();
+    write_msg(&mut out, &query("p".repeat(max).into())).unwrap();
+    let back = FrameReader::new(&out[..]).read_msg::<StoreRpc>().unwrap();
+    assert_eq!(back, query("p".repeat(max).into()));
+    let not_utf8 = std::ffi::OsStr::from_bytes(b"/proj/\xff").into();
+    for prefix in ["p".repeat(max + 1).into(), not_utf8] {
+        let mut out = Vec::new();
+        let err = write_msg(&mut out, &query(prefix)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(out.is_empty(), "nothing was written");
+    }
+}
+
+/// After the hello every frame is binary. A JSON body — an ack, a ping, a
+/// query — costs the connection it arrives on, and only that one: a push
+/// session's server and a store session's close it unanswered, and a
+/// subscriber drops a broker that sends one and dials again. A store query whose prefix is not UTF-8, is a byte over
+/// `MAX_PATH_LEN`, or that sets a presence bit no field has, is refused
+/// the same way. Nothing any of them carried is applied, and the
+/// endpoint, and the subscriber, go on serving honest peers.
+#[test]
+fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() {
+    let _serial = endpoints();
+    let pull = TcpPullServer::<FileEvent>::new(64);
+    let store = StoreServer::new(Arc::new(EventStore::new(64)));
+    let endpoint =
+        Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone(), store.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+
+    for body in [r#""Ping""#, r#"{"Ack":{"up_to":0}}"#, r#""Fin""#] {
+        let mut stream = greeted(addr, "speaks-json", 0);
+        stream.write_all(&json_frame(body)).unwrap();
+        assert_closed_unanswered(&mut stream, &format!("{body} on a push session"));
+    }
+
+    let over = sdci_types::bin::MAX_PATH_LEN + 1;
+    let long = [&[9, 0, 4][..], &varint(over as u64), &vec![b'p'; over], &[0]].concat();
+    let hostile: [(&str, Vec<u8>); 6] = [
+        (
+            "a JSON query",
+            json_frame(
+                r#"{"Query":{"query":{"after_seq":0,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
+            ),
+        ),
+        ("a JSON ping", json_frame(r#""Ping""#)),
+        ("a non-UTF-8 prefix", binary_frame(&[9, 0, 4, 2, 0xff, 0xfe, 0])),
+        ("a prefix a byte over MAX_PATH_LEN", binary_frame(&long)),
+        ("a presence bit no field has", binary_frame(&[9, 0, 8, 0])),
+        ("a ping with a trace bit", binary_frame(&[7, 1])),
+    ];
+    for (what, frame) in hostile {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write_hello(&mut stream, Service::Store).unwrap();
+        stream.write_all(&frame).unwrap();
+        assert_closed_unanswered(&mut stream, what);
+    }
+    assert_eq!(store.queries(), 0, "a refused query ran");
+    assert_eq!(pull.stats().items, 0);
+
+    let push = TcpPush::connect(addr, "polite", fast_cfg());
+    assert!(push.send(pushed_event(1)));
+    assert!(push.drain(Duration::from_secs(10)), "the pull server stopped serving");
+    assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
+    assert_eq!(store.queries(), 1, "the store stopped serving");
+    drop(push);
+    endpoint.shutdown();
+
+    // A feed whose broker sends JSON: the subscriber drops the connection,
+    // dials again, and takes a batch on the next one.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let subscriber =
+        TcpSubscriber::<FileEvent>::connect(listener.local_addr().unwrap(), &["feed/"], fast_cfg());
+    let hello = Service::Subscriber { prefixes: vec!["feed/".into()] };
+    let mut first = accept_within(&listener, Duration::from_secs(5));
+    assert_eq!(read_hello(&mut first), hello);
+    first.write_all(&json_frame(r#""Ping""#)).unwrap();
+    let mut second = accept_within(&listener, Duration::from_secs(5));
+    assert_eq!(read_hello(&mut second), hello);
+    let event = pushed_event(2);
+    sdci_net::wire::write_deliver_batch_bin(
+        &mut second,
+        &mut BinEncoder::new(),
+        "feed/all",
+        std::slice::from_ref(&event),
+        None,
+    )
+    .unwrap();
+    let delivered = subscriber.recv_timeout(Duration::from_secs(5)).map(|msg| msg.payload);
+    assert_eq!(delivered, Some(event), "the subscriber was not served on its second connection");
+    assert_eq!(subscriber.connections(), 2);
 }
 
 /// Threads of this process named `sdci-net-…` — an endpoint's connection
@@ -759,8 +886,8 @@ fn greeted(addr: SocketAddr, client: &str, resume_after: u64) -> TcpStream {
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: client.into(), resume_after }).unwrap();
     let (binary, body) = read_raw_frame(&mut stream);
-    assert!(!binary, "the greeting is a control frame");
-    let greeting = Frame::<FileEvent>::decode(false, &body).unwrap();
+    assert!(binary, "the greeting is a binary control frame");
+    let greeting = Frame::<FileEvent>::decode(true, &body).unwrap();
     assert_eq!(greeting, Frame::Ack { up_to: resume_after });
     stream
 }

@@ -11,7 +11,9 @@
 //! coded section whose count claims more members than its bits; then
 //! item and deliver frames and store replies that continue their
 //! connection against a history they do not match, and 10,000
-//! mutations of a five-frame continuing stream of each. Every one is
+//! mutations of a five-frame continuing stream of each; then 10,000
+//! mutations of a stream of control frames — acks, nacks, pings, `Fin`,
+//! store queries — read in order by one connection's reader. Every one is
 //! decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
@@ -24,11 +26,11 @@
 //! `crates/core/tests/alloc_budget.rs`): it records the largest single
 //! request the calling thread has made.
 
-use sdci_core::{FeedMessage, SequencedEvent};
+use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
     continuity_gap, write_deliver_batch_bin, write_item_batch_bin, write_msg_bin, BinEncoder,
-    Frame, WireMsg,
+    Frame, FrameReader, WireMsg, BIN_FRAME_BIT,
 };
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
@@ -231,7 +233,7 @@ fn raw_bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8
     if let Some(trace) = &trace {
         put_trace(&mut item, trace);
     }
-    item.extend_from_slice(&7u64.to_le_bytes());
+    put_varint(&mut item, 7); // first_seq
     put_members(&mut item, &events);
     let mut store = vec![3, 0];
     put_members(&mut store, &sequenced);
@@ -469,7 +471,7 @@ fn sections(members: &[Option<Laid>]) -> [Laid; 3] {
 /// class mask and tables — and their heads.
 fn heads(flags: u8, codes: &[u8]) -> [Vec<u8>; 3] {
     let mut item = [&[1, flags][..], codes].concat();
-    item.extend_from_slice(&7u64.to_le_bytes());
+    put_varint(&mut item, 7); // first_seq
     let store = [&[3, flags][..], codes].concat();
     let mut deliver = [&[4, flags][..], codes].concat();
     put_bytes(&mut deliver, b"feed/all");
@@ -1017,11 +1019,12 @@ fn members_back_to_back_that_the_frame_does_not_hold_are_refused_with_their_own_
     refused("codewords run 8 bits past the body", cut(coded(&codes, &honest), 1));
 
     // The count is a byte after the head: after the first sequence number
-    // of an item, the header of a store reply, the topic of a deliver.
+    // of an item (a one-byte varint), the header of a store reply, the
+    // topic of a deliver.
     let recount = |bodies: [Vec<u8>; 3], count: u8| {
         bodies.map(|mut body| {
             let at = match body[0] {
-                1 => 10,
+                1 => 3,
                 3 => 2,
                 _ => 3 + b"feed/all".len(),
             };
@@ -1101,7 +1104,7 @@ const CONTINUES: u8 = 4;
 /// An item-batch head: kind 1, `flags`, `codes`, `first_seq`.
 fn item_head(flags: u8, codes: &[u8], first_seq: u64) -> Vec<u8> {
     let mut head = [&[1, flags][..], codes].concat();
-    head.extend_from_slice(&first_seq.to_le_bytes());
+    put_varint(&mut head, first_seq);
     head
 }
 
@@ -1111,6 +1114,24 @@ fn laid_item(continues: bool, first_seq: u64, members: &[Laid]) -> Vec<u8> {
     let flags = if continues { CONTINUES } else { 0 };
     let [section, ..] = sections(&members.iter().cloned().map(Some).collect::<Vec<_>>());
     [item_head(flags, &[], first_seq), section.bytes].concat()
+}
+
+/// Where the varint head of `body` starts: the one byte in which it
+/// differs from `other`, the same frame under another one-byte key.
+fn head_at(body: &[u8], other: &[u8]) -> usize {
+    assert_eq!(body.len(), other.len(), "two keys of one byte each");
+    let mut differ = (0..body.len()).filter(|&i| body[i] != other[i]);
+    let at = differ.next().expect("the keys differ");
+    assert_eq!(differ.next(), None, "only the key differs");
+    at
+}
+
+/// `body` with the one-byte varint key at `at` replaced by `key`, in as
+/// many bytes as its varint takes.
+fn with_head(body: &[u8], at: usize, key: u64) -> Vec<u8> {
+    let mut varint = Vec::new();
+    put_varint(&mut varint, key);
+    [&body[..at], &varint, &body[at + 1..]].concat()
 }
 
 /// Decodes `body` as the reader of a connection whose history is
@@ -1164,11 +1185,16 @@ fn bodies(mut rest: &[u8]) -> Vec<Vec<u8>> {
 /// encoder writes them to one connection: the first fresh, each after it
 /// continuing the one before.
 fn continuing_stream(frames: usize) -> Vec<Vec<u8>> {
+    continuing_stream_from(7, frames)
+}
+
+/// [`continuing_stream`], its first frame keyed `first_seq`.
+fn continuing_stream_from(first_seq: u64, frames: usize) -> Vec<Vec<u8>> {
     let mut enc = BinEncoder::new();
     let mut out = Vec::new();
     for frame in 0..frames as u64 {
-        write_item_batch_bin(&mut out, &mut enc, 7 + 24 * frame, &frame_events(frame), None)
-            .unwrap();
+        let events = frame_events(frame);
+        write_item_batch_bin(&mut out, &mut enc, first_seq + 24 * frame, &events, None).unwrap();
     }
     let bodies = bodies(&out);
     assert_eq!(bodies.len(), frames);
@@ -1266,11 +1292,12 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
 
     let mut history = History::default();
     assert_eq!(read_on(&mut history, &stream[0]).unwrap().len(), 24);
-    let first_seq = (7u64 + 24).to_le_bytes();
-    let at = stream[1].windows(8).position(|w| w == first_seq).expect("the head");
+    // The head is the one byte in which the same stream keyed from 57
+    // differs: first_seq, a varint after the codes, 31 here and 81 there.
+    let at = head_at(&stream[1], &continuing_stream_from(57, 2)[1]);
+    assert_eq!(stream[1][at], 31);
     for off_by in [1u64, u64::MAX] {
-        let mut bad = stream[1].clone();
-        bad[at..at + 8].copy_from_slice(&(31u64.wrapping_add(off_by)).to_le_bytes());
+        let bad = with_head(&stream[1], at, 31u64.wrapping_add(off_by));
         refused_on(&mut history, &bad, true, "where its history ends at 31");
     }
     assert_eq!(read_on(&mut history, &stream[1]).unwrap().len(), 24, "the history stood");
@@ -1363,13 +1390,12 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
 
     let mut history = History::default();
     assert_eq!(read_feed_on(&mut history, &feed[0]).unwrap(), (7..31).collect::<Vec<_>>());
-    // The head: the topic, then the first member's sequence number.
-    let first_seq = 31u64.to_le_bytes();
-    let at = feed[1].windows(8).position(|w| w == first_seq).expect("the head");
-    assert_eq!(&feed[1][at - 8..at], b"feed/all");
+    // The head: the topic, then the first member's sequence number, a
+    // one-byte varint.
+    let at = 8 + feed[1].windows(8).position(|w| w == b"feed/all").expect("the topic");
+    assert_eq!(feed[1][at], 31);
     for off_by in [1u64, u64::MAX] {
-        let mut bad = feed[1].clone();
-        bad[at..at + 8].copy_from_slice(&(31u64.wrapping_add(off_by)).to_le_bytes());
+        let bad = with_head(&feed[1], at, 31u64.wrapping_add(off_by));
         let err = read_feed_on(&mut history, &bad).unwrap_err();
         refused_as(err, true, "where its history ends at 31");
     }
@@ -1381,7 +1407,7 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
     let [.., heartbeat] = sections(&[None]);
     let mut body = vec![4, CONTINUES];
     put_bytes(&mut body, b"feed/all");
-    body.extend_from_slice(&31u64.to_le_bytes());
+    put_varint(&mut body, 31); // first_seq
     body.extend_from_slice(&heartbeat.bytes);
     let why = "continuing from sequence 31 whose first member carries None";
     refused_as(read_feed_on(&mut history, &body).unwrap_err(), false, why);
@@ -1482,4 +1508,78 @@ fn mutations_of_continuing_store_replies_never_decode_against_a_refused_reply() 
         (0..5).map(|reply| StoreRpc::Batch { events: reply_events(reply, 5) }).collect();
     let (read, refused) = read_mutated_streams(&continuing_replies(5), &sent, warm);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
+}
+
+/// Reads 10,000 seeded mutations of a stream of control frames carrying
+/// `sent`: one frame's body is mutated, every frame goes out behind its
+/// own length word, and one connection's reader reads the stream in
+/// order. The mutated frame decodes or is refused as `InvalidData` —
+/// never a panic — by this reader and by the other kind's, within the
+/// allocation bound; every frame before it decodes to exactly what was
+/// sent, and so does every frame after it: a control frame is read
+/// against no history. Returns how many mutated frames were read and how
+/// many refused.
+fn read_mutated_controls<M>(sent: &[M], seed: u64) -> (u32, u32)
+where
+    M: WireMsg + PartialEq + std::fmt::Debug,
+{
+    let bodies: Vec<Vec<u8>> = sent.iter().map(body_of).collect();
+    let mut rng = Rng(seed);
+    let (mut read, mut refused) = (0u32, 0u32);
+    for round in 0..10_000 {
+        let target = rng.below(bodies.len());
+        let mutated = mutate(&mut rng, &bodies[target]);
+        fed::<Frame<FileEvent>>(&mutated);
+        fed::<StoreRpc>(&mutated);
+        let mut stream = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            let body = if i == target { &mutated } else { body };
+            stream.extend_from_slice(&(body.len() as u32 | BIN_FRAME_BIT).to_be_bytes());
+            stream.extend_from_slice(body);
+        }
+        let mut reader = FrameReader::new(&stream[..]);
+        for (i, sent) in sent.iter().enumerate() {
+            let (result, largest) = largest_request(|| reader.read_msg::<M>());
+            assert!(largest <= allocation_bound(&mutated), "round {round}: {largest} bytes");
+            match result {
+                Ok(got) if i != target => assert_eq!(&got, sent, "round {round}: frame {i}"),
+                Ok(_) => read += 1,
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "round {round}: {e}");
+                    assert_eq!(i, target, "round {round}: an unmutated frame {i} refused: {e}");
+                    refused += 1;
+                }
+            }
+        }
+    }
+    (read, refused)
+}
+
+/// 10,000 mutations of a push connection's control frames — acks (one of
+/// `u64::MAX`, a ten-byte varint), a nack, a ping and a `Fin` — and
+/// 10,000 of a store connection's — queries by sequence number and limit,
+/// by time under a prefix with the caller's trace, with every field
+/// absent — and its ping.
+#[test]
+fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
+    let frames = [
+        Frame::<FileEvent>::Ack { up_to: 1_000_000 },
+        Frame::Nack { expected: 1_000_001 },
+        Frame::Ping,
+        Frame::Ack { up_to: u64::MAX },
+        Frame::Fin,
+    ];
+    let (read, refused) = read_mutated_controls(&frames, 0x5dc1_0041);
+    assert!(read > 1_000 && refused > 5_000, "read {read}, refused {refused}");
+
+    let traced = Some(TraceContext::sampled(0xfeed, 77));
+    let prefixed = StoreQuery::since(SimTime::from_secs(3)).under("/proj/é \"q\"").limit(7);
+    let queries = [
+        StoreRpc::Query { query: StoreQuery::after_seq(1_234_567).limit(4_096), trace: None },
+        StoreRpc::Query { query: prefixed, trace: traced },
+        StoreRpc::Ping,
+        StoreRpc::Query { query: StoreQuery::default(), trace: None },
+    ];
+    let (read, refused) = read_mutated_controls(&queries, 0x5dc1_0042);
+    assert!(read > 1_000 && refused > 5_000, "read {read}, refused {refused}");
 }

@@ -1,11 +1,11 @@
 //! Binary payload encoding: the bytes of an event, on the wire and on
 //! disk.
 //!
-//! Control frames on an sdci-net socket are JSON (see
-//! `sdci-net::wire`) so a session stays `nc`-debuggable; data frames —
-//! every batch of events — carry their payloads in this compact binary
-//! form, because rendering each event through a `Value` tree and
-//! re-parsing it on receive is the cost the data plane cannot afford.
+//! On an sdci-net socket only a connection's hello (and the cluster RPC)
+//! is JSON (see `sdci-net::wire`); data frames — every batch of events —
+//! carry their payloads in this compact binary form, because rendering
+//! each event through a `Value` tree and re-parsing it on receive is the
+//! cost the data plane cannot afford.
 //!
 //! A data frame's members are **relative to the earlier members of the
 //! same frame**: [`BinPayload::encode_bin`] and
@@ -420,6 +420,15 @@ impl<'a> BinReader<'a> {
     pub fn delta_u32(&mut self, class: Class, prev: u32) -> Result<u32, BinDecodeError> {
         u32::try_from(self.delta(class, prev.into())?)
             .map_err(|_| BinDecodeError::msg("delta leaves its 32-bit field"))
+    }
+
+    /// Takes the next `len` bytes as they are, outside a coded member
+    /// section (inside one, a byte is a codeword, not itself).
+    pub fn bytes(&mut self, len: usize) -> Result<&'a [u8], BinDecodeError> {
+        if self.live().is_some() {
+            return Err(BinDecodeError::msg("verbatim bytes inside a coded member section"));
+        }
+        self.take(len)
     }
 
     /// Reads a varint-length-prefixed UTF-8 string (of [`Class::Other`]).
