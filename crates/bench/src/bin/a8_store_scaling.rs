@@ -17,25 +17,14 @@
 //! margin at the largest window — CI runs `--smoke` so the indexed path
 //! can't silently regress to a full scan.
 //!
-//! The second half measures the `sdci-cluster` scaling story: the same
-//! event stream partitioned by [`ShardMap`] path-root routing across 1,
-//! 2, and 4 shard stores. The box running this bench has one core, so
-//! each shard's ingest is timed *serially* and the aggregate rate is
-//! computed over the critical path (`total / max_shard_elapsed`) — what
-//! a real deployment with one core per shard would sustain. The smoke
-//! gate requires the 2-shard arm to reach 1.7x the single-store rate
-//! and the 4-shard arm 3x, so a routing or per-shard-overhead
-//! regression that destroys the scaling margin fails CI.
-//!
-//! Emits `BENCH_a8_store_scaling.json` with the query speedups and the
-//! shard-scaling arms.
+//! Emits `BENCH_a8_store_scaling.json` with the query speedups.
 //!
 //! ```text
 //! a8_store_scaling [--smoke]
 //! ```
 
 use sdci_bench::{print_table, write_report};
-use sdci_core::{EventStore, SequencedEvent, ShardMap, StoreQuery};
+use sdci_core::{EventStore, SequencedEvent, StoreQuery};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
 use std::collections::VecDeque;
@@ -50,19 +39,6 @@ const EVENTS_PER_ROOT: u64 = 8_192;
 
 /// Tail size for the gap-recovery query shapes.
 const TAIL: u64 = 1_000;
-
-/// Distinct top-level roots in the shard-scaling workload. Routing is
-/// by path-root hash, so with this many roots spread round-robin the
-/// partitions stay near-balanced at every shard count measured (the
-/// 4-shard max partition carries 25.3% of the stream), as in an
-/// aggregate tier over a datacenter filesystem with hundreds of project
-/// roots. Every arm's segments stay within the directory column's cap
-/// (512 directories), so every arm files each event under its directory
-/// and the arms measure ingest scaling, not a difference in upkeep.
-const SHARD_ROOTS: u64 = 384;
-
-/// Required aggregate-ingest speedup per shard count — the CI gate.
-const SHARD_GATES: &[(usize, f64)] = &[(2, 1.7), (4, 3.0)];
 
 fn sev(seq: u64) -> SequencedEvent {
     SequencedEvent {
@@ -143,94 +119,12 @@ struct QueryRow {
     speedup: f64,
 }
 
-/// One shard-scaling arm of the machine-readable report.
-#[derive(Serialize)]
-struct ShardArm {
-    shards: usize,
-    max_shard_events: usize,
-    critical_path_ms: f64,
-    aggregate_events_per_sec: f64,
-    speedup_vs_single: f64,
-}
-
 /// The machine-readable result CI archives (`BENCH_a8_store_scaling.json`).
 #[derive(Serialize)]
 struct A8Report {
     bench: &'static str,
     mode: &'static str,
     query_rows: Vec<QueryRow>,
-    shard_events: u64,
-    shard_roots: u64,
-    shard_repeats: usize,
-    shard_arms: Vec<ShardArm>,
-}
-
-/// An event of the shard-scaling workload: roots cycle round-robin so
-/// every shard's partition interleaves through the whole stream, as a
-/// live collector mix would.
-fn shard_event(seq: u64) -> SequencedEvent {
-    SequencedEvent {
-        seq,
-        event: FileEvent {
-            index: seq,
-            mdt: MdtIndex::new((seq % 4) as u32),
-            changelog_kind: ChangelogKind::Create,
-            kind: EventKind::Created,
-            time: SimTime::from_secs(seq),
-            path: format!("/r{}/f{seq}.dat", seq % SHARD_ROOTS).into(),
-            src_path: None,
-            target: Fid::new(0x100, seq as u32, 0),
-            is_dir: false,
-            extracted_unix_ns: None,
-            trace: None,
-        },
-    }
-}
-
-/// Splits the stream across `shards` stores exactly as the collector's
-/// `ShardRouter` would: per event, by path-root hash. Per-shard seqs
-/// stay monotonic because each partition is a subsequence. Partitions
-/// are generated one shard at a time so each one's heap allocations are
-/// contiguous — a real shard receives its stream into its own memory,
-/// and interleaved allocation would bill the multi-shard arms for cache
-/// misses the deployment never pays.
-fn shard_partitions(total: u64, shards: usize) -> Vec<Vec<SequencedEvent>> {
-    let map = ShardMap::new((0..shards).map(|i| format!("127.0.0.1:{}", 7200 + 10 * i)));
-    (0..shards)
-        .map(|shard| {
-            (1..=total)
-                .map(shard_event)
-                .filter(|e| map.route_index(&e.event.path, e.event.target) == shard)
-                .collect()
-        })
-        .collect()
-}
-
-/// Median wall-clock time to ingest `part` into a fresh store. Each
-/// repeat inserts a batch cloned *outside* the timed region, so the
-/// measurement is the store's ingest cost, not the harness's copies.
-///
-/// # Errors
-///
-/// A `part` out of sequence order, which the store refuses.
-fn ingest_time(
-    part: &[SequencedEvent],
-    capacity: usize,
-    repeats: usize,
-) -> Result<Duration, Box<dyn Error>> {
-    let mut times = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let batch = part.to_vec();
-        let store = EventStore::new(capacity);
-        let start = Instant::now();
-        for e in batch {
-            store.insert(e)?;
-        }
-        times.push(start.elapsed());
-        black_box(store.len());
-    }
-    times.sort();
-    Ok(times[times.len() / 2])
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -318,73 +212,10 @@ fn main() -> Result<(), Box<dyn Error>> {
          the result size."
     );
 
-    // ------------------------------------------------------------------
-    // Shard-scaling arms: the same stream, path-root-partitioned across
-    // 1/2/4 shard stores. One core, so ingest is timed serially per
-    // shard and the aggregate rate is taken over the critical path.
-    // ------------------------------------------------------------------
-    let (shard_events, shard_repeats) = if smoke { (120_000u64, 5) } else { (400_000u64, 7) };
-    println!("\n== A8: aggregate ingest vs shard count ({shard_events} events, {SHARD_ROOTS} roots) ==\n");
-
-    let mut shard_arms = Vec::new();
-    let mut shard_rows = Vec::new();
-    let mut single_rate = 0.0f64;
-    for &shards in &[1usize, 2, 4] {
-        let parts = shard_partitions(shard_events, shards);
-        // Each shard retains its slice of the window, so its store (and
-        // the lazy first-touch allocation inside the timed region) is
-        // sized to its partition, not the whole stream.
-        let mut critical_path = Duration::ZERO;
-        for part in &parts {
-            critical_path = critical_path.max(ingest_time(part, part.len().max(1), shard_repeats)?);
-        }
-        let max_part = parts.iter().map(Vec::len).max().unwrap_or(0);
-        let rate = shard_events as f64 / critical_path.as_secs_f64();
-        if shards == 1 {
-            single_rate = rate;
-        }
-        let speedup = rate / single_rate;
-        shard_rows.push(vec![
-            format!("{shards}"),
-            format!("{max_part}"),
-            format!("{:.1}", critical_path.as_secs_f64() * 1e3),
-            format!("{:.0}", rate),
-            format!("{speedup:.2}x"),
-        ]);
-        shard_arms.push(ShardArm {
-            shards,
-            max_shard_events: max_part,
-            critical_path_ms: critical_path.as_secs_f64() * 1e3,
-            aggregate_events_per_sec: rate,
-            speedup_vs_single: speedup,
-        });
-        if let Some((_, required)) = SHARD_GATES.iter().find(|(s, _)| *s == shards) {
-            if speedup < *required {
-                gate_failures.push(format!(
-                    "{shards}-shard aggregate ingest: {speedup:.2}x < required {required:.1}x"
-                ));
-            }
-        }
-    }
-    print_table(
-        &["shards", "max shard events", "critical path (ms)", "aggregate ev/s", "speedup"],
-        &shard_rows,
-    );
-    println!(
-        "\npartitioning is by path-root hash, so each shard ingests a disjoint \
-         subsequence; the aggregate rate is total events over the slowest \
-         shard's (serially timed) ingest — the critical path of a one-core-per\
-         -shard deployment."
-    );
-
     let report = A8Report {
         bench: "a8_store_scaling",
         mode: if smoke { "smoke" } else { "full" },
         query_rows,
-        shard_events,
-        shard_roots: SHARD_ROOTS,
-        shard_repeats,
-        shard_arms,
     };
     let out = "BENCH_a8_store_scaling.json";
     write_report(out, &report)?;

@@ -252,9 +252,9 @@ mod tests {
     fn merges_documents_and_stitches_one_trace() {
         let mut tc = TraceCollector::new();
         tc.ingest_json(&doc("collector", &[(7, 1, 0, "collector.extract")])).unwrap();
-        tc.ingest_json(&doc("shard0", &[(7, 2, 1, "aggregator.ingest")])).unwrap();
-        tc.ingest_json(&doc("shard0", &[(7, 3, 2, "store.seg.insert")])).unwrap();
-        tc.ingest_json(&doc("other", &[(9, 9, 0, "router.publish")])).unwrap();
+        tc.ingest_json(&doc("aggregator", &[(7, 2, 1, "aggregator.ingest")])).unwrap();
+        tc.ingest_json(&doc("aggregator", &[(7, 3, 2, "store.seg.insert")])).unwrap();
+        tc.ingest_json(&doc("other", &[(9, 9, 0, "collector.publish")])).unwrap();
 
         assert_eq!(tc.trace_ids(), vec![7, 9]);
         let trace = tc.trace(7);
@@ -266,7 +266,7 @@ mod tests {
         assert!(tc.broken_links(7).is_empty());
         assert_eq!(
             tc.processes(7).into_iter().collect::<Vec<_>>(),
-            ["collector".to_string(), "shard0".to_string()]
+            ["aggregator".to_string(), "collector".to_string()]
         );
     }
 

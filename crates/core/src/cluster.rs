@@ -1,5 +1,4 @@
-//! Wiring: one Collector thread per MDT + the Aggregator (Figure 2),
-//! plus the [`ShardMap`] a sharded aggregator tier partitions by.
+//! Wiring: one Collector thread per MDT + the Aggregator (Figure 2).
 
 use crate::aggregator::{Aggregator, AggregatorSnapshot, INGEST_QUEUE_FRAMES};
 use crate::collector::{Collector, CollectorStats};
@@ -10,7 +9,6 @@ use lustre_sim::LustreFs;
 use parking_lot::Mutex;
 use sdci_mq::pipe::pipeline;
 use sdci_types::{FileEvent, MdtIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -219,136 +217,6 @@ impl MonitorCluster {
         let MonitorCluster { aggregator, .. } = self;
         aggregator.shutdown();
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shard map: how a sharded aggregator tier partitions the event space
-// ---------------------------------------------------------------------------
-
-/// Identity of one shard in a sharded aggregator tier.
-pub type ShardId = u32;
-
-/// One shard's entry in a [`ShardMap`]: its identity and its one
-/// address (push leg, feed and store RPC all answer there).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardInfo {
-    /// Shard identity: its slot in the map.
-    pub id: ShardId,
-    /// The shard's address, e.g. `"127.0.0.1:7070"`.
-    pub addr: String,
-}
-
-/// The partition table of a sharded aggregator tier, fixed for the
-/// life of the tier.
-///
-/// Every role — collectors routing events, the query front-end
-/// scattering reads — holds a copy of the same map (it is served over
-/// the wire by the front-end), so the partition decision is a pure
-/// function every process computes identically:
-///
-/// * the **routing key** is the event path's first component (its
-///   *path root*, `/projA/...` → `projA`), hashed with FNV-1a — a
-///   fixed, seedless hash, so different builds and processes agree;
-/// * an event whose path has no root component (e.g. an event on `/`
-///   itself) falls back to hashing its FID, which every event carries;
-/// * the key hash picks a slot by modulo over the shard list.
-///
-/// A map always holds at least one shard: [`ShardMap::new`] and
-/// deserialization both go through one check, so a map with no shard —
-/// which could not route — never exists, whether built locally or read
-/// off the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ShardMap {
-    shards: Vec<ShardInfo>,
-}
-
-/// A map read off the wire passes the same check as one built locally.
-impl Deserialize for ShardMap {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let shards = value.get("shards").unwrap_or(&serde::Value::Null);
-        ShardMap::checked(Vec::<ShardInfo>::from_value(shards)?).map_err(serde::DeError::msg)
-    }
-}
-
-impl ShardMap {
-    /// A map over `addrs`, with shard ids assigned 0..n in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addrs` is empty — a tier with no shards cannot route.
-    pub fn new(addrs: impl IntoIterator<Item = impl Into<String>>) -> ShardMap {
-        let shards: Vec<ShardInfo> = addrs
-            .into_iter()
-            .enumerate()
-            .map(|(i, addr)| ShardInfo { id: i as ShardId, addr: addr.into() })
-            .collect();
-        ShardMap::checked(shards).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The one place a map's shards are checked.
-    fn checked(shards: Vec<ShardInfo>) -> Result<ShardMap, &'static str> {
-        if shards.is_empty() {
-            return Err("a shard map needs at least one shard");
-        }
-        Ok(ShardMap { shards })
-    }
-
-    /// The shards, in slot order.
-    pub fn shards(&self) -> &[ShardInfo] {
-        &self.shards
-    }
-
-    /// The shard that owns `path` (by path-root hash, falling back to
-    /// the FID when the path has no root component).
-    pub fn route(&self, path: &std::path::Path, fid: sdci_types::Fid) -> &ShardInfo {
-        &self.shards[self.route_index(path, fid)]
-    }
-
-    /// Slot index of the owner of `path` — the same decision as
-    /// [`ShardMap::route`], for callers indexing parallel arrays.
-    pub fn route_index(&self, path: &std::path::Path, fid: sdci_types::Fid) -> usize {
-        let hash = match path_root(path) {
-            Some(root) => fnv1a(root.as_bytes()),
-            None => {
-                let mut h = fnv1a(&fid.seq.to_le_bytes());
-                h = fnv1a_continue(h, &fid.oid.to_le_bytes());
-                fnv1a_continue(h, &fid.ver.to_le_bytes())
-            }
-        };
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    /// The shard that owns `event` (routing by its path and FID).
-    pub fn route_event(&self, event: &FileEvent) -> &ShardInfo {
-        self.route(&event.path, event.target)
-    }
-}
-
-/// The first normal component of `path` — the routing key. `None` for
-/// paths with no component below the root (e.g. `/` itself).
-fn path_root(path: &std::path::Path) -> Option<&str> {
-    path.components().find_map(|c| match c {
-        std::path::Component::Normal(os) => os.to_str(),
-        _ => None,
-    })
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`: tiny, seedless, and stable across processes —
-/// the property the shard map needs (`std`'s hashers randomize per
-/// process, which would make two roles disagree on ownership).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_continue(FNV_OFFSET, bytes)
-}
-
-fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -574,26 +442,6 @@ mod tests {
         assert_eq!(consumer.stats().recovered, 20);
         assert_eq!(got.last().unwrap().path, std::path::PathBuf::from("/late"));
         cluster.shutdown();
-    }
-
-    #[test]
-    fn shard_map_routes_by_path_root_with_fid_fallback() {
-        use sdci_types::Fid;
-        let map = ShardMap::new(["127.0.0.1:7070", "127.0.0.1:7080"]);
-        let fid = Fid::new(0x2_0000_0400, 7, 0);
-        // Every path under the same root lands on the same shard,
-        // whatever the FID says.
-        let owner = map.route(std::path::Path::new("/projA"), fid).id;
-        for p in ["/projA/f1", "/projA/deep/nested/f2", "/projA"] {
-            assert_eq!(map.route(std::path::Path::new(p), Fid::new(9, 9, 9)).id, owner, "{p}");
-        }
-        // Rootless paths fall back to the FID — and deterministically.
-        let root = std::path::Path::new("/");
-        assert_eq!(map.route(root, fid).id, map.route(root, fid).id);
-        // With enough distinct roots, both shards own something.
-        let owners: std::collections::HashSet<ShardId> =
-            (0..64).map(|i| map.route(std::path::Path::new(&format!("/dir{i}")), fid).id).collect();
-        assert_eq!(owners.len(), 2, "64 roots must spread over both shards");
     }
 
     #[test]

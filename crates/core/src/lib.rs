@@ -81,18 +81,16 @@ pub use aggregator::{
     Aggregator, AggregatorSnapshot, AggregatorStats, FeedMessage, SequencedEvent,
     INGEST_QUEUE_FRAMES,
 };
-pub use cluster::{
-    ClusterStats, MonitorCluster, MonitorClusterBuilder, ShardId, ShardInfo, ShardMap,
-};
+pub use cluster::{ClusterStats, MonitorCluster, MonitorClusterBuilder};
 pub use collector::{Collector, CollectorCheckpoint, CollectorStats};
 pub use config::MonitorConfig;
 pub use consumer::{ConsumerCursor, ConsumerStats, EventConsumer};
 pub use pathcache::{CacheStats, PathCache};
 pub use resource::{ComponentUsage, ResourceModel, ResourceReport};
 pub use store::{
-    merge_seq_ordered, restore_snapshot, EventBackend, EventStore, FlushStats, MeteredBackend,
-    PathPrefix, PreparedQuery, SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery,
-    StoreStack, StoreStats,
+    restore_snapshot, EventBackend, EventStore, FlushStats, MeteredBackend, PathPrefix,
+    PreparedQuery, SharedStore, SnapshotDir, StoreError, StoreOrderError, StoreQuery, StoreStack,
+    StoreStats,
 };
 
 /// Replaces the file at `path` with what `write` produces, so that a

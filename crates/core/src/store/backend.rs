@@ -6,8 +6,8 @@
 //! stats), object-safe so a store is shared as
 //! `Arc<dyn EventBackend>`. The segmented [`EventStore`] is the one
 //! local implementation; [`MeteredBackend`](super::MeteredBackend)
-//! wraps any backend with its metrics; `sdci-net`'s `RemoteStore` and
-//! `ScatterStore` implement the same trait over the wire, read-only.
+//! wraps any backend with its metrics; `sdci-net`'s `RemoteStore`
+//! implements the same trait over the wire, read-only.
 
 use super::{EventStore, SharedStore, StoreOrderError, StoreQuery, StoreStats};
 use crate::aggregator::SequencedEvent;
@@ -25,8 +25,8 @@ pub enum StoreError {
     /// The batch broke the strictly-increasing sequence contract; the
     /// store is unchanged.
     Order(StoreOrderError),
-    /// The backend is a read-only view (a remote or scatter front) and
-    /// cannot accept writes.
+    /// The backend is a read-only view (a remote store) and cannot
+    /// accept writes.
     ReadOnly(&'static str),
 }
 
@@ -64,8 +64,8 @@ impl From<StoreOrderError> for StoreError {
 /// [`StoreStack`](super::StoreStack)) and shared by every thread.
 ///
 /// `stats`, `last_seq`, and `len` default to "unknown" (zeroes) so
-/// remote or scatter views — which cannot see occupancy cheaply —
-/// only implement what they can answer; local backends override all
+/// a remote view — which cannot see occupancy cheaply — implements
+/// only what it can answer; local backends override all
 /// three.
 pub trait EventBackend: Send + Sync {
     /// Inserts a batch of events atomically, in strictly increasing

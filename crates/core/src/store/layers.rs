@@ -113,8 +113,7 @@ impl StoreStack {
         StoreStack::over(Arc::new(super::EventStore::new(capacity)))
     }
 
-    /// Builds over an existing backend — a restored store, a remote, a
-    /// scatter front.
+    /// Builds over an existing backend — a restored store, a remote.
     pub fn over(base: Arc<dyn EventBackend>) -> StoreStack {
         StoreStack(base)
     }

@@ -692,50 +692,6 @@ impl StoreState {
 /// readers no longer serialize behind a store-wide mutex.
 pub type SharedStore = Arc<EventStore>;
 
-/// K-way merges per-shard query results, each already in ascending
-/// sequence order, into one seq-ordered stream — the gather half of a
-/// scatter-gather query over a sharded tier.
-///
-/// Shards number their streams independently, so sequence numbers
-/// repeat *across* parts; ties break toward the lower part index,
-/// making the merged order total and deterministic. `limit` truncates
-/// the merged result (0 = unlimited), mirroring
-/// [`StoreQuery::limit`]'s contract after the per-shard limits already
-/// applied.
-pub fn merge_seq_ordered(parts: Vec<Vec<SequencedEvent>>, limit: usize) -> Vec<SequencedEvent> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let cap: usize = parts.iter().map(Vec::len).sum();
-    let cap = if limit == 0 { cap } else { cap.min(limit) };
-    let mut merged = Vec::with_capacity(cap);
-    let mut cursors: Vec<std::vec::IntoIter<SequencedEvent>> =
-        parts.into_iter().map(Vec::into_iter).collect();
-    // Heap of (next seq, part index); the part index doubles as the
-    // deterministic tie-break.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<SequencedEvent>> = Vec::with_capacity(cursors.len());
-    for (i, cursor) in cursors.iter_mut().enumerate() {
-        let head = cursor.next();
-        if let Some(sev) = &head {
-            heap.push(Reverse((sev.seq, i)));
-        }
-        heads.push(head);
-    }
-    while let Some(Reverse((_, i))) = heap.pop() {
-        // cannot fail: part `i` is on the heap exactly while `heads[i]` holds its next event.
-        let sev = heads[i].take().expect("heap entries track live heads");
-        merged.push(sev);
-        if limit != 0 && merged.len() >= limit {
-            break;
-        }
-        if let Some(next) = cursors[i].next() {
-            heap.push(Reverse((next.seq, i)));
-            heads[i] = Some(next);
-        }
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,24 +1039,5 @@ mod tests {
             assert_eq!(r.join().unwrap(), 5_000, "readers observed the full ingest");
         }
         assert_eq!(store.as_ref().query(&StoreQuery::after_seq(0)).len(), 5_000);
-    }
-
-    #[test]
-    fn merge_seq_ordered_interleaves_shard_streams() {
-        // Two shards with independent (overlapping) seq spaces.
-        let a = vec![ev(1, 1, "/a/1"), ev(2, 3, "/a/2"), ev(5, 9, "/a/5")];
-        let b = vec![ev(1, 2, "/b/1"), ev(3, 4, "/b/3"), ev(4, 5, "/b/4")];
-        let merged = merge_seq_ordered(vec![a.clone(), b.clone()], 0);
-        let seqs: Vec<u64> = merged.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 1, 2, 3, 4, 5]);
-        // Seq ties break toward the lower part index.
-        assert_eq!(merged[0].event.path, std::path::PathBuf::from("/a/1"));
-        assert_eq!(merged[1].event.path, std::path::PathBuf::from("/b/1"));
-        // A limit truncates the merged stream, not each part.
-        let merged = merge_seq_ordered(vec![a, b], 3);
-        assert_eq!(merged.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 1, 2]);
-        // Degenerate shapes.
-        assert!(merge_seq_ordered(Vec::new(), 0).is_empty());
-        assert!(merge_seq_ordered(vec![Vec::new(), Vec::new()], 5).is_empty());
     }
 }

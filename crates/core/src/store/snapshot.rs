@@ -59,7 +59,6 @@
 
 use super::EventStore;
 use crate::aggregator::SequencedEvent;
-use crate::cluster::fnv1a;
 use crate::store::segment::Segment;
 use sdci_types::bin::{put_bytes, put_member, put_varint, Class, SeqEncoder, MAX_FRAME_MEMBERS};
 use sdci_types::SimTime;
@@ -377,6 +376,20 @@ impl SnapshotDir {
         stats.files_removed = self.sweep(&manifest.live_files()).unwrap_or(0);
         Ok(stats)
     }
+}
+
+/// FNV-1a over `bytes`, a block's checksum: tiny, seedless, and stable
+/// across builds and processes (`std`'s hashers randomize per process),
+/// so a snapshot written by one run verifies in the next.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
 }
 
 /// Writes `events` to `path` as blocks of at most [`MAX_FRAME_MEMBERS`].

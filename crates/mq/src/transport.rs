@@ -9,7 +9,7 @@
 //!
 //! * [`Publish`] — the sending side: what a Collector hands its events
 //!   to (the in-process frame queue's [`Push`], or `sdci-net`'s
-//!   `TcpPush` and `ShardRouter`; a broker [`Publisher`] too).
+//!   `TcpPush`; a broker [`Publisher`] too).
 //! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
 //!   broker [`Subscriber`], or `sdci-net`'s `TcpSubscriber`).
 

@@ -7,8 +7,8 @@
 //! of the installed [`FaultPlan`](sdci_faults::FaultPlan)), reads the
 //! one opening [`Hello`], checks its wire version, and hands the
 //! connection to the [`Handler`] attached for the [`Service`] it names
-//! — [`TcpPullServer`](crate::TcpPullServer), [`TcpBroker`](crate::TcpBroker),
-//! [`StoreServer`](crate::StoreServer) or [`MapServer`](crate::MapServer).
+//! — [`TcpPullServer`](crate::TcpPullServer), [`TcpBroker`](crate::TcpBroker)
+//! or [`StoreServer`](crate::StoreServer).
 //! A hello that does not decode, announces another version, or names a
 //! service nobody attached here is refused: logged at error level,
 //! counted in `sdci_net_hello_refused_total{leg}`, connection closed. So

@@ -11,10 +11,9 @@
 //!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body):
 //!   the `ItemBatch`/`DeliverBatch` runs senders coalesce payloads into,
 //!   store-RPC replies, and the acks, nacks, pings and queries of a few
-//!   bytes each. JSON is the hello's and the cluster RPC's only. There
-//!   is one wire version
-//!   ([`wire::WIRE_PROTO`]): every connection's opening
-//!   [`wire::Hello`] announces it and a mismatch closes the connection.
+//!   bytes each. JSON is the hello's only. There is one wire version
+//!   ([`wire::WIRE_PROTO`]): every connection's opening [`wire::Hello`]
+//!   announces it and a mismatch closes the connection.
 //! * [`endpoint`] — one address per server role: [`Endpoint`] owns the
 //!   process's only listener and accept loop, does the handshake once,
 //!   and hands each connection to the [`Handler`] attached for the
@@ -35,11 +34,6 @@
 //! * [`store_rpc`] — a minimal query RPC ([`StoreServer`],
 //!   [`RemoteStore`]) exposing the Aggregator's [`EventStore`] so a
 //!   remote `EventConsumer` can backfill gaps after reconnecting.
-//! * [`cluster`] — the sharded-tier fabric: shard-map distribution
-//!   ([`MapServer`]), collector-side per-shard routing
-//!   ([`ShardRouter`]), and the scatter-gather query front-end
-//!   ([`ScatterStore`]) that keeps a sharded tier looking like one
-//!   logical store.
 //! * [`faulted`] — enforcement of an `sdci_faults::FaultPlan`
 //!   installed on [`conn::NetConfig`]: every connection above inherits
 //!   deterministic frame drop/duplicate/truncate/delay and scripted
@@ -57,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod conn;
 pub mod endpoint;
 pub mod faulted;
@@ -66,7 +59,6 @@ pub mod pubsub;
 pub mod store_rpc;
 pub mod wire;
 
-pub use cluster::{fetch_map, ClusterRpc, MapServer, ScatterStore, ShardRouter};
 pub use conn::{Backoff, NetConfig, RetryPolicy};
 pub use endpoint::{Endpoint, Handler};
 pub use faulted::FaultedWriter;

@@ -188,10 +188,8 @@ impl WireMsg for StoreRpc {
 }
 
 /// The [`Handler`] for [`Service::Store`]: serves [`StoreRpc`] queries
-/// against any [`EventBackend`] — a local
-/// [`SharedStore`](sdci_core::SharedStore) in the single-aggregator
-/// deployment, or a [`ScatterStore`](crate::cluster::ScatterStore)
-/// fronting a sharded tier.
+/// against any [`EventBackend`] — in a deployment, the aggregator's
+/// [`SharedStore`](sdci_core::SharedStore).
 pub struct StoreServer {
     store: Box<dyn EventBackend>,
     queries: AtomicU64,
@@ -279,9 +277,8 @@ const MAX_STRAY_REPLIES: u32 = 8;
 
 /// Whether `events` is a plausible reply to `query`: every event
 /// satisfies the query's constraints, the batch respects its limit, and
-/// sequence numbers never descend (every store answers in seq order,
-/// but a scatter front merges shards with *independent* seq spaces, so
-/// a merged reply may repeat a seq — strict ascent would reject it).
+/// sequence numbers strictly ascend: a store answers each retained event
+/// once, in seq order, so a repeated or descending seq is no answer.
 /// The store RPC has no request ids, so this range check is the
 /// reply-correlation mechanism: a stale reply duplicated by a faulted
 /// link fails it (its events predate the new query's `after_seq`) and
@@ -294,7 +291,7 @@ fn batch_answers(query: &StoreQuery, events: &[SequencedEvent]) -> bool {
         return false;
     }
     let query = query.prepare();
-    events.iter().all(|e| query.matches(e)) && events.windows(2).all(|w| w[0].seq <= w[1].seq)
+    events.iter().all(|e| query.matches(e)) && events.windows(2).all(|w| w[0].seq < w[1].seq)
 }
 
 /// An established store-RPC connection: faulted write half, the scratch
@@ -369,9 +366,8 @@ impl RemoteStore {
 
     /// Runs `query` against the remote store, reporting failure instead
     /// of swallowing it — the error-aware twin of
-    /// [`EventBackend::query`]. A scatter-gather front-end uses this to
-    /// attribute a failed leg to its shard; plain consumers keep the
-    /// empty-on-failure contract via the trait method.
+    /// [`EventBackend::query`], whose callers keep the empty-on-failure
+    /// contract.
     ///
     /// # Errors
     ///

@@ -8,17 +8,16 @@
 //! +--------------+---------------------------------------+
 //! | word: u32be  | body: (word & 0x7FFFFFFF) bytes       |
 //! +--------------+---------------------------------------+
-//!   bit 31 clear → JSON: a hello, or a cluster RPC
+//!   bit 31 clear → JSON: a hello
 //!   bit 31 set   → binary: every other frame
 //! ```
 //!
 //! Every kind of message has exactly one encoding ([`WireMsg`]). JSON
 //! is the [`Hello`]'s — read before anything about the connection is
-//! known — and the cluster RPC's
-//! ([`ClusterRpc`](crate::cluster::ClusterRpc)), in the workspace's serde
-//! conventions (externally tagged enums), and no one else's: once its
-//! hello is done, every frame on a push, feed or store connection is
-//! binary, built from [`sdci_types::bin`]. That is the data frames —
+//! known — in the workspace's serde conventions (externally tagged
+//! enums), and no one else's: once its hello is done, every frame on a
+//! push, feed or store connection is binary, built from
+//! [`sdci_types::bin`]. That is the data frames —
 //! [`Frame::ItemBatch`], [`Frame::DeliverBatch`] and store-RPC batch
 //! replies; a lone event travels as a batch of one — and the control
 //! frames: acks, nacks, pings, `Fin` and store queries, a few bytes each.
@@ -152,21 +151,20 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
 
 /// High bit of the length word: set when the frame body is binary
-/// instead of JSON (a hello or a cluster RPC). Never ambiguous —
-/// [`MAX_FRAME_LEN`] keeps legal lengths far below this bit.
+/// instead of JSON (a hello). Never ambiguous — [`MAX_FRAME_LEN`] keeps
+/// legal lengths far below this bit.
 pub const BIN_FRAME_BIT: u32 = 1 << 31;
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
 pub const WIRE_PROTO: u32 = 17;
 
-/// Longest JSON body — a [`Hello`], or a cluster RPC — a reader
-/// accepts. The largest legitimate one is a subscriber's prefix list,
-/// and this holds a thousand prefixes of sixty bytes; the shard map is
-/// far below it. A length word claiming more is refused before a byte of
-/// the body is buffered, so a peer cannot make a connection pin
-/// [`MAX_FRAME_LEN`] bytes with a JSON body — nor, before it has said
-/// who it is, with any frame.
+/// Longest JSON body — a [`Hello`] — a reader accepts. The largest
+/// legitimate one is a subscriber's prefix list, and this holds a
+/// thousand prefixes of sixty bytes. A length word claiming more is
+/// refused before a byte of the body is buffered, so a peer cannot make
+/// a connection pin [`MAX_FRAME_LEN`] bytes with a JSON body — nor,
+/// before it has said who it is, with any frame.
 pub const MAX_HELLO_LEN: usize = 64 << 10;
 
 /// The opening frame of every connection: the peer's wire version and
@@ -197,8 +195,6 @@ pub enum Service {
     },
     /// Store query RPC ([`StoreRpc`](crate::store_rpc::StoreRpc)).
     Store,
-    /// Shard-map RPC ([`ClusterRpc`](crate::cluster::ClusterRpc)).
-    Cluster,
 }
 
 impl Service {
@@ -209,21 +205,23 @@ impl Service {
             Service::Push { .. } => "push",
             Service::Subscriber { .. } => "subscriber",
             Service::Store => "store",
-            Service::Cluster => "cluster",
         }
     }
 }
 
+/// The one JSON message: a hello's body is its serde rendering.
 impl WireMsg for Hello {
     fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
-        json_encode(self, buf).map(|()| false)
+        buf.extend_from_slice(serde_json::to_string(self).map_err(invalid)?.as_bytes());
+        Ok(false)
     }
 
     fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
         if binary {
             return Err(invalid("a hello has no binary form"));
         }
-        json_decode(body)
+        let text = std::str::from_utf8(body).map_err(invalid)?;
+        serde_json::from_str(text).map_err(invalid)
     }
 }
 
@@ -298,9 +296,9 @@ pub(crate) fn timed_out(e: &io::Error) -> bool {
 }
 
 /// A message sdci-net can frame. Each kind of message has exactly one
-/// encoding — a hello and a cluster RPC are JSON, everything else is
-/// binary — and the length word's high bit ([`BIN_FRAME_BIT`]) says
-/// which one a body is in.
+/// encoding — a hello is JSON, everything else is binary — and the
+/// length word's high bit ([`BIN_FRAME_BIT`]) says which one a body is
+/// in.
 pub trait WireMsg: Sized {
     /// Appends this message's body to `buf` and returns whether that
     /// body is binary. A batch is packed through `enc` — the scratch and
@@ -341,18 +339,6 @@ pub trait WireMsg: Sized {
     fn decode_on(binary: bool, body: &[u8], _history: &mut History) -> io::Result<Self> {
         Self::decode(binary, body)
     }
-}
-
-/// Appends `msg` as a JSON body — a hello's or a cluster RPC's encoding.
-pub(crate) fn json_encode<M: Serialize>(msg: &M, buf: &mut Vec<u8>) -> io::Result<()> {
-    buf.extend_from_slice(serde_json::to_string(msg).map_err(invalid)?.as_bytes());
-    Ok(())
-}
-
-/// Decodes a JSON body.
-pub(crate) fn json_decode<M: Deserialize>(body: &[u8]) -> io::Result<M> {
-    let text = std::str::from_utf8(body).map_err(invalid)?;
-    serde_json::from_str(text).map_err(invalid)
 }
 
 // ---------------------------------------------------------------------------
@@ -1086,8 +1072,8 @@ const READ_STEP: usize = 64 << 10;
 /// simply called again and resumes where the stream left off.
 ///
 /// What a peer's length word can make it hold is bounded: a JSON body —
-/// a hello or a cluster RPC — is refused as soon as a word claims more
-/// than [`MAX_HELLO_LEN`], the largest either is, and a binary body's
+/// a hello — is refused as soon as a word claims more than
+/// [`MAX_HELLO_LEN`], the largest one is, and a binary body's
 /// buffer grows 64 KiB at a time as its bytes arrive.
 pub struct FrameReader<R> {
     inner: R,
@@ -1400,7 +1386,6 @@ mod tests {
             Service::Push { client: "mdt0".into(), resume_after: 41 },
             Service::Subscriber { prefixes: vec!["events/".into(), String::new()] },
             Service::Store,
-            Service::Cluster,
         ] {
             let mut buf = Vec::new();
             write_hello(&mut buf, service.clone()).unwrap();
@@ -1415,9 +1400,9 @@ mod tests {
     }
 
     /// No JSON frame is written that a reader would refuse for its
-    /// length: a hello of a thousand sixty-byte prefixes fits, one of a
-    /// megabyte does not, nor does a shard map grown past 64 KiB — each
-    /// fails at its writer, not at the connection's other end.
+    /// length: a hello of a thousand sixty-byte prefixes fits, and one
+    /// of a megabyte fails at its writer, not at the connection's other
+    /// end.
     #[test]
     fn a_control_frame_longer_than_a_reader_accepts_is_not_written() {
         let prefixes =
@@ -1427,12 +1412,6 @@ mod tests {
         assert!(buf.len() - FRAME_HEADER_LEN <= MAX_HELLO_LEN);
         let mut buf = Vec::new();
         let err = write_hello(&mut buf, prefixes(1, 1 << 20)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(buf.is_empty(), "nothing was written");
-
-        let addrs = (0..4_000).map(|i| format!("shard-{i:05}.example:7090"));
-        let map = crate::cluster::ClusterRpc::Map { map: sdci_core::ShardMap::new(addrs) };
-        let err = write_msg(&mut buf, &map).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains(&format!("exceeds {MAX_HELLO_LEN}")), "{err}");
         assert!(buf.is_empty(), "nothing was written");

@@ -156,6 +156,48 @@ fn remote_store_round_trip_is_bounded_under_a_non_batch_flood() {
     flood.join().unwrap();
 }
 
+/// A store answers each retained event once, in seq order, so a reply
+/// whose events repeat a seq answers no query: a peer that sends only
+/// such replies makes `try_query` fail, and `query` return empty with
+/// the failure counted.
+#[test]
+fn a_store_reply_that_repeats_a_seq_is_no_answer() {
+    use sdci_net::wire::{FrameReader, Hello};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Two stores, two attempts each: every attempt dials fresh.
+    let server = std::thread::spawn(move || {
+        let mut conns = Vec::new();
+        for _ in 0..4 {
+            let Ok((stream, _)) = listener.accept() else { return };
+            conns.push(std::thread::spawn(move || {
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = FrameReader::new(stream);
+                if reader.read_msg::<Hello>().is_err() {
+                    return;
+                }
+                while let Ok(StoreRpc::Query { .. }) = reader.read_msg::<StoreRpc>() {
+                    let events = vec![sev(5), sev(5)];
+                    if write_msg(&mut writer, &StoreRpc::Batch { events }).is_err() {
+                        return;
+                    }
+                }
+            }));
+        }
+        conns.into_iter().for_each(|conn| conn.join().unwrap());
+    });
+
+    let query = StoreQuery::after_seq(0);
+    let strict = RemoteStore::connect(addr, fast_cfg());
+    assert!(strict.try_query(&query).is_err(), "a reply repeating seq 5 was taken as an answer");
+    let store = RemoteStore::connect(addr, fast_cfg());
+    assert!(store.query(&query).is_empty());
+    assert_eq!(store.failures(), 1);
+    drop((strict, store));
+    server.join().unwrap();
+}
+
 /// Thread-spawn failure containment, via the armed fail points the
 /// chaos harness uses: an accept-thread failure surfaces as a `bind`
 /// error (no panic), and a per-connection failure costs exactly that

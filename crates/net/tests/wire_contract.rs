@@ -2,12 +2,12 @@
 //! frame kind.
 //!
 //! * Every connection opens with one `Hello`. One announcing another
-//!   wire version — or none — is refused whichever of the four services
+//!   wire version — or none — is refused whichever of the three services
 //!   it asks for, as is one asking for a service not attached at that
 //!   address or for one that does not exist (a peer offering to publish
-//!   into a feed): the connection is closed, nothing sent behind the
-//!   hello is applied, the refusal is recorded, and the endpoint keeps
-//!   serving peers that speak its version.
+//!   into a feed, or asking for a shard map): the connection is closed,
+//!   nothing sent behind the hello is applied, the refusal is recorded,
+//!   and the endpoint keeps serving peers that speak its version.
 //! * Bytes that are neither a hello nor `GET ` are closed, not routed —
 //!   a hello cut short, and one whose length word claims more than a
 //!   hello can be, are refused like any other; a silent peer is dropped
@@ -34,7 +34,7 @@
 //! The allocator is this binary's own (as in `wire_mutation.rs`): it
 //! records the largest single request the calling thread has made.
 
-use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, ShardMap, StoreQuery};
+use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuery};
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Subscribe;
 use sdci_net::store_rpc::StoreRpc;
@@ -43,8 +43,8 @@ use sdci_net::wire::{
     MAX_HELLO_LEN,
 };
 use sdci_net::{
-    fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker,
-    TcpPullServer, TcpPush, TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
+    Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpPullServer, TcpPush,
+    TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -228,12 +228,11 @@ fn varint(value: u64) -> Vec<u8> {
     bytes
 }
 
-/// The four services, as the JSON a hello names them with.
-const SERVICES: [(&str, &str); 4] = [
+/// The three services, as the JSON a hello names them with.
+const SERVICES: [(&str, &str); 3] = [
     ("push", r#"{"Push":{"client":"old","resume_after":0}}"#),
     ("subscriber", r#"{"Subscriber":{"prefixes":[""]}}"#),
     ("store", r#""Store""#),
-    ("cluster", r#""Cluster""#),
 ];
 
 /// One binary frame of kind 2 — a topic-headed batch addressed *to* a
@@ -262,36 +261,38 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     let pull = TcpPullServer::<u64>::new(64);
     let broker = TcpBroker::<u64>::new(Broker::new(8192));
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
-    let map = MapServer::new(ShardMap::new(["127.0.0.1:7070"]));
     let endpoint = Endpoint::bind(
         "127.0.0.1:0",
         fast_cfg(),
-        vec![pull.clone(), broker.clone(), store.clone(), map.clone()],
+        vec![pull.clone(), broker.clone(), store.clone()],
     )
     .unwrap();
     let addr = endpoint.local_addr();
     let local = broker.subscribe(&[""]);
 
-    for (leg, service) in SERVICES {
-        // Another version names its leg; no version does not decode at
-        // all, so the refusal cannot say what the peer wanted.
-        for (counted_as, hello) in [
-            (leg, format!(r#"{{"proto":{},"service":{service}}}"#, WIRE_PROTO - 1)),
+    // Another version names its leg; no version does not decode at all,
+    // so the refusal cannot say what the peer wanted. Nor does a hello
+    // at this version asking for the shard map: no such service exists.
+    let hellos = SERVICES.iter().flat_map(|(leg, service)| {
+        [
+            (*leg, format!(r#"{{"proto":{},"service":{service}}}"#, WIRE_PROTO - 1)),
             ("unknown", format!(r#"{{"service":{service}}}"#)),
-        ] {
-            let before = refused(counted_as);
-            let mut stream = connect_with_hello(addr, &hello);
-            // Data right behind a refused hello must never be applied.
-            let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
-            broker.publisher().publish("t/y", 8);
-            assert_closed_unanswered(&mut stream, &hello);
-            assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello}");
-        }
+        ]
+    });
+    let cluster = format!(r#"{{"proto":{WIRE_PROTO},"service":"Cluster"}}"#);
+    for (counted_as, hello) in hellos.chain([("unknown", cluster)]) {
+        let before = refused(counted_as);
+        let mut stream = connect_with_hello(addr, &hello);
+        // Data right behind a refused hello must never be applied.
+        let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
+        broker.publisher().publish("t/y", 8);
+        assert_closed_unanswered(&mut stream, &hello);
+        assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello}");
     }
     assert_eq!(pull.stats().items, 0);
     assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
     assert_eq!(broker.stats().frames_out, 0, "a refused subscriber was delivered to");
-    assert_eq!(store.queries() + map.fetches(), 0);
+    assert_eq!(store.queries(), 0);
     while local.try_recv().is_some() {} // the test's own `t/y` publications
 
     // Every service still serves a peer that speaks the endpoint's version.
@@ -306,7 +307,6 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     });
     assert!(delivered, "a correct subscriber is still served");
     assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
-    assert_eq!(&fetch_map(addr, &fast_cfg()).unwrap(), map.map());
     endpoint.shutdown();
 }
 

@@ -62,9 +62,9 @@ pub struct Span {
     pub span_id: u64,
     /// Parent span id; `0` for a root.
     pub parent_span_id: u64,
-    /// Static operation name (`collector.extract`, `scatter.shard`...).
+    /// Static operation name (`collector.extract`, `store_rpc.serve`...).
     pub name: &'static str,
-    /// Free-form annotation (shard id, cache hit/miss, batch size...).
+    /// Free-form annotation (cache hit/miss, batch size...).
     pub detail: String,
     /// Wall-clock start, nanoseconds since the UNIX epoch.
     pub start_unix_ns: u64,
@@ -136,7 +136,7 @@ pub fn init_from_env() {
     }
 }
 
-/// Names this process on `/tracez` output (`collector`, `shard1`...).
+/// Names this process on `/tracez` output (`collector`, `aggregator`...).
 pub fn set_process(name: impl Into<String>) {
     *process_name().lock().unwrap_or_else(|e| e.into_inner()) = name.into();
 }
@@ -226,7 +226,7 @@ impl SpanGuard {
         self.live.as_ref().map(|l| l.ctx).filter(|c| c.sampled)
     }
 
-    /// Annotates the span (shard id, hit/miss, batch size...). `detail`
+    /// Annotates the span (hit/miss, batch size...). `detail`
     /// runs only on a sampled span: an inert guard, and an unsampled
     /// root that is live only to be timed for tail capture, format
     /// nothing — so a per-event call site allocates nothing for the

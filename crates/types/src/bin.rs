@@ -1,11 +1,11 @@
 //! Binary payload encoding: the bytes of an event, on the wire and on
 //! disk.
 //!
-//! On an sdci-net socket only a connection's hello (and the cluster RPC)
-//! is JSON (see `sdci-net::wire`); data frames — every batch of events —
-//! carry their payloads in this compact binary form, because rendering
-//! each event through a `Value` tree and re-parsing it on receive is the
-//! cost the data plane cannot afford.
+//! On an sdci-net socket only a connection's hello is JSON (see
+//! `sdci-net::wire`); data frames — every batch of events — carry their
+//! payloads in this compact binary form, because rendering each event
+//! through a `Value` tree and re-parsing it on receive is the cost the
+//! data plane cannot afford.
 //!
 //! A data frame's members are **relative to the earlier members of the
 //! same frame**: [`BinPayload::encode_bin`] and

@@ -6,28 +6,17 @@
 //! `sdcimon --help` prints every role and its flags, generated from the
 //! one role table below ([`ROLES`]).
 //!
-//! **One address per role.** A server role (`aggregator`, `shard`,
-//! `front`) binds exactly one listener, at `--bind`: the Collector PUSH
-//! leg, the consumer feed (PUB/SUB), the store-backfill RPC, the shard
-//! map and the HTTP scrape (`GET /metrics`, `/healthz`, `/tracez`) all
-//! answer there, told apart by each connection's opening frame.
-//! `--connect`, `--cluster` and `--shards` take that one address. The
-//! role prints `listening on ADDR (...)` once ready (with the resolved
-//! port when `--bind` used port 0).
+//! **One address per role.** The server role, `aggregator`, binds
+//! exactly one listener, at `--bind`: the Collector PUSH leg, the
+//! consumer feed (PUB/SUB), the store-backfill RPC and the HTTP scrape
+//! (`GET /metrics`, `/healthz`, `/tracez`) all answer there, told apart
+//! by each connection's opening frame. `--connect` takes that one
+//! address. The aggregator prints `listening on ADDR (...)` once ready
+//! (with the resolved port when `--bind` used port 0).
 //!
-//! The store behind an aggregator or shard is the segmented
-//! [`EventStore`] under one metrics wrapper (the `sdci_store_*`
-//! series), put together by [`StoreStack`].
-//!
-//! `shard` and `front` run the *sharded* tier: each `shard` is a full
-//! aggregator (own address, own segmented store and snapshot dir)
-//! owning one partition of the shard map, and `front`
-//! serves the map plus a scatter-gather store RPC that merges every
-//! shard's answer into one seq-ordered logical store. Collectors
-//! started with `--cluster FRONT_ADDR` fetch the map once, keep one push
-//! pipe per shard and route each event by its path root. The map is
-//! fixed when the front starts; changing the roster means restarting
-//! the tier.
+//! The store behind the aggregator is the segmented [`EventStore`]
+//! under one metrics wrapper (the `sdci_store_*` series), put together
+//! by [`StoreStack`].
 //!
 //! Every distributed role also takes `--faults SPEC` (or the
 //! `SDCI_FAULTS` env var): a deterministic `sdci_faults::FaultPlan`
@@ -40,9 +29,8 @@
 //! `SDCI_TRACE_SAMPLE` env var) to head-sample 1-in-N distributed
 //! traces. Server roles expose their span buffers as JSON at
 //! `GET /tracez`; run-to-completion roles (collector, consumer) take
-//! `--trace-out PATH` to dump the same JSON at exit. An aggregator or
-//! shard's `/healthz` turns 503 once ingest halts on a store
-//! rejection.
+//! `--trace-out PATH` to dump the same JSON at exit. The aggregator's
+//! `/healthz` turns 503 once ingest halts on a store rejection.
 //!
 //! `--snapshot DIR` flushes the store every 200 ms into a snapshot
 //! *directory*: immutable per-segment `seg-*.bin` files written exactly
@@ -63,13 +51,11 @@ use parking_lot::Mutex;
 use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
 use sdci::monitor::{
     restore_snapshot, Aggregator, ClusterStats, Collector, ConsumerCursor, EventBackend,
-    EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, ShardId, ShardMap,
-    SnapshotDir, StoreStack, INGEST_QUEUE_FRAMES,
+    EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, SnapshotDir, StoreStack,
+    INGEST_QUEUE_FRAMES,
 };
-use sdci::mq::transport::Publish;
 use sdci::net::{
-    fetch_map, Endpoint, MapServer, NetConfig, RemoteStore, ScatterStore, ShardRouter, StoreServer,
-    TcpBroker, TcpPullServer, TcpPush, TcpSubscriber,
+    Endpoint, NetConfig, RemoteStore, StoreServer, TcpBroker, TcpPullServer, TcpPush, TcpSubscriber,
 };
 use sdci::types::{ByteSize, FileEvent, MdtIndex, SimTime};
 use sdci::workloads::{EventGenerator, OpMix};
@@ -95,9 +81,6 @@ struct Role {
     run: fn(&Flags) -> Result<(), String>,
 }
 
-/// What an aggregator and a shard both take: the one address, and the
-/// store behind it.
-const STORE_NODE: &[Flag] = &[("--bind", "ADDR"), ("--store-capacity", "N"), ("--snapshot", "DIR")];
 /// Every role with a socket: fault injection and head-sampled tracing.
 const NET: &[Flag] = &[("--faults", "SPEC"), ("--trace-sample", "N")];
 /// Roles that run to completion dump their spans at exit instead of
@@ -117,27 +100,16 @@ const ROLES: &[Role] = &[
         ]],
         run: run_demo,
     },
-    Role { name: "aggregator", required: &[], optional: &[STORE_NODE, NET], run: run_aggregator },
     Role {
-        name: "shard",
-        required: &[("--shard-id", "N")],
-        optional: &[STORE_NODE, NET],
-        run: run_shard,
-    },
-    Role {
-        name: "front",
-        required: &[("--shards", "ADDR,ADDR,...")],
-        optional: &[&[("--bind", "ADDR")], NET],
-        run: run_front,
+        name: "aggregator",
+        required: &[],
+        optional: &[&[("--bind", "ADDR"), ("--store-capacity", "N"), ("--snapshot", "DIR")], NET],
+        run: run_aggregator,
     },
     Role {
         name: "collector",
-        required: &[],
-        optional: &[
-            &[("--connect", "ADDR"), ("--cluster", "ADDR"), ("--client", "ID"), ("--files", "N")],
-            NET,
-            TRACE_OUT,
-        ],
+        required: &[("--connect", "ADDR")],
+        optional: &[&[("--client", "ID"), ("--files", "N")], NET, TRACE_OUT],
         run: run_collector,
     },
     Role {
@@ -313,32 +285,14 @@ fn trace_dump(flags: &Flags) {
 // aggregator
 // ---------------------------------------------------------------------------
 
-fn run_aggregator(flags: &Flags) -> Result<(), String> {
-    run_store_node(flags, None)
-}
-
-/// One shard of the sharded tier: a full aggregator (own address, own
-/// store and snapshot dir) that happens to own one partition of the
-/// shard map. The shard id labels its metrics so a
-/// scrape across the tier attributes load per shard.
-fn run_shard(flags: &Flags) -> Result<(), String> {
-    let id: ShardId =
-        flags.required("--shard-id").parse().map_err(|e| format!("--shard-id: {e}"))?;
-    run_store_node(flags, Some(id))
-}
-
 /// Queue bound of an in-process `Broker::subscribe` on the feed. No
 /// `sdcimon` role subscribes in process — the ingest thread encodes each
 /// publish for the remote legs, whose queues `NetConfig::hwm` sizes — so
 /// this sizes nothing here.
 const FEED_HWM: usize = 65_536;
 
-fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
-    let role = match shard {
-        Some(id) => format!("shard{id}"),
-        None => "aggregator".to_string(),
-    };
-    trace_setup(flags, &role)?;
+fn run_aggregator(flags: &Flags) -> Result<(), String> {
+    trace_setup(flags, "aggregator")?;
     let bind: SocketAddr = flags.parse_or("--bind", SocketAddr::from(([127, 0, 0, 1], 7070)))?;
     let store_capacity: usize = flags.parse_or("--store-capacity", 1_000_000)?;
 
@@ -378,7 +332,7 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
     let agg = Aggregator::start(events_srv.pull(), store, FEED_HWM);
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
-    agg.register_health_probe(&role);
+    agg.register_health_probe("aggregator");
     let endpoint = Endpoint::bind(
         bind,
         cfg,
@@ -389,35 +343,14 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
 
     // Readiness line: tests, operators and the benchmark parse
     // "listening on ADDR" and the three named addresses after it.
-    let role = match shard {
-        Some(id) => format!("shard {id}"),
-        None => "aggregator".to_string(),
-    };
-    println!("sdcimon {role} listening on {addr} (feed {addr}, store {addr}, metrics {addr})");
+    println!("sdcimon aggregator listening on {addr} (feed {addr}, store {addr}, metrics {addr})");
 
-    // Per-shard series let one scrape across the tier attribute load:
-    // the label value is this process's shard id.
-    let shard_label = shard.map(|id| id.to_string());
-    let shard_metrics = shard_label.as_deref().map(|label| {
-        (
-            sdci_obs::static_metric!(counter_vec, "sdci_shard_ingest_total", "shard"),
-            sdci_obs::registry().gauge_with("sdci_shard_store_events", &[("shard", label)]),
-        )
-    });
-    let mut last_inserted = agg.store().stats().inserted;
     let flush_time = sdci_obs::registry().histogram("sdci_store_flush_seconds");
 
     let mut ticks = 0u64;
     loop {
         std::thread::sleep(Duration::from_millis(200));
         ticks += 1;
-        if let Some((ingest, store_events)) = &shard_metrics {
-            let inserted = agg.store().stats().inserted;
-            ingest
-                .add(shard_label.as_deref().unwrap_or(""), inserted.saturating_sub(last_inserted));
-            last_inserted = inserted;
-            store_events.set(agg.store().len() as i64);
-        }
         if let Some(dir) = &snapshot {
             // One commit point: the manifest this writes carries the
             // store and the marks captured after it. Events acked inside
@@ -441,52 +374,6 @@ fn run_store_node(flags: &Flags, shard: Option<ShardId>) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// front (sharded tier)
-// ---------------------------------------------------------------------------
-
-/// The sharded tier's front-end: serves the authoritative [`ShardMap`]
-/// and a scatter-gather store RPC at its one address, so `RemoteStore`
-/// consumers see the whole tier as one logical store.
-fn run_front(flags: &Flags) -> Result<(), String> {
-    trace_setup(flags, "front")?;
-    let bind: SocketAddr = flags.parse_or("--bind", SocketAddr::from(([127, 0, 0, 1], 7170)))?;
-    let shards: Vec<String> = flags
-        .required("--shards")
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if shards.is_empty() {
-        return Err("front requires at least one shard address".into());
-    }
-    let cfg = net_config(flags)?;
-
-    let map_srv = MapServer::new(ShardMap::new(shards));
-    let scatter = ScatterStore::from_map(map_srv.map(), cfg.clone()).map_err(|e| e.to_string())?;
-    let store_srv = StoreServer::new(scatter.clone());
-    let endpoint = Endpoint::bind(bind, cfg, vec![map_srv.clone(), store_srv.clone()])
-        .map_err(|e| format!("bind {bind}: {e}"))?;
-    let addr = endpoint.local_addr();
-
-    // Readiness line: tests and operators parse "listening on ADDR".
-    println!(
-        "sdcimon front listening on {addr} (store {addr}, metrics {addr}, shards {})",
-        map_srv.map().shards().len()
-    );
-
-    loop {
-        std::thread::sleep(Duration::from_secs(5));
-        sdci_obs::info!(
-            target: "sdcimon::front",
-            "front status";
-            map_fetches = map_srv.fetches(),
-            queries = store_srv.queries(),
-            degraded = scatter.degraded(),
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
 // collector
 // ---------------------------------------------------------------------------
 
@@ -502,53 +389,23 @@ fn run_collector(flags: &Flags) -> Result<(), String> {
     )));
     let cfg = net_config(flags)?;
 
-    match (flags.get("--connect"), flags.get("--cluster")) {
-        (Some(raw), None) => {
-            let connect: SocketAddr = raw.parse().map_err(|e| format!("--connect: {e}"))?;
-            let push = TcpPush::<FileEvent>::connect(connect, client.clone(), cfg);
-            let collector = pump_collector(&lfs, &client, push.clone(), files)?;
-            // The §5.2 guarantee hinges on this: exit only once every
-            // processed event has been acknowledged by the aggregator.
-            let drained = push.drain(Duration::from_secs(60));
-            println!(
-                "sdcimon collector {client}: {} events processed, {} acked, drained: {drained}",
-                collector.stats().processed,
-                push.acked()
-            );
-            trace_dump(flags);
-            if drained {
-                Ok(())
-            } else {
-                std::process::exit(1);
-            }
-        }
-        (None, Some(raw)) => {
-            let front: SocketAddr = raw.parse().map_err(|e| format!("--cluster: {e}"))?;
-            let map = fetch_map_with_retry(front, &cfg, Duration::from_secs(30))?;
-            sdci_obs::info!(
-                target: "sdcimon::collector",
-                "routing over shard map";
-                shards = map.shards().len(),
-            );
-            let router =
-                ShardRouter::connect(map, client.clone(), cfg).map_err(|e| e.to_string())?;
-            let collector = pump_collector(&lfs, &client, router.clone(), files)?;
-            let drained = router.drain(Duration::from_secs(60));
-            let routed: Vec<String> =
-                router.routed().iter().map(|(id, n)| format!("s{id}={n}")).collect();
-            println!(
-                "sdcimon collector {client}: {} events processed, routed [{}], drained: {drained}",
-                collector.stats().processed,
-                routed.join(" ")
-            );
-            trace_dump(flags);
-            if drained {
-                Ok(())
-            } else {
-                std::process::exit(1);
-            }
-        }
-        _ => Err("collector requires exactly one of --connect ADDR or --cluster ADDR".into()),
+    let connect: SocketAddr =
+        flags.required("--connect").parse().map_err(|e| format!("--connect: {e}"))?;
+    let push = TcpPush::<FileEvent>::connect(connect, client.clone(), cfg);
+    let collector = pump_collector(&lfs, &client, push.clone(), files)?;
+    // The §5.2 guarantee hinges on this: exit only once every processed
+    // event has been acknowledged by the aggregator.
+    let drained = push.drain(Duration::from_secs(60));
+    println!(
+        "sdcimon collector {client}: {} events processed, {} acked, drained: {drained}",
+        collector.stats().processed,
+        push.acked()
+    );
+    trace_dump(flags);
+    if drained {
+        Ok(())
+    } else {
+        std::process::exit(1);
     }
 }
 
@@ -556,12 +413,12 @@ fn run_collector(flags: &Flags) -> Result<(), String> {
 /// appended after registration), drives the `/{client}/f*` workload,
 /// and runs until every event is processed. Acks and purges the
 /// ChangeLog before returning.
-fn pump_collector<P: Publish<FileEvent>>(
+fn pump_collector(
     lfs: &Arc<Mutex<LustreFs>>,
     client: &str,
-    publisher: P,
+    publisher: TcpPush<FileEvent>,
     files: u64,
-) -> Result<Collector<P>, String> {
+) -> Result<Collector<TcpPush<FileEvent>>, String> {
     let mut collector =
         Collector::new(Arc::clone(lfs), MdtIndex::new(0), publisher, MonitorConfig::default());
     {
@@ -581,27 +438,6 @@ fn pump_collector<P: Publish<FileEvent>>(
     }
     collector.ack_and_purge();
     Ok(collector)
-}
-
-/// Fetches the shard map from the front, retrying while it comes up —
-/// collectors routinely start before the front finishes binding. A
-/// reply that is not a usable map (one with no shard, say) is an error
-/// at once: waiting will not mend it.
-fn fetch_map_with_retry(
-    front: SocketAddr,
-    cfg: &NetConfig,
-    timeout: Duration,
-) -> Result<ShardMap, String> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match fetch_map(front, cfg) {
-            Ok(map) => return Ok(map),
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData || Instant::now() >= deadline => {
-                return Err(format!("fetch shard map from {front}: {e}"));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ fn faulted_push_legs_deliver_exactly_once_across_seeds() {
             "120",
         ]);
 
-        run_collector("--connect", &addr, "c1", Some(&spec_c1));
-        run_collector("--connect", &addr, "c2", Some(&spec_c2));
+        run_collector(&addr, "c1", Some(&spec_c1));
+        run_collector(&addr, "c2", Some(&spec_c2));
 
         let out = consumer.into_child().wait_with_output().expect("wait for consumer");
         assert!(out.status.success(), "seed {seed}: consumer failed: {:?}", out.status);
@@ -123,8 +123,8 @@ fn faulted_consumer_legs_still_deliver_exactly_once() {
             &spec,
         ]);
 
-        run_collector("--connect", &addr, "c1", None);
-        run_collector("--connect", &addr, "c2", None);
+        run_collector(&addr, "c1", None);
+        run_collector(&addr, "c2", None);
 
         let out = consumer.into_child().wait_with_output().expect("wait for consumer");
         assert!(out.status.success(), "seed {seed}: consumer failed: {:?}", out.status);
@@ -179,7 +179,7 @@ fn aggregator_aborted_mid_manifest_commit_restarts_without_losing_events() {
         "120",
     ]);
 
-    run_collector("--connect", &addr, "c1", Some(&chaos_spec(501)));
+    run_collector(&addr, "c1", Some(&chaos_spec(501)));
 
     // The armed crash point fires mid-flush and aborts the process; no
     // kill from the test, the injected schedule is the whole fault.
@@ -268,7 +268,7 @@ fn store_rpc_server_aborted_mid_reply_recovers_on_restart() {
         &[("SDCI_CRASH_POINTS", "net.store_rpc.reply:1:abort")],
     );
     let addr = wait_for_listen_addr(&mut agg);
-    run_collector("--connect", &addr, "c1", None);
+    run_collector(&addr, "c1", None);
 
     // Give the 200 ms flush loop time to commit a snapshot covering
     // every acked event — the abort below takes the whole process.
@@ -331,7 +331,7 @@ fn aggregator_aborted_mid_fanout_recovers_without_consumer_loss() {
     // No subscriber is connected yet, so nothing fans out and the armed
     // point stays cold while c1 pushes its events; the flush loop then
     // gets time to commit a snapshot covering all of them.
-    run_collector("--connect", &addr, "c1", None);
+    run_collector(&addr, "c1", None);
     std::thread::sleep(Duration::from_millis(1500));
 
     // The consumer subscribes into the armed broker: the first feed
@@ -355,7 +355,7 @@ fn aggregator_aborted_mid_fanout_recovers_without_consumer_loss() {
     // The consumer's first live event (seq 102+) exposes the gap back
     // to seq 1; backfill against the restored store must close it.
     let _agg2 = spawn(&["aggregator", "--bind", &addr, "--snapshot", snap]);
-    run_collector("--connect", &addr, "c2", None);
+    run_collector(&addr, "c2", None);
 
     let out = consumer.into_child().wait_with_output().expect("wait for consumer");
     assert!(out.status.success(), "consumer failed: {:?}", out.status);
@@ -432,7 +432,7 @@ fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
     let mut agg3 = spawn(&["aggregator", "--bind", &addr]);
     wait_for_listen_addr(&mut agg3);
     let delivered = (2..22).any(|run| {
-        run_collector("--connect", &addr, &format!("c{run}"), None);
+        run_collector(&addr, &format!("c{run}"), None);
         let window = std::time::Instant::now() + Duration::from_secs(1);
         while std::time::Instant::now() < window {
             if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(50)) {
@@ -489,7 +489,7 @@ fn killed_consumer_resumes_from_durable_cursor_without_loss_or_duplication() {
         ],
         &[("SDCI_CRASH_POINTS", "consumer.cursor.checkpoint:40:abort")],
     );
-    run_collector("--connect", &addr, "c1", None);
+    run_collector(&addr, "c1", None);
 
     let out1 = consumer1.into_child().wait_with_output().expect("wait for aborted consumer");
     assert!(!out1.status.success(), "the armed checkpoint abort should have killed run #1");

@@ -8,12 +8,9 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use sdci::monitor::ShardMap;
 use sdci::net::{NetConfig, RemoteStore};
-use sdci::types::Fid;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -60,7 +57,7 @@ pub fn spawn_env(args: &[&str], envs: &[(&str, &str)]) -> Reaped {
     Reaped(Some(cmd.spawn().expect("spawn sdcimon")))
 }
 
-/// Reads a server role's readiness line and returns its one address.
+/// Reads the aggregator's readiness line and returns its one address.
 ///
 /// The line looks like:
 /// `sdcimon aggregator listening on 127.0.0.1:40089 (feed ..., store ..., metrics ...)`
@@ -108,11 +105,10 @@ pub fn metric_value(body: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs one 100-file collector to completion against `addr` (`mode` is
-/// `--connect` or `--cluster`), its sockets under `faults` if given,
-/// and returns its stdout.
-pub fn run_collector(mode: &str, addr: &str, client: &str, faults: Option<&str>) -> String {
-    let mut args = vec!["collector", mode, addr, "--client", client, "--files", "100"];
+/// Runs one 100-file collector to completion against `addr`, its
+/// sockets under `faults` if given, and returns its stdout.
+pub fn run_collector(addr: &str, client: &str, faults: Option<&str>) -> String {
+    let mut args = vec!["collector", "--connect", addr, "--client", client, "--files", "100"];
     if let Some(spec) = faults {
         args.extend_from_slice(&["--faults", spec]);
     }
@@ -138,20 +134,7 @@ pub fn check_consumer_output(out: &str, clients: &[&str]) -> usize {
     out.lines().filter(|l| l.starts_with("event ")).count()
 }
 
-/// Two client names whose path roots land on *different* shards of a
-/// two-shard map — routing is by path-root hash, so this only depends
-/// on the root string and the shard count.
-pub fn split_clients() -> (String, String) {
-    let map = ShardMap::new(["127.0.0.1:1", "127.0.0.1:2"]);
-    let fid = Fid::new(1, 1, 0);
-    let owner = |name: &str| map.route(Path::new(&format!("/{name}")), fid).id;
-    let first = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 0).expect("a shard-0 root");
-    let second = (0..32).map(|i| format!("c{i}")).find(|n| owner(n) == 1).expect("a shard-1 root");
-    (first, second)
-}
-
-/// A store-RPC client for the role at `addr` (an aggregator, a shard,
-/// or a front's scatter).
+/// A store-RPC client for the aggregator at `addr`.
 pub fn remote_store(addr: &str) -> RemoteStore {
     RemoteStore::connect(addr.parse().expect("role addr"), NetConfig::default())
 }
