@@ -1,8 +1,9 @@
 //! Connection supervision: reconnect backoff and liveness tuning.
 //!
-//! Every sdci-net client endpoint owns a background worker that keeps
-//! its connection alive forever: connect, run, and on any error sleep a
-//! jittered exponentially-growing delay and connect again. Servers
+//! Every sdci-net client endpoint keeps its connection alive forever —
+//! a pusher on a background worker, a subscriber on its reader's thread:
+//! connect, run, and on any error wait a jittered exponentially-growing
+//! delay and connect again. Servers
 //! probe idle peers with `Ping` frames and declare a connection dead
 //! when nothing arrives for a liveness window.
 

@@ -53,6 +53,11 @@ use std::time::{Duration, Instant};
 /// it is flushed anyway (the adaptive-flush deadline).
 const FLUSH_INTERVAL: Duration = Duration::from_millis(1);
 
+/// How long a partially filled batch waits for its next payload before it
+/// is flushed as quiet: a burst sent back to back leaves as one frame as
+/// soon as it ends, not at the deadline.
+const QUIET_GAP: Duration = Duration::from_micros(50);
+
 /// Counter snapshot for a [`TcpPullServer`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PullServerStats {
@@ -681,10 +686,13 @@ fn push_worker<T>(
                     }
                 }
             }
-            // Adaptive flush: a partially filled batch waits up to the
-            // flush deadline for stragglers, so a trickle still
-            // coalesces without adding more than ~`FLUSH_INTERVAL` of
-            // latency. A full batch (or a full window) flushes at once.
+            // Adaptive flush: a partially filled batch waits for
+            // stragglers until none has come for `QUIET_GAP`, or at most
+            // until the flush deadline, so a trickle still coalesces
+            // without adding more than ~`FLUSH_INTERVAL` of latency and a
+            // burst leaves as soon as it ends. A full batch (or a full
+            // window) flushes at once.
+            let mut reason = "deadline";
             if !batch.is_empty() && batch.len() < budget && !senders_gone {
                 let deadline = Instant::now() + FLUSH_INTERVAL;
                 loop {
@@ -692,9 +700,14 @@ fn push_worker<T>(
                     if now >= deadline || batch.len() >= budget {
                         break;
                     }
-                    match rx.recv_timeout(deadline - now) {
+                    match rx.recv_timeout((deadline - now).min(QUIET_GAP)) {
                         Ok(item) => batch.push(item),
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => break,
+                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                            if Instant::now() < deadline {
+                                reason = "quiet";
+                            }
+                            break;
+                        }
                         Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
                             senders_gone = true;
                             break;
@@ -709,7 +722,9 @@ fn push_worker<T>(
                     unacked.push_back((next_seq, item.clone(), now));
                     next_seq += 1;
                 }
-                let reason = if batch.len() >= budget { "size" } else { "deadline" };
+                if batch.len() >= budget {
+                    reason = "size";
+                }
                 sdci_obs::static_metric!(counter_vec, "sdci_net_batch_flush_total", "reason")
                     .inc(reason);
                 // The histogram's base unit is seconds; recording

@@ -27,29 +27,33 @@
 //! read already and reconnects on anything else.
 //!
 //! Semantics match `sdci_mq::pubsub`: best-effort delivery with a
-//! per-subscriber high-water mark. Backpressure from a slow socket
-//! fills that subscriber's local queue, and the broker sheds newer
-//! messages for that subscriber only — exactly what happens in-process.
+//! per-subscriber high-water mark. Backpressure from a slow socket —
+//! a subscriber whose reader falls behind — fills that subscriber's leg
+//! queue, and the broker sheds newer messages for that subscriber only,
+//! exactly what happens in-process.
 //!
-//! The subscriber endpoint is supervised: it reconnects forever with
-//! jittered exponential backoff ([`Backoff`]), and the broker probes an
-//! idle connection with `Ping` frames so a dead peer is detected within
-//! the configured liveness window.
+//! The subscriber end is driven by its reader, not by a worker of its
+//! own: each `recv*` call reads the socket on the caller's thread, and
+//! redials forever with jittered exponential backoff ([`Backoff`]) when
+//! the link is lost. The broker probes an idle connection with `Ping`
+//! frames, so a dead peer is detected within the configured liveness
+//! window.
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
+use crate::faulted::FaultedWriter;
 use crate::wire::{
     continuity_gap, timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, ContinuityGap,
-    Frame, Service, BIN_FRAME_BIT,
+    Frame, FrameReader, Service, BIN_FRAME_BIT,
 };
 use sdci_mq::pubsub::{Broker, Message};
 use sdci_mq::transport::Subscribe;
 use sdci_types::BinPayload;
+use std::collections::VecDeque;
 use std::io::Write;
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Counter snapshot for a [`TcpBroker`].
@@ -313,30 +317,54 @@ fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-#[derive(Debug, Default)]
-struct ClientCounters {
-    /// Successful connections (1 = never lost the link).
-    connections: AtomicU64,
-    /// Messages shed because the local queue was full (HWM).
-    dropped: AtomicU64,
+/// One connection of a [`TcpSubscriber`] to its broker.
+struct Link {
+    reader: FrameReader<TcpStream>,
+    /// The write half stays open, unused, for the connection's length.
+    _writer: FaultedWriter<TcpStream>,
+    since: Instant,
+    last_traffic: Instant,
 }
 
-/// A supervised TCP subscription: a background worker keeps a
-/// connection to the [`TcpBroker`], re-subscribing after every
-/// reconnect, and feeds received messages into a local bounded queue
-/// with the same drop-at-HWM behaviour as an in-process subscriber.
-///
-/// Implements [`Subscribe`], so an [`EventConsumer`] built on it
-/// detects the sequence gap a disconnection caused and backfills from
-/// the store — reconnection is invisible above this layer except as a
-/// gap.
+/// What a [`TcpSubscriber`]'s readers drive, one at a time.
+struct Session<T> {
+    link: Option<Link>,
+    /// Messages of a frame read already and not yet handed out.
+    ready: VecDeque<Message<T>>,
+    backoff: Backoff,
+    /// No redial before this instant.
+    redial_at: Instant,
+}
+
+impl<T> Session<T> {
+    /// Drops the connection, if any, and schedules the redial; one that
+    /// lived `healthy_after` proved the broker up and restarts the backoff.
+    fn hang_up(&mut self, healthy_after: Duration) {
+        if self.link.take().is_some_and(|link| link.since.elapsed() >= healthy_after) {
+            self.backoff.reset();
+        }
+        self.redial_at = Instant::now() + self.backoff.next_delay();
+    }
+}
+
+/// A supervised TCP subscription, driven by its reader: [`Subscribe`]'s
+/// `recv`, `recv_timeout` and `try_recv` read the broker's frames on the
+/// caller's thread, and redial with jittered backoff, never sleeping past
+/// the caller's deadline, when the link fails, goes silent past
+/// [`NetConfig::liveness`] or ends with `Fin`. It owns no thread, and no
+/// queue but the rest of the last frame it read: a reader that falls
+/// behind is shed by the broker's leg, at the broker's [`NetConfig::hwm`]
+/// chunks. An [`EventConsumer`] built on it sees a shed or a reconnection
+/// only as a sequence gap, and backfills it from the store.
 ///
 /// [`EventConsumer`]: https://docs.rs/sdci-core
 pub struct TcpSubscriber<T> {
-    rx: crossbeam_channel::Receiver<Message<T>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ClientCounters>,
-    _worker: JoinHandle<()>,
+    addr: SocketAddr,
+    prefixes: Vec<String>,
+    cfg: NetConfig,
+    session: parking_lot::Mutex<Session<T>>,
+    /// Successful connections (1 = never lost the link).
+    connections: AtomicU64,
 }
 
 impl<T> std::fmt::Debug for TcpSubscriber<T> {
@@ -345,137 +373,85 @@ impl<T> std::fmt::Debug for TcpSubscriber<T> {
     }
 }
 
-impl<T> TcpSubscriber<T>
-where
-    T: Send + BinPayload + 'static,
-{
-    /// Starts a supervised subscription to `addr` for the given topic
-    /// prefixes. Returns immediately; connection management happens in
-    /// the background.
+impl<T: Send + BinPayload + 'static> TcpSubscriber<T> {
+    /// Subscribes to `addr` for the given topic prefixes: dials and
+    /// greets once on the calling thread, so [`TcpSubscriber::connections`]
+    /// is 1 on return unless that dial failed, which the next read retries.
     pub fn connect(addr: SocketAddr, prefixes: &[&str], cfg: NetConfig) -> Self {
-        let prefixes: Vec<String> = prefixes.iter().map(|s| s.to_string()).collect();
-        let (tx, rx) = crossbeam_channel::bounded::<Message<T>>(cfg.hwm.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(ClientCounters::default());
-        let worker = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            std::thread::Builder::new()
-                .name("sdci-net-sub".into())
-                .spawn(move || subscriber_worker(addr, prefixes, cfg, tx, stop, counters))
-                // cannot fail: short of a thread refused by the OS, which no subscriber outlives.
-                .expect("spawn subscriber worker")
-        };
-        TcpSubscriber { rx, stop, counters, _worker: worker }
+        let (backoff, redial_at) = (Backoff::new(cfg.retry), Instant::now());
+        let session = Session { link: None, ready: VecDeque::new(), backoff, redial_at }.into();
+        let prefixes = prefixes.iter().map(|s| s.to_string()).collect();
+        let sub = TcpSubscriber { addr, prefixes, cfg, session, connections: AtomicU64::new(0) };
+        sub.dial(&mut sub.session.lock());
+        sub
     }
 
-    /// Messages shed because the local queue hit its high-water mark.
+    /// Messages this end shed: none, as it holds no queue to shed from —
+    /// a reader that falls behind is shed by the broker's leg, counted
+    /// in `sdci_net_fanout_shed_total`.
     pub fn dropped(&self) -> u64 {
-        self.counters.dropped.load(Ordering::Relaxed)
+        0
     }
 
     /// Successful connections so far (>1 means the link was re-established).
     pub fn connections(&self) -> u64 {
-        self.counters.connections.load(Ordering::Relaxed)
-    }
-}
-
-impl<T> Drop for TcpSubscriber<T> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl<T> Subscribe<T> for TcpSubscriber<T>
-where
-    T: Send + BinPayload + 'static,
-{
-    fn recv(&self) -> Option<Message<T>> {
-        self.rx.recv().ok()
+        self.connections.load(Ordering::Relaxed)
     }
 
-    fn try_recv(&self) -> Option<Message<T>> {
-        self.rx.try_recv().ok()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-}
-
-/// Feeds one received message into the local bounded queue, shedding
-/// (and counting) at the high-water mark. Returns `false` only when
-/// the owning subscriber is gone.
-fn enqueue_delivery<T>(
-    tx: &crossbeam_channel::Sender<Message<T>>,
-    counters: &ClientCounters,
-    msg: Message<T>,
-) -> bool {
-    match tx.try_send(msg) {
-        Ok(()) => true,
-        Err(crossbeam_channel::TrySendError::Full(msg)) => {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            sdci_obs::static_metric!(counter_vec, "sdci_net_sub_dropped_total", "topic")
-                .inc(&msg.topic);
-            true
-        }
-        Err(crossbeam_channel::TrySendError::Disconnected(_)) => false,
-    }
-}
-
-fn subscriber_worker<T: Send + BinPayload + 'static>(
-    addr: SocketAddr,
-    prefixes: Vec<String>,
-    cfg: NetConfig,
-    tx: crossbeam_channel::Sender<Message<T>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ClientCounters>,
-) {
-    let mut backoff = Backoff::new(cfg.retry);
-    'reconnect: while !stop.load(Ordering::Relaxed) {
-        let hello = Service::Subscriber { prefixes: prefixes.clone() };
-        // The write half stays open, unused, for the session's length.
-        let Ok((mut reader, _writer)) = dial(&cfg, addr, hello) else {
-            backoff.sleep_after_failure(Duration::ZERO, cfg.liveness);
-            continue;
+    fn dial(&self, session: &mut Session<T>) {
+        let hello = Service::Subscriber { prefixes: self.prefixes.clone() };
+        let Ok((reader, _writer)) = dial(&self.cfg, self.addr, hello) else {
+            return session.hang_up(self.cfg.liveness);
         };
-        let session = Instant::now();
-        if counters.connections.fetch_add(1, Ordering::Relaxed) > 0 {
+        if self.connections.fetch_add(1, Ordering::Relaxed) > 0 {
             sdci_obs::static_metric!(counter, "sdci_net_subscriber_reconnects_total").inc();
         }
-        let mut last_traffic = Instant::now();
+        let now = Instant::now();
+        session.link = Some(Link { reader, _writer, since: now, last_traffic: now });
+    }
+
+    /// Hands out the next message, reading the feed and redialing on the
+    /// caller's thread until `deadline` (`None`: none) passes.
+    fn next(&self, deadline: Option<Instant>) -> Option<Message<T>> {
+        let mut guard = self.session.lock();
+        let session = &mut *guard;
         loop {
-            match reader.read_msg::<Frame<T>>() {
+            if let Some(msg) = session.ready.pop_front() {
+                return Some(msg);
+            }
+            let now = Instant::now();
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
+            let Some(link) = session.link.as_mut() else {
+                if now >= session.redial_at {
+                    self.dial(session);
+                } else if left.is_zero() {
+                    return None;
+                } else {
+                    std::thread::sleep((session.redial_at - now).min(left));
+                }
+                continue;
+            };
+            match read_within::<T>(link, left.min(self.cfg.heartbeat)) {
                 Ok(Frame::DeliverBatch { topic, payloads, trace: _ }) => {
-                    last_traffic = Instant::now();
+                    link.last_traffic = Instant::now();
                     for payload in payloads {
-                        let msg = Message { topic: topic.clone(), payload };
-                        if !enqueue_delivery(&tx, &counters, msg) {
-                            return;
-                        }
+                        session.ready.push_back(Message { topic: topic.clone(), payload });
                     }
                 }
-                Ok(Frame::Ping) => last_traffic = Instant::now(),
-                Ok(Frame::Fin) => {
-                    // Broker drained and went away; it may be restarted
-                    // (supervision!), so keep trying — the owner stops
-                    // us by dropping the subscriber.
-                    backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                    continue 'reconnect;
-                }
+                Ok(Frame::Ping) => link.last_traffic = Instant::now(),
+                // The broker drained and went away; it may be restarted.
+                Ok(Frame::Fin) => session.hang_up(self.cfg.liveness),
                 Ok(_) => {}
                 // A frame read already, delivered again: none of it was
                 // read this time, and the history it continues stands.
                 Err(e) if continuity_gap(&e).is_some_and(ContinuityGap::is_duplicate) => {
-                    last_traffic = Instant::now();
+                    link.last_traffic = Instant::now();
                 }
                 Err(e) if timed_out(&e) => {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if last_traffic.elapsed() > cfg.liveness {
-                        backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                        continue 'reconnect;
+                    if link.last_traffic.elapsed() > self.cfg.liveness {
+                        session.hang_up(self.cfg.liveness);
+                    } else if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return None;
                     }
                 }
                 // Any other gap means a frame this leg was sent never
@@ -486,20 +462,43 @@ fn subscriber_worker<T: Send + BinPayload + 'static>(
                         sdci_obs::warn!("feed frame continues one never read; reconnecting";
                             error = gap.to_string());
                     }
-                    backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                    continue 'reconnect;
+                    session.hang_up(self.cfg.liveness);
                 }
             }
         }
     }
 }
 
+/// Reads one frame, waiting at most `wait`; a zero wait takes only what
+/// has arrived.
+fn read_within<T: BinPayload>(link: &mut Link, wait: Duration) -> std::io::Result<Frame<T>> {
+    let socket = link.reader.get_ref();
+    socket.set_nonblocking(wait.is_zero())?;
+    if !wait.is_zero() {
+        socket.set_read_timeout(Some(wait))?;
+    }
+    link.reader.read_msg()
+}
+
+impl<T: Send + BinPayload + 'static> Subscribe<T> for TcpSubscriber<T> {
+    fn recv(&self) -> Option<Message<T>> {
+        self.next(None)
+    }
+
+    fn try_recv(&self) -> Option<Message<T>> {
+        self.next(Some(Instant::now()))
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>> {
+        self.next(Instant::now().checked_add(timeout))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faulted::FaultedWriter;
-    use crate::wire::FrameReader;
-    use std::net::{TcpListener, TcpStream};
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicBool;
 
     /// A subscriber whose hello was read just before the endpoint
     /// stopped is served after the drain released the legs: its leg must

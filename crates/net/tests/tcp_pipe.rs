@@ -119,7 +119,77 @@ fn pushed_items_arrive_exactly_once_in_order() {
     let flushed = |reason: &str| {
         metrics.contains(&format!("sdci_net_batch_flush_total{{reason=\"{reason}\"}}"))
     };
-    assert!(flushed("size") || flushed("deadline"), "{metrics}");
+    assert!(flushed("size") || flushed("quiet") || flushed("deadline"), "{metrics}");
+    endpoint.shutdown();
+}
+
+/// An idle pusher's burst leaves as soon as it goes quiet: over 20
+/// bursts, 50 items sent back to back reach the pull server as one frame,
+/// a median under 0.5 ms after the last `send` — not at the 1 ms flush
+/// deadline. The bound is on the lag beyond that of a burst which fills
+/// its batch and leaves at once, so it holds the build's own transport
+/// (≈ 0.35 ms in release, ≈ 0.6 ms in debug on a 2-vCPU VM) apart. A
+/// sender descheduled mid-burst for longer than the quiet gap has not
+/// sent it back to back, so a few bursts of 20 may leave in two frames.
+#[test]
+fn an_idle_pushers_burst_leaves_as_one_frame_once_it_goes_quiet() {
+    const BURST: u64 = 50;
+    let server = TcpPullServer::<u64>::new(4096);
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let quiet = TcpPush::connect(addr, "quiet", fast_cfg());
+    let full =
+        TcpPush::connect(addr, "full", NetConfig { max_batch: BURST as usize, ..fast_cfg() });
+    let pull = server.pull();
+    // The lag from a burst's last `send` to its last item at the server,
+    // and the frames it came in.
+    let burst_lag = |push: &TcpPush<u64>, burst: u64| {
+        // Idle: everything before is acknowledged, and the pusher waits.
+        assert!(push.drain(Duration::from_secs(10)), "acks never fully arrived");
+        std::thread::sleep(Duration::from_millis(5));
+        let items: Vec<u64> = (burst * BURST..(burst + 1) * BURST).collect();
+        for &item in &items {
+            assert!(push.send(item));
+        }
+        let sent = Instant::now();
+        let (mut got, mut frames) = (Vec::new(), 0);
+        while got.len() < items.len() {
+            got.extend(
+                pull.recv_timeout(Duration::from_secs(10)).expect("the burst never arrived"),
+            );
+            frames += 1;
+        }
+        let lag = sent.elapsed();
+        assert_eq!(got, items, "burst {burst} was reordered");
+        (lag, frames)
+    };
+    let median = |mut lags: Vec<Duration>| {
+        lags.sort();
+        lags[lags.len() / 2]
+    };
+    // One round: 20 bursts of each kind, interleaved. The other tests of
+    // this binary run beside it on a small host, so a round they starve
+    // is measured again, up to three rounds; at a 1 ms deadline every
+    // round is over the bound.
+    let mut burst = 0;
+    let mut round = || {
+        let (mut quiet_lags, mut full_lags, mut whole) = (Vec::new(), Vec::new(), 0);
+        for _ in 0..20 {
+            let (lag, frames) = burst_lag(&quiet, burst);
+            quiet_lags.push(lag);
+            whole += u32::from(frames == 1);
+            full_lags.push(burst_lag(&full, burst + 1).0);
+            burst += 2;
+        }
+        (median(quiet_lags), median(full_lags), whole)
+    };
+    let met = |&(quiet_lag, full_lag, whole): &(Duration, Duration, u32)| {
+        whole >= 17 && quiet_lag < full_lag + Duration::from_micros(500)
+    };
+    let rounds: Vec<_> = (0..3).map(|_| round()).take_while(|r| !met(r)).collect();
+    assert!(rounds.len() < 3, "(quiet median lag, full median lag, whole bursts) {rounds:?}");
+    let metrics = sdci_obs::registry().render_prometheus();
+    assert!(metrics.contains("sdci_net_batch_flush_total{reason=\"quiet\"}"), "{metrics}");
     endpoint.shutdown();
 }
 

@@ -1,10 +1,11 @@
-//! Loopback PUB/SUB integration: ordering, drain-on-shutdown, and the
-//! lossy HWM contract over a real TCP connection.
+//! Loopback PUB/SUB integration: ordering, drain-on-shutdown, the lossy
+//! HWM contract and redials driven by the subscriber's reads, over a real
+//! TCP connection.
 
 use sdci_mq::pubsub::{Broker, Publisher};
 use sdci_mq::transport::Subscribe;
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fast_cfg() -> NetConfig {
     NetConfig {
@@ -15,6 +16,17 @@ fn fast_cfg() -> NetConfig {
         liveness: Duration::from_millis(500),
         ..NetConfig::default()
     }
+}
+
+/// The fan-out's shed series is process-wide: the tests that count it
+/// take turns.
+fn sheds() -> std::sync::MutexGuard<'static, ()> {
+    static SHEDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SHEDS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+fn shed_total() -> u64 {
+    sdci_obs::registry().counter("sdci_net_fanout_shed_total").get()
 }
 
 /// Publishes probes until the subscription demonstrably reaches the
@@ -88,29 +100,51 @@ fn shutdown_drains_queued_messages_to_subscribers() {
 
 #[test]
 fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
-    // Only the subscriber's client-side queue is tiny: the broker keeps
-    // deep queues, so the whole burst reaches its socket.
-    let slow = NetConfig { hwm: 8, ..fast_cfg() };
+    const BATCH: u64 = 1000;
+    let _sheds = sheds();
+    // Only the broker's legs are shallow: eight chunks queued behind a
+    // socket nobody reads, then the relay sheds for that leg alone.
+    let shallow = NetConfig { hwm: 8, ..fast_cfg() };
     let broker = TcpBroker::<u64>::new(Broker::new(8192));
-    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
-    let addr = endpoint.local_addr();
-    let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], slow);
+    let endpoint = Endpoint::bind("127.0.0.1:0", shallow, vec![broker.clone()]).unwrap();
+    let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["events/"], fast_cfg());
     let publisher = broker.publisher();
-    wait_ready(&publisher, &subscriber);
+    // Publish `i` carries the payloads `i * BATCH ..`, so a gap shows.
+    let publish =
+        |i: u64| publisher.publish_batch("events/e", (i * BATCH..(i + 1) * BATCH).collect());
+    for i in 0.. {
+        publish(i);
+        if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
+            break;
+        }
+        assert!(i < 1000, "pub/sub loopback never became ready");
+    }
+    while subscriber.recv_timeout(Duration::from_millis(100)).is_some() {}
 
-    // Nobody drains the subscriber: its bounded queue must fill and
-    // newer deliveries must be shed, not pile up unboundedly.
-    for i in 0..2000u64 {
-        publisher.publish("events/e", i);
+    // Nobody reads the subscriber: its socket fills, then its leg's
+    // queue, and each publish after that is shed for it — the relay
+    // returns at once rather than wait on the slow reader.
+    let before = shed_total();
+    let mut published = 1_000_000;
+    while shed_total() == before {
+        publish(published);
+        published += 1;
+        assert!(published < 1_100_000, "HWM shedding never engaged");
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while subscriber.dropped() == 0 {
-        assert!(std::time::Instant::now() < deadline, "HWM shedding never engaged");
-        std::thread::sleep(Duration::from_millis(5));
+    assert_eq!(shed_total() - before, BATCH, "one publish shed, all of it");
+    // What the leg queued before the shed is read in order, and the next
+    // publish, sent fresh, arrives behind the gap on the same connection.
+    let mut last = None;
+    while let Some(msg) = subscriber.recv_timeout(Duration::from_millis(200)) {
+        assert!(last.is_none_or(|last| msg.payload == last + 1), "reordered before the shed");
+        last = Some(msg.payload);
     }
-    // Each shed counts on /metrics under the shed message's topic.
-    let metrics = sdci_obs::registry().render_prometheus();
-    assert!(metrics.contains("sdci_net_sub_dropped_total{topic=\"events/e\"}"), "{metrics}");
+    let last = last.expect("the queued chunks were delivered");
+    assert!(last < (published - 1) * BATCH, "the shed publish was delivered");
+    publish(published);
+    let next = subscriber.recv_timeout(Duration::from_secs(5)).expect("the publish after the shed");
+    assert_eq!(next.payload, published * BATCH, "the next read sees the gap");
+    assert_eq!(subscriber.connections(), 1, "a shed costs no connection");
     endpoint.shutdown();
 }
 
@@ -206,9 +240,7 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
 /// costs no connection, so the publish after it reaches both subscribers.
 #[test]
 fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered() {
-    // No other test here sheds at a serving leg, so this one's count of
-    // the process-wide series is its own.
-    let shed_total = || sdci_obs::registry().counter("sdci_net_fanout_shed_total").get();
+    let _sheds = sheds();
     let broker = TcpBroker::<String>::new(Broker::new(8192));
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let subscribers = [(); 2]
@@ -241,5 +273,31 @@ fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered()
         assert_eq!(sub.connections(), 1, "leg {n} reconnected");
     }
     assert_eq!(shed_total() - before, 1, "one message shed, once");
+    endpoint.shutdown();
+}
+
+/// A subscriber's reads drive its redials: while the broker is down a
+/// read returns by its deadline — the backoff never sleeps past it — and
+/// once a broker is back on the address the same subscriber dials it on
+/// a read and delivers.
+#[test]
+fn a_read_while_the_broker_is_down_returns_by_its_deadline_and_redials_once_it_is_back() {
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], fast_cfg());
+    wait_ready(&broker.publisher(), &subscriber);
+    endpoint.shutdown();
+
+    for _ in 0..20 {
+        let started = Instant::now();
+        let _ = subscriber.recv_timeout(Duration::from_millis(50));
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(70), "a 50 ms read took {took:?}");
+    }
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint = Endpoint::bind(addr, fast_cfg(), vec![broker.clone()]).unwrap();
+    wait_ready(&broker.publisher(), &subscriber);
+    assert!(subscriber.connections() >= 2, "delivered without a redial");
     endpoint.shutdown();
 }

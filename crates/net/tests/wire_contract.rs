@@ -834,18 +834,23 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
     let mut first = accept_within(&listener, Duration::from_secs(5));
     assert_eq!(read_hello(&mut first), hello);
     first.write_all(&json_frame(r#""Ping""#)).unwrap();
-    let mut second = accept_within(&listener, Duration::from_secs(5));
-    assert_eq!(read_hello(&mut second), hello);
+    // The subscriber's own read takes the JSON body and dials again: the
+    // second connection is accepted while that read runs.
     let event = pushed_event(2);
-    sdci_net::wire::write_deliver_batch_bin(
-        &mut second,
-        &mut BinEncoder::new(),
-        "feed/all",
-        std::slice::from_ref(&event),
-        None,
-    )
-    .unwrap();
-    let delivered = subscriber.recv_timeout(Duration::from_secs(5)).map(|msg| msg.payload);
+    let delivered = std::thread::scope(|scope| {
+        let read = scope.spawn(|| subscriber.recv_timeout(Duration::from_secs(5)));
+        let mut second = accept_within(&listener, Duration::from_secs(5));
+        assert_eq!(read_hello(&mut second), hello);
+        sdci_net::wire::write_deliver_batch_bin(
+            &mut second,
+            &mut BinEncoder::new(),
+            "feed/all",
+            std::slice::from_ref(&event),
+            None,
+        )
+        .unwrap();
+        read.join().unwrap().map(|msg| msg.payload)
+    });
     assert_eq!(delivered, Some(event), "the subscriber was not served on its second connection");
     assert_eq!(subscriber.connections(), 2);
 }

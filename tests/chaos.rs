@@ -371,8 +371,8 @@ fn aggregator_aborted_mid_fanout_recovers_without_consumer_loss() {
 /// the one subscriber that rides through all of it: the first
 /// aggregator dies greeting it, the replacement dies on the first
 /// delivery of a real collector run, and the third runs clean. The
-/// supervised `TcpSubscriber` (it reconnects forever with backoff) must
-/// resubscribe across each restart, ending with an event flowing end to
+/// supervised `TcpSubscriber` (its reads redial forever with backoff)
+/// must resubscribe across each restart, ending with an event flowing end to
 /// end — the feed leg is lossy by contract, so the invariant is
 /// recovery, not delivery of the frames each abort swallowed.
 #[test]
@@ -413,9 +413,10 @@ fn pubsub_server_aborted_on_greet_and_dispatch_recovers_after_restarts() {
     );
     wait_for_listen_addr(&mut agg2);
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    // The subscriber redials on its own reads: nothing is delivered yet.
     while subscriber.connections() < 2 {
         assert!(std::time::Instant::now() < deadline, "the subscriber never reconnected");
-        std::thread::sleep(Duration::from_millis(10));
+        let _ = subscriber.recv_timeout(Duration::from_millis(10));
     }
     // The collector cannot finish against an aggregator that dies under
     // it; it is reaped once the abort has been observed.
