@@ -39,7 +39,7 @@
 use sdci_bench::{joined, write_report};
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
-use sdci_net::wire::{write_hello, Service, BIN_FRAME_BIT};
+use sdci_net::wire::{write_hello, Service};
 use sdci_net::{Endpoint, NetConfig, TcpBroker};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use serde::Serialize;
@@ -222,7 +222,7 @@ fn drain_subscriber(
         loop {
             let mut word = [0u8; 4];
             reader.read_exact(&mut word)?;
-            let len = (u32::from_be_bytes(word) & !BIN_FRAME_BIT) as usize;
+            let len = u32::from_be_bytes(word) as usize;
             frame.resize(len, 0);
             reader.read_exact(&mut frame)?;
             // Markers ride one-member `DeliverBatch` frames, which are

@@ -185,11 +185,6 @@ impl Simulation {
         }
         self.now = self.now.max(deadline);
     }
-
-    /// Runs for `span` of virtual time from the current instant.
-    pub fn run_for(&mut self, span: SimDuration) {
-        self.run_until(self.now + span);
-    }
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //! A hello that does not decode, announces another version, or names a
 //! service nobody attached here is refused: logged at error level,
 //! counted in `sdci_net_hello_refused_total{leg}`, connection closed. So
-//! is one whose length word claims more than
-//! [`MAX_HELLO_LEN`] bytes or a binary body —
+//! is one whose length word claims more than [`MAX_HELLO_LEN`] bytes —
 //! refused on the word, before a byte of the body is buffered — and one
 //! cut short by the peer closing or going silent for the liveness window.
+//! A hello in another encoding, such as an older build's JSON, is one that
+//! does not decode.
 //!
 //! A connection whose first four bytes are `GET ` is an HTTP scrape —
 //! as a length word they exceed [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN),
@@ -26,8 +27,8 @@
 use crate::conn::NetConfig;
 use crate::faulted::{conn_faults, spawn_worker, FaultedWriter};
 use crate::wire::{
-    timed_out, write_hello, FrameReader, Hello, Service, BIN_FRAME_BIT, FRAME_HEADER_LEN,
-    MAX_HELLO_LEN, WIRE_PROTO,
+    timed_out, write_hello, FrameReader, Hello, Service, FRAME_HEADER_LEN, MAX_HELLO_LEN,
+    WIRE_PROTO,
 };
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -252,9 +253,6 @@ fn serve_conn(
     // Bounded before anything is buffered: the reader would otherwise
     // size its buffer by whatever length the word claims.
     let word = u32::from_be_bytes(first);
-    if word & BIN_FRAME_BIT != 0 {
-        return refuse("unknown", &stream, "a hello is a JSON frame, not a binary one");
-    }
     if word as usize > MAX_HELLO_LEN {
         return refuse(
             "unknown",

@@ -6,14 +6,12 @@
 //! three OS processes (or three hosts):
 //!
 //! * [`wire`] — the framing: 4-byte big-endian length word + one
-//!   frame body, in the one encoding its kind has. After its hello,
-//!   every frame on a push, feed or store connection is binary (the
-//!   length word's high bit, [`BIN_FRAME_BIT`], marks a binary body):
-//!   the `ItemBatch`/`DeliverBatch` runs senders coalesce payloads into,
-//!   store-RPC replies, and the acks, nacks, pings and queries of a few
-//!   bytes each. JSON is the hello's only. There is one wire version
-//!   ([`wire::WIRE_PROTO`]): every connection's opening [`wire::Hello`]
-//!   announces it and a mismatch closes the connection.
+//!   binary frame body. Every frame is binary: the opening
+//!   [`wire::Hello`], the `ItemBatch`/`DeliverBatch` runs senders
+//!   coalesce payloads into, store-RPC replies, and the acks, nacks,
+//!   pings and queries of a few bytes each. There is one wire version
+//!   ([`wire::WIRE_PROTO`]): every connection's hello announces it and a
+//!   mismatch closes the connection.
 //! * [`endpoint`] — one address per server role: [`Endpoint`] owns the
 //!   process's only listener and accept loop, does the handshake once,
 //!   and hands each connection to the [`Handler`] attached for the
@@ -65,6 +63,4 @@ pub use faulted::FaultedWriter;
 pub use pipe::{TcpPullServer, TcpPush};
 pub use pubsub::{TcpBroker, TcpSubscriber};
 pub use store_rpc::{RemoteStore, StoreServer};
-pub use wire::{
-    BinEncoder, Frame, WireMsg, BIN_FRAME_BIT, FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_PROTO,
-};
+pub use wire::{BinEncoder, Frame, WireMsg, FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_PROTO};

@@ -44,7 +44,7 @@ use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
     continuity_gap, timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, ContinuityGap,
-    Frame, FrameReader, Service, BIN_FRAME_BIT,
+    Frame, FrameReader, Service,
 };
 use sdci_mq::pubsub::{Broker, Message};
 use sdci_mq::transport::Subscribe;
@@ -309,7 +309,7 @@ fn write_chunk(w: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
     let mut off = 0;
     while off + 4 <= bytes.len() {
         let word = u32::from_be_bytes(std::array::from_fn(|i| bytes[off + i]));
-        let end = off + 4 + (word & !BIN_FRAME_BIT) as usize;
+        let end = off + 4 + word as usize;
         w.write_all(&bytes[off..end])?;
         w.flush()?;
         off = end;

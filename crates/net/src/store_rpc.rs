@@ -7,14 +7,13 @@
 //! to the Aggregator process's [`StoreServer`].
 //!
 //! The protocol is deliberately tiny: after the connection's hello, one
-//! request frame, one response frame, both binary — a query is a dozen
-//! bytes of varints, a reply a batch of members — in the same
-//! length-prefixed framing as the rest of sdci-net; JSON is the hello's
-//! alone here. A connection's replies continue one
-//! another as every batch frame does (`crate::wire`): the server packs
-//! them through one encoder for the life of the connection, so a reply's
-//! members are coded against the ones the replies before it carried, and
-//! only that connection's reader decodes it. A reply is keyed by its
+//! request frame, one response frame — a query is a dozen bytes of
+//! varints, a reply a batch of members — in the same length-prefixed
+//! binary framing as the rest of sdci-net. A connection's replies
+//! continue one another as every batch frame does (`crate::wire`): the
+//! server packs them through one encoder for the life of the connection,
+//! so a reply's members are coded against the ones the replies before it
+//! carried, and only that connection's reader decodes it. A reply is keyed by its
 //! position — the members the replies before it carried since the last
 //! fresh one — so a replayed one is a [`ContinuityGap`], which the client
 //! skips; the first reply on a connection, and one after an empty reply,
@@ -30,9 +29,9 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_header, continuity_gap, invalid, put_control, read_batch, read_control, timed_out,
-    write_msg_bin, BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_FLAG_TRACE,
-    BIN_KIND_PING, BIN_KIND_QUERY, STORE_KINDS,
+    bin_header, continuity_gap, put_control, read_batch, read_control, timed_out, write_msg_bin,
+    BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_FLAG_TRACE, BIN_KIND_PING,
+    BIN_KIND_QUERY, STORE_KINDS,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
 use sdci_types::bin::{
@@ -141,17 +140,20 @@ fn read_query(r: &mut BinReader<'_>, flags: u8) -> Result<StoreRpc, BinDecodeErr
     Ok(StoreRpc::Query { query, trace })
 }
 
-impl StoreRpc {
-    /// Decodes a message body, a reply against and into `history` when a
-    /// connection's reader holds one ([`WireMsg::decode_on`]).
-    fn decode_in(
-        binary: bool,
-        body: &[u8],
-        history: Option<&mut History>,
-    ) -> std::io::Result<Self> {
-        if !binary {
-            return Err(invalid("a JSON body after the hello, where every frame is binary"));
+/// Every message is binary: the query and the ping are control frames of
+/// a few bytes, and the reply is a batch, which — packed through the
+/// connection's encoder — continues the replies before it.
+impl WireMsg for StoreRpc {
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        match self {
+            StoreRpc::Batch { events } => enc.pack_frame(buf, BatchHead::Position, events, None),
+            StoreRpc::Query { query, trace } => put_query(buf, query, *trace)?,
+            StoreRpc::Ping => put_control(buf, BIN_KIND_PING, None),
         }
+        Ok(())
+    }
+
+    fn decode_in(body: &[u8], history: Option<&mut History>) -> std::io::Result<Self> {
         match body.first() {
             Some(&BIN_KIND_QUERY) => {
                 read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags))
@@ -162,28 +164,6 @@ impl StoreRpc {
                 Ok(StoreRpc::Batch { events })
             }
         }
-    }
-}
-
-/// Every message is binary: the query and the ping are control frames of
-/// a few bytes, and the reply is a batch, which — packed through the
-/// connection's encoder — continues the replies before it.
-impl WireMsg for StoreRpc {
-    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-        match self {
-            StoreRpc::Batch { events } => enc.pack_frame(buf, BatchHead::Position, events, None),
-            StoreRpc::Query { query, trace } => put_query(buf, query, *trace)?,
-            StoreRpc::Ping => put_control(buf, BIN_KIND_PING, None),
-        }
-        Ok(true)
-    }
-
-    fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
-        StoreRpc::decode_in(binary, body, None)
-    }
-
-    fn decode_on(binary: bool, body: &[u8], history: &mut History) -> std::io::Result<Self> {
-        StoreRpc::decode_in(binary, body, Some(history))
     }
 }
 

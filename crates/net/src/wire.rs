@@ -1,32 +1,25 @@
-//! Wire format: 4-byte big-endian length word + one frame body.
+//! Wire format: 4-byte big-endian length word + one binary frame body.
 //!
 //! Every message on an sdci-net socket is prefixed with a length word so
-//! the reader can frame the stream. The word's low 31 bits are the body
-//! length; its high bit names the body's encoding:
+//! the reader can frame the stream. The word is the body's length, at
+//! most [`MAX_FRAME_LEN`]:
 //!
 //! ```text
-//! +--------------+---------------------------------------+
-//! | word: u32be  | body: (word & 0x7FFFFFFF) bytes       |
-//! +--------------+---------------------------------------+
-//!   bit 31 clear → JSON: a hello
-//!   bit 31 set   → binary: every other frame
+//! +--------------+----------------------+
+//! | word: u32be  | body: word bytes     |
+//! +--------------+----------------------+
 //! ```
 //!
-//! Every kind of message has exactly one encoding ([`WireMsg`]). JSON
-//! is the [`Hello`]'s — read before anything about the connection is
-//! known — in the workspace's serde conventions (externally tagged
-//! enums), and no one else's: once its hello is done, every frame on a
-//! push, feed or store connection is binary, built from
-//! [`sdci_types::bin`]. That is the data frames —
-//! [`Frame::ItemBatch`], [`Frame::DeliverBatch`] and store-RPC batch
-//! replies; a lone event travels as a batch of one — and the control
-//! frames: acks, nacks, pings, `Fin` and store queries, a few bytes each.
-//! A JSON body on such a connection is `InvalidData`. The high bit is
-//! unambiguous because [`MAX_FRAME_LEN`] is far below `2^31`.
+//! Every message is binary ([`WireMsg`]), built from
+//! [`sdci_types::bin`]: the [`Hello`] that opens a connection, the data
+//! frames — [`Frame::ItemBatch`], [`Frame::DeliverBatch`] and store-RPC
+//! batch replies; a lone event travels as a batch of one — and the
+//! control frames: acks, nacks, pings, `Fin` and store queries, a few
+//! bytes each.
 //!
 //! A control body is a kind byte, a flags byte, the kind's fields as
-//! varints, and nothing after them; the flags byte is 0, but for a
-//! store query's trace bit:
+//! varints and length-prefixed UTF-8, and nothing after them; the flags
+//! byte is 0, but for a store query's trace bit:
 //!
 //! ```text
 //! kind 5 Ack:   up_to varint          kind 6 Nack: expected varint
@@ -34,6 +27,10 @@
 //! kind 9 Query: [trace 17B, flags&1] | presence u8 (1 after_seq, 2 since, 4 path_prefix) |
 //!               [after_seq varint] | [since ns varint] |
 //!               [prefix: UTF-8 length varint (≤ MAX_PATH_LEN) + bytes] | limit varint
+//! kind 10 Hello: proto varint | service tag u8 | the service's fields:
+//!               tag 1 Push:       client (UTF-8 length varint + bytes) | resume_after varint
+//!               tag 2 Subscriber: count varint | count × prefix (UTF-8 length varint + bytes)
+//!               tag 3 Store:      nothing
 //! ```
 //!
 //! A batch body is a fixed header, then the kind's fields. Lengths
@@ -116,8 +113,9 @@
 //! Kind 2 is unassigned: a feed is written only by the process that
 //! owns its broker, so there is no publish batch, and a body carrying
 //! that kind is `InvalidData` like any other unknown one. Each reader
-//! reads its own kinds only — a [`Frame`] reader 1, 4 and 5–8, a store
-//! reader 3, 7 and 9 — and refuses any other before a byte past it.
+//! reads its own kinds only — a [`Hello`] reader 10, a [`Frame`] reader
+//! 1, 4 and 5–8, a store reader 3, 7 and 9 — and refuses any other
+//! before a byte past it.
 //!
 //! There is one wire version, [`WIRE_PROTO`]. Every connection opens
 //! with one [`Hello`] frame announcing it and naming the [`Service`] the
@@ -135,7 +133,6 @@ use sdci_types::bin::{
     BinDecodeError, BinPayload, BinReader, Class, History, SeqEncoder, MAX_FRAME_MEMBERS,
 };
 use sdci_types::TraceContext;
-use serde::{Deserialize, Serialize};
 use std::io::{self, IoSlice, Read, Write};
 use std::time::Duration;
 
@@ -150,26 +147,21 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 // largest frame could have carried verbatim.
 const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
 
-/// High bit of the length word: set when the frame body is binary
-/// instead of JSON (a hello). Never ambiguous — [`MAX_FRAME_LEN`] keeps
-/// legal lengths far below this bit.
-pub const BIN_FRAME_BIT: u32 = 1 << 31;
-
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 17;
+pub const WIRE_PROTO: u32 = 18;
 
-/// Longest JSON body — a [`Hello`] — a reader accepts. The largest
-/// legitimate one is a subscriber's prefix list, and this holds a
-/// thousand prefixes of sixty bytes. A length word claiming more is
-/// refused before a byte of the body is buffered, so a peer cannot make
-/// a connection pin [`MAX_FRAME_LEN`] bytes with a JSON body — nor,
-/// before it has said who it is, with any frame.
+/// Longest [`Hello`] body a peer may send and an endpoint reads. The
+/// largest legitimate one is a subscriber's prefix list, and this holds a
+/// thousand prefixes of sixty bytes. The endpoint refuses an opening
+/// length word claiming more before a byte of the body is buffered, so a
+/// peer cannot make a connection pin [`MAX_FRAME_LEN`] bytes before it
+/// has said who it is.
 pub const MAX_HELLO_LEN: usize = 64 << 10;
 
 /// The opening frame of every connection: the peer's wire version and
-/// the service it wants from the endpoint it dialed. Always JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the service it wants from the endpoint it dialed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
     /// Wire protocol version the peer speaks ([`WIRE_PROTO`]).
     pub proto: u32,
@@ -178,7 +170,7 @@ pub struct Hello {
 }
 
 /// The services a peer can ask an endpoint for in its [`Hello`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Service {
     /// The lossless PUSH leg: "I will send `ItemBatch` frames."
     Push {
@@ -209,19 +201,66 @@ impl Service {
     }
 }
 
-/// The one JSON message: a hello's body is its serde rendering.
+/// Service tag of a [`Hello`] body: [`Service::Push`].
+const SERVICE_PUSH: u8 = 1;
+/// Service tag of a [`Hello`] body: [`Service::Subscriber`].
+const SERVICE_SUBSCRIBER: u8 = 2;
+/// Service tag of a [`Hello`] body: [`Service::Store`].
+const SERVICE_STORE: u8 = 3;
+
+/// A hello is a control frame of kind 10: its version, then the service's
+/// tag and fields.
 impl WireMsg for Hello {
-    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
-        buf.extend_from_slice(serde_json::to_string(self).map_err(invalid)?.as_bytes());
-        Ok(false)
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<()> {
+        put_control(buf, BIN_KIND_HELLO, Some(self.proto.into()));
+        match &self.service {
+            Service::Push { client, resume_after } => {
+                buf.push(SERVICE_PUSH);
+                put_bytes(buf, client.as_bytes());
+                put_varint(buf, *resume_after);
+            }
+            Service::Subscriber { prefixes } => {
+                buf.push(SERVICE_SUBSCRIBER);
+                put_varint(buf, prefixes.len() as u64);
+                for prefix in prefixes {
+                    put_bytes(buf, prefix.as_bytes());
+                }
+            }
+            Service::Store => buf.push(SERVICE_STORE),
+        }
+        Ok(())
     }
 
-    fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
-        if binary {
-            return Err(invalid("a hello has no binary form"));
+    /// A hello is spelled one way only: one that does not re-encode to its
+    /// own bytes — a varint with a redundant byte — is refused.
+    fn decode_in(body: &[u8], _history: Option<&mut History>) -> io::Result<Self> {
+        let hello = read_control(body, 0, |kind, _, r| {
+            if kind != BIN_KIND_HELLO {
+                return Err(BinDecodeError::msg(format!("a frame of kind {kind} is no hello")));
+            }
+            let proto = u32::try_from(r.varint(Class::Other)?).map_err(BinDecodeError::msg)?;
+            let service = match r.u8(Class::Other)? {
+                SERVICE_PUSH => {
+                    Service::Push { client: r.string()?, resume_after: r.varint(Class::Other)? }
+                }
+                // A count past the prefixes present fails at the first
+                // missing one; the list grows only with prefixes read.
+                SERVICE_SUBSCRIBER => Service::Subscriber {
+                    prefixes: (0..r.varint(Class::Other)?)
+                        .map(|_| r.string())
+                        .collect::<Result<_, _>>()?,
+                },
+                SERVICE_STORE => Service::Store,
+                tag => return Err(BinDecodeError::msg(format!("unknown service tag {tag}"))),
+            };
+            Ok(Hello { proto, service })
+        })?;
+        let mut spelled = Vec::with_capacity(body.len());
+        hello.encode(&mut BinEncoder::new(), &mut spelled)?;
+        if spelled != body {
+            return Err(invalid("a hello spelled with a redundant byte"));
         }
-        let text = std::str::from_utf8(body).map_err(invalid)?;
-        serde_json::from_str(text).map_err(invalid)
+        Ok(hello)
     }
 }
 
@@ -233,7 +272,13 @@ impl WireMsg for Hello {
 /// endpoint would read; otherwise I/O failures from the underlying
 /// writer.
 pub fn write_hello(w: &mut impl Write, service: Service) -> io::Result<()> {
-    write_msg(w, &Hello { proto: WIRE_PROTO, service })
+    let mut body = Vec::new();
+    Hello { proto: WIRE_PROTO, service }.encode(&mut BinEncoder::new(), &mut body)?;
+    if body.len() > MAX_HELLO_LEN {
+        let why = format!("a hello of {} bytes exceeds {MAX_HELLO_LEN}", body.len());
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+    }
+    write_frame(w, &body)
 }
 
 /// One protocol message. `T` is the event payload type (e.g. `FileEvent`
@@ -295,49 +340,54 @@ pub(crate) fn timed_out(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
-/// A message sdci-net can frame. Each kind of message has exactly one
-/// encoding — a hello is JSON, everything else is binary — and the
-/// length word's high bit ([`BIN_FRAME_BIT`]) says which one a body is
-/// in.
+/// A message sdci-net can frame, in its one binary encoding.
 pub trait WireMsg: Sized {
-    /// Appends this message's body to `buf` and returns whether that
-    /// body is binary. A batch is packed through `enc` — the scratch and
-    /// the history of the connection the body is for, as a chunked batch
-    /// writer packs it ([`write_item_batch_bin`]) — into one frame however
-    /// long it is; a control frame takes a few bytes of `buf` and nothing
-    /// of `enc`.
+    /// Appends this message's body to `buf`. A batch is packed through
+    /// `enc` — the scratch and the history of the connection the body is
+    /// for, as a chunked batch writer packs it ([`write_item_batch_bin`])
+    /// — into one frame however long it is; a control frame takes a few
+    /// bytes of `buf` and nothing of `enc`.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when a JSON message cannot be rendered; `InvalidInput`
-    /// for a store query whose prefix no reader would accept (not UTF-8,
-    /// or longer than [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN)).
-    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool>;
+    /// `InvalidInput` for a store query whose prefix no reader would
+    /// accept (not UTF-8, or longer than
+    /// [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN)).
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<()>;
 
-    /// Decodes one complete frame body in the encoding its length word
-    /// announced.
+    /// Decodes one complete frame body — as a connection's reader does
+    /// ([`FrameReader::read_msg`]) when given the `history` of what the
+    /// frames it read before carried: a batch that continues its
+    /// connection is read against it, and every batch is recorded in it.
+    /// Without a history, a batch that continues its connection is refused.
     ///
     /// # Errors
     ///
-    /// `InvalidData` on undecodable JSON, a body in the encoding its
-    /// message does not have (a JSON ack, a binary hello), kind bytes
-    /// that are not the reader's, flags or fields out of range, truncated
-    /// fields, or trailing garbage — the stream is corrupt.
-    fn decode(binary: bool, body: &[u8]) -> io::Result<Self>;
+    /// `InvalidData` on kind bytes that are not the reader's, flags or
+    /// fields out of range, truncated fields, or trailing garbage — the
+    /// stream is corrupt; and a [`ContinuityGap`] — on a stream still good
+    /// to read — for a continuing batch that does not start where
+    /// `history` ends.
+    fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self>;
 
-    /// Decodes one complete frame body as a connection's reader does —
-    /// [`FrameReader::read_msg`] — whose `history` holds what the frames
-    /// it read before carried: a batch that continues its connection is
-    /// read against it, and every batch is recorded in it. A message
-    /// without batches decodes as [`WireMsg::decode`] does.
+    /// Decodes one complete frame body on its own: [`WireMsg::decode_in`]
+    /// without a history.
     ///
     /// # Errors
     ///
-    /// Those of [`WireMsg::decode`]; and a [`ContinuityGap`] — on a stream
-    /// still good to read — for a continuing batch that does not start
-    /// where `history` ends.
-    fn decode_on(binary: bool, body: &[u8], _history: &mut History) -> io::Result<Self> {
-        Self::decode(binary, body)
+    /// Those of [`WireMsg::decode_in`].
+    fn decode(body: &[u8]) -> io::Result<Self> {
+        Self::decode_in(body, None)
+    }
+
+    /// Decodes one complete frame body against and into a connection's
+    /// `history`: [`WireMsg::decode_in`] with it.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`WireMsg::decode_in`].
+    fn decode_on(body: &[u8], history: &mut History) -> io::Result<Self> {
+        Self::decode_in(body, Some(history))
     }
 }
 
@@ -361,6 +411,8 @@ pub(crate) const BIN_KIND_PING: u8 = 7;
 const BIN_KIND_FIN: u8 = 8;
 /// Binary body kind byte: a store query (`StoreRpc::Query`).
 pub(crate) const BIN_KIND_QUERY: u8 = 9;
+/// Binary body kind byte: a [`Hello`].
+const BIN_KIND_HELLO: u8 = 10;
 
 /// Flags bit: a [`TraceContext`] section follows the fixed header.
 pub(crate) const BIN_FLAG_TRACE: u8 = 1;
@@ -647,13 +699,33 @@ pub(crate) fn read_batch<T: BinPayload>(
     read.map(|payloads| (head, trace, payloads))
 }
 
-impl<T: BinPayload> Frame<T> {
-    /// Decodes a frame body, against and into `history` when a
-    /// connection's reader holds one ([`WireMsg::decode_on`]).
-    fn decode_in(binary: bool, body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
-        if !binary {
-            return Err(invalid("a JSON body after the hello, where every frame is binary"));
+/// Reads a body's member section, which must end it.
+fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
+    let payloads = read_members(r).map_err(invalid)?;
+    match r.remaining() {
+        0 => Ok(payloads),
+        n => Err(invalid(format!("binary frame has {n} trailing bytes"))),
+    }
+}
+
+impl<T: BinPayload> WireMsg for Frame<T> {
+    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<()> {
+        match self {
+            Frame::ItemBatch { first_seq, payloads, trace } => {
+                enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace);
+            }
+            Frame::DeliverBatch { topic, payloads, trace } => {
+                enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
+            }
+            Frame::Ack { up_to } => put_control(buf, BIN_KIND_ACK, Some(*up_to)),
+            Frame::Nack { expected } => put_control(buf, BIN_KIND_NACK, Some(*expected)),
+            Frame::Ping => put_control(buf, BIN_KIND_PING, None),
+            Frame::Fin => put_control(buf, BIN_KIND_FIN, None),
         }
+        Ok(())
+    }
+
+    fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
         if let Some(&(BIN_KIND_ACK | BIN_KIND_NACK | BIN_KIND_PING | BIN_KIND_FIN)) = body.first() {
             return read_control(body, 0, |kind, _, r| {
                 Ok(match kind {
@@ -674,41 +746,6 @@ impl<T: BinPayload> Frame<T> {
             // `FRAME_KINDS` names no store reply, so none is read here.
             (Head::Reply, ..) => Err(invalid("a store reply read as a frame")),
         }
-    }
-}
-
-/// Reads a body's member section, which must end it.
-fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
-    let payloads = read_members(r).map_err(invalid)?;
-    match r.remaining() {
-        0 => Ok(payloads),
-        n => Err(invalid(format!("binary frame has {n} trailing bytes"))),
-    }
-}
-
-impl<T: BinPayload> WireMsg for Frame<T> {
-    fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<bool> {
-        match self {
-            Frame::ItemBatch { first_seq, payloads, trace } => {
-                enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace);
-            }
-            Frame::DeliverBatch { topic, payloads, trace } => {
-                enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
-            }
-            Frame::Ack { up_to } => put_control(buf, BIN_KIND_ACK, Some(*up_to)),
-            Frame::Nack { expected } => put_control(buf, BIN_KIND_NACK, Some(*expected)),
-            Frame::Ping => put_control(buf, BIN_KIND_PING, None),
-            Frame::Fin => put_control(buf, BIN_KIND_FIN, None),
-        }
-        Ok(true)
-    }
-
-    fn decode(binary: bool, body: &[u8]) -> io::Result<Self> {
-        Frame::decode_in(binary, body, None)
-    }
-
-    fn decode_on(binary: bool, body: &[u8], history: &mut History) -> io::Result<Self> {
-        Frame::decode_in(binary, body, Some(history))
     }
 }
 
@@ -873,7 +910,7 @@ fn write_batch<T: BinPayload>(
     while lo < payloads.len() {
         body.clear();
         lo += pack_chunk(members, seq, body, head.at(lo), &payloads[lo..], trace, Some(max_len));
-        write_frame(w, true, body)?;
+        write_frame(w, body)?;
         frames += 1;
     }
     Ok(frames)
@@ -1014,25 +1051,22 @@ pub fn write_msg_bin<M: WireMsg>(
     // the encoder.
     let mut body = std::mem::take(&mut enc.body);
     body.clear();
-    let written = msg.encode(enc, &mut body).and_then(|binary| write_frame(w, binary, &body));
+    let written = msg.encode(enc, &mut body).and_then(|()| write_frame(w, &body));
     enc.body = body;
     written
 }
 
-/// Writes one frame: the length word (with [`BIN_FRAME_BIT`] set for a
-/// binary body), then the body, as a single vectored write and exactly
-/// one flush (the frame-alignment invariant
+/// Writes one frame: the length word, then the body, as a single
+/// vectored write and exactly one flush (the frame-alignment invariant
 /// [`crate::faulted::FaultedWriter`] relies on). A body longer than a
-/// reader accepts — [`MAX_FRAME_LEN`] binary, [`MAX_HELLO_LEN`] JSON —
-/// is refused with `InvalidInput` before a byte is written.
-fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> {
-    let limit = if binary { MAX_FRAME_LEN } else { MAX_HELLO_LEN };
-    if body.len() > limit {
-        let why = format!("a frame of {} bytes exceeds {limit}", body.len());
+/// reader accepts, [`MAX_FRAME_LEN`], is refused with `InvalidInput`
+/// before a byte is written.
+fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    if body.len() > MAX_FRAME_LEN {
+        let why = format!("a frame of {} bytes exceeds {MAX_FRAME_LEN}", body.len());
         return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
     }
-    let word = (body.len() as u32) | if binary { BIN_FRAME_BIT } else { 0 };
-    let header = word.to_be_bytes();
+    let header = (body.len() as u32).to_be_bytes();
     let mut headed = 0; // bytes of the header written so far
     let mut bodied = 0; // bytes of the body written so far
     while headed < header.len() || bodied < body.len() {
@@ -1056,8 +1090,8 @@ fn write_frame(w: &mut impl Write, binary: bool, body: &[u8]) -> io::Result<()> 
 }
 
 /// Most bytes a [`FrameReader`] grows its buffer by for one read: a
-/// binary body's buffer follows the body's bytes as they arrive, so a
-/// length word — a peer's claim — never sizes it. Every frame the
+/// body's buffer follows the body's bytes as they arrive, so a length
+/// word — a peer's claim — never sizes it. Every frame the
 /// pipeline sends in steady state fits one step.
 const READ_STEP: usize = 64 << 10;
 
@@ -1071,9 +1105,7 @@ const READ_STEP: usize = 64 << 10;
 /// frame across calls, so a timed-out [`FrameReader::read_msg`] is
 /// simply called again and resumes where the stream left off.
 ///
-/// What a peer's length word can make it hold is bounded: a JSON body —
-/// a hello — is refused as soon as a word claims more than
-/// [`MAX_HELLO_LEN`], the largest one is, and a binary body's
+/// What a peer's length word can make it hold is bounded: a body's
 /// buffer grows 64 KiB at a time as its bytes arrive.
 pub struct FrameReader<R> {
     inner: R,
@@ -1084,14 +1116,11 @@ pub struct FrameReader<R> {
     need: usize,
     /// Whether `need` already accounts for the body length.
     have_header: bool,
-    /// Whether the current frame's length word announced a binary
-    /// body ([`BIN_FRAME_BIT`]).
-    bin: bool,
     /// Installed recv-side fault stream; `None` is a clean wire.
     faults: Option<sdci_faults::StreamFaults>,
-    /// Raw body (and its encoding) of a frame an injected *duplicate*
-    /// fault will deliver again on the next call.
-    replay: Option<(bool, Vec<u8>)>,
+    /// Raw body of a frame an injected *duplicate* fault will deliver
+    /// again on the next call.
+    replay: Option<Vec<u8>>,
     /// What the batch frames read so far carried, for the next one to
     /// continue ([`WireMsg::decode_on`]).
     history: History,
@@ -1122,7 +1151,6 @@ impl<R: Read> FrameReader<R> {
             buf: Vec::new(),
             need: FRAME_HEADER_LEN,
             have_header: false,
-            bin: false,
             faults,
             replay: None,
             history: History::default(),
@@ -1140,13 +1168,12 @@ impl<R: Read> FrameReader<R> {
     ///
     /// `WouldBlock`/`TimedOut` are resumable: call again to continue
     /// the same frame. Any other error — `InvalidData` on a length word
-    /// over [`MAX_FRAME_LEN`], or over [`MAX_HELLO_LEN`] for a JSON body,
-    /// or a body [`WireMsg::decode`] rejects — means the stream is no
-    /// longer usable.
+    /// over [`MAX_FRAME_LEN`], or a body [`WireMsg::decode`] rejects —
+    /// means the stream is no longer usable.
     pub fn read_msg<M: WireMsg>(&mut self) -> io::Result<M> {
-        if let Some((was_bin, body)) = self.replay.take() {
+        if let Some(body) = self.replay.take() {
             // The second delivery of an injected duplicate.
-            return M::decode_on(was_bin, &body, &mut self.history);
+            return M::decode_on(&body, &mut self.history);
         }
         if let Some(faults) = &self.faults {
             if faults.partitioned() {
@@ -1200,7 +1227,7 @@ impl<R: Read> FrameReader<R> {
                     }
                     Some(sdci_faults::FrameFault::Duplicate) => {
                         crate::faulted::record_fault("recv", "duplicate");
-                        self.replay = Some((self.bin, self.buf[FRAME_HEADER_LEN..].to_vec()));
+                        self.replay = Some(self.buf[FRAME_HEADER_LEN..].to_vec());
                     }
                     Some(sdci_faults::FrameFault::Delay(dur)) => {
                         crate::faulted::record_fault("recv", "delay");
@@ -1208,23 +1235,16 @@ impl<R: Read> FrameReader<R> {
                     }
                     Some(sdci_faults::FrameFault::Deliver) | None => {}
                 }
-                let result =
-                    M::decode_on(self.bin, &self.buf[FRAME_HEADER_LEN..], &mut self.history);
+                let result = M::decode_on(&self.buf[FRAME_HEADER_LEN..], &mut self.history);
                 self.buf.clear();
                 self.need = FRAME_HEADER_LEN;
                 self.have_header = false;
                 return result;
             }
             let header: [u8; FRAME_HEADER_LEN] = std::array::from_fn(|i| self.buf[i]);
-            let word = u32::from_be_bytes(header);
-            self.bin = word & BIN_FRAME_BIT != 0;
-            let len = (word & !BIN_FRAME_BIT) as usize;
+            let len = u32::from_be_bytes(header) as usize;
             if len > MAX_FRAME_LEN {
                 return Err(invalid(format!("frame length {len} exceeds {MAX_FRAME_LEN}")));
-            }
-            if !self.bin && len > MAX_HELLO_LEN {
-                let why = format!("a JSON body of {len} bytes exceeds {MAX_HELLO_LEN}");
-                return Err(invalid(why));
             }
             self.need = FRAME_HEADER_LEN + len;
             self.have_header = true;
@@ -1256,22 +1276,48 @@ mod tests {
         }
     }
 
-    /// DESIGN.md quotes the wire version in prose and in its sample
-    /// hellos; every quote must name the version this crate speaks.
+    /// DESIGN.md quotes the wire version in prose and lays out its sample
+    /// hellos byte for byte; every quote must name the version this crate
+    /// speaks, and every sample must be the frame this crate writes for
+    /// the service named beside it.
     #[test]
     fn the_design_doc_quotes_the_current_wire_version() {
         let doc = include_str!("../../../DESIGN.md");
+        let marker = "WIRE_PROTO = ";
         let mut quotes = 0;
-        for marker in ["\"proto\":", "WIRE_PROTO = "] {
-            for (at, _) in doc.match_indices(marker) {
-                let rest = &doc[at + marker.len()..];
-                let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-                let quoted: u32 = rest[..digits].parse().expect("a version number");
-                assert_eq!(quoted, WIRE_PROTO, "DESIGN.md quotes `{marker}{quoted}`");
-                quotes += 1;
+        for (at, _) in doc.match_indices(marker) {
+            let rest = &doc[at + marker.len()..];
+            let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+            let quoted: u32 = rest[..digits].parse().expect("a version number");
+            assert_eq!(quoted, WIRE_PROTO, "DESIGN.md quotes `{marker}{quoted}`");
+            quotes += 1;
+        }
+        assert!(quotes >= 1, "DESIGN.md quotes the wire version {quotes} times");
+
+        // A sample hello: a line of hex bytes that opens with a length word
+        // and kind 10, then the name of the service it asks for.
+        let mut samples = Vec::new();
+        for line in doc.lines() {
+            let mut tokens = line.split_whitespace().peekable();
+            let mut bytes = Vec::new();
+            while let Some(byte) =
+                tokens.peek().filter(|t| t.len() == 2).and_then(|t| u8::from_str_radix(t, 16).ok())
+            {
+                bytes.push(byte);
+                tokens.next();
+            }
+            if bytes.len() > FRAME_HEADER_LEN && bytes[FRAME_HEADER_LEN] == BIN_KIND_HELLO {
+                let hello = read_one::<Hello>(&bytes).expect(line);
+                assert_eq!(hello.proto, WIRE_PROTO, "DESIGN.md lays out `{line}`");
+                let mut written = Vec::new();
+                write_hello(&mut written, hello.service.clone()).unwrap();
+                assert_eq!(written, bytes, "DESIGN.md lays out `{line}`");
+                let named = tokens.next().unwrap_or_default();
+                assert!(named.eq_ignore_ascii_case(hello.service.name()), "{line}");
+                samples.push(hello.service.name());
             }
         }
-        assert!(quotes >= 5, "DESIGN.md quotes the wire version {quotes} times");
+        assert_eq!(samples, ["push", "subscriber", "store"], "DESIGN.md's sample hellos");
     }
 
     /// Reads the first frame of an in-memory stream.
@@ -1279,64 +1325,60 @@ mod tests {
         FrameReader::new(buf).read_msg()
     }
 
-    /// Splits `buf` into raw `(is_binary, body)` frames without decoding.
-    fn raw_frames(mut buf: &[u8]) -> Vec<(bool, Vec<u8>)> {
+    /// Splits `buf` into raw frame bodies without decoding.
+    fn raw_frames(mut buf: &[u8]) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         while !buf.is_empty() {
-            let word = u32::from_be_bytes(buf[..4].try_into().unwrap());
-            let len = (word & !BIN_FRAME_BIT) as usize;
-            out.push((word & BIN_FRAME_BIT != 0, buf[4..4 + len].to_vec()));
+            let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
+            out.push(buf[4..4 + len].to_vec());
             buf = &buf[4 + len..];
         }
         out
     }
 
-    /// Frames `body` under a length word announcing the given encoding.
-    fn framed(binary: bool, body: &[u8]) -> Vec<u8> {
-        let word = (body.len() as u32) | if binary { BIN_FRAME_BIT } else { 0 };
-        let mut buf = word.to_be_bytes().to_vec();
+    /// Frames `body` under its length word.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(body);
         buf
     }
 
-    /// Writes `frame`, checks the length word and the encoding it
-    /// announces, and reads the same frame back.
-    fn roundtrip(frame: Frame<FileEvent>, binary: bool) {
+    /// Writes `frame`, checks it is one frame, and reads it back.
+    fn roundtrip(frame: Frame<FileEvent>) {
         let mut buf = Vec::new();
         write_msg(&mut buf, &frame).unwrap();
-        let frames = raw_frames(&buf);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].0, binary, "wrong encoding for {frame:?}");
+        assert_eq!(raw_frames(&buf).len(), 1);
         assert_eq!(read_one::<Frame<FileEvent>>(&buf).unwrap(), frame);
     }
 
     #[test]
-    fn control_frames_and_batches_roundtrip_as_binary() {
-        roundtrip(Frame::Nack { expected: 12 }, true);
-        roundtrip(Frame::Ack { up_to: 9 }, true);
-        roundtrip(Frame::Ack { up_to: u64::MAX }, true);
-        roundtrip(Frame::Ping, true);
-        roundtrip(Frame::Fin, true);
+    fn control_frames_and_batches_roundtrip() {
+        roundtrip(Frame::Nack { expected: 12 });
+        roundtrip(Frame::Ack { up_to: 9 });
+        roundtrip(Frame::Ack { up_to: u64::MAX });
+        roundtrip(Frame::Ping);
+        roundtrip(Frame::Fin);
         for trace in [None, Some(TraceContext::sampled(0xabcd, 0x1234))] {
-            roundtrip(
-                Frame::ItemBatch { first_seq: 7, payloads: vec![event(7), event(8)], trace },
-                true,
-            );
-            roundtrip(
-                Frame::DeliverBatch { topic: "feed/all".into(), payloads: vec![event(4)], trace },
-                true,
-            );
+            roundtrip(Frame::ItemBatch { first_seq: 7, payloads: vec![event(7), event(8)], trace });
+            roundtrip(Frame::DeliverBatch {
+                topic: "feed/all".into(),
+                payloads: vec![event(4)],
+                trace,
+            });
         }
     }
 
-    /// A hello is the plain externally-tagged JSON, its version field
-    /// first; every control frame after it is a kind byte, a zero flags
-    /// byte and its field as a varint — an ack of a mark below 2^21 is
-    /// nine bytes framed.
+    /// A hello is a control frame of kind 10: its version first, then a
+    /// service tag and the service's fields; every control frame after it
+    /// is a kind byte, a zero flags byte and its field as a varint — an
+    /// ack of a mark below 2^21 is nine bytes framed. The length word is
+    /// the body's length and nothing else.
     #[test]
-    fn hellos_are_plain_json_and_control_frames_a_few_binary_bytes() {
+    fn hellos_and_control_frames_are_a_few_binary_bytes() {
         let mut buf = Vec::new();
         write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 41 }).unwrap();
+        let prefixes = vec!["feed/".into(), String::new()];
+        write_hello(&mut buf, Service::Subscriber { prefixes }).unwrap();
         write_hello(&mut buf, Service::Store).unwrap();
         for frame in [
             Frame::<FileEvent>::Ack { up_to: 9 },
@@ -1347,18 +1389,21 @@ mod tests {
         ] {
             write_msg(&mut buf, &frame).unwrap();
         }
+        assert_eq!(buf[..FRAME_HEADER_LEN], [0, 0, 0, 10]);
         let frames = raw_frames(&buf);
-        assert_eq!(
-            std::str::from_utf8(&frames[0].1).unwrap(),
-            r#"{"proto":17,"service":{"Push":{"client":"mdt0","resume_after":41}}}"#
-        );
-        assert_eq!(std::str::from_utf8(&frames[1].1).unwrap(), r#"{"proto":17,"service":"Store"}"#);
-        let bodies: Vec<&[u8]> = frames[2..].iter().map(|(_, body)| &body[..]).collect();
-        let want: [&[u8]; 5] =
-            [&[5, 0, 9], &[5, 0, 0xff, 0xff, 0x7f], &[6, 0, 0xac, 2], &[7, 0], &[8, 0]];
+        let bodies: Vec<&[u8]> = frames.iter().map(|body| &body[..]).collect();
+        let want: [&[u8]; 8] = [
+            &[10, 0, WIRE_PROTO as u8, 1, 4, b'm', b'd', b't', b'0', 41],
+            &[10, 0, WIRE_PROTO as u8, 2, 2, 5, b'f', b'e', b'e', b'd', b'/', 0],
+            &[10, 0, WIRE_PROTO as u8, 3],
+            &[5, 0, 9],
+            &[5, 0, 0xff, 0xff, 0x7f],
+            &[6, 0, 0xac, 2],
+            &[7, 0],
+            &[8, 0],
+        ];
         assert_eq!(bodies, want);
-        assert!(frames[2..].iter().all(|(binary, _)| *binary));
-        assert_eq!(FRAME_HEADER_LEN + want[1].len(), 9);
+        assert_eq!(FRAME_HEADER_LEN + want[4].len(), 9);
     }
 
     /// A control body is exact: a flags bit, a byte after its field, a
@@ -1375,36 +1420,68 @@ mod tests {
             &[6, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
         ];
         for body in bodies {
-            let err = Frame::<FileEvent>::decode(true, body).unwrap_err();
+            let err = Frame::<FileEvent>::decode(body).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body:?}");
         }
     }
 
+    /// Every hello round-trips, whatever version it names: the version
+    /// rule is the endpoint's, not the codec's. A hello is exact: another
+    /// kind, a flags bit, a missing version or service, a version past
+    /// `u32`, a tag no service has, a field cut short, a prefix count past
+    /// the body, a varint spelled with a redundant byte, a byte after the
+    /// last field — or a previous build's JSON hello — is `InvalidData`.
     #[test]
-    fn every_hello_roundtrips_and_a_versionless_one_is_invalid_data() {
+    fn every_hello_roundtrips_and_a_malformed_one_is_invalid_data() {
         for service in [
-            Service::Push { client: "mdt0".into(), resume_after: 41 },
-            Service::Subscriber { prefixes: vec!["events/".into(), String::new()] },
+            Service::Push { client: "mdt0".into(), resume_after: u64::MAX },
+            Service::Subscriber { prefixes: vec!["events/".into(), String::new(), "é/".into()] },
+            Service::Subscriber { prefixes: Vec::new() },
             Service::Store,
         ] {
             let mut buf = Vec::new();
             write_hello(&mut buf, service.clone()).unwrap();
             assert_eq!(read_one::<Hello>(&buf).unwrap(), Hello { proto: WIRE_PROTO, service });
         }
-        for body in
-            [r#"{"service":"Store"}"#, r#"{"proto":16}"#, r#"{"proto":16,"service":"Nope"}"#]
-        {
-            let err = read_one::<Hello>(&framed(false, body.as_bytes())).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
+        let other = Hello { proto: u32::MAX, service: Service::Store };
+        let mut buf = Vec::new();
+        write_msg(&mut buf, &other).unwrap();
+        assert_eq!(read_one::<Hello>(&buf).unwrap(), other);
+        let bodies: [&[u8]; 16] = [
+            &[],
+            &[10],
+            &[10, 0],
+            &[10, 0, 18],
+            &[9, 0, 18, 3],
+            &[10, 1, 18, 3],
+            &[10, 0, 18, 3, 0],
+            &[10, 0, 18, 4],
+            &[10, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 3],
+            &[10, 0, 18, 1, 4, b'm', b'd'],
+            &[10, 0, 18, 1, 2, 0xff, 0xfe, 0],
+            &[10, 0, 18, 2, 3, 0, 0],
+            &[10, 0, 0x92, 0, 3],
+            &[10, 0, 18, 1, 0x80, 0, 41],
+            &[10, 0, 18, 2, 0x81, 0, 0],
+            br#"{"proto":17,"service":"Store"}"#,
+        ];
+        for body in bodies {
+            let err = read_one::<Hello>(&framed(body)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body:?}");
+        }
+        // The refusal an operator reads names a body of another kind as
+        // one: an older build's hello by its first byte, `{`.
+        for (body, kind) in [(bodies[4], "kind 9 is no hello"), (bodies[15], "kind 123")] {
+            let err = read_one::<Hello>(&framed(body)).unwrap_err();
+            assert!(err.to_string().contains(kind), "{err}");
         }
     }
 
-    /// No JSON frame is written that a reader would refuse for its
-    /// length: a hello of a thousand sixty-byte prefixes fits, and one
-    /// of a megabyte fails at its writer, not at the connection's other
-    /// end.
+    /// No hello is written that an endpoint would refuse for its length:
+    /// one of a thousand sixty-byte prefixes fits, and one of a megabyte
+    /// fails at its writer, not at the connection's other end.
     #[test]
-    fn a_control_frame_longer_than_a_reader_accepts_is_not_written() {
+    fn a_hello_longer_than_an_endpoint_reads_is_not_written() {
         let prefixes =
             |n: usize, len: usize| Service::Subscriber { prefixes: vec!["p".repeat(len); n] };
         let mut buf = Vec::new();
@@ -1422,11 +1499,10 @@ mod tests {
     #[test]
     fn http_get_is_never_a_legal_length_word() {
         assert!(u32::from_be_bytes(*b"GET ") as usize > MAX_FRAME_LEN);
-        assert_eq!(u32::from_be_bytes(*b"GET ") & BIN_FRAME_BIT, 0, "nor a binary frame's");
     }
 
-    /// After the hello no frame has a JSON form, batch or control frame:
-    /// a JSON body is corruption.
+    /// No frame has a JSON form, batch or control frame: a JSON body is
+    /// corruption.
     #[test]
     fn json_batches_and_control_frames_are_invalid_data() {
         for body in [
@@ -1438,7 +1514,7 @@ mod tests {
             r#""Ping""#,
             r#""Fin""#,
         ] {
-            let buf = framed(false, body.as_bytes());
+            let buf = framed(body.as_bytes());
             let err = read_one::<Frame<u64>>(&buf).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body}");
         }
@@ -1521,7 +1597,7 @@ mod tests {
 
     #[test]
     fn garbage_json_is_invalid_data() {
-        let buf = framed(false, b"not json");
+        let buf = framed(b"not json");
         let err = read_one::<Frame<FileEvent>>(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -1538,7 +1614,6 @@ mod tests {
             assert_eq!(frames.unwrap(), 1);
             write_deliver_batch_bin(&mut via_writer, &mut enc, "feed/all", &payloads, trace)
                 .unwrap();
-            assert!(raw_frames(&via_writer).iter().all(|(bin, _)| *bin));
 
             let mut via_frame = Vec::new();
             for frame in [
@@ -1551,10 +1626,10 @@ mod tests {
         }
     }
 
-    /// One `FrameReader` reads a connection's JSON hello, then binary
-    /// batches and the control frames between them.
+    /// One `FrameReader` reads a connection's hello, then batches and the
+    /// control frames between them.
     #[test]
-    fn a_json_hello_then_binary_batches_and_control_frames_on_one_stream() {
+    fn a_hello_then_batches_and_control_frames_on_one_stream() {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         write_hello(&mut buf, Service::Push { client: "mdt0".into(), resume_after: 0 }).unwrap();
@@ -1582,7 +1657,7 @@ mod tests {
         let head = BatchHead::FirstSeq(1);
         let frames =
             write_batch(&mut buf, &mut BinEncoder::new(), head, payloads, None, max_len).unwrap();
-        let bodies: Vec<Vec<u8>> = raw_frames(&buf).into_iter().map(|(_, body)| body).collect();
+        let bodies = raw_frames(&buf);
         assert_eq!(bodies.len(), frames);
         bodies
     }
@@ -1603,7 +1678,7 @@ mod tests {
                 .iter()
                 .map(|body| {
                     assert!(body.len() <= cap, "a body of {} bytes, cap {cap}", body.len());
-                    match Frame::<u64>::decode(true, body).unwrap() {
+                    match Frame::<u64>::decode(body).unwrap() {
                         Frame::ItemBatch { payloads, .. } => payloads.len(),
                         other => panic!("expected ItemBatch, got {other:?}"),
                     }
@@ -1638,7 +1713,7 @@ mod tests {
         let payloads: Vec<u64> = (0..20_000).collect();
         let counts: Vec<usize> = split_at(&payloads, MAX_FRAME_LEN)
             .iter()
-            .map(|body| match Frame::<u64>::decode(true, body).unwrap() {
+            .map(|body| match Frame::<u64>::decode(body).unwrap() {
                 Frame::ItemBatch { payloads, .. } => payloads.len(),
                 other => panic!("expected ItemBatch, got {other:?}"),
             })
@@ -1688,8 +1763,7 @@ mod tests {
     /// The flags byte of every member of an item-batch body: each
     /// member's first raw byte — what a coded section codes, byte for byte.
     fn member_flags(body: &[u8]) -> Vec<u8> {
-        let Frame::ItemBatch { payloads, .. } = Frame::<FileEvent>::decode(true, body).unwrap()
-        else {
+        let Frame::ItemBatch { payloads, .. } = Frame::<FileEvent>::decode(body).unwrap() else {
             panic!("an item batch");
         };
         let (mut seq, mut members, mut flags) = (SeqEncoder::new(), Vec::new(), Vec::new());
@@ -1735,10 +1809,10 @@ mod tests {
                 assert!(chunk.len() <= cap, "cap {cap}: a chunk of {} bytes", chunk.len());
                 assert_eq!(chunk[1] & BIN_FLAG_CONTINUES != 0, i > 0, "cap {cap}, chunk {i}");
                 if i > 0 {
-                    let err = Frame::<FileEvent>::decode(true, chunk).unwrap_err();
+                    let err = Frame::<FileEvent>::decode(chunk).unwrap_err();
                     assert!(err.to_string().contains("decoded apart"), "{err}");
                 }
-                match Frame::<FileEvent>::decode_on(true, chunk, &mut history).unwrap() {
+                match Frame::<FileEvent>::decode_on(chunk, &mut history).unwrap() {
                     Frame::ItemBatch { first_seq, payloads: members, .. } => {
                         assert_eq!(first_seq, 1 + got.len() as u64);
                         let mut fresh = Vec::new();
@@ -1914,7 +1988,7 @@ mod tests {
         prop_assert_eq!(whole.len(), 1);
         let frame = Frame::ItemBatch { first_seq: 1, payloads: payloads.to_vec(), trace: None };
         let mut body = Vec::new();
-        prop_assert!(frame.encode(&mut BinEncoder::new(), &mut body).unwrap());
+        frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
         prop_assert_eq!(&body, &whole[0], "the chunker and the frame encoding disagree");
         let raw = raw_item_body(payloads);
         prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
@@ -1925,7 +1999,7 @@ mod tests {
             let mut got = Vec::new();
             let mut history = History::default();
             for chunk in split_at(payloads, cap) {
-                match Frame::<T>::decode_on(true, &chunk, &mut history) {
+                match Frame::<T>::decode_on(&chunk, &mut history) {
                     Ok(Frame::ItemBatch { first_seq, payloads: members, trace: None }) => {
                         prop_assert_eq!(first_seq, 1 + got.len() as u64, "cap {}", cap);
                         prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
@@ -1942,7 +2016,7 @@ mod tests {
                             );
                         } else {
                             prop_assert!(!got.is_empty() && members[0].event().is_some());
-                            prop_assert!(Frame::<T>::decode(true, &chunk).is_err(), "cap {}", cap);
+                            prop_assert!(Frame::<T>::decode(&chunk).is_err(), "cap {}", cap);
                         }
                         got.extend(members);
                     }
@@ -1989,7 +2063,7 @@ mod tests {
             frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
             let raw = raw_item_body(&batch);
             prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
-            prop_assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), frame);
+            prop_assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), frame);
         }
 
         #[test]
@@ -2013,8 +2087,8 @@ mod tests {
                 .collect();
             let reply = crate::store_rpc::StoreRpc::Batch { events };
             let mut body = Vec::new();
-            prop_assert!(reply.encode(&mut BinEncoder::new(), &mut body).unwrap());
-            prop_assert_eq!(crate::store_rpc::StoreRpc::decode(true, &body).unwrap(), reply);
+            reply.encode(&mut BinEncoder::new(), &mut body).unwrap();
+            prop_assert_eq!(crate::store_rpc::StoreRpc::decode(&body).unwrap(), reply);
         }
     }
 
@@ -2053,10 +2127,10 @@ mod tests {
         assert_eq!(mask & Class::Path.bit(), 0, "a code over 90-odd byte values does not pay");
         assert_ne!(mask & Class::Flags.bit(), 0, "{mask:#x}");
         assert!(body.len() < raw_item_body(&wide).len());
-        assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), frame);
+        assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), frame);
         let mut written = Vec::new();
         write_item_batch_bin(&mut written, &mut BinEncoder::new(), 1, &wide, None).unwrap();
-        assert_eq!(raw_frames(&written), [(true, body)]);
+        assert_eq!(raw_frames(&written), [body]);
     }
 
     /// How many bytes the code table at the front of `bytes` takes: its
@@ -2100,7 +2174,7 @@ mod tests {
         }
         assert_eq!(body[head], 77, "first_seq, a one-byte varint");
         assert!(body.len() < raw_item_body(&payloads).len());
-        assert_eq!(read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap(), frame);
+        assert_eq!(read_one::<Frame<FileEvent>>(&framed(&body)).unwrap(), frame);
     }
 
     #[test]
@@ -2109,9 +2183,9 @@ mod tests {
         let mut buf = Vec::new();
         write_item_batch_bin(&mut buf, &mut enc, 1, &[event(1)], None).unwrap();
         // Stretch the length word over one junk byte appended to the body.
-        let mut body = raw_frames(&buf).remove(0).1;
+        let mut body = raw_frames(&buf).remove(0);
         body.push(0xff);
-        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
+        let err = read_one::<Frame<FileEvent>>(&framed(&body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("trailing"), "got: {err}");
     }
@@ -2121,21 +2195,21 @@ mod tests {
         use crate::store_rpc::StoreRpc;
 
         // Kind 2 (a topic-headed batch *towards* a broker) is as unknown as
-        // 10, and each reader refuses the kinds that are another's: a store
+        // 11, and each reader refuses the kinds that are another's: a store
         // reply or query on a push or feed connection, an ack or a `Fin` on
-        // a store connection.
-        for kind in [2, 3, 9, 10] {
-            let err = read_one::<Frame<FileEvent>>(&framed(true, &[kind, 0])).unwrap_err();
+        // a store connection, a hello after the hello.
+        for kind in [2, 3, 9, 10, 11] {
+            let err = read_one::<Frame<FileEvent>>(&framed(&[kind, 0])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
         }
-        for kind in [1, 2, 4, 5, 6, 8, 10] {
-            let err = read_one::<StoreRpc>(&framed(true, &[kind, 0, 1])).unwrap_err();
+        for kind in [1, 2, 4, 5, 6, 8, 10, 11] {
+            let err = read_one::<StoreRpc>(&framed(&[kind, 0, 1])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
         }
         let body = [BIN_KIND_ITEM_BATCH, 0x7e];
-        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
+        let err = read_one::<Frame<FileEvent>>(&framed(&body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -2147,7 +2221,7 @@ mod tests {
         bin_header(&mut body, BIN_KIND_ITEM_BATCH, None);
         put_varint(&mut body, 1); // first_seq
         put_varint(&mut body, u64::MAX); // count
-        let err = read_one::<Frame<FileEvent>>(&framed(true, &body)).unwrap_err();
+        let err = read_one::<Frame<FileEvent>>(&framed(&body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -2172,10 +2246,10 @@ mod tests {
         assert_eq!(events.len(), 8 * MAX_FRAME_MEMBERS);
         let reply = StoreRpc::Batch { events };
         let mut body = Vec::new();
-        assert!(reply.encode(&mut BinEncoder::new(), &mut body).unwrap());
+        reply.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body[1], BIN_FLAG_CODED);
         assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
-        assert_eq!(StoreRpc::decode(true, &body).unwrap(), reply);
+        assert_eq!(StoreRpc::decode(&body).unwrap(), reply);
     }
 
     /// The replies of one store connection continue one another, keyed by
@@ -2199,7 +2273,7 @@ mod tests {
             write_msg_bin(&mut buf, &mut enc, reply).unwrap();
         }
         let frames = raw_frames(&buf);
-        let flags: Vec<u8> = frames.iter().map(|(_, body)| body[1]).collect();
+        let flags: Vec<u8> = frames.iter().map(|body| body[1]).collect();
         let continues = flags.iter().map(|flags| flags & BIN_FLAG_CONTINUES != 0);
         assert_eq!(continues.collect::<Vec<_>>(), [false, true, true, false, false, true]);
         // These few members go out raw, so the position is the byte after
@@ -2208,18 +2282,18 @@ mod tests {
         // after the empty one.
         for (frame, position) in [(1, 3), (2, 5), (5, 3)] {
             assert_eq!(flags[frame] & BIN_FLAG_CODED, 0, "reply {frame}");
-            assert_eq!(frames[frame].1[2], position, "reply {frame}");
+            assert_eq!(frames[frame][2], position, "reply {frame}");
         }
         let mut reader = FrameReader::new(&buf[..]);
         for reply in &replies {
             assert_eq!(&reader.read_msg::<StoreRpc>().unwrap(), reply);
         }
-        let err = StoreRpc::decode(true, &frames[1].1).unwrap_err();
+        let err = StoreRpc::decode(&frames[1]).unwrap_err();
         assert!(err.to_string().contains("decoded apart from it"), "{err}");
     }
 
     #[test]
-    fn store_batch_is_binary_only_and_rejects_a_trace_section() {
+    fn store_batch_has_no_json_form_and_rejects_a_trace_section() {
         use crate::store_rpc::StoreRpc;
 
         let events: Vec<SequencedEvent> =
@@ -2228,12 +2302,11 @@ mod tests {
         let mut enc = BinEncoder::new();
         let mut buf = Vec::new();
         write_msg_bin(&mut buf, &mut enc, &reply).unwrap();
-        assert!(raw_frames(&buf)[0].0, "store batch replies go binary");
         assert_eq!(read_one::<StoreRpc>(&buf).unwrap(), reply);
 
         // A reply has no second encoding: a JSON body is none of a store
         // reader's.
-        let err = read_one::<StoreRpc>(&framed(false, br#"{"Batch":{"events":[]}}"#)).unwrap_err();
+        let err = read_one::<StoreRpc>(&framed(br#"{"Batch":{"events":[]}}"#)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Store batches carry no trace section; a flags bit claiming one
@@ -2241,7 +2314,7 @@ mod tests {
         let mut body = Vec::new();
         bin_header(&mut body, BIN_KIND_STORE_BATCH, Some(TraceContext::sampled(1, 2)));
         put_varint(&mut body, 0);
-        let err = read_one::<StoreRpc>(&framed(true, &body)).unwrap_err();
+        let err = read_one::<StoreRpc>(&framed(&body)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -167,8 +167,8 @@ fn resolve_batch_at(from: u64) -> Vec<SequencedEvent> {
 /// Decodes `msg`'s one body and returns the allocations that took.
 fn decode_cost<M: WireMsg + PartialEq + std::fmt::Debug>(msg: &M) -> u64 {
     let mut body = Vec::new();
-    assert!(msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes"), "a binary frame");
-    let (decoded, made) = allocations(|| M::decode(true, &body).expect("decodes"));
+    msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
+    let (decoded, made) = allocations(|| M::decode(&body).expect("decodes"));
     assert_eq!(&decoded, msg);
     made
 }
@@ -213,7 +213,7 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
         assert_ne!(mask & class.bit(), 0, "{kind}: {class} in {mask:#x}");
     }
     assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());
-    let (decoded, raw_made) = allocations(|| M::decode(true, raw).expect("raw decodes"));
+    let (decoded, raw_made) = allocations(|| M::decode(raw).expect("raw decodes"));
     assert_eq!(&decoded, msg);
     let coded_made = decode_cost(msg);
     assert_eq!(coded_made, raw_made, "{kind}: coded {coded_made} allocations, raw {raw_made}");
@@ -298,7 +298,7 @@ fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
                 let body = &out[4..];
                 assert_eq!(body[1] & 2, 2, "{n} members: coded");
                 assert_eq!(body[1] & 4 != 0, pass + i > 0, "{n} members: continues");
-                let decoded = StoreRpc::decode_on(true, body, &mut history).expect("decodes");
+                let decoded = StoreRpc::decode_on(body, &mut history).expect("decodes");
                 assert_eq!(&decoded, reply);
             }
         }
@@ -310,7 +310,7 @@ fn cloning_a_decoded_batch_allocates_once() {
     let reply = StoreRpc::Batch { events: batch() };
     let mut body = Vec::new();
     reply.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
-    let StoreRpc::Batch { events } = StoreRpc::decode(true, &body).expect("decodes") else {
+    let StoreRpc::Batch { events } = StoreRpc::decode(&body).expect("decodes") else {
         panic!("a store batch decodes as one");
     };
 
@@ -404,10 +404,10 @@ fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
         // frame, decoded next on a reader that holds everything before it.
         let fresh_made = {
             let mut replaced = History::default();
-            M::decode_on(true, &fresh, &mut replaced).expect("decodes");
-            allocations(|| M::decode_on(true, &fresh, &mut replaced)).1
+            M::decode_on(&fresh, &mut replaced).expect("decodes");
+            allocations(|| M::decode_on(&fresh, &mut replaced)).1
         };
-        let (decoded, decode_made) = allocations(|| M::decode_on(true, body, &mut history));
+        let (decoded, decode_made) = allocations(|| M::decode_on(body, &mut history));
         assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
         if n >= 2 {
             assert_eq!(made, 0, "{what} frame {n}: {made} allocations to encode");

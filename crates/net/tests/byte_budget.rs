@@ -174,9 +174,9 @@ fn bytes_per_member(members: usize) -> [f64; 3] {
         .map(|(seq, event)| SequencedEvent { seq, event: event.clone() })
         .collect();
     let feed = sequenced.iter().cloned().map(FeedMessage::Event).collect();
-    let per_member = |msg: &dyn Fn(&mut BinEncoder, &mut Vec<u8>) -> std::io::Result<bool>| {
+    let per_member = |msg: &dyn Fn(&mut BinEncoder, &mut Vec<u8>) -> std::io::Result<()>| {
         let mut body = Vec::new();
-        assert!(msg(&mut BinEncoder::new(), &mut body).expect("encodes"), "a binary frame");
+        msg(&mut BinEncoder::new(), &mut body).expect("encodes");
         body.len() as f64 / members as f64
     };
     let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
@@ -214,8 +214,8 @@ fn a_resolve_batch_costs_at_most_12_1_bytes_a_member_pushed() {
     assert!(creates.iter().all(|e| e.path.as_os_str().len() == 57));
     let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
     let mut body = Vec::new();
-    assert!(item.encode(&mut BinEncoder::new(), &mut body).expect("encodes"));
-    assert_eq!(Frame::<FileEvent>::decode(true, &body).expect("decodes"), item);
+    item.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
+    assert_eq!(Frame::<FileEvent>::decode(&body).expect("decodes"), item);
     let item = body.len() as f64 / 256.0;
     println!("256 resolve members: item {item:.3} B per member");
     assert!(item <= 12.1, "item batch: {item} B per member");
@@ -256,7 +256,7 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_10_5_bytes_a_membe
         let first_seq = 9 + (n * FRAME) as u64;
         write_item_batch_bin(&mut out, &mut enc, first_seq, frame, None).expect("writes");
         let body = &out[4..];
-        let decoded = Frame::<FileEvent>::decode_on(true, body, &mut history).expect("decodes");
+        let decoded = Frame::<FileEvent>::decode_on(body, &mut history).expect("decodes");
         let sent = Frame::ItemBatch { first_seq, payloads: frame.to_vec(), trace: None };
         assert_eq!(decoded, sent, "frame {n}");
         eighth = body.len() as f64 / FRAME as f64;
@@ -289,7 +289,7 @@ fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_0_bytes_a_mem
         write_deliver_batch_bin(&mut out, &mut enc, "feed/all", frame, None).expect("writes");
         let body = &out[4..];
         assert_eq!(body[1] & 4 != 0, n > 0, "frame {n} continues the one before");
-        let decoded = Frame::<FeedMessage>::decode_on(true, body, &mut history).expect("decodes");
+        let decoded = Frame::<FeedMessage>::decode_on(body, &mut history).expect("decodes");
         let topic = "feed/all".to_string();
         assert_eq!(decoded, Frame::DeliverBatch { topic, payloads: frame.to_vec(), trace: None });
         eighth = body.len() as f64 / FRAME as f64;
@@ -335,7 +335,7 @@ fn the_eighth_1_000_member_reply_of_one_store_connection_costs_at_most_9_7_bytes
         write_msg_bin(&mut out, &mut enc, reply).expect("writes");
         let body = &out[4..];
         assert_eq!(body[1] & 4 != 0, n > 0, "reply {n} continues the one before");
-        let decoded = StoreRpc::decode_on(true, body, &mut history).expect("decodes");
+        let decoded = StoreRpc::decode_on(body, &mut history).expect("decodes");
         assert_eq!(&decoded, reply, "reply {n}");
         let mut fresh = Vec::new();
         reply.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
@@ -360,7 +360,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
     let mut out = Vec::new();
     while let Some((word, rest)) = stream.split_first_chunk::<4>() {
-        let len = (u32::from_be_bytes(*word) & !sdci_net::wire::BIN_FRAME_BIT) as usize;
+        let len = u32::from_be_bytes(*word) as usize;
         out.push((len, fnv1a(&rest[..len])));
         stream = &rest[len..];
     }

@@ -77,18 +77,17 @@ impl Feed {
 
 /// A frame body exactly as it arrived, undecoded.
 struct Raw {
-    binary: bool,
     body: Vec<u8>,
 }
 
 impl WireMsg for Raw {
-    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<()> {
         buf.extend_from_slice(&self.body);
-        Ok(self.binary)
+        Ok(())
     }
 
-    fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
-        Ok(Raw { binary, body: body.to_vec() })
+    fn decode_in(body: &[u8], _history: Option<&mut History>) -> std::io::Result<Self> {
+        Ok(Raw { body: body.to_vec() })
     }
 }
 
@@ -130,7 +129,7 @@ impl RawSub {
     fn read(&mut self, window: Duration) -> bool {
         let deadline = Instant::now() + window;
         while Instant::now() < deadline {
-            let Raw { binary, body } = match self.reader.read_msg() {
+            let Raw { body } = match self.reader.read_msg() {
                 Ok(raw) => raw,
                 Err(e)
                     if matches!(
@@ -142,9 +141,8 @@ impl RawSub {
                 }
                 Err(e) => panic!("the connection failed: {e}"),
             };
-            assert!(binary, "a JSON frame after the hello");
             let continues = body[1] & CONTINUES != 0;
-            let seqs = match Frame::<FeedMessage>::decode_on(true, &body, &mut self.history) {
+            let seqs = match Frame::<FeedMessage>::decode_on(&body, &mut self.history) {
                 Ok(Frame::DeliverBatch { payloads, .. }) => payloads
                     .iter()
                     .map(|m| match m {

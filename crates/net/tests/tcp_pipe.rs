@@ -546,8 +546,8 @@ fn session_carries_the_trace_context_end_to_end() {
 #[test]
 fn raw_binary_batch_is_accepted_and_acked() {
     // Byte-level check of the push leg: a hand-rolled client says hello,
-    // receives the server's JSON greeting (the control plane is JSON),
-    // ships one *binary* `ItemBatch`, and must be acked once.
+    // receives the server's greeting ack, ships one `ItemBatch`, and must
+    // be acked once.
     let server = TcpPullServer::<u64>::new(64);
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
     let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "bin", 0);
@@ -735,18 +735,17 @@ fn continuing_frames_recover_from_drops_and_duplicates_via_fast_rewind() {
 
 /// A frame body exactly as it arrived, undecoded.
 struct Raw {
-    binary: bool,
     body: Vec<u8>,
 }
 
 impl WireMsg for Raw {
-    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    fn encode(&self, _enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<()> {
         buf.extend_from_slice(&self.body);
-        Ok(self.binary)
+        Ok(())
     }
 
-    fn decode(binary: bool, body: &[u8]) -> std::io::Result<Self> {
-        Ok(Raw { binary, body: body.to_vec() })
+    fn decode_in(body: &[u8], _history: Option<&mut History>) -> std::io::Result<Self> {
+        Ok(Raw { body: body.to_vec() })
     }
 }
 
@@ -762,9 +761,8 @@ fn serve_by_hand(listener: &TcpListener, mark: u64, events: usize) -> (Vec<bool>
     write_msg(&mut writer, &Frame::<FileEvent>::Ack { up_to: mark }).unwrap();
     let (mut history, mut continued, mut got) = (History::default(), Vec::new(), Vec::new());
     while got.len() < events {
-        let Raw { binary, body } = reader.read_msg().unwrap();
-        assert!(binary, "a JSON frame after the hello");
-        match Frame::<FileEvent>::decode_on(true, &body, &mut history).unwrap() {
+        let Raw { body } = reader.read_msg().unwrap();
+        match Frame::<FileEvent>::decode_on(&body, &mut history).unwrap() {
             Frame::Ping => {}
             Frame::ItemBatch { first_seq, payloads, .. } => {
                 continued.push(body[1] & CONTINUES != 0);

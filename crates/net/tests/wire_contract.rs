@@ -1,35 +1,33 @@
-//! The wire contract: one front door, one version, one encoding per
-//! frame kind.
+//! The wire contract: one front door, one version, one encoding.
 //!
-//! * Every connection opens with one `Hello`. One announcing another
-//!   wire version — or none — is refused whichever of the three services
-//!   it asks for, as is one asking for a service not attached at that
-//!   address or for one that does not exist (a peer offering to publish
-//!   into a feed, or asking for a shard map): the connection is closed,
-//!   nothing sent behind the hello is applied, the refusal is recorded,
-//!   and the endpoint keeps serving peers that speak its version.
+//! * Every connection opens with one binary `Hello`. One announcing
+//!   another wire version — or none — is refused whichever of the three
+//!   services it asks for, as is one asking for a service not attached at
+//!   that address or for one that does not exist (a peer offering to
+//!   publish into a feed, or asking for a shard map), and a previous
+//!   build's JSON hello: the connection is closed, nothing sent behind the
+//!   hello is applied, the refusal is recorded, no handler panics, and the
+//!   endpoint keeps serving peers that speak its version.
 //! * Bytes that are neither a hello nor `GET ` are closed, not routed —
 //!   a hello cut short, and one whose length word claims more than a
 //!   hello can be, are refused like any other; a silent peer is dropped
 //!   after the liveness window; `GET /metrics` is answered on the same
 //!   address, outside any fault plan.
-//! * A lone event on each leg travels as exactly one binary one-member
-//!   batch frame and arrives intact, trace context included.
-//! * After the hello every frame is binary: a store query and the store
-//!   ping are a few bytes, pinned byte for byte. A JSON body — an ack, a
-//!   ping, a query or a reply — is refused on a push, feed or store
-//!   connection and costs that connection only, as does a query whose
-//!   prefix is not UTF-8 or is too long, or that sets a presence bit no
-//!   field has.
+//! * A lone event on each leg travels as exactly one one-member batch
+//!   frame and arrives intact, trace context included.
+//! * Every frame is binary: a store query and the store ping are a few
+//!   bytes, pinned byte for byte. A JSON body — an ack, a ping, a query
+//!   or a reply — is refused on a push, feed or store connection and
+//!   costs that connection only, as does a query whose prefix is not
+//!   UTF-8 or is too long, or that sets a presence bit no field has.
 //! * A push mark never wraps: a peer's `resume_after`, a batch that would
 //!   carry the mark past `u64::MAX`, and a server's greeting of
 //!   `u64::MAX` each cost one connection — neither side panics, and the
 //!   server goes on serving, the pusher on dialing.
-//! * After the hello a length word still sizes nothing: a JSON body is
-//!   refused as soon as its word claims more than a hello may be, and a
-//!   binary body's buffer grows with the bytes that actually arrive, not
-//!   with the claim; a long store query and a reply far over one growth
-//!   step still round-trip.
+//! * After the hello a length word still sizes nothing: a word over
+//!   `MAX_FRAME_LEN` is refused as soon as it arrives, and a body's buffer
+//!   grows with the bytes that actually arrive, not with the claim; a long
+//!   store query and a reply far over one growth step still round-trip.
 //!
 //! The allocator is this binary's own (as in `wire_mutation.rs`): it
 //! records the largest single request the calling thread has made.
@@ -40,11 +38,11 @@ use sdci_mq::transport::Subscribe;
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
     write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
-    MAX_HELLO_LEN,
+    FRAME_HEADER_LEN, MAX_HELLO_LEN,
 };
 use sdci_net::{
     Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpPullServer, TcpPush,
-    TcpSubscriber, WireMsg, BIN_FRAME_BIT, WIRE_PROTO,
+    TcpSubscriber, WireMsg, MAX_FRAME_LEN, WIRE_PROTO,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -152,9 +150,9 @@ fn connect_and_send(addr: SocketAddr, bytes: &[u8]) -> TcpStream {
     stream
 }
 
-/// Connects and sends `body` as one hand-written JSON frame.
-fn connect_with_hello(addr: SocketAddr, body: &str) -> TcpStream {
-    connect_and_send(addr, &json_frame(body))
+/// Connects and sends `body` as the opening frame.
+fn connect_with_hello(addr: SocketAddr, body: &[u8]) -> TcpStream {
+    connect_and_send(addr, &frame(body))
 }
 
 /// The server must close the connection without sending a byte: EOF,
@@ -181,32 +179,27 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     (head.lines().next().unwrap_or_default().to_string(), body.to_string())
 }
 
-/// Reads one raw frame: `(is_binary, body)`.
-fn read_raw_frame(stream: &mut TcpStream) -> (bool, Vec<u8>) {
+/// Reads one raw frame body.
+fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
     let mut word = [0u8; 4];
     stream.read_exact(&mut word).unwrap();
-    let word = u32::from_be_bytes(word);
-    let mut body = vec![0u8; (word & !BIN_FRAME_BIT) as usize];
+    let mut body = vec![0u8; u32::from_be_bytes(word) as usize];
     stream.read_exact(&mut body).unwrap();
-    (word & BIN_FRAME_BIT != 0, body)
+    body
 }
 
 /// Reads the hello a client endpoint opened its connection with.
 fn read_hello(stream: &mut TcpStream) -> Service {
-    let (binary, body) = read_raw_frame(stream);
-    assert!(!binary, "the hello is JSON");
-    let hello = Hello::decode(false, &body).unwrap();
+    let hello = Hello::decode(&read_raw_frame(stream)).unwrap();
     assert_eq!(hello.proto, WIRE_PROTO);
     hello.service
 }
 
-/// Reads the rest of a session up to its `Fin`, asserting every frame on
-/// the way is binary and none is a second data frame.
+/// Reads the rest of a session up to its `Fin`, asserting none of the
+/// frames on the way is a second data frame.
 fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     loop {
-        let (binary, body) = read_raw_frame(stream);
-        assert!(binary, "{what}: a JSON frame after the hello");
-        match Frame::<FileEvent>::decode(true, &body).unwrap() {
+        match Frame::<FileEvent>::decode(&read_raw_frame(stream)).unwrap() {
             Frame::Fin => return,
             Frame::Ack { .. } | Frame::Nack { .. } | Frame::Ping => {}
             batch => panic!("{what}: a second data frame followed the lone event's: {batch:?}"),
@@ -214,10 +207,10 @@ fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     }
 }
 
-/// `body` behind a length word announcing a JSON frame.
-fn json_frame(body: &str) -> Vec<u8> {
+/// `body` behind its length word.
+fn frame(body: &[u8]) -> Vec<u8> {
     let mut frame = (body.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(body.as_bytes());
+    frame.extend_from_slice(body);
     frame
 }
 
@@ -228,12 +221,28 @@ fn varint(value: u64) -> Vec<u8> {
     bytes
 }
 
-/// The three services, as the JSON a hello names them with.
-const SERVICES: [(&str, &str); 3] = [
-    ("push", r#"{"Push":{"client":"old","resume_after":0}}"#),
-    ("subscriber", r#"{"Subscriber":{"prefixes":[""]}}"#),
-    ("store", r#""Store""#),
-];
+/// The three services, each with the leg a refusal counts it under.
+fn services() -> [(&'static str, Service); 3] {
+    [
+        ("push", Service::Push { client: "old".into(), resume_after: 0 }),
+        ("subscriber", Service::Subscriber { prefixes: vec![String::new()] }),
+        ("store", Service::Store),
+    ]
+}
+
+/// The body of a hello announcing `proto`, whatever version that is.
+fn hello_body(proto: u32, service: Service) -> Vec<u8> {
+    let mut body = Vec::new();
+    Hello { proto, service }.encode(&mut BinEncoder::new(), &mut body).unwrap();
+    body
+}
+
+/// A hello at this build's version whose service tag, 4, names no
+/// service: how a peer asking for the deleted shard map, or offering to
+/// publish into a feed, would have to ask.
+fn no_such_service() -> Vec<u8> {
+    vec![10, 0, WIRE_PROTO as u8, 4]
+}
 
 /// One binary frame of kind 2 — a topic-headed batch addressed *to* a
 /// broker, which no frame vocabulary has — forging the feed's own
@@ -246,13 +255,6 @@ fn forged_heartbeat_body() -> Vec<u8> {
     body.push(1); // one member
     body.extend_from_slice(&[1, 1]); // the Heartbeat tag, the delta
     body
-}
-
-/// `body` behind a length word announcing a binary frame.
-fn binary_frame(body: &[u8]) -> Vec<u8> {
-    let mut frame = (body.len() as u32 | BIN_FRAME_BIT).to_be_bytes().to_vec();
-    frame.extend_from_slice(body);
-    frame
 }
 
 #[test]
@@ -270,24 +272,28 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     let addr = endpoint.local_addr();
     let local = broker.subscribe(&[""]);
 
-    // Another version names its leg; no version does not decode at all,
-    // so the refusal cannot say what the peer wanted. Nor does a hello
-    // at this version asking for the shard map: no such service exists.
-    let hellos = SERVICES.iter().flat_map(|(leg, service)| {
+    // Another version, older or newer, names its leg; no version does not
+    // decode at all — the service's bytes read as a version and the wrong
+    // tag — so the refusal cannot say what the peer wanted. Nor does a
+    // hello at this version asking for the shard map: no such service
+    // exists.
+    let hellos = services().into_iter().flat_map(|(leg, service)| {
+        let mut versionless = hello_body(WIRE_PROTO, service.clone());
+        versionless.remove(2);
         [
-            (*leg, format!(r#"{{"proto":{},"service":{service}}}"#, WIRE_PROTO - 1)),
-            ("unknown", format!(r#"{{"service":{service}}}"#)),
+            (leg, hello_body(WIRE_PROTO - 1, service.clone())),
+            (leg, hello_body(WIRE_PROTO + 1, service)),
+            ("unknown", versionless),
         ]
     });
-    let cluster = format!(r#"{{"proto":{WIRE_PROTO},"service":"Cluster"}}"#);
-    for (counted_as, hello) in hellos.chain([("unknown", cluster)]) {
+    for (counted_as, hello) in hellos.chain([("unknown", no_such_service())]) {
         let before = refused(counted_as);
         let mut stream = connect_with_hello(addr, &hello);
         // Data right behind a refused hello must never be applied.
         let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
         broker.publisher().publish("t/y", 8);
-        assert_closed_unanswered(&mut stream, &hello);
-        assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello}");
+        assert_closed_unanswered(&mut stream, &format!("{hello:?}"));
+        assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello:?}");
     }
     assert_eq!(pull.stats().items, 0);
     assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
@@ -310,6 +316,42 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     endpoint.shutdown();
 }
 
+/// A previous build's hello — JSON behind a plain length word, as wire
+/// version 17 wrote it — is no hello of this one, whatever service it
+/// asks for: it is refused as a hello that does not decode, counted under
+/// `leg="unknown"`, and its connection closed; no handler panics, and the
+/// endpoint serves the next connection.
+#[test]
+fn a_previous_builds_json_hello_is_refused_and_the_next_peer_served() {
+    let _serial = endpoints();
+    let panics = net_thread_panics();
+    let pull = TcpPullServer::<u64>::new(64);
+    let store = StoreServer::new(Arc::new(EventStore::new(64)));
+    let endpoint =
+        Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone(), store.clone()]).unwrap();
+    let addr = endpoint.local_addr();
+    for hello in [
+        r#"{"proto":17,"service":{"Push":{"client":"old","resume_after":0}}}"#,
+        r#"{"proto":17,"service":{"Subscriber":{"prefixes":[""]}}}"#,
+        r#"{"proto":17,"service":"Store"}"#,
+    ] {
+        let before = refused("unknown");
+        let mut stream = connect_with_hello(addr, hello.as_bytes());
+        assert_closed_unanswered(&mut stream, hello);
+        assert_eq!(refused("unknown"), before + 1, "refusal not recorded: {hello}");
+    }
+    assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
+
+    let push = TcpPush::connect(addr, "current", fast_cfg());
+    assert!(push.send(42));
+    assert!(push.drain(Duration::from_secs(10)), "the next pusher was not served");
+    assert!(RemoteStore::connect(addr, fast_cfg()).try_query(&StoreQuery::after_seq(0)).is_ok());
+    assert_eq!(store.queries(), 1, "the next store client was not served");
+    drop(push);
+    endpoint.shutdown();
+    assert_eq!(net_thread_panics(), panics, "a connection handler panicked");
+}
+
 #[test]
 fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
     let _serial = endpoints();
@@ -318,18 +360,17 @@ fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
     let endpoint =
         Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![store.clone(), broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
-    for (leg, service) in SERVICES.iter().filter(|(leg, _)| !["store", "subscriber"].contains(leg))
-    {
+    for (leg, service) in services().into_iter().filter(|(leg, _)| *leg == "push") {
         let before = refused(leg);
-        let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":{service}}}"#);
-        assert_closed_unanswered(&mut connect_with_hello(addr, &hello), &hello);
-        assert_eq!(refused(leg), before + 1, "refusal not recorded: {hello}");
+        let hello = hello_body(WIRE_PROTO, service);
+        assert_closed_unanswered(&mut connect_with_hello(addr, &hello), leg);
+        assert_eq!(refused(leg), before + 1, "refusal not recorded: {leg}");
     }
 
     // A feed has one writer, the process that owns its broker. A peer
     // that offers to publish into it — and sends a forged heartbeat
     // right behind the offer, which every consumer would trust as the
-    // aggregator's own progress marker — names no service at all.
+    // aggregator's own progress marker — has no service to name.
     let subscriber = TcpSubscriber::<FeedMessage>::connect(addr, &["feed/"], fast_cfg());
     let deadline = Instant::now() + Duration::from_secs(10);
     while broker.stats().accepted == 0 {
@@ -337,15 +378,14 @@ fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let (refused_before, accepted_before) = (refused("unknown"), broker.stats().accepted);
-    let hello = format!(r#"{{"proto":{WIRE_PROTO},"service":"Publisher"}}"#);
-    let mut peer = connect_with_hello(addr, &hello);
-    let _ = peer.write_all(&binary_frame(&forged_heartbeat_body()));
+    let mut peer = connect_with_hello(addr, &no_such_service());
+    let _ = peer.write_all(&frame(&forged_heartbeat_body()));
     let forged = subscriber.recv_timeout(Duration::from_millis(300));
     assert!(forged.is_none(), "a remote peer wrote into the feed: {forged:?}");
-    assert_closed_unanswered(&mut peer, &hello);
+    assert_closed_unanswered(&mut peer, "a would-be publisher");
     // `refuse` writes the error-level record and bumps this counter in
     // one place; `net_distributed` reads the record off a real process.
-    assert_eq!(refused("unknown"), refused_before + 1, "refusal not recorded: {hello}");
+    assert_eq!(refused("unknown"), refused_before + 1, "a would-be publisher's refusal");
     assert_eq!(broker.stats().accepted, accepted_before, "the peer reached the broker");
     // The feed's owner still publishes, and only what it publishes arrives.
     let genuine = FeedMessage::Heartbeat { last_seq: 7 };
@@ -367,14 +407,14 @@ fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
 fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     let _serial = endpoints();
     let body = forged_heartbeat_body();
-    let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&body).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("kind 2"), "refused for another reason: {err}");
     // Nothing but the kind is wrong with it: as kind 4 it is the heartbeat.
     let mut as_deliver = body.clone();
     as_deliver[0] = 4;
     assert_eq!(
-        Frame::<FeedMessage>::decode(true, &as_deliver).unwrap(),
+        Frame::<FeedMessage>::decode(&as_deliver).unwrap(),
         Frame::DeliverBatch {
             topic: "feed/all".into(),
             payloads: vec![FeedMessage::Heartbeat { last_seq: u64::MAX }],
@@ -388,10 +428,9 @@ fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "hostile".into(), resume_after: 0 }).unwrap();
-    let (binary, greeting) = read_raw_frame(&mut stream);
-    assert!(binary, "the greeting is a binary ack");
-    assert_eq!(Frame::<FeedMessage>::decode(true, &greeting).unwrap(), Frame::Ack { up_to: 0 });
-    stream.write_all(&binary_frame(&body)).unwrap();
+    let greeting = read_raw_frame(&mut stream);
+    assert_eq!(Frame::<FeedMessage>::decode(&greeting).unwrap(), Frame::Ack { up_to: 0 });
+    stream.write_all(&frame(&body)).unwrap();
     assert_closed_unanswered(&mut stream, "a kind-2 frame on a push session");
     assert_eq!(pull.stats().items, 0, "the undecodable frame was applied");
 
@@ -445,9 +484,9 @@ fn post_and_garbage_first_bytes_are_closed_not_routed() {
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![pull.clone()]).unwrap();
     let addr = endpoint.local_addr();
     let before = refused("unknown");
-    // `POST` (and any other text) reads as an oversized length word; a
-    // binary-flagged or non-JSON body is no hello either, nor is one the
-    // peer cuts short by closing.
+    // `POST` (and any other text) reads as an oversized length word, and
+    // so does a word with its high bit set; a body that is not a hello is
+    // no hello either, nor is one the peer cuts short by closing.
     let hostile: [&[u8]; 6] = [
         b"POST /metrics HTTP/1.1\r\nHost: sdci\r\n\r\n",
         b"get /metrics HTTP/1.1\r\n\r\n",
@@ -471,7 +510,9 @@ fn post_and_garbage_first_bytes_are_closed_not_routed() {
 /// An unauthenticated peer's length word sizes nothing: one claiming a
 /// body just under `MAX_FRAME_LEN`, then silence, is refused on the word
 /// alone — at once, not after the liveness window — and so is a word one
-/// byte over `MAX_HELLO_LEN`; a hello cut short and left silent is
+/// byte over `MAX_HELLO_LEN`, even with that many bytes of a subscriber
+/// hello behind it, while the same hello a byte shorter, exactly
+/// `MAX_HELLO_LEN`, is served; a hello cut short and left silent is
 /// refused when the window runs out. Meanwhile another peer on the same
 /// endpoint is served.
 #[test]
@@ -479,26 +520,43 @@ fn a_hello_length_word_past_what_a_hello_can_be_is_refused_before_it_is_buffered
     let _serial = endpoints();
     let cfg = fast_cfg();
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
-    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![store.clone()]).unwrap();
+    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let endpoint =
+        Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![store.clone(), broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
     let before = refused("unknown");
-    let over = (sdci_net::wire::MAX_HELLO_LEN as u32 + 1).to_be_bytes();
-    for word in [0x03FF_FFFFu32.to_be_bytes(), over] {
+    // A subscriber hello of one prefix, `len` bytes long in all.
+    let subscriber_hello = |len: usize| {
+        let prefix = "p".repeat(len - 8);
+        let body = hello_body(WIRE_PROTO, Service::Subscriber { prefixes: vec![prefix] });
+        assert_eq!(body.len(), len);
+        body
+    };
+    let over = frame(&subscriber_hello(MAX_HELLO_LEN + 1));
+    for bytes in [&0x03FF_FFFFu32.to_be_bytes()[..], &over[..FRAME_HEADER_LEN], &over] {
         let sent = Instant::now();
-        let mut silent = connect_and_send(addr, &word);
-        assert_closed_unanswered(&mut silent, &format!("length word {word:x?}"));
+        let mut silent = TcpStream::connect(addr).unwrap();
+        silent.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The endpoint may close before the body is all sent.
+        let _ = silent.write_all(bytes);
+        assert_closed_unanswered(&mut silent, &format!("length word {:x?}", &bytes[..4]));
         assert!(sent.elapsed() < cfg.liveness / 2, "refused after {:?}", sent.elapsed());
     }
-    assert_eq!(refused("unknown"), before + 2, "each one is recorded");
+    assert_eq!(refused("unknown"), before + 3, "each one is recorded");
+    assert_eq!(broker.stats().accepted, 0, "an oversized hello reached the broker");
+    let mut longest = connect_with_hello(addr, &subscriber_hello(MAX_HELLO_LEN));
+    assert_eq!(Frame::<u64>::decode(&read_raw_frame(&mut longest)).unwrap(), Frame::Ping);
+    assert_eq!(broker.stats().accepted, 1, "the longest legal hello was not served");
 
     let sent = Instant::now();
-    let mut cut = connect_and_send(addr, b"\0\0\0\x30{\"proto\":10");
+    let mut cut = connect_and_send(addr, &frame(&hello_body(WIRE_PROTO, Service::Store))[..6]);
     let remote = RemoteStore::connect(addr, fast_cfg());
     assert!(remote.try_query(&StoreQuery::after_seq(0)).is_ok(), "another peer is served");
     assert_closed_unanswered(&mut cut, "a hello cut short");
     assert!(sent.elapsed() >= cfg.liveness, "refused after {:?}", sent.elapsed());
-    assert_eq!(refused("unknown"), before + 3);
+    assert_eq!(refused("unknown"), before + 4);
     assert_eq!(store.queries(), 1);
+    drop(longest);
     endpoint.shutdown();
 }
 
@@ -520,18 +578,21 @@ impl Read for Trickle {
 }
 
 /// A length word an authenticated peer sends sizes nothing either. A
-/// JSON word claiming a megabyte is refused on the word alone — on a
-/// reader handed nothing else, and on an established push session, which
-/// the endpoint closes at once, not after the liveness window. A binary
-/// word claiming 60 MiB, followed by silence, leaves the reader holding
-/// at most 128 KiB however many times it is called; once a megabyte of
-/// the body has come, it holds at most twice that and a step.
+/// word a byte over `MAX_FRAME_LEN` — or with its high bit set, which
+/// once marked an encoding — is refused on the word alone: on a reader
+/// handed nothing else, and on an established push session, which the
+/// endpoint closes at once, not after the liveness window. A word
+/// claiming 60 MiB, followed by silence, leaves the reader holding at
+/// most 128 KiB however many times it is called; once a megabyte of the
+/// body has come, it holds at most twice that and a step.
 #[test]
 fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
-    let json_word = (1u32 << 20).to_be_bytes();
-    let err = FrameReader::new(&json_word[..]).read_msg::<Frame<FileEvent>>().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert!(err.to_string().contains(&format!("exceeds {MAX_HELLO_LEN}")), "{err}");
+    let over_word = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+    for word in [over_word, (1u32 << 31 | 2).to_be_bytes()] {
+        let err = FrameReader::new(&word[..]).read_msg::<Frame<FileEvent>>().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&format!("exceeds {MAX_FRAME_LEN}")), "{err}");
+    }
 
     let sent = std::rc::Rc::new(std::cell::RefCell::new(std::collections::VecDeque::new()));
     let mut reader = FrameReader::new(Trickle(sent.clone()));
@@ -544,7 +605,7 @@ fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
         })
         .1
     };
-    sent.borrow_mut().extend(((60u32 << 20) | BIN_FRAME_BIT).to_be_bytes());
+    sent.borrow_mut().extend((60u32 << 20).to_be_bytes());
     let largest = silent_reads(&mut reader);
     assert!(largest <= 128 << 10, "on the word alone, a request for {largest} bytes");
     sent.borrow_mut().extend(std::iter::repeat_n(0xa5, 1 << 20));
@@ -558,12 +619,11 @@ fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
     let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "claims".into(), resume_after: 0 }).unwrap();
-    let (binary, greeting) = read_raw_frame(&mut stream);
-    assert!(binary, "the greeting is a binary ack");
-    assert_eq!(Frame::<FeedMessage>::decode(true, &greeting).unwrap(), Frame::Ack { up_to: 0 });
+    let greeting = read_raw_frame(&mut stream);
+    assert_eq!(Frame::<FeedMessage>::decode(&greeting).unwrap(), Frame::Ack { up_to: 0 });
     let sent = Instant::now();
-    stream.write_all(&json_word).unwrap();
-    assert_closed_unanswered(&mut stream, "a megabyte-long control frame");
+    stream.write_all(&over_word).unwrap();
+    assert_closed_unanswered(&mut stream, "a frame longer than MAX_FRAME_LEN");
     assert!(sent.elapsed() < cfg.liveness / 2, "refused after {:?}", sent.elapsed());
     endpoint.shutdown();
 }
@@ -646,9 +706,7 @@ fn a_lone_pushed_event_is_one_binary_frame_with_its_trace_context() {
     assert_eq!(read_hello(&mut stream), Service::Push { client: "lone".into(), resume_after: 0 });
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
 
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(binary, "a lone item must travel as a binary batch frame");
-    match Frame::<FileEvent>::decode(true, &body).unwrap() {
+    match Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap() {
         Frame::ItemBatch { first_seq: 1, payloads, trace: Some(hop) } => {
             assert_eq!(payloads, vec![traced_event()], "payload or its context damaged");
             assert_eq!(hop.trace_id, CTX.trace_id, "the frame's send-leg context is the event's");
@@ -671,20 +729,18 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
 
     // The leg registers asynchronously; publish the lone event only
     // once the leg's first `Ping` shows it is being served.
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(binary, "a ping is a binary control frame");
-    assert_eq!(Frame::<FileEvent>::decode(true, &body).unwrap(), Frame::Ping);
+    let body = read_raw_frame(&mut stream);
+    assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), Frame::Ping);
     broker.publisher().publish("feed/all", traced_event());
 
-    let (binary, body) = loop {
-        let (binary, body) = read_raw_frame(&mut stream);
-        if !binary || Frame::<FileEvent>::decode(true, &body).unwrap() != Frame::Ping {
-            break (binary, body);
+    let body = loop {
+        let body = read_raw_frame(&mut stream);
+        if Frame::<FileEvent>::decode(&body).unwrap() != Frame::Ping {
+            break body;
         }
     };
-    assert!(binary, "a lone delivery must travel as a binary batch frame");
     assert_eq!(
-        Frame::<FileEvent>::decode(true, &body).unwrap(),
+        Frame::<FileEvent>::decode(&body).unwrap(),
         Frame::DeliverBatch {
             topic: "feed/all".into(),
             payloads: vec![traced_event()],
@@ -727,9 +783,9 @@ fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
         (StoreRpc::Ping, vec![7, 0]),
     ] {
         let mut body = Vec::new();
-        assert!(msg.encode(&mut BinEncoder::new(), &mut body).unwrap(), "{msg:?} is binary");
+        msg.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body, bytes, "{msg:?}");
-        assert_eq!(StoreRpc::decode(true, &bytes).unwrap(), msg);
+        assert_eq!(StoreRpc::decode(&bytes).unwrap(), msg);
     }
 
     for body in [
@@ -740,7 +796,7 @@ fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
         r#"{"Batch":{"events":[{"seq":1}]}}"#,
         r#""Batch""#,
     ] {
-        let err = StoreRpc::decode(false, body.as_bytes()).unwrap_err();
+        let err = StoreRpc::decode(body.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
     }
 }
@@ -788,7 +844,7 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
 
     for body in [r#""Ping""#, r#"{"Ack":{"up_to":0}}"#, r#""Fin""#] {
         let mut stream = greeted(addr, "speaks-json", 0);
-        stream.write_all(&json_frame(body)).unwrap();
+        stream.write_all(&frame(body.as_bytes())).unwrap();
         assert_closed_unanswered(&mut stream, &format!("{body} on a push session"));
     }
 
@@ -797,15 +853,15 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
     let hostile: [(&str, Vec<u8>); 6] = [
         (
             "a JSON query",
-            json_frame(
-                r#"{"Query":{"query":{"after_seq":0,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
+            frame(
+                br#"{"Query":{"query":{"after_seq":0,"since":null,"path_prefix":null,"limit":0},"trace":null}}"#,
             ),
         ),
-        ("a JSON ping", json_frame(r#""Ping""#)),
-        ("a non-UTF-8 prefix", binary_frame(&[9, 0, 4, 2, 0xff, 0xfe, 0])),
-        ("a prefix a byte over MAX_PATH_LEN", binary_frame(&long)),
-        ("a presence bit no field has", binary_frame(&[9, 0, 8, 0])),
-        ("a ping with a trace bit", binary_frame(&[7, 1])),
+        ("a JSON ping", frame(br#""Ping""#)),
+        ("a non-UTF-8 prefix", frame(&[9, 0, 4, 2, 0xff, 0xfe, 0])),
+        ("a prefix a byte over MAX_PATH_LEN", frame(&long)),
+        ("a presence bit no field has", frame(&[9, 0, 8, 0])),
+        ("a ping with a trace bit", frame(&[7, 1])),
     ];
     for (what, frame) in hostile {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -833,7 +889,7 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
     let hello = Service::Subscriber { prefixes: vec!["feed/".into()] };
     let mut first = accept_within(&listener, Duration::from_secs(5));
     assert_eq!(read_hello(&mut first), hello);
-    first.write_all(&json_frame(r#""Ping""#)).unwrap();
+    first.write_all(&frame(br#""Ping""#)).unwrap();
     // The subscriber's own read takes the JSON body and dials again: the
     // second connection is accepted while that read runs.
     let event = pushed_event(2);
@@ -890,9 +946,7 @@ fn greeted(addr: SocketAddr, client: &str, resume_after: u64) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: client.into(), resume_after }).unwrap();
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(binary, "the greeting is a binary control frame");
-    let greeting = Frame::<FileEvent>::decode(true, &body).unwrap();
+    let greeting = Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap();
     assert_eq!(greeting, Frame::Ack { up_to: resume_after });
     stream
 }
@@ -981,10 +1035,8 @@ fn a_server_mark_of_u64_max_fails_the_pushers_handshake() {
     let mut stream = accept_within(&listener, Duration::from_secs(5));
     assert_eq!(read_hello(&mut stream), hello);
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
-    let (binary, body) = read_raw_frame(&mut stream);
-    assert!(binary, "the event travels as a batch");
     assert_eq!(
-        Frame::<FileEvent>::decode(true, &body).unwrap(),
+        Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap(),
         Frame::ItemBatch { first_seq: 1, payloads: vec![pushed_event(1)], trace: None }
     );
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 1 }).unwrap();

@@ -13,7 +13,9 @@
 //! connection against a history they do not match, and 10,000
 //! mutations of a five-frame continuing stream of each; then 10,000
 //! mutations of a stream of control frames — acks, nacks, pings, `Fin`,
-//! store queries — read in order by one connection's reader. Every one is
+//! store queries — read in order by one connection's reader; then 10,000
+//! mutations of the three services' hellos, an accepted one re-encoding
+//! to its own bytes. Every one is
 //! decoded or refused as `InvalidData` — the
 //! error that costs a peer its connection — never a panic; no
 //! allocation the decoder makes on the way (the member `Vec`, the
@@ -30,7 +32,7 @@ use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
     continuity_gap, write_deliver_batch_bin, write_item_batch_bin, write_msg_bin, BinEncoder,
-    Frame, FrameReader, WireMsg, BIN_FRAME_BIT,
+    Frame, FrameReader, Hello, Service, WireMsg, WIRE_PROTO,
 };
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
@@ -145,8 +147,7 @@ fn events() -> Vec<FileEvent> {
 
 fn body_of(msg: &impl WireMsg) -> Vec<u8> {
     let mut body = Vec::new();
-    let encoded = msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
-    assert!(encoded, "a data frame is binary");
+    msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
     body
 }
 
@@ -175,7 +176,7 @@ fn mutate(rng: &mut Rng, body: &[u8]) -> Vec<u8> {
 /// fails the test, as does a panic inside `decode` or on reading any
 /// field — every path — of what it returned.
 fn fed<M: WireMsg + std::fmt::Debug>(bytes: &[u8]) -> (bool, usize) {
-    let (result, largest) = largest_request(|| M::decode(true, bytes));
+    let (result, largest) = largest_request(|| M::decode(bytes));
     match result {
         Ok(value) => {
             assert!(!format!("{value:?}").is_empty());
@@ -343,7 +344,7 @@ fn a_claimed_path_length_sizes_nothing() {
 
     let over = raw_bodies_of(one_event(&"p".repeat(MAX_PATH_LEN + 1)), None);
     over.iter().for_each(|body| refused(body));
-    let err = Frame::<FileEvent>::decode(true, &over[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&over[0]).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
 }
 
@@ -492,7 +493,7 @@ fn hand_laid(members: &[Option<Laid>]) -> [Vec<u8>; 3] {
 /// bound, or the test fails.
 fn decoded_paths(bodies: &[Vec<u8>; 3]) -> [Option<Vec<String>>; 3] {
     fn checked<M: WireMsg>(body: &[u8], paths: impl Fn(M) -> Vec<String>) -> Option<Vec<String>> {
-        let (result, largest) = largest_request(|| M::decode(true, body));
+        let (result, largest) = largest_request(|| M::decode(body));
         assert!(largest <= allocation_bound(body), "{largest} bytes for {}", body.len());
         match result {
             Ok(msg) => Some(paths(msg)),
@@ -609,7 +610,7 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     over.push(Some(member(0, 0, Some(2), MAX_PATH_LEN, b"x")));
     let bodies = hand_laid(&over);
     assert_eq!(decoded_paths(&bodies), [None, None, None]);
-    let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&bodies[0]).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
 
     // One page more than the budget: the item decoder (the three share
@@ -618,13 +619,13 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
     let [body, ..] = hand_laid(&chain(pages + 1));
     assert!(body.len() < 64 * pages, "{} bytes claim {pages} pages", body.len());
-    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &body));
+    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(&body));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
     let [fits, ..] = hand_laid(&chain(pages));
-    assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
+    assert!(Frame::<FileEvent>::decode(&fits).is_ok(), "the budget itself is allowed");
 }
 
 /// A code table as a frame carries it, for `(symbol, codeword length)`
@@ -778,7 +779,7 @@ fn decodes(bodies: [Vec<u8>; 3], want: &[&str]) {
 /// Refused by all three decoders, the item decoder saying `why`.
 fn refused(why: &str, bodies: [Vec<u8>; 3]) {
     assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
-    let err = Frame::<FileEvent>::decode(true, &bodies[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&bodies[0]).unwrap_err();
     assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
 }
 
@@ -948,7 +949,7 @@ fn a_class_mask_or_coded_section_that_breaks_a_rule_is_refused_with_its_own_mess
     let path = vec![(Class::Path, id.clone())];
     refused("a path code on a section with no path bytes", coded(&path, &[]));
     let [.., deliver] = coded(&path, &[None]);
-    let err = Frame::<FeedMessage>::decode(true, &deliver).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&deliver).unwrap_err();
     assert!(err.to_string().contains("no path bytes"), "got: {err}");
     let back = vec![(Class::Back, id.clone())];
     refused(
@@ -980,10 +981,10 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
         .map(|class| (class, identity()))
         .collect();
     let [fits, ..] = coded(&codes, &chain);
-    assert!(Frame::<FileEvent>::decode(true, &fits).is_ok(), "the budget itself is allowed");
+    assert!(Frame::<FileEvent>::decode(&fits).is_ok(), "the budget itself is allowed");
     chain.push(coded_first(1, b"/"));
     let [over, ..] = coded(&codes, &chain);
-    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(true, &over));
+    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(&over));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
@@ -1078,13 +1079,13 @@ fn a_coded_count_is_held_to_the_bits_after_it() {
         assert_eq!(accepted, ok, "{count} members claimed");
         assert!(largest <= grown, "{count} claimed: one allocation of {largest} bytes");
     }
-    let err = Frame::<FeedMessage>::decode(true, &deliver(8_192)).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&deliver(8_192)).unwrap_err();
     assert!(err.to_string().contains("8192 members claimed, the section ends after 4096"), "{err}");
     for count in [8_193, 1 << 40] {
         let body = deliver(count);
         let (accepted, largest) = fed::<Frame<FeedMessage>>(&body);
         assert!(!accepted && largest <= allocation_bound(&body), "{count}: {largest} bytes");
-        let err = Frame::<FeedMessage>::decode(true, &body).unwrap_err();
+        let err = Frame::<FeedMessage>::decode(&body).unwrap_err();
         assert!(err.to_string().contains("members claimed in 8192 bits"), "{count}: {err}");
     }
     let [.., raw] = hand_laid(&vec![None; 4_096]);
@@ -1095,7 +1096,7 @@ fn a_coded_count_is_held_to_the_bits_after_it() {
     let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
     let body = body_of(&frame);
     assert!(body.len() < 100_000 / 4 + 64, "{} bytes for 100,000 members", body.len());
-    assert_eq!(Frame::<FeedMessage>::decode(true, &body).unwrap(), frame);
+    assert_eq!(Frame::<FeedMessage>::decode(&body).unwrap(), frame);
 }
 
 /// Frame-header flags bit 2: the frame continues its connection.
@@ -1137,7 +1138,7 @@ fn with_head(body: &[u8], at: usize, key: u64) -> Vec<u8> {
 /// Decodes `body` as the reader of a connection whose history is
 /// `history` does: the paths it decoded, or the error.
 fn read_on(history: &mut History, body: &[u8]) -> Result<Vec<String>, std::io::Error> {
-    match Frame::<FileEvent>::decode_on(true, body, history)? {
+    match Frame::<FileEvent>::decode_on(body, history)? {
         Frame::ItemBatch { payloads, .. } => {
             Ok(payloads.iter().map(|e| e.path.to_str().expect("UTF-8").to_string()).collect())
         }
@@ -1249,7 +1250,7 @@ fn continuing_replies(replies: usize) -> Vec<Vec<u8>> {
 /// history is `history` does: the sequence numbers it decoded, or the
 /// error.
 fn read_reply_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
-    match StoreRpc::decode_on(true, body, history)? {
+    match StoreRpc::decode_on(body, history)? {
         StoreRpc::Batch { events } => Ok(events.iter().map(|e| e.seq).collect()),
         other => panic!("a reply body decoded as {other:?}"),
     }
@@ -1258,7 +1259,7 @@ fn read_reply_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io
 /// Decodes deliver `body` as the reader of a connection whose history is
 /// `history` does: the sequence numbers it decoded, or the error.
 fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
-    match Frame::<FeedMessage>::decode_on(true, body, history)? {
+    match Frame::<FeedMessage>::decode_on(body, history)? {
         Frame::DeliverBatch { payloads, .. } => Ok(payloads
             .iter()
             .map(|m| match m {
@@ -1287,7 +1288,7 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     assert_eq!(stream[0][1] & CONTINUES, 0);
     assert_eq!(stream[1][1] & CONTINUES, CONTINUES);
     refused_on(&mut History::default(), &stream[1], true, "holds none of its history");
-    let err = Frame::<FileEvent>::decode(true, &stream[1]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&stream[1]).unwrap_err();
     assert!(err.to_string().contains("decoded apart from it"), "{err}");
 
     let mut history = History::default();
@@ -1353,7 +1354,7 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let replies = continuing_replies(3);
     assert_eq!(replies[0][1] & CONTINUES, 0);
     assert_eq!(replies[1][1] & CONTINUES, CONTINUES);
-    let err = StoreRpc::decode(true, &replies[1]).unwrap_err();
+    let err = StoreRpc::decode(&replies[1]).unwrap_err();
     let why = "a store reply that continues its connection, decoded apart from it";
     assert!(err.to_string().contains(why), "{err}");
     let err = read_reply_on(&mut History::default(), &replies[1]).unwrap_err();
@@ -1384,7 +1385,7 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
     assert_eq!(feed[1][1] & CONTINUES, CONTINUES);
     let why = "holds none of its history";
     refused_as(read_feed_on(&mut History::default(), &feed[1]).unwrap_err(), true, why);
-    let err = Frame::<FeedMessage>::decode(true, &feed[1]).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&feed[1]).unwrap_err();
     let why = "a deliver batch that continues its connection, decoded apart from it";
     assert!(err.to_string().contains(why), "{err}");
 
@@ -1428,7 +1429,7 @@ where
 {
     let mut history = History::default();
     for (body, sent) in stream.iter().zip(sent) {
-        assert_eq!(&M::decode_on(true, body, &mut history).unwrap(), sent, "unmutated");
+        assert_eq!(&M::decode_on(body, &mut history).unwrap(), sent, "unmutated");
     }
     let mut rng = Rng(0x5dc1_0028);
     let (mut read, mut refused) = (0u32, 0u32);
@@ -1436,11 +1437,11 @@ where
         let target = rng.below(stream.len());
         let mutated = mutate(&mut rng, &stream[target]);
         let mut history = History::default();
-        M::decode_on(true, warm, &mut history).unwrap();
+        M::decode_on(warm, &mut history).unwrap();
         let mut refused_before = false;
         for (i, honest) in stream.iter().enumerate() {
             let body = if i == target { &mutated } else { honest };
-            let (result, largest) = largest_request(|| M::decode_on(true, body, &mut history));
+            let (result, largest) = largest_request(|| M::decode_on(body, &mut history));
             assert!(largest <= allocation_bound(body), "round {round}: {largest} bytes");
             match result {
                 Ok(got) => {
@@ -1534,7 +1535,7 @@ where
         let mut stream = Vec::new();
         for (i, body) in bodies.iter().enumerate() {
             let body = if i == target { &mutated } else { body };
-            stream.extend_from_slice(&(body.len() as u32 | BIN_FRAME_BIT).to_be_bytes());
+            stream.extend_from_slice(&(body.len() as u32).to_be_bytes());
             stream.extend_from_slice(body);
         }
         let mut reader = FrameReader::new(&stream[..]);
@@ -1582,4 +1583,42 @@ fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
     ];
     let (read, refused) = read_mutated_controls(&queries, 0x5dc1_0042);
     assert!(read > 1_000 && refused > 5_000, "read {read}, refused {refused}");
+}
+
+/// 10,000 seeded mutations of the three services' hellos — a pusher's, a
+/// subscriber's of several prefixes, a store client's. Each is decoded or
+/// refused as `InvalidData`, never a panic, within the allocation bound,
+/// by the hello reader and by the two readers that follow a hello; and a
+/// mutated hello the reader accepts re-encodes to its own bytes: a hello
+/// is spelled one way only, so no two bodies read as the same one.
+#[test]
+fn mutations_of_the_three_hellos_decode_exactly_or_fail_closed() {
+    let hellos = [
+        Service::Push { client: "mdt0".into(), resume_after: 1_234_567 },
+        Service::Subscriber { prefixes: vec!["feed/".into(), String::new(), "é/".into()] },
+        Service::Store,
+    ]
+    .map(|service| body_of(&Hello { proto: WIRE_PROTO, service }));
+    let mut rng = Rng(0x5dc1_0043);
+    let (mut read, mut refused) = (0u32, 0u32);
+    for round in 0..10_000 {
+        let body = mutate(&mut rng, &hellos[round % hellos.len()]);
+        let bound = allocation_bound(&body);
+        for (_, largest) in [fed::<Frame<FileEvent>>(&body), fed::<StoreRpc>(&body)] {
+            assert!(largest <= bound, "round {round}: {largest} bytes");
+        }
+        let (result, largest) = largest_request(|| Hello::decode(&body));
+        assert!(largest <= bound, "round {round}: {largest} bytes for {body:?}");
+        match result {
+            Ok(hello) => {
+                assert_eq!(body_of(&hello), body, "round {round}: {hello:?} is spelled otherwise");
+                read += 1;
+            }
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "round {round}: {e}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(read > 1_000 && refused > 3_000, "read {read}, refused {refused}");
 }

@@ -1,11 +1,10 @@
 //! Binary payload encoding: the bytes of an event, on the wire and on
 //! disk.
 //!
-//! On an sdci-net socket only a connection's hello is JSON (see
-//! `sdci-net::wire`); data frames — every batch of events — carry their
-//! payloads in this compact binary form, because rendering each event
-//! through a `Value` tree and re-parsing it on receive is the cost the
-//! data plane cannot afford.
+//! Every frame on an sdci-net socket is binary (see `sdci-net::wire`);
+//! data frames — every batch of events — carry their payloads in this
+//! compact form, because rendering each event through a `Value` tree and
+//! re-parsing it on receive is the cost the data plane cannot afford.
 //!
 //! A data frame's members are **relative to the earlier members of the
 //! same frame**: [`BinPayload::encode_bin`] and

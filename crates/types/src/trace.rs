@@ -16,14 +16,11 @@
 //! events, so `sampled` is carried mostly for forward compatibility
 //! with tail-based schemes.
 
-use serde::{Deserialize, Serialize};
-
 /// The causal link one pipeline hop hands to the next.
 ///
-/// Serialized as a three-field JSON object in a control frame (a store
-/// query carries its caller's), and as 17 fixed bytes inside a data
-/// frame or an event member ([`crate::bin::put_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Carried as 17 fixed bytes inside a frame or an event member
+/// ([`crate::bin::put_trace`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Identifier shared by every span of one end-to-end trace.
     pub trace_id: u64,
@@ -43,17 +40,6 @@ impl TraceContext {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn context_roundtrips_through_serde() {
-        let ctx = TraceContext::sampled(0xdead_beef_0123, 42);
-        let json = serde_json::to_string(&ctx).unwrap();
-        let back: TraceContext = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ctx);
-        assert!(json.contains("\"trace_id\""), "named fields on the wire: {json}");
-    }
-
     #[test]
     fn plain_payloads_carry_nothing() {
         use crate::bin::BinPayload;

@@ -212,11 +212,6 @@ impl DaySeries {
     pub fn peak_changes(&self) -> u64 {
         self.days.iter().map(|(_, c, m)| c + m).max().unwrap_or(0)
     }
-
-    /// Total differences across the series.
-    pub fn total_changes(&self) -> u64 {
-        self.days.iter().map(|(_, c, m)| c + m).sum()
-    }
 }
 
 /// The §5.3 rate arithmetic.

@@ -310,21 +310,23 @@ fn aggregator_refuses_a_peer_on_another_wire_version_with_an_error_record() {
     });
 
     // Three peers on another version, then one on this version asking
-    // to publish into the feed — a service that does not exist, so its
-    // hello does not decode and the refusal cannot name a leg.
+    // to publish into the feed — a service tag, 4, that names no service,
+    // so its hello does not decode and the refusal cannot name a leg.
+    // Each hello is laid out by hand: kind 10, flags 0, the version as a
+    // varint, the service tag, then the service's fields.
     let ours = format!("speaks {WIRE_PROTO}");
     let versions: &[&str] = &["wire version 3", &ours];
-    let no_such_service = format!(r#"{{"proto":{WIRE_PROTO},"service":"Publisher"}}"#);
+    let no_such_service = [10, 0, WIRE_PROTO as u8, 4];
     for (leg, hello, naming) in [
-        ("push", r#"{"proto":3,"service":{"Push":{"client":"old","resume_after":0}}}"#, versions),
-        ("subscriber", r#"{"proto":3,"service":{"Subscriber":{"prefixes":[""]}}}"#, versions),
-        ("store", r#"{"proto":3,"service":"Store"}"#, versions),
-        ("unknown", no_such_service.as_str(), &[]),
+        ("push", &[10, 0, 3, 1, 3, b'o', b'l', b'd', 0][..], versions),
+        ("subscriber", &[10, 0, 3, 2, 1, 0][..], versions),
+        ("store", &[10, 0, 3, 3][..], versions),
+        ("unknown", &no_such_service[..], &[]),
     ] {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         stream.write_all(&(hello.len() as u32).to_be_bytes()).unwrap();
-        stream.write_all(hello.as_bytes()).unwrap();
+        stream.write_all(hello).unwrap();
         assert_eq!(stream.read(&mut [0u8; 1]).ok(), Some(0), "{leg}: connection not closed");
 
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
