@@ -39,6 +39,7 @@
 use sdci_bench::{joined, write_report};
 use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
+use sdci_mq::transport::Publish;
 use sdci_net::wire::{write_hello, Service};
 use sdci_net::{Endpoint, NetConfig, TcpBroker};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
@@ -253,7 +254,7 @@ fn drain_subscriber(
 ///
 /// The broker's bind, or a subscriber's connect, hello or read.
 fn run_fanout(subs: usize, events: u64) -> io::Result<f64> {
-    let broker = TcpBroker::<FileEvent>::new(Broker::new(65_536));
+    let broker = TcpBroker::<FileEvent>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", NetConfig::default(), vec![broker.clone()])?;
     let addr = endpoint.local_addr();
     let ready = Arc::new(AtomicU64::new(0));
@@ -261,19 +262,19 @@ fn run_fanout(subs: usize, events: u64) -> io::Result<f64> {
 
     // Probe until every leg demonstrably delivers, so the timed window
     // measures fan-out, not connection establishment.
-    let publisher = broker.publisher();
     while ready.load(Ordering::Relaxed) < subs as u64 {
-        publisher.publish("bench/probe", marker_event("/bench/PROBE"));
+        broker.publish("bench/probe", marker_event("/bench/PROBE"));
         thread::sleep(std::time::Duration::from_millis(2));
     }
 
     let start = Instant::now();
+    let mut batch = Vec::new();
     for base in (0..events).step_by(FANOUT_PUBLISH_BATCH as usize) {
-        let batch = (base..events.min(base + FANOUT_PUBLISH_BATCH)).map(event).collect();
-        publisher.publish_batch("bench/e", batch);
+        batch.extend((base..events.min(base + FANOUT_PUBLISH_BATCH)).map(event));
+        broker.publish_batch("bench/e", &mut batch);
     }
     // A single publish is its own small frame, which the scanners spot.
-    publisher.publish("bench/fin", marker_event("/bench/FIN"));
+    broker.publish("bench/fin", marker_event("/bench/FIN"));
     for consumer in consumers {
         joined(consumer)?;
     }

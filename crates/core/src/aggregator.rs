@@ -10,17 +10,19 @@
 //! consumer. The ingest thread takes a batch of Collector events (one
 //! whole frame, off a TCP connection or an in-process Collector alike),
 //! assigns global sequence numbers, inserts the batch into the
-//! [`EventStore`] and then publishes it on the feed with one call —
-//! during which `sdci-net`'s fan-out relay encodes the batch once and
-//! queues the bytes for each remote consumer's socket thread to write.
-//! Store-before-publish is program order on the ingest thread, so
-//! anything a consumer has seen announced is retrievable from the
-//! historic API; the publish cannot stall ingest, because every queue it
-//! feeds sheds when full rather than block.
+//! [`EventStore`] and then publishes it with one call into the feed it
+//! was handed — any [`Publish`]: in `sdcimon aggregator`, `sdci-net`'s
+//! `TcpBroker`, which encodes the batch once during that call and
+//! queues the bytes for each remote consumer's socket thread to write;
+//! in a [`MonitorCluster`](crate::MonitorCluster), an in-process
+//! broker's publisher. Store-before-publish is program order on the
+//! ingest thread, so anything a consumer has seen announced is
+//! retrievable from the historic API; the publish cannot stall ingest,
+//! because every queue it feeds sheds when full rather than block.
 
 use crate::store::{EventBackend, EventStore, StoreError};
 use sdci_mq::pipe::Pull;
-use sdci_mq::pubsub::Broker;
+use sdci_mq::transport::Publish;
 use sdci_types::bin::{Class, SeqEncoder};
 use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent};
 use std::fmt;
@@ -217,7 +219,6 @@ pub struct AggregatorSnapshot {
 /// metered one (`Arc<dyn EventBackend>`).
 pub struct Aggregator<B: EventBackend + ?Sized = EventStore> {
     store: Arc<B>,
-    feed: Broker<FeedMessage>,
     stats: Arc<AggregatorStats>,
     stop: Arc<AtomicBool>,
     ingest: Option<JoinHandle<()>>,
@@ -254,14 +255,18 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
     /// (one `Vec` each: `sdci-net`'s `TcpPullServer::pull`, or the
     /// in-process pipeline a [`MonitorCluster`](crate::MonitorCluster)'s
     /// Collectors push to), and any [`EventBackend`]: a bare store, or
-    /// one built by [`StoreStack`](crate::StoreStack). Sequence numbering
-    /// resumes after the backend's last event, so over a restored store
-    /// consumers reconnecting with `subscribe_from(old_seq)` recover
-    /// across the restart. A frame stays whole: it is sequenced, stored
-    /// and published as one batch (joined by further frames only when
-    /// they are already queued behind it).
-    pub fn start(frames: Pull<Vec<FileEvent>>, store: Arc<B>, feed_hwm: usize) -> Self {
-        let feed: Broker<FeedMessage> = Broker::new(feed_hwm);
+    /// one built by [`StoreStack`](crate::StoreStack). It publishes into
+    /// `feed`, which moves into the ingest thread, on topic `"feed/all"`.
+    /// Sequence numbering resumes after the backend's last event, so over
+    /// a restored store consumers reconnecting with
+    /// `subscribe_from(old_seq)` recover across the restart. A frame stays
+    /// whole: it is sequenced, stored and published as one batch (joined
+    /// by further frames only when they are already queued behind it).
+    pub fn start(
+        frames: Pull<Vec<FileEvent>>,
+        store: Arc<B>,
+        feed: impl Publish<FeedMessage>,
+    ) -> Self {
         let stats = Arc::new(AggregatorStats::default());
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -270,7 +275,6 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
         // the tail of a burst learn how far behind they are.
         let ingest = {
             let store = Arc::clone(&store);
-            let publisher = feed.publisher();
             let stats = Arc::clone(&stats);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
@@ -280,13 +284,15 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                 // heartbeats; nothing before a fresh store's first event.
                 let mut announced = seq;
                 let mut last_publish = std::time::Instant::now();
+                // One buffer for every batch the feed is handed.
+                let mut feed_batch: Vec<FeedMessage> = Vec::new();
                 loop {
                     let Some(first) = frames.recv_timeout(IDLE) else {
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
                         if announced > 0 && last_publish.elapsed() >= HEARTBEAT_EVERY {
-                            publisher.publish(
+                            feed.publish(
                                 "feed/all",
                                 FeedMessage::Heartbeat { last_seq: announced },
                             );
@@ -361,10 +367,8 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
                         lag.observe_ns(now.saturating_sub(extracted));
                     }
                     drop(ingest_span);
-                    publisher.publish_batch(
-                        "feed/all",
-                        batch.into_iter().map(FeedMessage::Event).collect(),
-                    );
+                    feed_batch.extend(batch.into_iter().map(FeedMessage::Event));
+                    feed.publish_batch("feed/all", &mut feed_batch);
                     announced = seq;
                     last_publish = std::time::Instant::now();
                     stats.published.fetch_add(n, Ordering::Relaxed);
@@ -373,13 +377,7 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
             })
         };
 
-        Aggregator { store, feed, stats, stop, ingest: Some(ingest) }
-    }
-
-    /// The consumer-facing feed broker; subscribe with topic prefix
-    /// `"feed/"`.
-    pub fn feed(&self) -> &Broker<FeedMessage> {
-        &self.feed
+        Aggregator { store, stats, stop, ingest: Some(ingest) }
     }
 
     /// The historic-event store (the Aggregator's query API). Reads
@@ -442,6 +440,7 @@ mod tests {
     use super::*;
     use crate::store::StoreQuery;
     use sdci_mq::pipe::{pipeline, Push};
+    use sdci_mq::pubsub::Broker;
     use sdci_types::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime};
 
     fn event(i: u64) -> FileEvent {
@@ -460,10 +459,15 @@ mod tests {
         }
     }
 
-    /// An Aggregator over `store` and the queue its frames arrive on.
-    fn start_over(store: EventStore, feed_hwm: usize) -> (Push<Vec<FileEvent>>, Aggregator) {
+    /// An Aggregator over `store`, the queue its frames arrive on and the
+    /// broker it publishes into.
+    fn start_over(
+        store: EventStore,
+        feed_hwm: usize,
+    ) -> (Push<Vec<FileEvent>>, Aggregator, Broker<FeedMessage>) {
         let (push, frames) = pipeline(INGEST_QUEUE_FRAMES);
-        (push, Aggregator::start(frames, Arc::new(store), feed_hwm))
+        let feed = Broker::new(feed_hwm);
+        (push, Aggregator::start(frames, Arc::new(store), feed.publisher()), feed)
     }
 
     fn wait_until(deadline: Duration, mut done: impl FnMut() -> bool) -> bool {
@@ -479,8 +483,8 @@ mod tests {
 
     #[test]
     fn sequences_stores_and_publishes() {
-        let (events, agg) = start_over(EventStore::new(1000), 1024);
-        let consumer = agg.feed().subscribe(&["feed/"]);
+        let (events, agg, feed) = start_over(EventStore::new(1000), 1024);
+        let consumer = feed.subscribe(&["feed/"]);
         for i in 1..=50 {
             events.send(vec![event(i)]);
         }
@@ -499,8 +503,8 @@ mod tests {
     #[test]
     fn store_is_ahead_of_feed() {
         // Anything seen on the feed must already be in the store.
-        let (events, agg) = start_over(EventStore::new(1000), 1024);
-        let consumer = agg.feed().subscribe(&["feed/"]);
+        let (events, agg, feed) = start_over(EventStore::new(1000), 1024);
+        let consumer = feed.subscribe(&["feed/"]);
         let store = agg.store();
         for i in 1..=200 {
             events.send(vec![event(i)]);
@@ -525,7 +529,7 @@ mod tests {
 
     #[test]
     fn store_rotates_at_capacity() {
-        let (events, agg) = start_over(EventStore::new(10), 1024);
+        let (events, agg, _) = start_over(EventStore::new(10), 1024);
         for i in 1..=30 {
             events.send(vec![event(i)]);
         }
@@ -543,7 +547,7 @@ mod tests {
         // next sequence the Aggregator assigns is stale. The old code
         // died in `.expect(...)` and took the thread down silently; now
         // the error is counted, ingest halts, and shutdown still joins.
-        let (events, agg) = start_over(EventStore::new(1000), 1024);
+        let (events, agg, _) = start_over(EventStore::new(1000), 1024);
         events.send(vec![event(1)]);
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().stored >= 1));
 
@@ -564,8 +568,8 @@ mod tests {
 
     #[test]
     fn idle_feed_heartbeats_last_seq() {
-        let (events, agg) = start_over(EventStore::new(1000), 1024);
-        let consumer = agg.feed().subscribe(&["feed/"]);
+        let (events, agg, feed) = start_over(EventStore::new(1000), 1024);
+        let consumer = feed.subscribe(&["feed/"]);
         // Nothing is announced before the first event, however long the
         // feed idles.
         assert!(consumer.recv_timeout(Duration::from_millis(60)).is_none());
@@ -592,9 +596,8 @@ mod tests {
         for seq in 1..=10 {
             store.insert(SequencedEvent { seq, event: event(seq) }).expect("ordered insert");
         }
-        let (_events, agg) = start_over(store, 1024);
-        let mut consumer =
-            crate::EventConsumer::new(agg.feed().subscribe(&["feed/"]), agg.store(), 0);
+        let (_events, agg, feed) = start_over(store, 1024);
+        let mut consumer = crate::EventConsumer::new(feed.subscribe(&["feed/"]), agg.store(), 0);
         let first = consumer.next_timeout(Duration::from_secs(2)).expect("no backfill");
         assert_eq!(first, event(1));
         agg.shutdown();
@@ -602,7 +605,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_cleanly() {
-        let (_events, agg) = start_over(EventStore::new(10), 16);
+        let (_events, agg, _) = start_over(EventStore::new(10), 16);
         agg.shutdown();
     }
 }

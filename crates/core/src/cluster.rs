@@ -1,6 +1,6 @@
 //! Wiring: one Collector thread per MDT + the Aggregator (Figure 2).
 
-use crate::aggregator::{Aggregator, AggregatorSnapshot, INGEST_QUEUE_FRAMES};
+use crate::aggregator::{Aggregator, AggregatorSnapshot, FeedMessage, INGEST_QUEUE_FRAMES};
 use crate::collector::{Collector, CollectorStats};
 use crate::config::MonitorConfig;
 use crate::consumer::EventConsumer;
@@ -8,6 +8,7 @@ use crate::store::{EventStore, StoreStats};
 use lustre_sim::LustreFs;
 use parking_lot::Mutex;
 use sdci_mq::pipe::pipeline;
+use sdci_mq::pubsub::Broker;
 use sdci_types::{FileEvent, MdtIndex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,13 +55,16 @@ impl MonitorClusterBuilder {
     /// Deploys one Collector thread per MDT plus the Aggregator, joined
     /// by an in-process frame queue (one frame per Collector batch; a
     /// full queue blocks the Collectors, never sheds), and begins
-    /// monitoring.
+    /// monitoring. The Aggregator publishes into the cluster's feed
+    /// broker, whose subscribers buffer up to
+    /// [`MonitorConfig::feed_hwm`] messages each.
     pub fn start(self) -> MonitorCluster {
         let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
         let mdt_count = self.fs.lock().mdt_count();
         let store =
             self.restored_store.unwrap_or_else(|| EventStore::new(self.config.store_capacity));
-        let aggregator = Aggregator::start(frames, Arc::new(store), self.config.feed_hwm);
+        let feed = Broker::new(self.config.feed_hwm);
+        let aggregator = Aggregator::start(frames, Arc::new(store), feed.publisher());
         let stop = Arc::new(AtomicBool::new(false));
         let mut threads = Vec::new();
         let mut collector_stats: Vec<Arc<Mutex<CollectorStats>>> = Vec::new();
@@ -91,6 +95,7 @@ impl MonitorClusterBuilder {
         }
         MonitorCluster {
             aggregator,
+            feed,
             collector_stats,
             threads,
             stop,
@@ -145,6 +150,7 @@ impl ClusterStats {
 /// A running monitor deployment (Collectors + Aggregator).
 pub struct MonitorCluster {
     aggregator: Aggregator,
+    feed: Broker<FeedMessage>,
     collector_stats: Vec<Arc<Mutex<CollectorStats>>>,
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -160,7 +166,7 @@ impl fmt::Debug for MonitorCluster {
 impl MonitorCluster {
     /// Subscribes a new consumer to the complete site-wide event feed.
     pub fn subscribe(&self) -> EventConsumer {
-        let sub = self.aggregator.feed().subscribe(&["feed/"]);
+        let sub = self.feed.subscribe(&["feed/"]);
         EventConsumer::new(sub, self.aggregator.store(), *self.last_consumer_seq.lock())
     }
 
@@ -173,7 +179,7 @@ impl MonitorCluster {
     /// Subscribes a consumer that resumes after `last_seen_seq` (a
     /// reconnect), recovering the in-between events from the store.
     pub fn subscribe_from(&self, last_seen_seq: u64) -> EventConsumer {
-        let sub = self.aggregator.feed().subscribe(&["feed/"]);
+        let sub = self.feed.subscribe(&["feed/"]);
         EventConsumer::new(sub, self.aggregator.store(), last_seen_seq)
     }
 
@@ -314,7 +320,8 @@ mod tests {
         let queue = events.clone();
         let store =
             Arc::new(Latched { store: EventStore::new(files), open: AtomicBool::new(false) });
-        let aggregator = Aggregator::start(frames, Arc::clone(&store), 16);
+        let feed = Broker::new(16);
+        let aggregator = Aggregator::start(frames, Arc::clone(&store), feed.publisher());
         let config = MonitorConfig { batch_size: 1, ..MonitorConfig::default() };
         let mut collector = Collector::new(Arc::clone(&fs), MdtIndex::new(0), events, config);
         {

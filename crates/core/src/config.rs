@@ -10,8 +10,11 @@ pub struct MonitorConfig {
     /// Capacity of the parent-FID → path cache (0 disables caching; the
     /// paper's baseline configuration resolves every event independently).
     pub path_cache_capacity: usize,
-    /// High-water mark between the Aggregator and each consumer. Events
-    /// shed here are recoverable from the store.
+    /// High-water mark of each consumer of a
+    /// [`MonitorCluster`](crate::MonitorCluster)'s in-process feed broker,
+    /// in messages. Events shed here are recoverable from the store. A
+    /// deployed Aggregator's remote legs are sized by `sdci-net`'s
+    /// `NetConfig::hwm` instead.
     pub feed_hwm: usize,
     /// Maximum events retained in the Aggregator's local store before
     /// rotation ("in a production setting we could further limit the size

@@ -4,6 +4,7 @@
 
 use sdci_core::{Aggregator, EventStore, INGEST_QUEUE_FRAMES};
 use sdci_mq::pipe::pipeline;
+use sdci_mq::pubsub::Broker;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +23,7 @@ fn cpu_ms() -> u64 {
 #[test]
 fn a_closed_source_does_not_spin_the_ingest_thread() {
     let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
-    let agg = Aggregator::start(frames, Arc::new(EventStore::new(10)), 16);
+    let agg = Aggregator::start(frames, Arc::new(EventStore::new(10)), Broker::new(16).publisher());
     let event = FileEvent {
         index: 1,
         mdt: MdtIndex::new(0),

@@ -4,6 +4,7 @@
 
 use sdci_core::{Aggregator, EventStore};
 use sdci_mq::pipe::pipeline;
+use sdci_mq::pubsub::Broker;
 use sdci_types::FileEvent;
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ fn threads_in_this_process() -> usize {
 fn aggregator_owns_exactly_one_thread() {
     let (_events, frames) = pipeline::<Vec<FileEvent>>(16);
     let before = threads_in_this_process();
-    let agg = Aggregator::start(frames, Arc::new(EventStore::new(10)), 16);
+    let agg = Aggregator::start(frames, Arc::new(EventStore::new(10)), Broker::new(16).publisher());
     assert_eq!(threads_in_this_process(), before + 1);
     agg.shutdown();
     assert_eq!(threads_in_this_process(), before);

@@ -4,11 +4,13 @@
 //! The paper's monitor and Ripple service use three distinct messaging
 //! technologies, each reproduced here with its load-bearing semantics:
 //!
-//! * **ZeroMQ-style pub-sub** ([`pubsub`]) — Collectors publish processed
-//!   events to the Aggregator, and the Aggregator publishes to any
-//!   subscribed consumer (§4 step 3). Topic prefix filtering, per-
-//!   subscriber high-water marks, and PUB-side drops when a subscriber
-//!   falls behind all match ZeroMQ's PUB/SUB contract.
+//! * **ZeroMQ-style pub-sub** ([`pubsub`]) — the Aggregator publishes
+//!   each stored event to any subscribed consumer (§4 step 3). Topic
+//!   prefix filtering, per-subscriber high-water marks, and PUB-side
+//!   drops when a subscriber falls behind all match ZeroMQ's PUB/SUB
+//!   contract. The Aggregator publishes into whatever [`Publish`] it is
+//!   handed: this crate's [`Broker`] in process, `sdci-net`'s
+//!   `TcpBroker` across processes.
 //! * **PUSH/PULL pipelines** ([`pipe`]) — bounded, blocking, fan-in
 //!   queues used between pipeline stages.
 //! * **SQS-like reliable queue + Lambda-like workers** ([`sqs`],

@@ -6,13 +6,12 @@
 //! when it is full the message is dropped *for that subscriber only* and
 //! counted, exactly as a ZeroMQ PUB socket sheds load.
 //!
-//! A relay ([`Broker::relay`]) is the one other thing a broker feeds,
-//! and it is not a queue: the broker calls it with every publish
-//! *whole* — a [`Publisher::publish_batch`] of 256 payloads is one call,
-//! not 256 — on the publishing thread, for a forwarder (the TCP
-//! broker's encode-once fan-out) that handles publishes as units.
+//! This is the feed of an in-process monitor (`sdci-core`'s
+//! `MonitorCluster`): its consumers subscribe here. A deployed
+//! Aggregator publishes into `sdci-net`'s `TcpBroker` instead, which
+//! holds the same contract over sockets.
 
-use crate::transport::PublishOutcome;
+use crate::transport::{Publish, PublishOutcome};
 use crossbeam_channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use std::fmt;
@@ -35,41 +34,24 @@ struct SubscriberSlot<T> {
     dropped: Arc<AtomicU64>,
 }
 
-/// A registered [`Broker::relay`].
-type Relay<T> = Box<dyn FnMut(&str, &[T]) + Send>;
-
-struct BrokerState<T> {
-    subscribers: Vec<SubscriberSlot<T>>,
-    relays: Vec<Relay<T>>,
-}
-
 /// An in-process PUB/SUB broker.
 ///
 /// Cloning shares the same broker. See the crate docs for an example.
 pub struct Broker<T> {
-    state: Arc<Mutex<BrokerState<T>>>,
+    subscribers: Arc<Mutex<Vec<SubscriberSlot<T>>>>,
     hwm: usize,
-    published: Arc<AtomicU64>,
-    delivered: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
 }
 
 impl<T> Clone for Broker<T> {
     fn clone(&self) -> Self {
-        Broker {
-            state: Arc::clone(&self.state),
-            hwm: self.hwm,
-            published: Arc::clone(&self.published),
-            delivered: Arc::clone(&self.delivered),
-            dropped: Arc::clone(&self.dropped),
-        }
+        Broker { subscribers: Arc::clone(&self.subscribers), hwm: self.hwm }
     }
 }
 
 impl<T> fmt::Debug for Broker<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Broker")
-            .field("subscribers", &self.state.lock().subscribers.len())
+            .field("subscribers", &self.subscribers.lock().len())
             .field("hwm", &self.hwm)
             .finish()
     }
@@ -79,16 +61,7 @@ impl<T: Clone + Send + 'static> Broker<T> {
     /// Creates a broker whose subscribers buffer up to `hwm` messages
     /// (the high-water mark; minimum 1).
     pub fn new(hwm: usize) -> Self {
-        Broker {
-            state: Arc::new(Mutex::new(BrokerState {
-                subscribers: Vec::new(),
-                relays: Vec::new(),
-            })),
-            hwm: hwm.max(1),
-            published: Arc::new(AtomicU64::new(0)),
-            delivered: Arc::new(AtomicU64::new(0)),
-            dropped: Arc::new(AtomicU64::new(0)),
-        }
+        Broker { subscribers: Arc::new(Mutex::new(Vec::new())), hwm: hwm.max(1) }
     }
 
     /// A handle for publishing into this broker.
@@ -101,7 +74,7 @@ impl<T: Clone + Send + 'static> Broker<T> {
     pub fn subscribe(&self, prefixes: &[&str]) -> Subscriber<T> {
         let (tx, rx) = bounded(self.hwm);
         let dropped = Arc::new(AtomicU64::new(0));
-        self.state.lock().subscribers.push(SubscriberSlot {
+        self.subscribers.lock().push(SubscriberSlot {
             prefixes: prefixes.iter().map(|p| p.to_string()).collect(),
             sender: tx,
             dropped: Arc::clone(&dropped),
@@ -109,82 +82,35 @@ impl<T: Clone + Send + 'static> Broker<T> {
         Subscriber { receiver: rx, dropped }
     }
 
-    /// Registers `relay`, which the broker calls with every non-empty
-    /// publish on every topic — its topic and all its payloads, in
-    /// order — on the publishing thread, under the same lock hold that
-    /// queues the publish for subscribers, so calls arrive in publish
-    /// order. A relay is not a queue: nothing it does counts as a
-    /// delivery or a shed, and it must not call back into this broker.
-    pub fn relay(&self, relay: impl FnMut(&str, &[T]) + Send + 'static) {
-        self.state.lock().relays.push(Box::new(relay));
-    }
-
-    /// Messages published so far.
-    pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
-    }
-
-    /// Per-subscriber deliveries so far (one message to two subscribers
-    /// counts twice).
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Deliveries dropped at subscriber high-water marks.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Fans one publish out under a single hold of the state lock:
-    /// ordinary subscribers get one [`Message`] per payload, relays the
-    /// publish whole.
-    fn fan_out(&self, topic: &str, payloads: &[T]) -> PublishOutcome {
-        let count = payloads.len() as u64;
-        if count == 0 {
-            return PublishOutcome::Delivered;
-        }
-        self.published.fetch_add(count, Ordering::Relaxed);
-        let mut state = self.state.lock();
-        let mut matched = 0u64;
-        let mut accepted = 0u64;
-        let mut shed = 0u64;
-        // Deliver to matching subscribers, reaping any whose receiving
-        // end is gone.
-        state.subscribers.retain(|slot| {
-            if !slot.prefixes.iter().any(|p| topic.starts_with(p.as_str())) {
-                return true;
-            }
-            matched += 1;
-            for payload in payloads {
+    /// Fans `payloads` out, in order, under one hold of the subscriber
+    /// lock, one [`Message`] per payload to each matching subscriber, and
+    /// returns how many payloads were shed: matched by someone and
+    /// accepted by none. Zero matches is vacuous delivery, not a shed.
+    fn fan_out(&self, topic: &str, payloads: impl IntoIterator<Item = T>) -> usize {
+        let mut subscribers = self.subscribers.lock();
+        let mut shed = 0;
+        for payload in payloads {
+            let (mut matched, mut accepted) = (false, false);
+            // Reap any subscriber whose receiving end is gone: it will
+            // never miss anything again, so it is not a shed.
+            subscribers.retain(|slot| {
+                if !slot.prefixes.iter().any(|p| topic.starts_with(p.as_str())) {
+                    return true;
+                }
                 let msg = Message { topic: topic.to_owned(), payload: payload.clone() };
                 match slot.sender.try_send(msg) {
-                    Ok(()) => accepted += 1,
+                    Ok(()) => accepted = true,
                     Err(TrySendError::Full(_)) => {
                         slot.dropped.fetch_add(1, Ordering::Relaxed);
-                        shed += 1;
                     }
-                    Err(TrySendError::Disconnected(_)) => {
-                        // A vanished subscriber is not a shed: it will
-                        // never miss anything again.
-                        matched -= 1;
-                        return false;
-                    }
+                    Err(TrySendError::Disconnected(_)) => return false,
                 }
-            }
-            true
-        });
-        for relay in &mut state.relays {
-            relay(topic, payloads);
+                matched = true;
+                true
+            });
+            shed += usize::from(matched && !accepted);
         }
-        self.delivered.fetch_add(accepted, Ordering::Relaxed);
-        self.dropped.fetch_add(shed, Ordering::Relaxed);
-        // Zero matches is vacuous delivery — only "everyone who wanted
-        // it shed it" counts as a shed.
-        if matched > 0 && accepted == 0 {
-            PublishOutcome::Shed
-        } else {
-            PublishOutcome::Delivered
-        }
+        shed
     }
 }
 
@@ -205,16 +131,23 @@ impl<T: Clone + Send + 'static> Publisher<T> {
     /// Reports [`PublishOutcome::Shed`] only when every matching
     /// subscriber shed it.
     pub fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
-        self.broker.fan_out(topic, std::slice::from_ref(&payload))
+        if self.broker.fan_out(topic, [payload]) > 0 {
+            PublishOutcome::Shed
+        } else {
+            PublishOutcome::Delivered
+        }
+    }
+}
+
+/// A batch is one fan-out under one lock, payload by payload; it returns
+/// how many payloads every matching subscriber shed.
+impl<T: Clone + Send + 'static> Publish<T> for Publisher<T> {
+    fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
+        Publisher::publish(self, topic, payload)
     }
 
-    /// Publishes every payload of `payloads` under `topic`, in order,
-    /// as one publish: the broker's state is locked once, subscribers
-    /// still receive one [`Message`] per payload, and a relay is called
-    /// once with the batch whole. Reports [`PublishOutcome::Shed`] only when
-    /// nothing of a non-empty batch was accepted by anyone it matched.
-    pub fn publish_batch(&self, topic: &str, payloads: Vec<T>) -> PublishOutcome {
-        self.broker.fan_out(topic, &payloads)
+    fn publish_batch(&self, topic: &str, batch: &mut Vec<T>) -> usize {
+        self.broker.fan_out(topic, batch.drain(..))
     }
 }
 
@@ -280,8 +213,6 @@ mod tests {
         broker.publisher().publish("t", 7);
         assert_eq!(a.recv().unwrap().payload, 7);
         assert_eq!(b.recv().unwrap().payload, 7);
-        assert_eq!(broker.published(), 1);
-        assert_eq!(broker.delivered(), 2);
     }
 
     #[test]
@@ -326,43 +257,6 @@ mod tests {
         assert_eq!(slow.try_recv().unwrap().payload, 1);
         assert!(slow.try_recv().is_none());
         assert_eq!(slow.dropped(), 3);
-        assert_eq!(broker.dropped(), 3);
-    }
-
-    #[test]
-    fn publish_batch_is_one_message_per_payload_and_one_relay_call() {
-        let broker: Broker<u32> = Broker::new(16);
-        let sub = broker.subscribe(&["a/"]);
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&calls);
-        broker
-            .relay(move |topic, payloads| seen.lock().push((topic.to_owned(), payloads.to_vec())));
-        let p = broker.publisher();
-        assert_eq!(p.publish_batch("a/x", vec![1, 2, 3]), PublishOutcome::Delivered);
-        p.publish("b/y", 4);
-        p.publish_batch("a/z", vec![5, 6]);
-        let got: Vec<(String, u32)> =
-            std::iter::from_fn(|| sub.try_recv().map(|m| (m.topic, m.payload))).collect();
-        assert_eq!(
-            got,
-            vec![
-                ("a/x".into(), 1),
-                ("a/x".into(), 2),
-                ("a/x".into(), 3),
-                ("a/z".into(), 5),
-                ("a/z".into(), 6)
-            ]
-        );
-        let whole = |topic: &str, payloads: &[u32]| (topic.to_owned(), payloads.to_vec());
-        assert_eq!(
-            *calls.lock(),
-            vec![whole("a/x", &[1, 2, 3]), whole("b/y", &[4]), whole("a/z", &[5, 6])],
-            "a batch is one call, a single publish a one-payload call, in publish order"
-        );
-        assert_eq!(broker.published(), 6);
-        assert_eq!(broker.delivered(), 5, "a relay call is not a delivery");
-        assert_eq!(p.publish_batch("a/x", Vec::new()), PublishOutcome::Delivered);
-        assert_eq!(calls.lock().len(), 3, "an empty publish calls nothing");
     }
 
     #[test]
@@ -373,8 +267,7 @@ mod tests {
         let p = broker.publisher();
         p.publish("t", 1);
         p.publish("t", 2);
-        assert_eq!(broker.delivered(), 0);
-        assert_eq!(broker.dropped(), 0);
+        assert!(broker.subscribers.lock().is_empty());
     }
 
     #[test]
@@ -396,7 +289,6 @@ mod tests {
             }
         }
         producer.join().unwrap();
-        assert_eq!(broker.delivered(), 100);
     }
 
     #[test]

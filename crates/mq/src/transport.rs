@@ -9,12 +9,15 @@
 //!
 //! * [`Publish`] — the sending side: what a Collector hands its events
 //!   to (the in-process frame queue's [`Push`], or `sdci-net`'s
-//!   `TcpPush`; a broker [`Publisher`] too).
+//!   `TcpPush`), and what the Aggregator publishes its feed into (a
+//!   broker [`Publisher`](crate::pubsub::Publisher), or `sdci-net`'s
+//!   `TcpBroker`).
 //! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
 //!   broker [`Subscriber`], or `sdci-net`'s `TcpSubscriber`).
 
 use crate::pipe::Push;
-use crate::pubsub::{Message, Publisher, Subscriber};
+use crate::pubsub::{Message, Subscriber};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What became of one published payload, as far as the publishing
@@ -35,8 +38,9 @@ pub enum PublishOutcome {
 /// The sending side of a topic-addressed event hand-off.
 ///
 /// Whether a slow far end blocks the caller or sheds depends on the
-/// leg. A broker [`Publisher`] never blocks: each subscriber sheds at
-/// its high-water mark (PUB/SUB). A pipeline [`Push`] and `sdci-net`'s
+/// leg. A broker [`Publisher`](crate::pubsub::Publisher) and `sdci-net`'s
+/// `TcpBroker` never block: each subscriber sheds at its high-water mark
+/// (PUB/SUB). A pipeline [`Push`] and `sdci-net`'s
 /// `TcpPush` never shed: they block while their queue is full
 /// (PUSH/PULL backpressure). Either way the outcome is reported, so
 /// callers count sheds honestly.
@@ -94,9 +98,15 @@ pub trait Subscribe<T>: Send + 'static {
     fn recv_timeout(&self, timeout: Duration) -> Option<Message<T>>;
 }
 
-impl<T: Clone + Send + 'static> Publish<T> for Publisher<T> {
+/// A shared publisher publishes through what it shares: a `TcpBroker`
+/// that an `Endpoint` serves and an Aggregator publishes into, say.
+impl<T, P: Publish<T> + Sync> Publish<T> for Arc<P> {
     fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
-        Publisher::publish(self, topic, payload)
+        (**self).publish(topic, payload)
+    }
+
+    fn publish_batch(&self, topic: &str, batch: &mut Vec<T>) -> usize {
+        (**self).publish_batch(topic, batch)
     }
 }
 
@@ -149,12 +159,33 @@ mod tests {
         assert_eq!(push.publish_batch("events/t", &mut batch), 2, "nobody can pull it");
     }
 
+    /// A batch is one fan-out under one lock: each subscriber gets its
+    /// messages in order, and a payload counts as shed only when every
+    /// subscriber it matched shed it. A broker has one high-water mark
+    /// (8), so `narrow` starts with six queued, leaving room for two.
     #[test]
-    fn the_default_batch_counts_each_shed_payload() {
-        let broker: Broker<u32> = Broker::new(1);
-        let _stuck = broker.subscribe(&["events/"]);
-        let mut batch = vec![1, 2, 3];
-        assert_eq!(Publish::publish_batch(&broker.publisher(), "events/t", &mut batch), 2);
+    fn a_publisher_batch_is_one_fan_out_counting_what_everyone_shed() {
+        let broker: Broker<u32> = Broker::new(8);
+        let narrow = broker.subscribe(&["events/", "narrow/"]);
+        let wide = broker.subscribe(&["events/"]);
+        let publisher = broker.publisher();
+        for i in 0..6 {
+            publisher.publish("narrow/fill", 100 + i);
+        }
+        let mut batch = vec![1, 2, 3, 4, 5];
+        assert_eq!(publisher.publish_batch("events/t", &mut batch), 0, "`wide` took all five");
+        assert!(batch.is_empty());
+        assert_eq!(drain_via(&narrow), vec![100, 101, 102, 103, 104, 105, 1, 2]);
+        assert_eq!(drain_via(&wide), vec![1, 2, 3, 4, 5]);
+        assert_eq!((narrow.dropped(), wide.dropped()), (3, 0));
+
+        for i in 0..8 {
+            publisher.publish("events/fill", i);
+        }
+        batch.extend([6, 7, 8, 9, 10]);
+        assert_eq!(publisher.publish_batch("events/t", &mut batch), 5, "both queues are full");
+        batch.extend([11, 12]);
+        assert_eq!(publisher.publish_batch("other/t", &mut batch), 0, "nobody matched");
         assert!(batch.is_empty());
     }
 }

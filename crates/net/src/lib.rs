@@ -21,9 +21,10 @@
 //!   backoff, heartbeat/liveness tunables ([`conn::NetConfig`]).
 //! * [`pubsub`] — the lossy feed leg ([`TcpBroker`], [`TcpSubscriber`])
 //!   with per-subscriber high-water-mark shedding, mirroring
-//!   `sdci_mq::pubsub`. Only the process that owns a broker publishes
-//!   into it; the wire carries deliveries, never publications, each
-//!   publish encoded once for every leg — and coded against the publish
+//!   `sdci_mq::pubsub`. The broker is itself the feed's `Publish`: only
+//!   the process that owns it publishes, and the wire carries
+//!   deliveries, never publications, each publish encoded once on the
+//!   publishing thread for every leg — and coded against the publish
 //!   before it when every leg it goes to took that one.
 //! * [`pipe`] — lossless PUSH/PULL ([`TcpPullServer`], [`TcpPush`]):
 //!   per-client sequence numbers, acknowledgements, and resend-on-

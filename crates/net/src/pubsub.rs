@@ -1,25 +1,24 @@
 //! TCP PUB/SUB: the in-process broker's contract over real sockets.
 //!
-//! A [`TcpBroker`] serves a local [`Broker`] to remote subscribers
-//! ([`TcpSubscriber`]): each names its topic prefixes in its hello and
-//! receives `DeliverBatch` frames fanned out from a local subscription.
-//! The wire has no publish direction — only the process that owns the
-//! broker writes its feed, through [`TcpBroker::publisher`]; a remote
-//! peer can read the feed, never inject into it.
+//! A [`TcpBroker`] is a feed that remote subscribers ([`TcpSubscriber`])
+//! read: each names its topic prefixes in its hello and receives
+//! `DeliverBatch` frames. The broker is a [`Publish`] — in `sdcimon
+//! aggregator`, the one the Aggregator publishes into. The wire has no
+//! publish direction — only the process that owns the broker writes its
+//! feed; a remote peer can read the feed, never inject into it.
 //!
-//! Delivery is **encode-once**: the broker's one relay
-//! ([`Broker::relay`]) runs on the publishing thread — in an Aggregator,
-//! its ingest thread — and renders each publish — a whole batch, or a
-//! lone message — once into frozen frame bytes (`Arc<[u8]>`), handing
-//! the same buffer to the queue of every matching subscriber leg. N
-//! subscribers cost one encode, not N, a batch published whole leaves
-//! as one frame, and a leg's queue is the only one between a publish
-//! and its socket.
+//! Delivery is **encode-once**: `publish` and `publish_batch` run on the
+//! publishing thread — in an Aggregator, its ingest thread — and render
+//! each publish — a whole batch, or a lone message — once into frozen
+//! frame bytes (`Arc<[u8]>`), handing the same buffer to the queue of
+//! every matching subscriber leg. N subscribers cost one encode, not N,
+//! a batch published whole leaves as one frame, and a leg's queue is the
+//! only one between a publish and its socket.
 //!
-//! The relay's publishes are one stream, and a frame may continue
-//! it ([`crate::wire`]): coded against the publish before it, which
-//! every leg it goes to must then hold. Each leg records whether it took
-//! the encoder's last frame; a publish with a matching leg that did not —
+//! The broker's publishes are one stream, and a frame may continue it
+//! ([`crate::wire`]): coded against the publish before it, which every
+//! leg it goes to must then hold. Each leg records whether it took the
+//! encoder's last frame; a publish with a matching leg that did not —
 //! one that shed it, did not match its topic, or joined since — goes out
 //! fresh to every leg, still encoded once. So a leg only ever receives a
 //! continuing frame whose predecessor it holds, and a subscriber that
@@ -30,7 +29,8 @@
 //! per-subscriber high-water mark. Backpressure from a slow socket —
 //! a subscriber whose reader falls behind — fills that subscriber's leg
 //! queue, and the broker sheds newer messages for that subscriber only,
-//! exactly what happens in-process.
+//! exactly what happens in-process; a payload counts as shed only when
+//! every leg it matched shed it.
 //!
 //! The subscriber end is driven by its reader, not by a worker of its
 //! own: each `recv*` call reads the socket on the caller's thread, and
@@ -46,11 +46,12 @@ use crate::wire::{
     continuity_gap, timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, ContinuityGap,
     Frame, FrameReader, Service,
 };
-use sdci_mq::pubsub::{Broker, Message};
-use sdci_mq::transport::Subscribe;
+use sdci_mq::pubsub::Message;
+use sdci_mq::transport::{Publish, PublishOutcome, Subscribe};
 use sdci_types::BinPayload;
 use std::collections::VecDeque;
 use std::io::Write;
+use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,18 +72,17 @@ struct BrokerCounters {
     frames_out: AtomicU64,
 }
 
-/// The [`Handler`] for [`Service::Subscriber`]: fans a local [`Broker`]
-/// out to the remote subscribers an [`Endpoint`](crate::Endpoint) hands
-/// it.
+/// A feed served to remote subscribers: the [`Handler`] for
+/// [`Service::Subscriber`], and the [`Publish`] its owner writes the
+/// feed through.
 ///
-/// Local code keeps using the wrapped broker directly ([`TcpBroker::publisher`],
-/// [`TcpBroker::subscribe`]); remote processes connect with
-/// [`TcpSubscriber`]. Shutting the endpoint down
-/// drains queued messages to connected subscribers and sends them `Fin`.
+/// Remote processes connect with [`TcpSubscriber`]. Shutting the
+/// endpoint down drains queued messages to connected subscribers and
+/// sends them `Fin`.
 pub struct TcpBroker<T> {
-    local: Broker<T>,
     counters: BrokerCounters,
-    legs: Arc<Legs>,
+    fanout: parking_lot::Mutex<Fanout>,
+    payload: PhantomData<fn(T)>,
 }
 
 /// One encoded publish, frozen for fan-out: the frame bytes are rendered
@@ -93,16 +93,14 @@ struct DeliverChunk {
     bytes: Arc<[u8]>,
     /// Frames in `bytes`, for `frames_out` accounting.
     frames: u64,
-    /// Messages across those frames, for shed accounting.
-    msgs: u64,
 }
 
-/// A connected remote subscriber, as the fan-out relay sees it.
+/// A connected remote subscriber, as the fan-out sees it.
 struct FanoutLeg {
     prefixes: Vec<String>,
     tx: crossbeam_channel::Sender<DeliverChunk>,
-    /// Whether the leg took the relay encoder's last frame, so the
-    /// next may continue it; false for a leg that just joined.
+    /// Whether the leg took the encoder's last frame, so the next may
+    /// continue it; false for a leg that just joined.
     synced: bool,
 }
 
@@ -114,9 +112,13 @@ impl FanoutLeg {
     }
 }
 
-/// The registered subscriber legs of a [`TcpBroker`], shared by its
-/// relay and its connections.
-type Legs = parking_lot::Mutex<Vec<FanoutLeg>>;
+/// What a publish needs, under the broker's one lock: the encoder whose
+/// history the legs' frames continue, and the legs.
+#[derive(Default)]
+struct Fanout {
+    enc: BinEncoder,
+    legs: Vec<FanoutLeg>,
+}
 
 impl<T> std::fmt::Debug for TcpBroker<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -126,27 +128,17 @@ impl<T> std::fmt::Debug for TcpBroker<T> {
 
 impl<T> TcpBroker<T>
 where
-    T: Clone + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
-    /// Serves `local` to remote clients — e.g. the Aggregator's feed
-    /// broker, exposing `feed/` to remote consumers — through one relay
-    /// on it, which encodes each publish for the legs.
-    pub fn new(local: Broker<T>) -> Arc<Self> {
-        let legs = Arc::new(Legs::default());
-        let relayed = Arc::clone(&legs);
-        let mut enc = BinEncoder::new();
-        local.relay(move |topic, batch| fan_out_batch(&mut enc, topic, batch, &relayed));
-        Arc::new(TcpBroker { local, counters: BrokerCounters::default(), legs })
-    }
-
-    /// A publisher into the local broker (same-process side).
-    pub fn publisher(&self) -> sdci_mq::pubsub::Publisher<T> {
-        self.local.publisher()
-    }
-
-    /// A local subscription (same-process side).
-    pub fn subscribe(&self, prefixes: &[&str]) -> sdci_mq::pubsub::Subscriber<T> {
-        self.local.subscribe(prefixes)
+    /// A feed with no subscriber yet, to be shared by the
+    /// [`Endpoint`](crate::Endpoint) that serves it and the publisher that
+    /// writes it.
+    pub fn new() -> Arc<Self> {
+        Arc::new(TcpBroker {
+            counters: BrokerCounters::default(),
+            fanout: parking_lot::Mutex::default(),
+            payload: PhantomData,
+        })
     }
 
     /// Counter snapshot.
@@ -156,11 +148,86 @@ where
             frames_out: self.counters.frames_out.load(Ordering::Relaxed),
         }
     }
+
+    /// Encodes one publish once — fresh when a matching leg did not take
+    /// the encoder's last frame — and feeds the frozen bytes to every
+    /// matching leg, noting under the same lock which legs now hold what
+    /// the encoder wrote. Returns whether the publish was shed: matched
+    /// by a leg and taken by none, or not encodable (a frame over
+    /// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN), say), after which
+    /// the next goes out fresh. An empty publish, or one no leg matches,
+    /// is not encoded.
+    fn fan_out(&self, topic: &str, batch: &[T]) -> bool {
+        let mut fanout = self.fanout.lock();
+        let Fanout { enc, legs } = &mut *fanout;
+        let matching = || legs.iter().filter(|leg| leg.matches(topic));
+        if batch.is_empty() || matching().next().is_none() {
+            return false;
+        }
+        if matching().any(|leg| !leg.synced) {
+            enc.start_fresh();
+        }
+        let shed = sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total");
+        let chunk = match encode_batch(enc, topic, batch) {
+            Ok(chunk) => chunk,
+            Err(e) => {
+                sdci_obs::error!("fan-out could not encode a publish; shed for every subscriber";
+                    topic = topic, messages = batch.len(), error = e.to_string());
+                shed.add(batch.len() as u64);
+                enc.start_fresh();
+                legs.iter_mut().for_each(|leg| leg.synced = false);
+                return true;
+            }
+        };
+        let mut taken = false;
+        legs.retain_mut(|leg| {
+            if !leg.matches(topic) {
+                leg.synced = false;
+                return true;
+            }
+            match leg.tx.try_send(chunk.clone()) {
+                Ok(()) => {
+                    leg.synced = true;
+                    taken = true;
+                    true
+                }
+                Err(crossbeam_channel::TrySendError::Full(_)) => {
+                    // This leg's socket fell behind: shed for it alone —
+                    // the same high-water-mark contract as in-process.
+                    shed.add(batch.len() as u64);
+                    leg.synced = false;
+                    true
+                }
+                Err(crossbeam_channel::TrySendError::Disconnected(_)) => false,
+            }
+        });
+        !taken
+    }
+}
+
+impl<T> Publish<T> for TcpBroker<T>
+where
+    T: Send + BinPayload + 'static,
+{
+    fn publish(&self, topic: &str, payload: T) -> PublishOutcome {
+        if self.fan_out(topic, std::slice::from_ref(&payload)) {
+            PublishOutcome::Shed
+        } else {
+            PublishOutcome::Delivered
+        }
+    }
+
+    /// The batch is one publish: encoded once, and shed whole or not at all.
+    fn publish_batch(&self, topic: &str, batch: &mut Vec<T>) -> usize {
+        let shed = if self.fan_out(topic, batch) { batch.len() } else { 0 };
+        batch.clear();
+        shed
+    }
 }
 
 impl<T> Handler for TcpBroker<T>
 where
-    T: Clone + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     fn services(&self) -> &'static [&'static str] {
         &["subscriber"]
@@ -169,17 +236,17 @@ where
     fn serve(&self, service: Service, conn: Conn) {
         let Service::Subscriber { prefixes } = service else { return };
         self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        serve_subscriber::<T>(conn, prefixes, &self.counters, &self.legs);
+        serve_subscriber::<T>(conn, prefixes, &self.counters, &self.fanout);
     }
 
     /// Releases the subscriber legs: every publish is already in their
     /// queues, so dropping their senders lets each drain and `Fin`.
     fn drain(&self) {
-        self.legs.lock().clear();
+        self.fanout.lock().legs.clear();
     }
 }
 
-/// Serves one remote subscriber: ships the encode-once chunks the relay
+/// Serves one remote subscriber: ships the encode-once chunks the broker
 /// queues for this leg down its socket, probing with `Ping` while idle.
 /// On shutdown the drain drops the leg's sender, and what is queued
 /// drains — through the same crash-pointed write path as live traffic —
@@ -189,7 +256,7 @@ fn serve_subscriber<T: BinPayload>(
     conn: Conn,
     prefixes: Vec<String>,
     counters: &BrokerCounters,
-    legs: &Legs,
+    fanout: &parking_lot::Mutex<Fanout>,
 ) {
     let Conn { mut writer, cfg, stop, .. } = conn;
     // Crash point: a broker that dies right after the handshake leaves
@@ -199,9 +266,9 @@ fn serve_subscriber<T: BinPayload>(
         return;
     }
     let (tx, rx) = crossbeam_channel::bounded::<DeliverChunk>(cfg.hwm.max(1));
-    legs.lock().push(FanoutLeg { prefixes, tx, synced: false });
+    fanout.lock().legs.push(FanoutLeg { prefixes, tx, synced: false });
     // The scratch the leg's own frames — pings, its `Fin` — are written
-    // through; its batches come encoded from the relay.
+    // through; its batches come encoded from the publisher.
     let mut enc = BinEncoder::new();
     let mut last_write = Instant::now();
     loop {
@@ -240,55 +307,6 @@ fn serve_subscriber<T: BinPayload>(
     let _ = write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Fin);
 }
 
-/// Encodes one publish once — fresh when a matching leg did not take the
-/// encoder's last frame — and feeds the frozen bytes to every matching
-/// leg, noting under the same lock which legs now hold what the encoder
-/// wrote. A publish no leg matches is not encoded; one that cannot be
-/// (a frame over [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN), say) is
-/// shed for every leg, and the next goes out fresh.
-fn fan_out_batch<T: BinPayload>(enc: &mut BinEncoder, topic: &str, batch: &[T], legs: &Legs) {
-    let mut legs = legs.lock();
-    let matching = || legs.iter().filter(|leg| leg.matches(topic));
-    if matching().next().is_none() {
-        return;
-    }
-    if matching().any(|leg| !leg.synced) {
-        enc.start_fresh();
-    }
-    let shed = sdci_obs::static_metric!(counter, "sdci_net_fanout_shed_total");
-    let chunk = match encode_batch(enc, topic, batch) {
-        Ok(chunk) => chunk,
-        Err(e) => {
-            sdci_obs::error!("fan-out could not encode a publish; shed for every subscriber";
-                topic = topic, messages = batch.len(), error = e.to_string());
-            shed.add(batch.len() as u64);
-            enc.start_fresh();
-            legs.iter_mut().for_each(|leg| leg.synced = false);
-            return;
-        }
-    };
-    legs.retain_mut(|leg| {
-        if !leg.matches(topic) {
-            leg.synced = false;
-            return true;
-        }
-        match leg.tx.try_send(chunk.clone()) {
-            Ok(()) => {
-                leg.synced = true;
-                true
-            }
-            Err(crossbeam_channel::TrySendError::Full(c)) => {
-                // This leg's socket fell behind: shed for it alone —
-                // the same high-water-mark contract as in-process.
-                shed.add(c.msgs);
-                leg.synced = false;
-                true
-            }
-            Err(crossbeam_channel::TrySendError::Disconnected(_)) => false,
-        }
-    });
-}
-
 /// Renders one publish as `DeliverBatch` frames — one, unless the
 /// writer's own member or byte cap splits it — into a frozen chunk.
 fn encode_batch<T: BinPayload>(
@@ -298,7 +316,7 @@ fn encode_batch<T: BinPayload>(
 ) -> std::io::Result<DeliverChunk> {
     let mut buf = Vec::new();
     let frames = write_deliver_batch_bin(&mut buf, enc, topic, batch, None)?;
-    Ok(DeliverChunk { bytes: buf.into(), frames: frames as u64, msgs: batch.len() as u64 })
+    Ok(DeliverChunk { bytes: buf.into(), frames: frames as u64 })
 }
 
 /// Writes one fan-out chunk, re-splitting the concatenated frames so
@@ -508,7 +526,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let broker = TcpBroker::new(Broker::<u64>::new(16));
+        let broker = TcpBroker::<u64>::new();
         broker.drain();
         let conn = Conn {
             reader: FrameReader::new(server.try_clone().unwrap()),

@@ -333,22 +333,20 @@ fn duplicated_store_replies_are_skipped_without_a_reconnect() {
 /// subscriber reconnects and resubscribes, and later messages flow.
 #[test]
 fn fanout_crash_point_costs_one_subscriber_connection() {
-    use sdci_mq::pubsub::Broker;
-    use sdci_mq::transport::Subscribe;
+    use sdci_mq::transport::{Publish, Subscribe};
     use sdci_net::{TcpBroker, TcpSubscriber};
 
     let _serial = endpoints();
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
     let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["events/"], cfg);
-    let publisher = broker.publisher();
 
     // Publish probes until one demonstrably flows end to end, so the
     // armed point below fires on an established fanout leg.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        publisher.publish("events/probe", u64::MAX);
+        broker.publish("events/probe", u64::MAX);
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
             break;
         }
@@ -361,7 +359,7 @@ fn fanout_crash_point_costs_one_subscriber_connection() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut delivered_after_kill = None;
     for i in 0u64.. {
-        publisher.publish("events/e", i);
+        broker.publish("events/e", i);
         if let Some(msg) = subscriber.recv_timeout(Duration::from_millis(10)) {
             if subscriber.connections() >= 2 {
                 delivered_after_kill = Some(msg.payload);
@@ -387,23 +385,21 @@ fn fanout_crash_point_costs_one_subscriber_connection() {
 /// immediately ahead of `shutdown()` — the graceful-drain flush.
 #[test]
 fn drain_abort_child() {
-    use sdci_mq::pubsub::Broker;
-    use sdci_mq::transport::Subscribe;
+    use sdci_mq::transport::{Publish, Subscribe};
     use sdci_net::{TcpBroker, TcpSubscriber};
 
     if std::env::var("SDCI_DRAIN_ABORT_CHILD").is_err() {
         return;
     }
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
     let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["q/"], cfg);
-    let publisher = broker.publisher();
 
     // Prove the fanout leg end-to-end live...
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        publisher.publish("q/probe", 0);
+        broker.publish("q/probe", 0);
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
             break;
         }
@@ -417,7 +413,7 @@ fn drain_abort_child() {
 
     arm("net.pubsub.fanout", 1, CrashMode::Abort);
     for i in 0..32u64 {
-        publisher.publish("q/drain", i);
+        broker.publish("q/drain", i);
     }
     endpoint.shutdown();
     // The armed abort fires while the queued burst is being flushed to

@@ -1,9 +1,9 @@
 //! A frame stays whole through the aggregator: what one collector
 //! `ItemBatch` carried is sequenced, stored and delivered to a remote
 //! consumer as one `DeliverBatch` — over the deployed assembly, one
-//! `Endpoint` serving `TcpPullServer` + `Aggregator` + `TcpBroker` +
-//! `StoreServer`, with raw sockets on both ends so frames are counted,
-//! not inferred.
+//! `Endpoint` serving `TcpPullServer` + `TcpBroker` + `StoreServer`, and
+//! an `Aggregator` publishing into that same `TcpBroker`, with raw
+//! sockets on both ends so frames are counted, not inferred.
 
 use sdci_core::{Aggregator, EventStore, FeedMessage};
 use sdci_net::wire::{write_hello, write_item_batch_bin, BinEncoder, Frame, FrameReader, Service};
@@ -68,8 +68,8 @@ fn one_item_frame_in_is_one_deliver_frame_out() {
         ..NetConfig::default()
     };
     let pull_srv = TcpPullServer::<FileEvent>::new(16);
-    let agg = Aggregator::start(pull_srv.pull(), Arc::new(EventStore::new(4096)), 64);
-    let broker = TcpBroker::new(agg.feed().clone());
+    let broker = TcpBroker::<FeedMessage>::new();
+    let agg = Aggregator::start(pull_srv.pull(), Arc::new(EventStore::new(4096)), broker.clone());
     let endpoint = Endpoint::bind(
         "127.0.0.1:0",
         cfg,

@@ -1,5 +1,5 @@
 //! The fan-out continues a frame only for legs that hold its
-//! predecessor: a `TcpBroker`'s relay encodes each publish once, and
+//! predecessor: a `TcpBroker` encodes each publish once, and
 //! codes it against the publish before it only when every leg it goes to
 //! took that one. Subscribers here are read by hand, frame by frame, each
 //! body decoded as the connection's reader decodes it — so a frame
@@ -13,7 +13,7 @@ use sdci_core::{
     Aggregator, EventConsumer, EventStore, FeedMessage, SequencedEvent, INGEST_QUEUE_FRAMES,
 };
 use sdci_mq::pipe::pipeline;
-use sdci_mq::pubsub::{Broker, Publisher};
+use sdci_mq::transport::Publish;
 use sdci_net::wire::{write_hello, BinEncoder, Frame, FrameReader, Service, WireMsg};
 use sdci_net::{
     Endpoint, Handler, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpSubscriber,
@@ -58,7 +58,7 @@ fn dir_event(i: u64) -> FileEvent {
 /// The broker's one stream of publishes, sequenced densely from 1, as the
 /// aggregator's feed is.
 struct Feed {
-    publisher: Publisher<FeedMessage>,
+    publisher: Arc<TcpBroker<FeedMessage>>,
     next_seq: u64,
 }
 
@@ -66,10 +66,10 @@ impl Feed {
     /// Publishes `n` events on `topic` as one batch; returns the last
     /// sequence number.
     fn publish(&mut self, topic: &str, n: u64) -> u64 {
-        let batch = (self.next_seq..self.next_seq + n)
+        let mut batch = (self.next_seq..self.next_seq + n)
             .map(|seq| FeedMessage::Event(SequencedEvent { seq, event: dir_event(seq) }))
             .collect();
-        self.publisher.publish_batch(topic, batch);
+        self.publisher.publish_batch(topic, &mut batch);
         self.next_seq += n;
         self.next_seq - 1
     }
@@ -196,9 +196,9 @@ fn join(addr: SocketAddr, prefixes: &[&str], feed: &mut Feed, topic: &str) -> Ra
 
 /// A broker serving feeds over `cfg`, and its stream of publishes.
 fn broker(cfg: NetConfig) -> (Arc<TcpBroker<FeedMessage>>, Endpoint, Feed) {
-    let broker = TcpBroker::<FeedMessage>::new(Broker::new(8192));
+    let broker = TcpBroker::<FeedMessage>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![broker.clone()]).unwrap();
-    let feed = Feed { publisher: broker.publisher(), next_seq: 1 };
+    let feed = Feed { publisher: broker.clone(), next_seq: 1 };
     (broker, endpoint, feed)
 }
 
@@ -351,9 +351,9 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_only_for_drops() {
     let drops = || counter("sdci_faults_injected_total", &[("dir", "recv"), ("kind", "drop")]);
     for spec in ["seed=11,recv.drop=0.08", "seed=11,recv.dup=0.05"] {
         let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
-        let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), 8192);
-        let handlers: Vec<Arc<dyn Handler>> =
-            vec![TcpBroker::new(agg.feed().clone()), StoreServer::new(agg.store())];
+        let feed = TcpBroker::<FeedMessage>::new();
+        let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), feed.clone());
+        let handlers: Vec<Arc<dyn Handler>> = vec![feed, StoreServer::new(agg.store())];
         let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), handlers).unwrap();
         let addr = endpoint.local_addr();
         let plan = Arc::new(sdci_faults::FaultPlan::parse(spec).unwrap());

@@ -1,11 +1,12 @@
 //! Kill-the-feed integration: an [`EventConsumer`] reading the
 //! Aggregator's feed over TCP keeps a consistent, ordered view across a
 //! feed-server restart by backfilling the gap from the store (§4 step 3
-//! fault tolerance, over real sockets).
+//! fault tolerance, over real sockets). The restarted endpoint serves the
+//! same [`TcpBroker`] the Aggregator has published into all along.
 
-use sdci_core::{Aggregator, EventConsumer, EventStore, INGEST_QUEUE_FRAMES};
+use sdci_core::{Aggregator, EventConsumer, EventStore, FeedMessage, INGEST_QUEUE_FRAMES};
 use sdci_mq::pipe::pipeline;
-use sdci_net::{Endpoint, Handler, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
+use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,10 +43,10 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     let cfg = fast_cfg();
     // In-process aggregator; only the consumer feed crosses TCP here.
     let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
-    let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), 8192);
+    let feed = TcpBroker::<FeedMessage>::new();
+    let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), Arc::clone(&feed));
 
-    let feed = || -> Vec<Arc<dyn Handler>> { vec![TcpBroker::new(agg.feed().clone())] };
-    let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), feed()).unwrap();
+    let endpoint1 = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![feed.clone()]).unwrap();
     let addr = endpoint1.local_addr();
     let feed_sub = TcpSubscriber::connect(addr, &["feed/"], cfg.clone());
     let mut consumer = EventConsumer::new(feed_sub, agg.store(), 0);
@@ -74,10 +75,11 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Feed server restarts on the same port; the subscriber reconnects
-    // on its own, hears a heartbeat with last_seq = A + B, and the
-    // consumer heals the gap from the store.
-    let endpoint2 = Endpoint::bind(addr, cfg, feed()).unwrap();
+    // Feed server restarts on the same port, over the broker the
+    // aggregator still publishes into; the subscriber reconnects on its
+    // own, hears a heartbeat with last_seq = A + B, and the consumer
+    // heals the gap from the store.
+    let endpoint2 = Endpoint::bind(addr, cfg, vec![feed]).unwrap();
     let mut got2 = Vec::new();
     while got2.len() < B as usize {
         let e = consumer

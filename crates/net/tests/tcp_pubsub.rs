@@ -2,8 +2,7 @@
 //! HWM contract and redials driven by the subscriber's reads, over a real
 //! TCP connection.
 
-use sdci_mq::pubsub::{Broker, Publisher};
-use sdci_mq::transport::Subscribe;
+use sdci_mq::transport::{Publish, PublishOutcome, Subscribe};
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use std::time::{Duration, Instant};
 
@@ -31,9 +30,9 @@ fn shed_total() -> u64 {
 
 /// Publishes probes until the subscription demonstrably reaches the
 /// broker, so the lossy leg's setup race can't eat test messages.
-fn wait_ready(publisher: &Publisher<u64>, subscriber: &TcpSubscriber<u64>) {
+fn wait_ready(broker: &TcpBroker<u64>, subscriber: &TcpSubscriber<u64>) {
     for _ in 0..1000 {
-        publisher.publish("probe/x", u64::MAX);
+        broker.publish("probe/x", u64::MAX);
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
             return;
         }
@@ -44,16 +43,20 @@ fn wait_ready(publisher: &Publisher<u64>, subscriber: &TcpSubscriber<u64>) {
 #[test]
 fn events_round_trip_in_publish_order() {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
+    // With no leg yet, a publish matches nobody: delivered, vacuously.
+    assert_eq!(broker.publish("events/e", u64::MAX), PublishOutcome::Delivered);
+    let mut batch = vec![u64::MAX; 2];
+    assert_eq!(broker.publish_batch("events/e", &mut batch), 0);
+    assert!(batch.is_empty());
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], cfg);
-    let publisher = broker.publisher();
-    wait_ready(&publisher, &subscriber);
+    wait_ready(&broker, &subscriber);
 
     const N: u64 = 500;
     for i in 0..N {
-        publisher.publish("events/e", i);
+        broker.publish("events/e", i);
     }
     let mut got = Vec::new();
     while got.len() < N as usize {
@@ -72,18 +75,17 @@ fn events_round_trip_in_publish_order() {
 #[test]
 fn shutdown_drains_queued_messages_to_subscribers() {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], cfg);
-    let publisher = broker.publisher();
-    wait_ready(&publisher, &subscriber);
+    wait_ready(&broker, &subscriber);
 
     // All N are in the broker once `publish` returns; shut down at once:
     // the drain must still deliver every one of them.
     const N: u64 = 200;
     for i in 0..N {
-        publisher.publish("events/e", i);
+        broker.publish("events/e", i);
     }
     endpoint.shutdown();
 
@@ -103,15 +105,20 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
     const BATCH: u64 = 1000;
     let _sheds = sheds();
     // Only the broker's legs are shallow: eight chunks queued behind a
-    // socket nobody reads, then the relay sheds for that leg alone.
+    // socket nobody reads, then the broker sheds for that leg alone.
     let shallow = NetConfig { hwm: 8, ..fast_cfg() };
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", shallow, vec![broker.clone()]).unwrap();
     let subscriber = TcpSubscriber::<u64>::connect(endpoint.local_addr(), &["events/"], fast_cfg());
-    let publisher = broker.publisher();
-    // Publish `i` carries the payloads `i * BATCH ..`, so a gap shows.
-    let publish =
-        |i: u64| publisher.publish_batch("events/e", (i * BATCH..(i + 1) * BATCH).collect());
+    // Publish `i` carries the payloads `i * BATCH ..`, so a gap shows;
+    // it returns how many of them were shed.
+    let mut batch = Vec::new();
+    let mut publish = |i: u64| {
+        batch.extend(i * BATCH..(i + 1) * BATCH);
+        let shed = broker.publish_batch("events/e", &mut batch);
+        assert!(batch.is_empty(), "a publish leaves the caller's batch empty");
+        shed
+    };
     for i in 0.. {
         publish(i);
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
@@ -122,16 +129,21 @@ fn slow_subscriber_sheds_at_hwm_instead_of_blocking_the_broker() {
     while subscriber.recv_timeout(Duration::from_millis(100)).is_some() {}
 
     // Nobody reads the subscriber: its socket fills, then its leg's
-    // queue, and each publish after that is shed for it — the relay
-    // returns at once rather than wait on the slow reader.
+    // queue, and each publish after that is shed for it — the publish
+    // returns at once rather than wait on the slow reader, and says so.
     let before = shed_total();
     let mut published = 1_000_000;
-    while shed_total() == before {
-        publish(published);
+    loop {
+        let shed = publish(published) as u64;
         published += 1;
+        if shed > 0 {
+            assert_eq!(shed, BATCH, "one publish shed, all of it");
+            break;
+        }
+        assert_eq!(shed_total(), before, "a publish that was taken counted a shed");
         assert!(published < 1_100_000, "HWM shedding never engaged");
     }
-    assert_eq!(shed_total() - before, BATCH, "one publish shed, all of it");
+    assert_eq!(shed_total() - before, BATCH, "the shed series counts what the publish returned");
     // What the leg queued before the shed is read in order, and the next
     // publish, sent fresh, arrives behind the gap on the same connection.
     let mut last = None;
@@ -173,17 +185,16 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
         trace: Some(TraceContext::sampled(0x1111_2222_3333_4444, i + 1)),
     };
     const PROBE: u64 = 1 << 30;
-    let broker = TcpBroker::<FileEvent>::new(Broker::new(8192));
+    let broker = TcpBroker::<FileEvent>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let subscriber =
         TcpSubscriber::<FileEvent>::connect(endpoint.local_addr(), &["t/"], fast_cfg());
-    let publisher = broker.publisher();
 
     // Probe until the leg demonstrably delivers, then quiesce so the
     // frame counter baselines below exclude the probes.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        publisher.publish("t/probe", traced_event(PROBE));
+        broker.publish("t/probe", traced_event(PROBE));
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
             break;
         }
@@ -221,13 +232,13 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
     };
 
     let frames_before = broker.stats().frames_out;
-    publisher.publish_batch("t/e", (0..N).map(traced_event).collect());
+    broker.publish_batch("t/e", &mut (0..N).map(traced_event).collect());
     expect_n_in_order("batch");
     assert_eq!(frames_since(frames_before, 1), 1, "a batch is one frame");
 
     let frames_before = broker.stats().frames_out;
     for i in 0..N {
-        publisher.publish("t/e", traced_event(i));
+        broker.publish("t/e", traced_event(i));
     }
     expect_n_in_order("singles");
     assert_eq!(frames_since(frames_before, N), N, "singles are not regrouped");
@@ -241,17 +252,16 @@ fn a_publish_is_a_frame_delivered_in_order_with_context() {
 #[test]
 fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered() {
     let _sheds = sheds();
-    let broker = TcpBroker::<String>::new(Broker::new(8192));
+    let broker = TcpBroker::<String>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let subscribers = [(); 2]
         .map(|()| TcpSubscriber::<String>::connect(endpoint.local_addr(), &["t/"], fast_cfg()));
-    let publisher = broker.publisher();
     // Probe until both legs demonstrably deliver, then quiesce.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let mut ready = [false; 2];
     while ready != [true; 2] {
         assert!(std::time::Instant::now() < deadline, "loopback never became ready");
-        publisher.publish("t/probe", "probe".to_string());
+        broker.publish("t/probe", "probe".to_string());
         for (sub, ready) in subscribers.iter().zip(&mut ready) {
             *ready |= sub.recv_timeout(Duration::from_millis(10)).is_some();
         }
@@ -265,8 +275,8 @@ fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered()
     let block: String = (0u8..128).map(char::from).collect();
     let huge = block.repeat((74 << 20) / block.len());
     let before = shed_total();
-    publisher.publish("t/huge", huge);
-    publisher.publish("t/after", "after".to_string());
+    broker.publish("t/huge", huge);
+    broker.publish("t/after", "after".to_string());
     for (n, sub) in subscribers.iter().enumerate() {
         let msg = sub.recv_timeout(Duration::from_secs(30)).expect("the publish after it");
         assert_eq!((msg.topic.as_str(), msg.payload.as_str()), ("t/after", "after"), "leg {n}");
@@ -282,11 +292,11 @@ fn a_publish_that_cannot_be_encoded_is_shed_once_and_the_next_one_is_delivered()
 /// a read and delivers.
 #[test]
 fn a_read_while_the_broker_is_down_returns_by_its_deadline_and_redials_once_it_is_back() {
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["events/", "probe/"], fast_cfg());
-    wait_ready(&broker.publisher(), &subscriber);
+    wait_ready(&broker, &subscriber);
     endpoint.shutdown();
 
     for _ in 0..20 {
@@ -295,9 +305,9 @@ fn a_read_while_the_broker_is_down_returns_by_its_deadline_and_redials_once_it_i
         let took = started.elapsed();
         assert!(took < Duration::from_millis(70), "a 50 ms read took {took:?}");
     }
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind(addr, fast_cfg(), vec![broker.clone()]).unwrap();
-    wait_ready(&broker.publisher(), &subscriber);
+    wait_ready(&broker, &subscriber);
     assert!(subscriber.connections() >= 2, "delivered without a redial");
     endpoint.shutdown();
 }

@@ -3,8 +3,7 @@
 //! own. Alone in its test binary so nothing else starts or ends a thread
 //! while it counts.
 
-use sdci_mq::pubsub::Broker;
-use sdci_mq::transport::Subscribe;
+use sdci_mq::transport::{Publish, Subscribe};
 use sdci_net::{Endpoint, NetConfig, TcpBroker, TcpSubscriber};
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,7 @@ fn threads_but_the_brokers() -> usize {
 
 #[test]
 fn connecting_a_subscriber_to_a_live_broker_starts_no_thread() {
-    let broker = TcpBroker::<u64>::new(Broker::new(64));
+    let broker = TcpBroker::<u64>::new();
     let endpoint =
         Endpoint::bind("127.0.0.1:0", NetConfig::default(), vec![broker.clone()]).unwrap();
     let before = threads_but_the_brokers();
@@ -37,9 +36,8 @@ fn connecting_a_subscriber_to_a_live_broker_starts_no_thread() {
     assert_eq!(threads_but_the_brokers(), before, "the subscriber started a thread");
 
     // Its reads take the broker's frames on this thread.
-    let publisher = broker.publisher();
     let delivered = (0..1000).find_map(|_| {
-        publisher.publish("t/x", 7);
+        broker.publish("t/x", 7);
         subscriber.recv_timeout(Duration::from_millis(10))
     });
     assert_eq!(delivered.map(|msg| (msg.topic, msg.payload)), Some(("t/x".to_string(), 7)));

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sdci_mq::pubsub::Broker;
-use sdci_mq::transport::Subscribe;
+use sdci_mq::transport::{Publish, Subscribe};
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use std::time::Duration;
 
@@ -26,7 +25,7 @@ const PREFIXES: &[&str] = &["a", "a/", "ab", "b/", "b/y", "c", "events/", "event
 
 fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCaseError> {
     let cfg = fast_cfg();
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
     // `zz` carries the readiness probe and the end-of-case sentinel; no
@@ -34,11 +33,10 @@ fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCas
     let mut prefixes: Vec<&str> = prefix_ids.iter().map(|&i| PREFIXES[i]).collect();
     prefixes.push("zz");
     let subscriber = TcpSubscriber::<u64>::connect(addr, &prefixes, cfg);
-    let publisher = broker.publisher();
 
     let mut ready = false;
     for _ in 0..1000 {
-        publisher.publish("zz/probe", u64::MAX);
+        broker.publish("zz/probe", u64::MAX);
         if subscriber.recv_timeout(Duration::from_millis(10)).is_some() {
             ready = true;
             break;
@@ -47,9 +45,9 @@ fn run_case(topic_ids: Vec<usize>, prefix_ids: Vec<usize>) -> Result<(), TestCas
     assert!(ready, "pub/sub loopback never became ready");
 
     for (i, &t) in topic_ids.iter().enumerate() {
-        publisher.publish(TOPICS[t], i as u64);
+        broker.publish(TOPICS[t], i as u64);
     }
-    publisher.publish("zz/done", u64::MAX);
+    broker.publish("zz/done", u64::MAX);
 
     let expected: Vec<(String, u64)> = topic_ids
         .iter()

@@ -33,8 +33,7 @@
 //! records the largest single request the calling thread has made.
 
 use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuery};
-use sdci_mq::pubsub::Broker;
-use sdci_mq::transport::Subscribe;
+use sdci_mq::transport::{Publish, Subscribe};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
     write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
@@ -261,7 +260,7 @@ fn forged_heartbeat_body() -> Vec<u8> {
 fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keeps_serving() {
     let _serial = endpoints();
     let pull = TcpPullServer::<u64>::new(64);
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
     let endpoint = Endpoint::bind(
         "127.0.0.1:0",
@@ -270,7 +269,6 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     )
     .unwrap();
     let addr = endpoint.local_addr();
-    let local = broker.subscribe(&[""]);
 
     // Another version, older or newer, names its leg; no version does not
     // decode at all — the service's bytes read as a version and the wrong
@@ -291,7 +289,7 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
         let mut stream = connect_with_hello(addr, &hello);
         // Data right behind a refused hello must never be applied.
         let _ = write_item_batch_bin(&mut stream, &mut BinEncoder::new(), 1, &[7u64], None);
-        broker.publisher().publish("t/y", 8);
+        broker.publish("t/y", 8);
         assert_closed_unanswered(&mut stream, &format!("{hello:?}"));
         assert_eq!(refused(counted_as), before + 1, "refusal not recorded: {hello:?}");
     }
@@ -299,7 +297,6 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     assert!(pull.marks().is_empty(), "a refused hello must not even register the client");
     assert_eq!(broker.stats().frames_out, 0, "a refused subscriber was delivered to");
     assert_eq!(store.queries(), 0);
-    while local.try_recv().is_some() {} // the test's own `t/y` publications
 
     // Every service still serves a peer that speaks the endpoint's version.
     let push = TcpPush::connect(addr, "current", fast_cfg());
@@ -308,7 +305,7 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(vec![42]));
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["ok/"], fast_cfg());
     let delivered = (0..1000).any(|_| {
-        broker.publisher().publish("ok/x", 9);
+        broker.publish("ok/x", 9);
         subscriber.recv_timeout(Duration::from_millis(10)).is_some()
     });
     assert!(delivered, "a correct subscriber is still served");
@@ -356,7 +353,7 @@ fn a_previous_builds_json_hello_is_refused_and_the_next_peer_served() {
 fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
     let _serial = endpoints();
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
-    let broker = TcpBroker::<FeedMessage>::new(Broker::new(8192));
+    let broker = TcpBroker::<FeedMessage>::new();
     let endpoint =
         Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![store.clone(), broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
@@ -390,7 +387,7 @@ fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
     // The feed's owner still publishes, and only what it publishes arrives.
     let genuine = FeedMessage::Heartbeat { last_seq: 7 };
     let delivered = (0..1000).find_map(|_| {
-        broker.publisher().publish("feed/all", genuine.clone());
+        broker.publish("feed/all", genuine.clone());
         subscriber.recv_timeout(Duration::from_millis(10))
     });
     assert_eq!(delivered.map(|msg| msg.payload), Some(genuine));
@@ -520,7 +517,7 @@ fn a_hello_length_word_past_what_a_hello_can_be_is_refused_before_it_is_buffered
     let _serial = endpoints();
     let cfg = fast_cfg();
     let store = StoreServer::new(Arc::new(EventStore::new(64)));
-    let broker = TcpBroker::<u64>::new(Broker::new(8192));
+    let broker = TcpBroker::<u64>::new();
     let endpoint =
         Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![store.clone(), broker.clone()]).unwrap();
     let addr = endpoint.local_addr();
@@ -722,7 +719,7 @@ fn a_lone_pushed_event_is_one_binary_frame_with_its_trace_context() {
 #[test]
 fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     let _serial = endpoints();
-    let broker = TcpBroker::<FileEvent>::new(Broker::new(8192));
+    let broker = TcpBroker::<FileEvent>::new();
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![broker.clone()]).unwrap();
     let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
     write_hello(&mut stream, Service::Subscriber { prefixes: vec!["feed/".into()] }).unwrap();
@@ -731,7 +728,7 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     // once the leg's first `Ping` shows it is being served.
     let body = read_raw_frame(&mut stream);
     assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), Frame::Ping);
-    broker.publisher().publish("feed/all", traced_event());
+    broker.publish("feed/all", traced_event());
 
     let body = loop {
         let body = read_raw_frame(&mut stream);

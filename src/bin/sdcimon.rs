@@ -51,8 +51,8 @@ use parking_lot::Mutex;
 use sdci::lustre::{DnePolicy, LustreConfig, LustreFs};
 use sdci::monitor::{
     restore_snapshot, Aggregator, ClusterStats, Collector, ConsumerCursor, EventBackend,
-    EventConsumer, EventStore, MonitorClusterBuilder, MonitorConfig, SnapshotDir, StoreStack,
-    INGEST_QUEUE_FRAMES,
+    EventConsumer, EventStore, FeedMessage, MonitorClusterBuilder, MonitorConfig, SnapshotDir,
+    StoreStack, INGEST_QUEUE_FRAMES,
 };
 use sdci::net::{
     Endpoint, NetConfig, RemoteStore, StoreServer, TcpBroker, TcpPullServer, TcpPush, TcpSubscriber,
@@ -285,12 +285,6 @@ fn trace_dump(flags: &Flags) {
 // aggregator
 // ---------------------------------------------------------------------------
 
-/// Queue bound of an in-process `Broker::subscribe` on the feed. No
-/// `sdcimon` role subscribes in process — the ingest thread encodes each
-/// publish for the remote legs, whose queues `NetConfig::hwm` sizes — so
-/// this sizes nothing here.
-const FEED_HWM: usize = 65_536;
-
 fn run_aggregator(flags: &Flags) -> Result<(), String> {
     trace_setup(flags, "aggregator")?;
     let bind: SocketAddr = flags.parse_or("--bind", SocketAddr::from(([127, 0, 0, 1], 7070)))?;
@@ -329,16 +323,16 @@ fn run_aggregator(flags: &Flags) -> Result<(), String> {
     let events_srv = TcpPullServer::<FileEvent>::with_marks(INGEST_QUEUE_FRAMES, marks);
     let base_store = Arc::new(base_store);
     let store = StoreStack::over(base_store.clone()).metered("sdci_store").build();
-    let agg = Aggregator::start(events_srv.pull(), store, FEED_HWM);
+    // The feed: the ingest thread publishes into it, encoding each
+    // publish once for the remote legs, whose queues `NetConfig::hwm` sizes.
+    let feed = TcpBroker::<FeedMessage>::new();
+    let agg = Aggregator::start(events_srv.pull(), store, Arc::clone(&feed));
     // /healthz flips to 503 the moment ingest halts on a store
     // rejection — the readiness signal a supervisor restarts on.
     agg.register_health_probe("aggregator");
-    let endpoint = Endpoint::bind(
-        bind,
-        cfg,
-        vec![events_srv.clone(), TcpBroker::new(agg.feed().clone()), StoreServer::new(agg.store())],
-    )
-    .map_err(|e| format!("bind {bind}: {e}"))?;
+    let endpoint =
+        Endpoint::bind(bind, cfg, vec![events_srv.clone(), feed, StoreServer::new(agg.store())])
+            .map_err(|e| format!("bind {bind}: {e}"))?;
     let addr = endpoint.local_addr();
 
     // Readiness line: tests, operators and the benchmark parse
