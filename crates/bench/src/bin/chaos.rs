@@ -67,7 +67,7 @@ struct ChaosReport {
     events_per_round: u64,
     producers: u64,
     faults_injected: u64,
-    gap_nacks: u64,
+    pusher_reconnects: u64,
     crash_points_fired: u64,
     min_events_per_sec: f64,
     mean_events_per_sec: f64,
@@ -146,7 +146,7 @@ fn injected_total() -> u64 {
 
 /// Four faulted pushers into one clean pull server: exactly-once, in
 /// per-producer order, with the server's item count agreeing. Returns
-/// (elapsed, gap nacks) or the invariant violation.
+/// (elapsed, the pushers' reconnects summed) or the invariant violation.
 fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
     let plan =
         Arc::new(FaultPlan::parse(&schedule.spec).map_err(|e| format!("spec rejected: {e}"))?);
@@ -164,10 +164,11 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
                 let push = TcpPush::<FileEvent>::connect(addr, format!("chaos-p{p}"), cfg);
                 for i in 0..per_producer {
                     if !push.send(event(p * 1_000_000 + i)) {
-                        return false;
+                        return None;
                     }
                 }
-                push.drain(Duration::from_secs(60))
+                let drained = push.drain(Duration::from_secs(60));
+                drained.then(|| push.connections().saturating_sub(1))
             })
         })
         .collect();
@@ -183,10 +184,12 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
             received += 1;
         }
     }
+    let mut reconnects = 0;
     for (p, producer) in producers.into_iter().enumerate() {
-        if !sdci_bench::joined(producer) {
+        let Some(redials) = sdci_bench::joined(producer) else {
             return Err(format!("producer {p} did not drain within its bounded retries"));
-        }
+        };
+        reconnects += redials;
     }
     let elapsed = start.elapsed();
     if received != events {
@@ -206,7 +209,7 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
         return Err(format!("server item count {} != {events}", stats.items));
     }
     endpoint.shutdown();
-    Ok((elapsed, stats.nacks))
+    Ok((elapsed, reconnects))
 }
 
 /// A flush failed at the round's crash point must leave the previous
@@ -297,7 +300,7 @@ fn main() -> std::io::Result<()> {
     );
 
     let injected_before = injected_total();
-    let mut gap_nacks = 0u64;
+    let mut pusher_reconnects = 0u64;
     let mut rates = Vec::new();
     for round in 0..rounds {
         let seed = base_seed + round;
@@ -311,17 +314,17 @@ fn main() -> std::io::Result<()> {
             producers: PRODUCERS,
         };
         let before = injected_total();
-        let (elapsed, nacks) = match wire_round(&schedule) {
+        let (elapsed, reconnects) = match wire_round(&schedule) {
             Ok(ok) => ok,
             Err(failure) => fail(&schedule, base_seed, failure),
         };
         if let Err(failure) = store_round(&schedule) {
             fail(&schedule, base_seed, failure);
         }
-        gap_nacks += nacks;
+        pusher_reconnects += reconnects;
         rates.push(events as f64 / elapsed.as_secs_f64());
         println!(
-            "round {round:>2}  seed {seed:<8}  {:>7.2}s  {:>6} faults  {nacks:>3} gap nacks  \
+            "round {round:>2}  seed {seed:<8}  {:>7.2}s  {:>6} faults  {reconnects:>3} reconnects  \
              crash {}  ok",
             elapsed.as_secs_f64(),
             injected_total() - before,
@@ -334,7 +337,7 @@ fn main() -> std::io::Result<()> {
     let mean_rate = rates.iter().sum::<f64>() / rates.len() as f64;
     println!(
         "\nall {rounds} schedules survived: exactly-once delivery held under {faults_injected} \
-         injected faults ({gap_nacks} server gap nacks), and every mid-flush failure left \
+         injected faults ({pusher_reconnects} pusher reconnects), and every mid-flush failure left \
          the snapshot restorable."
     );
 
@@ -346,7 +349,7 @@ fn main() -> std::io::Result<()> {
         events_per_round: events,
         producers: PRODUCERS,
         faults_injected,
-        gap_nacks,
+        pusher_reconnects,
         crash_points_fired: rounds,
         min_events_per_sec: min_rate,
         mean_events_per_sec: mean_rate,

@@ -46,7 +46,9 @@ pub struct NetConfig {
     pub retry: RetryPolicy,
     /// A side that has been idle this long sends a `Ping`.
     pub heartbeat: Duration,
-    /// A connection that produced no traffic for this long is dead.
+    /// A connection that produced no traffic for this long is dead —
+    /// and a pusher's, once its oldest unacknowledged item has waited
+    /// this long, whatever else arrived meanwhile.
     pub liveness: Duration,
     /// Most payloads coalesced into one batch frame. `1` disables
     /// coalescing: every payload travels as a one-member batch.

@@ -8,8 +8,8 @@
 //! * [`wire`] — the framing: 4-byte big-endian length word + one
 //!   binary frame body. Every frame is binary: the opening
 //!   [`wire::Hello`], the `ItemBatch`/`DeliverBatch` runs senders
-//!   coalesce payloads into, store-RPC replies, and the acks, nacks,
-//!   pings and queries of a few bytes each. There is one wire version
+//!   coalesce payloads into, store-RPC replies, and the acks, pings
+//!   and queries of a few bytes each. There is one wire version
 //!   ([`wire::WIRE_PROTO`]): every connection's hello announces it and a
 //!   mismatch closes the connection.
 //! * [`endpoint`] — one address per server role: [`Endpoint`] owns the

@@ -37,9 +37,7 @@
 
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
-use crate::wire::{
-    continuity_gap, timed_out, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, Service,
-};
+use crate::wire::{timed_out, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, Service};
 use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceContext};
@@ -71,11 +69,6 @@ pub struct PullServerStats {
     /// `ItemBatch` frames received (each acked once, however many
     /// items it carried).
     pub batches: u64,
-    /// Gap `Nack`s sent: a batch arrived beyond the client's next dense
-    /// sequence number — frames were lost in transit, and accepting the
-    /// jump would silently lose the gap forever — so the pusher is told
-    /// the expected sequence and fast-rewinds in place.
-    pub nacks: u64,
 }
 
 #[derive(Debug, Default)]
@@ -84,7 +77,6 @@ struct ServerCounters {
     items: AtomicU64,
     duplicates: AtomicU64,
     batches: AtomicU64,
-    nacks: AtomicU64,
 }
 
 /// Per-client dedup high-water marks. Each client's mark has its own
@@ -156,7 +148,6 @@ where
             items: self.counters.items.load(Ordering::Relaxed),
             duplicates: self.counters.duplicates.load(Ordering::Relaxed),
             batches: self.counters.batches.load(Ordering::Relaxed),
-            nacks: self.counters.nacks.load(Ordering::Relaxed),
         }
     }
 
@@ -212,7 +203,7 @@ fn serve_pusher<T>(
     T: Send + BinPayload + 'static,
 {
     let Conn { mut reader, mut writer, cfg, stop } = conn;
-    // The scratch every ack and nack of the connection is written through.
+    // The scratch every ack of the connection is written through.
     let mut enc = BinEncoder::new();
     // One mark per client identity, shared by every connection that
     // claims it — including the next one, when a reconnect races a
@@ -237,12 +228,6 @@ fn serve_pusher<T>(
         return;
     }
     let mut last_traffic = Instant::now();
-    // The expected seq named by the last gap `Nack` and when it was
-    // sent, so a stalled mark draws one nack per heartbeat however many
-    // in-flight frames sail past the gap before the rewound resend
-    // arrives — while a rewound resend that is itself lost still earns
-    // a fresh nack once the window has passed.
-    let mut nacked_at: Option<(u64, Instant)> = None;
     // `stop` is checked every iteration, not just on timeouts, so a
     // client streaming at full rate cannot pin the handler past
     // shutdown. Unacked in-flight items are re-sent to the next server.
@@ -266,7 +251,7 @@ fn serve_pusher<T>(
                 // check-push-update, so the dedup decision and the
                 // pipeline hand-off are one atomic step per client; the
                 // whole frame gets one `Ack`.
-                let outcome = {
+                let up_to = {
                     let mut m = mark.lock();
                     // The mark is the peer's to raise (`resume_after`)
                     // and its frames' to advance: one with no sequence
@@ -278,58 +263,37 @@ fn serve_pusher<T>(
                     // jump past mark+1 means frames vanished in
                     // transit. Advancing the mark over the gap would
                     // ack — and thereby lose — items that never
-                    // arrived; instead the client is told the expected
-                    // seq so it rewinds and retransmits in place. (The
-                    // client treats non-advancing acks as liveness, so
-                    // stalling acks here would livelock, not recover.)
+                    // arrived; the connection is dropped instead, and
+                    // the pusher's redial resends from the mark.
                     if first_seq > next {
-                        Err(next)
-                    } else {
-                        // A re-sent batch may be only partially
-                        // stale: accept the tail, drop the prefix.
-                        let dups = (next - first_seq).min(payloads.len() as u64);
-                        payloads.drain(..dups as usize);
-                        let fresh = payloads.len() as u64;
-                        let Some(advanced) = mark_after(*m, fresh) else { return };
-                        // Ack only after the pipeline takes the frame:
-                        // an ack means "processed", so a crash before
-                        // this point makes the client re-send, never
-                        // lose.
-                        if fresh > 0 {
-                            if !push.send(payloads) {
-                                return;
-                            }
-                            *m = advanced;
-                        }
-                        counters.items.fetch_add(fresh, Ordering::Relaxed);
-                        sdci_obs::static_metric!(counter, "sdci_net_pull_items_total").add(fresh);
-                        counters.duplicates.fetch_add(dups, Ordering::Relaxed);
-                        sdci_obs::static_metric!(counter, "sdci_net_dedup_hits_total").add(dups);
-                        Ok(*m)
+                        sdci_obs::static_metric!(counter, "sdci_net_push_gaps_total").inc();
+                        sdci_obs::warn!("sequence gap on the push leg; dropping the connection";
+                            expected = next, first_seq = first_seq);
+                        return;
                     }
+                    // A re-sent batch may be only partially stale:
+                    // accept the tail, drop the prefix.
+                    let dups = (next - first_seq).min(payloads.len() as u64);
+                    payloads.drain(..dups as usize);
+                    let fresh = payloads.len() as u64;
+                    let Some(advanced) = mark_after(*m, fresh) else { return };
+                    // Ack only after the pipeline takes the frame: an
+                    // ack means "processed", so a crash before this
+                    // point makes the client re-send, never lose.
+                    if fresh > 0 {
+                        if !push.send(payloads) {
+                            return;
+                        }
+                        *m = advanced;
+                    }
+                    counters.items.fetch_add(fresh, Ordering::Relaxed);
+                    sdci_obs::static_metric!(counter, "sdci_net_pull_items_total").add(fresh);
+                    counters.duplicates.fetch_add(dups, Ordering::Relaxed);
+                    sdci_obs::static_metric!(counter, "sdci_net_dedup_hits_total").add(dups);
+                    *m
                 };
-                match outcome {
-                    Ok(up_to) => {
-                        nacked_at = None;
-                        let ack = Frame::<T>::Ack { up_to };
-                        if write_msg_bin(&mut writer, &mut enc, &ack).is_err() {
-                            return;
-                        }
-                    }
-                    Err(expected) => {
-                        if nack_gap::<T>(
-                            &mut writer,
-                            &mut enc,
-                            counters,
-                            &mut nacked_at,
-                            expected,
-                            cfg.heartbeat,
-                        )
-                        .is_err()
-                        {
-                            return;
-                        }
-                    }
+                if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ack { up_to }).is_err() {
+                    return;
                 }
             }
             Ok(Frame::Ping) => {
@@ -342,30 +306,14 @@ fn serve_pusher<T>(
             }
             Ok(Frame::Fin) => return,
             Ok(_) => {}
-            Err(e) if continuity_gap(&e).is_some() => {
-                // A batch continuing frames this connection did not
-                // deliver (lost, or duplicated behind them): none of its
-                // members was read, so the pusher must resume after the
-                // mark, as after any gap — and its rewind starts fresh.
-                last_traffic = Instant::now();
-                let Some(expected) = mark_after(*mark.lock(), 1) else { return };
-                let nacked = nack_gap::<T>(
-                    &mut writer,
-                    &mut enc,
-                    counters,
-                    &mut nacked_at,
-                    expected,
-                    cfg.heartbeat,
-                );
-                if nacked.is_err() {
-                    return;
-                }
-            }
             Err(e) if timed_out(&e) => {
                 if last_traffic.elapsed() > cfg.liveness {
                     return;
                 }
             }
+            // Anything else — a batch continuing frames this connection
+            // did not deliver included, which the reader refuses before
+            // a member is read — breaks the stream as a gap does.
             Err(_) => return,
         }
     }
@@ -382,32 +330,6 @@ fn mark_after(mark: u64, n: u64) -> Option<u64> {
     after
 }
 
-/// Tells a pusher where the stream must resume: one `Nack` per stalled
-/// mark value and heartbeat window (later in-flight frames past the
-/// same gap are dropped silently, without ack), so the pusher rewinds
-/// its resend buffer in place instead of waiting out the liveness
-/// window.
-fn nack_gap<T: BinPayload>(
-    writer: &mut impl std::io::Write,
-    enc: &mut BinEncoder,
-    counters: &ServerCounters,
-    nacked_at: &mut Option<(u64, Instant)>,
-    expected: u64,
-    repeat_after: Duration,
-) -> std::io::Result<()> {
-    if nacked_at.is_some_and(|(e, at)| e == expected && at.elapsed() < repeat_after) {
-        return Ok(());
-    }
-    *nacked_at = Some((expected, Instant::now()));
-    counters.nacks.fetch_add(1, Ordering::Relaxed);
-    sdci_obs::static_metric!(counter, "sdci_net_gap_nacks_total").inc();
-    sdci_obs::warn!(
-        "sequence gap on the push leg; nacking to request an in-place rewind";
-        expected = expected,
-    );
-    write_msg_bin(writer, enc, &Frame::<T>::Nack { expected })
-}
-
 #[derive(Debug, Default)]
 struct PushState {
     /// Items accepted by `send` and not yet acknowledged by the server.
@@ -416,8 +338,6 @@ struct PushState {
     acked: AtomicU64,
     /// Successful connections (>1 means the link was re-established).
     connections: AtomicU64,
-    /// In-place window resends performed in answer to a gap `Nack`.
-    rewinds: AtomicU64,
 }
 
 /// The PUSH side: a cloneable, supervised sender whose items are
@@ -503,12 +423,6 @@ where
     pub fn connections(&self) -> u64 {
         self.state.connections.load(Ordering::Relaxed)
     }
-
-    /// Fast rewinds so far: in-place window resends answering a server
-    /// gap `Nack`, each one a reconnect-and-wait avoided.
-    pub fn fast_rewinds(&self) -> u64 {
-        self.state.rewinds.load(Ordering::Relaxed)
-    }
 }
 
 /// Lets a [`TcpPush`] stand in where a pub-sub publisher is expected
@@ -529,11 +443,10 @@ where
     }
 }
 
-/// Retransmits every unacked item with fresh send timestamps — after a
-/// reconnect, or in place when a gap `Nack` arrives. Sequences in
-/// `unacked` are dense, so the whole window re-ships as a few
-/// `ItemBatch` runs (the encoder re-splits any run whose encoded size
-/// would overrun a frame).
+/// Retransmits every unacked item with fresh send timestamps after a
+/// reconnect. Sequences in `unacked` are dense, so the whole window
+/// re-ships as a few `ItemBatch` runs (the encoder re-splits any run
+/// whose encoded size would overrun a frame).
 fn resend_window<T: Clone + BinPayload>(
     writer: &mut impl std::io::Write,
     enc: &mut BinEncoder,
@@ -663,7 +576,6 @@ fn push_worker<T>(
             sdci_obs::static_metric!(counter, "sdci_net_pusher_reconnects_total").inc();
         }
         let mut last_write = Instant::now();
-        let mut last_traffic = Instant::now();
         // An item taken out of the queue by the idle wait, fed back
         // into the next fill so it can coalesce with whatever arrived
         // behind it.
@@ -786,45 +698,21 @@ fn push_worker<T>(
             } else {
                 // Window has items in flight: wait for acks, pinging to
                 // elicit one when the link goes quiet (the server
-                // re-acks every ping), and reconnecting — which re-sends
-                // the window — once nothing has been heard for a
-                // liveness interval. Without the liveness check a silent
-                // partition (no RST/FIN) would hang the lossless leg
-                // forever.
+                // re-acks every ping). The connection is dead once the
+                // oldest unacked item has waited a liveness interval —
+                // acks that do not advance past it are no progress, so
+                // neither a silent partition (no RST/FIN) nor a frame
+                // lost with nothing behind it can hold the lossless leg;
+                // the reconnect re-sends the window.
+                if unacked.front().is_some_and(|(_, _, sent_at)| sent_at.elapsed() > cfg.liveness) {
+                    backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
+                    continue 'reconnect;
+                }
                 match reader.read_msg::<Frame<T>>() {
                     Ok(Frame::Ack { up_to }) => {
-                        last_traffic = Instant::now();
                         ack_up_to(up_to, &mut unacked, &mut last_acked, &state);
                     }
-                    Ok(Frame::Nack { expected }) => {
-                        last_traffic = Instant::now();
-                        // Frames vanished mid-stream: everything before
-                        // `expected` landed, everything from it on must
-                        // re-ship. Rewind and retransmit on this very
-                        // connection instead of waiting out liveness.
-                        ack_up_to(
-                            expected.saturating_sub(1),
-                            &mut unacked,
-                            &mut last_acked,
-                            &state,
-                        );
-                        state.rewinds.fetch_add(1, Ordering::Relaxed);
-                        sdci_obs::static_metric!(counter, "sdci_net_push_fast_rewinds_total").inc();
-                        // The server may have skipped frames this encoder's
-                        // history holds: the resend starts fresh.
-                        enc.start_fresh();
-                        if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
-                            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                            continue 'reconnect;
-                        }
-                        last_write = Instant::now();
-                    }
-                    Ok(_) => last_traffic = Instant::now(),
                     Err(e) if timed_out(&e) => {
-                        if last_traffic.elapsed() > cfg.liveness {
-                            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                            continue 'reconnect;
-                        }
                         if last_write.elapsed() >= cfg.heartbeat {
                             if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
                                 backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
@@ -833,7 +721,9 @@ fn push_worker<T>(
                             last_write = Instant::now();
                         }
                     }
-                    Err(_) => {
+                    // A pull server answers with acks only: anything else
+                    // breaks the stream.
+                    Ok(_) | Err(_) => {
                         backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                         continue 'reconnect;
                     }

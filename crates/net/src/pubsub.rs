@@ -22,8 +22,8 @@
 //! one that shed it, did not match its topic, or joined since — goes out
 //! fresh to every leg, still encoded once. So a leg only ever receives a
 //! continuing frame whose predecessor it holds, and a subscriber that
-//! nevertheless sees a gap — a fault on its socket — skips a frame it has
-//! read already and reconnects on anything else.
+//! nevertheless sees a gap — a fault on its socket — hangs up and
+//! redials.
 //!
 //! Semantics match `sdci_mq::pubsub`: best-effort delivery with a
 //! per-subscriber high-water mark. Backpressure from a slow socket —
@@ -43,8 +43,7 @@ use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    continuity_gap, timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, ContinuityGap,
-    Frame, FrameReader, Service,
+    timed_out, write_deliver_batch_bin, write_msg_bin, BinEncoder, Frame, FrameReader, Service,
 };
 use sdci_mq::pubsub::Message;
 use sdci_mq::transport::{Publish, PublishOutcome, Subscribe};
@@ -460,11 +459,6 @@ impl<T: Send + BinPayload + 'static> TcpSubscriber<T> {
                 // The broker drained and went away; it may be restarted.
                 Ok(Frame::Fin) => session.hang_up(self.cfg.liveness),
                 Ok(_) => {}
-                // A frame read already, delivered again: none of it was
-                // read this time, and the history it continues stands.
-                Err(e) if continuity_gap(&e).is_some_and(ContinuityGap::is_duplicate) => {
-                    link.last_traffic = Instant::now();
-                }
                 Err(e) if timed_out(&e) => {
                     if link.last_traffic.elapsed() > self.cfg.liveness {
                         session.hang_up(self.cfg.liveness);
@@ -472,16 +466,11 @@ impl<T: Send + BinPayload + 'static> TcpSubscriber<T> {
                         return None;
                     }
                 }
-                // Any other gap means a frame this leg was sent never
-                // arrived: a new connection starts fresh, and the
-                // consumer heals what it missed from the store.
-                Err(e) => {
-                    if let Some(gap) = continuity_gap(&e) {
-                        sdci_obs::warn!("feed frame continues one never read; reconnecting";
-                            error = gap.to_string());
-                    }
-                    session.hang_up(self.cfg.liveness);
-                }
+                // A frame refused — one continuing a frame this leg never
+                // read, or read already — or a link lost: a new
+                // connection starts fresh, and the consumer heals what
+                // it missed from the store.
+                Err(_) => session.hang_up(self.cfg.liveness),
             }
         }
     }

@@ -6,32 +6,32 @@
 //! [`sdci_core::EventBackend`] that round-trips a [`StoreRpc::Query`]
 //! to the Aggregator process's [`StoreServer`].
 //!
-//! The protocol is deliberately tiny: after the connection's hello, one
-//! request frame, one response frame — a query is a dozen bytes of
-//! varints, a reply a batch of members — in the same length-prefixed
-//! binary framing as the rest of sdci-net. A connection's replies
-//! continue one another as every batch frame does (`crate::wire`): the
-//! server packs them through one encoder for the life of the connection,
-//! so a reply's members are coded against the ones the replies before it
-//! carried, and only that connection's reader decodes it. A reply is keyed by its
-//! position — the members the replies before it carried since the last
-//! fresh one — so a replayed one is a [`ContinuityGap`], which the client
-//! skips; the first reply on a connection, and one after an empty reply,
-//! are fresh, and a redial starts both sides fresh.
+//! The protocol is deliberately tiny and strictly query → reply: after
+//! the connection's hello, one request frame, one response frame — a
+//! query is a dozen bytes of varints, a reply a batch of members — in the
+//! same length-prefixed binary framing as the rest of sdci-net. A
+//! connection's replies continue one another as every batch frame does
+//! (`crate::wire`): the server packs them through one encoder for the
+//! life of the connection, so a reply's members are coded against the
+//! ones the replies before it carried, and only that connection's reader
+//! decodes it. A reply is keyed by its position — the members the replies
+//! before it carried since the last fresh one; the first reply on a
+//! connection, and one after an empty reply, are fresh. A frame that is
+//! not the answer to the query just sent — a replayed reply, one that
+//! cannot answer it, any other frame — costs the connection, and the
+//! query is retried once on a new one, where both sides start fresh.
 //! Failure semantics follow [`EventBackend::query`]'s contract — a
 //! query that cannot be answered returns an empty slice, and the
 //! consumer simply retries at the next heartbeat-detected gap.
 //!
-//! [`ContinuityGap`]: crate::wire::ContinuityGap
 //! [`EventStore`]: sdci_core::EventStore
 
 use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_header, continuity_gap, put_control, read_batch, read_control, timed_out, write_msg_bin,
-    BatchHead, BinEncoder, FrameReader, Service, WireMsg, BIN_FLAG_TRACE, BIN_KIND_PING,
-    BIN_KIND_QUERY, STORE_KINDS,
+    bin_header, read_batch, read_control, timed_out, write_msg_bin, BatchHead, BinEncoder,
+    FrameReader, Service, WireMsg, BIN_FLAG_TRACE, BIN_KIND_QUERY, STORE_KINDS,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
 use sdci_types::bin::{
@@ -60,8 +60,6 @@ pub enum StoreRpc {
         /// Query results.
         events: Vec<SequencedEvent>,
     },
-    /// Liveness probe; the server echoes it.
-    Ping,
 }
 
 /// Query presence bits: which of a [`StoreQuery`]'s optional fields a
@@ -140,30 +138,24 @@ fn read_query(r: &mut BinReader<'_>, flags: u8) -> Result<StoreRpc, BinDecodeErr
     Ok(StoreRpc::Query { query, trace })
 }
 
-/// Every message is binary: the query and the ping are control frames of
-/// a few bytes, and the reply is a batch, which — packed through the
-/// connection's encoder — continues the replies before it.
+/// Every message is binary: the query is a control frame of a few bytes,
+/// and the reply is a batch, which — packed through the connection's
+/// encoder — continues the replies before it.
 impl WireMsg for StoreRpc {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<()> {
         match self {
             StoreRpc::Batch { events } => enc.pack_frame(buf, BatchHead::Position, events, None),
             StoreRpc::Query { query, trace } => put_query(buf, query, *trace)?,
-            StoreRpc::Ping => put_control(buf, BIN_KIND_PING, None),
         }
         Ok(())
     }
 
     fn decode_in(body: &[u8], history: Option<&mut History>) -> std::io::Result<Self> {
-        match body.first() {
-            Some(&BIN_KIND_QUERY) => {
-                read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags))
-            }
-            Some(&BIN_KIND_PING) => read_control(body, 0, |_, _, _| Ok(StoreRpc::Ping)),
-            _ => {
-                let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
-                Ok(StoreRpc::Batch { events })
-            }
+        if body.first() == Some(&BIN_KIND_QUERY) {
+            return read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags));
         }
+        let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
+        Ok(StoreRpc::Batch { events })
     }
 }
 
@@ -237,23 +229,13 @@ fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64)
                     return;
                 }
             }
-            Ok(StoreRpc::Ping) => {
-                if write_msg_bin(&mut writer, &mut enc, &StoreRpc::Ping).is_err() {
-                    return;
-                }
-            }
-            Ok(StoreRpc::Batch { .. }) => {} // nonsensical from a client; ignore
             // Store clients are request/response; idleness is fine.
             Err(e) if timed_out(&e) => {}
-            Err(_) => return,
+            // A reply from a client is no query: the stream is broken.
+            Ok(StoreRpc::Batch { .. }) | Err(_) => return,
         }
     }
 }
-
-/// Non-`Batch` frames tolerated per round trip before the reply stream
-/// is declared garbage. One in-flight `Ping` echo is legitimate; a peer
-/// streaming junk must not wedge the consumer forever.
-const MAX_STRAY_REPLIES: u32 = 8;
 
 /// Whether `events` is a plausible reply to `query`: every event
 /// satisfies the query's constraints, the batch respects its limit, and
@@ -262,7 +244,8 @@ const MAX_STRAY_REPLIES: u32 = 8;
 /// The store RPC has no request ids, so this range check is the
 /// reply-correlation mechanism: a stale reply duplicated by a faulted
 /// link fails it (its events predate the new query's `after_seq`) and
-/// is skipped rather than delivered as the answer to the wrong query.
+/// costs the connection rather than being delivered as the answer to
+/// the wrong query.
 /// An empty batch is always plausible — it is what a rotated-out range
 /// legitimately returns, and the consumer's bounded retry already
 /// treats it as non-authoritative.
@@ -404,56 +387,10 @@ impl RemoteStore {
         let request = StoreRpc::Query { query: query.clone(), trace };
         write_msg_bin(&mut conn.writer, &mut conn.enc, &request)?;
         let deadline = Instant::now() + self.cfg.liveness;
-        let mut strays = 0u32;
         loop {
             match conn.reader.read_msg::<StoreRpc>() {
                 Ok(StoreRpc::Batch { events }) if batch_answers(query, &events) => {
                     return Ok(events)
-                }
-                Ok(StoreRpc::Batch { .. }) => {
-                    // A batch that cannot be an answer to *this* query —
-                    // a faulted link replayed the reply to an earlier
-                    // one. Requests and replies pair up strictly in
-                    // order on this connection, so swallowing the stale
-                    // frame and reading on re-aligns the stream; taking
-                    // it at face value would hand the consumer events
-                    // from the wrong range (surfacing as phantom loss
-                    // or duplication in its gap accounting).
-                    strays += 1;
-                    if strays > MAX_STRAY_REPLIES {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "store reply stream flooded with stale Batch frames",
-                        ));
-                    }
-                }
-                Ok(_) => {
-                    // A stray `Ping` echo is fine; an unbounded stream
-                    // of non-`Batch` frames would wedge the consumer,
-                    // so the tolerance is finite.
-                    strays += 1;
-                    if strays > MAX_STRAY_REPLIES {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "store reply stream flooded with non-Batch frames",
-                        ));
-                    }
-                }
-                Err(e) if continuity_gap(&e).is_some_and(|gap| gap.is_duplicate()) => {
-                    // A reply read already, delivered again: it continued
-                    // the replies before it, so its position is behind
-                    // where this connection's history ends. The reader
-                    // skipped it and kept its history, and the stream is
-                    // still aligned — a stray like a stale `Batch`. Any
-                    // other gap means a reply was lost, and no later one
-                    // can be read on this connection: it is dropped below.
-                    strays += 1;
-                    if strays > MAX_STRAY_REPLIES {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "store reply stream flooded with replayed replies",
-                        ));
-                    }
                 }
                 Err(e) if timed_out(&e) => {
                     if Instant::now() >= deadline {
@@ -462,6 +399,19 @@ impl RemoteStore {
                             "store query exceeded the liveness window",
                         ));
                     }
+                }
+                // Requests and replies pair up strictly in order, so the
+                // first frame that is not this query's answer — a reply
+                // a faulted link replayed, whether its range gives it
+                // away or its position does, or any other frame — leaves
+                // the connection with nothing to read: the caller drops
+                // it, and taking the frame at face value would hand the
+                // consumer events from the wrong range.
+                Ok(_) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        "a store reply that does not answer the query",
+                    ))
                 }
                 Err(e) => return Err(e),
             }

@@ -14,16 +14,16 @@
 //! [`sdci_types::bin`]: the [`Hello`] that opens a connection, the data
 //! frames — [`Frame::ItemBatch`], [`Frame::DeliverBatch`] and store-RPC
 //! batch replies; a lone event travels as a batch of one — and the
-//! control frames: acks, nacks, pings, `Fin` and store queries, a few
-//! bytes each.
+//! control frames: acks, pings, `Fin` and store queries, a few bytes
+//! each.
 //!
 //! A control body is a kind byte, a flags byte, the kind's fields as
 //! varints and length-prefixed UTF-8, and nothing after them; the flags
 //! byte is 0, but for a store query's trace bit:
 //!
 //! ```text
-//! kind 5 Ack:   up_to varint          kind 6 Nack: expected varint
-//! kind 7 Ping   (any connection)      kind 8 Fin
+//! kind 5 Ack:   up_to varint          kind 7 Ping
+//! kind 8 Fin
 //! kind 9 Query: [trace 17B, flags&1] | presence u8 (1 after_seq, 2 since, 4 path_prefix) |
 //!               [after_seq varint] | [since ns varint] |
 //!               [prefix: UTF-8 length varint (≤ MAX_PATH_LEN) + bytes] | limit varint
@@ -53,9 +53,11 @@
 //! *position*, the members the replies before it carried since the last
 //! fresh one ([`History::next_position`]) — and a frame continues only
 //! the one right before it, starting where that one ended; one that does
-//! not start where the reader's history ends is a [`ContinuityGap`],
-//! never a misdecode. A sequenced first member's number is coded against
-//! the last member's, never against a position. A connection's first
+//! not start where the reader's history ends is refused before a member
+//! is read, never misdecoded, and a connection that refuses a frame is
+//! dropped — the redial starts both sides fresh. A sequenced first
+//! member's number is coded against the last member's, never against a
+//! position. A connection's first
 //! frame, and one after a frame whose first member holds no event (an
 //! empty reply, a lone heartbeat), is fresh:
 //!
@@ -110,12 +112,13 @@
 //! ([`sdci_types::EventPath`]): [`WireMsg::decode`] returns events only
 //! after that, and none on an error.
 //!
-//! Kind 2 is unassigned: a feed is written only by the process that
-//! owns its broker, so there is no publish batch, and a body carrying
-//! that kind is `InvalidData` like any other unknown one. Each reader
-//! reads its own kinds only — a [`Hello`] reader 10, a [`Frame`] reader
-//! 1, 4 and 5–8, a store reader 3, 7 and 9 — and refuses any other
-//! before a byte past it.
+//! Kinds 2 and 6 are unassigned: a feed is written only by the process
+//! that owns its broker, so there is no publish batch, and a gap on the
+//! push leg costs the connection rather than drawing a reply. A body
+//! carrying either is `InvalidData` like any other unknown kind. Each
+//! reader reads its own kinds only — a [`Hello`] reader 10, a [`Frame`]
+//! reader 1, 4, 5, 7 and 8, a store reader 3 and 9 — and refuses any
+//! other before a byte past it.
 //!
 //! There is one wire version, [`WIRE_PROTO`]. Every connection opens
 //! with one [`Hello`] frame announcing it and naming the [`Service`] the
@@ -149,7 +152,7 @@ const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 18;
+pub const WIRE_PROTO: u32 = 19;
 
 /// Longest [`Hello`] body a peer may send and an endpoint reads. The
 /// largest legitimate one is a subscriber's prefix list, and this holds a
@@ -295,7 +298,7 @@ pub enum Frame<T> {
         trace: Option<TraceContext>,
     },
     /// Pusher → puller: a contiguous run of items (lossless leg;
-    /// retransmitted after a reconnect or a `Nack` until acked). Member
+    /// retransmitted after every reconnect until acked). Member
     /// `i` carries sequence `first_seq + i`; the puller acks the whole
     /// run with a single `Ack`.
     ItemBatch {
@@ -307,14 +310,6 @@ pub enum Frame<T> {
         /// frame (the first sampled payload's, re-parented to the
         /// sender's network span).
         trace: Option<TraceContext>,
-    },
-    /// Puller → pusher: a sequence gap was detected — the server
-    /// expected `expected` but saw something later. The pusher should
-    /// rewind its resend buffer to `expected` and retransmit in place,
-    /// instead of waiting out the liveness timeout and reconnecting.
-    Nack {
-        /// The sequence number the server will accept next.
-        expected: u64,
     },
     /// Puller → pusher: everything up to and including `up_to` has been
     /// handed to the local pipeline — the pusher may drop it. Also the
@@ -364,10 +359,9 @@ pub trait WireMsg: Sized {
     /// # Errors
     ///
     /// `InvalidData` on kind bytes that are not the reader's, flags or
-    /// fields out of range, truncated fields, or trailing garbage — the
-    /// stream is corrupt; and a [`ContinuityGap`] — on a stream still good
-    /// to read — for a continuing batch that does not start where
-    /// `history` ends.
+    /// fields out of range, truncated fields, or trailing garbage, and
+    /// for a continuing batch that does not start where `history` ends:
+    /// the stream is no longer one to read, and `history` is cleared.
     fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self>;
 
     /// Decodes one complete frame body on its own: [`WireMsg::decode_in`]
@@ -403,10 +397,8 @@ const BIN_KIND_STORE_BATCH: u8 = 3;
 const BIN_KIND_DELIVER_BATCH: u8 = 4;
 /// Binary body kind byte: [`Frame::Ack`].
 const BIN_KIND_ACK: u8 = 5;
-/// Binary body kind byte: [`Frame::Nack`].
-const BIN_KIND_NACK: u8 = 6;
-/// Binary body kind byte: a ping — [`Frame::Ping`], and the store RPC's.
-pub(crate) const BIN_KIND_PING: u8 = 7;
+/// Binary body kind byte: [`Frame::Ping`].
+const BIN_KIND_PING: u8 = 7;
 /// Binary body kind byte: [`Frame::Fin`].
 const BIN_KIND_FIN: u8 = 8;
 /// Binary body kind byte: a store query (`StoreRpc::Query`).
@@ -512,61 +504,6 @@ pub(crate) fn read_control<M>(
     }
 }
 
-/// Why a connection's reader read none of a batch that continues its
-/// connection: the batch does not start where the reader's [`History`]
-/// ends — a frame before it was lost, or it is a duplicate — or the
-/// reader holds no history at all. Reading its members against a history
-/// they were not coded against would misdecode them, so none is read, and
-/// the history is left as it was. It is not corruption: the stream is
-/// still framed. The pull server answers it as it answers a sequence gap,
-/// with a `Nack` naming where the pusher must resume; a subscriber skips
-/// a duplicate and reconnects on anything else, and so does a store
-/// client. It travels as an `InvalidData` [`io::Error`]; [`continuity_gap`]
-/// tells it apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContinuityGap {
-    /// The key the batch carries: the sequence number it starts at, or a
-    /// store reply's position.
-    pub first_seq: u64,
-    /// The one the reader's history says it must carry; `None` when the
-    /// reader holds none.
-    pub expected: Option<u64>,
-}
-
-impl ContinuityGap {
-    /// Whether the batch starts before where the reader's history ends:
-    /// a frame read already, delivered again.
-    pub fn is_duplicate(&self) -> bool {
-        self.expected.is_some_and(|expected| self.first_seq < expected)
-    }
-}
-
-impl std::fmt::Display for ContinuityGap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.expected {
-            Some(expected) => write!(
-                f,
-                "a batch continuing its connection from {}, where its history ends at {expected}",
-                self.first_seq
-            ),
-            None => write!(
-                f,
-                "a batch continuing its connection from {} on a reader that holds none of its \
-                 history",
-                self.first_seq
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ContinuityGap {}
-
-/// The [`ContinuityGap`] `e` is, if it is one: a frame the reader
-/// skipped, on a stream still good to read.
-pub fn continuity_gap(e: &io::Error) -> Option<&ContinuityGap> {
-    e.get_ref().and_then(|inner| inner.downcast_ref::<ContinuityGap>())
-}
-
 /// What a batch body carries between its header and its members, as the
 /// one batch reader ([`read_batch`]) hands it back.
 pub(crate) enum Head {
@@ -645,20 +582,35 @@ pub(crate) fn read_batch<T: BinPayload>(
                 )));
             }
             None => read_all(&mut r),
-            // A batch that does not start where the history ends is
-            // not read at all, and leaves the history as it was.
-            Some(history) if continues => {
-                let expected = history.next_seq();
-                if expected != Some(key) {
-                    let gap = ContinuityGap { first_seq: key, expected };
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, gap));
+            // A batch that does not start where the history ends is not
+            // read at all: a frame before it was lost, or it was
+            // delivered twice.
+            Some(history) if continues => match history.next_seq() {
+                Some(expected) if expected == key => {
+                    r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
                 }
-                r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
-            }
+                Some(expected) => Err(invalid(format!(
+                    "a batch continuing its connection from {key}, where its history ends at \
+                     {expected}"
+                ))),
+                None => Err(invalid(format!(
+                    "a batch continuing its connection from {key} on a reader that holds none \
+                     of its history"
+                ))),
+            },
             // A fresh batch is all the history holds next, keyed as its
-            // writer keyed it.
+            // writer keyed it. A store server continues every reply after
+            // one that held an event, so a fresh one holding an event
+            // there is a reply replayed.
             Some(history) => {
-                let read = read_all(&mut r);
+                let replayed = matches!(head, Head::Reply) && history.next_seq().is_some();
+                let read = read_all(&mut r).and_then(|payloads| {
+                    if replayed && payloads.first().and_then(T::event).is_some() {
+                        let why = "a fresh store reply where its connection's replies continue";
+                        return Err(invalid(why));
+                    }
+                    Ok(payloads)
+                });
                 if let Ok(payloads) = &read {
                     let key = match head {
                         Head::Deliver(_) => payloads.first().and_then(T::seq),
@@ -687,8 +639,7 @@ pub(crate) fn read_batch<T: BinPayload>(
         }
         Ok(payloads)
     });
-    // A batch refused for anything but a gap leaves nothing for a
-    // later one to continue.
+    // A refused batch leaves nothing for a later one to continue.
     if let Some(history) = history {
         match &read {
             Ok(payloads) if continues => history.record(true, key, payloads),
@@ -718,7 +669,6 @@ impl<T: BinPayload> WireMsg for Frame<T> {
                 enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
             }
             Frame::Ack { up_to } => put_control(buf, BIN_KIND_ACK, Some(*up_to)),
-            Frame::Nack { expected } => put_control(buf, BIN_KIND_NACK, Some(*expected)),
             Frame::Ping => put_control(buf, BIN_KIND_PING, None),
             Frame::Fin => put_control(buf, BIN_KIND_FIN, None),
         }
@@ -726,11 +676,10 @@ impl<T: BinPayload> WireMsg for Frame<T> {
     }
 
     fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
-        if let Some(&(BIN_KIND_ACK | BIN_KIND_NACK | BIN_KIND_PING | BIN_KIND_FIN)) = body.first() {
+        if let Some(&(BIN_KIND_ACK | BIN_KIND_PING | BIN_KIND_FIN)) = body.first() {
             return read_control(body, 0, |kind, _, r| {
                 Ok(match kind {
                     BIN_KIND_ACK => Frame::Ack { up_to: r.varint(Class::Other)? },
-                    BIN_KIND_NACK => Frame::Nack { expected: r.varint(Class::Other)? },
                     BIN_KIND_PING => Frame::Ping,
                     _ => Frame::Fin,
                 })
@@ -760,8 +709,8 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// last member it wrote *continues* them, and so does every store reply
 /// after the first: the reader of the same connection holds the same
 /// history. A writer whose frames may not reach that reader in order —
-/// a new connection, a rewind, a fan-out leg that missed the last frame
-/// — says so first ([`BinEncoder::start_fresh`]).
+/// a new connection, a fan-out leg that missed the last frame — says so
+/// first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
 pub struct BinEncoder {
     /// The raw member section of the frame being packed: the members back
@@ -1353,7 +1302,6 @@ mod tests {
 
     #[test]
     fn control_frames_and_batches_roundtrip() {
-        roundtrip(Frame::Nack { expected: 12 });
         roundtrip(Frame::Ack { up_to: 9 });
         roundtrip(Frame::Ack { up_to: u64::MAX });
         roundtrip(Frame::Ping);
@@ -1383,7 +1331,7 @@ mod tests {
         for frame in [
             Frame::<FileEvent>::Ack { up_to: 9 },
             Frame::Ack { up_to: (1 << 21) - 1 },
-            Frame::Nack { expected: 300 },
+            Frame::Ack { up_to: 300 },
             Frame::Ping,
             Frame::Fin,
         ] {
@@ -1398,7 +1346,7 @@ mod tests {
             &[10, 0, WIRE_PROTO as u8, 3],
             &[5, 0, 9],
             &[5, 0, 0xff, 0xff, 0x7f],
-            &[6, 0, 0xac, 2],
+            &[5, 0, 0xac, 2],
             &[7, 0],
             &[8, 0],
         ];
@@ -1510,7 +1458,6 @@ mod tests {
             r#"{"DeliverBatch":{"topic":"t","payloads":[1]}}"#,
             r#"{"Item":{"seq":1,"payload":1}}"#,
             r#"{"Ack":{"up_to":9}}"#,
-            r#"{"Nack":{"expected":9}}"#,
             r#""Ping""#,
             r#""Fin""#,
         ] {
@@ -2194,16 +2141,17 @@ mod tests {
     fn binary_unknown_kind_and_flags_are_rejected() {
         use crate::store_rpc::StoreRpc;
 
-        // Kind 2 (a topic-headed batch *towards* a broker) is as unknown as
-        // 11, and each reader refuses the kinds that are another's: a store
-        // reply or query on a push or feed connection, an ack or a `Fin` on
-        // a store connection, a hello after the hello.
-        for kind in [2, 3, 9, 10, 11] {
+        // Kinds 2 (a topic-headed batch *towards* a broker) and 6 (a gap
+        // reply to a pusher) are as unknown as 11, and each reader refuses
+        // the kinds that are another's: a store reply or query on a push or
+        // feed connection, an ack, a ping or a `Fin` on a store connection,
+        // a hello after the hello.
+        for kind in [2, 3, 6, 9, 10, 11] {
             let err = read_one::<Frame<FileEvent>>(&framed(&[kind, 0])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");
         }
-        for kind in [1, 2, 4, 5, 6, 8, 10, 11] {
+        for kind in [1, 2, 4, 5, 6, 7, 8, 10, 11] {
             let err = read_one::<StoreRpc>(&framed(&[kind, 0, 1])).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(&format!("kind {kind}")), "{err}");

@@ -399,13 +399,16 @@ fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
         assert_eq!(body[1] & 4 != 0, n > 0, "{what} frame {n}: continues");
         let mut fresh = Vec::new();
         sent.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
-        // Decoded fresh by a reader holding a history, which the fresh
-        // frame then replaces: the same allocations as the continuing
-        // frame, decoded next on a reader that holds everything before it.
+        // Decoded fresh by a reader whose history's storage a frame
+        // made, emptied as a refused frame or an empty reply empties it
+        // (a store reader refuses a fresh reply where its replies
+        // continue): the same allocations as the continuing frame,
+        // decoded next on a reader that holds everything before it.
         let fresh_made = {
-            let mut replaced = History::default();
-            M::decode_on(&fresh, &mut replaced).expect("decodes");
-            allocations(|| M::decode_on(&fresh, &mut replaced)).1
+            let mut emptied = History::default();
+            M::decode_on(&fresh, &mut emptied).expect("decodes");
+            emptied.clear();
+            allocations(|| M::decode_on(&fresh, &mut emptied)).1
         };
         let (decoded, decode_made) = allocations(|| M::decode_on(body, &mut history));
         assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
@@ -451,16 +454,16 @@ fn control_costs<M: WireMsg + PartialEq + std::fmt::Debug>(msgs: &[M]) -> Vec<u6
         .collect()
 }
 
-/// Control frames cost no allocation on a warm connection. An ack, a
-/// nack, a ping and a `Fin` — the frames a pusher and its server trade
-/// once per batch — and a store query by sequence number and limit are
-/// written and read in none. A query under a prefix is written in none
+/// Control frames cost no allocation on a warm connection. Acks, a ping
+/// and a `Fin` — the frames a pusher and its server trade once per batch
+/// — and a store query by sequence number and limit are written and read
+/// in none. A query under a prefix is written in none
 /// and read in exactly one: the `PathBuf` the decoded query owns.
 #[test]
 fn control_frames_are_written_and_read_without_allocating() {
     let frames = [
         Frame::<FileEvent>::Ack { up_to: 1_000_000 },
-        Frame::Nack { expected: 1_000_001 },
+        Frame::Ack { up_to: 1_000_001 },
         Frame::Ping,
         Frame::Fin,
         Frame::Ack { up_to: u64::MAX },
@@ -470,7 +473,7 @@ fn control_frames_are_written_and_read_without_allocating() {
     let traced = Some(TraceContext::sampled(0xfeed, 77));
     let queries = [
         StoreRpc::Query { query: StoreQuery::after_seq(1_234_567).limit(4_096), trace: None },
-        StoreRpc::Ping,
+        StoreRpc::Query { query: StoreQuery::default(), trace: None },
         StoreRpc::Query {
             query: StoreQuery::after_seq(0).under("/t0a1b2c3/d0000007"),
             trace: traced,

@@ -12,6 +12,7 @@ use sdci_net::{
     Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpPullServer, TcpPush,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -124,21 +125,22 @@ fn remote_store_query_is_bounded_during_a_partition() {
     assert_eq!(store.failures(), 1);
 }
 
-/// A peer flooding the reply stream with non-`Batch` frames must not
-/// wedge the consumer: the round trip fails after a bounded number of
-/// strays and the query returns empty.
+/// A peer flooding the reply stream with non-`Batch` frames — kind 7,
+/// a ping on any other connection, and no store frame — must not wedge
+/// the consumer: each attempt's round trip fails at the first one and
+/// the query returns empty.
 #[test]
 fn remote_store_round_trip_is_bounded_under_a_non_batch_flood() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let flood = std::thread::spawn(move || {
-        // One connection per query attempt; answer each with Pings
+        // One connection per query attempt; answer each with pings
         // forever (until the client hangs up).
         for _ in 0..2 {
             let Ok((stream, _)) = listener.accept() else { return };
             std::thread::spawn(move || {
                 let mut writer = stream;
-                while write_msg(&mut writer, &StoreRpc::Ping).is_ok() {}
+                while writer.write_all(&[0, 0, 0, 2, 7, 0]).is_ok() {}
             });
         }
     });
@@ -149,7 +151,7 @@ fn remote_store_round_trip_is_bounded_under_a_non_batch_flood() {
     assert!(events.is_empty());
     assert!(
         started.elapsed() < Duration::from_secs(10),
-        "query took {:?}; the stray-reply loop is not bounded",
+        "query took {:?}; a stray reply did not fail the round trip",
         started.elapsed()
     );
     assert_eq!(store.failures(), 1);
@@ -238,9 +240,9 @@ fn endpoint_spawn_failures_are_contained() {
 /// so a stale `Batch` reply replayed by a faulted link (a duplicated
 /// frame sitting in the socket buffer) arrives exactly where the answer
 /// to the *next* query is expected. The client must reject it by range
-/// — its events predate the new query's `after_seq` — and keep reading
-/// until the genuine reply, instead of handing the consumer events from
-/// the wrong range.
+/// — its events predate the new query's `after_seq` — rather than hand
+/// the consumer events from the wrong range; the connection is dropped,
+/// and the query retried on a new one gets the genuine reply.
 #[test]
 fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
     use sdci_net::wire::{FrameReader, Hello, Service};
@@ -248,11 +250,15 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept store client");
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(stream);
-        let hello = reader.read_msg::<Hello>().expect("read the hello");
-        assert_eq!(hello.service, Service::Store);
+        let accept = || {
+            let (stream, _) = listener.accept().expect("accept store client");
+            let writer = stream.try_clone().unwrap();
+            let mut reader = FrameReader::new(stream);
+            let hello = reader.read_msg::<Hello>().expect("read the hello");
+            assert_eq!(hello.service, Service::Store);
+            (writer, reader)
+        };
+        let (mut writer, mut reader) = accept();
 
         // Query #1 answered correctly.
         let q1 = reader.read_msg::<StoreRpc>().expect("read first query");
@@ -266,6 +272,12 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
         assert!(matches!(q2, StoreRpc::Query { .. }));
         write_msg(&mut writer, &StoreRpc::Batch { events: batch1 }).unwrap();
         write_msg(&mut writer, &StoreRpc::Batch { events: (6..=10).map(sev).collect() }).unwrap();
+
+        // The client hung up on the replay and asks again.
+        let (mut writer, mut reader) = accept();
+        let retried = reader.read_msg::<StoreRpc>().expect("read the retried query");
+        assert!(matches!(retried, StoreRpc::Query { .. }));
+        write_msg(&mut writer, &StoreRpc::Batch { events: (6..=10).map(sev).collect() }).unwrap();
     });
 
     let remote = RemoteStore::connect(addr, fast_cfg());
@@ -273,7 +285,7 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
     assert_eq!(first.iter().map(|e| e.seq).collect::<Vec<_>>(), (1..=5).collect::<Vec<_>>());
 
     // The stale replay answers this query's range check with seqs <= 5;
-    // it must be skipped, not returned.
+    // it must cost the connection, not be returned.
     let second = remote.query(&StoreQuery::after_seq(5));
     assert_eq!(
         second.iter().map(|e| e.seq).collect::<Vec<_>>(),
@@ -286,16 +298,14 @@ fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
 
 /// Store replies continue their connection, so a faulted link that sends
 /// a reply twice hands the client a copy whose position is behind where
-/// its reader's history ends: a duplicate continuity gap, skipped as a
-/// stray, with the connection kept. The queries land at scattered
-/// offsets, forwards and back, so a stale page would often pass the
-/// range check that correlates replies: only its position gives it away.
-/// The first reply is fresh and its copy is read as a reply, but its page
-/// is the lowest, which no later query's range admits. Every query gets
-/// its own page; no dial fails, and none is retried — a dropped
-/// connection would have run a query twice.
+/// its reader's history ends: refused unread, and the connection with
+/// it. The queries land at scattered offsets, forwards and back, so a
+/// stale page would often pass the range check that correlates replies:
+/// only its position gives it away. Every query gets its own page — a
+/// duplicated reply costs a reconnect, on which the query runs again —
+/// and no dial fails.
 #[test]
-fn duplicated_store_replies_are_skipped_without_a_reconnect() {
+fn duplicated_store_replies_cost_a_reconnect() {
     let _serial = endpoints();
     let server = StoreServer::new(seeded_store(4_000));
     let cfg = faulted_cfg("seed=5,send.dup=0.3");
@@ -322,7 +332,7 @@ fn duplicated_store_replies_are_skipped_without_a_reconnect() {
     assert!(dups() - dups_before >= 5, "only {} replies duplicated", dups() - dups_before);
     assert_eq!(remote.connect_failures(), 0);
     assert_eq!(remote.failures(), 0);
-    assert_eq!(server.queries(), offsets.len() as u64, "a query was retried on a new connection");
+    assert!(server.queries() > offsets.len() as u64, "a duplicated reply cost no reconnect");
     endpoint.shutdown();
 }
 

@@ -429,30 +429,24 @@ fn server_stats_stay_exact_across_an_abrupt_pusher_death_and_resend() {
     endpoint.shutdown();
 }
 
+/// A batch that starts past the mark — seq 2 vanished in transit —
+/// costs the connection: the server closes it without acking, and the
+/// redial's greeting names the mark, from which the resend is accepted
+/// in order.
 #[test]
-fn gap_nack_rewinds_a_pusher_in_place() {
-    // Generous heartbeat: the nack re-send window must not expire
-    // between the two back-to-back gapped frames below.
-    let cfg = NetConfig {
-        heartbeat: Duration::from_secs(1),
-        liveness: Duration::from_secs(5),
-        ..fast_cfg()
-    };
+fn a_gap_costs_the_connection_and_the_redial_resends_in_order() {
     let server = TcpPullServer::<u64>::new(64);
-    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
     let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
     assert_eq!(greeting, 0);
     pusher.send(1, &[1]);
     assert_eq!(pusher.recv(), Frame::Ack { up_to: 1 });
 
-    // Seq 2 vanished in transit; two in-flight frames sail past the
-    // gap. The server names the expected seq exactly once and drops
-    // the too-high frames without acking them.
     pusher.send(3, &[3]);
-    pusher.send(4, &[4]);
-    assert_eq!(pusher.recv(), Frame::Nack { expected: 2 });
+    assert!(pusher.reader.read_msg::<Frame<u64>>().is_err(), "a gap is acked or ignored");
 
-    // The rewound retransmission is accepted on the same connection.
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 1);
+    assert_eq!(greeting, 1);
     for seq in 2..=4u64 {
         pusher.send(seq, &[seq]);
         assert_eq!(pusher.recv(), Frame::Ack { up_to: seq });
@@ -462,24 +456,24 @@ fn gap_nack_rewinds_a_pusher_in_place() {
     let got = drain_all(&server, 4);
     assert_eq!(got, vec![1, 2, 3, 4], "pipeline saw a duplicate or a gap");
     let stats = server.stats();
-    assert_eq!(stats.nacks, 1, "one stalled mark draws exactly one nack");
-    assert_eq!(stats.items, 4);
+    assert_eq!((stats.accepted, stats.items, stats.duplicates), (2, 4, 0));
+    let metrics = sdci_obs::registry().render_prometheus();
+    assert!(metrics.contains("sdci_net_push_gaps_total"), "{metrics}");
     endpoint.shutdown();
 }
 
 /// End to end: with send-side frame drops injected, the pusher recovers
-/// via server nacks (in-place rewinds) — every item still arrives
-/// exactly once, and at least one recovery took the fast path instead
-/// of a liveness-timeout reconnect.
+/// by redialling — a gap costs the connection, a frame lost at the tail
+/// the liveness interval — and every item still arrives exactly once.
 #[test]
-fn dropped_frames_recover_via_fast_rewind() {
+fn dropped_frames_recover_via_redial() {
     let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse("seed=11,drop=0.08").unwrap());
     let server = TcpPullServer::<u64>::new(4096);
     let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
     // One frame per item (one-member batches): enough frames on the
     // wire that the drop rate reliably opens a gap mid-stream.
     let push_cfg = NetConfig { max_batch: 1, ..fast_cfg() }.with_faults(Some(plan));
-    let push = TcpPush::connect(endpoint.local_addr(), "rewind", push_cfg);
+    let push = TcpPush::connect(endpoint.local_addr(), "redial", push_cfg);
     const N: u64 = 200;
     for i in 0..N {
         assert!(push.send(i));
@@ -496,12 +490,81 @@ fn dropped_frames_recover_via_fast_rewind() {
     }
     assert_eq!(got, (0..N).collect::<Vec<_>>(), "lost or reordered items");
     assert_eq!(server.stats().items, N);
-    assert!(
-        push.fast_rewinds() >= 1,
-        "seed no longer exercises the nack fast path (rewinds = {})",
-        push.fast_rewinds()
-    );
+    assert!(push.connections() >= 2, "seed no longer drops a frame (no redial)");
     endpoint.shutdown();
+}
+
+/// A frame lost on a live connection with nothing queued behind it opens
+/// no gap the server could see, and the server answers every ping with
+/// its mark, as `TcpPullServer` does. Those acks do not advance past the
+/// lost item, so they are no progress: the pusher gives the connection
+/// up once the item has waited its liveness interval, and the redial
+/// resends it — within the liveness interval and one backoff.
+#[test]
+fn a_push_frame_lost_with_nothing_behind_it_is_resent() {
+    let cfg = fast_cfg();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let push = TcpPush::<u64>::connect(listener.local_addr().unwrap(), "tail", cfg.clone());
+    let greet = |listener: &TcpListener, mark: u64| {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = FrameReader::new(stream);
+        let _hello: Hello = reader.read_msg().unwrap();
+        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: mark }).unwrap();
+        (writer, reader)
+    };
+    let timed_out = |e: &std::io::Error| {
+        matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+    };
+    let (mut writer, mut reader) = greet(&listener, 0);
+    // Acks the first item frame, loses the second — a single item, sent
+    // once the first is acked — and answers every ping with the mark,
+    // until the pusher gives the connection up.
+    let (mut mark, mut lost_at, mut pings) = (0u64, None::<Instant>, 0u32);
+    assert!(push.send(1));
+    let lost_at = loop {
+        if lost_at.is_some_and(|at| at.elapsed() > Duration::from_secs(5)) {
+            panic!("nothing resent in 5 s while {pings} pings were answered with the mark");
+        }
+        match reader.read_msg::<Frame<u64>>() {
+            Ok(Frame::ItemBatch { first_seq, payloads, .. }) if mark == 0 => {
+                assert_eq!((first_seq, &payloads[..]), (1, &[1u64][..]));
+                mark = 1;
+                write_msg(&mut writer, &Frame::<u64>::Ack { up_to: mark }).unwrap();
+                assert!(push.send(2));
+            }
+            Ok(Frame::ItemBatch { first_seq, .. }) => {
+                assert_eq!(first_seq, 2);
+                lost_at = Some(Instant::now());
+            }
+            Ok(Frame::Ping) => {
+                pings += u32::from(lost_at.is_some());
+                write_msg(&mut writer, &Frame::<u64>::Ack { up_to: mark }).unwrap();
+            }
+            Ok(other) => panic!("a pusher sent {other:?}"),
+            Err(e) if timed_out(&e) => {}
+            // The pusher gave the connection up.
+            Err(_) => break lost_at.expect("the second item frame arrived, and was lost"),
+        }
+    };
+    // Its redial resends the lost item.
+    let (mut writer, mut reader) = greet(&listener, mark);
+    let (waited, first_seq, payloads) = loop {
+        match reader.read_msg::<Frame<u64>>() {
+            Ok(Frame::ItemBatch { first_seq, payloads, .. }) => {
+                break (lost_at.elapsed(), first_seq, payloads);
+            }
+            Ok(_) => {}
+            Err(e) if timed_out(&e) => {}
+            Err(e) => panic!("the redialled connection failed: {e}"),
+        }
+    };
+    assert_eq!((first_seq, &payloads[..]), (2, &[2u64][..]), "the lost item is what is resent");
+    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 2 }).unwrap();
+    let bound = cfg.liveness + cfg.retry.max + Duration::from_millis(500);
+    assert!(waited < bound, "resent {waited:?} after the loss, past {bound:?}");
+    assert!(push.drain(Duration::from_secs(5)), "the resent item was never acked");
 }
 
 fn traced_event(i: u64) -> FileEvent {
@@ -661,21 +724,16 @@ fn paths(events: &[FileEvent]) -> Vec<PathBuf> {
     events.iter().map(|e| e.path.to_path_buf()).collect()
 }
 
-/// The twin of `gap_nack_rewinds_a_pusher_in_place` on a leg that
-/// carries events: a frame that continues one lost in transit is not
-/// read at all — its members were coded against a history the server
-/// never saw — and draws exactly one `Nack`, as does the next frame past
-/// the same gap. The rewound frame starts fresh, the frames after it
-/// continue it, and every event arrives once, in order, with its path.
+/// The twin of `a_gap_costs_the_connection_and_the_redial_resends_in_order`
+/// on a leg that carries events: a frame that continues one lost in
+/// transit is not read at all — its members were coded against a history
+/// the server never saw — and costs the connection. The redial's first
+/// frame starts fresh, the frames after it continue it, and every event
+/// arrives once, in order, with its path.
 #[test]
-fn a_frame_continuing_a_lost_one_draws_one_nack_and_the_rewind_starts_fresh() {
-    let cfg = NetConfig {
-        heartbeat: Duration::from_secs(1),
-        liveness: Duration::from_secs(5),
-        ..fast_cfg()
-    };
+fn a_frame_continuing_a_lost_one_costs_the_connection_and_the_redial_starts_fresh() {
     let server = TcpPullServer::<FileEvent>::new(64);
-    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
     let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
     assert_eq!(greeting, 0);
     let events: Vec<FileEvent> = (0..40).map(dir_event).collect();
@@ -685,11 +743,11 @@ fn a_frame_continuing_a_lost_one_draws_one_nack_and_the_rewind_starts_fresh() {
     assert_eq!(pusher.recv(), Frame::Ack { up_to: 10 });
     pusher.lose(11, frame(1));
     assert!(pusher.send(21, frame(2)), "it continues the lost frame");
-    assert!(pusher.send(31, frame(3)));
-    assert_eq!(pusher.recv(), Frame::Nack { expected: 11 });
+    assert!(pusher.reader.read_msg::<Frame<u64>>().is_err(), "a gap is acked or ignored");
 
-    pusher.enc.start_fresh();
-    assert!(!pusher.send(11, frame(1)), "the rewind starts fresh");
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 10);
+    assert_eq!(greeting, 10);
+    assert!(!pusher.send(11, frame(1)), "the redial starts fresh");
     assert_eq!(pusher.recv(), Frame::Ack { up_to: 20 });
     for (n, first_seq) in [(2, 21), (3, 31)] {
         assert!(pusher.send(first_seq, frame(n)), "and the frames after it continue it");
@@ -701,23 +759,23 @@ fn a_frame_continuing_a_lost_one_draws_one_nack_and_the_rewind_starts_fresh() {
     assert_eq!(got, events, "lost, duplicated or misdecoded events");
     assert_eq!(paths(&got), paths(&events));
     let stats = server.stats();
-    assert_eq!((stats.nacks, stats.items, stats.duplicates), (1, 40, 0));
+    assert_eq!((stats.accepted, stats.items, stats.duplicates), (2, 40, 0));
     endpoint.shutdown();
 }
 
-/// The twin of `dropped_frames_recover_via_fast_rewind` on a leg that
-/// carries events, whose frames continue one another: with frames
-/// dropped — and, in a second run, duplicated — every event still
-/// arrives exactly once and in order, each path as sent, and the
-/// pusher recovered through at least one in-place rewind.
+/// The twin of `dropped_frames_recover_via_redial` on a leg that carries
+/// events, whose frames continue one another: with frames dropped — and,
+/// in a second run, duplicated — every event still arrives exactly once
+/// and in order, each path as sent, and the pusher recovered by
+/// redialling.
 #[test]
-fn continuing_frames_recover_from_drops_and_duplicates_via_fast_rewind() {
+fn continuing_frames_recover_from_drops_and_duplicates_via_redial() {
     for spec in ["seed=11,drop=0.08", "seed=11,dup=0.05"] {
         let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse(spec).unwrap());
         let server = TcpPullServer::<FileEvent>::new(4096);
         let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
         let push_cfg = NetConfig { max_batch: 1, ..fast_cfg() }.with_faults(Some(plan));
-        let push = TcpPush::connect(endpoint.local_addr(), "rewind", push_cfg);
+        let push = TcpPush::connect(endpoint.local_addr(), "redial", push_cfg);
         let events: Vec<FileEvent> = (0..200).map(dir_event).collect();
         for event in &events {
             assert!(push.send(event.clone()));
@@ -728,7 +786,7 @@ fn continuing_frames_recover_from_drops_and_duplicates_via_fast_rewind() {
         assert_eq!(got, events, "{spec}: lost, duplicated, reordered or misdecoded events");
         assert_eq!(paths(&got), paths(&events), "{spec}");
         assert_eq!(server.stats().items, events.len() as u64, "{spec}");
-        assert!(push.fast_rewinds() >= 1, "{spec}: no in-place rewind");
+        assert!(push.connections() >= 2, "{spec}: no redial");
         endpoint.shutdown();
     }
 }

@@ -200,7 +200,7 @@ fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     loop {
         match Frame::<FileEvent>::decode(&read_raw_frame(stream)).unwrap() {
             Frame::Fin => return,
-            Frame::Ack { .. } | Frame::Nack { .. } | Frame::Ping => {}
+            Frame::Ack { .. } | Frame::Ping => {}
             batch => panic!("{what}: a second data frame followed the lone event's: {batch:?}"),
         }
     }
@@ -748,14 +748,15 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     expect_only_control_until_fin(&mut stream, "deliver leg");
 }
 
-/// The store RPC's control frames, pinned as bytes: an `after_seq`
-/// query, a time-and-prefix query with a limit, a query carrying its
-/// caller's trace context, and the ping — a kind byte, a flags byte (bit
-/// 0: a trace section follows), a presence byte and the fields present as
-/// varints, the prefix as its UTF-8 length and bytes, then the limit. A
-/// JSON body is `InvalidData`, whether it is a query, the ping or a reply.
+/// The store RPC's one control frame, pinned as bytes: an `after_seq`
+/// query, a time-and-prefix query with a limit, and a query carrying its
+/// caller's trace context — a kind byte, a flags byte (bit 0: a trace
+/// section follows), a presence byte and the fields present as varints,
+/// the prefix as its UTF-8 length and bytes, then the limit. The RPC is
+/// query → reply and nothing else: a ping (kind 7) is no store frame. A
+/// JSON body is `InvalidData`, whether it is a query, a ping or a reply.
 #[test]
-fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
+fn store_queries_are_a_few_binary_bytes_and_json_is_invalid_data() {
     let prefix = "/proj/é \"q\"";
     let prefixed = StoreQuery::since(SimTime::from_secs(3)).under(prefix).limit(7);
     let traced = Some(TraceContext::sampled(0xfeed, 77));
@@ -777,7 +778,6 @@ fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
             StoreRpc::Query { query: StoreQuery::after_seq(0), trace: traced },
             [&[9, 1][..], &trace, &[1, 0, 0]].concat(),
         ),
-        (StoreRpc::Ping, vec![7, 0]),
     ] {
         let mut body = Vec::new();
         msg.encode(&mut BinEncoder::new(), &mut body).unwrap();
@@ -796,6 +796,8 @@ fn store_queries_and_pings_are_a_few_binary_bytes_and_json_is_invalid_data() {
         let err = StoreRpc::decode(body.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
     }
+    let err = StoreRpc::decode(&[7, 0]).unwrap_err();
+    assert!(err.to_string().contains("kind 7"), "{err}");
 }
 
 /// A query no reader would accept is not written: a prefix of

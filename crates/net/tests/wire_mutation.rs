@@ -12,7 +12,7 @@
 //! item and deliver frames and store replies that continue their
 //! connection against a history they do not match, and 10,000
 //! mutations of a five-frame continuing stream of each; then 10,000
-//! mutations of a stream of control frames — acks, nacks, pings, `Fin`,
+//! mutations of a stream of control frames — acks, pings, `Fin`,
 //! store queries — read in order by one connection's reader; then 10,000
 //! mutations of the three services' hellos, an accepted one re-encoding
 //! to its own bytes. Every one is
@@ -31,8 +31,8 @@
 use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{
-    continuity_gap, write_deliver_batch_bin, write_item_batch_bin, write_msg_bin, BinEncoder,
-    Frame, FrameReader, Hello, Service, WireMsg, WIRE_PROTO,
+    write_deliver_batch_bin, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, FrameReader,
+    Hello, Service, WireMsg, WIRE_PROTO,
 };
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
@@ -1146,15 +1146,14 @@ fn read_on(history: &mut History, body: &[u8]) -> Result<Vec<String>, std::io::E
     }
 }
 
-/// Refused as `InvalidData`, saying `why`; a gap when `gap`.
-fn refused_on(history: &mut History, body: &[u8], gap: bool, why: &str) {
-    refused_as(read_on(history, body).unwrap_err(), gap, why);
+/// Refused as `InvalidData`, saying `why`.
+fn refused_on(history: &mut History, body: &[u8], why: &str) {
+    refused_as(read_on(history, body).unwrap_err(), why);
 }
 
-/// `err` is `InvalidData`, says `why`, and is a gap when `gap`.
-fn refused_as(err: std::io::Error, gap: bool, why: &str) {
+/// `err` is `InvalidData` and says `why`.
+fn refused_as(err: std::io::Error, why: &str) {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
-    assert_eq!(continuity_gap(&err).is_some(), gap, "{why}: {err}");
     assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
 }
 
@@ -1274,34 +1273,37 @@ fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io:
 /// Every way a continuing frame can fail to match its reader's history,
 /// each refused with its own message: on a reader that holds none, or
 /// decoded apart from any connection; a `first_seq` one off either way
-/// (both a gap — the history is left as it was and the right frame
-/// still reads); a back-distance one past what the reader holds, and
-/// one past the 1,024-member window, where one less is read; and a reuse
-/// bit for a class the last frame did not code, or outside the class
-/// mask. A store reply continues its connection too: decoded apart from
-/// it, it is refused; replayed, its position is behind where the history
-/// ends — a duplicate gap that leaves the history as it was, so the next
-/// reply still reads.
+/// (a gap, refused like any other frame: the history is cleared, so the
+/// right frame is refused after it too); a back-distance one past what
+/// the reader holds, and one past the 1,024-member window, where one
+/// less is read; and a reuse bit for a class the last frame did not
+/// code, or outside the class mask. A store reply continues its
+/// connection too: decoded apart from it, it is refused; replayed, its
+/// position is behind where the history ends, or — the connection's
+/// first reply — it is fresh where the replies continue, and either way
+/// it is refused and the reply after it with it.
 #[test]
 fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
     let stream = continuing_stream(2);
     assert_eq!(stream[0][1] & CONTINUES, 0);
     assert_eq!(stream[1][1] & CONTINUES, CONTINUES);
-    refused_on(&mut History::default(), &stream[1], true, "holds none of its history");
+    refused_on(&mut History::default(), &stream[1], "holds none of its history");
     let err = Frame::<FileEvent>::decode(&stream[1]).unwrap_err();
     assert!(err.to_string().contains("decoded apart from it"), "{err}");
 
-    let mut history = History::default();
-    assert_eq!(read_on(&mut history, &stream[0]).unwrap().len(), 24);
     // The head is the one byte in which the same stream keyed from 57
     // differs: first_seq, a varint after the codes, 31 here and 81 there.
     let at = head_at(&stream[1], &continuing_stream_from(57, 2)[1]);
     assert_eq!(stream[1][at], 31);
+    let mut history = History::default();
     for off_by in [1u64, u64::MAX] {
+        assert_eq!(read_on(&mut history, &stream[0]).unwrap().len(), 24);
         let bad = with_head(&stream[1], at, 31u64.wrapping_add(off_by));
-        refused_on(&mut history, &bad, true, "where its history ends at 31");
+        refused_on(&mut history, &bad, "where its history ends at 31");
+        refused_on(&mut history, &stream[1], "holds none of its history");
     }
-    assert_eq!(read_on(&mut history, &stream[1]).unwrap().len(), 24, "the history stood");
+    assert_eq!(read_on(&mut history, &stream[0]).unwrap().len(), 24);
+    assert_eq!(read_on(&mut history, &stream[1]).unwrap().len(), 24);
 
     // Three members held: three back from the next frame's first member
     // is the first of them, four is past them.
@@ -1313,7 +1315,7 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let [fresh, ..] = hand_laid(&honest());
     let reaching = |back| laid_item(true, 10, &[member(0, 0, Some(back), 9, b"w")]);
     assert_eq!(read_on(&mut holding(&fresh), &reaching(3)).unwrap(), ["/d/alpha/w"]);
-    refused_on(&mut holding(&fresh), &reaching(4), false, "reaches past the 3 members");
+    refused_on(&mut holding(&fresh), &reaching(4), "reaches past the 3 members");
 
     // A full window: 1,024 back is the oldest held, 1,025 is past it.
     let window: Vec<Laid> = std::iter::once(member(0, 0, None, 0, b"/d/alpha/x"))
@@ -1323,7 +1325,7 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let reaching = |back| laid_item(true, 1_107, &[member(0, 0, Some(back), 9, b"w")]);
     assert_eq!(read_on(&mut holding(&full), &reaching(1_024)).unwrap(), ["/d/alpha/w"]);
     let why = "past the 1024-member history window";
-    refused_on(&mut holding(&full), &reaching(1_025), false, why);
+    refused_on(&mut holding(&full), &reaching(1_025), why);
 
     // Reuse: the path code the last frame carried may be reused with no
     // table; one it did not carry may not, nor may a reuse bit stand
@@ -1343,12 +1345,12 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let [raw, ..] = hand_laid(&honest());
     read_on(&mut history, &raw).unwrap();
     let why = "a reuse bit for a path code the previous frame did not carry";
-    refused_on(&mut history, &path_frame(10, &reused, CONTINUES), false, why);
+    refused_on(&mut history, &path_frame(10, &reused, CONTINUES), why);
     let mut history = History::default();
     read_on(&mut history, &path_frame(1, &mask_and_tables(&four), 0)).unwrap();
     let outside = [Class::Path.bit(), Class::Flags.bit()].map(u16::to_le_bytes).concat();
     let outside = [&outside[..], &four[0].1].concat();
-    refused_on(&mut history, &path_frame(2, &outside, CONTINUES), false, "outside the class mask");
+    refused_on(&mut history, &path_frame(2, &outside, CONTINUES), "outside the class mask");
 
     // A store reply continues the replies before it, keyed by position.
     let replies = continuing_replies(3);
@@ -1358,15 +1360,19 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let why = "a store reply that continues its connection, decoded apart from it";
     assert!(err.to_string().contains(why), "{err}");
     let err = read_reply_on(&mut History::default(), &replies[1]).unwrap_err();
-    refused_as(err, true, "holds none of its history");
+    refused_as(err, "holds none of its history");
     let seqs = |reply| reply_events(reply, 3).iter().map(|e| e.seq).collect::<Vec<_>>();
     let mut history = History::default();
     assert_eq!(read_reply_on(&mut history, &replies[0]).unwrap(), seqs(0));
     assert_eq!(read_reply_on(&mut history, &replies[1]).unwrap(), seqs(1));
     let err = read_reply_on(&mut history, &replies[1]).unwrap_err();
-    assert!(continuity_gap(&err).is_some_and(|gap| gap.is_duplicate()), "{err}");
-    refused_as(err, true, "from 24, where its history ends at 48");
-    assert_eq!(read_reply_on(&mut history, &replies[2]).unwrap(), seqs(2), "the history stood");
+    refused_as(err, "from 24, where its history ends at 48");
+    refused_as(read_reply_on(&mut history, &replies[2]).unwrap_err(), "holds none");
+    let mut history = History::default();
+    assert_eq!(read_reply_on(&mut history, &replies[0]).unwrap(), seqs(0));
+    let err = read_reply_on(&mut history, &replies[0]).unwrap_err();
+    refused_as(err, "a fresh store reply where its connection's replies continue");
+    refused_as(read_reply_on(&mut history, &replies[1]).unwrap_err(), "holds none");
     // Only a store reader reads a reply.
     assert!(!fed::<Frame<FileEvent>>(&replies[0]).0 && !fed::<Frame<FeedMessage>>(&replies[0]).0);
 }
@@ -1374,8 +1380,8 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
 /// The deliver batch's twin of the test above, each refusal with its own
 /// message: a continuing deliver batch on a reader that holds none of its
 /// history, or decoded apart from any connection; a head whose
-/// `first_seq` is one off either way (a gap: the history is left as it
-/// was, and the right frame still reads); and one whose head matches the
+/// `first_seq` is one off either way (a gap: the history is cleared, so
+/// the right frame is refused after it too); and one whose head matches the
 /// history but whose first member carries no sequence number — a deliver
 /// batch's history is keyed by its first member's.
 #[test]
@@ -1384,24 +1390,26 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
     assert_eq!(feed[0][1] & CONTINUES, 0);
     assert_eq!(feed[1][1] & CONTINUES, CONTINUES);
     let why = "holds none of its history";
-    refused_as(read_feed_on(&mut History::default(), &feed[1]).unwrap_err(), true, why);
+    refused_as(read_feed_on(&mut History::default(), &feed[1]).unwrap_err(), why);
     let err = Frame::<FeedMessage>::decode(&feed[1]).unwrap_err();
     let why = "a deliver batch that continues its connection, decoded apart from it";
     assert!(err.to_string().contains(why), "{err}");
 
-    let mut history = History::default();
-    assert_eq!(read_feed_on(&mut history, &feed[0]).unwrap(), (7..31).collect::<Vec<_>>());
     // The head: the topic, then the first member's sequence number, a
     // one-byte varint.
     let at = 8 + feed[1].windows(8).position(|w| w == b"feed/all").expect("the topic");
     assert_eq!(feed[1][at], 31);
+    let mut history = History::default();
     for off_by in [1u64, u64::MAX] {
+        assert_eq!(read_feed_on(&mut history, &feed[0]).unwrap(), (7..31).collect::<Vec<_>>());
         let bad = with_head(&feed[1], at, 31u64.wrapping_add(off_by));
         let err = read_feed_on(&mut history, &bad).unwrap_err();
-        refused_as(err, true, "where its history ends at 31");
+        refused_as(err, "where its history ends at 31");
+        refused_as(read_feed_on(&mut history, &feed[1]).unwrap_err(), "holds none");
     }
+    read_feed_on(&mut history, &feed[0]).unwrap();
     let read = read_feed_on(&mut history, &feed[1]).unwrap();
-    assert_eq!(read, (31..55).collect::<Vec<_>>(), "the history stood");
+    assert_eq!(read, (31..55).collect::<Vec<_>>());
 
     let mut history = History::default();
     read_feed_on(&mut history, &feed[0]).unwrap();
@@ -1411,15 +1419,15 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
     put_varint(&mut body, 31); // first_seq
     body.extend_from_slice(&heartbeat.bytes);
     let why = "continuing from sequence 31 whose first member carries None";
-    refused_as(read_feed_on(&mut history, &body).unwrap_err(), false, why);
+    refused_as(read_feed_on(&mut history, &body).unwrap_err(), why);
 }
 
 /// Reads 10,000 seeded mutations of `stream`, a run of frames each
 /// continuing the one before, carrying `sent`: one frame is mutated, and
 /// the stream is read in order by one connection's reader, whose
 /// history's storage `warm` — a frame of another stream — has made before
-/// any allocation is measured. Each frame is read or refused — a gap or
-/// `InvalidData`, never a panic — within the allocation bound; every
+/// any allocation is measured. Each frame is read or refused as
+/// `InvalidData`, never a panic, within the allocation bound; every
 /// frame before the mutated one decodes to exactly what was sent; and no
 /// frame after a refused one is read against it. Returns how many frames
 /// were read and how many refused.
@@ -1436,8 +1444,12 @@ where
     for round in 0..10_000 {
         let target = rng.below(stream.len());
         let mutated = mutate(&mut rng, &stream[target]);
+        // The warm frame makes the history's storage and nothing more:
+        // a store reader would refuse the stream's fresh first reply
+        // while a reply of another stream is held.
         let mut history = History::default();
         M::decode_on(warm, &mut history).unwrap();
+        history.clear();
         let mut refused_before = false;
         for (i, honest) in stream.iter().enumerate() {
             let body = if i == target { &mutated } else { honest };
@@ -1557,15 +1569,14 @@ where
 }
 
 /// 10,000 mutations of a push connection's control frames — acks (one of
-/// `u64::MAX`, a ten-byte varint), a nack, a ping and a `Fin` — and
-/// 10,000 of a store connection's — queries by sequence number and limit,
-/// by time under a prefix with the caller's trace, with every field
-/// absent — and its ping.
+/// `u64::MAX`, a ten-byte varint), a ping and a `Fin` — and 10,000 of a
+/// store connection's — queries by sequence number and limit, by time
+/// under a prefix with the caller's trace, with every field absent.
 #[test]
 fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
     let frames = [
         Frame::<FileEvent>::Ack { up_to: 1_000_000 },
-        Frame::Nack { expected: 1_000_001 },
+        Frame::Ack { up_to: 1_000_001 },
         Frame::Ping,
         Frame::Ack { up_to: u64::MAX },
         Frame::Fin,
@@ -1578,7 +1589,6 @@ fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
     let queries = [
         StoreRpc::Query { query: StoreQuery::after_seq(1_234_567).limit(4_096), trace: None },
         StoreRpc::Query { query: prefixed, trace: traced },
-        StoreRpc::Ping,
         StoreRpc::Query { query: StoreQuery::default(), trace: None },
     ];
     let (read, refused) = read_mutated_controls(&queries, 0x5dc1_0042);

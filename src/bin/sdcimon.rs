@@ -21,7 +21,9 @@
 //! Every distributed role also takes `--faults SPEC` (or the
 //! `SDCI_FAULTS` env var): a deterministic `sdci_faults::FaultPlan`
 //! spec like `seed=42,drop=0.05,delay=0.1:2ms,partition=500ms@2s`
-//! installed on that role's sockets, for chaos testing. Crash points
+//! installed on that role's sockets, for chaos testing. Whatever the
+//! fault, it is repaired one way: the connection whose stream it broke,
+//! or that stopped making progress, is dropped and redialled. Crash points
 //! (`SDCI_CRASH_POINTS=store.flush.manifest_commit:1:abort,...`) kill
 //! or fail the process at named store/net steps.
 //!
