@@ -16,7 +16,7 @@
 //! sealed, immutable [`Segment`]s:
 //!
 //! ```text
-//!  sealed chain (RwLock, Arc-shared)                 head (Mutex)
+//!  sealed chain (RwLock<Arc<Chain>>, copy-on-write)  head (Mutex)
 //!  ┌─────────┐ ┌─────────┐ ┌─────────┐               ┌─────────────┐
 //!  │ seg 1..k│ │seg k+1..│ │  ...    │  ──────────>  │ appends here│
 //!  └─────────┘ └─────────┘ └─────────┘               └─────────────┘
@@ -36,9 +36,16 @@
 //! the events filed under a directory its prefix can match — query cost
 //! scales with the result, not the window. Each answer is allocated
 //! once, sized by what the store can return. Ingest serializes on the
-//! head lock; queries read the sealed chain through `Arc`s without
-//! blocking it, and all counters are atomics, so every read path takes
+//! head lock; all counters are atomics, so every read path takes
 //! `&self`.
+//!
+//! The sealed chain is a copy-on-write value. A reader clones the one
+//! `Arc` to it under the read lock and scans that snapshot with no lock
+//! held; a writer (a seal, a rotation) changes it through
+//! [`Arc::make_mut`]. With no snapshot live the write happens in place
+//! and allocates nothing; a write that meets a live snapshot copies the
+//! chain's few dozen segment pointers once, after which the store owns
+//! its chain alone again and the snapshot keeps reading what it took.
 //!
 //! Crash recovery is incremental: [`SnapshotDir`] flushes each sealed
 //! segment to its own file exactly once and rewrites only the manifest
@@ -229,11 +236,13 @@ struct HeadRange {
 /// The sealed chain, oldest segment first. `trim` is the count of
 /// events logically rotated out of the front segment; segments are
 /// immutable, so rotation advances the offset and drops the segment
-/// whole once it is fully trimmed.
-#[derive(Default)]
-struct Chain {
-    segs: VecDeque<Arc<Segment>>,
-    trim: usize,
+/// whole once it is fully trimmed. The store holds it behind an `Arc`
+/// that readers share and writers [`Arc::make_mut`] (see the module
+/// docs).
+#[derive(Default, Clone)]
+pub(crate) struct Chain {
+    pub(crate) segs: VecDeque<Arc<Segment>>,
+    pub(crate) trim: usize,
 }
 
 /// Rotates the `excess` oldest retained events out — the chain's front
@@ -301,7 +310,7 @@ pub struct EventStore {
     capacity: usize,
     segment_events: usize,
     head: Mutex<VecDeque<SequencedEvent>>,
-    sealed: RwLock<Chain>,
+    sealed: RwLock<Arc<Chain>>,
     last_seq: AtomicU64,
     len: AtomicUsize,
     bytes: AtomicU64,
@@ -344,7 +353,7 @@ impl EventStore {
             capacity: capacity.max(1),
             segment_events: segment_events.max(1),
             head: Mutex::new(VecDeque::new()),
-            sealed: RwLock::new(Chain::default()),
+            sealed: RwLock::new(Arc::default()),
             last_seq: AtomicU64::new(0),
             len: AtomicUsize::new(0),
             bytes: AtomicU64::new(0),
@@ -425,7 +434,7 @@ impl EventStore {
         let excess = held.saturating_sub(self.capacity);
         let dropped = match excess {
             0 => 0,
-            _ => rotate_out(&mut self.sealed.write(), head, excess),
+            _ => rotate_out(Arc::make_mut(&mut self.sealed.write()), head, excess),
         };
         self.last_seq.store(last, Ordering::Relaxed);
         self.len.store(held - excess, Ordering::Relaxed);
@@ -434,7 +443,8 @@ impl EventStore {
         self.rotated.fetch_add(excess as u64, Ordering::Relaxed);
     }
 
-    /// Seals the head into an immutable segment on the chain.
+    /// Seals the head into an immutable segment on the chain, built
+    /// before the chain's write lock is taken.
     fn seal(&self, head: &mut VecDeque<SequencedEvent>) {
         if head.is_empty() {
             return;
@@ -445,9 +455,8 @@ impl EventStore {
         if let Err(e) = sdci_faults::crash_point("store.seal") {
             panic!("{e}");
         }
-        let events: Vec<SequencedEvent> = head.drain(..).collect();
-        let mut chain = self.sealed.write();
-        chain.segs.push_back(Arc::new(Segment::build(events)));
+        let segment = Arc::new(Segment::build(head.drain(..).collect()));
+        Arc::make_mut(&mut self.sealed.write()).segs.push_back(segment);
     }
 
     /// Runs a query over the retained window, oldest first.
@@ -455,10 +464,12 @@ impl EventStore {
     /// The answer is allocated once, sized by what the store can return:
     /// the query's limit, or fewer when fewer events are retained past
     /// `after_seq` (for a prefix query, fewer filed under a directory it
-    /// can match). The chain's segments are shared out by `Arc` and
-    /// scanned without any store lock held; a segment whose sequence or
-    /// time range cannot overlap, or with no directory under the prefix,
-    /// is skipped, and the in-segment start position is binary-searched.
+    /// can match). Besides the answer it allocates nothing: the chain is
+    /// one shared `Arc`, scanned without any store lock held, and a write
+    /// meanwhile copies the chain, not the query. A segment whose
+    /// sequence or time range cannot overlap, or with no directory under
+    /// the prefix, is skipped, and the in-segment start position is
+    /// binary-searched.
     ///
     /// Every event retained when the query starts is returned exactly
     /// once, if it matches and fits: the chain and the head's range are
@@ -469,19 +480,20 @@ impl EventStore {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let query = query.prepare();
         let after = query.after.unwrap_or(0);
-        let (segs, trim, head) = {
+        let (chain, head) = {
             let events = self.head.lock();
-            let chain = self.sealed.read();
+            let chain = Arc::clone(&self.sealed.read());
             let from = events.partition_point(|e| e.seq <= after);
             let range = events.get(from).zip(events.back()).map(|(first, last)| HeadRange {
                 first: first.seq,
                 last: last.seq,
                 len: events.len() - from,
             });
-            (chain.segs.iter().cloned().collect::<Vec<_>>(), chain.trim, range)
+            (chain, range)
         };
+        let Chain { segs, trim } = &*chain;
         let start = segs.partition_point(|s| s.last_seq() <= after);
-        let lo = |i: usize| if i == 0 { trim } else { 0 };
+        let lo = |i: usize| if i == 0 { *trim } else { 0 };
         let mut size = head.map_or(0, |range| range.len);
         for (i, seg) in segs.iter().enumerate().skip(start) {
             if size >= query.limit {
@@ -506,7 +518,7 @@ impl EventStore {
     /// Appends the matches among the head's events in `range`, taken when
     /// `query` started. They are still in the head unless it has sealed
     /// since; then they are in the segment it sealed into, which is
-    /// scanned outside the lock.
+    /// scanned from the chain's snapshot outside the lock.
     fn collect_head(
         &self,
         query: &PreparedQuery<'_>,
@@ -514,17 +526,17 @@ impl EventStore {
         out: &mut Vec<SequencedEvent>,
     ) {
         let in_range = |e: &&SequencedEvent| e.seq <= last;
-        let sealed: Vec<Arc<Segment>> = {
+        let chain = {
             let head = self.head.lock();
             if head.front().is_some_and(|e| e.seq <= last) {
                 let from = head.partition_point(|e| e.seq < first);
                 query.collect(head.range(from..).take_while(in_range), out);
                 return;
             }
-            let chain = self.sealed.read();
-            chain.segs.iter().filter(|s| s.last_seq() >= first).cloned().collect()
+            Arc::clone(&self.sealed.read())
         };
-        for seg in sealed {
+        let resealed = chain.segs.partition_point(|s| s.last_seq() < first);
+        for seg in chain.segs.range(resealed..).take_while(|s| s.first_seq() <= last) {
             let from = seg.events().partition_point(|e| e.seq < first);
             query.collect(seg.events()[from..].iter().take_while(in_range), out);
         }
@@ -543,10 +555,10 @@ impl EventStore {
             return head_tail;
         }
         let need = n - head_tail.len();
-        let (segs, trim) = self.chain_snapshot();
+        let chain = Arc::clone(&self.sealed.read());
         let mut tail_rev: Vec<SequencedEvent> = Vec::with_capacity(need);
-        'chain: for (i, seg) in segs.iter().enumerate().rev() {
-            let lo = if i == 0 { trim } else { 0 };
+        'chain: for (i, seg) in chain.segs.iter().enumerate().rev() {
+            let lo = if i == 0 { chain.trim } else { 0 };
             for sev in seg.events()[lo..].iter().rev() {
                 if sev.seq >= head_first_seq {
                     continue;
@@ -562,24 +574,13 @@ impl EventStore {
         tail_rev
     }
 
-    /// Clones the sealed chain's `Arc`s (cheap: one refcount bump per
-    /// segment) so callers scan without holding the chain lock.
-    fn chain_snapshot(&self) -> (Vec<Arc<Segment>>, usize) {
-        let chain = self.sealed.read();
-        (chain.segs.iter().cloned().collect(), chain.trim)
-    }
-
-    /// A fully consistent snapshot of the store: sealed segments, the
-    /// trim offset, and a copy of the head. Takes both locks briefly
-    /// (head before chain, the writer order) so nothing seals midway.
+    /// A fully consistent snapshot of the store: the sealed chain, shared,
+    /// and a copy of the head. Takes both locks briefly (head before
+    /// chain, the writer order) so nothing seals midway.
     pub(crate) fn snapshot_state(&self) -> StoreState {
         let head = self.head.lock();
-        let chain = self.sealed.read();
-        StoreState {
-            segs: chain.segs.iter().cloned().collect(),
-            trim: chain.trim,
-            head: head.iter().cloned().collect(),
-        }
+        let chain = Arc::clone(&self.sealed.read());
+        StoreState { chain, head: head.iter().cloned().collect() }
     }
 
     /// Number of retained events.
@@ -655,7 +656,7 @@ impl EventStore {
             capacity,
             segment_events: default_segment_events(capacity),
             head: Mutex::new(head),
-            sealed: RwLock::new(chain),
+            sealed: RwLock::new(Arc::new(chain)),
             last_seq: AtomicU64::new(last_seq),
             len: AtomicUsize::new(len),
             bytes: AtomicU64::new(bytes),
@@ -669,8 +670,7 @@ impl EventStore {
 /// A consistent point-in-time view of the store's contents, used by the
 /// snapshot writers.
 pub(crate) struct StoreState {
-    pub(crate) segs: Vec<Arc<Segment>>,
-    pub(crate) trim: usize,
+    pub(crate) chain: Arc<Chain>,
     pub(crate) head: Vec<SequencedEvent>,
 }
 
@@ -680,7 +680,7 @@ impl StoreState {
         self.head
             .last()
             .map(|e| e.seq)
-            .or_else(|| self.segs.last().map(|s| s.last_seq()))
+            .or_else(|| self.chain.segs.back().map(|s| s.last_seq()))
             .unwrap_or(0)
     }
 }
@@ -869,6 +869,45 @@ mod tests {
         let mut out = Vec::new();
         store.collect_head(&query.prepare(), range, &mut out);
         assert_eq!(seqs(out), vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_snapshot_keeps_its_chain_and_only_the_first_write_after_it_copies() {
+        // Where the store's chain lives. Read without keeping a clone, which
+        // would itself be a snapshot the next write has to copy around.
+        let chain_at = |store: &EventStore| Arc::as_ptr(&store.sealed.read());
+        let spans = |chain: &Chain| {
+            chain.segs.iter().map(|s| (s.first_seq(), s.last_seq())).collect::<Vec<_>>()
+        };
+        // Capacity 8 in segments of 4: [1..4] [5..8], trim 2, head 9 10.
+        let store = EventStore::with_segment_size(8, 4);
+        fill(&store, 1..=10);
+        let state = store.snapshot_state();
+        assert_eq!(Arc::as_ptr(&state.chain), chain_at(&store), "a snapshot shares the chain");
+
+        // A rotation meets the live snapshot: the chain is copied once.
+        fill(&store, 11..=11);
+        let copy = chain_at(&store);
+        assert_ne!(copy, Arc::as_ptr(&state.chain), "the first write copies the chain");
+        // A seal and a full rotation after it mutate the copy in place.
+        fill(&store, 12..=20);
+        assert_eq!(chain_at(&store), copy, "the store owns its chain alone again");
+        assert_eq!(store.first_seq(), 13);
+        assert_eq!(spans(&store.sealed.read()), vec![(13, 16), (17, 20)]);
+
+        // The snapshot still reads what it was taken with.
+        assert_eq!(spans(&state.chain), vec![(1, 4), (5, 8)]);
+        assert_eq!(state.chain.trim, 2);
+        assert_eq!(state.chain.segs[0].events()[state.chain.trim].seq, 3, "its first_seq");
+        assert_eq!(state.last_seq(), 10);
+
+        // Dropped, it costs the next write nothing; nor does a finished
+        // query, which holds no snapshot.
+        drop(state);
+        assert_eq!(store.query(&StoreQuery::default()).len(), 8);
+        fill(&store, 21..=25);
+        assert_eq!(chain_at(&store), copy, "with no snapshot live a write is in place");
+        assert_eq!(spans(&store.sealed.read()), vec![(17, 20), (21, 24)]);
     }
 
     #[test]

@@ -325,8 +325,8 @@ impl SnapshotDir {
         let state = store.snapshot_state();
         let marks = marks();
         let mut stats = FlushStats::default();
-        let mut segments = Vec::with_capacity(state.segs.len());
-        for seg in &state.segs {
+        let mut segments = Vec::with_capacity(state.chain.segs.len());
+        for seg in &state.chain.segs {
             let name = segment_file_name(seg.first_seq(), seg.last_seq());
             let path = self.dir.join(&name);
             if path.exists() {
@@ -355,7 +355,7 @@ impl SnapshotDir {
         stats.head_events = state.head.len() as u64;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
-            trim: state.trim,
+            trim: state.chain.trim,
             last_seq: state.last_seq(),
             segments,
             head_file,

@@ -199,9 +199,9 @@ fn a_query_hit_costs_a_reference_count_not_a_path() {
     let retained = store.recent(1);
     assert!(hits[1_023].event.path.shares_arena(&retained[0].event.path));
     assert_eq!(
-        made, 2,
-        "allocations to return {EVENTS} retained events: the chain's segment list and the \
-         answer, sized once"
+        made, 1,
+        "allocations to return {EVENTS} retained events: the answer, sized once; the chain is \
+         read through one shared reference count"
     );
 }
 
@@ -219,9 +219,8 @@ fn a_prefix_query_allocates_its_answer_once() {
     assert!(hits.iter().all(|e| e.event.path.starts_with("/root07/sub")));
     assert_eq!(hits.capacity(), 1_024, "sized by the directory column's count");
     assert_eq!(
-        made, 2,
-        "allocations to return 1,024 hits under a canonical prefix: the chain's segment list \
-         and the answer"
+        made, 1,
+        "allocations to return 1,024 hits under a canonical prefix: the answer, sized once"
     );
 }
 
@@ -243,7 +242,7 @@ fn an_unlimited_query_reserves_no_more_than_the_store_holds() {
             hits.len(),
             hits.capacity()
         );
-        assert_eq!(made, 2, "{query:?}");
+        assert_eq!(made, 1, "{query:?}: the answer, sized once");
     }
 }
 

@@ -305,7 +305,11 @@ fn serve_pusher<T>(
                 }
             }
             Ok(Frame::Fin) => return,
-            Ok(_) => {}
+            // Any other frame — an `Ack`, a delivery — is not the pusher's
+            // to send. It costs the connection, as anything but an `Ack`
+            // costs the pusher its own; ignored, it would hold this thread
+            // with no read ever timing out.
+            Ok(_) => return,
             Err(e) if timed_out(&e) => {
                 if last_traffic.elapsed() > cfg.liveness {
                     return;

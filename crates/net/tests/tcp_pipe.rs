@@ -462,6 +462,30 @@ fn a_gap_costs_the_connection_and_the_redial_resends_in_order() {
     endpoint.shutdown();
 }
 
+/// A frame that is not the pusher's to send — here an `Ack` — costs the
+/// connection at once. Ignored, a peer sending such frames would never
+/// let a read time out and would hold a server thread for good; the
+/// 3 s liveness window is well past the 1 s this waits for the close.
+#[test]
+fn a_frame_the_pusher_never_sends_costs_the_connection() {
+    let server = TcpPullServer::<u64>::new(64);
+    let cfg = NetConfig { liveness: Duration::from_secs(3), ..fast_cfg() };
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let (mut pusher, greeting) = RawPusher::hello(endpoint.local_addr(), "c", 0);
+    assert_eq!(greeting, 0);
+    pusher.writer.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+
+    write_msg(&mut pusher.writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
+
+    let err = pusher.reader.read_msg::<Frame<u64>>().expect_err("an Ack is answered");
+    assert!(
+        !matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+        "the connection is still open 1 s after a stray Ack: {err}"
+    );
+    assert_eq!(server.stats().items, 0);
+    endpoint.shutdown();
+}
+
 /// End to end: with send-side frame drops injected, the pusher recovers
 /// by redialling — a gap costs the connection, a frame lost at the tail
 /// the liveness interval — and every item still arrives exactly once.
