@@ -9,20 +9,17 @@
 //! The protocol is deliberately tiny and strictly query → reply: after
 //! the connection's hello, one request frame, one response frame — a
 //! query is a dozen bytes of varints, a reply a batch of members — in the
-//! same length-prefixed binary framing as the rest of sdci-net. A
-//! connection's replies continue one another as every batch frame does
-//! (`crate::wire`): the server packs them through one encoder for the
-//! life of the connection, so a reply's members are coded against the
-//! ones the replies before it carried, and only that connection's reader
-//! decodes it. A reply is keyed by its position — the members the replies
-//! before it carried since the last fresh one; the first reply on a
-//! connection, and one after an empty reply, are fresh. A frame that is
-//! not the answer to the query just sent — a replayed reply, one that
-//! cannot answer it, any other frame — costs the connection, and the
-//! query is retried once on a new one, where both sides start fresh.
-//! Failure semantics follow [`EventBackend::query`]'s contract — a
-//! query that cannot be answered returns an empty slice, and the
-//! consumer simply retries at the next heartbeat-detected gap.
+//! same length-prefixed binary framing as the rest of sdci-net. One rule
+//! pairs them: the n-th query on a connection carries n, the server
+//! answers it with reply n, and each side's reader refuses a frame whose
+//! number is not one past the last it read — a frame lost, duplicated or
+//! replayed costs the connection, and the query is retried once on a new
+//! one, numbered from 1 again. A connection's replies continue one another
+//! as every batch frame does (`crate::wire`), and a reply holds what one
+//! frame holds: the answer's prefix, which the consumer takes as such.
+//! Failure semantics follow [`EventBackend::query`]'s contract — a query
+//! that cannot be answered returns an empty slice, and the consumer simply
+//! retries at the next heartbeat-detected gap.
 //!
 //! [`EventStore`]: sdci_core::EventStore
 
@@ -30,8 +27,8 @@ use crate::conn::NetConfig;
 use crate::endpoint::{dial, Conn, Handler};
 use crate::faulted::FaultedWriter;
 use crate::wire::{
-    bin_header, read_batch, read_control, timed_out, write_msg_bin, BatchHead, BinEncoder,
-    FrameReader, Service, WireMsg, BIN_FLAG_TRACE, BIN_KIND_QUERY, STORE_KINDS,
+    bin_header, read_batch, read_control, read_number, timed_out, write_msg_bin, BatchHead,
+    BinEncoder, FrameReader, Service, WireMsg, BIN_FLAG_TRACE, BIN_KIND_QUERY, STORE_KINDS,
 };
 use sdci_core::{EventBackend, SequencedEvent, StoreError, StoreQuery};
 use sdci_types::bin::{
@@ -55,7 +52,8 @@ pub enum StoreRpc {
         /// it; a missing key reads as `None`.
         trace: Option<TraceContext>,
     },
-    /// Server → consumer: the matching events, in sequence order.
+    /// Server → consumer: the matching events, in sequence order; encoded,
+    /// the prefix of them one frame holds.
     Batch {
         /// Query results.
         events: Vec<SequencedEvent>,
@@ -69,8 +67,9 @@ const HAS_SINCE: u8 = 2;
 const HAS_PREFIX: u8 = 4;
 
 /// Appends `query` as a query body: the header (with `trace`'s section
-/// when there is one), a presence byte, each field present as a varint —
-/// the prefix as its UTF-8 length and bytes — and the limit.
+/// when there is one), `enc`'s next number, a presence byte, each field
+/// present as a varint — the prefix as its UTF-8 length and bytes — and
+/// the limit.
 ///
 /// # Errors
 ///
@@ -78,6 +77,7 @@ const HAS_PREFIX: u8 = 4;
 /// UTF-8 or is longer than [`MAX_PATH_LEN`]: no reader would accept it.
 fn put_query(
     buf: &mut Vec<u8>,
+    enc: &mut BinEncoder,
     query: &StoreQuery,
     trace: Option<TraceContext>,
 ) -> std::io::Result<()> {
@@ -90,6 +90,7 @@ fn put_query(
         }
     };
     bin_header(buf, BIN_KIND_QUERY, trace);
+    put_varint(buf, enc.number());
     let bit = |present: bool, bit: u8| if present { bit } else { 0 };
     buf.push(
         bit(query.after_seq.is_some(), HAS_AFTER_SEQ)
@@ -110,10 +111,16 @@ fn put_query(
 }
 
 /// Reads a query body's fields after its kind and flags: the inverse of
-/// [`put_query`]. Presence bits it does not know, a prefix longer than
-/// [`MAX_PATH_LEN`] or not UTF-8, and a limit past `usize` are refused.
-fn read_query(r: &mut BinReader<'_>, flags: u8) -> Result<StoreRpc, BinDecodeError> {
+/// [`put_query`]. A number not next on `history`, presence bits it does
+/// not know, a prefix longer than [`MAX_PATH_LEN`] or not UTF-8, and a
+/// limit past `usize` are refused.
+fn read_query(
+    r: &mut BinReader<'_>,
+    flags: u8,
+    history: Option<&mut History>,
+) -> Result<StoreRpc, BinDecodeError> {
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace()?) } else { None };
+    read_number(r, history)?;
     let presence = r.u8(Class::Other)?;
     if presence & !(HAS_AFTER_SEQ | HAS_SINCE | HAS_PREFIX) != 0 {
         return Err(BinDecodeError::msg(format!("unknown query presence bits {presence:#x}")));
@@ -138,21 +145,23 @@ fn read_query(r: &mut BinReader<'_>, flags: u8) -> Result<StoreRpc, BinDecodeErr
     Ok(StoreRpc::Query { query, trace })
 }
 
-/// Every message is binary: the query is a control frame of a few bytes,
-/// and the reply is a batch, which — packed through the connection's
-/// encoder — continues the replies before it.
+/// Every message is binary and numbered: the query is a control frame of
+/// a few bytes, and the reply is a batch, which — packed through the
+/// connection's encoder — continues the replies before it.
 impl WireMsg for StoreRpc {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> std::io::Result<()> {
         match self {
-            StoreRpc::Batch { events } => enc.pack_frame(buf, BatchHead::Position, events, None),
-            StoreRpc::Query { query, trace } => put_query(buf, query, *trace)?,
+            StoreRpc::Batch { events } => {
+                let number = enc.number();
+                enc.pack_frame(buf, BatchHead::Reply(number), events, None)
+            }
+            StoreRpc::Query { query, trace } => put_query(buf, enc, query, *trace),
         }
-        Ok(())
     }
 
     fn decode_in(body: &[u8], history: Option<&mut History>) -> std::io::Result<Self> {
         if body.first() == Some(&BIN_KIND_QUERY) {
-            return read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags));
+            return read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags, history));
         }
         let (_, _, events) = read_batch(body, STORE_KINDS, history)?;
         Ok(StoreRpc::Batch { events })
@@ -198,7 +207,7 @@ impl Handler for StoreServer {
 fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64) {
     let Conn { mut reader, mut writer, stop, .. } = conn;
     // Per-connection scratch for every frame it writes, reused across
-    // queries, and the history every reply after the first continues.
+    // queries, the history a reply continues and the replies' count.
     let mut enc = BinEncoder::new();
     // `stop` is checked every iteration so a chatty client cannot pin
     // the handler past shutdown.
@@ -240,12 +249,9 @@ fn serve_store_client(conn: Conn, store: &dyn EventBackend, queries: &AtomicU64)
 /// Whether `events` is a plausible reply to `query`: every event
 /// satisfies the query's constraints, the batch respects its limit, and
 /// sequence numbers strictly ascend: a store answers each retained event
-/// once, in seq order, so a repeated or descending seq is no answer.
-/// The store RPC has no request ids, so this range check is the
-/// reply-correlation mechanism: a stale reply duplicated by a faulted
-/// link fails it (its events predate the new query's `after_seq`) and
-/// costs the connection rather than being delivered as the answer to
-/// the wrong query.
+/// once, in seq order, so a repeated or descending seq is no answer, and
+/// the consumer's backlog relies on that order. A numbered reply that is
+/// no answer costs the connection.
 /// An empty batch is always plausible — it is what a rotated-out range
 /// legitimately returns, and the consumer's bounded retry already
 /// treats it as non-authoritative.
@@ -268,8 +274,8 @@ struct StoreConn {
 /// A read-only [`EventBackend`] that queries a remote [`StoreServer`].
 ///
 /// The connection is lazy and cached; a failed round trip drops it,
-/// retries once on a fresh connection — whose replies, and its reader's
-/// history, start fresh — and then gives up with an empty result — the
+/// retries once on a fresh connection — numbered from 1, its replies
+/// fresh — and then gives up with an empty result — the
 /// consumer's backfill loop will simply query again.
 ///
 /// Connects are bounded by [`NetConfig::connect_timeout`] and happen
@@ -400,13 +406,8 @@ impl RemoteStore {
                         ));
                     }
                 }
-                // Requests and replies pair up strictly in order, so the
-                // first frame that is not this query's answer — a reply
-                // a faulted link replayed, whether its range gives it
-                // away or its position does, or any other frame — leaves
-                // the connection with nothing to read: the caller drops
-                // it, and taking the frame at face value would hand the
-                // consumer events from the wrong range.
+                // A reply that does not answer, or a query: the caller
+                // drops the connection.
                 Ok(_) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,

@@ -24,7 +24,8 @@
 //! ```text
 //! kind 5 Ack:   up_to varint          kind 7 Ping
 //! kind 8 Fin
-//! kind 9 Query: [trace 17B, flags&1] | presence u8 (1 after_seq, 2 since, 4 path_prefix) |
+//! kind 9 Query: [trace 17B, flags&1] | number varint |
+//!               presence u8 (1 after_seq, 2 since, 4 path_prefix) |
 //!               [after_seq varint] | [since ns varint] |
 //!               [prefix: UTF-8 length varint (≤ MAX_PATH_LEN) + bytes] | limit varint
 //! kind 10 Hello: proto varint | service tag u8 | the service's fields:
@@ -33,33 +34,26 @@
 //!               tag 3 Store:      nothing
 //! ```
 //!
-//! A batch body is a fixed header, then the kind's fields. Lengths
-//! and counts are LEB128 varints; the members follow one another with no
-//! length between them, each coded **relative to the members before
-//! it** ([`BinPayload`]: zig-zag deltas and "same as the predecessor's"
-//! bits for counters and stamps,
-//! paths as shared-prefix length + suffix against the predecessor's or a
-//! named earlier member's). In a *fresh* frame those are the members
-//! before it in the same frame, the first coded against nothing, so the
-//! frame decodes from its own bytes alone. Any batch may instead
-//! *continue* its connection (flags bit 2): its members are coded against
-//! what the frames written before it on the same connection carried as
+//! A batch body is a fixed header, then the kind's fields. Lengths and
+//! counts are LEB128 varints; the members follow one another with no
+//! length between them, each coded **relative to the members before it**
+//! ([`BinPayload`]: zig-zag deltas and "same as the predecessor's" bits for
+//! counters and stamps, paths as shared-prefix length + suffix against the
+//! predecessor's or a named earlier member's). In a *fresh* frame those
+//! are the members before it in the same frame, the first coded against
+//! nothing, so the frame decodes from its own bytes alone. Any batch may
+//! instead *continue* its connection (flags bit 2): its members are coded
+//! against what the frames before it on the same connection carried as
 //! well — the last member, the paths of the last
-//! [`HISTORY_MEMBERS`](sdci_types::bin::HISTORY_MEMBERS) members, the
-//! last frame's codes — and only that connection's [`FrameReader`],
-//! which holds the same [`History`], reads it. A frame's history is keyed
-//! — an item batch by its `first_seq`, a deliver batch by its first
-//! member's sequence number ([`BinPayload::seq`]), a store reply by its
-//! *position*, the members the replies before it carried since the last
-//! fresh one ([`History::next_position`]) — and a frame continues only
-//! the one right before it, starting where that one ended; one that does
-//! not start where the reader's history ends is refused before a member
-//! is read, never misdecoded, and a connection that refuses a frame is
-//! dropped — the redial starts both sides fresh. A sequenced first
-//! member's number is coded against the last member's, never against a
-//! position. A connection's first
-//! frame, and one after a frame whose first member holds no event (an
-//! empty reply, a lone heartbeat), is fresh:
+//! [`HISTORY_MEMBERS`](sdci_types::bin::HISTORY_MEMBERS) members, the last
+//! frame's codes — and only that connection's [`FrameReader`], which holds
+//! the same [`History`], reads it. An item or deliver batch continues only
+//! from where its reader's history ends, by its first sequence number; a
+//! store reply carries its number on the connection instead
+//! ([`crate::store_rpc`]). Any other is refused before a member is read,
+//! and the connection dropped — the redial starts both sides fresh. A
+//! connection's first frame, and one after a frame whose first member
+//! holds no event (an empty reply, a lone heartbeat), is fresh:
 //!
 //! ```text
 //! +------+-------+----------------------+-----------------------------------+---------------+
@@ -67,7 +61,7 @@
 //! |  u8  |  u8   | id u64, span u64, u8 | | tables (flags&2)               |               |
 //! +------+-------+----------------------+-----------------------------------+---------------+
 //! kind 1 ItemBatch:    first_seq varint | members
-//! kind 3 StoreBatch:   [position varint, flags&4] | members  (of SequencedEvent)
+//! kind 3 StoreBatch:   number varint | members  (of SequencedEvent)
 //! kind 4 DeliverBatch: topic (varint len + bytes) | [first_seq varint, flags&4] | members
 //!
 //! members    = count varint | count × member
@@ -77,7 +71,7 @@
 //! first_seq  = a continuing deliver batch's: its first member's sequence
 //!              number, which the reader checks against its history before
 //!              it reads a member
-//! position   = a continuing store reply's key, checked the same way
+//! number     = a store reply's, from 1 on its connection, checked first
 //! reuse      = a continuing frame's: the classes coded under the code they
 //!              had in the connection's last frame, with no table here
 //! tables     = one per class the mask names and reuse does not, in class order:
@@ -86,21 +80,15 @@
 //! ```
 //!
 //! The member sequence is [`sdci_types::bin::code_members`] /
-//! [`read_members`]: the format lives beside [`BinPayload`], because a
-//! store node's snapshot files are blocks of the same members (never
-//! coded, each behind its length); this module adds the header and head
-//! in front of it and chunks a batch into frames. One packer lays out every batch body —
-//! the chunked writers' ([`write_item_batch_bin`],
-//! [`write_deliver_batch_bin`]) and a whole batch's ([`WireMsg::encode`],
-//! one frame however long) — through a per-connection [`BinEncoder`],
-//! which holds the raw member section and, beside it, each byte's field
-//! class. Flags bit 1 says the member
-//! section is coded — its raw bytes as one bit stream, each byte the
-//! codeword of its field class's code, or itself for a class the mask
-//! leaves out — and a class mask and the coded classes' tables follow
-//! the trace section ([`BinReader::read_codes`]); the writer codes each
-//! class when that makes the frame smaller, table included, and not
-//! otherwise.
+//! [`read_members`], beside [`BinPayload`]: a store node's snapshot files
+//! are blocks of the same members. This module adds the header and head
+//! and chunks a batch into frames, through one packer and a
+//! per-connection [`BinEncoder`]; [`WireMsg::encode`] writes one frame,
+//! closed where a chunk closes. Flags bit 1 says the member section is
+//! coded — each byte the codeword of its field class's code, or itself for
+//! a class the mask leaves out — and a class mask and the coded classes'
+//! tables follow the trace section ([`BinReader::read_codes`]); the writer
+//! codes a class only when that makes the frame smaller, table included.
 //!
 //! A member cut short, a count past the members present or past the
 //! section's bits, and a byte after the last member are `InvalidData`.
@@ -152,7 +140,7 @@ const _: () = assert!(sdci_types::bin::FRAME_PATH_BUDGET == MAX_FRAME_LEN);
 
 /// The wire protocol version this build speaks — the only one. A
 /// [`Hello`] announcing anything else is refused, not negotiated with.
-pub const WIRE_PROTO: u32 = 19;
+pub const WIRE_PROTO: u32 = 20;
 
 /// Longest [`Hello`] body a peer may send and an endpoint reads. The
 /// largest legitimate one is a subscriber's prefix list, and this holds a
@@ -416,8 +404,7 @@ const BIN_FLAG_CODED: u8 = 2;
 /// Flags bit: the frame continues its connection — its members are coded
 /// against the connection's [`History`] as well as against one another,
 /// and its coded header has a reuse mask. A deliver batch that sets it
-/// carries its first member's sequence number after its topic, and a
-/// store reply its position.
+/// carries its first member's sequence number after its topic.
 const BIN_FLAG_CONTINUES: u8 = 4;
 
 /// The flags bit that announces a member section coded under `mask`.
@@ -511,7 +498,7 @@ pub(crate) enum Head {
     Item(u64),
     /// A deliver batch's topic.
     Deliver(String),
-    /// A store reply's: nothing its caller needs, its position being the
+    /// A store reply's: nothing its caller needs, its number being the
     /// reader's to check.
     Reply,
 }
@@ -539,9 +526,8 @@ pub(crate) const STORE_KINDS: &[u8] = &[BIN_KIND_STORE_BATCH];
 ///
 /// Each kind's head gives the key its history is keyed by: an item
 /// batch's `first_seq`; a deliver batch's first member's sequence number,
-/// which it carries after its topic only when it continues; a store
-/// reply's position, which it carries only when it continues — a fresh
-/// one is at position 0. A store reply has no trace section.
+/// which it carries after its topic only when it continues. A store reply
+/// has no trace section and no key, only its number ([`read_number`]).
 pub(crate) fn read_batch<T: BinPayload>(
     body: &[u8],
     kinds: &[u8],
@@ -569,9 +555,8 @@ pub(crate) fn read_batch<T: BinPayload>(
                 return Err(invalid("store-RPC batch replies carry no trace section"));
             }
             _ => {
-                let position =
-                    if continues { r.varint(Class::Other).map_err(invalid)? } else { 0 };
-                (Head::Reply, position)
+                read_number(&mut r, history.as_deref_mut()).map_err(invalid)?;
+                (Head::Reply, history.as_deref().and_then(History::next_seq).unwrap_or(0))
             }
         };
         let read = match history.as_deref_mut() {
@@ -599,18 +584,9 @@ pub(crate) fn read_batch<T: BinPayload>(
                 ))),
             },
             // A fresh batch is all the history holds next, keyed as its
-            // writer keyed it. A store server continues every reply after
-            // one that held an event, so a fresh one holding an event
-            // there is a reply replayed.
+            // writer keyed it.
             Some(history) => {
-                let replayed = matches!(head, Head::Reply) && history.next_seq().is_some();
-                let read = read_all(&mut r).and_then(|payloads| {
-                    if replayed && payloads.first().and_then(T::event).is_some() {
-                        let why = "a fresh store reply where its connection's replies continue";
-                        return Err(invalid(why));
-                    }
-                    Ok(payloads)
-                });
+                let read = read_all(&mut r);
                 if let Ok(payloads) = &read {
                     let key = match head {
                         Head::Deliver(_) => payloads.first().and_then(T::seq),
@@ -650,6 +626,16 @@ pub(crate) fn read_batch<T: BinPayload>(
     read.map(|payloads| (head, trace, payloads))
 }
 
+/// Reads a store frame's number, taken into `history` on a connection's
+/// reader ([`History::take_number`]).
+pub(crate) fn read_number(
+    r: &mut BinReader<'_>,
+    history: Option<&mut History>,
+) -> Result<(), BinDecodeError> {
+    let number = r.varint(Class::Other)?;
+    history.map_or(Ok(()), |history| history.take_number(number))
+}
+
 /// Reads a body's member section, which must end it.
 fn read_all<T: BinPayload>(r: &mut BinReader<'_>) -> io::Result<Vec<T>> {
     let payloads = read_members(r).map_err(invalid)?;
@@ -663,10 +649,10 @@ impl<T: BinPayload> WireMsg for Frame<T> {
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<()> {
         match self {
             Frame::ItemBatch { first_seq, payloads, trace } => {
-                enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace);
+                enc.pack_frame(buf, BatchHead::FirstSeq(*first_seq), payloads, *trace)?;
             }
             Frame::DeliverBatch { topic, payloads, trace } => {
-                enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace);
+                enc.pack_frame(buf, BatchHead::Topic(topic), payloads, *trace)?;
             }
             Frame::Ack { up_to } => put_control(buf, BIN_KIND_ACK, Some(*up_to)),
             Frame::Ping => put_control(buf, BIN_KIND_PING, None),
@@ -707,10 +693,10 @@ impl<T: BinPayload> WireMsg for Frame<T> {
 /// directories, last member and codes ([`SeqEncoder::history`]) — so an
 /// item or deliver frame whose first sequence number is one past the
 /// last member it wrote *continues* them, and so does every store reply
-/// after the first: the reader of the same connection holds the same
-/// history. A writer whose frames may not reach that reader in order —
-/// a new connection, a fan-out leg that missed the last frame — says so
-/// first ([`BinEncoder::start_fresh`]).
+/// after one that held an event: the reader of the same connection holds
+/// the same history. A writer whose frames may not reach that reader in
+/// order — a new connection, a fan-out leg that missed the last frame —
+/// says so first ([`BinEncoder::start_fresh`]).
 #[derive(Default)]
 pub struct BinEncoder {
     /// The raw member section of the frame being packed: the members back
@@ -722,6 +708,8 @@ pub struct BinEncoder {
     /// the tag of each byte of `members`, the history; made by the first
     /// batch packed.
     seq: Option<Box<SeqEncoder>>,
+    /// The store frames written so far: the next carries one more.
+    numbered: u64,
 }
 
 impl std::fmt::Debug for BinEncoder {
@@ -745,18 +733,30 @@ impl BinEncoder {
         }
     }
 
-    /// Appends `payloads` to `buf` as one batch body however many they
-    /// are — [`write_batch`]'s packer, uncapped.
+    /// The number the next store frame carries.
+    pub(crate) fn number(&mut self) -> u64 {
+        self.numbered += 1;
+        self.numbered
+    }
+
+    /// Appends `payloads` to `buf` as one batch body, closed where
+    /// [`write_batch`] closes a chunk: a store reply is the prefix that
+    /// fits, and any other batch that does not fit is `InvalidInput`.
     pub(crate) fn pack_frame<T: BinPayload>(
         &mut self,
         buf: &mut Vec<u8>,
         head: BatchHead<'_>,
         payloads: &[T],
         trace: Option<TraceContext>,
-    ) {
+    ) -> io::Result<()> {
         let BinEncoder { members, seq, .. } = self;
         let seq = seq.get_or_insert_with(|| Box::new(SeqEncoder::for_coding()));
-        pack_chunk(members, seq, buf, head, payloads, trace, None);
+        let packed = pack_chunk(members, seq, buf, head, payloads, trace, MAX_FRAME_LEN);
+        if packed < payloads.len() && !matches!(head, BatchHead::Reply(_)) {
+            seq.forget_history(); // nothing is sent for the next frame to continue
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "a batch past one frame"));
+        }
+        Ok(())
     }
 }
 
@@ -770,9 +770,8 @@ pub(crate) enum BatchHead<'a> {
     FirstSeq(u64),
     /// [`Frame::DeliverBatch`]: the topic, repeated on every chunk.
     Topic(&'a str),
-    /// A store-RPC batch reply: its position on the connection, which it
-    /// carries only when it continues.
-    Position,
+    /// A store-RPC batch reply: its number on the connection.
+    Reply(u64),
 }
 
 impl BatchHead<'_> {
@@ -781,7 +780,7 @@ impl BatchHead<'_> {
         match self {
             BatchHead::FirstSeq(_) => BIN_KIND_ITEM_BATCH,
             BatchHead::Topic(_) => BIN_KIND_DELIVER_BATCH,
-            BatchHead::Position => BIN_KIND_STORE_BATCH,
+            BatchHead::Reply(_) => BIN_KIND_STORE_BATCH,
         }
     }
 
@@ -797,12 +796,12 @@ impl BatchHead<'_> {
     /// The key a frame of `payloads` under this head is recorded under
     /// in `history`, the writer's: an item frame's first sequence number,
     /// a deliver frame's first member's — none when that member carries
-    /// none — and a store reply's position ([`History::next_position`]).
+    /// none. A store reply continues wherever `history` ends, or is fresh.
     fn key<T: BinPayload>(self, payloads: &[T], history: &History) -> Option<u64> {
         match self {
             BatchHead::FirstSeq(first_seq) => Some(first_seq),
             BatchHead::Topic(_) => payloads.first().and_then(T::seq),
-            BatchHead::Position => Some(history.next_position()),
+            BatchHead::Reply(_) => Some(history.next_seq().unwrap_or(0)),
         }
     }
 
@@ -814,14 +813,14 @@ impl BatchHead<'_> {
             BatchHead::Topic(topic) => {
                 varint_len(topic.len() as u64) + topic.len() + continued.map_or(0, varint_len)
             }
-            BatchHead::Position => continued.map_or(0, varint_len),
+            BatchHead::Reply(number) => varint_len(number),
         }
     }
 
-    /// Appends the head, every key in it a varint: an item frame's first
-    /// sequence number; and `continued`, the key of a frame that continues
-    /// its connection, which a deliver frame carries after its topic and a
-    /// store reply alone.
+    /// Appends the head, every number in it a varint: an item frame's
+    /// first sequence number; a deliver frame's topic and, after it,
+    /// `continued`, the key of a frame that continues its connection; a
+    /// store reply's number.
     fn put(self, body: &mut Vec<u8>, continued: Option<u64>) {
         match self {
             BatchHead::FirstSeq(first_seq) => put_varint(body, first_seq),
@@ -831,11 +830,7 @@ impl BatchHead<'_> {
                     put_varint(body, first_seq);
                 }
             }
-            BatchHead::Position => {
-                if let Some(position) = continued {
-                    put_varint(body, position);
-                }
-            }
+            BatchHead::Reply(number) => put_varint(body, number),
         }
     }
 }
@@ -852,13 +847,13 @@ fn write_batch<T: BinPayload>(
     trace: Option<TraceContext>,
     max_len: usize,
 ) -> io::Result<usize> {
-    let BinEncoder { members, body, seq } = enc;
+    let BinEncoder { members, body, seq, .. } = enc;
     let seq = seq.get_or_insert_with(|| Box::new(SeqEncoder::for_coding()));
     let mut frames = 0;
     let mut lo = 0;
     while lo < payloads.len() {
         body.clear();
-        lo += pack_chunk(members, seq, body, head.at(lo), &payloads[lo..], trace, Some(max_len));
+        lo += pack_chunk(members, seq, body, head.at(lo), &payloads[lo..], trace, max_len);
         write_frame(w, body)?;
         frames += 1;
     }
@@ -866,18 +861,17 @@ fn write_batch<T: BinPayload>(
 }
 
 /// The one batch packer: appends to `body` one frame of the members at
-/// the front of `payloads`, and returns how many it took — with a
-/// `max_len`, those that fit in that many body bytes and
-/// [`MAX_FRAME_MEMBERS`]; without, all of them, in one frame however long
-/// (a store reply). Each frame is a member sequence of its own: a member
-/// that does not fit is taken back out — leaving no trace in `seq`'s
-/// directory table — and is the next chunk's first. A frame whose first
-/// member holds an event *continues* `seq`'s history when its key
-/// ([`BatchHead::key`]) is where that history ends — an item or deliver
-/// frame's one past the last member `seq` wrote, the chunk before it or
-/// the batch before this one; a store reply's whenever `seq` holds a
-/// history — and starts from nothing otherwise. A single member that alone exceeds the cap still
-/// gets its own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
+/// the front of `payloads`, and returns how many it took — those that fit
+/// in `max_len` body bytes and [`MAX_FRAME_MEMBERS`]. Each frame is a
+/// member sequence of its own: a member that does not fit is taken back
+/// out — leaving no trace in `seq`'s directory table — and is the next
+/// chunk's first. A frame whose first member holds an event *continues*
+/// `seq`'s history when its key ([`BatchHead::key`]) is where that
+/// history ends — an item or deliver frame's one past the last member
+/// `seq` wrote, the chunk before it or the batch before this one; a store
+/// reply's whenever `seq` holds a history — and starts from nothing
+/// otherwise. A single member that alone exceeds the cap still gets its
+/// own frame — it cannot be split, and the [`MAX_FRAME_LEN`]
 /// check in [`write_frame`] remains the backstop.
 ///
 /// The members are packed raw into `members`, `seq` tagging every byte
@@ -892,10 +886,8 @@ fn pack_chunk<T: BinPayload>(
     head: BatchHead<'_>,
     payloads: &[T],
     trace: Option<TraceContext>,
-    max_len: Option<usize>,
+    max_len: usize,
 ) -> usize {
-    let (max_len, max_members) =
-        max_len.map_or((usize::MAX, usize::MAX), |max_len| (max_len, MAX_FRAME_MEMBERS));
     let key = head.key(payloads, seq.history());
     let continues = payloads.first().is_some_and(|first| first.event().is_some())
         && key.is_some_and(|key| seq.history().next_seq() == Some(key));
@@ -906,7 +898,7 @@ fn pack_chunk<T: BinPayload>(
     members.clear();
     seq.begin(continues);
     let mut n = 0;
-    while n < payloads.len() && n < max_members {
+    while n < payloads.len() && n < MAX_FRAME_MEMBERS {
         let fits = members.len();
         put_member(members, &payloads[n], &payloads[..n], seq);
         // The count is a varint too: it is sized for the chunk this
@@ -2173,12 +2165,13 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
-    /// A store reply is one sequence however long: a consumer's recovery
-    /// asks for up to the store's 65,536 events, eight times the members a
-    /// chunked frame closes at. Coded, it round-trips, and its count is
-    /// one the decoder's member-count rule accepts.
+    /// A store reply closes where a chunked frame closes: an answer of
+    /// 65,536 events, eight times the members a chunk holds, goes out coded
+    /// as its first `MAX_FRAME_MEMBERS` and reads back as that prefix. An
+    /// item batch as long is refused whole, and the encoder's next frame,
+    /// where that one would have ended, goes out fresh.
     #[test]
-    fn a_65_536_member_coded_reply_roundtrips() {
+    fn a_store_reply_closes_where_a_chunk_closes() {
         use crate::store_rpc::StoreRpc;
 
         let events: Vec<SequencedEvent> = (0..65_536u64)
@@ -2192,22 +2185,34 @@ mod tests {
             })
             .collect();
         assert_eq!(events.len(), 8 * MAX_FRAME_MEMBERS);
-        let reply = StoreRpc::Batch { events };
         let mut body = Vec::new();
-        reply.encode(&mut BinEncoder::new(), &mut body).unwrap();
+        StoreRpc::Batch { events: events.clone() }
+            .encode(&mut BinEncoder::new(), &mut body)
+            .unwrap();
         assert_eq!(body[1], BIN_FLAG_CODED);
-        assert!(body.len() < 20 * 65_536, "{} bytes", body.len());
-        assert_eq!(StoreRpc::decode(&body).unwrap(), reply);
+        let prefix = StoreRpc::Batch { events: events[..MAX_FRAME_MEMBERS].to_vec() };
+        assert_eq!(StoreRpc::decode(&body).unwrap(), prefix);
+
+        let items: Vec<FileEvent> = events.into_iter().map(|sev| sev.event).collect();
+        let mut enc = BinEncoder::new();
+        let whole = Frame::ItemBatch { first_seq: 1, payloads: items.clone(), trace: None };
+        let err = whole.encode(&mut enc, &mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let next = MAX_FRAME_MEMBERS as u64 + 1;
+        let fits = Frame::ItemBatch { first_seq: next, payloads: items[..3].to_vec(), trace: None };
+        let mut body = Vec::new();
+        fits.encode(&mut enc, &mut body).unwrap();
+        assert_eq!(body[1] & BIN_FLAG_CONTINUES, 0, "continues a frame never sent");
     }
 
-    /// The replies of one store connection continue one another, keyed by
-    /// their position on it, whatever store offset each starts at: the
-    /// first is fresh, each after it carries the members the replies
-    /// before it carried as a varint after its header, the reply after an
-    /// empty one is fresh again, and the connection's reader reads every
-    /// one back. Apart from its connection, a continuing reply is refused.
+    /// The replies of one store connection each carry their number on it,
+    /// the byte after the flags of these raw ones, and continue one another
+    /// whatever store offset each starts at: the first is fresh, the reply
+    /// after an empty one is fresh again, and the connection's reader reads
+    /// every one back. Apart from its connection, a continuing reply is
+    /// refused.
     #[test]
-    fn store_replies_continue_their_connection_keyed_by_position() {
+    fn store_replies_carry_their_number_and_continue_their_connection() {
         use crate::store_rpc::StoreRpc;
 
         let reply = |from: u64, n: u64| StoreRpc::Batch {
@@ -2224,13 +2229,9 @@ mod tests {
         let flags: Vec<u8> = frames.iter().map(|body| body[1]).collect();
         let continues = flags.iter().map(|flags| flags & BIN_FLAG_CONTINUES != 0);
         assert_eq!(continues.collect::<Vec<_>>(), [false, true, true, false, false, true]);
-        // These few members go out raw, so the position is the byte after
-        // the flags: three members before the second reply, five before
-        // the third, three before the last — counted from the fresh reply
-        // after the empty one.
-        for (frame, position) in [(1, 3), (2, 5), (5, 3)] {
-            assert_eq!(flags[frame] & BIN_FLAG_CODED, 0, "reply {frame}");
-            assert_eq!(frames[frame][2], position, "reply {frame}");
+        for (frame, body) in frames.iter().enumerate() {
+            assert_eq!(body[1] & BIN_FLAG_CODED, 0, "reply {frame}");
+            assert_eq!(usize::from(body[2]), frame + 1, "reply {frame}");
         }
         let mut reader = FrameReader::new(&buf[..]);
         for reply in &replies {

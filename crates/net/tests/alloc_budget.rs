@@ -242,7 +242,7 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
     let mut deliver = vec![4, 0];
     put_bytes(&mut deliver, b"feed/all");
     put_members(&mut deliver, &feed);
-    let mut store = vec![3, 0];
+    let mut store = vec![3, 0, 1]; // the connection's first reply
     put_members(&mut store, &sequenced);
 
     coded_costs_what_raw_does(
@@ -388,6 +388,11 @@ impl Batch for StoreRpc {
 /// with no allocation and decodes in exactly a fresh frame's.
 fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
     use sdci_types::bin::History;
+    let mut warm = Vec::new();
+    let payloads = vec![batch()[0].event.clone()];
+    Frame::ItemBatch { first_seq: 1, payloads, trace: None }
+        .encode(&mut BinEncoder::new(), &mut warm)
+        .expect("encodes");
     let mut enc = BinEncoder::new();
     let mut history = History::default();
     let mut out = Vec::with_capacity(1 << 20);
@@ -399,14 +404,14 @@ fn continuing_frames_cost<M: Batch>(what: &str, frame: impl Fn(u64) -> M) {
         assert_eq!(body[1] & 4 != 0, n > 0, "{what} frame {n}: continues");
         let mut fresh = Vec::new();
         sent.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
-        // Decoded fresh by a reader whose history's storage a frame
-        // made, emptied as a refused frame or an empty reply empties it
-        // (a store reader refuses a fresh reply where its replies
-        // continue): the same allocations as the continuing frame,
-        // decoded next on a reader that holds everything before it.
+        // Decoded fresh by a reader whose history's storage an item frame
+        // made, emptied as a refused frame empties it (a store reply there
+        // would take the number `fresh` carries): the same allocations as
+        // the continuing frame, decoded next on a reader that holds
+        // everything before it.
         let fresh_made = {
             let mut emptied = History::default();
-            M::decode_on(&fresh, &mut emptied).expect("decodes");
+            Frame::<FileEvent>::decode_on(&warm, &mut emptied).expect("decodes");
             emptied.clear();
             allocations(|| M::decode_on(&fresh, &mut emptied)).1
         };
@@ -458,7 +463,11 @@ fn control_costs<M: WireMsg + PartialEq + std::fmt::Debug>(msgs: &[M]) -> Vec<u6
 /// and a `Fin` — the frames a pusher and its server trade once per batch
 /// — and a store query by sequence number and limit are written and read
 /// in none. A query under a prefix is written in none
-/// and read in exactly one: the `PathBuf` the decoded query owns.
+/// and read in exactly one: the `PathBuf` the decoded query owns. Every
+/// store frame carries its number on the connection, counted by the
+/// encoder and checked by the reader's history, and the count costs
+/// nothing: an empty reply among the queries, numbered with them, is
+/// written and read in none either.
 #[test]
 fn control_frames_are_written_and_read_without_allocating() {
     let frames = [
@@ -478,6 +487,7 @@ fn control_frames_are_written_and_read_without_allocating() {
             query: StoreQuery::after_seq(0).under("/t0a1b2c3/d0000007"),
             trace: traced,
         },
+        StoreRpc::Batch { events: Vec::new() },
     ];
-    assert_eq!(control_costs(&queries), [0, 0, 1]);
+    assert_eq!(control_costs(&queries), [0, 0, 1, 0]);
 }

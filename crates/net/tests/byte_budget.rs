@@ -317,8 +317,8 @@ fn store_replies() -> Vec<StoreRpc> {
 
 /// The store leg's replies as a server writes them on one connection:
 /// one encoder for the life of the connection, so each reply after the
-/// first continues the one before, keyed by its position on the
-/// connection rather than by where in the store it starts — its first
+/// first continues the one before, carrying its number on the connection
+/// rather than where in the store it starts — its first
 /// member's sequence number coded against the last one sent, its paths
 /// against the directories the replies before it carried, its codes
 /// reused where they still fit. The eighth reply's cost a member, with
@@ -384,8 +384,12 @@ fn digests(mut stream: &[u8]) -> Vec<(usize, u64)> {
 /// first sequence number as a varint: each is 5 to 7 bytes shorter than
 /// its version-16 form (2,756 and 2,975 bytes for the 256-member item
 /// frames; 732 … 506 for the eight; 74,567, 7,351 and 7,545 for the
-/// split batches' item frames and continuing deliver frame), and the
-/// fresh deliver frames and the store replies are as they were.
+/// split batches' item frames and continuing deliver frame), and as
+/// version 20 does, whose store replies alone changed again: each carries
+/// its number on the connection, where a continuing one carried its
+/// position (under version 19, 9,732 bytes for the lone reply, a byte
+/// shorter; 9,720, 9,296, 9,266, 9,238, 9,261, 9,248, 9,246 and 9,212 for
+/// the eight, the first a byte shorter and the rest a byte longer).
 #[test]
 fn every_measured_frame_is_pinned_byte_for_byte() {
     use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg};
@@ -450,7 +454,7 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
             &[
                 (2749, 0x4e51_433a_b0bc_9e1c),
                 (2832, 0xed53_a231_e507_cf3e),
-                (9732, 0x16a7_1bd0_67f7_10f7),
+                (9733, 0x63fb_73e8_891a_e4e8),
             ],
         ),
         ("256-member resolve item", &[(2968, 0x547c_99c1_132d_febd)]),
@@ -479,14 +483,14 @@ fn every_measured_frame_is_pinned_byte_for_byte() {
         (
             "eight continuing 1,000-member store replies",
             &[
-                (9720, 0xc3c9_59bd_0a05_0b01),
-                (9296, 0x7259_5594_257a_ea07),
-                (9266, 0x846a_fa4d_9276_4873),
-                (9238, 0xd48e_5728_ae4f_2c14),
-                (9261, 0x69ae_cd3c_b642_1b64),
-                (9248, 0xa69c_1c23_3692_8b6f),
-                (9246, 0x0fa0_7a9f_2e2a_1110),
-                (9212, 0x54fd_90d7_d2a8_8c91),
+                (9721, 0x4c44_a20e_a027_e7f0),
+                (9295, 0x4dcb_d4c3_58d0_88a8),
+                (9265, 0x1afb_2f19_87bf_80b9),
+                (9237, 0xc8b0_ad4b_b75a_1479),
+                (9260, 0xc7a1_05a7_18c8_11e2),
+                (9247, 0xda30_de4a_b04e_dd8a),
+                (9245, 0x4263_826e_d8ec_84d9),
+                (9211, 0x829b_d417_aa5f_8015),
             ],
         ),
     ];

@@ -236,103 +236,177 @@ fn endpoint_spawn_failures_are_contained() {
     endpoint.shutdown();
 }
 
-/// Reply correlation on the store RPC: the protocol has no request ids,
-/// so a stale `Batch` reply replayed by a faulted link (a duplicated
-/// frame sitting in the socket buffer) arrives exactly where the answer
-/// to the *next* query is expected. The client must reject it by range
-/// — its events predate the new query's `after_seq` — rather than hand
-/// the consumer events from the wrong range; the connection is dropped,
-/// and the query retried on a new one gets the genuine reply.
+/// A reply carrying the right number on its connection is still checked
+/// against its query: a page outside the query's range, or one whose seqs
+/// descend, costs the connection like any other refusal — the query is
+/// retried once on a new connection and, refused there too, fails and is
+/// counted — and the next query, answered honestly, gets its own page.
 #[test]
-fn stale_replayed_batch_reply_never_answers_the_wrong_query() {
-    use sdci_net::wire::{FrameReader, Hello, Service};
+fn a_numbered_reply_that_does_not_answer_its_query_costs_the_connection() {
+    use sdci_net::wire::{write_msg_bin, BinEncoder, FrameReader, Hello, Service};
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
-        let accept = || {
+        // Each connection answers its queries with `pages`, in turn, each
+        // reply numbered as its query was.
+        let serve = |pages: &[Vec<u64>]| {
             let (stream, _) = listener.accept().expect("accept store client");
-            let writer = stream.try_clone().unwrap();
+            let mut writer = stream.try_clone().unwrap();
             let mut reader = FrameReader::new(stream);
             let hello = reader.read_msg::<Hello>().expect("read the hello");
             assert_eq!(hello.service, Service::Store);
-            (writer, reader)
+            let mut enc = BinEncoder::new();
+            for page in pages {
+                let query = reader.read_msg::<StoreRpc>().expect("read a query");
+                assert!(matches!(query, StoreRpc::Query { .. }));
+                let events = page.iter().copied().map(sev).collect();
+                write_msg_bin(&mut writer, &mut enc, &StoreRpc::Batch { events }).unwrap();
+            }
         };
-        let (mut writer, mut reader) = accept();
-
-        // Query #1 answered correctly.
-        let q1 = reader.read_msg::<StoreRpc>().expect("read first query");
-        assert!(matches!(q1, StoreRpc::Query { .. }));
-        let batch1: Vec<SequencedEvent> = (1..=5).map(sev).collect();
-        write_msg(&mut writer, &StoreRpc::Batch { events: batch1.clone() }).unwrap();
-
-        // Query #2's reply is preceded by a replay of reply #1 — the
-        // observable effect of a duplicate fault on the reply stream.
-        let q2 = reader.read_msg::<StoreRpc>().expect("read second query");
-        assert!(matches!(q2, StoreRpc::Query { .. }));
-        write_msg(&mut writer, &StoreRpc::Batch { events: batch1 }).unwrap();
-        write_msg(&mut writer, &StoreRpc::Batch { events: (6..=10).map(sev).collect() }).unwrap();
-
-        // The client hung up on the replay and asks again.
-        let (mut writer, mut reader) = accept();
-        let retried = reader.read_msg::<StoreRpc>().expect("read the retried query");
-        assert!(matches!(retried, StoreRpc::Query { .. }));
-        write_msg(&mut writer, &StoreRpc::Batch { events: (6..=10).map(sev).collect() }).unwrap();
+        serve(&[(1..=5).collect(), (1..=5).collect()]);
+        serve(&[(6..=10).rev().collect()]);
+        serve(&[(6..=10).collect()]);
     });
 
     let remote = RemoteStore::connect(addr, fast_cfg());
-    let first = remote.query(&StoreQuery::after_seq(0));
-    assert_eq!(first.iter().map(|e| e.seq).collect::<Vec<_>>(), (1..=5).collect::<Vec<_>>());
-
-    // The stale replay answers this query's range check with seqs <= 5;
-    // it must cost the connection, not be returned.
-    let second = remote.query(&StoreQuery::after_seq(5));
-    assert_eq!(
-        second.iter().map(|e| e.seq).collect::<Vec<_>>(),
-        (6..=10).collect::<Vec<_>>(),
-        "a replayed stale reply must never be taken as the answer to a later query"
-    );
-    assert_eq!(remote.failures(), 0);
+    let seqs = |page: Vec<SequencedEvent>| page.iter().map(|e| e.seq).collect::<Vec<_>>();
+    assert_eq!(seqs(remote.query(&StoreQuery::after_seq(0))), (1..=5).collect::<Vec<_>>());
+    // Reply 2 answers with seqs the query asked past, and the retry's
+    // reply 1 with seqs that descend: neither is an answer.
+    let err = remote.try_query(&StoreQuery::after_seq(5)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert_eq!(remote.failures(), 1);
+    let page = remote.query(&StoreQuery::after_seq(5));
+    assert_eq!(seqs(page), (6..=10).collect::<Vec<_>>());
+    assert_eq!(remote.failures(), 1);
     server.join().unwrap();
 }
 
-/// Store replies continue their connection, so a faulted link that sends
-/// a reply twice hands the client a copy whose position is behind where
-/// its reader's history ends: refused unread, and the connection with
-/// it. The queries land at scattered offsets, forwards and back, so a
-/// stale page would often pass the range check that correlates replies:
-/// only its position gives it away. Every query gets its own page — a
-/// duplicated reply costs a reconnect, on which the query runs again —
-/// and no dial fails.
+/// Where the queries of [`store_pages_are_their_own`] ask: `n` offsets of
+/// a 4,000-event store, the first 0 and the rest scattered forwards and
+/// back, so a page answering another query would often pass a range check.
+fn scattered(n: usize) -> Vec<u64> {
+    let mut at = 17u64;
+    std::iter::once(0)
+        .chain((1..n).map(|_| {
+            at = (at * 1_103 + 12_345) % 3_900;
+            50 + at
+        }))
+        .collect()
+}
+
+/// Runs a 50-event page query after each of `offsets`, and — for every
+/// offset `past_end` says to — a query past the store's end between them,
+/// against `remote`. Every answered page must be its own: the 50 events
+/// after its offset, or nothing past the end. Returns how many queries
+/// failed.
+fn store_pages_are_their_own(remote: &RemoteStore, offsets: &[u64], past_end: bool) -> u64 {
+    let mut failed = 0;
+    for &after in offsets {
+        let mut queries = vec![(after, (after + 1..=after + 50).collect::<Vec<u64>>())];
+        if past_end {
+            queries.push((10_000 + after, Vec::new()));
+        }
+        for (after, want) in queries {
+            match remote.try_query(&StoreQuery::after_seq(after).limit(50)) {
+                Ok(page) => {
+                    let seqs: Vec<u64> = page.iter().map(|e| e.seq).collect();
+                    assert_eq!(seqs, want, "after seq {after}: another query's page");
+                    assert!(page.iter().all(|e| e == &sev(e.seq)), "after seq {after}: events");
+                }
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    failed
+}
+
+/// The duplicates a fault plan has injected on frames sent, so far.
+fn sent_dups() -> u64 {
+    let labels = [("dir", "send"), ("kind", "duplicate")];
+    sdci_obs::registry().counter_with("sdci_faults_injected_total", &labels).get()
+}
+
+/// Store frames are numbered on their connection, so a faulted link that
+/// sends a reply twice hands the client a copy whose number is not the
+/// next: refused unread, and the connection with it. The queries land at
+/// scattered offsets, forwards and back, so a stale page would often pass
+/// the range check: only its number gives it away. Every query gets its
+/// own page — a duplicated reply costs a reconnect, on which the query
+/// runs again — and no dial fails.
 #[test]
 fn duplicated_store_replies_cost_a_reconnect() {
     let _serial = endpoints();
     let server = StoreServer::new(seeded_store(4_000));
     let cfg = faulted_cfg("seed=5,send.dup=0.3");
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
-    let dups = || {
-        let labels = [("dir", "send"), ("kind", "duplicate")];
-        sdci_obs::registry().counter_with("sdci_faults_injected_total", &labels).get()
-    };
-    let dups_before = dups();
+    let dups_before = sent_dups();
 
     let remote = RemoteStore::connect(endpoint.local_addr(), fast_cfg());
-    let mut offsets = vec![0u64];
-    let mut at = 17u64;
-    for _ in 0..40 {
-        at = (at * 1_103 + 12_345) % 3_900;
-        offsets.push(50 + at);
-    }
-    for &after in &offsets {
-        let page = remote.query(&StoreQuery::after_seq(after).limit(50));
-        let seqs: Vec<u64> = page.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (after + 1..=after + 50).collect::<Vec<_>>(), "after seq {after}");
-        assert!(page.iter().all(|e| e == &sev(e.seq)), "after seq {after}: the events themselves");
-    }
-    assert!(dups() - dups_before >= 5, "only {} replies duplicated", dups() - dups_before);
+    let offsets = scattered(41);
+    assert_eq!(store_pages_are_their_own(&remote, &offsets, false), 0);
+    assert!(
+        sent_dups() - dups_before >= 5,
+        "only {} replies duplicated",
+        sent_dups() - dups_before
+    );
     assert_eq!(remote.connect_failures(), 0);
     assert_eq!(remote.failures(), 0);
     assert!(server.queries() > offsets.len() as u64, "a duplicated reply cost no reconnect");
+    endpoint.shutdown();
+}
+
+/// The client's own link duplicates frames: a query sent twice is
+/// answered once and its copy, numbered as it was, costs the server's
+/// connection, so no reply to a copy is left to answer a later query.
+/// 200 queries, forwards and back: every page a query gets is its own. A
+/// query whose retry meets a duplicated hello fails, and is counted; most
+/// are answered.
+#[test]
+fn duplicated_store_queries_never_get_another_querys_page() {
+    let _serial = endpoints();
+    let server = StoreServer::new(seeded_store(4_000));
+    let endpoint = Endpoint::bind("127.0.0.1:0", fast_cfg(), vec![server.clone()]).unwrap();
+    let dups_before = sent_dups();
+
+    let remote = RemoteStore::connect(endpoint.local_addr(), faulted_cfg("seed=5,send.dup=0.3"));
+    let failed = store_pages_are_their_own(&remote, &scattered(200), false);
+    assert!(
+        sent_dups() - dups_before >= 40,
+        "only {} frames duplicated",
+        sent_dups() - dups_before
+    );
+    println!("{failed} of 200 queries failed; {} queries served", server.queries());
+    assert_eq!(remote.failures(), failed);
+    assert!(failed < 50, "{failed} of 200 queries failed");
+    assert_eq!(remote.connect_failures(), 0);
+    endpoint.shutdown();
+}
+
+/// An empty reply is numbered like any other, so a duplicated one is
+/// refused rather than taken as the answer to the next query: with every
+/// other query asking past the store's end, each real query still gets
+/// its own page, never an empty one, and none fails.
+#[test]
+fn duplicated_empty_store_replies_never_answer_the_next_query() {
+    let _serial = endpoints();
+    let server = StoreServer::new(seeded_store(4_000));
+    let cfg = faulted_cfg("seed=5,send.dup=0.3");
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg, vec![server.clone()]).unwrap();
+    let dups_before = sent_dups();
+
+    let remote = RemoteStore::connect(endpoint.local_addr(), fast_cfg());
+    let offsets = scattered(100);
+    assert_eq!(store_pages_are_their_own(&remote, &offsets, true), 0);
+    assert!(
+        sent_dups() - dups_before >= 20,
+        "only {} replies duplicated",
+        sent_dups() - dups_before
+    );
+    assert_eq!(remote.connect_failures(), 0);
+    assert_eq!(remote.failures(), 0);
+    assert!(server.queries() > 2 * offsets.len() as u64, "a duplicated reply cost no reconnect");
     endpoint.shutdown();
 }
 

@@ -669,6 +669,56 @@ fn a_long_store_query_and_a_reply_past_one_read_step_round_trip() {
     endpoint.shutdown();
 }
 
+/// A store reply holds what one frame may: with 17,000 events of
+/// 4,000-byte paths retained, more path bytes than a reader assembles from
+/// one frame, a query for all of them is answered with the first
+/// `MAX_FRAME_MEMBERS`, and a consumer that fell behind the whole store
+/// takes each short answer as a prefix, asks on at the next heartbeat,
+/// and recovers every event, losing none.
+#[test]
+fn a_consumer_behind_more_path_bytes_than_a_frame_holds_recovers_every_event() {
+    use sdci_core::EventConsumer;
+    use sdci_types::bin::MAX_FRAME_MEMBERS;
+
+    let _serial = endpoints();
+    let path: sdci_types::EventPath = format!("/{}", "d".repeat(3_999)).into();
+    let events: Vec<SequencedEvent> = (1..=17_000)
+        .map(|seq| SequencedEvent {
+            seq,
+            event: FileEvent { index: seq, path: path.clone(), trace: None, ..traced_event() },
+        })
+        .collect();
+    let store = EventStore::new(20_000);
+    store.insert_batch(events).unwrap();
+    let server = StoreServer::new(Arc::new(store));
+    // A 32 MB page takes a while to pack and read in a debug build beside
+    // other tests: a window that never runs out keeps the count of
+    // queries exact.
+    let cfg = NetConfig { liveness: Duration::from_secs(60), ..fast_cfg() };
+    let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).unwrap();
+    let remote = RemoteStore::connect(endpoint.local_addr(), cfg.clone());
+    let broker = sdci_mq::pubsub::Broker::new(64);
+    let feed = broker.subscribe(&["feed/"]);
+    let mut consumer = EventConsumer::new(feed, remote, 0).with_backfill_retry(0, Duration::ZERO);
+    let mut delivered = 0u64;
+    for _ in 0..5 {
+        broker.publisher().publish("feed/all", FeedMessage::Heartbeat { last_seq: 17_000 });
+        while let Some(event) = consumer.try_next() {
+            delivered += 1;
+            assert_eq!(event.index, delivered, "in order");
+        }
+    }
+    let stats = consumer.stats();
+    assert_eq!((delivered, stats.recovered, stats.lost), (17_000, 17_000, 0), "{stats:?}");
+    assert_eq!(server.queries(), 3, "two full pages and the rest");
+
+    let remote = RemoteStore::connect(endpoint.local_addr(), cfg);
+    let page = remote.try_query(&StoreQuery::after_seq(0).limit(17_000)).unwrap();
+    assert_eq!(page.len(), MAX_FRAME_MEMBERS);
+    assert!(page.iter().zip(1..).all(|(e, seq)| e.seq == seq), "the answer's prefix");
+    endpoint.shutdown();
+}
+
 #[test]
 fn get_metrics_on_a_faulted_endpoint_is_answered_unfaulted() {
     let _serial = endpoints();
@@ -750,8 +800,9 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
 
 /// The store RPC's one control frame, pinned as bytes: an `after_seq`
 /// query, a time-and-prefix query with a limit, and a query carrying its
-/// caller's trace context — a kind byte, a flags byte (bit 0: a trace
-/// section follows), a presence byte and the fields present as varints,
+/// caller's trace context, each the first on its connection — a kind
+/// byte, a flags byte (bit 0: a trace section follows), the query's
+/// number, a presence byte and the fields present as varints,
 /// the prefix as its UTF-8 length and bytes, then the limit. The RPC is
 /// query → reply and nothing else: a ping (kind 7) is no store frame. A
 /// JSON body is `InvalidData`, whether it is a query, a ping or a reply.
@@ -764,10 +815,13 @@ fn store_queries_are_a_few_binary_bytes_and_json_is_invalid_data() {
     trace.extend_from_slice(&77u64.to_le_bytes());
     trace.push(1);
     for (msg, bytes) in [
-        (StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None }, vec![9, 0, 1, 41, 0]),
+        (
+            StoreRpc::Query { query: StoreQuery::after_seq(41), trace: None },
+            vec![9, 0, 1, 1, 41, 0],
+        ),
         (
             StoreRpc::Query { query: prefixed, trace: None },
-            [&[9, 0, 6][..], &varint(3_000_000_000), &varint(prefix.len() as u64)]
+            [&[9, 0, 1, 6][..], &varint(3_000_000_000), &varint(prefix.len() as u64)]
                 .concat()
                 .into_iter()
                 .chain(prefix.bytes())
@@ -776,7 +830,7 @@ fn store_queries_are_a_few_binary_bytes_and_json_is_invalid_data() {
         ),
         (
             StoreRpc::Query { query: StoreQuery::after_seq(0), trace: traced },
-            [&[9, 1][..], &trace, &[1, 0, 0]].concat(),
+            [&[9, 1][..], &trace, &[1, 1, 0, 0]].concat(),
         ),
     ] {
         let mut body = Vec::new();
@@ -828,9 +882,10 @@ fn a_query_whose_prefix_no_reader_accepts_is_not_written() {
 /// After the hello every frame is binary. A JSON body — an ack, a ping, a
 /// query — costs the connection it arrives on, and only that one: a push
 /// session's server and a store session's close it unanswered, and a
-/// subscriber drops a broker that sends one and dials again. A store query whose prefix is not UTF-8, is a byte over
-/// `MAX_PATH_LEN`, or that sets a presence bit no field has, is refused
-/// the same way. Nothing any of them carried is applied, and the
+/// subscriber drops a broker that sends one and dials again. A store
+/// query whose prefix is not UTF-8, is a byte over `MAX_PATH_LEN`, that
+/// sets a presence bit no field has, or that is not numbered 1 as the
+/// connection's first, is refused the same way. Nothing any of them carried is applied, and the
 /// endpoint, and the subscriber, go on serving honest peers.
 #[test]
 fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() {
@@ -848,8 +903,8 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
     }
 
     let over = sdci_types::bin::MAX_PATH_LEN + 1;
-    let long = [&[9, 0, 4][..], &varint(over as u64), &vec![b'p'; over], &[0]].concat();
-    let hostile: [(&str, Vec<u8>); 6] = [
+    let long = [&[9, 0, 1, 4][..], &varint(over as u64), &vec![b'p'; over], &[0]].concat();
+    let hostile: [(&str, Vec<u8>); 7] = [
         (
             "a JSON query",
             frame(
@@ -857,9 +912,10 @@ fn a_json_body_or_a_malformed_query_after_the_hello_costs_only_its_connection() 
             ),
         ),
         ("a JSON ping", frame(br#""Ping""#)),
-        ("a non-UTF-8 prefix", frame(&[9, 0, 4, 2, 0xff, 0xfe, 0])),
+        ("a non-UTF-8 prefix", frame(&[9, 0, 1, 4, 2, 0xff, 0xfe, 0])),
         ("a prefix a byte over MAX_PATH_LEN", frame(&long)),
-        ("a presence bit no field has", frame(&[9, 0, 8, 0])),
+        ("a presence bit no field has", frame(&[9, 0, 1, 8, 0])),
+        ("a first query numbered 2", frame(&[9, 0, 2, 0, 0])),
         ("a ping with a trace bit", frame(&[7, 1])),
     ];
     for (what, frame) in hostile {

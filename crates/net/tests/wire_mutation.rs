@@ -10,9 +10,10 @@
 //! that a frame cuts short, miscounts or follows with a stray byte, and a
 //! coded section whose count claims more members than its bits; then
 //! item and deliver frames and store replies that continue their
-//! connection against a history they do not match, and 10,000
-//! mutations of a five-frame continuing stream of each; then 10,000
-//! mutations of a stream of control frames — acks, pings, `Fin`,
+//! connection against a history they do not match, store replies and
+//! queries whose number on their connection is not the next, and 10,000
+//! mutations of a five-frame continuing stream of each data kind; then
+//! 10,000 mutations of a stream of control frames — acks, pings, `Fin`,
 //! store queries — read in order by one connection's reader; then 10,000
 //! mutations of the three services' hellos, an accepted one re-encoding
 //! to its own bytes. Every one is
@@ -36,7 +37,7 @@ use sdci_net::wire::{
 };
 use sdci_types::bin::{
     put_bytes, put_members, put_trace, put_varint, Class, History, CLASSES, FRAME_PATH_BUDGET,
-    LOOKUP_ENTRIES, MAX_CODE_LEN, MAX_PATH_LEN,
+    LOOKUP_ENTRIES, MAX_CODE_LEN, MAX_FRAME_MEMBERS, MAX_PATH_LEN,
 };
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -236,7 +237,7 @@ fn raw_bodies_of(events: Vec<FileEvent>, trace: Option<TraceContext>) -> [Vec<u8
     }
     put_varint(&mut item, 7); // first_seq
     put_members(&mut item, &events);
-    let mut store = vec![3, 0];
+    let mut store = vec![3, 0, 1]; // the connection's first reply
     put_members(&mut store, &sequenced);
     let mut deliver = vec![4, 0];
     put_bytes(&mut deliver, b"feed/all");
@@ -473,7 +474,7 @@ fn sections(members: &[Option<Laid>]) -> [Laid; 3] {
 fn heads(flags: u8, codes: &[u8]) -> [Vec<u8>; 3] {
     let mut item = [&[1, flags][..], codes].concat();
     put_varint(&mut item, 7); // first_seq
-    let store = [&[3, flags][..], codes].concat();
+    let store = [&[3, flags][..], codes, &[1]].concat(); // the first reply
     let mut deliver = [&[4, flags][..], codes].concat();
     put_bytes(&mut deliver, b"feed/all");
     [item, store, deliver]
@@ -1020,13 +1021,12 @@ fn members_back_to_back_that_the_frame_does_not_hold_are_refused_with_their_own_
     refused("codewords run 8 bits past the body", cut(coded(&codes, &honest), 1));
 
     // The count is a byte after the head: after the first sequence number
-    // of an item (a one-byte varint), the header of a store reply, the
+    // of an item or the number of a store reply (one-byte varints), the
     // topic of a deliver.
     let recount = |bodies: [Vec<u8>; 3], count: u8| {
         bodies.map(|mut body| {
             let at = match body[0] {
-                1 => 3,
-                3 => 2,
+                1 | 3 => 3,
                 _ => 3 + b"feed/all".len(),
             };
             assert_eq!(body[at], 3, "three members");
@@ -1055,7 +1055,8 @@ fn members_back_to_back_that_the_frame_does_not_hold_are_refused_with_their_own_
 /// bits allow past the members present is refused where the section
 /// ends. Neither sizes what the member `Vec` reserves: it grows as the
 /// members decode, to the 4,096 present. And the encoder's run of
-/// 100,000 heartbeats goes out under those codes and reads back.
+/// `MAX_FRAME_MEMBERS` heartbeats, all one frame holds, goes out under
+/// those codes and reads back.
 #[test]
 fn a_coded_count_is_held_to_the_bits_after_it() {
     let codes: Vec<(Class, Vec<u8>)> = [(Class::Seq, 0), (Class::Tag, 1)]
@@ -1091,11 +1092,12 @@ fn a_coded_count_is_held_to_the_bits_after_it() {
     let [.., raw] = hand_laid(&vec![None; 4_096]);
     assert!(fed::<Frame<FeedMessage>>(&raw).0, "the same members raw");
 
-    let heartbeats: Vec<FeedMessage> =
-        (1..=100_000).map(|last_seq| FeedMessage::Heartbeat { last_seq }).collect();
+    let heartbeats: Vec<FeedMessage> = (1..=MAX_FRAME_MEMBERS as u64)
+        .map(|last_seq| FeedMessage::Heartbeat { last_seq })
+        .collect();
     let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
     let body = body_of(&frame);
-    assert!(body.len() < 100_000 / 4 + 64, "{} bytes for 100,000 members", body.len());
+    assert!(body.len() < MAX_FRAME_MEMBERS / 4 + 64, "{} bytes for 8,192 members", body.len());
     assert_eq!(Frame::<FeedMessage>::decode(&body).unwrap(), frame);
 }
 
@@ -1278,10 +1280,8 @@ fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io:
 /// the reader holds, and one past the 1,024-member window, where one
 /// less is read; and a reuse bit for a class the last frame did not
 /// code, or outside the class mask. A store reply continues its
-/// connection too: decoded apart from it, it is refused; replayed, its
-/// position is behind where the history ends, or — the connection's
-/// first reply — it is fresh where the replies continue, and either way
-/// it is refused and the reply after it with it.
+/// connection too: decoded apart from it, or on a reader that holds none
+/// of its history, it is refused.
 #[test]
 fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
     let stream = continuing_stream(2);
@@ -1352,29 +1352,70 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let outside = [&outside[..], &four[0].1].concat();
     refused_on(&mut history, &path_frame(2, &outside, CONTINUES), "outside the class mask");
 
-    // A store reply continues the replies before it, keyed by position.
+    // A store reply continues the replies before it: its number, the
+    // connection's second here, does not stand for the history it needs.
     let replies = continuing_replies(3);
     assert_eq!(replies[0][1] & CONTINUES, 0);
     assert_eq!(replies[1][1] & CONTINUES, CONTINUES);
     let err = StoreRpc::decode(&replies[1]).unwrap_err();
     let why = "a store reply that continues its connection, decoded apart from it";
     assert!(err.to_string().contains(why), "{err}");
-    let err = read_reply_on(&mut History::default(), &replies[1]).unwrap_err();
+    let mut history = History::default();
+    history.take_number(1).unwrap();
+    let err = read_reply_on(&mut history, &replies[1]).unwrap_err();
     refused_as(err, "holds none of its history");
+    // Only a store reader reads a reply.
+    assert!(!fed::<Frame<FileEvent>>(&replies[0]).0 && !fed::<Frame<FeedMessage>>(&replies[0]).0);
+}
+
+/// A store connection numbers its frames from 1. A reply or a query whose
+/// number is not one past the last its reader took — one read twice, one
+/// after a frame lost — is refused before a member or field is read, and
+/// takes nothing; a refused reply empties the history, so the reader holds
+/// none of the replies before it and the continuing reply after it is
+/// refused too.
+#[test]
+fn a_store_frame_whose_number_is_not_next_is_refused_and_empties_the_history() {
+    let replies = continuing_replies(3);
     let seqs = |reply| reply_events(reply, 3).iter().map(|e| e.seq).collect::<Vec<_>>();
+    let next = |number: u64, next: u64| format!("store frame {number}, where {next} is next");
     let mut history = History::default();
     assert_eq!(read_reply_on(&mut history, &replies[0]).unwrap(), seqs(0));
     assert_eq!(read_reply_on(&mut history, &replies[1]).unwrap(), seqs(1));
-    let err = read_reply_on(&mut history, &replies[1]).unwrap_err();
-    refused_as(err, "from 24, where its history ends at 48");
-    refused_as(read_reply_on(&mut history, &replies[2]).unwrap_err(), "holds none");
+    assert!(history.next_seq().is_some(), "two replies held");
+    refused_as(read_reply_on(&mut history, &replies[1]).unwrap_err(), &next(2, 3));
+    assert_eq!(history.next_seq(), None, "the history is emptied");
+    let err = read_reply_on(&mut history, &replies[2]).unwrap_err();
+    refused_as(err, "holds none of its history");
     let mut history = History::default();
     assert_eq!(read_reply_on(&mut history, &replies[0]).unwrap(), seqs(0));
-    let err = read_reply_on(&mut history, &replies[0]).unwrap_err();
-    refused_as(err, "a fresh store reply where its connection's replies continue");
-    refused_as(read_reply_on(&mut history, &replies[1]).unwrap_err(), "holds none");
-    // Only a store reader reads a reply.
-    assert!(!fed::<Frame<FileEvent>>(&replies[0]).0 && !fed::<Frame<FeedMessage>>(&replies[0]).0);
+    refused_as(read_reply_on(&mut history, &replies[2]).unwrap_err(), &next(3, 2));
+    assert_eq!(history.next_seq(), None, "the history is emptied");
+
+    let mut enc = BinEncoder::new();
+    let queries: Vec<Vec<u8>> = (0..3u64)
+        .map(|after| {
+            let mut body = Vec::new();
+            let query = StoreRpc::Query { query: StoreQuery::after_seq(after), trace: None };
+            query.encode(&mut enc, &mut body).expect("encodes");
+            body
+        })
+        .collect();
+    let read_query = |history: &mut History, body: &[u8]| match StoreRpc::decode_on(body, history) {
+        Ok(StoreRpc::Query { query, .. }) => Ok(query.after_seq),
+        Ok(other) => panic!("a query body decoded as {other:?}"),
+        Err(e) => Err(e),
+    };
+    let mut history = History::default();
+    assert_eq!(read_query(&mut history, &queries[0]).unwrap(), Some(0));
+    assert_eq!(read_query(&mut history, &queries[1]).unwrap(), Some(1));
+    refused_as(read_query(&mut history, &queries[1]).unwrap_err(), &next(2, 3));
+    let mut history = History::default();
+    assert_eq!(read_query(&mut history, &queries[0]).unwrap(), Some(0));
+    refused_as(read_query(&mut history, &queries[2]).unwrap_err(), &next(3, 2));
+    assert_eq!(read_query(&mut history, &queries[1]).unwrap(), Some(1), "the refusal took none");
+    // Apart from any connection, a numbered frame is read whatever its number.
+    assert!(StoreRpc::decode(&queries[2]).is_ok() && StoreRpc::decode(&replies[0]).is_ok());
 }
 
 /// The deliver batch's twin of the test above, each refusal with its own
@@ -1444,11 +1485,11 @@ where
     for round in 0..10_000 {
         let target = rng.below(stream.len());
         let mutated = mutate(&mut rng, &stream[target]);
-        // The warm frame makes the history's storage and nothing more:
-        // a store reader would refuse the stream's fresh first reply
-        // while a reply of another stream is held.
+        // The warm item frame makes the history's storage and nothing
+        // more: a warm store reply would take the number the stream's
+        // first reply carries.
         let mut history = History::default();
-        M::decode_on(warm, &mut history).unwrap();
+        Frame::<FileEvent>::decode_on(warm, &mut history).unwrap();
         history.clear();
         let mut refused_before = false;
         for (i, honest) in stream.iter().enumerate() {
@@ -1497,7 +1538,7 @@ fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
 /// The same over a five-frame continuing feed, as the fan-out writes it.
 #[test]
 fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
-    let warm = &hand_laid(&honest())[2];
+    let warm = &hand_laid(&honest())[0];
     let sent: Vec<Frame<FeedMessage>> = (0..5)
         .map(|frame| Frame::DeliverBatch {
             topic: "feed/all".into(),
@@ -1516,7 +1557,7 @@ fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
 /// the one before at a store offset of its own.
 #[test]
 fn mutations_of_continuing_store_replies_never_decode_against_a_refused_reply() {
-    let warm = &hand_laid(&honest())[1];
+    let warm = &hand_laid(&honest())[0];
     let sent: Vec<StoreRpc> =
         (0..5).map(|reply| StoreRpc::Batch { events: reply_events(reply, 5) }).collect();
     let (read, refused) = read_mutated_streams(&continuing_replies(5), &sent, warm);
@@ -1524,19 +1565,29 @@ fn mutations_of_continuing_store_replies_never_decode_against_a_refused_reply() 
 }
 
 /// Reads 10,000 seeded mutations of a stream of control frames carrying
-/// `sent`: one frame's body is mutated, every frame goes out behind its
-/// own length word, and one connection's reader reads the stream in
-/// order. The mutated frame decodes or is refused as `InvalidData` —
-/// never a panic — by this reader and by the other kind's, within the
-/// allocation bound; every frame before it decodes to exactly what was
-/// sent, and so does every frame after it: a control frame is read
-/// against no history. Returns how many mutated frames were read and how
-/// many refused.
-fn read_mutated_controls<M>(sent: &[M], seed: u64) -> (u32, u32)
+/// `sent`, written through one connection's encoder: one frame's body is
+/// mutated, every frame goes out behind its own length word, and one
+/// connection's reader reads the stream in order. The mutated frame
+/// decodes or is refused as `InvalidData` — never a panic — by this
+/// reader and by the other kind's, within the allocation bound; every
+/// frame before it decodes to exactly what was sent, and so does every
+/// frame after it — a control frame is read against no history — but
+/// where the frames are `numbered` and the mutated one was refused, when
+/// a later one may be refused for its number. Returns how many mutated
+/// frames were read and how many refused.
+fn read_mutated_controls<M>(sent: &[M], numbered: bool, seed: u64) -> (u32, u32)
 where
     M: WireMsg + PartialEq + std::fmt::Debug,
 {
-    let bodies: Vec<Vec<u8>> = sent.iter().map(body_of).collect();
+    let mut enc = BinEncoder::new();
+    let bodies: Vec<Vec<u8>> = sent
+        .iter()
+        .map(|msg| {
+            let mut body = Vec::new();
+            msg.encode(&mut enc, &mut body).expect("encodes");
+            body
+        })
+        .collect();
     let mut rng = Rng(seed);
     let (mut read, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
@@ -1551,6 +1602,7 @@ where
             stream.extend_from_slice(body);
         }
         let mut reader = FrameReader::new(&stream[..]);
+        let mut refused_target = false;
         for (i, sent) in sent.iter().enumerate() {
             let (result, largest) = largest_request(|| reader.read_msg::<M>());
             assert!(largest <= allocation_bound(&mutated), "round {round}: {largest} bytes");
@@ -1559,8 +1611,13 @@ where
                 Ok(_) => read += 1,
                 Err(e) => {
                     assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "round {round}: {e}");
-                    assert_eq!(i, target, "round {round}: an unmutated frame {i} refused: {e}");
-                    refused += 1;
+                    if i == target {
+                        refused_target = true;
+                        refused += 1;
+                    } else {
+                        let after = numbered && refused_target;
+                        assert!(after, "round {round}: an unmutated frame {i} refused: {e}");
+                    }
                 }
             }
         }
@@ -1581,7 +1638,7 @@ fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
         Frame::Ack { up_to: u64::MAX },
         Frame::Fin,
     ];
-    let (read, refused) = read_mutated_controls(&frames, 0x5dc1_0041);
+    let (read, refused) = read_mutated_controls(&frames, false, 0x5dc1_0041);
     assert!(read > 1_000 && refused > 5_000, "read {read}, refused {refused}");
 
     let traced = Some(TraceContext::sampled(0xfeed, 77));
@@ -1591,7 +1648,7 @@ fn mutations_of_a_stream_of_control_frames_decode_or_fail_closed() {
         StoreRpc::Query { query: prefixed, trace: traced },
         StoreRpc::Query { query: StoreQuery::default(), trace: None },
     ];
-    let (read, refused) = read_mutated_controls(&queries, 0x5dc1_0042);
+    let (read, refused) = read_mutated_controls(&queries, true, 0x5dc1_0042);
     assert!(read > 1_000 && refused > 5_000, "read {read}, refused {refused}");
 }
 

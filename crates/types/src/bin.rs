@@ -49,11 +49,10 @@
 //! sequence refuses any byte after the last. sdci-net puts a frame
 //! header in front of it; a store node's snapshot blocks keep a length
 //! in front of each member, on their own writer and reader. The chunked
-//! frame writers and the snapshot writer close a sequence at
-//! [`MAX_FRAME_MEMBERS`]; a store reply is one sequence however long it
-//! is — a consumer's recovery query may ask for every event the store
-//! holds, 65,536 by default — so what bounds it is its reader's
-//! [`FRAME_PATH_BUDGET`], not a member cap. A member is at least one
+//! frame writers, a store reply's and the snapshot writer close a
+//! sequence at [`MAX_FRAME_MEMBERS`], so none holds more path bytes than
+//! its reader's [`FRAME_PATH_BUDGET`] — a reply to a query for more
+//! events is a prefix of its answer. A member is at least one
 //! byte, and a coded byte at least one bit, so a sequence claims no more
 //! members than the bits after its count; a decoder reserves room for at
 //! most a sixteenth of them on the count's say-so.
@@ -1120,9 +1119,9 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 /// [`HISTORY_MEMBERS`] members, the last member's event and sequence
 /// number, the codes the last frame carried or reused, and the key a
 /// continuing frame must carry — an item frame's `first_seq`, a deliver
-/// frame's first member's sequence number ([`BinPayload::seq`]), a store
-/// reply's position (the members the replies before it carried since the
-/// last fresh one, [`History::next_position`]). The writer's lives in its
+/// frame's first member's sequence number ([`BinPayload::seq`]); a store
+/// reply carries none, its number on the connection
+/// ([`History::take_number`]) proving its place. The writer's lives in its
 /// [`SeqEncoder`], the reader's beside its frame reader; each records
 /// every batch frame it codes or decodes ([`History::record`]), and both
 /// record the same.
@@ -1133,7 +1132,11 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 /// payloads always go fresh. The storage is allocated once, by the first
 /// frame recorded, and reused: a frame allocates nothing for it.
 #[derive(Default)]
-pub struct History(Option<Box<Held>>);
+pub struct History {
+    held: Option<Box<Held>>,
+    /// The last number taken ([`History::take_number`]).
+    numbered: u64,
+}
 
 struct Held {
     /// The key a continuing frame must carry; `None` when nothing is
@@ -1173,23 +1176,35 @@ impl fmt::Debug for History {
 
 impl History {
     /// The key a frame that continues this history must carry — the
-    /// sequence number it starts at, or a store reply's position; `None`
-    /// when nothing is held.
+    /// sequence number it starts at; `None` when nothing is held.
     pub fn next_seq(&self) -> Option<u64> {
-        self.0.as_ref().and_then(|held| held.next_seq)
+        self.held.as_ref().and_then(|held| held.next_seq)
     }
 
-    /// Forgets everything: the next item frame is fresh.
+    /// Forgets the members held: the next frame is fresh. The count of
+    /// numbered frames goes on: a connection that refused one is ended.
     pub fn clear(&mut self) {
-        if let Some(held) = &mut self.0 {
+        if let Some(held) = &mut self.held {
             held.next_seq = None;
         }
+    }
+
+    /// Takes `number` if it is one past the last taken — a store connection
+    /// numbers its frames from 1; any other is refused, and empties the history.
+    pub fn take_number(&mut self, number: u64) -> Result<(), BinDecodeError> {
+        let next = self.numbered + 1;
+        if number != next {
+            self.clear();
+            return Err(BinDecodeError::msg(format!("store frame {number}, where {next} is next")));
+        }
+        self.numbered = number;
+        Ok(())
     }
 
     /// Members a continuing frame may reach back into: the window, or
     /// fewer when fewer have been recorded since the last fresh frame.
     pub(crate) fn held(&self) -> usize {
-        match &self.0 {
+        match &self.held {
             Some(held) if held.next_seq.is_some() => {
                 usize::try_from(held.next).map_or(HISTORY_MEMBERS, |n| n.min(HISTORY_MEMBERS))
             }
@@ -1197,28 +1212,21 @@ impl History {
         }
     }
 
-    /// The position a continuing frame's first member takes: the members
-    /// recorded since the last fresh frame, 0 when nothing is held. A
-    /// store reply is keyed by it.
-    pub fn next_position(&self) -> u64 {
-        self.0.as_ref().filter(|held| held.next_seq.is_some()).map_or(0, |held| held.next)
-    }
-
     /// The last member's event.
     pub(crate) fn last(&self) -> Option<&FileEvent> {
-        self.0.as_ref().and_then(|held| held.last.as_ref())
+        self.held.as_ref().and_then(|held| held.last.as_ref())
     }
 
     /// The last member's sequence number, when it carried one: what a
     /// continuing frame's sequenced first member is coded against.
     fn last_seq(&self) -> Option<u64> {
-        self.0.as_ref().filter(|held| held.next_seq.is_some()).and_then(|held| held.last_seq)
+        self.held.as_ref().filter(|held| held.next_seq.is_some()).and_then(|held| held.last_seq)
     }
 
     /// The path of the member `k` before a continuing frame's first
     /// (`1..=held()`), if it had one.
     pub(crate) fn path_back(&self, k: usize) -> Option<PathView<'_>> {
-        let held = self.0.as_ref().filter(|_| (1..=self.held()).contains(&k))?;
+        let held = self.held.as_ref().filter(|_| (1..=self.held()).contains(&k))?;
         let position = held.next - k as u64;
         let (arena, place) = held.paths[(position % HISTORY_MEMBERS as u64) as usize]?;
         Some(held.arenas[usize::from(arena)].as_ref()?.view_at(place))
@@ -1226,15 +1234,15 @@ impl History {
 
     /// The code `class` had in the last frame, if it had one.
     fn code(&self, class: Class) -> Option<&Code> {
-        self.0.as_ref().map(|held| &held.codes[class as usize]).filter(|code| code.n > 0)
+        self.held.as_ref().map(|held| &held.codes[class as usize]).filter(|code| code.n > 0)
     }
 
     /// Records a frame keyed by `key` — the sequence number it started
-    /// at, or a store reply's position — carrying `members`: after a fresh
-    /// frame (`continued` false) it is all the history holds, after a
-    /// continuing one it extends it, and the next frame that continues it
-    /// must carry a key `members.len()` later. A frame whose first member
-    /// holds no event leaves the history empty.
+    /// at; a store reply's is where the history ended, or 0 — carrying
+    /// `members`: after a fresh frame (`continued` false) it is all the
+    /// history holds, after a continuing one it extends it, and the next
+    /// frame that continues it must carry a key `members.len()` later. A
+    /// frame whose first member holds no event leaves no members held.
     /// The frame's codes are recorded apart: by the writer as it chooses
     /// them ([`code_members`]), by the reader as it reads them
     /// ([`BinReader::continue_from`], [`BinReader::keep_codes`]).
@@ -1243,7 +1251,7 @@ impl History {
             self.clear();
             return;
         }
-        let held = self.0.get_or_insert_with(|| {
+        let held = self.held.get_or_insert_with(|| {
             Box::new(Held {
                 next_seq: None,
                 next: 0,
@@ -1280,7 +1288,7 @@ impl History {
     /// Keeps a written frame's codes as the last frame's: each class in
     /// `mask` under its own code, or — in `reused` — under the one kept.
     fn keep_frame_codes(&mut self, mask: u16, reused: u16, classes: &[Priced; CLASSES]) {
-        let Some(held) = &mut self.0 else { return };
+        let Some(held) = &mut self.held else { return };
         for ((class, kept), priced) in Class::ALL.into_iter().zip(&mut held.codes).zip(classes) {
             if mask & !reused & class.bit() != 0 {
                 kept.copy_from(&priced.code);
@@ -1293,7 +1301,7 @@ impl History {
     /// Keeps the codes of the classes in `mask` — a read frame's, carried
     /// or reused — as the last frame's; every other class has none.
     fn keep_codes(&mut self, mask: u16, codes: &[Code]) {
-        let Some(held) = &mut self.0 else { return };
+        let Some(held) = &mut self.held else { return };
         for (class, kept) in Class::ALL.into_iter().zip(&mut held.codes) {
             match codes.get(class as usize).filter(|_| mask & class.bit() != 0) {
                 Some(code) => kept.copy_from(code),
@@ -1415,7 +1423,7 @@ impl SeqEncoder {
 
     /// When the sequence being written continues its history, the
     /// sequence number of the history's last member, when it carried one —
-    /// never the frame's key, which for a store reply is a position: a
+    /// never the frame's key, which a store reply does not carry: a
     /// sequenced member first in the frame codes its own number against
     /// this rather than against 0, so it costs what it would one member
     /// later.
@@ -1425,8 +1433,7 @@ impl SeqEncoder {
 
     /// The stream position of the sequence's member `index`.
     pub(crate) fn position(&self, index: usize) -> u64 {
-        let base = if self.continues { self.history.next_position() } else { 0 };
-        base + index as u64
+        self.history.held.as_ref().filter(|_| self.continues).map_or(0, |h| h.next) + index as u64
     }
 
     /// Takes back the last member written, which starts at `buf[at..]`:
