@@ -89,9 +89,10 @@ pub struct Collector<P = Push<Vec<FileEvent>>> {
     /// handed to the publisher whole, with one `publish_batch`, once it
     /// is released. Kept between batches for its capacity.
     resolved: Vec<FileEvent>,
-    /// Path bytes the last batch joined: what the next batch's arena
-    /// reserves, so a steady stream sizes it once.
-    path_bytes: usize,
+    /// Where each batch's paths are joined before its arena is sealed
+    /// with an exact-size copy of them. Kept between batches for its
+    /// capacity.
+    staging: String,
     /// Where every cache miss has `fid2path` write its parent's path, as
     /// the real ioctl writes into its caller's buffer; the cache copies
     /// it from here. Kept between batches for its capacity.
@@ -159,7 +160,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             publisher,
             topic: format!("events/mdt{}", mdt.as_u32()),
             resolved: Vec::new(),
-            path_bytes: 0,
+            staging: String::new(),
             parent_path: PathBuf::new(),
             config,
             stats: CollectorStats::default(),
@@ -197,7 +198,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
         let extracted_ns = sdci_obs::unix_now_ns();
         self.stats.extracted += read as u64;
         sdci_obs::static_metric!(counter, "sdci_collector_extracted_total").add(read as u64);
-        let mut paths = PathArenaBuilder::with_capacity(self.path_bytes);
+        let mut paths = PathArenaBuilder::with_staging(std::mem::take(&mut self.staging));
         for record in batch {
             // Indices are dense, so a jump is records the bounded
             // ChangeLog dropped while this Collector was behind.
@@ -239,8 +240,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
         // Publishing may block on a socket: never under the MDT's lock.
         drop(guard);
         // Sealed: from here the events' paths can be read.
-        self.path_bytes = paths.byte_len();
-        drop(paths);
+        self.staging = paths.seal();
         // `collector.extract` closed with each record's resolution; this
         // per-batch root is what times the publish, so one that blocks
         // still reaches the slow-trace tail.

@@ -66,10 +66,10 @@ fn collector_allocates_per_batch_not_per_event_on_a_cache_miss() {
 
 /// What [`HotCollector::missing`]'s first round after its warm-up
 /// allocates: each of its 16 batches of 256 records seals one path
-/// arena, a buffer and its shared handle; and the first batch's buffer
-/// grows once, sized by the warm-up's last batch, which was short.
+/// arena, its shared handle and an exact-size copy of the bytes joined in
+/// the Collector's staging, which the warm-up grew to its longest batch.
 /// A hit costs the same (the rounds after are 32 either way).
-const MISS_ROUND_ALLOCATIONS: u64 = 2 * 16 + 1;
+const MISS_ROUND_ALLOCATIONS: u64 = 2 * 16;
 
 /// `count` events over [`DIRS`] roots, seqs from 1.
 fn sequenced(count: u64) -> Vec<SequencedEvent> {

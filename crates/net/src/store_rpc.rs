@@ -273,10 +273,12 @@ struct StoreConn {
 
 /// A read-only [`EventBackend`] that queries a remote [`StoreServer`].
 ///
-/// The connection is lazy and cached; a failed round trip drops it,
-/// retries once on a fresh connection — numbered from 1, its replies
-/// fresh — and then gives up with an empty result — the
-/// consumer's backfill loop will simply query again.
+/// The connection is lazy and cached; a failed round trip drops it. A
+/// query tries the cached connection first — the server may have dropped
+/// it since its last use, so its failure costs no attempt — then up to
+/// two fresh ones, each numbered from 1, its replies fresh, and then
+/// gives up with an empty result — the consumer's backfill loop will
+/// simply query again.
 ///
 /// Connects are bounded by [`NetConfig::connect_timeout`] and happen
 /// *outside* the connection cache's lock, so one black-holed aggregator
@@ -340,34 +342,29 @@ impl RemoteStore {
     ///
     /// # Errors
     ///
-    /// Returns the last transport error once both attempts (cached
-    /// connection, then a fresh dial) are exhausted.
+    /// Returns the last transport error once every attempt (the cached
+    /// connection, then two fresh dials) is exhausted.
     pub fn try_query(&self, query: &StoreQuery) -> std::io::Result<Vec<SequencedEvent>> {
         let mut last_err = None;
-        for attempt in 0..2 {
-            // Take the cached connection *out* of the lock: the slow
-            // parts (connect, round trip, retry sleep) must not
-            // serialize concurrent queriers behind one dead peer.
-            let cached = self.conn.lock().take();
-            let mut conn = match cached.or_else(|| self.open()) {
-                Some(conn) => conn,
-                None => {
-                    if attempt == 0 {
-                        std::thread::sleep(self.cfg.retry.base);
-                    }
-                    continue;
+        // Take the cached connection *out* of the lock: the slow parts
+        // (connect, round trip, retry sleep) must not serialize
+        // concurrent queriers behind one dead peer.
+        let cached = self.conn.lock().take();
+        if let Some(conn) = cached {
+            match self.attempt(conn, query) {
+                Ok(events) => return Ok(events),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        for dial in 0..2 {
+            let Some(conn) = self.open() else {
+                if dial == 0 {
+                    std::thread::sleep(self.cfg.retry.base);
                 }
+                continue;
             };
-            // On error the stale connection is dropped and the next
-            // attempt dials fresh.
-            match self.round_trip(&mut conn, query) {
-                Ok(events) => {
-                    // Another querier may have cached its own fresh
-                    // connection meanwhile; last one wins, the loser is
-                    // simply closed.
-                    *self.conn.lock() = Some(conn);
-                    return Ok(events);
-                }
+            match self.attempt(conn, query) {
+                Ok(events) => return Ok(events),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -380,6 +377,23 @@ impl RemoteStore {
         }))
     }
 
+    /// One round trip on `conn`, which is cached for the next query if it
+    /// succeeds and dropped if it fails.
+    fn attempt(
+        &self,
+        mut conn: StoreConn,
+        query: &StoreQuery,
+    ) -> std::io::Result<Vec<SequencedEvent>> {
+        let events = self.round_trip(&mut conn, query)?;
+        // Another querier may have cached its own connection meanwhile;
+        // last one wins, the loser is simply closed.
+        *self.conn.lock() = Some(conn);
+        Ok(events)
+    }
+
+    /// Writes `query` and reads its reply, which must keep arriving: the
+    /// round trip fails once a liveness window passes with no byte of it
+    /// received — from the query's write, then from the last byte read.
     fn round_trip(
         &self,
         conn: &mut StoreConn,
@@ -392,17 +406,20 @@ impl RemoteStore {
             .map(|c| TraceContext::sampled(c.trace_id, c.span_id));
         let request = StoreRpc::Query { query: query.clone(), trace };
         write_msg_bin(&mut conn.writer, &mut conn.enc, &request)?;
-        let deadline = Instant::now() + self.cfg.liveness;
+        let (mut deadline, mut buffered) = (Instant::now() + self.cfg.liveness, 0);
         loop {
             match conn.reader.read_msg::<StoreRpc>() {
                 Ok(StoreRpc::Batch { events }) if batch_answers(query, &events) => {
                     return Ok(events)
                 }
                 Err(e) if timed_out(&e) => {
-                    if Instant::now() >= deadline {
+                    if conn.reader.buffered() != buffered {
+                        buffered = conn.reader.buffered();
+                        deadline = Instant::now() + self.cfg.liveness;
+                    } else if Instant::now() >= deadline {
                         return Err(std::io::Error::new(
                             std::io::ErrorKind::TimedOut,
-                            "store query exceeded the liveness window",
+                            "store reply made no progress for a liveness window",
                         ));
                     }
                 }

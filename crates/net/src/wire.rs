@@ -535,8 +535,10 @@ pub(crate) fn read_batch<T: BinPayload>(
 ) -> io::Result<(Head, Option<TraceContext>, Vec<T>)> {
     // The reader — some 27 KB, dropped in place at the end of this
     // block rather than moved — may borrow `history` while it reads a
-    // batch that continues its connection.
-    let (head, key, trace, continues, read) = {
+    // batch that continues its connection. On a connection's reader it
+    // assembles the members' paths in the staging `history` keeps, and
+    // hands it back when it seals them, refused or not.
+    let (head, key, trace, continues, read, staging) = {
         let mut r = BinReader::new(body);
         let (kind, trace, continues) = bin_read_header(&mut r, kinds)?;
         let (head, key) = match kind {
@@ -559,6 +561,9 @@ pub(crate) fn read_batch<T: BinPayload>(
                 (Head::Reply, history.as_deref().and_then(History::next_seq).unwrap_or(0))
             }
         };
+        if let Some(history) = history.as_deref_mut() {
+            r.stage_from(history);
+        }
         let read = match history.as_deref_mut() {
             None if continues => {
                 let what = head.what();
@@ -601,7 +606,7 @@ pub(crate) fn read_batch<T: BinPayload>(
                 read
             }
         };
-        (head, key, trace, continues, read)
+        (head, key, trace, continues, read, r.seal())
     };
     // A continuing deliver batch is keyed by its first member's
     // sequence number, as a fresh one is, and its head must say so.
@@ -617,6 +622,7 @@ pub(crate) fn read_batch<T: BinPayload>(
     });
     // A refused batch leaves nothing for a later one to continue.
     if let Some(history) = history {
+        history.restage(staging);
         match &read {
             Ok(payloads) if continues => history.record(true, key, payloads),
             Ok(_) => {}
@@ -1101,6 +1107,13 @@ impl<R: Read> FrameReader<R> {
     /// The underlying stream (e.g. to adjust socket timeouts).
     pub fn get_ref(&self) -> &R {
         &self.inner
+    }
+
+    /// Bytes of the frame being read that have arrived so far, header
+    /// included: a reader whose read timed out mid-frame has seen the
+    /// frame progress when this grew.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
     }
 
     /// Reads one message, resuming any partially received frame.

@@ -239,7 +239,7 @@ fn endpoint_spawn_failures_are_contained() {
 /// A reply carrying the right number on its connection is still checked
 /// against its query: a page outside the query's range, or one whose seqs
 /// descend, costs the connection like any other refusal — the query is
-/// retried once on a new connection and, refused there too, fails and is
+/// retried on two new connections and, refused on both, fails and is
 /// counted — and the next query, answered honestly, gets its own page.
 #[test]
 fn a_numbered_reply_that_does_not_answer_its_query_costs_the_connection() {
@@ -266,20 +266,101 @@ fn a_numbered_reply_that_does_not_answer_its_query_costs_the_connection() {
         };
         serve(&[(1..=5).collect(), (1..=5).collect()]);
         serve(&[(6..=10).rev().collect()]);
+        serve(&[(1..=5).collect()]);
         serve(&[(6..=10).collect()]);
     });
 
     let remote = RemoteStore::connect(addr, fast_cfg());
     let seqs = |page: Vec<SequencedEvent>| page.iter().map(|e| e.seq).collect::<Vec<_>>();
     assert_eq!(seqs(remote.query(&StoreQuery::after_seq(0))), (1..=5).collect::<Vec<_>>());
-    // Reply 2 answers with seqs the query asked past, and the retry's
-    // reply 1 with seqs that descend: neither is an answer.
+    // Reply 2 answers with seqs the query asked past, the first retry's
+    // reply 1 with seqs that descend, and the second's with seqs asked
+    // past again: none is an answer.
     let err = remote.try_query(&StoreQuery::after_seq(5)).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert_eq!(remote.failures(), 1);
     let page = remote.query(&StoreQuery::after_seq(5));
     assert_eq!(seqs(page), (6..=10).collect::<Vec<_>>());
     assert_eq!(remote.failures(), 1);
+    server.join().unwrap();
+}
+
+/// A cached connection the server has dropped since its last query costs
+/// that query no attempt: its failure is followed by two fresh dials, so
+/// one more fault — a connection the server drops right after its hello —
+/// still leaves the query a connection that answers it.
+#[test]
+fn a_dead_cached_connection_does_not_spend_the_retry() {
+    use sdci_net::wire::{write_msg_bin, BinEncoder, FrameReader, Hello};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        // Each connection reads its hello, then answers `queries` queries
+        // and closes.
+        let serve = |queries: usize| {
+            let (stream, _) = listener.accept().expect("accept store client");
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = FrameReader::new(stream);
+            reader.read_msg::<Hello>().expect("read the hello");
+            let mut enc = BinEncoder::new();
+            for _ in 0..queries {
+                let query = reader.read_msg::<StoreRpc>().expect("read a query");
+                assert!(matches!(query, StoreRpc::Query { .. }));
+                let events = (1..=5).map(sev).collect();
+                write_msg_bin(&mut writer, &mut enc, &StoreRpc::Batch { events }).unwrap();
+            }
+        };
+        serve(1);
+        serve(0);
+        serve(1);
+    });
+
+    let remote = RemoteStore::connect(addr, fast_cfg());
+    let query = StoreQuery::after_seq(0);
+    assert_eq!(remote.try_query(&query).expect("answered on the first connection").len(), 5);
+    // The first connection is gone and the second dies after its hello:
+    // the third answers.
+    assert_eq!(remote.try_query(&query).expect("answered on the third connection").len(), 5);
+    assert_eq!(remote.failures(), 0);
+    server.join().unwrap();
+}
+
+/// A reply is given a liveness window from its last byte, not from its
+/// query: one that trickles in, ten pieces 100 ms apart — a second in
+/// all, more than twice the 400 ms window — is read whole on the first
+/// connection, and the query costs no second one.
+#[test]
+fn a_reply_that_keeps_arriving_is_not_abandoned() {
+    use sdci_net::wire::{write_msg_bin, BinEncoder, FrameReader, Hello};
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept store client");
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = FrameReader::new(stream);
+        reader.read_msg::<Hello>().expect("read the hello");
+        let query = reader.read_msg::<StoreRpc>().expect("read a query");
+        assert!(matches!(query, StoreRpc::Query { .. }));
+        let mut reply = Vec::new();
+        let events = (1..=500).map(sev).collect();
+        write_msg_bin(&mut reply, &mut BinEncoder::new(), &StoreRpc::Batch { events }).unwrap();
+        for piece in reply.chunks(reply.len().div_ceil(10)) {
+            std::thread::sleep(Duration::from_millis(100));
+            writer.write_all(piece).unwrap();
+        }
+        // Nothing more is dialled: a second connection would wait here.
+        listener.set_nonblocking(true).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(listener.accept().is_err(), "the query was sent again");
+    });
+
+    let remote = RemoteStore::connect(addr, fast_cfg());
+    let started = Instant::now();
+    let page = remote.try_query(&StoreQuery::after_seq(0)).expect("answered as it arrived");
+    assert_eq!(page.len(), 500);
+    assert!(started.elapsed() > Duration::from_millis(900), "{:?}", started.elapsed());
     server.join().unwrap();
 }
 
@@ -379,7 +460,7 @@ fn duplicated_store_queries_never_get_another_querys_page() {
     );
     println!("{failed} of 200 queries failed; {} queries served", server.queries());
     assert_eq!(remote.failures(), failed);
-    assert!(failed < 50, "{failed} of 200 queries failed");
+    assert!(failed <= 15, "{failed} of 200 queries failed");
     assert_eq!(remote.connect_failures(), 0);
     endpoint.shutdown();
 }

@@ -691,9 +691,11 @@ fn a_consumer_behind_more_path_bytes_than_a_frame_holds_recovers_every_event() {
     let store = EventStore::new(20_000);
     store.insert_batch(events).unwrap();
     let server = StoreServer::new(Arc::new(store));
-    // A 32 MB page takes a while to pack and read in a debug build beside
-    // other tests: a window that never runs out keeps the count of
-    // queries exact.
+    // The server packs a page — 8,192 members, each naming a 3,999-byte
+    // file — before the first byte of it is sent, and a debug build beside
+    // other tests takes longer than a 500 ms window to: a reply's window
+    // runs from its last byte, but none has come yet. A window that never
+    // runs out keeps the count of queries exact.
     let cfg = NetConfig { liveness: Duration::from_secs(60), ..fast_cfg() };
     let endpoint = Endpoint::bind("127.0.0.1:0", cfg.clone(), vec![server.clone()]).unwrap();
     let remote = RemoteStore::connect(endpoint.local_addr(), cfg.clone());

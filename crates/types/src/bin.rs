@@ -132,18 +132,18 @@ const LIST_LIMIT: usize = 32;
 /// Bytes a code table's symbol bitmap takes: one bit per byte value.
 const CODE_BITMAP_LEN: usize = 32;
 
-/// The path arena a [`BinReader`] reserves, per body byte left when its
-/// first path is read — never a length the body claims. A path is mostly
-/// shared with a frame-mate's, and a coded member carries its fields and
-/// suffix in a few bits each: a coded 256-member frame of the benchmark's
-/// `resolve` shape assembles about five path bytes per body byte
-/// (57-byte paths in members of 11 to 12 bytes), more with renames, so at five
-/// times the body its arena would grow once. A frame that continues its
-/// connection carries fewer path bytes for the same paths — a base may
-/// be an earlier frame's member — and still fits: the base lends only
-/// its shared bytes to the arena, and
-/// `crates/net/tests/alloc_budget.rs` holds continuing frames of both
-/// shapes to a fresh frame's allocations.
+/// The path arena a [`BinReader`] with no warm staging reserves — a
+/// frame decoded on its own, a snapshot block, a connection's first frame
+/// with paths — per body byte left when its first path is read, never a
+/// length the body claims. A path is mostly shared with a frame-mate's,
+/// and a coded member carries its fields and suffix in a few bits each: a
+/// coded 256-member frame of the benchmark's `resolve` shape assembles
+/// about five path bytes per body byte (57-byte paths in members of 11 to
+/// 12 bytes), more with renames, so at five times the body its arena
+/// would grow once. A connection's later frames reserve nothing: they
+/// assemble in the staging its first grew, which
+/// `crates/net/tests/alloc_budget.rs` holds, fresh and continuing frames
+/// alike, to no growth at all.
 const ARENA_PER_BODY_BYTE: usize = 6;
 
 /// A malformed binary payload: truncated field, invalid enum code,
@@ -274,8 +274,10 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// The reader also owns the path bytes its frame assembles: every
 /// `BinReader::front_coded` string lands in one arena, which is sealed
 /// — and the [`EventPath`]s into it become readable — when the reader
-/// drops. A decoder therefore returns its events only after its reader
-/// is gone, and on an error returns none.
+/// drops, or, on a reader that assembles them in its connection's
+/// staging ([`BinReader::stage_from`]), when [`BinReader::seal`] hands
+/// the staging back. A decoder therefore returns its events only after its
+/// reader is sealed or gone, and on an error returns none.
 ///
 /// It holds its frame's codes too, once [`BinReader::read_codes`] has
 /// read them: inside the member section ([`read_members`]) every
@@ -294,6 +296,9 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
+    /// The storage its connection lent for the paths to be assembled in,
+    /// until the first front-coded field takes it.
+    staging: Option<String>,
     /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
     /// The history the frame continues, when it continues one.
@@ -304,7 +309,32 @@ impl<'a> BinReader<'a> {
     /// Wraps a payload slice, with a fresh [`FRAME_PATH_BUDGET`] and no
     /// codes.
     pub fn new(buf: &'a [u8]) -> BinReader<'a> {
-        BinReader { buf, path_budget: FRAME_PATH_BUDGET, paths: None, codes: None, history: None }
+        BinReader {
+            buf,
+            path_budget: FRAME_PATH_BUDGET,
+            paths: None,
+            staging: None,
+            codes: None,
+            history: None,
+        }
+    }
+
+    /// Assembles the frame's paths in the staging storage `history` keeps
+    /// for its connection's frames, warm from the last one, until
+    /// [`BinReader::seal`] hands it back.
+    pub fn stage_from(&mut self, history: &mut History) {
+        self.staging = Some(std::mem::take(&mut history.staging));
+    }
+
+    /// Seals the frame's paths — one exact-size copy, after which their
+    /// handles are readable — and returns the storage they were assembled
+    /// in, for a connection to keep ([`History::restage`]); see
+    /// [`PathArenaBuilder::seal`].
+    pub fn seal(&mut self) -> String {
+        match self.paths.take() {
+            Some(paths) => paths.seal(),
+            None => self.staging.take().unwrap_or_default(),
+        }
     }
 
     /// The history the frame continues, when it continues one.
@@ -453,14 +483,16 @@ impl<'a> BinReader<'a> {
     /// or, in a coded member section, as codewords of the path class.
     /// `base` is any path this reader assembled earlier (the
     /// predecessor's, or the member's a path reference names), or one its
-    /// connection's history holds. The handle
-    /// is readable once the reader has dropped; until then it serves as a
-    /// later member's base.
+    /// connection's history holds. The handle is readable once the reader
+    /// has sealed or dropped; until then it serves as a later member's
+    /// base.
     ///
-    /// The arena is reserved on the first call, at six times the bytes
-    /// then left in the body (capped at [`FRAME_PATH_BUDGET`]) and never
-    /// at a length the body claims; it grows from there within the
-    /// budget.
+    /// The arena is assembled in the staging the reader was lent,
+    /// which keeps the capacity its connection's frames grew it to. A
+    /// reader with none reserves it on the first call, at six times the
+    /// bytes then left in the body (capped at [`FRAME_PATH_BUDGET`]) and
+    /// never at a length the body claims; either grows from there within
+    /// the budget.
     ///
     /// # Errors
     ///
@@ -497,8 +529,12 @@ impl<'a> BinReader<'a> {
             None => self.take(carried)?,
             Some(codes) => codes.suffix(carried)?,
         };
+        let staging = &mut self.staging;
         self.paths
-            .get_or_insert_with(|| PathArenaBuilder::with_capacity(reserve))
+            .get_or_insert_with(|| match staging.take() {
+                Some(warm) if warm.capacity() > 0 => PathArenaBuilder::with_staging(warm),
+                _ => PathArenaBuilder::with_capacity(reserve),
+            })
             .push_front_coded(base, shared, suffix)
             .map_err(BinDecodeError::msg)
     }
@@ -1124,7 +1160,8 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 /// ([`History::take_number`]) proving its place. The writer's lives in its
 /// [`SeqEncoder`], the reader's beside its frame reader; each records
 /// every batch frame it codes or decodes ([`History::record`]), and both
-/// record the same.
+/// record the same. The reader's also keeps the storage its frames'
+/// paths are assembled in ([`BinReader::stage_from`]).
 ///
 /// Nothing is generic here: a member is kept as its event
 /// ([`BinPayload::event`]), and one without an event as nothing — a
@@ -1136,6 +1173,9 @@ pub struct History {
     held: Option<Box<Held>>,
     /// The last number taken ([`History::take_number`]).
     numbered: u64,
+    /// Where a frame's reader assembles its paths: empty while a reader
+    /// has it, and until the first frame with paths has been read.
+    staging: String,
 }
 
 struct Held {
@@ -1179,6 +1219,12 @@ impl History {
     /// sequence number it starts at; `None` when nothing is held.
     pub fn next_seq(&self) -> Option<u64> {
         self.held.as_ref().and_then(|held| held.next_seq)
+    }
+
+    /// Keeps `staging` — what [`BinReader::seal`] handed back — for the
+    /// next frame's reader.
+    pub fn restage(&mut self, staging: String) {
+        self.staging = staging;
     }
 
     /// Forgets the members held: the next frame is fresh. The count of
@@ -2456,6 +2502,53 @@ mod tests {
         assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5));
         seq.forget(&mut Vec::new(), 0);
         assert_eq!(seq.dirs.replace(b"/a/", 5), Some(5), "the member at 0 is still the latest");
+    }
+
+    /// A connection's history keeps the staging its frames' paths are
+    /// assembled in, warm for the next frame — but not staging a frame
+    /// grew past [`MAX_STAGING`]: that is freed at the seal, and the next
+    /// frame, staged afresh, still decodes equal.
+    #[test]
+    fn a_history_keeps_no_staging_past_the_limit() {
+        use crate::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime, MAX_STAGING};
+        let frame = |count: u32, len: usize| -> Vec<FileEvent> {
+            (0..count)
+                .map(|i| FileEvent {
+                    index: u64::from(i),
+                    mdt: MdtIndex::new(0),
+                    changelog_kind: ChangelogKind::Create,
+                    kind: EventKind::Created,
+                    time: SimTime::from_secs(u64::from(i)),
+                    path: format!("/d{i:05}/{}", "x".repeat(len)).into(),
+                    src_path: None,
+                    target: Fid::new(1, i, 0),
+                    is_dir: false,
+                    extracted_unix_ns: None,
+                    trace: None,
+                })
+                .collect()
+        };
+        let decode = |events: &[FileEvent], history: &mut History| -> Vec<FileEvent> {
+            let mut body = Vec::new();
+            put_members(&mut body, events);
+            let mut r = BinReader::new(&body);
+            r.stage_from(history);
+            let decoded = read_members(&mut r).expect("decodes");
+            history.restage(r.seal());
+            decoded
+        };
+        let (small, large) = (frame(8, 30), frame(100, 4_000));
+        let mut history = History::default();
+        assert_eq!(decode(&small, &mut history), small);
+        let warm = history.staging.capacity();
+        assert!((1..=MAX_STAGING).contains(&warm), "kept {warm} bytes of staging");
+        assert_eq!(decode(&small, &mut history), small);
+        assert_eq!(history.staging.capacity(), warm, "the same storage, reused");
+
+        assert_eq!(decode(&large, &mut history), large);
+        assert_eq!(history.staging.capacity(), 0, "400 KB of staging is not kept");
+        assert_eq!(decode(&small, &mut history), small);
+        assert!((1..=MAX_STAGING).contains(&history.staging.capacity()));
     }
 
     /// A count word never sizes the reservation: a count of more members

@@ -54,7 +54,7 @@ pub use bin::{BinDecodeError, BinPayload, BinReader};
 pub use event::{ChangelogKind, EventKind, FileEvent, RawChangelogRecord};
 pub use fid::{Fid, FidSequence, ParseFidError};
 pub use ids::{AgentId, CollectorId, ConsumerId, MdtIndex, OstIndex, RuleId, SubscriptionId};
-pub use path::{EventPath, PathArenaBuilder};
+pub use path::{EventPath, PathArenaBuilder, MAX_STAGING};
 pub use rate::{ByteSize, EventsPerSec};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceContext;

@@ -11,11 +11,21 @@
 //! goes.
 //!
 //! **Write-once, then sealed.** While a builder lives it alone can read
-//! or append to its bytes ([`PathArenaBuilder::get`]); dropping it moves
-//! them into the arena, after which they never change and every handle
-//! can read them. A handle read while its builder is still alive is a
-//! bug in this program and panics — producers publish a batch only after
-//! its builder is gone, and a decoder that fails returns no events.
+//! or append to its bytes ([`PathArenaBuilder::get`]); sealing puts them
+//! into the arena, after which they never change and every handle can
+//! read them. A handle read while its builder is still alive is a bug in
+//! this program and panics — producers publish a batch only after its
+//! builder is sealed, and a decoder that fails returns no events.
+//!
+//! **Staging.** The owner of a stream of batches — a connection's reader,
+//! a Collector — keeps the storage its batches are assembled in and lends
+//! it to each batch's builder ([`PathArenaBuilder::with_staging`]). The
+//! seal ([`PathArenaBuilder::seal`]) copies the bytes into the arena,
+//! exactly sized, in one allocation, and hands the storage back, warm for
+//! the next batch — unless it grew past [`MAX_STAGING`], so that one huge
+//! batch does not pin its size for as long as its owner lives. A builder
+//! made on its own ([`PathArenaBuilder::with_capacity`]) seals when it
+//! drops, moving its bytes in and shrinking them to size.
 //!
 //! **Retention.** One held event pins its whole batch's path bytes
 //! (≈ 9 KB for 256 paths of 35 bytes). The store rotates segments whole,
@@ -30,8 +40,14 @@ use std::path::{Path, PathBuf};
 use std::str::Utf8Error;
 use std::sync::{Arc, OnceLock};
 
-/// The path bytes of one batch; empty until its builder drops.
+/// The path bytes of one batch; empty until its builder seals it.
 struct PathArena(OnceLock<Box<str>>);
+
+/// Most staging storage [`PathArenaBuilder::seal`] hands back: storage
+/// that grew past this — a batch of more path bytes than 256 KiB, such
+/// as a recovery page of long paths — is freed at the seal, and the
+/// owner's next batch stages afresh.
+pub const MAX_STAGING: usize = 256 << 10;
 
 /// The absolute path of an event: a handle into its batch's arena that
 /// derefs to [`Path`] and compares, orders, hashes and prints as the
@@ -201,8 +217,8 @@ impl Hash for EventPath {
 }
 
 /// The write side of one batch's arena: appends paths, hands out their
-/// handles, and seals the arena when dropped — only then can the handles
-/// be read.
+/// handles, and seals the arena — with [`PathArenaBuilder::seal`], or
+/// when dropped — only then can the handles be read.
 pub struct PathArenaBuilder {
     arena: Arc<PathArena>,
     bytes: String,
@@ -211,15 +227,31 @@ pub struct PathArenaBuilder {
 impl PathArenaBuilder {
     /// A builder with room for `bytes` path bytes; it grows past that.
     pub fn with_capacity(bytes: usize) -> PathArenaBuilder {
-        PathArenaBuilder {
-            arena: Arc::new(PathArena(OnceLock::new())),
-            bytes: String::with_capacity(bytes),
-        }
+        PathArenaBuilder::with_staging(String::with_capacity(bytes))
     }
 
-    /// Path bytes appended so far.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+    /// A builder that assembles its paths in `staging`, storage its
+    /// caller keeps from batch to batch: its bytes are cleared, its
+    /// capacity kept, and [`PathArenaBuilder::seal`] hands it back.
+    pub fn with_staging(mut staging: String) -> PathArenaBuilder {
+        staging.clear();
+        PathArenaBuilder { arena: Arc::new(PathArena(OnceLock::new())), bytes: staging }
+    }
+
+    /// Seals the arena with an exact-size copy of its bytes — every
+    /// handle becomes readable — and hands back the storage they were
+    /// assembled in, emptied, for the next batch; storage that grew past
+    /// [`MAX_STAGING`] is freed instead, and an empty `String` handed
+    /// back.
+    pub fn seal(mut self) -> String {
+        let mut staging = std::mem::take(&mut self.bytes);
+        // Only a seal ever sets it, and this is the builder's first.
+        let _ = self.arena.0.set(staging.as_str().into());
+        if staging.capacity() > MAX_STAGING {
+            return String::new();
+        }
+        staging.clear();
+        staging
     }
 
     /// Appends the concatenation of `parts` as one path.
@@ -311,11 +343,12 @@ impl fmt::Debug for PathArenaBuilder {
     }
 }
 
-/// Seals the arena: the bytes move in, exactly sized, and every handle
-/// becomes readable.
+/// Seals the arena unless [`PathArenaBuilder::seal`] has: the bytes move
+/// in, shrunk to size, and every handle becomes readable.
 impl Drop for PathArenaBuilder {
     fn drop(&mut self) {
-        // Only this builder ever sets it, and only here.
+        // Only a seal ever sets it; after `seal` there is nothing left to
+        // move, and the set fails.
         let _ = self.arena.0.set(std::mem::take(&mut self.bytes).into_boxed_str());
     }
 }

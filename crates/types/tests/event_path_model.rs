@@ -147,27 +147,35 @@ fn a_batch_arena_lives_exactly_as_long_as_its_last_handle() {
     assert_eq!(std::mem::size_of::<EventPath>(), 16);
     assert_eq!(std::mem::size_of::<Option<EventPath>>(), 16);
     let name = "n".repeat(1_000);
-    let mut kept = Vec::with_capacity(PATHS);
-    let before = LIVE.with(Cell::get);
+    // Sealed as a builder drops, and by `seal`, which hands its staging
+    // back to its owner: here, to be freed at once.
+    for sealed_by_copy in [false, true] {
+        let mut kept = Vec::with_capacity(PATHS);
+        let before = LIVE.with(Cell::get);
 
-    let mut builder = PathArenaBuilder::with_capacity(PATHS * 1_024);
-    for i in 0..PATHS {
-        kept.push(builder.push_parts(&["/dir", &i.to_string(), "/", &name]));
+        let mut builder = PathArenaBuilder::with_capacity(PATHS * 1_024);
+        for i in 0..PATHS {
+            kept.push(builder.push_parts(&["/dir", &i.to_string(), "/", &name]));
+        }
+        if sealed_by_copy {
+            drop(builder.seal());
+        } else {
+            drop(builder);
+        }
+        let arena_bytes: isize = kept.iter().map(|path| path.as_str().len() as isize).sum();
+        // Sealed at exactly its size: the arena, plus its few words of header.
+        let held = LIVE.with(Cell::get) - before;
+        assert!((arena_bytes..arena_bytes + 128).contains(&held), "{held} live for {arena_bytes}");
+
+        // Clones cost nothing, and one survivor pins the whole batch.
+        let clones = kept.clone();
+        let survivor = kept.swap_remove(PATHS / 2);
+        kept.clear();
+        drop(clones);
+        assert_eq!(LIVE.with(Cell::get) - before, held);
+        assert!(survivor.ends_with(Path::new(&name)));
+
+        drop(survivor);
+        assert_eq!(LIVE.with(Cell::get) - before, 0, "the last handle frees the arena");
     }
-    let arena_bytes = builder.byte_len() as isize;
-    drop(builder);
-    // Sealed at exactly its size: the arena, plus its few words of header.
-    let held = LIVE.with(Cell::get) - before;
-    assert!((arena_bytes..arena_bytes + 128).contains(&held), "{held} live for {arena_bytes}");
-
-    // Clones cost nothing, and one survivor pins the whole batch.
-    let clones = kept.clone();
-    let survivor = kept.swap_remove(PATHS / 2);
-    kept.clear();
-    drop(clones);
-    assert_eq!(LIVE.with(Cell::get) - before, held);
-    assert!(survivor.ends_with(Path::new(&name)));
-
-    drop(survivor);
-    assert_eq!(LIVE.with(Cell::get) - before, 0, "the last handle frees the arena");
 }
