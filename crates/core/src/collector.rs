@@ -14,8 +14,8 @@ use parking_lot::Mutex;
 use sdci_mq::pipe::Push;
 use sdci_mq::transport::Publish;
 use sdci_types::{
-    ChangelogKind, EventPath, FileEvent, MdtIndex, PathArenaBuilder, RawChangelogRecord,
-    TraceContext,
+    ChangelogKind, EventPath, FileEvent, MdtIndex, PathArenaBuilder, PathStaging,
+    RawChangelogRecord, TraceContext,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -89,10 +89,10 @@ pub struct Collector<P = Push<Vec<FileEvent>>> {
     /// handed to the publisher whole, with one `publish_batch`, once it
     /// is released. Kept between batches for its capacity.
     resolved: Vec<FileEvent>,
-    /// Where each batch's paths are joined before its arena is sealed
-    /// with an exact-size copy of them. Kept between batches for its
-    /// capacity.
-    staging: String,
+    /// Where each batch's paths are joined before they are sealed, with
+    /// an exact-size copy, into the next slot of the open arena group.
+    /// Kept between batches for its capacity and its group.
+    staging: PathStaging,
     /// Where every cache miss has `fid2path` write its parent's path, as
     /// the real ioctl writes into its caller's buffer; the cache copies
     /// it from here. Kept between batches for its capacity.
@@ -160,7 +160,7 @@ impl<P: Publish<FileEvent>> Collector<P> {
             publisher,
             topic: format!("events/mdt{}", mdt.as_u32()),
             resolved: Vec::new(),
-            staging: String::new(),
+            staging: PathStaging::default(),
             parent_path: PathBuf::new(),
             config,
             stats: CollectorStats::default(),

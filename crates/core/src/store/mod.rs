@@ -233,6 +233,14 @@ struct HeadRange {
     len: usize,
 }
 
+/// The actively-written events, and the scratch a seal assembles its
+/// segment's directory ids in: both kept under the head lock.
+#[derive(Default)]
+struct Head {
+    events: VecDeque<SequencedEvent>,
+    ids: Vec<u16>,
+}
+
 /// The sealed chain, oldest segment first. `trim` is the count of
 /// events logically rotated out of the front segment; segments are
 /// immutable, so rotation advances the offset and drops the segment
@@ -309,7 +317,7 @@ fn footprint<'e>(events: impl IntoIterator<Item = &'e SequencedEvent>) -> u64 {
 pub struct EventStore {
     capacity: usize,
     segment_events: usize,
-    head: Mutex<VecDeque<SequencedEvent>>,
+    head: Mutex<Head>,
     sealed: RwLock<Arc<Chain>>,
     last_seq: AtomicU64,
     len: AtomicUsize,
@@ -352,7 +360,7 @@ impl EventStore {
         EventStore {
             capacity: capacity.max(1),
             segment_events: segment_events.max(1),
-            head: Mutex::new(VecDeque::new()),
+            head: Mutex::new(Head::default()),
             sealed: RwLock::new(Arc::default()),
             last_seq: AtomicU64::new(0),
             len: AtomicUsize::new(0),
@@ -414,18 +422,14 @@ impl EventStore {
     /// reaches the segment target, then rotates the excess over capacity
     /// out in one [`rotate_out`]. Caller holds the head lock. (Occupancy
     /// gauges are the [`MeteredBackend`] layer's job, not the store's.)
-    fn append(
-        &self,
-        head: &mut VecDeque<SequencedEvent>,
-        events: impl IntoIterator<Item = SequencedEvent>,
-    ) {
+    fn append(&self, head: &mut Head, events: impl IntoIterator<Item = SequencedEvent>) {
         let (mut added, mut bytes, mut last) = (0, 0, None);
         for event in events {
             added += 1;
             bytes += event.event.footprint_bytes() as u64;
             last = Some(event.seq);
-            head.push_back(event);
-            if head.len() >= self.segment_events {
+            head.events.push_back(event);
+            if head.events.len() >= self.segment_events {
                 self.seal(head);
             }
         }
@@ -434,7 +438,7 @@ impl EventStore {
         let excess = held.saturating_sub(self.capacity);
         let dropped = match excess {
             0 => 0,
-            _ => rotate_out(Arc::make_mut(&mut self.sealed.write()), head, excess),
+            _ => rotate_out(Arc::make_mut(&mut self.sealed.write()), &mut head.events, excess),
         };
         self.last_seq.store(last, Ordering::Relaxed);
         self.len.store(held - excess, Ordering::Relaxed);
@@ -445,8 +449,8 @@ impl EventStore {
 
     /// Seals the head into an immutable segment on the chain, built
     /// before the chain's write lock is taken.
-    fn seal(&self, head: &mut VecDeque<SequencedEvent>) {
-        if head.is_empty() {
+    fn seal(&self, head: &mut Head) {
+        if head.events.is_empty() {
             return;
         }
         // Sealing is in-memory and infallible, so an error-mode crash
@@ -455,7 +459,7 @@ impl EventStore {
         if let Err(e) = sdci_faults::crash_point("store.seal") {
             panic!("{e}");
         }
-        let segment = Arc::new(Segment::build(head.drain(..).collect()));
+        let segment = Arc::new(Segment::build(head.events.drain(..).collect(), &mut head.ids));
         Arc::make_mut(&mut self.sealed.write()).segs.push_back(segment);
     }
 
@@ -481,7 +485,8 @@ impl EventStore {
         let query = query.prepare();
         let after = query.after.unwrap_or(0);
         let (chain, head) = {
-            let events = self.head.lock();
+            let guard = self.head.lock();
+            let events = &guard.events;
             let chain = Arc::clone(&self.sealed.read());
             let from = events.partition_point(|e| e.seq <= after);
             let range = events.get(from).zip(events.back()).map(|(first, last)| HeadRange {
@@ -527,7 +532,8 @@ impl EventStore {
     ) {
         let in_range = |e: &&SequencedEvent| e.seq <= last;
         let chain = {
-            let head = self.head.lock();
+            let guard = self.head.lock();
+            let head = &guard.events;
             if head.front().is_some_and(|e| e.seq <= last) {
                 let from = head.partition_point(|e| e.seq < first);
                 query.collect(head.range(from..).take_while(in_range), out);
@@ -546,7 +552,8 @@ impl EventStore {
     pub fn recent(&self, n: usize) -> Vec<SequencedEvent> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let (head_tail, head_first_seq) = {
-            let head = self.head.lock();
+            let guard = self.head.lock();
+            let head = &guard.events;
             let first = head.front().map_or(u64::MAX, |e| e.seq);
             let skip = head.len().saturating_sub(n);
             (head.iter().skip(skip).cloned().collect::<Vec<_>>(), first)
@@ -580,7 +587,7 @@ impl EventStore {
     pub(crate) fn snapshot_state(&self) -> StoreState {
         let head = self.head.lock();
         let chain = Arc::clone(&self.sealed.read());
-        StoreState { chain, head: head.iter().cloned().collect() }
+        StoreState { chain, head: head.events.iter().cloned().collect() }
     }
 
     /// Number of retained events.
@@ -604,7 +611,7 @@ impl EventStore {
         let chain = self.sealed.read();
         match chain.segs.front() {
             Some(front) => front.events()[chain.trim].seq,
-            None => head.front().map_or(0, |e| e.seq),
+            None => head.events.front().map_or(0, |e| e.seq),
         }
     }
 
@@ -655,7 +662,7 @@ impl EventStore {
         EventStore {
             capacity,
             segment_events: default_segment_events(capacity),
-            head: Mutex::new(head),
+            head: Mutex::new(Head { events: head, ids: Vec::new() }),
             sealed: RwLock::new(Arc::new(chain)),
             last_seq: AtomicU64::new(last_seq),
             len: AtomicUsize::new(len),

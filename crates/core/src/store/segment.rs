@@ -60,8 +60,10 @@ pub(crate) struct Segment {
 
 impl Segment {
     /// Seals `events` (must be non-empty and sequence-ordered) into an
-    /// immutable segment, computing its index metadata.
-    pub(crate) fn build(events: Vec<SequencedEvent>) -> Segment {
+    /// immutable segment, computing its index metadata; `ids` is scratch
+    /// its caller keeps from seal to seal, which the directory column is
+    /// assembled in.
+    pub(crate) fn build(events: Vec<SequencedEvent>, ids: &mut Vec<u16>) -> Segment {
         debug_assert!(!events.is_empty(), "segments are never empty");
         debug_assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         let mut min_time = SimTime::MAX;
@@ -78,7 +80,7 @@ impl Segment {
             min_time,
             max_time,
             bytes,
-            column: DirColumn::build(&events),
+            column: DirColumn::build(&events, ids),
             events,
         }
     }
@@ -188,16 +190,20 @@ impl Segment {
 impl DirColumn {
     /// Files every event under its directory (see [`dir_of`]), without
     /// copying a path: a directory is kept as the place of its spelling in
-    /// its first event's path. `None` past [`DIR_CAP`] directories. Makes
-    /// two allocations, the exact-size id and directory arrays.
-    fn build(events: &[SequencedEvent]) -> Option<DirColumn> {
+    /// its first event's path. `None` past [`DIR_CAP`] directories. The
+    /// ids are assigned in `ids`, scratch its caller keeps, and copied
+    /// out only when the column is kept: a column makes two allocations,
+    /// the exact-size id and directory arrays, and a segment past the cap
+    /// none.
+    fn build(events: &[SequencedEvent], ids: &mut Vec<u16>) -> Option<DirColumn> {
         u32::try_from(events.len()).ok()?;
         // Slot `s` holds a directory's index + 1; 0 is empty.
         let mut slots = [0u16; DIR_SLOTS];
         let keys = RandomState::new();
         let mut dirs = [Dir::default(); DIR_CAP];
         let mut len = 0;
-        let mut ids = Vec::with_capacity(events.len());
+        ids.clear();
+        ids.reserve(events.len());
         for (i, sev) in events.iter().enumerate() {
             let dir = dir_of(sev.event.path.as_str());
             let mut slot = slot_of(&keys, dir);
@@ -222,7 +228,7 @@ impl DirColumn {
             dirs[id].count += 1;
             ids.push(id as u16);
         }
-        Some(DirColumn { dirs: dirs[..len].into(), ids: ids.into_boxed_slice() })
+        Some(DirColumn { dirs: dirs[..len].into(), ids: ids.as_slice().into() })
     }
 
     /// Sorts each directory of `events` (the segment's) into `classes`
@@ -279,6 +285,10 @@ mod tests {
         }
     }
 
+    fn build(events: Vec<SequencedEvent>) -> Segment {
+        Segment::build(events, &mut Vec::new())
+    }
+
     fn seqs(seg: &Segment, query: &StoreQuery, lo: usize) -> Vec<u64> {
         let mut out = Vec::new();
         seg.collect_into(&query.prepare(), lo, &mut out);
@@ -287,7 +297,7 @@ mod tests {
 
     #[test]
     fn metadata_and_column_reflect_contents() {
-        let seg = Segment::build(vec![ev(5, 50, "/a/x"), ev(7, 20, "/b/y"), ev(9, 70, "/a/z")]);
+        let seg = build(vec![ev(5, 50, "/a/x"), ev(7, 20, "/b/y"), ev(9, 70, "/a/z")]);
         assert_eq!(seg.first_seq(), 5);
         assert_eq!(seg.last_seq(), 9);
         assert_eq!(seg.min_time(), SimTime::from_secs(20));
@@ -301,7 +311,7 @@ mod tests {
 
     #[test]
     fn a_query_skips_by_seq_time_and_directory() {
-        let seg = Segment::build(vec![ev(5, 50, "/a/x"), ev(9, 70, "/a/z")]);
+        let seg = build(vec![ev(5, 50, "/a/x"), ev(9, 70, "/a/z")]);
         let candidates = |q: StoreQuery| seg.candidates(&q.prepare(), 0);
         assert_eq!(candidates(StoreQuery::after_seq(9)), 0);
         assert_eq!(candidates(StoreQuery::after_seq(8)), 1);
@@ -321,17 +331,17 @@ mod tests {
     fn a_segment_past_the_directory_cap_keeps_no_column_and_still_answers() {
         let events: Vec<_> =
             (1..=(DIR_CAP as u64 + 2)).map(|i| ev(i, i, &format!("/r{i}/f"))).collect();
-        let seg = Segment::build(events);
+        let seg = build(events);
         assert!(seg.column.is_none());
         assert!(seqs(&seg, &StoreQuery::default().under("/nowhere"), 0).is_empty());
         assert_eq!(seqs(&seg, &StoreQuery::default().under("/r7"), 0), vec![7]);
         let at_cap: Vec<_> = (1..=DIR_CAP as u64).map(|i| ev(i, i, &format!("/r{i}/f"))).collect();
-        assert_eq!(Segment::build(at_cap).column.map(|c| c.dirs.len()), Some(DIR_CAP));
+        assert_eq!(build(at_cap).column.map(|c| c.dirs.len()), Some(DIR_CAP));
     }
 
     #[test]
     fn collect_respects_trim_and_limit() {
-        let seg = Segment::build((1..=10).map(|i| ev(i, i, "/d/f")).collect());
+        let seg = build((1..=10).map(|i| ev(i, i, "/d/f")).collect());
         assert_eq!(seqs(&seg, &StoreQuery::default(), 2), (3..=10).collect::<Vec<_>>());
         assert_eq!(seqs(&seg, &StoreQuery::after_seq(4).limit(2), 0), vec![5, 6]);
         assert_eq!(seqs(&seg, &StoreQuery::after_seq(4).under("/d").limit(2), 6), vec![7, 8]);

@@ -525,6 +525,8 @@ pub fn restore_snapshot(
     };
     let mut segs: VecDeque<Arc<Segment>> = VecDeque::with_capacity(manifest.segments.len());
     let mut prev_last = 0u64;
+    // Where each restored segment's directory ids are assembled.
+    let mut ids = Vec::new();
     for entry in &manifest.segments {
         let events = read_blocks(&dir.join(&entry.file))?;
         if events.len() != entry.len
@@ -543,7 +545,7 @@ pub fn restore_snapshot(
             return Err(invalid(format!("segment file {} is out of order", entry.file)));
         }
         prev_last = entry.last_seq;
-        let seg = Segment::build(events);
+        let seg = Segment::build(events, &mut ids);
         if seg.min_time() != entry.min_time || seg.max_time() != entry.max_time {
             return Err(invalid(format!(
                 "segment file {} time range disagrees with its manifest entry",

@@ -65,11 +65,12 @@ fn collector_allocates_per_batch_not_per_event_on_a_cache_miss() {
 }
 
 /// What [`HotCollector::missing`]'s first round after its warm-up
-/// allocates: each of its 16 batches of 256 records seals one path
-/// arena, its shared handle and an exact-size copy of the bytes joined in
-/// the Collector's staging, which the warm-up grew to its longest batch.
-/// A hit costs the same (the rounds after are 32 either way).
-const MISS_ROUND_ALLOCATIONS: u64 = 2 * 16;
+/// allocates: each of its 16 batches of 256 records seals an exact-size
+/// copy of the bytes joined in the Collector's staging, which the warm-up
+/// grew to its longest batch, into a slot of an arena group; every eighth
+/// opens a group, whose header is the round's other two allocations. A
+/// hit costs the same (the rounds after are 18 either way).
+const MISS_ROUND_ALLOCATIONS: u64 = 16 + 2;
 
 /// `count` events over [`DIRS`] roots, seqs from 1.
 fn sequenced(count: u64) -> Vec<SequencedEvent> {
@@ -103,8 +104,9 @@ fn sealing_a_segment_allocates_per_segment_not_per_directory() {
 
     assert_eq!(store.len(), EVENTS as usize);
     // The head growing to 2,048 events (ten), the sealed event array, the
-    // directory column's id and directory arrays, the segment's `Arc` and
-    // the chain's first slot: nothing per directory.
+    // store's id scratch (on its first seal only), the directory column's
+    // id and directory arrays, the segment's `Arc` and the chain's first
+    // slot: nothing per directory.
     assert_eq!(
         made, SEAL_ALLOCATIONS,
         "allocations to insert and seal {EVENTS} events over {DIRS} directories; the \
@@ -113,7 +115,7 @@ fn sealing_a_segment_allocates_per_segment_not_per_directory() {
 }
 
 /// What inserting and sealing [`sequenced`]`(2_048)` allocates.
-const SEAL_ALLOCATIONS: u64 = 15;
+const SEAL_ALLOCATIONS: u64 = 16;
 
 #[test]
 fn rotating_a_full_store_allocates_nothing_per_batch() {
@@ -151,6 +153,33 @@ fn rotating_a_full_store_allocates_nothing_per_batch() {
 /// What one seal in a store at steady state allocates: the sealed event
 /// array, the directory column's two arrays and the segment's `Arc`.
 const STEADY_SEAL_ALLOCATIONS: u64 = 4;
+
+#[test]
+fn a_seal_past_the_directory_cap_allocates_no_column() {
+    const SEGMENT: usize = 1_024;
+    // Every event in a directory of its own: each seal meets 1,024
+    // directories, past the 512 a segment indexes.
+    let mut events = sequenced(2 * SEGMENT as u64);
+    for sev in &mut events {
+        sev.event.path = format!("/dir{:05}/file", sev.seq).into();
+    }
+    let measured = events.split_off(SEGMENT);
+    let store = EventStore::with_segment_size(1 << 20, SEGMENT);
+    // The first seal grows the head, the store's id scratch and the chain.
+    store.insert_batch(events).expect("ascending seqs");
+
+    let made = allocations(|| store.insert_batch(measured).expect("ascending seqs"));
+
+    assert_eq!(store.stats().segments, 2);
+    assert_eq!(
+        made, 2,
+        "allocations to insert and seal {SEGMENT} events over {SEGMENT} directories: the \
+         sealed event array and the segment's `Arc`; the ids are assigned in the store's \
+         scratch and never copied out"
+    );
+    let hits = store.query(&StoreQuery::after_seq(0).under("/dir01500"));
+    assert_eq!(hits.iter().map(|e| e.seq).collect::<Vec<_>>(), [1_500], "answers without one");
+}
 
 #[test]
 fn the_metrics_wrapper_adds_no_allocation_to_an_insert() {

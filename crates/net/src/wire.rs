@@ -96,9 +96,10 @@
 //! bounded by [`sdci_types::bin`]: 4,096 bytes a path, and
 //! [`MAX_FRAME_LEN`] assembled path bytes a frame — what the largest
 //! frame could have carried verbatim. A decoded frame's paths are
-//! handles into one arena its [`BinReader`] owns and seals on drop
-//! ([`sdci_types::EventPath`]): [`WireMsg::decode`] returns events only
-//! after that, and none on an error.
+//! handles into one slot of an arena, which its [`BinReader`] seals
+//! ([`sdci_types::EventPath`]) — on a connection, into the group its
+//! history keeps open for eight frames: [`WireMsg::decode`] returns events
+//! only after that, and none on an error.
 //!
 //! Kinds 2 and 6 are unassigned: a feed is written only by the process
 //! that owns its broker, so there is no publish batch, and a gap on the

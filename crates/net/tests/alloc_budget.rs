@@ -3,8 +3,8 @@
 //! store's in `crates/core/tests/alloc_budget.rs`: a 256-member frame of
 //! each data-frame kind decodes on its own in a handful of allocations,
 //! not one per path, and on a warm connection in exactly those of what it
-//! hands on — the member `Vec`, the path arena's `Arc` and its exact-size
-//! bytes, a topic — a coded frame decodes in exactly what the same
+//! hands on — the member `Vec`, its exact-size path bytes, an eighth of an
+//! arena group's header, a topic — a coded frame decodes in exactly what the same
 //! members cost raw and encodes through a warm encoder in no allocation
 //! at all, and
 //! handing a decoded batch on by `clone()` copies no path. A control
@@ -18,6 +18,7 @@ use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg_bin};
 use sdci_net::wire::{BinEncoder, Frame, FrameReader, WireMsg};
 use sdci_types::bin::Class;
+use sdci_types::ARENA_BATCHES;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -333,24 +334,25 @@ fn cloning_a_decoded_batch_allocates_once() {
 /// Through an encoder warm from the frames before, a continuing frame
 /// encodes without allocating; and on a reader warm from the frames before,
 /// fresh and continuing frames alike decode in exactly the allocations of
-/// what they hand on: the member `Vec`, the path arena's `Arc` and an
-/// exact-size copy of the path bytes, assembled in the staging the
-/// connection's history keeps — and a deliver frame's topic. For the
+/// what they hand on: the member `Vec` and an exact-size copy of the path
+/// bytes, assembled in the staging the connection's history keeps and
+/// sealed into a slot of its open arena group — and a deliver frame's
+/// topic — plus, for every eighth frame, the next group's header. For the
 /// `steady` shape, and for `resolve`'s long paths, whose leaves come back
 /// only after 32,768 records.
 #[test]
 fn a_warm_connection_writes_without_allocating_and_reads_each_frame_in_an_exact_count() {
     type Shape = fn(u64) -> Vec<SequencedEvent>;
     for (shape, batch_at) in [("steady", batch_at as Shape), ("resolve", resolve_batch_at)] {
-        frames_cost(&format!("{shape} item"), 3, |frame| {
+        frames_cost(&format!("{shape} item"), 2, |frame| {
             let events = batch_at(frame * BATCH).into_iter().map(|sev| sev.event).collect();
             Frame::ItemBatch { first_seq: 1 + frame * BATCH, payloads: events, trace: None }
         });
-        frames_cost(&format!("{shape} deliver"), 4, |frame| {
+        frames_cost(&format!("{shape} deliver"), 3, |frame| {
             let feed = batch_at(frame * BATCH).into_iter().map(FeedMessage::Event).collect();
             Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }
         });
-        frames_cost(&format!("{shape} store reply"), 3, |frame| StoreRpc::Batch {
+        frames_cost(&format!("{shape} store reply"), 2, |frame| StoreRpc::Batch {
             events: batch_at((frame * 5 % 6) * BATCH),
         });
     }
@@ -385,18 +387,25 @@ impl Batch for StoreRpc {
     }
 }
 
-/// Six frames, `frame(0)` to `frame(5)`, written as their connection's
-/// writer writes them through one encoder — the first two and the fifth
-/// fresh, every other continuing the one before — and decoded in turn
-/// against one connection's [`History`](sdci_types::bin::History), as its
-/// `FrameReader` decodes them: from the third on, a continuing one
-/// encodes with no allocation and in fewer bytes than fresh, and fresh
-/// and continuing ones alike decode in exactly `exact` allocations.
-fn frames_cost<M: Batch>(what: &str, exact: u64, frame: impl Fn(u64) -> M) {
+/// Frames the exact decoding count is taken over: two groups' worth.
+const COUNTED_FRAMES: u64 = 2 * ARENA_BATCHES as u64;
+
+/// [`COUNTED_FRAMES`] + 2 frames, `frame(0)` on, written as their
+/// connection's writer writes them through one encoder — the first two
+/// and the fifth fresh, every other continuing the one before — and
+/// decoded in turn against one connection's
+/// [`History`](sdci_types::bin::History), as its `FrameReader` decodes
+/// them: from the third on, a continuing one encodes with no allocation
+/// and in fewer bytes than fresh, and fresh and continuing ones alike
+/// decode in `per_frame` allocations, or one more where a frame opens its
+/// connection's next arena group: over the counted frames, exactly
+/// `per_frame` each and one a group.
+fn frames_cost<M: Batch>(what: &str, per_frame: u64, frame: impl Fn(u64) -> M) {
     let mut enc = BinEncoder::new();
     let mut history = sdci_types::bin::History::default();
     let mut out = Vec::with_capacity(1 << 20);
-    for n in 0..6u64 {
+    let mut decoding = 0;
+    for n in 0..2 + COUNTED_FRAMES {
         let sent = frame(n);
         if n == 1 || n == 4 {
             enc.start_fresh();
@@ -415,9 +424,16 @@ fn frames_cost<M: Batch>(what: &str, exact: u64, frame: impl Fn(u64) -> M) {
         let (decoded, made) = allocations(|| M::decode_on(body, &mut history));
         assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
         if n >= 2 {
-            assert_eq!(made, exact, "{what} frame {n}: {made} allocations to decode");
+            let one_frame = per_frame..=per_frame + 1;
+            assert!(one_frame.contains(&made), "{what} frame {n}: {made} allocations to decode");
+            decoding += made;
         }
     }
+    assert_eq!(
+        decoding,
+        per_frame * COUNTED_FRAMES + COUNTED_FRAMES / ARENA_BATCHES as u64,
+        "{what}: allocations to decode {COUNTED_FRAMES} frames"
+    );
 }
 
 /// Writes each of `msgs` through one connection's encoder into a buffer

@@ -100,7 +100,7 @@
 //! subscriber leg then shares by reference — the encode cost is paid
 //! once per run, not once per subscriber.
 
-use crate::path::{EventPath, PathArenaBuilder, PathView};
+use crate::path::{EventPath, PathArenaBuilder, PathStaging, PathView, SLOT_BYTES};
 use crate::{FileEvent, TraceContext};
 use std::fmt;
 
@@ -115,6 +115,9 @@ pub const MAX_PATH_LEN: usize = 4096;
 /// frame could carry verbatim, so front-coding does not raise the
 /// memory one connection can pin.
 pub const FRAME_PATH_BUDGET: usize = 64 << 20;
+
+const _: () =
+    assert!(FRAME_PATH_BUDGET < SLOT_BYTES, "a frame's paths fit the slot they seal into");
 
 /// Longest codeword any of a frame's codes may assign.
 pub const MAX_CODE_LEN: u32 = 12;
@@ -272,9 +275,9 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// needs an owned value.
 ///
 /// The reader also owns the path bytes its frame assembles: every
-/// `BinReader::front_coded` string lands in one arena, which is sealed
-/// — and the [`EventPath`]s into it become readable — when the reader
-/// drops, or, on a reader that assembles them in its connection's
+/// `BinReader::front_coded` string lands in one slot of an arena, which
+/// is sealed — and the [`EventPath`]s into it become readable — when the
+/// reader drops, or, on a reader that assembles them in its connection's
 /// staging ([`BinReader::stage_from`]), when [`BinReader::seal`] hands
 /// the staging back. A decoder therefore returns its events only after its
 /// reader is sealed or gone, and on an error returns none.
@@ -296,9 +299,9 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
-    /// The storage its connection lent for the paths to be assembled in,
-    /// until the first front-coded field takes it.
-    staging: Option<String>,
+    /// The staging its connection lent for the paths to be assembled in
+    /// and sealed into, until the first front-coded field takes it.
+    staging: Option<PathStaging>,
     /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
     /// The history the frame continues, when it continues one.
@@ -319,18 +322,18 @@ impl<'a> BinReader<'a> {
         }
     }
 
-    /// Assembles the frame's paths in the staging storage `history` keeps
-    /// for its connection's frames, warm from the last one, until
-    /// [`BinReader::seal`] hands it back.
+    /// Assembles the frame's paths in the staging `history` keeps for its
+    /// connection's frames, warm from the last one, and seals them into
+    /// its open group's next slot; [`BinReader::seal`] hands it back.
     pub fn stage_from(&mut self, history: &mut History) {
         self.staging = Some(std::mem::take(&mut history.staging));
     }
 
     /// Seals the frame's paths — one exact-size copy, after which their
-    /// handles are readable — and returns the storage they were assembled
+    /// handles are readable — and returns the staging they were assembled
     /// in, for a connection to keep ([`History::restage`]); see
     /// [`PathArenaBuilder::seal`].
-    pub fn seal(&mut self) -> String {
+    pub fn seal(&mut self) -> PathStaging {
         match self.paths.take() {
             Some(paths) => paths.seal(),
             None => self.staging.take().unwrap_or_default(),
@@ -487,8 +490,9 @@ impl<'a> BinReader<'a> {
     /// has sealed or dropped; until then it serves as a later member's
     /// base.
     ///
-    /// The arena is assembled in the staging the reader was lent,
-    /// which keeps the capacity its connection's frames grew it to. A
+    /// The paths are assembled in the staging the reader was lent,
+    /// which keeps the capacity its connection's frames grew it to, and
+    /// sealed into its open group's next slot. A
     /// reader with none reserves it on the first call, at six times the
     /// bytes then left in the body (capped at [`FRAME_PATH_BUDGET`]) and
     /// never at a length the body claims; either grows from there within
@@ -531,9 +535,10 @@ impl<'a> BinReader<'a> {
         };
         let staging = &mut self.staging;
         self.paths
-            .get_or_insert_with(|| match staging.take() {
-                Some(warm) if warm.capacity() > 0 => PathArenaBuilder::with_staging(warm),
-                _ => PathArenaBuilder::with_capacity(reserve),
+            .get_or_insert_with(|| {
+                let mut staging = staging.take().unwrap_or_default();
+                staging.reserve_cold(reserve);
+                PathArenaBuilder::with_staging(staging)
             })
             .push_front_coded(base, shared, suffix)
             .map_err(BinDecodeError::msg)
@@ -1160,8 +1165,9 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 /// ([`History::take_number`]) proving its place. The writer's lives in its
 /// [`SeqEncoder`], the reader's beside its frame reader; each records
 /// every batch frame it codes or decodes ([`History::record`]), and both
-/// record the same. The reader's also keeps the storage its frames'
-/// paths are assembled in ([`BinReader::stage_from`]).
+/// record the same. The reader's also keeps the staging its frames'
+/// paths are assembled in, and the group they seal into
+/// ([`BinReader::stage_from`]).
 ///
 /// Nothing is generic here: a member is kept as its event
 /// ([`BinPayload::event`]), and one without an event as nothing — a
@@ -1173,9 +1179,10 @@ pub struct History {
     held: Option<Box<Held>>,
     /// The last number taken ([`History::take_number`]).
     numbered: u64,
-    /// Where a frame's reader assembles its paths: empty while a reader
-    /// has it, and until the first frame with paths has been read.
-    staging: String,
+    /// Where a frame's reader assembles its paths, and the group they
+    /// seal into: empty while a reader has it, and until the first frame
+    /// with paths has been read.
+    staging: PathStaging,
 }
 
 struct Held {
@@ -1190,19 +1197,39 @@ struct Held {
     /// a member without an event.
     paths: Vec<Option<(u16, (u32, u32))>>,
     /// A handle on each arena those paths lie in, one for each run of
-    /// members whose paths share it, in a ring as long as the window. A
-    /// run takes the next slot, so a slot is taken again only a window's
-    /// length of members later, when the members it served have left the
-    /// window: recording a member clones no handle but its run's first.
-    arenas: Vec<Option<EventPath>>,
+    /// members whose paths share it, beside the position of the run's
+    /// first member, in a ring as long as the window: recording a member
+    /// clones no handle but its run's first. A run takes the next slot and
+    /// is let go once all its members have left the window, so the ring
+    /// holds the runs from `oldest` to `arena` and pins no arena but those
+    /// the held members' paths lie in.
+    arenas: Vec<Option<(u64, EventPath)>>,
     /// The slot of `arenas` the latest run's arena is in.
     arena: usize,
+    /// The slot of `arenas` the oldest run held is in.
+    oldest: usize,
     /// The last member's event.
     last: Option<FileEvent>,
     /// The last member's sequence number ([`BinPayload::seq`]).
     last_seq: Option<u64>,
     /// Each class's code in the last frame — carried or reused — or none.
     codes: [Code; CLASSES],
+}
+
+impl Held {
+    /// Lets go of the oldest runs while the run after them starts at or
+    /// before position `first_held`: all their members have left the
+    /// window. The latest run stays.
+    fn release(&mut self, first_held: u64) {
+        while self.oldest != self.arena {
+            let after = (self.oldest + 1) % HISTORY_MEMBERS;
+            if self.arenas[after].as_ref().is_some_and(|(first, _)| *first > first_held) {
+                break;
+            }
+            self.arenas[self.oldest] = None;
+            self.oldest = after;
+        }
+    }
 }
 
 impl fmt::Debug for History {
@@ -1223,7 +1250,7 @@ impl History {
 
     /// Keeps `staging` — what [`BinReader::seal`] handed back — for the
     /// next frame's reader.
-    pub fn restage(&mut self, staging: String) {
+    pub fn restage(&mut self, staging: PathStaging) {
         self.staging = staging;
     }
 
@@ -1275,7 +1302,7 @@ impl History {
         let held = self.held.as_ref().filter(|_| (1..=self.held()).contains(&k))?;
         let position = held.next - k as u64;
         let (arena, place) = held.paths[(position % HISTORY_MEMBERS as u64) as usize]?;
-        Some(held.arenas[usize::from(arena)].as_ref()?.view_at(place))
+        Some(held.arenas[usize::from(arena)].as_ref()?.1.view_at(place))
     }
 
     /// The code `class` had in the last frame, if it had one.
@@ -1304,21 +1331,30 @@ impl History {
                 paths: vec![None; HISTORY_MEMBERS],
                 arenas: vec![None; HISTORY_MEMBERS],
                 arena: 0,
+                oldest: 0,
                 last: None,
                 last_seq: None,
                 codes: std::array::from_fn(|_| Code::empty()),
             })
         });
         if !continued {
+            // No member recorded before a fresh frame is reached again.
+            held.release(u64::MAX);
             held.next = 0;
         }
         let mut last = None;
         for event in members.iter().map(T::event) {
             let path = event.map(|event| {
                 let path = &event.path;
-                if !held.arenas[held.arena].as_ref().is_some_and(|kept| kept.shares_arena(path)) {
+                let kept = held.arenas[held.arena].as_ref();
+                if !kept.is_some_and(|(_, kept)| kept.shares_arena(path)) {
                     held.arena = (held.arena + 1) % HISTORY_MEMBERS;
-                    held.arenas[held.arena] = Some(path.clone());
+                    if held.arena == held.oldest {
+                        // A window's length of runs later, its members
+                        // have left the window.
+                        held.oldest = (held.oldest + 1) % HISTORY_MEMBERS;
+                    }
+                    held.arenas[held.arena] = Some((held.next, path.clone()));
                 }
                 (held.arena as u16, path.place())
             });
@@ -1326,6 +1362,7 @@ impl History {
             held.next += 1;
             last = event;
         }
+        held.release(held.next.saturating_sub(HISTORY_MEMBERS as u64));
         held.last = last.cloned();
         held.last_seq = members.last().and_then(T::seq);
         held.next_seq = Some(key.wrapping_add(members.len() as u64));
@@ -2549,6 +2586,111 @@ mod tests {
         assert_eq!(history.staging.capacity(), 0, "400 KB of staging is not kept");
         assert_eq!(decode(&small, &mut history), small);
         assert!((1..=MAX_STAGING).contains(&history.staging.capacity()));
+    }
+
+    /// A frame that continues its connection codes its first member
+    /// against the last frame's last, and a path reference reaches back
+    /// into the frames before it: bases sealed in earlier slots of the
+    /// group the frame seals into, which are read sealed, not from the
+    /// staging the frame is assembled in. Nineteen frames on one history
+    /// fill two groups and open a third.
+    #[test]
+    fn a_base_in_an_earlier_slot_of_the_frames_group_decodes_equal() {
+        use crate::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime, ARENA_BATCHES};
+        const MEMBERS: u64 = 4;
+        let event = |i: u64| FileEvent {
+            index: i,
+            mdt: MdtIndex::new(0),
+            changelog_kind: ChangelogKind::Create,
+            kind: EventKind::Created,
+            time: SimTime::from_secs(i),
+            path: format!("/t/d{}/f{i:05}", i % 3).into(),
+            src_path: None,
+            target: Fid::new(1, i as u32, 0),
+            is_dir: false,
+            extracted_unix_ns: None,
+            trace: None,
+        };
+        let (mut seq, mut history) = (SeqEncoder::new(), History::default());
+        let mut firsts: Vec<FileEvent> = Vec::new();
+        for frame in 0..2 * ARENA_BATCHES as u64 + 3 {
+            let key = frame * MEMBERS;
+            let members: Vec<FileEvent> = (key..key + MEMBERS).map(event).collect();
+            let continues = frame > 0;
+            seq.begin(continues);
+            let mut body = Vec::new();
+            put_varint(&mut body, MEMBERS);
+            for (i, member) in members.iter().enumerate() {
+                put_member(&mut body, member, &members[..i], &mut seq);
+            }
+            seq.record(key, &members);
+            let (decoded, staging) = {
+                let mut r = BinReader::new(&body);
+                r.stage_from(&mut history);
+                if continues {
+                    r.continue_from(&mut history).expect("continues");
+                }
+                let decoded = read_members::<FileEvent>(&mut r);
+                (decoded, r.seal())
+            };
+            history.restage(staging);
+            let decoded = decoded.expect("decodes");
+            assert_eq!(decoded, members, "frame {frame}");
+            history.record(continues, key, &decoded);
+            firsts.push(decoded[0].clone());
+        }
+        let last_of_first = &firsts[ARENA_BATCHES - 1].path;
+        assert!(firsts[1].path.shares_arena(last_of_first), "one group");
+        assert!(!firsts[ARENA_BATCHES].path.shares_arena(last_of_first), "the ninth opens one");
+    }
+
+    /// A history lets go of a run of members sharing an arena once all
+    /// of them have left the window: however many frames it has recorded,
+    /// it pins only the arenas its held members' paths lie in — for
+    /// frames of 256 members, eight to a group, at most two groups.
+    #[test]
+    fn a_history_pins_only_the_arenas_its_window_reaches() {
+        use crate::{
+            ChangelogKind, EventKind, Fid, MdtIndex, PathArenaBuilder, PathStaging, SimTime,
+        };
+        let event = |i: u64, path: EventPath| FileEvent {
+            index: i,
+            mdt: MdtIndex::new(0),
+            changelog_kind: ChangelogKind::Create,
+            kind: EventKind::Created,
+            time: SimTime::from_secs(i),
+            path,
+            src_path: None,
+            target: Fid::new(1, i as u32, 0),
+            is_dir: false,
+            extracted_unix_ns: None,
+            trace: None,
+        };
+        let runs = |history: &History| {
+            history.held.as_ref().map_or(0, |held| held.arenas.iter().flatten().count())
+        };
+        let (mut history, mut staging) = (History::default(), PathStaging::default());
+        for frame in 0..64 {
+            let mut paths = PathArenaBuilder::with_staging(staging);
+            let events: Vec<FileEvent> = (frame * 256..(frame + 1) * 256)
+                .map(|i| event(i, paths.push_parts(&["/d/f", &i.to_string()])))
+                .collect();
+            staging = paths.seal();
+            history.record(frame > 0, frame * 256, &events);
+            assert!(runs(&history) <= 2, "frame {frame}: {} runs held", runs(&history));
+        }
+        // Events built one at a time, each in an arena of its own: a run
+        // each, and a window's worth held — across the ring's wrap.
+        let loose: Vec<FileEvent> =
+            (0..2 * HISTORY_MEMBERS as u64).map(|i| event(i, format!("/l/{i}").into())).collect();
+        history.record(true, 64 * 256, &loose);
+        assert_eq!(runs(&history), HISTORY_MEMBERS);
+        assert_eq!(history.path_back(1).map(|path| path.as_str()), Some("/l/2047"));
+        assert_eq!(history.path_back(HISTORY_MEMBERS).map(|p| p.as_str()), Some("/l/1024"));
+        // A fresh frame lets go of every member before it.
+        history.record(false, 0, &loose[..1]);
+        assert_eq!(runs(&history), 1);
+        assert_eq!(history.path_back(1).map(|path| path.as_str()), Some("/l/0"));
     }
 
     /// A count word never sizes the reservation: a count of more members

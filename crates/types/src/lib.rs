@@ -16,7 +16,8 @@
 //! * [`FileEvent`] — the processed, path-resolved event that the monitor
 //!   publishes to subscribers such as Ripple agents.
 //! * [`EventPath`] — an event's path: a handle into the path bytes its
-//!   whole batch shares ([`PathArenaBuilder`] writes them).
+//!   whole batch shares ([`PathArenaBuilder`] writes them), in an arena
+//!   its owner's batches share, eight at a time.
 //! * newtype identifiers ([`MdtIndex`], [`AgentId`], [`RuleId`], ...) and
 //!   rate/size helpers ([`EventsPerSec`], [`ByteSize`]).
 //!
@@ -54,7 +55,7 @@ pub use bin::{BinDecodeError, BinPayload, BinReader};
 pub use event::{ChangelogKind, EventKind, FileEvent, RawChangelogRecord};
 pub use fid::{Fid, FidSequence, ParseFidError};
 pub use ids::{AgentId, CollectorId, ConsumerId, MdtIndex, OstIndex, RuleId, SubscriptionId};
-pub use path::{EventPath, PathArenaBuilder, MAX_STAGING};
+pub use path::{EventPath, PathArenaBuilder, PathStaging, ARENA_BATCHES, MAX_STAGING};
 pub use rate::{ByteSize, EventsPerSec};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceContext;

@@ -3,18 +3,19 @@
 //! that share part of a character), a handle compares, orders, hashes
 //! and prints as the `PathBuf` of the same bytes does —
 //! whether it owns an arena of one path or shares a batch's. Clones and
-//! batch-mates share one arena, and the arena's bytes are freed with
-//! the last handle into it (a counting `#[global_allocator]`, as in
+//! batch-mates share one arena, as do an owner's batches, eight at a
+//! time, and the arena's bytes are freed with the last handle into it
+//! and its owner's staging (a counting `#[global_allocator]`, as in
 //! `crates/core/tests/alloc_budget.rs`, keeps this thread's live bytes).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sdci_types::{EventPath, PathArenaBuilder};
+use sdci_types::{EventPath, PathArenaBuilder, PathStaging};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 thread_local! {
     // A `const`-initialised `Cell` needs no lazy set-up and no
@@ -140,42 +141,99 @@ fn a_non_utf8_path_buf_converts_lossily() {
     assert_eq!(EventPath::from(raw), lossy);
 }
 
+/// Appends [`PATHS`] thousand-byte paths to `builder`, into `kept`.
+fn fill(builder: &mut PathArenaBuilder, kept: &mut Vec<EventPath>) {
+    let name = "n".repeat(1_000);
+    for i in 0..PATHS {
+        kept.push(builder.push_parts(&["/dir", &i.to_string(), "/", &name]));
+    }
+}
+
+const PATHS: usize = 64;
+
+/// The live bytes on this thread since `before`.
+fn live_since(before: isize) -> isize {
+    LIVE.with(Cell::get) - before
+}
+
+/// The bytes `paths` spell.
+fn spelled(paths: &[EventPath]) -> isize {
+    paths.iter().map(|path| path.as_str().len() as isize).sum()
+}
+
+/// A group's header: its reference counts and eight slots.
+const HEADER: isize = 256;
+
 #[test]
-fn a_batch_arena_lives_exactly_as_long_as_its_last_handle() {
-    const PATHS: usize = 64;
+fn a_group_lives_exactly_as_long_as_its_last_handle_and_its_owner() {
     // What a clone copies: 16 bytes, and no more for an optional one.
     assert_eq!(std::mem::size_of::<EventPath>(), 16);
     assert_eq!(std::mem::size_of::<Option<EventPath>>(), 16);
-    let name = "n".repeat(1_000);
-    // Sealed as a builder drops, and by `seal`, which hands its staging
-    // back to its owner: here, to be freed at once.
+    // A builder on its own takes a group of its own: sealed as it drops,
+    // or by `seal`, which hands its staging — its storage, and the group
+    // it holds open — back to its owner: here, to be freed at once.
     for sealed_by_copy in [false, true] {
         let mut kept = Vec::with_capacity(PATHS);
         let before = LIVE.with(Cell::get);
 
         let mut builder = PathArenaBuilder::with_capacity(PATHS * 1_024);
-        for i in 0..PATHS {
-            kept.push(builder.push_parts(&["/dir", &i.to_string(), "/", &name]));
-        }
+        fill(&mut builder, &mut kept);
         if sealed_by_copy {
             drop(builder.seal());
         } else {
             drop(builder);
         }
-        let arena_bytes: isize = kept.iter().map(|path| path.as_str().len() as isize).sum();
-        // Sealed at exactly its size: the arena, plus its few words of header.
-        let held = LIVE.with(Cell::get) - before;
-        assert!((arena_bytes..arena_bytes + 128).contains(&held), "{held} live for {arena_bytes}");
+        let arena_bytes = spelled(&kept);
+        // Sealed at exactly its size: the slot's bytes, plus the header.
+        let held = live_since(before);
+        assert!(
+            (arena_bytes..arena_bytes + HEADER).contains(&held),
+            "{held} live for {arena_bytes}"
+        );
 
-        // Clones cost nothing, and one survivor pins the whole batch.
+        // Clones cost nothing, and one survivor pins the whole group.
         let clones = kept.clone();
         let survivor = kept.swap_remove(PATHS / 2);
         kept.clear();
         drop(clones);
-        assert_eq!(LIVE.with(Cell::get) - before, held);
-        assert!(survivor.ends_with(Path::new(&name)));
+        assert_eq!(live_since(before), held);
+        assert!(survivor.ends_with("n".repeat(1_000)));
 
         drop(survivor);
-        assert_eq!(LIVE.with(Cell::get) - before, 0, "the last handle frees the arena");
+        assert_eq!(live_since(before), 0, "the last handle frees the group");
+    }
+
+    // An owner's batches seal into one group, which the owner's staging
+    // holds open: the group's bytes go only when the last handle into any
+    // of its batches, and the owner, have let go — in either order.
+    for owner_first in [false, true] {
+        let mut kept = Vec::with_capacity(3 * PATHS);
+        let before = LIVE.with(Cell::get);
+        let mut staging = PathStaging::default();
+        for _ in 0..3 {
+            let mut builder = PathArenaBuilder::with_staging(staging);
+            fill(&mut builder, &mut kept);
+            staging = builder.seal();
+        }
+        assert!(kept.iter().all(|path| path.shares_arena(&kept[0])), "three batches, one group");
+        let arena_bytes = spelled(&kept);
+        // The one survivor is the first batch's.
+        let survivor = kept.swap_remove(PATHS / 2);
+        kept.clear();
+        if owner_first {
+            drop(staging);
+            let held = live_since(before);
+            assert!(
+                (arena_bytes..arena_bytes + HEADER).contains(&held),
+                "{held} live for {arena_bytes}: every batch's bytes, pinned by one handle"
+            );
+            drop(survivor);
+        } else {
+            let held = live_since(before);
+            drop(survivor);
+            assert_eq!(live_since(before), held, "the owner holds its group open");
+            drop(staging);
+        }
+        assert_eq!(live_since(before), 0, "the group is freed with the last of both");
     }
 }
