@@ -191,10 +191,10 @@ impl DirColumn {
     /// Files every event under its directory (see [`dir_of`]), without
     /// copying a path: a directory is kept as the place of its spelling in
     /// its first event's path. `None` past [`DIR_CAP`] directories. The
-    /// ids are assigned in `ids`, scratch its caller keeps, and copied
-    /// out only when the column is kept: a column makes two allocations,
-    /// the exact-size id and directory arrays, and a segment past the cap
-    /// none.
+    /// ids are assigned in `ids`, scratch its caller keeps, which a kept
+    /// column takes as its id array: a column makes two allocations, the
+    /// exact-size id and directory arrays, and a segment past the cap
+    /// none, leaving the scratch for the next.
     fn build(events: &[SequencedEvent], ids: &mut Vec<u16>) -> Option<DirColumn> {
         u32::try_from(events.len()).ok()?;
         // Slot `s` holds a directory's index + 1; 0 is empty.
@@ -203,7 +203,7 @@ impl DirColumn {
         let mut dirs = [Dir::default(); DIR_CAP];
         let mut len = 0;
         ids.clear();
-        ids.reserve(events.len());
+        ids.reserve_exact(events.len());
         for (i, sev) in events.iter().enumerate() {
             let dir = dir_of(sev.event.path.as_str());
             let mut slot = slot_of(&keys, dir);
@@ -228,7 +228,7 @@ impl DirColumn {
             dirs[id].count += 1;
             ids.push(id as u16);
         }
-        Some(DirColumn { dirs: dirs[..len].into(), ids: ids.as_slice().into() })
+        Some(DirColumn { dirs: dirs[..len].into(), ids: std::mem::take(ids).into_boxed_slice() })
     }
 
     /// Sorts each directory of `events` (the segment's) into `classes`

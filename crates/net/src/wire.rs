@@ -98,8 +98,9 @@
 //! frame could have carried verbatim. A decoded frame's paths are
 //! handles into one slot of an arena, which its [`BinReader`] seals
 //! ([`sdci_types::EventPath`]) — on a connection, into the group its
-//! history keeps open for eight frames: [`WireMsg::decode`] returns events
-//! only after that, and none on an error.
+//! history keeps open for up to eight frames of short paths:
+//! [`WireMsg::decode`] returns events only after that, and none on an
+//! error, whose slot is sealed empty.
 //!
 //! Kinds 2 and 6 are unassigned: a feed is written only by the process
 //! that owns its broker, so there is no publish batch, and a gap on the
@@ -538,7 +539,9 @@ pub(crate) fn read_batch<T: BinPayload>(
     // block rather than moved — may borrow `history` while it reads a
     // batch that continues its connection. On a connection's reader it
     // assembles the members' paths in the staging `history` keeps, and
-    // hands it back when it seals them, refused or not.
+    // hands it back when it seals them — or, when the batch is refused,
+    // when it seals their slot empty, so that no refused bytes stay in
+    // the group its history keeps open.
     let (head, key, trace, continues, read, staging) = {
         let mut r = BinReader::new(body);
         let (kind, trace, continues) = bin_read_header(&mut r, kinds)?;
@@ -607,20 +610,21 @@ pub(crate) fn read_batch<T: BinPayload>(
                 read
             }
         };
-        (head, key, trace, continues, read, r.seal())
+        // A continuing deliver batch is keyed by its first member's
+        // sequence number, as a fresh one is, and its head must say so.
+        let read = read.and_then(|payloads| {
+            let carried = payloads.first().and_then(T::seq);
+            if continues && matches!(head, Head::Deliver(_)) && carried != Some(key) {
+                return Err(invalid(format!(
+                    "a deliver batch continuing from sequence {key} whose first member \
+                     carries {carried:?}"
+                )));
+            }
+            Ok(payloads)
+        });
+        let staging = if read.is_ok() { r.seal() } else { r.abandon() };
+        (head, key, trace, continues, read, staging)
     };
-    // A continuing deliver batch is keyed by its first member's
-    // sequence number, as a fresh one is, and its head must say so.
-    let read = read.and_then(|payloads| {
-        let carried = payloads.first().and_then(T::seq);
-        if continues && matches!(head, Head::Deliver(_)) && carried != Some(key) {
-            return Err(invalid(format!(
-                "a deliver batch continuing from sequence {key} whose first member carries \
-                 {carried:?}"
-            )));
-        }
-        Ok(payloads)
-    });
     // A refused batch leaves nothing for a later one to continue.
     if let Some(history) = history {
         history.restage(staging);

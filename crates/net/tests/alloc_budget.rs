@@ -10,16 +10,18 @@
 //! handing a decoded batch on by `clone()` copies no path. A control
 //! frame — an ack, a nack, a ping, a `Fin`, a store query — costs no
 //! allocation to write or to read on a warm connection.
+//! A frame its connection's reader refuses leaves none of the path bytes
+//! it assembled behind.
 //! The counting `#[global_allocator]` keeps a per-thread tally, as
-//! `benchmark/src/alloc.rs` does.
+//! `benchmark/src/alloc.rs` does, and the thread's live bytes.
 
 use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg_bin};
 use sdci_net::wire::{BinEncoder, Frame, FrameReader, WireMsg};
 use sdci_types::bin::Class;
-use sdci_types::ARENA_BATCHES;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
+use sdci_types::{ARENA_BATCHES, SHARED_BATCH_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -27,6 +29,7 @@ thread_local! {
     // A `const`-initialised `Cell<u64>` needs no lazy set-up and no
     // destructor, so the allocator can touch it without allocating.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -36,29 +39,37 @@ fn tally() {
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
+fn note(delta: isize) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the tally touches only a
 // thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally();
+        note(layout.size() as isize);
         // SAFETY: the caller's obligations are passed straight through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         tally();
+        note(layout.size() as isize);
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         tally();
+        note(new_size as isize - layout.size() as isize);
         // SAFETY: as in `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize));
         // SAFETY: as in `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -337,22 +348,36 @@ fn cloning_a_decoded_batch_allocates_once() {
 /// what they hand on: the member `Vec` and an exact-size copy of the path
 /// bytes, assembled in the staging the connection's history keeps and
 /// sealed into a slot of its open arena group — and a deliver frame's
-/// topic — plus, for every eighth frame, the next group's header. For the
-/// `steady` shape, and for `resolve`'s long paths, whose leaves come back
-/// only after 32,768 records.
+/// topic — plus the header of each group a frame opens. For the `steady`
+/// shape, whose frames share a group eight at a time, and for `resolve`'s
+/// long paths, whose leaves come back only after 32,768 records: a
+/// frame of them seals more than [`SHARED_BATCH_BYTES`], so each takes
+/// a group of its own.
 #[test]
 fn a_warm_connection_writes_without_allocating_and_reads_each_frame_in_an_exact_count() {
     type Shape = fn(u64) -> Vec<SequencedEvent>;
-    for (shape, batch_at) in [("steady", batch_at as Shape), ("resolve", resolve_batch_at)] {
-        frames_cost(&format!("{shape} item"), 2, |frame| {
+    let shapes = [
+        ("steady", batch_at as Shape, COUNTED_FRAMES / ARENA_BATCHES as u64),
+        ("resolve", resolve_batch_at, COUNTED_FRAMES),
+    ];
+    for (shape, batch_at, groups) in shapes {
+        let path_bytes: usize = batch_at(0)
+            .iter()
+            .flat_map(|sev| [Some(&sev.event.path), sev.event.src_path.as_ref()])
+            .flatten()
+            .map(|path| path.as_str().len())
+            .sum();
+        let long = path_bytes > SHARED_BATCH_BYTES;
+        assert_eq!(long, groups == COUNTED_FRAMES, "{shape}: {path_bytes} path bytes a frame");
+        frames_cost(&format!("{shape} item"), 2, groups, |frame| {
             let events = batch_at(frame * BATCH).into_iter().map(|sev| sev.event).collect();
             Frame::ItemBatch { first_seq: 1 + frame * BATCH, payloads: events, trace: None }
         });
-        frames_cost(&format!("{shape} deliver"), 3, |frame| {
+        frames_cost(&format!("{shape} deliver"), 3, groups, |frame| {
             let feed = batch_at(frame * BATCH).into_iter().map(FeedMessage::Event).collect();
             Frame::DeliverBatch { topic: "feed/all".into(), payloads: feed, trace: None }
         });
-        frames_cost(&format!("{shape} store reply"), 2, |frame| StoreRpc::Batch {
+        frames_cost(&format!("{shape} store reply"), 2, groups, |frame| StoreRpc::Batch {
             events: batch_at((frame * 5 % 6) * BATCH),
         });
     }
@@ -399,8 +424,8 @@ const COUNTED_FRAMES: u64 = 2 * ARENA_BATCHES as u64;
 /// and in fewer bytes than fresh, and fresh and continuing ones alike
 /// decode in `per_frame` allocations, or one more where a frame opens its
 /// connection's next arena group: over the counted frames, exactly
-/// `per_frame` each and one a group.
-fn frames_cost<M: Batch>(what: &str, per_frame: u64, frame: impl Fn(u64) -> M) {
+/// `per_frame` each and one for each of the `groups` they open.
+fn frames_cost<M: Batch>(what: &str, per_frame: u64, groups: u64, frame: impl Fn(u64) -> M) {
     let mut enc = BinEncoder::new();
     let mut history = sdci_types::bin::History::default();
     let mut out = Vec::with_capacity(1 << 20);
@@ -431,9 +456,51 @@ fn frames_cost<M: Batch>(what: &str, per_frame: u64, frame: impl Fn(u64) -> M) {
     }
     assert_eq!(
         decoding,
-        per_frame * COUNTED_FRAMES + COUNTED_FRAMES / ARENA_BATCHES as u64,
+        per_frame * COUNTED_FRAMES + groups,
         "{what}: allocations to decode {COUNTED_FRAMES} frames"
     );
+}
+
+/// A frame its connection's reader refuses — here for a trailing byte,
+/// after every member's path is assembled — leaves the thread's live
+/// bytes as they were: the assembled bytes go back to the staging the
+/// history keeps, not into the arena group it holds open, which an event
+/// of the frame before, still held, would otherwise pin with them. The
+/// next frame seals into the same group.
+#[test]
+fn a_refused_frame_leaves_no_path_bytes_in_its_connections_group() {
+    let frame = |from: u64| {
+        let events = batch_at(from).into_iter().map(|sev| sev.event).collect();
+        let mut body = Vec::new();
+        Frame::ItemBatch { first_seq: 1 + from, payloads: events, trace: None }
+            .encode(&mut BinEncoder::new(), &mut body)
+            .expect("encodes");
+        body
+    };
+    let mut history = sdci_types::bin::History::default();
+    let Frame::ItemBatch { payloads, .. } =
+        Frame::<FileEvent>::decode_on(&frame(0), &mut history).expect("decodes")
+    else {
+        panic!("an item frame decodes as one");
+    };
+    let held = payloads[BATCH as usize / 2].clone();
+    drop(payloads);
+    let mut refused = frame(BATCH);
+    refused.push(0);
+
+    let before = LIVE.with(Cell::get);
+    let error = Frame::<FileEvent>::decode_on(&refused, &mut history).expect_err("refused");
+    drop(error);
+    let kept = LIVE.with(Cell::get) - before;
+
+    assert_eq!(kept, 0, "{kept} bytes kept of a refused frame of {BATCH} paths");
+    let Frame::ItemBatch { payloads, .. } =
+        Frame::<FileEvent>::decode_on(&frame(2 * BATCH), &mut history).expect("decodes")
+    else {
+        panic!("an item frame decodes as one");
+    };
+    assert!(payloads[0].path.shares_arena(&held.path), "the group goes on");
+    assert_eq!(held, batch_at(0)[BATCH as usize / 2].event);
 }
 
 /// Writes each of `msgs` through one connection's encoder into a buffer

@@ -340,6 +340,16 @@ impl<'a> BinReader<'a> {
         }
     }
 
+    /// As [`BinReader::seal`], for a frame that is refused: its paths are
+    /// not kept, and their slot is sealed empty
+    /// ([`PathArenaBuilder::abandon`]).
+    pub fn abandon(&mut self) -> PathStaging {
+        match self.paths.take() {
+            Some(paths) => paths.abandon(),
+            None => self.staging.take().unwrap_or_default(),
+        }
+    }
+
     /// The history the frame continues, when it continues one.
     pub(crate) fn history(&self) -> Option<&'a History> {
         self.history

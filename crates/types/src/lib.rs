@@ -55,7 +55,9 @@ pub use bin::{BinDecodeError, BinPayload, BinReader};
 pub use event::{ChangelogKind, EventKind, FileEvent, RawChangelogRecord};
 pub use fid::{Fid, FidSequence, ParseFidError};
 pub use ids::{AgentId, CollectorId, ConsumerId, MdtIndex, OstIndex, RuleId, SubscriptionId};
-pub use path::{EventPath, PathArenaBuilder, PathStaging, ARENA_BATCHES, MAX_STAGING};
+pub use path::{
+    EventPath, PathArenaBuilder, PathStaging, ARENA_BATCHES, MAX_STAGING, SHARED_BATCH_BYTES,
+};
 pub use rate::{ByteSize, EventsPerSec};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceContext;

@@ -13,11 +13,16 @@
 //! write-once slots behind one `Arc`, one slot per batch. The owner of a
 //! stream of batches — a connection's reader, a Collector — keeps its
 //! open group in its [`PathStaging`], and each of its batches seals into
-//! the group's next slot, so only every eighth batch allocates a header.
-//! A handle keeps its slot in the top three bits of its start, so an
-//! offset is below 2^29 — far above what a frame may assemble. The ninth
-//! batch opens a new group, and so does the batch after the group's
-//! sealed bytes pass [`MAX_STAGING`]. A builder made on its own
+//! the group's next slot, so only every eighth batch of short paths
+//! allocates a header. A handle keeps its slot in the top three bits of
+//! its start, so an offset is below 2^29 — far above what a frame may
+//! assemble. The ninth batch opens a new group, and so does the batch
+//! after one that sealed more than [`SHARED_BATCH_BYTES`], 12 KiB. A
+//! group's slots are freed together, so a batch's bytes outlive it until
+//! its whole group is done; measured, that costs more time than the
+//! header saves once batches are long — 256 paths of 57 bytes, a
+//! 1,024-member recovery page — so such batches take a group each, as
+//! before groups. A builder made on its own
 //! ([`PathArenaBuilder::with_capacity`], `From<String>`) takes a fresh
 //! group and uses slot 0.
 //!
@@ -39,13 +44,20 @@
 //! builder made on its own seals when it drops, moving its bytes in and
 //! shrinking them to size.
 //!
-//! **Retention.** One held event pins its whole group's path bytes: at
-//! most [`ARENA_BATCHES`] batches, ≈ 72 KB for batches of 256 paths of 35
+//! A batch that is refused seals its slot empty
+//! ([`PathArenaBuilder::abandon`]): the group goes on, and none of the
+//! bytes it assembled stay behind.
+//!
+//! **Retention.** One held event pins its whole group's path bytes: the
+//! batches sealed into it, ≈ 72 KB for eight batches of 256 paths of 35
 //! bytes. The group's bytes are freed when the last handle into any of
-//! its batches, and its owner, let go; an owner pins at most
-//! [`MAX_STAGING`] sealed bytes through its open group. The store rotates
-//! segments whole, so it never strands one batch; a consumer that keeps
-//! a single event for long should copy the path out (`to_path_buf()`).
+//! its batches, and its owner, let go. A group takes no batch after one
+//! of more than [`SHARED_BATCH_BYTES`], so it holds at most seven batches
+//! of that size and its last, which may be as large as a frame may
+//! assemble: the stop is checked at the seal, when the batch's handles
+//! already name the group. The store rotates segments whole, so it never
+//! strands one batch; a consumer that keeps a single event for long
+//! should copy the path out (`to_path_buf()`).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -83,9 +95,14 @@ impl PathArena {
 /// Most staging storage [`PathArenaBuilder::seal`] hands back — storage
 /// that grew past this, a batch of more path bytes than 256 KiB such as
 /// a recovery page of long paths, is freed at the seal, and the owner's
-/// next batch stages afresh — and most bytes sealed into a group before
-/// it stops taking batches.
+/// next batch stages afresh.
 pub const MAX_STAGING: usize = 256 << 10;
+
+/// Most path bytes a batch may seal and leave its group open for the
+/// next: 256 paths of up to 48 bytes. A group's slots are freed together,
+/// so a longer batch — whose bytes would outlive it longest — closes its
+/// group, and the batch after it opens a new one.
+pub const SHARED_BATCH_BYTES: usize = 12 << 10;
 
 /// The absolute path of an event: a handle into its batch's slot of an
 /// arena, that derefs to [`Path`] and compares, orders, hashes and prints
@@ -306,17 +323,15 @@ impl fmt::Debug for PathStaging {
     }
 }
 
-/// A group a batch seals into: the arena, the slot the batch takes, and
-/// the bytes the batches before it sealed into the group.
+/// A group a batch seals into: the arena, and the slot the batch takes.
 struct OpenGroup {
     arena: Arc<PathArena>,
     slot: usize,
-    sealed: usize,
 }
 
 impl OpenGroup {
     fn new() -> OpenGroup {
-        OpenGroup { arena: PathArena::group(), slot: 0, sealed: 0 }
+        OpenGroup { arena: PathArena::group(), slot: 0 }
     }
 }
 
@@ -352,25 +367,31 @@ impl PathArenaBuilder {
     /// Seals the slot with an exact-size copy of its bytes — every
     /// handle becomes readable — and hands back the staging: the storage
     /// they were assembled in, emptied, and the group, open for the next
-    /// batch unless this one took its last slot or brought the bytes
-    /// sealed into it past [`MAX_STAGING`]. Storage that grew past
+    /// batch unless this one took its last slot or sealed more than
+    /// [`SHARED_BATCH_BYTES`]. Storage that grew past
     /// [`MAX_STAGING`] is freed instead.
     pub fn seal(mut self) -> PathStaging {
         let mut bytes = std::mem::take(&mut self.bytes);
-        let OpenGroup { arena, slot, sealed } = &self.group;
+        let OpenGroup { arena, slot } = &self.group;
         // Only a seal ever sets it, and this is the builder's first.
         let _ = arena.0[*slot].set(bytes.as_str().into());
-        let (slot, sealed) = (slot + 1, sealed + bytes.len());
-        let open = (slot < ARENA_BATCHES && sealed <= MAX_STAGING).then(|| OpenGroup {
-            arena: Arc::clone(arena),
-            slot,
-            sealed,
-        });
+        let slot = slot + 1;
+        let open = (slot < ARENA_BATCHES && bytes.len() <= SHARED_BATCH_BYTES)
+            .then(|| OpenGroup { arena: Arc::clone(arena), slot });
         if bytes.capacity() > MAX_STAGING {
             bytes = String::new();
         }
         bytes.clear();
         PathStaging { bytes, open }
+    }
+
+    /// Seals the slot empty, for a batch that is refused: the bytes it
+    /// assembled go back to the staging, not into the group, which stays
+    /// open as [`PathArenaBuilder::seal`] leaves it. The batch's handles
+    /// must be dropped unread.
+    pub fn abandon(mut self) -> PathStaging {
+        self.bytes.clear();
+        self.seal()
     }
 
     /// Appends the concatenation of `parts` as one path.
@@ -525,24 +546,28 @@ mod tests {
         assert_eq!(staging.next_slot(), Some(1));
     }
 
-    /// A group stops taking batches once the bytes sealed into it pass
-    /// [`MAX_STAGING`], before its slots run out: its owner never pins
-    /// more than that through its open group.
+    /// A batch of more than [`SHARED_BATCH_BYTES`] closes its group
+    /// before the group's slots run out, wherever it falls: the batch
+    /// after it opens a new group, and a run of them takes a group each.
     #[test]
-    fn a_group_ends_early_once_its_sealed_bytes_pass_the_staging_limit() {
-        let long = format!("/{}", "x".repeat(MAX_STAGING / 3));
+    fn a_long_batch_closes_its_group() {
+        let long = format!("/{}", "x".repeat(SHARED_BATCH_BYTES));
+        let at_limit = format!("/{}", "x".repeat(SHARED_BATCH_BYTES - 1));
         let mut staging = PathStaging::default();
-        let first = batch(&mut staging, &[&long]);
+        let first = batch(&mut staging, &[&at_limit]);
+        assert_eq!(staging.next_slot(), Some(1), "{} bytes sealed", at_limit.len());
         let second = batch(&mut staging, &[&long]);
-        assert_eq!(staging.next_slot(), Some(2), "{} bytes sealed", 2 * long.len());
-        let third = batch(&mut staging, &[&long]);
-        assert_eq!(staging.next_slot(), None, "{} bytes sealed", 3 * long.len());
+        assert_eq!(staging.next_slot(), None, "{} bytes sealed", long.len());
         assert!(staging.capacity() > 0, "the storage is kept, warm: it is below the limit");
+        let third = batch(&mut staging, &[&long]);
+        assert_eq!(staging.next_slot(), None);
         let fourth = batch(&mut staging, &["/short"]);
-        assert!(first[0].shares_arena(&second[0]) && second[0].shares_arena(&third[0]));
-        assert!(!fourth[0].shares_arena(&third[0]));
-        assert_eq!(fourth[0].view().slot(), 0);
-        assert!([&first, &second, &third].iter().all(|b| b[0].as_str() == long));
+        assert_eq!(staging.next_slot(), Some(1));
+        assert!(first[0].shares_arena(&second[0]));
+        assert!(!third[0].shares_arena(&second[0]) && !fourth[0].shares_arena(&third[0]));
+        assert_eq!((third[0].view().slot(), fourth[0].view().slot()), (0, 0));
+        assert_eq!(first[0].as_str(), at_limit);
+        assert!([&second, &third].iter().all(|b| b[0].as_str() == long));
         assert_eq!(fourth[0].as_str(), "/short");
     }
 

@@ -141,15 +141,19 @@ fn a_non_utf8_path_buf_converts_lossily() {
     assert_eq!(EventPath::from(raw), lossy);
 }
 
-/// Appends [`PATHS`] thousand-byte paths to `builder`, into `kept`.
+/// Appends [`PATHS`] paths of a [`NAME`]-byte name to `builder`, into
+/// `kept`: a batch short enough that its owner's next batch shares its
+/// group.
 fn fill(builder: &mut PathArenaBuilder, kept: &mut Vec<EventPath>) {
-    let name = "n".repeat(1_000);
+    let name = "n".repeat(NAME);
     for i in 0..PATHS {
         kept.push(builder.push_parts(&["/dir", &i.to_string(), "/", &name]));
     }
 }
 
 const PATHS: usize = 64;
+
+const NAME: usize = 160;
 
 /// The live bytes on this thread since `before`.
 fn live_since(before: isize) -> isize {
@@ -176,7 +180,7 @@ fn a_group_lives_exactly_as_long_as_its_last_handle_and_its_owner() {
         let mut kept = Vec::with_capacity(PATHS);
         let before = LIVE.with(Cell::get);
 
-        let mut builder = PathArenaBuilder::with_capacity(PATHS * 1_024);
+        let mut builder = PathArenaBuilder::with_capacity(PATHS * 256);
         fill(&mut builder, &mut kept);
         if sealed_by_copy {
             drop(builder.seal());
@@ -197,7 +201,7 @@ fn a_group_lives_exactly_as_long_as_its_last_handle_and_its_owner() {
         kept.clear();
         drop(clones);
         assert_eq!(live_since(before), held);
-        assert!(survivor.ends_with("n".repeat(1_000)));
+        assert!(survivor.ends_with("n".repeat(NAME)));
 
         drop(survivor);
         assert_eq!(live_since(before), 0, "the last handle frees the group");
@@ -236,4 +240,40 @@ fn a_group_lives_exactly_as_long_as_its_last_handle_and_its_owner() {
         }
         assert_eq!(live_since(before), 0, "the group is freed with the last of both");
     }
+}
+
+/// A refused batch is abandoned, not sealed: its slot is sealed empty, so
+/// a held handle of the batch before it, which pins the group, pins none
+/// of the refused batch's bytes, and the owner's next batch seals into
+/// the same group.
+#[test]
+fn an_abandoned_batch_keeps_none_of_its_bytes_in_the_group() {
+    let mut staging = PathStaging::default();
+    let mut kept = Vec::with_capacity(PATHS);
+    let mut builder = PathArenaBuilder::with_staging(staging);
+    fill(&mut builder, &mut kept);
+    staging = builder.seal();
+    let held = kept.swap_remove(PATHS / 2);
+    kept.clear();
+
+    let before = LIVE.with(Cell::get);
+    let mut builder = PathArenaBuilder::with_staging(staging);
+    fill(&mut builder, &mut kept);
+    let assembled = spelled_unsealed(&builder, &kept);
+    kept.clear();
+    staging = builder.abandon();
+    assert_eq!(live_since(before), 0, "none of {assembled} assembled bytes kept");
+
+    let mut builder = PathArenaBuilder::with_staging(staging);
+    let next = builder.push_parts(&["/next"]);
+    drop(builder.seal());
+    assert!(next.shares_arena(&held), "the group goes on");
+    assert_eq!(next.as_str(), "/next");
+    assert_eq!(held.as_str(), format!("/dir{}/{}", PATHS / 2, "n".repeat(NAME)));
+}
+
+/// The bytes `paths` spell, read through the builder that is still
+/// assembling them.
+fn spelled_unsealed(builder: &PathArenaBuilder, paths: &[EventPath]) -> usize {
+    paths.iter().map(|path| builder.get(path).len()).sum()
 }
