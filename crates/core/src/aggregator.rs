@@ -419,13 +419,14 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
         });
     }
 
-    /// Signals the ingest thread to stop once its queue drains and
-    /// joins it.
-    pub fn shutdown(mut self) {
+    /// Signals the ingest thread to stop once its queue drains, joins it,
+    /// and returns the final counters.
+    pub fn shutdown(mut self) -> AggregatorSnapshot {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.ingest.take() {
             let _ = t.join();
         }
+        self.snapshot()
     }
 }
 

@@ -189,7 +189,11 @@ impl MonitorCluster {
         self.aggregator.store()
     }
 
-    /// A statistics snapshot.
+    /// A statistics snapshot of the live monitor. A Collector's counts
+    /// reach it when its thread copies them, after the batch that added
+    /// them is published, and the Aggregator counts a batch published
+    /// after its feed has it: so it may trail events a consumer already
+    /// holds. [`MonitorCluster::shutdown`] returns the final counts.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
             collectors: self.collector_stats.iter().map(|s| *s.lock()).collect(),
@@ -212,16 +216,20 @@ impl MonitorCluster {
     }
 
     /// Stops Collectors (after they drain their ChangeLogs) and the
-    /// Aggregator, joining all threads.
-    pub fn shutdown(mut self) {
+    /// Aggregator, joining all threads, and returns the final statistics:
+    /// every count the monitor's batches added.
+    pub fn shutdown(mut self) -> ClusterStats {
         self.stop.store(true, Ordering::Relaxed);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Replace the aggregator with a shut-down husk by taking it out.
-        // (Aggregator::shutdown consumes; we own self.)
-        let MonitorCluster { aggregator, .. } = self;
-        aggregator.shutdown();
+        let MonitorCluster { aggregator, collector_stats, .. } = self;
+        let store = aggregator.store();
+        ClusterStats {
+            collectors: collector_stats.iter().map(|s| *s.lock()).collect(),
+            aggregator: aggregator.shutdown(),
+            store: store.stats(),
+        }
     }
 }
 
@@ -377,8 +385,7 @@ mod tests {
             }
         }
         assert_eq!(got[0].path, std::path::PathBuf::from("/exp"));
-        assert_eq!(cluster.stats().total_processed(), 51);
-        cluster.shutdown();
+        assert_eq!(cluster.shutdown().total_processed(), 51);
         // ChangeLog purged on shutdown.
         assert!(fs.lock().changelog(MdtIndex::new(0)).is_empty());
     }
@@ -412,13 +419,12 @@ mod tests {
                 panic!("site-wide feed stalled at {got}/{total}");
             }
         }
-        let stats = cluster.stats();
+        let stats = cluster.shutdown();
         assert_eq!(stats.collectors.len(), 4);
         assert!(
             stats.collectors.iter().filter(|c| c.processed > 0).count() >= 4,
             "all four Collectors saw events: {stats:?}"
         );
-        cluster.shutdown();
     }
 
     #[test]
@@ -472,11 +478,10 @@ mod tests {
         }
         let total = fs.lock().total_events();
         assert!(cluster.wait_for_published(total, Duration::from_secs(10)));
-        let stats = cluster.stats();
+        let stats = cluster.shutdown();
         assert_eq!(stats.total_processed(), total);
         assert_eq!(stats.aggregator.received, total);
         assert_eq!(stats.aggregator.stored, total);
         assert_eq!(stats.aggregator.published, total);
-        cluster.shutdown();
     }
 }

@@ -49,11 +49,14 @@ pub struct EventConsumer<F = Subscriber<FeedMessage>, R = SharedStore> {
     backlog: VecDeque<SequencedEvent>,
     filter: Option<PathPrefix<'static>>,
     stats: ConsumerStats,
-    /// Extra attempts for a backfill query that returned empty.
-    backfill_retries: u32,
-    /// Delay before the first retry; doubles on each further attempt.
-    backfill_backoff: Duration,
 }
+
+/// Extra attempts for a backfill query that returned empty.
+const BACKFILL_RETRIES: u32 = 3;
+
+/// Delay before a backfill query's first retry; doubles on each further
+/// one.
+const BACKFILL_BACKOFF: Duration = Duration::from_millis(25);
 
 impl<F, R> fmt::Debug for EventConsumer<F, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -77,19 +80,7 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
             backlog: VecDeque::new(),
             filter: None,
             stats: ConsumerStats::default(),
-            backfill_retries: 3,
-            backfill_backoff: Duration::from_millis(25),
         }
-    }
-
-    /// Configures the bounded retry of backfill queries that return
-    /// empty: up to `attempts` extra queries, the first after `backoff`
-    /// and doubling from there. `attempts = 0` makes a single query
-    /// authoritative again.
-    pub fn with_backfill_retry(mut self, attempts: u32, backoff: Duration) -> Self {
-        self.backfill_retries = attempts;
-        self.backfill_backoff = backoff;
-        self
     }
 
     /// Restricts the stream to events whose path is under `prefix`.
@@ -262,8 +253,8 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
         }
     }
 
-    /// Queries the store, retrying a bounded number of times (with a
-    /// doubling backoff) when the result comes back empty. A store
+    /// Queries the store, retrying [`BACKFILL_RETRIES`] times (after
+    /// [`BACKFILL_BACKOFF`], doubling) when the result comes back empty. A store
     /// mid-restart answers queries with nothing while its snapshot is
     /// restoring; treating that transient as authoritative would
     /// convert recoverable events into permanently-counted losses. A
@@ -271,13 +262,13 @@ impl<F: Subscribe<FeedMessage>, R: EventBackend + 'static> EventConsumer<F, R> {
     /// common case, because the store then returns the retained tail
     /// (non-empty) rather than nothing.
     fn query_with_retry(&mut self, query: &StoreQuery) -> Vec<SequencedEvent> {
-        let mut backoff = self.backfill_backoff;
-        for attempt in 0..=self.backfill_retries {
+        let mut backoff = BACKFILL_BACKOFF;
+        for attempt in 0..=BACKFILL_RETRIES {
             let got = self.store.query(query);
             if !got.is_empty() {
                 return got;
             }
-            if attempt == self.backfill_retries {
+            if attempt == BACKFILL_RETRIES {
                 break;
             }
             self.stats.backfill_retries += 1;
@@ -546,8 +537,7 @@ mod tests {
             inner: Arc::clone(&store),
             fail_first: std::sync::atomic::AtomicU32::new(2),
         };
-        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), flaky, 0)
-            .with_backfill_retry(3, Duration::from_millis(1));
+        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), flaky, 0);
         // Only the newest event arrives live; 1..=4 must backfill, and
         // the first two (empty) answers must not be taken as loss.
         broker.publisher().publish("feed/all", FeedMessage::Event(sev(5)));
@@ -571,8 +561,7 @@ mod tests {
             inner: Arc::clone(&store),
             fail_first: std::sync::atomic::AtomicU32::new(u32::MAX),
         };
-        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), flaky, 0)
-            .with_backfill_retry(2, Duration::from_millis(1));
+        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), flaky, 0);
         broker.publisher().publish("feed/all", FeedMessage::Event(sev(5)));
         let got: Vec<u64> = std::iter::from_fn(|| consumer.try_next().map(|e| e.index)).collect();
         // Recovery gave up: the gap is acknowledged as loss and the
@@ -580,7 +569,7 @@ mod tests {
         assert_eq!(got, vec![5]);
         let s = consumer.stats();
         assert_eq!(s.lost, 4);
-        assert_eq!(s.backfill_retries, 2);
+        assert_eq!(s.backfill_retries, u64::from(BACKFILL_RETRIES));
     }
 
     #[test]
@@ -593,8 +582,7 @@ mod tests {
         let broker: Broker<FeedMessage> = Broker::new(1024);
         let store = Arc::new(EventStore::new(1));
         store.insert(sev(7)).unwrap();
-        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), Arc::clone(&store), 0)
-            .with_backfill_retry(0, Duration::from_millis(1));
+        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), Arc::clone(&store), 0);
         let p = broker.publisher();
         p.publish("feed/all", FeedMessage::Heartbeat { last_seq: 10 });
         p.publish("feed/all", FeedMessage::Heartbeat { last_seq: 10 });
@@ -618,8 +606,7 @@ mod tests {
         for k in 1..=HOLES {
             store.insert(sev(2 * k)).unwrap();
         }
-        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), Arc::clone(&store), 0)
-            .with_backfill_retry(0, Duration::from_millis(1));
+        let mut consumer = EventConsumer::new(broker.subscribe(&["feed/"]), Arc::clone(&store), 0);
         broker.publisher().publish("feed/all", FeedMessage::Heartbeat { last_seq: 2 * HOLES });
         let got: Vec<u64> = std::iter::from_fn(|| consumer.try_next().map(|e| e.index)).collect();
         assert_eq!(got, (1..=HOLES).map(|k| 2 * k).collect::<Vec<_>>());

@@ -2,8 +2,10 @@
 //! applies it.
 //!
 //! [`MeteredBackend`] wraps an inner backend by value, counts and times
-//! every operation against it, and re-exposes the same trait, so call
-//! sites do not hand-inline counters around store calls. [`StoreStack`]
+//! its queries, keeps its occupancy gauges fresh, and re-exposes the same
+//! trait, so call sites do not hand-inline metrics around store calls.
+//! Inserts are counted once, by their one producer, the Aggregator
+//! (`sdci_aggregator_stored_total`, `_insert_errors_total`). [`StoreStack`]
 //! is the one place a store is put together: a fresh segmented
 //! [`EventStore`](super::EventStore) or an existing backend, metered or
 //! not.
@@ -14,13 +16,11 @@ use crate::aggregator::SequencedEvent;
 use sdci_obs::{registry, Counter, Gauge, Histogram};
 use std::sync::Arc;
 
-/// A metrics layer: counts and times every operation against the
-/// inner backend and keeps occupancy gauges fresh, so call sites stop
-/// hand-inlining counters around store calls.
+/// A metrics layer: counts and times the queries against the inner
+/// backend and keeps occupancy gauges fresh, so call sites stop
+/// hand-inlining metrics around store calls.
 pub struct MeteredBackend<B> {
     inner: B,
-    stored: Counter,
-    insert_errors: Counter,
     queries: Counter,
     query_time: Histogram,
     events: Gauge,
@@ -30,14 +30,11 @@ pub struct MeteredBackend<B> {
 
 impl<B: EventBackend> MeteredBackend<B> {
     /// Wraps `inner`, deriving metric names from prefix `p`:
-    /// `{p}_stored_total`, `{p}_insert_errors_total`,
     /// `{p}_queries_total`, `{p}_query_seconds`, and the occupancy
     /// gauges `{p}_events` / `{p}_resident_bytes` / `{p}_segments`.
     pub fn new(p: &str, inner: B) -> Self {
         let r = registry();
         let metered = MeteredBackend {
-            stored: r.counter(&format!("{p}_stored_total")),
-            insert_errors: r.counter(&format!("{p}_insert_errors_total")),
             queries: r.counter(&format!("{p}_queries_total")),
             query_time: r.histogram(&format!("{p}_query_seconds")),
             events: r.gauge(&format!("{p}_events")),
@@ -62,18 +59,9 @@ impl<B: EventBackend> MeteredBackend<B> {
 impl<B: EventBackend> EventBackend for MeteredBackend<B> {
     fn insert_batch(&self, events: Vec<SequencedEvent>) -> Result<(), StoreError> {
         let _span = sdci_obs::trace::child("store.meter.insert");
-        let count = events.len() as u64;
-        match self.inner.insert_batch(events) {
-            Ok(()) => {
-                self.stored.add(count);
-                self.refresh_gauges();
-                Ok(())
-            }
-            Err(e) => {
-                self.insert_errors.inc();
-                Err(e)
-            }
-        }
+        self.inner.insert_batch(events)?;
+        self.refresh_gauges();
+        Ok(())
     }
 
     fn query(&self, query: &StoreQuery) -> Vec<SequencedEvent> {

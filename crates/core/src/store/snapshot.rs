@@ -62,7 +62,7 @@ use crate::aggregator::SequencedEvent;
 use crate::store::segment::Segment;
 use sdci_types::bin::{put_bytes, put_member, put_varint, Class, SeqEncoder, MAX_FRAME_MEMBERS};
 use sdci_types::SimTime;
-use sdci_types::{BinDecodeError, BinPayload, BinReader};
+use sdci_types::{BinDecodeError, BinPayload, BinReader, PathStaging};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs;
@@ -425,10 +425,9 @@ fn put_block(body: &mut Vec<u8>, block: &[SequencedEvent], member: &mut Vec<u8>)
 /// least its length and a byte), and the `Vec` reserves no more than a
 /// block holds; a member length the bytes cannot hold, a member whose
 /// decoder fails or does not consume exactly its length, and a byte after
-/// the last member are refused too. The reader owns the block's path
-/// arena and seals it on return, before the caller touches an event.
-fn read_block(body: &[u8]) -> Result<Vec<SequencedEvent>, BinDecodeError> {
-    let mut r = BinReader::new(body);
+/// the last member are refused too. The block's paths are readable once
+/// its reader has sealed them ([`BinReader::read_staged`]).
+fn read_block(r: &mut BinReader<'_>) -> Result<Vec<SequencedEvent>, BinDecodeError> {
     let count = r.length(Class::Other)?;
     if count > r.remaining() / 2 {
         let left = r.remaining();
@@ -441,7 +440,7 @@ fn read_block(body: &[u8]) -> Result<Vec<SequencedEvent>, BinDecodeError> {
         if len > left {
             return Err(BinDecodeError::msg(format!("a member of {len} bytes, {left} left")));
         }
-        block.push(SequencedEvent::decode_bin(&mut r, &block)?);
+        block.push(SequencedEvent::decode_bin(r, &block)?);
         let used = left - r.remaining();
         if used != len {
             return Err(BinDecodeError::msg(format!("a member of {len} bytes decoded as {used}")));
@@ -456,11 +455,13 @@ fn read_block(body: &[u8]) -> Result<Vec<SequencedEvent>, BinDecodeError> {
 /// Reads a segment or head file back. The file is outside input: a
 /// length word is checked against the bytes on hand before anything is
 /// sized by it, a body is decoded only once its checksum holds, and
-/// [`read_block`] bounds what a count word may reserve.
+/// [`read_block`] bounds what a count word may reserve. The blocks'
+/// paths are assembled in one staging, threaded through them as a
+/// connection threads its own through its frames.
 fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
     let bytes = fs::read(path)?;
     let corrupt = |what: String| invalid(format!("{}: {what}", path.display()));
-    let mut events = Vec::new();
+    let (mut events, mut staging) = (Vec::new(), PathStaging::default());
     let mut rest = &bytes[..];
     while !rest.is_empty() {
         let Some((len, after_len)) = rest.split_first_chunk::<4>() else {
@@ -479,7 +480,8 @@ fn read_blocks(path: &Path) -> io::Result<Vec<SequencedEvent>> {
         if u64::from_le_bytes(*sum) != fnv1a(body) {
             return Err(corrupt("a block does not match its checksum".to_string()));
         }
-        events.extend(read_block(body).map_err(|e| corrupt(e.to_string()))?);
+        let block = BinReader::new(body).read_staged(&mut staging, read_block);
+        events.extend(block.map_err(|e| corrupt(e.to_string()))?);
         rest = after_sum;
     }
     Ok(events)

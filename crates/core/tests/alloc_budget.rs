@@ -14,7 +14,7 @@ use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuer
 use sdci_types::bin::{
     code_members, put_member, put_members, read_members, BinPayload, BinReader, SeqEncoder,
 };
-use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
+use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, PathStaging, SimTime};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -328,7 +328,8 @@ fn coded_costs_what_raw_does<T: BinPayload + PartialEq + std::fmt::Debug>(
         if coded {
             r.read_codes().expect("codes");
         }
-        let members = read_members::<T>(&mut r).expect("decodes");
+        let members =
+            r.read_staged(&mut PathStaging::default(), read_members::<T>).expect("decodes");
         assert!(r.is_empty());
         members
     };

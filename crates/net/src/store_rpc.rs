@@ -117,7 +117,7 @@ fn put_query(
 fn read_query(
     r: &mut BinReader<'_>,
     flags: u8,
-    history: Option<&mut History>,
+    history: &mut History,
 ) -> Result<StoreRpc, BinDecodeError> {
     let trace = if flags & BIN_FLAG_TRACE != 0 { Some(r.trace()?) } else { None };
     read_number(r, history)?;
@@ -159,7 +159,7 @@ impl WireMsg for StoreRpc {
         }
     }
 
-    fn decode_in(body: &[u8], history: Option<&mut History>) -> std::io::Result<Self> {
+    fn decode(body: &[u8], history: &mut History) -> std::io::Result<Self> {
         if body.first() == Some(&BIN_KIND_QUERY) {
             return read_control(body, BIN_FLAG_TRACE, |_, flags, r| read_query(r, flags, history));
         }

@@ -97,10 +97,10 @@
 //! [`MAX_FRAME_LEN`] assembled path bytes a frame — what the largest
 //! frame could have carried verbatim. A decoded frame's paths are
 //! handles into one slot of an arena, which its [`BinReader`] seals
-//! ([`sdci_types::EventPath`]) — on a connection, into the group its
-//! history keeps open for up to eight frames of short paths:
-//! [`WireMsg::decode`] returns events only after that, and none on an
-//! error, whose slot is sealed empty.
+//! ([`BinReader::read_staged`]) into the group its connection's history
+//! keeps open for up to eight frames of short paths: [`WireMsg::decode`]
+//! returns events only after that, and none on an error, whose slot is
+//! sealed empty.
 //!
 //! Kinds 2 and 6 are unassigned: a feed is written only by the process
 //! that owns its broker, so there is no publish batch, and a gap on the
@@ -226,7 +226,7 @@ impl WireMsg for Hello {
 
     /// A hello is spelled one way only: one that does not re-encode to its
     /// own bytes — a varint with a redundant byte — is refused.
-    fn decode_in(body: &[u8], _history: Option<&mut History>) -> io::Result<Self> {
+    fn decode(body: &[u8], _history: &mut History) -> io::Result<Self> {
         let hello = read_control(body, 0, |kind, _, r| {
             if kind != BIN_KIND_HELLO {
                 return Err(BinDecodeError::msg(format!("a frame of kind {kind} is no hello")));
@@ -340,39 +340,22 @@ pub trait WireMsg: Sized {
     /// [`MAX_PATH_LEN`](sdci_types::bin::MAX_PATH_LEN)).
     fn encode(&self, enc: &mut BinEncoder, buf: &mut Vec<u8>) -> io::Result<()>;
 
-    /// Decodes one complete frame body — as a connection's reader does
-    /// ([`FrameReader::read_msg`]) when given the `history` of what the
+    /// Decodes one complete frame body, as a connection's reader does
+    /// ([`FrameReader::read_msg`]), against the `history` of what the
     /// frames it read before carried: a batch that continues its
-    /// connection is read against it, and every batch is recorded in it.
-    /// Without a history, a batch that continues its connection is refused.
+    /// connection is read against it, every batch is recorded in it, its
+    /// paths are assembled in the staging it keeps, and a store frame's
+    /// number is taken on it. A fresh `History` reads a body as a
+    /// connection's first frame.
     ///
     /// # Errors
     ///
     /// `InvalidData` on kind bytes that are not the reader's, flags or
-    /// fields out of range, truncated fields, or trailing garbage, and
-    /// for a continuing batch that does not start where `history` ends:
-    /// the stream is no longer one to read, and `history` is cleared.
-    fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self>;
-
-    /// Decodes one complete frame body on its own: [`WireMsg::decode_in`]
-    /// without a history.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`WireMsg::decode_in`].
-    fn decode(body: &[u8]) -> io::Result<Self> {
-        Self::decode_in(body, None)
-    }
-
-    /// Decodes one complete frame body against and into a connection's
-    /// `history`: [`WireMsg::decode_in`] with it.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`WireMsg::decode_in`].
-    fn decode_on(body: &[u8], history: &mut History) -> io::Result<Self> {
-        Self::decode_in(body, Some(history))
-    }
+    /// fields out of range, truncated fields, or trailing garbage, for a
+    /// continuing batch that does not start where `history` ends and for
+    /// a store frame whose number is not next on it: the stream is no
+    /// longer one to read, and `history` is cleared.
+    fn decode(body: &[u8], history: &mut History) -> io::Result<Self>;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,17 +488,6 @@ pub(crate) enum Head {
     Reply,
 }
 
-impl Head {
-    /// What the batch is, for an error message.
-    fn what(&self) -> &'static str {
-        match self {
-            Head::Item(_) => "an item batch",
-            Head::Deliver(_) => "a deliver batch",
-            Head::Reply => "a store reply",
-        }
-    }
-}
-
 /// The batch kinds a [`Frame`] reader reads.
 const FRAME_KINDS: &[u8] = &[BIN_KIND_ITEM_BATCH, BIN_KIND_DELIVER_BATCH];
 
@@ -523,8 +495,8 @@ const FRAME_KINDS: &[u8] = &[BIN_KIND_ITEM_BATCH, BIN_KIND_DELIVER_BATCH];
 pub(crate) const STORE_KINDS: &[u8] = &[BIN_KIND_STORE_BATCH];
 
 /// The one batch reader: decodes a binary body of one of `kinds` — its
-/// header, its kind's head and its members — against and into `history`
-/// when a connection's reader holds one ([`WireMsg::decode_on`]).
+/// header, its kind's head and its members — against and into its
+/// connection's `history` ([`WireMsg::decode`]).
 ///
 /// Each kind's head gives the key its history is keyed by: an item
 /// batch's `first_seq`; a deliver batch's first member's sequence number,
@@ -533,15 +505,15 @@ pub(crate) const STORE_KINDS: &[u8] = &[BIN_KIND_STORE_BATCH];
 pub(crate) fn read_batch<T: BinPayload>(
     body: &[u8],
     kinds: &[u8],
-    mut history: Option<&mut History>,
+    history: &mut History,
 ) -> io::Result<(Head, Option<TraceContext>, Vec<T>)> {
     // The reader — some 27 KB, dropped in place at the end of this
     // block rather than moved — may borrow `history` while it reads a
-    // batch that continues its connection. On a connection's reader it
-    // assembles the members' paths in the staging `history` keeps, and
-    // hands it back when it seals them — or, when the batch is refused,
-    // when it seals their slot empty, so that no refused bytes stay in
-    // the group its history keeps open.
+    // batch that continues its connection. It assembles the members'
+    // paths in the staging `history` keeps, and hands it back when it
+    // seals them — or, when the batch is refused, when it seals their
+    // slot empty, so that no refused bytes stay in the group its history
+    // keeps open.
     let (head, key, trace, continues, read, staging) = {
         let mut r = BinReader::new(body);
         let (kind, trace, continues) = bin_read_header(&mut r, kinds)?;
@@ -561,58 +533,50 @@ pub(crate) fn read_batch<T: BinPayload>(
                 return Err(invalid("store-RPC batch replies carry no trace section"));
             }
             _ => {
-                read_number(&mut r, history.as_deref_mut()).map_err(invalid)?;
-                (Head::Reply, history.as_deref().and_then(History::next_seq).unwrap_or(0))
+                read_number(&mut r, history).map_err(invalid)?;
+                (Head::Reply, history.next_seq().unwrap_or(0))
             }
         };
-        if let Some(history) = history.as_deref_mut() {
-            r.stage_from(history);
-        }
-        let read = match history.as_deref_mut() {
-            None if continues => {
-                let what = head.what();
-                return Err(invalid(format!(
-                    "{what} that continues its connection, decoded apart from it"
-                )));
-            }
-            None => read_all(&mut r),
-            // A batch that does not start where the history ends is not
-            // read at all: a frame before it was lost, or it was
-            // delivered twice.
-            Some(history) if continues => match history.next_seq() {
-                Some(expected) if expected == key => {
-                    r.continue_from(history).map_err(invalid).and_then(|()| read_all(&mut r))
-                }
-                Some(expected) => Err(invalid(format!(
-                    "a batch continuing its connection from {key}, where its history ends at \
-                     {expected}"
-                ))),
-                None => Err(invalid(format!(
-                    "a batch continuing its connection from {key} on a reader that holds none \
-                     of its history"
-                ))),
-            },
-            // A fresh batch is all the history holds next, keyed as its
-            // writer keyed it.
-            Some(history) => {
-                let read = read_all(&mut r);
-                if let Ok(payloads) = &read {
+        let mut staging = history.unstage();
+        let read = r.read_staged(&mut staging, |r| {
+            let payloads = match (continues, history.next_seq()) {
+                // A fresh batch is all the history holds next, keyed as
+                // its writer keyed it.
+                (false, _) => {
+                    let payloads = read_all(r)?;
                     let key = match head {
                         Head::Deliver(_) => payloads.first().and_then(T::seq),
                         Head::Item(_) | Head::Reply => Some(key),
                     };
                     match key {
-                        Some(key) => history.record(false, key, payloads),
+                        Some(key) => history.record(false, key, &payloads),
                         None => history.clear(),
                     }
                     r.keep_codes(history);
+                    payloads
                 }
-                read
-            }
-        };
-        // A continuing deliver batch is keyed by its first member's
-        // sequence number, as a fresh one is, and its head must say so.
-        let read = read.and_then(|payloads| {
+                (true, Some(expected)) if expected == key => {
+                    r.continue_from(history).map_err(invalid)?;
+                    read_all(r)?
+                }
+                // A batch that does not start where the history ends is
+                // not read at all: a frame before it was lost, or it was
+                // delivered twice, or the reader is not its connection's.
+                (true, Some(expected)) => {
+                    return Err(invalid(format!(
+                        "a batch continuing its connection from {key}, where its history \
+                         ends at {expected}"
+                    )));
+                }
+                (true, None) => {
+                    return Err(invalid(format!(
+                        "a batch continuing its connection from {key} on a reader that holds \
+                         none of its history"
+                    )));
+                }
+            };
+            // A continuing deliver batch is keyed by its first member's
+            // sequence number, as a fresh one is, and its head must say so.
             let carried = payloads.first().and_then(T::seq);
             if continues && matches!(head, Head::Deliver(_)) && carried != Some(key) {
                 return Err(invalid(format!(
@@ -622,29 +586,25 @@ pub(crate) fn read_batch<T: BinPayload>(
             }
             Ok(payloads)
         });
-        let staging = if read.is_ok() { r.seal() } else { r.abandon() };
         (head, key, trace, continues, read, staging)
     };
+    history.restage(staging);
     // A refused batch leaves nothing for a later one to continue.
-    if let Some(history) = history {
-        history.restage(staging);
-        match &read {
-            Ok(payloads) if continues => history.record(true, key, payloads),
-            Ok(_) => {}
-            Err(_) => history.clear(),
-        }
+    match &read {
+        Ok(payloads) if continues => history.record(true, key, payloads),
+        Ok(_) => {}
+        Err(_) => history.clear(),
     }
     read.map(|payloads| (head, trace, payloads))
 }
 
-/// Reads a store frame's number, taken into `history` on a connection's
-/// reader ([`History::take_number`]).
+/// Reads a store frame's number and takes it on its connection's
+/// `history` ([`History::take_number`]).
 pub(crate) fn read_number(
     r: &mut BinReader<'_>,
-    history: Option<&mut History>,
+    history: &mut History,
 ) -> Result<(), BinDecodeError> {
-    let number = r.varint(Class::Other)?;
-    history.map_or(Ok(()), |history| history.take_number(number))
+    history.take_number(r.varint(Class::Other)?)
 }
 
 /// Reads a body's member section, which must end it.
@@ -672,7 +632,7 @@ impl<T: BinPayload> WireMsg for Frame<T> {
         Ok(())
     }
 
-    fn decode_in(body: &[u8], history: Option<&mut History>) -> io::Result<Self> {
+    fn decode(body: &[u8], history: &mut History) -> io::Result<Self> {
         if let Some(&(BIN_KIND_ACK | BIN_KIND_PING | BIN_KIND_FIN)) = body.first() {
             return read_control(body, 0, |kind, _, r| {
                 Ok(match kind {
@@ -1074,7 +1034,7 @@ pub struct FrameReader<R> {
     /// again on the next call.
     replay: Option<Vec<u8>>,
     /// What the batch frames read so far carried, for the next one to
-    /// continue ([`WireMsg::decode_on`]).
+    /// continue ([`WireMsg::decode`]).
     history: History,
 }
 
@@ -1132,7 +1092,7 @@ impl<R: Read> FrameReader<R> {
     pub fn read_msg<M: WireMsg>(&mut self) -> io::Result<M> {
         if let Some(body) = self.replay.take() {
             // The second delivery of an injected duplicate.
-            return M::decode_on(&body, &mut self.history);
+            return M::decode(&body, &mut self.history);
         }
         if let Some(faults) = &self.faults {
             if faults.partitioned() {
@@ -1194,7 +1154,7 @@ impl<R: Read> FrameReader<R> {
                     }
                     Some(sdci_faults::FrameFault::Deliver) | None => {}
                 }
-                let result = M::decode_on(&self.buf[FRAME_HEADER_LEN..], &mut self.history);
+                let result = M::decode(&self.buf[FRAME_HEADER_LEN..], &mut self.history);
                 self.buf.clear();
                 self.need = FRAME_HEADER_LEN;
                 self.have_header = false;
@@ -1378,7 +1338,7 @@ mod tests {
             &[6, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
         ];
         for body in bodies {
-            let err = Frame::<FileEvent>::decode(body).unwrap_err();
+            let err = Frame::<FileEvent>::decode(body, &mut History::default()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "accepted: {body:?}");
         }
     }
@@ -1635,7 +1595,7 @@ mod tests {
                 .iter()
                 .map(|body| {
                     assert!(body.len() <= cap, "a body of {} bytes, cap {cap}", body.len());
-                    match Frame::<u64>::decode(body).unwrap() {
+                    match Frame::<u64>::decode(body, &mut History::default()).unwrap() {
                         Frame::ItemBatch { payloads, .. } => payloads.len(),
                         other => panic!("expected ItemBatch, got {other:?}"),
                     }
@@ -1670,7 +1630,7 @@ mod tests {
         let payloads: Vec<u64> = (0..20_000).collect();
         let counts: Vec<usize> = split_at(&payloads, MAX_FRAME_LEN)
             .iter()
-            .map(|body| match Frame::<u64>::decode(body).unwrap() {
+            .map(|body| match Frame::<u64>::decode(body, &mut History::default()).unwrap() {
                 Frame::ItemBatch { payloads, .. } => payloads.len(),
                 other => panic!("expected ItemBatch, got {other:?}"),
             })
@@ -1720,7 +1680,9 @@ mod tests {
     /// The flags byte of every member of an item-batch body: each
     /// member's first raw byte — what a coded section codes, byte for byte.
     fn member_flags(body: &[u8]) -> Vec<u8> {
-        let Frame::ItemBatch { payloads, .. } = Frame::<FileEvent>::decode(body).unwrap() else {
+        let Frame::ItemBatch { payloads, .. } =
+            Frame::<FileEvent>::decode(body, &mut History::default()).unwrap()
+        else {
             panic!("an item batch");
         };
         let (mut seq, mut members, mut flags) = (SeqEncoder::new(), Vec::new(), Vec::new());
@@ -1766,10 +1728,11 @@ mod tests {
                 assert!(chunk.len() <= cap, "cap {cap}: a chunk of {} bytes", chunk.len());
                 assert_eq!(chunk[1] & BIN_FLAG_CONTINUES != 0, i > 0, "cap {cap}, chunk {i}");
                 if i > 0 {
-                    let err = Frame::<FileEvent>::decode(chunk).unwrap_err();
-                    assert!(err.to_string().contains("decoded apart"), "{err}");
+                    let err =
+                        Frame::<FileEvent>::decode(chunk, &mut History::default()).unwrap_err();
+                    assert!(err.to_string().contains("holds none of its history"), "{err}");
                 }
-                match Frame::<FileEvent>::decode_on(chunk, &mut history).unwrap() {
+                match Frame::<FileEvent>::decode(chunk, &mut history).unwrap() {
                     Frame::ItemBatch { first_seq, payloads: members, .. } => {
                         assert_eq!(first_seq, 1 + got.len() as u64);
                         let mut fresh = Vec::new();
@@ -1956,7 +1919,7 @@ mod tests {
             let mut got = Vec::new();
             let mut history = History::default();
             for chunk in split_at(payloads, cap) {
-                match Frame::<T>::decode_on(&chunk, &mut history) {
+                match Frame::<T>::decode(&chunk, &mut history) {
                     Ok(Frame::ItemBatch { first_seq, payloads: members, trace: None }) => {
                         prop_assert_eq!(first_seq, 1 + got.len() as u64, "cap {}", cap);
                         prop_assert!(chunk.len() <= cap || members.len() == 1, "cap {}", cap);
@@ -1973,7 +1936,11 @@ mod tests {
                             );
                         } else {
                             prop_assert!(!got.is_empty() && members[0].event().is_some());
-                            prop_assert!(Frame::<T>::decode(&chunk).is_err(), "cap {}", cap);
+                            prop_assert!(
+                                Frame::<T>::decode(&chunk, &mut History::default()).is_err(),
+                                "cap {}",
+                                cap
+                            );
                         }
                         got.extend(members);
                     }
@@ -2020,7 +1987,7 @@ mod tests {
             frame.encode(&mut BinEncoder::new(), &mut body).unwrap();
             let raw = raw_item_body(&batch);
             prop_assert!(body.len() <= raw.len(), "{} bytes coded, {} raw", body.len(), raw.len());
-            prop_assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), frame);
+            prop_assert_eq!(Frame::<FileEvent>::decode(&body, &mut History::default()).unwrap(), frame);
         }
 
         #[test]
@@ -2045,7 +2012,7 @@ mod tests {
             let reply = crate::store_rpc::StoreRpc::Batch { events };
             let mut body = Vec::new();
             reply.encode(&mut BinEncoder::new(), &mut body).unwrap();
-            prop_assert_eq!(crate::store_rpc::StoreRpc::decode(&body).unwrap(), reply);
+            prop_assert_eq!(crate::store_rpc::StoreRpc::decode(&body, &mut History::default()).unwrap(), reply);
         }
     }
 
@@ -2084,7 +2051,7 @@ mod tests {
         assert_eq!(mask & Class::Path.bit(), 0, "a code over 90-odd byte values does not pay");
         assert_ne!(mask & Class::Flags.bit(), 0, "{mask:#x}");
         assert!(body.len() < raw_item_body(&wide).len());
-        assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), frame);
+        assert_eq!(Frame::<FileEvent>::decode(&body, &mut History::default()).unwrap(), frame);
         let mut written = Vec::new();
         write_item_batch_bin(&mut written, &mut BinEncoder::new(), 1, &wide, None).unwrap();
         assert_eq!(raw_frames(&written), [body]);
@@ -2209,7 +2176,7 @@ mod tests {
             .unwrap();
         assert_eq!(body[1], BIN_FLAG_CODED);
         let prefix = StoreRpc::Batch { events: events[..MAX_FRAME_MEMBERS].to_vec() };
-        assert_eq!(StoreRpc::decode(&body).unwrap(), prefix);
+        assert_eq!(StoreRpc::decode(&body, &mut History::default()).unwrap(), prefix);
 
         let items: Vec<FileEvent> = events.into_iter().map(|sev| sev.event).collect();
         let mut enc = BinEncoder::new();
@@ -2227,8 +2194,8 @@ mod tests {
     /// the byte after the flags of these raw ones, and continue one another
     /// whatever store offset each starts at: the first is fresh, the reply
     /// after an empty one is fresh again, and the connection's reader reads
-    /// every one back. Apart from its connection, a continuing reply is
-    /// refused.
+    /// every one back. A reader that has not read the replies before one
+    /// refuses it: its number is not the next on that reader.
     #[test]
     fn store_replies_carry_their_number_and_continue_their_connection() {
         use crate::store_rpc::StoreRpc;
@@ -2255,8 +2222,8 @@ mod tests {
         for reply in &replies {
             assert_eq!(&reader.read_msg::<StoreRpc>().unwrap(), reply);
         }
-        let err = StoreRpc::decode(&frames[1]).unwrap_err();
-        assert!(err.to_string().contains("decoded apart from it"), "{err}");
+        let err = StoreRpc::decode(&frames[1], &mut History::default()).unwrap_err();
+        assert!(err.to_string().contains("store frame 2, where 1 is next"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Allocation budgets for the encoders and decoders every event crosses,
 //! beside the byte budgets of `byte_budget.rs` and the Collector's and
 //! store's in `crates/core/tests/alloc_budget.rs`: a 256-member frame of
-//! each data-frame kind decodes on its own in a handful of allocations,
-//! not one per path, and on a warm connection in exactly those of what it
+//! each data-frame kind decodes as a connection's first in a handful of
+//! allocations, not one per path, and on a warm connection in exactly those of what it
 //! hands on — the member `Vec`, its exact-size path bytes, an eighth of an
 //! arena group's header, a topic — a coded frame decodes in exactly what the same
 //! members cost raw and encodes through a warm encoder in no allocation
@@ -19,7 +19,7 @@ use sdci_core::{FeedMessage, SequencedEvent, StoreQuery};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{write_deliver_batch_bin, write_item_batch_bin, write_msg_bin};
 use sdci_net::wire::{BinEncoder, Frame, FrameReader, WireMsg};
-use sdci_types::bin::Class;
+use sdci_types::bin::{Class, History};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use sdci_types::{ARENA_BATCHES, SHARED_BATCH_BYTES};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -178,11 +178,15 @@ fn resolve_batch_at(from: u64) -> Vec<SequencedEvent> {
         .collect()
 }
 
-/// Decodes `msg`'s one body and returns the allocations that took.
+/// Decodes `msg`'s one body as a connection's first frame, on a fresh
+/// `History`, and returns the allocations that took — the history's
+/// storage included: its held members' box and their two rings, which a
+/// connection allocates once.
 fn decode_cost<M: WireMsg + PartialEq + std::fmt::Debug>(msg: &M) -> u64 {
     let mut body = Vec::new();
     msg.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
-    let (decoded, made) = allocations(|| M::decode(&body).expect("decodes"));
+    let (decoded, made) =
+        allocations(|| M::decode(&body, &mut History::default()).expect("decodes"));
     assert_eq!(&decoded, msg);
     made
 }
@@ -227,7 +231,8 @@ fn coded_costs_what_raw_does<M: WireMsg + PartialEq + std::fmt::Debug>(
         assert_ne!(mask & class.bit(), 0, "{kind}: {class} in {mask:#x}");
     }
     assert!(body.len() < raw.len(), "{kind}: {} coded bytes, {} raw", body.len(), raw.len());
-    let (decoded, raw_made) = allocations(|| M::decode(raw).expect("raw decodes"));
+    let (decoded, raw_made) =
+        allocations(|| M::decode(raw, &mut History::default()).expect("raw decodes"));
     assert_eq!(&decoded, msg);
     let coded_made = decode_cost(msg);
     assert_eq!(coded_made, raw_made, "{kind}: coded {coded_made} allocations, raw {raw_made}");
@@ -283,7 +288,6 @@ fn coded_frames_cost_what_raw_ones_do(sequenced: Vec<SequencedEvent>) {
 /// that connection's reader reads them back.
 #[test]
 fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
-    use sdci_types::bin::History;
     for sequenced in [batch(), resolve_batch()] {
         let events: Vec<FileEvent> = sequenced.iter().map(|sev| sev.event.clone()).collect();
         let feed: Vec<FeedMessage> = sequenced.iter().cloned().map(FeedMessage::Event).collect();
@@ -312,7 +316,7 @@ fn a_coded_frame_encodes_through_a_warm_encoder_without_allocating() {
                 let body = &out[4..];
                 assert_eq!(body[1] & 2, 2, "{n} members: coded");
                 assert_eq!(body[1] & 4 != 0, pass + i > 0, "{n} members: continues");
-                let decoded = StoreRpc::decode_on(body, &mut history).expect("decodes");
+                let decoded = StoreRpc::decode(body, &mut history).expect("decodes");
                 assert_eq!(&decoded, reply);
             }
         }
@@ -324,7 +328,9 @@ fn cloning_a_decoded_batch_allocates_once() {
     let reply = StoreRpc::Batch { events: batch() };
     let mut body = Vec::new();
     reply.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
-    let StoreRpc::Batch { events } = StoreRpc::decode(&body).expect("decodes") else {
+    let StoreRpc::Batch { events } =
+        StoreRpc::decode(&body, &mut History::default()).expect("decodes")
+    else {
         panic!("a store batch decodes as one");
     };
 
@@ -418,16 +424,15 @@ const COUNTED_FRAMES: u64 = 2 * ARENA_BATCHES as u64;
 /// [`COUNTED_FRAMES`] + 2 frames, `frame(0)` on, written as their
 /// connection's writer writes them through one encoder — the first two
 /// and the fifth fresh, every other continuing the one before — and
-/// decoded in turn against one connection's
-/// [`History`](sdci_types::bin::History), as its `FrameReader` decodes
-/// them: from the third on, a continuing one encodes with no allocation
+/// decoded in turn against one connection's [`History`], as its
+/// `FrameReader` decodes them: from the third on, a continuing one encodes with no allocation
 /// and in fewer bytes than fresh, and fresh and continuing ones alike
 /// decode in `per_frame` allocations, or one more where a frame opens its
 /// connection's next arena group: over the counted frames, exactly
 /// `per_frame` each and one for each of the `groups` they open.
 fn frames_cost<M: Batch>(what: &str, per_frame: u64, groups: u64, frame: impl Fn(u64) -> M) {
     let mut enc = BinEncoder::new();
-    let mut history = sdci_types::bin::History::default();
+    let mut history = History::default();
     let mut out = Vec::with_capacity(1 << 20);
     let mut decoding = 0;
     for n in 0..2 + COUNTED_FRAMES {
@@ -446,7 +451,7 @@ fn frames_cost<M: Batch>(what: &str, per_frame: u64, groups: u64, frame: impl Fn
             sent.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");
             assert!(body.len() < fresh.len(), "{what} frame {n}: smaller than fresh");
         }
-        let (decoded, made) = allocations(|| M::decode_on(body, &mut history));
+        let (decoded, made) = allocations(|| M::decode(body, &mut history));
         assert_eq!(decoded.expect("decodes"), sent, "{what} frame {n}");
         if n >= 2 {
             let one_frame = per_frame..=per_frame + 1;
@@ -477,9 +482,9 @@ fn a_refused_frame_leaves_no_path_bytes_in_its_connections_group() {
             .expect("encodes");
         body
     };
-    let mut history = sdci_types::bin::History::default();
+    let mut history = History::default();
     let Frame::ItemBatch { payloads, .. } =
-        Frame::<FileEvent>::decode_on(&frame(0), &mut history).expect("decodes")
+        Frame::<FileEvent>::decode(&frame(0), &mut history).expect("decodes")
     else {
         panic!("an item frame decodes as one");
     };
@@ -489,13 +494,13 @@ fn a_refused_frame_leaves_no_path_bytes_in_its_connections_group() {
     refused.push(0);
 
     let before = LIVE.with(Cell::get);
-    let error = Frame::<FileEvent>::decode_on(&refused, &mut history).expect_err("refused");
+    let error = Frame::<FileEvent>::decode(&refused, &mut history).expect_err("refused");
     drop(error);
     let kept = LIVE.with(Cell::get) - before;
 
     assert_eq!(kept, 0, "{kept} bytes kept of a refused frame of {BATCH} paths");
     let Frame::ItemBatch { payloads, .. } =
-        Frame::<FileEvent>::decode_on(&frame(2 * BATCH), &mut history).expect("decodes")
+        Frame::<FileEvent>::decode(&frame(2 * BATCH), &mut history).expect("decodes")
     else {
         panic!("an item frame decodes as one");
     };

@@ -40,6 +40,7 @@
 use sdci_core::{FeedMessage, SequencedEvent};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::{BinEncoder, Frame, WireMsg};
+use sdci_types::bin::History;
 use sdci_types::{ChangelogKind, Fid, FileEvent, MdtIndex, RawChangelogRecord, SimTime};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -215,7 +216,7 @@ fn a_resolve_batch_costs_at_most_12_1_bytes_a_member_pushed() {
     let item = Frame::ItemBatch { first_seq: 9, payloads: events, trace: None };
     let mut body = Vec::new();
     item.encode(&mut BinEncoder::new(), &mut body).expect("encodes");
-    assert_eq!(Frame::<FileEvent>::decode(&body).expect("decodes"), item);
+    assert_eq!(Frame::<FileEvent>::decode(&body, &mut History::default()).expect("decodes"), item);
     let item = body.len() as f64 / 256.0;
     println!("256 resolve members: item {item:.3} B per member");
     assert!(item <= 12.1, "item batch: {item} B per member");
@@ -246,7 +247,6 @@ fn short_frames_cost_a_little_more_and_long_replies_a_little_less() {
 #[test]
 fn a_pushed_frame_that_continues_its_connection_costs_at_most_10_5_bytes_a_member() {
     use sdci_net::wire::write_item_batch_bin;
-    use sdci_types::bin::History;
     const FRAME: usize = 50;
     let events = steady_batch(8 * FRAME);
     let (mut enc, mut history) = (BinEncoder::new(), History::default());
@@ -256,7 +256,7 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_10_5_bytes_a_membe
         let first_seq = 9 + (n * FRAME) as u64;
         write_item_batch_bin(&mut out, &mut enc, first_seq, frame, None).expect("writes");
         let body = &out[4..];
-        let decoded = Frame::<FileEvent>::decode_on(body, &mut history).expect("decodes");
+        let decoded = Frame::<FileEvent>::decode(body, &mut history).expect("decodes");
         let sent = Frame::ItemBatch { first_seq, payloads: frame.to_vec(), trace: None };
         assert_eq!(decoded, sent, "frame {n}");
         eighth = body.len() as f64 / FRAME as f64;
@@ -276,7 +276,6 @@ fn a_pushed_frame_that_continues_its_connection_costs_at_most_10_5_bytes_a_membe
 #[test]
 fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_0_bytes_a_member() {
     use sdci_net::wire::write_deliver_batch_bin;
-    use sdci_types::bin::History;
     const FRAME: usize = 50;
     let feed: Vec<FeedMessage> = (500_000..)
         .zip(steady_batch(8 * FRAME))
@@ -289,7 +288,7 @@ fn the_eighth_50_member_deliver_frame_of_one_feed_costs_at_most_11_0_bytes_a_mem
         write_deliver_batch_bin(&mut out, &mut enc, "feed/all", frame, None).expect("writes");
         let body = &out[4..];
         assert_eq!(body[1] & 4 != 0, n > 0, "frame {n} continues the one before");
-        let decoded = Frame::<FeedMessage>::decode_on(body, &mut history).expect("decodes");
+        let decoded = Frame::<FeedMessage>::decode(body, &mut history).expect("decodes");
         let topic = "feed/all".to_string();
         assert_eq!(decoded, Frame::DeliverBatch { topic, payloads: frame.to_vec(), trace: None });
         eighth = body.len() as f64 / FRAME as f64;
@@ -327,7 +326,6 @@ fn store_replies() -> Vec<StoreRpc> {
 #[test]
 fn the_eighth_1_000_member_reply_of_one_store_connection_costs_at_most_9_7_bytes_a_member() {
     use sdci_net::wire::write_msg_bin;
-    use sdci_types::bin::History;
     let (mut enc, mut history) = (BinEncoder::new(), History::default());
     let mut eighth = 0.0;
     for (n, reply) in store_replies().iter().enumerate() {
@@ -335,7 +333,7 @@ fn the_eighth_1_000_member_reply_of_one_store_connection_costs_at_most_9_7_bytes
         write_msg_bin(&mut out, &mut enc, reply).expect("writes");
         let body = &out[4..];
         assert_eq!(body[1] & 4 != 0, n > 0, "reply {n} continues the one before");
-        let decoded = StoreRpc::decode_on(body, &mut history).expect("decodes");
+        let decoded = StoreRpc::decode(body, &mut history).expect("decodes");
         assert_eq!(&decoded, reply, "reply {n}");
         let mut fresh = Vec::new();
         reply.encode(&mut BinEncoder::new(), &mut fresh).expect("encodes");

@@ -85,7 +85,7 @@ impl WireMsg for Raw {
         Ok(())
     }
 
-    fn decode_in(body: &[u8], _history: Option<&mut History>) -> std::io::Result<Self> {
+    fn decode(body: &[u8], _history: &mut History) -> std::io::Result<Self> {
         Ok(Raw { body: body.to_vec() })
     }
 }
@@ -141,7 +141,7 @@ impl RawSub {
                 Err(e) => panic!("the connection failed: {e}"),
             };
             let continues = body[1] & CONTINUES != 0;
-            let seqs = match Frame::<FeedMessage>::decode_on(&body, &mut self.history) {
+            let seqs = match Frame::<FeedMessage>::decode(&body, &mut self.history) {
                 Ok(Frame::DeliverBatch { payloads, .. }) => payloads
                     .iter()
                     .map(|m| match m {

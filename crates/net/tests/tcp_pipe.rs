@@ -826,7 +826,7 @@ impl WireMsg for Raw {
         Ok(())
     }
 
-    fn decode_in(body: &[u8], _history: Option<&mut History>) -> std::io::Result<Self> {
+    fn decode(body: &[u8], _history: &mut History) -> std::io::Result<Self> {
         Ok(Raw { body: body.to_vec() })
     }
 }
@@ -844,7 +844,7 @@ fn serve_by_hand(listener: &TcpListener, mark: u64, events: usize) -> (Vec<bool>
     let (mut history, mut continued, mut got) = (History::default(), Vec::new(), Vec::new());
     while got.len() < events {
         let Raw { body } = reader.read_msg().unwrap();
-        match Frame::<FileEvent>::decode_on(&body, &mut history).unwrap() {
+        match Frame::<FileEvent>::decode(&body, &mut history).unwrap() {
             Frame::Ping => {}
             Frame::ItemBatch { first_seq, payloads, .. } => {
                 continued.push(body[1] & CONTINUES != 0);

@@ -43,6 +43,7 @@ use sdci_net::{
     Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpPullServer, TcpPush,
     TcpSubscriber, WireMsg, MAX_FRAME_LEN, WIRE_PROTO,
 };
+use sdci_types::bin::History;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,7 +190,7 @@ fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
 
 /// Reads the hello a client endpoint opened its connection with.
 fn read_hello(stream: &mut TcpStream) -> Service {
-    let hello = Hello::decode(&read_raw_frame(stream)).unwrap();
+    let hello = Hello::decode(&read_raw_frame(stream), &mut History::default()).unwrap();
     assert_eq!(hello.proto, WIRE_PROTO);
     hello.service
 }
@@ -198,7 +199,8 @@ fn read_hello(stream: &mut TcpStream) -> Service {
 /// frames on the way is a second data frame.
 fn expect_only_control_until_fin(stream: &mut TcpStream, what: &str) {
     loop {
-        match Frame::<FileEvent>::decode(&read_raw_frame(stream)).unwrap() {
+        match Frame::<FileEvent>::decode(&read_raw_frame(stream), &mut History::default()).unwrap()
+        {
             Frame::Fin => return,
             Frame::Ack { .. } | Frame::Ping => {}
             batch => panic!("{what}: a second data frame followed the lone event's: {batch:?}"),
@@ -404,14 +406,14 @@ fn a_hello_for_a_service_not_attached_here_is_refused_the_same_way() {
 fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     let _serial = endpoints();
     let body = forged_heartbeat_body();
-    let err = Frame::<FeedMessage>::decode(&body).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&body, &mut History::default()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("kind 2"), "refused for another reason: {err}");
     // Nothing but the kind is wrong with it: as kind 4 it is the heartbeat.
     let mut as_deliver = body.clone();
     as_deliver[0] = 4;
     assert_eq!(
-        Frame::<FeedMessage>::decode(&as_deliver).unwrap(),
+        Frame::<FeedMessage>::decode(&as_deliver, &mut History::default()).unwrap(),
         Frame::DeliverBatch {
             topic: "feed/all".into(),
             payloads: vec![FeedMessage::Heartbeat { last_seq: u64::MAX }],
@@ -426,7 +428,10 @@ fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "hostile".into(), resume_after: 0 }).unwrap();
     let greeting = read_raw_frame(&mut stream);
-    assert_eq!(Frame::<FeedMessage>::decode(&greeting).unwrap(), Frame::Ack { up_to: 0 });
+    assert_eq!(
+        Frame::<FeedMessage>::decode(&greeting, &mut History::default()).unwrap(),
+        Frame::Ack { up_to: 0 }
+    );
     stream.write_all(&frame(&body)).unwrap();
     assert_closed_unanswered(&mut stream, "a kind-2 frame on a push session");
     assert_eq!(pull.stats().items, 0, "the undecodable frame was applied");
@@ -549,7 +554,10 @@ fn a_hello_length_word_past_what_a_hello_can_be_is_refused_before_it_is_buffered
     assert_eq!(refused("unknown"), before + 3, "each one is recorded");
     assert_eq!(broker.stats().accepted, 0, "an oversized hello reached the broker");
     let mut longest = connect_with_hello(addr, &subscriber_hello(MAX_HELLO_LEN));
-    assert_eq!(Frame::<u64>::decode(&read_raw_frame(&mut longest)).unwrap(), Frame::Ping);
+    assert_eq!(
+        Frame::<u64>::decode(&read_raw_frame(&mut longest), &mut History::default()).unwrap(),
+        Frame::Ping
+    );
     assert_eq!(broker.stats().accepted, 1, "the longest legal hello was not served");
 
     let sent = Instant::now();
@@ -624,7 +632,10 @@ fn after_the_hello_a_length_word_pins_no_more_than_the_bytes_that_came() {
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: "claims".into(), resume_after: 0 }).unwrap();
     let greeting = read_raw_frame(&mut stream);
-    assert_eq!(Frame::<FeedMessage>::decode(&greeting).unwrap(), Frame::Ack { up_to: 0 });
+    assert_eq!(
+        Frame::<FeedMessage>::decode(&greeting, &mut History::default()).unwrap(),
+        Frame::Ack { up_to: 0 }
+    );
     let sent = Instant::now();
     stream.write_all(&over_word).unwrap();
     assert_closed_unanswered(&mut stream, "a frame longer than MAX_FRAME_LEN");
@@ -708,7 +719,7 @@ fn a_consumer_behind_more_path_bytes_than_a_frame_holds_recovers_every_event() {
     let remote = RemoteStore::connect(endpoint.local_addr(), cfg.clone());
     let broker = sdci_mq::pubsub::Broker::new(64);
     let feed = broker.subscribe(&["feed/"]);
-    let mut consumer = EventConsumer::new(feed, remote, 0).with_backfill_retry(0, Duration::ZERO);
+    let mut consumer = EventConsumer::new(feed, remote, 0);
     let mut delivered = 0u64;
     for _ in 0..5 {
         broker.publisher().publish("feed/all", FeedMessage::Heartbeat { last_seq: 17_000 });
@@ -762,7 +773,8 @@ fn a_lone_pushed_event_is_one_binary_frame_with_its_trace_context() {
     assert_eq!(read_hello(&mut stream), Service::Push { client: "lone".into(), resume_after: 0 });
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
 
-    match Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap() {
+    match Frame::<FileEvent>::decode(&read_raw_frame(&mut stream), &mut History::default()).unwrap()
+    {
         Frame::ItemBatch { first_seq: 1, payloads, trace: Some(hop) } => {
             assert_eq!(payloads, vec![traced_event()], "payload or its context damaged");
             assert_eq!(hop.trace_id, CTX.trace_id, "the frame's send-leg context is the event's");
@@ -786,17 +798,17 @@ fn a_lone_delivered_event_is_one_binary_frame_with_its_trace_context() {
     // The leg registers asynchronously; publish the lone event only
     // once the leg's first `Ping` shows it is being served.
     let body = read_raw_frame(&mut stream);
-    assert_eq!(Frame::<FileEvent>::decode(&body).unwrap(), Frame::Ping);
+    assert_eq!(Frame::<FileEvent>::decode(&body, &mut History::default()).unwrap(), Frame::Ping);
     broker.publish("feed/all", traced_event());
 
     let body = loop {
         let body = read_raw_frame(&mut stream);
-        if Frame::<FileEvent>::decode(&body).unwrap() != Frame::Ping {
+        if Frame::<FileEvent>::decode(&body, &mut History::default()).unwrap() != Frame::Ping {
             break body;
         }
     };
     assert_eq!(
-        Frame::<FileEvent>::decode(&body).unwrap(),
+        Frame::<FileEvent>::decode(&body, &mut History::default()).unwrap(),
         Frame::DeliverBatch {
             topic: "feed/all".into(),
             payloads: vec![traced_event()],
@@ -845,7 +857,7 @@ fn store_queries_are_a_few_binary_bytes_and_json_is_invalid_data() {
         let mut body = Vec::new();
         msg.encode(&mut BinEncoder::new(), &mut body).unwrap();
         assert_eq!(body, bytes, "{msg:?}");
-        assert_eq!(StoreRpc::decode(&bytes).unwrap(), msg);
+        assert_eq!(StoreRpc::decode(&bytes, &mut History::default()).unwrap(), msg);
     }
 
     for body in [
@@ -856,10 +868,10 @@ fn store_queries_are_a_few_binary_bytes_and_json_is_invalid_data() {
         r#"{"Batch":{"events":[{"seq":1}]}}"#,
         r#""Batch""#,
     ] {
-        let err = StoreRpc::decode(body.as_bytes()).unwrap_err();
+        let err = StoreRpc::decode(body.as_bytes(), &mut History::default()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "accepted: {body}");
     }
-    let err = StoreRpc::decode(&[7, 0]).unwrap_err();
+    let err = StoreRpc::decode(&[7, 0], &mut History::default()).unwrap_err();
     assert!(err.to_string().contains("kind 7"), "{err}");
 }
 
@@ -1010,7 +1022,8 @@ fn greeted(addr: SocketAddr, client: &str, resume_after: u64) -> TcpStream {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     write_hello(&mut stream, Service::Push { client: client.into(), resume_after }).unwrap();
-    let greeting = Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap();
+    let greeting =
+        Frame::<FileEvent>::decode(&read_raw_frame(&mut stream), &mut History::default()).unwrap();
     assert_eq!(greeting, Frame::Ack { up_to: resume_after });
     stream
 }
@@ -1100,7 +1113,7 @@ fn a_server_mark_of_u64_max_fails_the_pushers_handshake() {
     assert_eq!(read_hello(&mut stream), hello);
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 0 }).unwrap();
     assert_eq!(
-        Frame::<FileEvent>::decode(&read_raw_frame(&mut stream)).unwrap(),
+        Frame::<FileEvent>::decode(&read_raw_frame(&mut stream), &mut History::default()).unwrap(),
         Frame::ItemBatch { first_seq: 1, payloads: vec![pushed_event(1)], trace: None }
     );
     write_msg(&mut stream, &Frame::<FileEvent>::Ack { up_to: 1 }).unwrap();

@@ -172,12 +172,29 @@ fn mutate(rng: &mut Rng, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// What a decoder did with `bytes`: whether it accepted them, and the
-/// largest allocation it asked for. Anything but `Ok` or `InvalidData`
-/// fails the test, as does a panic inside `decode` or on reading any
-/// field — every path — of what it returned.
+/// A reader's history as a connection's first frame finds it: holding
+/// nothing, numbering from 1, and with cold path staging — no storage and
+/// no open group, so a body's paths are sized by the cold reservation, as
+/// a hostile peer's first frame's are. Only the held members' box and its
+/// two 1,024-entry rings, which a connection allocates once, an honest
+/// item frame has made before any allocation is measured: a warm store
+/// reply would take the number a store body's first carries.
+fn fresh_history() -> History {
+    let mut history = History::default();
+    Frame::<FileEvent>::decode(&hand_laid(&honest())[0], &mut history).unwrap();
+    history.clear();
+    drop(history.unstage());
+    history
+}
+
+/// What a decoder did with `bytes` on a fresh reader ([`fresh_history`]):
+/// whether it accepted them, and the largest allocation it asked for.
+/// Anything but `Ok` or `InvalidData` fails the test, as does a panic
+/// inside `decode` or on reading any field — every path — of what it
+/// returned.
 fn fed<M: WireMsg + std::fmt::Debug>(bytes: &[u8]) -> (bool, usize) {
-    let (result, largest) = largest_request(|| M::decode(bytes));
+    let mut history = fresh_history();
+    let (result, largest) = largest_request(|| M::decode(bytes, &mut history));
     match result {
         Ok(value) => {
             assert!(!format!("{value:?}").is_empty());
@@ -345,7 +362,7 @@ fn a_claimed_path_length_sizes_nothing() {
 
     let over = raw_bodies_of(one_event(&"p".repeat(MAX_PATH_LEN + 1)), None);
     over.iter().for_each(|body| refused(body));
-    let err = Frame::<FileEvent>::decode(&over[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&over[0], &mut History::default()).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
 }
 
@@ -489,12 +506,13 @@ fn hand_laid(members: &[Option<Laid>]) -> [Vec<u8>; 3] {
     bodies
 }
 
-/// What each kind's own decoder made of its body: the paths it decoded,
-/// or `None` where it refused — as `InvalidData`, within the allocation
-/// bound, or the test fails.
+/// What each kind's own decoder made of its body on a fresh reader
+/// ([`fresh_history`]): the paths it decoded, or `None` where it refused —
+/// as `InvalidData`, within the allocation bound, or the test fails.
 fn decoded_paths(bodies: &[Vec<u8>; 3]) -> [Option<Vec<String>>; 3] {
     fn checked<M: WireMsg>(body: &[u8], paths: impl Fn(M) -> Vec<String>) -> Option<Vec<String>> {
-        let (result, largest) = largest_request(|| M::decode(body));
+        let mut history = fresh_history();
+        let (result, largest) = largest_request(|| M::decode(body, &mut history));
         assert!(largest <= allocation_bound(body), "{largest} bytes for {}", body.len());
         match result {
             Ok(msg) => Some(paths(msg)),
@@ -611,7 +629,7 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     over.push(Some(member(0, 0, Some(2), MAX_PATH_LEN, b"x")));
     let bodies = hand_laid(&over);
     assert_eq!(decoded_paths(&bodies), [None, None, None]);
-    let err = Frame::<FileEvent>::decode(&bodies[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&bodies[0], &mut History::default()).unwrap_err();
     assert!(err.to_string().contains("exceeds 4096"), "got: {err}");
 
     // One page more than the budget: the item decoder (the three share
@@ -620,13 +638,17 @@ fn a_chain_of_references_is_charged_like_any_other_path() {
     let pages = FRAME_PATH_BUDGET / MAX_PATH_LEN;
     let [body, ..] = hand_laid(&chain(pages + 1));
     assert!(body.len() < 64 * pages, "{} bytes claim {pages} pages", body.len());
-    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(&body));
+    let (result, largest) =
+        largest_request(|| Frame::<FileEvent>::decode(&body, &mut History::default()));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
     assert!(largest <= 2 * FRAME_PATH_BUDGET, "one allocation of {largest} bytes");
     let [fits, ..] = hand_laid(&chain(pages));
-    assert!(Frame::<FileEvent>::decode(&fits).is_ok(), "the budget itself is allowed");
+    assert!(
+        Frame::<FileEvent>::decode(&fits, &mut History::default()).is_ok(),
+        "the budget itself is allowed"
+    );
 }
 
 /// A code table as a frame carries it, for `(symbol, codeword length)`
@@ -780,7 +802,7 @@ fn decodes(bodies: [Vec<u8>; 3], want: &[&str]) {
 /// Refused by all three decoders, the item decoder saying `why`.
 fn refused(why: &str, bodies: [Vec<u8>; 3]) {
     assert_eq!(decoded_paths(&bodies), [None, None, None], "{why}");
-    let err = Frame::<FileEvent>::decode(&bodies[0]).unwrap_err();
+    let err = Frame::<FileEvent>::decode(&bodies[0], &mut History::default()).unwrap_err();
     assert!(err.to_string().contains(why), "expected {why:?}, got: {err}");
 }
 
@@ -950,7 +972,7 @@ fn a_class_mask_or_coded_section_that_breaks_a_rule_is_refused_with_its_own_mess
     let path = vec![(Class::Path, id.clone())];
     refused("a path code on a section with no path bytes", coded(&path, &[]));
     let [.., deliver] = coded(&path, &[None]);
-    let err = Frame::<FeedMessage>::decode(&deliver).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&deliver, &mut History::default()).unwrap_err();
     assert!(err.to_string().contains("no path bytes"), "got: {err}");
     let back = vec![(Class::Back, id.clone())];
     refused(
@@ -982,10 +1004,14 @@ fn a_coded_suffix_is_charged_to_the_frame_path_budget() {
         .map(|class| (class, identity()))
         .collect();
     let [fits, ..] = coded(&codes, &chain);
-    assert!(Frame::<FileEvent>::decode(&fits).is_ok(), "the budget itself is allowed");
+    assert!(
+        Frame::<FileEvent>::decode(&fits, &mut History::default()).is_ok(),
+        "the budget itself is allowed"
+    );
     chain.push(coded_first(1, b"/"));
     let [over, ..] = coded(&codes, &chain);
-    let (result, largest) = largest_request(|| Frame::<FileEvent>::decode(&over));
+    let (result, largest) =
+        largest_request(|| Frame::<FileEvent>::decode(&over, &mut History::default()));
     let err = result.unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("path bytes"), "got: {err}");
@@ -1080,13 +1106,13 @@ fn a_coded_count_is_held_to_the_bits_after_it() {
         assert_eq!(accepted, ok, "{count} members claimed");
         assert!(largest <= grown, "{count} claimed: one allocation of {largest} bytes");
     }
-    let err = Frame::<FeedMessage>::decode(&deliver(8_192)).unwrap_err();
+    let err = Frame::<FeedMessage>::decode(&deliver(8_192), &mut History::default()).unwrap_err();
     assert!(err.to_string().contains("8192 members claimed, the section ends after 4096"), "{err}");
     for count in [8_193, 1 << 40] {
         let body = deliver(count);
         let (accepted, largest) = fed::<Frame<FeedMessage>>(&body);
         assert!(!accepted && largest <= allocation_bound(&body), "{count}: {largest} bytes");
-        let err = Frame::<FeedMessage>::decode(&body).unwrap_err();
+        let err = Frame::<FeedMessage>::decode(&body, &mut History::default()).unwrap_err();
         assert!(err.to_string().contains("members claimed in 8192 bits"), "{count}: {err}");
     }
     let [.., raw] = hand_laid(&vec![None; 4_096]);
@@ -1098,7 +1124,7 @@ fn a_coded_count_is_held_to_the_bits_after_it() {
     let frame = Frame::DeliverBatch { topic: "feed/all".into(), payloads: heartbeats, trace: None };
     let body = body_of(&frame);
     assert!(body.len() < MAX_FRAME_MEMBERS / 4 + 64, "{} bytes for 8,192 members", body.len());
-    assert_eq!(Frame::<FeedMessage>::decode(&body).unwrap(), frame);
+    assert_eq!(Frame::<FeedMessage>::decode(&body, &mut History::default()).unwrap(), frame);
 }
 
 /// Frame-header flags bit 2: the frame continues its connection.
@@ -1140,7 +1166,7 @@ fn with_head(body: &[u8], at: usize, key: u64) -> Vec<u8> {
 /// Decodes `body` as the reader of a connection whose history is
 /// `history` does: the paths it decoded, or the error.
 fn read_on(history: &mut History, body: &[u8]) -> Result<Vec<String>, std::io::Error> {
-    match Frame::<FileEvent>::decode_on(body, history)? {
+    match Frame::<FileEvent>::decode(body, history)? {
         Frame::ItemBatch { payloads, .. } => {
             Ok(payloads.iter().map(|e| e.path.to_str().expect("UTF-8").to_string()).collect())
         }
@@ -1251,7 +1277,7 @@ fn continuing_replies(replies: usize) -> Vec<Vec<u8>> {
 /// history is `history` does: the sequence numbers it decoded, or the
 /// error.
 fn read_reply_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
-    match StoreRpc::decode_on(body, history)? {
+    match StoreRpc::decode(body, history)? {
         StoreRpc::Batch { events } => Ok(events.iter().map(|e| e.seq).collect()),
         other => panic!("a reply body decoded as {other:?}"),
     }
@@ -1260,7 +1286,7 @@ fn read_reply_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io
 /// Decodes deliver `body` as the reader of a connection whose history is
 /// `history` does: the sequence numbers it decoded, or the error.
 fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io::Error> {
-    match Frame::<FeedMessage>::decode_on(body, history)? {
+    match Frame::<FeedMessage>::decode(body, history)? {
         Frame::DeliverBatch { payloads, .. } => Ok(payloads
             .iter()
             .map(|m| match m {
@@ -1273,23 +1299,21 @@ fn read_feed_on(history: &mut History, body: &[u8]) -> Result<Vec<u64>, std::io:
 }
 
 /// Every way a continuing frame can fail to match its reader's history,
-/// each refused with its own message: on a reader that holds none, or
-/// decoded apart from any connection; a `first_seq` one off either way
+/// each refused with its own message: on a reader that holds none — a
+/// fresh `History` among them; a `first_seq` one off either way
 /// (a gap, refused like any other frame: the history is cleared, so the
 /// right frame is refused after it too); a back-distance one past what
 /// the reader holds, and one past the 1,024-member window, where one
 /// less is read; and a reuse bit for a class the last frame did not
 /// code, or outside the class mask. A store reply continues its
-/// connection too: decoded apart from it, or on a reader that holds none
-/// of its history, it is refused.
+/// connection too: on a reader that holds none of its history, it is
+/// refused.
 #[test]
 fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_message() {
     let stream = continuing_stream(2);
     assert_eq!(stream[0][1] & CONTINUES, 0);
     assert_eq!(stream[1][1] & CONTINUES, CONTINUES);
     refused_on(&mut History::default(), &stream[1], "holds none of its history");
-    let err = Frame::<FileEvent>::decode(&stream[1]).unwrap_err();
-    assert!(err.to_string().contains("decoded apart from it"), "{err}");
 
     // The head is the one byte in which the same stream keyed from 57
     // differs: first_seq, a varint after the codes, 31 here and 81 there.
@@ -1357,9 +1381,6 @@ fn a_continuing_frame_that_does_not_match_its_history_is_refused_with_its_own_me
     let replies = continuing_replies(3);
     assert_eq!(replies[0][1] & CONTINUES, 0);
     assert_eq!(replies[1][1] & CONTINUES, CONTINUES);
-    let err = StoreRpc::decode(&replies[1]).unwrap_err();
-    let why = "a store reply that continues its connection, decoded apart from it";
-    assert!(err.to_string().contains(why), "{err}");
     let mut history = History::default();
     history.take_number(1).unwrap();
     let err = read_reply_on(&mut history, &replies[1]).unwrap_err();
@@ -1401,7 +1422,7 @@ fn a_store_frame_whose_number_is_not_next_is_refused_and_empties_the_history() {
             body
         })
         .collect();
-    let read_query = |history: &mut History, body: &[u8]| match StoreRpc::decode_on(body, history) {
+    let read_query = |history: &mut History, body: &[u8]| match StoreRpc::decode(body, history) {
         Ok(StoreRpc::Query { query, .. }) => Ok(query.after_seq),
         Ok(other) => panic!("a query body decoded as {other:?}"),
         Err(e) => Err(e),
@@ -1414,13 +1435,15 @@ fn a_store_frame_whose_number_is_not_next_is_refused_and_empties_the_history() {
     assert_eq!(read_query(&mut history, &queries[0]).unwrap(), Some(0));
     refused_as(read_query(&mut history, &queries[2]).unwrap_err(), &next(3, 2));
     assert_eq!(read_query(&mut history, &queries[1]).unwrap(), Some(1), "the refusal took none");
-    // Apart from any connection, a numbered frame is read whatever its number.
-    assert!(StoreRpc::decode(&queries[2]).is_ok() && StoreRpc::decode(&replies[0]).is_ok());
+    // A fresh reader is a connection's first: it reads frame 1 only.
+    assert_eq!(read_query(&mut History::default(), &queries[0]).unwrap(), Some(0));
+    refused_as(read_query(&mut History::default(), &queries[2]).unwrap_err(), &next(3, 1));
+    assert_eq!(read_reply_on(&mut History::default(), &replies[0]).unwrap(), seqs(0));
 }
 
 /// The deliver batch's twin of the test above, each refusal with its own
 /// message: a continuing deliver batch on a reader that holds none of its
-/// history, or decoded apart from any connection; a head whose
+/// history — a fresh `History` among them; a head whose
 /// `first_seq` is one off either way (a gap: the history is cleared, so
 /// the right frame is refused after it too); and one whose head matches the
 /// history but whose first member carries no sequence number — a deliver
@@ -1432,9 +1455,6 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
     assert_eq!(feed[1][1] & CONTINUES, CONTINUES);
     let why = "holds none of its history";
     refused_as(read_feed_on(&mut History::default(), &feed[1]).unwrap_err(), why);
-    let err = Frame::<FeedMessage>::decode(&feed[1]).unwrap_err();
-    let why = "a deliver batch that continues its connection, decoded apart from it";
-    assert!(err.to_string().contains(why), "{err}");
 
     // The head: the topic, then the first member's sequence number, a
     // one-byte varint.
@@ -1465,36 +1485,30 @@ fn a_continuing_deliver_frame_that_does_not_match_its_history_is_refused_with_it
 
 /// Reads 10,000 seeded mutations of `stream`, a run of frames each
 /// continuing the one before, carrying `sent`: one frame is mutated, and
-/// the stream is read in order by one connection's reader, whose
-/// history's storage `warm` — a frame of another stream — has made before
-/// any allocation is measured. Each frame is read or refused as
+/// the stream is read in order by one connection's reader, fresh
+/// ([`fresh_history`]) when the stream starts. Each frame is read or refused as
 /// `InvalidData`, never a panic, within the allocation bound; every
 /// frame before the mutated one decodes to exactly what was sent; and no
 /// frame after a refused one is read against it. Returns how many frames
 /// were read and how many refused.
-fn read_mutated_streams<M>(stream: &[Vec<u8>], sent: &[M], warm: &[u8]) -> (u32, u32)
+fn read_mutated_streams<M>(stream: &[Vec<u8>], sent: &[M]) -> (u32, u32)
 where
     M: WireMsg + PartialEq + std::fmt::Debug,
 {
     let mut history = History::default();
     for (body, sent) in stream.iter().zip(sent) {
-        assert_eq!(&M::decode_on(body, &mut history).unwrap(), sent, "unmutated");
+        assert_eq!(&M::decode(body, &mut history).unwrap(), sent, "unmutated");
     }
     let mut rng = Rng(0x5dc1_0028);
     let (mut read, mut refused) = (0u32, 0u32);
     for round in 0..10_000 {
         let target = rng.below(stream.len());
         let mutated = mutate(&mut rng, &stream[target]);
-        // The warm item frame makes the history's storage and nothing
-        // more: a warm store reply would take the number the stream's
-        // first reply carries.
-        let mut history = History::default();
-        Frame::<FileEvent>::decode_on(warm, &mut history).unwrap();
-        history.clear();
+        let mut history = fresh_history();
         let mut refused_before = false;
         for (i, honest) in stream.iter().enumerate() {
             let body = if i == target { &mutated } else { honest };
-            let (result, largest) = largest_request(|| M::decode_on(body, &mut history));
+            let (result, largest) = largest_request(|| M::decode(body, &mut history));
             assert!(largest <= allocation_bound(body), "round {round}: {largest} bytes");
             match result {
                 Ok(got) => {
@@ -1523,7 +1537,6 @@ where
 /// refused one.
 #[test]
 fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
-    let warm = &hand_laid(&honest())[0];
     let sent: Vec<Frame<FileEvent>> = (0..5)
         .map(|frame| Frame::ItemBatch {
             first_seq: 7 + 24 * frame,
@@ -1531,14 +1544,13 @@ fn mutations_of_a_continuing_stream_never_decode_against_a_refused_frame() {
             trace: None,
         })
         .collect();
-    let (read, refused) = read_mutated_streams(&continuing_stream(5), &sent, warm);
+    let (read, refused) = read_mutated_streams(&continuing_stream(5), &sent);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }
 
 /// The same over a five-frame continuing feed, as the fan-out writes it.
 #[test]
 fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
-    let warm = &hand_laid(&honest())[0];
     let sent: Vec<Frame<FeedMessage>> = (0..5)
         .map(|frame| Frame::DeliverBatch {
             topic: "feed/all".into(),
@@ -1549,7 +1561,7 @@ fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
             trace: None,
         })
         .collect();
-    let (read, refused) = read_mutated_streams(&continuing_feed(5), &sent, warm);
+    let (read, refused) = read_mutated_streams(&continuing_feed(5), &sent);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }
 
@@ -1557,10 +1569,9 @@ fn mutations_of_a_continuing_feed_never_decode_against_a_refused_frame() {
 /// the one before at a store offset of its own.
 #[test]
 fn mutations_of_continuing_store_replies_never_decode_against_a_refused_reply() {
-    let warm = &hand_laid(&honest())[0];
     let sent: Vec<StoreRpc> =
         (0..5).map(|reply| StoreRpc::Batch { events: reply_events(reply, 5) }).collect();
-    let (read, refused) = read_mutated_streams(&continuing_replies(5), &sent, warm);
+    let (read, refused) = read_mutated_streams(&continuing_replies(5), &sent);
     assert!(read > 15_000 && refused > 5_000, "read {read}, refused {refused}");
 }
 
@@ -1674,7 +1685,7 @@ fn mutations_of_the_three_hellos_decode_exactly_or_fail_closed() {
         for (_, largest) in [fed::<Frame<FileEvent>>(&body), fed::<StoreRpc>(&body)] {
             assert!(largest <= bound, "round {round}: {largest} bytes");
         }
-        let (result, largest) = largest_request(|| Hello::decode(&body));
+        let (result, largest) = largest_request(|| Hello::decode(&body, &mut History::default()));
         assert!(largest <= bound, "round {round}: {largest} bytes for {body:?}");
         match result {
             Ok(hello) => {

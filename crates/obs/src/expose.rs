@@ -152,6 +152,7 @@ mod tests {
         assert!(status.contains("405"), "{status}");
 
         // /healthz: ready with no failing probes, 503 once one fails.
+        let probes = crate::health::test_support::probes_lock();
         let (status, body) = http_get(addr, "/healthz", "GET");
         assert!(status.contains("200"), "{status}");
         assert_eq!(body, "ok\n");
@@ -160,6 +161,7 @@ mod tests {
         assert!(status.contains("503"), "{status}");
         assert!(body.contains("expose.test: down for the test"), "{body}");
         crate::health::register_probe("expose.test", || Ok(()));
+        drop(probes);
 
         // /tracez: well-formed JSON document with the span arrays.
         let _rate = crate::trace::test_support::rate_lock();

@@ -44,6 +44,18 @@ pub fn check() -> Result<(), Vec<(String, String)>> {
 }
 
 #[cfg(test)]
+pub(crate) mod test_support {
+    //! The probe registry is process-global; unit tests across modules
+    //! that register a failing probe serialize through this one lock.
+    use std::sync::Mutex;
+
+    pub(crate) fn probes_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,6 +63,7 @@ mod tests {
 
     #[test]
     fn probes_gate_readiness_and_replace_by_name() {
+        let _probes = test_support::probes_lock();
         let halted = Arc::new(AtomicBool::new(false));
         let probe_halted = Arc::clone(&halted);
         register_probe("test.halted", move || {

@@ -136,8 +136,8 @@ const LIST_LIMIT: usize = 32;
 const CODE_BITMAP_LEN: usize = 32;
 
 /// The path arena a [`BinReader`] with no warm staging reserves — a
-/// frame decoded on its own, a snapshot block, a connection's first frame
-/// with paths — per body byte left when its first path is read, never a
+/// connection's first frame with paths, a snapshot file's first block —
+/// per body byte left when its first path is read, never a
 /// length the body claims. A path is mostly shared with a frame-mate's,
 /// and a coded member carries its fields and suffix in a few bits each: a
 /// coded 256-member frame of the benchmark's `resolve` shape assembles
@@ -275,12 +275,11 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], BinDecodeError> {
 /// needs an owned value.
 ///
 /// The reader also owns the path bytes its frame assembles: every
-/// `BinReader::front_coded` string lands in one slot of an arena, which
-/// is sealed — and the [`EventPath`]s into it become readable — when the
-/// reader drops, or, on a reader that assembles them in its connection's
-/// staging ([`BinReader::stage_from`]), when [`BinReader::seal`] hands
-/// the staging back. A decoder therefore returns its events only after its
-/// reader is sealed or gone, and on an error returns none.
+/// `BinReader::front_coded` string lands in one slot of an arena, in the
+/// staging its owner lends [`BinReader::read_staged`], which seals them
+/// when the frame is read — the [`EventPath`]s into it become readable —
+/// or seals their slot empty when it is refused, and hands the staging
+/// back either way.
 ///
 /// It holds its frame's codes too, once [`BinReader::read_codes`] has
 /// read them: inside the member section ([`read_members`]) every
@@ -299,9 +298,9 @@ pub struct BinReader<'a> {
     path_budget: usize,
     /// The frame's assembled paths; made by the first front-coded field.
     paths: Option<PathArenaBuilder>,
-    /// The staging its connection lent for the paths to be assembled in
-    /// and sealed into, until the first front-coded field takes it.
-    staging: Option<PathStaging>,
+    /// The staging the paths are assembled in and sealed into, until the
+    /// first front-coded field takes it.
+    staging: PathStaging,
     /// The frame's codes, when it carries any.
     codes: Option<Codes<'a>>,
     /// The history the frame continues, when it continues one.
@@ -316,38 +315,34 @@ impl<'a> BinReader<'a> {
             buf,
             path_budget: FRAME_PATH_BUDGET,
             paths: None,
-            staging: None,
+            staging: PathStaging::default(),
             codes: None,
             history: None,
         }
     }
 
-    /// Assembles the frame's paths in the staging `history` keeps for its
-    /// connection's frames, warm from the last one, and seals them into
-    /// its open group's next slot; [`BinReader::seal`] hands it back.
-    pub fn stage_from(&mut self, history: &mut History) {
-        self.staging = Some(std::mem::take(&mut history.staging));
-    }
-
-    /// Seals the frame's paths — one exact-size copy, after which their
-    /// handles are readable — and returns the staging they were assembled
-    /// in, for a connection to keep ([`History::restage`]); see
-    /// [`PathArenaBuilder::seal`].
-    pub fn seal(&mut self) -> PathStaging {
-        match self.paths.take() {
-            Some(paths) => paths.seal(),
-            None => self.staging.take().unwrap_or_default(),
-        }
-    }
-
-    /// As [`BinReader::seal`], for a frame that is refused: its paths are
-    /// not kept, and their slot is sealed empty
-    /// ([`PathArenaBuilder::abandon`]).
-    pub fn abandon(&mut self) -> PathStaging {
-        match self.paths.take() {
+    /// Reads the frame with `read`, its paths assembled in `staging` —
+    /// what the reader's owner keeps from frame to frame, warm from the
+    /// last one — and closes them by the result: sealed into the staging's
+    /// open group's next slot with one exact-size copy
+    /// ([`PathArenaBuilder::seal`]) when `read` returns `Ok`, after which
+    /// their handles are readable; their slot sealed empty
+    /// ([`PathArenaBuilder::abandon`]) when it refuses the frame, whose
+    /// handles must then be dropped unread. `staging` is handed back
+    /// either way, for the owner's next frame.
+    pub fn read_staged<T, E>(
+        &mut self,
+        staging: &mut PathStaging,
+        read: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<T, E> {
+        self.staging = std::mem::take(staging);
+        let result = read(self);
+        *staging = match self.paths.take() {
+            None => std::mem::take(&mut self.staging),
+            Some(paths) if result.is_ok() => paths.seal(),
             Some(paths) => paths.abandon(),
-            None => self.staging.take().unwrap_or_default(),
-        }
+        };
+        result
     }
 
     /// The history the frame continues, when it continues one.
@@ -497,13 +492,12 @@ impl<'a> BinReader<'a> {
     /// `base` is any path this reader assembled earlier (the
     /// predecessor's, or the member's a path reference names), or one its
     /// connection's history holds. The handle is readable once the reader
-    /// has sealed or dropped; until then it serves as a later member's
-    /// base.
+    /// has sealed; until then it serves as a later member's base.
     ///
     /// The paths are assembled in the staging the reader was lent,
-    /// which keeps the capacity its connection's frames grew it to, and
-    /// sealed into its open group's next slot. A
-    /// reader with none reserves it on the first call, at six times the
+    /// which keeps the capacity its owner's frames grew it to, and
+    /// sealed into its open group's next slot. Staging that holds no
+    /// storage yet is reserved on the first call, at six times the
     /// bytes then left in the body (capped at [`FRAME_PATH_BUDGET`]) and
     /// never at a length the body claims; either grows from there within
     /// the budget.
@@ -546,7 +540,7 @@ impl<'a> BinReader<'a> {
         let staging = &mut self.staging;
         self.paths
             .get_or_insert_with(|| {
-                let mut staging = staging.take().unwrap_or_default();
+                let mut staging = std::mem::take(staging);
                 staging.reserve_cold(reserve);
                 PathArenaBuilder::with_staging(staging)
             })
@@ -1177,7 +1171,7 @@ pub const HISTORY_MEMBERS: usize = DIR_SLOTS;
 /// every batch frame it codes or decodes ([`History::record`]), and both
 /// record the same. The reader's also keeps the staging its frames'
 /// paths are assembled in, and the group they seal into
-/// ([`BinReader::stage_from`]).
+/// ([`History::unstage`]).
 ///
 /// Nothing is generic here: a member is kept as its event
 /// ([`BinPayload::event`]), and one without an event as nothing — a
@@ -1258,7 +1252,13 @@ impl History {
         self.held.as_ref().and_then(|held| held.next_seq)
     }
 
-    /// Keeps `staging` — what [`BinReader::seal`] handed back — for the
+    /// Lends the staging the connection's frames' paths are assembled in
+    /// to the reader of its next frame ([`BinReader::read_staged`]).
+    pub fn unstage(&mut self) -> PathStaging {
+        std::mem::take(&mut self.staging)
+    }
+
+    /// Keeps `staging` — what [`BinReader::read_staged`] handed back — for the
     /// next frame's reader.
     pub fn restage(&mut self, staging: PathStaging) {
         self.staging = staging;
@@ -2403,7 +2403,9 @@ mod tests {
     fn read_front_coded(buf: &[u8], prev: &str) -> Result<EventPath, BinDecodeError> {
         let prev = (!prev.is_empty()).then(|| EventPath::from(prev));
         let mut r = BinReader::new(buf);
-        let path = r.front_coded(prev.as_ref().map(EventPath::view))?;
+        let path = r.read_staged(&mut PathStaging::default(), |r| {
+            r.front_coded(prev.as_ref().map(EventPath::view))
+        })?;
         assert!(r.is_empty());
         Ok(path)
     }
@@ -2433,11 +2435,14 @@ mod tests {
         let mut buf = front_coded("/a/b/one", "");
         buf.extend(front_coded("/a/b/two", "/a/b/one"));
         buf.extend(front_coded("/a/c", "/a/b/two"));
-        let mut r = BinReader::new(&buf);
-        let one = r.front_coded(None).unwrap();
-        let two = r.front_coded(Some(one.view())).unwrap();
-        let three = r.front_coded(Some(two.view())).unwrap();
-        drop(r);
+        let (one, two, three) = BinReader::new(&buf)
+            .read_staged(&mut PathStaging::default(), |r| {
+                let one = r.front_coded(None)?;
+                let two = r.front_coded(Some(one.view()))?;
+                let three = r.front_coded(Some(two.view()))?;
+                Ok::<_, BinDecodeError>((one, two, three))
+            })
+            .unwrap();
         assert_eq!([one.as_str(), two.as_str(), three.as_str()], ["/a/b/one", "/a/b/two", "/a/c"]);
         assert!(one.shares_arena(&two) && two.shares_arena(&three));
 
@@ -2487,14 +2492,17 @@ mod tests {
         let member = front_coded(&path, &path);
         let fits = FRAME_PATH_BUDGET / MAX_PATH_LEN;
         let body = member.repeat(fits + 1);
-        let mut r = BinReader::new(&body);
-        let mut prev = EventPath::from(path);
-        for _ in 0..fits {
-            prev = r.front_coded(Some(prev.view())).unwrap();
-        }
-        let err = r.front_coded(Some(prev.view())).unwrap_err();
-        assert!(err.to_string().contains("path bytes"), "got: {err}");
-        drop(r);
+        let prev = BinReader::new(&body)
+            .read_staged(&mut PathStaging::default(), |r| {
+                let mut prev = EventPath::from(path);
+                for _ in 0..fits {
+                    prev = r.front_coded(Some(prev.view())).unwrap();
+                }
+                let err = r.front_coded(Some(prev.view())).unwrap_err();
+                assert!(err.to_string().contains("path bytes"), "got: {err}");
+                Ok::<_, BinDecodeError>(prev)
+            })
+            .unwrap();
         assert_eq!(prev.as_str().len(), MAX_PATH_LEN);
     }
 
@@ -2578,11 +2586,10 @@ mod tests {
         let decode = |events: &[FileEvent], history: &mut History| -> Vec<FileEvent> {
             let mut body = Vec::new();
             put_members(&mut body, events);
-            let mut r = BinReader::new(&body);
-            r.stage_from(history);
-            let decoded = read_members(&mut r).expect("decodes");
-            history.restage(r.seal());
-            decoded
+            let mut staging = history.unstage();
+            let decoded = BinReader::new(&body).read_staged(&mut staging, read_members);
+            history.restage(staging);
+            decoded.expect("decodes")
         };
         let (small, large) = (frame(8, 30), frame(100, 4_000));
         let mut history = History::default();
@@ -2634,15 +2641,13 @@ mod tests {
                 put_member(&mut body, member, &members[..i], &mut seq);
             }
             seq.record(key, &members);
-            let (decoded, staging) = {
-                let mut r = BinReader::new(&body);
-                r.stage_from(&mut history);
+            let mut staging = history.unstage();
+            let decoded = BinReader::new(&body).read_staged(&mut staging, |r| {
                 if continues {
                     r.continue_from(&mut history).expect("continues");
                 }
-                let decoded = read_members::<FileEvent>(&mut r);
-                (decoded, r.seal())
-            };
+                read_members::<FileEvent>(r)
+            });
             history.restage(staging);
             let decoded = decoded.expect("decodes");
             assert_eq!(decoded, members, "frame {frame}");

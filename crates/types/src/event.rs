@@ -733,7 +733,7 @@ impl crate::bin::BinPayload for FileEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
+    use crate::{PathStaging, SimDuration};
     use std::path::PathBuf;
 
     fn sample_record() -> RawChangelogRecord {
@@ -827,10 +827,10 @@ mod tests {
     fn decode(bytes: &[u8], earlier: &[FileEvent]) -> Result<FileEvent, BinDecodeError> {
         use crate::bin::BinPayload;
         let mut r = BinReader::new(bytes);
-        let got = FileEvent::decode_bin(&mut r, earlier)?;
+        // The decoded paths are readable once their reader has sealed them.
+        let got =
+            r.read_staged(&mut PathStaging::default(), |r| FileEvent::decode_bin(r, earlier))?;
         assert!(r.is_empty(), "decoder must consume exactly the encoding");
-        // The decoded paths are readable once their reader is gone.
-        drop(r);
         Ok(got)
     }
 
@@ -921,9 +921,8 @@ mod tests {
         let mut buf = Vec::new();
         put_members(&mut buf, &events);
         let mut r = BinReader::new(&buf);
-        let got: Vec<FileEvent> = read_members(&mut r).unwrap();
+        let got: Vec<FileEvent> = r.read_staged(&mut PathStaging::default(), read_members).unwrap();
         assert!(r.is_empty());
-        drop(r);
         assert_eq!(got, events);
 
         // The sequence is the count, then the members back to back.
@@ -983,9 +982,8 @@ mod tests {
         let mut r = BinReader::new(&coded);
         assert_eq!(r.u8(Class::Other).unwrap(), 0xaa);
         r.read_codes().unwrap();
-        let got: Vec<FileEvent> = read_members(&mut r).unwrap();
+        let got: Vec<FileEvent> = r.read_staged(&mut PathStaging::default(), read_members).unwrap();
         assert!(r.is_empty());
-        drop(r);
         assert_eq!(got, events);
 
         for few in [&events[1..2], &[]] {

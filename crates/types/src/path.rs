@@ -22,9 +22,8 @@
 //! its whole group is done; measured, that costs more time than the
 //! header saves once batches are long — 256 paths of 57 bytes, a
 //! 1,024-member recovery page — so such batches take a group each, as
-//! before groups. A builder made on its own
-//! ([`PathArenaBuilder::with_capacity`], `From<String>`) takes a fresh
-//! group and uses slot 0.
+//! before groups. An event built on its own (`From<String>`) takes a
+//! fresh group and uses slot 0.
 //!
 //! **Write-once, then sealed.** While a builder lives it alone can read
 //! or append to its slot's bytes ([`PathArenaBuilder::get`]); sealing
@@ -32,7 +31,9 @@
 //! handle can read them. A handle read while its builder is still alive
 //! is a bug in this program and panics — producers publish a batch only
 //! after its builder is sealed, and a decoder that fails returns no
-//! events.
+//! events. A builder ends only by its owner's [`PathArenaBuilder::seal`]
+//! or [`PathArenaBuilder::abandon`]; one that is dropped instead leaves
+//! its slot empty for good.
 //!
 //! **Staging.** The owner also keeps the storage its batches are
 //! assembled in and lends it, with the open group, to each batch's
@@ -40,9 +41,7 @@
 //! ([`PathArenaBuilder::seal`]) copies the bytes into the slot, exactly
 //! sized, in one allocation, and hands the staging back, warm for the
 //! next batch — unless its storage grew past [`MAX_STAGING`], so that one
-//! huge batch does not pin its size for as long as its owner lives. A
-//! builder made on its own seals when it drops, moving its bytes in and
-//! shrinking them to size.
+//! huge batch does not pin its size for as long as its owner lives.
 //!
 //! A batch that is refused seals its slot empty
 //! ([`PathArenaBuilder::abandon`]): the group goes on, and none of the
@@ -169,10 +168,9 @@ pub(crate) struct PathView<'a> {
 impl<'a> PathView<'a> {
     /// As [`EventPath::as_str`], with the same panic.
     pub(crate) fn as_str(&self) -> &'a str {
+        let slot = &self.arena.0[self.slot()];
         // cannot fail: a batch's handles are handed out only once its builder has sealed them.
-        let bytes = self.arena.0[self.slot()]
-            .get()
-            .expect("an EventPath is read after its arena is sealed");
+        let bytes = slot.get().expect("an EventPath is read after its arena is sealed");
         &bytes[self.range()]
     }
 
@@ -336,23 +334,14 @@ impl OpenGroup {
 }
 
 /// The write side of one batch's slot: appends paths, hands out their
-/// handles, and seals the slot — with [`PathArenaBuilder::seal`], or
-/// when dropped — only then can the handles be read.
+/// handles, and seals the slot ([`PathArenaBuilder::seal`]) — only then
+/// can the handles be read.
 pub struct PathArenaBuilder {
     group: OpenGroup,
     bytes: String,
 }
 
 impl PathArenaBuilder {
-    /// A builder with room for `bytes` path bytes, in slot 0 of a fresh
-    /// group; it grows past that.
-    pub fn with_capacity(bytes: usize) -> PathArenaBuilder {
-        PathArenaBuilder::with_staging(PathStaging {
-            bytes: String::with_capacity(bytes),
-            open: None,
-        })
-    }
-
     /// A builder that assembles its paths in `staging`, kept by its
     /// caller from batch to batch — its bytes cleared, its capacity kept —
     /// and seals them into the next slot of the staging's open group, or
@@ -370,14 +359,13 @@ impl PathArenaBuilder {
     /// batch unless this one took its last slot or sealed more than
     /// [`SHARED_BATCH_BYTES`]. Storage that grew past
     /// [`MAX_STAGING`] is freed instead.
-    pub fn seal(mut self) -> PathStaging {
-        let mut bytes = std::mem::take(&mut self.bytes);
-        let OpenGroup { arena, slot } = &self.group;
+    pub fn seal(self) -> PathStaging {
+        let PathArenaBuilder { group: OpenGroup { arena, slot }, mut bytes } = self;
         // Only a seal ever sets it, and this is the builder's first.
-        let _ = arena.0[*slot].set(bytes.as_str().into());
+        let _ = arena.0[slot].set(bytes.as_str().into());
         let slot = slot + 1;
         let open = (slot < ARENA_BATCHES && bytes.len() <= SHARED_BATCH_BYTES)
-            .then(|| OpenGroup { arena: Arc::clone(arena), slot });
+            .then_some(OpenGroup { arena, slot });
         if bytes.capacity() > MAX_STAGING {
             bytes = String::new();
         }
@@ -488,17 +476,6 @@ impl fmt::Debug for PathArenaBuilder {
             .field("slot", &self.group.slot)
             .field("bytes", &self.bytes.len())
             .finish()
-    }
-}
-
-/// Seals the slot unless [`PathArenaBuilder::seal`] has: the bytes move
-/// in, shrunk to size, and every handle becomes readable.
-impl Drop for PathArenaBuilder {
-    fn drop(&mut self) {
-        // Only a seal ever sets it; after `seal` there is nothing left to
-        // move, and the set fails.
-        let bytes = std::mem::take(&mut self.bytes).into_boxed_str();
-        let _ = self.group.arena.0[self.group.slot].set(bytes);
     }
 }
 

@@ -102,12 +102,12 @@ proptest! {
         let models: Vec<PathBuf> = spellings.iter().map(PathBuf::from).collect();
         // Each path alone in its arena, and all of them in one.
         let alone: Vec<EventPath> = models.iter().cloned().map(EventPath::from).collect();
-        let mut builder = PathArenaBuilder::with_capacity(0);
+        let mut builder = PathArenaBuilder::with_staging(PathStaging::default());
         let batch: Vec<EventPath> = spellings.iter().map(|s| builder.push_parts(&[s])).collect();
         for (path, spelling) in batch.iter().zip(&spellings) {
             prop_assert_eq!(builder.get(path), spelling);
         }
-        drop(builder);
+        drop(builder.seal());
 
         for handles in [&alone, &batch] {
             for (i, a) in handles.iter().enumerate() {
@@ -173,20 +173,16 @@ fn a_group_lives_exactly_as_long_as_its_last_handle_and_its_owner() {
     // What a clone copies: 16 bytes, and no more for an optional one.
     assert_eq!(std::mem::size_of::<EventPath>(), 16);
     assert_eq!(std::mem::size_of::<Option<EventPath>>(), 16);
-    // A builder on its own takes a group of its own: sealed as it drops,
-    // or by `seal`, which hands its staging — its storage, and the group
-    // it holds open — back to its owner: here, to be freed at once.
-    for sealed_by_copy in [false, true] {
+    // A builder on fresh staging takes a group of its own, and `seal`
+    // hands its staging — its storage, and the group it holds open — back
+    // to its owner: here, to be freed at once.
+    {
         let mut kept = Vec::with_capacity(PATHS);
         let before = LIVE.with(Cell::get);
 
-        let mut builder = PathArenaBuilder::with_capacity(PATHS * 256);
+        let mut builder = PathArenaBuilder::with_staging(PathStaging::default());
         fill(&mut builder, &mut kept);
-        if sealed_by_copy {
-            drop(builder.seal());
-        } else {
-            drop(builder);
-        }
+        drop(builder.seal());
         let arena_bytes = spelled(&kept);
         // Sealed at exactly its size: the slot's bytes, plus the header.
         let held = live_since(before);

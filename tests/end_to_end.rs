@@ -50,10 +50,9 @@ fn monitor_delivers_complete_ordered_stream_under_mixed_load() {
         }
     }
     assert_eq!(feed.stats().lost, 0);
-    let stats = cluster.stats();
+    let stats = cluster.shutdown();
     assert_eq!(stats.total_processed(), total);
     assert_eq!(stats.aggregator.published, total);
-    cluster.shutdown();
 }
 
 #[test]
@@ -74,11 +73,10 @@ fn multi_mdt_monitor_sees_every_mdt_and_purges_all_changelogs() {
     let total = lfs.lock().total_events();
     assert_eq!(total, 12 + 12 * 25);
     assert!(cluster.wait_for_published(total, Duration::from_secs(10)));
-    let stats = cluster.stats();
+    let stats = cluster.shutdown();
     for (i, c) in stats.collectors.iter().enumerate() {
         assert!(c.processed > 0, "collector {i} idle: {c:?}");
     }
-    cluster.shutdown();
     let fs = lfs.lock();
     for m in 0..4 {
         assert!(fs.changelog(MdtIndex::new(m)).is_empty(), "MDT{m} changelog purged on shutdown");

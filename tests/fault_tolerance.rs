@@ -239,7 +239,7 @@ fn cluster_stats_deltas_track_a_live_cluster() {
         }
     }
     assert!(cluster.wait_for_published(201, Duration::from_secs(10)));
-    let after = cluster.stats();
+    let after = cluster.shutdown();
     assert_eq!(after.total_processed() - before.total_processed(), 201);
     assert_eq!(after.store.inserted - before.store.inserted, 201);
     assert_eq!(after.collectors.iter().map(|c| c.resolution_failures).sum::<u64>(), 0);
@@ -248,5 +248,4 @@ fn cluster_stats_deltas_track_a_live_cluster() {
         "200 siblings should be nearly all cache hits, got {}",
         after.cache_hit_rate()
     );
-    cluster.shutdown();
 }

@@ -65,19 +65,7 @@ fn sustained_mixed_load_full_stack() {
         processed = now;
     }
 
-    // End-to-end accounting.
     let total = lfs.lock().total_events();
-    let stats = cluster.stats();
-    assert_eq!(stats.total_processed(), total);
-    assert_eq!(stats.aggregator.published, total);
-    assert_eq!(
-        stats.collectors.iter().map(|c| c.resolution_failures).sum::<u64>(),
-        0,
-        "prompt processing never fails to resolve"
-    );
-    let busy = stats.collectors.iter().filter(|c| c.processed > 0).count();
-    assert!(busy >= 2, "hash-distributed dirs should keep several collectors busy ({busy})");
-    assert!(stats.cache_hit_rate() > 0.5, "siblings should mostly hit the cache");
 
     // Ripple executed exactly one email per matching create.
     assert!(ripple.pump_until_idle(Duration::from_secs(20)));
@@ -112,7 +100,18 @@ fn sustained_mixed_load_full_stack() {
     }
 
     ripple.shutdown();
-    cluster.shutdown();
+    // End-to-end accounting, in the final counts.
+    let stats = cluster.shutdown();
+    assert_eq!(stats.total_processed(), total);
+    assert_eq!(stats.aggregator.published, total);
+    assert_eq!(
+        stats.collectors.iter().map(|c| c.resolution_failures).sum::<u64>(),
+        0,
+        "prompt processing never fails to resolve"
+    );
+    let busy = stats.collectors.iter().filter(|c| c.processed > 0).count();
+    assert!(busy >= 2, "hash-distributed dirs should keep several collectors busy ({busy})");
+    assert!(stats.cache_hit_rate() > 0.5, "siblings should mostly hit the cache");
     // All ChangeLogs fully purged on clean shutdown.
     let fs = lfs.lock();
     for m in 0..4 {
