@@ -37,7 +37,6 @@
 //! ```
 
 use sdci_bench::{joined, write_report};
-use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_mq::transport::Publish;
 use sdci_net::wire::{write_hello, Service};
@@ -103,21 +102,23 @@ fn event(i: u64) -> FileEvent {
 }
 
 fn run_push_pull(events: u64) -> (f64, u64) {
-    let (push, pull) = pipeline::<FileEvent>(65_536);
+    let (push, pull) = crossbeam_channel::bounded::<FileEvent>(65_536);
     let start = Instant::now();
     let producers: Vec<_> = (0..PRODUCERS)
         .map(|p| {
             let push = push.clone();
             thread::spawn(move || {
                 for i in 0..events / PRODUCERS {
-                    push.send(event(p * 1_000_000 + i));
+                    if push.send(event(p * 1_000_000 + i)).is_err() {
+                        break;
+                    }
                 }
             })
         })
         .collect();
     drop(push);
     let mut received = 0u64;
-    while pull.recv().is_some() {
+    while pull.recv().is_ok() {
         received += 1;
     }
     producers.into_iter().for_each(joined);

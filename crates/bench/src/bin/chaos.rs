@@ -178,7 +178,7 @@ fn wire_round(schedule: &Schedule) -> Result<(Duration, u64), String> {
     let deadline = Instant::now() + Duration::from_secs(90);
     let mut received = 0u64;
     while received < events && Instant::now() < deadline {
-        let Some(frame) = pull.recv_timeout(Duration::from_secs(5)) else { continue };
+        let Ok(frame) = pull.recv_timeout(Duration::from_secs(5)) else { continue };
         for ev in frame {
             got[(ev.index / 1_000_000) as usize].push(ev.index % 1_000_000);
             received += 1;

@@ -128,7 +128,7 @@ fn wire_rate() -> std::io::Result<f64> {
     }
     let mut received = 0u64;
     while received < N {
-        let Some(frame) = pull.recv() else { break };
+        let Ok(frame) = pull.recv() else { break };
         received += frame.len() as u64;
     }
     let rate = N as f64 / start.elapsed().as_secs_f64();

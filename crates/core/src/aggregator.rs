@@ -21,12 +21,12 @@
 //! because every queue it feeds sheds when full rather than block.
 
 use crate::store::{EventBackend, EventStore, StoreError};
-use sdci_mq::pipe::Pull;
+use crossbeam_channel::{Receiver, RecvTimeoutError};
 use sdci_mq::transport::Publish;
 use sdci_types::bin::{Class, SeqEncoder};
 use sdci_types::{BinDecodeError, BinPayload, BinReader, FileEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -198,6 +198,17 @@ pub struct AggregatorStats {
     pub insert_errors: AtomicU64,
 }
 
+impl AggregatorStats {
+    fn snapshot(&self) -> AggregatorSnapshot {
+        AggregatorSnapshot {
+            received: self.received.load(Ordering::Relaxed),
+            stored: self.stored.load(Ordering::Relaxed),
+            published: self.published.load(Ordering::Relaxed),
+            insert_errors: self.insert_errors.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Snapshot of [`AggregatorStats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AggregatorSnapshot {
@@ -216,12 +227,13 @@ pub struct AggregatorSnapshot {
 ///
 /// Generic over its [`EventBackend`], defaulting to the in-process
 /// segmented [`EventStore`]; `sdcimon` hands [`Aggregator::start`] a
-/// metered one (`Arc<dyn EventBackend>`).
+/// metered one (`Arc<dyn EventBackend>`). Ingest ends when its frame
+/// queue closes: once every sender is dropped and the frames queued
+/// before that are ingested.
 pub struct Aggregator<B: EventBackend + ?Sized = EventStore> {
     store: Arc<B>,
     stats: Arc<AggregatorStats>,
-    stop: Arc<AtomicBool>,
-    ingest: Option<JoinHandle<()>>,
+    ingest: JoinHandle<()>,
 }
 
 impl<B: EventBackend + ?Sized> fmt::Debug for Aggregator<B> {
@@ -230,8 +242,8 @@ impl<B: EventBackend + ?Sized> fmt::Debug for Aggregator<B> {
     }
 }
 
-/// How long the ingest thread waits for work before it checks for
-/// shutdown and considers a heartbeat.
+/// How long the ingest thread waits for work before it considers a
+/// heartbeat.
 const IDLE: Duration = Duration::from_millis(5);
 
 /// A feed that has published nothing — event or heartbeat — for this
@@ -253,8 +265,8 @@ pub const INGEST_QUEUE_FRAMES: usize = 256;
 impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
     /// Starts the Aggregator over `frames`, a queue of Collector batches
     /// (one `Vec` each: `sdci-net`'s `TcpPullServer::pull`, or the
-    /// in-process pipeline a [`MonitorCluster`](crate::MonitorCluster)'s
-    /// Collectors push to), and any [`EventBackend`]: a bare store, or
+    /// in-process channel a [`MonitorCluster`](crate::MonitorCluster)'s
+    /// Collectors send to), and any [`EventBackend`]: a bare store, or
     /// one built by [`StoreStack`](crate::StoreStack). It publishes into
     /// `feed`, which moves into the ingest thread, on topic `"feed/all"`.
     /// Sequence numbering resumes after the backend's last event, so over
@@ -262,122 +274,26 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
     /// `subscribe_from(old_seq)` recover across the restart. A frame stays
     /// whole: it is sequenced, stored and published as one batch (joined
     /// by further frames only when they are already queued behind it).
+    /// Ingest runs until every sender of `frames` is dropped and what they
+    /// queued is ingested, or until the store refuses a batch.
     pub fn start(
-        frames: Pull<Vec<FileEvent>>,
+        frames: Receiver<Vec<FileEvent>>,
         store: Arc<B>,
         feed: impl Publish<FeedMessage>,
     ) -> Self {
         let stats = Arc::new(AggregatorStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
 
-        // Ingest thread: receive -> sequence -> store -> publish, one
-        // batch at a time, with idle heartbeats so consumers that shed
-        // the tail of a burst learn how far behind they are.
         let ingest = {
             let store = Arc::clone(&store);
             let stats = Arc::clone(&stats);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut seq = store.last_seq();
-                // The highest sequence number the feed has announced: a
-                // restored store's last, so an idle feed over it still
-                // heartbeats; nothing before a fresh store's first event.
-                let mut announced = seq;
-                let mut last_publish = std::time::Instant::now();
-                // One buffer for every batch the feed is handed.
-                let mut feed_batch: Vec<FeedMessage> = Vec::new();
-                loop {
-                    let Some(first) = frames.recv_timeout(IDLE) else {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if announced > 0 && last_publish.elapsed() >= HEARTBEAT_EVERY {
-                            feed.publish(
-                                "feed/all",
-                                FeedMessage::Heartbeat { last_seq: announced },
-                            );
-                            last_publish = std::time::Instant::now();
-                        }
-                        continue;
-                    };
-                    let mut batch: Vec<SequencedEvent> = Vec::new();
-                    let mut next = Some(first);
-                    while let Some(frame) = next {
-                        batch.extend(frame.into_iter().map(|event| {
-                            seq += 1;
-                            SequencedEvent { seq, event }
-                        }));
-                        next =
-                            if batch.len() < MAX_INGEST_BATCH { frames.try_recv() } else { None };
-                    }
-                    let n = batch.len() as u64;
-                    stats.received.fetch_add(n, Ordering::Relaxed);
-                    sdci_obs::static_metric!(counter, "sdci_aggregator_received_total").add(n);
-                    // Ingest span, adopting the first sampled event's
-                    // carried context. It is the thread's current span
-                    // while the insert runs, so the store's own spans
-                    // nest under it without any plumbing.
-                    let mut ingest_span =
-                        batch.iter().find_map(|s| s.event.trace.filter(|t| t.sampled)).map(|t| {
-                            sdci_obs::trace::child_of(
-                                t.trace_id,
-                                t.parent_span_id,
-                                "aggregator.ingest",
-                            )
-                        });
-                    if let Some(span) = ingest_span.as_mut() {
-                        span.set_detail(|| format!("{n} events"));
-                    }
-                    if let Err(err) = store.insert_batch(batch.clone()) {
-                        // The store refused a batch this thread just
-                        // sequenced. An ordering rejection only happens
-                        // when something else wrote to the shared store
-                        // behind our back; pressing on would publish
-                        // events the historic API cannot serve, so halt
-                        // ingest and surface the fault through stats and
-                        // metrics instead of crashing the process.
-                        match &err {
-                            StoreError::Order(order) => sdci_obs::error!(
-                                "aggregator ingest halted: store rejected batch: {order}";
-                                last_seq = order.last_seq,
-                                offered_seq = order.offered_seq,
-                                batch_len = n
-                            ),
-                            other => sdci_obs::error!(
-                                "aggregator ingest halted: store rejected batch: {other}";
-                                batch_len = n
-                            ),
-                        }
-                        stats.insert_errors.fetch_add(1, Ordering::Relaxed);
-                        sdci_obs::static_metric!(counter, "sdci_aggregator_insert_errors_total")
-                            .inc();
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    stats.stored.fetch_add(n, Ordering::Relaxed);
-                    sdci_obs::static_metric!(counter, "sdci_aggregator_stored_total").add(n);
-                    // Extraction→store lag, observed once per stamped
-                    // event now that the batch has landed.
-                    let now = sdci_obs::unix_now_ns();
-                    let lag = sdci_obs::static_metric!(
-                        histogram,
-                        "sdci_e2e_store_insert_latency_seconds"
-                    );
-                    for extracted in batch.iter().filter_map(|s| s.event.extracted_unix_ns) {
-                        lag.observe_ns(now.saturating_sub(extracted));
-                    }
-                    drop(ingest_span);
-                    feed_batch.extend(batch.into_iter().map(FeedMessage::Event));
-                    feed.publish_batch("feed/all", &mut feed_batch);
-                    announced = seq;
-                    last_publish = std::time::Instant::now();
-                    stats.published.fetch_add(n, Ordering::Relaxed);
-                    sdci_obs::static_metric!(counter, "sdci_aggregator_published_total").add(n);
-                }
-            })
+            std::thread::Builder::new()
+                .name("sdci-ingest".into())
+                .spawn(move || ingest_loop(&frames, &*store, &stats, feed))
+                // cannot fail: short of a thread refused by the OS, which no Aggregator outlives.
+                .expect("spawn ingest thread")
         };
 
-        Aggregator { store, stats, stop, ingest: Some(ingest) }
+        Aggregator { store, stats, ingest }
     }
 
     /// The historic-event store (the Aggregator's query API). Reads
@@ -390,49 +306,128 @@ impl<B: EventBackend + ?Sized + 'static> Aggregator<B> {
 
     /// Counter snapshot.
     pub fn snapshot(&self) -> AggregatorSnapshot {
-        AggregatorSnapshot {
-            received: self.stats.received.load(Ordering::Relaxed),
-            stored: self.stats.stored.load(Ordering::Relaxed),
-            published: self.stats.published.load(Ordering::Relaxed),
-            insert_errors: self.stats.insert_errors.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 
     /// Registers a readiness probe under `name` with the process-wide
     /// health registry (served on `/healthz`). The probe reports
-    /// unhealthy once ingest has halted — either because the store
-    /// rejected a batch or because shutdown has been signalled. Opt-in
+    /// unhealthy once ingest has halted because the store rejected a
+    /// batch. Opt-in
     /// rather than automatic so unit tests that spin up throwaway
     /// aggregators do not pollute the global registry.
     pub fn register_health_probe(&self, name: &str) {
         let stats = Arc::clone(&self.stats);
-        let stop = Arc::clone(&self.stop);
         sdci_obs::health::register_probe(name, move || {
-            let errors = stats.insert_errors.load(Ordering::Relaxed);
-            if errors > 0 {
-                return Err(format!("ingest halted after {errors} store rejection(s)"));
+            match stats.insert_errors.load(Ordering::Relaxed) {
+                0 => Ok(()),
+                errors => Err(format!("ingest halted after {errors} store rejection(s)")),
             }
-            if stop.load(Ordering::Relaxed) {
-                return Err("aggregator stopped".to_string());
-            }
-            Ok(())
         });
     }
 
-    /// Signals the ingest thread to stop once its queue drains, joins it,
-    /// and returns the final counters.
-    pub fn shutdown(mut self) -> AggregatorSnapshot {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.ingest.take() {
-            let _ = t.join();
-        }
-        self.snapshot()
+    /// Joins the ingest thread and returns the final counters. Ingest
+    /// ends when its frame queue closes, so the caller drops every sender
+    /// first; the frames queued before that are ingested.
+    pub fn shutdown(self) -> AggregatorSnapshot {
+        let _ = self.ingest.join();
+        self.stats.snapshot()
     }
 }
 
-impl<B: EventBackend + ?Sized> Drop for Aggregator<B> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+/// The ingest thread's loop: receive -> sequence -> store -> publish, one
+/// batch at a time, with idle heartbeats so consumers that shed the tail
+/// of a burst learn how far behind they are. It returns once every
+/// sender of `frames` is gone and what they queued is ingested, or once
+/// the store refuses a batch.
+fn ingest_loop<B: EventBackend + ?Sized>(
+    frames: &Receiver<Vec<FileEvent>>,
+    store: &B,
+    stats: &AggregatorStats,
+    feed: impl Publish<FeedMessage>,
+) {
+    let mut seq = store.last_seq();
+    // The highest sequence number the feed has announced: a
+    // restored store's last, so an idle feed over it still
+    // heartbeats; nothing before a fresh store's first event.
+    let mut announced = seq;
+    let mut last_publish = std::time::Instant::now();
+    // One buffer for every batch the feed is handed.
+    let mut feed_batch: Vec<FeedMessage> = Vec::new();
+    loop {
+        let first = match frames.recv_timeout(IDLE) {
+            Ok(frame) => frame,
+            Err(RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Timeout) => {
+                if announced > 0 && last_publish.elapsed() >= HEARTBEAT_EVERY {
+                    feed.publish("feed/all", FeedMessage::Heartbeat { last_seq: announced });
+                    last_publish = std::time::Instant::now();
+                }
+                continue;
+            }
+        };
+        let mut batch: Vec<SequencedEvent> = Vec::new();
+        let mut next = Some(first);
+        while let Some(frame) = next {
+            batch.extend(frame.into_iter().map(|event| {
+                seq += 1;
+                SequencedEvent { seq, event }
+            }));
+            next = if batch.len() < MAX_INGEST_BATCH { frames.try_recv().ok() } else { None };
+        }
+        let n = batch.len() as u64;
+        stats.received.fetch_add(n, Ordering::Relaxed);
+        sdci_obs::static_metric!(counter, "sdci_aggregator_received_total").add(n);
+        // Ingest span, adopting the first sampled event's
+        // carried context. It is the thread's current span
+        // while the insert runs, so the store's own spans
+        // nest under it without any plumbing.
+        let mut ingest_span = batch
+            .iter()
+            .find_map(|s| s.event.trace.filter(|t| t.sampled))
+            .map(|t| sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "aggregator.ingest"));
+        if let Some(span) = ingest_span.as_mut() {
+            span.set_detail(|| format!("{n} events"));
+        }
+        if let Err(err) = store.insert_batch(batch.clone()) {
+            // The store refused a batch this thread just
+            // sequenced. An ordering rejection only happens
+            // when something else wrote to the shared store
+            // behind our back; pressing on would publish
+            // events the historic API cannot serve, so halt
+            // ingest and surface the fault through stats and
+            // metrics instead of crashing the process.
+            match &err {
+                StoreError::Order(order) => sdci_obs::error!(
+                    "aggregator ingest halted: store rejected batch: {order}";
+                    last_seq = order.last_seq,
+                    offered_seq = order.offered_seq,
+                    batch_len = n
+                ),
+                other => sdci_obs::error!(
+                    "aggregator ingest halted: store rejected batch: {other}";
+                    batch_len = n
+                ),
+            }
+            stats.insert_errors.fetch_add(1, Ordering::Relaxed);
+            sdci_obs::static_metric!(counter, "sdci_aggregator_insert_errors_total").inc();
+            return;
+        }
+        stats.stored.fetch_add(n, Ordering::Relaxed);
+        sdci_obs::static_metric!(counter, "sdci_aggregator_stored_total").add(n);
+        // Extraction→store lag, observed once per stamped
+        // event now that the batch has landed.
+        let now = sdci_obs::unix_now_ns();
+        let lag = sdci_obs::static_metric!(histogram, "sdci_e2e_store_insert_latency_seconds");
+        for extracted in batch.iter().filter_map(|s| s.event.extracted_unix_ns) {
+            lag.observe_ns(now.saturating_sub(extracted));
+        }
+        drop(ingest_span);
+        feed_batch.extend(batch.into_iter().map(FeedMessage::Event));
+        feed.publish_batch("feed/all", &mut feed_batch);
+        announced = seq;
+        last_publish = std::time::Instant::now();
+        stats.published.fetch_add(n, Ordering::Relaxed);
+        sdci_obs::static_metric!(counter, "sdci_aggregator_published_total").add(n);
     }
 }
 
@@ -440,7 +435,7 @@ impl<B: EventBackend + ?Sized> Drop for Aggregator<B> {
 mod tests {
     use super::*;
     use crate::store::StoreQuery;
-    use sdci_mq::pipe::{pipeline, Push};
+    use crossbeam_channel::Sender;
     use sdci_mq::pubsub::Broker;
     use sdci_types::{ChangelogKind, EventKind, Fid, MdtIndex, SimTime};
 
@@ -465,8 +460,8 @@ mod tests {
     fn start_over(
         store: EventStore,
         feed_hwm: usize,
-    ) -> (Push<Vec<FileEvent>>, Aggregator, Broker<FeedMessage>) {
-        let (push, frames) = pipeline(INGEST_QUEUE_FRAMES);
+    ) -> (Sender<Vec<FileEvent>>, Aggregator, Broker<FeedMessage>) {
+        let (push, frames) = crossbeam_channel::bounded(INGEST_QUEUE_FRAMES);
         let feed = Broker::new(feed_hwm);
         (push, Aggregator::start(frames, Arc::new(store), feed.publisher()), feed)
     }
@@ -487,7 +482,7 @@ mod tests {
         let (events, agg, feed) = start_over(EventStore::new(1000), 1024);
         let consumer = feed.subscribe(&["feed/"]);
         for i in 1..=50 {
-            events.send(vec![event(i)]);
+            events.send(vec![event(i)]).unwrap();
         }
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().published >= 50));
         let mut seqs = Vec::new();
@@ -498,6 +493,7 @@ mod tests {
         }
         assert_eq!(seqs, (1..=50).collect::<Vec<_>>(), "dense, ordered sequence numbers");
         assert_eq!(agg.store().len(), 50);
+        drop(events);
         agg.shutdown();
     }
 
@@ -508,7 +504,7 @@ mod tests {
         let consumer = feed.subscribe(&["feed/"]);
         let store = agg.store();
         for i in 1..=200 {
-            events.send(vec![event(i)]);
+            events.send(vec![event(i)]).unwrap();
         }
         let mut checked = 0;
         while checked < 200 {
@@ -525,6 +521,7 @@ mod tests {
                 panic!("feed stalled after {checked} events");
             }
         }
+        drop(events);
         agg.shutdown();
     }
 
@@ -532,12 +529,13 @@ mod tests {
     fn store_rotates_at_capacity() {
         let (events, agg, _) = start_over(EventStore::new(10), 1024);
         for i in 1..=30 {
-            events.send(vec![event(i)]);
+            events.send(vec![event(i)]).unwrap();
         }
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().stored >= 30));
         let store = agg.store();
         assert_eq!(store.len(), 10);
         assert_eq!(store.first_seq(), 21);
+        drop(events);
         agg.shutdown();
     }
 
@@ -549,13 +547,13 @@ mod tests {
         // died in `.expect(...)` and took the thread down silently; now
         // the error is counted, ingest halts, and shutdown still joins.
         let (events, agg, _) = start_over(EventStore::new(1000), 1024);
-        events.send(vec![event(1)]);
+        events.send(vec![event(1)]).unwrap();
         assert!(wait_until(Duration::from_secs(5), || agg.snapshot().stored >= 1));
 
         agg.store()
             .insert(SequencedEvent { seq: 1_000_000, event: event(2) })
             .expect("out-of-band insert");
-        events.send(vec![event(3)]);
+        events.send(vec![event(3)]).unwrap();
 
         assert!(
             wait_until(Duration::from_secs(5), || agg.snapshot().insert_errors == 1),
@@ -564,6 +562,7 @@ mod tests {
         let snap = agg.snapshot();
         assert_eq!(snap.stored, 1, "rejected batch must not count as stored");
         assert_eq!(snap.received, 2, "the offending event was still received");
+        drop(events);
         agg.shutdown();
     }
 
@@ -575,7 +574,7 @@ mod tests {
         // feed idles.
         assert!(consumer.recv_timeout(Duration::from_millis(60)).is_none());
         for i in 1..=50 {
-            events.send(vec![event(i)]);
+            events.send(vec![event(i)]).unwrap();
         }
         for seq in 1..=50 {
             let msg = consumer.recv_timeout(Duration::from_secs(5)).expect("feed stalled");
@@ -586,6 +585,7 @@ mod tests {
             let beat = consumer.recv_timeout(Duration::from_millis(100)).expect("no heartbeat");
             assert_eq!(beat.payload, FeedMessage::Heartbeat { last_seq: 50 });
         }
+        drop(events);
         agg.shutdown();
     }
 
@@ -597,16 +597,31 @@ mod tests {
         for seq in 1..=10 {
             store.insert(SequencedEvent { seq, event: event(seq) }).expect("ordered insert");
         }
-        let (_events, agg, feed) = start_over(store, 1024);
+        let (events, agg, feed) = start_over(store, 1024);
         let mut consumer = crate::EventConsumer::new(feed.subscribe(&["feed/"]), agg.store(), 0);
         let first = consumer.next_timeout(Duration::from_secs(2)).expect("no backfill");
         assert_eq!(first, event(1));
+        drop(events);
         agg.shutdown();
+    }
+
+    /// Closing the queue is what ends ingest: the frames queued before the
+    /// close are all stored, and only then does the thread exit.
+    #[test]
+    fn a_closed_queue_is_ingested_then_ends_ingest() {
+        let (events, agg, _) = start_over(EventStore::new(1000), 16);
+        for i in 1..=100 {
+            events.send(vec![event(i)]).unwrap();
+        }
+        drop(events);
+        let snap = agg.shutdown();
+        assert_eq!((snap.received, snap.stored, snap.published), (100, 100, 100));
     }
 
     #[test]
     fn shutdown_joins_cleanly() {
-        let (_events, agg, _) = start_over(EventStore::new(10), 16);
+        let (events, agg, _) = start_over(EventStore::new(10), 16);
+        drop(events);
         agg.shutdown();
     }
 }

@@ -7,7 +7,6 @@ use crate::consumer::EventConsumer;
 use crate::store::{EventStore, StoreStats};
 use lustre_sim::LustreFs;
 use parking_lot::Mutex;
-use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_types::{FileEvent, MdtIndex};
 use std::fmt;
@@ -59,7 +58,7 @@ impl MonitorClusterBuilder {
     /// broker, whose subscribers buffer up to
     /// [`MonitorConfig::feed_hwm`] messages each.
     pub fn start(self) -> MonitorCluster {
-        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+        let (events, frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
         let mdt_count = self.fs.lock().mdt_count();
         let store =
             self.restored_store.unwrap_or_else(|| EventStore::new(self.config.store_capacity));
@@ -93,14 +92,7 @@ impl MonitorClusterBuilder {
                 *shared.lock() = collector.stats();
             }));
         }
-        MonitorCluster {
-            aggregator,
-            feed,
-            collector_stats,
-            threads,
-            stop,
-            last_consumer_seq: Mutex::new(0),
-        }
+        MonitorCluster { aggregator, feed, collector_stats, threads, stop }
     }
 }
 
@@ -154,7 +146,6 @@ pub struct MonitorCluster {
     collector_stats: Vec<Arc<Mutex<CollectorStats>>>,
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    last_consumer_seq: Mutex<u64>,
 }
 
 impl fmt::Debug for MonitorCluster {
@@ -166,8 +157,7 @@ impl fmt::Debug for MonitorCluster {
 impl MonitorCluster {
     /// Subscribes a new consumer to the complete site-wide event feed.
     pub fn subscribe(&self) -> EventConsumer {
-        let sub = self.feed.subscribe(&["feed/"]);
-        EventConsumer::new(sub, self.aggregator.store(), *self.last_consumer_seq.lock())
+        self.subscribe_from(0)
     }
 
     /// Subscribes a consumer restricted to events under `prefix` — a
@@ -215,9 +205,11 @@ impl MonitorCluster {
         false
     }
 
-    /// Stops Collectors (after they drain their ChangeLogs) and the
-    /// Aggregator, joining all threads, and returns the final statistics:
-    /// every count the monitor's batches added.
+    /// Stops Collectors (after they drain their ChangeLogs) and then the
+    /// Aggregator, whose ingest ends once the last Collector has dropped
+    /// its sender and every queued frame is stored; joins all threads and
+    /// returns the final statistics: every count the monitor's batches
+    /// added.
     pub fn shutdown(mut self) -> ClusterStats {
         self.stop.store(true, Ordering::Relaxed);
         for t in self.threads.drain(..) {
@@ -271,7 +263,7 @@ mod tests {
     #[test]
     fn cache_hit_rate_matches_a_live_collector() {
         let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
-        let (events, _frames) = pipeline::<Vec<FileEvent>>(16);
+        let (events, _frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(16);
         let mut collector =
             Collector::new(Arc::clone(&fs), MdtIndex::new(0), events, MonitorConfig::default());
         {
@@ -324,7 +316,7 @@ mod tests {
         // Collector with four times the bound to push must block.
         let files = 4 * INGEST_QUEUE_FRAMES;
         let fs = Arc::new(Mutex::new(LustreFs::new(LustreConfig::aws_testbed())));
-        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+        let (events, frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
         let queue = events.clone();
         let store =
             Arc::new(Latched { store: EventStore::new(files), open: AtomicBool::new(false) });
@@ -344,10 +336,10 @@ mod tests {
         });
 
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while queue.queued() < INGEST_QUEUE_FRAMES && std::time::Instant::now() < deadline {
+        while queue.len() < INGEST_QUEUE_FRAMES && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(queue.queued(), INGEST_QUEUE_FRAMES, "the queue fills while ingest stalls");
+        assert_eq!(queue.len(), INGEST_QUEUE_FRAMES, "the queue fills while ingest stalls");
         assert!(!pusher.is_finished(), "a full queue blocks the Collector");
 
         store.open.store(true, Ordering::SeqCst);
@@ -362,6 +354,7 @@ mod tests {
             stored.iter().map(|e| e.event.path.display().to_string()).collect();
         assert_eq!(paths, (0..files).map(|i| format!("/f{i}")).collect::<Vec<_>>());
         assert!(stored.iter().map(|e| e.seq).eq(1..=files as u64));
+        drop(queue);
         aggregator.shutdown();
     }
 

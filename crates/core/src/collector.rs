@@ -9,9 +9,9 @@
 use crate::config::MonitorConfig;
 use crate::pathcache::PathCache;
 use crate::store::is_plain;
+use crossbeam_channel::Sender;
 use lustre_sim::{ChangelogUser, LustreFs};
 use parking_lot::Mutex;
-use sdci_mq::pipe::Push;
 use sdci_mq::transport::Publish;
 use sdci_types::{
     ChangelogKind, EventPath, FileEvent, MdtIndex, PathArenaBuilder, PathStaging,
@@ -71,10 +71,10 @@ pub struct CollectorCheckpoint {
 /// A Collector bound to one MDT of a shared [`LustreFs`].
 ///
 /// The Collector hands each batch, whole, to any [`Publish`]
-/// implementation: the in-process frame queue's [`Push`] (the default;
+/// implementation: the in-process frame queue's [`Sender`] (the default;
 /// one frame per batch, blocking when full) or `sdci-net`'s TCP
 /// endpoints when the monitor runs distributed.
-pub struct Collector<P = Push<Vec<FileEvent>>> {
+pub struct Collector<P = Sender<Vec<FileEvent>>> {
     mdt: MdtIndex,
     fs: Arc<Mutex<LustreFs>>,
     user: ChangelogUser,

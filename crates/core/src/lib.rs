@@ -33,9 +33,10 @@
 //!
 //! * **Live mode** — [`MonitorCluster`] spawns real collector/aggregator
 //!   threads joined by the same frame queue a deployed aggregator's TCP
-//!   pull server feeds (an [`sdci_mq::pipe`] pipeline: one frame per
-//!   Collector batch, blocking when full, never shedding); integration
-//!   tests and the Ripple examples run this.
+//!   pull server feeds (a bounded `crossbeam_channel`: one frame per
+//!   Collector batch, blocking when full, never shedding; ingest ends
+//!   when its last sender is dropped); integration tests and the Ripple
+//!   examples run this.
 //! * **Modelled mode** — [`model::PipelineModel`] replays the same
 //!   pipeline inside the discrete-event kernel with calibrated service
 //!   times, reproducing the paper's throughput and overhead numbers

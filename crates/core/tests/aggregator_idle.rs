@@ -1,9 +1,9 @@
-//! An Aggregator whose source has closed costs no more CPU than one
-//! whose source is open and idle. Alone in its test binary so nothing
-//! else burns CPU while it measures.
+//! An Aggregator whose source has closed ingests what was queued, then
+//! ends its ingest thread with no shutdown call, and burns no CPU after.
+//! Alone in its test binary so nothing else starts or ends a thread, or
+//! burns CPU, while it measures.
 
 use sdci_core::{Aggregator, EventStore, INGEST_QUEUE_FRAMES};
-use sdci_mq::pipe::pipeline;
 use sdci_mq::pubsub::Broker;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
@@ -20,9 +20,14 @@ fn cpu_ms() -> u64 {
     (ticks(11) + ticks(12)) * 10
 }
 
+fn threads_in_this_process() -> usize {
+    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+}
+
 #[test]
-fn a_closed_source_does_not_spin_the_ingest_thread() {
-    let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+fn a_closed_source_ends_the_ingest_thread() {
+    let (events, frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+    let threads_before = threads_in_this_process();
     let agg = Aggregator::start(frames, Arc::new(EventStore::new(10)), Broker::new(16).publisher());
     let event = FileEvent {
         index: 1,
@@ -38,13 +43,19 @@ fn a_closed_source_does_not_spin_the_ingest_thread() {
         trace: None,
     };
     // A frame queued before the close is still ingested.
-    assert!(events.send(vec![event]));
+    assert!(events.send(vec![event]).is_ok());
     drop(events);
     let deadline = Instant::now() + Duration::from_secs(5);
     while agg.snapshot().stored < 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert_eq!(agg.snapshot().stored, 1);
+
+    // The close alone ends the ingest thread: nothing has been shut down.
+    while threads_in_this_process() > threads_before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(threads_in_this_process(), threads_before, "the ingest thread outlived its source");
 
     let before = cpu_ms();
     std::thread::sleep(Duration::from_millis(300));

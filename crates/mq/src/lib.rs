@@ -11,8 +11,6 @@
 //!   contract. The Aggregator publishes into whatever [`Publish`] it is
 //!   handed: this crate's [`Broker`] in process, `sdci-net`'s
 //!   `TcpBroker` across processes.
-//! * **PUSH/PULL pipelines** ([`pipe`]) — bounded, blocking, fan-in
-//!   queues used between pipeline stages.
 //! * **SQS-like reliable queue + Lambda-like workers** ([`sqs`],
 //!   [`lambda`]) — Ripple's cloud service places every reported event in
 //!   a reliable queue; serverless functions consume entries and remove
@@ -25,6 +23,9 @@
 //! the fabric behind the [`Publish`]/[`Subscribe`] traits, and the
 //! `sdci-net` crate provides a real TCP implementation of the same
 //! contracts so the monitor's roles can run as separate OS processes.
+//! The queue in front of the Aggregator (§4 step 3) needs no type of its
+//! own: it is a bounded `crossbeam_channel`, whose `Sender<Vec<T>>` is a
+//! [`Publish`] that queues each batch as one frame.
 //!
 //! # Example: pub-sub with topic filtering
 //!
@@ -48,13 +49,11 @@
 #![warn(missing_docs)]
 
 pub mod lambda;
-pub mod pipe;
 pub mod pubsub;
 pub mod sqs;
 pub mod transport;
 
 pub use lambda::{LambdaPool, LambdaStats};
-pub use pipe::{pipeline, Pull, Push};
 pub use pubsub::{Broker, Message, Publisher, Subscriber};
 pub use sqs::{Receipt, SqsConfig, SqsQueue, SqsStats};
 pub use transport::{Publish, PublishOutcome, Subscribe};

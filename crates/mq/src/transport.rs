@@ -8,15 +8,15 @@
 //! paper's real deployment).
 //!
 //! * [`Publish`] — the sending side: what a Collector hands its events
-//!   to (the in-process frame queue's [`Push`], or `sdci-net`'s
+//!   to (the in-process frame queue's [`Sender`], or `sdci-net`'s
 //!   `TcpPush`), and what the Aggregator publishes its feed into (a
 //!   broker [`Publisher`](crate::pubsub::Publisher), or `sdci-net`'s
 //!   `TcpBroker`).
 //! * [`Subscribe`] — the receiving side: a stream of [`Message`]s (a
 //!   broker [`Subscriber`], or `sdci-net`'s `TcpSubscriber`).
 
-use crate::pipe::Push;
 use crate::pubsub::{Message, Subscriber};
+use crossbeam_channel::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,7 +40,7 @@ pub enum PublishOutcome {
 /// Whether a slow far end blocks the caller or sheds depends on the
 /// leg. A broker [`Publisher`](crate::pubsub::Publisher) and `sdci-net`'s
 /// `TcpBroker` never block: each subscriber sheds at its high-water mark
-/// (PUB/SUB). A pipeline [`Push`] and `sdci-net`'s
+/// (PUB/SUB). A frame queue's [`Sender`] and `sdci-net`'s
 /// `TcpPush` never shed: they block while their queue is full
 /// (PUSH/PULL backpressure). Either way the outcome is reported, so
 /// callers count sheds honestly.
@@ -63,10 +63,10 @@ pub trait Publish<T>: Send + 'static {
 
 /// The in-process frame queue: a batch is one frame, queued whole, and
 /// a full queue blocks the publisher rather than shed. Only a queue
-/// whose puller is gone loses payloads, and those count as shed.
-impl<T: Send + 'static> Publish<T> for Push<Vec<T>> {
+/// whose receivers are gone loses payloads, and those count as shed.
+impl<T: Send + 'static> Publish<T> for Sender<Vec<T>> {
     fn publish(&self, _topic: &str, payload: T) -> PublishOutcome {
-        if self.send(vec![payload]) {
+        if self.send(vec![payload]).is_ok() {
             PublishOutcome::Delivered
         } else {
             PublishOutcome::Shed
@@ -78,7 +78,7 @@ impl<T: Send + 'static> Publish<T> for Push<Vec<T>> {
         // The frame gets a buffer of its own; the caller keeps theirs.
         let mut frame = Vec::with_capacity(n);
         frame.append(batch);
-        if n == 0 || self.send(frame) {
+        if n == 0 || self.send(frame).is_ok() {
             0
         } else {
             n
@@ -147,13 +147,13 @@ mod tests {
     }
 
     #[test]
-    fn a_pipeline_queues_a_batch_as_one_frame() {
-        let (push, pull) = crate::pipe::pipeline::<Vec<u32>>(4);
+    fn a_frame_queue_queues_a_batch_as_one_frame() {
+        let (push, pull) = crossbeam_channel::bounded::<Vec<u32>>(4);
         let mut batch = Vec::with_capacity(8);
         batch.extend([1, 2, 3]);
         assert_eq!(push.publish_batch("events/t", &mut batch), 0);
         assert!(batch.is_empty() && batch.capacity() >= 8, "the caller keeps its buffer");
-        assert_eq!(pull.try_recv(), Some(vec![1, 2, 3]));
+        assert_eq!(pull.try_recv(), Ok(vec![1, 2, 3]));
         drop(pull);
         batch.extend([4, 5]);
         assert_eq!(push.publish_batch("events/t", &mut batch), 2, "nobody can pull it");

@@ -38,7 +38,6 @@
 use crate::conn::{Backoff, NetConfig};
 use crate::endpoint::{dial, Conn, Handler};
 use crate::wire::{timed_out, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, Service};
-use sdci_mq::pipe::{pipeline, Pull, Push};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceContext};
 use std::collections::{HashMap, VecDeque};
@@ -92,10 +91,10 @@ type SeenMarks = parking_lot::Mutex<HashMap<String, Arc<parking_lot::Mutex<u64>>
 /// the frame: each accepted `ItemBatch` arrives as one `Vec` of its
 /// fresh items.
 pub struct TcpPullServer<T> {
-    pull: Pull<Vec<T>>,
+    pull: crossbeam_channel::Receiver<Vec<T>>,
     /// `None` once the endpoint has drained: pullers then observe
     /// end-of-stream after the last connection exits.
-    push: parking_lot::Mutex<Option<Push<Vec<T>>>>,
+    push: parking_lot::Mutex<Option<crossbeam_channel::Sender<Vec<T>>>>,
     counters: ServerCounters,
     seen: SeenMarks,
 }
@@ -123,7 +122,7 @@ where
     /// after a restart, items a reconnecting client re-sends are
     /// discarded when the restored state already holds them.
     pub fn with_marks(capacity: usize, marks: HashMap<String, u64>) -> Arc<Self> {
-        let (push, pull) = pipeline::<Vec<T>>(capacity);
+        let (push, pull) = crossbeam_channel::bounded::<Vec<T>>(capacity);
         let seen =
             marks.into_iter().map(|(c, m)| (c, Arc::new(parking_lot::Mutex::new(m)))).collect();
         Arc::new(TcpPullServer {
@@ -135,9 +134,9 @@ where
     }
 
     /// The local consuming end: one non-empty `Vec` per accepted frame.
-    /// `Pull::recv` returns `None` once the endpoint has shut down and
-    /// every connection has drained.
-    pub fn pull(&self) -> Pull<Vec<T>> {
+    /// It reports the queue disconnected once the endpoint has shut down,
+    /// every connection has drained and every queued frame is taken.
+    pub fn pull(&self) -> crossbeam_channel::Receiver<Vec<T>> {
         self.pull.clone()
     }
 
@@ -194,7 +193,7 @@ where
 
 fn serve_pusher<T>(
     conn: Conn,
-    push: Push<Vec<T>>,
+    push: crossbeam_channel::Sender<Vec<T>>,
     client: String,
     resume_after: u64,
     seen: &SeenMarks,
@@ -281,7 +280,7 @@ fn serve_pusher<T>(
                     // ack means "processed", so a crash before this
                     // point makes the client re-send, never lose.
                     if fresh > 0 {
-                        if !push.send(payloads) {
+                        if push.send(payloads).is_err() {
                             return;
                         }
                         *m = advanced;

@@ -91,7 +91,7 @@ fn lossy_faulted_push_leg_still_delivers_exactly_once() {
 
         let pull = server.pull();
         let mut got = Vec::new();
-        while let Some(frame) = pull.recv_timeout(Duration::from_secs(5)) {
+        while let Ok(frame) = pull.recv_timeout(Duration::from_secs(5)) {
             got.extend(frame);
             if got.len() == N as usize {
                 break;

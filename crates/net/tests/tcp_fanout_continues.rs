@@ -11,7 +11,6 @@
 use sdci_core::{
     Aggregator, EventConsumer, EventStore, FeedMessage, SequencedEvent, INGEST_QUEUE_FRAMES,
 };
-use sdci_mq::pipe::pipeline;
 use sdci_mq::transport::Publish;
 use sdci_net::wire::{write_hello, BinEncoder, Frame, FrameReader, Service, WireMsg};
 use sdci_net::{
@@ -353,7 +352,7 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_at_most_once_a_fault() {
         |kind: &str| counter("sdci_faults_injected_total", &[("dir", "recv"), ("kind", kind)]);
     for (spec, kind) in [("seed=11,recv.drop=0.08", "drop"), ("seed=11,recv.dup=0.05", "duplicate")]
     {
-        let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+        let (events, frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
         let feed = TcpBroker::<FeedMessage>::new();
         let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), feed.clone());
         let handlers: Vec<Arc<dyn Handler>> = vec![feed, StoreServer::new(agg.store())];
@@ -366,13 +365,13 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_at_most_once_a_fault() {
 
         // The subscription must be live before the events it is to see
         // are published: a heartbeat reaching it says so.
-        assert!(events.send(vec![dir_event(1)]));
+        assert!(events.send(vec![dir_event(1)]).is_ok());
         assert!(consumer.next_timeout(Duration::from_secs(10)).is_some(), "{spec}: never joined");
         const FRAMES: u64 = 40;
         const EACH: u64 = 50;
         for frame in 0..FRAMES {
             let batch = (0..EACH).map(|i| dir_event(2 + frame * EACH + i)).collect();
-            assert!(events.send(batch));
+            assert!(events.send(batch).is_ok());
             std::thread::sleep(Duration::from_millis(2));
         }
         let mut got = vec![dir_event(1)];
@@ -388,6 +387,7 @@ fn a_faulted_subscriber_loses_nothing_and_reconnects_at_most_once_a_fault() {
         assert!(reconnected <= faults, "{spec}: {reconnected} reconnects for {faults} faults");
         drop(consumer);
         endpoint.shutdown();
+        drop(events);
         agg.shutdown();
     }
 }

@@ -5,7 +5,6 @@
 //! same [`TcpBroker`] the Aggregator has published into all along.
 
 use sdci_core::{Aggregator, EventConsumer, EventStore, FeedMessage, INGEST_QUEUE_FRAMES};
-use sdci_mq::pipe::pipeline;
 use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
@@ -42,7 +41,7 @@ fn event(i: u64) -> FileEvent {
 fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     let cfg = fast_cfg();
     // In-process aggregator; only the consumer feed crosses TCP here.
-    let (events, frames) = pipeline::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
+    let (events, frames) = crossbeam_channel::bounded::<Vec<FileEvent>>(INGEST_QUEUE_FRAMES);
     let feed = TcpBroker::<FeedMessage>::new();
     let agg = Aggregator::start(frames, Arc::new(EventStore::new(100_000)), Arc::clone(&feed));
 
@@ -53,7 +52,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
 
     const A: u64 = 50;
     for i in 1..=A {
-        assert!(events.send(vec![event(i)]));
+        assert!(events.send(vec![event(i)]).is_ok());
     }
     let mut got = Vec::new();
     while got.len() < A as usize {
@@ -66,7 +65,7 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     endpoint1.shutdown();
     const B: u64 = 50;
     for i in A + 1..=A + B {
-        assert!(events.send(vec![event(i)]));
+        assert!(events.send(vec![event(i)]).is_ok());
     }
     // Wait for the aggregator to sequence all of batch 2 into the store.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -94,5 +93,6 @@ fn consumer_backfills_events_published_while_the_feed_server_was_down() {
     assert!(stats.recovered >= B, "batch 2 must come from the store, not the live feed");
 
     endpoint2.shutdown();
+    drop(events);
     agg.shutdown();
 }

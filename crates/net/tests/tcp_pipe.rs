@@ -35,7 +35,7 @@ where
 {
     let pull = server.pull();
     let mut got = Vec::new();
-    while let Some(frame) = pull.recv_timeout(Duration::from_secs(2)) {
+    while let Ok(frame) = pull.recv_timeout(Duration::from_secs(2)) {
         got.extend(frame);
         if got.len() >= n {
             break;
@@ -286,7 +286,7 @@ fn marks_restored_at_bind_deduplicate_resends() {
 
     assert_eq!(server.stats().duplicates, 1);
     assert_eq!(server.stats().items, 1);
-    assert_eq!(server.pull().recv_timeout(Duration::from_secs(2)), Some(vec![51]));
+    assert_eq!(server.pull().recv_timeout(Duration::from_secs(2)), Ok(vec![51]));
     assert_eq!(server.marks().get("c"), Some(&51));
 
     // A client claiming acks beyond our mark is authoritative: it will
@@ -506,7 +506,7 @@ fn dropped_frames_recover_via_redial() {
 
     let pull = server.pull();
     let mut got = Vec::new();
-    while let Some(frame) = pull.recv_timeout(Duration::from_secs(5)) {
+    while let Ok(frame) = pull.recv_timeout(Duration::from_secs(5)) {
         got.extend(frame);
         if got.len() == N as usize {
             break;

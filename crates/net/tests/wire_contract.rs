@@ -304,7 +304,7 @@ fn a_wrong_or_missing_version_is_refused_for_every_service_and_the_endpoint_keep
     let push = TcpPush::connect(addr, "current", fast_cfg());
     assert!(push.send(42));
     assert!(push.drain(Duration::from_secs(10)), "a correct pusher is still served");
-    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(vec![42]));
+    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Ok(vec![42]));
     let subscriber = TcpSubscriber::<u64>::connect(addr, &["ok/"], fast_cfg());
     let delivered = (0..1000).any(|_| {
         broker.publish("ok/x", 9);
@@ -440,7 +440,7 @@ fn a_kind_2_body_is_invalid_data_and_costs_one_connection() {
     let push = TcpPush::connect(addr, "current", fast_cfg());
     assert!(push.send(genuine.clone()));
     assert!(push.drain(Duration::from_secs(10)), "the endpoint stopped serving other pushers");
-    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Some(vec![genuine]));
+    assert_eq!(pull.pull().recv_timeout(Duration::from_secs(2)), Ok(vec![genuine]));
     endpoint.shutdown();
 }
 

@@ -20,7 +20,7 @@
 //! | [`simfs`] | `simfs` | In-memory POSIX-style namespace |
 //! | [`lustre`] | `lustre-sim` | Lustre metadata plane: MDTs, ChangeLogs, fid2path |
 //! | [`inotify`] | `inotify-sim` | inotify semantics + Watchdog-style recursion |
-//! | [`mq`] | `sdci-mq` | PUB/SUB, PUSH/PULL, SQS queue, Lambda pool |
+//! | [`mq`] | `sdci-mq` | PUB/SUB, SQS queue, Lambda pool, `Publish`/`Subscribe` |
 //! | [`monitor`] | `sdci-core` | **The paper's contribution**: Collector → Aggregator → consumers |
 //! | [`net`] | `sdci-net` | TCP transport: the monitor across OS processes |
 //! | [`ripple`] | `ripple` | The SDCI rule engine |
