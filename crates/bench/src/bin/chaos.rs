@@ -97,11 +97,12 @@ fn sev(seq: u64) -> SequencedEvent {
 /// recover in milliseconds, keeping every round's wall-clock bounded.
 /// `max_batch` is held small: fault decisions are per frame, so small
 /// batches mean each round draws hundreds of decisions instead of a
-/// handful of jumbo `ItemBatch` frames sailing through untouched.
+/// handful of jumbo `ItemBatch` frames sailing through untouched. A
+/// pusher has one frame in flight, so it also bounds what a pusher queues
+/// behind that frame to 16 items.
 fn fast_cfg() -> NetConfig {
     NetConfig {
         hwm: 16_384,
-        window: 256,
         max_batch: 16,
         retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
         heartbeat: Duration::from_millis(20),

@@ -31,7 +31,7 @@ pub enum PublishOutcome {
     /// payload at its high-water mark — nobody will ever see it.
     Shed,
     /// Accepted into an outbound queue whose far end can't be observed
-    /// from here (e.g. a TCP pusher's resend window).
+    /// from here (e.g. the queue behind a TCP pusher's frame in flight).
     Queued,
 }
 

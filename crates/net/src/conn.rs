@@ -39,19 +39,18 @@ pub struct NetConfig {
     /// messages are shed — the same high-water-mark contract as the
     /// in-process broker.
     pub hwm: usize,
-    /// Unacknowledged-item window on the lossless PUSH leg; the pusher
-    /// blocks (backpressure) once this many items are in flight.
-    pub window: usize,
     /// Reconnect backoff.
     pub retry: RetryPolicy,
     /// A side that has been idle this long sends a `Ping`.
     pub heartbeat: Duration,
     /// A connection that produced no traffic for this long is dead —
-    /// and a pusher's, once its oldest unacknowledged item has waited
-    /// this long, whatever else arrived meanwhile.
+    /// and a pusher's, once its frame in flight has waited this long,
+    /// whatever else arrived meanwhile.
     pub liveness: Duration,
     /// Most payloads coalesced into one batch frame. `1` disables
-    /// coalescing: every payload travels as a one-member batch.
+    /// coalescing: every payload travels as a one-member batch. A
+    /// pusher, which has one frame in flight, also queues at most this
+    /// many items behind it.
     pub max_batch: usize,
     /// Bound on every blocking outbound `connect` — a black-holed peer
     /// address fails within this window instead of the kernel's
@@ -67,7 +66,6 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             hwm: 65_536,
-            window: 1024,
             retry: RetryPolicy::default(),
             heartbeat: Duration::from_millis(100),
             liveness: Duration::from_secs(3),

@@ -12,13 +12,23 @@
 //!   (blocking, bounded) pipeline as one batch, acknowledges them only
 //!   after that, and remembers the highest sequence accepted per
 //!   client;
-//! * after a reconnect the client re-sends everything unacknowledged
-//!   and the server discards duplicates by sequence number.
+//! * a pusher has one frame in flight: it writes the next only once an
+//!   ack covers the last, so it moves at most [`NetConfig::max_batch`]
+//!   items per ack round trip;
+//! * the server answers every frame and every `Ping` with its mark, in
+//!   order, and TCP delivers a frame ahead of any ping written after it —
+//!   so an ack that answers such a ping without covering the frame in
+//!   flight proves the frame lost, and the pusher redials at once; one
+//!   that stops answering altogether is given up once the frame has
+//!   waited [`NetConfig::liveness`];
+//! * after a reconnect the client re-sends its frame in flight and the
+//!   server discards duplicates by sequence number.
 //!
 //! The result is at-least-once delivery on the wire and exactly-once
-//! delivery into the pipeline, with backpressure end to end: the pusher
-//! blocks once [`NetConfig::window`] items are in flight, and the
-//! server blocks reading the socket while the local pipeline is full.
+//! delivery into the pipeline, with backpressure end to end: `send`
+//! blocks once a frame's worth of items waits behind the frame in
+//! flight, and the server blocks reading the socket while the local
+//! pipeline is full.
 //!
 //! # Durability is the deployment's job
 //!
@@ -40,7 +50,7 @@ use crate::endpoint::{dial, Conn, Handler};
 use crate::wire::{timed_out, write_item_batch_bin, write_msg_bin, BinEncoder, Frame, Service};
 use sdci_mq::transport::{Publish, PublishOutcome};
 use sdci_types::{BinPayload, TraceContext};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -347,10 +357,13 @@ struct PushState {
 /// guaranteed to reach the [`TcpPullServer`]'s pipeline exactly once,
 /// surviving connection loss and server restarts.
 ///
-/// `send` blocks while the in-flight window is full (backpressure);
-/// [`TcpPush::drain`] waits until everything sent has been acknowledged
-/// — call it before exiting to make "collector done" mean "aggregator
-/// has the events".
+/// One frame is in flight at a time: the worker writes the next frame
+/// only once the server has acknowledged the last, so a pusher moves at
+/// most [`NetConfig::max_batch`] items per ack round trip. `send` queues
+/// behind that frame and blocks once a frame's worth waits there
+/// (backpressure); [`TcpPush::drain`] waits until everything sent has
+/// been acknowledged — call it before exiting to make "collector done"
+/// mean "aggregator has the events".
 pub struct TcpPush<T> {
     tx: crossbeam_channel::Sender<T>,
     state: Arc<PushState>,
@@ -370,14 +383,14 @@ impl<T> std::fmt::Debug for TcpPush<T> {
 
 impl<T> TcpPush<T>
 where
-    T: Clone + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     /// Starts a supervised pusher toward `addr`. `client` must be
     /// stable across restarts of the same logical pusher — it keys the
     /// server's duplicate-suppression state.
     pub fn connect(addr: SocketAddr, client: impl Into<String>, cfg: NetConfig) -> Self {
         let client = client.into();
-        let (tx, rx) = crossbeam_channel::bounded::<T>(cfg.window.max(1));
+        let (tx, rx) = crossbeam_channel::bounded::<T>(cfg.max_batch);
         let state = Arc::new(PushState::default());
         {
             let state = Arc::clone(&state);
@@ -390,9 +403,10 @@ where
         TcpPush { tx, state }
     }
 
-    /// Queues one item, blocking while the window is full. Returns
-    /// `false` only if the worker has terminated (it never does while a
-    /// handle is alive).
+    /// Queues one item behind the frame in flight, blocking while a
+    /// frame's worth ([`NetConfig::max_batch`] items) already waits
+    /// there. Returns `false` only if the worker has terminated (it never
+    /// does while a handle is alive).
     pub fn send(&self, item: T) -> bool {
         self.state.pending.fetch_add(1, Ordering::Relaxed);
         if self.tx.send(item).is_ok() {
@@ -433,7 +447,7 @@ where
 /// leg is point-to-point and events carry their own MDT index.
 impl<T> Publish<T> for TcpPush<T>
 where
-    T: Clone + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
     fn publish(&self, _topic: &str, payload: T) -> PublishOutcome {
         // `send` only fails when the worker is gone, which never
@@ -446,36 +460,87 @@ where
     }
 }
 
-/// Retransmits every unacked item with fresh send timestamps after a
-/// reconnect. Sequences in `unacked` are dense, so the whole window
-/// re-ships as a few `ItemBatch` runs (the encoder re-splits any run
-/// whose encoded size would overrun a frame).
-fn resend_window<T: Clone + BinPayload>(
-    writer: &mut impl std::io::Write,
-    enc: &mut BinEncoder,
-    unacked: &mut VecDeque<(u64, T, Instant)>,
+/// Fills `frame`, which holds its first item, with the items queued
+/// behind it, up to `max_batch`: a partial frame waits for stragglers
+/// until none has come for `QUIET_GAP`, or at most until `FLUSH_INTERVAL`
+/// after it started, so a trickle still coalesces without adding more
+/// than ~`FLUSH_INTERVAL` of latency and a burst leaves as soon as it
+/// ends. Returns why it stopped: the `reason` of
+/// `sdci_net_batch_flush_total`.
+fn fill<T>(
+    rx: &crossbeam_channel::Receiver<T>,
+    frame: &mut Vec<T>,
     max_batch: usize,
-) -> std::io::Result<()> {
-    sdci_obs::static_metric!(counter, "sdci_net_push_resends_total").add(unacked.len() as u64);
-    let now = Instant::now();
-    let first_seq = unacked.front().map_or(0, |(seq, _, _)| *seq);
-    let payloads: Vec<T> = unacked
-        .iter_mut()
-        .map(|(_, item, sent_at)| {
-            *sent_at = now;
-            item.clone()
-        })
-        .collect();
-    let mut offset = 0u64;
-    for chunk in payloads.chunks(max_batch) {
-        let trace =
-            chunk.iter().find_map(|i| i.event().and_then(|e| e.trace).filter(|c| c.sampled));
-        write_item_batch_bin(writer, enc, first_seq + offset, chunk, trace)?;
-        offset += chunk.len() as u64;
+    senders_gone: &mut bool,
+) -> &'static str {
+    let deadline = Instant::now() + FLUSH_INTERVAL;
+    while frame.len() < max_batch {
+        // Past the deadline this only takes what is already queued.
+        let wait = deadline.saturating_duration_since(Instant::now()).min(QUIET_GAP);
+        match rx.recv_timeout(wait) {
+            Ok(item) => frame.push(item),
+            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
+                return if Instant::now() < deadline { "quiet" } else { "deadline" };
+            }
+            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
+                *senders_gone = true;
+                return "deadline";
+            }
+        }
     }
-    Ok(())
+    "size"
 }
 
+/// Writes `frame` as `ItemBatch` frames numbered from `first_seq` (one,
+/// unless its encoded size overruns a frame). They carry the first
+/// sampled event's context re-parented under a send span, so the receive
+/// side can mark the network hop itself.
+fn write_frame<T: BinPayload>(
+    writer: &mut impl std::io::Write,
+    enc: &mut BinEncoder,
+    first_seq: u64,
+    frame: &[T],
+) -> std::io::Result<()> {
+    let carried = frame.iter().find_map(|i| i.event().and_then(|e| e.trace).filter(|c| c.sampled));
+    let mut send_span =
+        carried.map(|t| sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.push.send"));
+    if let Some(span) = send_span.as_mut() {
+        span.set_detail(|| format!("{} items", frame.len()));
+    }
+    let trace = match send_span.as_ref().and_then(|s| s.context()) {
+        Some(sc) => Some(TraceContext::sampled(sc.trace_id, sc.span_id)),
+        // Tracing disabled in this process: forward the carried context
+        // unchanged.
+        None => carried,
+    };
+    write_item_batch_bin(writer, enc, first_seq, frame, trace).map(drop)
+}
+
+/// Counts the items of the frame in flight that an ack for `up_to`
+/// covers as acknowledged and takes them off its front. Returns how many
+/// it took.
+fn take_acked<T>(
+    up_to: u64,
+    in_flight: &mut Vec<T>,
+    first_seq: &mut u64,
+    sent_at: Instant,
+    state: &PushState,
+) -> u64 {
+    let covered = up_to.saturating_sub(*first_seq - 1).min(in_flight.len() as u64);
+    if covered > 0 {
+        sdci_obs::static_metric!(histogram, "sdci_net_ack_rtt_seconds")
+            .observe_duration(sent_at.elapsed());
+        in_flight.drain(..covered as usize);
+        *first_seq += covered;
+        state.pending.fetch_sub(covered, Ordering::Relaxed);
+        state.acked.fetch_add(covered, Ordering::Relaxed);
+    }
+    covered
+}
+
+/// The pusher's connection loop. Its only unacknowledged state is the
+/// frame in flight, kept by value: it fills the next frame only once an
+/// ack has covered that one.
 fn push_worker<T>(
     addr: SocketAddr,
     client: String,
@@ -483,45 +548,28 @@ fn push_worker<T>(
     rx: crossbeam_channel::Receiver<T>,
     state: Arc<PushState>,
 ) where
-    T: Clone + Send + BinPayload + 'static,
+    T: Send + BinPayload + 'static,
 {
-    let window = cfg.window.max(1);
     let max_batch = cfg.max_batch.max(1);
-    // Encoder scratch buffers, reused across batches and reconnects.
+    // Encoder scratch buffers, reused across frames and reconnects.
     let mut enc = BinEncoder::new();
     let mut backoff = Backoff::new(cfg.retry);
-    // Each entry carries its last transmission instant, so an ack's
-    // round-trip is measured against the send (or resend) it answers.
-    let mut unacked: VecDeque<(u64, T, Instant)> = VecDeque::new();
-    let mut next_seq: u64 = 1;
-    let mut last_acked: u64 = 0;
+    // The frame written and not yet acknowledged, and when it was last
+    // written; `first_seq` numbers its first item or, while nothing is in
+    // flight, the next item to be sent.
+    let mut in_flight: Vec<T> = Vec::new();
+    let mut first_seq: u64 = 1;
+    let mut sent_at = Instant::now();
     let mut senders_gone = false;
-
-    let ack_up_to = |up_to: u64,
-                     unacked: &mut VecDeque<(u64, T, Instant)>,
-                     last_acked: &mut u64,
-                     state: &PushState| {
-        while unacked.front().is_some_and(|(seq, _, _)| *seq <= up_to) {
-            if let Some((_, _, sent_at)) = unacked.pop_front() {
-                sdci_obs::static_metric!(histogram, "sdci_net_ack_rtt_seconds")
-                    .observe_duration(sent_at.elapsed());
-            }
-            state.pending.fetch_sub(1, Ordering::Relaxed);
-            state.acked.fetch_add(1, Ordering::Relaxed);
-        }
-        if up_to > *last_acked {
-            *last_acked = up_to;
-        }
-    };
 
     'reconnect: loop {
         // `senders_gone` is only set once the queue reported
         // Disconnected, which implies it was empty — so this is the
         // all-delivered exit.
-        if senders_gone && unacked.is_empty() {
+        if senders_gone && in_flight.is_empty() {
             return;
         }
-        let hello = Service::Push { client: client.clone(), resume_after: last_acked };
+        let hello = Service::Push { client: client.clone(), resume_after: first_seq - 1 };
         let Ok((mut reader, mut writer)) = dial(&cfg, addr, hello) else {
             backoff.sleep_after_failure(Duration::ZERO, cfg.liveness);
             continue;
@@ -534,12 +582,11 @@ fn push_worker<T>(
         // the greeting or the connection is lost: a peer that answers
         // with anything else — a stream of pings, say — does not hold the
         // lossless leg here.
-        let hello_sent = Instant::now();
         let server_mark = loop {
             match reader.read_msg::<Frame<T>>() {
                 Ok(Frame::Ack { up_to }) => break up_to,
                 Err(e) if timed_out(&e) => {
-                    if hello_sent.elapsed() > cfg.liveness {
+                    if session.elapsed() > cfg.liveness {
                         backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                         continue 'reconnect;
                     }
@@ -550,186 +597,123 @@ fn push_worker<T>(
                 }
             }
         };
-        if next_seq == 1 {
-            // First contact of a fresh pusher process: nothing has been
-            // sequenced locally yet. A nonzero server mark then belongs
-            // to a previous incarnation of this client identity — adopt
-            // it and number upward from there, rather than starting at
-            // 1 and having every new item discarded (and still acked!)
-            // as a duplicate of the old incarnation's. A mark no
-            // sequence number can follow fails the handshake.
-            let Some(first) = server_mark.checked_add(1) else {
+        if in_flight.is_empty() {
+            // Nothing to resend: number on from the server's mark. On a
+            // fresh pusher process's first contact that mark belongs to a
+            // previous incarnation of this client identity — numbering
+            // from 1 instead would have every new item discarded (and
+            // still acked!) as a duplicate of the old incarnation's. A
+            // mark no sequence number can follow fails the handshake.
+            let Some(next) = server_mark.checked_add(1) else {
                 sdci_obs::warn!("the pull server's mark is u64::MAX; reconnecting"; client = client.as_str());
                 backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                 continue 'reconnect;
             };
-            next_seq = first;
-            last_acked = server_mark;
+            first_seq = next;
         } else {
-            ack_up_to(server_mark, &mut unacked, &mut last_acked, &state);
+            take_acked(server_mark, &mut in_flight, &mut first_seq, sent_at, &state);
         }
-        // Re-send everything the server has not seen. The new
-        // connection's reader holds nothing of the last one's frames.
+        // Re-send what the server has not seen as one fresh frame: the
+        // new connection's reader holds nothing of the last one's frames.
         enc.start_fresh();
-        if resend_window(&mut writer, &mut enc, &mut unacked, max_batch).is_err() {
-            backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-            continue 'reconnect;
+        if !in_flight.is_empty() {
+            sdci_obs::static_metric!(counter, "sdci_net_push_resends_total")
+                .add(in_flight.len() as u64);
+            sent_at = Instant::now();
+            if write_frame(&mut writer, &mut enc, first_seq, &in_flight).is_err() {
+                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
+                continue 'reconnect;
+            }
         }
         if state.connections.fetch_add(1, Ordering::Relaxed) > 0 {
             sdci_obs::static_metric!(counter, "sdci_net_pusher_reconnects_total").inc();
         }
         let mut last_write = Instant::now();
-        // An item taken out of the queue by the idle wait, fed back
-        // into the next fill so it can coalesce with whatever arrived
-        // behind it.
-        let mut carry: Option<T> = None;
+        // Pings whose answers are still to be read: those written before
+        // the frame in flight, answered ahead of its ack, and those written
+        // after it, answered behind.
+        let (mut pings_ahead, mut pings_behind) = (0u32, 0u32);
         loop {
-            // Fill phase: coalesce whatever is already queued, bounded
-            // by the free send window and the per-frame batch cap.
-            let mut batch: Vec<T> = Vec::new();
-            let budget = window.saturating_sub(unacked.len()).min(max_batch);
-            if let Some(item) = carry.take() {
-                batch.push(item);
+            if senders_gone && in_flight.is_empty() {
+                let _ = write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Fin);
+                return;
             }
-            while batch.len() < budget {
-                match rx.try_recv() {
-                    Ok(item) => batch.push(item),
-                    Err(crossbeam_channel::TryRecvError::Empty) => break,
-                    Err(crossbeam_channel::TryRecvError::Disconnected) => {
-                        senders_gone = true;
-                        break;
-                    }
-                }
-            }
-            // Adaptive flush: a partially filled batch waits for
-            // stragglers until none has come for `QUIET_GAP`, or at most
-            // until the flush deadline, so a trickle still coalesces
-            // without adding more than ~`FLUSH_INTERVAL` of latency and a
-            // burst leaves as soon as it ends. A full batch (or a full
-            // window) flushes at once.
-            let mut reason = "deadline";
-            if !batch.is_empty() && batch.len() < budget && !senders_gone {
-                let deadline = Instant::now() + FLUSH_INTERVAL;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline || batch.len() >= budget {
-                        break;
-                    }
-                    match rx.recv_timeout((deadline - now).min(QUIET_GAP)) {
-                        Ok(item) => batch.push(item),
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            if Instant::now() < deadline {
-                                reason = "quiet";
-                            }
-                            break;
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                            senders_gone = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !batch.is_empty() {
-                let first_seq = next_seq;
-                let now = Instant::now();
-                for item in &batch {
-                    unacked.push_back((next_seq, item.clone(), now));
-                    next_seq += 1;
-                }
-                if batch.len() >= budget {
-                    reason = "size";
-                }
-                sdci_obs::static_metric!(counter_vec, "sdci_net_batch_flush_total", "reason")
-                    .inc(reason);
-                // The histogram's base unit is seconds; recording
-                // `len` seconds as nanoseconds makes the exported
-                // values read directly as batch sizes.
-                sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
-                    .observe_ns(batch.len() as u64 * 1_000_000_000);
-                let ok = {
-                    // The batch frame carries the first sampled event's
-                    // context re-parented under a send span, so the
-                    // receive side can mark the network hop itself.
-                    let carried = batch
-                        .iter()
-                        .find_map(|i| i.event().and_then(|e| e.trace).filter(|c| c.sampled));
-                    let mut send_span = carried.map(|t| {
-                        sdci_obs::trace::child_of(t.trace_id, t.parent_span_id, "net.push.send")
-                    });
-                    if let Some(span) = send_span.as_mut() {
-                        span.set_detail(|| format!("{} items", batch.len()));
-                    }
-                    let frame_trace = match send_span.as_ref().and_then(|s| s.context()) {
-                        Some(sc) => Some(TraceContext::sampled(sc.trace_id, sc.span_id)),
-                        // Tracing disabled in this process: forward the
-                        // carried context unchanged.
-                        None => carried,
-                    };
-                    write_item_batch_bin(&mut writer, &mut enc, first_seq, &batch, frame_trace)
-                        .is_ok()
-                };
-                if !ok {
+            // A quiet link pings; the server answers every ping with its mark.
+            if last_write.elapsed() >= cfg.heartbeat {
+                if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
                     backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                     continue 'reconnect;
                 }
                 last_write = Instant::now();
-            }
-            if unacked.is_empty() {
-                if senders_gone {
-                    let _ = write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Fin);
-                    return;
+                if in_flight.is_empty() {
+                    pings_ahead += 1;
+                } else {
+                    pings_behind += 1;
                 }
-                // Idle: wait for new items, pinging to stay alive. The
-                // item is carried into the next fill phase rather than
-                // written here, so it can still form a batch.
+            }
+            if in_flight.is_empty() {
+                // Idle: wait for the next frame's first item.
                 match rx.recv_timeout(cfg.heartbeat) {
-                    Ok(item) => carry = Some(item),
-                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                        if last_write.elapsed() >= cfg.heartbeat {
-                            if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
-                                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                                continue 'reconnect;
-                            }
-                            last_write = Instant::now();
-                        }
-                    }
+                    Ok(item) => in_flight.push(item),
+                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
                     Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
                         senders_gone = true;
+                        continue;
                     }
                 }
-            } else {
-                // Window has items in flight: wait for acks, pinging to
-                // elicit one when the link goes quiet (the server
-                // re-acks every ping). The connection is dead once the
-                // oldest unacked item has waited a liveness interval —
-                // acks that do not advance past it are no progress, so
-                // neither a silent partition (no RST/FIN) nor a frame
-                // lost with nothing behind it can hold the lossless leg;
-                // the reconnect re-sends the window.
-                if unacked.front().is_some_and(|(_, _, sent_at)| sent_at.elapsed() > cfg.liveness) {
+                let reason = fill(&rx, &mut in_flight, max_batch, &mut senders_gone);
+                sdci_obs::static_metric!(counter_vec, "sdci_net_batch_flush_total", "reason")
+                    .inc(reason);
+                // The histogram's base unit is seconds; recording `len`
+                // seconds as nanoseconds makes the exported values read
+                // directly as batch sizes.
+                sdci_obs::static_metric!(histogram, "sdci_net_batch_size")
+                    .observe_ns(in_flight.len() as u64 * 1_000_000_000);
+                sent_at = Instant::now();
+                if write_frame(&mut writer, &mut enc, first_seq, &in_flight).is_err() {
                     backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                     continue 'reconnect;
                 }
-                match reader.read_msg::<Frame<T>>() {
-                    Ok(Frame::Ack { up_to }) => {
-                        ack_up_to(up_to, &mut unacked, &mut last_acked, &state);
-                    }
-                    Err(e) if timed_out(&e) => {
-                        if last_write.elapsed() >= cfg.heartbeat {
-                            if write_msg_bin(&mut writer, &mut enc, &Frame::<T>::Ping).is_err() {
-                                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
-                                continue 'reconnect;
-                            }
-                            last_write = Instant::now();
-                        }
-                    }
-                    // A pull server answers with acks only: anything else
-                    // breaks the stream.
-                    Ok(_) | Err(_) => {
+                last_write = Instant::now();
+                continue;
+            }
+            // A frame in flight: read acks until one covers it. The
+            // connection is dead once the frame has waited a liveness
+            // interval — acks that do not cover it are no progress — so a
+            // silent partition (no RST/FIN) cannot hold the lossless leg.
+            if sent_at.elapsed() > cfg.liveness {
+                backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
+                continue 'reconnect;
+            }
+            match reader.read_msg::<Frame<T>>() {
+                Ok(Frame::Ack { up_to }) => {
+                    let covered =
+                        take_acked(up_to, &mut in_flight, &mut first_seq, sent_at, &state);
+                    if in_flight.is_empty() {
+                        (pings_ahead, pings_behind) = (pings_behind, 0);
+                    } else if covered > 0 {
+                        pings_ahead = 0;
+                    } else if pings_ahead > 0 {
+                        pings_ahead -= 1;
+                    } else if pings_behind > 0 {
+                        // It answers a ping written after the frame. TCP
+                        // delivered the frame ahead of that ping and the
+                        // server answers in order, so the frame was lost:
+                        // the redial resends it now, not a liveness
+                        // interval from now. The server has just answered,
+                        // so the backoff starts over; the ping each proof
+                        // waits for keeps these redials a heartbeat apart.
+                        backoff.reset();
                         backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
                         continue 'reconnect;
                     }
+                }
+                Err(e) if timed_out(&e) => {}
+                // A pull server answers with acks only: anything else
+                // breaks the stream.
+                Ok(_) | Err(_) => {
+                    backoff.sleep_after_failure(session.elapsed(), cfg.liveness);
+                    continue 'reconnect;
                 }
             }
         }

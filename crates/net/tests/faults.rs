@@ -4,28 +4,22 @@
 //! queries stay time-bounded, and a failed thread spawn costs one
 //! connection, never the process.
 
+mod common;
+
 use sdci_core::{EventBackend, EventStore, SequencedEvent, StoreQuery};
 use sdci_faults::{arm, process_epoch, CrashMode, FaultPlan};
 use sdci_net::store_rpc::StoreRpc;
 use sdci_net::wire::write_msg;
-use sdci_net::{
-    Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpPullServer, TcpPush,
-};
+use sdci_net::{Endpoint, NetConfig, RemoteStore, StoreServer, TcpPullServer, TcpPush};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The shared fast timers, with a liveness of 400 ms.
 fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 256,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(400),
-        ..NetConfig::default()
-    }
+    NetConfig { liveness: Duration::from_millis(400), ..common::fast_cfg() }
 }
 
 /// Crash points are process-global and every endpoint spawns through

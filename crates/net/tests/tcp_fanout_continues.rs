@@ -8,14 +8,15 @@
 //! dense sequence numbers and `steady`-shaped paths: 64 directories,
 //! fixed-width names.
 
+mod common;
+
+use common::fast_cfg;
 use sdci_core::{
     Aggregator, EventConsumer, EventStore, FeedMessage, SequencedEvent, INGEST_QUEUE_FRAMES,
 };
 use sdci_mq::transport::Publish;
 use sdci_net::wire::{write_hello, BinEncoder, Frame, FrameReader, Service, WireMsg};
-use sdci_net::{
-    Endpoint, Handler, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpSubscriber,
-};
+use sdci_net::{Endpoint, Handler, NetConfig, RemoteStore, StoreServer, TcpBroker, TcpSubscriber};
 use sdci_types::bin::History;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::net::{SocketAddr, TcpStream};
@@ -24,17 +25,6 @@ use std::time::{Duration, Instant};
 
 /// Frame-header flags bit 2: the frame continues its connection.
 const CONTINUES: u8 = 4;
-
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
-}
 
 /// An event of the benchmark's `steady` shape, the `i`th of its stream.
 fn dir_event(i: u64) -> FileEvent {

@@ -4,22 +4,14 @@
 //! fault tolerance, over real sockets). The restarted endpoint serves the
 //! same [`TcpBroker`] the Aggregator has published into all along.
 
+mod common;
+
+use common::fast_cfg;
 use sdci_core::{Aggregator, EventConsumer, EventStore, FeedMessage, INGEST_QUEUE_FRAMES};
-use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
+use sdci_net::{Endpoint, TcpBroker, TcpSubscriber};
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
-}
 
 fn event(i: u64) -> FileEvent {
     FileEvent {

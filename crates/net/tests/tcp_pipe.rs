@@ -3,11 +3,14 @@
 //! Collector-side guarantee that "no events are lost once they have
 //! been processed" (§5.2).
 
+mod common;
+
+use common::fast_cfg;
 use sdci_net::wire::{
     write_hello, write_item_batch_bin, write_msg, BinEncoder, Frame, FrameReader, Hello, Service,
     WireMsg,
 };
-use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpPullServer, TcpPush};
+use sdci_net::{Endpoint, NetConfig, TcpPullServer, TcpPush};
 use sdci_types::bin::History;
 use sdci_types::{ChangelogKind, EventKind, Fid, FileEvent, MdtIndex, SimTime, TraceContext};
 use std::collections::HashMap;
@@ -17,17 +20,6 @@ use std::time::{Duration, Instant};
 
 /// Item-frame flags bit 2: the frame continues its connection.
 const CONTINUES: u8 = 4;
-
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
-}
 
 fn drain_all<T>(server: &TcpPullServer<T>, n: usize) -> Vec<T>
 where
@@ -486,9 +478,10 @@ fn a_frame_the_pusher_never_sends_costs_the_connection() {
     endpoint.shutdown();
 }
 
-/// End to end: with send-side frame drops injected, the pusher recovers
-/// by redialling — a gap costs the connection, a frame lost at the tail
-/// the liveness interval — and every item still arrives exactly once.
+/// End to end: with frame drops injected on the pusher's connection, a
+/// lost item frame is proved lost by the answer to the ping after it and
+/// costs a redial, a lost ack is made good by that answer, and every item
+/// still arrives exactly once.
 #[test]
 fn dropped_frames_recover_via_redial() {
     let plan = std::sync::Arc::new(sdci_faults::FaultPlan::parse("seed=11,drop=0.08").unwrap());
@@ -520,10 +513,13 @@ fn dropped_frames_recover_via_redial() {
 
 /// A frame lost on a live connection with nothing queued behind it opens
 /// no gap the server could see, and the server answers every ping with
-/// its mark, as `TcpPullServer` does. Those acks do not advance past the
-/// lost item, so they are no progress: the pusher gives the connection
-/// up once the item has waited its liveness interval, and the redial
-/// resends it — within the liveness interval and one backoff.
+/// its mark, as `TcpPullServer` does. TCP delivers a frame ahead of any
+/// ping written after it and the server answers in order, so the answer
+/// to the first ping after the frame proves it lost: the pusher gives the
+/// connection up then, not once the frame has waited its liveness
+/// interval (500 ms here), and the redial resends it. Hence the bound: a
+/// heartbeat until that ping, a heartbeat of slack for its answer and the
+/// read tick, one backoff, and 100 ms for the redial itself.
 #[test]
 fn a_push_frame_lost_with_nothing_behind_it_is_resent() {
     let cfg = fast_cfg();
@@ -586,9 +582,76 @@ fn a_push_frame_lost_with_nothing_behind_it_is_resent() {
     };
     assert_eq!((first_seq, &payloads[..]), (2, &[2u64][..]), "the lost item is what is resent");
     write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 2 }).unwrap();
-    let bound = cfg.liveness + cfg.retry.max + Duration::from_millis(500);
+    let bound = 2 * cfg.heartbeat + cfg.retry.max + Duration::from_millis(100);
     assert!(waited < bound, "resent {waited:?} after the loss, past {bound:?}");
     assert!(push.drain(Duration::from_secs(5)), "the resent item was never acked");
+}
+
+/// One frame is in flight at a time. A server that holds the ack of the
+/// pusher's first frame for five heartbeats — answering no ping meanwhile,
+/// so nothing proves the frame lost, and its liveness interval is far off
+/// — sees no second frame before that ack, however many items are sent
+/// behind it. Once it acks, the items queued meanwhile follow, each once
+/// and in order.
+#[test]
+fn a_late_ack_holds_the_next_frame_back() {
+    const N: u64 = 200;
+    let cfg = fast_cfg();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let push = TcpPush::<u64>::connect(listener.local_addr().unwrap(), "late", cfg.clone());
+    let sender = {
+        let push = push.clone();
+        std::thread::spawn(move || {
+            for i in 1..=N {
+                assert!(push.send(i));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    let (stream, _) = listener.accept().unwrap();
+    stream.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    let _hello: Hello = reader.read_msg().unwrap();
+    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: 0 }).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    // The next item batch, its pings unanswered; `None` once `until` passes.
+    let mut next_batch = |until: Instant| loop {
+        assert!(Instant::now() < deadline, "the pusher stopped sending");
+        match reader.read_msg::<Frame<u64>>() {
+            Ok(Frame::ItemBatch { first_seq, payloads, .. }) => break Some((first_seq, payloads)),
+            Ok(Frame::Ping) => {}
+            Ok(other) => panic!("a pusher sent {other:?}"),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(e) => panic!("the pusher gave the connection up: {e}"),
+        }
+        if Instant::now() >= until {
+            break None;
+        }
+    };
+    let (first_seq, mut got) = next_batch(deadline).expect("the first frame");
+    assert_eq!(first_seq, 1);
+    let held_until = Instant::now() + 5 * cfg.heartbeat;
+    if let Some((first_seq, payloads)) = next_batch(held_until) {
+        panic!(
+            "items {first_seq}.. ({} of them) were sent behind an unacked frame",
+            payloads.len()
+        );
+    }
+    write_msg(&mut writer, &Frame::<u64>::Ack { up_to: got.len() as u64 }).unwrap();
+    while got.len() < N as usize {
+        let (first_seq, payloads) = next_batch(deadline).expect("a frame before the deadline");
+        assert_eq!(first_seq, got.len() as u64 + 1, "a frame out of turn");
+        got.extend(payloads);
+        write_msg(&mut writer, &Frame::<u64>::Ack { up_to: got.len() as u64 }).unwrap();
+    }
+    sender.join().unwrap();
+    assert!(push.drain(Duration::from_secs(5)), "acks never fully arrived");
+    assert_eq!(got, (1..=N).collect::<Vec<_>>(), "lost, duplicated or reordered items");
 }
 
 fn traced_event(i: u64) -> FileEvent {
@@ -672,11 +735,12 @@ fn batched_session_survives_server_kill_restart_without_loss() {
     );
     endpoint1.shutdown();
 
-    // Unacked items queue while the port is dark — at most a window's
-    // worth, since `send` blocks on the full queue and nobody drains it
-    // until the link is back. The restarted server (fresh marks) must
-    // receive the batched resend exactly once.
-    const B: u64 = 800;
+    // Unacked items queue while the port is dark — at most a frame's
+    // worth (`max_batch`, 512) is sure to fit, since `send` blocks on the
+    // full queue behind the frame in flight and nobody drains it until
+    // the link is back. The restarted server (fresh marks) must receive
+    // the batched resend exactly once.
+    const B: u64 = 512;
     for i in A..A + B {
         assert!(push.send(i));
     }

@@ -2,20 +2,12 @@
 //! HWM contract and redials driven by the subscriber's reads, over a real
 //! TCP connection.
 
-use sdci_mq::transport::{Publish, PublishOutcome, Subscribe};
-use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
-use std::time::{Duration, Instant};
+mod common;
 
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
-}
+use common::fast_cfg;
+use sdci_mq::transport::{Publish, PublishOutcome, Subscribe};
+use sdci_net::{Endpoint, NetConfig, TcpBroker, TcpSubscriber};
+use std::time::{Duration, Instant};
 
 /// The fan-out's shed series is process-wide: the tests that count it
 /// take turns.

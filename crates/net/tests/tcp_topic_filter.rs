@@ -2,22 +2,14 @@
 //! whose topics match one of its prefixes, in publish order — the same
 //! filter contract as the in-process broker.
 
+mod common;
+
+use common::fast_cfg;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sdci_mq::transport::{Publish, Subscribe};
-use sdci_net::{Endpoint, NetConfig, RetryPolicy, TcpBroker, TcpSubscriber};
+use sdci_net::{Endpoint, TcpBroker, TcpSubscriber};
 use std::time::Duration;
-
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
-}
 
 const TOPICS: &[&str] =
     &["a/x", "a/y", "ab/q", "b/x", "b/y/z", "c", "c/z", "events/mdt0", "events/mdt1"];

@@ -32,6 +32,9 @@
 //! The allocator is this binary's own (as in `wire_mutation.rs`): it
 //! records the largest single request the calling thread has made.
 
+mod common;
+
+use common::fast_cfg;
 use sdci_core::{EventBackend, EventStore, FeedMessage, SequencedEvent, StoreQuery};
 use sdci_mq::transport::{Publish, Subscribe};
 use sdci_net::store_rpc::StoreRpc;
@@ -40,7 +43,7 @@ use sdci_net::wire::{
     FRAME_HEADER_LEN, MAX_HELLO_LEN,
 };
 use sdci_net::{
-    Endpoint, NetConfig, RemoteStore, RetryPolicy, StoreServer, TcpBroker, TcpPullServer, TcpPush,
+    Endpoint, NetConfig, RemoteStore, StoreServer, TcpBroker, TcpPullServer, TcpPush,
     TcpSubscriber, WireMsg, MAX_FRAME_LEN, WIRE_PROTO,
 };
 use sdci_types::bin::History;
@@ -102,17 +105,6 @@ fn largest_request<T>(f: impl FnOnce() -> T) -> (T, usize) {
     LARGEST.with(|c| c.set(0));
     let out = f();
     (out, LARGEST.with(Cell::get))
-}
-
-fn fast_cfg() -> NetConfig {
-    NetConfig {
-        hwm: 8192,
-        window: 1024,
-        retry: RetryPolicy { base: Duration::from_millis(10), max: Duration::from_millis(100) },
-        heartbeat: Duration::from_millis(20),
-        liveness: Duration::from_millis(500),
-        ..NetConfig::default()
-    }
 }
 
 /// The refusal counters and the connection-thread census are

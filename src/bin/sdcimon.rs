@@ -42,7 +42,7 @@
 //! checksummed blocks; the manifest is JSON, carries the per-collector
 //! push dedup marks beside the store's layout, and its rename is the
 //! one commit point: a restart restores one flush's store *and* that
-//! flush's marks, so collectors that resend their unacked window are
+//! flush's marks, so collectors that resend their frame in flight are
 //! deduplicated against events the snapshot already holds. A directory
 //! of manifest version 1, or a `DIR.marks` sidecar left beside one, is
 //! a start-up error. Events a hard kill catches acknowledged but not
